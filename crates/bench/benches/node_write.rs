@@ -1,12 +1,9 @@
 //! Hot-path microbench: `Node::write` (single page) and `Node::write_run`
-//! (32-page run) over an in-memory pair, pipelined vs. the legacy
-//! stop-and-wait replication path.
+//! (32-page run) over an in-memory pair.
 //!
 //! Compile-checked in CI via `cargo bench --no-run`; run locally with
 //! `cargo bench --bench node_write` to compare before touching the write
-//! path. The interesting ratio is `write_run/legacy` over
-//! `write_run/pipelined`: a run is O(runs) wire frames pipelined but
-//! O(pages) blocking round trips legacy.
+//! path.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -19,13 +16,12 @@ const PAGE_BYTES: usize = 512;
 /// degrading to write-through.
 const LPN_WINDOW: u64 = 2048;
 
-fn pair(legacy: bool) -> (Node, Node) {
+fn pair() -> (Node, Node) {
     let cfg = |id: u8| {
         let mut c = NodeConfig::test_profile(id);
         c.buffer_pages = 8192;
         c.remote_capacity = 16384;
         c.repl_batch_pages = RUN_PAGES;
-        c.legacy_repl = legacy;
         c
     };
     let (ta, tb) = mem_pair();
@@ -42,36 +38,32 @@ fn page(i: u64) -> Bytes {
 }
 
 fn bench_single_page(c: &mut Criterion) {
-    let mut g = c.benchmark_group("node_write/single_page");
+    let mut g = c.benchmark_group("node_write");
     g.sample_size(400);
-    for (name, legacy) in [("pipelined", false), ("legacy", true)] {
-        let (a, _b) = pair(legacy);
-        let data = page(7);
-        let mut lpn = 0u64;
-        g.bench_function(name, |bench| {
-            bench.iter(|| {
-                lpn = (lpn + 1) % LPN_WINDOW;
-                a.write(lpn, &data)
-            })
-        });
-    }
+    let (a, _b) = pair();
+    let data = page(7);
+    let mut lpn = 0u64;
+    g.bench_function("single_page", |bench| {
+        bench.iter(|| {
+            lpn = (lpn + 1) % LPN_WINDOW;
+            a.write(lpn, &data)
+        })
+    });
     g.finish();
 }
 
 fn bench_write_run(c: &mut Criterion) {
-    let mut g = c.benchmark_group("node_write/run_32_pages");
+    let mut g = c.benchmark_group("node_write");
     g.sample_size(100);
-    for (name, legacy) in [("pipelined", false), ("legacy", true)] {
-        let (a, _b) = pair(legacy);
-        let pages: Vec<Bytes> = (0..RUN_PAGES as u64).map(page).collect();
-        let mut base = 0u64;
-        g.bench_function(name, |bench| {
-            bench.iter(|| {
-                base = (base + RUN_PAGES as u64) % LPN_WINDOW;
-                a.write_run(0, base, &pages)
-            })
-        });
-    }
+    let (a, _b) = pair();
+    let pages: Vec<Bytes> = (0..RUN_PAGES as u64).map(page).collect();
+    let mut base = 0u64;
+    g.bench_function("run_32_pages", |bench| {
+        bench.iter(|| {
+            base = (base + RUN_PAGES as u64) % LPN_WINDOW;
+            a.write_run(0, base, &pages)
+        })
+    });
     g.finish();
 }
 

@@ -34,29 +34,28 @@ FLAGS:
   --pages P          lpn window per client             (default 16384)
   --page-bytes B     payload bytes per page            (default 512)
   --shards N         cooperative pairs behind the
-                     gateway; >1 routes by hash ring
-                     and reports per-shard lines       (default 1)
+                     gateway, routed by hash ring; one
+                     report line per shard             (default 1)
   --kill-primary-at N  crash the victim shard's primary
-                     N ms after start (needs --shards
-                     >= 2); adds per-phase lines       (default off)
+                     N ms after start; adds per-phase
+                     lines                             (default off)
   --restart-after M  restart the crashed primary M ms
                      after the kill; traffic then
                      drives failback                   (default off)
   --victim-shard S   shard whose primary is killed     (default 0)
   --add-pair-at N    live-attach a fresh pair N ms
                      after start and migrate its share
-                     of blocks onto it (needs --shards
-                     >= 2; excludes --kill-primary-at) (default off)
+                     of blocks onto it (excludes
+                     --kill-primary-at)                (default off)
   --remove-pair-at N live-remove the newest pair N ms
                      after start (the added pair when
                      combined with --add-pair-at, else
-                     the highest shard)                (default off)
+                     the highest shard; never the last
+                     pair)                             (default off)
   --repl-window N    in-flight replication batches per
                      node before the sender stalls     (default: node profile)
   --repl-batch-pages N  max pages coalesced into one
                      replication frame                 (default: node profile)
-  --legacy-repl      use the pre-pipeline stop-and-wait
-                     replication path (A/B baseline)   (default off)
   --req-pages F      override the workload's mean
                      request size in pages             (default: trace profile)
   --remote-capacity N  distinct peer pages each node
@@ -133,7 +132,6 @@ fn run() -> Result<(), String> {
         repl_batch_pages: flag_value(&args, "--repl-batch-pages")
             .map(|s| s.parse::<usize>().map_err(|_| format!("bad number {s:?}")))
             .transpose()?,
-        legacy_repl: args.iter().any(|a| a == "--legacy-repl"),
         req_pages: flag_value(&args, "--req-pages")
             .map(|s| s.parse::<f64>().map_err(|_| format!("bad number {s:?}")))
             .transpose()?,

@@ -1,4 +1,4 @@
-//! `fc-loadgen`: drive a gateway-fronted FlashCoop pair from fc-trace
+//! `fc-loadgen`: drive a gateway-fronted FlashCoop cluster from fc-trace
 //! workloads and report tail latency, throughput, and shed rate.
 //!
 //! Deterministic by construction: each client derives its request stream
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig, ReplicationStats};
+use fc_cluster::{NodeConfig, ReplicationStats};
 use fc_gateway::{
     AdmissionConfig, ClientError, Gateway, GatewayClient, GatewayConfig, GatewayStats, Reply,
     ShardStats, ShardStatsSum, ShardedGateway,
@@ -154,13 +154,12 @@ pub struct LoadgenSpec {
     pub admission: AdmissionConfig,
     /// Payload bytes per page.
     pub page_bytes: usize,
-    /// Cooperative pairs behind the gateway. 1 = the classic single-pair
-    /// front end; >1 spawns a [`ShardedGateway`] routing by
-    /// [`cluster_ring`] and the report grows a per-shard breakdown.
+    /// Cooperative pairs behind the gateway: a [`ShardedGateway`] routing
+    /// by [`cluster_ring`], with one report row per shard.
     pub shards: u16,
     /// Fault schedule: crash the victim shard's primary this long after
-    /// the clients start (sharded runs only — the gateway fails the shard
-    /// over to its secondary and the report grows per-phase lines).
+    /// the clients start (the gateway fails the shard over to its
+    /// secondary and the report grows per-phase lines).
     pub kill_primary_at: Option<Duration>,
     /// Restart the crashed primary this long after the kill; traffic then
     /// drives failback. Requires `kill_primary_at`.
@@ -169,12 +168,12 @@ pub struct LoadgenSpec {
     pub victim_shard: u16,
     /// Elastic schedule: attach a fresh pair this long after the clients
     /// start and live-migrate its share of occupied blocks onto it
-    /// (sharded runs only; cannot combine with the fault schedule).
+    /// (cannot combine with the fault schedule).
     pub add_pair_at: Option<Duration>,
     /// Elastic schedule: live-remove the newest pair this long after the
     /// clients start — the pair added by `add_pair_at` when both are set,
     /// otherwise the highest original shard. Must be later than
-    /// `add_pair_at` when both are given.
+    /// `add_pair_at` when both are given; never the last pair.
     pub remove_pair_at: Option<Duration>,
     /// Override every node's replication pipeline window (in-flight
     /// batches); `None` keeps the profile default.
@@ -182,9 +181,6 @@ pub struct LoadgenSpec {
     /// Override every node's max pages per replication batch; `None`
     /// keeps the profile default.
     pub repl_batch_pages: Option<usize>,
-    /// Run every node on the legacy stop-and-wait replication path
-    /// (the pre-pipeline baseline, for A/B comparisons).
-    pub legacy_repl: bool,
     /// Override the workload's mean request size in pages (>= 1) — larger
     /// requests make longer write runs, the shape the replication
     /// pipeline coalesces into single frames.
@@ -228,7 +224,6 @@ impl Default for LoadgenSpec {
             remove_pair_at: None,
             repl_window: None,
             repl_batch_pages: None,
-            legacy_repl: false,
             req_pages: None,
             remote_capacity: None,
             buffer_pages: None,
@@ -258,15 +253,15 @@ pub struct LoadReport {
     /// Gateway-side view at the end of the run.
     pub gateway: GatewayStats,
     /// FNV-1a digest over the cluster's final data state across every
-    /// client window (routed reads in sharded mode) — two runs of the same
+    /// client window (routed reads) — two runs of the same
     /// spec must produce the same digest (the determinism contract of the
     /// in-memory variant).
     pub state_digest: u64,
-    /// Client-side per-shard breakdown (empty when `shards == 1`):
-    /// acked requests and latency attributed to the shard owning each
-    /// request's head lpn, via the same ring the gateway routes by.
+    /// Client-side per-shard breakdown: acked requests and latency
+    /// attributed to the shard owning each request's head lpn, via the
+    /// same ring the gateway routes by.
     pub shard_lines: Vec<ShardLine>,
-    /// Gateway-side per-shard counters (empty when `shards == 1`).
+    /// Gateway-side per-shard counters.
     pub shard_stats: Vec<ShardStats>,
     /// Per-phase breakdown of a fault- or elastic-schedule run (empty
     /// without one): acked requests bucketed by the phase their reply
@@ -280,8 +275,7 @@ pub struct LoadReport {
 
 /// Cluster-wide replication summary for a run: the fault-tolerance
 /// counters summed across nodes plus the batch-size distribution of every
-/// first-send `WriteReplBatch` frame. On the legacy stop-and-wait path
-/// `batch_hist.count == 0` and `stats.batches_sent == 0`.
+/// first-send `WriteReplBatch` frame.
 #[derive(Debug, Clone, Default)]
 pub struct ReplLine {
     /// [`ReplicationStats`] summed over all nodes.
@@ -332,13 +326,9 @@ impl LoadReport {
         }
     }
 
-    /// The counter-sum identity for a sharded run: every per-shard
-    /// `gateway.shard.*` page counter must sum exactly to its aggregate
-    /// `gateway.*` twin. Trivially `Ok` for a single-pair run.
+    /// The counter-sum identity: every per-shard `gateway.shard.*` counter
+    /// must sum exactly to its aggregate `gateway.*` twin.
     pub fn verify_shard_sums(&self) -> Result<(), String> {
-        if self.shard_stats.is_empty() {
-            return Ok(());
-        }
         ShardStatsSum::of(&self.shard_stats)
             .matches(&self.gateway)
             .map_err(|(name, sum, total)| {
@@ -493,21 +483,18 @@ impl PhaseAttr {
 #[derive(Clone, Copy)]
 struct Sinks<'a> {
     latency: &'a Histogram,
-    attr: Option<&'a ShardAttr>,
+    attr: &'a ShardAttr,
     phases: Option<&'a PhaseAttr>,
 }
 
 impl Sinks<'_> {
     fn record(&self, lpn: u64, ns: u64) {
-        let shard = self.attr.map_or(0, |a| a.shard_of(lpn));
-        self.record_at_shard(shard, ns);
+        self.record_at_shard(self.attr.shard_of(lpn), ns);
     }
 
     fn record_at_shard(&self, shard: usize, ns: u64) {
         self.latency.record(ns);
-        if let Some(attr) = self.attr {
-            attr.record(shard, ns);
-        }
+        self.attr.record(shard, ns);
         if let Some(phases) = self.phases {
             phases.record(ns);
         }
@@ -593,7 +580,7 @@ fn drive_open(
         }
         let pages = req.pages.max(1);
         t.issued += 1;
-        let shard = sinks.attr.map_or(0, |a| a.shard_of(base + req.lpn));
+        let shard = sinks.attr.shard_of(base + req.lpn);
         let sent = Instant::now();
         let result = match req.op {
             Op::Write => {
@@ -678,20 +665,13 @@ fn client_recv(client: &GatewayClient, timeout: Duration) -> RecvOutcome {
     }
 }
 
-/// Build a gateway-fronted cluster — one pair, or `spec.shards` pairs
-/// behind a consistent-hash ring — run the spec, and report.
+/// Build a gateway-fronted cluster — `spec.shards` pairs behind a
+/// consistent-hash ring — run the spec, and report.
 pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     if spec.shards == 0 {
         return Err("shards must be >= 1".into());
     }
     if spec.kill_primary_at.is_some() {
-        if spec.shards < 2 {
-            return Err(
-                "fault schedule requires --shards >= 2 (a single pair has no shard-level \
-                 secondary to fail over to)"
-                    .into(),
-            );
-        }
         if spec.victim_shard >= spec.shards {
             return Err(format!(
                 "victim shard {} out of range (shards = {})",
@@ -702,8 +682,8 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         return Err("--restart-after requires --kill-primary-at".into());
     }
     if spec.add_pair_at.is_some() || spec.remove_pair_at.is_some() {
-        if spec.shards < 2 {
-            return Err("elastic schedule requires --shards >= 2".into());
+        if spec.shards < 2 && spec.add_pair_at.is_none() {
+            return Err("--remove-pair-at would retire the only pair".into());
         }
         if spec.kill_primary_at.is_some() {
             return Err(
@@ -727,14 +707,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     }
     let pages_per_block = gw_cfg.pages_per_block;
 
-    // Keep-alive for whatever backs the gateway: the single pair's B side,
-    // or the whole sharded cluster (pairs + secondaries). Arc so the scale
-    // controller can drive rebalances while the clients run.
-    enum Backing {
-        Single(Node),
-        Sharded(Arc<ShardedGateway>),
-    }
-
     // Replication-pipeline knobs, applied uniformly to every node.
     let tune = |cfg: &mut NodeConfig| {
         if let Some(w) = spec.repl_window {
@@ -749,32 +721,25 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         if let Some(b) = spec.buffer_pages {
             cfg.buffer_pages = b;
         }
-        cfg.legacy_repl = spec.legacy_repl;
     };
 
-    let (gateway, backing): (Arc<Gateway>, Backing) = if spec.shards == 1 {
-        let (ta, tb) = mem_pair();
-        let backend = shared_backend(MemBackend::default());
-        let mut cfg_a = NodeConfig::test_profile(0);
-        tune(&mut cfg_a);
-        let mut cfg_b = NodeConfig::test_profile(1);
-        tune(&mut cfg_b);
-        let node_a = Arc::new(Node::spawn(cfg_a, ta, backend.clone()));
-        let node_b = Node::spawn(cfg_b, tb, backend);
-        (Gateway::new(gw_cfg, node_a), Backing::Single(node_b))
-    } else {
-        let ring_cfg = RingConfig {
-            seed: RING_SEED,
-            block_pages: pages_per_block,
-            ..RingConfig::default()
-        };
-        let sg = ShardedGateway::spawn_mem_with(gw_cfg, ring_cfg, spec.shards, tune);
-        (Arc::clone(sg.gateway()), Backing::Sharded(Arc::new(sg)))
+    let ring_cfg = RingConfig {
+        seed: RING_SEED,
+        block_pages: pages_per_block,
+        ..RingConfig::default()
     };
+    // Arc so the scale controller can drive rebalances while the clients
+    // run.
+    let sg = Arc::new(ShardedGateway::spawn_mem_with(
+        gw_cfg,
+        ring_cfg,
+        spec.shards,
+        tune,
+    ));
+    let gateway = Arc::clone(sg.gateway());
 
     // Client-side shard attribution, shared across client threads.
-    let attr: Option<Arc<ShardAttr>> =
-        (spec.shards > 1).then(|| Arc::new(ShardAttr::new(spec.shards, pages_per_block)));
+    let attr = Arc::new(ShardAttr::new(spec.shards, pages_per_block));
 
     let tcp_addr = match spec.transport {
         TransportKind::Tcp => Some(
@@ -821,8 +786,8 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
 
     // Fault controller: crash (and optionally restart) the victim shard's
     // primary on the spec's schedule.
-    let fault = match (&backing, spec.kill_primary_at) {
-        (Backing::Sharded(sg), Some(kill_at)) => {
+    let fault = match spec.kill_primary_at {
+        Some(kill_at) => {
             let victim = sg.primary(spec.victim_shard);
             let restart_after = spec.restart_after;
             Some(
@@ -846,39 +811,35 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     // Scale controller: live-attach a fresh pair and/or live-remove the
     // newest pair on the spec's schedule, using the fc-rebalance
     // epoch-fenced migration protocol while the clients keep driving.
-    let scale = match (
-        &backing,
-        spec.add_pair_at.is_some() || spec.remove_pair_at.is_some(),
-    ) {
-        (Backing::Sharded(sg), true) => {
-            let sg = Arc::clone(sg);
-            let add_at = spec.add_pair_at;
-            let remove_at = spec.remove_pair_at;
-            let base_shards = spec.shards;
-            Some(
-                std::thread::Builder::new()
-                    .name("fc-loadgen-scale".into())
-                    .spawn(move || -> Result<(), String> {
-                        let cfg = RebalanceConfig::default();
-                        let mut newest = base_shards - 1;
-                        if let Some(at) = add_at {
-                            sleep_until(started + at);
-                            let (p, s) = fc_rebalance::spawn_mem_pair(base_shards, pages_per_block);
-                            newest = base_shards;
-                            fc_rebalance::add_pair(&sg, p, s, &cfg)
-                                .map_err(|e| format!("add-pair: {e}"))?;
-                        }
-                        if let Some(at) = remove_at {
-                            sleep_until(started + at);
-                            fc_rebalance::remove_pair(&sg, newest, &cfg)
-                                .map_err(|e| format!("remove-pair {newest}: {e}"))?;
-                        }
-                        Ok(())
-                    })
-                    .map_err(|e| format!("spawn scale controller: {e}"))?,
-            )
-        }
-        _ => None,
+    let scale = if spec.add_pair_at.is_some() || spec.remove_pair_at.is_some() {
+        let sg = Arc::clone(&sg);
+        let add_at = spec.add_pair_at;
+        let remove_at = spec.remove_pair_at;
+        let base_shards = spec.shards;
+        Some(
+            std::thread::Builder::new()
+                .name("fc-loadgen-scale".into())
+                .spawn(move || -> Result<(), String> {
+                    let cfg = RebalanceConfig::default();
+                    let mut newest = base_shards - 1;
+                    if let Some(at) = add_at {
+                        sleep_until(started + at);
+                        let (p, s) = fc_rebalance::spawn_mem_pair(base_shards, pages_per_block);
+                        newest = base_shards;
+                        fc_rebalance::add_pair(&sg, p, s, &cfg)
+                            .map_err(|e| format!("add-pair: {e}"))?;
+                    }
+                    if let Some(at) = remove_at {
+                        sleep_until(started + at);
+                        fc_rebalance::remove_pair(&sg, newest, &cfg)
+                            .map_err(|e| format!("remove-pair {newest}: {e}"))?;
+                    }
+                    Ok(())
+                })
+                .map_err(|e| format!("spawn scale controller: {e}"))?,
+        )
+    } else {
+        None
     };
 
     let mut handles = Vec::new();
@@ -906,7 +867,7 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
                     client.hello().map_err(|e| format!("hello: {e}"))?;
                     let sinks = Sinks {
                         latency: &latency,
-                        attr: attr.as_deref(),
+                        attr: &attr,
                         phases: phases.as_deref(),
                     };
                     Ok::<ClientTally, String>(match mode {
@@ -948,42 +909,22 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         std::thread::sleep(Duration::from_millis(1));
     }
     let gateway_stats = gateway.stats();
-    let shard_stats = if spec.shards > 1 {
-        gateway.shard_stats()
-    } else {
-        Vec::new()
-    };
-    let shard_lines = attr.as_deref().map(ShardAttr::lines).unwrap_or_default();
+    let shard_stats = gateway.shard_stats();
+    let shard_lines = attr.lines();
     let digest = state_digest(&gateway, spec.clients as u64 * spec.pages_per_client);
 
     // Cluster-wide replication summary, snapshotted while the nodes are
     // still alive (both sides of every pair — secondaries count dedup and
     // integrity rejections the senders never see).
     let mut repl = ReplLine::default();
-    {
-        let mut absorb = |node: &Node| {
+    for shard in 0..sg.shards() {
+        for node in [sg.primary(shard), sg.secondary(shard)] {
             repl.stats.absorb(&node.stats().repl);
             merge_hist_summary(&mut repl.batch_hist, &node.repl_batch_histogram());
-        };
-        match &backing {
-            Backing::Single(node_b) => {
-                absorb(gateway.node());
-                absorb(node_b);
-            }
-            Backing::Sharded(sg) => {
-                for shard in 0..sg.shards() {
-                    absorb(&sg.primary(shard));
-                    absorb(&sg.secondary(shard));
-                }
-            }
         }
     }
 
-    gateway.shutdown();
-    match backing {
-        Backing::Single(node_b) => drop(node_b),
-        Backing::Sharded(sg) => sg.shutdown(),
-    }
+    sg.shutdown();
 
     let mut spec_line = format!(
         "trace={} clients={} seed={} requests={} mode={} transport={} shards={}",
@@ -1023,16 +964,11 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     if let Some(ppb) = spec.pages_per_block {
         spec_line.push_str(&format!(" pages-per-block={ppb}"));
     }
-    if spec.legacy_repl {
-        spec_line.push_str(" repl=legacy");
-    } else {
-        spec_line.push_str(" repl=pipelined");
-        if let Some(w) = spec.repl_window {
-            spec_line.push_str(&format!(" repl-window={w}"));
-        }
-        if let Some(p) = spec.repl_batch_pages {
-            spec_line.push_str(&format!(" repl-batch-pages={p}"));
-        }
+    if let Some(w) = spec.repl_window {
+        spec_line.push_str(&format!(" repl-window={w}"));
+    }
+    if let Some(p) = spec.repl_batch_pages {
+        spec_line.push_str(&format!(" repl-batch-pages={p}"));
     }
 
     Ok(LoadReport {
@@ -1107,7 +1043,7 @@ fn state_digest(gateway: &Gateway, total_pages: u64) -> u64 {
 }
 
 /// Render the machine-readable report: one flat JSON object per run, the
-/// shape `scripts/bench.sh` aggregates into `BENCH_10.json`. Hand-rolled —
+/// shape of the records in `BENCH_10.json`. Hand-rolled —
 /// the values are numbers plus one ASCII spec string, so no serializer
 /// dependency is warranted.
 pub fn report_json(r: &LoadReport) -> String {
@@ -1192,30 +1128,23 @@ pub fn report_text(r: &LoadReport) -> String {
         us(r.latency.p999()),
         us(r.latency.max()),
     ));
-    if r.repl.stats.batches_sent > 0 {
-        let h = &r.repl.batch_hist;
-        let mean = if h.count == 0 {
-            0.0
-        } else {
-            h.sum as f64 / h.count as f64
-        };
-        out.push_str(&format!(
-            "  {:<12} batches {}  pages {}  (pages/batch mean {:.1}  p50 {}  p99 {}  max {})  retries {}\n",
-            "replication",
-            r.repl.stats.batches_sent,
-            r.repl.stats.batch_pages,
-            mean,
-            h.p50,
-            h.p99,
-            h.max,
-            r.repl.stats.retries,
-        ));
+    let h = &r.repl.batch_hist;
+    let mean = if h.count == 0 {
+        0.0
     } else {
-        out.push_str(&format!(
-            "  {:<12} legacy stop-and-wait  replicated-sends n/a  retries {}\n",
-            "replication", r.repl.stats.retries,
-        ));
-    }
+        h.sum as f64 / h.count as f64
+    };
+    out.push_str(&format!(
+        "  {:<12} batches {}  pages {}  (pages/batch mean {:.1}  p50 {}  p99 {}  max {})  retries {}\n",
+        "replication",
+        r.repl.stats.batches_sent,
+        r.repl.stats.batch_pages,
+        mean,
+        h.p50,
+        h.p99,
+        h.max,
+        r.repl.stats.retries,
+    ));
     out.push_str(&format!(
         "  {:<12} batches {}  runs {}  coalesced {}  peak-inflight {}  residual {}\n",
         "gateway",
@@ -1464,11 +1393,6 @@ mod tests {
 
     #[test]
     fn fault_schedule_validation() {
-        let single = LoadgenSpec {
-            kill_primary_at: Some(Duration::from_millis(1)),
-            ..LoadgenSpec::default()
-        };
-        assert!(run(&single).is_err(), "single pair has no shard failover");
         let bad_victim = LoadgenSpec {
             shards: 2,
             victim_shard: 5,
@@ -1530,11 +1454,11 @@ mod tests {
 
     #[test]
     fn elastic_schedule_validation() {
-        let single = LoadgenSpec {
-            add_pair_at: Some(Duration::from_millis(1)),
+        let last_pair = LoadgenSpec {
+            remove_pair_at: Some(Duration::from_millis(1)),
             ..LoadgenSpec::default()
         };
-        assert!(run(&single).is_err(), "elastic schedule needs >= 2 shards");
+        assert!(run(&last_pair).is_err(), "a removal never empties the ring");
         let with_fault = LoadgenSpec {
             shards: 2,
             add_pair_at: Some(Duration::from_millis(1)),
@@ -1551,8 +1475,49 @@ mod tests {
         assert!(run(&backwards).is_err(), "remove must follow add");
     }
 
+    /// The two pipelined configurations recorded in `BENCH_10.json` must
+    /// reach the digests checked in there.
     #[test]
-    fn single_pair_report_has_no_shard_breakdown() {
+    fn bench_10_state_digests_reproduce() {
+        let common = LoadgenSpec {
+            workload: Workload::Fin1,
+            seed: 42,
+            transport: TransportKind::Mem,
+            pages_per_client: 256,
+            req_pages: Some(32.0),
+            remote_capacity: Some(16384),
+            buffer_pages: Some(8192),
+            pages_per_block: Some(64),
+            repl_batch_pages: Some(32),
+            admission: AdmissionConfig {
+                per_client_rate: 1_000_000.0,
+                ..AdmissionConfig::default()
+            },
+            ..LoadgenSpec::default()
+        };
+        for (clients, requests, shards, digest) in [
+            (4, 1500, 1, 0xa3cf_14f4_80d8_06ca_u64),
+            (8, 800, 4, 0x4055_dbb0_1a2a_8c8b),
+        ] {
+            let report = run(&LoadgenSpec {
+                clients,
+                requests,
+                shards,
+                ..common.clone()
+            })
+            .expect("run");
+            assert_eq!(report.shed, 0, "shards={shards}");
+            assert_eq!(report.errors, 0, "shards={shards}");
+            assert_eq!(
+                report.state_digest, digest,
+                "shards={shards}: got {:#018x}",
+                report.state_digest
+            );
+        }
+    }
+
+    #[test]
+    fn single_pair_report_has_one_shard_row_equal_to_the_aggregate() {
         let spec = LoadgenSpec {
             clients: 2,
             requests: 30,
@@ -1562,9 +1527,14 @@ mod tests {
             ..LoadgenSpec::default()
         };
         let report = run(&spec).expect("run");
-        assert!(report.shard_lines.is_empty());
-        assert!(report.shard_stats.is_empty());
-        report.verify_shard_sums().expect("vacuously ok");
-        assert!(!report_text(&report).contains("shard 0"));
+        assert_eq!(report.shard_lines.len(), 1);
+        assert_eq!(report.shard_lines[0].acked, report.acked);
+        let g = &report.gateway;
+        assert!(g.write_pages > 0 && g.read_pages > 0, "workload is mixed");
+        // With one row, the eleven-counter sum identity says the row
+        // equals the aggregate.
+        assert_eq!(report.shard_stats.len(), 1);
+        report.verify_shard_sums().expect("counter-sum identity");
+        assert!(report_text(&report).contains("shard 0"));
     }
 }

@@ -11,11 +11,11 @@
 //! from its printed seed.
 //!
 //! Faults apply to outbound traffic of the wrapped endpoint. By default only
-//! the data plane ([`Message::WriteRepl`] / [`Message::Discard`] and their
-//! [`Message::ReplAck`]s) is disturbed; control traffic (heartbeats, the
-//! recovery handshake) passes through untouched so a lossy-but-alive link
-//! does not masquerade as a dead peer. Set [`FaultPlan::all_traffic`] to
-//! disturb everything.
+//! the data plane ([`Message::WriteReplBatch`] / [`Message::Discard`] /
+//! [`Message::ResyncBatch`] and their acks and nacks) is disturbed; control
+//! traffic (heartbeats, the recovery handshake) passes through untouched so
+//! a lossy-but-alive link does not masquerade as a dead peer. Set
+//! [`FaultPlan::all_traffic`] to disturb everything.
 //!
 //! Time-based effects (added latency, the slow-peer gap) necessarily depend
 //! on wall-clock scheduling; the *decisions* — what is dropped, how long
@@ -195,9 +195,7 @@ impl FaultPlan {
         !self.data_only
             || matches!(
                 msg,
-                Message::WriteRepl { .. }
-                    | Message::Discard { .. }
-                    | Message::ReplAck { .. }
+                Message::Discard { .. }
                     | Message::ReplNack { .. }
                     | Message::ResyncBatch { .. }
                     | Message::ResyncAck { .. }
@@ -242,8 +240,7 @@ pub enum FaultAction {
 /// the echoed seq of an ack/nack.
 fn fault_seq(msg: &Message) -> Option<u64> {
     match msg {
-        Message::ReplAck { seq, .. }
-        | Message::ReplNack { seq, .. }
+        Message::ReplNack { seq, .. }
         | Message::ReplNackBatch { seq, .. }
         | Message::ResyncAck { seq } => Some(*seq),
         Message::ReplAckBatch { up_to, .. } => Some(*up_to),
@@ -513,19 +510,6 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
             entries
         }
         match msg {
-            Message::WriteRepl {
-                seq,
-                lpn,
-                version,
-                crc,
-                data,
-            } if !data.is_empty() => Some(Message::WriteRepl {
-                seq: *seq,
-                lpn: *lpn,
-                version: *version,
-                crc: *crc,
-                data: flip(data, rng),
-            }),
             Message::ResyncBatch { seq, entries }
                 if entries.iter().any(|(_, _, _, d)| !d.is_empty()) =>
             {
@@ -736,8 +720,17 @@ mod tests {
 
     const SHORT: Duration = Duration::from_millis(300);
 
+    /// The sample data-plane frame: a one-entry replication batch.
     fn write_repl(seq: u64) -> Message {
-        Message::write_repl(seq, seq, 1, Bytes::from_static(b"xyzw"))
+        Message::WriteReplBatch {
+            epoch: 1,
+            seq,
+            entries: vec![crate::wire::resync_entry(
+                seq,
+                1,
+                Bytes::from_static(b"xyzw"),
+            )],
+        }
     }
 
     fn drain(t: &impl Transport, window: Duration) -> Vec<Message> {

@@ -119,10 +119,6 @@ pub struct NodeConfig {
     /// Maximum unacknowledged batches in flight before the replication
     /// sender stops cutting new ones (the pipeline window).
     pub repl_window: usize,
-    /// Force the pre-pipeline stop-and-wait replication path: one
-    /// [`Message::WriteRepl`] frame and one blocking ack round trip per
-    /// page. Kept for A/B benchmarking against the batched pipeline.
-    pub legacy_repl: bool,
 }
 
 impl Default for NodeConfig {
@@ -144,7 +140,6 @@ impl Default for NodeConfig {
             dedup_window: 1024,
             repl_batch_pages: 32,
             repl_window: 32,
-            legacy_repl: false,
         }
     }
 }
@@ -167,7 +162,6 @@ impl NodeConfig {
             dedup_window: 64,
             repl_batch_pages: 16,
             repl_window: 32,
-            legacy_repl: false,
         }
     }
 
@@ -282,12 +276,6 @@ impl NodeConfigBuilder {
     /// Maximum unacknowledged replication batches in flight.
     pub fn repl_window(mut self, batches: usize) -> Self {
         self.cfg.repl_window = batches.max(1);
-        self
-    }
-
-    /// Force the stop-and-wait replication path (A/B benchmarking).
-    pub fn legacy_repl(mut self, legacy: bool) -> Self {
-        self.cfg.legacy_repl = legacy;
         self
     }
 
@@ -470,16 +458,6 @@ impl RunOutcome {
     }
 }
 
-/// The signal a blocked writer receives for its in-flight replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AckSignal {
-    /// The peer applied (or deduped) the page; `credits` is its remaining
-    /// hosting capacity.
-    Ack { credits: u32 },
-    /// The peer refused the page.
-    Nack(NackReason),
-}
-
 /// Cached obs handles for the hot replication path: counters resolved once
 /// at attach time, event emission via the shared [`Obs`] handle.
 #[derive(Debug, Clone)]
@@ -650,8 +628,7 @@ fn pipe_loop(
         Duration::from_nanos(cfg.retry.backoff_for(attempts.saturating_sub(1)).as_nanos())
     };
     // When a batch times out, a further attempt waits out the backoff
-    // first; an exhausted batch abandons at the bare ack timeout (exactly
-    // the legacy stop-and-wait schedule).
+    // first; an exhausted batch abandons at the bare ack timeout.
     let due_at = |b: &PipeBatch| {
         let wait = if b.attempts >= cfg.retry.attempts {
             Duration::ZERO
@@ -956,7 +933,6 @@ struct Inner {
     /// Last peer-advertised hosting credits; `None` until the peer has
     /// spoken (optimistic) or after going solo.
     credits: Option<u32>,
-    pending_acks: HashMap<u64, Sender<AckSignal>>,
     snapshot_waiters: Vec<Sender<Vec<(u64, u64, Bytes)>>>,
     purge_waiters: Vec<Sender<()>>,
     scrub_waiters: HashMap<u64, Sender<Option<(u64, Bytes)>>>,
@@ -966,7 +942,7 @@ struct Inner {
     /// Refcount of pages currently in the replication pipeline (enqueued,
     /// unresolved). [`Inner::enter_solo`] still flushes these for safety
     /// but leaves their durability accounting to the writer that owns
-    /// them — exactly what the legacy inline path did.
+    /// them.
     inflight: HashMap<u64, u32>,
     /// Commands to this node's own pipeline sender thread (unbounded, so a
     /// send under the `Inner` lock never blocks).
@@ -1321,8 +1297,6 @@ impl Inner {
 /// synchronous API.
 pub struct Node {
     inner: Arc<Mutex<Inner>>,
-    /// Immutable tunables, readable without any lock.
-    cfg: Arc<NodeConfig>,
     /// Node counters (leaf lock; see the [`Inner`] lock-order rule).
     stats: Arc<Mutex<NodeStats>>,
     /// The durable medium, reachable without going through `Inner` so hot
@@ -1380,7 +1354,6 @@ impl Node {
             resync: None,
             resync_retry_at: None,
             credits: None,
-            pending_acks: HashMap::new(),
             snapshot_waiters: Vec::new(),
             purge_waiters: Vec::new(),
             scrub_waiters: HashMap::new(),
@@ -1426,7 +1399,6 @@ impl Node {
         };
         Node {
             inner,
-            cfg,
             stats,
             backend,
             transport,
@@ -1451,9 +1423,6 @@ impl Node {
     /// counted but not yet resolved.
     pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
         let bytes = Bytes::copy_from_slice(data);
-        if self.cfg.legacy_repl {
-            return self.write_legacy(lpn, bytes);
-        }
         let pending = self
             .enqueue_pages(lpn, vec![bytes])
             .pop()
@@ -1710,274 +1679,13 @@ impl Node {
         }
     }
 
-    /// The pre-pipeline stop-and-wait path ([`NodeConfig::legacy_repl`]):
-    /// one `WriteRepl` frame and one blocking ack round trip per page.
-    /// Kept verbatim for A/B benchmarking against the pipeline.
-    fn write_legacy(&self, lpn: u64, bytes: Bytes) -> WriteOutcome {
-        // Hoisted backend version read — same rationale as
-        // [`Node::enqueue_pages`].
-        let backend_ver = self.backend.lock().version_of(lpn);
-        let (seq, version, ack_rx, flushed, nobs) = {
-            let mut inner = self.inner.lock();
-            if let Some(bv) = backend_ver {
-                inner.observe_version(bv);
-            }
-            let version = inner.next_version;
-            inner.next_version += 1;
-            inner.versions.insert(lpn, version);
-            inner.page_crc.insert(lpn, crc32(&bytes));
-
-            if inner.lifecycle.is_degraded() {
-                // Solo or resyncing: write through, journal for catch-up.
-                inner.backend.lock().write_page(lpn, version, &bytes);
-                let ev = inner.buffer.insert_clean(lpn, 1);
-                inner.data.insert(lpn, bytes.clone());
-                inner.apply_eviction(&ev);
-                inner.journal_record(lpn, version, bytes);
-                {
-                    let mut s = inner.stats.lock();
-                    s.writes += 1;
-                    s.write_through += 1;
-                }
-                if let Some(o) = &inner.obs {
-                    o.write_through.inc();
-                    o.obs.emit(
-                        o.ev("write_through")
-                            .u64_field("lpn", lpn)
-                            .str_field("reason", "degraded"),
-                    );
-                }
-                return WriteOutcome::WriteThrough;
-            }
-
-            if inner.credits == Some(0) {
-                // The peer's remote buffer is full: keep durability local
-                // instead of stalling on a NACK round trip.
-                inner.backend.lock().write_page(lpn, version, &bytes);
-                let ev = inner.buffer.insert_clean(lpn, 1);
-                inner.data.insert(lpn, bytes.clone());
-                inner.apply_eviction(&ev);
-                {
-                    let mut s = inner.stats.lock();
-                    s.writes += 1;
-                    s.write_through += 1;
-                    s.repl.credit_stalls += 1;
-                }
-                inner.note("credit_stall", |e| e.u64_field("lpn", lpn));
-                if let Some(o) = &inner.obs {
-                    o.write_through.inc();
-                    o.obs.emit(
-                        o.ev("write_through")
-                            .u64_field("lpn", lpn)
-                            .str_field("reason", "no_credits"),
-                    );
-                }
-                return WriteOutcome::WriteThrough;
-            }
-
-            // Contents must be in place *before* the buffer insert: the
-            // insert can evict the very block being written, and the flush
-            // needs the data.
-            inner.data.insert(lpn, bytes.clone());
-            let ev = inner.buffer.write(lpn, 1);
-            let flushed = inner.apply_eviction(&ev);
-            if flushed.iter().any(|&(l, _)| l == lpn) {
-                // The new page was evicted (and flushed) synchronously by
-                // its own insertion — it is already durable on the backend,
-                // so replicating it would only leave a stale orphan at the
-                // peer.
-                {
-                    let mut s = inner.stats.lock();
-                    s.writes += 1;
-                    s.write_through += 1;
-                }
-                if let Some(o) = &inner.obs {
-                    o.write_through.inc();
-                    o.obs.emit(
-                        o.ev("write_through")
-                            .u64_field("lpn", lpn)
-                            .str_field("reason", "self_evicted"),
-                    );
-                }
-                drop(inner);
-                self.send_discard(flushed);
-                return WriteOutcome::WriteThrough;
-            }
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            // Capacity 2: a Corrupt NACK and the subsequent clean-resend ack
-            // may both be queued before the writer wakes.
-            let (tx, rx) = bounded(2);
-            inner.pending_acks.insert(seq, tx);
-            if let Some(c) = &mut inner.credits {
-                *c = c.saturating_sub(1);
-            }
-            let nobs = inner.obs.clone();
-            (seq, version, rx, flushed, nobs)
-        };
-
-        if !flushed.is_empty() {
-            self.send_discard(flushed);
-        }
-        let (ack_timeout, retry) = (self.cfg.ack_timeout, self.cfg.retry);
-        // Bounded retry-with-backoff: resend the *same* sequence number on
-        // every attempt, so the receiver can dedup a retransmission whose
-        // predecessor (or whose ack) was merely late, and re-ack it.
-        let mut acked = false;
-        let mut no_credit = false;
-        let mut corrupt_resends = 0u64;
-        let mut retries_used: u32 = 0;
-        loop {
-            if let Some(o) = &nobs {
-                o.obs.emit(
-                    o.ev("repl_send")
-                        .u64_field("seq", seq)
-                        .u64_field("lpn", lpn)
-                        .u64_field("attempt", retries_used as u64),
-                );
-            }
-            let sent = self
-                .transport
-                .send(Message::write_repl(seq, lpn, version, bytes.clone()));
-            if sent == Err(TransportError::Disconnected) {
-                // A disconnected transport stays disconnected; retrying
-                // cannot help.
-                break;
-            }
-            match ack_rx.recv_timeout(ack_timeout) {
-                Ok(AckSignal::Ack { .. }) => {
-                    acked = true;
-                    break;
-                }
-                Ok(AckSignal::Nack(NackReason::NoCredit)) => {
-                    no_credit = true;
-                    break;
-                }
-                Ok(AckSignal::Nack(NackReason::Corrupt)) => {
-                    // Damaged in flight; resend the clean copy at once.
-                    if retries_used >= retry.max_retries() {
-                        break;
-                    }
-                    retries_used += 1;
-                    corrupt_resends += 1;
-                    self.stats.lock().repl.retries += 1;
-                    if let Some(o) = &nobs {
-                        o.retries.inc();
-                        o.obs.emit(
-                            o.ev("repl_retry")
-                                .u64_field("seq", seq)
-                                .u64_field("lpn", lpn)
-                                .u64_field("attempt", retries_used as u64)
-                                .str_field("reason", "corrupt_nack"),
-                        );
-                    }
-                    continue;
-                }
-                Err(_) => {
-                    if retries_used >= retry.max_retries() {
-                        break;
-                    }
-                    let backoff = retry.backoff_for(retries_used);
-                    retries_used += 1;
-                    self.stats.lock().repl.retries += 1;
-                    if let Some(o) = &nobs {
-                        o.retries.inc();
-                        o.obs.emit(
-                            o.ev("repl_retry")
-                                .u64_field("seq", seq)
-                                .u64_field("lpn", lpn)
-                                .u64_field("attempt", retries_used as u64)
-                                .u64_field("backoff_ns", backoff.as_nanos()),
-                        );
-                    }
-                    std::thread::sleep(Duration::from_nanos(backoff.as_nanos()));
-                }
-            }
-        }
-
-        let mut inner = self.inner.lock();
-        inner.pending_acks.remove(&seq);
-        if acked {
-            {
-                let mut s = inner.stats.lock();
-                s.writes += 1;
-                s.replicated_pages += 1;
-                // Each NACKed transmission was one detected corruption,
-                // repaired by the clean resend that eventually acked.
-                s.repl.corruptions_repaired += corrupt_resends;
-            }
-            if corrupt_resends > 0 {
-                inner.note("corrupt_repaired", |e| {
-                    e.u64_field("seq", seq)
-                        .u64_field("lpn", lpn)
-                        .u64_field("resends", corrupt_resends)
-                });
-            }
-            if let Some(o) = &nobs {
-                o.replicated.inc();
-                o.obs.emit(
-                    o.ev("repl_ack")
-                        .u64_field("seq", seq)
-                        .u64_field("lpn", lpn)
-                        .u64_field("attempts", retries_used as u64 + 1),
-                );
-            }
-            WriteOutcome::Replicated
-        } else if no_credit {
-            // Our credit view was stale; the page stays durable locally.
-            inner.backend.lock().write_page(lpn, version, &bytes);
-            inner.buffer.mark_clean(lpn);
-            inner.credits = Some(0);
-            {
-                let mut s = inner.stats.lock();
-                s.writes += 1;
-                s.write_through += 1;
-                s.repl.credit_stalls += 1;
-            }
-            inner.note("credit_stall", |e| e.u64_field("lpn", lpn));
-            if let Some(o) = &nobs {
-                o.write_through.inc();
-                o.obs.emit(
-                    o.ev("write_through")
-                        .u64_field("seq", seq)
-                        .u64_field("lpn", lpn)
-                        .str_field("reason", "no_credits"),
-                );
-            }
-            WriteOutcome::WriteThrough
-        } else {
-            // Peer unreachable: make the page durable ourselves and go solo.
-            inner.backend.lock().write_page(lpn, version, &bytes);
-            inner.buffer.mark_clean(lpn);
-            {
-                let mut s = inner.stats.lock();
-                s.writes += 1;
-                s.write_through += 1;
-            }
-            inner.enter_solo("ack_timeout");
-            // The peer never acked this page, so a future resync must
-            // carry it.
-            inner.journal_record(lpn, version, bytes);
-            if let Some(o) = &nobs {
-                o.write_through.inc();
-                o.obs.emit(
-                    o.ev("write_through")
-                        .u64_field("seq", seq)
-                        .u64_field("lpn", lpn)
-                        .str_field("reason", "ack_timeout"),
-                );
-            }
-            WriteOutcome::WriteThrough
-        }
-    }
-
     /// Attach observability: registers the node's hot counters
     /// (`cluster.node.replicated_pages`, `cluster.node.write_through`,
     /// `cluster.replication.retries`, `cluster.replication.dups_dropped`)
     /// seeded with the current stats, and starts emitting wall-stamped
-    /// `cluster.node` events (`repl_send` / `repl_ack` / `repl_retry` /
-    /// `repl_dedup` / `write_through` / `lifecycle` / `takeover_destage` /
-    /// `resync_start` / `resync_batch` / `resync_complete` /
+    /// `cluster.node` events (`repl_batch_send` / `repl_batch_ack` /
+    /// `repl_retry` / `repl_dedup` / `write_through` / `lifecycle` /
+    /// `takeover_destage` / `resync_start` / `resync_batch` / `resync_complete` /
     /// `resync_failed` / `corrupt_detected` / `corrupt_repaired` /
     /// `scrub_corrupt` / `scrub_repair` / `credit_stall` / `credit_reject`
     /// / `journal_overflow`).
@@ -2115,33 +1823,11 @@ impl Node {
     /// client — the gateway's batched submission path. Pages are written in
     /// address order (the sequential shape the cooperative buffer and the
     /// SSD both prefer); each page is individually durable when this
-    /// returns.
+    /// returns. The whole run is enqueued into the replication pipeline
+    /// before any page is resolved, so it costs O(runs) wire frames (the
+    /// sender cuts queued pages into [`NodeConfig::repl_batch_pages`]-sized
+    /// batches), not O(pages) round trips.
     pub fn write_run(&self, client: u64, lpn: u64, pages: &[impl AsRef<[u8]>]) -> RunOutcome {
-        if self.cfg.legacy_repl {
-            let mut out = RunOutcome::default();
-            for (i, page) in pages.iter().enumerate() {
-                match self.write_from(client, lpn + i as u64, page.as_ref()) {
-                    WriteOutcome::Replicated => out.replicated += 1,
-                    WriteOutcome::WriteThrough => out.write_through += 1,
-                }
-            }
-            return out;
-        }
-        let out = self.run_pipelined(lpn, pages);
-        let mut inner = self.inner.lock();
-        let row = inner.clients.entry(client).or_default();
-        row.writes += pages.len() as u64;
-        row.pages_written += pages.len() as u64;
-        row.write_through += out.write_through;
-        out
-    }
-
-    /// Batched write path: enqueue the whole run into the replication
-    /// pipeline before resolving any page, so a gateway write-run costs
-    /// O(runs) wire frames (the sender coalesces queued pages into
-    /// [`NodeConfig::repl_batch_pages`]-sized batches) instead of O(pages)
-    /// stop-and-wait round trips.
-    fn run_pipelined(&self, lpn: u64, pages: &[impl AsRef<[u8]>]) -> RunOutcome {
         let bytes: Vec<Bytes> = pages
             .iter()
             .map(|p| Bytes::copy_from_slice(p.as_ref()))
@@ -2154,6 +1840,11 @@ impl Node {
                 WriteOutcome::WriteThrough => out.write_through += 1,
             }
         }
+        let mut inner = self.inner.lock();
+        let row = inner.clients.entry(client).or_default();
+        row.writes += pages.len() as u64;
+        row.pages_written += pages.len() as u64;
+        row.write_through += out.write_through;
         out
     }
 
@@ -2185,10 +1876,7 @@ impl Node {
         inner.resync = None;
         inner.scrub_waiters.clear();
         inner.dedup.clear();
-        // Blocked writers fail fast (their ack channel drops) instead of
-        // waiting out the full ack timeout against a dead node.
-        inner.pending_acks.clear();
-        // Same for pipelined writers: the sender abandons its window (their
+        // Blocked writers fail fast: the sender abandons its window (their
         // `done` channels resolve Failed) and opens a fresh batch epoch.
         inner.batch_rx = BatchRx::default();
         let _ = inner.pipe_tx.send(PipeCmd::Reset);
@@ -2285,32 +1973,10 @@ impl Node {
                 return Ok(prev);
             }
         }
-        let out = if self.cfg.legacy_repl {
-            let mut out = RunOutcome::default();
-            for (i, page) in pages.iter().enumerate() {
-                if self.is_halted() {
-                    return Err(NodeDown);
-                }
-                match self.write_from(client, lpn + i as u64, page.as_ref()) {
-                    WriteOutcome::Replicated => out.replicated += 1,
-                    WriteOutcome::WriteThrough => out.write_through += 1,
-                }
-            }
-            out
-        } else {
-            let out = self.run_pipelined(lpn, pages);
-            {
-                let mut inner = self.inner.lock();
-                let row = inner.clients.entry(client).or_default();
-                row.writes += pages.len() as u64;
-                row.pages_written += pages.len() as u64;
-                row.write_through += out.write_through;
-            }
-            if self.is_halted() {
-                return Err(NodeDown);
-            }
-            out
-        };
+        let out = self.write_run(client, lpn, pages);
+        if self.is_halted() {
+            return Err(NodeDown);
+        }
         let mut inner = self.inner.lock();
         let cap = inner.cfg.dedup_window;
         inner.dedup.entry(client).or_default().record(tag, out, cap);
@@ -2471,7 +2137,7 @@ impl Node {
     }
 
     /// Summary of the replication batch-size histogram (pages per
-    /// first-send `WriteReplBatch`); empty in legacy mode.
+    /// first-send `WriteReplBatch`).
     pub fn repl_batch_histogram(&self) -> fc_obs::HistogramSummary {
         self.batch_hist.summary()
     }
@@ -2837,100 +2503,13 @@ fn handle_message(
     now: SimTime,
 ) {
     match msg {
-        Message::WriteRepl {
-            seq,
-            lpn,
-            version,
-            crc,
-            data,
-        } => {
-            let reply = {
-                let mut g = inner.lock();
-                if crc32(&data) != crc {
-                    // Damaged in flight. Reject *before* recording the
-                    // sequence number, so the clean retransmission is not
-                    // mistaken for a duplicate.
-                    g.stats.lock().repl.corruptions_detected += 1;
-                    g.note("corrupt_detected", |e| {
-                        e.u64_field("seq", seq)
-                            .u64_field("lpn", lpn)
-                            .str_field("msg", "write_repl")
-                    });
-                    Message::ReplNack {
-                        seq,
-                        reason: NackReason::Corrupt,
-                    }
-                } else if !g.remote.contains_key(&lpn) && g.remote.len() >= g.cfg.remote_capacity {
-                    // Out of hosting credits; also before observe() so a
-                    // retransmission after space frees can still apply.
-                    g.stats.lock().repl.credit_rejections += 1;
-                    g.note("credit_reject", |e| {
-                        e.u64_field("seq", seq).u64_field("lpn", lpn)
-                    });
-                    Message::ReplNack {
-                        seq,
-                        reason: NackReason::NoCredit,
-                    }
-                } else {
-                    g.observe_version(version);
-                    match g.peer_seqs.observe(seq) {
-                        SeqStatus::Duplicate => {
-                            // Retransmission or network duplication: already
-                            // applied, just re-ack below (the first ack may
-                            // have been the casualty).
-                            g.stats.lock().repl.dups_dropped += 1;
-                            if let Some(o) = &g.obs {
-                                o.dedups.inc();
-                                o.obs.emit(
-                                    o.ev("repl_dedup")
-                                        .u64_field("seq", seq)
-                                        .u64_field("lpn", lpn)
-                                        .str_field("msg", "write_repl"),
-                                );
-                            }
-                        }
-                        status => {
-                            if status == SeqStatus::NewOutOfOrder {
-                                g.stats.lock().repl.reorders_healed += 1;
-                            }
-                            let e = g.remote.entry(lpn).or_insert((version, data.clone()));
-                            if version >= e.0 {
-                                *e = (version, data);
-                            }
-                        }
-                    }
-                    let credits = g.advertised_credits();
-                    Message::ReplAck { seq, credits }
-                }
-            };
-            let _ = transport.send(reply);
-        }
-        Message::ReplAck { seq, credits } => {
-            let waiter = {
-                let mut g = inner.lock();
-                g.credits = Some(credits);
-                g.pending_acks.remove(&seq)
-            };
-            if let Some(tx) = waiter {
-                let _ = tx.send(AckSignal::Ack { credits });
-            }
-        }
-        Message::ReplNack { seq, reason } => {
+        Message::ReplNack { seq, .. } => {
+            // A NACKed resync batch: the pump's drive loop resends it.
             let mut g = inner.lock();
-            let resync_seq = g
-                .resync
-                .as_ref()
-                .and_then(|r| r.in_flight.as_ref())
-                .map(|i| i.seq);
-            if resync_seq == Some(seq) {
-                // A NACKed resync batch: the pump's drive loop resends it.
-                if let Some(inf) = g.resync.as_mut().and_then(|r| r.in_flight.as_mut()) {
+            if let Some(inf) = g.resync.as_mut().and_then(|r| r.in_flight.as_mut()) {
+                if inf.seq == seq {
                     inf.resend_now = true;
                 }
-            } else if let Some(tx) = g.pending_acks.get(&seq) {
-                // Keep the waiter registered: a Corrupt NACK is followed by
-                // a resend whose ack must still find it.
-                let _ = tx.send(AckSignal::Nack(reason));
             }
         }
         Message::WriteReplBatch {

@@ -251,6 +251,7 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::resync_entry;
     use bytes::Bytes;
 
     const SHORT: Duration = Duration::from_millis(200);
@@ -296,16 +297,23 @@ mod tests {
         let server = TcpTransport::accept(&listener).unwrap();
         let client = client.join().unwrap();
 
-        let msg = Message::write_repl(1, 99, 5, Bytes::from_static(b"hello-flash"));
+        let msg = Message::WriteReplBatch {
+            epoch: 1,
+            seq: 1,
+            entries: vec![resync_entry(99, 5, Bytes::from_static(b"hello-flash"))],
+        };
         client.send(msg.clone()).unwrap();
         let got = server.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(got, Some(msg));
-        server
-            .send(Message::ReplAck { seq: 1, credits: 7 })
-            .unwrap();
+        let ack = Message::ReplAckBatch {
+            epoch: 1,
+            up_to: 1,
+            credits: 7,
+        };
+        server.send(ack.clone()).unwrap();
         assert_eq!(
             client.recv_timeout(Duration::from_secs(2)).unwrap(),
-            Some(Message::ReplAck { seq: 1, credits: 7 })
+            Some(ack)
         );
     }
 
@@ -343,7 +351,11 @@ mod tests {
         let page = Bytes::from(vec![0xAB; 4096]);
         for seq in 0..64u64 {
             client
-                .send(Message::write_repl(seq, seq, 1, page.clone()))
+                .send(Message::WriteReplBatch {
+                    epoch: 1,
+                    seq,
+                    entries: vec![resync_entry(seq, 1, page.clone())],
+                })
                 .unwrap();
         }
         for seq in 0..64u64 {
@@ -352,9 +364,11 @@ mod tests {
                 .unwrap()
                 .unwrap();
             match m {
-                Message::WriteRepl { seq: s, data, .. } => {
+                Message::WriteReplBatch {
+                    seq: s, entries, ..
+                } => {
                     assert_eq!(s, seq);
-                    assert_eq!(data.len(), 4096);
+                    assert_eq!(entries[0].3.len(), 4096);
                 }
                 other => panic!("unexpected {other:?}"),
             }

@@ -11,7 +11,7 @@
 //! lands in the length, the CRC, or the CRC-covered body, so a tampered
 //! frame decodes to an error (or stays incomplete) — never to a *different*
 //! valid message. Data-carrying messages additionally embed a payload CRC
-//! computed at construction ([`Message::write_repl`], [`resync_entry`]) and
+//! computed at construction ([`resync_entry`], [`Message::page_data`]) and
 //! checked end-to-end with [`Message::payload_ok`]; that second layer
 //! survives transports that pass `Message` values without re-framing (the
 //! in-memory channel pair and the fault injector's corruption hook).
@@ -143,30 +143,7 @@ pub fn resync_entry(lpn: u64, version: u64, data: Bytes) -> ResyncEntry {
 /// Protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Replicate one dirty page into the peer's remote buffer.
-    WriteRepl {
-        /// Sender-local sequence number, echoed in the ack.
-        seq: u64,
-        /// Logical page.
-        lpn: u64,
-        /// Page version (monotone per owner).
-        version: u64,
-        /// CRC-32 of `data`, computed at construction. Carried end-to-end so
-        /// corruption is caught even on transports that skip re-framing.
-        crc: u32,
-        /// Page contents.
-        data: Bytes,
-    },
-    /// Acknowledge a replicated write.
-    ReplAck {
-        /// The `seq` of the acknowledged [`Message::WriteRepl`].
-        seq: u64,
-        /// Remote-buffer credits (free page slots) the receiver still
-        /// advertises after applying the write — the backpressure signal.
-        credits: u32,
-    },
-    /// Refuse a replication message ([`Message::WriteRepl`] or
-    /// [`Message::ResyncBatch`]).
+    /// Refuse a [`Message::ResyncBatch`].
     ReplNack {
         /// The refused message's sequence number.
         seq: u64,
@@ -176,8 +153,8 @@ pub enum Message {
     /// The owner flushed these pages to its SSD; the peer drops its copies.
     Discard {
         /// Sender-local sequence number (shared counter with
-        /// [`Message::WriteRepl`], so the receiver can dedup and detect
-        /// reordering across the whole data plane).
+        /// [`Message::ResyncBatch`], so the receiver can dedup and detect
+        /// reordering across both).
         seq: u64,
         /// `(lpn, version)` of each flushed page. The version bounds the
         /// discard: the peer only drops its copy if it is not newer, so a
@@ -211,7 +188,7 @@ pub enum Message {
     /// written while the pair was apart, in ascending LPN order.
     ResyncBatch {
         /// Data-plane sequence number (shared counter with
-        /// [`Message::WriteRepl`] for receive-side dedup).
+        /// [`Message::Discard`] for receive-side dedup).
         seq: u64,
         /// The pages, each carrying its payload CRC.
         entries: Vec<ResyncEntry>,
@@ -222,10 +199,9 @@ pub enum Message {
         seq: u64,
     },
     /// Replicate a batch of dirty pages into the peer's remote buffer in
-    /// one frame — the pipelined replacement for per-page
-    /// [`Message::WriteRepl`]. Batches live in their own contiguous
-    /// sequence space (`1, 2, 3, …` per epoch) so the receiver can
-    /// acknowledge cumulatively with [`Message::ReplAckBatch`].
+    /// one frame. Batches live in their own contiguous sequence space
+    /// (`1, 2, 3, …` per epoch) so the receiver can acknowledge
+    /// cumulatively with [`Message::ReplAckBatch`].
     WriteReplBatch {
         /// Pipeline epoch. Bumped by the sender whenever it abandons
         /// un-acked in-flight state (solo entry, restart); a frame with a
@@ -314,8 +290,8 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const TAG_WRITE_REPL: u8 = 1;
-const TAG_REPL_ACK: u8 = 2;
+// Tags 1 and 2 belonged to the retired per-page WriteRepl / ReplAck frames;
+// they stay unassigned so an old sender is refused, not misparsed.
 const TAG_DISCARD: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
 const TAG_RCT_FETCH: u8 = 5;
@@ -339,26 +315,6 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
     out.put_u32_le(0); // CRC-32 of the body
     let body_start = out.len();
     match msg {
-        Message::WriteRepl {
-            seq,
-            lpn,
-            version,
-            crc,
-            data,
-        } => {
-            out.put_u8(TAG_WRITE_REPL);
-            out.put_u64_le(*seq);
-            out.put_u64_le(*lpn);
-            out.put_u64_le(*version);
-            out.put_u32_le(*crc);
-            out.put_u32_le(data.len() as u32);
-            out.put_slice(data);
-        }
-        Message::ReplAck { seq, credits } => {
-            out.put_u8(TAG_REPL_ACK);
-            out.put_u64_le(*seq);
-            out.put_u32_le(*credits);
-        }
         Message::ReplNack { seq, reason } => {
             out.put_u8(TAG_REPL_NACK);
             out.put_u64_le(*seq);
@@ -506,30 +462,6 @@ fn parse_body(body: &mut Bytes) -> Result<Message, WireError> {
     need(body, 1)?;
     let tag = body.get_u8();
     let msg = match tag {
-        TAG_WRITE_REPL => {
-            need(body, 8 + 8 + 8 + 4 + 4)?;
-            let seq = body.get_u64_le();
-            let lpn = body.get_u64_le();
-            let version = body.get_u64_le();
-            let crc = body.get_u32_le();
-            let dl = body.get_u32_le() as usize;
-            need(body, dl)?;
-            let data = body.split_to(dl);
-            Message::WriteRepl {
-                seq,
-                lpn,
-                version,
-                crc,
-                data,
-            }
-        }
-        TAG_REPL_ACK => {
-            need(body, 8 + 4)?;
-            Message::ReplAck {
-                seq: body.get_u64_le(),
-                credits: body.get_u32_le(),
-            }
-        }
         TAG_REPL_NACK => {
             need(body, 8 + 1)?;
             Message::ReplNack {
@@ -659,18 +591,6 @@ fn parse_body(body: &mut Bytes) -> Result<Message, WireError> {
 }
 
 impl Message {
-    /// Build a [`Message::WriteRepl`] with its payload CRC computed.
-    pub fn write_repl(seq: u64, lpn: u64, version: u64, data: Bytes) -> Message {
-        let crc = crc32(&data);
-        Message::WriteRepl {
-            seq,
-            lpn,
-            version,
-            crc,
-            data,
-        }
-    }
-
     /// Build a [`Message::PageData`] reply, computing the payload CRC. Pass
     /// `None` for a miss.
     pub fn page_data(lpn: u64, hit: Option<(u64, Bytes)>) -> Message {
@@ -701,7 +621,6 @@ impl Message {
     /// and its retransmission still applied.
     pub fn payload_ok(&self) -> bool {
         match self {
-            Message::WriteRepl { crc, data, .. } => crc32(data) == *crc,
             Message::ResyncBatch { entries, .. } | Message::WriteReplBatch { entries, .. } => {
                 entries.iter().all(|(_, _, crc, data)| crc32(data) == *crc)
             }
@@ -713,15 +632,14 @@ impl Message {
     }
 
     /// Data-plane sequence number of this message, if it carries one.
-    /// `WriteRepl`, `Discard`, `ResyncBatch` and `WriteReplBatch` are the
-    /// data plane (they mutate the peer's remote buffer); everything else
-    /// is control traffic. Note that `WriteReplBatch` sequences live in
-    /// their own per-epoch space, disjoint from the shared
-    /// `WriteRepl`/`Discard`/`ResyncBatch` counter.
+    /// `Discard`, `ResyncBatch` and `WriteReplBatch` are the data plane
+    /// (they mutate the peer's remote buffer); everything else is control
+    /// traffic. Note that `WriteReplBatch` sequences live in their own
+    /// per-epoch space, disjoint from the shared `Discard`/`ResyncBatch`
+    /// counter.
     pub fn data_seq(&self) -> Option<u64> {
         match self {
-            Message::WriteRepl { seq, .. }
-            | Message::Discard { seq, .. }
+            Message::Discard { seq, .. }
             | Message::ResyncBatch { seq, .. }
             | Message::WriteReplBatch { seq, .. } => Some(*seq),
             _ => None,
@@ -814,16 +732,6 @@ mod tests {
 
     #[test]
     fn all_messages_round_trip() {
-        round_trip(Message::write_repl(
-            42,
-            7,
-            3,
-            Bytes::from_static(b"page-contents"),
-        ));
-        round_trip(Message::ReplAck {
-            seq: 42,
-            credits: 17,
-        });
         round_trip(Message::ReplNack {
             seq: 42,
             reason: NackReason::Corrupt,
@@ -899,7 +807,12 @@ mod tests {
     #[test]
     fn partial_frames_wait_for_more_bytes() {
         let mut full = BytesMut::new();
-        encode(&Message::ReplAck { seq: 9, credits: 3 }, &mut full);
+        let ack = Message::ReplAckBatch {
+            epoch: 1,
+            up_to: 9,
+            credits: 3,
+        };
+        encode(&ack, &mut full);
         // Feed one byte at a time; decode must return None until complete.
         let mut acc = BytesMut::new();
         let total = full.len();
@@ -909,7 +822,7 @@ mod tests {
             if i + 1 < total {
                 assert!(r.is_none(), "premature decode at byte {i}");
             } else {
-                assert_eq!(r, Some(Message::ReplAck { seq: 9, credits: 3 }));
+                assert_eq!(r, Some(ack.clone()));
             }
         }
     }
@@ -950,11 +863,11 @@ mod tests {
 
     #[test]
     fn truncated_body_is_rejected() {
-        // A frame claiming to be a ReplAck but with a 3-byte body; the frame
-        // checksum is valid, so the failure is the body parse.
+        // A frame claiming to be a ReplAckBatch but with a 3-byte body; the
+        // frame checksum is valid, so the failure is the body parse.
         let mut buf = BytesMut::new();
         let mut body = BytesMut::new();
-        body.put_u8(TAG_REPL_ACK);
+        body.put_u8(TAG_REPL_ACK_BATCH);
         body.put_u16_le(7);
         buf.put_u32_le(body.len() as u32);
         buf.put_u32_le(crc32(&body));
@@ -966,7 +879,11 @@ mod tests {
     fn frame_checksum_mismatch_is_rejected() {
         let mut buf = BytesMut::new();
         encode(
-            &Message::write_repl(1, 2, 3, Bytes::from_static(b"abcd")),
+            &Message::WriteReplBatch {
+                epoch: 1,
+                seq: 1,
+                entries: vec![resync_entry(2, 3, Bytes::from_static(b"abcd"))],
+            },
             &mut buf,
         );
         // Flip one payload byte; the frame checksum no longer matches.
@@ -977,29 +894,9 @@ mod tests {
 
     #[test]
     fn payload_crc_travels_with_the_message() {
-        let msg = Message::write_repl(1, 2, 3, Bytes::from_static(b"payload"));
-        assert!(msg.payload_ok());
-        // Tamper with the data while keeping the stored CRC: payload_ok
-        // must notice (this models a transport that hands over Message
-        // values without re-framing).
-        if let Message::WriteRepl {
-            seq,
-            lpn,
-            version,
-            crc,
-            ..
-        } = msg
-        {
-            let tampered = Message::WriteRepl {
-                seq,
-                lpn,
-                version,
-                crc,
-                data: Bytes::from_static(b"pAyload"),
-            };
-            assert!(!tampered.payload_ok());
-        }
-        // Batches verify every entry.
+        // A stored CRC that does not match the data: payload_ok must
+        // notice (this models a transport that hands over Message values
+        // without re-framing). Batches verify every entry.
         let good = Message::ResyncBatch {
             seq: 5,
             entries: vec![resync_entry(1, 1, Bytes::from_static(b"x"))],
@@ -1028,7 +925,7 @@ mod tests {
         assert!(!bad_batch.payload_ok());
         // Control traffic trivially passes.
         assert!(Message::Purge.payload_ok());
-        assert!(Message::ReplAck { seq: 1, credits: 0 }.payload_ok());
+        assert!(Message::ResyncAck { seq: 1 }.payload_ok());
     }
 
     #[test]
@@ -1070,10 +967,6 @@ mod tests {
     #[test]
     fn data_seq_covers_exactly_the_data_plane() {
         assert_eq!(
-            Message::write_repl(9, 1, 1, Bytes::new()).data_seq(),
-            Some(9)
-        );
-        assert_eq!(
             Message::Discard {
                 seq: 4,
                 pages: vec![]
@@ -1098,7 +991,6 @@ mod tests {
             .data_seq(),
             Some(8)
         );
-        assert_eq!(Message::ReplAck { seq: 9, credits: 0 }.data_seq(), None);
         assert_eq!(Message::ResyncAck { seq: 9 }.data_seq(), None);
         assert_eq!(
             Message::ReplAckBatch {
@@ -1141,7 +1033,11 @@ mod tests {
 
     #[test]
     fn empty_page_data_is_fine() {
-        round_trip(Message::write_repl(0, 0, 0, Bytes::new()));
+        round_trip(Message::WriteReplBatch {
+            epoch: 0,
+            seq: 0,
+            entries: vec![resync_entry(0, 0, Bytes::new())],
+        });
         round_trip(Message::Discard {
             seq: 0,
             pages: vec![],

@@ -12,9 +12,18 @@ use proptest::prelude::*;
 fn message_strategy() -> impl Strategy<Value = Message> {
     let data = prop::collection::vec(any::<u8>(), 0..256).prop_map(Bytes::from);
     prop_oneof![
-        (any::<u64>(), any::<u64>(), any::<u64>(), data.clone())
-            .prop_map(|(seq, lpn, version, data)| Message::write_repl(seq, lpn, version, data)),
-        (any::<u64>(), any::<u32>()).prop_map(|(seq, credits)| Message::ReplAck { seq, credits }),
+        (any::<u64>(), any::<u64>(), any::<u64>(), data.clone()).prop_map(
+            |(seq, lpn, version, data)| Message::WriteReplBatch {
+                epoch: seq as u32,
+                seq,
+                entries: vec![resync_entry(lpn, version, data)],
+            }
+        ),
+        (any::<u64>(), any::<u32>()).prop_map(|(up_to, credits)| Message::ReplAckBatch {
+            epoch: credits,
+            up_to,
+            credits,
+        }),
         (any::<u64>(), prop::bool::ANY).prop_map(|(seq, corrupt)| Message::ReplNack {
             seq,
             reason: if corrupt {

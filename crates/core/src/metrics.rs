@@ -16,8 +16,7 @@ pub struct ReplicationStats {
     /// Replication sends re-attempted after an ack timeout.
     pub retries: u64,
     /// Pipelined `WriteReplBatch` frames handed to the transport for the
-    /// first time (retransmissions count under `retries`). Zero when the
-    /// legacy stop-and-wait path is in use.
+    /// first time (retransmissions count under `retries`).
     pub batches_sent: u64,
     /// Pages carried by those first-send batches; `batch_pages /
     /// batches_sent` is the mean replication batch size.
@@ -167,52 +166,6 @@ pub struct RunReport {
     pub ftl_stats: FtlStats,
 }
 
-impl RunReport {
-    /// Header for [`RunReport::row`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use fc-bench's table adapter (fc_bench format module); the \
-                report is plain serialisable data"
-    )]
-    pub fn header() -> String {
-        format!(
-            "{:<18} {:<11} {:<5} {:>12} {:>12} {:>8} {:>10} {:>6} {:>8} {:>8}",
-            "Scheme",
-            "FTL",
-            "Trace",
-            "AvgResp(ms)",
-            "p99(ms)",
-            "Hit(%)",
-            "Erases",
-            "WA",
-            "1pg(%)",
-            ">8pg(%)"
-        )
-    }
-
-    /// One results row.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use fc-bench's table adapter (fc_bench format module); the \
-                report is plain serialisable data"
-    )]
-    pub fn row(&self) -> String {
-        format!(
-            "{:<18} {:<11} {:<5} {:>12.3} {:>12.3} {:>8.2} {:>10} {:>6.2} {:>8.2} {:>8.2}",
-            self.scheme.name(),
-            self.ftl.name(),
-            self.trace,
-            self.avg_response.as_millis_f64(),
-            self.p99_response.as_millis_f64(),
-            self.hit_ratio * 100.0,
-            self.erases,
-            self.write_amplification,
-            self.frac_single_page * 100.0,
-            self.frac_gt8_pages * 100.0,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,20 +190,6 @@ mod tests {
             write_length_cdf: vec![(1, 0.03), (64, 1.0)],
             ftl_stats: FtlStats::default(),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn row_and_header_align() {
-        let r = report();
-        let row = r.row();
-        assert!(row.contains("FlashCoop w. LAR"));
-        assert!(row.contains("BAST"));
-        assert!(row.contains("Fin1"));
-        assert!(row.contains("8700"));
-        // Millisecond conversion shows 0.630.
-        assert!(row.contains("0.630"));
-        assert!(!RunReport::header().is_empty());
     }
 
     #[test]

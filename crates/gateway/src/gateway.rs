@@ -1,8 +1,9 @@
 //! The gateway service: sessions, scheduling, admission, and obs.
 //!
-//! A [`Gateway`] fronts one `fc_cluster::Node` (typically half of a
-//! FlashCoop pair) for many concurrent clients. Each accepted connection
-//! gets its own session thread running [`SessionLink`] I/O:
+//! A [`Gateway`] fronts one or more FlashCoop pairs (`fc_cluster::Node`s
+//! behind a consistent-hash ring) for many concurrent clients. Each
+//! accepted connection gets its own session thread running
+//! [`SessionLink`] I/O:
 //!
 //! 1. **Handshake** — the first message must be a versioned Hello;
 //!    mismatched clients are refused with `BadVersion` before any I/O.
@@ -28,11 +29,11 @@ use std::collections::{HashMap, HashSet};
 use bytes::Bytes;
 use fc_cluster::{MigrateError, Node, NodeDown, PairState};
 use fc_obs::{Counter, Gauge, Histogram, Obs};
-use fc_ring::Ring;
+use fc_ring::{Ring, RingConfig};
 use parking_lot::{Mutex, RwLock};
 
 use crate::admission::{Admission, AdmissionConfig, Permit, ShedReason};
-use crate::batch::{coalesce, coalesce_sharded, WriteRun};
+use crate::batch::coalesce_sharded;
 use crate::client::GatewayClient;
 use crate::conn::{mem_session, SessionLink, TcpSessionLink};
 use crate::health::{BreakerState, Replica, ShardHealth};
@@ -285,8 +286,8 @@ impl ShardBackend {
     }
 }
 
-/// Sharded-mode routing state: the attached shard slots, the ring(s), and
-/// — while an elastic-membership window is open — the fence set.
+/// Routing state: the attached shard slots, the ring(s), and — while an
+/// elastic-membership window is open — the fence set.
 ///
 /// Ops hold the read half of the guarding `RwLock` across their node
 /// calls; `attach_shard` / `begin_rebalance` / `migrate_batch` /
@@ -357,28 +358,20 @@ impl RouteTable {
     }
 }
 
-/// Where admitted requests go: one pair, or N pairs behind a consistent-
-/// hash ring.
-enum Backend {
-    /// The original single-pair mode: every request hits this node.
-    Single(Arc<Node>),
-    /// Sharded mode: the route table maps logical blocks to shard slots
-    /// and carries the elastic-membership window state.
-    Sharded(Box<RwLock<RouteTable>>),
-}
-
-/// A running gateway. Create with [`Gateway::new`] (one pair) or
-/// [`Gateway::new_sharded`] (N pairs behind a ring; usually via
-/// [`crate::ShardedGateway`]), connect clients with
+/// A running gateway. Create with [`Gateway::new`] (one node, no failover
+/// target) or [`Gateway::new_sharded_with_secondaries`] (N pairs behind a
+/// ring; usually via [`crate::ShardedGateway`]), connect clients with
 /// [`Gateway::connect_mem`] or [`Gateway::listen_tcp`] +
 /// [`GatewayClient::connect_tcp`](crate::GatewayClient::connect_tcp).
 pub struct Gateway {
     cfg: GatewayConfig,
-    backend: Backend,
+    /// Maps logical blocks to shard slots and carries the
+    /// elastic-membership window state.
+    routes: RwLock<RouteTable>,
     admission: Admission,
     instruments: Mutex<Arc<Instruments>>,
-    /// One entry per shard (empty in single mode). Swapped wholesale by
-    /// `attach_obs`, same discipline as `instruments`.
+    /// One entry per shard slot. Swapped wholesale by `attach_obs`, same
+    /// discipline as `instruments`.
     shard_instruments: Mutex<Arc<Vec<ShardInstruments>>>,
     /// Commit guard for the counter-sum identity: every site that bumps a
     /// per-shard counter together with its aggregate twin holds this while
@@ -397,25 +390,24 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Wrap a node. The node keeps its own lifecycle (pump thread,
-    /// replication); the gateway only adds the client-facing front end.
+    /// Wrap a node as a one-pair ring with no failover target: a dead node
+    /// leaves the gateway answering `Unavailable`. The node keeps its own
+    /// lifecycle (pump thread, replication); the gateway only adds the
+    /// client-facing front end.
     pub fn new(cfg: GatewayConfig, node: Arc<Node>) -> Arc<Gateway> {
-        Gateway::with_backend(cfg, Backend::Single(node), 0)
+        let ring_cfg = RingConfig {
+            block_pages: cfg.pages_per_block,
+            ..RingConfig::default()
+        };
+        Gateway::with_shards(cfg, Ring::with_pairs(ring_cfg, 1), vec![node], vec![None])
     }
 
-    /// Front `nodes[i]` (pair i's primary) for ring shard `i`, with no
-    /// failover targets: a dead primary leaves its shard down. The ring
-    /// must contain exactly the pairs `0..nodes.len()` so every lookup
-    /// resolves to a node.
-    pub fn new_sharded(cfg: GatewayConfig, ring: Ring, nodes: Vec<Arc<Node>>) -> Arc<Gateway> {
-        let n = nodes.len();
-        Gateway::sharded_inner(cfg, ring, nodes, vec![None; n])
-    }
-
-    /// Like [`Gateway::new_sharded`], but the gateway also holds each
-    /// pair's secondary and fails a shard's route over to it when the
-    /// primary's circuit breaker opens (then back once the pair
-    /// re-forms) — the front-door half of the FlashCoop failure story.
+    /// Front `primaries[i]` (pair i's client-facing node) for ring shard
+    /// `i`, holding each pair's secondary too: the gateway fails a
+    /// shard's route over to it when the primary's circuit breaker opens
+    /// (then back once the pair re-forms) — the front-door half of the
+    /// FlashCoop failure story. The ring must contain exactly the pairs
+    /// `0..primaries.len()` so every lookup resolves to a node.
     pub fn new_sharded_with_secondaries(
         cfg: GatewayConfig,
         ring: Ring,
@@ -428,10 +420,10 @@ impl Gateway {
             "every pair needs both nodes"
         );
         let secondaries = secondaries.into_iter().map(Some).collect();
-        Gateway::sharded_inner(cfg, ring, primaries, secondaries)
+        Gateway::with_shards(cfg, ring, primaries, secondaries)
     }
 
-    fn sharded_inner(
+    fn with_shards(
         cfg: GatewayConfig,
         ring: Ring,
         primaries: Vec<Arc<Node>>,
@@ -462,23 +454,17 @@ impl Gateway {
                 })
             })
             .collect();
-        let count = shards.len();
-        Gateway::with_backend(
-            cfg,
-            Backend::Sharded(Box::new(RwLock::new(RouteTable::new(ring, shards)))),
-            count,
-        )
-    }
-
-    fn with_backend(cfg: GatewayConfig, backend: Backend, shards: usize) -> Arc<Gateway> {
         Arc::new(Gateway {
             admission: Admission::new(cfg.admission),
             cfg,
-            backend,
             instruments: Mutex::new(Arc::new(Instruments::detached())),
             shard_instruments: Mutex::new(Arc::new(
-                (0..shards).map(|_| ShardInstruments::detached()).collect(),
+                shards
+                    .iter()
+                    .map(|_| ShardInstruments::detached())
+                    .collect(),
             )),
+            routes: RwLock::new(RouteTable::new(ring, shards)),
             stats_commit: Mutex::new(()),
             next_mem_client: AtomicU64::new(1),
             jitter: AtomicU64::new(1),
@@ -489,125 +475,75 @@ impl Gateway {
         })
     }
 
-    /// The node behind a single-pair gateway. Panics in sharded mode —
-    /// there is no one node; use [`Gateway::shard_nodes`] or
-    /// [`Gateway::read_page`].
-    pub fn node(&self) -> &Arc<Node> {
-        match &self.backend {
-            Backend::Single(node) => node,
-            Backend::Sharded { .. } => {
-                panic!("Gateway::node() on a sharded gateway; use shard_nodes()/read_page()")
-            }
-        }
-    }
-
-    /// Every (designated) primary node behind this gateway — one entry in
-    /// single mode, index = shard id in sharded mode. These are the
-    /// configured primaries regardless of where each shard's route
-    /// currently points.
+    /// Every (designated) primary node behind this gateway, index =
+    /// shard id. These are the configured primaries regardless of where
+    /// each shard's route currently points.
     pub fn shard_nodes(&self) -> Vec<Arc<Node>> {
-        match &self.backend {
-            Backend::Single(node) => vec![node.clone()],
-            Backend::Sharded(routes) => routes
-                .read()
-                .shards
-                .iter()
-                .map(|s| s.primary.clone())
-                .collect(),
-        }
+        self.routes
+            .read()
+            .shards
+            .iter()
+            .map(|s| s.primary.clone())
+            .collect()
     }
 
-    /// Sharded-mode routing state for `shard`. Panics in single mode.
+    /// Routing state for `shard`.
     pub(crate) fn shard_backend(&self, shard: u16) -> Arc<ShardBackend> {
-        match &self.backend {
-            Backend::Single(_) => panic!("shard_backend() on a single-pair gateway"),
-            Backend::Sharded(routes) => routes.read().shards[usize::from(shard)].clone(),
-        }
+        self.routes.read().shards[usize::from(shard)].clone()
     }
 
     /// True while `shard`'s route points at its designated primary (1.0
-    /// on the `gateway.shard.{i}.health` gauge). Single mode is always
-    /// healthy by this definition.
+    /// on the `gateway.shard.{i}.health` gauge).
     pub fn shard_routed_to_primary(&self, shard: u16) -> bool {
-        match &self.backend {
-            Backend::Single(_) => true,
-            Backend::Sharded(routes) => {
-                routes.read().shards[usize::from(shard)]
-                    .health
-                    .read()
-                    .active
-                    == Replica::Primary
-            }
-        }
+        self.routes.read().shards[usize::from(shard)]
+            .health
+            .read()
+            .active
+            == Replica::Primary
     }
 
-    /// A snapshot of the routing ring (sharded mode only). During a
-    /// rebalance window this is the *target* ring (epoch E+1); blocks in
-    /// the fence set still route to their old owner until migrated, so
-    /// don't use the snapshot to second-guess in-window placement.
-    pub fn ring(&self) -> Option<Ring> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(routes) => Some(routes.read().ring.clone()),
-        }
+    /// A snapshot of the routing ring. During a rebalance window this is
+    /// the *target* ring (epoch E+1); blocks in the fence set still route
+    /// to their old owner until migrated, so don't use the snapshot to
+    /// second-guess in-window placement.
+    pub fn ring(&self) -> Ring {
+        self.routes.read().ring.clone()
     }
 
-    /// The current ring epoch (sharded mode only) — the target ring's
-    /// epoch during a window.
-    pub fn ring_epoch(&self) -> Option<u64> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(routes) => Some(routes.read().ring.epoch()),
-        }
+    /// The current ring epoch — the target ring's epoch during a window.
+    pub fn ring_epoch(&self) -> u64 {
+        self.routes.read().ring.epoch()
     }
 
     /// True while an elastic-membership window is open.
     pub fn rebalance_active(&self) -> bool {
-        match &self.backend {
-            Backend::Single(_) => false,
-            Backend::Sharded(routes) => routes.read().old.is_some(),
-        }
+        self.routes.read().old.is_some()
     }
 
     /// Blocks still awaiting migration in the open window, if any.
     pub fn rebalance_pending(&self) -> Option<u64> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                rt.old.as_ref().map(|_| rt.pending.len() as u64)
-            }
-        }
+        let rt = self.routes.read();
+        rt.old.as_ref().map(|_| rt.pending.len() as u64)
     }
 
     /// The fenced blocks still awaiting migration, ascending — what a
     /// coordinator resuming an interrupted window must still move. Empty
     /// with no window open.
     pub fn rebalance_pending_blocks(&self) -> Vec<u64> {
-        match &self.backend {
-            Backend::Single(_) => Vec::new(),
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                let mut blocks: Vec<u64> = rt.pending.iter().copied().collect();
-                blocks.sort_unstable();
-                blocks
-            }
-        }
+        let rt = self.routes.read();
+        let mut blocks: Vec<u64> = rt.pending.iter().copied().collect();
+        blocks.sort_unstable();
+        blocks
     }
 
     /// Read one logical page through the router, without client
     /// attribution — the primitive behind state digests and scrub-style
     /// full-space sweeps.
     pub fn read_page(&self, lpn: u64) -> Option<Vec<u8>> {
-        match &self.backend {
-            Backend::Single(node) => node.read(lpn),
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                let sb = &rt.shards[usize::from(rt.owner_of_lpn(lpn))];
-                let health = sb.health.read();
-                sb.active(&health).read(lpn)
-            }
-        }
+        let rt = self.routes.read();
+        let sb = &rt.shards[usize::from(rt.owner_of_lpn(lpn))];
+        let health = sb.health.read();
+        sb.active(&health).read(lpn)
     }
 
     // -- elastic membership ------------------------------------------------
@@ -619,16 +555,9 @@ impl Gateway {
     /// Attach a new pair as the next shard slot and return its id. The
     /// slot is routable only once a later [`Gateway::begin_rebalance`]
     /// installs a ring that includes it, so attaching is invisible to
-    /// clients. Sharded mode only.
-    pub fn attach_shard(
-        &self,
-        primary: Arc<Node>,
-        secondary: Option<Arc<Node>>,
-    ) -> Result<u16, RebalanceError> {
-        let Backend::Sharded(routes) = &self.backend else {
-            return Err(RebalanceError::NotSharded);
-        };
-        let mut rt = routes.write();
+    /// clients.
+    pub fn attach_shard(&self, primary: Arc<Node>, secondary: Option<Arc<Node>>) -> u16 {
+        let mut rt = self.routes.write();
         let shard = rt.shards.len() as u16;
         rt.shards.push(Arc::new(ShardBackend {
             primary,
@@ -660,7 +589,7 @@ impl Gateway {
             ins.event("shard_attach")
                 .map(|e| e.u64_field("shard", u64::from(shard))),
         );
-        Ok(shard)
+        shard
     }
 
     /// Open an elastic-membership window: install `new_ring` (epoch E+1)
@@ -682,10 +611,7 @@ impl Gateway {
         new_ring: Ring,
         pending: impl IntoIterator<Item = u64>,
     ) -> Result<Vec<u64>, RebalanceError> {
-        let Backend::Sharded(routes) = &self.backend else {
-            return Err(RebalanceError::NotSharded);
-        };
-        let mut rt = routes.write();
+        let mut rt = self.routes.write();
         if rt.old.is_some() {
             return Err(RebalanceError::WindowOpen);
         }
@@ -764,11 +690,8 @@ impl Gateway {
         blocks: &[u64],
         mut copy: impl FnMut(u64, u16, u16) -> Result<u64, MigrateError>,
     ) -> Result<u64, MigrateBatchError> {
-        let Backend::Sharded(routes) = &self.backend else {
-            return Err(MigrateBatchError::State(RebalanceError::NotSharded));
-        };
         let ins = self.instruments();
-        let mut rt = routes.write();
+        let mut rt = self.routes.write();
         if rt.old.is_none() {
             return Err(MigrateBatchError::State(RebalanceError::NoWindow));
         }
@@ -815,10 +738,7 @@ impl Gateway {
     /// unmigrated blocks to an owner that does not hold them. Returns the
     /// new epoch.
     pub fn commit_rebalance(&self) -> Result<u64, RebalanceError> {
-        let Backend::Sharded(routes) = &self.backend else {
-            return Err(RebalanceError::NotSharded);
-        };
-        let mut rt = routes.write();
+        let mut rt = self.routes.write();
         let Some(old) = &rt.old else {
             return Err(RebalanceError::NoWindow);
         };
@@ -847,8 +767,7 @@ impl Gateway {
         Ok(to_epoch)
     }
 
-    /// Per-shard traffic snapshots, index = shard id. Empty for a
-    /// single-pair gateway.
+    /// Per-shard traffic snapshots, index = shard id.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let shard_ins = self.shard_instruments.lock().clone();
         shard_ins
@@ -915,7 +834,7 @@ impl Gateway {
         };
         *self.instruments.lock() = Arc::new(next);
 
-        // Per-shard twins under `gateway.shard.{i}.*` (sharded mode only).
+        // Per-shard twins under `gateway.shard.{i}.*`.
         let old_shards = self.shard_instruments.lock().clone();
         let next_shards: Vec<ShardInstruments> = old_shards
             .iter()
@@ -1191,11 +1110,11 @@ impl Gateway {
     /// Read `[lpn, lpn+pages)` through the router. Returns the page
     /// payloads (present/absent) and the hit count, or [`Unavail`] when a
     /// touched shard stayed down past the retry deadline (pages from
-    /// segments already served are counted but not returned). In sharded
-    /// mode the span is walked as contiguous same-shard segments, each
-    /// counted and timed against its shard's `gateway.shard.*`
-    /// instruments at the same points as the aggregate counters — a read
-    /// straddling a shard boundary touches every owning pair.
+    /// segments already served are counted but not returned). The span is
+    /// walked as contiguous same-shard segments, each counted and timed
+    /// against its shard's `gateway.shard.*` instruments at the same
+    /// points as the aggregate counters — a read straddling a shard
+    /// boundary touches every owning pair.
     fn do_read(
         &self,
         client: u64,
@@ -1205,54 +1124,37 @@ impl Gateway {
     ) -> Result<(Vec<Option<Bytes>>, u64), Unavail> {
         let mut out = Vec::with_capacity(pages as usize);
         let mut hits = 0u64;
-        match &self.backend {
-            Backend::Single(node) => {
-                for i in 0..u64::from(pages) {
-                    match node.read_from(client, lpn + i) {
+        let rt = self.routes.read();
+        let shard_ins = self.shard_instruments();
+        for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
+            let sb = rt.shards[usize::from(shard)].as_ref();
+            let sins = &shard_ins[usize::from(shard)];
+            let started = Instant::now();
+            let (seg, seg_hits) = self.with_shard(shard, sb, ins, sins, |node| {
+                let mut seg = Vec::with_capacity(count as usize);
+                let mut h = 0u64;
+                for i in 0..u64::from(count) {
+                    match node.try_read_from(client, start + i)? {
                         Some(data) => {
-                            hits += 1;
-                            out.push(Some(Bytes::from(data)));
+                            h += 1;
+                            seg.push(Some(Bytes::from(data)));
                         }
-                        None => out.push(None),
+                        None => seg.push(None),
                     }
                 }
-                ins.read_pages.add(u64::from(pages));
-                ins.read_hits.add(hits);
+                Ok((seg, h))
+            })?;
+            out.extend(seg);
+            sins.ops.inc();
+            {
+                let _c = self.stats_commit.lock();
+                ins.read_pages.add(u64::from(count));
+                sins.read_pages.add(u64::from(count));
+                ins.read_hits.add(seg_hits);
+                sins.read_hits.add(seg_hits);
             }
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                let shard_ins = self.shard_instruments();
-                for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
-                    let sb = rt.shards[usize::from(shard)].as_ref();
-                    let sins = &shard_ins[usize::from(shard)];
-                    let started = Instant::now();
-                    let (seg, seg_hits) = self.with_shard(shard, sb, ins, sins, |node| {
-                        let mut seg = Vec::with_capacity(count as usize);
-                        let mut h = 0u64;
-                        for i in 0..u64::from(count) {
-                            match node.try_read_from(client, start + i)? {
-                                Some(data) => {
-                                    h += 1;
-                                    seg.push(Some(Bytes::from(data)));
-                                }
-                                None => seg.push(None),
-                            }
-                        }
-                        Ok((seg, h))
-                    })?;
-                    out.extend(seg);
-                    sins.ops.inc();
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.read_pages.add(u64::from(count));
-                        sins.read_pages.add(u64::from(count));
-                        ins.read_hits.add(seg_hits);
-                        sins.read_hits.add(seg_hits);
-                    }
-                    sins.latency_ns.record(started.elapsed().as_nanos() as u64);
-                    hits += seg_hits;
-                }
-            }
+            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+            hits += seg_hits;
         }
         Ok((out, hits))
     }
@@ -1260,45 +1162,34 @@ impl Gateway {
     /// Trim `[lpn, lpn+pages)` through the router, segment-counted per
     /// shard like [`Gateway::do_read`].
     fn do_trim(&self, client: u64, lpn: u64, pages: u32, ins: &Instruments) -> Result<(), Unavail> {
-        match &self.backend {
-            Backend::Single(node) => {
-                for i in 0..u64::from(pages) {
-                    node.delete_from(client, lpn + i);
+        let rt = self.routes.read();
+        let shard_ins = self.shard_instruments();
+        for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
+            let sb = rt.shards[usize::from(shard)].as_ref();
+            let sins = &shard_ins[usize::from(shard)];
+            let started = Instant::now();
+            self.with_shard(shard, sb, ins, sins, |node| {
+                for i in 0..u64::from(count) {
+                    node.try_delete_from(client, start + i)?;
                 }
-                ins.trim_pages.add(u64::from(pages));
+                Ok(())
+            })?;
+            sins.ops.inc();
+            {
+                let _c = self.stats_commit.lock();
+                ins.trim_pages.add(u64::from(count));
+                sins.trim_pages.add(u64::from(count));
             }
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                let shard_ins = self.shard_instruments();
-                for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
-                    let sb = rt.shards[usize::from(shard)].as_ref();
-                    let sins = &shard_ins[usize::from(shard)];
-                    let started = Instant::now();
-                    self.with_shard(shard, sb, ins, sins, |node| {
-                        for i in 0..u64::from(count) {
-                            node.try_delete_from(client, start + i)?;
-                        }
-                        Ok(())
-                    })?;
-                    sins.ops.inc();
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.trim_pages.add(u64::from(count));
-                        sins.trim_pages.add(u64::from(count));
-                    }
-                    sins.latency_ns.record(started.elapsed().as_nanos() as u64);
-                }
-            }
+            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
         }
         Ok(())
     }
 
-    /// Flush dirty pages: one node in single mode, fanned out to every
-    /// ring member's active replica in sharded mode (during a rebalance
-    /// window: the union of old and new members, since a retiring pair
-    /// still holds unmigrated dirty pages). Returns total pages destaged,
-    /// or [`Unavail`] when some pair is entirely down (pages flushed on
-    /// earlier shards stay flushed and counted).
+    /// Flush dirty pages, fanned out to every ring member's active replica
+    /// (during a rebalance window: the union of old and new members, since
+    /// a retiring pair still holds unmigrated dirty pages). Returns total
+    /// pages destaged, or [`Unavail`] when some pair is entirely down
+    /// (pages flushed on earlier shards stay flushed and counted).
     ///
     /// Shards that provably cannot serve — breaker Open, active replica
     /// halted, and no live replica to flip to — are skipped up front
@@ -1306,89 +1197,73 @@ impl Gateway {
     /// walks every serviceable shard, then answers `Unavailable` with the
     /// shortest `retry_after_ms` among the dead ones.
     fn do_flush(&self, ins: &Instruments) -> Result<u64, Unavail> {
-        match &self.backend {
-            Backend::Single(node) => {
-                let flushed = node.flush_dirty();
-                ins.flushed_pages.add(flushed);
-                Ok(flushed)
-            }
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                let shard_ins = self.shard_instruments();
-                let mut total = 0u64;
-                // (shard, hint) of the fastest-retry dead shard, if any.
-                let mut dead: Option<(u16, u32)> = None;
-                for shard in rt.flush_members() {
-                    let sb = rt.shards[usize::from(shard)].as_ref();
-                    let sins = &shard_ins[usize::from(shard)];
-                    let skip = {
-                        let h = sb.health.read();
-                        let alt_alive = match h.active {
-                            Replica::Primary => {
-                                sb.secondary.as_ref().is_some_and(|s| !s.is_halted())
-                            }
-                            Replica::Secondary => !sb.primary.is_halted(),
-                        };
-                        (h.breaker.state() == BreakerState::Open
-                            && sb.active(&h).is_halted()
-                            && !alt_alive)
-                            .then(|| h.breaker.retry_after_ms())
-                    };
-                    if let Some(hint) = skip {
-                        if dead.is_none_or(|(_, best)| hint < best) {
-                            dead = Some((shard, hint));
-                        }
-                        continue;
-                    }
-                    let started = Instant::now();
-                    let flushed = match self
-                        .with_shard(shard, sb, ins, sins, |node| node.try_flush_dirty())
-                    {
-                        Ok(f) => f,
-                        Err(u) => {
-                            // Deadline burned here anyway; fold in any
-                            // faster hint from an already-skipped shard.
-                            let retry_after_ms =
-                                dead.map_or(u.retry_after_ms, |(_, h)| h.min(u.retry_after_ms));
-                            return Err(Unavail { retry_after_ms });
-                        }
-                    };
-                    sins.ops.inc();
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.flushed_pages.add(flushed);
-                        sins.flushed_pages.add(flushed);
-                    }
-                    sins.latency_ns.record(started.elapsed().as_nanos() as u64);
-                    total += flushed;
+        let rt = self.routes.read();
+        let shard_ins = self.shard_instruments();
+        let mut total = 0u64;
+        // (shard, hint) of the fastest-retry dead shard, if any.
+        let mut dead: Option<(u16, u32)> = None;
+        for shard in rt.flush_members() {
+            let sb = rt.shards[usize::from(shard)].as_ref();
+            let sins = &shard_ins[usize::from(shard)];
+            let skip = {
+                let h = sb.health.read();
+                let alt_alive = match h.active {
+                    Replica::Primary => sb.secondary.as_ref().is_some_and(|s| !s.is_halted()),
+                    Replica::Secondary => !sb.primary.is_halted(),
+                };
+                (h.breaker.state() == BreakerState::Open && sb.active(&h).is_halted() && !alt_alive)
+                    .then(|| h.breaker.retry_after_ms())
+            };
+            if let Some(hint) = skip {
+                if dead.is_none_or(|(_, best)| hint < best) {
+                    dead = Some((shard, hint));
                 }
-                if let Some((shard, retry_after_ms)) = dead {
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.unavailable.inc();
-                        shard_ins[usize::from(shard)].unavailable.inc();
-                    }
-                    ins.emit(
-                        ins.event("unavailable")
-                            .map(|e| e.u64_field("shard", u64::from(shard))),
-                    );
+                continue;
+            }
+            let started = Instant::now();
+            let flushed = match self.with_shard(shard, sb, ins, sins, |node| node.try_flush_dirty())
+            {
+                Ok(f) => f,
+                Err(u) => {
+                    // Deadline burned here anyway; fold in any
+                    // faster hint from an already-skipped shard.
+                    let retry_after_ms =
+                        dead.map_or(u.retry_after_ms, |(_, h)| h.min(u.retry_after_ms));
                     return Err(Unavail { retry_after_ms });
                 }
-                Ok(total)
+            };
+            sins.ops.inc();
+            {
+                let _c = self.stats_commit.lock();
+                ins.flushed_pages.add(flushed);
+                sins.flushed_pages.add(flushed);
             }
+            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+            total += flushed;
         }
+        if let Some((shard, retry_after_ms)) = dead {
+            {
+                let _c = self.stats_commit.lock();
+                ins.unavailable.inc();
+                shard_ins[usize::from(shard)].unavailable.inc();
+            }
+            ins.emit(
+                ins.event("unavailable")
+                    .map(|e| e.u64_field("shard", u64::from(shard))),
+            );
+            return Err(Unavail { retry_after_ms });
+        }
+        Ok(total)
     }
 
     /// Coalesce one batch window's pages into runs and submit them. Runs
-    /// never cross a logical-block boundary, and in sharded mode never a
-    /// shard boundary either ([`coalesce_sharded`]) — each run goes whole
-    /// to exactly one pair.
+    /// never cross a logical-block boundary nor a shard boundary
+    /// ([`coalesce_sharded`]) — each run goes whole to exactly one pair.
     ///
     /// `ids` maps each page's lpn to the request id that (last) wrote it;
-    /// sharded runs are stamped with a tag derived from it, so a client
-    /// resending the same write request after an ambiguous failure hits
-    /// the node's dedup window instead of double-applying
-    /// ([`Node::try_write_run`]). If a shard stays down past the retry
+    /// runs are stamped with a tag derived from it, so a client resending
+    /// the same write request after an ambiguous failure hits the node's
+    /// dedup window instead of double-applying ([`Node::try_write_run`]). If a shard stays down past the retry
     /// deadline, submission stops and `unavailable` is set — pages and
     /// runs already applied stay applied (and counted), and the caller
     /// answers *every* write in the batch with `Unavailable`, which is
@@ -1402,74 +1277,57 @@ impl Gateway {
         ins: &Instruments,
     ) -> Submission {
         let mut sub = Submission::default();
-        match &self.backend {
-            Backend::Single(node) => {
-                let in_pages = flat.len() as u64;
-                let runs: Vec<WriteRun> = coalesce(flat, self.cfg.pages_per_block);
-                for run in &runs {
-                    sub.out_pages += run.len() as u64;
-                    sub.replicated += node.write_run(client, run.lpn, &run.pages).replicated;
-                }
-                sub.runs = runs.len() as u64;
-                ins.write_pages.add(in_pages);
-                ins.runs.add(sub.runs);
-                ins.coalesced_pages.add(in_pages - sub.out_pages);
-            }
-            Backend::Sharded(routes) => {
-                let rt = routes.read();
-                let shard_ins = self.shard_instruments();
-                // Remember each incoming page's lpn so its pre-coalesce
-                // count can be attributed to the run (and shard) that
-                // absorbed it — page counters only move for runs that
-                // actually submit, keeping the counter-sum identity exact
-                // even when a batch aborts midway.
-                let in_lpns: Vec<u64> = flat.iter().map(|(lpn, _)| *lpn).collect();
-                let tagged =
-                    coalesce_sharded(flat, self.cfg.pages_per_block, |lpn| rt.owner_of_lpn(lpn));
-                // Runs come out in ascending lpn order; bucket each input
-                // page into the run covering its lpn.
-                let mut in_count = vec![0u64; tagged.len()];
-                for lpn in &in_lpns {
-                    let idx = tagged.partition_point(|(_, r)| r.lpn <= *lpn) - 1;
-                    debug_assert!(*lpn < tagged[idx].1.lpn + tagged[idx].1.len() as u64);
-                    in_count[idx] += 1;
-                }
-                for (i, (shard, run)) in tagged.iter().enumerate() {
-                    let sb = rt.shards[usize::from(*shard)].as_ref();
-                    let sins = &shard_ins[usize::from(*shard)];
-                    let started = Instant::now();
-                    // Stable across resends of the same request; mixed so
-                    // ids from different clients' id spaces don't collide
-                    // within one window.
-                    let tag = ids[&run.lpn].wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
-                    match self.with_shard(*shard, sb, ins, sins, |node| {
-                        node.try_write_run(client, tag, run.lpn, &run.pages)
-                    }) {
-                        Ok(outcome) => {
-                            let out_n = run.len() as u64;
-                            let in_n = in_count[i];
-                            sins.ops.inc();
-                            {
-                                let _c = self.stats_commit.lock();
-                                ins.runs.inc();
-                                sins.runs.inc();
-                                ins.write_pages.add(in_n);
-                                sins.write_pages.add(in_n);
-                                ins.coalesced_pages.add(in_n - out_n);
-                                sins.coalesced_pages.add(in_n - out_n);
-                            }
-                            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
-                            sub.out_pages += out_n;
-                            sub.runs += 1;
-                            // A dedup-cached outcome may describe a run
-                            // composed differently on the first attempt.
-                            sub.replicated += outcome.replicated.min(out_n);
-                        }
-                        Err(u) => {
-                            sub.unavailable = Some(u.retry_after_ms);
-                            break;
-                        }
+        let rt = self.routes.read();
+        let shard_ins = self.shard_instruments();
+        // Remember each incoming page's lpn so its pre-coalesce
+        // count can be attributed to the run (and shard) that
+        // absorbed it — page counters only move for runs that
+        // actually submit, keeping the counter-sum identity exact
+        // even when a batch aborts midway.
+        let in_lpns: Vec<u64> = flat.iter().map(|(lpn, _)| *lpn).collect();
+        let tagged = coalesce_sharded(flat, self.cfg.pages_per_block, |lpn| rt.owner_of_lpn(lpn));
+        // Runs come out in ascending lpn order; bucket each input
+        // page into the run covering its lpn.
+        let mut in_count = vec![0u64; tagged.len()];
+        for lpn in &in_lpns {
+            let idx = tagged.partition_point(|(_, r)| r.lpn <= *lpn) - 1;
+            debug_assert!(*lpn < tagged[idx].1.lpn + tagged[idx].1.len() as u64);
+            in_count[idx] += 1;
+        }
+        for (i, (shard, run)) in tagged.iter().enumerate() {
+            let sb = rt.shards[usize::from(*shard)].as_ref();
+            let sins = &shard_ins[usize::from(*shard)];
+            let started = Instant::now();
+            // Stable across resends of the same request; mixed so
+            // ids from different clients' id spaces don't collide
+            // within one window.
+            let tag = ids[&run.lpn].wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
+            match self.with_shard(*shard, sb, ins, sins, |node| {
+                node.try_write_run(client, tag, run.lpn, &run.pages)
+            }) {
+                Ok(outcome) => {
+                    let out_n = run.len() as u64;
+                    let in_n = in_count[i];
+                    sins.ops.inc();
+                    {
+                        let _c = self.stats_commit.lock();
+                        ins.runs.inc();
+                        sins.runs.inc();
+                        ins.write_pages.add(in_n);
+                        sins.write_pages.add(in_n);
+                        ins.coalesced_pages.add(in_n - out_n);
+                        sins.coalesced_pages.add(in_n - out_n);
                     }
+                    sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+                    sub.out_pages += out_n;
+                    sub.runs += 1;
+                    // A dedup-cached outcome may describe a run
+                    // composed differently on the first attempt.
+                    sub.replicated += outcome.replicated.min(out_n);
+                }
+                Err(u) => {
+                    sub.unavailable = Some(u.retry_after_ms);
+                    break;
                 }
             }
         }
@@ -1561,8 +1419,6 @@ struct Unavail {
 /// caller-state errors — the route table is left exactly as it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceError {
-    /// Single-pair gateway: there is no ring to rebalance.
-    NotSharded,
     /// `begin_rebalance` while a window is already open.
     WindowOpen,
     /// `migrate_batch`/`commit_rebalance` with no window open.
@@ -1586,7 +1442,6 @@ pub enum RebalanceError {
 impl std::fmt::Display for RebalanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RebalanceError::NotSharded => write!(f, "gateway is not sharded"),
             RebalanceError::WindowOpen => write!(f, "a rebalance window is already open"),
             RebalanceError::NoWindow => write!(f, "no rebalance window is open"),
             RebalanceError::ConfigMismatch => write!(f, "ring config mismatch"),

@@ -46,6 +46,8 @@
 //! let a = Arc::new(Node::spawn(NodeConfig::test_profile(0), ta, backend.clone()));
 //! let _b = Node::spawn(NodeConfig::test_profile(1), tb, backend);
 //!
+//! // A one-pair ring with no failover target; `ShardedGateway` wires in
+//! // both nodes of N pairs.
 //! let gw = Gateway::new(GatewayConfig::test_profile(), a);
 //! let mut client = gw.connect_mem();
 //! client.hello().unwrap();

@@ -296,8 +296,8 @@ impl ShardedGateway {
 
     /// [`ShardedGateway::spawn_mem`] with a hook to adjust every node's
     /// [`NodeConfig`] before spawn — how the load generator applies
-    /// replication-pipeline knobs (`repl_window`, `repl_batch_pages`,
-    /// `legacy_repl`) uniformly across the cluster.
+    /// replication-pipeline knobs (`repl_window`, `repl_batch_pages`)
+    /// uniformly across the cluster.
     pub fn spawn_mem_with(
         cfg: GatewayConfig,
         ring_cfg: RingConfig,
@@ -350,10 +350,7 @@ impl ShardedGateway {
     /// rebalance installs a ring that includes it (see `fc-rebalance`).
     pub fn attach_pair(&self, primary: Arc<Node>, secondary: Arc<Node>) -> u16 {
         let mut secondaries = self.secondaries.lock();
-        let shard = self
-            .gateway
-            .attach_shard(primary, Some(secondary.clone()))
-            .expect("ShardedGateway is always sharded");
+        let shard = self.gateway.attach_shard(primary, Some(secondary.clone()));
         secondaries.push(secondary);
         shard
     }

@@ -43,7 +43,7 @@ fn spawn_extra_pair(cfg: &GatewayConfig, shard: u16) -> (Arc<Node>, Arc<Node>) {
 fn live_add_pair_migrates_only_moved_blocks_and_loses_nothing() {
     let cfg = GatewayConfig::test_profile();
     let sg = ShardedGateway::spawn_mem(cfg.clone(), RingConfig::default(), 2);
-    let old_ring = sg.gateway().ring().expect("ring");
+    let old_ring = sg.gateway().ring();
     let bp = u64::from(old_ring.block_pages());
 
     let mut client = sg.connect_mem_as(7);
@@ -92,7 +92,7 @@ fn live_add_pair_migrates_only_moved_blocks_and_loses_nothing() {
     );
     assert!(sg.gateway().rebalance_active());
     assert_eq!(sg.gateway().rebalance_pending(), Some(plan.len() as u64));
-    assert_eq!(sg.gateway().ring_epoch(), Some(new_ring.epoch()));
+    assert_eq!(sg.gateway().ring_epoch(), new_ring.epoch());
 
     // In-window routing: a write to an *unfenced* owner-changed block
     // (odd ⇒ unoccupied ⇒ not in the plan) lands directly on the new
@@ -190,7 +190,7 @@ fn live_add_pair_migrates_only_moved_blocks_and_loses_nothing() {
 fn rebalance_control_surface_rejects_invalid_transitions() {
     let cfg = GatewayConfig::test_profile();
     let sg = ShardedGateway::spawn_mem(cfg, RingConfig::default(), 2);
-    let ring = sg.gateway().ring().expect("ring");
+    let ring = sg.gateway().ring();
 
     // Same (or older) epoch: refused.
     assert_eq!(
@@ -265,7 +265,7 @@ fn flush_fast_fails_on_a_dead_shard_without_burning_the_deadline() {
     let cfg = GatewayConfig::test_profile();
     let retry_deadline = cfg.retry_deadline;
     let sg = ShardedGateway::spawn_mem(cfg, RingConfig::default(), 2);
-    let ring = sg.gateway().ring().expect("ring");
+    let ring = sg.gateway().ring();
     let mut client = sg.connect_mem_as(3);
     client.hello().expect("hello");
 

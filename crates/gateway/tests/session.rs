@@ -164,9 +164,9 @@ fn pipelined_writes_are_batched_and_coalesced() {
     }
 
     // Last-writer-wins inside the batch: page 0 holds the later payload.
-    assert_eq!(gw.node().read(0).unwrap()[0], 0xC);
-    assert_eq!(gw.node().read(1).unwrap()[0], 0xB);
-    assert_eq!(gw.node().read(100).unwrap()[0], 0xD);
+    assert_eq!(gw.shard_nodes()[0].read(0).unwrap()[0], 0xC);
+    assert_eq!(gw.shard_nodes()[0].read(1).unwrap()[0], 0xB);
+    assert_eq!(gw.shard_nodes()[0].read(100).unwrap()[0], 0xD);
 
     let stats = gw.stats();
     assert_eq!(stats.writes, 4);
@@ -216,7 +216,7 @@ fn rate_limited_client_gets_busy_and_recovers_nothing_else_lost() {
     for i in 0..10u64 {
         // Reads are also admission-gated here (bucket empty) — go straight
         // to the node to check state.
-        if gw.node().read(i).is_some() {
+        if gw.shard_nodes()[0].read(i).is_some() {
             present += 1;
         }
     }
@@ -259,7 +259,7 @@ fn per_client_node_stats_attribute_gateway_traffic() {
     c2.write(50, vec![page(3)]).unwrap();
     c1.read(0, 1).unwrap();
 
-    let rows = gw.node().client_stats();
+    let rows = gw.shard_nodes()[0].client_stats();
     let row = |id: u64| rows.iter().find(|(c, _)| *c == id).unwrap().1;
     let r1 = row(101);
     assert_eq!(r1.pages_written, 2);
@@ -267,5 +267,34 @@ fn per_client_node_stats_attribute_gateway_traffic() {
     let r2 = row(202);
     assert_eq!(r2.pages_written, 1);
     assert_eq!(r2.reads, 0);
+    gw.shutdown();
+}
+
+#[test]
+fn dead_only_node_answers_unavailable_within_the_retry_deadline() {
+    let (a, _b) = pair();
+    let cfg = GatewayConfig::test_profile();
+    let deadline = cfg.retry_deadline;
+    let gw = Gateway::new(cfg, a.clone());
+    let mut c = gw.connect_mem();
+    c.hello().unwrap();
+    c.write(0, vec![page(1)]).unwrap();
+
+    // No secondary to fail over to: the write must come back as a typed
+    // refusal, not land in the dead node.
+    a.fail();
+    let started = std::time::Instant::now();
+    let err = c.write(1, vec![page(2)]).unwrap_err();
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(err, ClientError::Unavailable { .. }),
+        "expected Unavailable, got {err}"
+    );
+    assert!(
+        elapsed < deadline + Duration::from_millis(500),
+        "refusal took {elapsed:?}, retry deadline is {deadline:?}"
+    );
+    assert!(gw.stats().unavailable >= 1);
+    assert_eq!(gw.shard_stats().len(), 1, "one pair is one shard row");
     gw.shutdown();
 }

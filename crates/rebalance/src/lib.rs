@@ -112,8 +112,6 @@ pub enum RebalanceFailure {
     NotAMember(u16),
     /// `remove_pair` of the only remaining pair.
     LastPair,
-    /// The gateway is not sharded.
-    NotSharded,
 }
 
 impl std::fmt::Display for RebalanceFailure {
@@ -126,7 +124,6 @@ impl std::fmt::Display for RebalanceFailure {
             }
             RebalanceFailure::NotAMember(s) => write!(f, "pair {s} is not a ring member"),
             RebalanceFailure::LastPair => write!(f, "refusing to remove the last pair"),
-            RebalanceFailure::NotSharded => write!(f, "gateway is not sharded"),
         }
     }
 }
@@ -150,7 +147,7 @@ impl From<MigrateBatchError> for RebalanceFailure {
 /// (buffer-resident or durable) whose owner changes. Refuses while any
 /// source shard is failed-over or halted.
 pub fn plan(sg: &ShardedGateway, new_ring: &Ring) -> Result<RebalancePlan, RebalanceFailure> {
-    let old = sg.gateway().ring().ok_or(RebalanceFailure::NotSharded)?;
+    let old = sg.gateway().ring();
     let bp = u64::from(old.block_pages());
     let mut moves: Vec<(u64, u16, u16)> = Vec::new();
     for &p in old.members() {
@@ -248,7 +245,7 @@ pub fn add_pair(
     secondary: Arc<Node>,
     cfg: &RebalanceConfig,
 ) -> Result<RebalanceReport, RebalanceFailure> {
-    let old = sg.gateway().ring().ok_or(RebalanceFailure::NotSharded)?;
+    let old = sg.gateway().ring();
     let shard = sg.attach_pair(primary, secondary);
     let mut new_ring = old;
     new_ring.add_pair(shard);
@@ -265,7 +262,7 @@ pub fn remove_pair(
     victim: u16,
     cfg: &RebalanceConfig,
 ) -> Result<RebalanceReport, RebalanceFailure> {
-    let old = sg.gateway().ring().ok_or(RebalanceFailure::NotSharded)?;
+    let old = sg.gateway().ring();
     if !old.members().contains(&victim) {
         return Err(RebalanceFailure::NotAMember(victim));
     }
@@ -325,7 +322,7 @@ mod tests {
     #[test]
     fn plan_is_exactly_the_occupied_ring_diff() {
         let sg = ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), 2);
-        let old = sg.gateway().ring().unwrap();
+        let old = sg.gateway().ring();
         let bp = u64::from(old.block_pages());
         let mut client = sg.connect_mem_as(1);
         client.hello().unwrap();
@@ -350,7 +347,7 @@ mod tests {
     #[test]
     fn add_then_remove_round_trip_keeps_every_acked_write() {
         let sg = ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), 2);
-        let ring0 = sg.gateway().ring().unwrap();
+        let ring0 = sg.gateway().ring();
         let bp = u64::from(ring0.block_pages());
         let mut client = sg.connect_mem_as(1);
         client.hello().unwrap();
@@ -368,7 +365,7 @@ mod tests {
         assert_eq!(up.from_epoch + 1, up.to_epoch);
         assert_eq!(up.moved_blocks, up.planned_blocks);
         assert!(up.moved_blocks > 0);
-        assert_eq!(sg.gateway().ring().unwrap().pairs(), &[0, 1, 2]);
+        assert_eq!(sg.gateway().ring().pairs(), &[0, 1, 2]);
 
         let down = remove_pair(&sg, 2, &quick()).expect("scale down");
         assert_eq!(down.to_epoch, up.to_epoch + 1);
@@ -376,7 +373,7 @@ mod tests {
             down.moved_blocks, up.moved_blocks,
             "removing the pair must move back exactly what moved in"
         );
-        assert_eq!(sg.gateway().ring().unwrap().pairs(), &[0, 1]);
+        assert_eq!(sg.gateway().ring().pairs(), &[0, 1]);
 
         for (lpn, data) in &oracle {
             assert_eq!(
@@ -397,7 +394,7 @@ mod tests {
     #[test]
     fn refuses_degraded_sources_and_bad_victims() {
         let sg = ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), 2);
-        let ring = sg.gateway().ring().unwrap();
+        let ring = sg.gateway().ring();
         assert!(matches!(
             remove_pair(&sg, 7, &quick()),
             Err(RebalanceFailure::NotAMember(7))

@@ -32,7 +32,7 @@ fn main() {
         ..RingConfig::default()
     };
     let sg = ShardedGateway::spawn_mem(cfg, ring_cfg, 2);
-    let ring = sg.gateway().ring().expect("ring").clone();
+    let ring = sg.gateway().ring();
     let mut client = sg.connect_mem_as(1);
     client.hello().expect("hello");
 

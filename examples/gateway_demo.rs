@@ -127,7 +127,7 @@ fn main() {
 
     println!("\n  per-client attribution at the node:");
     println!("    client   writes   pages   write-through   reads   hits   trims");
-    for (c, row) in gw.node().client_stats() {
+    for (c, row) in gw.shard_nodes()[0].client_stats() {
         println!(
             "    {c:>6}   {:>6}   {:>5}   {:>13}   {:>5}   {:>4}   {:>5}",
             row.writes, row.pages_written, row.write_through, row.reads, row.read_hits, row.trims

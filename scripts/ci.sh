@@ -25,7 +25,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> benches compile (criterion harness, including node_write A/B)"
+echo "==> benches compile (criterion harness, including node_write)"
 cargo bench --workspace --no-run --offline -q
 
 echo "==> lifecycle chaos suite (partitions, crash/corrupt-during-resync)"
@@ -84,7 +84,8 @@ echo "==> elastic scale smoke: digest identical with and without live scaling"
 cargo run --release --offline --example elastic_scale \
   | grep -q "elastic scale complete"
 
-echo "==> replication-pipeline A/B smoke: pipelined vs legacy, digest identity"
-scripts/bench.sh --smoke | grep -q "BENCH OK"
+echo "==> benchmark harness: unit tests + smoke run against this tree"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
 
 echo "CI OK"

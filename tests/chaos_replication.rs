@@ -8,8 +8,8 @@
 //! message carries the seed, so a failing schedule can be replayed exactly.
 
 use fc_cluster::{
-    mem_pair, shared_backend, FaultAction, FaultPlan, FaultTransport, MemBackend, Message, Node,
-    NodeConfig, PairState, RetryPolicy, Transport, WriteOutcome,
+    mem_pair, resync_entry, shared_backend, FaultAction, FaultPlan, FaultTransport, MemBackend,
+    Message, Node, NodeConfig, PairState, RetryPolicy, Transport, WriteOutcome,
 };
 use fc_simkit::{DetRng, SimDuration};
 use std::collections::HashMap;
@@ -237,12 +237,15 @@ fn fault_schedule_is_deterministic_for_a_fixed_seed() {
                 .with_partition(30, 40),
         );
         for i in 0..96u64 {
-            f.send(Message::write_repl(
-                i + 1,
-                i % 7,
-                i + 1,
-                bytes::Bytes::from(vec![b'x'; 16]),
-            ))
+            f.send(Message::WriteReplBatch {
+                epoch: 1,
+                seq: i + 1,
+                entries: vec![resync_entry(
+                    i % 7,
+                    i + 1,
+                    bytes::Bytes::from(vec![b'x'; 16]),
+                )],
+            })
             .unwrap();
         }
         (f.fault_trace(), f.fault_stats())
@@ -323,14 +326,19 @@ fn reordered_discard_cannot_delete_newer_copy() {
     let bb = shared_backend(MemBackend::new());
     let b = Node::spawn(chaos_config(1), tb, bb);
 
-    // Simulate the wire after reordering: the v2 replication overtook the
-    // Discard for the flushed v1.
-    ta.send(Message::write_repl(
-        2,
-        5,
-        2,
-        bytes::Bytes::from_static(b"newer"),
-    ))
+    // Simulate the wire after reordering: the v2 replication and a later
+    // Discard both overtook the Discard for the flushed v1 (batches number
+    // their own sequence space; Discards share one).
+    ta.send(Message::WriteReplBatch {
+        epoch: 1,
+        seq: 1,
+        entries: vec![resync_entry(5, 2, bytes::Bytes::from_static(b"newer"))],
+    })
+    .unwrap();
+    ta.send(Message::Discard {
+        seq: 2,
+        pages: vec![],
+    })
     .unwrap();
     ta.send(Message::Discard {
         seq: 1,

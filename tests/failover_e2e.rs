@@ -5,8 +5,9 @@
 //!
 //! Contracts from the issue:
 //!
-//! 1. **Chaos sweep** — 20 seeds; each seed picks a victim shard and a
-//!    closed- or open-loop client, kills the victim's primary mid-workload,
+//! 1. **Chaos sweep** — 20 seeds, each against a two-pair and a one-pair
+//!    cluster; each seed picks a victim shard and a closed- or open-loop
+//!    client, kills the victim's primary mid-workload,
 //!    restarts it, and waits for traffic-driven failback. Every
 //!    acknowledged write must be readable after failback, no client call
 //!    may outlive its deadline, and the per-shard counter-sum identity
@@ -232,16 +233,17 @@ fn drain_wave(
     }
 }
 
-/// One full kill → serve-degraded → restart → failback → verify cycle.
-fn chaos_run(seed: u64) {
+/// One full kill → serve-degraded → restart → failback → verify cycle
+/// against a cluster of `shards` pairs.
+fn chaos_run(seed: u64, shards: u16) {
     let cfg = GatewayConfig::test_profile();
     let ring_cfg = RingConfig {
         block_pages: cfg.pages_per_block,
         ..RingConfig::default()
     };
-    let sg = ShardedGateway::spawn_mem(cfg, ring_cfg, SHARDS);
-    let ring = sg.gateway().ring().expect("sharded gateway has a ring");
-    let victim = ((seed >> 1) as u16) % SHARDS;
+    let sg = ShardedGateway::spawn_mem(cfg, ring_cfg, shards);
+    let ring = sg.gateway().ring();
+    let victim = ((seed >> 1) as u16) % shards;
     let victim_lpn = (0..SPACE)
         .find(|&l| ring.shard_of_lpn(l) == victim)
         .expect("victim shard owns some lpn");
@@ -249,23 +251,24 @@ fn chaos_run(seed: u64) {
     let mut client = sg.connect_mem_as(1);
     client.hello().expect("hello");
     let mut driver = Driver::new(seed);
+    let tag = format!("seed {seed} shards {shards}");
 
     // Phase 1: paired warm-up.
-    driver.drive_phase(&mut client, 50, true, &format!("seed {seed} pre-kill"));
-    assert_sums_match(&sg, &format!("seed {seed} pre-kill"));
+    driver.drive_phase(&mut client, 50, true, &format!("{tag} pre-kill"));
+    assert_sums_match(&sg, &format!("{tag} pre-kill"));
     assert!(sg.gateway().shard_routed_to_primary(victim));
 
     // Kill the victim's primary; the workload must keep completing.
     sg.primary(victim).fail();
-    driver.drive_phase(&mut client, 50, false, &format!("seed {seed} outage"));
-    assert_sums_match(&sg, &format!("seed {seed} outage"));
+    driver.drive_phase(&mut client, 50, false, &format!("{tag} outage"));
+    assert_sums_match(&sg, &format!("{tag} outage"));
     assert!(
         !sg.gateway().shard_routed_to_primary(victim),
-        "seed {seed}: outage traffic must have failed the shard over"
+        "{tag}: outage traffic must have failed the shard over"
     );
     let stats = sg.stats();
-    assert!(stats.failovers >= 1, "seed {seed}: no failover counted");
-    assert_eq!(stats.unavailable, 0, "seed {seed}: secondary kept serving");
+    assert!(stats.failovers >= 1, "{tag}: no failover counted");
+    assert_eq!(stats.unavailable, 0, "{tag}: secondary kept serving");
 
     // Restart the primary; failback is traffic-driven, so poke the victim
     // shard until the probe succeeds and the route flips back.
@@ -277,53 +280,54 @@ fn chaos_run(seed: u64) {
         },
         Duration::from_secs(10),
     );
-    assert!(failed_back, "seed {seed}: no failback within 10s");
-    assert!(
-        sg.stats().failbacks >= 1,
-        "seed {seed}: no failback counted"
-    );
+    assert!(failed_back, "{tag}: no failback within 10s");
+    assert!(sg.stats().failbacks >= 1, "{tag}: no failback counted");
 
     // Phase 3: back on the primary; every acked write must be readable.
-    driver.drive_phase(&mut client, 50, true, &format!("seed {seed} post-failback"));
+    driver.drive_phase(&mut client, 50, true, &format!("{tag} post-failback"));
     for (&lpn, want) in &driver.oracle.acked {
         let got = client
             .read_with_retry(lpn, 1, Instant::now() + OP_DEADLINE)
-            .unwrap_or_else(|e| panic!("seed {seed}: final read lpn {lpn}: {e}"));
+            .unwrap_or_else(|e| panic!("{tag}: final read lpn {lpn}: {e}"));
         assert_eq!(
             got[0].as_deref(),
             Some(want.as_ref()),
-            "seed {seed}: acked write at lpn {lpn} lost across failover"
+            "{tag}: acked write at lpn {lpn} lost across failover"
         );
     }
-    assert_sums_match(&sg, &format!("seed {seed} post-failback"));
+    assert_sums_match(&sg, &format!("{tag} post-failback"));
     sg.shutdown();
 }
 
 #[test]
 fn chaos_failover_seeds_00_04() {
     for seed in 0..5 {
-        chaos_run(seed);
+        chaos_run(seed, SHARDS);
+        chaos_run(seed, 1);
     }
 }
 
 #[test]
 fn chaos_failover_seeds_05_09() {
     for seed in 5..10 {
-        chaos_run(seed);
+        chaos_run(seed, SHARDS);
+        chaos_run(seed, 1);
     }
 }
 
 #[test]
 fn chaos_failover_seeds_10_14() {
     for seed in 10..15 {
-        chaos_run(seed);
+        chaos_run(seed, SHARDS);
+        chaos_run(seed, 1);
     }
 }
 
 #[test]
 fn chaos_failover_seeds_15_19() {
     for seed in 15..20 {
-        chaos_run(seed);
+        chaos_run(seed, SHARDS);
+        chaos_run(seed, 1);
     }
 }
 
@@ -338,7 +342,7 @@ fn both_replicas_down_degrades_to_typed_unavailable() {
         ..RingConfig::default()
     };
     let sg = ShardedGateway::spawn_mem(cfg, ring_cfg, SHARDS);
-    let ring = sg.gateway().ring().expect("ring");
+    let ring = sg.gateway().ring();
     let dead_lpn = (0..SPACE)
         .find(|&l| ring.shard_of_lpn(l) == 0)
         .expect("shard 0 owns some lpn");
@@ -395,7 +399,7 @@ fn client_retry_rides_out_a_brief_double_fault() {
         ..RingConfig::default()
     };
     let sg = ShardedGateway::spawn_mem(cfg, ring_cfg, SHARDS);
-    let ring = sg.gateway().ring().expect("ring");
+    let ring = sg.gateway().ring();
     let lpn = (0..SPACE)
         .find(|&l| ring.shard_of_lpn(l) == 0)
         .expect("shard 0 owns some lpn");

@@ -243,7 +243,7 @@ fn saturation_sheds_busy_and_bounds_inflight() {
     }
     for (lpn, c) in by_lpn {
         let seq = lpn - c * 1_000;
-        let got = gw.node().read(lpn).expect("acked write readable");
+        let got = gw.shard_nodes()[0].read(lpn).expect("acked write readable");
         assert_eq!(Bytes::from(got), payload(c, lpn, seq, 128));
     }
     gw.shutdown();

@@ -108,7 +108,7 @@ fn assert_state_matches(sg: &ShardedGateway, oracle: &HashMap<u64, Bytes>, label
 fn run_one(seed: u64) {
     let sg =
         ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), SHARDS);
-    let ring0 = sg.gateway().ring().expect("ring");
+    let ring0 = sg.gateway().ring();
     let bp = u64::from(ring0.block_pages());
     let mut client = sg.connect_mem_as(1);
     client.hello().expect("hello");
@@ -154,7 +154,7 @@ fn run_one(seed: u64) {
         report.moved_blocks >= report.planned_blocks,
         "seed {seed}: the begin-time fence can only grow the plan"
     );
-    assert_eq!(sg.gateway().ring_epoch(), Some(grown.epoch()));
+    assert_eq!(sg.gateway().ring_epoch(), grown.epoch());
     assert!(!sg.gateway().rebalance_active());
     assert_state_matches(&sg, &oracle, "post-add");
     assert_sums_match(&sg, "post-add");
@@ -167,7 +167,7 @@ fn run_one(seed: u64) {
     });
     assert_eq!(report.to_epoch, grown.epoch() + 1);
     assert_eq!(
-        sg.gateway().ring().expect("ring").members(),
+        sg.gateway().ring().members(),
         &[0, 1, 2],
         "seed {seed}: the ring must shrink back to the original members"
     );

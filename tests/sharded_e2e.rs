@@ -60,7 +60,7 @@ fn model_random_ops_match_flat_oracle() {
     for seed in [11u64, 12, 13] {
         let sg =
             ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), SHARDS);
-        let ring = sg.gateway().ring().expect("sharded gateway has a ring");
+        let ring = sg.gateway().ring();
         let mut client = sg.connect_mem_as(1);
         client.hello().expect("hello");
 
@@ -149,7 +149,7 @@ fn write_run_spanning_two_shards_is_split_at_the_boundary() {
         ..RingConfig::default()
     };
     let sg = ShardedGateway::spawn_mem(cfg, ring_cfg, SHARDS);
-    let ring = sg.gateway().ring().expect("ring");
+    let ring = sg.gateway().ring();
 
     // Find a destage-block-aligned 8-page run whose pages span ≥2 shards
     // (with 2-page routing blocks, nearly every destage block does).
@@ -275,7 +275,7 @@ fn chaos_one_pair_solo_mid_workload_loses_nothing() {
         }
     }
     let sg = ShardedGateway::from_pairs(cfg, ring, primaries, secondaries);
-    let ring = sg.gateway().ring().expect("ring");
+    let ring = sg.gateway().ring();
 
     // A few lpns per shard so every phase touches every pair.
     let mut lpns_of_shard: Vec<Vec<u64>> = vec![Vec::new(); SHARDS as usize];
