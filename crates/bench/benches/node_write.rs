@@ -1,5 +1,7 @@
 //! Hot-path microbench: `Node::write` (single page) and `Node::write_run`
-//! (32-page run) over an in-memory pair.
+//! (32-page run) over an in-memory pair, and the same run over a loopback
+//! `TcpTransport` pair — the writer sends its own frames and the pump reads
+//! its own socket there, so this keeps the direct-socket path compiling.
 //!
 //! Compile-checked in CI via `cargo bench --no-run`; run locally with
 //! `cargo bench --bench node_write` to compare before touching the write
@@ -7,7 +9,7 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
-use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
+use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig, TcpTransport, Transport};
 
 const RUN_PAGES: usize = 32;
 const PAGE_BYTES: usize = 512;
@@ -16,7 +18,10 @@ const PAGE_BYTES: usize = 512;
 /// degrading to write-through.
 const LPN_WINDOW: u64 = 2048;
 
-fn pair() -> (Node, Node) {
+fn pair_over(
+    ta: impl Transport + Sync + 'static,
+    tb: impl Transport + Sync + 'static,
+) -> (Node, Node) {
     let cfg = |id: u8| {
         let mut c = NodeConfig::test_profile(id);
         c.buffer_pages = 8192;
@@ -24,11 +29,22 @@ fn pair() -> (Node, Node) {
         c.repl_batch_pages = RUN_PAGES;
         c
     };
-    let (ta, tb) = mem_pair();
     let backend = shared_backend(MemBackend::default());
     let a = Node::spawn(cfg(0), ta, backend.clone());
     let b = Node::spawn(cfg(1), tb, backend);
     (a, b)
+}
+
+fn pair() -> (Node, Node) {
+    let (ta, tb) = mem_pair();
+    pair_over(ta, tb)
+}
+
+fn tcp_pair() -> (Node, Node) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let ta = TcpTransport::connect(listener.local_addr().expect("local addr")).expect("connect");
+    let tb = TcpTransport::accept(&listener).expect("accept");
+    pair_over(ta, tb)
 }
 
 fn page(i: u64) -> Bytes {
@@ -55,15 +71,16 @@ fn bench_single_page(c: &mut Criterion) {
 fn bench_write_run(c: &mut Criterion) {
     let mut g = c.benchmark_group("node_write");
     g.sample_size(100);
-    let (a, _b) = pair();
     let pages: Vec<Bytes> = (0..RUN_PAGES as u64).map(page).collect();
-    let mut base = 0u64;
-    g.bench_function("run_32_pages", |bench| {
-        bench.iter(|| {
-            base = (base + RUN_PAGES as u64) % LPN_WINDOW;
-            a.write_run(0, base, &pages)
-        })
-    });
+    for (name, (a, _b)) in [("run_32_pages", pair()), ("run_32_pages_tcp", tcp_pair())] {
+        let mut base = 0u64;
+        g.bench_function(name, |bench| {
+            bench.iter(|| {
+                base = (base + RUN_PAGES as u64) % LPN_WINDOW;
+                a.write_run(0, base, &pages)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -42,7 +42,9 @@ pub use node::{
     shared_backend, MigrateError, Node, NodeConfig, NodeConfigBuilder, NodeDown, NodeStats,
     PerClientStats, RunOutcome, SharedBackend, WriteOutcome, PEER_NS,
 };
-pub use transport::{mem_pair, MemTransport, TcpTransport, Transport, TransportError};
+pub use transport::{
+    mem_pair, FramedLink, LinkDead, MemTransport, TcpTransport, Transport, TransportError,
+};
 pub use wire::{
     crc32, decode, encode, resync_entry, Message, NackReason, ResyncEntry, SeqStatus, SeqTracker,
     WireError,

@@ -52,11 +52,11 @@ use flashcoop::{
     BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState, PeerEvent,
     PeerState, PolicyKind, ReplicationStats, RetryPolicy,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Backend namespace for pages destaged on behalf of a failed peer. Bit 63
@@ -480,8 +480,9 @@ impl NodeObs {
 }
 
 /// Resolution of one pipelined page replication, delivered to the writer
-/// blocked in [`Node::write`].
+/// parked in [`Node::write_pages`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum PageOutcome {
     /// The peer acknowledged the batch carrying this page.
     Replicated,
@@ -493,53 +494,84 @@ enum PageOutcome {
     Failed,
 }
 
-/// A write split across the pipeline: either resolved at enqueue time
-/// (degraded / no-credit / self-evicted paths) or waiting for its batch.
-/// [`Node::write_run`] enqueues a whole run before resolving any of it,
-/// which is what turns a gateway run into O(runs) wire frames.
-enum WritePending {
-    /// Fully resolved and accounted at enqueue time.
-    Immediate(WriteOutcome),
-    /// In the pipeline; [`Node::resolve_write`] blocks on `done`.
-    Pipelined {
-        lpn: u64,
-        version: u64,
-        bytes: Bytes,
-        done: crossbeam::channel::Receiver<PageOutcome>,
-    },
+/// One write run's completion: the writer parks on it once, whoever
+/// resolves the run's last page unparks it.
+struct RunTicket {
+    /// One outcome per pipelined page, [`PageOutcome::Failed`] until
+    /// resolved — so a page dropped unresolved (closed or abandoned pipe)
+    /// reads as failed and the writer keeps it durable itself.
+    slots: Vec<AtomicU8>,
+    /// Pages not yet resolved. [`PipePage`]'s drop decrements it with
+    /// `Release` after its slot store; the writer's `Acquire` load of zero
+    /// pairs with every one of them, so it sees every slot.
+    remaining: AtomicUsize,
+    writer: Thread,
 }
 
-/// One page handed to the pipeline by a writer: payload plus the channel
-/// that unblocks that writer once the page's batch resolves.
+impl RunTicket {
+    /// A ticket for the calling thread's run of up to `pages` pages.
+    fn new(pages: usize) -> Arc<RunTicket> {
+        Arc::new(RunTicket {
+            slots: (0..pages)
+                .map(|_| AtomicU8::new(PageOutcome::Failed as u8))
+                .collect(),
+            remaining: AtomicUsize::new(0),
+            writer: std::thread::current(),
+        })
+    }
+
+    /// Park until every page is resolved or dropped.
+    fn wait(&self) {
+        while self.remaining.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+    }
+
+    fn outcome(&self, slot: usize) -> PageOutcome {
+        match self.slots[slot].load(Ordering::Relaxed) {
+            v if v == PageOutcome::Replicated as u8 => PageOutcome::Replicated,
+            v if v == PageOutcome::NoCredit as u8 => PageOutcome::NoCredit,
+            _ => PageOutcome::Failed,
+        }
+    }
+}
+
+/// A page the writer handed to the pipe, kept on the writer's side for the
+/// write-through fallback; its outcome is the ticket slot of the same index.
+struct Pipelined {
+    lpn: u64,
+    version: u64,
+    bytes: Bytes,
+}
+
+/// One page handed to the pipe by a writer: payload, its enqueue-time
+/// CRC-32 (carried into every frame, first send or resend), and its slot
+/// on the writer's ticket. Dropping it — resolved or not — counts the page
+/// down and wakes the writer on the last one.
 struct PipePage {
     lpn: u64,
     version: u64,
+    crc: u32,
     data: Bytes,
-    done: Sender<PageOutcome>,
+    ticket: Arc<RunTicket>,
+    slot: usize,
 }
 
-/// Commands consumed by the replication pipeline sender thread.
-enum PipeCmd {
-    /// A writer enqueued a run of pages for replication — one command per
-    /// `enqueue_pages` call, so a whole write run crosses the channel in a
-    /// single send.
-    Pages(Vec<PipePage>),
-    /// The peer cumulatively acknowledged every batch up to `up_to`.
-    Ack { epoch: u32, up_to: u64 },
-    /// The peer refused one batch.
-    Nack {
-        epoch: u32,
-        seq: u64,
-        reason: NackReason,
-    },
-    /// Abandon the pipeline (solo entry / crash fault): fail everything
-    /// queued or in flight and start a fresh epoch at seq 1.
-    Reset,
-    /// Resolve outstanding work as failed and exit the sender thread.
-    Shutdown,
+impl PipePage {
+    fn resolve(self, outcome: PageOutcome) {
+        self.ticket.slots[self.slot].store(outcome as u8, Ordering::Relaxed);
+    }
 }
 
-/// One unacknowledged batch in the sender's window.
+impl Drop for PipePage {
+    fn drop(&mut self) {
+        if self.ticket.remaining.fetch_sub(1, Ordering::Release) == 1 {
+            self.ticket.writer.unpark();
+        }
+    }
+}
+
+/// One unacknowledged batch in the pipe's window.
 struct PipeBatch {
     seq: u64,
     entries: Vec<PipePage>,
@@ -561,29 +593,15 @@ impl PipeBatch {
             entries: self
                 .entries
                 .iter()
-                .map(|p| resync_entry(p.lpn, p.version, p.data.clone()))
+                .map(|p| (p.lpn, p.version, p.crc, p.data.clone()))
                 .collect(),
         }
     }
 }
 
-/// Handles shared between the node front end and its pipeline sender
-/// thread. `stats` and `obs` are leaf locks in the documented order (see
-/// [`Inner`]); the histogram and gauge are lock-free.
-#[derive(Clone)]
-struct PipeShared {
-    stats: Arc<Mutex<NodeStats>>,
-    obs: Arc<Mutex<Option<NodeObs>>>,
-    /// Pages per first-send batch (always on; feeds the loadgen report and
-    /// [`Node::repl_batch_histogram`]).
-    batch_hist: fc_obs::Histogram,
-    /// In-flight window depth, sampled after every fill pass.
-    window_depth: fc_obs::Gauge,
-}
-
 /// Receiver-side state for the pipelined replication stream: one
 /// contiguous per-epoch sequence space, acknowledged cumulatively. Lives in
-/// [`Inner`]; reset when the sender abandons an epoch ([`PipeCmd::Reset`])
+/// [`Inner`]; reset when the sender abandons an epoch ([`ReplPipe::reset`])
 /// and a higher-epoch frame arrives.
 #[derive(Debug, Default)]
 struct BatchRx {
@@ -595,224 +613,138 @@ struct BatchRx {
     seen: std::collections::BTreeSet<u64>,
 }
 
-/// Fail every queued and in-flight page (writers fall back to
-/// write-through) — the pipeline's abandon path.
-fn pipe_fail_all(window: &mut VecDeque<PipeBatch>, queue: &mut VecDeque<PipePage>) {
-    for mut b in window.drain(..) {
-        for p in b.entries.drain(..) {
-            let _ = p.done.send(PageOutcome::Failed);
-        }
-    }
-    for p in queue.drain(..) {
-        let _ = p.done.send(PageOutcome::Failed);
+/// The mutable half of [`ReplPipe`].
+struct PipeState {
+    epoch: u32,
+    next_seq: u64,
+    /// Submitted pages not yet cut into a batch (the window was full).
+    queue: VecDeque<PipePage>,
+    /// Unacknowledged batches, oldest first; at most `repl_window`.
+    window: VecDeque<PipeBatch>,
+    /// Frames cut (or re-cut for a resend) but not yet on the wire, in
+    /// send order.
+    outbox: VecDeque<Message>,
+    /// A thread is draining `outbox`; the others leave their frames to it,
+    /// so frames leave in `seq` order without the lock held across a send.
+    sending: bool,
+    /// Shut down: submitted pages fail at once.
+    closed: bool,
+}
+
+impl PipeState {
+    /// Fail every queued and in-flight page (their writers fall back to
+    /// write-through) and open a fresh epoch at seq 1, which the receiver
+    /// adopts on the first higher-epoch frame. Dropping a page unresolved
+    /// is what fails it.
+    fn abandon(&mut self) {
+        self.window.clear();
+        self.queue.clear();
+        self.outbox.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        self.next_seq = 1;
     }
 }
 
-/// The replication pipeline sender: drains the per-node page queue into
-/// [`Message::WriteReplBatch`] frames, keeps up to `repl_window` of them in
-/// flight, retransmits on timeout or Corrupt NACK (same seq, so the
-/// receiver dedups late deliveries), and resolves writers on cumulative
-/// acks. Runs on its own thread so the request path never blocks on the
-/// wire; it takes no node lock other than the `stats`/`obs` leaves.
-fn pipe_loop(
+/// The replication pipe: submitted pages are cut into
+/// [`Message::WriteReplBatch`] frames, up to `repl_window` of them stay in
+/// flight, a batch is retransmitted on timeout or Corrupt NACK (same seq,
+/// so the receiver dedups late deliveries), and writers resolve on
+/// cumulative acks. It has no thread of its own: the state sits behind one
+/// mutex and is stepped by whoever holds the event — a writer submitting
+/// its run, the pump on an ack, a NACK or its timer tick.
+///
+/// Lock order: `Inner` → `state` → the `stats` / `obs` leaves. Nothing here
+/// takes `Inner` or the backend, and `state` is never held across a
+/// transport send.
+struct ReplPipe {
     cfg: Arc<NodeConfig>,
-    rx: crossbeam::channel::Receiver<PipeCmd>,
     transport: Arc<dyn Transport + Sync>,
-    shared: PipeShared,
-) {
-    let mut epoch: u32 = 1;
-    let mut next_seq: u64 = 1;
-    let mut queue: VecDeque<PipePage> = VecDeque::new();
-    let mut window: VecDeque<PipeBatch> = VecDeque::new();
-    let backoff = |attempts: u32| {
-        Duration::from_nanos(cfg.retry.backoff_for(attempts.saturating_sub(1)).as_nanos())
-    };
-    // When a batch times out, a further attempt waits out the backoff
-    // first; an exhausted batch abandons at the bare ack timeout.
-    let due_at = |b: &PipeBatch| {
-        let wait = if b.attempts >= cfg.retry.attempts {
+    state: Mutex<PipeState>,
+    stats: Arc<Mutex<NodeStats>>,
+    /// Set by [`Node::attach_obs`]; shared with the writers' commit path,
+    /// which never holds `Inner` either.
+    obs: Mutex<Option<NodeObs>>,
+    /// Pages per first-send batch (always on; feeds the loadgen report and
+    /// [`Node::repl_batch_histogram`]).
+    batch_hist: fc_obs::Histogram,
+}
+
+impl ReplPipe {
+    fn new(
+        cfg: Arc<NodeConfig>,
+        transport: Arc<dyn Transport + Sync>,
+        stats: Arc<Mutex<NodeStats>>,
+    ) -> ReplPipe {
+        ReplPipe {
+            cfg,
+            transport,
+            state: Mutex::new(PipeState {
+                epoch: 1,
+                next_seq: 1,
+                queue: VecDeque::new(),
+                window: VecDeque::new(),
+                outbox: VecDeque::new(),
+                sending: false,
+                closed: false,
+            }),
+            stats,
+            obs: Mutex::new(None),
+            batch_hist: fc_obs::Histogram::new(),
+        }
+    }
+
+    fn note(&self, kind: &'static str, f: impl FnOnce(fc_obs::Event) -> fc_obs::Event) {
+        if let Some(o) = &*self.obs.lock() {
+            o.obs.emit(f(o.ev(kind)));
+        }
+    }
+
+    /// When `b` times out: a further attempt waits out the backoff first;
+    /// an exhausted batch abandons at the bare ack timeout.
+    fn due_at(&self, b: &PipeBatch) -> Instant {
+        let wait = if b.attempts >= self.cfg.retry.attempts {
             Duration::ZERO
         } else {
-            backoff(b.attempts)
+            Duration::from_nanos(
+                self.cfg
+                    .retry
+                    .backoff_for(b.attempts.saturating_sub(1))
+                    .as_nanos(),
+            )
         };
-        b.sent_at + cfg.ack_timeout + wait
-    };
-    let note =
-        |shared: &PipeShared, kind: &'static str, f: &dyn Fn(fc_obs::Event) -> fc_obs::Event| {
-            if let Some(o) = &*shared.obs.lock() {
-                o.obs.emit(f(o.ev(kind)));
-            }
-        };
-    loop {
-        // Wait for work: block when fully idle, otherwise wake at the
-        // oldest in-flight batch's retransmit deadline (or immediately if
-        // the queue has pages to cut).
-        let cmd = if window.is_empty() && queue.is_empty() {
-            match rx.recv() {
-                Ok(c) => Some(c),
-                Err(_) => break,
-            }
-        } else if let Some(b) = window.front() {
-            let deadline = due_at(b);
-            let now = Instant::now();
-            if deadline <= now {
-                None
-            } else {
-                match rx.recv_timeout(deadline - now) {
-                    Ok(c) => Some(c),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        } else {
-            rx.try_recv().ok()
-        };
-        let mut shutdown = false;
-        let mut abandon = false;
-        if let Some(first) = cmd {
-            // Drain whatever else is already queued so one fill pass sees
-            // the largest batch it can cut.
-            let mut pending = vec![first];
-            while let Ok(c) = rx.try_recv() {
-                pending.push(c);
-            }
-            for cmd in pending {
-                match cmd {
-                    PipeCmd::Pages(ps) => queue.extend(ps),
-                    PipeCmd::Ack { epoch: e, up_to } if e == epoch => {
-                        let mut acked = Vec::new();
-                        while window.front().is_some_and(|b| b.seq <= up_to) {
-                            let b = window.pop_front().expect("front checked");
-                            if b.corrupt_resends > 0 {
-                                shared.stats.lock().repl.corruptions_repaired += b.corrupt_resends;
-                                note(&shared, "corrupt_repaired", &|e| {
-                                    e.u64_field("seq", b.seq)
-                                        .u64_field("resends", b.corrupt_resends)
-                                });
-                            }
-                            acked.push(b);
-                        }
-                        if !acked.is_empty() {
-                            // Emit the span *before* resolving the waiters:
-                            // a writer unblocked by `done` may immediately
-                            // snapshot the event ring and must see this ack.
-                            note(&shared, "repl_batch_ack", &|e| {
-                                e.u64_field("up_to", up_to)
-                                    .u64_field("batches", acked.len() as u64)
-                            });
-                        }
-                        for mut b in acked {
-                            for p in b.entries.drain(..) {
-                                let _ = p.done.send(PageOutcome::Replicated);
-                            }
-                        }
-                    }
-                    PipeCmd::Ack { .. } => {}
-                    PipeCmd::Nack {
-                        epoch: e,
-                        seq,
-                        reason,
-                    } if e == epoch => {
-                        let Some(pos) = window.iter().position(|b| b.seq == seq) else {
-                            continue;
-                        };
-                        match reason {
-                            NackReason::Corrupt => {
-                                // Damaged in flight; resend the clean copy
-                                // at once (same seq, receiver dedups).
-                                if window[pos].attempts >= cfg.retry.attempts {
-                                    abandon = true;
-                                } else {
-                                    let b = &mut window[pos];
-                                    b.attempts += 1;
-                                    b.corrupt_resends += 1;
-                                    b.sent_at = Instant::now();
-                                    shared.stats.lock().repl.retries += 1;
-                                    if let Some(o) = &*shared.obs.lock() {
-                                        o.retries.inc();
-                                        o.obs.emit(
-                                            o.ev("repl_retry")
-                                                .u64_field("seq", seq)
-                                                .u64_field("attempt", b.attempts as u64)
-                                                .str_field("reason", "corrupt_nack"),
-                                        );
-                                    }
-                                    let frame = window[pos].frame(epoch);
-                                    if transport.send(frame) == Err(TransportError::Disconnected) {
-                                        abandon = true;
-                                    }
-                                }
-                            }
-                            NackReason::NoCredit => {
-                                // The peer is out of hosting space: resolve
-                                // the writers (they write through locally)
-                                // and resend the batch *empty* under the
-                                // same seq so the cumulative ack space
-                                // stays contiguous.
-                                let b = &mut window[pos];
-                                for p in b.entries.drain(..) {
-                                    let _ = p.done.send(PageOutcome::NoCredit);
-                                }
-                                b.sent_at = Instant::now();
-                                let frame = window[pos].frame(epoch);
-                                if transport.send(frame) == Err(TransportError::Disconnected) {
-                                    abandon = true;
-                                }
-                            }
-                        }
-                    }
-                    PipeCmd::Nack { .. } => {}
-                    PipeCmd::Reset => abandon = true,
-                    PipeCmd::Shutdown => shutdown = true,
-                }
-                if abandon || shutdown {
-                    break;
-                }
-            }
-        } else if let Some(b) = window.front_mut() {
-            // Retransmit deadline for the oldest unacked batch (selective
-            // repeat: later batches stay put, the receiver stashes them).
-            if Instant::now() >= due_at(b) {
-                if b.attempts >= cfg.retry.attempts {
-                    abandon = true;
-                } else {
-                    b.attempts += 1;
-                    b.sent_at = Instant::now();
-                    shared.stats.lock().repl.retries += 1;
-                    if let Some(o) = &*shared.obs.lock() {
-                        o.retries.inc();
-                        o.obs.emit(
-                            o.ev("repl_retry")
-                                .u64_field("seq", b.seq)
-                                .u64_field("attempt", b.attempts as u64)
-                                .str_field("reason", "ack_timeout"),
-                        );
-                    }
-                    let frame = b.frame(epoch);
-                    if transport.send(frame) == Err(TransportError::Disconnected) {
-                        abandon = true;
-                    }
-                }
-            }
+        b.sent_at + self.cfg.ack_timeout + wait
+    }
+
+    /// Count and narrate one retransmission of `b`, and queue its frame.
+    fn resend(&self, st: &mut PipeState, pos: usize, reason: &'static str) {
+        let b = &mut st.window[pos];
+        b.attempts += 1;
+        b.sent_at = Instant::now();
+        self.stats.lock().repl.retries += 1;
+        if let Some(o) = &*self.obs.lock() {
+            o.retries.inc();
+            o.obs.emit(
+                o.ev("repl_retry")
+                    .u64_field("seq", b.seq)
+                    .u64_field("attempt", b.attempts as u64)
+                    .str_field("reason", reason),
+            );
         }
-        if abandon {
-            // Writers make their pages durable themselves (write-through +
-            // journal); the next epoch starts clean at seq 1 and the
-            // receiver adopts it on the first higher-epoch frame.
-            pipe_fail_all(&mut window, &mut queue);
-            epoch = epoch.wrapping_add(1);
-            next_seq = 1;
-        }
-        if shutdown {
-            pipe_fail_all(&mut window, &mut queue);
-            break;
-        }
-        // Fill: cut queued pages into batches while the window has room.
-        while window.len() < cfg.repl_window.max(1) && !queue.is_empty() {
-            let n = queue.len().min(cfg.repl_batch_pages.max(1));
-            let entries: Vec<PipePage> = queue.drain(..n).collect();
-            let seq = next_seq;
-            next_seq += 1;
+        let frame = b.frame(st.epoch);
+        st.outbox.push_back(frame);
+    }
+
+    /// Cut queued pages into batches while the window has room, then put
+    /// the outbox on the wire unless another thread is already doing so.
+    /// The lock is released around each send, so a thread stuck in a
+    /// socket write stalls neither ack processing nor other writers'
+    /// submits; their frames queue behind it in order.
+    fn step<'a>(&'a self, mut st: MutexGuard<'a, PipeState>) -> MutexGuard<'a, PipeState> {
+        while st.window.len() < self.cfg.repl_window.max(1) && !st.queue.is_empty() {
+            let n = st.queue.len().min(self.cfg.repl_batch_pages.max(1));
+            let entries: Vec<PipePage> = st.queue.drain(..n).collect();
+            let seq = st.next_seq;
+            st.next_seq += 1;
             let b = PipeBatch {
                 seq,
                 entries,
@@ -821,29 +753,153 @@ fn pipe_loop(
                 corrupt_resends: 0,
             };
             {
-                let mut s = shared.stats.lock();
+                let mut s = self.stats.lock();
                 s.repl.batches_sent += 1;
                 s.repl.batch_pages += n as u64;
             }
-            shared.batch_hist.record(n as u64);
-            note(&shared, "repl_batch_send", &|e| {
+            self.batch_hist.record(n as u64);
+            let epoch = st.epoch;
+            self.note("repl_batch_send", |e| {
                 e.u64_field("seq", seq)
                     .u64_field("epoch", epoch as u64)
                     .u64_field("pages", n as u64)
             });
-            let sent = transport.send(b.frame(epoch));
-            window.push_back(b);
+            st.outbox.push_back(b.frame(epoch));
+            st.window.push_back(b);
+        }
+        if st.sending {
+            return st;
+        }
+        st.sending = true;
+        while let Some(frame) = st.outbox.pop_front() {
+            drop(st);
+            let sent = self.transport.send(frame);
+            st = self.state.lock();
             if sent == Err(TransportError::Disconnected) {
-                pipe_fail_all(&mut window, &mut queue);
-                epoch = epoch.wrapping_add(1);
-                next_seq = 1;
-                break;
+                // Writers make their pages durable themselves
+                // (write-through + journal).
+                st.abandon();
             }
         }
-        shared.window_depth.set_u64(window.len() as u64);
+        st.sending = false;
+        st
     }
-    // Receiver gone or shutdown: nothing may leave a writer blocked.
-    pipe_fail_all(&mut window, &mut queue);
+
+    /// A writer's run enters the pipe; the writer itself sends whatever
+    /// the window admits. Call with no node lock held.
+    fn submit(&self, pages: Vec<PipePage>) {
+        let mut st = self.state.lock();
+        if st.closed {
+            return; // dropping the pages fails them
+        }
+        st.queue.extend(pages);
+        drop(self.step(st));
+    }
+
+    /// The peer cumulatively acknowledged every batch up to `up_to`.
+    fn on_ack(&self, epoch: u32, up_to: u64) {
+        let mut st = self.state.lock();
+        if epoch != st.epoch {
+            return;
+        }
+        let mut acked = Vec::new();
+        while st.window.front().is_some_and(|b| b.seq <= up_to) {
+            let b = st.window.pop_front().expect("front checked");
+            if b.corrupt_resends > 0 {
+                self.stats.lock().repl.corruptions_repaired += b.corrupt_resends;
+                self.note("corrupt_repaired", |e| {
+                    e.u64_field("seq", b.seq)
+                        .u64_field("resends", b.corrupt_resends)
+                });
+            }
+            acked.push(b);
+        }
+        if !acked.is_empty() {
+            // Emit the span *before* resolving the waiters: a writer
+            // unparked by its ticket may immediately snapshot the event
+            // ring and must see this ack.
+            self.note("repl_batch_ack", |e| {
+                e.u64_field("up_to", up_to)
+                    .u64_field("batches", acked.len() as u64)
+            });
+        }
+        for b in acked {
+            for p in b.entries {
+                p.resolve(PageOutcome::Replicated);
+            }
+        }
+        drop(self.step(st));
+    }
+
+    /// The peer refused one batch.
+    fn on_nack(&self, epoch: u32, seq: u64, reason: NackReason) {
+        let mut st = self.state.lock();
+        if epoch != st.epoch {
+            return;
+        }
+        let Some(pos) = st.window.iter().position(|b| b.seq == seq) else {
+            return;
+        };
+        match reason {
+            // Damaged in flight; resend the clean copy at once (same seq,
+            // receiver dedups).
+            NackReason::Corrupt if st.window[pos].attempts >= self.cfg.retry.attempts => {
+                st.abandon();
+            }
+            NackReason::Corrupt => {
+                st.window[pos].corrupt_resends += 1;
+                self.resend(&mut st, pos, "corrupt_nack");
+            }
+            NackReason::NoCredit => {
+                // The peer is out of hosting space: resolve the writers
+                // (they write through locally) and resend the batch
+                // *empty* under the same seq so the cumulative ack space
+                // stays contiguous.
+                let epoch = st.epoch;
+                let b = &mut st.window[pos];
+                for p in b.entries.drain(..) {
+                    p.resolve(PageOutcome::NoCredit);
+                }
+                b.sent_at = Instant::now();
+                let frame = b.frame(epoch);
+                st.outbox.push_back(frame);
+            }
+        }
+        drop(self.step(st));
+    }
+
+    /// The pump's timer tick: retransmit the oldest unacked batch if its
+    /// deadline passed (selective repeat: later batches stay put, the
+    /// receiver stashes them), or abandon the window once its retries are
+    /// spent. Returns the next deadline, if a batch is in flight.
+    fn tick(&self) -> Option<Instant> {
+        let mut st = self.state.lock();
+        if let Some(b) = st.window.front() {
+            if Instant::now() >= self.due_at(b) {
+                if b.attempts >= self.cfg.retry.attempts {
+                    st.abandon();
+                } else {
+                    self.resend(&mut st, 0, "ack_timeout");
+                }
+                st = self.step(st);
+            }
+        }
+        st.window.front().map(|b| self.due_at(b))
+    }
+
+    /// Abandon the pipeline (solo entry / crash fault): parked writers
+    /// resolve as failed and write through themselves; the next epoch
+    /// starts clean. Sends nothing, so it is safe under `Inner`.
+    fn reset(&self) {
+        self.state.lock().abandon();
+    }
+
+    /// Fail outstanding work and refuse new pages (node shutdown).
+    fn close(&self) {
+        let mut st = self.state.lock();
+        st.closed = true;
+        st.abandon();
+    }
 }
 
 /// A batch of journal pages awaiting its [`Message::ResyncAck`].
@@ -944,12 +1000,12 @@ struct Inner {
     /// but leaves their durability accounting to the writer that owns
     /// them.
     inflight: HashMap<u64, u32>,
-    /// Commands to this node's own pipeline sender thread (unbounded, so a
-    /// send under the `Inner` lock never blocks).
-    pipe_tx: Sender<PipeCmd>,
-    /// Node counters — a leaf lock shared with [`Node`] and the pipeline
-    /// sender, so `Node::stats` snapshots and pipeline accounting never
-    /// contend with writers holding `Inner`.
+    /// This node's replication pipe, held here only so solo entry can
+    /// [`ReplPipe::reset`] it (the one `Inner` → pipe nesting).
+    pipe: Arc<ReplPipe>,
+    /// Node counters — a leaf lock shared with [`Node`] and the pipe, so
+    /// `Node::stats` snapshots and pipeline accounting never contend with
+    /// writers holding `Inner`.
     stats: Arc<Mutex<NodeStats>>,
     /// Per-origin counters, keyed by the client id the gateway passed to a
     /// `*_from` entry point.
@@ -1055,7 +1111,7 @@ impl Inner {
         }
         // Abandon the replication pipeline: blocked writers resolve as
         // failed and write through themselves; the next epoch starts clean.
-        let _ = self.pipe_tx.send(PipeCmd::Reset);
+        self.pipe.reset();
         // Abort any resync in flight: its unacked pages go back to the
         // journal so the next attempt re-sends them.
         if let Some(run) = self.resync.take() {
@@ -1293,8 +1349,9 @@ impl Inner {
     }
 }
 
-/// A live FlashCoop node: background pump + pipeline threads and a
-/// synchronous API.
+/// A live FlashCoop node: one background pump thread and a synchronous
+/// API. Replication frames are sent by the writers themselves and resolved
+/// by the pump (DESIGN §16).
 pub struct Node {
     inner: Arc<Mutex<Inner>>,
     /// Node counters (leaf lock; see the [`Inner`] lock-order rule).
@@ -1303,22 +1360,13 @@ pub struct Node {
     /// paths can hoist backend reads out of the critical section.
     backend: SharedBackend,
     transport: Arc<dyn Transport + Sync>,
-    /// Commands to the replication pipeline sender thread.
-    pipe_tx: Sender<PipeCmd>,
-    /// Obs handles shared with the pipeline thread (set by
-    /// [`Node::attach_obs`]).
-    pipe_obs: Arc<Mutex<Option<NodeObs>>>,
-    /// Always-on pages-per-batch distribution.
-    batch_hist: fc_obs::Histogram,
-    /// Always-on in-flight window depth.
-    window_depth: fc_obs::Gauge,
+    pipe: Arc<ReplPipe>,
     shutdown: Arc<AtomicBool>,
     /// Crash-fault injection ([`Node::fail`] / [`Node::restart`]): while
     /// set, the pump neither heartbeats nor processes messages, and the
     /// `try_*` entry points refuse with [`NodeDown`].
     halted: Arc<AtomicBool>,
     pump: Option<JoinHandle<()>>,
-    pipe: Option<JoinHandle<()>>,
 }
 
 impl Node {
@@ -1335,7 +1383,8 @@ impl Node {
         let buffer = BufferManager::new(cfg.policy, cfg.buffer_pages, cfg.pages_per_block, true);
         let cfg = Arc::new(cfg);
         let stats = Arc::new(Mutex::new(NodeStats::default()));
-        let (pipe_tx, pipe_rx) = crossbeam::channel::unbounded();
+        let transport: Arc<dyn Transport + Sync> = Arc::new(transport);
+        let pipe = Arc::new(ReplPipe::new(cfg.clone(), transport.clone(), stats.clone()));
         let inner = Arc::new(Mutex::new(Inner {
             cfg: cfg.clone(),
             buffer,
@@ -1360,41 +1409,24 @@ impl Node {
             next_seq: 1,
             batch_rx: BatchRx::default(),
             inflight: HashMap::new(),
-            pipe_tx: pipe_tx.clone(),
+            pipe: pipe.clone(),
             stats: stats.clone(),
             clients: HashMap::new(),
             dedup: HashMap::new(),
             obs: None,
         }));
-        let transport: Arc<dyn Transport + Sync> = Arc::new(transport);
         let shutdown = Arc::new(AtomicBool::new(false));
         let halted = Arc::new(AtomicBool::new(false));
-        let pipe_obs: Arc<Mutex<Option<NodeObs>>> = Arc::new(Mutex::new(None));
-        let batch_hist = fc_obs::Histogram::new();
-        let window_depth = fc_obs::Gauge::new();
-        let pipe = {
-            let cfg = cfg.clone();
-            let transport = transport.clone();
-            let shared = PipeShared {
-                stats: stats.clone(),
-                obs: pipe_obs.clone(),
-                batch_hist: batch_hist.clone(),
-                window_depth: window_depth.clone(),
-            };
-            std::thread::Builder::new()
-                .name(format!("fc-pipe-{}", cfg.id))
-                .spawn(move || pipe_loop(cfg, pipe_rx, transport, shared))
-                .expect("spawn node pipeline")
-        };
         let pump = {
             let cfg = cfg.clone();
             let inner = inner.clone();
             let transport = transport.clone();
+            let pipe = pipe.clone();
             let shutdown = shutdown.clone();
             let halted = halted.clone();
             std::thread::Builder::new()
                 .name(format!("fc-node-{}", cfg.id))
-                .spawn(move || pump_loop(cfg, inner, transport, shutdown, halted))
+                .spawn(move || pump_loop(cfg, inner, transport, pipe, shutdown, halted))
                 .expect("spawn node pump")
         };
         Node {
@@ -1402,14 +1434,10 @@ impl Node {
             stats,
             backend,
             transport,
-            pipe_tx,
-            pipe_obs,
-            batch_hist,
-            window_depth,
+            pipe,
             shutdown,
             halted,
             pump: Some(pump),
-            pipe: Some(pipe),
         }
     }
 
@@ -1422,26 +1450,29 @@ impl Node {
     /// [`NodeStats::writes_balance`], never observing a write that is
     /// counted but not yet resolved.
     pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
-        let bytes = Bytes::copy_from_slice(data);
-        let pending = self
-            .enqueue_pages(lpn, vec![bytes])
-            .pop()
-            .expect("one page in, one pending out");
-        match pending {
-            WritePending::Immediate(out) => out,
-            pending => self.resolve_write(pending),
+        self.write_page(None, lpn, data)
+    }
+
+    fn write_page(&self, client: Option<u64>, lpn: u64, data: &[u8]) -> WriteOutcome {
+        let out = self.write_pages(client, lpn, vec![Bytes::copy_from_slice(data)]);
+        if out.all_replicated() {
+            WriteOutcome::Replicated
+        } else {
+            WriteOutcome::WriteThrough
         }
     }
 
     /// Pipeline front half for a run of consecutive pages (`lpn..lpn+n`):
-    /// stamp versions, land the pages in the local buffer, and hand the
-    /// whole run to the replication pipeline in one command — or resolve
-    /// individual pages on the spot for the degraded / no-credit /
-    /// self-evicted paths. Never waits on the wire, so [`Node::write_run`]
-    /// enqueues a whole run before resolving any of it, and pays one
-    /// backend lock, one `Inner` lock, and one channel send per run rather
-    /// than per page.
-    fn enqueue_pages(&self, lpn: u64, pages: Vec<Bytes>) -> Vec<WritePending> {
+    /// stamp versions, land the pages in the local buffer, and submit the
+    /// whole run to the replication pipe at once — or resolve individual
+    /// pages on the spot for the degraded / no-credit / self-evicted
+    /// paths. Pays one backend lock, one `Inner` lock and one pipe
+    /// submission per run rather than per page; after the `Inner` guard
+    /// drops, the calling thread itself puts the frames the window admits
+    /// on the wire. Returns the pages written through on the spot (already
+    /// counted), the pipelined pages, and the ticket their outcomes arrive
+    /// on (slot `i` is `pipelined[i]`).
+    fn enqueue_pages(&self, lpn: u64, pages: Vec<Bytes>) -> (u64, Vec<Pipelined>, Arc<RunTicket>) {
         // Payload checksums are pure CPU — computed before any lock is
         // taken so they never extend a critical section.
         let crcs: Vec<u32> = pages.iter().map(|b| crc32(b)).collect();
@@ -1459,8 +1490,10 @@ impl Node {
                 .map(|i| be.version_of(lpn + i))
                 .collect()
         };
-        let mut pending = Vec::with_capacity(pages.len());
-        let mut pipe_pages: Vec<PipePage> = Vec::new();
+        let ticket = RunTicket::new(pages.len());
+        let mut through = 0u64;
+        let mut pipelined: Vec<Pipelined> = Vec::with_capacity(pages.len());
+        let mut pipe_pages: Vec<PipePage> = Vec::with_capacity(pages.len());
         let mut all_flushed = Vec::new();
         {
             // One `Inner` acquisition for the whole run: stamping,
@@ -1497,7 +1530,7 @@ impl Node {
                                 .str_field("reason", "degraded"),
                         );
                     }
-                    pending.push(WritePending::Immediate(WriteOutcome::WriteThrough));
+                    through += 1;
                 } else if inner.credits == Some(0) {
                     // The peer's remote buffer is full: keep durability local
                     // instead of stalling on a NACK round trip.
@@ -1520,7 +1553,7 @@ impl Node {
                                 .str_field("reason", "no_credits"),
                         );
                     }
-                    pending.push(WritePending::Immediate(WriteOutcome::WriteThrough));
+                    through += 1;
                 } else {
                     // Contents must be in place *before* the buffer insert:
                     // the insert can evict the very block being written, and
@@ -1548,7 +1581,7 @@ impl Node {
                                     .str_field("reason", "self_evicted"),
                             );
                         }
-                        pending.push(WritePending::Immediate(WriteOutcome::WriteThrough));
+                        through += 1;
                     } else {
                         if let Some(c) = &mut inner.credits {
                             // Debited at enqueue; every ack re-advertises the
@@ -1556,18 +1589,21 @@ impl Node {
                             *c = c.saturating_sub(1);
                         }
                         *inner.inflight.entry(lpn).or_insert(0) += 1;
-                        let (tx, rx) = bounded(1);
-                        pending.push(WritePending::Pipelined {
-                            lpn,
-                            version,
-                            bytes: bytes.clone(),
-                            done: rx,
-                        });
+                        // Counted before the run is submitted, so the
+                        // ticket cannot hit zero while it is being filled.
+                        ticket.remaining.fetch_add(1, Ordering::Relaxed);
                         pipe_pages.push(PipePage {
                             lpn,
                             version,
-                            data: bytes,
-                            done: tx,
+                            crc: crcs[i],
+                            data: bytes.clone(),
+                            ticket: ticket.clone(),
+                            slot: pipelined.len(),
+                        });
+                        pipelined.push(Pipelined {
+                            lpn,
+                            version,
+                            bytes,
                         });
                     }
                 }
@@ -1577,31 +1613,73 @@ impl Node {
             self.send_discard(all_flushed);
         }
         if !pipe_pages.is_empty() {
-            let _ = self.pipe_tx.send(PipeCmd::Pages(pipe_pages));
+            self.pipe.submit(pipe_pages);
         }
-        pending
+        (through, pipelined, ticket)
     }
 
-    /// Pipeline back half: block until the page's batch resolves, then
-    /// commit the outcome. `writes` lands together with its outcome counter
-    /// under one `stats` lock acquisition, preserving
+    /// Write a run through the pipeline and wait — once — for all of it.
+    /// The usual case, every pipelined page acknowledged, commits the
+    /// whole run under one `Inner`, one `stats` and one `obs` acquisition;
+    /// a run with a refused or failed page falls back to per-page
+    /// [`Node::resolve_write`]. Either way `writes` lands together with
+    /// its outcome counter under one `stats` guard, preserving
     /// [`NodeStats::writes_balance`] at every snapshot.
-    fn resolve_write(&self, pending: WritePending) -> WriteOutcome {
-        let WritePending::Pipelined {
+    fn write_pages(&self, client: Option<u64>, lpn: u64, pages: Vec<Bytes>) -> RunOutcome {
+        let n = pages.len() as u64;
+        let (through, pipelined, ticket) = self.enqueue_pages(lpn, pages);
+        ticket.wait();
+        let mut out = RunOutcome {
+            replicated: 0,
+            write_through: through,
+        };
+        let note_client = |inner: &mut Inner, out: &RunOutcome| {
+            if let Some(c) = client {
+                let row = inner.clients.entry(c).or_default();
+                row.writes += n;
+                row.pages_written += n;
+                row.write_through += out.write_through;
+            }
+        };
+        if (0..pipelined.len()).all(|slot| ticket.outcome(slot) == PageOutcome::Replicated) {
+            out.replicated = pipelined.len() as u64;
+            {
+                let mut inner = self.inner.lock();
+                for p in &pipelined {
+                    inner.inflight_done(p.lpn);
+                }
+                note_client(&mut inner, &out);
+            }
+            if out.replicated > 0 {
+                {
+                    let mut s = self.stats.lock();
+                    s.writes += out.replicated;
+                    s.replicated_pages += out.replicated;
+                }
+                if let Some(o) = &*self.pipe.obs.lock() {
+                    o.replicated.add(out.replicated);
+                }
+            }
+        } else {
+            for (slot, page) in pipelined.into_iter().enumerate() {
+                match self.resolve_write(page, ticket.outcome(slot)) {
+                    WriteOutcome::Replicated => out.replicated += 1,
+                    WriteOutcome::WriteThrough => out.write_through += 1,
+                }
+            }
+            note_client(&mut self.inner.lock(), &out);
+        }
+        out
+    }
+
+    /// Commit one pipelined page's outcome (the mixed-run path of
+    /// [`Node::write_pages`]).
+    fn resolve_write(&self, page: Pipelined, outcome: PageOutcome) -> WriteOutcome {
+        let Pipelined {
             lpn,
             version,
             bytes,
-            done,
-        } = pending
-        else {
-            let WritePending::Immediate(out) = pending else {
-                unreachable!()
-            };
-            return out;
-        };
-        // A dropped channel (sender thread gone) reads as a failure; the
-        // fallback below keeps the page durable either way.
-        let outcome = done.recv().unwrap_or(PageOutcome::Failed);
+        } = page;
         match outcome {
             PageOutcome::Replicated => {
                 self.inner.lock().inflight_done(lpn);
@@ -1610,7 +1688,7 @@ impl Node {
                     s.writes += 1;
                     s.replicated_pages += 1;
                 }
-                if let Some(o) = &*self.pipe_obs.lock() {
+                if let Some(o) = &*self.pipe.obs.lock() {
                     o.replicated.inc();
                 }
                 WriteOutcome::Replicated
@@ -1635,7 +1713,7 @@ impl Node {
                     s.write_through += 1;
                     s.repl.credit_stalls += 1;
                 }
-                if let Some(o) = &*self.pipe_obs.lock() {
+                if let Some(o) = &*self.pipe.obs.lock() {
                     o.write_through.inc();
                     o.obs.emit(
                         o.ev("write_through")
@@ -1666,7 +1744,7 @@ impl Node {
                     s.writes += 1;
                     s.write_through += 1;
                 }
-                if let Some(o) = &*self.pipe_obs.lock() {
+                if let Some(o) = &*self.pipe.obs.lock() {
                     o.write_through.inc();
                     o.obs.emit(
                         o.ev("write_through")
@@ -1709,9 +1787,9 @@ impl Node {
             retries,
             dedups,
         });
-        // The pipeline sender and the resolve path emit through their own
+        // The pipe and the writers' commit path emit through their own
         // handle (they never hold `Inner`).
-        *self.pipe_obs.lock() = inner.obs.clone();
+        *self.pipe.obs.lock() = inner.obs.clone();
     }
 
     /// Send a seq-stamped, version-bounded Discard (fire-and-forget: a lost
@@ -1808,44 +1886,25 @@ impl Node {
     /// the write takes the normal durability path, then the client's row in
     /// the per-origin table is updated.
     pub fn write_from(&self, client: u64, lpn: u64, data: &[u8]) -> WriteOutcome {
-        let outcome = self.write(lpn, data);
-        let mut inner = self.inner.lock();
-        let row = inner.clients.entry(client).or_default();
-        row.writes += 1;
-        row.pages_written += 1;
-        if outcome == WriteOutcome::WriteThrough {
-            row.write_through += 1;
-        }
-        outcome
+        self.write_page(Some(client), lpn, data)
     }
 
     /// Write a contiguous run of pages starting at `lpn` on behalf of a
     /// client — the gateway's batched submission path. Pages are written in
     /// address order (the sequential shape the cooperative buffer and the
     /// SSD both prefer); each page is individually durable when this
-    /// returns. The whole run is enqueued into the replication pipeline
-    /// before any page is resolved, so it costs O(runs) wire frames (the
-    /// sender cuts queued pages into [`NodeConfig::repl_batch_pages`]-sized
-    /// batches), not O(pages) round trips.
+    /// returns. The whole run is submitted to the replication pipe before
+    /// any page is resolved, so it costs O(runs) wire frames (the pipe cuts
+    /// queued pages into [`NodeConfig::repl_batch_pages`]-sized batches),
+    /// not O(pages) round trips. This is the copying front for borrowed
+    /// data; a caller that already owns refcounted pages uses
+    /// [`Node::try_write_run`].
     pub fn write_run(&self, client: u64, lpn: u64, pages: &[impl AsRef<[u8]>]) -> RunOutcome {
         let bytes: Vec<Bytes> = pages
             .iter()
             .map(|p| Bytes::copy_from_slice(p.as_ref()))
             .collect();
-        let pending = self.enqueue_pages(lpn, bytes);
-        let mut out = RunOutcome::default();
-        for p in pending {
-            match self.resolve_write(p) {
-                WriteOutcome::Replicated => out.replicated += 1,
-                WriteOutcome::WriteThrough => out.write_through += 1,
-            }
-        }
-        let mut inner = self.inner.lock();
-        let row = inner.clients.entry(client).or_default();
-        row.writes += pages.len() as u64;
-        row.pages_written += pages.len() as u64;
-        row.write_through += out.write_through;
-        out
+        self.write_pages(Some(client), lpn, bytes)
     }
 
     /// [`Node::delete`] on behalf of an identified client.
@@ -1876,10 +1935,10 @@ impl Node {
         inner.resync = None;
         inner.scrub_waiters.clear();
         inner.dedup.clear();
-        // Blocked writers fail fast: the sender abandons its window (their
-        // `done` channels resolve Failed) and opens a fresh batch epoch.
+        // Parked writers fail fast: the pipe abandons its window (their
+        // tickets resolve Failed) and opens a fresh batch epoch.
         inner.batch_rx = BatchRx::default();
-        let _ = inner.pipe_tx.send(PipeCmd::Reset);
+        inner.pipe.reset();
         inner.note("fail", |e| e);
     }
 
@@ -1955,7 +2014,7 @@ impl Node {
         client: u64,
         tag: u64,
         lpn: u64,
-        pages: &[impl AsRef<[u8]>],
+        pages: &[Bytes],
     ) -> Result<RunOutcome, NodeDown> {
         if self.is_halted() {
             return Err(NodeDown);
@@ -1973,7 +2032,7 @@ impl Node {
                 return Ok(prev);
             }
         }
-        let out = self.write_run(client, lpn, pages);
+        let out = self.write_pages(Some(client), lpn, pages.to_vec());
         if self.is_halted() {
             return Err(NodeDown);
         }
@@ -2139,12 +2198,12 @@ impl Node {
     /// Summary of the replication batch-size histogram (pages per
     /// first-send `WriteReplBatch`).
     pub fn repl_batch_histogram(&self) -> fc_obs::HistogramSummary {
-        self.batch_hist.summary()
+        self.pipe.batch_hist.summary()
     }
 
     /// Current replication-pipeline window depth (in-flight batches).
     pub fn repl_window_depth(&self) -> u64 {
-        self.window_depth.get() as u64
+        self.pipe.state.lock().window.len() as u64
     }
 
     /// Dirty pages in the local buffer.
@@ -2368,10 +2427,7 @@ impl Node {
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.pipe.take() {
-            let _ = self.pipe_tx.send(PipeCmd::Shutdown);
-            let _ = h.join();
-        }
+        self.pipe.close();
         let mut inner = self.inner.lock();
         inner.enter_solo("shutdown"); // flushes dirty pages, destages hosted
     }
@@ -2384,10 +2440,7 @@ impl Node {
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.pipe.take() {
-            let _ = self.pipe_tx.send(PipeCmd::Shutdown);
-            let _ = h.join();
-        }
+        self.pipe.close();
         let mut inner = self.inner.lock();
         inner.buffer.clear();
         inner.data.clear();
@@ -2407,19 +2460,18 @@ impl Drop for Node {
         if let Some(h) = self.pump.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.pipe.take() {
-            let _ = self.pipe_tx.send(PipeCmd::Shutdown);
-            let _ = h.join();
-        }
+        self.pipe.close();
     }
 }
 
 /// Background loop: receive messages, send heartbeats, watch the monitor,
-/// and drive the resync state machine.
+/// tick the replication pipe's retransmit timer, and drive the resync state
+/// machine.
 fn pump_loop(
     cfg: Arc<NodeConfig>,
     inner: Arc<Mutex<Inner>>,
     transport: Arc<dyn Transport + Sync>,
+    pipe: Arc<ReplPipe>,
     shutdown: Arc<AtomicBool>,
     halted: Arc<AtomicBool>,
 ) {
@@ -2430,11 +2482,18 @@ fn pump_loop(
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
+        // Receive with a short timeout so beats and polls stay timely, and
+        // shorter still when the oldest in-flight batch's retransmit
+        // deadline comes first.
+        let wait = pipe.tick().map_or(cfg.heartbeat / 2, |due| {
+            due.saturating_duration_since(Instant::now())
+                .min(cfg.heartbeat / 2)
+        });
         if halted.load(Ordering::SeqCst) {
             // Crash-faulted: dead nodes send no heartbeats and process no
             // messages. Drain (and drop) inbound traffic so a later restart
             // does not replay a backlog from its outage.
-            match transport.recv_timeout(cfg.heartbeat / 2) {
+            match transport.recv_timeout(wait) {
                 Ok(_) => {}
                 Err(TransportError::Timeout) => {}
                 Err(TransportError::Disconnected) => std::thread::sleep(cfg.heartbeat),
@@ -2451,11 +2510,10 @@ fn pump_loop(
                 credits,
             });
         }
-        // Receive with a short timeout so beats and polls stay timely.
-        let msg = transport.recv_timeout(cfg.heartbeat / 2);
+        let msg = transport.recv_timeout(wait);
         let now = now_sim(Instant::now());
         match msg {
-            Ok(Some(m)) => handle_message(&inner, &transport, m, now),
+            Ok(Some(m)) => handle_message(&inner, &transport, &pipe, m, now),
             Ok(None) => {}
             Err(TransportError::Disconnected) => {
                 inner.lock().enter_solo("disconnected");
@@ -2499,6 +2557,7 @@ fn pump_loop(
 fn handle_message(
     inner: &Arc<Mutex<Inner>>,
     transport: &Arc<dyn Transport + Sync>,
+    pipe: &ReplPipe,
     msg: Message,
     now: SimTime,
 ) {
@@ -2634,22 +2693,14 @@ fn handle_message(
             up_to,
             credits,
         } => {
-            let pipe = {
-                let mut g = inner.lock();
-                g.credits = Some(credits);
-                g.pipe_tx.clone()
-            };
-            let _ = pipe.send(PipeCmd::Ack { epoch, up_to });
+            inner.lock().credits = Some(credits);
+            pipe.on_ack(epoch, up_to);
         }
         Message::ReplNackBatch { epoch, seq, reason } => {
-            let pipe = {
-                let mut g = inner.lock();
-                if matches!(reason, NackReason::NoCredit) {
-                    g.credits = Some(0);
-                }
-                g.pipe_tx.clone()
-            };
-            let _ = pipe.send(PipeCmd::Nack { epoch, seq, reason });
+            if matches!(reason, NackReason::NoCredit) {
+                inner.lock().credits = Some(0);
+            }
+            pipe.on_nack(epoch, seq, reason);
         }
         Message::Discard { seq, pages } => {
             let mut g = inner.lock();
@@ -3130,6 +3181,88 @@ mod tests {
     }
 
     #[test]
+    fn idle_node_retransmits_a_batch_whose_ack_was_lost() {
+        let (ta, tb) = mem_pair();
+        // B's first data-plane send — the only ack — is dropped.
+        let fb = Arc::new(FaultTransport::new(
+            tb,
+            FaultPlan::new(5).with_drop_first(1),
+        ));
+        let mut cfg_a = NodeConfig::test_profile(0);
+        cfg_a.ack_timeout = Duration::from_millis(60);
+        let a = Node::spawn(cfg_a, ta, shared_backend(MemBackend::new()));
+        let b = Node::spawn(
+            NodeConfig::test_profile(1),
+            fb.clone(),
+            shared_backend(MemBackend::new()),
+        );
+        // One write and nothing after it: only the pump's timer tick can
+        // notice the missing ack and resend.
+        assert_eq!(a.write(9, b"once"), WriteOutcome::Replicated);
+        assert_eq!(fb.fault_stats().dropped, 1);
+        let s = a.stats();
+        assert_eq!(s.repl.retries, 1);
+        assert_eq!(s.repl.batches_sent, 1, "a resend is not a new batch");
+        assert!(s.writes_balance());
+        // The resend was a duplicate to B, which re-acked its frontier.
+        assert_eq!(b.stats().repl.dups_dropped, 1);
+        assert_eq!(b.hosted_remote_pages(), vec![9]);
+        assert_eq!(a.lifecycle_state(), PairState::Paired);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// Hides the peer's heartbeats, so the node never learns the peer's
+    /// credit pool and keeps replicating optimistically.
+    struct NoBeats(crate::transport::MemTransport);
+
+    impl Transport for NoBeats {
+        fn send(&self, msg: Message) -> Result<(), TransportError> {
+            self.0.send(msg)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+            match self.0.recv_timeout(timeout)? {
+                Some(Message::Heartbeat { .. }) => Ok(None),
+                other => Ok(other),
+            }
+        }
+        fn is_connected(&self) -> bool {
+            self.0.is_connected()
+        }
+    }
+
+    #[test]
+    fn run_straddling_two_batches_keeps_the_first_when_the_second_is_refused() {
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let mut cfg_a = NodeConfig::test_profile(0);
+        cfg_a.repl_batch_pages = 4;
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.remote_capacity = 4; // room for exactly the first batch
+        let a = Node::spawn(cfg_a, NoBeats(ta), ba.clone());
+        let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+        let pages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 8]).collect();
+        let out = a.write_run(1, 0, &pages);
+        // Batch 1 (lpns 0..4) is hosted and acked; batch 2 (lpns 4..8) is
+        // NACKed `NoCredit` and its pages write through.
+        assert_eq!((out.replicated, out.write_through), (4, 4));
+        assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3]);
+        assert_eq!(b.stats().repl.credit_rejections, 1);
+        for lpn in 4..8u64 {
+            assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not durable");
+        }
+        let s = a.stats();
+        assert!(s.writes_balance());
+        assert_eq!((s.replicated_pages, s.write_through), (4, 4));
+        assert_eq!(s.repl.batches_sent, 2);
+        assert_eq!(a.peer_credits(), Some(0));
+        // Backpressure is not a failure: the pair stays joined.
+        assert_eq!(a.lifecycle_state(), PairState::Paired);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
     fn corrupted_replication_is_nacked_and_repaired_by_resend() {
         let (ta, tb) = mem_pair();
         // Corrupt A→B data traffic with p=0.5; acks (B→A) are clean.
@@ -3422,7 +3555,7 @@ mod tests {
     #[test]
     fn duplicate_tagged_run_applies_once() {
         let (a, b, _ba, _bb) = pair();
-        let pages: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; 8]).collect();
+        let pages: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![i; 8])).collect();
         let first = a.try_write_run(7, 42, 100, &pages).unwrap();
         assert_eq!(first.pages(), 3);
         let writes_after_first = a.stats().writes;
@@ -3449,7 +3582,7 @@ mod tests {
         cfg.dedup_window = 2;
         let a = Node::spawn(cfg, ta, ba);
         let b = Node::spawn(NodeConfig::test_profile(1), tb, bb);
-        let page = [vec![1u8; 8]];
+        let page = [Bytes::from(vec![1u8; 8])];
         a.try_write_run(1, 10, 0, &page).unwrap();
         a.try_write_run(1, 11, 1, &page).unwrap();
         a.try_write_run(1, 12, 2, &page).unwrap(); // evicts tag 10
@@ -3475,7 +3608,10 @@ mod tests {
         assert!(b.is_halted());
         assert_eq!(b.try_read_from(1, 1), Err(NodeDown));
         assert_eq!(b.try_flush_dirty(), Err(NodeDown));
-        assert_eq!(b.try_write_run(1, 1, 0, &[b"y"]), Err(NodeDown));
+        assert_eq!(
+            b.try_write_run(1, 1, 0, &[Bytes::from_static(b"y")]),
+            Err(NodeDown)
+        );
         // The survivor detects the silence and walks to Solo/takeover.
         assert!(wait_until(
             || a.lifecycle_state() == PairState::Solo,
@@ -3612,11 +3748,11 @@ mod tests {
                 replay_len in 0usize..12,
             ) {
                 let (a, b, _ba, _bb) = pair();
-                let mut applied: Vec<(u64, u64, u64, Vec<Vec<u8>>)> = Vec::new();
+                let mut applied: Vec<(u64, u64, u64, Vec<Bytes>)> = Vec::new();
                 for (i, (client, lpn, pages)) in runs.iter().enumerate() {
                     let tag = i as u64 + 1; // client-stamped, unique per run
-                    let data: Vec<Vec<u8>> = (0..*pages)
-                        .map(|p| format!("r{i}p{p}").into_bytes())
+                    let data: Vec<Bytes> = (0..*pages)
+                        .map(|p| Bytes::from(format!("r{i}p{p}").into_bytes()))
                         .collect();
                     a.try_write_run(*client, tag, *lpn, &data).unwrap();
                     applied.push((*client, tag, *lpn, data));
@@ -3634,7 +3770,7 @@ mod tests {
                 let mut latest: HashMap<u64, Vec<u8>> = HashMap::new();
                 for (_, _, lpn, data) in &applied {
                     for (p, d) in data.iter().enumerate() {
-                        latest.insert(lpn + p as u64, d.clone());
+                        latest.insert(lpn + p as u64, d.to_vec());
                     }
                 }
                 for (lpn, want) in latest {

@@ -8,15 +8,11 @@
 //! in flight — the gateway replies in receive order per session, so ids
 //! come back in issue order.
 
-use std::io::Write as _;
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use fc_cluster::FramedLink;
 
 use crate::conn::MemClientConn;
 use crate::proto::{decode_reply, encode_request, ErrorCode, Reply, Request, PROTO_VERSION};
@@ -68,11 +64,8 @@ pub struct WriteAck {
 
 enum Conn {
     Mem(MemClientConn),
-    Tcp {
-        stream: Mutex<TcpStream>,
-        rx: Receiver<Reply>,
-        dead: Arc<AtomicBool>,
-    },
+    /// Replies are read off the socket by the thread that waits for them.
+    Tcp(FramedLink),
 }
 
 /// One client session against a gateway.
@@ -101,24 +94,8 @@ impl GatewayClient {
         addr: std::net::SocketAddr,
         client_id: u64,
     ) -> std::io::Result<GatewayClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let reader = stream.try_clone()?;
-        let (tx, rx) = unbounded();
-        let dead = Arc::new(AtomicBool::new(false));
-        {
-            let dead = dead.clone();
-            std::thread::Builder::new()
-                .name("fc-gw-client-rx".into())
-                .spawn(move || reply_read_loop(reader, tx, dead))
-                .expect("spawn client reader");
-        }
         Ok(GatewayClient {
-            conn: Conn::Tcp {
-                stream: Mutex::new(stream),
-                rx,
-                dead,
-            },
+            conn: Conn::Tcp(FramedLink::new(TcpStream::connect(addr)?)?),
             client_id,
             next_id: 1,
             timeout: Duration::from_secs(10),
@@ -147,30 +124,24 @@ impl GatewayClient {
                 m.tx.send(req.clone())
                     .map_err(|_| ClientError::Disconnected)
             }
-            Conn::Tcp { stream, dead, .. } => {
-                if dead.load(Ordering::SeqCst) {
-                    return Err(ClientError::Disconnected);
-                }
+            Conn::Tcp(link) => {
                 let mut buf = BytesMut::new();
                 encode_request(req, &mut buf);
-                stream.lock().write_all(&buf).map_err(|_| {
-                    dead.store(true, Ordering::SeqCst);
-                    ClientError::Disconnected
-                })
+                link.send(&buf).map_err(|_| ClientError::Disconnected)
             }
         }
     }
 
     /// Receive the next reply, waiting up to `timeout`.
     pub fn recv_reply(&self, timeout: Duration) -> Result<Reply, ClientError> {
-        let rx_result = match &self.conn {
-            Conn::Mem(m) => m.rx.recv_timeout(timeout),
-            Conn::Tcp { rx, .. } => rx.recv_timeout(timeout),
+        let reply = match &self.conn {
+            Conn::Mem(m) => m.recv_timeout(timeout).map_err(drop),
+            Conn::Tcp(link) => link.recv(timeout, decode_reply).map_err(drop),
         };
-        match rx_result {
-            Ok(reply) => Ok(reply),
-            Err(RecvTimeoutError::Timeout) => Err(ClientError::TimedOut),
-            Err(RecvTimeoutError::Disconnected) => Err(ClientError::Disconnected),
+        match reply {
+            Ok(Some(reply)) => Ok(reply),
+            Ok(None) => Err(ClientError::TimedOut),
+            Err(()) => Err(ClientError::Disconnected),
         }
     }
 
@@ -381,48 +352,84 @@ impl GatewayClient {
     }
 }
 
-fn reply_read_loop(mut stream: TcpStream, tx: Sender<Reply>, dead: Arc<AtomicBool>) {
-    use std::io::Read as _;
-    let mut buf = BytesMut::with_capacity(64 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match decode_reply(&mut buf) {
-            Ok(Some(reply)) => {
-                if tx.send(reply).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Ok(None) => {}
-            Err(_) => break,
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            // A link-level timeout (or signal) is not a dead socket: keep
-            // reading so the session surfaces as `TimedOut` on the
-            // receive path, never a spurious `Disconnected`.
-            Err(ref e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => break,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::encode_reply;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+
+    /// A TCP `GatewayClient` and the raw socket playing its gateway.
+    fn client_with_raw_gateway() -> (GatewayClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = GatewayClient::connect_tcp(listener.local_addr().unwrap(), 1).unwrap();
+        let (raw, _) = listener.accept().unwrap();
+        raw.set_nodelay(true).unwrap();
+        (client, raw)
+    }
+
+    fn ack(id: u64) -> Reply {
+        Reply::WriteOk {
+            id,
+            pages: 4,
+            replicated: true,
         }
     }
-    dead.store(true, Ordering::SeqCst);
-}
 
-impl Drop for GatewayClient {
-    fn drop(&mut self) {
-        if let Conn::Tcp { stream, dead, .. } = &self.conn {
-            let _ = stream.lock().shutdown(Shutdown::Both);
-            dead.store(true, Ordering::SeqCst);
-        }
+    fn frame(reply: &Reply) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_reply(reply, &mut buf);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn tcp_reply_split_across_writes_times_out_then_completes() {
+        let (client, mut raw) = client_with_raw_gateway();
+        let mut bytes = frame(&ack(1));
+        bytes.extend(frame(&ack(2)));
+        let (head, tail) = bytes.split_at(5);
+        raw.write_all(head).unwrap();
+        assert_eq!(
+            client.recv_reply(Duration::from_millis(30)),
+            Err(ClientError::TimedOut)
+        );
+        raw.write_all(tail).unwrap();
+        assert_eq!(client.recv_reply(Duration::from_secs(1)), Ok(ack(1)));
+        // The second reply rode in with the first one's tail.
+        assert_eq!(client.recv_reply(Duration::ZERO), Ok(ack(2)));
+        assert_eq!(
+            client.recv_reply(Duration::ZERO),
+            Err(ClientError::TimedOut)
+        );
+    }
+
+    #[test]
+    fn tcp_gateway_hangup_and_corrupt_replies_disconnect_for_good() {
+        let (mut client, raw) = client_with_raw_gateway();
+        drop(raw);
+        assert_eq!(
+            client.recv_reply(Duration::from_secs(1)),
+            Err(ClientError::Disconnected)
+        );
+        assert_eq!(
+            client.recv_reply(Duration::ZERO),
+            Err(ClientError::Disconnected)
+        );
+        assert_eq!(client.send_read(0, 1), Err(ClientError::Disconnected));
+
+        let (client, mut raw) = client_with_raw_gateway();
+        let mut bytes = frame(&ack(3));
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        bytes.extend(frame(&ack(4)));
+        raw.write_all(&bytes).unwrap();
+        assert_eq!(
+            client.recv_reply(Duration::from_secs(1)),
+            Err(ClientError::Disconnected)
+        );
+        assert_eq!(
+            client.recv_reply(Duration::from_secs(1)),
+            Err(ClientError::Disconnected)
+        );
     }
 }

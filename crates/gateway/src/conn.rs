@@ -3,22 +3,20 @@
 //! Mirrors `fc_cluster::transport`: a [`SessionLink`] is the gateway-side
 //! view of one client connection, with an in-memory typed-channel
 //! implementation for deterministic tests and a TCP implementation that
-//! runs the real framed protocol from [`crate::proto`].
+//! runs the real framed protocol from [`crate::proto`] on the session's own
+//! thread (no reader thread; see [`fc_cluster::FramedLink`]).
 //!
 //! The in-memory pair passes typed [`Request`]/[`Reply`] values without
 //! re-framing (the encode/decode path is exercised by the TCP link and the
 //! proto unit tests); that keeps the deterministic e2e variant free of
 //! socket-scheduling noise.
 
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use fc_cluster::FramedLink;
 
 use crate::proto::{decode_request, encode_reply, Reply, Request};
 
@@ -110,99 +108,119 @@ impl SessionLink for MemSessionLink {
 // TCP link
 // ---------------------------------------------------------------------------
 
-/// Gateway-side TCP session: a reader thread decodes framed requests into
-/// a channel; replies are encoded and written inline.
+/// Gateway-side TCP session: the request/reply codec over a
+/// [`FramedLink`]. The session thread reads its own socket — a zero-timeout
+/// receive (the batch-window drain) returns requests already buffered, then
+/// polls the socket once — and writes replies inline.
 pub struct TcpSessionLink {
-    stream: Mutex<TcpStream>,
-    rx: Receiver<Request>,
-    dead: Arc<AtomicBool>,
+    link: FramedLink,
 }
 
 impl TcpSessionLink {
     /// Wrap an accepted client socket.
     pub fn new(stream: TcpStream) -> std::io::Result<TcpSessionLink> {
-        stream.set_nodelay(true).ok();
-        let reader = stream.try_clone()?;
-        let (tx, rx) = unbounded();
-        let dead = Arc::new(AtomicBool::new(false));
-        {
-            let dead = dead.clone();
-            std::thread::Builder::new()
-                .name("fc-gw-session-rx".into())
-                .spawn(move || request_read_loop(reader, tx, dead))
-                .expect("spawn session reader");
-        }
         Ok(TcpSessionLink {
-            stream: Mutex::new(stream),
-            rx,
-            dead,
+            link: FramedLink::new(stream)?,
         })
     }
-}
-
-fn request_read_loop(mut stream: TcpStream, tx: Sender<Request>, dead: Arc<AtomicBool>) {
-    let mut buf = BytesMut::with_capacity(64 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        match decode_request(&mut buf) {
-            Ok(Some(req)) => {
-                if tx.send(req).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Ok(None) => {}
-            Err(_) => break, // protocol corruption: drop the session
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-    dead.store(true, Ordering::SeqCst);
 }
 
 impl SessionLink for TcpSessionLink {
     fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(LinkClosed);
-        }
         let mut buf = BytesMut::new();
         encode_reply(&reply, &mut buf);
-        let mut stream = self.stream.lock();
-        stream.write_all(&buf).map_err(|_| {
-            self.dead.store(true, Ordering::SeqCst);
-            LinkClosed
-        })
+        self.link.send(&buf).map_err(|_| LinkClosed)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(req) => Ok(Some(req)),
-            Err(RecvTimeoutError::Timeout) => {
-                if self.dead.load(Ordering::SeqCst) && self.rx.try_recv().is_err() {
-                    Err(LinkClosed)
-                } else {
-                    Ok(None)
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(LinkClosed),
-        }
-    }
-}
-
-impl Drop for TcpSessionLink {
-    fn drop(&mut self) {
-        let _ = self.stream.lock().shutdown(Shutdown::Both);
-        self.dead.store(true, Ordering::SeqCst);
+        self.link
+            .recv(timeout, decode_request)
+            .map_err(|_| LinkClosed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::ErrorCode;
+    use crate::proto::{encode_request, ErrorCode};
+    use bytes::Bytes;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    /// A `TcpSessionLink` and the raw client socket at its far end.
+    fn session_with_raw_client() -> (TcpSessionLink, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (TcpSessionLink::new(stream).unwrap(), raw)
+    }
+
+    fn write_req(id: u64) -> Request {
+        Request::Write {
+            id,
+            lpn: 8 * id,
+            pages: vec![Bytes::from(vec![id as u8; 64])],
+        }
+    }
+
+    fn frame(req: &Request) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        encode_request(req, &mut buf);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn tcp_batch_window_drain_takes_pipelined_writes_from_the_buffer() {
+        let (link, mut raw) = session_with_raw_client();
+        let bytes: Vec<u8> = (1..=3).flat_map(|id| frame(&write_req(id))).collect();
+        raw.write_all(&bytes).unwrap();
+        // What `write_batch` does: one blocking receive for the head, then
+        // zero-timeout receives until the window is dry.
+        assert_eq!(
+            link.recv_timeout(Duration::from_secs(1)),
+            Ok(Some(write_req(1)))
+        );
+        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(write_req(2))));
+        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(write_req(3))));
+        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
+    }
+
+    #[test]
+    fn tcp_request_split_across_writes_survives_a_timeout_in_between() {
+        let (link, mut raw) = session_with_raw_client();
+        let bytes = frame(&write_req(5));
+        let (head, tail) = bytes.split_at(bytes.len() / 2);
+        raw.write_all(head).unwrap();
+        assert_eq!(link.recv_timeout(Duration::from_millis(30)), Ok(None));
+        raw.write_all(tail).unwrap();
+        assert_eq!(
+            link.recv_timeout(Duration::from_secs(1)),
+            Ok(Some(write_req(5)))
+        );
+        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
+    }
+
+    #[test]
+    fn tcp_client_hangup_and_corrupt_requests_close_the_link_for_good() {
+        let (link, raw) = session_with_raw_client();
+        drop(raw);
+        assert_eq!(link.recv_timeout(Duration::from_secs(1)), Err(LinkClosed));
+        assert_eq!(link.recv_timeout(Duration::ZERO), Err(LinkClosed));
+        assert_eq!(
+            link.send(Reply::FlushOk { id: 1, flushed: 0 }),
+            Err(LinkClosed)
+        );
+
+        let (link, mut raw) = session_with_raw_client();
+        let mut bytes = frame(&write_req(6));
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        bytes.extend(frame(&write_req(7)));
+        raw.write_all(&bytes).unwrap();
+        assert_eq!(link.recv_timeout(Duration::from_secs(1)), Err(LinkClosed));
+        assert_eq!(link.recv_timeout(Duration::from_secs(1)), Err(LinkClosed));
+    }
 
     #[test]
     fn mem_session_passes_typed_values() {

@@ -19,6 +19,11 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
+echo "==> release-mode race check: replication pipe stress + batched-frame chaos"
+# The pipe is shared state stepped by writers, the pump and whoever resets
+# it; debug-build timing hides interleavings the optimized build hits.
+cargo test --release -q --offline --test pipeline_stress --test chaos_replication
+
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

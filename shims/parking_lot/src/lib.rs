@@ -2,7 +2,7 @@
 //! methods never return a poison error, backed by their `std::sync`
 //! counterparts. Only the API the workspace uses is provided.
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// Non-poisoning mutex.
 #[derive(Debug, Default)]

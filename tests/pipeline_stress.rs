@@ -19,10 +19,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
+use std::time::{Duration, Instant};
+
 use bytes::Bytes;
-use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
-use fc_gateway::{GatewayConfig, ShardStatsSum, ShardedGateway};
-use fc_ring::RingConfig;
+use fc_cluster::{
+    mem_pair, shared_backend, FaultPlan, FaultTransport, MemBackend, Node, NodeConfig, PairState,
+    TcpTransport,
+};
+use fc_gateway::{GatewayClient, GatewayConfig, ShardStatsSum, ShardedGateway};
+use fc_ring::{Ring, RingConfig};
 use fc_simkit::DetRng;
 
 const PAGE_BYTES: usize = 128;
@@ -237,4 +242,146 @@ fn sharded_gateway_counter_sums_match_at_every_snapshot() {
         );
     }
     Arc::try_unwrap(sg).ok().expect("clients done").shutdown();
+}
+
+fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if cond() {
+            return true;
+        }
+        thread::sleep(Duration::from_millis(2));
+    }
+    cond()
+}
+
+/// Four writers park on runs whose acks never arrive; `halt` (a crash fault
+/// or a solo entry) must fail every ticket — each run comes back fully
+/// written through, no writer hangs, and the counters balance.
+fn parked_writers_are_released_by(halt: impl FnOnce(&Node)) {
+    const WRITERS: u64 = 4;
+    const RUN_PAGES: u64 = 4;
+
+    let (ta, tb) = mem_pair();
+    // The peer applies every batch but its acks are lost; heartbeats pass.
+    let tb = FaultTransport::new(tb, FaultPlan::new(11).with_drop(1.0));
+    let backend = shared_backend(MemBackend::default());
+    let mut cfg_a = windowed_config(0);
+    cfg_a.repl_window = 8;
+    // No retransmit timer may fire: the writers stay parked until `halt`.
+    cfg_a.ack_timeout = Duration::from_secs(60);
+    let a = Arc::new(Node::spawn(cfg_a, ta, backend.clone()));
+    let b = Node::spawn(windowed_config(1), tb, backend.clone());
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let a = Arc::clone(&a);
+            thread::spawn(move || {
+                let pages: Vec<Bytes> = (0..RUN_PAGES).map(|i| page(w, i)).collect();
+                a.write_run(w, w * 64, &pages)
+            })
+        })
+        .collect();
+    // Every frame reached the peer, so every writer is parked on its ack.
+    assert!(
+        wait_until(
+            || b.hosted_remote_pages().len() as u64 == WRITERS * RUN_PAGES,
+            Duration::from_secs(5)
+        ),
+        "peer hosts {:?}",
+        b.hosted_remote_pages()
+    );
+    assert!(writers.iter().all(|h| !h.is_finished()));
+
+    halt(&a);
+    for h in writers {
+        let out = h.join().unwrap();
+        assert_eq!((out.replicated, out.write_through), (0, RUN_PAGES));
+    }
+    let s = a.stats();
+    assert!(s.writes_balance());
+    assert_eq!(s.writes, WRITERS * RUN_PAGES);
+    assert_eq!(s.write_through, WRITERS * RUN_PAGES);
+    assert_eq!(a.lifecycle_state(), PairState::Solo);
+    // Written through means on the backend, now.
+    for w in 0..WRITERS {
+        for i in 0..RUN_PAGES {
+            assert!(backend.lock().read_page(w * 64 + i).is_some());
+        }
+    }
+    Arc::try_unwrap(a).ok().expect("writers done").shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn crash_fault_releases_parked_writers_as_write_through() {
+    parked_writers_are_released_by(Node::fail);
+}
+
+#[test]
+fn solo_entry_releases_parked_writers_as_write_through() {
+    parked_writers_are_released_by(Node::quiesce);
+}
+
+/// The relay threads are gone: a one-pair TCP cluster with one TCP client
+/// session runs one thread per node and one per session, nothing else.
+#[cfg(target_os = "linux")]
+#[test]
+fn tcp_cluster_runs_one_thread_per_node_and_none_per_link() {
+    // Ids no other test in this binary uses, so their nodes' threads do
+    // not show up in the count.
+    const IDS: (u8, u8) = (200, 201);
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let ta = TcpTransport::connect(listener.local_addr().unwrap()).unwrap();
+    let tb = TcpTransport::accept(&listener).unwrap();
+    let backend = shared_backend(MemBackend::default());
+    let a = Arc::new(Node::spawn(windowed_config(IDS.0), ta, backend.clone()));
+    let b = Arc::new(Node::spawn(windowed_config(IDS.1), tb, backend));
+    let gw_cfg = GatewayConfig::test_profile();
+    let ring = Ring::with_pairs(
+        RingConfig {
+            block_pages: gw_cfg.pages_per_block,
+            ..RingConfig::default()
+        },
+        1,
+    );
+    let sg = ShardedGateway::from_pairs(gw_cfg, ring, vec![a], vec![b]);
+    let addr = sg.gateway().listen_tcp("127.0.0.1:0").unwrap();
+    let mut client = GatewayClient::connect_tcp(addr, 1).unwrap();
+    client.hello().unwrap();
+    // Traffic over both kinds of link, so a lazily started thread would
+    // have started.
+    let ack = client.write(0, vec![page(1, 0), page(1, 1)]).unwrap();
+    assert!(ack.replicated);
+    assert_eq!(client.read(0, 1).unwrap(), vec![Some(page(1, 0))]);
+
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    // `comm` keeps 15 bytes: "fc-gw-session-rx" would read "fc-gw-session-r".
+    for gone in [
+        "fc-pipe-",
+        "fc-cluster-rx",
+        "fc-gw-session-r",
+        "fc-gw-client-rx",
+    ] {
+        assert!(
+            !names.iter().any(|n| n.starts_with(gone)),
+            "a {gone}* thread is running: {names:?}"
+        );
+    }
+    for id in [IDS.0, IDS.1] {
+        let pump = format!("fc-node-{id}");
+        assert_eq!(
+            names.iter().filter(|n| **n == pump).count(),
+            1,
+            "{pump}: {names:?}"
+        );
+    }
+    assert!(names.iter().any(|n| n == "fc-gw-session"), "{names:?}");
+    drop(client);
+    sg.shutdown();
 }
