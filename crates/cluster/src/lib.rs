@@ -32,6 +32,7 @@
 pub mod backend;
 pub mod fault;
 pub mod node;
+mod pipe;
 pub mod transport;
 pub mod wire;
 
