@@ -11,8 +11,9 @@
 //! from its printed seed.
 //!
 //! Faults apply to outbound traffic of the wrapped endpoint. By default only
-//! the data plane ([`Message::WriteReplBatch`] / [`Message::Discard`] /
-//! [`Message::ResyncBatch`] and their acks and nacks) is disturbed; control
+//! the data plane ([`Message::WriteReplBatch`] — paired replication and the
+//! rejoin catch-up stream alike — with its cumulative acks and per-batch
+//! nacks, and [`Message::Discard`]) is disturbed; control
 //! traffic (heartbeats, the recovery handshake) passes through untouched so
 //! a lossy-but-alive link does not masquerade as a dead peer. Set
 //! [`FaultPlan::all_traffic`] to disturb everything.
@@ -196,9 +197,6 @@ impl FaultPlan {
             || matches!(
                 msg,
                 Message::Discard { .. }
-                    | Message::ReplNack { .. }
-                    | Message::ResyncBatch { .. }
-                    | Message::ResyncAck { .. }
                     | Message::WriteReplBatch { .. }
                     | Message::ReplAckBatch { .. }
                     | Message::ReplNackBatch { .. }
@@ -240,9 +238,7 @@ pub enum FaultAction {
 /// the echoed seq of an ack/nack.
 fn fault_seq(msg: &Message) -> Option<u64> {
     match msg {
-        Message::ReplNack { seq, .. }
-        | Message::ReplNackBatch { seq, .. }
-        | Message::ResyncAck { seq } => Some(*seq),
+        Message::ReplNackBatch { seq, .. } => Some(*seq),
         Message::ReplAckBatch { up_to, .. } => Some(*up_to),
         m => m.data_seq(),
     }
@@ -487,49 +483,31 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
     /// receiver detects). Returns `None` when the message carries no
     /// corruptible payload.
     fn corrupt_copy(msg: &Message, rng: &mut fc_simkit::DetRng) -> Option<Message> {
-        fn flip(data: &bytes::Bytes, rng: &mut fc_simkit::DetRng) -> bytes::Bytes {
-            let mut v = data.to_vec();
-            let i = rng.below(v.len() as u64) as usize;
-            v[i] ^= 0xFF;
-            bytes::Bytes::from(v)
+        let Message::WriteReplBatch {
+            epoch,
+            seq,
+            entries,
+        } = msg
+        else {
+            return None;
+        };
+        let candidates: Vec<usize> = (0..entries.len())
+            .filter(|&i| !entries[i].3.is_empty())
+            .collect();
+        if candidates.is_empty() {
+            return None;
         }
-        fn flip_one_entry(
-            entries: &[crate::wire::ResyncEntry],
-            rng: &mut fc_simkit::DetRng,
-        ) -> Vec<crate::wire::ResyncEntry> {
-            let candidates: Vec<usize> = entries
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, _, _, d))| !d.is_empty())
-                .map(|(i, _)| i)
-                .collect();
-            let pick = candidates[rng.below(candidates.len() as u64) as usize];
-            let mut entries = entries.to_vec();
-            let (lpn, ver, crc, data) = &entries[pick];
-            entries[pick] = (*lpn, *ver, *crc, flip(data, rng));
-            entries
-        }
-        match msg {
-            Message::ResyncBatch { seq, entries }
-                if entries.iter().any(|(_, _, _, d)| !d.is_empty()) =>
-            {
-                let entries = flip_one_entry(entries, rng);
-                Some(Message::ResyncBatch { seq: *seq, entries })
-            }
-            Message::WriteReplBatch {
-                epoch,
-                seq,
-                entries,
-            } if entries.iter().any(|(_, _, _, d)| !d.is_empty()) => {
-                let entries = flip_one_entry(entries, rng);
-                Some(Message::WriteReplBatch {
-                    epoch: *epoch,
-                    seq: *seq,
-                    entries,
-                })
-            }
-            _ => None,
-        }
+        let pick = candidates[rng.below(candidates.len() as u64) as usize];
+        let mut entries = entries.clone();
+        let mut v = entries[pick].3.to_vec();
+        let i = rng.below(v.len() as u64) as usize;
+        v[i] ^= 0xFF;
+        entries[pick].3 = bytes::Bytes::from(v);
+        Some(Message::WriteReplBatch {
+            epoch: *epoch,
+            seq: *seq,
+            entries,
+        })
     }
 
     /// Release every held-back message whose window has expired.

@@ -27,13 +27,14 @@
 //!   recovery handshake collects it.
 //! * **Solo writes** go write-through and are recorded in a bounded
 //!   catch-up journal (latest version per page).
-//! * **Rejoin**: when the peer's heartbeats return, the journal is streamed
-//!   back in [`Message::ResyncBatch`] chunks while new writes keep landing
-//!   in the journal; once it drains with no batch in flight the node cuts
+//! * **Rejoin**: when the peer's heartbeats return, the pump hands the
+//!   journal to the replication pipe one batch at a time (ordinary
+//!   [`Message::WriteReplBatch`] frames) while new writes keep landing in
+//!   the journal; once it drains with no batch in flight the node cuts
 //!   over to `Paired`. A journal overflow downgrades to a full-buffer
 //!   resync.
 //! * **Integrity**: every data payload carries a CRC-32; a receiver that
-//!   sees a damaged page NACKs it ([`NackReason::Corrupt`]) and the sender
+//!   sees a damaged batch NACKs it ([`NackReason::Corrupt`]) and the sender
 //!   retransmits the clean copy. [`Node::scrub`] repairs silently-corrupted
 //!   *local* pages from the peer's replica.
 //! * **Backpressure**: the remote buffer is bounded; acks and heartbeats
@@ -59,6 +60,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// `write_through` event reason for a page kept local because the peer is
+/// out of hosting credits (the one reason that also counts a credit stall).
+const NO_CREDITS: &str = "no_credits";
 
 /// Backend namespace for pages destaged on behalf of a failed peer. Bit 63
 /// keeps them disjoint from the node's own logical pages, so a takeover
@@ -90,20 +95,21 @@ pub struct NodeConfig {
     pub heartbeat: Duration,
     /// Silence after which the peer is declared failed.
     pub failure_timeout: Duration,
-    /// How long a write waits for its replication ack before retrying (and,
-    /// with retries exhausted, going solo).
+    /// How long the oldest unacknowledged replication batch waits for its
+    /// cumulative ack before the pump retransmits it (and, with retries
+    /// exhausted, abandons the window: its writers write through and the
+    /// node goes solo, a resync falls back to solo).
     pub ack_timeout: Duration,
-    /// Bounded retry-with-backoff for the replication ack path. A lossy
-    /// network drops the occasional Replicate or ack; retrying (the receiver
-    /// dedups by sequence number and re-acks) keeps such writes on the
-    /// replicated fast path instead of silently falling back to
-    /// write-through on the first loss.
+    /// Bounded retry-with-backoff for replication batches — paired writes
+    /// and the resync stream share the one budget. A lossy network drops
+    /// the occasional batch or ack; retransmitting under the same seq (the
+    /// receiver dedups and re-acks its frontier) keeps the batch's pages
+    /// on the replicated path instead of falling back to write-through on
+    /// the first loss.
     pub retry: RetryPolicy,
     /// Catch-up journal capacity (distinct pages). Overflow falls back to a
     /// full-buffer resync on rejoin.
     pub journal_entries: usize,
-    /// Pages per resync batch.
-    pub resync_batch: usize,
     /// Pages this node will host for its peer (the credit pool it
     /// advertises in acks and heartbeats).
     pub remote_capacity: usize,
@@ -112,10 +118,11 @@ pub struct NodeConfig {
     /// retry of an already-applied run returns the cached outcome instead
     /// of applying twice.
     pub dedup_window: usize,
-    /// Maximum pages carried by one pipelined [`Message::WriteReplBatch`]
-    /// frame. The sender cuts whatever is queued (up to this many pages)
-    /// into each batch, so lightly loaded nodes still see one-page batches
-    /// while a gateway write run amortises the wire to O(runs) frames.
+    /// Maximum pages carried by one [`Message::WriteReplBatch`] frame —
+    /// also the resync batch size. The sender cuts whatever is queued (up
+    /// to this many pages) into each batch, so lightly loaded nodes still
+    /// see one-page batches while a gateway write run amortises the wire
+    /// to O(runs) frames.
     pub repl_batch_pages: usize,
     /// Maximum unacknowledged batches in flight before the replication
     /// sender stops cutting new ones (the pipeline window).
@@ -136,7 +143,6 @@ impl Default for NodeConfig {
             ack_timeout: Duration::from_millis(500),
             retry: RetryPolicy::default(),
             journal_entries: 4096,
-            resync_batch: 64,
             remote_capacity: 8192,
             dedup_window: 1024,
             repl_batch_pages: 32,
@@ -158,7 +164,6 @@ impl NodeConfig {
             ack_timeout: Duration::from_millis(500),
             retry: RetryPolicy::default(),
             journal_entries: 256,
-            resync_batch: 8,
             remote_capacity: 512,
             dedup_window: 64,
             repl_batch_pages: 16,
@@ -232,7 +237,7 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Replication-ack wait per attempt.
+    /// Batch-ack wait per attempt.
     pub fn ack_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.ack_timeout = timeout;
         self
@@ -247,12 +252,6 @@ impl NodeConfigBuilder {
     /// Catch-up journal capacity (distinct pages).
     pub fn journal_entries(mut self, entries: usize) -> Self {
         self.cfg.journal_entries = entries;
-        self
-    }
-
-    /// Pages per resync batch.
-    pub fn resync_batch(mut self, pages: usize) -> Self {
-        self.cfg.resync_batch = pages.max(1);
         self
     }
 
@@ -310,7 +309,7 @@ pub enum MigrateError {
     Down,
     /// A CRC-framed entry failed verification; nothing from the batch was
     /// applied. The coordinator re-exports and resends, same discipline as
-    /// a `ReplNack(Corrupt)` on the resync wire.
+    /// a Corrupt NACK on the pair link.
     Corrupt {
         /// The first lpn whose payload did not match its frame CRC.
         lpn: u64,
@@ -488,6 +487,23 @@ struct Pipelined {
     bytes: Bytes,
 }
 
+impl Pipelined {
+    /// The pipe's half of this page, resolving on `ticket`'s slot `slot`.
+    fn pipe_page(&self, crc: u32, ticket: &Arc<RunTicket>, slot: usize) -> PipePage {
+        // Counted before the run is submitted, so the ticket cannot hit
+        // zero while it is being filled.
+        ticket.remaining.fetch_add(1, Ordering::Relaxed);
+        PipePage {
+            lpn: self.lpn,
+            version: self.version,
+            crc,
+            data: self.bytes.clone(),
+            ticket: ticket.clone(),
+            slot,
+        }
+    }
+}
+
 /// Receiver-side state for the pipelined replication stream: one
 /// contiguous per-epoch sequence space, acknowledged cumulatively. Lives in
 /// [`Inner`]; reset when the sender abandons an epoch ([`ReplPipe::reset`])
@@ -502,23 +518,14 @@ struct BatchRx {
     seen: std::collections::BTreeSet<u64>,
 }
 
-/// A batch of journal pages awaiting its [`Message::ResyncAck`].
-struct InFlight {
-    seq: u64,
-    /// `(lpn, version, data)` — kept so a timeout can resend or a failure
-    /// can return them to the journal.
-    entries: Vec<(u64, u64, Bytes)>,
-    sent_at: Instant,
-    attempts: u32,
-    /// Set when the peer NACKed the batch (corrupted in flight): resend
-    /// immediately instead of waiting out the ack timeout.
-    resend_now: bool,
-}
-
 /// Progress of one incremental resync towards the cut-over barrier.
 struct ResyncRun {
-    in_flight: Option<InFlight>,
+    /// The journal batch the pipe currently holds: the pump's ticket and
+    /// the pages on it (slot `i` is `pages[i]`), kept so a failed batch can
+    /// go back to the journal.
+    outstanding: Option<(Arc<RunTicket>, Vec<Pipelined>)>,
     batches: u64,
+    /// Pages the peer acknowledged.
     pages: u64,
 }
 
@@ -678,9 +685,11 @@ impl Inner {
     }
 
     /// Record a solo-mode write for the next resync. Latest version per
-    /// page; an overflow clears the journal and flags a full resync.
+    /// page (a page coming back from a failed resync batch never displaces
+    /// a newer solo write); an overflow clears the journal and flags a full
+    /// resync.
     fn journal_record(&mut self, lpn: u64, version: u64, data: Bytes) {
-        if self.journal_overflowed {
+        if self.journal_overflowed || self.journal.get(&lpn).is_some_and(|(v, _)| *v >= version) {
             return;
         }
         self.journal.insert(lpn, (version, data));
@@ -693,8 +702,6 @@ impl Inner {
         }
     }
 
-    /// Remote failure handling: flush every dirty page, take over the
-    /// peer's replicated pages, and stop forwarding until a resync.
     /// Drop one pipeline reference for `lpn` (its write resolved).
     fn inflight_done(&mut self, lpn: u64) {
         if let Some(n) = self.inflight.get_mut(&lpn) {
@@ -705,28 +712,20 @@ impl Inner {
         }
     }
 
+    /// Remote failure handling: flush every dirty page, take over the
+    /// peer's replicated pages, and stop forwarding until a resync.
     fn enter_solo(&mut self, cause: &'static str) {
         if self.lifecycle.state() == PairState::Solo {
             return;
         }
         // Abandon the replication pipeline: blocked writers resolve as
-        // failed and write through themselves; the next epoch starts clean.
+        // failed and write through themselves, a resync batch goes back to
+        // the journal; the next epoch starts clean.
         self.pipe.reset();
-        // Abort any resync in flight: its unacked pages go back to the
-        // journal so the next attempt re-sends them.
-        if let Some(run) = self.resync.take() {
-            if let Some(inf) = run.in_flight {
-                for (lpn, ver, data) in inf.entries {
-                    let newer = self.journal.get(&lpn).is_some_and(|(v, _)| *v >= ver);
-                    if !newer {
-                        self.journal_record(lpn, ver, data);
-                    }
-                }
-            }
-        }
         if let Some(tr) = self.lifecycle.force_solo(cause) {
             self.emit_lifecycle(tr);
         }
+        self.settle_resync(true);
         // Flush every dirty local page: the peer replica is no longer a
         // second memory.
         let ev = self.buffer.drain_dirty();
@@ -823,7 +822,7 @@ impl Inner {
             self.emit_lifecycle(tr);
         }
         self.resync = Some(ResyncRun {
-            in_flight: None,
+            outstanding: None,
             batches: 0,
             pages: 0,
         });
@@ -834,68 +833,62 @@ impl Inner {
         });
     }
 
-    /// Advance the resync state machine: resend or abandon a timed-out
-    /// batch, cut over to Paired when the journal drains, or cut the next
-    /// batch. Returns the messages to put on the wire (send them *after*
-    /// dropping the lock).
-    fn drive_resync(&mut self, now: Instant) -> Vec<Message> {
-        if self.lifecycle.state() != PairState::Resyncing || self.resync.is_none() {
-            return Vec::new();
-        }
-        // A batch is outstanding: wait, resend, or give up.
-        let mut gave_up = false;
-        let mut resend: Option<Message> = None;
+    /// Read the outcome of the resync batch the pipe holds off its ticket,
+    /// once every page is resolved — or at once when `abort`ing the run
+    /// (solo entry just reset the pipe; a slot nobody resolved reads
+    /// `Failed`). Acknowledged pages count, refused ones are forgone (they
+    /// were written through while solo, so only the second memory is
+    /// lost), failed ones return to the journal and end the run.
+    fn settle_resync(&mut self, abort: bool) {
+        let Some(run) = &mut self.resync else {
+            return;
+        };
+        let mut failed = Vec::new();
+        if run
+            .outstanding
+            .as_ref()
+            .is_some_and(|(ticket, _)| abort || ticket.is_done())
         {
-            let ack_timeout = self.cfg.ack_timeout;
-            let max_retries = self.cfg.retry.max_retries();
-            let run = self.resync.as_mut().expect("resync run");
-            if let Some(inf) = &mut run.in_flight {
-                let due = inf.resend_now || now.duration_since(inf.sent_at) >= ack_timeout;
-                if !due {
-                    return Vec::new();
-                }
-                if inf.attempts > max_retries {
-                    gave_up = true;
-                } else {
-                    inf.attempts += 1;
-                    inf.sent_at = now;
-                    inf.resend_now = false;
-                    let entries = inf
-                        .entries
-                        .iter()
-                        .map(|(l, v, d)| resync_entry(*l, *v, d.clone()))
-                        .collect();
-                    resend = Some(Message::ResyncBatch {
-                        seq: inf.seq,
-                        entries,
-                    });
+            let (ticket, pages) = run.outstanding.take().expect("checked above");
+            let mut acked = 0;
+            for (slot, page) in pages.into_iter().enumerate() {
+                match ticket.outcome(slot) {
+                    PageOutcome::Replicated => acked += 1,
+                    PageOutcome::NoCredit => {}
+                    PageOutcome::Failed => failed.push(page),
                 }
             }
+            run.pages += acked;
+            self.stats.lock().repl.resync_pages += acked;
         }
-        if gave_up {
-            if let Some(run) = self.resync.take() {
-                if let Some(inf) = run.in_flight {
-                    for (lpn, ver, data) in inf.entries {
-                        let newer = self.journal.get(&lpn).is_some_and(|(v, _)| *v >= ver);
-                        if !newer {
-                            self.journal_record(lpn, ver, data);
-                        }
-                    }
-                }
-            }
-            if let Some(tr) = self.lifecycle.resync_failed("resync_timeout") {
-                self.emit_lifecycle(tr);
-            }
-            self.resync_retry_at = Some(now + self.cfg.failure_timeout);
+        if failed.is_empty() && !abort {
+            return;
+        }
+        self.resync = None;
+        for p in failed {
+            self.journal_record(p.lpn, p.version, p.bytes);
+        }
+        // Already Solo when aborting: solo entry does its own bookkeeping.
+        if let Some(tr) = self.lifecycle.resync_failed("resync_timeout") {
+            self.emit_lifecycle(tr);
+            self.resync_retry_at = Some(Instant::now() + self.cfg.failure_timeout);
             self.note("resync_failed", |e| {
                 e.u64_field("journal", self.journal.len() as u64)
             });
-            return Vec::new();
         }
-        if let Some(m) = resend {
-            self.stats.lock().repl.retries += 1;
-            self.note("resync_batch", |e| e.str_field("kind", "resend"));
-            return vec![m];
+    }
+
+    /// Advance the resync: settle the batch the pipe holds, cut over to
+    /// Paired once the journal has drained with nothing outstanding, or cut
+    /// the next batch. One batch rides the pipe at a time, so the pump
+    /// never puts more than one page-carrying frame on the wire between
+    /// two receives (a blocking socket write cannot wedge two pumps that
+    /// resync toward each other). Returns the pages to submit to the pipe
+    /// (*after* dropping the lock).
+    fn drive_resync(&mut self) -> Vec<PipePage> {
+        self.settle_resync(false);
+        if self.resync.as_ref().is_none_or(|r| r.outstanding.is_some()) {
+            return Vec::new();
         }
         if self.journal.is_empty() {
             // Cut-over barrier: the journal drained and nothing is in
@@ -914,38 +907,25 @@ impl Inner {
         // destage path).
         let mut lpns: Vec<u64> = self.journal.keys().copied().collect();
         lpns.sort_unstable();
-        lpns.truncate(self.cfg.resync_batch.max(1));
-        let mut raw = Vec::with_capacity(lpns.len());
-        for lpn in lpns {
-            let (ver, data) = self.journal.remove(&lpn).expect("journal entry");
-            raw.push((lpn, ver, data));
+        lpns.truncate(self.cfg.repl_batch_pages.max(1));
+        let ticket = RunTicket::new(lpns.len());
+        let mut kept = Vec::with_capacity(lpns.len());
+        let mut pipe_pages = Vec::with_capacity(lpns.len());
+        for (slot, lpn) in lpns.into_iter().enumerate() {
+            let (version, bytes) = self.journal.remove(&lpn).expect("journal entry");
+            let page = Pipelined {
+                lpn,
+                version,
+                bytes,
+            };
+            pipe_pages.push(page.pipe_page(crc32(&page.bytes), &ticket, slot));
+            kept.push(page);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let pages = raw.len() as u64;
-        let entries = raw
-            .iter()
-            .map(|(l, v, d)| resync_entry(*l, *v, d.clone()))
-            .collect();
         let run = self.resync.as_mut().expect("resync run");
-        run.in_flight = Some(InFlight {
-            seq,
-            entries: raw,
-            sent_at: now,
-            attempts: 1,
-            resend_now: false,
-        });
+        run.outstanding = Some((ticket, kept));
         run.batches += 1;
-        run.pages += pages;
-        {
-            let mut s = self.stats.lock();
-            s.repl.resync_batches += 1;
-            s.repl.resync_pages += pages;
-        }
-        self.note("resync_batch", |e| {
-            e.u64_field("seq", seq).u64_field("pages", pages)
-        });
-        vec![Message::ResyncBatch { seq, entries }]
+        self.stats.lock().repl.resync_batches += 1;
+        pipe_pages
     }
 }
 
@@ -1110,49 +1090,19 @@ impl Node {
                 inner.versions.insert(lpn, version);
                 inner.page_crc.insert(lpn, crcs[i]);
 
-                if inner.lifecycle.is_degraded() {
+                let degraded = inner.lifecycle.is_degraded();
+                if degraded || inner.credits == Some(0) {
                     // Solo or resyncing: write through, journal for catch-up.
+                    // Or the peer's remote buffer is full: keep durability
+                    // local instead of stalling on a NACK round trip.
                     inner.backend.lock().write_page(lpn, version, &bytes);
                     let ev = inner.buffer.insert_clean(lpn, 1);
                     inner.data.insert(lpn, bytes.clone());
                     all_flushed.extend(inner.apply_eviction(&ev));
-                    inner.journal_record(lpn, version, bytes);
-                    {
-                        let mut s = inner.stats.lock();
-                        s.writes += 1;
-                        s.write_through += 1;
+                    if degraded {
+                        inner.journal_record(lpn, version, bytes);
                     }
-                    if let Some(o) = &inner.obs {
-                        o.write_through.inc();
-                        o.obs.emit(
-                            o.ev("write_through")
-                                .u64_field("lpn", lpn)
-                                .str_field("reason", "degraded"),
-                        );
-                    }
-                    through += 1;
-                } else if inner.credits == Some(0) {
-                    // The peer's remote buffer is full: keep durability local
-                    // instead of stalling on a NACK round trip.
-                    inner.backend.lock().write_page(lpn, version, &bytes);
-                    let ev = inner.buffer.insert_clean(lpn, 1);
-                    inner.data.insert(lpn, bytes.clone());
-                    all_flushed.extend(inner.apply_eviction(&ev));
-                    {
-                        let mut s = inner.stats.lock();
-                        s.writes += 1;
-                        s.write_through += 1;
-                        s.repl.credit_stalls += 1;
-                    }
-                    inner.note("credit_stall", |e| e.u64_field("lpn", lpn));
-                    if let Some(o) = &inner.obs {
-                        o.write_through.inc();
-                        o.obs.emit(
-                            o.ev("write_through")
-                                .u64_field("lpn", lpn)
-                                .str_field("reason", "no_credits"),
-                        );
-                    }
+                    self.count_write_through(lpn, if degraded { "degraded" } else { NO_CREDITS });
                     through += 1;
                 } else {
                     // Contents must be in place *before* the buffer insert:
@@ -1168,19 +1118,7 @@ impl Node {
                         // by its own insertion — it is already durable on the
                         // backend, so replicating it would only leave a stale
                         // orphan at the peer.
-                        {
-                            let mut s = inner.stats.lock();
-                            s.writes += 1;
-                            s.write_through += 1;
-                        }
-                        if let Some(o) = &inner.obs {
-                            o.write_through.inc();
-                            o.obs.emit(
-                                o.ev("write_through")
-                                    .u64_field("lpn", lpn)
-                                    .str_field("reason", "self_evicted"),
-                            );
-                        }
+                        self.count_write_through(lpn, "self_evicted");
                         through += 1;
                     } else {
                         if let Some(c) = &mut inner.credits {
@@ -1189,22 +1127,13 @@ impl Node {
                             *c = c.saturating_sub(1);
                         }
                         *inner.inflight.entry(lpn).or_insert(0) += 1;
-                        // Counted before the run is submitted, so the
-                        // ticket cannot hit zero while it is being filled.
-                        ticket.remaining.fetch_add(1, Ordering::Relaxed);
-                        pipe_pages.push(PipePage {
-                            lpn,
-                            version,
-                            crc: crcs[i],
-                            data: bytes.clone(),
-                            ticket: ticket.clone(),
-                            slot: pipelined.len(),
-                        });
-                        pipelined.push(Pipelined {
+                        let page = Pipelined {
                             lpn,
                             version,
                             bytes,
-                        });
+                        };
+                        pipe_pages.push(page.pipe_page(crcs[i], &ticket, pipelined.len()));
+                        pipelined.push(page);
                     }
                 }
             }
@@ -1293,67 +1222,56 @@ impl Node {
                 }
                 WriteOutcome::Replicated
             }
-            PageOutcome::NoCredit => {
-                // Our credit view was stale; the page stays durable
-                // locally. The backend's version guard keeps a newer
-                // concurrent copy.
+            refused => {
+                // Make the page durable ourselves; the backend's version
+                // guard keeps a newer concurrent copy.
                 self.backend.lock().write_page(lpn, version, &bytes);
-                {
-                    let mut inner = self.inner.lock();
-                    inner.inflight_done(lpn);
-                    if inner.versions.get(&lpn) == Some(&version) {
-                        inner.buffer.mark_clean(lpn);
-                    }
+                let mut inner = self.inner.lock();
+                inner.inflight_done(lpn);
+                if inner.versions.get(&lpn) == Some(&version) {
+                    inner.buffer.mark_clean(lpn);
+                }
+                let reason = if refused == PageOutcome::NoCredit {
+                    // Our credit view was stale.
                     inner.credits = Some(0);
-                    inner.note("credit_stall", |e| e.u64_field("lpn", lpn));
-                }
-                {
-                    let mut s = self.stats.lock();
-                    s.writes += 1;
-                    s.write_through += 1;
-                    s.repl.credit_stalls += 1;
-                }
-                if let Some(o) = &*self.pipe.obs.lock() {
-                    o.write_through.inc();
-                    o.obs.emit(
-                        o.ev("write_through")
-                            .u64_field("lpn", lpn)
-                            .str_field("reason", "no_credits"),
-                    );
-                }
-                WriteOutcome::WriteThrough
-            }
-            PageOutcome::Failed => {
-                // Peer unreachable: make the page durable ourselves and go
-                // solo; a future resync must carry it.
-                self.backend.lock().write_page(lpn, version, &bytes);
-                {
-                    let mut inner = self.inner.lock();
-                    inner.inflight_done(lpn);
-                    if inner.versions.get(&lpn) == Some(&version) {
-                        inner.buffer.mark_clean(lpn);
-                    }
+                    NO_CREDITS
+                } else {
+                    // Peer unreachable: go solo; a future resync must
+                    // carry the page.
                     inner.enter_solo("ack_timeout");
-                    let newer = inner.journal.get(&lpn).is_some_and(|(v, _)| *v >= version);
-                    if !newer {
-                        inner.journal_record(lpn, version, bytes);
-                    }
-                }
-                {
-                    let mut s = self.stats.lock();
-                    s.writes += 1;
-                    s.write_through += 1;
-                }
-                if let Some(o) = &*self.pipe.obs.lock() {
-                    o.write_through.inc();
-                    o.obs.emit(
-                        o.ev("write_through")
-                            .u64_field("lpn", lpn)
-                            .str_field("reason", "ack_timeout"),
-                    );
-                }
+                    inner.journal_record(lpn, version, bytes);
+                    "ack_timeout"
+                };
+                drop(inner);
+                self.count_write_through(lpn, reason);
                 WriteOutcome::WriteThrough
             }
+        }
+    }
+
+    /// Count one page that was made durable by write-through: `writes` and
+    /// `write_through` land under one `stats` guard (so every snapshot
+    /// satisfies [`NodeStats::writes_balance`]), plus the stall counter and
+    /// event when the cause is backpressure. Takes only leaf locks, so it
+    /// is callable with or without `Inner` held.
+    fn count_write_through(&self, lpn: u64, reason: &'static str) {
+        let stalled = reason == NO_CREDITS;
+        {
+            let mut s = self.stats.lock();
+            s.writes += 1;
+            s.write_through += 1;
+            s.repl.credit_stalls += u64::from(stalled);
+        }
+        if let Some(o) = &*self.pipe.obs.lock() {
+            o.write_through.inc();
+            if stalled {
+                o.obs.emit(o.ev("credit_stall").u64_field("lpn", lpn));
+            }
+            o.obs.emit(
+                o.ev("write_through")
+                    .u64_field("lpn", lpn)
+                    .str_field("reason", reason),
+            );
         }
     }
 
@@ -1363,7 +1281,7 @@ impl Node {
     /// seeded with the current stats, and starts emitting wall-stamped
     /// `cluster.node` events (`repl_batch_send` / `repl_batch_ack` /
     /// `repl_retry` / `repl_dedup` / `write_through` / `lifecycle` /
-    /// `takeover_destage` / `resync_start` / `resync_batch` / `resync_complete` /
+    /// `takeover_destage` / `resync_start` / `resync_complete` /
     /// `resync_failed` / `corrupt_detected` / `corrupt_repaired` /
     /// `scrub_corrupt` / `scrub_repair` / `credit_stall` / `credit_reject`
     /// / `journal_overflow`).
@@ -2126,7 +2044,7 @@ fn pump_loop(
             Err(TransportError::Timeout) => {}
         }
         // Failure detection, rejoin, and resync progress.
-        let outbound = {
+        let resync_pages = {
             let mut g = inner.lock();
             match g.monitor.poll(now) {
                 Some(PeerEvent::Failed) => g.enter_solo("peer_failed"),
@@ -2146,10 +2064,10 @@ fn pump_loop(
             {
                 g.begin_resync("peer_alive");
             }
-            g.drive_resync(Instant::now())
+            g.drive_resync()
         };
-        for m in outbound {
-            let _ = transport.send(m);
+        if !resync_pages.is_empty() {
+            pipe.submit(resync_pages);
         }
     }
 }
@@ -2162,15 +2080,6 @@ fn handle_message(
     now: SimTime,
 ) {
     match msg {
-        Message::ReplNack { seq, .. } => {
-            // A NACKed resync batch: the pump's drive loop resends it.
-            let mut g = inner.lock();
-            if let Some(inf) = g.resync.as_mut().and_then(|r| r.in_flight.as_mut()) {
-                if inf.seq == seq {
-                    inf.resend_now = true;
-                }
-            }
-        }
         Message::WriteReplBatch {
             epoch,
             seq,
@@ -2347,73 +2256,6 @@ fn handle_message(
                 }
             }
         }
-        Message::ResyncBatch { seq, entries } => {
-            let reply = {
-                let mut g = inner.lock();
-                let bad = entries
-                    .iter()
-                    .filter(|(_, _, crc, data)| crc32(data) != *crc)
-                    .count() as u64;
-                if bad > 0 {
-                    g.stats.lock().repl.corruptions_detected += bad;
-                    g.note("corrupt_detected", |e| {
-                        e.u64_field("seq", seq)
-                            .u64_field("entries", bad)
-                            .str_field("msg", "resync_batch")
-                    });
-                    Message::ReplNack {
-                        seq,
-                        reason: NackReason::Corrupt,
-                    }
-                } else {
-                    match g.peer_seqs.observe(seq) {
-                        SeqStatus::Duplicate => {
-                            g.stats.lock().repl.dups_dropped += 1;
-                            if let Some(o) = &g.obs {
-                                o.dedups.inc();
-                                o.obs.emit(
-                                    o.ev("repl_dedup")
-                                        .u64_field("seq", seq)
-                                        .str_field("msg", "resync_batch"),
-                                );
-                            }
-                        }
-                        status => {
-                            if status == SeqStatus::NewOutOfOrder {
-                                g.stats.lock().repl.reorders_healed += 1;
-                            }
-                            for (lpn, ver, _crc, data) in entries {
-                                g.observe_version(ver);
-                                let fits = g.remote.contains_key(&lpn)
-                                    || g.remote.len() < g.cfg.remote_capacity;
-                                if !fits {
-                                    // The sender wrote this page through
-                                    // while solo, so it is durable there;
-                                    // dropping the replica costs only the
-                                    // second memory, not the data.
-                                    g.stats.lock().repl.credit_rejections += 1;
-                                    continue;
-                                }
-                                let e = g.remote.entry(lpn).or_insert((ver, data.clone()));
-                                if ver >= e.0 {
-                                    *e = (ver, data);
-                                }
-                            }
-                        }
-                    }
-                    Message::ResyncAck { seq }
-                }
-            };
-            let _ = transport.send(reply);
-        }
-        Message::ResyncAck { seq } => {
-            let mut g = inner.lock();
-            if let Some(run) = &mut g.resync {
-                if run.in_flight.as_ref().map(|i| i.seq) == Some(seq) {
-                    run.in_flight = None;
-                }
-            }
-        }
         Message::RctFetch => {
             let entries = inner.lock().peer_snapshot();
             let _ = transport.send(Message::RctSnapshot { entries });
@@ -2511,6 +2353,33 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         cond()
+    }
+
+    /// A pair whose link is dark both ways for its first 400 ms, so both
+    /// nodes start out Solo; `plan_a` carries any further faults of A's
+    /// outbound traffic.
+    fn partitioned_pair(cfg_a: NodeConfig, cfg_b: NodeConfig, plan_a: FaultPlan) -> (Node, Node) {
+        let (ta, tb) = mem_pair();
+        let window = Duration::from_millis(400);
+        let fa = FaultTransport::new(ta, plan_a.with_partition_for(Duration::ZERO, window));
+        let fb = FaultTransport::new(
+            tb,
+            FaultPlan::new(99).with_partition_for(Duration::ZERO, window),
+        );
+        let a = Node::spawn(cfg_a, fa, shared_backend(MemBackend::new()));
+        let b = Node::spawn(cfg_b, fb, shared_backend(MemBackend::new()));
+        assert!(wait_until(
+            || a.lifecycle_state() == PairState::Solo && b.lifecycle_state() == PairState::Solo,
+            Duration::from_secs(2)
+        ));
+        (a, b)
+    }
+
+    fn both_paired(a: &Node, b: &Node) -> bool {
+        wait_until(
+            || a.lifecycle_state() == PairState::Paired && b.lifecycle_state() == PairState::Paired,
+            Duration::from_secs(5),
+        )
     }
 
     #[test]
@@ -2931,25 +2800,11 @@ mod tests {
         // Partition both directions long enough for failure detection, then
         // heal; the pair must walk Solo → Resyncing → Paired and the solo
         // writes must reach the peer's remote buffer.
-        let (ta, tb) = mem_pair();
-        let window = Duration::from_millis(400);
-        let fa = Arc::new(FaultTransport::new(
-            ta,
-            FaultPlan::new(1).with_partition_for(Duration::ZERO, window),
-        ));
-        let fb = Arc::new(FaultTransport::new(
-            tb,
-            FaultPlan::new(2).with_partition_for(Duration::ZERO, window),
-        ));
-        let ba = shared_backend(MemBackend::new());
-        let bb = shared_backend(MemBackend::new());
-        let a = Node::spawn(NodeConfig::test_profile(0), fa.clone(), ba.clone());
-        let b = Node::spawn(NodeConfig::test_profile(1), fb.clone(), bb);
-        // Both sides notice the silence and go solo.
-        assert!(wait_until(
-            || a.lifecycle_state() == PairState::Solo && b.lifecycle_state() == PairState::Solo,
-            Duration::from_secs(2)
-        ));
+        let (a, b) = partitioned_pair(
+            NodeConfig::test_profile(0),
+            NodeConfig::test_profile(1),
+            FaultPlan::new(1),
+        );
         // Writes during the partition: write-through + journal.
         for i in 0..12u64 {
             assert_eq!(
@@ -2960,11 +2815,7 @@ mod tests {
         assert!(a.journal_len() > 0);
         // The partition heals; heartbeats resume; both sides rejoin.
         assert!(
-            wait_until(
-                || a.lifecycle_state() == PairState::Paired
-                    && b.lifecycle_state() == PairState::Paired,
-                Duration::from_secs(3)
-            ),
+            both_paired(&a, &b),
             "pair never re-formed: a={:?} b={:?}",
             a.lifecycle_state(),
             b.lifecycle_state()
@@ -2991,26 +2842,9 @@ mod tests {
 
     #[test]
     fn journal_overflow_falls_back_to_full_resync() {
-        let (ta, tb) = mem_pair();
-        let window = Duration::from_millis(400);
-        let fa = Arc::new(FaultTransport::new(
-            ta,
-            FaultPlan::new(3).with_partition_for(Duration::ZERO, window),
-        ));
-        let fb = Arc::new(FaultTransport::new(
-            tb,
-            FaultPlan::new(4).with_partition_for(Duration::ZERO, window),
-        ));
-        let ba = shared_backend(MemBackend::new());
-        let bb = shared_backend(MemBackend::new());
         let mut cfg_a = NodeConfig::test_profile(0);
         cfg_a.journal_entries = 4; // overflow quickly
-        let a = Node::spawn(cfg_a, fa, ba);
-        let b = Node::spawn(NodeConfig::test_profile(1), fb, bb);
-        assert!(wait_until(
-            || a.lifecycle_state() == PairState::Solo,
-            Duration::from_secs(2)
-        ));
+        let (a, b) = partitioned_pair(cfg_a, NodeConfig::test_profile(1), FaultPlan::new(3));
         for i in 0..10u64 {
             a.write(i, format!("x{i}").as_bytes());
         }
@@ -3027,6 +2861,91 @@ mod tests {
             || b.hosted_remote_pages().len() >= 10,
             Duration::from_secs(1)
         ));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn resync_into_a_nearly_full_peer_rejoins_and_keeps_every_page() {
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.remote_capacity = 20; // below the 40-page journal
+        let (a, b) = partitioned_pair(NodeConfig::test_profile(0), cfg_b, FaultPlan::new(7));
+        for i in 0..40u64 {
+            assert_eq!(
+                a.write(i, format!("solo-{i}").as_bytes()),
+                WriteOutcome::WriteThrough
+            );
+        }
+        assert!(
+            both_paired(&a, &b),
+            "a refused batch must not fail the resync"
+        );
+        assert_eq!(a.journal_len(), 0);
+        // The first 16-page batch fits; the other two are refused whole and
+        // forgone — their pages were written through, A still serves them.
+        assert_eq!(a.stats().repl.resync_pages, 16);
+        assert_eq!(b.stats().repl.credit_rejections, 2);
+        for i in 0..40u64 {
+            assert_eq!(a.read(i), Some(format!("solo-{i}").into_bytes()));
+        }
+        let hosted = b.export_remote();
+        assert_eq!(hosted.len(), 16);
+        for (lpn, _ver, data) in hosted {
+            assert_eq!(data, format!("solo-{lpn}").into_bytes());
+        }
+        assert!(a.stats().writes_balance());
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn peer_severed_mid_resync_returns_unacked_pages_to_the_journal() {
+        let mut cfg_a = NodeConfig::test_profile(0);
+        cfg_a.repl_batch_pages = 4;
+        cfg_a.ack_timeout = Duration::from_millis(30);
+        // A's data plane goes dark again three batches into the resync: the
+        // fourth batch is lost with every one of its retransmissions.
+        let attempts = cfg_a.retry.attempts as u64;
+        let plan_a = FaultPlan::new(8).with_partition(3, 3 + attempts);
+        let (a, b) = partitioned_pair(cfg_a, NodeConfig::test_profile(1), plan_a);
+        let (obs, ring) = Obs::ring(4096);
+        a.attach_obs(&obs);
+        for i in 0..24u64 {
+            assert_eq!(
+                a.write(i, format!("solo-{i}").as_bytes()),
+                WriteOutcome::WriteThrough
+            );
+        }
+        // First heal: 12 pages land, the fourth batch exhausts its retries
+        // and A falls back to Solo. Heartbeats never stopped, so the retry
+        // timer starts the second resync, which carries the rest.
+        assert!(both_paired(&a, &b));
+        let events = ring.events();
+        let failed: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == "resync_failed")
+            .collect();
+        assert_eq!(failed.len(), 1);
+        // Back in the journal: the lost batch plus the eight never sent.
+        assert_eq!(
+            failed[0].get("journal").and_then(fc_obs::Value::as_u64),
+            Some(12)
+        );
+        assert!(events.iter().any(|e| e.kind == "lifecycle"
+            && e.get("from").and_then(fc_obs::Value::as_str) == Some("resyncing")
+            && e.get("to").and_then(fc_obs::Value::as_str) == Some("solo")));
+        let s = a.stats();
+        assert_eq!(
+            s.repl.resync_pages, 24,
+            "every distinct page acked exactly once"
+        );
+        assert_eq!(s.repl.retries, attempts - 1);
+        assert_eq!(a.journal_len(), 0);
+        let hosted = b.export_remote();
+        assert_eq!(hosted.len(), 24);
+        for (lpn, _ver, data) in hosted {
+            assert_eq!(data, format!("solo-{lpn}").into_bytes());
+        }
         a.shutdown();
         b.shutdown();
     }

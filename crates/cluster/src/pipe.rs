@@ -54,9 +54,15 @@ impl RunTicket {
         })
     }
 
+    /// True once every page is resolved or dropped; the `Acquire` side of
+    /// the pairing described on `remaining`.
+    pub(crate) fn is_done(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
+    }
+
     /// Park until every page is resolved or dropped.
     pub(crate) fn wait(&self) {
-        while self.remaining.load(Ordering::Acquire) != 0 {
+        while !self.is_done() {
             std::thread::park();
         }
     }

@@ -19,8 +19,8 @@
 //! The message set implements Figure 3's arrows: write replication with
 //! acks, NACKs and credit grants, discards after local flushes, heartbeats
 //! (Section III.D), the recovery handshake (RCT fetch → snapshot → purge),
-//! the incremental resync stream (batch → ack), and single-page fetches for
-//! scrub repair.
+//! and single-page fetches for scrub repair. The rejoin catch-up stream has
+//! no frames of its own: it rides [`Message::WriteReplBatch`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -130,8 +130,9 @@ impl NackReason {
     }
 }
 
-/// One page of a [`Message::ResyncBatch`]: `(lpn, version, payload crc,
-/// data)`. Build with [`resync_entry`] so the CRC is always consistent.
+/// One page of a [`Message::WriteReplBatch`] (or of a migration export):
+/// `(lpn, version, payload crc, data)`. Build with [`resync_entry`] so the
+/// CRC is always consistent.
 pub type ResyncEntry = (u64, u64, u32, Bytes);
 
 /// Build a [`ResyncEntry`] with its payload CRC computed.
@@ -143,18 +144,10 @@ pub fn resync_entry(lpn: u64, version: u64, data: Bytes) -> ResyncEntry {
 /// Protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Refuse a [`Message::ResyncBatch`].
-    ReplNack {
-        /// The refused message's sequence number.
-        seq: u64,
-        /// Why it was refused.
-        reason: NackReason,
-    },
     /// The owner flushed these pages to its SSD; the peer drops its copies.
     Discard {
-        /// Sender-local sequence number (shared counter with
-        /// [`Message::ResyncBatch`], so the receiver can dedup and detect
-        /// reordering across both).
+        /// Sender-local sequence number, so the receiver can dedup and
+        /// detect reordering.
         seq: u64,
         /// `(lpn, version)` of each flushed page. The version bounds the
         /// discard: the peer only drops its copy if it is not newer, so a
@@ -184,22 +177,9 @@ pub enum Message {
     Purge,
     /// Acknowledge a [`Message::Purge`].
     PurgeAck,
-    /// One batch of the catch-up stream a rejoining pair member sends: pages
-    /// written while the pair was apart, in ascending LPN order.
-    ResyncBatch {
-        /// Data-plane sequence number (shared counter with
-        /// [`Message::Discard`] for receive-side dedup).
-        seq: u64,
-        /// The pages, each carrying its payload CRC.
-        entries: Vec<ResyncEntry>,
-    },
-    /// Acknowledge a [`Message::ResyncBatch`].
-    ResyncAck {
-        /// The `seq` of the acknowledged batch.
-        seq: u64,
-    },
-    /// Replicate a batch of dirty pages into the peer's remote buffer in
-    /// one frame. Batches live in their own contiguous sequence space
+    /// Replicate a batch of pages — dirty pages while paired, catch-up
+    /// journal pages while resyncing — into the peer's remote buffer in one
+    /// frame. Batches live in their own contiguous sequence space
     /// (`1, 2, 3, …` per epoch) so the receiver can acknowledge
     /// cumulatively with [`Message::ReplAckBatch`].
     WriteReplBatch {
@@ -209,8 +189,7 @@ pub enum Message {
         epoch: u32,
         /// Batch sequence number, contiguous from 1 within `epoch`.
         seq: u64,
-        /// The pages, each carrying its own payload CRC (same shape as a
-        /// resync entry). May be empty: an emptied batch retransmission
+        /// The pages, each carrying its own payload CRC. May be empty: an emptied batch retransmission
         /// still advances the cumulative ack past a refused sequence.
         entries: Vec<ResyncEntry>,
     },
@@ -290,17 +269,15 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-// Tags 1 and 2 belonged to the retired per-page WriteRepl / ReplAck frames;
-// they stay unassigned so an old sender is refused, not misparsed.
+// Tags 1 and 2 belonged to the retired per-page WriteRepl / ReplAck frames,
+// 9–11 to the retired ReplNack / ResyncBatch / ResyncAck resync stream; they
+// stay unassigned so an old sender is refused, not misparsed.
 const TAG_DISCARD: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
 const TAG_RCT_FETCH: u8 = 5;
 const TAG_RCT_SNAPSHOT: u8 = 6;
 const TAG_PURGE: u8 = 7;
 const TAG_PURGE_ACK: u8 = 8;
-const TAG_REPL_NACK: u8 = 9;
-const TAG_RESYNC_BATCH: u8 = 10;
-const TAG_RESYNC_ACK: u8 = 11;
 const TAG_PAGE_FETCH: u8 = 12;
 const TAG_PAGE_DATA: u8 = 13;
 const TAG_WRITE_REPL_BATCH: u8 = 14;
@@ -315,11 +292,6 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
     out.put_u32_le(0); // CRC-32 of the body
     let body_start = out.len();
     match msg {
-        Message::ReplNack { seq, reason } => {
-            out.put_u8(TAG_REPL_NACK);
-            out.put_u64_le(*seq);
-            out.put_u8(reason.to_u8());
-        }
         Message::Discard { seq, pages } => {
             out.put_u8(TAG_DISCARD);
             out.put_u64_le(*seq);
@@ -352,22 +324,6 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
         }
         Message::Purge => out.put_u8(TAG_PURGE),
         Message::PurgeAck => out.put_u8(TAG_PURGE_ACK),
-        Message::ResyncBatch { seq, entries } => {
-            out.put_u8(TAG_RESYNC_BATCH);
-            out.put_u64_le(*seq);
-            out.put_u32_le(entries.len() as u32);
-            for (lpn, ver, crc, data) in entries {
-                out.put_u64_le(*lpn);
-                out.put_u64_le(*ver);
-                out.put_u32_le(*crc);
-                out.put_u32_le(data.len() as u32);
-                out.put_slice(data);
-            }
-        }
-        Message::ResyncAck { seq } => {
-            out.put_u8(TAG_RESYNC_ACK);
-            out.put_u64_le(*seq);
-        }
         Message::WriteReplBatch {
             epoch,
             seq,
@@ -462,13 +418,6 @@ fn parse_body(body: &mut Bytes) -> Result<Message, WireError> {
     need(body, 1)?;
     let tag = body.get_u8();
     let msg = match tag {
-        TAG_REPL_NACK => {
-            need(body, 8 + 1)?;
-            Message::ReplNack {
-                seq: body.get_u64_le(),
-                reason: NackReason::from_u8(body.get_u8())?,
-            }
-        }
         TAG_DISCARD => {
             need(body, 8 + 4)?;
             let seq = body.get_u64_le();
@@ -504,28 +453,6 @@ fn parse_body(body: &mut Bytes) -> Result<Message, WireError> {
         }
         TAG_PURGE => Message::Purge,
         TAG_PURGE_ACK => Message::PurgeAck,
-        TAG_RESYNC_BATCH => {
-            need(body, 8 + 4)?;
-            let seq = body.get_u64_le();
-            let n = body.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                need(body, 8 + 8 + 4 + 4)?;
-                let lpn = body.get_u64_le();
-                let ver = body.get_u64_le();
-                let crc = body.get_u32_le();
-                let dl = body.get_u32_le() as usize;
-                need(body, dl)?;
-                entries.push((lpn, ver, crc, body.split_to(dl)));
-            }
-            Message::ResyncBatch { seq, entries }
-        }
-        TAG_RESYNC_ACK => {
-            need(body, 8)?;
-            Message::ResyncAck {
-                seq: body.get_u64_le(),
-            }
-        }
         TAG_WRITE_REPL_BATCH => {
             need(body, 4 + 8 + 4)?;
             let epoch = body.get_u32_le();
@@ -621,7 +548,7 @@ impl Message {
     /// and its retransmission still applied.
     pub fn payload_ok(&self) -> bool {
         match self {
-            Message::ResyncBatch { entries, .. } | Message::WriteReplBatch { entries, .. } => {
+            Message::WriteReplBatch { entries, .. } => {
                 entries.iter().all(|(_, _, crc, data)| crc32(data) == *crc)
             }
             Message::PageData {
@@ -632,16 +559,13 @@ impl Message {
     }
 
     /// Data-plane sequence number of this message, if it carries one.
-    /// `Discard`, `ResyncBatch` and `WriteReplBatch` are the data plane
-    /// (they mutate the peer's remote buffer); everything else is control
-    /// traffic. Note that `WriteReplBatch` sequences live in their own
-    /// per-epoch space, disjoint from the shared `Discard`/`ResyncBatch`
-    /// counter.
+    /// `Discard` and `WriteReplBatch` are the data plane (they mutate the
+    /// peer's remote buffer); everything else is control traffic. Note that
+    /// `WriteReplBatch` sequences live in their own per-epoch space,
+    /// disjoint from the `Discard` counter.
     pub fn data_seq(&self) -> Option<u64> {
         match self {
-            Message::Discard { seq, .. }
-            | Message::ResyncBatch { seq, .. }
-            | Message::WriteReplBatch { seq, .. } => Some(*seq),
+            Message::Discard { seq, .. } | Message::WriteReplBatch { seq, .. } => Some(*seq),
             _ => None,
         }
     }
@@ -732,14 +656,6 @@ mod tests {
 
     #[test]
     fn all_messages_round_trip() {
-        round_trip(Message::ReplNack {
-            seq: 42,
-            reason: NackReason::Corrupt,
-        });
-        round_trip(Message::ReplNack {
-            seq: 43,
-            reason: NackReason::NoCredit,
-        });
         round_trip(Message::Discard {
             seq: 43,
             pages: vec![(1, 10), (2, 11), (3, 12), (1 << 40, 1 << 50)],
@@ -758,14 +674,6 @@ mod tests {
         });
         round_trip(Message::Purge);
         round_trip(Message::PurgeAck);
-        round_trip(Message::ResyncBatch {
-            seq: 77,
-            entries: vec![
-                resync_entry(1, 9, Bytes::from_static(b"solo-write")),
-                resync_entry(2, 10, Bytes::new()),
-            ],
-        });
-        round_trip(Message::ResyncAck { seq: 77 });
         round_trip(Message::WriteReplBatch {
             epoch: 3,
             seq: 88,
@@ -788,6 +696,11 @@ mod tests {
             epoch: 3,
             seq: 89,
             reason: NackReason::NoCredit,
+        });
+        round_trip(Message::ReplNackBatch {
+            epoch: 3,
+            seq: 90,
+            reason: NackReason::Corrupt,
         });
         round_trip(Message::PageFetch { lpn: 12 });
         round_trip(Message::page_data(
@@ -862,6 +775,24 @@ mod tests {
     }
 
     #[test]
+    fn retired_tags_are_refused_not_misparsed() {
+        // 1–2 were WriteRepl / ReplAck, 9–11 ReplNack / ResyncBatch /
+        // ResyncAck. A well-framed body from an old sender — here shaped
+        // like the old ResyncAck / ReplNack payloads — must not decode.
+        for tag in [1u8, 2, 9, 10, 11] {
+            let mut body = BytesMut::new();
+            body.put_u8(tag);
+            body.put_u64_le(77);
+            body.put_u8(0);
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(body.len() as u32);
+            buf.put_u32_le(crc32(&body));
+            buf.put_slice(&body);
+            assert_eq!(decode(&mut buf), Err(WireError::BadTag(tag)), "tag {tag}");
+        }
+    }
+
+    #[test]
     fn truncated_body_is_rejected() {
         // A frame claiming to be a ReplAckBatch but with a 3-byte body; the
         // frame checksum is valid, so the failure is the body parse.
@@ -897,17 +828,6 @@ mod tests {
         // A stored CRC that does not match the data: payload_ok must
         // notice (this models a transport that hands over Message values
         // without re-framing). Batches verify every entry.
-        let good = Message::ResyncBatch {
-            seq: 5,
-            entries: vec![resync_entry(1, 1, Bytes::from_static(b"x"))],
-        };
-        assert!(good.payload_ok());
-        let bad = Message::ResyncBatch {
-            seq: 5,
-            entries: vec![(1, 1, 0xDEAD_BEEF, Bytes::from_static(b"x"))],
-        };
-        assert!(!bad.payload_ok());
-        // Pipelined batches verify every entry too.
         let good_batch = Message::WriteReplBatch {
             epoch: 1,
             seq: 5,
@@ -925,7 +845,12 @@ mod tests {
         assert!(!bad_batch.payload_ok());
         // Control traffic trivially passes.
         assert!(Message::Purge.payload_ok());
-        assert!(Message::ResyncAck { seq: 1 }.payload_ok());
+        assert!(Message::ReplAckBatch {
+            epoch: 1,
+            up_to: 1,
+            credits: 0
+        }
+        .payload_ok());
     }
 
     #[test]
@@ -975,14 +900,6 @@ mod tests {
             Some(4)
         );
         assert_eq!(
-            Message::ResyncBatch {
-                seq: 6,
-                entries: vec![]
-            }
-            .data_seq(),
-            Some(6)
-        );
-        assert_eq!(
             Message::WriteReplBatch {
                 epoch: 2,
                 seq: 8,
@@ -991,7 +908,6 @@ mod tests {
             .data_seq(),
             Some(8)
         );
-        assert_eq!(Message::ResyncAck { seq: 9 }.data_seq(), None);
         assert_eq!(
             Message::ReplAckBatch {
                 epoch: 1,
@@ -1004,14 +920,6 @@ mod tests {
         assert_eq!(
             Message::ReplNackBatch {
                 epoch: 1,
-                seq: 9,
-                reason: NackReason::Corrupt
-            }
-            .data_seq(),
-            None
-        );
-        assert_eq!(
-            Message::ReplNack {
                 seq: 9,
                 reason: NackReason::Corrupt
             }
@@ -1043,9 +951,5 @@ mod tests {
             pages: vec![],
         });
         round_trip(Message::RctSnapshot { entries: vec![] });
-        round_trip(Message::ResyncBatch {
-            seq: 0,
-            entries: vec![],
-        });
     }
 }

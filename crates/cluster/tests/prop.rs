@@ -12,19 +12,25 @@ use proptest::prelude::*;
 fn message_strategy() -> impl Strategy<Value = Message> {
     let data = prop::collection::vec(any::<u8>(), 0..256).prop_map(Bytes::from);
     prop_oneof![
-        (any::<u64>(), any::<u64>(), any::<u64>(), data.clone()).prop_map(
-            |(seq, lpn, version, data)| Message::WriteReplBatch {
+        (
+            any::<u64>(),
+            prop::collection::vec((any::<u64>(), any::<u64>(), data.clone()), 0..16)
+        )
+            .prop_map(|(seq, raw)| Message::WriteReplBatch {
                 epoch: seq as u32,
                 seq,
-                entries: vec![resync_entry(lpn, version, data)],
-            }
-        ),
+                entries: raw
+                    .into_iter()
+                    .map(|(l, v, d)| resync_entry(l, v, d))
+                    .collect(),
+            }),
         (any::<u64>(), any::<u32>()).prop_map(|(up_to, credits)| Message::ReplAckBatch {
             epoch: credits,
             up_to,
             credits,
         }),
-        (any::<u64>(), prop::bool::ANY).prop_map(|(seq, corrupt)| Message::ReplNack {
+        (any::<u64>(), prop::bool::ANY).prop_map(|(seq, corrupt)| Message::ReplNackBatch {
+            epoch: seq as u32,
             seq,
             reason: if corrupt {
                 NackReason::Corrupt
@@ -49,18 +55,6 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             .prop_map(|entries| Message::RctSnapshot { entries }),
         Just(Message::Purge),
         Just(Message::PurgeAck),
-        (
-            any::<u64>(),
-            prop::collection::vec((any::<u64>(), any::<u64>(), data.clone()), 0..16)
-        )
-            .prop_map(|(seq, raw)| Message::ResyncBatch {
-                seq,
-                entries: raw
-                    .into_iter()
-                    .map(|(l, v, d)| resync_entry(l, v, d))
-                    .collect(),
-            }),
-        any::<u64>().prop_map(|seq| Message::ResyncAck { seq }),
         any::<u64>().prop_map(|lpn| Message::PageFetch { lpn }),
         (any::<u64>(), any::<u64>(), data)
             .prop_map(|(lpn, version, data)| { Message::page_data(lpn, Some((version, data))) }),

@@ -19,10 +19,11 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
-echo "==> release-mode race check: replication pipe stress + batched-frame chaos"
-# The pipe is shared state stepped by writers, the pump and whoever resets
-# it; debug-build timing hides interleavings the optimized build hits.
-cargo test --release -q --offline --test pipeline_stress --test chaos_replication
+echo "==> release-mode race check: replication pipe stress + chaos + lifecycle e2e"
+# The pipe is shared state stepped by writers, the pump (which also feeds it
+# the resync stream) and whoever resets it; debug-build timing hides
+# interleavings the optimized build hits.
+cargo test --release -q --offline --test pipeline_stress --test chaos_replication --test recovery_e2e
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -32,19 +33,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> benches compile (criterion harness, including node_write)"
 cargo bench --workspace --no-run --offline -q
-
-echo "==> lifecycle chaos suite (partitions, crash/corrupt-during-resync)"
-cargo test -q --offline --test chaos_replication --test recovery_e2e
-
-echo "==> sharded cluster: ring proptests + model/chaos/split-run e2e"
-cargo test -q --offline -p fc-ring
-cargo test -q --offline --test sharded_e2e
-
-echo "==> gateway failover chaos: 20-seed kill/failover/failback sweep"
-cargo test -q --offline --test failover_e2e
-
-echo "==> elastic membership: 20-seed live add/remove rebalance sweep"
-cargo test -q --offline --test rebalance_e2e
 
 echo "==> failover smoke: full fail → takeover → resync → rejoin loop"
 cargo run --release --offline --example failover \

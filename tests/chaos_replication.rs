@@ -419,7 +419,7 @@ fn crash_during_resync_never_loses_acked_writes() {
         let ba = shared_backend(MemBackend::new());
         let bb = shared_backend(MemBackend::new());
         let mut cfg_a = chaos_config(0);
-        cfg_a.resync_batch = 2; // many small batches → a wide crash window
+        cfg_a.repl_batch_pages = 2; // many small batches → a wide crash window
         let a = Node::spawn(cfg_a, fa.clone(), ba.clone());
         let b = Node::spawn(chaos_config(1), fb.clone(), bb);
 
@@ -495,7 +495,7 @@ fn corrupt_during_resync_repairs_and_rejoins() {
         let ba = shared_backend(MemBackend::new());
         let bb = shared_backend(MemBackend::new());
         let mut cfg_a = chaos_config(0);
-        cfg_a.resync_batch = 4;
+        cfg_a.repl_batch_pages = 4;
         let a = Node::spawn(cfg_a, fa.clone(), ba.clone());
         let b = Node::spawn(chaos_config(1), fb.clone(), bb);
 

@@ -4,9 +4,12 @@
 //! buffer manager → backend, including the Section III.D recovery handshake
 //! with actual page data.
 
-use fc_cluster::{shared_backend, MemBackend, Node, NodeConfig, TcpTransport, WriteOutcome};
+use fc_cluster::{
+    shared_backend, FaultPlan, FaultTransport, MemBackend, Node, NodeConfig, PairState,
+    TcpTransport, WriteOutcome,
+};
 use std::net::TcpListener;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tcp_pair() -> (TcpTransport, TcpTransport) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -203,4 +206,67 @@ fn overwrites_keep_latest_version_after_recovery() {
     b.shutdown();
     let entry = snapshot.iter().find(|(l, _, _)| *l == 5).expect("page 5");
     assert_eq!(entry.2, b"new".to_vec(), "remote copy must be the latest");
+}
+
+/// Both nodes write solo through a partition, then resync toward each other
+/// over real sockets: each pump is at once a sender of 64 KiB page frames
+/// (blocking socket writes) and the only reader of its link. If a pump
+/// queued its whole journal before reading again, the two could fill both
+/// socket buffers and block in `write_all` forever.
+#[test]
+fn both_nodes_resync_toward_each_other_over_tcp() {
+    const PAGES: u64 = 220;
+    let page = |node: u8, lpn: u64| {
+        let mut p = vec![node; 4096];
+        p[..8].copy_from_slice(&lpn.to_le_bytes());
+        p
+    };
+    let wait_until = |cond: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        cond()
+    };
+    let (ta, tb) = tcp_pair();
+    let window = Duration::from_millis(400);
+    let dark = |seed| FaultPlan::new(seed).with_partition_for(Duration::ZERO, window);
+    let a = Node::spawn(
+        NodeConfig::test_profile(0),
+        FaultTransport::new(ta, dark(1)),
+        shared_backend(MemBackend::new()),
+    );
+    let b = Node::spawn(
+        NodeConfig::test_profile(1),
+        FaultTransport::new(tb, dark(2)),
+        shared_backend(MemBackend::new()),
+    );
+    assert!(wait_until(&|| {
+        a.lifecycle_state() == PairState::Solo && b.lifecycle_state() == PairState::Solo
+    }));
+    for lpn in 0..PAGES {
+        assert_eq!(a.write(lpn, &page(0, lpn)), WriteOutcome::WriteThrough);
+        assert_eq!(b.write(lpn, &page(1, lpn)), WriteOutcome::WriteThrough);
+    }
+    assert!(
+        wait_until(&|| {
+            a.lifecycle_state() == PairState::Paired && b.lifecycle_state() == PairState::Paired
+        }),
+        "pair never re-formed: a={:?} b={:?}",
+        a.lifecycle_state(),
+        b.lifecycle_state()
+    );
+    for (node, id) in [(&a, 0u8), (&b, 1u8)] {
+        let s = node.stats();
+        assert_eq!(s.repl.resync_pages, PAGES, "node {id}");
+        assert_eq!(node.journal_len(), 0, "node {id}");
+        assert!(s.writes_balance(), "node {id}");
+        for lpn in 0..PAGES {
+            assert_eq!(node.read(lpn), Some(page(id, lpn)), "node {id} page {lpn}");
+        }
+    }
+    assert_eq!(a.hosted_remote_pages().len() as u64, PAGES);
+    assert_eq!(b.hosted_remote_pages().len() as u64, PAGES);
+    a.shutdown();
+    b.shutdown();
 }
