@@ -552,26 +552,36 @@ impl DedupWindow {
     }
 }
 
+/// What the node keeps for one buffer-resident page (the buffer itself
+/// tracks only residency and dirtiness).
+struct Resident {
+    bytes: Bytes,
+    /// CRC-32 of `bytes` at write/fill time — the reference a scrub
+    /// compares against to spot silent local corruption.
+    crc: u32,
+    /// Pair-clock version of this copy: the stamp of the write that put it
+    /// here, or the backend's version for a read-miss fill.
+    version: u64,
+}
+
 /// The node's mutable heart, behind one mutex.
 ///
 /// # Lock order
 ///
 /// `Inner` ≺ { `backend`, `stats` }: the backend and stats mutexes are
-/// *leaf* locks — they may be acquired while holding `Inner`, but nothing
-/// that holds a leaf lock may acquire `Inner` (or the other leaf). Hot
-/// paths additionally hoist backend reads *out* of the `Inner` critical
-/// section entirely (see [`Node::write`] / [`Node::read`]); the nested
-/// acquisitions that remain are rare paths (degraded writes, takeover,
-/// resync, migration).
+/// *leaf* locks — they may be acquired while holding `Inner` (every
+/// destage does: eviction flushes, degraded writes, solo entry, takeover,
+/// migration), but nothing that holds a leaf lock may acquire `Inner` (or
+/// the other leaf). Hot paths additionally hoist backend *reads* out of the
+/// `Inner` critical section entirely (see [`Node::write`] /
+/// [`Node::read`]).
 struct Inner {
     cfg: Arc<NodeConfig>,
     buffer: BufferManager,
-    /// Contents of every resident page (the buffer tracks metadata only).
-    data: HashMap<u64, Bytes>,
-    versions: HashMap<u64, u64>,
-    /// CRC-32 of each resident page at write/fill time — the reference a
-    /// scrub compares against to spot silent local corruption.
-    page_crc: HashMap<u64, u32>,
+    /// One record per buffer-resident page. Its key set equals `buffer`'s
+    /// whenever `Inner` is unlocked: a page that leaves the buffer
+    /// (eviction, delete, fence-out, crash) leaves no node-side record.
+    resident: HashMap<u64, Resident>,
     next_version: u64,
     backend: SharedBackend,
     /// Pages hosted for the peer: lpn → (version, data). Bounded by
@@ -658,30 +668,68 @@ impl Inner {
         self.cfg.remote_capacity.saturating_sub(self.remote.len()) as u32
     }
 
-    /// Flush an eviction's runs to the backend; returns the flushed
-    /// `(lpn, version)` pairs so the caller can send a version-bounded
-    /// Discard.
-    fn apply_eviction(&mut self, ev: &Eviction) -> Vec<(u64, u64)> {
-        let mut flushed = Vec::new();
+    /// Write an eviction's runs to the backend under one backend guard;
+    /// returns the written `(lpn, version)` pairs.
+    fn flush_runs(&self, ev: &Eviction) -> Vec<(u64, u64)> {
+        if ev.runs.is_empty() {
+            return Vec::new();
+        }
+        let mut flushed = Vec::with_capacity(ev.flushed_pages() as usize);
+        let mut backend = self.backend.lock();
         for run in &ev.runs {
-            for i in 0..run.pages as u64 {
-                let lpn = run.lpn + i;
-                if let Some(bytes) = self.data.get(&lpn) {
-                    let ver = self.versions.get(&lpn).copied().unwrap_or(0);
-                    self.backend.lock().write_page(lpn, ver, bytes);
-                    self.stats.lock().flushed_pages += 1;
-                    flushed.push((lpn, ver));
+            for lpn in run.lpn..run.end_lpn() {
+                if let Some(page) = self.resident.get(&lpn) {
+                    backend.write_page(lpn, page.version, &page.bytes);
+                    flushed.push((lpn, page.version));
                 }
             }
         }
-        // Drop contents of pages no longer resident.
-        if !ev.runs.is_empty() || ev.clean_dropped > 0 {
-            let buffer = &self.buffer;
-            self.data.retain(|l, _| buffer.lookup(*l).is_some());
-            let data = &self.data;
-            self.page_crc.retain(|l, _| data.contains_key(l));
-        }
         flushed
+    }
+
+    /// Flush an eviction's runs to the backend and forget the pages that
+    /// left the buffer; returns the flushed `(lpn, version)` pairs so the
+    /// caller can send a version-bounded Discard. Costs what the eviction
+    /// evicted, whatever the buffer holds.
+    fn apply_eviction(&mut self, ev: &Eviction) -> Vec<(u64, u64)> {
+        let flushed = self.flush_runs(ev);
+        if !flushed.is_empty() {
+            self.stats.lock().flushed_pages += flushed.len() as u64;
+        }
+        for lpn in &ev.removed {
+            self.resident.remove(lpn);
+        }
+        debug_assert_eq!(self.resident.len(), self.buffer.resident());
+        flushed
+    }
+
+    /// Stamp a Discard for `pages` with the next data-plane seq (`None`
+    /// when there is nothing to discard). Called under the guard that
+    /// produced the list; [`Node::send_discard`] puts it on the wire after
+    /// the guard drops.
+    fn discard_for(&mut self, pages: Vec<(u64, u64)>) -> Option<Message> {
+        if pages.is_empty() {
+            return None;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Some(Message::Discard { seq, pages })
+    }
+
+    /// Drop every local copy of `lpn` — buffered, journaled, durable — and
+    /// return the version bound for the peer's Discard: every replica
+    /// carries a version <= the one current here. That is the resident
+    /// record's, else the backend's (an evicted page was flushed at its
+    /// last version); only a page this node holds nowhere gets the
+    /// unbounded `u64::MAX`, which a reordered Discard could otherwise use
+    /// to delete a newer replica.
+    fn forget_page(&mut self, lpn: u64, backend: &mut dyn StorageBackend) -> u64 {
+        self.buffer.discard(lpn, 1);
+        self.journal.remove(&lpn);
+        let resident = self.resident.remove(&lpn).map(|p| p.version);
+        let durable = backend.version_of(lpn);
+        backend.trim_page(lpn);
+        resident.or(durable).unwrap_or(u64::MAX)
     }
 
     /// Record a solo-mode write for the next resync. Latest version per
@@ -729,22 +777,18 @@ impl Inner {
         // Flush every dirty local page: the peer replica is no longer a
         // second memory.
         let ev = self.buffer.drain_dirty();
-        for run in &ev.runs {
-            for i in 0..run.pages as u64 {
-                let lpn = run.lpn + i;
-                if let Some(bytes) = self.data.get(&lpn) {
-                    let ver = self.versions.get(&lpn).copied().unwrap_or(0);
-                    self.backend.lock().write_page(lpn, ver, bytes);
-                    // A page still in the pipeline is flushed here for
-                    // safety (the ack may already be in flight) but its
-                    // writer does the accounting when it resolves.
-                    if !self.inflight.contains_key(&lpn) {
-                        let mut s = self.stats.lock();
-                        s.flushed_pages += 1;
-                        s.repl.partition_destages += 1;
-                    }
-                }
-            }
+        // A page still in the pipeline is flushed here for safety (the ack
+        // may already be in flight) but its writer does the accounting when
+        // it resolves.
+        let destaged = self
+            .flush_runs(&ev)
+            .iter()
+            .filter(|(lpn, _)| !self.inflight.contains_key(lpn))
+            .count() as u64;
+        if destaged > 0 {
+            let mut s = self.stats.lock();
+            s.flushed_pages += destaged;
+            s.repl.partition_destages += destaged;
         }
         self.takeover_destage();
         self.credits = None;
@@ -808,13 +852,11 @@ impl Inner {
         if self.journal_overflowed {
             // The journal lost track of what the peer missed; fall back to
             // re-sending every resident page.
-            self.journal.clear();
-            for lpn in self.buffer.resident_pages() {
-                if let Some(d) = self.data.get(&lpn) {
-                    let ver = self.versions.get(&lpn).copied().unwrap_or(0);
-                    self.journal.insert(lpn, (ver, d.clone()));
-                }
-            }
+            self.journal = self
+                .resident
+                .iter()
+                .map(|(&lpn, page)| (lpn, (page.version, page.bytes.clone())))
+                .collect();
             self.journal_overflowed = false;
             self.stats.lock().repl.full_resyncs += 1;
         }
@@ -968,9 +1010,7 @@ impl Node {
         let inner = Arc::new(Mutex::new(Inner {
             cfg: cfg.clone(),
             buffer,
-            data: HashMap::new(),
-            versions: HashMap::new(),
-            page_crc: HashMap::new(),
+            resident: HashMap::new(),
             next_version: 1,
             backend: backend.clone(),
             remote: HashMap::new(),
@@ -1075,7 +1115,7 @@ impl Node {
         let mut pipelined: Vec<Pipelined> = Vec::with_capacity(pages.len());
         let mut pipe_pages: Vec<PipePage> = Vec::with_capacity(pages.len());
         let mut all_flushed = Vec::new();
-        {
+        let discard = {
             // One `Inner` acquisition for the whole run: stamping,
             // buffer inserts, and credit debits are memory-only work, so
             // a 32-page run costs one lock round trip instead of 32.
@@ -1087,8 +1127,17 @@ impl Node {
                 }
                 let version = inner.next_version;
                 inner.next_version += 1;
-                inner.versions.insert(lpn, version);
-                inner.page_crc.insert(lpn, crcs[i]);
+                // The record must be in place *before* the buffer insert:
+                // the insert can evict the very block being written, and
+                // the flush needs the data.
+                inner.resident.insert(
+                    lpn,
+                    Resident {
+                        bytes: bytes.clone(),
+                        crc: crcs[i],
+                        version,
+                    },
+                );
 
                 let degraded = inner.lifecycle.is_degraded();
                 if degraded || inner.credits == Some(0) {
@@ -1097,7 +1146,6 @@ impl Node {
                     // local instead of stalling on a NACK round trip.
                     inner.backend.lock().write_page(lpn, version, &bytes);
                     let ev = inner.buffer.insert_clean(lpn, 1);
-                    inner.data.insert(lpn, bytes.clone());
                     all_flushed.extend(inner.apply_eviction(&ev));
                     if degraded {
                         inner.journal_record(lpn, version, bytes);
@@ -1105,10 +1153,6 @@ impl Node {
                     self.count_write_through(lpn, if degraded { "degraded" } else { NO_CREDITS });
                     through += 1;
                 } else {
-                    // Contents must be in place *before* the buffer insert:
-                    // the insert can evict the very block being written, and
-                    // the flush needs the data.
-                    inner.data.insert(lpn, bytes.clone());
                     let ev = inner.buffer.write(lpn, 1);
                     let flushed = inner.apply_eviction(&ev);
                     let self_evicted = flushed.iter().any(|&(l, _)| l == lpn);
@@ -1137,10 +1181,9 @@ impl Node {
                     }
                 }
             }
-        }
-        if !all_flushed.is_empty() {
-            self.send_discard(all_flushed);
-        }
+            inner.discard_for(all_flushed)
+        };
+        self.send_discard(discard);
         if !pipe_pages.is_empty() {
             self.pipe.submit(pipe_pages);
         }
@@ -1228,7 +1271,11 @@ impl Node {
                 self.backend.lock().write_page(lpn, version, &bytes);
                 let mut inner = self.inner.lock();
                 inner.inflight_done(lpn);
-                if inner.versions.get(&lpn) == Some(&version) {
+                if inner
+                    .resident
+                    .get(&lpn)
+                    .is_some_and(|p| p.version == version)
+                {
                     inner.buffer.mark_clean(lpn);
                 }
                 let reason = if refused == PageOutcome::NoCredit {
@@ -1310,19 +1357,13 @@ impl Node {
         *self.pipe.obs.lock() = inner.obs.clone();
     }
 
-    /// Send a seq-stamped, version-bounded Discard (fire-and-forget: a lost
-    /// Discard only leaves stale — version-guarded — copies at the peer).
-    fn send_discard(&self, pages: Vec<(u64, u64)>) {
-        if pages.is_empty() {
-            return;
+    /// Send the seq-stamped, version-bounded Discard [`Inner::discard_for`]
+    /// built (fire-and-forget: a lost Discard only leaves stale —
+    /// version-guarded — copies at the peer).
+    fn send_discard(&self, discard: Option<Message>) {
+        if let Some(msg) = discard {
+            let _ = self.transport.send(msg);
         }
-        let seq = {
-            let mut inner = self.inner.lock();
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            seq
-        };
-        let _ = self.transport.send(Message::Discard { seq, pages });
     }
 
     /// Read one page: local buffer first, then the backend (caching the
@@ -1339,65 +1380,67 @@ impl Node {
     }
 
     fn read_tracked(&self, client: Option<u64>, lpn: u64) -> Option<Vec<u8>> {
-        {
+        // Payload copies and checksums happen off the lock; under it the
+        // page is a refcounted handle.
+        let hit = {
             let mut inner = self.inner.lock();
-            inner.stats.lock().reads += 1;
-            if let Some(c) = client {
-                inner.clients.entry(c).or_default().reads += 1;
-            }
-            if inner.buffer.lookup(lpn).is_some() {
-                inner.buffer.read(lpn, 1);
-                inner.stats.lock().read_hits += 1;
-                if let Some(c) = client {
-                    inner.clients.entry(c).or_default().read_hits += 1;
-                }
-                return inner.data.get(&lpn).map(|b| b.to_vec());
-            }
             inner.buffer.read(lpn, 1);
+            let hit = inner.resident.get(&lpn).map(|p| p.bytes.clone());
+            {
+                let mut s = inner.stats.lock();
+                s.reads += 1;
+                s.read_hits += u64::from(hit.is_some());
+            }
+            if let Some(c) = client {
+                let row = inner.clients.entry(c).or_default();
+                row.reads += 1;
+                row.read_hits += u64::from(hit.is_some());
+            }
+            hit
+        };
+        if let Some(bytes) = hit {
+            return Some(bytes.to_vec());
         }
         // Miss: the backend fetch (the slow leaf) runs without `Inner`
         // held, so concurrent writers are not serialized behind this I/O.
-        let fetched = self.backend.lock().read_page(lpn);
-        match fetched {
-            Some((ver, data)) => {
-                let mut inner = self.inner.lock();
-                inner.observe_version(ver);
-                if inner.buffer.lookup(lpn).is_some() {
-                    // A concurrent write landed while we were off the lock;
-                    // its buffered copy supersedes the backend's.
-                    return inner.data.get(&lpn).map(|b| b.to_vec());
-                }
-                let bytes = Bytes::from(data.clone());
-                inner.page_crc.insert(lpn, crc32(&bytes));
-                inner.data.insert(lpn, bytes);
+        let (version, data) = self.backend.lock().read_page(lpn)?;
+        let bytes = Bytes::from(data);
+        let crc = crc32(&bytes);
+        let (bytes, discard) = {
+            let mut inner = self.inner.lock();
+            inner.observe_version(version);
+            if let Some(newer) = inner.resident.get(&lpn) {
+                // A concurrent write landed while we were off the lock;
+                // its buffered copy supersedes the backend's.
+                (newer.bytes.clone(), None)
+            } else {
+                let fill = Resident {
+                    bytes: bytes.clone(),
+                    crc,
+                    version,
+                };
+                inner.resident.insert(lpn, fill);
                 let ev = inner.buffer.insert_clean(lpn, 1);
                 let flushed = inner.apply_eviction(&ev);
-                drop(inner);
-                self.send_discard(flushed);
-                Some(data)
+                (bytes, inner.discard_for(flushed))
             }
-            None => None,
-        }
+        };
+        self.send_discard(discard);
+        Some(bytes.to_vec())
     }
 
     /// Delete one page (a short-lived file dies): the buffered copy, the
     /// peer's replica, the backend copy, and any journaled catch-up entry
     /// all go away without a flush.
     pub fn delete(&self, lpn: u64) {
-        let version = {
+        let discard = {
             let mut inner = self.inner.lock();
-            inner.buffer.discard(lpn, 1);
-            inner.data.remove(&lpn);
-            inner.page_crc.remove(&lpn);
-            inner.journal.remove(&lpn);
-            let version = inner.versions.remove(&lpn).unwrap_or(u64::MAX);
-            inner.backend.lock().trim_page(lpn);
+            let backend = inner.backend.clone();
+            let bound = inner.forget_page(lpn, &mut **backend.lock());
             inner.stats.lock().deletes += 1;
-            version
+            inner.discard_for(vec![(lpn, bound)])
         };
-        // Every replica of this page carries a version <= the one current at
-        // delete time, so the bound removes them all.
-        self.send_discard(vec![(lpn, version)]);
+        self.send_discard(discard);
     }
 
     /// [`Node::write`] on behalf of an identified client (gateway sessions):
@@ -1444,8 +1487,7 @@ impl Node {
         self.halted.store(true, Ordering::SeqCst);
         let mut inner = self.inner.lock();
         inner.buffer.clear();
-        inner.data.clear();
-        inner.page_crc.clear();
+        inner.resident.clear();
         inner.remote.clear();
         inner.taken_over.clear();
         inner.journal.clear();
@@ -1567,17 +1609,15 @@ impl Node {
     /// now-redundant replicas are discarded (version-bounded, so an
     /// in-flight newer write is never lost).
     pub fn flush_dirty(&self) -> u64 {
-        let flushed = {
+        let (n, discard) = {
             let mut inner = self.inner.lock();
             let ev = inner.buffer.drain_dirty();
             let flushed = inner.apply_eviction(&ev);
             let n = flushed.len() as u64;
             inner.note("flush_barrier", |e| e.u64_field("pages", n));
-            drop(inner);
-            flushed
+            (n, inner.discard_for(flushed))
         };
-        let n = flushed.len() as u64;
-        self.send_discard(flushed);
+        self.send_discard(discard);
         n
     }
 
@@ -1629,9 +1669,9 @@ impl Node {
         let bad: Vec<u64> = {
             let g = self.inner.lock();
             let mut v: Vec<u64> = g
-                .data
+                .resident
                 .iter()
-                .filter(|(l, d)| g.page_crc.get(l).is_some_and(|&c| crc32(d) != c))
+                .filter(|(_, p)| crc32(&p.bytes) != p.crc)
                 .map(|(&l, _)| l)
                 .collect();
             v.sort_unstable();
@@ -1656,14 +1696,23 @@ impl Node {
             match rx.recv_timeout(timeout) {
                 Ok(Some((ver, data))) => {
                     let mut g = self.inner.lock();
-                    let local_ver = g.versions.get(&lpn).copied().unwrap_or(0);
+                    let local_ver = g.resident.get(&lpn).map_or(0, |p| p.version);
                     // Only a replica at least as new as our metadata can
                     // stand in for the damaged copy.
                     if ver >= local_ver {
-                        g.page_crc.insert(lpn, crc32(&data));
-                        g.data.insert(lpn, data.clone());
-                        g.versions.insert(lpn, ver);
                         g.backend.lock().write_page(lpn, ver, &data);
+                        // `Inner` was dropped while waiting for the peer:
+                        // a page evicted meanwhile is repaired on the
+                        // backend only (where a dirty eviction flushed the
+                        // damaged copy) and gets no record back — the
+                        // buffer no longer knows it.
+                        if let Some(page) = g.resident.get_mut(&lpn) {
+                            *page = Resident {
+                                crc: crc32(&data),
+                                bytes: data,
+                                version: ver,
+                            };
+                        }
                         {
                             let mut s = g.stats.lock();
                             s.repl.corruptions_repaired += 1;
@@ -1688,11 +1737,11 @@ impl Node {
     /// [`Node::scrub`] to find. Returns false if the page is not resident.
     pub fn corrupt_local_page(&self, lpn: u64) -> bool {
         let mut g = self.inner.lock();
-        match g.data.get(&lpn) {
-            Some(d) if !d.is_empty() => {
-                let mut v = d.to_vec();
+        match g.resident.get_mut(&lpn) {
+            Some(page) if !page.bytes.is_empty() => {
+                let mut v = page.bytes.to_vec();
                 v[0] ^= 0xFF;
-                g.data.insert(lpn, Bytes::from(v));
+                page.bytes = Bytes::from(v);
                 true
             }
             _ => false,
@@ -1837,9 +1886,8 @@ impl Node {
         let inner = self.inner.lock();
         let mut out = Vec::with_capacity(lpns.len());
         for &lpn in lpns {
-            if let Some(bytes) = inner.data.get(&lpn) {
-                let ver = inner.versions.get(&lpn).copied().unwrap_or(0);
-                out.push(resync_entry(lpn, ver, bytes.clone()));
+            if let Some(page) = inner.resident.get(&lpn) {
+                out.push(resync_entry(lpn, page.version, page.bytes.clone()));
             } else if let Some((ver, data)) = inner.backend.lock().read_page(lpn) {
                 out.push(resync_entry(lpn, ver, Bytes::from(data)));
             }
@@ -1865,7 +1913,7 @@ impl Node {
         }
         let mut imported = 0u64;
         let mut flushed = Vec::new();
-        {
+        let discard = {
             let mut inner = self.inner.lock();
             for (lpn, ver, crc, data) in entries {
                 inner.observe_version(*ver);
@@ -1876,22 +1924,24 @@ impl Node {
                     // with an older buffered one.
                     backend.version_of(*lpn).is_some_and(|bv| bv > *ver)
                 };
-                if stale || inner.versions.get(lpn).copied().unwrap_or(0) > *ver {
+                if stale || inner.resident.get(lpn).is_some_and(|p| p.version > *ver) {
                     continue;
                 }
-                inner.versions.insert(*lpn, *ver);
-                inner.page_crc.insert(*lpn, *crc);
-                inner.data.insert(*lpn, data.clone());
+                let page = Resident {
+                    bytes: data.clone(),
+                    crc: *crc,
+                    version: *ver,
+                };
+                inner.resident.insert(*lpn, page);
                 let ev = inner.buffer.insert_clean(*lpn, 1);
                 flushed.extend(inner.apply_eviction(&ev));
                 imported += 1;
             }
             inner.stats.lock().migrated_in_pages += imported;
             inner.note("migrate_in", |e| e.u64_field("pages", imported));
-        }
-        if !flushed.is_empty() {
-            self.send_discard(flushed);
-        }
+            inner.discard_for(flushed)
+        };
+        self.send_discard(discard);
         Ok(imported)
     }
 
@@ -1906,35 +1956,26 @@ impl Node {
         if self.is_halted() {
             return Err(NodeDown);
         }
-        let (discards, released) = {
+        let (discard, released) = {
             let mut inner = self.inner.lock();
             let mut discards = Vec::new();
-            let mut released = 0u64;
-            for &lpn in lpns {
-                let held = inner.buffer.lookup(lpn).is_some()
-                    || inner.versions.contains_key(&lpn)
-                    || inner.backend.lock().version_of(lpn).is_some();
-                if !held {
-                    continue;
+            {
+                let backend = inner.backend.clone();
+                let mut backend = backend.lock();
+                for &lpn in lpns {
+                    let held =
+                        inner.buffer.lookup(lpn).is_some() || backend.version_of(lpn).is_some();
+                    if held {
+                        discards.push((lpn, inner.forget_page(lpn, &mut **backend)));
+                    }
                 }
-                inner.buffer.discard(lpn, 1);
-                inner.data.remove(&lpn);
-                inner.page_crc.remove(&lpn);
-                inner.journal.remove(&lpn);
-                // Same bound as `delete`: every replica carries a version
-                // <= the one current at fence time.
-                let version = inner.versions.remove(&lpn).unwrap_or(u64::MAX);
-                inner.backend.lock().trim_page(lpn);
-                discards.push((lpn, version));
-                released += 1;
             }
+            let released = discards.len() as u64;
             inner.stats.lock().migrated_out_pages += released;
             inner.note("migrate_out", |e| e.u64_field("pages", released));
-            (discards, released)
+            (inner.discard_for(discards), released)
         };
-        if !discards.is_empty() {
-            self.send_discard(discards);
-        }
+        self.send_discard(discard);
         Ok(released)
     }
 
@@ -1961,8 +2002,7 @@ impl Node {
         self.pipe.close();
         let mut inner = self.inner.lock();
         inner.buffer.clear();
-        inner.data.clear();
-        inner.page_crc.clear();
+        inner.resident.clear();
         inner.remote.clear();
         inner.taken_over.clear();
         inner.journal.clear();
@@ -3249,6 +3289,144 @@ mod tests {
         assert_eq!(a.try_migration_lpns(), Err(NodeDown));
         a.shutdown();
         b.shutdown();
+    }
+
+    /// The resident table's key set and the buffer's, both sorted — equal
+    /// whenever `Inner` is unlocked.
+    fn table_and_buffer(n: &Node) -> (Vec<u64>, Vec<u64>) {
+        let g = n.inner.lock();
+        let mut table: Vec<u64> = g.resident.keys().copied().collect();
+        table.sort_unstable();
+        (table, g.buffer.resident_pages())
+    }
+
+    #[test]
+    fn resident_table_tracks_the_buffer_through_eviction_and_delete() {
+        const BUFFER: usize = 256;
+        const WINDOW: u64 = 64 * BUFFER as u64;
+        const OPS: u64 = 20_000;
+        let cfg = |id: u8| {
+            let mut c = NodeConfig::test_profile(id);
+            c.buffer_pages = BUFFER;
+            c
+        };
+        let (ta, tb) = mem_pair();
+        let a = Node::spawn(cfg(0), ta, shared_backend(MemBackend::new()));
+        let b = Node::spawn(cfg(1), tb, shared_backend(MemBackend::new()));
+
+        let mut last: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut touched: Vec<u64> = Vec::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        for op in 0..OPS {
+            if touched.is_empty() || next() % 5 < 3 {
+                let lpn = next() % WINDOW;
+                let payload = format!("p{lpn}-{op}").into_bytes();
+                a.write(lpn, &payload);
+                if last.insert(lpn, payload).is_none() {
+                    touched.push(lpn);
+                }
+            } else {
+                // Mostly misses: the touched set is far wider than the
+                // buffer, so the page was evicted and comes from the backend.
+                let lpn = touched[next() as usize % touched.len()];
+                assert_eq!(a.read(lpn).as_ref(), last.get(&lpn), "op {op} lpn {lpn}");
+            }
+            if op % 512 == 0 {
+                let (table, buffer) = table_and_buffer(&a);
+                assert!(table.len() <= BUFFER, "op {op}: {} records", table.len());
+                assert_eq!(table, buffer, "op {op}");
+            }
+        }
+        let s = a.stats();
+        assert!(s.flushed_pages > 0 && s.reads > s.read_hits, "{s:?}");
+
+        touched.sort_unstable();
+        let deleted: Vec<u64> = touched.iter().copied().step_by(3).collect();
+        for &lpn in &deleted {
+            a.delete(lpn);
+            last.remove(&lpn);
+        }
+        let (table, buffer) = table_and_buffer(&a);
+        assert_eq!(table, buffer);
+        assert!(a.stats().writes_balance());
+        for &lpn in &deleted {
+            assert_eq!(a.read(lpn), None, "deleted page {lpn} came back");
+        }
+        for (lpn, want) in &last {
+            assert_eq!(a.read(*lpn).as_ref(), Some(want), "lpn {lpn}");
+        }
+        let (table, buffer) = table_and_buffer(&a);
+        assert!(table.len() <= BUFFER);
+        assert_eq!(table, buffer);
+        assert!(
+            wait_until(
+                || {
+                    let hosted = b.hosted_remote_pages();
+                    deleted.iter().all(|l| hosted.binary_search(l).is_err())
+                },
+                Duration::from_secs(2)
+            ),
+            "peer still hosts a deleted page"
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn scrub_does_not_resurrect_a_page_evicted_during_repair() {
+        // The test plays the peer by hand, so it decides what happens
+        // between the scrubber's PageFetch and its PageData.
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let a = Arc::new(Node::spawn(NodeConfig::test_profile(0), ta, ba.clone()));
+        // A silent peer: A goes Solo and writes through.
+        assert!(wait_until(
+            || a.lifecycle_state() == PairState::Solo,
+            Duration::from_secs(2)
+        ));
+        assert_eq!(a.write(5, b"precious"), WriteOutcome::WriteThrough);
+        assert!(a.corrupt_local_page(5));
+        let scrubber = {
+            let a = a.clone();
+            std::thread::spawn(move || a.scrub(Duration::from_secs(5)))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert!(Instant::now() < deadline, "no PageFetch from the scrubber");
+            if let Ok(Some(Message::PageFetch { lpn: 5 })) =
+                tb.recv_timeout(Duration::from_millis(50))
+            {
+                break;
+            }
+        }
+        // Detection is done and `Inner` is unlocked: push page 5 out.
+        for i in 0..4 * NodeConfig::test_profile(0).buffer_pages as u64 {
+            a.write(1000 + i, b"filler");
+        }
+        assert_eq!(
+            a.inner.lock().buffer.lookup(5),
+            None,
+            "page 5 still resident"
+        );
+        let version = ba.lock().version_of(5).expect("written through");
+        tb.send(Message::page_data(
+            5,
+            Some((version, Bytes::from_static(b"precious"))),
+        ))
+        .unwrap();
+        assert_eq!(scrubber.join().unwrap(), (1, 1));
+        let (table, buffer) = table_and_buffer(&a);
+        assert_eq!(table, buffer, "scrub left an orphan record");
+        assert!(!table.contains(&5));
+        assert_eq!(ba.lock().read_page(5).unwrap().1, b"precious".to_vec());
+        assert_eq!(a.read(5), Some(b"precious".to_vec()));
+        a.quiesce();
     }
 
     mod dedup_prop {

@@ -783,8 +783,15 @@ impl BufferManager {
         // eviction trace event reflects what the policy actually compared.
         let decision = self.lar.get(lbn).copied();
         let base = lbn * self.ppb as u64;
-        let mut resident: Vec<(u64, bool)> = Vec::new();
+        // The directory counts the block's resident pages exactly, so the
+        // probe stops at the last one instead of walking all `ppb` offsets
+        // of a block that usually holds a page or two.
+        let want = decision.map_or(0, |d| d.resident as usize);
+        let mut resident: Vec<(u64, bool)> = Vec::with_capacity(want);
         for off in 0..self.ppb as u64 {
+            if resident.len() == want {
+                break;
+            }
             if let Some(meta) = self.pages.get(&(base + off)) {
                 resident.push((base + off, meta.dirty));
             }
@@ -823,6 +830,7 @@ impl BufferManager {
         };
         for (lpn, _) in resident {
             self.remove_page(lpn);
+            ev.removed.push(lpn);
         }
         self.lar.remove(lbn);
         if let Some(o) = &self.obs {
@@ -848,6 +856,7 @@ impl BufferManager {
             return false;
         };
         let dirty = self.pages.get(&victim).map(|m| m.dirty).unwrap_or(false);
+        ev.removed.push(victim);
         if !dirty {
             self.remove_page(victim);
             ev.clean_dropped += 1;

@@ -46,6 +46,11 @@ pub struct Eviction {
     pub runs: Vec<FlushRun>,
     /// Pages dropped without a flush (clean victims).
     pub clean_dropped: u32,
+    /// Every lpn that left the buffer in this cycle, flushed or dropped —
+    /// what a caller keeping per-page state alongside the buffer must
+    /// forget. Empty for write-back work whose pages stay resident
+    /// ([`crate::buffer::BufferManager::drain_dirty`], `background_clean`).
+    pub removed: Vec<u64>,
 }
 
 impl Eviction {
@@ -68,6 +73,7 @@ impl Eviction {
     pub fn absorb(&mut self, other: Eviction) {
         self.runs.extend(other.runs);
         self.clean_dropped += other.clean_dropped;
+        self.removed.extend(other.removed);
     }
 }
 
@@ -155,6 +161,7 @@ mod tests {
             dirty: 3,
         });
         e.clean_dropped = 2;
+        e.removed = vec![0, 1, 2, 3, 7, 8];
         let mut other = Eviction::default();
         other.runs.push(FlushRun {
             lpn: 10,
@@ -162,9 +169,11 @@ mod tests {
             dirty: 1,
         });
         other.clean_dropped = 1;
+        other.removed = vec![10, 20];
         e.absorb(other);
         assert_eq!(e.flushed_pages(), 5);
         assert_eq!(e.dirty_pages(), 4);
         assert_eq!(e.clean_dropped, 3);
+        assert_eq!(e.removed, vec![0, 1, 2, 3, 7, 8, 10, 20]);
     }
 }

@@ -4,7 +4,10 @@
 //! sequences while a shadow model tracks which pages *must* be dirty; after
 //! every step the buffer and model agree, capacity holds, and flush runs are
 //! well-formed (contiguous, within one logical block, dirty counts sane).
+//! A second shadow set tracks residency, to check that every eviction
+//! lists exactly the pages that left (`Eviction::removed`).
 
+use flashcoop::buffer::BufferConfig;
 use flashcoop::policy::Eviction;
 use flashcoop::{BufferManager, PolicyKind};
 use proptest::prelude::*;
@@ -18,6 +21,7 @@ enum BufOp {
     Write { lpn: u64, pages: u32 },
     ReadAndFill { lpn: u64, pages: u32 },
     Drain,
+    BackgroundClean,
     Resize { capacity: usize },
     Discard { lpn: u64, pages: u32 },
 }
@@ -27,6 +31,7 @@ fn op_strategy() -> impl Strategy<Value = BufOp> {
         4 => (0..SPACE - 8, 1u32..8).prop_map(|(lpn, pages)| BufOp::Write { lpn, pages }),
         2 => (0..SPACE - 8, 1u32..8).prop_map(|(lpn, pages)| BufOp::ReadAndFill { lpn, pages }),
         1 => Just(BufOp::Drain),
+        1 => Just(BufOp::BackgroundClean),
         1 => (4usize..96).prop_map(|capacity| BufOp::Resize { capacity }),
         1 => (0..SPACE - 8, 1u32..8).prop_map(|(lpn, pages)| BufOp::Discard { lpn, pages }),
     ]
@@ -60,9 +65,55 @@ fn check_eviction_well_formed(ev: &Eviction) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn run_model(policy: PolicyKind, capacity: usize, ops: &[BufOp]) -> Result<(), TestCaseError> {
-    let mut buf = BufferManager::new(policy, capacity, PPB, true);
+/// `ev.removed` is duplicate-free and is exactly the pages that were
+/// resident before the call (or inserted by it) and are not any more; the
+/// shadow set then follows the buffer.
+fn check_removed(
+    buf: &BufferManager,
+    model_resident: &mut HashSet<u64>,
+    inserted: std::ops::Range<u64>,
+    ev: &Eviction,
+) -> Result<(), TestCaseError> {
+    model_resident.extend(inserted);
+    let after: HashSet<u64> = buf.resident_pages().into_iter().collect();
+    let removed: HashSet<u64> = ev.removed.iter().copied().collect();
+    prop_assert_eq!(removed.len(), ev.removed.len(), "duplicate in removed");
+    let expected: HashSet<u64> = model_resident.difference(&after).copied().collect();
+    prop_assert_eq!(&removed, &expected, "removed != before + inserted - after");
+    prop_assert!(
+        after.is_subset(model_resident),
+        "page appeared from nowhere"
+    );
+    if buf.policy() == PolicyKind::Lar && !ev.removed.is_empty() {
+        // A LAR eviction flushes whole victim blocks: a flushed page never
+        // stays (write-back work, which removes nothing, is the exception).
+        for run in &ev.runs {
+            for i in 0..run.pages as u64 {
+                prop_assert!(removed.contains(&(run.lpn + i)), "flushed page stayed");
+            }
+        }
+    }
+    *model_resident = after;
+    Ok(())
+}
+
+fn run_model(
+    policy: PolicyKind,
+    clustering: bool,
+    capacity: usize,
+    ops: &[BufOp],
+) -> Result<(), TestCaseError> {
+    let mut buf = BufferManager::from_config(
+        BufferConfig::builder()
+            .policy(policy)
+            .capacity(capacity)
+            .pages_per_block(PPB)
+            .clustering(clustering)
+            .dirty_watermark(Some(0.5))
+            .build(),
+    );
     let mut model_dirty: HashSet<u64> = HashSet::new();
+    let mut model_resident: HashSet<u64> = HashSet::new();
 
     for op in ops {
         match *op {
@@ -72,6 +123,7 @@ fn run_model(policy: PolicyKind, capacity: usize, ops: &[BufOp]) -> Result<(), T
                 }
                 let ev = buf.write(lpn, pages);
                 check_eviction_well_formed(&ev)?;
+                check_removed(&buf, &mut model_resident, lpn..lpn + pages as u64, &ev)?;
                 absorb_flush(&mut model_dirty, &ev);
             }
             BufOp::ReadAndFill { lpn, pages } => {
@@ -87,31 +139,46 @@ fn run_model(policy: PolicyKind, capacity: usize, ops: &[BufOp]) -> Result<(), T
                     if !seg.hit {
                         let ev = buf.insert_clean(seg.lpn, seg.pages);
                         check_eviction_well_formed(&ev)?;
+                        let filled = seg.lpn..seg.lpn + seg.pages as u64;
+                        check_removed(&buf, &mut model_resident, filled, &ev)?;
                         absorb_flush(&mut model_dirty, &ev);
                     }
                 }
             }
-            BufOp::Drain => {
-                let ev = buf.drain_dirty();
+            BufOp::Drain | BufOp::BackgroundClean => {
+                let drain = matches!(op, BufOp::Drain);
+                let ev = if drain {
+                    buf.drain_dirty()
+                } else {
+                    buf.background_clean()
+                };
                 check_eviction_well_formed(&ev)?;
+                // Write-back only: the pages stay resident, now clean.
+                prop_assert!(ev.removed.is_empty());
+                check_removed(&buf, &mut model_resident, 0..0, &ev)?;
                 absorb_flush(&mut model_dirty, &ev);
-                prop_assert_eq!(buf.dirty(), 0);
+                if drain {
+                    prop_assert_eq!(buf.dirty(), 0);
+                }
             }
             BufOp::Resize { capacity } => {
                 let ev = buf.set_capacity(capacity);
                 check_eviction_well_formed(&ev)?;
+                check_removed(&buf, &mut model_resident, 0..0, &ev)?;
                 absorb_flush(&mut model_dirty, &ev);
             }
             BufOp::Discard { lpn, pages } => {
                 buf.discard(lpn, pages);
                 for i in 0..pages as u64 {
                     model_dirty.remove(&(lpn + i));
+                    model_resident.remove(&(lpn + i));
                 }
             }
         }
         // Core invariants after every operation:
         prop_assert!(buf.resident() <= buf.capacity(), "over capacity");
         prop_assert!(buf.dirty() <= buf.resident());
+        prop_assert_eq!(buf.resident(), model_resident.len(), "resident mismatch");
         // Durability: every page the model still considers dirty *must* be
         // dirty-resident (it was never flushed) — the buffer may hold MORE
         // dirty pages than the model requires only if a flushed page was
@@ -135,25 +202,28 @@ proptest! {
     #[test]
     fn lar_buffer_never_loses_dirty_pages(
         capacity in 8usize..64,
+        clustering in any::<bool>(),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        run_model(PolicyKind::Lar, capacity, &ops)?;
+        run_model(PolicyKind::Lar, clustering, capacity, &ops)?;
     }
 
     #[test]
     fn lru_buffer_never_loses_dirty_pages(
         capacity in 8usize..64,
+        clustering in any::<bool>(),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        run_model(PolicyKind::Lru, capacity, &ops)?;
+        run_model(PolicyKind::Lru, clustering, capacity, &ops)?;
     }
 
     #[test]
     fn lfu_buffer_never_loses_dirty_pages(
         capacity in 8usize..64,
+        clustering in any::<bool>(),
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        run_model(PolicyKind::Lfu, capacity, &ops)?;
+        run_model(PolicyKind::Lfu, clustering, capacity, &ops)?;
     }
 
     /// Hit accounting is conserved: hits + misses == pages touched.

@@ -19,10 +19,12 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
-echo "==> release-mode race check: replication pipe stress + chaos + lifecycle e2e"
+echo "==> release-mode race check + eviction scaling guard: replication pipe stress + chaos + lifecycle e2e"
 # The pipe is shared state stepped by writers, the pump (which also feeds it
 # the resync stream) and whoever resets it; debug-build timing hides
-# interleavings the optimized build hits.
+# interleavings the optimized build hits. pipeline_stress also carries the
+# release-only guard that an evicting read miss costs the same behind a
+# 16x larger buffer (ignored under debug_assertions, so it runs only here).
 cargo test --release -q --offline --test pipeline_stress --test chaos_replication --test recovery_e2e
 
 echo "==> clippy (deny warnings)"

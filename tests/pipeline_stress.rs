@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use fc_cluster::{
     mem_pair, shared_backend, FaultPlan, FaultTransport, MemBackend, Node, NodeConfig, PairState,
-    TcpTransport,
+    StorageBackend, TcpTransport,
 };
 use fc_gateway::{GatewayClient, GatewayConfig, ShardStatsSum, ShardedGateway};
 use fc_ring::{Ring, RingConfig};
@@ -321,6 +321,58 @@ fn crash_fault_releases_parked_writers_as_write_through() {
 #[test]
 fn solo_entry_releases_parked_writers_as_write_through() {
     parked_writers_are_released_by(Node::quiesce);
+}
+
+/// Eviction costs what it evicts, not what the buffer holds: the same
+/// stream of evicting read misses takes about as long per read behind a
+/// 16384-page buffer as behind a 1024-page one. (A per-eviction sweep of
+/// the resident set made the larger buffer ~16x slower.) Release only: the
+/// bound is on optimized code, and debug timing is mostly allocator noise.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn evicting_read_miss_cost_does_not_scale_with_buffer_size() {
+    const SMALL: usize = 1024;
+    const LARGE: usize = 16384;
+    const READS: u64 = 20_000;
+    // One page per logical block, so every miss on a full buffer evicts
+    // exactly one (clean) block.
+    let stride = NodeConfig::test_profile(0).pages_per_block as u64;
+
+    let mean_read_ns = |buffer_pages: usize| {
+        let mut prefilled = MemBackend::default();
+        for i in 0..LARGE as u64 + READS {
+            prefilled.write_page(i * stride, 1, &page(9, i));
+        }
+        let backend = shared_backend(prefilled);
+        let (ta, tb) = mem_pair();
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.buffer_pages = buffer_pages;
+        let a = Node::spawn(cfg, ta, backend.clone());
+        let b = Node::spawn(NodeConfig::test_profile(1), tb, backend);
+        // Fill the buffer, then time the same lpn stream for either size.
+        for i in 0..buffer_pages as u64 {
+            assert!(a.read(i * stride).is_some());
+        }
+        let start = Instant::now();
+        for i in LARGE as u64..LARGE as u64 + READS {
+            assert!(a.read(i * stride).is_some());
+        }
+        let ns = start.elapsed().as_nanos() as f64 / READS as f64;
+        assert_eq!(a.stats().read_hits, 0, "every read must miss");
+        a.shutdown();
+        b.shutdown();
+        ns
+    };
+    // Other tests of this binary run alongside: compare the best of three
+    // alternated rounds.
+    let (mut small, mut large) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        small = small.min(mean_read_ns(SMALL));
+        large = large.min(mean_read_ns(LARGE));
+    }
+    let report = format!("read miss: {small:.0} ns at {SMALL} pages, {large:.0} ns at {LARGE}");
+    println!("{report}");
+    assert!(large < 3.0 * small && small < 3.0 * large, "{report}");
 }
 
 /// The relay threads are gone: a one-pair TCP cluster with one TCP client
