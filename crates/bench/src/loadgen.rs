@@ -327,7 +327,7 @@ impl LoadReport {
     }
 
     /// The counter-sum identity: every per-shard `gateway.shard.*` counter
-    /// must sum exactly to its aggregate `gateway.*` twin.
+    /// must sum exactly to the aggregate of the same name.
     pub fn verify_shard_sums(&self) -> Result<(), String> {
         ShardStatsSum::of(&self.shard_stats)
             .matches(&self.gateway)

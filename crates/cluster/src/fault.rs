@@ -10,15 +10,15 @@
 //! suite asserts this literally, and a failing chaos run can be replayed
 //! from its printed seed.
 //!
-//! Faults apply to outbound traffic of the wrapped endpoint. By default only
+//! Faults apply to outbound traffic of the wrapped endpoint. Only
 //! the data plane ([`Message::WriteReplBatch`] — paired replication and the
 //! rejoin catch-up stream alike — with its cumulative acks and per-batch
 //! nacks, and [`Message::Discard`]) is disturbed; control
 //! traffic (heartbeats, the recovery handshake) passes through untouched so
-//! a lossy-but-alive link does not masquerade as a dead peer. Set
-//! [`FaultPlan::all_traffic`] to disturb everything.
+//! a lossy-but-alive link does not masquerade as a dead peer; only timed
+//! partitions swallow everything.
 //!
-//! Time-based effects (added latency, the slow-peer gap) necessarily depend
+//! Time-based effects (added latency) necessarily depend
 //! on wall-clock scheduling; the *decisions* — what is dropped, how long
 //! each delay is, what is duplicated — stay deterministic regardless.
 
@@ -66,7 +66,7 @@ pub struct FaultPlan {
     /// One-way partitions as half-open `[start, end)` wall-clock windows
     /// measured from the transport's creation. Unlike index spans these
     /// model a real timed outage, so they swallow *all* traffic — control
-    /// messages included, regardless of `data_only` — which is what lets
+    /// messages included — which is what lets
     /// heartbeat-based failure detection actually fire in chaos tests.
     /// Window membership depends on wall-clock scheduling; the rest of the
     /// decision trace stays deterministic.
@@ -75,12 +75,6 @@ pub struct FaultPlan {
     /// flipped in flight (the embedded payload CRC goes stale, so the
     /// receiver detects it).
     pub corrupt_prob: f64,
-    /// Slow-peer throttle: minimum spacing between deliveries that go
-    /// through the delivery worker.
-    pub min_gap: Duration,
-    /// When true (the default) only data-plane messages are disturbed;
-    /// heartbeats and the recovery handshake always pass through.
-    pub data_only: bool,
 }
 
 impl Default for FaultPlan {
@@ -97,8 +91,6 @@ impl Default for FaultPlan {
             partitions: Vec::new(),
             timed_partitions: Vec::new(),
             corrupt_prob: 0.0,
-            min_gap: Duration::ZERO,
-            data_only: true,
         }
     }
 }
@@ -167,19 +159,6 @@ impl FaultPlan {
         self
     }
 
-    /// Throttle deliveries to at most one per `gap` (slow peer).
-    pub fn with_min_gap(mut self, gap: Duration) -> Self {
-        self.min_gap = gap;
-        self
-    }
-
-    /// Disturb control traffic (heartbeats, recovery) too, not just the
-    /// data plane.
-    pub fn all_traffic(mut self) -> Self {
-        self.data_only = false;
-        self
-    }
-
     fn partitioned(&self, index: u64) -> bool {
         self.partitions
             .iter()
@@ -192,21 +171,22 @@ impl FaultPlan {
             .any(|&(start, end)| elapsed >= start && elapsed < end)
     }
 
+    /// Only data-plane messages are disturbed; heartbeats and the recovery
+    /// handshake always pass through.
     fn eligible(&self, msg: &Message) -> bool {
-        !self.data_only
-            || matches!(
-                msg,
-                Message::Discard { .. }
-                    | Message::WriteReplBatch { .. }
-                    | Message::ReplAckBatch { .. }
-                    | Message::ReplNackBatch { .. }
-            )
+        matches!(
+            msg,
+            Message::Discard { .. }
+                | Message::WriteReplBatch { .. }
+                | Message::ReplAckBatch { .. }
+                | Message::ReplNackBatch { .. }
+        )
     }
 
     /// True when every delivery can bypass the delivery worker (no latency
-    /// or throttling configured), which preserves synchronous FIFO order.
+    /// configured), which preserves synchronous FIFO order.
     fn synchronous(&self) -> bool {
-        self.base_delay.is_zero() && self.jitter.is_zero() && self.min_gap.is_zero()
+        self.base_delay.is_zero() && self.jitter.is_zero()
     }
 }
 
@@ -272,25 +252,8 @@ pub struct FaultStats {
     pub partitioned: u64,
     /// Delivered messages whose payload was corrupted in flight.
     pub corrupted: u64,
-    /// Control messages passed through untouched (`data_only` plans).
+    /// Control messages passed through untouched.
     pub passthrough: u64,
-}
-
-/// Dumps the fault counters under `cluster.fault.*`.
-impl fc_obs::StatSource for FaultStats {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        reg.counter("cluster.fault.eligible").store(self.eligible);
-        reg.counter("cluster.fault.delivered").store(self.delivered);
-        reg.counter("cluster.fault.dropped").store(self.dropped);
-        reg.counter("cluster.fault.duplicated")
-            .store(self.duplicated);
-        reg.counter("cluster.fault.held").store(self.held);
-        reg.counter("cluster.fault.partitioned")
-            .store(self.partitioned);
-        reg.counter("cluster.fault.corrupted").store(self.corrupted);
-        reg.counter("cluster.fault.passthrough")
-            .store(self.passthrough);
-    }
 }
 
 struct FaultState {
@@ -361,10 +324,9 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
         let worker = {
             let inner = inner.clone();
             let queue = queue.clone();
-            let min_gap = plan.min_gap;
             std::thread::Builder::new()
                 .name("fc-fault-delivery".into())
-                .spawn(move || delivery_loop(inner, queue, min_gap))
+                .spawn(move || delivery_loop(inner, queue))
                 .expect("spawn fault delivery thread")
         };
         let rng = DetRng::new(plan.seed);
@@ -531,7 +493,7 @@ impl<T: Transport + Sync + 'static> Transport for FaultTransport<T> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
 
         // Timed partitions model a real outage: they swallow everything,
-        // control traffic included, regardless of `data_only`. Eligible
+        // control traffic included. Eligible
         // messages still consume an index and a trace entry so the decision
         // trace stays aligned with the eligible-send sequence.
         if self.plan.timed_partitioned(self.epoch.elapsed()) {
@@ -649,27 +611,22 @@ impl<T: Transport + Sync + 'static> Drop for FaultTransport<T> {
     }
 }
 
-/// Delivery worker: forwards queued messages when they fall due, keeping at
-/// least `min_gap` between consecutive sends (messages still in the queue at
-/// shutdown were "in flight" and are lost, like a real crash).
-fn delivery_loop<T: Transport + Sync>(inner: Arc<T>, queue: Arc<DeliveryQueue>, min_gap: Duration) {
-    let mut last_send: Option<Instant> = None;
+/// Delivery worker: forwards queued messages when they fall due (messages
+/// still in the queue at shutdown were "in flight" and are lost, like a real
+/// crash).
+fn delivery_loop<T: Transport + Sync>(inner: Arc<T>, queue: Arc<DeliveryQueue>) {
     let mut heap = queue.heap.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         if queue.shutdown.load(Ordering::SeqCst) {
             break;
         }
         let now = Instant::now();
-        let next_due = heap.peek().map(|Reverse(d)| {
-            let throttle = last_send.map(|t| t + min_gap).unwrap_or(now);
-            d.due.max(throttle)
-        });
+        let next_due = heap.peek().map(|Reverse(d)| d.due);
         match next_due {
             Some(due) if due <= now => {
                 let Reverse(d) = heap.pop().expect("peeked entry");
                 drop(heap);
                 let _ = inner.send(d.msg);
-                last_send = Some(Instant::now());
                 heap = queue.heap.lock().unwrap_or_else(|e| e.into_inner());
             }
             Some(due) => {
@@ -758,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn control_traffic_bypasses_data_only_faults() {
+    fn control_traffic_bypasses_faults() {
         let (a, b) = mem_pair();
         // Drop *everything* eligible; heartbeats must still flow.
         let f = FaultTransport::new(a, FaultPlan::new(7).with_drop(1.0));
@@ -848,20 +805,6 @@ mod tests {
         let got = b.recv_timeout(SHORT).unwrap();
         assert_eq!(got, Some(write_repl(1)));
         assert!(t0.elapsed() >= Duration::from_millis(45));
-    }
-
-    #[test]
-    fn min_gap_throttles_throughput() {
-        let (a, b) = mem_pair();
-        let f = FaultTransport::new(a, FaultPlan::new(4).with_min_gap(Duration::from_millis(20)));
-        let t0 = Instant::now();
-        for s in 1..=4 {
-            f.send(write_repl(s)).unwrap();
-        }
-        let got = drain(&b, Duration::from_millis(300));
-        assert_eq!(got.len(), 4);
-        // Three gaps of >= 20ms between four deliveries.
-        assert!(t0.elapsed() >= Duration::from_millis(55));
     }
 
     #[test]

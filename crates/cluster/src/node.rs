@@ -389,35 +389,6 @@ impl NodeStats {
     }
 }
 
-/// Dumps the node counters under `cluster.node.*` and delegates the
-/// fault-tolerance counters to [`ReplicationStats`]'s own source
-/// (`cluster.replication.*`).
-impl fc_obs::StatSource for NodeStats {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        reg.counter("cluster.node.writes").store(self.writes);
-        reg.counter("cluster.node.reads").store(self.reads);
-        reg.counter("cluster.node.read_hits").store(self.read_hits);
-        reg.counter("cluster.node.replicated_pages")
-            .store(self.replicated_pages);
-        reg.counter("cluster.node.write_through")
-            .store(self.write_through);
-        reg.counter("cluster.node.flushed_pages")
-            .store(self.flushed_pages);
-        reg.counter("cluster.node.deletes").store(self.deletes);
-        reg.counter("cluster.node.dedup_hits")
-            .store(self.dedup_hits);
-        reg.counter("cluster.node.migrated_in_pages")
-            .store(self.migrated_in_pages);
-        reg.counter("cluster.node.migrated_out_pages")
-            .store(self.migrated_out_pages);
-        reg.gauge("cluster.node.remote_pages")
-            .set_u64(self.remote_pages);
-        reg.gauge("cluster.node.journal_pages")
-            .set_u64(self.journal_pages);
-        self.repl.emit(reg);
-    }
-}
-
 /// Per-origin counters for requests entering through the gateway (or any
 /// caller that identifies itself via the `*_from` entry points). One row per
 /// client id; snapshot with [`Node::client_stats`].
@@ -1070,11 +1041,7 @@ impl Node {
     /// [`NodeStats::writes_balance`], never observing a write that is
     /// counted but not yet resolved.
     pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
-        self.write_page(None, lpn, data)
-    }
-
-    fn write_page(&self, client: Option<u64>, lpn: u64, data: &[u8]) -> WriteOutcome {
-        let out = self.write_pages(client, lpn, vec![Bytes::copy_from_slice(data)]);
+        let out = self.write_pages(None, lpn, vec![Bytes::copy_from_slice(data)]);
         if out.all_replicated() {
             WriteOutcome::Replicated
         } else {
@@ -1429,27 +1396,6 @@ impl Node {
         Some(bytes.to_vec())
     }
 
-    /// Delete one page (a short-lived file dies): the buffered copy, the
-    /// peer's replica, the backend copy, and any journaled catch-up entry
-    /// all go away without a flush.
-    pub fn delete(&self, lpn: u64) {
-        let discard = {
-            let mut inner = self.inner.lock();
-            let backend = inner.backend.clone();
-            let bound = inner.forget_page(lpn, &mut **backend.lock());
-            inner.stats.lock().deletes += 1;
-            inner.discard_for(vec![(lpn, bound)])
-        };
-        self.send_discard(discard);
-    }
-
-    /// [`Node::write`] on behalf of an identified client (gateway sessions):
-    /// the write takes the normal durability path, then the client's row in
-    /// the per-origin table is updated.
-    pub fn write_from(&self, client: u64, lpn: u64, data: &[u8]) -> WriteOutcome {
-        self.write_page(Some(client), lpn, data)
-    }
-
     /// Write a contiguous run of pages starting at `lpn` on behalf of a
     /// client — the gateway's batched submission path. Pages are written in
     /// address order (the sequential shape the cooperative buffer and the
@@ -1466,12 +1412,6 @@ impl Node {
             .map(|p| Bytes::copy_from_slice(p.as_ref()))
             .collect();
         self.write_pages(Some(client), lpn, bytes)
-    }
-
-    /// [`Node::delete`] on behalf of an identified client.
-    pub fn delete_from(&self, client: u64, lpn: u64) {
-        self.delete(lpn);
-        self.inner.lock().clients.entry(client).or_default().trims += 1;
     }
 
     // -- crash-fault injection and the fallible front-end API ---------------
@@ -1537,21 +1477,47 @@ impl Node {
         Ok(self.read_tracked(Some(client), lpn))
     }
 
-    /// [`Node::delete_from`], refusing with [`NodeDown`] while halted.
+    /// Delete one page on behalf of `client` (a short-lived file dies): the
+    /// buffered copy, the peer's replica, the backend copy, and any
+    /// journaled catch-up entry all go away without a flush. Refuses with
+    /// [`NodeDown`] while halted.
     pub fn try_delete_from(&self, client: u64, lpn: u64) -> Result<(), NodeDown> {
         if self.is_halted() {
             return Err(NodeDown);
         }
-        self.delete_from(client, lpn);
+        let discard = {
+            let mut inner = self.inner.lock();
+            let backend = inner.backend.clone();
+            let bound = inner.forget_page(lpn, &mut **backend.lock());
+            inner.stats.lock().deletes += 1;
+            inner.clients.entry(client).or_default().trims += 1;
+            inner.discard_for(vec![(lpn, bound)])
+        };
+        self.send_discard(discard);
         Ok(())
     }
 
-    /// [`Node::flush_dirty`], refusing with [`NodeDown`] while halted.
+    /// Flush every dirty page in the local buffer to the backend (the
+    /// client-visible `Flush` barrier): after this returns, all previously
+    /// acknowledged writes are on this node's durable medium, independent of
+    /// the peer. Returns the number of pages flushed. The peer's
+    /// now-redundant replicas are discarded (version-bounded, so an
+    /// in-flight newer write is never lost). Refuses with [`NodeDown`]
+    /// while halted.
     pub fn try_flush_dirty(&self) -> Result<u64, NodeDown> {
         if self.is_halted() {
             return Err(NodeDown);
         }
-        Ok(self.flush_dirty())
+        let (n, discard) = {
+            let mut inner = self.inner.lock();
+            let ev = inner.buffer.drain_dirty();
+            let flushed = inner.apply_eviction(&ev);
+            let n = flushed.len() as u64;
+            inner.note("flush_barrier", |e| e.u64_field("pages", n));
+            (n, inner.discard_for(flushed))
+        };
+        self.send_discard(discard);
+        Ok(n)
     }
 
     /// Exactly-once batched write: like [`Node::write_run`], but stamped
@@ -1600,25 +1566,6 @@ impl Node {
         let cap = inner.cfg.dedup_window;
         inner.dedup.entry(client).or_default().record(tag, out, cap);
         Ok(out)
-    }
-
-    /// Flush every dirty page in the local buffer to the backend (the
-    /// client-visible `Flush` barrier): after this returns, all previously
-    /// acknowledged writes are on this node's durable medium, independent of
-    /// the peer. Returns the number of pages flushed. The peer's
-    /// now-redundant replicas are discarded (version-bounded, so an
-    /// in-flight newer write is never lost).
-    pub fn flush_dirty(&self) -> u64 {
-        let (n, discard) = {
-            let mut inner = self.inner.lock();
-            let ev = inner.buffer.drain_dirty();
-            let flushed = inner.apply_eviction(&ev);
-            let n = flushed.len() as u64;
-            inner.note("flush_barrier", |e| e.u64_field("pages", n));
-            (n, inner.discard_for(flushed))
-        };
-        self.send_discard(discard);
-        n
     }
 
     /// Snapshot of the per-client counters, sorted by client id.
@@ -1735,6 +1682,7 @@ impl Node {
     /// Test hook: silently flip one byte of a resident page *without*
     /// updating its recorded CRC, simulating local media corruption for
     /// [`Node::scrub`] to find. Returns false if the page is not resident.
+    #[cfg(test)]
     pub fn corrupt_local_page(&self, lpn: u64) -> bool {
         let mut g = self.inner.lock();
         match g.resident.get_mut(&lpn) {
@@ -1768,11 +1716,6 @@ impl Node {
         self.pipe.batch_hist.summary()
     }
 
-    /// Current replication-pipeline window depth (in-flight batches).
-    pub fn repl_window_depth(&self) -> u64 {
-        self.pipe.state.lock().window.len() as u64
-    }
-
     /// Dirty pages in the local buffer.
     pub fn dirty_pages(&self) -> usize {
         self.inner.lock().buffer.dirty()
@@ -1800,6 +1743,7 @@ impl Node {
 
     /// Last peer-advertised hosting credits (None until the peer spoke, or
     /// after going solo).
+    #[cfg(test)]
     pub fn peer_credits(&self) -> Option<u32> {
         self.inner.lock().credits
     }
@@ -2449,12 +2393,12 @@ mod tests {
     #[test]
     fn per_client_stats_track_each_origin_separately() {
         let (a, b, _ba, _bb) = pair();
-        a.write_from(1, 10, b"one");
-        a.write_from(1, 11, b"one-b");
-        a.write_from(2, 20, b"two");
+        a.write_run(1, 10, &[b"one"]);
+        a.write_run(1, 11, &[b"one-b"]);
+        a.write_run(2, 20, &[b"two"]);
         assert_eq!(a.read_from(1, 10), Some(b"one".to_vec()));
         assert_eq!(a.read_from(2, 99), None); // miss
-        a.delete_from(2, 20);
+        a.try_delete_from(2, 20).unwrap();
         let rows = a.client_stats();
         assert_eq!(rows.len(), 2);
         let (c1, s1) = rows[0];
@@ -2502,7 +2446,7 @@ mod tests {
             a.write(i, format!("d{i}").as_bytes());
         }
         assert!(a.dirty_pages() > 0);
-        let flushed = a.flush_dirty();
+        let flushed = a.try_flush_dirty().unwrap();
         assert_eq!(flushed, 10);
         assert_eq!(a.dirty_pages(), 0);
         // Every page is now on the backend, independent of the peer.
@@ -2510,7 +2454,7 @@ mod tests {
             assert!(ba.lock().read_page(i).is_some(), "page {i} not flushed");
         }
         // A second flush has nothing to do.
-        assert_eq!(a.flush_dirty(), 0);
+        assert_eq!(a.try_flush_dirty(), Ok(0));
         // Reads still hit the (clean) buffered copies.
         assert_eq!(a.read(3), Some(b"d3".to_vec()));
         a.shutdown();
@@ -2622,7 +2566,7 @@ mod tests {
             || b.hosted_remote_pages() == vec![3],
             Duration::from_millis(500)
         ));
-        a.delete(3);
+        a.try_delete_from(0, 3).unwrap();
         assert_eq!(a.read(3), None);
         assert_eq!(ba.lock().read_page(3), None);
         assert_eq!(a.stats().deletes, 1);
@@ -3076,24 +3020,6 @@ mod tests {
             assert_eq!(e.get("id").and_then(fc_obs::Value::as_u64), Some(0));
             assert!(matches!(e.t, fc_obs::Stamp::Wall(_)));
         }
-        // StatSource retrofit: a registry dump agrees with the snapshot.
-        use fc_obs::StatSource;
-        let mut reg = fc_obs::Registry::new();
-        s.emit(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("cluster.node.writes"), Some(s.writes));
-        assert_eq!(
-            snap.counter("cluster.node.replicated_pages"),
-            Some(s.replicated_pages)
-        );
-        assert_eq!(
-            snap.counter("cluster.replication.retries"),
-            Some(s.repl.retries)
-        );
-        assert_eq!(
-            snap.counter("cluster.replication.takeover_destages"),
-            Some(s.repl.takeover_destages)
-        );
         a.shutdown();
         b.shutdown();
     }
@@ -3210,7 +3136,7 @@ mod tests {
                 WriteOutcome::Replicated
             });
         }
-        a1.flush_dirty(); // half durable, half will re-dirty
+        a1.try_flush_dirty().unwrap(); // half durable, half will re-dirty
         a1.write(0, b"m0v2");
         let lpns = a1.try_migration_lpns().unwrap();
         assert_eq!(lpns, vec![0, 1, 2, 3]);
@@ -3349,7 +3275,7 @@ mod tests {
         touched.sort_unstable();
         let deleted: Vec<u64> = touched.iter().copied().step_by(3).collect();
         for &lpn in &deleted {
-            a.delete(lpn);
+            a.try_delete_from(0, lpn).unwrap();
             last.remove(&lpn);
         }
         let (table, buffer) = table_and_buffer(&a);

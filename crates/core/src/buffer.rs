@@ -169,27 +169,6 @@ impl BufferStats {
     }
 }
 
-/// Dumps the buffer counters under `core.buffer.*`, matching the live
-/// counter names an attached buffer maintains (see
-/// [`BufferManager::attach_obs`]).
-impl fc_obs::StatSource for BufferStats {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        reg.counter("core.buffer.page_hits").store(self.page_hits);
-        reg.counter("core.buffer.page_misses")
-            .store(self.page_misses);
-        reg.counter("core.buffer.evictions").store(self.evictions);
-        reg.counter("core.buffer.flushed_pages")
-            .store(self.flushed_pages);
-        reg.counter("core.buffer.flushed_dirty")
-            .store(self.flushed_dirty);
-        reg.counter("core.buffer.clean_drops")
-            .store(self.clean_drops);
-        reg.counter("core.buffer.clustered_batches")
-            .store(self.clustered_batches);
-        reg.gauge("core.buffer.hit_ratio").set(self.hit_ratio());
-    }
-}
-
 /// One contiguous piece of a read request, classified hit or miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadSegment {

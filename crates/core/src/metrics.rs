@@ -58,44 +58,6 @@ pub struct ReplicationStats {
     pub lifecycle_transitions: u64,
 }
 
-/// Dumps the fault-tolerance counters under `cluster.replication.*`.
-impl fc_obs::StatSource for ReplicationStats {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        reg.counter("cluster.replication.retries")
-            .store(self.retries);
-        reg.counter("cluster.replication.batches_sent")
-            .store(self.batches_sent);
-        reg.counter("cluster.replication.batch_pages")
-            .store(self.batch_pages);
-        reg.counter("cluster.replication.dups_dropped")
-            .store(self.dups_dropped);
-        reg.counter("cluster.replication.reorders_healed")
-            .store(self.reorders_healed);
-        reg.counter("cluster.replication.partition_destages")
-            .store(self.partition_destages);
-        reg.counter("cluster.replication.takeover_destages")
-            .store(self.takeover_destages);
-        reg.counter("cluster.replication.resync_batches")
-            .store(self.resync_batches);
-        reg.counter("cluster.replication.resync_pages")
-            .store(self.resync_pages);
-        reg.counter("cluster.replication.full_resyncs")
-            .store(self.full_resyncs);
-        reg.counter("cluster.replication.corruptions_detected")
-            .store(self.corruptions_detected);
-        reg.counter("cluster.replication.corruptions_repaired")
-            .store(self.corruptions_repaired);
-        reg.counter("cluster.replication.scrub_repairs")
-            .store(self.scrub_repairs);
-        reg.counter("cluster.replication.credit_stalls")
-            .store(self.credit_stalls);
-        reg.counter("cluster.replication.credit_rejections")
-            .store(self.credit_rejections);
-        reg.counter("cluster.replication.lifecycle_transitions")
-            .store(self.lifecycle_transitions);
-    }
-}
-
 impl ReplicationStats {
     /// True when the link behaved perfectly: nothing retried, deduplicated,
     /// reordered, or destaged. The batch throughput counters are excluded —

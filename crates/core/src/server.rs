@@ -56,25 +56,6 @@ pub struct ServerMetrics {
     pub destage_run_pages: Histogram,
 }
 
-/// Dumps the server's request counters and latency distributions under
-/// `core.*` into an observability registry.
-impl fc_obs::StatSource for ServerMetrics {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        reg.counter("core.writes").store(self.writes);
-        reg.counter("core.reads").store(self.reads);
-        reg.counter("core.trims").store(self.trims);
-        reg.counter("core.replicated_pages")
-            .store(self.replicated_pages);
-        reg.counter("core.remote_rejections")
-            .store(self.remote_rejections);
-        self.response.emit_with_prefix("core.response", reg);
-        self.write_response
-            .emit_with_prefix("core.write_response", reg);
-        self.read_response
-            .emit_with_prefix("core.read_response", reg);
-    }
-}
-
 /// Resource-utilisation snapshot for the dynamic allocation monitor
 /// (the mᵢ, pᵢ, nᵢ of Equation 1).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -20,7 +20,7 @@
 //! clients rely on for pipelining.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 use fc_cluster::{MigrateError, Node, NodeDown, PairState};
-use fc_obs::{Counter, Gauge, Histogram, Obs};
+use fc_obs::{Counter, Gauge, Histogram, Metric, Obs, Registry};
 use fc_ring::{Ring, RingConfig};
 use parking_lot::{Mutex, RwLock};
 
@@ -38,7 +38,7 @@ use crate::client::GatewayClient;
 use crate::conn::{mem_session, SessionLink, TcpSessionLink};
 use crate::health::{BreakerState, Replica, ShardHealth};
 use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
-use crate::shard::{ShardInstruments, ShardStats};
+use crate::shard::{ShardInstruments, ShardStats, ShardStatsSum};
 
 /// Gateway knobs.
 #[derive(Debug, Clone)]
@@ -171,8 +171,11 @@ impl GatewayStats {
     }
 }
 
-/// Hot-path instruments. Swapped wholesale by [`Gateway::attach_obs`] —
-/// attach before serving traffic so no increments land in the detached set.
+/// Request-granular instruments — one cell each for the gateway's whole
+/// life; [`Gateway::attach_obs`] publishes these same cells. The
+/// page-granular and failover-path columns live only per shard
+/// ([`ShardInstruments`]); their aggregates are the shard sum.
+#[derive(Default)]
 struct Instruments {
     sessions_started: Counter,
     sessions_ended: Counter,
@@ -183,21 +186,10 @@ struct Instruments {
     shed_queue_full: Counter,
     bad_requests: Counter,
     writes: Counter,
-    write_pages: Counter,
     reads: Counter,
-    read_pages: Counter,
-    read_hits: Counter,
     trims: Counter,
-    trim_pages: Counter,
     flushes: Counter,
-    flushed_pages: Counter,
     batches: Counter,
-    runs: Counter,
-    coalesced_pages: Counter,
-    failovers: Counter,
-    failbacks: Counter,
-    retries: Counter,
-    unavailable: Counter,
     rebalances_started: Counter,
     rebalances_completed: Counter,
     rebalance_moved_blocks: Counter,
@@ -207,56 +199,47 @@ struct Instruments {
     latency_ns: Histogram,
     /// Moved-block count per committed rebalance window.
     rebalance_hist: Histogram,
-    obs: Option<Obs>,
 }
 
 impl Instruments {
-    fn detached() -> Instruments {
-        Instruments {
-            sessions_started: Counter::new(),
-            sessions_ended: Counter::new(),
-            requests: Counter::new(),
-            admitted: Counter::new(),
-            shed_total: Counter::new(),
-            shed_rate_limited: Counter::new(),
-            shed_queue_full: Counter::new(),
-            bad_requests: Counter::new(),
-            writes: Counter::new(),
-            write_pages: Counter::new(),
-            reads: Counter::new(),
-            read_pages: Counter::new(),
-            read_hits: Counter::new(),
-            trims: Counter::new(),
-            trim_pages: Counter::new(),
-            flushes: Counter::new(),
-            flushed_pages: Counter::new(),
-            batches: Counter::new(),
-            runs: Counter::new(),
-            coalesced_pages: Counter::new(),
-            failovers: Counter::new(),
-            failbacks: Counter::new(),
-            retries: Counter::new(),
-            unavailable: Counter::new(),
-            rebalances_started: Counter::new(),
-            rebalances_completed: Counter::new(),
-            rebalance_moved_blocks: Counter::new(),
-            rebalance_moved_pages: Counter::new(),
-            rebalance_batches: Counter::new(),
-            inflight_gauge: Gauge::new(),
-            latency_ns: Histogram::new(),
-            rebalance_hist: Histogram::new(),
-            obs: None,
+    fn publish(&self, reg: &Registry) {
+        for (name, c) in [
+            ("gateway.sessions_started", &self.sessions_started),
+            ("gateway.sessions_ended", &self.sessions_ended),
+            ("gateway.requests", &self.requests),
+            ("gateway.admitted", &self.admitted),
+            ("gateway.shed_total", &self.shed_total),
+            ("gateway.shed_rate_limited", &self.shed_rate_limited),
+            ("gateway.shed_queue_full", &self.shed_queue_full),
+            ("gateway.bad_requests", &self.bad_requests),
+            ("gateway.writes", &self.writes),
+            ("gateway.reads", &self.reads),
+            ("gateway.trims", &self.trims),
+            ("gateway.flushes", &self.flushes),
+            ("gateway.batches", &self.batches),
+            ("gateway.rebalance.started", &self.rebalances_started),
+            ("gateway.rebalance.completed", &self.rebalances_completed),
+            (
+                "gateway.rebalance.moved_blocks",
+                &self.rebalance_moved_blocks,
+            ),
+            ("gateway.rebalance.moved_pages", &self.rebalance_moved_pages),
+            ("gateway.rebalance.batches", &self.rebalance_batches),
+        ] {
+            reg.adopt(name, Metric::Counter(c.clone()));
         }
-    }
-
-    fn event(&self, kind: &'static str) -> Option<fc_obs::Event> {
-        self.obs.as_ref().map(|o| o.wall_event("gateway", kind))
-    }
-
-    fn emit(&self, ev: Option<fc_obs::Event>) {
-        if let (Some(obs), Some(ev)) = (self.obs.as_ref(), ev) {
-            obs.emit(ev);
-        }
+        reg.adopt(
+            "gateway.inflight",
+            Metric::Gauge(self.inflight_gauge.clone()),
+        );
+        reg.adopt(
+            "gateway.latency_ns",
+            Metric::Histogram(self.latency_ns.clone()),
+        );
+        reg.adopt(
+            "gateway.rebalance.run_moved_blocks",
+            Metric::Histogram(self.rebalance_hist.clone()),
+        );
     }
 }
 
@@ -273,9 +256,23 @@ pub(crate) struct ShardBackend {
     /// primary; a dead primary means the shard is just down).
     pub(crate) secondary: Option<Arc<Node>>,
     health: RwLock<ShardHealth>,
+    /// This shard's counters, created with the slot and never rebuilt.
+    ins: ShardInstruments,
 }
 
 impl ShardBackend {
+    fn new(cfg: &GatewayConfig, primary: Arc<Node>, secondary: Option<Arc<Node>>) -> Self {
+        ShardBackend {
+            primary,
+            secondary,
+            health: RwLock::new(ShardHealth::new(
+                cfg.breaker_threshold,
+                cfg.breaker_cooldown,
+            )),
+            ins: ShardInstruments::new(),
+        }
+    }
+
     /// The node the current route points at. With no secondary the route
     /// can only be the primary.
     fn active<'a>(&'a self, health: &ShardHealth) -> &'a Arc<Node> {
@@ -369,17 +366,9 @@ pub struct Gateway {
     /// elastic-membership window state.
     routes: RwLock<RouteTable>,
     admission: Admission,
-    instruments: Mutex<Arc<Instruments>>,
-    /// One entry per shard slot. Swapped wholesale by `attach_obs`, same
-    /// discipline as `instruments`.
-    shard_instruments: Mutex<Arc<Vec<ShardInstruments>>>,
-    /// Commit guard for the counter-sum identity: every site that bumps a
-    /// per-shard counter together with its aggregate twin holds this while
-    /// doing both, and [`Gateway::stats_with_shards`] holds it across its
-    /// combined snapshot — so Σ shard.* == gateway.* at *every* snapshot,
-    /// not just at quiescence. Taken per run/segment (never per page) and
-    /// strictly a leaf: no other lock is acquired while it is held.
-    stats_commit: Mutex<()>,
+    ins: Instruments,
+    /// Event stream, set by the first [`Gateway::attach_obs`].
+    obs: OnceLock<Obs>,
     next_mem_client: AtomicU64,
     /// Deterministic decorrelation stream for retry-backoff jitter.
     jitter: AtomicU64,
@@ -443,29 +432,14 @@ impl Gateway {
         let shards: Vec<Arc<ShardBackend>> = primaries
             .into_iter()
             .zip(secondaries)
-            .map(|(primary, secondary)| {
-                Arc::new(ShardBackend {
-                    primary,
-                    secondary,
-                    health: RwLock::new(ShardHealth::new(
-                        cfg.breaker_threshold,
-                        cfg.breaker_cooldown,
-                    )),
-                })
-            })
+            .map(|(primary, secondary)| Arc::new(ShardBackend::new(&cfg, primary, secondary)))
             .collect();
         Arc::new(Gateway {
             admission: Admission::new(cfg.admission),
             cfg,
-            instruments: Mutex::new(Arc::new(Instruments::detached())),
-            shard_instruments: Mutex::new(Arc::new(
-                shards
-                    .iter()
-                    .map(|_| ShardInstruments::detached())
-                    .collect(),
-            )),
+            ins: Instruments::default(),
+            obs: OnceLock::new(),
             routes: RwLock::new(RouteTable::new(ring, shards)),
-            stats_commit: Mutex::new(()),
             next_mem_client: AtomicU64::new(1),
             jitter: AtomicU64::new(1),
             epoch: Instant::now(),
@@ -559,36 +533,16 @@ impl Gateway {
     pub fn attach_shard(&self, primary: Arc<Node>, secondary: Option<Arc<Node>>) -> u16 {
         let mut rt = self.routes.write();
         let shard = rt.shards.len() as u16;
-        rt.shards.push(Arc::new(ShardBackend {
-            primary,
-            secondary,
-            health: RwLock::new(ShardHealth::new(
-                self.cfg.breaker_threshold,
-                self.cfg.breaker_cooldown,
-            )),
-        }));
-        // Grow the per-shard instrument vector under the route write guard:
-        // any op that can route to the new shard acquires the read guard
-        // later, and therefore snapshots the grown vector.
-        let ins = self.instruments();
-        let old_shards = self.shard_instruments.lock().clone();
-        let mut next: Vec<ShardInstruments> = Vec::with_capacity(old_shards.len() + 1);
-        let detached = ShardInstruments::detached();
-        for (i, old) in old_shards
-            .iter()
-            .chain(std::iter::once(&detached))
-            .enumerate()
-        {
-            next.push(match &ins.obs {
-                Some(obs) => ShardInstruments::attached(obs.registry(), i, old),
-                None => ShardInstruments::detached_from(old),
-            });
+        let sb = ShardBackend::new(&self.cfg, primary, secondary);
+        // Checked under the route write guard, which `attach_obs` excludes
+        // while it publishes: the new slot is published by exactly one of
+        // the two.
+        if let Some(obs) = self.obs.get() {
+            sb.ins.publish(obs.registry(), shard);
         }
-        *self.shard_instruments.lock() = Arc::new(next);
-        ins.emit(
-            ins.event("shard_attach")
-                .map(|e| e.u64_field("shard", u64::from(shard))),
-        );
+        rt.shards.push(Arc::new(sb));
+        drop(rt);
+        self.note("shard_attach", |e| e.u64_field("shard", u64::from(shard)));
         shard
     }
 
@@ -662,13 +616,12 @@ impl Gateway {
         rt.window_moved_pages = 0;
         rt.window_batches = 0;
         drop(rt);
-        let ins = self.instruments();
-        ins.rebalances_started.inc();
-        ins.emit(ins.event("rebalance_begin").map(|e| {
+        self.ins.rebalances_started.inc();
+        self.note("rebalance_begin", |e| {
             e.u64_field("from_epoch", from_epoch)
                 .u64_field("to_epoch", to_epoch)
                 .u64_field("fenced_blocks", fenced as u64)
-        }));
+        });
         Ok(fenced_blocks)
     }
 
@@ -690,7 +643,7 @@ impl Gateway {
         blocks: &[u64],
         mut copy: impl FnMut(u64, u16, u16) -> Result<u64, MigrateError>,
     ) -> Result<u64, MigrateBatchError> {
-        let ins = self.instruments();
+        let ins = &self.ins;
         let mut rt = self.routes.write();
         if rt.old.is_none() {
             return Err(MigrateBatchError::State(RebalanceError::NoWindow));
@@ -754,102 +707,51 @@ impl Gateway {
             rt.window_batches,
         );
         drop(rt);
-        let ins = self.instruments();
-        ins.rebalances_completed.inc();
-        ins.rebalance_hist.record(blocks);
-        ins.emit(ins.event("rebalance_commit").map(|e| {
+        self.ins.rebalances_completed.inc();
+        self.ins.rebalance_hist.record(blocks);
+        self.note("rebalance_commit", |e| {
             e.u64_field("from_epoch", from_epoch)
                 .u64_field("to_epoch", to_epoch)
                 .u64_field("moved_blocks", blocks)
                 .u64_field("moved_pages", pages)
                 .u64_field("batches", batches)
-        }));
+        });
         Ok(to_epoch)
     }
 
     /// Per-shard traffic snapshots, index = shard id.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let shard_ins = self.shard_instruments.lock().clone();
-        shard_ins
-            .iter()
-            .enumerate()
-            .map(|(i, ins)| ins.stats(i as u16))
+        let rt = self.routes.read();
+        (0u16..)
+            .zip(&rt.shards)
+            .map(|(i, sb)| sb.ins.stats(i))
             .collect()
     }
 
-    /// Register `gateway.*` metrics (counters seeded with current values,
-    /// the `gateway.inflight` gauge, the `gateway.latency_ns` histogram)
-    /// and start emitting wall-stamped `gateway` events (`session_start` /
-    /// `session_end` / `shed` / `bad_request` / `flush`). Attach *before*
-    /// serving traffic: histogram samples recorded earlier are not carried
-    /// over.
+    /// Publish the gateway's live metric cells in `obs`'s registry —
+    /// request-granular counters, the `gateway.inflight` gauge and the
+    /// `gateway.latency_ns` histogram under `gateway.*`, every shard's
+    /// cells under `gateway.shard.{i}.*` — and start emitting wall-stamped
+    /// `gateway` events (`session_start` / `session_end` / `shed` /
+    /// `bad_request` / `flush`). The registry shares the cells the gateway
+    /// has counted into since it was built, so attaching mid-run loses
+    /// nothing. Events go to the first `Obs` attached.
     pub fn attach_obs(&self, obs: &Obs) {
         let reg = obs.registry();
-        let old = self.instruments.lock().clone();
-        let seed = |name: &str, from: &Counter| {
-            let c = reg.counter(name);
-            c.store(from.get());
-            c
-        };
-        let next = Instruments {
-            sessions_started: seed("gateway.sessions_started", &old.sessions_started),
-            sessions_ended: seed("gateway.sessions_ended", &old.sessions_ended),
-            requests: seed("gateway.requests", &old.requests),
-            admitted: seed("gateway.admitted", &old.admitted),
-            shed_total: seed("gateway.shed_total", &old.shed_total),
-            shed_rate_limited: seed("gateway.shed_rate_limited", &old.shed_rate_limited),
-            shed_queue_full: seed("gateway.shed_queue_full", &old.shed_queue_full),
-            bad_requests: seed("gateway.bad_requests", &old.bad_requests),
-            writes: seed("gateway.writes", &old.writes),
-            write_pages: seed("gateway.write_pages", &old.write_pages),
-            reads: seed("gateway.reads", &old.reads),
-            read_pages: seed("gateway.read_pages", &old.read_pages),
-            read_hits: seed("gateway.read_hits", &old.read_hits),
-            trims: seed("gateway.trims", &old.trims),
-            trim_pages: seed("gateway.trim_pages", &old.trim_pages),
-            flushes: seed("gateway.flushes", &old.flushes),
-            flushed_pages: seed("gateway.flushed_pages", &old.flushed_pages),
-            batches: seed("gateway.batches", &old.batches),
-            runs: seed("gateway.runs", &old.runs),
-            coalesced_pages: seed("gateway.coalesced_pages", &old.coalesced_pages),
-            failovers: seed("gateway.failovers", &old.failovers),
-            failbacks: seed("gateway.failbacks", &old.failbacks),
-            retries: seed("gateway.retries", &old.retries),
-            unavailable: seed("gateway.unavailable", &old.unavailable),
-            rebalances_started: seed("gateway.rebalance.started", &old.rebalances_started),
-            rebalances_completed: seed("gateway.rebalance.completed", &old.rebalances_completed),
-            rebalance_moved_blocks: seed(
-                "gateway.rebalance.moved_blocks",
-                &old.rebalance_moved_blocks,
-            ),
-            rebalance_moved_pages: seed(
-                "gateway.rebalance.moved_pages",
-                &old.rebalance_moved_pages,
-            ),
-            rebalance_batches: seed("gateway.rebalance.batches", &old.rebalance_batches),
-            inflight_gauge: reg.gauge("gateway.inflight"),
-            latency_ns: reg.histogram("gateway.latency_ns"),
-            rebalance_hist: reg.histogram("gateway.rebalance.run_moved_blocks"),
-            obs: Some(obs.clone()),
-        };
-        *self.instruments.lock() = Arc::new(next);
-
-        // Per-shard twins under `gateway.shard.{i}.*`.
-        let old_shards = self.shard_instruments.lock().clone();
-        let next_shards: Vec<ShardInstruments> = old_shards
-            .iter()
-            .enumerate()
-            .map(|(i, old)| ShardInstruments::attached(reg, i, old))
-            .collect();
-        *self.shard_instruments.lock() = Arc::new(next_shards);
+        self.ins.publish(reg);
+        let rt = self.routes.read();
+        for (i, sb) in (0u16..).zip(&rt.shards) {
+            sb.ins.publish(reg, i);
+        }
+        // Set under the route guard — see `attach_shard`.
+        let _ = self.obs.set(obs.clone());
     }
 
-    fn instruments(&self) -> Arc<Instruments> {
-        self.instruments.lock().clone()
-    }
-
-    fn shard_instruments(&self) -> Arc<Vec<ShardInstruments>> {
-        self.shard_instruments.lock().clone()
+    /// Emit a wall-stamped `gateway` event, if an `Obs` is attached.
+    fn note(&self, kind: &'static str, fields: impl FnOnce(fc_obs::Event) -> fc_obs::Event) {
+        if let Some(obs) = self.obs.get() {
+            obs.emit(fields(obs.wall_event("gateway", kind)));
+        }
     }
 
     /// Monotonic nanoseconds since gateway start — the admission clock.
@@ -859,11 +761,19 @@ impl Gateway {
 
     /// Snapshot of gateway activity.
     pub fn stats(&self) -> GatewayStats {
-        self.stats_of(&self.instruments())
+        self.stats_with_shards().0
     }
 
-    fn stats_of(&self, ins: &Instruments) -> GatewayStats {
-        GatewayStats {
+    /// Combined snapshot: per-shard stats plus the aggregate built from
+    /// them. The page-granular and failover-path aggregates are *defined*
+    /// as the column sums of the returned shard snapshots, so the
+    /// counter-sum identity ([`crate::ShardStatsSum::matches`]) holds on
+    /// every returned pair, mid-flight or not.
+    pub fn stats_with_shards(&self) -> (GatewayStats, Vec<ShardStats>) {
+        let shards = self.shard_stats();
+        let sum = ShardStatsSum::of(&shards);
+        let ins = &self.ins;
+        let stats = GatewayStats {
             sessions_started: ins.sessions_started.get(),
             sessions_ended: ins.sessions_ended.get(),
             requests: ins.requests.get(),
@@ -873,21 +783,21 @@ impl Gateway {
             shed_queue_full: ins.shed_queue_full.get(),
             bad_requests: ins.bad_requests.get(),
             writes: ins.writes.get(),
-            write_pages: ins.write_pages.get(),
+            write_pages: sum.write_pages,
             reads: ins.reads.get(),
-            read_pages: ins.read_pages.get(),
-            read_hits: ins.read_hits.get(),
+            read_pages: sum.read_pages,
+            read_hits: sum.read_hits,
             trims: ins.trims.get(),
-            trim_pages: ins.trim_pages.get(),
+            trim_pages: sum.trim_pages,
             flushes: ins.flushes.get(),
-            flushed_pages: ins.flushed_pages.get(),
+            flushed_pages: sum.flushed_pages,
             batches: ins.batches.get(),
-            runs: ins.runs.get(),
-            coalesced_pages: ins.coalesced_pages.get(),
-            failovers: ins.failovers.get(),
-            failbacks: ins.failbacks.get(),
-            retries: ins.retries.get(),
-            unavailable: ins.unavailable.get(),
+            runs: sum.runs,
+            coalesced_pages: sum.coalesced_pages,
+            failovers: sum.failovers,
+            failbacks: sum.failbacks,
+            retries: sum.retries,
+            unavailable: sum.unavailable,
             rebalances_started: ins.rebalances_started.get(),
             rebalances_completed: ins.rebalances_completed.get(),
             rebalance_moved_blocks: ins.rebalance_moved_blocks.get(),
@@ -895,25 +805,8 @@ impl Gateway {
             rebalance_batches: ins.rebalance_batches.get(),
             inflight: self.admission.inflight(),
             max_inflight_seen: self.admission.max_inflight_seen(),
-        }
-    }
-
-    /// Atomic combined snapshot: aggregate stats and per-shard stats read
-    /// under the stats-commit guard, so the counter-sum identity
-    /// ([`crate::ShardStatsSum::matches`]) holds *at this snapshot* even
-    /// while writers are mid-flight. Separate [`Gateway::stats`] /
-    /// [`Gateway::shard_stats`] calls only promise the identity at
-    /// quiescence.
-    pub fn stats_with_shards(&self) -> (GatewayStats, Vec<ShardStats>) {
-        let ins = self.instruments();
-        let shard_ins = self.shard_instruments();
-        let _c = self.stats_commit.lock();
-        let shards = shard_ins
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.stats(i as u16))
-            .collect();
-        (self.stats_of(&ins), shards)
+        };
+        (stats, shards)
     }
 
     /// Jittered exponential backoff for attempt `n` of a shard-op retry.
@@ -934,19 +827,19 @@ impl Gateway {
     /// and failing the route over/back as health dictates, until the
     /// retry deadline. The health read lock is held across the node call
     /// so a failback cutover (write lock) never interleaves with an op on
-    /// the old route.
+    /// the old route. A served op counts one `ops` and one latency sample
+    /// (retries included) against the shard.
     fn with_shard<T>(
         &self,
         shard: u16,
         sb: &ShardBackend,
-        ins: &Instruments,
-        shard_ins: &ShardInstruments,
         op: impl Fn(&Node) -> Result<T, NodeDown>,
     ) -> Result<T, Unavail> {
-        let deadline = Instant::now() + self.cfg.retry_deadline;
+        let started = Instant::now();
+        let deadline = started + self.cfg.retry_deadline;
         let mut attempt: u32 = 0;
         loop {
-            self.maybe_failback(shard, sb, ins, shard_ins);
+            self.maybe_failback(shard, sb);
             let health = sb.health.read();
             let route = health.active;
             match op(sb.active(&health)) {
@@ -955,36 +848,29 @@ impl Gateway {
                     drop(health);
                     if close {
                         sb.health.write().breaker.on_success();
-                        shard_ins.health.set(1.0);
+                        sb.ins.health.set(1.0);
                     }
+                    sb.ins.ops.inc();
+                    sb.ins
+                        .latency_ns
+                        .record(started.elapsed().as_nanos() as u64);
                     return Ok(v);
                 }
                 Err(NodeDown) => {
                     drop(health);
                     let now = Instant::now();
-                    if self.note_shard_error(shard, sb, route, ins, shard_ins, now) {
+                    if self.note_shard_error(shard, sb, route, now) {
                         // The route flipped to a surviving replica: retry
                         // immediately, no backoff.
                         continue;
                     }
                     if now >= deadline {
-                        {
-                            let _c = self.stats_commit.lock();
-                            ins.unavailable.inc();
-                            shard_ins.unavailable.inc();
-                        }
-                        ins.emit(
-                            ins.event("unavailable")
-                                .map(|e| e.u64_field("shard", u64::from(shard))),
-                        );
+                        sb.ins.unavailable.inc();
+                        self.note("unavailable", |e| e.u64_field("shard", u64::from(shard)));
                         let retry_after_ms = sb.health.read().breaker.retry_after_ms();
                         return Err(Unavail { retry_after_ms });
                     }
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.retries.inc();
-                        shard_ins.retries.inc();
-                    }
+                    sb.ins.retries.inc();
                     std::thread::sleep(self.backoff(attempt));
                     attempt += 1;
                 }
@@ -1000,8 +886,6 @@ impl Gateway {
         shard: u16,
         sb: &ShardBackend,
         route: Replica,
-        ins: &Instruments,
-        shard_ins: &ShardInstruments,
         now: Instant,
     ) -> bool {
         let mut h = sb.health.write();
@@ -1013,16 +897,12 @@ impl Gateway {
                     && sb.secondary.is_some()
                 {
                     h.active = Replica::Secondary;
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.failovers.inc();
-                        shard_ins.failovers.inc();
-                    }
-                    shard_ins.health.set(0.0);
-                    ins.emit(ins.event("failover").map(|e| {
+                    sb.ins.failovers.inc();
+                    sb.ins.health.set(0.0);
+                    self.note("failover", |e| {
                         e.u64_field("shard", u64::from(shard))
                             .str_field("to", "secondary")
-                    }));
+                    });
                 }
             }
             Replica::Secondary => {
@@ -1033,16 +913,12 @@ impl Gateway {
                 if h.active == Replica::Secondary && !sb.primary.is_halted() {
                     h.active = Replica::Primary;
                     h.breaker.on_success();
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.failovers.inc();
-                        shard_ins.failovers.inc();
-                    }
-                    shard_ins.health.set(1.0);
-                    ins.emit(ins.event("failover").map(|e| {
+                    sb.ins.failovers.inc();
+                    sb.ins.health.set(1.0);
+                    self.note("failover", |e| {
                         e.u64_field("shard", u64::from(shard))
                             .str_field("to", "primary")
-                    }));
+                    });
                 }
             }
         }
@@ -1056,13 +932,7 @@ impl Gateway {
     /// write acked through it during and after the outage is readable via
     /// the shared durable backend), then flip. The whole cutover runs
     /// under the health write lock, barring shard ops until it completes.
-    fn maybe_failback(
-        &self,
-        shard: u16,
-        sb: &ShardBackend,
-        ins: &Instruments,
-        shard_ins: &ShardInstruments,
-    ) {
+    fn maybe_failback(&self, shard: u16, sb: &ShardBackend) {
         let Some(secondary) = sb.secondary.as_ref() else {
             return;
         };
@@ -1095,16 +965,9 @@ impl Gateway {
         }
         h.active = Replica::Primary;
         h.breaker.on_success();
-        {
-            let _c = self.stats_commit.lock();
-            ins.failbacks.inc();
-            shard_ins.failbacks.inc();
-        }
-        shard_ins.health.set(1.0);
-        ins.emit(
-            ins.event("failback")
-                .map(|e| e.u64_field("shard", u64::from(shard))),
-        );
+        sb.ins.failbacks.inc();
+        sb.ins.health.set(1.0);
+        self.note("failback", |e| e.u64_field("shard", u64::from(shard)));
     }
 
     /// Read `[lpn, lpn+pages)` through the router. Returns the page
@@ -1112,25 +975,20 @@ impl Gateway {
     /// touched shard stayed down past the retry deadline (pages from
     /// segments already served are counted but not returned). The span is
     /// walked as contiguous same-shard segments, each counted and timed
-    /// against its shard's `gateway.shard.*` instruments at the same
-    /// points as the aggregate counters — a read straddling a shard
-    /// boundary touches every owning pair.
+    /// against its shard's `gateway.shard.*` instruments — a read
+    /// straddling a shard boundary touches every owning pair.
     fn do_read(
         &self,
         client: u64,
         lpn: u64,
         pages: u32,
-        ins: &Instruments,
     ) -> Result<(Vec<Option<Bytes>>, u64), Unavail> {
         let mut out = Vec::with_capacity(pages as usize);
         let mut hits = 0u64;
         let rt = self.routes.read();
-        let shard_ins = self.shard_instruments();
         for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
             let sb = rt.shards[usize::from(shard)].as_ref();
-            let sins = &shard_ins[usize::from(shard)];
-            let started = Instant::now();
-            let (seg, seg_hits) = self.with_shard(shard, sb, ins, sins, |node| {
+            let (seg, seg_hits) = self.with_shard(shard, sb, |node| {
                 let mut seg = Vec::with_capacity(count as usize);
                 let mut h = 0u64;
                 for i in 0..u64::from(count) {
@@ -1145,15 +1003,8 @@ impl Gateway {
                 Ok((seg, h))
             })?;
             out.extend(seg);
-            sins.ops.inc();
-            {
-                let _c = self.stats_commit.lock();
-                ins.read_pages.add(u64::from(count));
-                sins.read_pages.add(u64::from(count));
-                ins.read_hits.add(seg_hits);
-                sins.read_hits.add(seg_hits);
-            }
-            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+            sb.ins.read_pages.add(u64::from(count));
+            sb.ins.read_hits.add(seg_hits);
             hits += seg_hits;
         }
         Ok((out, hits))
@@ -1161,26 +1012,17 @@ impl Gateway {
 
     /// Trim `[lpn, lpn+pages)` through the router, segment-counted per
     /// shard like [`Gateway::do_read`].
-    fn do_trim(&self, client: u64, lpn: u64, pages: u32, ins: &Instruments) -> Result<(), Unavail> {
+    fn do_trim(&self, client: u64, lpn: u64, pages: u32) -> Result<(), Unavail> {
         let rt = self.routes.read();
-        let shard_ins = self.shard_instruments();
         for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
             let sb = rt.shards[usize::from(shard)].as_ref();
-            let sins = &shard_ins[usize::from(shard)];
-            let started = Instant::now();
-            self.with_shard(shard, sb, ins, sins, |node| {
+            self.with_shard(shard, sb, |node| {
                 for i in 0..u64::from(count) {
                     node.try_delete_from(client, start + i)?;
                 }
                 Ok(())
             })?;
-            sins.ops.inc();
-            {
-                let _c = self.stats_commit.lock();
-                ins.trim_pages.add(u64::from(count));
-                sins.trim_pages.add(u64::from(count));
-            }
-            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+            sb.ins.trim_pages.add(u64::from(count));
         }
         Ok(())
     }
@@ -1196,15 +1038,13 @@ impl Gateway {
     /// instead of each burning the full retry deadline; the flush still
     /// walks every serviceable shard, then answers `Unavailable` with the
     /// shortest `retry_after_ms` among the dead ones.
-    fn do_flush(&self, ins: &Instruments) -> Result<u64, Unavail> {
+    fn do_flush(&self) -> Result<u64, Unavail> {
         let rt = self.routes.read();
-        let shard_ins = self.shard_instruments();
         let mut total = 0u64;
         // (shard, hint) of the fastest-retry dead shard, if any.
         let mut dead: Option<(u16, u32)> = None;
         for shard in rt.flush_members() {
             let sb = rt.shards[usize::from(shard)].as_ref();
-            let sins = &shard_ins[usize::from(shard)];
             let skip = {
                 let h = sb.health.read();
                 let alt_alive = match h.active {
@@ -1220,9 +1060,7 @@ impl Gateway {
                 }
                 continue;
             }
-            let started = Instant::now();
-            let flushed = match self.with_shard(shard, sb, ins, sins, |node| node.try_flush_dirty())
-            {
+            let flushed = match self.with_shard(shard, sb, |node| node.try_flush_dirty()) {
                 Ok(f) => f,
                 Err(u) => {
                     // Deadline burned here anyway; fold in any
@@ -1232,25 +1070,12 @@ impl Gateway {
                     return Err(Unavail { retry_after_ms });
                 }
             };
-            sins.ops.inc();
-            {
-                let _c = self.stats_commit.lock();
-                ins.flushed_pages.add(flushed);
-                sins.flushed_pages.add(flushed);
-            }
-            sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+            sb.ins.flushed_pages.add(flushed);
             total += flushed;
         }
         if let Some((shard, retry_after_ms)) = dead {
-            {
-                let _c = self.stats_commit.lock();
-                ins.unavailable.inc();
-                shard_ins[usize::from(shard)].unavailable.inc();
-            }
-            ins.emit(
-                ins.event("unavailable")
-                    .map(|e| e.u64_field("shard", u64::from(shard))),
-            );
+            rt.shards[usize::from(shard)].ins.unavailable.inc();
+            self.note("unavailable", |e| e.u64_field("shard", u64::from(shard)));
             return Err(Unavail { retry_after_ms });
         }
         Ok(total)
@@ -1274,11 +1099,9 @@ impl Gateway {
         client: u64,
         flat: Vec<(u64, Bytes)>,
         ids: &HashMap<u64, u64>,
-        ins: &Instruments,
     ) -> Submission {
         let mut sub = Submission::default();
         let rt = self.routes.read();
-        let shard_ins = self.shard_instruments();
         // Remember each incoming page's lpn so its pre-coalesce
         // count can be attributed to the run (and shard) that
         // absorbed it — page counters only move for runs that
@@ -1296,29 +1119,19 @@ impl Gateway {
         }
         for (i, (shard, run)) in tagged.iter().enumerate() {
             let sb = rt.shards[usize::from(*shard)].as_ref();
-            let sins = &shard_ins[usize::from(*shard)];
-            let started = Instant::now();
             // Stable across resends of the same request; mixed so
             // ids from different clients' id spaces don't collide
             // within one window.
             let tag = ids[&run.lpn].wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
-            match self.with_shard(*shard, sb, ins, sins, |node| {
+            match self.with_shard(*shard, sb, |node| {
                 node.try_write_run(client, tag, run.lpn, &run.pages)
             }) {
                 Ok(outcome) => {
                     let out_n = run.len() as u64;
                     let in_n = in_count[i];
-                    sins.ops.inc();
-                    {
-                        let _c = self.stats_commit.lock();
-                        ins.runs.inc();
-                        sins.runs.inc();
-                        ins.write_pages.add(in_n);
-                        sins.write_pages.add(in_n);
-                        ins.coalesced_pages.add(in_n - out_n);
-                        sins.coalesced_pages.add(in_n - out_n);
-                    }
-                    sins.latency_ns.record(started.elapsed().as_nanos() as u64);
+                    sb.ins.runs.inc();
+                    sb.ins.write_pages.add(in_n);
+                    sb.ins.coalesced_pages.add(in_n - out_n);
                     sub.out_pages += out_n;
                     sub.runs += 1;
                     // A dedup-cached outcome may describe a run
@@ -1532,13 +1345,12 @@ fn segments(owner: impl Fn(u64) -> u16, lpn: u64, pages: u32) -> Vec<(u16, u64, 
 // ---------------------------------------------------------------------------
 
 fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
-    let ins = gw.instruments();
-    ins.sessions_started.inc();
-    ins.emit(ins.event("session_start"));
+    gw.ins.sessions_started.inc();
+    gw.note("session_start", |e| e);
 
     let Some((client, version)) = handshake(&gw, link.as_ref()) else {
-        ins.sessions_ended.inc();
-        ins.emit(ins.event("session_end"));
+        gw.ins.sessions_ended.inc();
+        gw.note("session_end", |e| e);
         return;
     };
 
@@ -1558,12 +1370,8 @@ fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
         }
     }
 
-    let ins = gw.instruments();
-    ins.sessions_ended.inc();
-    ins.emit(
-        ins.event("session_end")
-            .map(|e| e.u64_field("client", client)),
-    );
+    gw.ins.sessions_ended.inc();
+    gw.note("session_end", |e| e.u64_field("client", client));
 }
 
 /// First message must be a supported-version Hello. Returns the client id
@@ -1571,16 +1379,13 @@ fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
 /// v1 client never sees a v2-only reply tag), or `None` if the session
 /// should be dropped.
 fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<(u64, u16)> {
-    let ins = gw.instruments();
+    let ins = &gw.ins;
     while !gw.shutdown.load(Ordering::SeqCst) {
         match link.recv_timeout(gw.cfg.session_poll) {
             Ok(Some(Request::Hello { version, client })) => {
                 if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
                     ins.bad_requests.inc();
-                    ins.emit(
-                        ins.event("bad_request")
-                            .map(|e| e.str_field("why", "version")),
-                    );
+                    gw.note("bad_request", |e| e.str_field("why", "version"));
                     let _ = link.send(Reply::Error {
                         id: 0,
                         code: ErrorCode::BadVersion,
@@ -1643,7 +1448,7 @@ fn handle_request(
     version: u16,
     req: Request,
 ) -> Result<Option<Request>, crate::conn::LinkClosed> {
-    let ins = gw.instruments();
+    let ins = &gw.ins;
     match req {
         Request::Hello { .. } => {
             // Duplicate handshake: harmless, re-ack.
@@ -1664,13 +1469,13 @@ fn handle_request(
                 })?;
                 return Ok(None);
             }
-            let Some(permit) = admit(gw, &ins, link, client, id)? else {
+            let Some(permit) = admit(gw, link, client, id)? else {
                 return Ok(None);
             };
             let started = Instant::now();
-            let result = gw.do_read(client, lpn, pages, &ins);
+            let result = gw.do_read(client, lpn, pages);
             ins.reads.inc();
-            finish(gw, &ins, permit, started);
+            finish(gw, permit, started);
             match result {
                 Ok((out, _hits)) => {
                     send_versioned(link, version, Reply::ReadOk { id, pages: out })?
@@ -1696,13 +1501,13 @@ fn handle_request(
                 })?;
                 return Ok(None);
             }
-            let Some(permit) = admit(gw, &ins, link, client, id)? else {
+            let Some(permit) = admit(gw, link, client, id)? else {
                 return Ok(None);
             };
             let started = Instant::now();
-            let result = gw.do_trim(client, lpn, pages, &ins);
+            let result = gw.do_trim(client, lpn, pages);
             ins.trims.inc();
-            finish(gw, &ins, permit, started);
+            finish(gw, permit, started);
             match result {
                 Ok(()) => send_versioned(link, version, Reply::TrimOk { id, pages })?,
                 Err(u) => send_versioned(
@@ -1718,19 +1523,18 @@ fn handle_request(
         }
         Request::Flush { id } => {
             ins.requests.inc();
-            let Some(permit) = admit(gw, &ins, link, client, id)? else {
+            let Some(permit) = admit(gw, link, client, id)? else {
                 return Ok(None);
             };
             let started = Instant::now();
-            let result = gw.do_flush(&ins);
+            let result = gw.do_flush();
             ins.flushes.inc();
-            finish(gw, &ins, permit, started);
+            finish(gw, permit, started);
             match result {
                 Ok(flushed) => {
-                    ins.emit(
-                        ins.event("flush")
-                            .map(|e| e.u64_field("client", client).u64_field("pages", flushed)),
-                    );
+                    gw.note("flush", |e| {
+                        e.u64_field("client", client).u64_field("pages", flushed)
+                    });
                     send_versioned(link, version, Reply::FlushOk { id, flushed })?
                 }
                 Err(u) => send_versioned(
@@ -1750,11 +1554,11 @@ fn handle_request(
 /// Admission gate: `Ok(Some(permit))` admitted, `Ok(None)` shed (Busy sent).
 fn admit(
     gw: &Gateway,
-    ins: &Instruments,
     link: &dyn SessionLink,
     client: u64,
     id: u64,
 ) -> Result<Option<Permit>, crate::conn::LinkClosed> {
+    let ins = &gw.ins;
     match gw.admission.try_admit(client, gw.now_nanos()) {
         Ok(permit) => {
             ins.admitted.inc();
@@ -1768,10 +1572,10 @@ fn admit(
                 ShedReason::RateLimited => ins.shed_rate_limited.inc(),
                 ShedReason::QueueFull => ins.shed_queue_full.inc(),
             }
-            ins.emit(ins.event("shed").map(|e| {
+            gw.note("shed", |e| {
                 e.u64_field("client", client)
                     .str_field("reason", reason.name())
-            }));
+            });
             link.send(Reply::Error {
                 id,
                 code: ErrorCode::Busy,
@@ -1781,10 +1585,13 @@ fn admit(
     }
 }
 
-fn finish(gw: &Gateway, ins: &Instruments, permit: Permit, started: Instant) {
-    ins.latency_ns.record(started.elapsed().as_nanos() as u64);
+fn finish(gw: &Gateway, permit: Permit, started: Instant) {
+    gw.ins
+        .latency_ns
+        .record(started.elapsed().as_nanos() as u64);
     drop(permit);
-    ins.inflight_gauge
+    gw.ins
+        .inflight_gauge
         .set_u64(u64::from(gw.admission.inflight()));
 }
 
@@ -1821,7 +1628,7 @@ fn write_batch(
     lpn: u64,
     pages: Vec<Bytes>,
 ) -> Result<Option<Request>, crate::conn::LinkClosed> {
-    let ins = gw.instruments();
+    let ins = &gw.ins;
     let started = Instant::now();
     let mut batch: Vec<BatchedWrite> = Vec::new();
     let mut flat: Vec<(u64, Bytes)> = Vec::new();
@@ -1867,10 +1674,10 @@ fn write_batch(
                     ShedReason::RateLimited => ins.shed_rate_limited.inc(),
                     ShedReason::QueueFull => ins.shed_queue_full.inc(),
                 }
-                ins.emit(ins.event("shed").map(|e| {
+                gw.note("shed", |e| {
                     e.u64_field("client", client)
                         .str_field("reason", reason.name())
-                }));
+                });
                 batch.push(BatchedWrite::Shed { id: req_id });
             }
         }
@@ -1910,7 +1717,7 @@ fn write_batch(
         }
     }
 
-    let sub = gw.submit_writes(client, flat, &ids, &ins);
+    let sub = gw.submit_writes(client, flat, &ids);
     let all_replicated = sub.replicated == sub.out_pages;
 
     if admitted > 0 {

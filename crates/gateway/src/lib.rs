@@ -18,8 +18,8 @@
 //!   fc-obs metrics and events.
 //! * [`shard`] — scale-out: a [`ShardedGateway`] fronts N cooperative
 //!   pairs behind one endpoint, routing by an `fc-ring` consistent-hash
-//!   ring with per-shard `gateway.shard.*` counters that sum exactly to
-//!   the aggregate gateway counters.
+//!   ring with per-shard `gateway.shard.*` counters whose sums *are* the
+//!   aggregate page-granular gateway counters.
 //! * front-door failover — each shard tracks its primary's health with a
 //!   consecutive-error circuit breaker, fails the route over to the
 //!   surviving secondary, retries with deadline-bounded jittered backoff,

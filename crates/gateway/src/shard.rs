@@ -8,33 +8,34 @@
 //!
 //! ## Counter-sum identity
 //!
-//! Every page-granular gateway counter partitions exactly over shards:
-//! for each of `read_pages`, `read_hits`, `write_pages`,
-//! `coalesced_pages`, `runs`, `trim_pages`, and `flushed_pages`,
+//! Every page-granular and failover-path counter is kept once, in the
+//! routing slot of the shard it moved for; the aggregate of the same
+//! name in [`GatewayStats`] is *defined* as the column sum:
 //!
 //! ```text
-//! Σ_i gateway.shard.{i}.<name>  ==  gateway.<name>
+//! GatewayStats.<name>  ==  Σ_i ShardStats[i].<name>
 //! ```
 //!
-//! The identity is exact (not approximate) because both sides are
-//! incremented on the same code path, per routed segment — asserted by
-//! [`ShardStatsSum::matches`] in the e2e suite. Request-granular counters
-//! (`requests`, `admitted`, `writes`, …) deliberately have no per-shard
-//! twin: one request may straddle shards, so request counts do not
-//! partition.
+//! for `read_pages`, `read_hits`, `write_pages`, `coalesced_pages`,
+//! `runs`, `trim_pages`, `flushed_pages`, `failovers`, `failbacks`,
+//! `retries` and `unavailable` — so [`ShardStatsSum::matches`] holds on
+//! every [`Gateway::stats_with_shards`] snapshot by construction.
+//! Request-granular counters (`requests`, `admitted`, `writes`, …) have
+//! no per-shard cell: one request may straddle shards, so request counts
+//! do not partition.
 
 use std::sync::Arc;
 
 use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
-use fc_obs::{Counter, Gauge, Histogram, Registry};
+use fc_obs::{Counter, Gauge, Histogram, Metric, Registry};
 use fc_ring::{Ring, RingConfig};
-use parking_lot::Mutex;
 
 use crate::client::GatewayClient;
 use crate::gateway::{Gateway, GatewayConfig, GatewayStats};
 
-/// Hot-path per-shard instruments. Like the gateway-level `Instruments`,
-/// these are swapped wholesale on `attach_obs`.
+/// Hot-path per-shard instruments, owned by the shard's routing slot for
+/// the gateway's whole life.
+#[derive(Default)]
 pub(crate) struct ShardInstruments {
     /// Node submissions routed to this shard (runs + read/trim segments +
     /// flush fan-outs).
@@ -62,80 +63,36 @@ pub(crate) struct ShardInstruments {
 }
 
 impl ShardInstruments {
-    pub(crate) fn detached() -> ShardInstruments {
-        let health = Gauge::new();
-        health.set(1.0);
-        ShardInstruments {
-            ops: Counter::new(),
-            read_pages: Counter::new(),
-            read_hits: Counter::new(),
-            write_pages: Counter::new(),
-            coalesced_pages: Counter::new(),
-            runs: Counter::new(),
-            trim_pages: Counter::new(),
-            flushed_pages: Counter::new(),
-            failovers: Counter::new(),
-            failbacks: Counter::new(),
-            retries: Counter::new(),
-            unavailable: Counter::new(),
-            health,
-            latency_ns: Histogram::new(),
-        }
+    pub(crate) fn new() -> ShardInstruments {
+        let ins = ShardInstruments::default();
+        ins.health.set(1.0);
+        ins
     }
 
-    /// Detached replacement seeded with `old`'s counter values — used when
-    /// a live shard attach rebuilds the instrument vector with no obs
-    /// registry to attach to.
-    pub(crate) fn detached_from(old: &ShardInstruments) -> ShardInstruments {
-        let next = ShardInstruments::detached();
-        let copy = |to: &Counter, from: &Counter| to.store(from.get());
-        copy(&next.ops, &old.ops);
-        copy(&next.read_pages, &old.read_pages);
-        copy(&next.read_hits, &old.read_hits);
-        copy(&next.write_pages, &old.write_pages);
-        copy(&next.coalesced_pages, &old.coalesced_pages);
-        copy(&next.runs, &old.runs);
-        copy(&next.trim_pages, &old.trim_pages);
-        copy(&next.flushed_pages, &old.flushed_pages);
-        copy(&next.failovers, &old.failovers);
-        copy(&next.failbacks, &old.failbacks);
-        copy(&next.retries, &old.retries);
-        copy(&next.unavailable, &old.unavailable);
-        next.health.set(old.health.get());
-        next
-    }
-
-    /// Registry-backed replacement, seeded with the detached values so no
-    /// increments are lost across the swap (histogram samples excepted,
-    /// same caveat as the gateway-level instruments).
-    pub(crate) fn attached(
-        reg: &Registry,
-        shard: usize,
-        old: &ShardInstruments,
-    ) -> ShardInstruments {
-        let seed = |name: &str, from: &Counter| {
-            let c = reg.counter(&format!("gateway.shard.{shard}.{name}"));
-            c.store(from.get());
-            c
-        };
-        let health = reg.gauge(&format!("gateway.shard.{shard}.health"));
-        health.set(old.health.get());
-        ShardInstruments {
-            ops: seed("ops", &old.ops),
-            read_pages: seed("read_pages", &old.read_pages),
-            read_hits: seed("read_hits", &old.read_hits),
-            write_pages: seed("write_pages", &old.write_pages),
-            coalesced_pages: seed("coalesced_pages", &old.coalesced_pages),
-            runs: seed("runs", &old.runs),
-            trim_pages: seed("trim_pages", &old.trim_pages),
-            flushed_pages: seed("flushed_pages", &old.flushed_pages),
-            failovers: seed("failovers", &old.failovers),
-            failbacks: seed("failbacks", &old.failbacks),
-            retries: seed("retries", &old.retries),
-            unavailable: seed("unavailable", &old.unavailable),
-            health,
-            latency_ns: reg.histogram(&format!("gateway.shard.{shard}.latency_ns")),
+    /// Publish these cells under `gateway.shard.{shard}.*`.
+    pub(crate) fn publish(&self, reg: &Registry, shard: u16) {
+        let name = |leaf: &str| format!("gateway.shard.{shard}.{leaf}");
+        for (leaf, c) in [
+            ("ops", &self.ops),
+            ("read_pages", &self.read_pages),
+            ("read_hits", &self.read_hits),
+            ("write_pages", &self.write_pages),
+            ("coalesced_pages", &self.coalesced_pages),
+            ("runs", &self.runs),
+            ("trim_pages", &self.trim_pages),
+            ("flushed_pages", &self.flushed_pages),
+            ("failovers", &self.failovers),
+            ("failbacks", &self.failbacks),
+            ("retries", &self.retries),
+            ("unavailable", &self.unavailable),
+        ] {
+            reg.adopt(&name(leaf), Metric::Counter(c.clone()));
         }
+        reg.adopt(&name("health"), Metric::Gauge(self.health.clone()));
+        reg.adopt(
+            &name("latency_ns"),
+            Metric::Histogram(self.latency_ns.clone()),
+        );
     }
 
     pub(crate) fn stats(&self, shard: u16) -> ShardStats {
@@ -260,9 +217,6 @@ impl ShardStatsSum {
 /// route to it when the primary dies, and back after the pair re-forms).
 pub struct ShardedGateway {
     gateway: Arc<Gateway>,
-    /// B-side of each pair, index = shard id. Shared with the gateway's
-    /// per-shard routing state; grows when a pair is attached live.
-    secondaries: Mutex<Vec<Arc<Node>>>,
 }
 
 impl ShardedGateway {
@@ -276,13 +230,7 @@ impl ShardedGateway {
         secondaries: Vec<Arc<Node>>,
     ) -> ShardedGateway {
         ShardedGateway {
-            gateway: Gateway::new_sharded_with_secondaries(
-                cfg,
-                ring,
-                primaries,
-                secondaries.clone(),
-            ),
-            secondaries: Mutex::new(secondaries),
+            gateway: Gateway::new_sharded_with_secondaries(cfg, ring, primaries, secondaries),
         }
     }
 
@@ -336,23 +284,24 @@ impl ShardedGateway {
 
     /// Pair `shard`'s secondary node.
     pub fn secondary(&self, shard: u16) -> Arc<Node> {
-        self.secondaries.lock()[shard as usize].clone()
+        self.gateway
+            .shard_backend(shard)
+            .secondary
+            .clone()
+            .expect("every ShardedGateway pair has a secondary")
     }
 
     /// Number of pair slots behind the gateway (attached slots, including
     /// any pair already rebalanced out of the ring).
     pub fn shards(&self) -> u16 {
-        self.secondaries.lock().len() as u16
+        self.gateway.shard_nodes().len() as u16
     }
 
     /// Attach a new pair as the next shard slot and return its id — the
     /// first step of a live scale-up. The slot takes no traffic until a
     /// rebalance installs a ring that includes it (see `fc-rebalance`).
     pub fn attach_pair(&self, primary: Arc<Node>, secondary: Arc<Node>) -> u16 {
-        let mut secondaries = self.secondaries.lock();
-        let shard = self.gateway.attach_shard(primary, Some(secondary.clone()));
-        secondaries.push(secondary);
-        shard
+        self.gateway.attach_shard(primary, Some(secondary))
     }
 
     /// Connect an in-memory client (see [`Gateway::connect_mem`]).
@@ -375,7 +324,7 @@ impl ShardedGateway {
         self.gateway.shard_stats()
     }
 
-    /// Atomic combined snapshot — see [`Gateway::stats_with_shards`]. The
+    /// Combined snapshot — see [`Gateway::stats_with_shards`]. The
     /// counter-sum identity ([`ShardStatsSum::matches`]) holds on the
     /// returned pair even under concurrent traffic.
     pub fn stats_with_shards(&self) -> (GatewayStats, Vec<ShardStats>) {
@@ -388,8 +337,8 @@ impl ShardedGateway {
     /// last `Arc` drops).
     pub fn shutdown(&self) {
         self.gateway.shutdown();
-        for node in self.secondaries.lock().iter() {
-            node.quiesce();
+        for shard in 0..self.shards() {
+            self.secondary(shard).quiesce();
         }
     }
 }

@@ -326,3 +326,30 @@ fn flush_fast_fails_on_a_dead_shard_without_burning_the_deadline() {
     }
     sg.shutdown();
 }
+
+/// Attaching a pair to a running gateway (no obs attached) leaves the
+/// existing shards' instruments alone: counters and the latency histogram
+/// keep what they recorded before the attach.
+#[test]
+fn attach_pair_keeps_existing_shard_latency_samples() {
+    let cfg = GatewayConfig::test_profile();
+    let sg = ShardedGateway::spawn_mem(cfg.clone(), RingConfig::default(), 2);
+    let bp = u64::from(sg.gateway().ring().block_pages());
+    let mut client = sg.connect_mem_as(3);
+    client.hello().expect("hello");
+    for block in 0..BLOCKS {
+        let lpn = block * bp;
+        client.write(lpn, vec![page(lpn, 1)]).expect("write");
+    }
+    let before = sg.shard_stats();
+    assert!(before.iter().all(|s| s.latency_samples > 0 && s.ops > 0));
+
+    let (primary, secondary) = spawn_extra_pair(&cfg, 2);
+    assert_eq!(sg.attach_pair(primary, secondary), 2);
+
+    let after = sg.shard_stats();
+    assert_eq!(after.len(), 3);
+    assert_eq!(&after[..2], &before[..], "existing shards untouched");
+    assert_eq!(after[2].latency_samples, 0);
+    sg.shutdown();
+}

@@ -10,8 +10,8 @@
 //! * **Metrics** — [`Counter`], [`Gauge`], and log-bucketed [`Histogram`]
 //!   (p50/p99/p999) handles registered by name in a [`Registry`]. Recording
 //!   is relaxed atomics only; the registry lock is touched at registration
-//!   and snapshot time. [`StatSource`] is the adapter trait the workspace's
-//!   historical stats structs implement to dump into a registry.
+//!   and snapshot time. A component that already owns its cells publishes
+//!   them with [`Registry::adopt`].
 //! * **Events** — [`Event`]`{ t: Sim|Wall, component, kind, fields }`
 //!   pushed through a pluggable [`EventSink`]: in-memory [`RingBuffer`],
 //!   [`JsonLinesSink`] (the `--obs out.jsonl` path), or [`NullSink`].
@@ -51,7 +51,7 @@ pub use metric::{
     bucket_index, bucket_lower, bucket_upper, Counter, Gauge, Histogram, HistogramSummary,
     HISTOGRAM_BUCKETS,
 };
-pub use registry::{Metric, MetricValue, Registry, Snapshot, StatSource};
+pub use registry::{Metric, MetricValue, Registry, Snapshot};
 pub use schedule::SnapshotScheduler;
 pub use schema::{parse_jsonl, validate_jsonl, SchemaError};
 pub use sink::{EventSink, JsonLinesSink, NullSink, RingBuffer, RingSink, SharedBuf};

@@ -32,9 +32,8 @@ impl Counter {
         self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite the count. Intended for [`StatSource`](crate::StatSource)
-    /// implementations dumping an already-accumulated total into a registry,
-    /// not for hot-path use.
+    /// Overwrite the count — for seeding a registry counter with an
+    /// already-accumulated total, not for hot-path use.
     pub fn store(&self, v: u64) {
         self.cell.store(v, Ordering::Relaxed);
     }

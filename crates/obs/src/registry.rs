@@ -81,6 +81,17 @@ impl Registry {
         map.entry(name.to_string()).or_insert_with(make).clone()
     }
 
+    /// Publish an existing handle under `name`: the registry shares the
+    /// caller's live cell (handles are `Arc`s), so values recorded before
+    /// the call are kept and nothing is copied. Replaces whatever `name`
+    /// held before.
+    pub fn adopt(&self, name: &str, metric: Metric) {
+        self.metrics
+            .lock()
+            .unwrap()
+            .insert(name.to_string(), metric);
+    }
+
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.metrics.lock().unwrap().len()
@@ -169,17 +180,6 @@ impl Snapshot {
     }
 }
 
-/// Anything that can dump its counters into a [`Registry`].
-///
-/// This is the consolidation seam for the workspace's historical stats
-/// structs (`SsdStats`, `NodeStats`, `ReplicationStats`, `LatencyStats`,
-/// ...): each implements `emit` by registering namespaced metrics and
-/// storing its totals, so end-of-run reporting flows through one surface.
-pub trait StatSource {
-    /// Register and populate this source's metrics in `reg`.
-    fn emit(&self, reg: &mut Registry);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,6 +193,16 @@ mod tests {
         b.inc();
         assert_eq!(reg.counter("x.count").get(), 2);
         assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn adopt_shares_the_live_cell() {
+        let reg = Registry::new();
+        let h = Histogram::new();
+        h.record(9);
+        reg.adopt("lat", Metric::Histogram(h.clone()));
+        h.record(9);
+        assert_eq!(reg.histogram("lat").count(), 2);
     }
 
     #[test]

@@ -143,31 +143,6 @@ impl LatencyStats {
         self.samples_ns.extend_from_slice(&other.samples_ns);
         self.sorted = false;
     }
-
-    /// Dump this accumulator into `reg` under `prefix` (e.g.
-    /// `"ssd.write_service"` → `ssd.write_service.count`, `.mean_ns`,
-    /// `.p50_ns`, `.p99_ns`, `.p999_ns`, `.max_ns`).
-    pub fn emit_with_prefix(&self, prefix: &str, reg: &mut fc_obs::Registry) {
-        // `percentile` sorts lazily behind `&mut self`; snapshot the samples
-        // so emitting stays a `&self` operation.
-        let mut sorted = self.clone();
-        reg.counter(&format!("{prefix}.count")).store(self.count());
-        reg.gauge(&format!("{prefix}.mean_ns")).set(self.agg.mean());
-        for (name, p) in [("p50_ns", 50.0), ("p99_ns", 99.0), ("p999_ns", 99.9)] {
-            reg.gauge(&format!("{prefix}.{name}"))
-                .set(sorted.percentile(p).as_nanos() as f64);
-        }
-        reg.gauge(&format!("{prefix}.max_ns"))
-            .set(self.max().as_nanos() as f64);
-    }
-}
-
-/// Dumps under the generic prefix `"latency"`; callers that track several
-/// accumulators use [`LatencyStats::emit_with_prefix`] instead.
-impl fc_obs::StatSource for LatencyStats {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        self.emit_with_prefix("latency", reg);
-    }
 }
 
 /// Histogram of write lengths in pages, matching Figure 8's x-axis buckets.
@@ -365,23 +340,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), SimDuration::from_nanos(20));
         assert_eq!(a.percentile(100.0), SimDuration::from_nanos(30));
-    }
-
-    #[test]
-    fn latency_stats_emit_into_registry() {
-        use fc_obs::StatSource;
-        let mut l = LatencyStats::new();
-        for i in 1..=100u64 {
-            l.push(SimDuration::from_nanos(i * 10));
-        }
-        let mut reg = fc_obs::Registry::new();
-        l.emit(&mut reg);
-        l.emit_with_prefix("server.response", &mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("latency.count"), Some(100));
-        assert_eq!(snap.gauge("latency.p99_ns"), Some(990.0));
-        assert_eq!(snap.gauge("server.response.max_ns"), Some(1000.0));
-        assert_eq!(snap.gauge("server.response.mean_ns"), Some(505.0));
     }
 
     #[test]

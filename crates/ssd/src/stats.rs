@@ -85,34 +85,6 @@ impl SsdStats {
     }
 }
 
-/// Dumps device totals under `ssd.*`, matching the live counter names the
-/// attached device maintains (see `Ssd::attach_obs`).
-impl fc_obs::StatSource for SsdStats {
-    fn emit(&self, reg: &mut fc_obs::Registry) {
-        reg.counter("ssd.host_write_requests")
-            .store(self.host_write_requests);
-        reg.counter("ssd.host_read_requests")
-            .store(self.host_read_requests);
-        reg.counter("ssd.host_pages_written")
-            .store(self.host_pages_written);
-        reg.counter("ssd.host_pages_read")
-            .store(self.host_pages_read);
-        reg.counter("ssd.flash_page_programs")
-            .store(self.flash_page_programs);
-        reg.counter("ssd.flash_page_reads")
-            .store(self.flash_page_reads);
-        reg.counter("ssd.block_erases").store(self.block_erases);
-        reg.counter("ssd.trims").store(self.trims);
-        reg.counter("ssd.trimmed_pages").store(self.trimmed_pages);
-        reg.gauge("ssd.write_amp").set(self.write_amplification());
-        reg.gauge("ssd.mean_write_pages")
-            .set(self.mean_write_pages());
-        self.write_service
-            .emit_with_prefix("ssd.write_service", reg);
-        self.read_service.emit_with_prefix("ssd.read_service", reg);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,21 +133,5 @@ mod tests {
     fn write_amplification_zero_when_empty() {
         let s = SsdStats::new();
         assert_eq!(s.write_amplification(), 0.0);
-    }
-
-    #[test]
-    fn stat_source_emits_device_totals() {
-        use fc_obs::StatSource;
-        let mut s = SsdStats::new();
-        s.record_write(4, &cost_with(6, 2, 1), SimDuration::from_micros(900));
-        let mut reg = fc_obs::Registry::new();
-        s.emit(&mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("ssd.host_write_requests"), Some(1));
-        assert_eq!(snap.counter("ssd.flash_page_programs"), Some(6));
-        assert_eq!(snap.counter("ssd.block_erases"), Some(1));
-        assert_eq!(snap.gauge("ssd.write_amp"), Some(6.0 / 4.0));
-        assert_eq!(snap.counter("ssd.write_service.count"), Some(1));
-        assert_eq!(snap.gauge("ssd.write_service.max_ns"), Some(900_000.0));
     }
 }

@@ -33,7 +33,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> benches compile (criterion harness, including node_write)"
+echo "==> benches compile (criterion harness)"
 cargo bench --workspace --no-run --offline -q
 
 echo "==> failover smoke: full fail → takeover → resync → rejoin loop"

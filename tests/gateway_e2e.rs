@@ -282,3 +282,42 @@ fn loadgen_shed_rate_matches_gateway_counter_under_saturation() {
     let counter_rate = report.gateway.shed_total as f64 / report.issued as f64;
     assert!((reported_rate - counter_rate).abs() < f64::EPSILON);
 }
+
+/// `attach_obs` publishes the cells the gateway has been counting into
+/// since it was built: requests served *before* the attach are in the
+/// registry's `gateway.latency_ns` histogram and per-shard counters, and
+/// requests served after it land in the same cells.
+#[test]
+fn attach_obs_after_traffic_keeps_earlier_samples() {
+    let (node_a, _node_b) = spawn_pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), node_a);
+    let mut client = gw.connect_mem();
+    client.hello().expect("hello");
+    for lpn in 0..10u64 {
+        client
+            .write(lpn, vec![payload(1, lpn, 0, 64)])
+            .expect("write");
+    }
+
+    let obs = Obs::null();
+    gw.attach_obs(&obs);
+    let latency_count = |snap: &fc_obs::Snapshot| match snap.get("gateway.latency_ns") {
+        Some(fc_obs::MetricValue::Histogram(h)) => h.count,
+        other => panic!("gateway.latency_ns missing: {other:?}"),
+    };
+    let snap = obs.registry().snapshot();
+    assert_eq!(latency_count(&snap), 10, "pre-attach samples published");
+    assert_eq!(snap.counter("gateway.writes"), Some(10));
+    assert_eq!(snap.counter("gateway.shard.0.write_pages"), Some(10));
+
+    for lpn in 10..15u64 {
+        client
+            .write(lpn, vec![payload(1, lpn, 0, 64)])
+            .expect("write");
+    }
+    let snap = obs.registry().snapshot();
+    assert_eq!(latency_count(&snap), 15);
+    assert_eq!(snap.counter("gateway.shard.0.write_pages"), Some(15));
+    assert_eq!(gw.stats().write_pages, 15);
+    gw.shutdown();
+}

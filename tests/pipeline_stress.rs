@@ -12,7 +12,7 @@
 //!    ([`fc_gateway::ShardStatsSum::matches`]) — Σ `gateway.shard.{i}.*`
 //!    equals the aggregate `gateway.*` at every
 //!    [`fc_gateway::ShardedGateway::stats_with_shards`] snapshot, because
-//!    paired shard/aggregate bumps commit under the stats-commit guard.
+//!    the aggregate is the sum of the shard snapshots it is returned with.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

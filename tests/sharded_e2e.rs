@@ -67,6 +67,8 @@ fn model_random_ops_match_flat_oracle() {
         let mut oracle: HashMap<u64, Bytes> = HashMap::new();
         let mut rng = DetRng::new(seed);
         let mut straddling_reads = 0u64;
+        // Client-side tally of acknowledged pages: (written, read, trimmed).
+        let mut acked = (0u64, 0u64, 0u64);
 
         for step in 0..STEPS {
             match rng.below(10) {
@@ -79,6 +81,7 @@ fn model_random_ops_match_flat_oracle() {
                         .collect();
                     let ack = client.write(lpn, payloads.clone()).expect("write acked");
                     assert_eq!(u64::from(ack.pages), pages, "seed {seed} step {step}");
+                    acked.0 += pages;
                     for (i, p) in payloads.into_iter().enumerate() {
                         oracle.insert(lpn + i as u64, p);
                     }
@@ -93,6 +96,7 @@ fn model_random_ops_match_flat_oracle() {
                     }
                     let got = client.read(lpn, pages as u32).expect("read");
                     assert_eq!(got.len(), pages as usize);
+                    acked.1 += pages;
                     for (i, g) in got.iter().enumerate() {
                         assert_eq!(
                             g.as_ref(),
@@ -107,6 +111,7 @@ fn model_random_ops_match_flat_oracle() {
                     let pages = 1 + rng.below(8);
                     let lpn = rng.below(SPACE - pages);
                     client.trim(lpn, pages as u32).expect("trim");
+                    acked.2 += pages;
                     for l in lpn..lpn + pages {
                         oracle.remove(&l);
                     }
@@ -131,6 +136,14 @@ fn model_random_ops_match_flat_oracle() {
             );
         }
         assert_sums_match(&sg, &format!("seed {seed}"));
+        // The shard columns against what the client saw acknowledged — a
+        // check the aggregate (itself the shard sum) cannot provide.
+        let sum = ShardStatsSum::of(&sg.shard_stats());
+        assert_eq!(
+            (sum.write_pages, sum.read_pages, sum.trim_pages),
+            acked,
+            "seed {seed}: Σ shard (write, read, trim) pages != acknowledged pages"
+        );
         sg.shutdown();
     }
 }
