@@ -29,6 +29,8 @@
 //! b.shutdown();
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod backend;
 pub mod fault;
 pub mod node;

@@ -1041,7 +1041,7 @@ impl Node {
     /// [`NodeStats::writes_balance`], never observing a write that is
     /// counted but not yet resolved.
     pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
-        let out = self.write_pages(None, lpn, vec![Bytes::copy_from_slice(data)]);
+        let out = self.write_group(None, vec![(lpn, vec![Bytes::copy_from_slice(data)])])[0];
         if out.all_replicated() {
             WriteOutcome::Replicated
         } else {
@@ -1050,16 +1050,21 @@ impl Node {
     }
 
     /// Pipeline front half for a run of consecutive pages (`lpn..lpn+n`):
-    /// stamp versions, land the pages in the local buffer, and submit the
-    /// whole run to the replication pipe at once — or resolve individual
-    /// pages on the spot for the degraded / no-credit / self-evicted
-    /// paths. Pays one backend lock, one `Inner` lock and one pipe
-    /// submission per run rather than per page; after the `Inner` guard
-    /// drops, the calling thread itself puts the frames the window admits
-    /// on the wire. Returns the pages written through on the spot (already
-    /// counted), the pipelined pages, and the ticket their outcomes arrive
-    /// on (slot `i` is `pipelined[i]`).
-    fn enqueue_pages(&self, lpn: u64, pages: Vec<Bytes>) -> (u64, Vec<Pipelined>, Arc<RunTicket>) {
+    /// stamp versions and land the pages in the local buffer, appending the
+    /// ones bound for the peer to `pipe_pages` (the caller submits a whole
+    /// group's at once, with no lock held) — or resolve individual pages on
+    /// the spot for the degraded / no-credit / self-evicted paths. Pays one
+    /// backend lock and one `Inner` lock per run rather than per page.
+    /// Returns the pages written through on the spot (already counted) and
+    /// the pipelined pages; page `i` of those resolves on `ticket`'s slot
+    /// `base + i`, `base` being `pipe_pages.len()` on entry.
+    fn enqueue_pages(
+        &self,
+        lpn: u64,
+        pages: Vec<Bytes>,
+        ticket: &Arc<RunTicket>,
+        pipe_pages: &mut Vec<PipePage>,
+    ) -> (u64, Vec<Pipelined>) {
         // Payload checksums are pure CPU — computed before any lock is
         // taken so they never extend a critical section.
         let crcs: Vec<u32> = pages.iter().map(|b| crc32(b)).collect();
@@ -1077,10 +1082,8 @@ impl Node {
                 .map(|i| be.version_of(lpn + i))
                 .collect()
         };
-        let ticket = RunTicket::new(pages.len());
         let mut through = 0u64;
         let mut pipelined: Vec<Pipelined> = Vec::with_capacity(pages.len());
-        let mut pipe_pages: Vec<PipePage> = Vec::with_capacity(pages.len());
         let mut all_flushed = Vec::new();
         let discard = {
             // One `Inner` acquisition for the whole run: stamping,
@@ -1143,7 +1146,7 @@ impl Node {
                             version,
                             bytes,
                         };
-                        pipe_pages.push(page.pipe_page(crcs[i], &ticket, pipelined.len()));
+                        pipe_pages.push(page.pipe_page(crcs[i], ticket, pipe_pages.len()));
                         pipelined.push(page);
                     }
                 }
@@ -1151,23 +1154,57 @@ impl Node {
             inner.discard_for(all_flushed)
         };
         self.send_discard(discard);
+        (through, pipelined)
+    }
+
+    /// Write a group of runs through the pipeline and wait — once — for all
+    /// of it. Each run is enqueued under its own `Inner` acquisition; then
+    /// every run's pages enter the pipe in **one** submission, so the pipe
+    /// cuts frames across run boundaries (a 20-page and a 12-page run leave
+    /// as one 32-page frame and come back as one ack), the writer parks on
+    /// one ticket, and each run commits by itself. One outcome per run, in
+    /// order.
+    fn write_group(&self, client: Option<u64>, runs: Vec<(u64, Vec<Bytes>)>) -> Vec<RunOutcome> {
+        let total = runs.iter().map(|(_, pages)| pages.len()).sum();
+        let ticket = RunTicket::new(total);
+        let mut pipe_pages: Vec<PipePage> = Vec::with_capacity(total);
+        let enqueued: Vec<_> = runs
+            .into_iter()
+            .map(|(lpn, pages)| {
+                let base = pipe_pages.len();
+                let (through, pipelined) = self.enqueue_pages(lpn, pages, &ticket, &mut pipe_pages);
+                (through, base, pipelined)
+            })
+            .collect();
         if !pipe_pages.is_empty() {
             self.pipe.submit(pipe_pages);
         }
-        (through, pipelined, ticket)
+        ticket.wait();
+        enqueued
+            .into_iter()
+            .map(|(through, base, pipelined)| {
+                self.commit_run(client, through, pipelined, &ticket, base)
+            })
+            .collect()
     }
 
-    /// Write a run through the pipeline and wait — once — for all of it.
-    /// The usual case, every pipelined page acknowledged, commits the
-    /// whole run under one `Inner`, one `stats` and one `obs` acquisition;
-    /// a run with a refused or failed page falls back to per-page
-    /// [`Node::resolve_write`]. Either way `writes` lands together with
-    /// its outcome counter under one `stats` guard, preserving
+    /// Commit one run of a resolved group: `through` of its pages were
+    /// written through at enqueue, and `pipelined[i]`'s outcome is
+    /// `ticket`'s slot `base + i`. The usual case, every pipelined page
+    /// acknowledged, commits the run under one `Inner`, one `stats` and one
+    /// `obs` acquisition; a run with a refused or failed page falls back to
+    /// per-page [`Node::resolve_write`]. Either way `writes` lands together
+    /// with its outcome counter under one `stats` guard, preserving
     /// [`NodeStats::writes_balance`] at every snapshot.
-    fn write_pages(&self, client: Option<u64>, lpn: u64, pages: Vec<Bytes>) -> RunOutcome {
-        let n = pages.len() as u64;
-        let (through, pipelined, ticket) = self.enqueue_pages(lpn, pages);
-        ticket.wait();
+    fn commit_run(
+        &self,
+        client: Option<u64>,
+        through: u64,
+        pipelined: Vec<Pipelined>,
+        ticket: &RunTicket,
+        base: usize,
+    ) -> RunOutcome {
+        let n = through + pipelined.len() as u64;
         let mut out = RunOutcome {
             replicated: 0,
             write_through: through,
@@ -1180,7 +1217,11 @@ impl Node {
                 row.write_through += out.write_through;
             }
         };
-        if (0..pipelined.len()).all(|slot| ticket.outcome(slot) == PageOutcome::Replicated) {
+        let slots = base..base + pipelined.len();
+        if slots
+            .clone()
+            .all(|slot| ticket.outcome(slot) == PageOutcome::Replicated)
+        {
             out.replicated = pipelined.len() as u64;
             {
                 let mut inner = self.inner.lock();
@@ -1200,7 +1241,7 @@ impl Node {
                 }
             }
         } else {
-            for (slot, page) in pipelined.into_iter().enumerate() {
+            for (slot, page) in slots.zip(pipelined) {
                 match self.resolve_write(page, ticket.outcome(slot)) {
                     WriteOutcome::Replicated => out.replicated += 1,
                     WriteOutcome::WriteThrough => out.write_through += 1,
@@ -1212,7 +1253,7 @@ impl Node {
     }
 
     /// Commit one pipelined page's outcome (the mixed-run path of
-    /// [`Node::write_pages`]).
+    /// [`Node::commit_run`]).
     fn resolve_write(&self, page: Pipelined, outcome: PageOutcome) -> WriteOutcome {
         let Pipelined {
             lpn,
@@ -1336,40 +1377,59 @@ impl Node {
     /// Read one page: local buffer first, then the backend (caching the
     /// result).
     pub fn read(&self, lpn: u64) -> Option<Vec<u8>> {
-        self.read_tracked(None, lpn)
+        self.read_one(None, lpn)
     }
 
     /// [`Node::read`] on behalf of an identified client (gateway sessions);
     /// the per-client read/hit counters are updated under the same lock as
     /// the node-wide ones.
     pub fn read_from(&self, client: u64, lpn: u64) -> Option<Vec<u8>> {
-        self.read_tracked(Some(client), lpn)
+        self.read_one(Some(client), lpn)
     }
 
-    fn read_tracked(&self, client: Option<u64>, lpn: u64) -> Option<Vec<u8>> {
-        // Payload copies and checksums happen off the lock; under it the
-        // page is a refcounted handle.
-        let hit = {
-            let mut inner = self.inner.lock();
+    /// The copying one-page front of [`Node::try_read_run`]'s walk.
+    fn read_one(&self, client: Option<u64>, lpn: u64) -> Option<Vec<u8>> {
+        let page = self.read_run(client, lpn, 1).pop().flatten();
+        page.map(|bytes| bytes.to_vec())
+    }
+
+    /// [`Node::try_read_run`]'s walk: a run of hits costs one `Inner`, one
+    /// `stats` and one client-row visit, not one per page. A miss drops
+    /// `Inner` for the backend fetch and the walk resumes behind it, so the
+    /// buffer sees the same accesses in the same order as page-at-a-time
+    /// reads.
+    fn read_run(&self, client: Option<u64>, lpn: u64, n: u32) -> Vec<Option<Bytes>> {
+        let mut out = Vec::with_capacity(n as usize);
+        let mut hits = 0u64;
+        let mut inner = self.inner.lock();
+        for lpn in lpn..lpn + u64::from(n) {
             inner.buffer.read(lpn, 1);
-            let hit = inner.resident.get(&lpn).map(|p| p.bytes.clone());
-            {
-                let mut s = inner.stats.lock();
-                s.reads += 1;
-                s.read_hits += u64::from(hit.is_some());
+            if let Some(page) = inner.resident.get(&lpn) {
+                hits += 1;
+                out.push(Some(page.bytes.clone()));
+            } else {
+                drop(inner);
+                out.push(self.fill_miss(lpn));
+                inner = self.inner.lock();
             }
-            if let Some(c) = client {
-                let row = inner.clients.entry(c).or_default();
-                row.reads += 1;
-                row.read_hits += u64::from(hit.is_some());
-            }
-            hit
-        };
-        if let Some(bytes) = hit {
-            return Some(bytes.to_vec());
         }
-        // Miss: the backend fetch (the slow leaf) runs without `Inner`
-        // held, so concurrent writers are not serialized behind this I/O.
+        {
+            let mut s = inner.stats.lock();
+            s.reads += u64::from(n);
+            s.read_hits += hits;
+        }
+        if let Some(c) = client {
+            let row = inner.clients.entry(c).or_default();
+            row.reads += u64::from(n);
+            row.read_hits += hits;
+        }
+        out
+    }
+
+    /// Fetch a page the buffer does not hold from the backend and cache it
+    /// clean. The fetch (the slow leaf) and the checksum run without
+    /// `Inner` held, so concurrent writers are not serialized behind them.
+    fn fill_miss(&self, lpn: u64) -> Option<Bytes> {
         let (version, data) = self.backend.lock().read_page(lpn)?;
         let bytes = Bytes::from(data);
         let crc = crc32(&bytes);
@@ -1393,7 +1453,7 @@ impl Node {
             }
         };
         self.send_discard(discard);
-        Some(bytes.to_vec())
+        Some(bytes)
     }
 
     /// Write a contiguous run of pages starting at `lpn` on behalf of a
@@ -1411,7 +1471,7 @@ impl Node {
             .iter()
             .map(|p| Bytes::copy_from_slice(p.as_ref()))
             .collect();
-        self.write_pages(Some(client), lpn, bytes)
+        self.write_group(Some(client), vec![(lpn, bytes)])[0]
     }
 
     // -- crash-fault injection and the fallible front-end API ---------------
@@ -1469,12 +1529,21 @@ impl Node {
         self.inner.lock().enter_solo("shutdown");
     }
 
-    /// [`Node::read_from`], refusing with [`NodeDown`] while halted.
-    pub fn try_read_from(&self, client: u64, lpn: u64) -> Result<Option<Vec<u8>>, NodeDown> {
+    /// Read `lpn..lpn+n` on behalf of `client`, one entry per page, `None`
+    /// for a page held nowhere. A buffer hit hands out a refcounted handle
+    /// on the resident payload — no copy — and a run of hits costs one pass
+    /// under the node's lock, not one per page. Refuses with [`NodeDown`]
+    /// while halted.
+    pub fn try_read_run(
+        &self,
+        client: u64,
+        lpn: u64,
+        n: u32,
+    ) -> Result<Vec<Option<Bytes>>, NodeDown> {
         if self.is_halted() {
             return Err(NodeDown);
         }
-        Ok(self.read_tracked(Some(client), lpn))
+        Ok(self.read_run(Some(client), lpn, n))
     }
 
     /// Delete one page on behalf of `client` (a short-lived file dies): the
@@ -1525,16 +1594,8 @@ impl Node {
     /// node already applied a run with the same `(client, tag)` within the
     /// dedup window, the cached [`RunOutcome`] is returned without writing
     /// anything — so a front end may resend after an ambiguous failure
-    /// (timeout, failover probe) without double-applying.
-    ///
-    /// Refuses with [`NodeDown`] while halted, including when the node is
-    /// failed mid-run (pages already applied are either on the shared
-    /// durable backend or dropped with the dead buffer; the caller's retry
-    /// re-applies the whole run on whichever replica answers).
-    ///
-    /// Concurrency: duplicates are detected for *sequential* retries (the
-    /// gateway resends from the same session thread). Two racing first
-    /// sends of one tag may both apply.
+    /// (timeout, failover probe) without double-applying. The one-run case
+    /// of [`Node::try_write_runs`]; see there for halting and concurrency.
     pub fn try_write_run(
         &self,
         client: u64,
@@ -1542,29 +1603,72 @@ impl Node {
         lpn: u64,
         pages: &[Bytes],
     ) -> Result<RunOutcome, NodeDown> {
+        Ok(self.try_write_runs(client, &[(tag, lpn, pages)])?[0])
+    }
+
+    /// Exactly-once write of a group of runs — `(tag, first lpn, pages)`
+    /// each, typically one request's block-confined pieces — that costs one
+    /// replication round trip, not one per run: every run is looked up in
+    /// the dedup window and enqueued by itself, then all their pages enter
+    /// the replication pipe together, frames are cut across run boundaries,
+    /// and the caller waits once. Outcomes, dedup records and counters stay
+    /// per run (one [`RunOutcome`] each, in order), so a resent group whose
+    /// first attempt applied only some runs re-applies exactly the others.
+    ///
+    /// Refuses with [`NodeDown`] while halted, including when the node is
+    /// failed mid-group (pages already applied are either on the shared
+    /// durable backend or dropped with the dead buffer; the caller's retry
+    /// re-applies the whole group on whichever replica answers).
+    ///
+    /// Concurrency: duplicates are detected for *sequential* retries (the
+    /// gateway resends from the same session thread). Two racing first
+    /// sends of one tag may both apply.
+    pub fn try_write_runs(
+        &self,
+        client: u64,
+        runs: &[(u64, u64, &[Bytes])],
+    ) -> Result<Vec<RunOutcome>, NodeDown> {
         if self.is_halted() {
             return Err(NodeDown);
         }
+        let mut out = vec![RunOutcome::default(); runs.len()];
+        // Indices of the runs the window has not seen.
+        let mut fresh = Vec::with_capacity(runs.len());
         {
             let inner = self.inner.lock();
-            if let Some(prev) = inner.dedup.get(&client).and_then(|w| w.seen.get(&tag)) {
-                let prev = *prev;
+            let seen = inner.dedup.get(&client).map(|w| &w.seen);
+            for (i, &(tag, lpn, _)) in runs.iter().enumerate() {
+                let Some(prev) = seen.and_then(|s| s.get(&tag)) else {
+                    fresh.push(i);
+                    continue;
+                };
+                out[i] = *prev;
                 inner.stats.lock().dedup_hits += 1;
                 inner.note("run_dedup", |e| {
                     e.u64_field("client", client)
                         .u64_field("tag", tag)
                         .u64_field("lpn", lpn)
                 });
-                return Ok(prev);
             }
         }
-        let out = self.write_pages(Some(client), lpn, pages.to_vec());
+        if fresh.is_empty() {
+            return Ok(out);
+        }
+        let group = fresh
+            .iter()
+            .map(|&i| (runs[i].1, runs[i].2.to_vec()))
+            .collect();
+        let applied = self.write_group(Some(client), group);
         if self.is_halted() {
             return Err(NodeDown);
         }
         let mut inner = self.inner.lock();
         let cap = inner.cfg.dedup_window;
-        inner.dedup.entry(client).or_default().record(tag, out, cap);
+        let window = inner.dedup.entry(client).or_default();
+        for (&i, outcome) in fresh.iter().zip(applied) {
+            window.record(runs[i].0, outcome, cap);
+            out[i] = outcome;
+        }
         Ok(out)
     }
 
@@ -2069,6 +2173,12 @@ fn handle_message(
             seq,
             entries,
         } => {
+            // Payload checksums are pure CPU: verified before `Inner` is
+            // taken, as the send side computes them.
+            let bad = entries
+                .iter()
+                .filter(|(_, _, crc, data)| crc32(data) != *crc)
+                .count() as u64;
             let reply = {
                 let mut g = inner.lock();
                 if epoch < g.batch_rx.epoch {
@@ -2087,10 +2197,6 @@ fn handle_message(
                             seen: Default::default(),
                         };
                     }
-                    let bad = entries
-                        .iter()
-                        .filter(|(_, _, crc, data)| crc32(data) != *crc)
-                        .count() as u64;
                     if bad > 0 {
                         // Reject before recording the seq, so the clean
                         // retransmission is not mistaken for a duplicate.
@@ -2386,6 +2492,41 @@ mod tests {
         assert_eq!(a.read(3), Some(b"abc".to_vec()));
         assert_eq!(a.stats().read_hits, 1);
         assert_eq!(a.read(99), None);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn read_run_shares_hits_and_fills_misses_in_place() {
+        let (a, b, ba, _bb) = pair();
+        a.write_run(1, 10, &[b"p10", b"p11"]);
+        // lpn 12 is durable but not buffered; lpn 13 exists nowhere.
+        ba.lock().write_page(12, 1, b"p12");
+        let got = a.try_read_run(9, 10, 4).unwrap();
+        let want: [Option<&[u8]>; 4] = [Some(b"p10"), Some(b"p11"), Some(b"p12"), None];
+        assert_eq!(got.iter().map(|p| p.as_deref()).collect::<Vec<_>>(), want);
+        let s = a.stats();
+        assert_eq!((s.reads, s.read_hits), (4, 2));
+        // A hit is a handle on the resident payload, not a copy of it; the
+        // miss was cached, so it hits now.
+        let again = a.try_read_run(9, 10, 3).unwrap();
+        for (first, second) in got.iter().zip(&again) {
+            assert_eq!(
+                first.as_ref().unwrap().as_ptr(),
+                second.as_ref().unwrap().as_ptr()
+            );
+        }
+        let s = a.stats();
+        assert_eq!((s.reads, s.read_hits), (7, 5));
+        let row = a
+            .client_stats()
+            .into_iter()
+            .find(|(c, _)| *c == 9)
+            .unwrap()
+            .1;
+        assert_eq!((row.reads, row.read_hits), (7, 5));
+        a.fail();
+        assert_eq!(a.try_read_run(9, 10, 1), Err(NodeDown));
         a.shutdown();
         b.shutdown();
     }
@@ -3085,13 +3226,168 @@ mod tests {
         b.shutdown();
     }
 
+    /// A pair with 32-page blocks and 32-page frames, and a 20-page and a
+    /// 12-page run that meet at the boundary between blocks 0 and 1.
+    fn straddling_group() -> (Node, Node, Vec<Bytes>, Vec<Bytes>) {
+        let (ta, tb) = mem_pair();
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.pages_per_block = 32;
+        cfg.repl_batch_pages = 32;
+        let a = Node::spawn(cfg.clone(), ta, shared_backend(MemBackend::new()));
+        cfg.id = 1;
+        let b = Node::spawn(cfg, tb, shared_backend(MemBackend::new()));
+        let run = |n: u8, fill: u8| (0..n).map(|i| Bytes::from(vec![fill ^ i; 8])).collect();
+        (a, b, run(20, 0x20), run(12, 0xC0))
+    }
+
+    #[test]
+    fn group_write_of_two_runs_is_one_frame_one_ack_and_two_outcomes() {
+        let (a, b, head, tail) = straddling_group();
+        let (obs, ring) = Obs::ring(256);
+        a.attach_obs(&obs);
+        let out = a
+            .try_write_runs(7, &[(1, 12, &head), (2, 32, &tail)])
+            .unwrap();
+        let replicated = |n| RunOutcome {
+            replicated: n,
+            write_through: 0,
+        };
+        assert_eq!(out, vec![replicated(20), replicated(12)]);
+        // The pipe cut its frame across the run boundary.
+        let events = ring.events();
+        let sends: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == "repl_batch_send")
+            .collect();
+        assert_eq!(sends.len(), 1);
+        assert_eq!(
+            sends[0].get("pages").and_then(fc_obs::Value::as_u64),
+            Some(32)
+        );
+        let acks = events.iter().filter(|e| e.kind == "repl_batch_ack").count();
+        assert_eq!(acks, 1);
+        let s = a.stats();
+        assert_eq!((s.repl.batches_sent, s.repl.batch_pages), (1, 32));
+        assert_eq!((s.writes, s.replicated_pages), (32, 32));
+        assert!(s.writes_balance());
+        assert_eq!(b.hosted_remote_pages(), (12..44).collect::<Vec<u64>>());
+        assert_eq!(a.read(31).unwrap(), head[19].to_vec());
+        assert_eq!(a.read(32).unwrap(), tail[0].to_vec());
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn group_write_resent_hits_the_dedup_window_run_by_run() {
+        let (a, b, head, tail) = straddling_group();
+        // Half-cached: the first run was applied by an earlier attempt,
+        // so the group applies only the second.
+        let first = a.try_write_run(7, 1, 12, &head).unwrap();
+        let group = [(1, 12, &head[..]), (2, 32, &tail[..])];
+        let out = a.try_write_runs(7, &group).unwrap();
+        assert_eq!(out[0], first);
+        assert_eq!(out[1].replicated, 12);
+        let s = a.stats();
+        assert_eq!((s.writes, s.dedup_hits), (32, 1));
+        assert_eq!((s.repl.batches_sent, s.repl.batch_pages), (2, 32));
+        // Resent whole: nothing is written, nothing is sent, both runs
+        // answer from the window.
+        assert_eq!(a.try_write_runs(7, &group).unwrap(), out);
+        let s = a.stats();
+        assert_eq!((s.writes, s.dedup_hits), (32, 3));
+        assert_eq!(s.repl.batches_sent, 2);
+        assert_eq!(
+            a.client_stats(),
+            vec![(
+                7,
+                PerClientStats {
+                    writes: 32,
+                    pages_written: 32,
+                    ..Default::default()
+                }
+            )]
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// [`NoBeats`] that also loses every outbound batch frame numbered
+    /// `.1`.
+    struct LoseBatch(NoBeats, u64);
+
+    impl Transport for LoseBatch {
+        fn send(&self, msg: Message) -> Result<(), TransportError> {
+            match msg {
+                Message::WriteReplBatch { seq, .. } if seq == self.1 => Ok(()),
+                msg => self.0.send(msg),
+            }
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+            self.0.recv_timeout(timeout)
+        }
+        fn is_connected(&self) -> bool {
+            self.0.is_connected()
+        }
+    }
+
+    #[test]
+    fn group_write_refused_or_failed_run_leaves_its_neighbours_outcome_alone() {
+        // Two 4-page runs, 4-page frames: frame 1 is exactly the first
+        // run and is acked; frame 2, the second run, is refused `NoCredit`
+        // (the peer has room for four pages) or lost for good.
+        for lose_second in [false, true] {
+            let (ta, tb) = mem_pair();
+            let ba = shared_backend(MemBackend::new());
+            let mut cfg_a = NodeConfig::test_profile(0);
+            cfg_a.repl_batch_pages = 4;
+            cfg_a.ack_timeout = Duration::from_millis(40);
+            cfg_a.retry = RetryPolicy::no_retries();
+            let mut cfg_b = NodeConfig::test_profile(1);
+            cfg_b.remote_capacity = if lose_second { 512 } else { 4 };
+            let lost = if lose_second { 2 } else { u64::MAX };
+            let a = Node::spawn(cfg_a, LoseBatch(NoBeats(ta), lost), ba.clone());
+            let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+            let pages: Vec<Bytes> = (0..8u8).map(|i| Bytes::from(vec![i; 8])).collect();
+            let out = a
+                .try_write_runs(1, &[(10, 0, &pages[..4]), (11, 4, &pages[4..])])
+                .unwrap();
+            assert_eq!(
+                out.iter()
+                    .map(|o| (o.replicated, o.write_through))
+                    .collect::<Vec<_>>(),
+                vec![(4, 0), (0, 4)],
+                "lose_second {lose_second}"
+            );
+            assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3]);
+            for lpn in 4..8u64 {
+                assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not durable");
+            }
+            let s = a.stats();
+            assert!(s.writes_balance());
+            assert_eq!((s.replicated_pages, s.write_through), (4, 4));
+            if lose_second {
+                // A lost frame is a link failure: solo, journaled for resync.
+                assert_eq!(a.lifecycle_state(), PairState::Solo);
+                assert_eq!(a.journal_len(), 4);
+            } else {
+                assert_eq!(a.lifecycle_state(), PairState::Paired);
+                assert_eq!(a.peer_credits(), Some(0));
+            }
+            // The window remembers each run's own outcome.
+            assert_eq!(a.try_write_run(1, 10, 0, &pages[..4]).unwrap(), out[0]);
+            assert_eq!(a.try_write_run(1, 11, 4, &pages[4..]).unwrap(), out[1]);
+            a.shutdown();
+            b.shutdown();
+        }
+    }
+
     #[test]
     fn failed_node_refuses_and_restart_rejoins() {
         let (a, b, _ba, _bb) = pair();
         assert_eq!(a.write(1, b"x"), WriteOutcome::Replicated);
         b.fail();
         assert!(b.is_halted());
-        assert_eq!(b.try_read_from(1, 1), Err(NodeDown));
+        assert_eq!(b.try_read_run(1, 1, 1), Err(NodeDown));
         assert_eq!(b.try_flush_dirty(), Err(NodeDown));
         assert_eq!(
             b.try_write_run(1, 1, 0, &[Bytes::from_static(b"y")]),

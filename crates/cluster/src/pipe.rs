@@ -14,7 +14,7 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Resolution of one pipelined page replication, delivered to the writer
-/// parked in [`Node::write_pages`].
+/// parked in [`Node::write_group`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum PageOutcome {
@@ -28,8 +28,9 @@ pub(crate) enum PageOutcome {
     Failed,
 }
 
-/// One write run's completion: the writer parks on it once, whoever
-/// resolves the run's last page unparks it.
+/// One submission's completion — a writer's group of runs, or the pump's
+/// resync batch: the submitter parks on it once, whoever resolves its last
+/// page unparks it.
 pub(crate) struct RunTicket {
     /// One outcome per pipelined page, [`PageOutcome::Failed`] until
     /// resolved — so a page dropped unresolved (closed or abandoned pipe)
@@ -43,7 +44,7 @@ pub(crate) struct RunTicket {
 }
 
 impl RunTicket {
-    /// A ticket for the calling thread's run of up to `pages` pages.
+    /// A ticket for the calling thread's submission of up to `pages` pages.
     pub(crate) fn new(pages: usize) -> Arc<RunTicket> {
         Arc::new(RunTicket {
             slots: (0..pages)

@@ -14,7 +14,7 @@ use crate::wire::{decode, encode, Message};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -166,10 +166,12 @@ pub struct FramedLink {
 
 struct ReadHalf {
     /// Received bytes not yet decoded; a partial frame waits here across
-    /// calls.
+    /// calls. The socket is read straight into its spare room.
     buf: BytesMut,
-    chunk: Box<[u8]>,
 }
+
+/// Room offered to each socket read.
+const READ_CHUNK: usize = 64 * 1024;
 
 impl FramedLink {
     /// Wrap an established stream.
@@ -179,8 +181,7 @@ impl FramedLink {
             stream,
             write: Mutex::new(()),
             read: Mutex::new(ReadHalf {
-                buf: BytesMut::with_capacity(64 * 1024),
-                chunk: vec![0u8; 64 * 1024].into_boxed_slice(),
+                buf: BytesMut::with_capacity(READ_CHUNK),
             }),
             dead: AtomicBool::new(false),
         })
@@ -236,9 +237,9 @@ impl FramedLink {
             }
             match self.wait_readable(wait) {
                 // Readable (or at EOF, or in error): the read cannot block.
-                Ok(true) => match (&self.stream).read(&mut rd.chunk) {
+                Ok(true) => match rd.buf.read_from(&mut &self.stream, READ_CHUNK) {
                     Ok(0) => return Err(self.kill()),
-                    Ok(n) => rd.buf.extend_from_slice(&rd.chunk[..n]),
+                    Ok(_) => {}
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
                     Err(_) => return Err(self.kill()),
                 },

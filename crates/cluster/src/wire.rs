@@ -16,6 +16,16 @@
 //! survives transports that pass `Message` values without re-framing (the
 //! in-memory channel pair and the fault injector's corruption hook).
 //!
+//! Every replicated page is checksummed at least three times (write stamp,
+//! frame encode, receive verify — six over a TCP link with a TCP client), so
+//! [`crc32`] sits on the data plane's critical path. On x86_64 it folds by
+//! carry-less multiplication when the CPU has `pclmulqdq` and `sse4.1`, and
+//! otherwise (short inputs, tails, every other target) walks slicing-by-8
+//! tables; the values are the same IEEE CRC-32 either way, so the wire
+//! format does not depend on which machine framed it. That dispatch holds
+//! this module's one `unsafe` block: the call into code compiled for CPU
+//! features the block's caller has just detected.
+//!
 //! The message set implements Figure 3's arrows: write replication with
 //! acks, NACKs and credit grants, discards after local flushes, heartbeats
 //! (Section III.D), the recovery handshake (RCT fetch → snapshot → purge),
@@ -29,15 +39,13 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub const MAX_FRAME: usize = 16 << 20;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, dependency-free
+// CRC-32 (IEEE 802.3), dependency-free: carry-less multiply where the CPU has
+// it, slicing-by-8 tables everywhere else
 // ---------------------------------------------------------------------------
 
 /// Slicing-by-8 lookup tables: `CRC32_TABLES[0]` is the classic byte-at-a-
 /// time table; `CRC32_TABLES[k][b]` folds byte `b` positioned `k` bytes
-/// ahead of the CRC register, letting the hot loop consume 8 bytes per
-/// step. Every replicated page is checksummed at least three times (write
-/// stamp, frame encode, receive verify), so this runs on the data plane's
-/// critical path.
+/// ahead of the CRC register, letting the loop consume 8 bytes per step.
 const fn crc32_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -70,11 +78,11 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `data` — the checksum used for both frame integrity and
-/// per-page payload integrity. Slicing-by-8: 8 bytes per table step.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Advance the raw (uninverted) CRC register `c` over `data`, 8 bytes per
+/// table step: the whole of [`crc32`] on targets without carry-less
+/// multiply, and its short-input and tail path everywhere.
+fn crc32_table(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
         let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
@@ -91,7 +99,118 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction", the bit-reflected
+/// variant): the message is a polynomial over GF(2), and a 128-bit lane can
+/// be moved `d` bits ahead of where it stands by multiplying its two halves
+/// with `x^(d±32) mod P` — two `pclmulqdq` per 16 bytes instead of sixteen
+/// table lookups.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    // Constants for P = 0x1_04C1_1DB7, each bit-reflected over 33 bits (the
+    // reflected multiply leaves its product one bit low).
+    /// `x^(512+32) mod P`, `x^(512-32) mod P`: fold a lane 64 bytes ahead.
+    const FOLD_64B: (i64, i64) = (0x1_5444_2BD4, 0x1_C6E4_1596);
+    /// `x^(128+32) mod P`, `x^(128-32) mod P`: fold a lane 16 bytes ahead.
+    const FOLD_16B: (i64, i64) = (0x1_7519_97D0, 0x0_CCAA_009E);
+    /// `x^64 mod P`: the 96 → 64 bit step of the final reduction.
+    const FOLD_4B: i64 = 0x1_63CD_6124;
+    /// `P` and `μ = ⌊x^64 / P⌋` for the Barrett reduction to 32 bits.
+    const POLY_MU: (i64, i64) = (0x1_DB71_0641, 0x1_F701_1641);
+
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(b: &[u8]) -> __m128i {
+        let lo = i64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        let hi = i64::from_le_bytes(b[8..16].try_into().expect("8 bytes"));
+        _mm_set_epi64x(hi, lo)
+    }
+
+    /// `lane` moved ahead by the distance `keys` encode, combined with the
+    /// data `next` it lands on.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(lane: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(lane, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(lane, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Advance the raw CRC register `c` over `data`, whose length the caller
+    /// keeps a multiple of 16 and at least 64 (a shorter or ragged slice is
+    /// not unsound — the slicing below is checked — just wrong: trailing
+    /// bytes would be left out).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32_clmul(c: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+        let (first, rest) = data.split_at(64);
+        // Four independent lanes hide the multiply's latency. The register
+        // enters as the message's first four bytes, as in the table form.
+        let mut x = [
+            _mm_xor_si128(load(first), _mm_cvtsi32_si128(c as i32)),
+            load(&first[16..]),
+            load(&first[32..]),
+            load(&first[48..]),
+        ];
+        let k64 = _mm_set_epi64x(FOLD_64B.1, FOLD_64B.0);
+        let mut blocks = rest.chunks_exact(64);
+        for b in &mut blocks {
+            x[0] = fold(x[0], load(b), k64);
+            x[1] = fold(x[1], load(&b[16..]), k64);
+            x[2] = fold(x[2], load(&b[32..]), k64);
+            x[3] = fold(x[3], load(&b[48..]), k64);
+        }
+        // Four lanes into one, then the remaining 16-byte blocks.
+        let k16 = _mm_set_epi64x(FOLD_16B.1, FOLD_16B.0);
+        let mut acc = fold(x[0], x[1], k16);
+        acc = fold(acc, x[2], k16);
+        acc = fold(acc, x[3], k16);
+        for b in blocks.remainder().chunks_exact(16) {
+            acc = fold(acc, load(b), k16);
+        }
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let acc = _mm_xor_si128(_mm_clmulepi64_si128(acc, k16, 0x10), _mm_srli_si128(acc, 8));
+        let acc = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(acc, low32), _mm_set_epi64x(0, FOLD_4B), 0x00),
+            _mm_srli_si128(acc, 4),
+        );
+        // Barrett: 64 → 32 bits without a division.
+        let pm = _mm_set_epi64x(POLY_MU.1, POLY_MU.0);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), pm, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pm, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(acc, t2), 1) as u32
+    }
+}
+
+/// CRC-32 (IEEE) of `data` — the checksum used for both frame integrity and
+/// per-page payload integrity. On x86_64 with `pclmulqdq` and `sse4.1`
+/// (detected at run time) inputs of 64 bytes and more are folded 64 bytes per
+/// step by carry-less multiplication; the slicing-by-8 tables serve shorter
+/// inputs, the sub-16-byte tail, and every other target. Both compute the
+/// same function.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    let mut rest = data;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= 64
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        let (head, tail) = data.split_at(data.len() & !15);
+        // SAFETY: `crc32_clmul` is safe Rust compiled for `pclmulqdq` and
+        // `sse4.1`; calling it is unsafe only because a CPU without them
+        // would fault on its instructions, and both were just detected on
+        // the CPU this runs on. It reads `head` through checked slicing.
+        c = unsafe { clmul::crc32_clmul(c, head) };
+        rest = tail;
+    }
+    !crc32_table(c, rest)
 }
 
 /// Why a replication message was refused.
@@ -286,6 +405,18 @@ const TAG_REPL_NACK_BATCH: u8 = 16;
 
 /// Append one framed message to `out`.
 pub fn encode(msg: &Message, out: &mut BytesMut) {
+    // Size the buffer once, from the message's page count: a 32-page frame
+    // is one allocation, not a dozen doublings with a copy each. 40 covers
+    // the frame header, the tag and the widest fixed part.
+    out.reserve(
+        40 + match msg {
+            Message::Discard { pages, .. } => 16 * pages.len(),
+            Message::RctSnapshot { entries } => entries.iter().map(|e| 20 + e.2.len()).sum(),
+            Message::WriteReplBatch { entries, .. } => entries.iter().map(|e| 24 + e.3.len()).sum(),
+            Message::PageData { data, .. } => data.len(),
+            _ => 0,
+        },
+    );
     // Reserve the length and checksum slots, fill after writing the body.
     let len_pos = out.len();
     out.put_u32_le(0); // length
@@ -715,6 +846,60 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        // Long enough for the 64-byte folding loop.
+        assert_eq!(crc32(&[0u8; 512]), 0xB2AA_7578);
+        assert_eq!(crc32(&[0xFFu8; 4096]), 0xF154_670A);
+    }
+
+    /// The definition: one bit at a time, no tables, no folding.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_fast_paths_equal_the_bitwise_definition() {
+        // Deterministic noise; +16 so every start offset has the longest
+        // length behind it.
+        let mut rng = fc_simkit::DetRng::new(18);
+        let noise: Vec<u8> = (0..16_391 + 16).map(|_| rng.below(256) as u8).collect();
+        let check = |data: &[u8], what: &str| {
+            let want = crc32_bitwise(data);
+            assert_eq!(crc32(data), want, "crc32 (dispatching) on {what}");
+            // The table path by itself, so the fallback is covered on a
+            // machine where `crc32` folds by carry-less multiply.
+            assert_eq!(!crc32_table(!0, data), want, "table path on {what}");
+        };
+        // Every length across the 64-byte entry threshold, the 16-byte
+        // lane tail and several 64-byte steps, at every alignment the
+        // loads can meet.
+        for start in 0..16 {
+            for len in 0..=1100 {
+                check(
+                    &noise[start..start + len],
+                    &format!("start {start} len {len}"),
+                );
+            }
+        }
+        // Page and frame sizes: 4 KiB, 16 KiB, a 32-page frame body.
+        for len in [4096, 16_384, 16_391] {
+            for start in [0, 1, 7] {
+                check(
+                    &noise[start..start + len],
+                    &format!("start {start} len {len}"),
+                );
+            }
+        }
     }
 
     #[test]

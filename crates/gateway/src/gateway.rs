@@ -988,20 +988,8 @@ impl Gateway {
         let rt = self.routes.read();
         for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
             let sb = rt.shards[usize::from(shard)].as_ref();
-            let (seg, seg_hits) = self.with_shard(shard, sb, |node| {
-                let mut seg = Vec::with_capacity(count as usize);
-                let mut h = 0u64;
-                for i in 0..u64::from(count) {
-                    match node.try_read_from(client, start + i)? {
-                        Some(data) => {
-                            h += 1;
-                            seg.push(Some(Bytes::from(data)));
-                        }
-                        None => seg.push(None),
-                    }
-                }
-                Ok((seg, h))
-            })?;
+            let seg = self.with_shard(shard, sb, |node| node.try_read_run(client, start, count))?;
+            let seg_hits = seg.iter().flatten().count() as u64;
             out.extend(seg);
             sb.ins.read_pages.add(u64::from(count));
             sb.ins.read_hits.add(seg_hits);
@@ -1083,14 +1071,19 @@ impl Gateway {
 
     /// Coalesce one batch window's pages into runs and submit them. Runs
     /// never cross a logical-block boundary nor a shard boundary
-    /// ([`coalesce_sharded`]) — each run goes whole to exactly one pair.
+    /// ([`coalesce_sharded`]) — each run goes whole to exactly one pair —
+    /// and the runs one pair owns go to it together: one
+    /// [`Gateway::with_shard`] call and one [`Node::try_write_runs`] group
+    /// per shard touched, lpn order kept inside the group, so a request
+    /// straddling a block boundary pays one replication round trip.
     ///
     /// `ids` maps each page's lpn to the request id that (last) wrote it;
     /// runs are stamped with a tag derived from it, so a client resending
-    /// the same write request after an ambiguous failure hits the node's
-    /// dedup window instead of double-applying ([`Node::try_write_run`]). If a shard stays down past the retry
-    /// deadline, submission stops and `unavailable` is set — pages and
-    /// runs already applied stay applied (and counted), and the caller
+    /// the same write request after an ambiguous failure — or `with_shard`
+    /// retrying a group on the surviving replica — hits the node's dedup
+    /// window run by run instead of double-applying. If a shard stays down
+    /// past the retry deadline, submission stops and `unavailable` is set —
+    /// groups already applied stay applied (and counted), and the caller
     /// answers *every* write in the batch with `Unavailable`, which is
     /// safe precisely because the dedup tags make the client's resend of
     /// the already-applied runs idempotent.
@@ -1117,26 +1110,42 @@ impl Gateway {
             debug_assert!(*lpn < tagged[idx].1.lpn + tagged[idx].1.len() as u64);
             in_count[idx] += 1;
         }
-        for (i, (shard, run)) in tagged.iter().enumerate() {
-            let sb = rt.shards[usize::from(*shard)].as_ref();
-            // Stable across resends of the same request; mixed so
-            // ids from different clients' id spaces don't collide
-            // within one window.
-            let tag = ids[&run.lpn].wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
-            match self.with_shard(*shard, sb, |node| {
-                node.try_write_run(client, tag, run.lpn, &run.pages)
-            }) {
-                Ok(outcome) => {
-                    let out_n = run.len() as u64;
-                    let in_n = in_count[i];
-                    sb.ins.runs.inc();
-                    sb.ins.write_pages.add(in_n);
-                    sb.ins.coalesced_pages.add(in_n - out_n);
-                    sub.out_pages += out_n;
-                    sub.runs += 1;
-                    // A dedup-cached outcome may describe a run
-                    // composed differently on the first attempt.
-                    sub.replicated += outcome.replicated.min(out_n);
+        // One group of run indices per shard touched, shards in order of
+        // first appearance.
+        let mut groups: Vec<(u16, Vec<usize>)> = Vec::new();
+        for (i, (shard, _)) in tagged.iter().enumerate() {
+            match groups.iter_mut().find(|(s, _)| s == shard) {
+                Some((_, group)) => group.push(i),
+                None => groups.push((*shard, vec![i])),
+            }
+        }
+        for (shard, group) in groups {
+            let sb = rt.shards[usize::from(shard)].as_ref();
+            let runs: Vec<(u64, u64, &[Bytes])> = group
+                .iter()
+                .map(|&i| {
+                    let run = &tagged[i].1;
+                    // Stable across resends of the same request; mixed so
+                    // ids from different clients' id spaces don't collide
+                    // within one window.
+                    let tag = ids[&run.lpn].wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
+                    (tag, run.lpn, run.pages.as_slice())
+                })
+                .collect();
+            match self.with_shard(shard, sb, |node| node.try_write_runs(client, &runs)) {
+                Ok(outcomes) => {
+                    for (&i, outcome) in group.iter().zip(outcomes) {
+                        let out_n = tagged[i].1.len() as u64;
+                        let in_n = in_count[i];
+                        sb.ins.runs.inc();
+                        sb.ins.write_pages.add(in_n);
+                        sb.ins.coalesced_pages.add(in_n - out_n);
+                        sub.out_pages += out_n;
+                        sub.runs += 1;
+                        // A dedup-cached outcome may describe a run
+                        // composed differently on the first attempt.
+                        sub.replicated += outcome.replicated.min(out_n);
+                    }
                 }
                 Err(u) => {
                     sub.unavailable = Some(u.retry_after_ms);

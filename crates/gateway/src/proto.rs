@@ -201,7 +201,11 @@ const TAG_FLUSH_OK: u8 = 133;
 const TAG_ERROR: u8 = 134;
 const TAG_UNAVAILABLE: u8 = 135;
 
-fn begin_frame(out: &mut BytesMut) -> usize {
+/// Open a frame whose pages will take `payload` bytes, sizing the buffer
+/// once (40 covers the frame header, the tag and the widest fixed part) so
+/// a page-carrying frame is not grown by doubling.
+fn begin_frame(out: &mut BytesMut, payload: usize) -> usize {
+    out.reserve(40 + payload);
     let len_pos = out.len();
     out.put_u32_le(0); // length, backfilled
     out.put_u32_le(0); // CRC-32 of the body, backfilled
@@ -218,7 +222,11 @@ fn end_frame(out: &mut BytesMut, len_pos: usize) {
 
 /// Append one framed request to `out`.
 pub fn encode_request(req: &Request, out: &mut BytesMut) {
-    let len_pos = begin_frame(out);
+    let payload = match req {
+        Request::Write { pages, .. } => pages.iter().map(|p| 4 + p.len()).sum(),
+        _ => 0,
+    };
+    let len_pos = begin_frame(out, payload);
     match req {
         Request::Hello { version, client } => {
             out.put_u8(TAG_HELLO);
@@ -257,7 +265,14 @@ pub fn encode_request(req: &Request, out: &mut BytesMut) {
 
 /// Append one framed reply to `out`.
 pub fn encode_reply(reply: &Reply, out: &mut BytesMut) {
-    let len_pos = begin_frame(out);
+    let payload = match reply {
+        Reply::ReadOk { pages, .. } => pages
+            .iter()
+            .map(|p| 5 + p.as_ref().map_or(0, Bytes::len))
+            .sum(),
+        _ => 0,
+    };
+    let len_pos = begin_frame(out, payload);
     match reply {
         Reply::HelloOk {
             version,

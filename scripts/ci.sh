@@ -19,13 +19,17 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
-echo "==> release-mode race check + eviction scaling guard: replication pipe stress + chaos + lifecycle e2e"
+echo "==> release-mode race check + eviction scaling guard: replication pipe stress + chaos + lifecycle e2e + crc32 / group-write unit tests"
 # The pipe is shared state stepped by writers, the pump (which also feeds it
 # the resync stream) and whoever resets it; debug-build timing hides
 # interleavings the optimized build hits. pipeline_stress also carries the
 # release-only guard that an evicting read miss costs the same behind a
 # 16x larger buffer (ignored under debug_assertions, so it runs only here).
 cargo test --release -q --offline --test pipeline_stress --test chaos_replication --test recovery_e2e
+# Same reason, plus the one `unsafe` block: the carry-less-multiply crc32
+# against its bit-wise definition, and the node's group write / run read
+# (several runs, one pipe submission, one ticket) as the optimizer builds them.
+cargo test --release -q --offline -p fc-cluster --lib -- crc32 group_write read_run
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -214,11 +214,16 @@ impl std::hash::Hash for Bytes {
 // ---------------------------------------------------------------------------
 
 /// Growable byte buffer with front consumption.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct BytesMut {
+    /// Storage: `inner[head..tail]` is the content. `inner[tail..]` is spare
+    /// room, kept initialised so [`BytesMut::read_from`] can lend it to a
+    /// reader as `&mut [u8]`; only a buffer that was read into has any.
     inner: Vec<u8>,
     /// Read offset; bytes before it are consumed. Compacted opportunistically.
     head: usize,
+    /// Write offset: end of the content.
+    tail: usize,
 }
 
 impl BytesMut {
@@ -232,12 +237,13 @@ impl BytesMut {
         BytesMut {
             inner: Vec::with_capacity(cap),
             head: 0,
+            tail: 0,
         }
     }
 
     /// Length of the unconsumed bytes.
     pub fn len(&self) -> usize {
-        self.inner.len() - self.head
+        self.tail - self.head
     }
 
     /// True when no unconsumed bytes remain.
@@ -245,10 +251,44 @@ impl BytesMut {
         self.len() == 0
     }
 
+    /// Make room for `additional` more bytes without reallocating on the
+    /// way there.
+    pub fn reserve(&mut self, additional: usize) {
+        let spare = self.inner.len() - self.tail;
+        self.inner.reserve(additional.saturating_sub(spare));
+    }
+
     /// Append a slice.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.compact_if_large();
-        self.inner.extend_from_slice(src);
+        let end = self.tail + src.len();
+        if end <= self.inner.len() {
+            self.inner[self.tail..end].copy_from_slice(src);
+        } else {
+            self.inner.truncate(self.tail);
+            self.inner.extend_from_slice(src);
+        }
+        self.tail = end;
+    }
+
+    /// Append what one `read` call on `src` delivers, offering it at least
+    /// `min` bytes of room; returns that call's result. The bytes land in
+    /// place, with no intermediate buffer. (Shim extension: `bytes 1` spells
+    /// this `chunk_mut` + `unsafe advance_mut`.)
+    pub fn read_from(
+        &mut self,
+        src: &mut impl std::io::Read,
+        min: usize,
+    ) -> std::io::Result<usize> {
+        self.compact_if_large();
+        if self.inner.len() - self.tail < min {
+            self.inner.resize(self.tail + min, 0);
+        }
+        let room = &mut self.inner[self.tail..];
+        let n = src.read(room)?;
+        assert!(n <= room.len(), "reader reported more than it was lent");
+        self.tail += n;
+        Ok(n)
     }
 
     /// Split off the first `n` unconsumed bytes into their own `BytesMut`.
@@ -259,11 +299,13 @@ impl BytesMut {
         BytesMut {
             inner: head,
             head: 0,
+            tail: n,
         }
     }
 
     /// Freeze into an immutable [`Bytes`].
     pub fn freeze(mut self) -> Bytes {
+        self.inner.truncate(self.tail);
         if self.head > 0 {
             self.inner.drain(..self.head);
         }
@@ -271,14 +313,26 @@ impl BytesMut {
     }
 
     fn compact_if_large(&mut self) {
-        // Keep the dead prefix bounded so long-lived decode buffers (the TCP
-        // read loop) do not grow without bound.
-        if self.head > 4096 && self.head > self.inner.len() / 2 {
-            self.inner.drain(..self.head);
+        if self.head == self.tail {
+            // Everything consumed: start over at the front, for free.
+            self.head = 0;
+            self.tail = 0;
+        } else if self.head > 4096 && self.head > self.tail / 2 {
+            // Keep the dead prefix bounded so long-lived decode buffers (the
+            // TCP read loop) do not grow without bound.
+            self.inner.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
             self.head = 0;
         }
     }
 }
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+impl Eq for BytesMut {}
 
 impl Buf for BytesMut {
     fn remaining(&self) -> usize {
@@ -292,7 +346,7 @@ impl Buf for BytesMut {
     }
 
     fn chunk(&self) -> &[u8] {
-        &self.inner[self.head..]
+        &self.inner[self.head..self.tail]
     }
 }
 
@@ -305,13 +359,13 @@ impl BufMut for BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.inner[self.head..]
+        &self.inner[self.head..self.tail]
     }
 }
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.inner[self.head..]
+        &mut self.inner[self.head..self.tail]
     }
 }
 
@@ -320,6 +374,7 @@ impl From<&[u8]> for BytesMut {
         BytesMut {
             inner: s.to_vec(),
             head: 0,
+            tail: s.len(),
         }
     }
 }
@@ -383,6 +438,29 @@ mod tests {
         let len = (out.len() - 4) as u32;
         out[0..4].copy_from_slice(&len.to_le_bytes());
         assert_eq!(out.get_u32_le(), 4);
+    }
+
+    #[test]
+    fn read_from_appends_in_place_and_reuses_its_room() {
+        let mut b = BytesMut::with_capacity(16);
+        b.put_slice(b"ab");
+        let mut src: &[u8] = b"cdefgh";
+        assert_eq!(b.read_from(&mut src, 4).unwrap(), 4);
+        assert_eq!(&b[..], b"abcdef");
+        // Appends land after the content, not after the lent room.
+        b.put_slice(b"!");
+        assert_eq!(b.read_from(&mut src, 4).unwrap(), 2);
+        assert_eq!(&b[..], b"abcdef!gh");
+        assert_eq!(b.read_from(&mut src, 4).unwrap(), 0, "source dry");
+        // Consumed to the end, the buffer starts over at the front.
+        b.advance(9);
+        assert!(b.is_empty());
+        b.put_slice(b"xyz");
+        assert_eq!(&b.clone().freeze()[..], b"xyz");
+        assert_eq!(b, BytesMut::from(&b"xyz"[..]));
+        b.reserve(100);
+        assert_eq!(&b.split_to(2)[..], b"xy");
+        assert_eq!(&b[..], b"z");
     }
 
     #[test]

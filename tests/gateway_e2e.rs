@@ -321,3 +321,40 @@ fn attach_obs_after_traffic_keeps_earlier_samples() {
     assert_eq!(gw.stats().write_pages, 15);
     gw.shutdown();
 }
+
+/// A request that straddles a block boundary is two runs — blocks stay the
+/// destage unit — but one group: one shard op, one replication frame, one
+/// round trip to the peer.
+#[test]
+fn write_straddling_a_block_boundary_is_two_runs_and_one_replication_frame() {
+    let node_cfg = |id| NodeConfig {
+        pages_per_block: 32,
+        buffer_pages: 256,
+        repl_batch_pages: 32,
+        ..NodeConfig::test_profile(id)
+    };
+    let (ta, tb) = mem_pair();
+    let backend = shared_backend(MemBackend::default());
+    let node_a = Arc::new(Node::spawn(node_cfg(0), ta, backend.clone()));
+    let _node_b = Node::spawn(node_cfg(1), tb, backend);
+    let cfg = GatewayConfig {
+        pages_per_block: 32,
+        ..GatewayConfig::test_profile()
+    };
+    let gw = Gateway::new(cfg, node_a.clone());
+    let mut client = gw.connect_mem();
+    client.hello().expect("hello");
+
+    // Pages 12..44: twenty in block 0, twelve in block 1.
+    let payloads: Vec<Bytes> = (12..44).map(|lpn| payload(1, lpn, 0, 64)).collect();
+    let ack = client.write(12, payloads.clone()).expect("write acked");
+    assert_eq!((ack.pages, ack.replicated), (32, true));
+
+    let shard = &gw.shard_stats()[0];
+    assert_eq!((shard.runs, shard.ops, shard.write_pages), (2, 1, 32));
+    let repl = node_a.stats().repl;
+    assert_eq!((repl.batches_sent, repl.batch_pages), (1, 32));
+    let got = client.read(12, 32).expect("read back");
+    assert_eq!(got, payloads.into_iter().map(Some).collect::<Vec<_>>());
+    gw.shutdown();
+}

@@ -196,6 +196,13 @@ fn write_run_spanning_two_shards_is_split_at_the_boundary() {
     for s in 0..SHARDS as usize {
         let delta_pages = after[s].write_pages - before[s].write_pages;
         let delta_runs = after[s].runs - before[s].runs;
+        // However many runs a shard owns, they reach it as one group: one
+        // routed op per shard touched.
+        assert_eq!(
+            after[s].ops - before[s].ops,
+            u64::from(pages_per_shard[s] > 0),
+            "shard {s}: ops"
+        );
         assert_eq!(
             delta_pages, pages_per_shard[s],
             "shard {s}: wrong page share of the split run"
