@@ -1,0 +1,209 @@
+//! Node tunables: [`NodeConfig`] and its builder.
+
+use flashcoop::{PolicyKind, RetryPolicy};
+use std::time::Duration;
+
+/// Node tunables.
+#[derive(Debug, Clone)]
+pub struct NodeConfig {
+    /// Node id (appears in heartbeats).
+    pub id: u8,
+    /// Buffer replacement policy.
+    pub policy: PolicyKind,
+    /// Local buffer capacity in pages.
+    pub buffer_pages: usize,
+    /// Pages per logical block (LAR granularity).
+    pub pages_per_block: u32,
+    /// Heartbeat period.
+    pub heartbeat: Duration,
+    /// Silence after which the peer is declared failed.
+    pub failure_timeout: Duration,
+    /// How long the oldest unacknowledged replication batch waits for its
+    /// cumulative ack before the pump retransmits it (and, with retries
+    /// exhausted, abandons the window: its writers write through and the
+    /// node goes solo, a resync falls back to solo).
+    pub ack_timeout: Duration,
+    /// Bounded retry-with-backoff for replication batches — paired writes
+    /// and the resync stream share the one budget. A lossy network drops
+    /// the occasional batch or ack; retransmitting under the same seq (the
+    /// receiver dedups and re-acks its frontier) keeps the batch's pages
+    /// on the replicated path instead of falling back to write-through on
+    /// the first loss.
+    pub retry: RetryPolicy,
+    /// Catch-up journal capacity (distinct pages). Overflow falls back to a
+    /// full-buffer resync on rejoin.
+    pub journal_entries: usize,
+    /// Pages this node will host for its peer (the credit pool it
+    /// advertises in acks and heartbeats).
+    pub remote_capacity: usize,
+    /// Per-client exactly-once window: how many recent tagged write runs
+    /// ([`Node::try_write_run`]) are remembered per client so a gateway
+    /// retry of an already-applied run returns the cached outcome instead
+    /// of applying twice.
+    pub dedup_window: usize,
+    /// Maximum pages carried by one [`Message::WriteReplBatch`] frame —
+    /// also the resync batch size. The sender cuts whatever is queued (up
+    /// to this many pages) into each batch, so lightly loaded nodes still
+    /// see one-page batches while a gateway write run amortises the wire
+    /// to O(runs) frames.
+    pub repl_batch_pages: usize,
+    /// Maximum unacknowledged batches in flight before the replication
+    /// sender stops cutting new ones (the pipeline window).
+    pub repl_window: usize,
+}
+
+impl Default for NodeConfig {
+    /// Production-shaped defaults (the paper's block geometry; relaxed
+    /// timers). Tests usually start from [`NodeConfig::test_profile`].
+    fn default() -> Self {
+        NodeConfig {
+            id: 0,
+            policy: PolicyKind::Lar,
+            buffer_pages: 4096,
+            pages_per_block: 64,
+            heartbeat: Duration::from_millis(100),
+            failure_timeout: Duration::from_millis(500),
+            ack_timeout: Duration::from_millis(500),
+            retry: RetryPolicy::default(),
+            journal_entries: 4096,
+            remote_capacity: 8192,
+            dedup_window: 1024,
+            repl_batch_pages: 32,
+            repl_window: 32,
+        }
+    }
+}
+
+impl NodeConfig {
+    /// Fast timings for tests and demos.
+    pub fn test_profile(id: u8) -> Self {
+        NodeConfig {
+            id,
+            policy: PolicyKind::Lar,
+            buffer_pages: 64,
+            pages_per_block: 4,
+            heartbeat: Duration::from_millis(25),
+            failure_timeout: Duration::from_millis(200),
+            ack_timeout: Duration::from_millis(500),
+            retry: RetryPolicy::default(),
+            journal_entries: 256,
+            remote_capacity: 512,
+            dedup_window: 64,
+            repl_batch_pages: 16,
+            repl_window: 32,
+        }
+    }
+
+    /// Start a builder from the defaults:
+    ///
+    /// ```
+    /// use fc_cluster::NodeConfig;
+    /// use flashcoop::RetryPolicy;
+    ///
+    /// let cfg = NodeConfig::builder()
+    ///     .id(1)
+    ///     .buffer_pages(128)
+    ///     .remote_capacity(32)
+    ///     .retry(RetryPolicy::no_retries())
+    ///     .build();
+    /// assert_eq!(cfg.id, 1);
+    /// assert_eq!(cfg.remote_capacity, 32);
+    /// assert_eq!(cfg.retry.attempts, 1);
+    /// ```
+    pub fn builder() -> NodeConfigBuilder {
+        NodeConfigBuilder {
+            cfg: NodeConfig::default(),
+        }
+    }
+}
+
+/// Builder for [`NodeConfig`].
+#[derive(Debug, Clone)]
+pub struct NodeConfigBuilder {
+    cfg: NodeConfig,
+}
+
+impl NodeConfigBuilder {
+    /// Node id (appears in heartbeats).
+    pub fn id(mut self, id: u8) -> Self {
+        self.cfg.id = id;
+        self
+    }
+
+    /// Buffer replacement policy.
+    pub fn policy(mut self, policy: PolicyKind) -> Self {
+        self.cfg.policy = policy;
+        self
+    }
+
+    /// Local buffer capacity in pages.
+    pub fn buffer_pages(mut self, pages: usize) -> Self {
+        self.cfg.buffer_pages = pages;
+        self
+    }
+
+    /// Pages per logical block.
+    pub fn pages_per_block(mut self, ppb: u32) -> Self {
+        self.cfg.pages_per_block = ppb;
+        self
+    }
+
+    /// Heartbeat period.
+    pub fn heartbeat(mut self, period: Duration) -> Self {
+        self.cfg.heartbeat = period;
+        self
+    }
+
+    /// Silence after which the peer is declared failed.
+    pub fn failure_timeout(mut self, timeout: Duration) -> Self {
+        self.cfg.failure_timeout = timeout;
+        self
+    }
+
+    /// Batch-ack wait per attempt.
+    pub fn ack_timeout(mut self, timeout: Duration) -> Self {
+        self.cfg.ack_timeout = timeout;
+        self
+    }
+
+    /// Bounded retry-with-backoff policy for the replication path.
+    pub fn retry(mut self, retry: RetryPolicy) -> Self {
+        self.cfg.retry = retry;
+        self
+    }
+
+    /// Catch-up journal capacity (distinct pages).
+    pub fn journal_entries(mut self, entries: usize) -> Self {
+        self.cfg.journal_entries = entries;
+        self
+    }
+
+    /// Pages this node will host for its peer.
+    pub fn remote_capacity(mut self, pages: usize) -> Self {
+        self.cfg.remote_capacity = pages;
+        self
+    }
+
+    /// Per-client exactly-once window (tagged write runs remembered).
+    pub fn dedup_window(mut self, runs: usize) -> Self {
+        self.cfg.dedup_window = runs.max(1);
+        self
+    }
+
+    /// Maximum pages per pipelined replication batch frame.
+    pub fn repl_batch_pages(mut self, pages: usize) -> Self {
+        self.cfg.repl_batch_pages = pages.max(1);
+        self
+    }
+
+    /// Maximum unacknowledged replication batches in flight.
+    pub fn repl_window(mut self, batches: usize) -> Self {
+        self.cfg.repl_window = batches.max(1);
+        self
+    }
+
+    /// Finish the configuration.
+    pub fn build(self) -> NodeConfig {
+        self.cfg
+    }
+}

@@ -41,25 +41,35 @@
 //!   advertise the remaining credits and a sender that runs out writes
 //!   through locally instead of replicating.
 
+mod config;
+mod migrate;
+mod recover;
+mod stats;
+#[cfg(test)]
+mod testkit;
+
+pub use config::{NodeConfig, NodeConfigBuilder};
+pub use stats::{MigrateError, NodeDown, NodeStats, PerClientStats, RunOutcome, WriteOutcome};
+
 use crate::backend::StorageBackend;
 use crate::pipe::{PageOutcome, PipePage, ReplPipe, RunTicket};
 use crate::transport::{Transport, TransportError};
-use crate::wire::{crc32, resync_entry, Message, NackReason, ResyncEntry, SeqStatus, SeqTracker};
+use crate::wire::{crc32, Message, NackReason, SeqStatus, SeqTracker};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
+use crossbeam::channel::Sender;
 use fc_obs::{Counter, Obs};
 use fc_simkit::{SimDuration, SimTime};
 use flashcoop::policy::Eviction;
 use flashcoop::{
     BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState, PeerEvent,
-    PeerState, PolicyKind, ReplicationStats, RetryPolicy,
+    PeerState,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// `write_through` event reason for a page kept local because the peer is
 /// out of hosting credits (the one reason that also counts a credit stall).
@@ -78,355 +88,6 @@ pub type SharedBackend = Arc<Mutex<Box<dyn StorageBackend>>>;
 /// Wrap a backend for use by a node.
 pub fn shared_backend(b: impl StorageBackend + 'static) -> SharedBackend {
     Arc::new(Mutex::new(Box::new(b)))
-}
-
-/// Node tunables.
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// Node id (appears in heartbeats).
-    pub id: u8,
-    /// Buffer replacement policy.
-    pub policy: PolicyKind,
-    /// Local buffer capacity in pages.
-    pub buffer_pages: usize,
-    /// Pages per logical block (LAR granularity).
-    pub pages_per_block: u32,
-    /// Heartbeat period.
-    pub heartbeat: Duration,
-    /// Silence after which the peer is declared failed.
-    pub failure_timeout: Duration,
-    /// How long the oldest unacknowledged replication batch waits for its
-    /// cumulative ack before the pump retransmits it (and, with retries
-    /// exhausted, abandons the window: its writers write through and the
-    /// node goes solo, a resync falls back to solo).
-    pub ack_timeout: Duration,
-    /// Bounded retry-with-backoff for replication batches — paired writes
-    /// and the resync stream share the one budget. A lossy network drops
-    /// the occasional batch or ack; retransmitting under the same seq (the
-    /// receiver dedups and re-acks its frontier) keeps the batch's pages
-    /// on the replicated path instead of falling back to write-through on
-    /// the first loss.
-    pub retry: RetryPolicy,
-    /// Catch-up journal capacity (distinct pages). Overflow falls back to a
-    /// full-buffer resync on rejoin.
-    pub journal_entries: usize,
-    /// Pages this node will host for its peer (the credit pool it
-    /// advertises in acks and heartbeats).
-    pub remote_capacity: usize,
-    /// Per-client exactly-once window: how many recent tagged write runs
-    /// ([`Node::try_write_run`]) are remembered per client so a gateway
-    /// retry of an already-applied run returns the cached outcome instead
-    /// of applying twice.
-    pub dedup_window: usize,
-    /// Maximum pages carried by one [`Message::WriteReplBatch`] frame —
-    /// also the resync batch size. The sender cuts whatever is queued (up
-    /// to this many pages) into each batch, so lightly loaded nodes still
-    /// see one-page batches while a gateway write run amortises the wire
-    /// to O(runs) frames.
-    pub repl_batch_pages: usize,
-    /// Maximum unacknowledged batches in flight before the replication
-    /// sender stops cutting new ones (the pipeline window).
-    pub repl_window: usize,
-}
-
-impl Default for NodeConfig {
-    /// Production-shaped defaults (the paper's block geometry; relaxed
-    /// timers). Tests usually start from [`NodeConfig::test_profile`].
-    fn default() -> Self {
-        NodeConfig {
-            id: 0,
-            policy: PolicyKind::Lar,
-            buffer_pages: 4096,
-            pages_per_block: 64,
-            heartbeat: Duration::from_millis(100),
-            failure_timeout: Duration::from_millis(500),
-            ack_timeout: Duration::from_millis(500),
-            retry: RetryPolicy::default(),
-            journal_entries: 4096,
-            remote_capacity: 8192,
-            dedup_window: 1024,
-            repl_batch_pages: 32,
-            repl_window: 32,
-        }
-    }
-}
-
-impl NodeConfig {
-    /// Fast timings for tests and demos.
-    pub fn test_profile(id: u8) -> Self {
-        NodeConfig {
-            id,
-            policy: PolicyKind::Lar,
-            buffer_pages: 64,
-            pages_per_block: 4,
-            heartbeat: Duration::from_millis(25),
-            failure_timeout: Duration::from_millis(200),
-            ack_timeout: Duration::from_millis(500),
-            retry: RetryPolicy::default(),
-            journal_entries: 256,
-            remote_capacity: 512,
-            dedup_window: 64,
-            repl_batch_pages: 16,
-            repl_window: 32,
-        }
-    }
-
-    /// Start a builder from the defaults:
-    ///
-    /// ```
-    /// use fc_cluster::NodeConfig;
-    /// use flashcoop::RetryPolicy;
-    ///
-    /// let cfg = NodeConfig::builder()
-    ///     .id(1)
-    ///     .buffer_pages(128)
-    ///     .remote_capacity(32)
-    ///     .retry(RetryPolicy::no_retries())
-    ///     .build();
-    /// assert_eq!(cfg.id, 1);
-    /// assert_eq!(cfg.remote_capacity, 32);
-    /// assert_eq!(cfg.retry.attempts, 1);
-    /// ```
-    pub fn builder() -> NodeConfigBuilder {
-        NodeConfigBuilder {
-            cfg: NodeConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`NodeConfig`].
-#[derive(Debug, Clone)]
-pub struct NodeConfigBuilder {
-    cfg: NodeConfig,
-}
-
-impl NodeConfigBuilder {
-    /// Node id (appears in heartbeats).
-    pub fn id(mut self, id: u8) -> Self {
-        self.cfg.id = id;
-        self
-    }
-
-    /// Buffer replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Local buffer capacity in pages.
-    pub fn buffer_pages(mut self, pages: usize) -> Self {
-        self.cfg.buffer_pages = pages;
-        self
-    }
-
-    /// Pages per logical block.
-    pub fn pages_per_block(mut self, ppb: u32) -> Self {
-        self.cfg.pages_per_block = ppb;
-        self
-    }
-
-    /// Heartbeat period.
-    pub fn heartbeat(mut self, period: Duration) -> Self {
-        self.cfg.heartbeat = period;
-        self
-    }
-
-    /// Silence after which the peer is declared failed.
-    pub fn failure_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.failure_timeout = timeout;
-        self
-    }
-
-    /// Batch-ack wait per attempt.
-    pub fn ack_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.ack_timeout = timeout;
-        self
-    }
-
-    /// Bounded retry-with-backoff policy for the replication path.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Catch-up journal capacity (distinct pages).
-    pub fn journal_entries(mut self, entries: usize) -> Self {
-        self.cfg.journal_entries = entries;
-        self
-    }
-
-    /// Pages this node will host for its peer.
-    pub fn remote_capacity(mut self, pages: usize) -> Self {
-        self.cfg.remote_capacity = pages;
-        self
-    }
-
-    /// Per-client exactly-once window (tagged write runs remembered).
-    pub fn dedup_window(mut self, runs: usize) -> Self {
-        self.cfg.dedup_window = runs.max(1);
-        self
-    }
-
-    /// Maximum pages per pipelined replication batch frame.
-    pub fn repl_batch_pages(mut self, pages: usize) -> Self {
-        self.cfg.repl_batch_pages = pages.max(1);
-        self
-    }
-
-    /// Maximum unacknowledged replication batches in flight.
-    pub fn repl_window(mut self, batches: usize) -> Self {
-        self.cfg.repl_window = batches.max(1);
-        self
-    }
-
-    /// Finish the configuration.
-    pub fn build(self) -> NodeConfig {
-        self.cfg
-    }
-}
-
-/// The node is halted ([`Node::fail`]) and cannot serve the request. The
-/// fallible gateway entry points (`try_*`) return this instead of touching
-/// a dead node's state, so a front end can fail the shard over to the
-/// surviving replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeDown;
-
-impl std::fmt::Display for NodeDown {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node is down")
-    }
-}
-
-impl std::error::Error for NodeDown {}
-
-/// Why an elastic-membership page import was refused
-/// ([`Node::try_import_pages`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrateError {
-    /// The destination node is halted; the coordinator should abort the
-    /// batch (the fence keeps the blocks routed to their old owner).
-    Down,
-    /// A CRC-framed entry failed verification; nothing from the batch was
-    /// applied. The coordinator re-exports and resends, same discipline as
-    /// a Corrupt NACK on the pair link.
-    Corrupt {
-        /// The first lpn whose payload did not match its frame CRC.
-        lpn: u64,
-    },
-}
-
-impl std::fmt::Display for MigrateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MigrateError::Down => write!(f, "destination node is down"),
-            MigrateError::Corrupt { lpn } => {
-                write!(f, "migration entry for lpn {lpn} failed CRC verification")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MigrateError {}
-
-impl From<NodeDown> for MigrateError {
-    fn from(_: NodeDown) -> MigrateError {
-        MigrateError::Down
-    }
-}
-
-/// How a write was made durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteOutcome {
-    /// Buffered locally and acknowledged by the peer's remote buffer.
-    Replicated,
-    /// Written synchronously to the backend (solo mode, backpressure, or
-    /// replication failure).
-    WriteThrough,
-}
-
-/// Observable node counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Writes handled.
-    pub writes: u64,
-    /// Reads handled.
-    pub reads: u64,
-    /// Reads served from the local buffer.
-    pub read_hits: u64,
-    /// Pages acknowledged by the peer.
-    pub replicated_pages: u64,
-    /// Writes that fell back to write-through.
-    pub write_through: u64,
-    /// Pages flushed to the backend by evictions.
-    pub flushed_pages: u64,
-    /// Page deletions (short-lived files).
-    pub deletes: u64,
-    /// Remote (peer) pages currently hosted (including taken-over pages).
-    pub remote_pages: u64,
-    /// Pages currently waiting in the catch-up journal.
-    pub journal_pages: u64,
-    /// Tagged write runs answered from the exactly-once window instead of
-    /// re-applying (gateway retries of already-applied runs).
-    pub dedup_hits: u64,
-    /// Pages accepted from another pair by an elastic-membership migration
-    /// ([`Node::try_import_pages`]).
-    pub migrated_in_pages: u64,
-    /// Pages handed off to another pair and fenced out locally
-    /// ([`Node::try_release_pages`]).
-    pub migrated_out_pages: u64,
-    /// Fault-tolerance counters (retries, dedup, reorders, destages,
-    /// takeover, resync, integrity, backpressure).
-    pub repl: ReplicationStats,
-}
-
-impl NodeStats {
-    /// Durability invariant: every counted write finished either replicated
-    /// or written through. Holds under any single [`Node::stats`] snapshot
-    /// (the counters are committed together, under one lock).
-    pub fn writes_balance(&self) -> bool {
-        self.writes == self.replicated_pages + self.write_through
-    }
-}
-
-/// Per-origin counters for requests entering through the gateway (or any
-/// caller that identifies itself via the `*_from` entry points). One row per
-/// client id; snapshot with [`Node::client_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PerClientStats {
-    /// Write requests handled for this client.
-    pub writes: u64,
-    /// Pages written for this client.
-    pub pages_written: u64,
-    /// Writes that fell back to write-through.
-    pub write_through: u64,
-    /// Read requests handled for this client.
-    pub reads: u64,
-    /// Reads served from the local buffer.
-    pub read_hits: u64,
-    /// Page deletions (TRIMs) for this client.
-    pub trims: u64,
-}
-
-/// Aggregate outcome of a batched multi-page write ([`Node::write_run`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Pages acknowledged by the peer's remote buffer.
-    pub replicated: u64,
-    /// Pages that fell back to write-through.
-    pub write_through: u64,
-}
-
-impl RunOutcome {
-    /// True when every page of the run took the replicated fast path.
-    pub fn all_replicated(&self) -> bool {
-        self.write_through == 0
-    }
-
-    /// Pages in the run.
-    pub fn pages(&self) -> u64 {
-        self.replicated + self.write_through
-    }
 }
 
 /// Cached obs handles for the hot replication path: counters resolved once
@@ -1681,125 +1342,6 @@ impl Node {
         v
     }
 
-    /// Run the local-failure recovery protocol: fetch the peer's snapshot of
-    /// our replicated pages, replay it into the backend, then ask the peer
-    /// to purge. Returns the number of pages recovered.
-    pub fn recover_from_peer(&self, timeout: Duration) -> Result<usize, TransportError> {
-        let (tx, rx) = bounded(1);
-        self.inner.lock().snapshot_waiters.push(tx);
-        self.transport.send(Message::RctFetch)?;
-        let entries = rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
-        })?;
-        let n = entries.len();
-        {
-            let mut inner = self.inner.lock();
-            for (_, ver, _) in &entries {
-                inner.observe_version(*ver);
-            }
-            let backend = inner.backend.clone();
-            let mut backend = backend.lock();
-            // Version-guarded replay: a page the peer rewrote (with a higher
-            // pair-clock version) while we were down keeps its newer copy.
-            for (lpn, ver, data) in &entries {
-                backend.write_page(*lpn, *ver, data);
-            }
-        }
-        let (ptx, prx) = bounded(1);
-        self.inner.lock().purge_waiters.push(ptx);
-        self.transport.send(Message::Purge)?;
-        let _ = prx.recv_timeout(timeout);
-        Ok(n)
-    }
-
-    /// Scrub the local buffer: detect resident pages whose contents no
-    /// longer match their recorded CRC-32 (bit rot, DMA error) and repair
-    /// each from the peer's replica. Returns `(detected, repaired)`.
-    pub fn scrub(&self, timeout: Duration) -> (u64, u64) {
-        let bad: Vec<u64> = {
-            let g = self.inner.lock();
-            let mut v: Vec<u64> = g
-                .resident
-                .iter()
-                .filter(|(_, p)| crc32(&p.bytes) != p.crc)
-                .map(|(&l, _)| l)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let mut detected = 0u64;
-        let mut repaired = 0u64;
-        for lpn in bad {
-            detected += 1;
-            let rx = {
-                let mut g = self.inner.lock();
-                g.stats.lock().repl.corruptions_detected += 1;
-                g.note("scrub_corrupt", |e| e.u64_field("lpn", lpn));
-                let (tx, rx) = bounded(1);
-                g.scrub_waiters.insert(lpn, tx);
-                rx
-            };
-            if self.transport.send(Message::PageFetch { lpn }).is_err() {
-                self.inner.lock().scrub_waiters.remove(&lpn);
-                continue;
-            }
-            match rx.recv_timeout(timeout) {
-                Ok(Some((ver, data))) => {
-                    let mut g = self.inner.lock();
-                    let local_ver = g.resident.get(&lpn).map_or(0, |p| p.version);
-                    // Only a replica at least as new as our metadata can
-                    // stand in for the damaged copy.
-                    if ver >= local_ver {
-                        g.backend.lock().write_page(lpn, ver, &data);
-                        // `Inner` was dropped while waiting for the peer:
-                        // a page evicted meanwhile is repaired on the
-                        // backend only (where a dirty eviction flushed the
-                        // damaged copy) and gets no record back — the
-                        // buffer no longer knows it.
-                        if let Some(page) = g.resident.get_mut(&lpn) {
-                            *page = Resident {
-                                crc: crc32(&data),
-                                bytes: data,
-                                version: ver,
-                            };
-                        }
-                        {
-                            let mut s = g.stats.lock();
-                            s.repl.corruptions_repaired += 1;
-                            s.repl.scrub_repairs += 1;
-                        }
-                        g.note("scrub_repair", |e| {
-                            e.u64_field("lpn", lpn).u64_field("version", ver)
-                        });
-                        repaired += 1;
-                    }
-                }
-                _ => {
-                    self.inner.lock().scrub_waiters.remove(&lpn);
-                }
-            }
-        }
-        (detected, repaired)
-    }
-
-    /// Test hook: silently flip one byte of a resident page *without*
-    /// updating its recorded CRC, simulating local media corruption for
-    /// [`Node::scrub`] to find. Returns false if the page is not resident.
-    #[cfg(test)]
-    pub fn corrupt_local_page(&self, lpn: u64) -> bool {
-        let mut g = self.inner.lock();
-        match g.resident.get_mut(&lpn) {
-            Some(page) if !page.bytes.is_empty() => {
-                let mut v = page.bytes.to_vec();
-                v[0] ^= 0xFF;
-                page.bytes = Bytes::from(v);
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Current counters.
     pub fn stats(&self) -> NodeStats {
         let inner = self.inner.lock();
@@ -1892,139 +1434,6 @@ impl Node {
                 *e = (*ver, Bytes::copy_from_slice(data));
             }
         }
-    }
-
-    // -- elastic-membership migration (block export/import/fence-out) -------
-
-    /// Every lpn this node holds as the pair's *own* data — buffer-resident
-    /// pages plus durable backend pages, excluding the [`PEER_NS`]
-    /// namespace (pages hosted for the peer move with the peer, not with
-    /// this pair's blocks). Sorted ascending. This is the occupancy set a
-    /// rebalance coordinator intersects with the ring diff to plan the
-    /// minimal moved-block set.
-    pub fn try_migration_lpns(&self) -> Result<Vec<u64>, NodeDown> {
-        if self.is_halted() {
-            return Err(NodeDown);
-        }
-        let inner = self.inner.lock();
-        let mut lpns = inner.buffer.resident_pages();
-        lpns.extend(
-            inner
-                .backend
-                .lock()
-                .lpns()
-                .into_iter()
-                .filter(|lpn| lpn & PEER_NS == 0),
-        );
-        lpns.sort_unstable();
-        lpns.dedup();
-        Ok(lpns)
-    }
-
-    /// Export the newest acked copy of each requested page as CRC-framed
-    /// [`ResyncEntry`]s — the same `(lpn, version, crc, data)` framing the
-    /// pair resync wire uses, so the importer verifies integrity before
-    /// applying. Absent pages are skipped (a trim may race the plan); the
-    /// node's own state is untouched. Call under the gateway's migration
-    /// fence so no client write to these pages is in flight.
-    pub fn try_export_pages(&self, lpns: &[u64]) -> Result<Vec<ResyncEntry>, NodeDown> {
-        if self.is_halted() {
-            return Err(NodeDown);
-        }
-        let inner = self.inner.lock();
-        let mut out = Vec::with_capacity(lpns.len());
-        for &lpn in lpns {
-            if let Some(page) = inner.resident.get(&lpn) {
-                out.push(resync_entry(lpn, page.version, page.bytes.clone()));
-            } else if let Some((ver, data)) = inner.backend.lock().read_page(lpn) {
-                out.push(resync_entry(lpn, ver, Bytes::from(data)));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Import migrated pages from another pair. Every frame CRC is
-    /// verified *before* anything is applied — a torn batch changes
-    /// nothing and the coordinator resends. Accepted pages land durable on
-    /// the backend (version-guarded, so a newer local copy is never rolled
-    /// back) and clean in the buffer; they are not replicated to the peer
-    /// (the next client write replicates normally). Returns the pages
-    /// applied.
-    pub fn try_import_pages(&self, entries: &[ResyncEntry]) -> Result<u64, MigrateError> {
-        if self.is_halted() {
-            return Err(MigrateError::Down);
-        }
-        for (lpn, _ver, crc, data) in entries {
-            if crc32(data) != *crc {
-                return Err(MigrateError::Corrupt { lpn: *lpn });
-            }
-        }
-        let mut imported = 0u64;
-        let mut flushed = Vec::new();
-        let discard = {
-            let mut inner = self.inner.lock();
-            for (lpn, ver, crc, data) in entries {
-                inner.observe_version(*ver);
-                let stale = {
-                    let mut backend = inner.backend.lock();
-                    backend.write_page(*lpn, *ver, data);
-                    // The guard kept a newer durable copy; don't shadow it
-                    // with an older buffered one.
-                    backend.version_of(*lpn).is_some_and(|bv| bv > *ver)
-                };
-                if stale || inner.resident.get(lpn).is_some_and(|p| p.version > *ver) {
-                    continue;
-                }
-                let page = Resident {
-                    bytes: data.clone(),
-                    crc: *crc,
-                    version: *ver,
-                };
-                inner.resident.insert(*lpn, page);
-                let ev = inner.buffer.insert_clean(*lpn, 1);
-                flushed.extend(inner.apply_eviction(&ev));
-                imported += 1;
-            }
-            inner.stats.lock().migrated_in_pages += imported;
-            inner.note("migrate_in", |e| e.u64_field("pages", imported));
-            inner.discard_for(flushed)
-        };
-        self.send_discard(discard);
-        Ok(imported)
-    }
-
-    /// Fence migrated pages out of this pair: drop the buffered copy, the
-    /// journal entry, and the backend copy, and send the peer a version-
-    /// bounded discard for its replicas — after this returns, nothing on
-    /// either node of the pair can resurrect the page (the node-side half
-    /// of migration fencing; the gateway's routing fence is the other).
-    /// Returns the pages that existed here. Call only after the
-    /// destination acked the import.
-    pub fn try_release_pages(&self, lpns: &[u64]) -> Result<u64, NodeDown> {
-        if self.is_halted() {
-            return Err(NodeDown);
-        }
-        let (discard, released) = {
-            let mut inner = self.inner.lock();
-            let mut discards = Vec::new();
-            {
-                let backend = inner.backend.clone();
-                let mut backend = backend.lock();
-                for &lpn in lpns {
-                    let held =
-                        inner.buffer.lookup(lpn).is_some() || backend.version_of(lpn).is_some();
-                    if held {
-                        discards.push((lpn, inner.forget_page(lpn, &mut **backend)));
-                    }
-                }
-            }
-            let released = discards.len() as u64;
-            inner.stats.lock().migrated_out_pages += released;
-            inner.note("migrate_out", |e| e.u64_field("pages", released));
-            (inner.discard_for(discards), released)
-        };
-        self.send_discard(discard);
-        Ok(released)
     }
 
     /// Stop the pump thread and flush all dirty pages to the backend
@@ -2420,57 +1829,8 @@ fn handle_message(
 
 #[cfg(test)]
 mod tests {
+    use super::testkit::*;
     use super::*;
-    use crate::backend::MemBackend;
-    use crate::fault::{FaultPlan, FaultTransport};
-    use crate::transport::mem_pair;
-
-    fn pair() -> (Node, Node, SharedBackend, SharedBackend) {
-        let (ta, tb) = mem_pair();
-        let ba = shared_backend(MemBackend::new());
-        let bb = shared_backend(MemBackend::new());
-        let a = Node::spawn(NodeConfig::test_profile(0), ta, ba.clone());
-        let b = Node::spawn(NodeConfig::test_profile(1), tb, bb.clone());
-        (a, b, ba, bb)
-    }
-
-    fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        cond()
-    }
-
-    /// A pair whose link is dark both ways for its first 400 ms, so both
-    /// nodes start out Solo; `plan_a` carries any further faults of A's
-    /// outbound traffic.
-    fn partitioned_pair(cfg_a: NodeConfig, cfg_b: NodeConfig, plan_a: FaultPlan) -> (Node, Node) {
-        let (ta, tb) = mem_pair();
-        let window = Duration::from_millis(400);
-        let fa = FaultTransport::new(ta, plan_a.with_partition_for(Duration::ZERO, window));
-        let fb = FaultTransport::new(
-            tb,
-            FaultPlan::new(99).with_partition_for(Duration::ZERO, window),
-        );
-        let a = Node::spawn(cfg_a, fa, shared_backend(MemBackend::new()));
-        let b = Node::spawn(cfg_b, fb, shared_backend(MemBackend::new()));
-        assert!(wait_until(
-            || a.lifecycle_state() == PairState::Solo && b.lifecycle_state() == PairState::Solo,
-            Duration::from_secs(2)
-        ));
-        (a, b)
-    }
-
-    fn both_paired(a: &Node, b: &Node) -> bool {
-        wait_until(
-            || a.lifecycle_state() == PairState::Paired && b.lifecycle_state() == PairState::Paired,
-            Duration::from_secs(5),
-        )
-    }
 
     #[test]
     fn replicated_write_lands_in_peer_remote_buffer() {
@@ -2891,31 +2251,6 @@ mod tests {
             assert_eq!(data, format!("payload-{lpn}").into_bytes());
         }
         assert_eq!(a.lifecycle_state(), PairState::Paired);
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn scrub_repairs_local_corruption_from_peer_replica() {
-        let (a, b, ba, _bb) = pair();
-        assert_eq!(a.write(5, b"precious"), WriteOutcome::Replicated);
-        assert!(wait_until(
-            || b.hosted_remote_pages() == vec![5],
-            Duration::from_millis(500)
-        ));
-        // Bit rot on A's resident copy.
-        assert!(a.corrupt_local_page(5));
-        let (detected, repaired) = a.scrub(Duration::from_secs(1));
-        assert_eq!((detected, repaired), (1, 1));
-        let s = a.stats();
-        assert_eq!(s.repl.scrub_repairs, 1);
-        assert_eq!(s.repl.corruptions_detected, 1);
-        assert_eq!(s.repl.corruptions_repaired, 1);
-        // The repaired bytes are back, in memory and on the backend.
-        assert_eq!(a.read(5), Some(b"precious".to_vec()));
-        assert_eq!(ba.lock().read_page(5).unwrap().1, b"precious".to_vec());
-        // A clean follow-up scrub finds nothing.
-        assert_eq!(a.scrub(Duration::from_secs(1)), (0, 0));
         a.shutdown();
         b.shutdown();
     }
@@ -3414,84 +2749,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_moves_pages_between_pairs_and_fences_the_source() {
-        let (a1, a2, _ba, _bb) = pair();
-        let (tb1, tb2) = mem_pair();
-        let b1 = Node::spawn(
-            NodeConfig::test_profile(2),
-            tb1,
-            shared_backend(MemBackend::new()),
-        );
-        let b2 = Node::spawn(
-            NodeConfig::test_profile(3),
-            tb2,
-            shared_backend(MemBackend::new()),
-        );
-        for lpn in 0..4u64 {
-            assert_eq!(a1.write(lpn, format!("m{lpn}").as_bytes()), {
-                WriteOutcome::Replicated
-            });
-        }
-        a1.try_flush_dirty().unwrap(); // half durable, half will re-dirty
-        a1.write(0, b"m0v2");
-        let lpns = a1.try_migration_lpns().unwrap();
-        assert_eq!(lpns, vec![0, 1, 2, 3]);
-
-        let entries = a1.try_export_pages(&lpns).unwrap();
-        assert_eq!(entries.len(), 4);
-        for (_, _, crc, data) in &entries {
-            assert_eq!(*crc, crc32(data));
-        }
-        assert_eq!(b1.try_import_pages(&entries), Ok(4));
-        assert_eq!(b1.read(0), Some(b"m0v2".to_vec()), "newest copy must move");
-        assert_eq!(b1.stats().migrated_in_pages, 4);
-
-        assert_eq!(a1.try_release_pages(&lpns), Ok(4));
-        assert_eq!(a1.stats().migrated_out_pages, 4);
-        for lpn in 0..4u64 {
-            assert_eq!(a1.read(lpn), None, "fenced page served after release");
-            assert!(b1.read(lpn).is_some());
-        }
-        // The version-bounded discard scrubs the peer's replicas too.
-        assert!(wait_until(
-            || a2.hosted_remote_pages().is_empty(),
-            Duration::from_secs(2)
-        ));
-        a1.shutdown();
-        a2.shutdown();
-        b1.shutdown();
-        b2.shutdown();
-    }
-
-    #[test]
-    fn import_verifies_crc_before_applying_anything() {
-        let (a, b, _ba, _bb) = pair();
-        let good = resync_entry(1, 1, Bytes::from_static(b"ok"));
-        let mut bad = resync_entry(2, 1, Bytes::from_static(b"tampered"));
-        bad.3 = Bytes::from_static(b"tampereX");
-        assert_eq!(
-            a.try_import_pages(&[good, bad]),
-            Err(MigrateError::Corrupt { lpn: 2 })
-        );
-        // Torn batch: nothing applied, not even the valid frame.
-        assert_eq!(a.read(1), None);
-        assert_eq!(a.stats().migrated_in_pages, 0);
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn import_never_rolls_back_a_newer_local_copy() {
-        let (a, b, _ba, _bb) = pair();
-        a.write(7, b"newer");
-        let stale = resync_entry(7, 0, Bytes::from_static(b"stale"));
-        assert_eq!(a.try_import_pages(&[stale]), Ok(0));
-        assert_eq!(a.read(7), Some(b"newer".to_vec()));
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
     fn migration_lpns_excludes_pages_hosted_for_the_peer() {
         let (a, b, _ba, _bb) = pair();
         assert_eq!(a.write(5, b"mine-via-a"), WriteOutcome::Replicated);
@@ -3511,15 +2768,6 @@ mod tests {
         assert_eq!(a.try_migration_lpns(), Err(NodeDown));
         a.shutdown();
         b.shutdown();
-    }
-
-    /// The resident table's key set and the buffer's, both sorted — equal
-    /// whenever `Inner` is unlocked.
-    fn table_and_buffer(n: &Node) -> (Vec<u64>, Vec<u64>) {
-        let g = n.inner.lock();
-        let mut table: Vec<u64> = g.resident.keys().copied().collect();
-        table.sort_unstable();
-        (table, g.buffer.resident_pages())
     }
 
     #[test]
@@ -3598,57 +2846,6 @@ mod tests {
         );
         a.shutdown();
         b.shutdown();
-    }
-
-    #[test]
-    fn scrub_does_not_resurrect_a_page_evicted_during_repair() {
-        // The test plays the peer by hand, so it decides what happens
-        // between the scrubber's PageFetch and its PageData.
-        let (ta, tb) = mem_pair();
-        let ba = shared_backend(MemBackend::new());
-        let a = Arc::new(Node::spawn(NodeConfig::test_profile(0), ta, ba.clone()));
-        // A silent peer: A goes Solo and writes through.
-        assert!(wait_until(
-            || a.lifecycle_state() == PairState::Solo,
-            Duration::from_secs(2)
-        ));
-        assert_eq!(a.write(5, b"precious"), WriteOutcome::WriteThrough);
-        assert!(a.corrupt_local_page(5));
-        let scrubber = {
-            let a = a.clone();
-            std::thread::spawn(move || a.scrub(Duration::from_secs(5)))
-        };
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            assert!(Instant::now() < deadline, "no PageFetch from the scrubber");
-            if let Ok(Some(Message::PageFetch { lpn: 5 })) =
-                tb.recv_timeout(Duration::from_millis(50))
-            {
-                break;
-            }
-        }
-        // Detection is done and `Inner` is unlocked: push page 5 out.
-        for i in 0..4 * NodeConfig::test_profile(0).buffer_pages as u64 {
-            a.write(1000 + i, b"filler");
-        }
-        assert_eq!(
-            a.inner.lock().buffer.lookup(5),
-            None,
-            "page 5 still resident"
-        );
-        let version = ba.lock().version_of(5).expect("written through");
-        tb.send(Message::page_data(
-            5,
-            Some((version, Bytes::from_static(b"precious"))),
-        ))
-        .unwrap();
-        assert_eq!(scrubber.join().unwrap(), (1, 1));
-        let (table, buffer) = table_and_buffer(&a);
-        assert_eq!(table, buffer, "scrub left an orphan record");
-        assert!(!table.contains(&5));
-        assert_eq!(ba.lock().read_page(5).unwrap().1, b"precious".to_vec());
-        assert_eq!(a.read(5), Some(b"precious".to_vec()));
-        a.quiesce();
     }
 
     mod dedup_prop {

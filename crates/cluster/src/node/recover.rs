@@ -1,0 +1,213 @@
+//! Repair from the peer's replica: the Section III.D recovery handshake
+//! (RCT fetch → replay → purge) and the local-corruption scrub.
+
+use super::{Node, Resident};
+use crate::transport::TransportError;
+use crate::wire::{crc32, Message};
+#[cfg(test)]
+use bytes::Bytes;
+use crossbeam::channel::{bounded, RecvTimeoutError};
+use std::time::Duration;
+
+impl Node {
+    /// Run the local-failure recovery protocol: fetch the peer's snapshot of
+    /// our replicated pages, replay it into the backend, then ask the peer
+    /// to purge. Returns the number of pages recovered.
+    pub fn recover_from_peer(&self, timeout: Duration) -> Result<usize, TransportError> {
+        let (tx, rx) = bounded(1);
+        self.inner.lock().snapshot_waiters.push(tx);
+        self.transport.send(Message::RctFetch)?;
+        let entries = rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => TransportError::Timeout,
+            RecvTimeoutError::Disconnected => TransportError::Disconnected,
+        })?;
+        let n = entries.len();
+        {
+            let mut inner = self.inner.lock();
+            for (_, ver, _) in &entries {
+                inner.observe_version(*ver);
+            }
+            let backend = inner.backend.clone();
+            let mut backend = backend.lock();
+            // Version-guarded replay: a page the peer rewrote (with a higher
+            // pair-clock version) while we were down keeps its newer copy.
+            for (lpn, ver, data) in &entries {
+                backend.write_page(*lpn, *ver, data);
+            }
+        }
+        let (ptx, prx) = bounded(1);
+        self.inner.lock().purge_waiters.push(ptx);
+        self.transport.send(Message::Purge)?;
+        let _ = prx.recv_timeout(timeout);
+        Ok(n)
+    }
+
+    /// Scrub the local buffer: detect resident pages whose contents no
+    /// longer match their recorded CRC-32 (bit rot, DMA error) and repair
+    /// each from the peer's replica. Returns `(detected, repaired)`.
+    pub fn scrub(&self, timeout: Duration) -> (u64, u64) {
+        let bad: Vec<u64> = {
+            let g = self.inner.lock();
+            let mut v: Vec<u64> = g
+                .resident
+                .iter()
+                .filter(|(_, p)| crc32(&p.bytes) != p.crc)
+                .map(|(&l, _)| l)
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let mut detected = 0u64;
+        let mut repaired = 0u64;
+        for lpn in bad {
+            detected += 1;
+            let rx = {
+                let mut g = self.inner.lock();
+                g.stats.lock().repl.corruptions_detected += 1;
+                g.note("scrub_corrupt", |e| e.u64_field("lpn", lpn));
+                let (tx, rx) = bounded(1);
+                g.scrub_waiters.insert(lpn, tx);
+                rx
+            };
+            if self.transport.send(Message::PageFetch { lpn }).is_err() {
+                self.inner.lock().scrub_waiters.remove(&lpn);
+                continue;
+            }
+            match rx.recv_timeout(timeout) {
+                Ok(Some((ver, data))) => {
+                    let mut g = self.inner.lock();
+                    let local_ver = g.resident.get(&lpn).map_or(0, |p| p.version);
+                    // Only a replica at least as new as our metadata can
+                    // stand in for the damaged copy.
+                    if ver >= local_ver {
+                        g.backend.lock().write_page(lpn, ver, &data);
+                        // `Inner` was dropped while waiting for the peer:
+                        // a page evicted meanwhile is repaired on the
+                        // backend only (where a dirty eviction flushed the
+                        // damaged copy) and gets no record back — the
+                        // buffer no longer knows it.
+                        if let Some(page) = g.resident.get_mut(&lpn) {
+                            *page = Resident {
+                                crc: crc32(&data),
+                                bytes: data,
+                                version: ver,
+                            };
+                        }
+                        {
+                            let mut s = g.stats.lock();
+                            s.repl.corruptions_repaired += 1;
+                            s.repl.scrub_repairs += 1;
+                        }
+                        g.note("scrub_repair", |e| {
+                            e.u64_field("lpn", lpn).u64_field("version", ver)
+                        });
+                        repaired += 1;
+                    }
+                }
+                _ => {
+                    self.inner.lock().scrub_waiters.remove(&lpn);
+                }
+            }
+        }
+        (detected, repaired)
+    }
+
+    /// Test hook: silently flip one byte of a resident page *without*
+    /// updating its recorded CRC, simulating local media corruption for
+    /// [`Node::scrub`] to find. Returns false if the page is not resident.
+    #[cfg(test)]
+    pub fn corrupt_local_page(&self, lpn: u64) -> bool {
+        let mut g = self.inner.lock();
+        match g.resident.get_mut(&lpn) {
+            Some(page) if !page.bytes.is_empty() => {
+                let mut v = page.bytes.to_vec();
+                v[0] ^= 0xFF;
+                page.bytes = Bytes::from(v);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::testkit::*;
+
+    #[test]
+    fn scrub_repairs_local_corruption_from_peer_replica() {
+        let (a, b, ba, _bb) = pair();
+        assert_eq!(a.write(5, b"precious"), WriteOutcome::Replicated);
+        assert!(wait_until(
+            || b.hosted_remote_pages() == vec![5],
+            Duration::from_millis(500)
+        ));
+        // Bit rot on A's resident copy.
+        assert!(a.corrupt_local_page(5));
+        let (detected, repaired) = a.scrub(Duration::from_secs(1));
+        assert_eq!((detected, repaired), (1, 1));
+        let s = a.stats();
+        assert_eq!(s.repl.scrub_repairs, 1);
+        assert_eq!(s.repl.corruptions_detected, 1);
+        assert_eq!(s.repl.corruptions_repaired, 1);
+        // The repaired bytes are back, in memory and on the backend.
+        assert_eq!(a.read(5), Some(b"precious".to_vec()));
+        assert_eq!(ba.lock().read_page(5).unwrap().1, b"precious".to_vec());
+        // A clean follow-up scrub finds nothing.
+        assert_eq!(a.scrub(Duration::from_secs(1)), (0, 0));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn scrub_does_not_resurrect_a_page_evicted_during_repair() {
+        // The test plays the peer by hand, so it decides what happens
+        // between the scrubber's PageFetch and its PageData.
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let a = Arc::new(Node::spawn(NodeConfig::test_profile(0), ta, ba.clone()));
+        // A silent peer: A goes Solo and writes through.
+        assert!(wait_until(
+            || a.lifecycle_state() == PairState::Solo,
+            Duration::from_secs(2)
+        ));
+        assert_eq!(a.write(5, b"precious"), WriteOutcome::WriteThrough);
+        assert!(a.corrupt_local_page(5));
+        let scrubber = {
+            let a = a.clone();
+            std::thread::spawn(move || a.scrub(Duration::from_secs(5)))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert!(Instant::now() < deadline, "no PageFetch from the scrubber");
+            if let Ok(Some(Message::PageFetch { lpn: 5 })) =
+                tb.recv_timeout(Duration::from_millis(50))
+            {
+                break;
+            }
+        }
+        // Detection is done and `Inner` is unlocked: push page 5 out.
+        for i in 0..4 * NodeConfig::test_profile(0).buffer_pages as u64 {
+            a.write(1000 + i, b"filler");
+        }
+        assert_eq!(
+            a.inner.lock().buffer.lookup(5),
+            None,
+            "page 5 still resident"
+        );
+        let version = ba.lock().version_of(5).expect("written through");
+        tb.send(Message::page_data(
+            5,
+            Some((version, Bytes::from_static(b"precious"))),
+        ))
+        .unwrap();
+        assert_eq!(scrubber.join().unwrap(), (1, 1));
+        let (table, buffer) = table_and_buffer(&a);
+        assert_eq!(table, buffer, "scrub left an orphan record");
+        assert!(!table.contains(&5));
+        assert_eq!(ba.lock().read_page(5).unwrap().1, b"precious".to_vec());
+        assert_eq!(a.read(5), Some(b"precious".to_vec()));
+        a.quiesce();
+    }
+}
