@@ -15,7 +15,8 @@
 //!   simulation, plus real threads, heartbeats, the pair-lifecycle state
 //!   machine (takeover destage, incremental resync/rejoin), end-to-end
 //!   CRC-32 integrity with NACK/resend and scrub repair, credit-based
-//!   backpressure, and the Section III.D recovery protocol.
+//!   backpressure, and the Section III.D recovery protocol. One module per
+//!   lock-order boundary; its module doc has the table.
 //!
 //! ```
 //! use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig, WriteOutcome};

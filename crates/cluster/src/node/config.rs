@@ -1,5 +1,7 @@
 //! Node tunables: [`NodeConfig`] and its builder.
 
+#[cfg(doc)]
+use crate::{Message, Node};
 use flashcoop::{PolicyKind, RetryPolicy};
 use std::time::Duration;
 
@@ -79,18 +81,15 @@ impl NodeConfig {
     pub fn test_profile(id: u8) -> Self {
         NodeConfig {
             id,
-            policy: PolicyKind::Lar,
             buffer_pages: 64,
             pages_per_block: 4,
             heartbeat: Duration::from_millis(25),
             failure_timeout: Duration::from_millis(200),
-            ack_timeout: Duration::from_millis(500),
-            retry: RetryPolicy::default(),
             journal_entries: 256,
             remote_capacity: 512,
             dedup_window: 64,
             repl_batch_pages: 16,
-            repl_window: 32,
+            ..NodeConfig::default()
         }
     }
 

@@ -1,31 +1,23 @@
 //! Elastic-membership hooks: what a rebalance coordinator calls to list,
 //! export, import and fence out a pair's blocks.
 
-use super::{MigrateError, Node, NodeDown, Resident, PEER_NS};
+use super::state::Resident;
+use super::{MigrateError, Node, NodeDown};
 use crate::wire::{crc32, resync_entry, ResyncEntry};
 use bytes::Bytes;
 
 impl Node {
     /// Every lpn this node holds as the pair's *own* data — buffer-resident
-    /// pages plus durable backend pages, excluding the [`PEER_NS`]
-    /// namespace (pages hosted for the peer move with the peer, not with
-    /// this pair's blocks). Sorted ascending. This is the occupancy set a
+    /// pages plus durable backend pages, excluding the peer namespace
+    /// (pages hosted for the peer move with the peer, not with this pair's
+    /// blocks). Sorted ascending. This is the occupancy set a
     /// rebalance coordinator intersects with the ring diff to plan the
     /// minimal moved-block set.
     pub fn try_migration_lpns(&self) -> Result<Vec<u64>, NodeDown> {
-        if self.is_halted() {
-            return Err(NodeDown);
-        }
-        let inner = self.inner.lock();
+        self.live()?;
+        let inner = self.core.inner.lock();
         let mut lpns = inner.buffer.resident_pages();
-        lpns.extend(
-            inner
-                .backend
-                .lock()
-                .lpns()
-                .into_iter()
-                .filter(|lpn| lpn & PEER_NS == 0),
-        );
+        lpns.extend(inner.hosted.own_durable_lpns());
         lpns.sort_unstable();
         lpns.dedup();
         Ok(lpns)
@@ -38,10 +30,8 @@ impl Node {
     /// node's own state is untouched. Call under the gateway's migration
     /// fence so no client write to these pages is in flight.
     pub fn try_export_pages(&self, lpns: &[u64]) -> Result<Vec<ResyncEntry>, NodeDown> {
-        if self.is_halted() {
-            return Err(NodeDown);
-        }
-        let inner = self.inner.lock();
+        self.live()?;
+        let inner = self.core.inner.lock();
         let mut out = Vec::with_capacity(lpns.len());
         for &lpn in lpns {
             if let Some(page) = inner.resident.get(&lpn) {
@@ -61,18 +51,15 @@ impl Node {
     /// (the next client write replicates normally). Returns the pages
     /// applied.
     pub fn try_import_pages(&self, entries: &[ResyncEntry]) -> Result<u64, MigrateError> {
-        if self.is_halted() {
-            return Err(MigrateError::Down);
-        }
+        self.live()?;
         for (lpn, _ver, crc, data) in entries {
             if crc32(data) != *crc {
                 return Err(MigrateError::Corrupt { lpn: *lpn });
             }
         }
-        let mut imported = 0u64;
-        let mut flushed = Vec::new();
-        let discard = {
-            let mut inner = self.inner.lock();
+        Ok(self.under_inner(|inner| {
+            let mut imported = 0u64;
+            let mut flushed = Vec::new();
             for (lpn, ver, crc, data) in entries {
                 inner.observe_version(*ver);
                 let stale = {
@@ -97,10 +84,8 @@ impl Node {
             }
             inner.stats.lock().migrated_in_pages += imported;
             inner.note("migrate_in", |e| e.u64_field("pages", imported));
-            inner.discard_for(flushed)
-        };
-        self.send_discard(discard);
-        Ok(imported)
+            (imported, flushed)
+        }))
     }
 
     /// Fence migrated pages out of this pair: drop the buffered copy, the
@@ -111,30 +96,10 @@ impl Node {
     /// Returns the pages that existed here. Call only after the
     /// destination acked the import.
     pub fn try_release_pages(&self, lpns: &[u64]) -> Result<u64, NodeDown> {
-        if self.is_halted() {
-            return Err(NodeDown);
-        }
-        let (discard, released) = {
-            let mut inner = self.inner.lock();
-            let mut discards = Vec::new();
-            {
-                let backend = inner.backend.clone();
-                let mut backend = backend.lock();
-                for &lpn in lpns {
-                    let held =
-                        inner.buffer.lookup(lpn).is_some() || backend.version_of(lpn).is_some();
-                    if held {
-                        discards.push((lpn, inner.forget_page(lpn, &mut **backend)));
-                    }
-                }
-            }
-            let released = discards.len() as u64;
+        self.forget_pages(lpns.iter().copied(), true, |inner, released| {
             inner.stats.lock().migrated_out_pages += released;
             inner.note("migrate_out", |e| e.u64_field("pages", released));
-            (inner.discard_for(discards), released)
-        };
-        self.send_discard(discard);
-        Ok(released)
+        })
     }
 }
 

@@ -1,29 +1,49 @@
 //! Repair from the peer's replica: the Section III.D recovery handshake
 //! (RCT fetch → replay → purge) and the local-corruption scrub.
 
-use super::{Node, Resident};
+use super::state::Resident;
+use super::Node;
 use crate::transport::TransportError;
 use crate::wire::{crc32, Message};
-#[cfg(test)]
-use bytes::Bytes;
-use crossbeam::channel::{bounded, RecvTimeoutError};
-use std::time::Duration;
+use crossbeam::channel::{unbounded, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 impl Node {
+    /// Send `request` and park until `pick` accepts one of the peer's
+    /// recovery-protocol replies (the pump hands each of them to every
+    /// parked call).
+    fn ask<T>(
+        &self,
+        request: Message,
+        timeout: Duration,
+        pick: impl Fn(Message) -> Option<T>,
+    ) -> Result<T, TransportError> {
+        let (tx, rx) = unbounded();
+        self.core.parked.lock().push(tx);
+        self.core.transport.send(request)?;
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let reply = rx.recv_timeout(left).map_err(|e| match e {
+                RecvTimeoutError::Timeout => TransportError::Timeout,
+                RecvTimeoutError::Disconnected => TransportError::Disconnected,
+            })?;
+            if let Some(v) = pick(reply) {
+                return Ok(v);
+            }
+        }
+    }
+
     /// Run the local-failure recovery protocol: fetch the peer's snapshot of
     /// our replicated pages, replay it into the backend, then ask the peer
     /// to purge. Returns the number of pages recovered.
     pub fn recover_from_peer(&self, timeout: Duration) -> Result<usize, TransportError> {
-        let (tx, rx) = bounded(1);
-        self.inner.lock().snapshot_waiters.push(tx);
-        self.transport.send(Message::RctFetch)?;
-        let entries = rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => TransportError::Timeout,
-            RecvTimeoutError::Disconnected => TransportError::Disconnected,
+        let entries = self.ask(Message::RctFetch, timeout, |m| match m {
+            Message::RctSnapshot { entries } => Some(entries),
+            _ => None,
         })?;
-        let n = entries.len();
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.core.inner.lock();
             for (_, ver, _) in &entries {
                 inner.observe_version(*ver);
             }
@@ -35,11 +55,15 @@ impl Node {
                 backend.write_page(*lpn, *ver, data);
             }
         }
-        let (ptx, prx) = bounded(1);
-        self.inner.lock().purge_waiters.push(ptx);
-        self.transport.send(Message::Purge)?;
-        let _ = prx.recv_timeout(timeout);
-        Ok(n)
+        let purged = self.ask(Message::Purge, timeout, |m| {
+            (m == Message::PurgeAck).then_some(())
+        });
+        match purged {
+            // The pages are replayed either way; a slow PurgeAck only means
+            // the peer hosts them a little longer.
+            Ok(()) | Err(TransportError::Timeout) => Ok(entries.len()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Scrub the local buffer: detect resident pages whose contents no
@@ -47,7 +71,7 @@ impl Node {
     /// each from the peer's replica. Returns `(detected, repaired)`.
     pub fn scrub(&self, timeout: Duration) -> (u64, u64) {
         let bad: Vec<u64> = {
-            let g = self.inner.lock();
+            let g = self.core.inner.lock();
             let mut v: Vec<u64> = g
                 .resident
                 .iter()
@@ -57,67 +81,72 @@ impl Node {
             v.sort_unstable();
             v
         };
-        let mut detected = 0u64;
         let mut repaired = 0u64;
-        for lpn in bad {
-            detected += 1;
-            let rx = {
-                let mut g = self.inner.lock();
-                g.stats.lock().repl.corruptions_detected += 1;
-                g.note("scrub_corrupt", |e| e.u64_field("lpn", lpn));
-                let (tx, rx) = bounded(1);
-                g.scrub_waiters.insert(lpn, tx);
-                rx
+        for &lpn in &bad {
+            self.core.stats.lock().repl.corruptions_detected += 1;
+            self.core
+                .obs
+                .note("scrub_corrupt", |e| e.u64_field("lpn", lpn));
+            let replica = self.ask(Message::PageFetch { lpn }, timeout, |m| match m {
+                Message::PageData {
+                    lpn: l,
+                    version,
+                    crc,
+                    found,
+                    data,
+                } if l == lpn => {
+                    // A repair sourced from a damaged replica would be
+                    // worse than no repair; verify before using it.
+                    Some((found && crc32(&data) == crc).then_some((version, data)))
+                }
+                _ => None,
+            });
+            let Ok(Some((ver, data))) = replica else {
+                continue;
             };
-            if self.transport.send(Message::PageFetch { lpn }).is_err() {
-                self.inner.lock().scrub_waiters.remove(&lpn);
+            let mut g = self.core.inner.lock();
+            let local_ver = g.resident.get(&lpn).map_or(0, |p| p.version);
+            // Only a replica at least as new as our metadata can stand in
+            // for the damaged copy.
+            if ver < local_ver {
                 continue;
             }
-            match rx.recv_timeout(timeout) {
-                Ok(Some((ver, data))) => {
-                    let mut g = self.inner.lock();
-                    let local_ver = g.resident.get(&lpn).map_or(0, |p| p.version);
-                    // Only a replica at least as new as our metadata can
-                    // stand in for the damaged copy.
-                    if ver >= local_ver {
-                        g.backend.lock().write_page(lpn, ver, &data);
-                        // `Inner` was dropped while waiting for the peer:
-                        // a page evicted meanwhile is repaired on the
-                        // backend only (where a dirty eviction flushed the
-                        // damaged copy) and gets no record back — the
-                        // buffer no longer knows it.
-                        if let Some(page) = g.resident.get_mut(&lpn) {
-                            *page = Resident {
-                                crc: crc32(&data),
-                                bytes: data,
-                                version: ver,
-                            };
-                        }
-                        {
-                            let mut s = g.stats.lock();
-                            s.repl.corruptions_repaired += 1;
-                            s.repl.scrub_repairs += 1;
-                        }
-                        g.note("scrub_repair", |e| {
-                            e.u64_field("lpn", lpn).u64_field("version", ver)
-                        });
-                        repaired += 1;
-                    }
-                }
-                _ => {
-                    self.inner.lock().scrub_waiters.remove(&lpn);
-                }
+            g.backend.lock().write_page(lpn, ver, &data);
+            // `Inner` was dropped while waiting for the peer: a page
+            // evicted meanwhile is repaired on the backend only (where a
+            // dirty eviction flushed the damaged copy) and gets no record
+            // back — the buffer no longer knows it.
+            if let Some(page) = g.resident.get_mut(&lpn) {
+                *page = Resident {
+                    crc: crc32(&data),
+                    bytes: data,
+                    version: ver,
+                };
             }
+            {
+                let mut s = g.stats.lock();
+                s.repl.corruptions_repaired += 1;
+                s.repl.scrub_repairs += 1;
+            }
+            g.note("scrub_repair", |e| {
+                e.u64_field("lpn", lpn).u64_field("version", ver)
+            });
+            repaired += 1;
         }
-        (detected, repaired)
+        (bad.len() as u64, repaired)
     }
+}
 
-    /// Test hook: silently flip one byte of a resident page *without*
-    /// updating its recorded CRC, simulating local media corruption for
-    /// [`Node::scrub`] to find. Returns false if the page is not resident.
-    #[cfg(test)]
-    pub fn corrupt_local_page(&self, lpn: u64) -> bool {
-        let mut g = self.inner.lock();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::testkit::*;
+
+    /// Silently flip one byte of a resident page *without* updating its
+    /// recorded CRC, simulating local media corruption for [`Node::scrub`]
+    /// to find. Returns false if the page is not resident.
+    fn corrupt_local_page(node: &Node, lpn: u64) -> bool {
+        let mut g = node.core.inner.lock();
         match g.resident.get_mut(&lpn) {
             Some(page) if !page.bytes.is_empty() => {
                 let mut v = page.bytes.to_vec();
@@ -128,12 +157,6 @@ impl Node {
             _ => false,
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::node::testkit::*;
 
     #[test]
     fn scrub_repairs_local_corruption_from_peer_replica() {
@@ -144,7 +167,7 @@ mod tests {
             Duration::from_millis(500)
         ));
         // Bit rot on A's resident copy.
-        assert!(a.corrupt_local_page(5));
+        assert!(corrupt_local_page(&a, 5));
         let (detected, repaired) = a.scrub(Duration::from_secs(1));
         assert_eq!((detected, repaired), (1, 1));
         let s = a.stats();
@@ -173,7 +196,7 @@ mod tests {
             Duration::from_secs(2)
         ));
         assert_eq!(a.write(5, b"precious"), WriteOutcome::WriteThrough);
-        assert!(a.corrupt_local_page(5));
+        assert!(corrupt_local_page(&a, 5));
         let scrubber = {
             let a = a.clone();
             std::thread::spawn(move || a.scrub(Duration::from_secs(5)))
@@ -192,7 +215,7 @@ mod tests {
             a.write(1000 + i, b"filler");
         }
         assert_eq!(
-            a.inner.lock().buffer.lookup(5),
+            a.core.inner.lock().buffer.lookup(5),
             None,
             "page 5 still resident"
         );

@@ -1,0 +1,254 @@
+//! [`Inner`]: the node's mutable heart behind one mutex, and the operations
+//! every path shares — the version clock, eviction flushes and solo entry.
+//! Sends nothing: a method that has something for the peer returns it and
+//! the caller sends after the guard drops.
+
+use super::hosted::Hosted;
+use super::recv::BatchRx;
+use super::resync::Resync;
+use super::write::DedupWindow;
+use super::{NodeConfig, NodeObs, NodeStats, PerClientStats, SharedBackend};
+use crate::pipe::ReplPipe;
+use crate::wire::SeqTracker;
+use bytes::Bytes;
+use fc_simkit::SimDuration;
+use flashcoop::policy::Eviction;
+use flashcoop::{BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState};
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+/// What the node keeps for one buffer-resident page (the buffer itself
+/// tracks only residency and dirtiness).
+pub(super) struct Resident {
+    pub(super) bytes: Bytes,
+    /// CRC-32 of `bytes` at write/fill time — the reference a scrub
+    /// compares against to spot silent local corruption.
+    pub(super) crc: u32,
+    /// Pair-clock version of this copy: the stamp of the write that put it
+    /// here, or the backend's version for a read-miss fill.
+    pub(super) version: u64,
+}
+
+/// The node's mutable heart, behind one mutex.
+///
+/// # Lock order
+///
+/// `Inner` ≺ pipe state ≺ `stats`, and `Inner` ≺ `backend`: the backend
+/// and stats mutexes are *leaf* locks — they may be acquired while holding
+/// `Inner` (every destage does: eviction flushes, degraded writes, solo
+/// entry, takeover, migration), but nothing that holds a leaf lock may
+/// acquire `Inner` (or the other leaf). Hot paths additionally hoist backend
+/// *reads* out of the `Inner` critical section entirely (see
+/// `Node::enqueue_pages` / `Node::fill_miss`).
+pub(super) struct Inner {
+    pub(super) cfg: Arc<NodeConfig>,
+    pub(super) buffer: BufferManager,
+    /// One record per buffer-resident page. Its key set equals `buffer`'s
+    /// whenever `Inner` is unlocked: a page that leaves the buffer
+    /// (eviction, delete, fence-out, crash) leaves no node-side record.
+    pub(super) resident: HashMap<u64, Resident>,
+    pub(super) next_version: u64,
+    pub(super) backend: SharedBackend,
+    /// Pages hosted for the peer.
+    pub(super) hosted: Hosted,
+    /// Data-plane sequence numbers seen from the peer (dedup/reorder
+    /// detection for retransmitted or duplicated Discards).
+    pub(super) peer_seqs: SeqTracker,
+    pub(super) lifecycle: PairLifecycle,
+    pub(super) monitor: HeartbeatMonitor,
+    /// Catch-up journal and resync progress.
+    pub(super) resync: Resync,
+    /// Last peer-advertised hosting credits; `None` until the peer has
+    /// spoken (optimistic) or after going solo.
+    pub(super) credits: Option<u32>,
+    /// Seq of the next Discard sent to the peer.
+    pub(super) next_seq: u64,
+    /// Receiver-side cumulative-ack state for the peer's pipelined batches.
+    pub(super) batch_rx: BatchRx,
+    /// Refcount of pages currently in the replication pipeline (enqueued,
+    /// unresolved). [`Inner::enter_solo`] still flushes these for safety
+    /// but leaves their durability accounting to the writer that owns
+    /// them.
+    pub(super) inflight: HashMap<u64, u32>,
+    /// This node's replication pipe, held here only so solo entry can
+    /// [`ReplPipe::reset`] it (the one `Inner` → pipe nesting).
+    pub(super) pipe: Arc<ReplPipe>,
+    /// Node counters — a leaf lock shared with `Node` and the pipe, so
+    /// `Node::stats` snapshots and pipeline accounting never contend with
+    /// writers holding `Inner`.
+    pub(super) stats: Arc<Mutex<NodeStats>>,
+    /// Per-origin counters, keyed by the client id the gateway passed to a
+    /// `*_from` entry point.
+    pub(super) clients: HashMap<u64, PerClientStats>,
+    /// Per-client exactly-once windows for tagged write runs.
+    pub(super) dedup: HashMap<u64, DedupWindow>,
+    obs: Arc<NodeObs>,
+}
+
+impl Inner {
+    pub(super) fn new(
+        cfg: Arc<NodeConfig>,
+        backend: SharedBackend,
+        pipe: Arc<ReplPipe>,
+        stats: Arc<Mutex<NodeStats>>,
+        obs: Arc<NodeObs>,
+    ) -> Inner {
+        Inner {
+            buffer: BufferManager::new(cfg.policy, cfg.buffer_pages, cfg.pages_per_block, true),
+            resident: HashMap::new(),
+            next_version: 1,
+            hosted: Hosted::new(cfg.remote_capacity, backend.clone()),
+            backend,
+            peer_seqs: SeqTracker::new(),
+            lifecycle: PairLifecycle::new(),
+            monitor: HeartbeatMonitor::new(
+                SimDuration::from_nanos(cfg.heartbeat.as_nanos() as u64),
+                SimDuration::from_nanos(cfg.failure_timeout.as_nanos() as u64),
+            ),
+            resync: Resync::default(),
+            credits: None,
+            next_seq: 1,
+            batch_rx: BatchRx::default(),
+            inflight: HashMap::new(),
+            pipe,
+            stats,
+            clients: HashMap::new(),
+            dedup: HashMap::new(),
+            obs,
+            cfg,
+        }
+    }
+
+    /// Emit a wall-stamped `cluster.node` event if obs is attached.
+    pub(super) fn note(&self, kind: &'static str, f: impl FnOnce(fc_obs::Event) -> fc_obs::Event) {
+        self.obs.note(kind, f);
+    }
+
+    /// Take the lifecycle edge `step` asks for, if it is a legal one, and
+    /// record it in the obs stream. True when the state changed.
+    pub(super) fn lifecycle_edge(
+        &mut self,
+        step: impl FnOnce(&mut PairLifecycle) -> Option<LifecycleTransition>,
+    ) -> bool {
+        let Some(tr) = step(&mut self.lifecycle) else {
+            return false;
+        };
+        self.note("lifecycle", |e| {
+            e.str_field("from", tr.from.name())
+                .str_field("to", tr.to.name())
+                .str_field("cause", tr.cause)
+        });
+        true
+    }
+
+    /// One duplicate delivery from the peer (`msg` names the frame kind)
+    /// dropped instead of applied twice.
+    pub(super) fn note_duplicate(&self, seq: u64, msg: &'static str) {
+        self.stats.lock().repl.dups_dropped += 1;
+        self.obs.dedups.inc();
+        self.note("repl_dedup", |e| {
+            e.u64_field("seq", seq).str_field("msg", msg)
+        });
+    }
+
+    /// Advance the version clock past a version observed from the peer (a
+    /// hosted replica, a resync entry, a discard bound, a recovered
+    /// snapshot) or from the shared backend. Both halves of a pair stamp
+    /// writes from their own counter; with every observation folded in,
+    /// any *new* write gets a version above every version of that page the
+    /// pair has produced so far — which is what lets the backend's
+    /// `version >= stored` guard arbitrate correctly when a failover
+    /// makes both nodes write the same lpn space.
+    pub(super) fn observe_version(&mut self, v: u64) {
+        if v >= self.next_version {
+            self.next_version = v + 1;
+        }
+    }
+
+    /// Write an eviction's runs to the backend under one backend guard;
+    /// returns the written `(lpn, version)` pairs.
+    fn flush_runs(&self, ev: &Eviction) -> Vec<(u64, u64)> {
+        if ev.runs.is_empty() {
+            return Vec::new();
+        }
+        let mut flushed = Vec::with_capacity(ev.flushed_pages() as usize);
+        let mut backend = self.backend.lock();
+        for run in &ev.runs {
+            for lpn in run.lpn..run.end_lpn() {
+                if let Some(page) = self.resident.get(&lpn) {
+                    backend.write_page(lpn, page.version, &page.bytes);
+                    flushed.push((lpn, page.version));
+                }
+            }
+        }
+        flushed
+    }
+
+    /// Flush an eviction's runs to the backend and forget the pages that
+    /// left the buffer; returns the flushed `(lpn, version)` pairs so the
+    /// caller can send a version-bounded Discard. Costs what the eviction
+    /// evicted, whatever the buffer holds.
+    pub(super) fn apply_eviction(&mut self, ev: &Eviction) -> Vec<(u64, u64)> {
+        let flushed = self.flush_runs(ev);
+        if !flushed.is_empty() {
+            self.stats.lock().flushed_pages += flushed.len() as u64;
+        }
+        for lpn in &ev.removed {
+            self.resident.remove(lpn);
+        }
+        debug_assert_eq!(self.resident.len(), self.buffer.resident());
+        flushed
+    }
+
+    /// Drop one pipeline reference for `lpn` (its write resolved).
+    pub(super) fn inflight_done(&mut self, lpn: u64) {
+        if let Some(n) = self.inflight.get_mut(&lpn) {
+            *n -= 1;
+            if *n == 0 {
+                self.inflight.remove(&lpn);
+            }
+        }
+    }
+
+    /// Remote failure handling: flush every dirty page, take over the
+    /// peer's replicated pages, and stop forwarding until a resync.
+    pub(super) fn enter_solo(&mut self, cause: &'static str) {
+        if self.lifecycle.state() == PairState::Solo {
+            return;
+        }
+        // Abandon the replication pipeline: blocked writers resolve as
+        // failed and write through themselves, a resync batch goes back to
+        // the journal; the next epoch starts clean.
+        self.pipe.reset();
+        self.lifecycle_edge(|l| l.force_solo(cause));
+        self.settle_resync(true);
+        // Flush every dirty local page: the peer replica is no longer a
+        // second memory.
+        let ev = self.buffer.drain_dirty();
+        // A page still in the pipeline is flushed here for safety (the ack
+        // may already be in flight) but its writer does the accounting when
+        // it resolves.
+        let destaged = self
+            .flush_runs(&ev)
+            .iter()
+            .filter(|(lpn, _)| !self.inflight.contains_key(lpn))
+            .count() as u64;
+        if destaged > 0 {
+            let mut s = self.stats.lock();
+            s.flushed_pages += destaged;
+            s.repl.partition_destages += destaged;
+        }
+        // The pages hosted for the (failed) peer stay reachable for its
+        // recovery handshake, from our backend.
+        let taken = self.hosted.takeover();
+        if taken > 0 {
+            self.stats.lock().repl.takeover_destages += taken;
+            self.note("takeover_destage", |e| e.u64_field("pages", taken));
+        }
+        self.credits = None;
+        self.resync.retry_after(self.cfg.failure_timeout);
+        // Writers waiting on acks will time out and take the write-through
+        // path themselves.
+    }
+}

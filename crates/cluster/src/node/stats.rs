@@ -1,5 +1,7 @@
 //! What a node reports: its error and outcome types and its counters.
 
+#[cfg(doc)]
+use crate::Node;
 use flashcoop::ReplicationStats;
 
 /// The node is halted ([`Node::fail`]) and cannot serve the request. The

@@ -1,0 +1,841 @@
+//! The write path: a group of runs is enqueued run by run under `Inner`,
+//! submitted to the replication pipe in one call, waited for once and
+//! committed run by run (DESIGN §16), with the per-client exactly-once
+//! window in front. No lock is held across the pipe submission or the
+//! ticket wait.
+
+use super::state::Resident;
+use super::{Node, NodeDown, RunOutcome, WriteOutcome};
+#[cfg(doc)]
+use super::{NodeConfig, NodeStats};
+use crate::pipe::{PageOutcome, PipePage, RunTicket};
+use crate::wire::crc32;
+use bytes::Bytes;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// `write_through` event reason for a page kept local because the peer is
+/// out of hosting credits (the one reason that also counts a credit stall).
+const NO_CREDITS: &str = "no_credits";
+
+/// A page the writer handed to the pipe, kept on the writer's side for the
+/// write-through fallback; its outcome is the ticket slot of the same index.
+pub(super) struct Pipelined {
+    pub(super) lpn: u64,
+    pub(super) version: u64,
+    pub(super) bytes: Bytes,
+}
+
+impl Pipelined {
+    /// The pipe's half of this page, resolving on `ticket`'s slot `slot`.
+    pub(super) fn pipe_page(&self, crc: u32, ticket: &Arc<RunTicket>, slot: usize) -> PipePage {
+        // Counted before the run is submitted, so the ticket cannot hit
+        // zero while it is being filled.
+        ticket.remaining.fetch_add(1, Ordering::Relaxed);
+        PipePage {
+            lpn: self.lpn,
+            version: self.version,
+            crc,
+            data: self.bytes.clone(),
+            ticket: ticket.clone(),
+            slot,
+        }
+    }
+}
+
+/// One client's exactly-once window: outcomes of its most recent tagged
+/// write runs, evicted FIFO at `cfg.dedup_window` entries.
+#[derive(Default)]
+pub(super) struct DedupWindow {
+    /// Insertion order, oldest first (drives eviction).
+    order: VecDeque<u64>,
+    /// tag → outcome of the run when it was first applied.
+    seen: HashMap<u64, RunOutcome>,
+}
+
+impl DedupWindow {
+    fn record(&mut self, tag: u64, outcome: RunOutcome, cap: usize) {
+        if self.seen.insert(tag, outcome).is_none() {
+            self.order.push_back(tag);
+        }
+        while self.order.len() > cap.max(1) {
+            if let Some(old) = self.order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+    }
+}
+
+impl Node {
+    /// Write one page. Blocks until the page is durable (replicated or
+    /// written through).
+    ///
+    /// Stats contract: `writes` is committed together with its outcome
+    /// counter (`replicated_pages` or `write_through`), under the same lock
+    /// acquisition — a concurrent [`Node::stats`] snapshot always satisfies
+    /// [`NodeStats::writes_balance`], never observing a write that is
+    /// counted but not yet resolved.
+    pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
+        let out = self.write_group(None, vec![(lpn, vec![Bytes::copy_from_slice(data)])])[0];
+        if out.all_replicated() {
+            WriteOutcome::Replicated
+        } else {
+            WriteOutcome::WriteThrough
+        }
+    }
+
+    /// Write a contiguous run of pages starting at `lpn` on behalf of a
+    /// client — the gateway's batched submission path. Pages are written in
+    /// address order (the sequential shape the cooperative buffer and the
+    /// SSD both prefer); each page is individually durable when this
+    /// returns. The whole run is submitted to the replication pipe before
+    /// any page is resolved, so it costs O(runs) wire frames (the pipe cuts
+    /// queued pages into [`NodeConfig::repl_batch_pages`]-sized batches),
+    /// not O(pages) round trips. This is the copying front for borrowed
+    /// data; a caller that already owns refcounted pages uses
+    /// [`Node::try_write_run`].
+    pub fn write_run(&self, client: u64, lpn: u64, pages: &[impl AsRef<[u8]>]) -> RunOutcome {
+        let bytes: Vec<Bytes> = pages
+            .iter()
+            .map(|p| Bytes::copy_from_slice(p.as_ref()))
+            .collect();
+        self.write_group(Some(client), vec![(lpn, bytes)])[0]
+    }
+
+    /// Exactly-once batched write: like [`Node::write_run`], but stamped
+    /// with a caller-chosen `tag` that is stable across retries. If this
+    /// node already applied a run with the same `(client, tag)` within the
+    /// dedup window, the cached [`RunOutcome`] is returned without writing
+    /// anything — so a front end may resend after an ambiguous failure
+    /// (timeout, failover probe) without double-applying. The one-run case
+    /// of [`Node::try_write_runs`]; see there for halting and concurrency.
+    pub fn try_write_run(
+        &self,
+        client: u64,
+        tag: u64,
+        lpn: u64,
+        pages: &[Bytes],
+    ) -> Result<RunOutcome, NodeDown> {
+        Ok(self.try_write_runs(client, &[(tag, lpn, pages)])?[0])
+    }
+
+    /// Exactly-once write of a group of runs — `(tag, first lpn, pages)`
+    /// each, typically one request's block-confined pieces — that costs one
+    /// replication round trip, not one per run: every run is looked up in
+    /// the dedup window and enqueued by itself, then all their pages enter
+    /// the replication pipe together, frames are cut across run boundaries,
+    /// and the caller waits once. Outcomes, dedup records and counters stay
+    /// per run (one [`RunOutcome`] each, in order), so a resent group whose
+    /// first attempt applied only some runs re-applies exactly the others.
+    ///
+    /// Refuses with [`NodeDown`] while halted, including when the node is
+    /// failed mid-group (pages already applied are either on the shared
+    /// durable backend or dropped with the dead buffer; the caller's retry
+    /// re-applies the whole group on whichever replica answers).
+    ///
+    /// Concurrency: duplicates are detected for *sequential* retries (the
+    /// gateway resends from the same session thread). Two racing first
+    /// sends of one tag may both apply.
+    pub fn try_write_runs(
+        &self,
+        client: u64,
+        runs: &[(u64, u64, &[Bytes])],
+    ) -> Result<Vec<RunOutcome>, NodeDown> {
+        self.live()?;
+        let mut out = vec![RunOutcome::default(); runs.len()];
+        // Indices of the runs the window has not seen.
+        let mut fresh = Vec::with_capacity(runs.len());
+        {
+            let inner = self.core.inner.lock();
+            let seen = inner.dedup.get(&client).map(|w| &w.seen);
+            for (i, &(tag, lpn, _)) in runs.iter().enumerate() {
+                let Some(prev) = seen.and_then(|s| s.get(&tag)) else {
+                    fresh.push(i);
+                    continue;
+                };
+                out[i] = *prev;
+                inner.stats.lock().dedup_hits += 1;
+                inner.note("run_dedup", |e| {
+                    e.u64_field("client", client)
+                        .u64_field("tag", tag)
+                        .u64_field("lpn", lpn)
+                });
+            }
+        }
+        if fresh.is_empty() {
+            return Ok(out);
+        }
+        let group = fresh
+            .iter()
+            .map(|&i| (runs[i].1, runs[i].2.to_vec()))
+            .collect();
+        let applied = self.write_group(Some(client), group);
+        self.live()?;
+        let mut inner = self.core.inner.lock();
+        let cap = inner.cfg.dedup_window;
+        let window = inner.dedup.entry(client).or_default();
+        for (&i, outcome) in fresh.iter().zip(applied) {
+            window.record(runs[i].0, outcome, cap);
+            out[i] = outcome;
+        }
+        Ok(out)
+    }
+
+    /// Pipeline front half for a run of consecutive pages (`lpn..lpn+n`):
+    /// stamp versions and land the pages in the local buffer, appending the
+    /// ones bound for the peer to `pipe_pages` (the caller submits a whole
+    /// group's at once, with no lock held) — or resolve individual pages on
+    /// the spot for the degraded / no-credit / self-evicted paths. Pays one
+    /// backend lock and one `Inner` lock per run rather than per page.
+    /// Returns the pages written through on the spot (already counted) and
+    /// the pipelined pages; page `i` of those resolves on `ticket`'s slot
+    /// `base + i`, `base` being `pipe_pages.len()` on entry.
+    fn enqueue_pages(
+        &self,
+        lpn: u64,
+        pages: Vec<Bytes>,
+        ticket: &Arc<RunTicket>,
+        pipe_pages: &mut Vec<PipePage>,
+    ) -> (u64, Vec<Pipelined>) {
+        // Payload checksums are pure CPU — computed before any lock is
+        // taken so they never extend a critical section.
+        let crcs: Vec<u32> = pages.iter().map(|b| crc32(b)).collect();
+        // Hoisted out of the `Inner` critical section (lock-order rule):
+        // never stamp below the shared backend's copy — after a failover
+        // the peer may have written these lpns with its own counter, and a
+        // lower version here would lose to the backend's version guard.
+        // The reads are benignly racy: the stamp itself happens under
+        // `Inner`, and the backend's own `version >= stored` guard
+        // arbitrates any concurrent bump. One backend acquisition covers
+        // the whole run.
+        let backend_vers: Vec<Option<u64>> = {
+            let be = self.core.backend.lock();
+            (0..pages.len() as u64)
+                .map(|i| be.version_of(lpn + i))
+                .collect()
+        };
+        // One `Inner` acquisition for the whole run: stamping, buffer
+        // inserts, and credit debits are memory-only work, so a 32-page run
+        // costs one lock round trip instead of 32.
+        self.under_inner(|inner| {
+            let mut through = 0u64;
+            let mut pipelined: Vec<Pipelined> = Vec::with_capacity(pages.len());
+            let mut all_flushed = Vec::new();
+            for (i, bytes) in pages.into_iter().enumerate() {
+                let lpn = lpn + i as u64;
+                if let Some(bv) = backend_vers[i] {
+                    inner.observe_version(bv);
+                }
+                let version = inner.next_version;
+                inner.next_version += 1;
+                // The record must be in place *before* the buffer insert:
+                // the insert can evict the very block being written, and
+                // the flush needs the data.
+                inner.resident.insert(
+                    lpn,
+                    Resident {
+                        bytes: bytes.clone(),
+                        crc: crcs[i],
+                        version,
+                    },
+                );
+
+                let degraded = inner.lifecycle.is_degraded();
+                if degraded || inner.credits == Some(0) {
+                    // Solo or resyncing: write through, journal for catch-up.
+                    // Or the peer's remote buffer is full: keep durability
+                    // local instead of stalling on a NACK round trip.
+                    inner.backend.lock().write_page(lpn, version, &bytes);
+                    let ev = inner.buffer.insert_clean(lpn, 1);
+                    all_flushed.extend(inner.apply_eviction(&ev));
+                    if degraded {
+                        inner.journal_record(lpn, version, bytes);
+                    }
+                    self.count_write_through(lpn, if degraded { "degraded" } else { NO_CREDITS });
+                    through += 1;
+                } else {
+                    let ev = inner.buffer.write(lpn, 1);
+                    let flushed = inner.apply_eviction(&ev);
+                    let self_evicted = flushed.iter().any(|&(l, _)| l == lpn);
+                    all_flushed.extend(flushed);
+                    if self_evicted {
+                        // The new page was evicted (and flushed) synchronously
+                        // by its own insertion — it is already durable on the
+                        // backend, so replicating it would only leave a stale
+                        // orphan at the peer.
+                        self.count_write_through(lpn, "self_evicted");
+                        through += 1;
+                    } else {
+                        if let Some(c) = &mut inner.credits {
+                            // Debited at enqueue; every ack re-advertises the
+                            // peer's true remaining pool.
+                            *c = c.saturating_sub(1);
+                        }
+                        *inner.inflight.entry(lpn).or_insert(0) += 1;
+                        let page = Pipelined {
+                            lpn,
+                            version,
+                            bytes,
+                        };
+                        pipe_pages.push(page.pipe_page(crcs[i], ticket, pipe_pages.len()));
+                        pipelined.push(page);
+                    }
+                }
+            }
+            ((through, pipelined), all_flushed)
+        })
+    }
+
+    /// Write a group of runs through the pipeline and wait — once — for all
+    /// of it. Each run is enqueued under its own `Inner` acquisition; then
+    /// every run's pages enter the pipe in **one** submission, so the pipe
+    /// cuts frames across run boundaries (a 20-page and a 12-page run leave
+    /// as one 32-page frame and come back as one ack), the writer parks on
+    /// one ticket, and each run commits by itself. One outcome per run, in
+    /// order.
+    fn write_group(&self, client: Option<u64>, runs: Vec<(u64, Vec<Bytes>)>) -> Vec<RunOutcome> {
+        let total = runs.iter().map(|(_, pages)| pages.len()).sum();
+        let ticket = RunTicket::new(total);
+        let mut pipe_pages: Vec<PipePage> = Vec::with_capacity(total);
+        let enqueued: Vec<_> = runs
+            .into_iter()
+            .map(|(lpn, pages)| {
+                let base = pipe_pages.len();
+                let (through, pipelined) = self.enqueue_pages(lpn, pages, &ticket, &mut pipe_pages);
+                (through, base, pipelined)
+            })
+            .collect();
+        if !pipe_pages.is_empty() {
+            self.core.pipe.submit(pipe_pages);
+        }
+        ticket.wait();
+        enqueued
+            .into_iter()
+            .map(|(through, base, pipelined)| {
+                self.commit_run(client, through, pipelined, &ticket, base)
+            })
+            .collect()
+    }
+
+    /// Commit one run of a resolved group: `through` of its pages were
+    /// written through at enqueue, and `pipelined[i]`'s outcome is
+    /// `ticket`'s slot `base + i`. The acknowledged pages commit together —
+    /// one `Inner`, one `stats` and one `obs` acquisition for the usual
+    /// all-acknowledged run — and `writes` lands with `replicated_pages`
+    /// under one `stats` guard, preserving [`NodeStats::writes_balance`] at
+    /// every snapshot; each refused or failed page then goes through
+    /// [`Node::write_through_refused`].
+    fn commit_run(
+        &self,
+        client: Option<u64>,
+        through: u64,
+        pipelined: Vec<Pipelined>,
+        ticket: &RunTicket,
+        base: usize,
+    ) -> RunOutcome {
+        let pages = pipelined.len() as u64;
+        let mut refused = Vec::new();
+        let out = {
+            let mut inner = self.core.inner.lock();
+            for (slot, page) in (base..).zip(pipelined) {
+                match ticket.outcome(slot) {
+                    PageOutcome::Replicated => inner.inflight_done(page.lpn),
+                    outcome => refused.push((page, outcome)),
+                }
+            }
+            let out = RunOutcome {
+                replicated: pages - refused.len() as u64,
+                write_through: through + refused.len() as u64,
+            };
+            if let Some(c) = client {
+                let row = inner.clients.entry(c).or_default();
+                row.writes += out.pages();
+                row.pages_written += out.pages();
+                row.write_through += out.write_through;
+            }
+            out
+        };
+        if out.replicated > 0 {
+            {
+                let mut s = self.core.stats.lock();
+                s.writes += out.replicated;
+                s.replicated_pages += out.replicated;
+            }
+            self.core.obs.replicated.add(out.replicated);
+        }
+        for (page, outcome) in refused {
+            self.write_through_refused(page, outcome == PageOutcome::NoCredit);
+        }
+        out
+    }
+
+    /// A pipelined page came back refused (`no_credit`) or failed: make it
+    /// durable ourselves and count it written through.
+    fn write_through_refused(&self, page: Pipelined, no_credit: bool) {
+        let Pipelined {
+            lpn,
+            version,
+            bytes,
+        } = page;
+        // The backend's version guard keeps a newer concurrent copy.
+        self.core.backend.lock().write_page(lpn, version, &bytes);
+        let mut inner = self.core.inner.lock();
+        inner.inflight_done(lpn);
+        if inner
+            .resident
+            .get(&lpn)
+            .is_some_and(|p| p.version == version)
+        {
+            inner.buffer.mark_clean(lpn);
+        }
+        let reason = if no_credit {
+            // Our credit view was stale.
+            inner.credits = Some(0);
+            NO_CREDITS
+        } else {
+            // Peer unreachable: go solo; a future resync must carry the
+            // page.
+            inner.enter_solo("ack_timeout");
+            inner.journal_record(lpn, version, bytes);
+            "ack_timeout"
+        };
+        drop(inner);
+        self.count_write_through(lpn, reason);
+    }
+
+    /// Count one page that was made durable by write-through: `writes` and
+    /// `write_through` land under one `stats` guard (so every snapshot
+    /// satisfies [`NodeStats::writes_balance`]), plus the stall counter and
+    /// event when the cause is backpressure. Takes only leaf locks, so it
+    /// is callable with or without `Inner` held.
+    fn count_write_through(&self, lpn: u64, reason: &'static str) {
+        let stalled = reason == NO_CREDITS;
+        {
+            let mut s = self.core.stats.lock();
+            s.writes += 1;
+            s.write_through += 1;
+            s.repl.credit_stalls += u64::from(stalled);
+        }
+        let obs = &self.core.obs;
+        obs.write_through.inc();
+        if stalled {
+            obs.note("credit_stall", |e| e.u64_field("lpn", lpn));
+        }
+        obs.note("write_through", |e| {
+            e.u64_field("lpn", lpn).str_field("reason", reason)
+        });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::testkit::*;
+
+    #[test]
+    fn write_run_is_durable_and_counted() {
+        let (a, b, _ba, _bb) = pair();
+        let pages: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 8]).collect();
+        let out = a.write_run(7, 40, &pages);
+        assert_eq!(out.pages(), 4);
+        assert!(out.all_replicated(), "{out:?}");
+        for (i, page) in pages.iter().enumerate() {
+            assert_eq!(a.read(40 + i as u64), Some(page.clone()));
+        }
+        let rows = a.client_stats();
+        assert_eq!(rows[0].0, 7);
+        assert_eq!(rows[0].1.pages_written, 4);
+        assert!(a.stats().writes_balance());
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn credit_backpressure_writes_through_when_peer_is_full() {
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let bb = shared_backend(MemBackend::new());
+        let cfg_a = NodeConfig::test_profile(0);
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.remote_capacity = 4; // B will host at most 4 pages for A
+        let a = Node::spawn(cfg_a, ta, ba.clone());
+        let b = Node::spawn(cfg_b, tb, bb);
+        let mut replicated = 0u64;
+        let mut through = 0u64;
+        for i in 0..10u64 {
+            match a.write(i, b"page") {
+                WriteOutcome::Replicated => replicated += 1,
+                WriteOutcome::WriteThrough => through += 1,
+            }
+        }
+        assert_eq!(replicated, 4, "exactly the credit pool replicates");
+        assert_eq!(through, 6);
+        assert_eq!(b.hosted_remote_pages().len(), 4);
+        let s = a.stats();
+        assert!(
+            s.repl.credit_stalls >= 6 - 1,
+            "stalls counted (first refusal may be a NACK)"
+        );
+        assert!(s.writes_balance());
+        // Backpressure is not a failure: the pair stays joined.
+        assert_eq!(a.lifecycle_state(), PairState::Paired);
+        // Every write durable *somewhere* right now: replicated in B's
+        // remote buffer, or written through to A's backend.
+        for i in 4..10u64 {
+            assert!(ba.lock().read_page(i).is_some());
+        }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// Hides the peer's heartbeats, so the node never learns the peer's
+    /// credit pool and keeps replicating optimistically.
+    struct NoBeats(crate::transport::MemTransport);
+
+    impl Transport for NoBeats {
+        fn send(&self, msg: Message) -> Result<(), TransportError> {
+            self.0.send(msg)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+            match self.0.recv_timeout(timeout)? {
+                Some(Message::Heartbeat { .. }) => Ok(None),
+                other => Ok(other),
+            }
+        }
+        fn is_connected(&self) -> bool {
+            self.0.is_connected()
+        }
+    }
+
+    #[test]
+    fn run_straddling_two_batches_keeps_the_first_when_the_second_is_refused() {
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let mut cfg_a = NodeConfig::test_profile(0);
+        cfg_a.repl_batch_pages = 4;
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.remote_capacity = 4; // room for exactly the first batch
+        let a = Node::spawn(cfg_a, NoBeats(ta), ba.clone());
+        let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+        let pages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 8]).collect();
+        let out = a.write_run(1, 0, &pages);
+        // Batch 1 (lpns 0..4) is hosted and acked; batch 2 (lpns 4..8) is
+        // NACKed `NoCredit` and its pages write through.
+        assert_eq!((out.replicated, out.write_through), (4, 4));
+        assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3]);
+        assert_eq!(b.stats().repl.credit_rejections, 1);
+        for lpn in 4..8u64 {
+            assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not durable");
+        }
+        let s = a.stats();
+        assert!(s.writes_balance());
+        assert_eq!((s.replicated_pages, s.write_through), (4, 4));
+        assert_eq!(s.repl.batches_sent, 2);
+        assert_eq!(peer_credits(&a), Some(0));
+        // Backpressure is not a failure: the pair stays joined.
+        assert_eq!(a.lifecycle_state(), PairState::Paired);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn stats_snapshot_is_consistent_while_writes_run() {
+        // Regression: `writes` used to be bumped at the top of Node::write,
+        // with the outcome counter (`replicated_pages`/`write_through`)
+        // only landing after the unlocked retry loop — so a concurrent
+        // stats() call could observe writes > replicated + write_through.
+        let (a, b, _ba, _bb) = pair();
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let stop = stop.clone();
+            let a = Arc::new(a);
+            let a2 = a.clone();
+            let h = std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    a2.write(i % 256, b"payload");
+                    i += 1;
+                }
+            });
+            (a, h)
+        };
+        let (a, h) = writer;
+        let deadline = Instant::now() + Duration::from_millis(500);
+        let mut snapshots = 0u32;
+        while Instant::now() < deadline {
+            let s = a.stats();
+            assert!(
+                s.writes_balance(),
+                "inconsistent snapshot: writes={} replicated={} write_through={}",
+                s.writes,
+                s.replicated_pages,
+                s.write_through
+            );
+            snapshots += 1;
+        }
+        stop.store(true, Ordering::SeqCst);
+        h.join().unwrap();
+        assert!(snapshots > 100, "sampler barely ran");
+        let s = a.stats();
+        assert!(s.writes > 0 && s.writes_balance());
+        Arc::try_unwrap(a)
+            .ok()
+            .expect("writer released node")
+            .shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn duplicate_tagged_run_applies_once() {
+        let (a, b, _ba, _bb) = pair();
+        let pages: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![i; 8])).collect();
+        let first = a.try_write_run(7, 42, 100, &pages).unwrap();
+        assert_eq!(first.pages(), 3);
+        let writes_after_first = a.stats().writes;
+        // Same (client, tag): answered from the window, nothing re-applied.
+        let second = a.try_write_run(7, 42, 100, &pages).unwrap();
+        assert_eq!(second, first);
+        let s = a.stats();
+        assert_eq!(s.writes, writes_after_first);
+        assert_eq!(s.dedup_hits, 1);
+        // A different client reusing the tag is a distinct request.
+        let other = a.try_write_run(8, 42, 100, &pages).unwrap();
+        assert_eq!(other.pages(), 3);
+        assert_eq!(a.stats().writes, writes_after_first + 3);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn dedup_window_evicts_oldest_tag() {
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let bb = shared_backend(MemBackend::new());
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.dedup_window = 2;
+        let a = Node::spawn(cfg, ta, ba);
+        let b = Node::spawn(NodeConfig::test_profile(1), tb, bb);
+        let page = [Bytes::from(vec![1u8; 8])];
+        a.try_write_run(1, 10, 0, &page).unwrap();
+        a.try_write_run(1, 11, 1, &page).unwrap();
+        a.try_write_run(1, 12, 2, &page).unwrap(); // evicts tag 10
+        let writes = a.stats().writes;
+        // Tags 11 and 12 are still remembered.
+        a.try_write_run(1, 11, 1, &page).unwrap();
+        a.try_write_run(1, 12, 2, &page).unwrap();
+        assert_eq!(a.stats().writes, writes);
+        assert_eq!(a.stats().dedup_hits, 2);
+        // Tag 10 fell out of the window: the resend applies again.
+        a.try_write_run(1, 10, 0, &page).unwrap();
+        assert_eq!(a.stats().writes, writes + 1);
+        assert_eq!(a.stats().dedup_hits, 2);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A pair with 32-page blocks and 32-page frames, and a 20-page and a
+    /// 12-page run that meet at the boundary between blocks 0 and 1.
+    fn straddling_group() -> (Node, Node, Vec<Bytes>, Vec<Bytes>) {
+        let (ta, tb) = mem_pair();
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.pages_per_block = 32;
+        cfg.repl_batch_pages = 32;
+        let a = Node::spawn(cfg.clone(), ta, shared_backend(MemBackend::new()));
+        cfg.id = 1;
+        let b = Node::spawn(cfg, tb, shared_backend(MemBackend::new()));
+        let run = |n: u8, fill: u8| (0..n).map(|i| Bytes::from(vec![fill ^ i; 8])).collect();
+        (a, b, run(20, 0x20), run(12, 0xC0))
+    }
+
+    #[test]
+    fn group_write_of_two_runs_is_one_frame_one_ack_and_two_outcomes() {
+        let (a, b, head, tail) = straddling_group();
+        let (obs, ring) = Obs::ring(256);
+        a.attach_obs(&obs);
+        let out = a
+            .try_write_runs(7, &[(1, 12, &head), (2, 32, &tail)])
+            .unwrap();
+        let replicated = |n| RunOutcome {
+            replicated: n,
+            write_through: 0,
+        };
+        assert_eq!(out, vec![replicated(20), replicated(12)]);
+        // The pipe cut its frame across the run boundary.
+        let events = ring.events();
+        let sends: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == "repl_batch_send")
+            .collect();
+        assert_eq!(sends.len(), 1);
+        assert_eq!(
+            sends[0].get("pages").and_then(fc_obs::Value::as_u64),
+            Some(32)
+        );
+        let acks = events.iter().filter(|e| e.kind == "repl_batch_ack").count();
+        assert_eq!(acks, 1);
+        let s = a.stats();
+        assert_eq!((s.repl.batches_sent, s.repl.batch_pages), (1, 32));
+        assert_eq!((s.writes, s.replicated_pages), (32, 32));
+        assert!(s.writes_balance());
+        assert_eq!(b.hosted_remote_pages(), (12..44).collect::<Vec<u64>>());
+        assert_eq!(a.read(31).unwrap(), head[19].to_vec());
+        assert_eq!(a.read(32).unwrap(), tail[0].to_vec());
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn group_write_resent_hits_the_dedup_window_run_by_run() {
+        let (a, b, head, tail) = straddling_group();
+        // Half-cached: the first run was applied by an earlier attempt,
+        // so the group applies only the second.
+        let first = a.try_write_run(7, 1, 12, &head).unwrap();
+        let group = [(1, 12, &head[..]), (2, 32, &tail[..])];
+        let out = a.try_write_runs(7, &group).unwrap();
+        assert_eq!(out[0], first);
+        assert_eq!(out[1].replicated, 12);
+        let s = a.stats();
+        assert_eq!((s.writes, s.dedup_hits), (32, 1));
+        assert_eq!((s.repl.batches_sent, s.repl.batch_pages), (2, 32));
+        // Resent whole: nothing is written, nothing is sent, both runs
+        // answer from the window.
+        assert_eq!(a.try_write_runs(7, &group).unwrap(), out);
+        let s = a.stats();
+        assert_eq!((s.writes, s.dedup_hits), (32, 3));
+        assert_eq!(s.repl.batches_sent, 2);
+        assert_eq!(
+            a.client_stats(),
+            vec![(
+                7,
+                PerClientStats {
+                    writes: 32,
+                    pages_written: 32,
+                    ..Default::default()
+                }
+            )]
+        );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// [`NoBeats`] that also loses every outbound batch frame numbered
+    /// `.1`.
+    struct LoseBatch(NoBeats, u64);
+
+    impl Transport for LoseBatch {
+        fn send(&self, msg: Message) -> Result<(), TransportError> {
+            match msg {
+                Message::WriteReplBatch { seq, .. } if seq == self.1 => Ok(()),
+                msg => self.0.send(msg),
+            }
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+            self.0.recv_timeout(timeout)
+        }
+        fn is_connected(&self) -> bool {
+            self.0.is_connected()
+        }
+    }
+
+    #[test]
+    fn group_write_refused_or_failed_run_leaves_its_neighbours_outcome_alone() {
+        // Two 4-page runs, 4-page frames: frame 1 is exactly the first
+        // run and is acked; frame 2, the second run, is refused `NoCredit`
+        // (the peer has room for four pages) or lost for good.
+        for lose_second in [false, true] {
+            let (ta, tb) = mem_pair();
+            let ba = shared_backend(MemBackend::new());
+            let mut cfg_a = NodeConfig::test_profile(0);
+            cfg_a.repl_batch_pages = 4;
+            cfg_a.ack_timeout = Duration::from_millis(40);
+            cfg_a.retry = RetryPolicy::no_retries();
+            let mut cfg_b = NodeConfig::test_profile(1);
+            cfg_b.remote_capacity = if lose_second { 512 } else { 4 };
+            let lost = if lose_second { 2 } else { u64::MAX };
+            let a = Node::spawn(cfg_a, LoseBatch(NoBeats(ta), lost), ba.clone());
+            let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+            let pages: Vec<Bytes> = (0..8u8).map(|i| Bytes::from(vec![i; 8])).collect();
+            let out = a
+                .try_write_runs(1, &[(10, 0, &pages[..4]), (11, 4, &pages[4..])])
+                .unwrap();
+            assert_eq!(
+                out.iter()
+                    .map(|o| (o.replicated, o.write_through))
+                    .collect::<Vec<_>>(),
+                vec![(4, 0), (0, 4)],
+                "lose_second {lose_second}"
+            );
+            assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3]);
+            for lpn in 4..8u64 {
+                assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not durable");
+            }
+            let s = a.stats();
+            assert!(s.writes_balance());
+            assert_eq!((s.replicated_pages, s.write_through), (4, 4));
+            if lose_second {
+                // A lost frame is a link failure: solo, journaled for resync.
+                assert_eq!(a.lifecycle_state(), PairState::Solo);
+                assert_eq!(a.journal_len(), 4);
+            } else {
+                assert_eq!(a.lifecycle_state(), PairState::Paired);
+                assert_eq!(peer_credits(&a), Some(0));
+            }
+            // The window remembers each run's own outcome.
+            assert_eq!(a.try_write_run(1, 10, 0, &pages[..4]).unwrap(), out[0]);
+            assert_eq!(a.try_write_run(1, 11, 4, &pages[4..]).unwrap(), out[1]);
+            a.shutdown();
+            b.shutdown();
+        }
+    }
+
+    mod dedup_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+            /// Replaying any prefix of an already-applied tagged-run
+            /// sequence (in any prefix order) never double-applies: the
+            /// node's write count does not move and every page still reads
+            /// back with its latest contents.
+            #[test]
+            fn replayed_prefixes_never_double_apply(
+                runs in proptest::collection::vec((0u64..4, 0u64..32, 1usize..4), 1..12),
+                replay_len in 0usize..12,
+            ) {
+                let (a, b, _ba, _bb) = pair();
+                let mut applied: Vec<(u64, u64, u64, Vec<Bytes>)> = Vec::new();
+                for (i, (client, lpn, pages)) in runs.iter().enumerate() {
+                    let tag = i as u64 + 1; // client-stamped, unique per run
+                    let data: Vec<Bytes> = (0..*pages)
+                        .map(|p| Bytes::from(format!("r{i}p{p}").into_bytes()))
+                        .collect();
+                    a.try_write_run(*client, tag, *lpn, &data).unwrap();
+                    applied.push((*client, tag, *lpn, data));
+                }
+                let writes_before = a.stats().writes;
+                // Replay a prefix of the history, as a retrying gateway
+                // would after an ambiguous failure.
+                for (client, tag, lpn, data) in applied.iter().take(replay_len) {
+                    a.try_write_run(*client, *tag, *lpn, data).unwrap();
+                }
+                let s = a.stats();
+                prop_assert_eq!(s.writes, writes_before, "replay must not re-apply");
+                prop_assert_eq!(s.dedup_hits, replay_len.min(applied.len()) as u64);
+                // Latest writer per page still wins.
+                let mut latest: HashMap<u64, Vec<u8>> = HashMap::new();
+                for (_, _, lpn, data) in &applied {
+                    for (p, d) in data.iter().enumerate() {
+                        latest.insert(lpn + p as u64, d.to_vec());
+                    }
+                }
+                for (lpn, want) in latest {
+                    prop_assert_eq!(a.read(lpn), Some(want));
+                }
+                a.shutdown();
+                b.shutdown();
+            }
+        }
+    }
+}

@@ -1,6 +1,7 @@
 //! The replication pipe: the one sender of page-carrying frames on the pair
 //! link. Nothing here names the node's `Inner` or its backend — the pipe
-//! touches only its own state mutex and the `stats` / `obs` leaf locks.
+//! touches only its own state mutex, the `stats` leaf lock and the lock-free
+//! obs handle.
 
 use crate::node::{NodeConfig, NodeObs, NodeStats};
 use crate::transport::{Transport, TransportError};
@@ -105,7 +106,7 @@ impl Drop for PipePage {
 }
 
 /// One unacknowledged batch in the pipe's window.
-pub(crate) struct PipeBatch {
+struct PipeBatch {
     seq: u64,
     entries: Vec<PipePage>,
     sent_at: Instant,
@@ -133,13 +134,13 @@ impl PipeBatch {
 }
 
 /// The mutable half of [`ReplPipe`].
-pub(crate) struct PipeState {
+struct PipeState {
     epoch: u32,
     next_seq: u64,
     /// Submitted pages not yet cut into a batch (the window was full).
     queue: VecDeque<PipePage>,
     /// Unacknowledged batches, oldest first; at most `repl_window`.
-    pub(crate) window: VecDeque<PipeBatch>,
+    window: VecDeque<PipeBatch>,
     /// Frames cut (or re-cut for a resend) but not yet on the wire, in
     /// send order.
     outbox: VecDeque<Message>,
@@ -172,17 +173,15 @@ impl PipeState {
 /// mutex and is stepped by whoever holds the event — a writer submitting
 /// its run, the pump on an ack, a NACK or its timer tick.
 ///
-/// Lock order: `Inner` → `state` → the `stats` / `obs` leaves. Nothing here
+/// Lock order: `Inner` → `state` → the `stats` leaf. Nothing here
 /// takes `Inner` or the backend, and `state` is never held across a
 /// transport send.
 pub(crate) struct ReplPipe {
     cfg: Arc<NodeConfig>,
     transport: Arc<dyn Transport + Sync>,
-    pub(crate) state: Mutex<PipeState>,
+    state: Mutex<PipeState>,
     stats: Arc<Mutex<NodeStats>>,
-    /// Set by [`Node::attach_obs`]; shared with the writers' commit path,
-    /// which never holds `Inner` either.
-    pub(crate) obs: Mutex<Option<NodeObs>>,
+    obs: Arc<NodeObs>,
     /// Pages per first-send batch (always on; feeds the loadgen report and
     /// [`Node::repl_batch_histogram`]).
     pub(crate) batch_hist: fc_obs::Histogram,
@@ -193,6 +192,7 @@ impl ReplPipe {
         cfg: Arc<NodeConfig>,
         transport: Arc<dyn Transport + Sync>,
         stats: Arc<Mutex<NodeStats>>,
+        obs: Arc<NodeObs>,
     ) -> ReplPipe {
         ReplPipe {
             cfg,
@@ -207,14 +207,8 @@ impl ReplPipe {
                 closed: false,
             }),
             stats,
-            obs: Mutex::new(None),
+            obs,
             batch_hist: fc_obs::Histogram::new(),
-        }
-    }
-
-    fn note(&self, kind: &'static str, f: impl FnOnce(fc_obs::Event) -> fc_obs::Event) {
-        if let Some(o) = &*self.obs.lock() {
-            o.obs.emit(f(o.ev(kind)));
         }
     }
 
@@ -240,15 +234,12 @@ impl ReplPipe {
         b.attempts += 1;
         b.sent_at = Instant::now();
         self.stats.lock().repl.retries += 1;
-        if let Some(o) = &*self.obs.lock() {
-            o.retries.inc();
-            o.obs.emit(
-                o.ev("repl_retry")
-                    .u64_field("seq", b.seq)
-                    .u64_field("attempt", b.attempts as u64)
-                    .str_field("reason", reason),
-            );
-        }
+        self.obs.retries.inc();
+        self.obs.note("repl_retry", |e| {
+            e.u64_field("seq", b.seq)
+                .u64_field("attempt", b.attempts as u64)
+                .str_field("reason", reason)
+        });
         let frame = b.frame(st.epoch);
         st.outbox.push_back(frame);
     }
@@ -278,7 +269,7 @@ impl ReplPipe {
             }
             self.batch_hist.record(n as u64);
             let epoch = st.epoch;
-            self.note("repl_batch_send", |e| {
+            self.obs.note("repl_batch_send", |e| {
                 e.u64_field("seq", seq)
                     .u64_field("epoch", epoch as u64)
                     .u64_field("pages", n as u64)
@@ -326,7 +317,7 @@ impl ReplPipe {
             let b = st.window.pop_front().expect("front checked");
             if b.corrupt_resends > 0 {
                 self.stats.lock().repl.corruptions_repaired += b.corrupt_resends;
-                self.note("corrupt_repaired", |e| {
+                self.obs.note("corrupt_repaired", |e| {
                     e.u64_field("seq", b.seq)
                         .u64_field("resends", b.corrupt_resends)
                 });
@@ -337,7 +328,7 @@ impl ReplPipe {
             // Emit the span *before* resolving the waiters: a writer
             // unparked by its ticket may immediately snapshot the event
             // ring and must see this ack.
-            self.note("repl_batch_ack", |e| {
+            self.obs.note("repl_batch_ack", |e| {
                 e.u64_field("up_to", up_to)
                     .u64_field("batches", acked.len() as u64)
             });

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
-use fc_cluster::{MigrateError, Node, NodeDown, PairState};
+use fc_cluster::{MigrateError, Node, NodeDown, PairState, PEER_NS};
 use fc_obs::{Counter, Gauge, Histogram, Metric, Obs, Registry};
 use fc_ring::{Ring, RingConfig};
 use parking_lot::{Mutex, RwLock};
@@ -35,7 +35,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::admission::{Admission, AdmissionConfig, Permit, ShedReason};
 use crate::batch::coalesce_sharded;
 use crate::client::GatewayClient;
-use crate::conn::{mem_session, SessionLink, TcpSessionLink};
+use crate::conn::{mem_session, LinkClosed, SessionLink, TcpSessionLink};
 use crate::health::{BreakerState, Replica, ShardHealth};
 use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
 use crate::shard::{ShardInstruments, ShardStats, ShardStatsSum};
@@ -971,31 +971,23 @@ impl Gateway {
     }
 
     /// Read `[lpn, lpn+pages)` through the router. Returns the page
-    /// payloads (present/absent) and the hit count, or [`Unavail`] when a
-    /// touched shard stayed down past the retry deadline (pages from
-    /// segments already served are counted but not returned). The span is
+    /// payloads (present/absent), or [`Unavail`] when a touched shard
+    /// stayed down past the retry deadline (pages from segments already
+    /// served are counted but not returned). The span is
     /// walked as contiguous same-shard segments, each counted and timed
     /// against its shard's `gateway.shard.*` instruments — a read
     /// straddling a shard boundary touches every owning pair.
-    fn do_read(
-        &self,
-        client: u64,
-        lpn: u64,
-        pages: u32,
-    ) -> Result<(Vec<Option<Bytes>>, u64), Unavail> {
+    fn do_read(&self, client: u64, lpn: u64, pages: u32) -> Result<Vec<Option<Bytes>>, Unavail> {
         let mut out = Vec::with_capacity(pages as usize);
-        let mut hits = 0u64;
         let rt = self.routes.read();
         for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
             let sb = rt.shards[usize::from(shard)].as_ref();
             let seg = self.with_shard(shard, sb, |node| node.try_read_run(client, start, count))?;
-            let seg_hits = seg.iter().flatten().count() as u64;
-            out.extend(seg);
             sb.ins.read_pages.add(u64::from(count));
-            sb.ins.read_hits.add(seg_hits);
-            hits += seg_hits;
+            sb.ins.read_hits.add(seg.iter().flatten().count() as u64);
+            out.extend(seg);
         }
-        Ok((out, hits))
+        Ok(out)
     }
 
     /// Trim `[lpn, lpn+pages)` through the router, segment-counted per
@@ -1004,12 +996,7 @@ impl Gateway {
         let rt = self.routes.read();
         for (shard, start, count) in segments(|l| rt.owner_of_lpn(l), lpn, pages) {
             let sb = rt.shards[usize::from(shard)].as_ref();
-            self.with_shard(shard, sb, |node| {
-                for i in 0..u64::from(count) {
-                    node.try_delete_from(client, start + i)?;
-                }
-                Ok(())
-            })?;
+            self.with_shard(shard, sb, |node| node.try_delete_run(client, start, count))?;
             sb.ins.trim_pages.add(u64::from(count));
         }
         Ok(())
@@ -1141,14 +1128,13 @@ impl Gateway {
                         sb.ins.write_pages.add(in_n);
                         sb.ins.coalesced_pages.add(in_n - out_n);
                         sub.out_pages += out_n;
-                        sub.runs += 1;
                         // A dedup-cached outcome may describe a run
                         // composed differently on the first attempt.
                         sub.replicated += outcome.replicated.min(out_n);
                     }
                 }
                 Err(u) => {
-                    sub.unavailable = Some(u.retry_after_ms);
+                    sub.unavailable = Some(u);
                     break;
                 }
             }
@@ -1237,6 +1223,16 @@ struct Unavail {
     retry_after_ms: u32,
 }
 
+impl Unavail {
+    /// The one mapping to the wire: `Unavailable` for request `id`.
+    fn reply(self, id: u64) -> Reply {
+        Reply::Unavailable {
+            id,
+            retry_after_ms: self.retry_after_ms,
+        }
+    }
+}
+
 /// Why an elastic-membership control call was refused. These are all
 /// caller-state errors — the route table is left exactly as it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1321,13 +1317,11 @@ impl std::error::Error for MigrateBatchError {}
 struct Submission {
     /// Post-coalesce pages actually submitted.
     out_pages: u64,
-    /// Contiguous runs submitted.
-    runs: u64,
     /// Pages the nodes reported replicated to their peers.
     replicated: u64,
-    /// Set when submission aborted on an all-replicas-down shard: the
-    /// `retry_after_ms` hint to answer the batch's writes with.
-    unavailable: Option<u32>,
+    /// Set when submission aborted on an all-replicas-down shard: what to
+    /// answer the batch's writes with.
+    unavailable: Option<Unavail>,
 }
 
 /// Walk `[lpn, lpn+pages)` as maximal contiguous same-shard segments:
@@ -1362,6 +1356,12 @@ fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
         gw.note("session_end", |e| e);
         return;
     };
+    let session = Session {
+        gw: &gw,
+        link: link.as_ref(),
+        client,
+        version,
+    };
 
     let mut carried: Option<Request> = None;
     while !gw.shutdown.load(Ordering::SeqCst) {
@@ -1373,7 +1373,7 @@ fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
                 Err(_) => break,
             },
         };
-        match handle_request(&gw, link.as_ref(), client, version, req) {
+        match session.handle(req) {
             Ok(next) => carried = next,
             Err(_) => break,
         }
@@ -1425,155 +1425,32 @@ fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<(u64, u16)> {
     None
 }
 
-fn valid_page_count(gw: &Gateway, pages: u32) -> bool {
-    pages >= 1 && pages <= gw.cfg.max_req_pages
+/// `[lpn, lpn + pages)` is a span a client may name: 1 to `max_req_pages`
+/// pages, no wrap past `u64::MAX`, and wholly below the nodes' [`PEER_NS`]
+/// namespace — a page up there would be trimmed by the next recovery Purge
+/// and skipped by migration.
+fn valid_span(gw: &Gateway, lpn: u64, pages: u64) -> bool {
+    (1..=u64::from(gw.cfg.max_req_pages)).contains(&pages)
+        && lpn.checked_add(pages).is_some_and(|end| end <= PEER_NS)
 }
 
-/// Send `reply`, downgrading v2-only tags for older sessions: a v1 client
-/// sees `Unavailable` as `Error { Busy }` — same retry semantics, no
-/// unknown tag on its wire.
-fn send_versioned(
-    link: &dyn SessionLink,
-    version: u16,
-    reply: Reply,
-) -> Result<(), crate::conn::LinkClosed> {
-    let reply = match reply {
-        Reply::Unavailable { id, .. } if version < 2 => Reply::Error {
-            id,
-            code: ErrorCode::Busy,
-        },
-        other => other,
-    };
-    link.send(reply)
-}
-
-/// Process one request (and, for writes, a drained batch of pipelined
-/// writes behind it). Returns a non-write request drained out of the batch
-/// window, which the caller must process next — preserving reply order.
-fn handle_request(
-    gw: &Arc<Gateway>,
-    link: &dyn SessionLink,
-    client: u64,
-    version: u16,
-    req: Request,
-) -> Result<Option<Request>, crate::conn::LinkClosed> {
+/// The one way in for a request: count it, refuse an in`valid` one
+/// (`BadRequest`), and pass the rest through admission (`Busy` when shed).
+/// `Err` is the reply the request gets instead of service.
+fn gate(gw: &Gateway, client: u64, id: u64, valid: bool) -> Result<Permit, Reply> {
     let ins = &gw.ins;
-    match req {
-        Request::Hello { .. } => {
-            // Duplicate handshake: harmless, re-ack.
-            link.send(Reply::HelloOk {
-                version,
-                max_inflight: gw.admission.config().max_inflight,
-            })?;
-            Ok(None)
-        }
-        Request::Write { id, lpn, pages } => write_batch(gw, link, client, version, id, lpn, pages),
-        Request::Read { id, lpn, pages } => {
-            ins.requests.inc();
-            if !valid_page_count(gw, pages) {
-                ins.bad_requests.inc();
-                link.send(Reply::Error {
-                    id,
-                    code: ErrorCode::BadRequest,
-                })?;
-                return Ok(None);
-            }
-            let Some(permit) = admit(gw, link, client, id)? else {
-                return Ok(None);
-            };
-            let started = Instant::now();
-            let result = gw.do_read(client, lpn, pages);
-            ins.reads.inc();
-            finish(gw, permit, started);
-            match result {
-                Ok((out, _hits)) => {
-                    send_versioned(link, version, Reply::ReadOk { id, pages: out })?
-                }
-                Err(u) => send_versioned(
-                    link,
-                    version,
-                    Reply::Unavailable {
-                        id,
-                        retry_after_ms: u.retry_after_ms,
-                    },
-                )?,
-            }
-            Ok(None)
-        }
-        Request::Trim { id, lpn, pages } => {
-            ins.requests.inc();
-            if !valid_page_count(gw, pages) {
-                ins.bad_requests.inc();
-                link.send(Reply::Error {
-                    id,
-                    code: ErrorCode::BadRequest,
-                })?;
-                return Ok(None);
-            }
-            let Some(permit) = admit(gw, link, client, id)? else {
-                return Ok(None);
-            };
-            let started = Instant::now();
-            let result = gw.do_trim(client, lpn, pages);
-            ins.trims.inc();
-            finish(gw, permit, started);
-            match result {
-                Ok(()) => send_versioned(link, version, Reply::TrimOk { id, pages })?,
-                Err(u) => send_versioned(
-                    link,
-                    version,
-                    Reply::Unavailable {
-                        id,
-                        retry_after_ms: u.retry_after_ms,
-                    },
-                )?,
-            }
-            Ok(None)
-        }
-        Request::Flush { id } => {
-            ins.requests.inc();
-            let Some(permit) = admit(gw, link, client, id)? else {
-                return Ok(None);
-            };
-            let started = Instant::now();
-            let result = gw.do_flush();
-            ins.flushes.inc();
-            finish(gw, permit, started);
-            match result {
-                Ok(flushed) => {
-                    gw.note("flush", |e| {
-                        e.u64_field("client", client).u64_field("pages", flushed)
-                    });
-                    send_versioned(link, version, Reply::FlushOk { id, flushed })?
-                }
-                Err(u) => send_versioned(
-                    link,
-                    version,
-                    Reply::Unavailable {
-                        id,
-                        retry_after_ms: u.retry_after_ms,
-                    },
-                )?,
-            }
-            Ok(None)
-        }
+    ins.requests.inc();
+    if !valid {
+        ins.bad_requests.inc();
+        let code = ErrorCode::BadRequest;
+        return Err(Reply::Error { id, code });
     }
-}
-
-/// Admission gate: `Ok(Some(permit))` admitted, `Ok(None)` shed (Busy sent).
-fn admit(
-    gw: &Gateway,
-    link: &dyn SessionLink,
-    client: u64,
-    id: u64,
-) -> Result<Option<Permit>, crate::conn::LinkClosed> {
-    let ins = &gw.ins;
     match gw.admission.try_admit(client, gw.now_nanos()) {
         Ok(permit) => {
             ins.admitted.inc();
             ins.inflight_gauge
                 .set_u64(u64::from(gw.admission.inflight()));
-            Ok(Some(permit))
+            Ok(permit)
         }
         Err(reason) => {
             ins.shed_total.inc();
@@ -1585,182 +1462,208 @@ fn admit(
                 e.u64_field("client", client)
                     .str_field("reason", reason.name())
             });
-            link.send(Reply::Error {
-                id,
-                code: ErrorCode::Busy,
-            })?;
-            Ok(None)
+            let code = ErrorCode::Busy;
+            Err(Reply::Error { id, code })
         }
     }
 }
 
-fn finish(gw: &Gateway, permit: Permit, started: Instant) {
-    gw.ins
-        .latency_ns
-        .record(started.elapsed().as_nanos() as u64);
-    drop(permit);
-    gw.ins
-        .inflight_gauge
-        .set_u64(u64::from(gw.admission.inflight()));
-}
-
-/// One write received in the current batch window, in receive order.
-/// Replies are deferred and sent strictly in this order after submission —
-/// the in-order reply guarantee clients correlate ids by.
-enum BatchedWrite {
-    Admitted {
-        id: u64,
-        pages: u32,
-        _permit: Permit,
-    },
-    Shed {
-        id: u64,
-    },
-    Bad {
-        id: u64,
-    },
-}
-
-/// Validate + admit the head write, drain up to `batch_window` pipelined
-/// writes behind it (each individually validated and admitted), coalesce
-/// the admitted ones into runs, submit, then reply to every batched write
-/// in receive order. If submission aborts on an all-replicas-down shard,
-/// every admitted write in the batch is answered `Unavailable` — a
-/// conservative blanket (some runs may have applied) made safe by the
-/// dedup tags: the client's resend of an already-applied run is a no-op.
-fn write_batch(
-    gw: &Arc<Gateway>,
-    link: &dyn SessionLink,
+/// One established session: who is asking, over what, at which protocol
+/// version.
+struct Session<'a> {
+    gw: &'a Gateway,
+    link: &'a dyn SessionLink,
     client: u64,
     version: u16,
-    id: u64,
-    lpn: u64,
-    pages: Vec<Bytes>,
-) -> Result<Option<Request>, crate::conn::LinkClosed> {
-    let ins = &gw.ins;
-    let started = Instant::now();
-    let mut batch: Vec<BatchedWrite> = Vec::new();
-    let mut flat: Vec<(u64, Bytes)> = Vec::new();
-    // lpn → id of the (last) request that wrote it, mirroring coalesce's
-    // last-writer-wins — the source of the per-run dedup tags.
-    let mut ids: HashMap<u64, u64> = HashMap::new();
-    let mut admitted = 0usize;
-    let mut carried: Option<Request> = None;
+}
 
-    let consider = |req_id: u64,
-                    req_lpn: u64,
-                    req_pages: Vec<Bytes>,
-                    batch: &mut Vec<BatchedWrite>,
-                    flat: &mut Vec<(u64, Bytes)>,
-                    ids: &mut HashMap<u64, u64>,
-                    admitted: &mut usize| {
-        ins.requests.inc();
-        if req_pages.is_empty() || req_pages.len() as u32 > gw.cfg.max_req_pages {
-            ins.bad_requests.inc();
-            batch.push(BatchedWrite::Bad { id: req_id });
-            return;
-        }
-        match gw.admission.try_admit(client, gw.now_nanos()) {
-            Ok(permit) => {
-                ins.admitted.inc();
-                ins.inflight_gauge
-                    .set_u64(u64::from(gw.admission.inflight()));
-                let n = req_pages.len() as u32;
-                for (i, data) in req_pages.into_iter().enumerate() {
-                    flat.push((req_lpn + i as u64, data));
-                    ids.insert(req_lpn + i as u64, req_id);
-                }
-                *admitted += 1;
-                batch.push(BatchedWrite::Admitted {
-                    id: req_id,
-                    pages: n,
-                    _permit: permit,
-                });
-            }
-            Err(reason) => {
-                ins.shed_total.inc();
-                match reason {
-                    ShedReason::RateLimited => ins.shed_rate_limited.inc(),
-                    ShedReason::QueueFull => ins.shed_queue_full.inc(),
-                }
-                gw.note("shed", |e| {
-                    e.u64_field("client", client)
-                        .str_field("reason", reason.name())
-                });
-                batch.push(BatchedWrite::Shed { id: req_id });
-            }
-        }
-    };
-
-    consider(
-        id,
-        lpn,
-        pages,
-        &mut batch,
-        &mut flat,
-        &mut ids,
-        &mut admitted,
-    );
-
-    // Batch window: drain writes the client already pipelined. A non-write
-    // is carried out to the caller so replies stay in receive order.
-    while admitted <= gw.cfg.batch_window {
-        match link.recv_timeout(Duration::ZERO) {
-            Ok(Some(Request::Write { id, lpn, pages })) => {
-                consider(
-                    id,
-                    lpn,
-                    pages,
-                    &mut batch,
-                    &mut flat,
-                    &mut ids,
-                    &mut admitted,
-                );
-            }
-            Ok(Some(other)) => {
-                carried = Some(other);
-                break;
-            }
-            Ok(None) => break,
-            Err(_) => break, // reply to what we already took first
-        }
-    }
-
-    let sub = gw.submit_writes(client, flat, &ids);
-    let all_replicated = sub.replicated == sub.out_pages;
-
-    if admitted > 0 {
-        ins.writes.add(admitted as u64);
-        ins.batches.inc();
-        ins.latency_ns.record(started.elapsed().as_nanos() as u64);
-    }
-
-    for w in &batch {
-        let reply = match w {
-            BatchedWrite::Admitted { id, pages, .. } => match sub.unavailable {
-                Some(retry_after_ms) => Reply::Unavailable {
-                    id: *id,
-                    retry_after_ms,
-                },
-                None => Reply::WriteOk {
-                    id: *id,
-                    pages: *pages,
-                    replicated: all_replicated,
-                },
-            },
-            BatchedWrite::Shed { id } => Reply::Error {
-                id: *id,
+impl Session<'_> {
+    /// Send `reply`, downgrading v2-only tags for older sessions: a v1
+    /// client sees `Unavailable` as `Error { Busy }` — same retry semantics,
+    /// no unknown tag on its wire.
+    fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
+        let reply = match reply {
+            Reply::Unavailable { id, .. } if self.version < 2 => Reply::Error {
+                id,
                 code: ErrorCode::Busy,
             },
-            BatchedWrite::Bad { id } => Reply::Error {
-                id: *id,
-                code: ErrorCode::BadRequest,
-            },
+            other => other,
         };
-        send_versioned(link, version, reply)?;
+        self.link.send(reply)
     }
-    drop(batch); // releases every admitted permit
-    ins.inflight_gauge
-        .set_u64(u64::from(gw.admission.inflight()));
-    Ok(carried)
+
+    /// Process one request (and, for writes, a drained batch of pipelined
+    /// writes behind it). Returns a non-write request drained out of the
+    /// batch window, which the caller must process next — preserving reply
+    /// order.
+    fn handle(&self, req: Request) -> Result<Option<Request>, LinkClosed> {
+        let gw = self.gw;
+        let client = self.client;
+        match req {
+            Request::Hello { .. } => {
+                // Duplicate handshake: harmless, re-ack.
+                self.link.send(Reply::HelloOk {
+                    version: self.version,
+                    max_inflight: gw.admission.config().max_inflight,
+                })?;
+            }
+            Request::Write { id, lpn, pages } => return self.write_batch(id, lpn, pages),
+            Request::Read { id, lpn, pages } => self.serve(
+                id,
+                valid_span(gw, lpn, u64::from(pages)),
+                &gw.ins.reads,
+                || gw.do_read(client, lpn, pages),
+                |pages| Reply::ReadOk { id, pages },
+            )?,
+            Request::Trim { id, lpn, pages } => self.serve(
+                id,
+                valid_span(gw, lpn, u64::from(pages)),
+                &gw.ins.trims,
+                || gw.do_trim(client, lpn, pages),
+                |()| Reply::TrimOk { id, pages },
+            )?,
+            Request::Flush { id } => self.serve(
+                id,
+                true,
+                &gw.ins.flushes,
+                || gw.do_flush(),
+                |flushed| {
+                    gw.note("flush", |e| {
+                        e.u64_field("client", client).u64_field("pages", flushed)
+                    });
+                    Reply::FlushOk { id, flushed }
+                },
+            )?,
+        }
+        Ok(None)
+    }
+
+    /// One non-write request end to end: through the [`gate`], run `op`
+    /// under the permit, count it in `served`, and answer with `ok`'s reply
+    /// or the one `Unavailable` mapping.
+    fn serve<T>(
+        &self,
+        id: u64,
+        valid: bool,
+        served: &Counter,
+        op: impl FnOnce() -> Result<T, Unavail>,
+        ok: impl FnOnce(T) -> Reply,
+    ) -> Result<(), LinkClosed> {
+        let gw = self.gw;
+        let permit = match gate(gw, self.client, id, valid) {
+            Ok(permit) => permit,
+            Err(refusal) => return self.send(refusal),
+        };
+        let started = Instant::now();
+        let result = op();
+        served.inc();
+        gw.ins
+            .latency_ns
+            .record(started.elapsed().as_nanos() as u64);
+        drop(permit);
+        gw.ins
+            .inflight_gauge
+            .set_u64(u64::from(gw.admission.inflight()));
+        self.send(match result {
+            Ok(v) => ok(v),
+            Err(u) => u.reply(id),
+        })
+    }
+
+    /// Validate + admit the head write, drain up to `batch_window`
+    /// pipelined writes behind it (each individually validated and
+    /// admitted), coalesce the admitted ones into runs, submit, then reply
+    /// to every batched write in receive order. If submission aborts on an
+    /// all-replicas-down shard, every admitted write in the batch is
+    /// answered `Unavailable` — a conservative blanket (some runs may have
+    /// applied) made safe by the dedup tags: the client's resend of an
+    /// already-applied run is a no-op.
+    fn write_batch(
+        &self,
+        id: u64,
+        lpn: u64,
+        pages: Vec<Bytes>,
+    ) -> Result<Option<Request>, LinkClosed> {
+        let gw = self.gw;
+        let ins = &gw.ins;
+        let started = Instant::now();
+        let mut window = WriteWindow::default();
+        let mut carried: Option<Request> = None;
+
+        window.consider(gw, self.client, id, lpn, pages);
+
+        // Batch window: drain writes the client already pipelined. A
+        // non-write is carried out to the caller so replies stay in receive
+        // order.
+        while window.admitted <= gw.cfg.batch_window {
+            match self.link.recv_timeout(Duration::ZERO) {
+                Ok(Some(Request::Write { id, lpn, pages })) => {
+                    window.consider(gw, self.client, id, lpn, pages);
+                }
+                Ok(Some(other)) => {
+                    carried = Some(other);
+                    break;
+                }
+                Ok(None) => break,
+                Err(_) => break, // reply to what we already took first
+            }
+        }
+
+        let sub = gw.submit_writes(self.client, window.flat, &window.ids);
+        let all_replicated = sub.replicated == sub.out_pages;
+
+        if window.admitted > 0 {
+            ins.writes.add(window.admitted as u64);
+            ins.batches.inc();
+            ins.latency_ns.record(started.elapsed().as_nanos() as u64);
+        }
+
+        for w in &window.batch {
+            self.send(match w {
+                Err(refusal) => refusal.clone(),
+                Ok((id, pages, _permit)) => match sub.unavailable {
+                    Some(u) => u.reply(*id),
+                    None => Reply::WriteOk {
+                        id: *id,
+                        pages: *pages,
+                        replicated: all_replicated,
+                    },
+                },
+            })?;
+        }
+        drop(window.batch); // releases every admitted permit
+        ins.inflight_gauge
+            .set_u64(u64::from(gw.admission.inflight()));
+        Ok(carried)
+    }
+}
+
+/// The writes of one batch window and what their admitted pages flatten to.
+#[derive(Default)]
+struct WriteWindow {
+    /// Every write received, in receive order — the order replies are sent
+    /// in after submission, which clients correlate ids by: an admitted
+    /// one's `(id, pages, permit)`, or the refusal the [`gate`] gave it.
+    batch: Vec<Result<(u64, u32, Permit), Reply>>,
+    flat: Vec<(u64, Bytes)>,
+    /// lpn → id of the (last) request that wrote it, mirroring coalesce's
+    /// last-writer-wins — the source of the per-run dedup tags.
+    ids: HashMap<u64, u64>,
+    admitted: usize,
+}
+
+impl WriteWindow {
+    /// Validate and admit one write; an admitted one's pages join `flat`.
+    fn consider(&mut self, gw: &Gateway, client: u64, id: u64, lpn: u64, pages: Vec<Bytes>) {
+        let verdict = gate(gw, client, id, valid_span(gw, lpn, pages.len() as u64));
+        let n = pages.len() as u32; // <= max_req_pages once the gate passed it
+        if verdict.is_ok() {
+            for (page, data) in (lpn..).zip(pages) {
+                self.flat.push((page, data));
+                self.ids.insert(page, id);
+            }
+            self.admitted += 1;
+        }
+        self.batch.push(verdict.map(|permit| (id, n, permit)));
+    }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
+use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig, PEER_NS};
 use fc_gateway::{AdmissionConfig, ClientError, ErrorCode, Gateway, GatewayConfig, Reply, Request};
 
 fn pair() -> (Arc<Node>, Node) {
@@ -117,6 +117,24 @@ fn zero_page_and_oversized_requests_are_refused() {
         ClientError::Rejected(ErrorCode::BadRequest),
         "write past max_req_pages"
     );
+    // A span that wraps past u64::MAX, or reaches into the nodes' peer
+    // namespace (bit 63), is refused by every op that names a span.
+    let two = || vec![page(7), page(8)];
+    for (lpn, why) in [
+        (u64::MAX, "wraps"),
+        (PEER_NS, "starts in the peer namespace"),
+        (PEER_NS - 1, "ends in the peer namespace"),
+    ] {
+        let refused = Err(ClientError::Rejected(ErrorCode::BadRequest));
+        assert_eq!(c.write(lpn, two()).map(|_| ()), refused, "write {why}");
+        assert_eq!(c.read(lpn, 2).map(|_| ()), refused, "read {why}");
+        assert_eq!(c.trim(lpn, 2).map(|_| ()), refused, "trim {why}");
+    }
+    // The last span below the namespace is an ordinary one.
+    assert_eq!(c.write(PEER_NS - 2, two()).unwrap().pages, 2);
+    assert_eq!(c.read(PEER_NS - 2, 2).unwrap()[1], Some(page(8)));
+    assert_eq!(c.trim(PEER_NS - 2, 2).unwrap(), 2);
+    assert_eq!(gw.stats().bad_requests, 4 + 9);
     // Valid traffic still flows on the same session.
     assert_eq!(c.write(0, vec![page(1)]).unwrap().pages, 1);
     gw.shutdown();

@@ -10,6 +10,28 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt (check only)"
 cargo fmt --all -- --check
 
+echo "==> node layout guard: the lock order stays a module-visibility fact"
+# DESIGN §16: code that runs under the node's `Inner` lock never sends, the
+# pipe never takes `Inner`, and only hosted.rs knows where pages hosted for
+# the peer live. Checked on code only — comment lines and each file's test
+# module are skipped.
+code() { sed -e '/^#\[cfg(test)\]/,$d' -e '/^[[:space:]]*\/\//d' "$1"; }
+for f in state hosted resync recv; do
+  if code "crates/cluster/src/node/$f.rs" | grep -nE 'Transport|\.send\('; then
+    echo "node/$f.rs runs under Inner: return the frame and let pump.rs send it" >&2
+    exit 1
+  fi
+done
+if code crates/cluster/src/pipe.rs | grep -nw 'Inner'; then
+  echo "pipe.rs must not name the node's Inner" >&2
+  exit 1
+fi
+if grep -rnw 'PEER_NS' crates/cluster/src --include='*.rs' \
+  | grep -vE '/hosted\.rs:|/src/lib\.rs:|:[0-9]+:[[:space:]]*(//|pub use )'; then
+  echo "PEER_NS is spelled in node/hosted.rs only (and re-exported)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
