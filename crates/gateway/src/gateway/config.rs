@@ -1,0 +1,68 @@
+//! Gateway knobs.
+
+use std::time::Duration;
+
+use crate::admission::AdmissionConfig;
+
+/// Gateway knobs.
+#[derive(Debug, Clone)]
+pub struct GatewayConfig {
+    /// Admission gates (token buckets + global in-flight cap).
+    pub admission: AdmissionConfig,
+    /// Block size (pages) used for run alignment — match the node's
+    /// `pages_per_block` so runs map onto destage units.
+    pub pages_per_block: u32,
+    /// Largest page count accepted in one request; larger ⇒ `BadRequest`.
+    pub max_req_pages: u32,
+    /// Max additional pipelined writes drained into one batch window.
+    pub batch_window: usize,
+    /// Session-loop poll interval (also the shutdown latency bound).
+    pub session_poll: Duration,
+    /// Consecutive `NodeDown` errors on a shard's primary before its
+    /// circuit breaker opens and the route fails over to the secondary.
+    pub breaker_threshold: u32,
+    /// Open-breaker cooldown; doubles as the failback probe cadence and
+    /// the `retry_after_ms` hint in `Unavailable` replies.
+    pub breaker_cooldown: Duration,
+    /// Total in-gateway retry budget for one shard op before giving up
+    /// with `Unavailable` — the bound on how long a request can stall on
+    /// a dead shard.
+    pub retry_deadline: Duration,
+    /// Base retry backoff (exponential with jitter, capped at 100 ms).
+    pub retry_backoff: Duration,
+    /// How long a failback probe waits for the primary's recovery
+    /// snapshot from its peer before re-opening the breaker.
+    pub failback_timeout: Duration,
+}
+
+impl Default for GatewayConfig {
+    fn default() -> Self {
+        GatewayConfig {
+            admission: AdmissionConfig::default(),
+            pages_per_block: 4,
+            max_req_pages: 1024,
+            batch_window: 32,
+            session_poll: Duration::from_millis(25),
+            breaker_threshold: 3,
+            breaker_cooldown: Duration::from_millis(200),
+            retry_deadline: Duration::from_secs(2),
+            retry_backoff: Duration::from_millis(5),
+            failback_timeout: Duration::from_secs(1),
+        }
+    }
+}
+
+impl GatewayConfig {
+    /// Deterministic test profile: unlimited admission (no shedding), tiny
+    /// blocks to exercise run splitting, and a fast breaker so chaos tests
+    /// observe failover/failback within a node test-profile outage.
+    pub fn test_profile() -> Self {
+        GatewayConfig {
+            admission: AdmissionConfig::unlimited(),
+            breaker_cooldown: Duration::from_millis(50),
+            retry_deadline: Duration::from_secs(1),
+            retry_backoff: Duration::from_millis(2),
+            ..GatewayConfig::default()
+        }
+    }
+}

@@ -19,6 +19,12 @@
 //! Replies are sent in receive order per session, which is the property
 //! clients rely on for pipelining.
 
+mod config;
+mod stats;
+
+pub use config::GatewayConfig;
+pub use stats::GatewayStats;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -28,220 +34,18 @@ use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
 use fc_cluster::{MigrateError, Node, NodeDown, PairState, PEER_NS};
-use fc_obs::{Counter, Gauge, Histogram, Metric, Obs, Registry};
+use fc_obs::{Counter, Obs};
 use fc_ring::{Ring, RingConfig};
 use parking_lot::{Mutex, RwLock};
 
-use crate::admission::{Admission, AdmissionConfig, Permit, ShedReason};
+use crate::admission::{Admission, Permit, ShedReason};
 use crate::batch::coalesce_sharded;
 use crate::client::GatewayClient;
 use crate::conn::{mem_session, LinkClosed, SessionLink, TcpSessionLink};
 use crate::health::{BreakerState, Replica, ShardHealth};
 use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
 use crate::shard::{ShardInstruments, ShardStats, ShardStatsSum};
-
-/// Gateway knobs.
-#[derive(Debug, Clone)]
-pub struct GatewayConfig {
-    /// Admission gates (token buckets + global in-flight cap).
-    pub admission: AdmissionConfig,
-    /// Block size (pages) used for run alignment — match the node's
-    /// `pages_per_block` so runs map onto destage units.
-    pub pages_per_block: u32,
-    /// Largest page count accepted in one request; larger ⇒ `BadRequest`.
-    pub max_req_pages: u32,
-    /// Max additional pipelined writes drained into one batch window.
-    pub batch_window: usize,
-    /// Session-loop poll interval (also the shutdown latency bound).
-    pub session_poll: Duration,
-    /// Consecutive `NodeDown` errors on a shard's primary before its
-    /// circuit breaker opens and the route fails over to the secondary.
-    pub breaker_threshold: u32,
-    /// Open-breaker cooldown; doubles as the failback probe cadence and
-    /// the `retry_after_ms` hint in `Unavailable` replies.
-    pub breaker_cooldown: Duration,
-    /// Total in-gateway retry budget for one shard op before giving up
-    /// with `Unavailable` — the bound on how long a request can stall on
-    /// a dead shard.
-    pub retry_deadline: Duration,
-    /// Base retry backoff (exponential with jitter, capped at 100 ms).
-    pub retry_backoff: Duration,
-    /// How long a failback probe waits for the primary's recovery
-    /// snapshot from its peer before re-opening the breaker.
-    pub failback_timeout: Duration,
-}
-
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        GatewayConfig {
-            admission: AdmissionConfig::default(),
-            pages_per_block: 4,
-            max_req_pages: 1024,
-            batch_window: 32,
-            session_poll: Duration::from_millis(25),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(200),
-            retry_deadline: Duration::from_secs(2),
-            retry_backoff: Duration::from_millis(5),
-            failback_timeout: Duration::from_secs(1),
-        }
-    }
-}
-
-impl GatewayConfig {
-    /// Deterministic test profile: unlimited admission (no shedding), tiny
-    /// blocks to exercise run splitting, and a fast breaker so chaos tests
-    /// observe failover/failback within a node test-profile outage.
-    pub fn test_profile() -> Self {
-        GatewayConfig {
-            admission: AdmissionConfig::unlimited(),
-            breaker_cooldown: Duration::from_millis(50),
-            retry_deadline: Duration::from_secs(1),
-            retry_backoff: Duration::from_millis(2),
-            ..GatewayConfig::default()
-        }
-    }
-}
-
-/// Point-in-time snapshot of gateway activity.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GatewayStats {
-    pub sessions_started: u64,
-    pub sessions_ended: u64,
-    /// Post-handshake requests received (admitted + shed + bad).
-    pub requests: u64,
-    pub admitted: u64,
-    pub shed_total: u64,
-    pub shed_rate_limited: u64,
-    pub shed_queue_full: u64,
-    pub bad_requests: u64,
-    pub writes: u64,
-    pub write_pages: u64,
-    pub reads: u64,
-    pub read_pages: u64,
-    pub read_hits: u64,
-    pub trims: u64,
-    /// Pages covered by trim requests (partitions exactly over shards).
-    pub trim_pages: u64,
-    pub flushes: u64,
-    /// Dirty pages destaged by flush requests, summed over every node the
-    /// flush fanned out to.
-    pub flushed_pages: u64,
-    /// Write submissions to the node (one per batch window).
-    pub batches: u64,
-    /// Contiguous runs those batches decomposed into.
-    pub runs: u64,
-    /// Pages merged away by last-writer-wins coalescing.
-    pub coalesced_pages: u64,
-    /// Route flips away from a dead node (primary→secondary, plus
-    /// emergency secondary→primary reroutes under a double fault).
-    pub failovers: u64,
-    /// Routes restored to a recovered primary after the pair re-formed.
-    pub failbacks: u64,
-    /// Shard-op retries after a `NodeDown` (backoff path, not counting
-    /// the immediate retry a route flip grants).
-    pub retries: u64,
-    /// Shard ops abandoned at the retry deadline with both replicas down
-    /// (one `Unavailable` reply may cover several batched writes).
-    pub unavailable: u64,
-    /// Elastic-membership windows opened (`begin_rebalance`).
-    pub rebalances_started: u64,
-    /// Windows committed (ring cut over to the new epoch).
-    pub rebalances_completed: u64,
-    /// Blocks handed from their old owner to their new one.
-    pub rebalance_moved_blocks: u64,
-    /// Pages those blocks carried.
-    pub rebalance_moved_pages: u64,
-    /// Migration batches executed (each one fence hold on the route table).
-    pub rebalance_batches: u64,
-    /// Requests currently in service.
-    pub inflight: u32,
-    /// High-water mark of concurrent admitted requests.
-    pub max_inflight_seen: u32,
-}
-
-impl GatewayStats {
-    /// Fraction of post-handshake requests shed by admission control.
-    pub fn shed_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.shed_total as f64 / self.requests as f64
-        }
-    }
-}
-
-/// Request-granular instruments — one cell each for the gateway's whole
-/// life; [`Gateway::attach_obs`] publishes these same cells. The
-/// page-granular and failover-path columns live only per shard
-/// ([`ShardInstruments`]); their aggregates are the shard sum.
-#[derive(Default)]
-struct Instruments {
-    sessions_started: Counter,
-    sessions_ended: Counter,
-    requests: Counter,
-    admitted: Counter,
-    shed_total: Counter,
-    shed_rate_limited: Counter,
-    shed_queue_full: Counter,
-    bad_requests: Counter,
-    writes: Counter,
-    reads: Counter,
-    trims: Counter,
-    flushes: Counter,
-    batches: Counter,
-    rebalances_started: Counter,
-    rebalances_completed: Counter,
-    rebalance_moved_blocks: Counter,
-    rebalance_moved_pages: Counter,
-    rebalance_batches: Counter,
-    inflight_gauge: Gauge,
-    latency_ns: Histogram,
-    /// Moved-block count per committed rebalance window.
-    rebalance_hist: Histogram,
-}
-
-impl Instruments {
-    fn publish(&self, reg: &Registry) {
-        for (name, c) in [
-            ("gateway.sessions_started", &self.sessions_started),
-            ("gateway.sessions_ended", &self.sessions_ended),
-            ("gateway.requests", &self.requests),
-            ("gateway.admitted", &self.admitted),
-            ("gateway.shed_total", &self.shed_total),
-            ("gateway.shed_rate_limited", &self.shed_rate_limited),
-            ("gateway.shed_queue_full", &self.shed_queue_full),
-            ("gateway.bad_requests", &self.bad_requests),
-            ("gateway.writes", &self.writes),
-            ("gateway.reads", &self.reads),
-            ("gateway.trims", &self.trims),
-            ("gateway.flushes", &self.flushes),
-            ("gateway.batches", &self.batches),
-            ("gateway.rebalance.started", &self.rebalances_started),
-            ("gateway.rebalance.completed", &self.rebalances_completed),
-            (
-                "gateway.rebalance.moved_blocks",
-                &self.rebalance_moved_blocks,
-            ),
-            ("gateway.rebalance.moved_pages", &self.rebalance_moved_pages),
-            ("gateway.rebalance.batches", &self.rebalance_batches),
-        ] {
-            reg.adopt(name, Metric::Counter(c.clone()));
-        }
-        reg.adopt(
-            "gateway.inflight",
-            Metric::Gauge(self.inflight_gauge.clone()),
-        );
-        reg.adopt(
-            "gateway.latency_ns",
-            Metric::Histogram(self.latency_ns.clone()),
-        );
-        reg.adopt(
-            "gateway.rebalance.run_moved_blocks",
-            Metric::Histogram(self.rebalance_hist.clone()),
-        );
-    }
-}
+use stats::Instruments;
 
 /// One shard's pair as the gateway routes to it: the designated primary,
 /// optionally the pair's secondary (failover target), and the health /
