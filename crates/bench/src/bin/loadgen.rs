@@ -52,21 +52,6 @@ FLAGS:
                      combined with --add-pair-at, else
                      the highest shard; never the last
                      pair)                             (default off)
-  --repl-window N    in-flight replication batches per
-                     node before the sender stalls     (default: node profile)
-  --repl-batch-pages N  max pages coalesced into one
-                     replication frame                 (default: node profile)
-  --req-pages F      override the workload's mean
-                     request size in pages             (default: trace profile)
-  --remote-capacity N  distinct peer pages each node
-                     hosts (the replication credit
-                     pool)                             (default: node profile)
-  --buffer-pages N   local buffer capacity per node    (default: node profile)
-  --pages-per-block N  gateway destage-block size; caps
-                     the run length a write request is
-                     coalesced into                    (default: gateway profile)
-  --json             emit one JSON object instead of
-                     the human-readable table          (default off)
 ";
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -126,24 +111,6 @@ fn run() -> Result<(), String> {
             .map(|s| s.parse::<u64>().map_err(|_| format!("bad number {s:?}")))
             .transpose()?
             .map(std::time::Duration::from_millis),
-        repl_window: flag_value(&args, "--repl-window")
-            .map(|s| s.parse::<usize>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?,
-        repl_batch_pages: flag_value(&args, "--repl-batch-pages")
-            .map(|s| s.parse::<usize>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?,
-        req_pages: flag_value(&args, "--req-pages")
-            .map(|s| s.parse::<f64>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?,
-        remote_capacity: flag_value(&args, "--remote-capacity")
-            .map(|s| s.parse::<usize>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?,
-        buffer_pages: flag_value(&args, "--buffer-pages")
-            .map(|s| s.parse::<usize>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?,
-        pages_per_block: flag_value(&args, "--pages-per-block")
-            .map(|s| s.parse::<u32>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?,
         ..defaults
     };
     spec.admission.per_client_rate = parse_or(
@@ -160,11 +127,7 @@ fn run() -> Result<(), String> {
     )?;
 
     let report = loadgen::run(&spec)?;
-    if args.iter().any(|a| a == "--json") {
-        print!("{}", loadgen::report_json(&report));
-    } else {
-        print!("{}", loadgen::report_text(&report));
-    }
+    print!("{}", loadgen::report_text(&report));
     if report.errors > 0 {
         return Err(format!("{} requests failed", report.errors));
     }

@@ -1,10 +1,10 @@
 //! Shared experiment parameters.
 //!
 //! Every experiment reads its sizing from [`ExperimentParams`] so the `repro`
-//! binary, the criterion benches, and the integration tests agree on the
-//! setup. The defaults mirror the paper's evaluation (Section IV.A): Table II
-//! device (scaled capacity, identical page/block shape), 4096-page buffer,
-//! aged device, Table I workloads.
+//! binary and the integration tests agree on the setup. The defaults mirror
+//! the paper's evaluation (Section IV.A): Table II device (scaled capacity,
+//! identical page/block shape), 4096-page buffer, aged device, Table I
+//! workloads.
 
 use fc_ssd::FtlKind;
 use fc_trace::SyntheticSpec;
@@ -40,7 +40,7 @@ impl ExperimentParams {
         }
     }
 
-    /// Reduced run for smoke tests and criterion iterations.
+    /// Reduced run for smoke tests.
     pub fn quick() -> Self {
         ExperimentParams {
             requests: 4_000,

@@ -1,0 +1,376 @@
+//! One client session: handshake, the gate every request passes
+//! (validation + admission), the batch window, in-order replies.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use fc_cluster::PEER_NS;
+use fc_obs::Counter;
+
+use super::failover::Unavail;
+use super::Gateway;
+use crate::admission::{Permit, ShedReason};
+use crate::conn::{LinkClosed, SessionLink};
+use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
+
+pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
+    gw.ins.sessions_started.inc();
+    gw.note("session_start", |e| e);
+
+    let Some((client, version)) = handshake(&gw, link.as_ref()) else {
+        gw.ins.sessions_ended.inc();
+        gw.note("session_end", |e| e);
+        return;
+    };
+    let session = Session {
+        gw: &gw,
+        link: link.as_ref(),
+        client,
+        version,
+    };
+
+    let mut carried: Option<Request> = None;
+    while !gw.shutdown.load(Ordering::SeqCst) {
+        let req = match carried.take() {
+            Some(r) => r,
+            None => match link.recv_timeout(gw.cfg.session_poll) {
+                Ok(Some(r)) => r,
+                Ok(None) => continue,
+                Err(_) => break,
+            },
+        };
+        match session.handle(req) {
+            Ok(next) => carried = next,
+            Err(_) => break,
+        }
+    }
+
+    gw.ins.sessions_ended.inc();
+    gw.note("session_end", |e| e.u64_field("client", client));
+}
+
+/// First message must be a supported-version Hello. Returns the client id
+/// and the negotiated session version (the client's own, echoed back — a
+/// v1 client never sees a v2-only reply tag), or `None` if the session
+/// should be dropped.
+fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<(u64, u16)> {
+    let ins = &gw.ins;
+    while !gw.shutdown.load(Ordering::SeqCst) {
+        match link.recv_timeout(gw.cfg.session_poll) {
+            Ok(Some(Request::Hello { version, client })) => {
+                if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+                    ins.bad_requests.inc();
+                    gw.note("bad_request", |e| e.str_field("why", "version"));
+                    let _ = link.send(Reply::Error {
+                        id: 0,
+                        code: ErrorCode::BadVersion,
+                    });
+                    return None;
+                }
+                let max_inflight = gw.admission.config().max_inflight;
+                link.send(Reply::HelloOk {
+                    version,
+                    max_inflight,
+                })
+                .ok()?;
+                return Some((client, version));
+            }
+            Ok(Some(other)) => {
+                // I/O before Hello: refuse, keep waiting for the handshake.
+                ins.bad_requests.inc();
+                link.send(Reply::Error {
+                    id: other.id(),
+                    code: ErrorCode::BadRequest,
+                })
+                .ok()?;
+            }
+            Ok(None) => continue,
+            Err(_) => return None,
+        }
+    }
+    None
+}
+
+/// `[lpn, lpn + pages)` is a span a client may name: 1 to `max_req_pages`
+/// pages, no wrap past `u64::MAX`, and wholly below the nodes' [`PEER_NS`]
+/// namespace — a page up there would be trimmed by the next recovery Purge
+/// and skipped by migration.
+fn valid_span(gw: &Gateway, lpn: u64, pages: u64) -> bool {
+    (1..=u64::from(gw.cfg.max_req_pages)).contains(&pages)
+        && lpn.checked_add(pages).is_some_and(|end| end <= PEER_NS)
+}
+
+/// Publish the in-flight count after a permit was taken or released.
+fn gauge_inflight(gw: &Gateway) {
+    let inflight = gw.admission.inflight();
+    gw.ins.inflight_gauge.set_u64(u64::from(inflight));
+}
+
+/// The one way in for a request: count it, refuse an in`valid` one
+/// (`BadRequest`), and pass the rest through admission (`Busy` when shed).
+/// `Err` is the reply the request gets instead of service.
+fn gate(gw: &Gateway, client: u64, id: u64, valid: bool) -> Result<Permit, Reply> {
+    let ins = &gw.ins;
+    ins.requests.inc();
+    if !valid {
+        ins.bad_requests.inc();
+        let code = ErrorCode::BadRequest;
+        return Err(Reply::Error { id, code });
+    }
+    match gw.admission.try_admit(client, gw.now_nanos()) {
+        Ok(permit) => {
+            ins.admitted.inc();
+            gauge_inflight(gw);
+            Ok(permit)
+        }
+        Err(reason) => {
+            ins.shed_total.inc();
+            match reason {
+                ShedReason::RateLimited => ins.shed_rate_limited.inc(),
+                ShedReason::QueueFull => ins.shed_queue_full.inc(),
+            }
+            gw.note("shed", |e| {
+                e.u64_field("client", client)
+                    .str_field("reason", reason.name())
+            });
+            let code = ErrorCode::Busy;
+            Err(Reply::Error { id, code })
+        }
+    }
+}
+
+/// One established session: who is asking, over what, at which protocol
+/// version.
+struct Session<'a> {
+    gw: &'a Gateway,
+    link: &'a dyn SessionLink,
+    client: u64,
+    version: u16,
+}
+
+impl Session<'_> {
+    /// Send `reply`, downgrading v2-only tags for older sessions: a v1
+    /// client sees `Unavailable` as `Error { Busy }` — same retry semantics,
+    /// no unknown tag on its wire.
+    fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
+        let reply = match reply {
+            Reply::Unavailable { id, .. } if self.version < 2 => Reply::Error {
+                id,
+                code: ErrorCode::Busy,
+            },
+            other => other,
+        };
+        self.link.send(reply)
+    }
+
+    /// Process one request (and, for writes, a drained batch of pipelined
+    /// writes behind it). Returns a non-write request drained out of the
+    /// batch window, which the caller must process next — preserving reply
+    /// order.
+    fn handle(&self, req: Request) -> Result<Option<Request>, LinkClosed> {
+        let gw = self.gw;
+        let client = self.client;
+        match req {
+            Request::Hello { .. } => {
+                // Duplicate handshake: harmless, re-ack.
+                self.link.send(Reply::HelloOk {
+                    version: self.version,
+                    max_inflight: gw.admission.config().max_inflight,
+                })?;
+            }
+            Request::Write { id, lpn, pages } => return self.write_batch(id, lpn, pages),
+            Request::Read { id, lpn, pages } => self.serve(
+                id,
+                valid_span(gw, lpn, u64::from(pages)),
+                &gw.ins.reads,
+                || gw.do_read(client, lpn, pages),
+                |pages| Reply::ReadOk { id, pages },
+            )?,
+            Request::Trim { id, lpn, pages } => self.serve(
+                id,
+                valid_span(gw, lpn, u64::from(pages)),
+                &gw.ins.trims,
+                || gw.do_trim(client, lpn, pages),
+                |()| Reply::TrimOk { id, pages },
+            )?,
+            Request::Flush { id } => self.serve(
+                id,
+                true,
+                &gw.ins.flushes,
+                || gw.do_flush(),
+                |flushed| {
+                    gw.note("flush", |e| {
+                        e.u64_field("client", client).u64_field("pages", flushed)
+                    });
+                    Reply::FlushOk { id, flushed }
+                },
+            )?,
+        }
+        Ok(None)
+    }
+
+    /// One non-write request end to end: through the [`gate`], run `op`
+    /// under the permit, count it in `served`, and answer with `ok`'s reply
+    /// or the one `Unavailable` mapping.
+    fn serve<T>(
+        &self,
+        id: u64,
+        valid: bool,
+        served: &Counter,
+        op: impl FnOnce() -> Result<T, Unavail>,
+        ok: impl FnOnce(T) -> Reply,
+    ) -> Result<(), LinkClosed> {
+        let gw = self.gw;
+        let permit = match gate(gw, self.client, id, valid) {
+            Ok(permit) => permit,
+            Err(refusal) => return self.send(refusal),
+        };
+        let started = Instant::now();
+        let result = op();
+        served.inc();
+        gw.ins
+            .latency_ns
+            .record(started.elapsed().as_nanos() as u64);
+        drop(permit);
+        gauge_inflight(gw);
+        self.send(match result {
+            Ok(v) => ok(v),
+            Err(u) => u.reply(id),
+        })
+    }
+
+    /// Validate + admit the head write, drain up to `batch_window`
+    /// pipelined writes behind it (each individually validated and
+    /// admitted), coalesce the admitted ones into runs, submit, then reply
+    /// to every batched write in receive order. If submission aborts on an
+    /// all-replicas-down shard, every admitted write in the batch is
+    /// answered `Unavailable` — a conservative blanket (some runs may have
+    /// applied) made safe by the dedup tags: the client's resend of an
+    /// already-applied run is a no-op.
+    fn write_batch(
+        &self,
+        id: u64,
+        lpn: u64,
+        pages: Vec<Bytes>,
+    ) -> Result<Option<Request>, LinkClosed> {
+        let gw = self.gw;
+        let ins = &gw.ins;
+        let started = Instant::now();
+        let mut window = WriteWindow::default();
+        let mut carried: Option<Request> = None;
+
+        window.consider(gw, self.client, id, lpn, pages);
+
+        // Batch window: drain writes the client already pipelined. A
+        // non-write is carried out to the caller so replies stay in receive
+        // order.
+        while window.admitted <= gw.cfg.batch_window {
+            match self.link.recv_timeout(Duration::ZERO) {
+                Ok(Some(Request::Write { id, lpn, pages })) => {
+                    window.consider(gw, self.client, id, lpn, pages);
+                }
+                Ok(Some(other)) => {
+                    carried = Some(other);
+                    break;
+                }
+                Ok(None) => break,
+                Err(_) => break, // reply to what we already took first
+            }
+        }
+
+        let submitted = gw.submit_writes(self.client, window.flat, &window.ids);
+
+        if window.admitted > 0 {
+            ins.writes.add(window.admitted as u64);
+            ins.batches.inc();
+            ins.latency_ns.record(started.elapsed().as_nanos() as u64);
+        }
+
+        for w in &window.batch {
+            self.send(match w {
+                Err(refusal) => refusal.clone(),
+                Ok((id, pages, _permit)) => match submitted {
+                    Err(u) => u.reply(*id),
+                    Ok(replicated) => Reply::WriteOk {
+                        id: *id,
+                        pages: *pages,
+                        replicated,
+                    },
+                },
+            })?;
+        }
+        drop(window.batch); // releases every admitted permit
+        gauge_inflight(gw);
+        Ok(carried)
+    }
+}
+
+/// The writes of one batch window and what their admitted pages flatten to.
+#[derive(Default)]
+struct WriteWindow {
+    /// Every write received, in receive order — the order replies are sent
+    /// in after submission, which clients correlate ids by: an admitted
+    /// one's `(id, pages, permit)`, or the refusal the [`gate`] gave it.
+    batch: Vec<Result<(u64, u32, Permit), Reply>>,
+    flat: Vec<(u64, Bytes)>,
+    /// lpn → id of the (last) request that wrote it, mirroring coalesce's
+    /// last-writer-wins — the source of the per-run dedup tags.
+    ids: HashMap<u64, u64>,
+    admitted: usize,
+}
+
+impl WriteWindow {
+    /// Validate and admit one write; an admitted one's pages join `flat`.
+    fn consider(&mut self, gw: &Gateway, client: u64, id: u64, lpn: u64, pages: Vec<Bytes>) {
+        let verdict = gate(gw, client, id, valid_span(gw, lpn, pages.len() as u64));
+        let n = pages.len() as u32; // <= max_req_pages once the gate passed it
+        if verdict.is_ok() {
+            for (page, data) in (lpn..).zip(pages) {
+                self.flat.push((page, data));
+                self.ids.insert(page, id);
+            }
+            self.admitted += 1;
+        }
+        self.batch.push(verdict.map(|permit| (id, n, permit)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{GatewayConfig, ShardedGateway};
+    use fc_ring::RingConfig;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn ended_sessions_are_reaped_when_the_next_one_is_served() {
+        let sg = ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), 1);
+        let gw = sg.gateway();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for _ in 0..50 {
+            let mut client = gw.connect_mem();
+            client.hello().unwrap();
+            drop(client); // hang up
+        }
+        while gw.stats().sessions_ended < 50 {
+            assert!(Instant::now() < deadline, "sessions never ended");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Serving one more reaps them: the list holds the new session plus
+        // at most a straggler whose thread had counted its end but not yet
+        // returned when `serve` looked (retried, so one slow thread is not
+        // a failure).
+        let held = loop {
+            let _live = gw.connect_mem();
+            let held = gw.sessions.lock().len();
+            if held <= 2 || Instant::now() >= deadline {
+                break held;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(held <= 2, "{held} session handles held for 1 live session");
+        sg.shutdown();
+    }
+}

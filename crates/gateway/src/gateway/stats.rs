@@ -71,9 +71,9 @@ impl GatewayStats {
 }
 
 /// Request-granular instruments — one cell each for the gateway's whole
-/// life; [`Gateway::attach_obs`] publishes these same cells. The
+/// life; `Gateway::attach_obs` publishes these same cells. The
 /// page-granular and failover-path columns live only per shard
-/// ([`ShardInstruments`]); their aggregates are the shard sum.
+/// (`ShardInstruments`); their aggregates are the shard sum.
 #[derive(Default)]
 pub(super) struct Instruments {
     pub(super) sessions_started: Counter,

@@ -122,10 +122,8 @@ impl CircuitBreaker {
     }
 }
 
-/// One shard's routing + health state, guarded by an `RwLock` in the
-/// gateway: ops hold the read half across the node call; failover and
-/// failback take the write half, so a route flip (and its flush barrier)
-/// never interleaves with an in-flight op on the old route.
+/// One shard's routing + health state, behind the `RwLock` that
+/// `gateway/failover.rs` owns.
 #[derive(Debug)]
 pub(crate) struct ShardHealth {
     pub(crate) breaker: CircuitBreaker,

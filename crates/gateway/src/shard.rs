@@ -243,9 +243,8 @@ impl ShardedGateway {
     }
 
     /// [`ShardedGateway::spawn_mem`] with a hook to adjust every node's
-    /// [`NodeConfig`] before spawn — how the load generator applies
-    /// replication-pipeline knobs (`repl_window`, `repl_batch_pages`)
-    /// uniformly across the cluster.
+    /// [`NodeConfig`] before spawn — how a harness sizes every node of
+    /// the cluster alike (`repl_batch_pages`, buffer capacities).
     pub fn spawn_mem_with(
         cfg: GatewayConfig,
         ring_cfg: RingConfig,

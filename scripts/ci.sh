@@ -32,6 +32,38 @@ if grep -rnw 'PEER_NS' crates/cluster/src --include='*.rs' \
   exit 1
 fi
 
+echo "==> gateway layout guard: two locks, each behind one module"
+# DESIGN §12: route table -> shard health is the gateway's whole lock order.
+# Only failover.rs touches a shard's health lock or names the replica /
+# breaker states (health.rs defines them); only mod.rs's four attach /
+# rebalance entry points take the route table's write half; RouteTable's
+# fields are private; sessions know neither the table nor shard health.
+gw=crates/gateway/src/gateway
+for f in $(find crates/gateway/src -name '*.rs'); do
+  case "$f" in */failover.rs | */health.rs) continue ;; esac
+  if code "$f" | grep -nE '\.health\.(read|write)\(\)|Replica::|BreakerState::'; then
+    echo "$f: the replica choice lives in gateway/failover.rs (ShardBackend's methods)" >&2
+    exit 1
+  fi
+  case "$f" in */mod.rs) continue ;; esac
+  if code "$f" | grep -n 'routes\.write()'; then
+    echo "$f: only gateway/mod.rs's attach/rebalance entry points take the route write half" >&2
+    exit 1
+  fi
+done
+if [ "$(code "$gw/mod.rs" | grep -c 'routes\.write()')" -ne 4 ]; then
+  echo "gateway/mod.rs: routes.write() belongs to attach_shard, begin_rebalance, migrate_batch and commit_rebalance, once each" >&2
+  exit 1
+fi
+if code "$gw/route.rs" | sed -n '/^pub(crate) struct RouteTable {/,/^}/p' | grep -nE '^[[:space:]]+pub'; then
+  echo "gateway/route.rs: RouteTable's fields stay private" >&2
+  exit 1
+fi
+if code "$gw/session.rs" | grep -nE 'RouteTable|ShardHealth'; then
+  echo "gateway/session.rs serves through ops: it names neither RouteTable nor ShardHealth" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
@@ -58,9 +90,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-
-echo "==> benches compile (criterion harness)"
-cargo bench --workspace --no-run --offline -q
 
 echo "==> failover smoke: full fail → takeover → resync → rejoin loop"
 cargo run --release --offline --example failover \
