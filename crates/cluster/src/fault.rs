@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 /// against the *eligible-send index*: the count of faultable messages sent
 /// so far. Indexing by send count instead of wall time keeps every decision
 /// reproducible under arbitrary thread scheduling.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// Seed for all fault decisions.
     pub seed: u64,
@@ -75,24 +75,6 @@ pub struct FaultPlan {
     /// flipped in flight (the embedded payload CRC goes stale, so the
     /// receiver detects it).
     pub corrupt_prob: f64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            drop_prob: 0.0,
-            drop_first: 0,
-            dup_prob: 0.0,
-            base_delay: Duration::ZERO,
-            jitter: Duration::ZERO,
-            reorder_prob: 0.0,
-            reorder_window: 0,
-            partitions: Vec::new(),
-            timed_partitions: Vec::new(),
-            corrupt_prob: 0.0,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -399,11 +381,6 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
     /// Aggregate fault counters so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).stats
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Forward now (synchronously when the plan allows it) or enqueue for

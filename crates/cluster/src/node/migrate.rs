@@ -82,7 +82,7 @@ impl Node {
                 flushed.extend(inner.apply_eviction(&ev));
                 imported += 1;
             }
-            inner.stats.lock().migrated_in_pages += imported;
+            inner.obs.migrated_in_pages.add(imported);
             inner.note("migrate_in", |e| e.u64_field("pages", imported));
             (imported, flushed)
         }))
@@ -97,7 +97,7 @@ impl Node {
     /// destination acked the import.
     pub fn try_release_pages(&self, lpns: &[u64]) -> Result<u64, NodeDown> {
         self.forget_pages(lpns.iter().copied(), true, |inner, released| {
-            inner.stats.lock().migrated_out_pages += released;
+            inner.obs.migrated_out_pages.add(released);
             inner.note("migrate_out", |e| e.u64_field("pages", released));
         })
     }

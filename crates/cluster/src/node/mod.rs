@@ -44,10 +44,10 @@
 //!
 //! # Modules, locks and who may send
 //!
-//! The lock order is `Inner` → pipe state → `stats`, and `Inner` → backend;
-//! the leaves (`stats`, backend, the parked-calls list) never nest, the obs
-//! handle is lock-free, and no code holding `Inner` sends. The file layout
-//! is that rule (`scripts/ci.sh` greps that it stays so):
+//! The lock order is `Inner` → pipe state, and `Inner` → backend; the leaves
+//! (backend, the parked-calls list) never nest, counting takes no lock at
+//! all (`NodeObs` is plain cells), and no code holding `Inner` sends. The
+//! file layout is that rule (`scripts/ci.sh` greps that it stays so):
 //!
 //! | module | owns | may lock | sends? |
 //! |---|---|---|---|
@@ -58,10 +58,11 @@
 //! | `pump` | the background thread, frame dispatch | `Inner`, parked calls, the pipe's | heartbeats and every reply |
 //! | `state` | `Inner`: version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never |
 //! | `recv` | `Inner`'s receive handlers and timer tick | (holds `Inner`) leaves | never — returns the reply |
-//! | `resync` | journal + resync run | (holds `Inner`) `stats` | never — returns the pages |
+//! | `resync` | journal + resync run | (holds `Inner`) — | never — returns the pages |
 //! | `hosted` | pages hosted for the peer, the [`PEER_NS`] namespace | backend | never |
-//! | `crate::pipe` | the replication pipe (names no `Inner`) | its state, then `stats` | the page-carrying frames |
-//! | `config`, `stats` | plain types | — | — |
+//! | `crate::pipe` | the replication pipe (names no `Inner`) | its state | the page-carrying frames |
+//! | `stats` | [`NodeStats`] and friends; `NodeObs`, every counter's one cell and the event stream | — | — |
+//! | `config` | plain types | — | — |
 
 mod config;
 mod hosted;
@@ -76,6 +77,7 @@ mod write;
 
 pub use config::{NodeConfig, NodeConfigBuilder};
 pub use hosted::PEER_NS;
+pub(crate) use stats::NodeObs;
 pub use stats::{MigrateError, NodeDown, NodeStats, PerClientStats, RunOutcome, WriteOutcome};
 
 use crate::backend::StorageBackend;
@@ -84,12 +86,12 @@ use crate::transport::Transport;
 use crate::wire::{crc32, Message};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
-use fc_obs::{Counter, Metric, Obs};
+use fc_obs::Obs;
 use flashcoop::PairState;
 use parking_lot::Mutex;
 use state::{Inner, Resident};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// A backend shared between node incarnations (it is the durable medium, so
@@ -101,28 +103,6 @@ pub fn shared_backend(b: impl StorageBackend + 'static) -> SharedBackend {
     Arc::new(Mutex::new(Box::new(b)))
 }
 
-/// The node's one obs handle, shared by `Inner`, the pipe and the writers'
-/// commit path and read without a lock: the hot counters, counting from
-/// spawn, and the event stream once [`Node::attach_obs`] sets it.
-#[derive(Default)]
-pub(crate) struct NodeObs {
-    pub(crate) replicated: Counter,
-    pub(crate) write_through: Counter,
-    pub(crate) retries: Counter,
-    pub(crate) dedups: Counter,
-    /// The attached stream and the node id its events carry.
-    stream: OnceLock<(Obs, u64)>,
-}
-
-impl NodeObs {
-    /// Emit a wall-stamped `cluster.node` event if obs is attached.
-    pub(crate) fn note(&self, kind: &'static str, f: impl FnOnce(fc_obs::Event) -> fc_obs::Event) {
-        if let Some((obs, id)) = self.stream.get() {
-            obs.emit(f(obs.wall_event("cluster.node", kind).u64_field("id", *id)));
-        }
-    }
-}
-
 /// What the node's threads share — the pump's one handle.
 struct Core {
     cfg: Arc<NodeConfig>,
@@ -130,8 +110,6 @@ struct Core {
     /// read by every thread on every call, off the lock too, and would
     /// otherwise share cache lines with state written under it.
     inner: Box<Mutex<Inner>>,
-    /// Node counters (leaf lock; see the [`Inner`] lock-order rule).
-    stats: Arc<Mutex<NodeStats>>,
     /// The durable medium, reachable without going through `Inner` so hot
     /// paths can hoist backend reads out of the critical section.
     backend: SharedBackend,
@@ -164,25 +142,12 @@ impl Node {
         backend: SharedBackend,
     ) -> Node {
         let cfg = Arc::new(cfg);
-        let stats = Arc::new(Mutex::new(NodeStats::default()));
         let transport: Arc<dyn Transport + Sync> = Arc::new(transport);
         let obs = Arc::new(NodeObs::default());
-        let pipe = Arc::new(ReplPipe::new(
-            cfg.clone(),
-            transport.clone(),
-            stats.clone(),
-            obs.clone(),
-        ));
-        let inner = Inner::new(
-            cfg.clone(),
-            backend.clone(),
-            pipe.clone(),
-            stats.clone(),
-            obs.clone(),
-        );
+        let pipe = Arc::new(ReplPipe::new(cfg.clone(), transport.clone(), obs.clone()));
+        let inner = Inner::new(cfg.clone(), backend.clone(), pipe.clone(), obs.clone());
         let core = Arc::new(Core {
             inner: Box::new(Mutex::new(inner)),
-            stats,
             backend,
             transport,
             pipe,
@@ -205,11 +170,12 @@ impl Node {
         }
     }
 
-    /// Attach observability: publishes the node's hot counters
-    /// (`cluster.node.replicated_pages`, `cluster.node.write_through`,
-    /// `cluster.replication.retries`, `cluster.replication.dups_dropped`)
-    /// — the cells it has counted into since spawn, so attaching mid-run
-    /// loses nothing — and starts emitting wall-stamped `cluster.node`
+    /// Attach observability: publishes every node counter — one
+    /// `cluster.node.*` cell per [`NodeStats`] counter, one
+    /// `cluster.replication.*` cell per [`flashcoop::ReplicationStats`]
+    /// counter, and the `cluster.replication.pages_per_batch` histogram;
+    /// the cells the node has counted into since spawn, so attaching
+    /// mid-run loses nothing — and starts emitting wall-stamped `cluster.node`
     /// events (`repl_batch_send` / `repl_batch_ack` / `repl_retry` /
     /// `repl_dedup` / `write_through` / `lifecycle` / `takeover_destage` /
     /// `resync_start` / `resync_complete` / `resync_failed` /
@@ -217,16 +183,7 @@ impl Node {
     /// `scrub_repair` / `credit_stall` / `credit_reject` /
     /// `journal_overflow`). Events go to the first `Obs` attached.
     pub fn attach_obs(&self, obs: &Obs) {
-        let o = &self.core.obs;
-        for (name, cell) in [
-            ("cluster.node.replicated_pages", &o.replicated),
-            ("cluster.node.write_through", &o.write_through),
-            ("cluster.replication.retries", &o.retries),
-            ("cluster.replication.dups_dropped", &o.dedups),
-        ] {
-            obs.registry().adopt(name, Metric::Counter(cell.clone()));
-        }
-        let _ = o.stream.set((obs.clone(), u64::from(self.core.cfg.id)));
+        self.core.obs.attach(obs, u64::from(self.core.cfg.id));
     }
 
     /// Run `f` under `Inner`. The `(lpn, version)` pairs it hands back —
@@ -262,8 +219,8 @@ impl Node {
         page.map(|bytes| bytes.to_vec())
     }
 
-    /// [`Node::try_read_run`]'s walk: a run of hits costs one `Inner`, one
-    /// `stats` and one client-row visit, not one per page. A miss drops
+    /// [`Node::try_read_run`]'s walk: a run of hits costs one `Inner` and
+    /// one client-row visit, not one per page. A miss drops
     /// `Inner` for the backend fetch and the walk resumes behind it, so the
     /// buffer sees the same accesses in the same order as page-at-a-time
     /// reads.
@@ -282,13 +239,10 @@ impl Node {
                 inner = self.core.inner.lock();
             }
         }
-        {
-            let mut s = inner.stats.lock();
-            s.reads += u64::from(n);
-            s.read_hits += hits;
-        }
+        inner.obs.reads.add(u64::from(n));
+        inner.obs.read_hits.add(hits);
         if let Some(c) = client {
-            let row = inner.clients.entry(c).or_default();
+            let row = &mut inner.client(c).stats;
             row.reads += u64::from(n);
             row.read_hits += hits;
         }
@@ -338,7 +292,9 @@ impl Node {
         inner.resident.clear();
         inner.hosted.clear();
         inner.resync.clear();
-        inner.dedup.clear();
+        for c in inner.clients.values_mut() {
+            c.window = Default::default();
+        }
         // Parked writers fail fast: the pipe abandons its window (their
         // tickets resolve Failed) and opens a fresh batch epoch.
         inner.batch_rx = Default::default();
@@ -444,8 +400,8 @@ impl Node {
     /// while halted.
     pub fn try_delete_run(&self, client: u64, lpn: u64, n: u32) -> Result<(), NodeDown> {
         self.forget_pages(lpn..lpn + u64::from(n), false, |inner, pages| {
-            inner.stats.lock().deletes += pages;
-            inner.clients.entry(client).or_default().trims += pages;
+            inner.obs.deletes.add(pages);
+            inner.client(client).stats.trims += pages;
         })?;
         Ok(())
     }
@@ -472,29 +428,29 @@ impl Node {
     pub fn client_stats(&self) -> Vec<(u64, PerClientStats)> {
         let inner = self.core.inner.lock();
         let mut v: Vec<(u64, PerClientStats)> =
-            inner.clients.iter().map(|(&c, &s)| (c, s)).collect();
+            inner.clients.iter().map(|(&c, s)| (c, s.stats)).collect();
         v.sort_unstable_by_key(|e| e.0);
         v
     }
 
-    /// Current counters.
+    /// Current counters: the cells, read without a lock, around the three
+    /// values only `Inner` knows.
     pub fn stats(&self) -> NodeStats {
-        let inner = self.core.inner.lock();
-        // `stats` is a leaf under `Inner` (see the lock-order rule), so the
-        // snapshot is taken with both held — writers commit their counter
-        // pairs under one `stats` guard, keeping the balance identities
-        // exact in this snapshot.
-        let mut s = *inner.stats.lock();
-        s.remote_pages = inner.hosted.pages();
-        s.journal_pages = inner.resync.journal_len() as u64;
-        s.repl.lifecycle_transitions = inner.lifecycle.transitions();
-        s
+        let (remote, journal, transitions) = {
+            let inner = self.core.inner.lock();
+            (
+                inner.hosted.pages(),
+                inner.resync.journal_len() as u64,
+                inner.lifecycle.transitions(),
+            )
+        };
+        self.core.obs.snapshot(remote, journal, transitions)
     }
 
     /// Summary of the replication batch-size histogram (pages per
     /// first-send `WriteReplBatch`).
     pub fn repl_batch_histogram(&self) -> fc_obs::HistogramSummary {
-        self.core.pipe.batch_hist.summary()
+        self.core.obs.batch_hist.summary()
     }
 
     /// Dirty pages in the local buffer.
@@ -733,7 +689,7 @@ mod tests {
     fn per_client_stats_track_each_origin_separately() {
         let (a, b, _ba, _bb) = pair();
         a.write_run(1, 10, &[b"one"]);
-        a.write_run(1, 11, &[b"one-b"]);
+        a.write_run(1, 11, &[b"one-b", b"one-c", b"one-d"]);
         a.write_run(2, 20, &[b"two"]);
         assert_eq!(a.read_from(1, 10), Some(b"one".to_vec()));
         assert_eq!(a.read_from(2, 99), None); // miss
@@ -743,18 +699,19 @@ mod tests {
         let (c1, s1) = rows[0];
         let (c2, s2) = rows[1];
         assert_eq!((c1, c2), (1, 2));
+        // `writes` counts runs, `pages_written` their pages.
         assert_eq!(s1.writes, 2);
-        assert_eq!(s1.pages_written, 2);
+        assert_eq!(s1.pages_written, 4);
         assert_eq!(s1.reads, 1);
         assert_eq!(s1.read_hits, 1);
         assert_eq!(s1.trims, 0);
-        assert_eq!(s2.writes, 1);
+        assert_eq!((s2.writes, s2.pages_written), (1, 1));
         assert_eq!(s2.reads, 1);
         assert_eq!(s2.read_hits, 0);
         assert_eq!(s2.trims, 1);
         // The node-wide counters still see everything.
         let total = a.stats();
-        assert_eq!(total.writes, 3);
+        assert_eq!(total.writes, 5);
         assert_eq!(total.reads, 2);
         a.shutdown();
         b.shutdown();
@@ -970,6 +927,67 @@ mod tests {
             assert_eq!(e.component, "cluster.node");
             assert_eq!(e.get("id").and_then(fc_obs::Value::as_u64), Some(0));
             assert!(matches!(e.t, fc_obs::Stamp::Wall(_)));
+        }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn registry_equals_stats_after_a_mixed_run() {
+        let (ta, tb) = mem_pair();
+        // A's batch frames are damaged half the time and its buffer holds
+        // 32 pages; B hosts 24.
+        let fa = FaultTransport::new(ta, FaultPlan::new(42).with_corrupt(0.5));
+        let mut cfg_a = NodeConfig::test_profile(0);
+        cfg_a.buffer_pages = 32;
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.remote_capacity = 24;
+        let a = Node::spawn(cfg_a, fa, shared_backend(MemBackend::new()));
+        let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+        let (early, _ring) = Obs::ring(4096);
+        a.attach_obs(&early);
+        // One page per block, so every block is as popular as the next and
+        // LAR evicts dirty ones first: replicated writes with Corrupt-NACK
+        // resends, credit stalls whenever B is full, flushing evictions
+        // past the 32-page buffer; then a retried tagged run, reads and a
+        // trim.
+        for i in 0..80u64 {
+            a.write(16 * i, format!("p{i}").as_bytes());
+        }
+        let run = [Bytes::from_static(b"tagged")];
+        a.try_write_run(7, 1, 5, &run).unwrap();
+        a.try_write_run(7, 1, 5, &run).unwrap();
+        a.try_read_run(7, 16 * 79, 2).unwrap();
+        a.try_delete_run(7, 16 * 79, 1).unwrap();
+        let s = a.stats();
+        let moved = [
+            s.replicated_pages,
+            s.write_through,
+            s.repl.credit_stalls,
+            s.repl.retries,
+            s.repl.corruptions_repaired,
+            s.dedup_hits,
+            s.flushed_pages,
+            s.deletes,
+            s.reads,
+        ];
+        assert!(moved.iter().all(|&n| n > 0), "{s:?}");
+        assert!(s.writes_balance());
+        // Attached after the traffic: the cells have counted since spawn.
+        let (late, _ring) = Obs::ring(16);
+        a.attach_obs(&late);
+        for obs in [&early, &late] {
+            let snap = obs.registry().snapshot();
+            let rows = NodeObs::fields(&s);
+            assert_eq!(rows.len(), 24);
+            for (name, want) in rows {
+                assert_eq!(snap.counter(name), Some(want), "{name}");
+            }
+            let hist = obs
+                .registry()
+                .histogram("cluster.replication.pages_per_batch");
+            assert_eq!(hist.summary(), a.repl_batch_histogram());
+            assert_eq!(hist.count(), s.repl.batches_sent);
         }
         a.shutdown();
         b.shutdown();

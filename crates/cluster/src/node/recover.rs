@@ -83,10 +83,9 @@ impl Node {
         };
         let mut repaired = 0u64;
         for &lpn in &bad {
-            self.core.stats.lock().repl.corruptions_detected += 1;
-            self.core
-                .obs
-                .note("scrub_corrupt", |e| e.u64_field("lpn", lpn));
+            let obs = &self.core.obs;
+            obs.corruptions_detected.inc();
+            obs.note("scrub_corrupt", |e| e.u64_field("lpn", lpn));
             let replica = self.ask(Message::PageFetch { lpn }, timeout, |m| match m {
                 Message::PageData {
                     lpn: l,
@@ -123,11 +122,8 @@ impl Node {
                     version: ver,
                 };
             }
-            {
-                let mut s = g.stats.lock();
-                s.repl.corruptions_repaired += 1;
-                s.repl.scrub_repairs += 1;
-            }
+            g.obs.corruptions_repaired.inc();
+            g.obs.scrub_repairs.inc();
             g.note("scrub_repair", |e| {
                 e.u64_field("lpn", lpn).u64_field("version", ver)
             });

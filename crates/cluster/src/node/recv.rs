@@ -84,7 +84,7 @@ impl Inner {
         if damaged > 0 {
             // Reject before recording the seq, so the clean retransmission
             // is not mistaken for a duplicate.
-            self.stats.lock().repl.corruptions_detected += damaged;
+            self.obs.corruptions_detected.add(damaged);
             self.note("corrupt_detected", |e| {
                 e.u64_field("seq", seq)
                     .u64_field("entries", damaged)
@@ -99,7 +99,7 @@ impl Inner {
         } else {
             let newest = entries.iter().map(|(_, version, ..)| *version).max();
             if let Err(new_pages) = self.hosted.admit(entries) {
-                self.stats.lock().repl.credit_rejections += 1;
+                self.obs.credit_rejections.inc();
                 self.note("credit_reject", |e| {
                     e.u64_field("seq", seq).u64_field("pages", new_pages as u64)
                 });
@@ -109,7 +109,7 @@ impl Inner {
                 self.observe_version(version);
             }
             if !self.batch_rx.record(seq) {
-                self.stats.lock().repl.reorders_healed += 1;
+                self.obs.reorders_healed.inc();
             }
         }
         Some(Message::ReplAckBatch {
@@ -124,7 +124,7 @@ impl Inner {
     pub(super) fn on_discard(&mut self, seq: u64, pages: Vec<(u64, u64)>) {
         match self.peer_seqs.observe(seq) {
             SeqStatus::Duplicate => return self.note_duplicate(seq, "discard"),
-            SeqStatus::NewOutOfOrder => self.stats.lock().repl.reorders_healed += 1,
+            SeqStatus::NewOutOfOrder => self.obs.reorders_healed.inc(),
             SeqStatus::New => {}
         }
         for (lpn, bound) in pages {
@@ -163,25 +163,18 @@ impl Inner {
 mod tests {
     use super::*;
     use crate::node::testkit::*;
-    use crate::node::{NodeObs, NodeStats};
+    use crate::node::NodeObs;
     use crate::pipe::ReplPipe;
-    use parking_lot::Mutex;
 
     /// An `Inner` with no node around it: no pump, no peer, nothing sent.
     fn bare_inner(remote_capacity: usize) -> Inner {
         let mut cfg = NodeConfig::test_profile(1);
         cfg.remote_capacity = remote_capacity;
         let cfg = Arc::new(cfg);
-        let stats = Arc::new(Mutex::new(NodeStats::default()));
         let obs = Arc::new(NodeObs::default());
-        let pipe = ReplPipe::new(
-            cfg.clone(),
-            Arc::new(mem_pair().0),
-            stats.clone(),
-            obs.clone(),
-        );
+        let pipe = ReplPipe::new(cfg.clone(), Arc::new(mem_pair().0), obs.clone());
         let backend = shared_backend(MemBackend::new());
-        Inner::new(cfg, backend, Arc::new(pipe), stats, obs)
+        Inner::new(cfg, backend, Arc::new(pipe), obs)
     }
 
     /// One page per lpn, at version `10 * lpn`.
@@ -308,7 +301,7 @@ mod tests {
         deliver(&mut inner, 1, 1, batch(&[1]));
         deliver(&mut inner, 1, 2, batch(&[2])); // duplicate
         deliver(&mut inner, 1, 3, batch(&[3])); // no room
-        let repl = inner.stats.lock().repl;
+        let repl = inner.obs.snapshot(0, 0, 0).repl;
         assert_eq!(repl.corruptions_detected, 1);
         assert_eq!(repl.reorders_healed, 1);
         assert_eq!(repl.dups_dropped, 1);
@@ -332,7 +325,7 @@ mod tests {
         assert_eq!(inner.hosted.lpns(), vec![5]);
         inner.on_discard(3, vec![(5, u64::MAX)]);
         assert!(inner.hosted.lpns().is_empty());
-        let repl = inner.stats.lock().repl;
+        let repl = inner.obs.snapshot(0, 0, 0).repl;
         assert_eq!((repl.reorders_healed, repl.dups_dropped), (1, 1));
         // Bounds advance the version clock; the unbounded marker does not.
         assert_eq!(inner.next_version, 51);

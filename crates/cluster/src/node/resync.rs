@@ -95,7 +95,7 @@ impl Inner {
                 .map(|(&lpn, page)| (lpn, (page.version, page.bytes.clone())))
                 .collect();
             self.resync.overflowed = false;
-            self.stats.lock().repl.full_resyncs += 1;
+            self.obs.full_resyncs.inc();
         }
         self.lifecycle_edge(|l| l.begin_resync(cause));
         self.resync.run = Some(ResyncRun {
@@ -132,7 +132,7 @@ impl Inner {
                 }
             }
             run.pages += acked;
-            self.stats.lock().repl.resync_pages += acked;
+            self.obs.resync_pages.add(acked);
         }
         if failed.is_empty() && !abort {
             return;
@@ -204,7 +204,7 @@ impl Inner {
             batches: run.batches + 1,
             ..run
         });
-        self.stats.lock().repl.resync_batches += 1;
+        self.obs.resync_batches.inc();
         pipe_pages
     }
 }

@@ -6,15 +6,14 @@
 use super::hosted::Hosted;
 use super::recv::BatchRx;
 use super::resync::Resync;
-use super::write::DedupWindow;
-use super::{NodeConfig, NodeObs, NodeStats, PerClientStats, SharedBackend};
+use super::write::{ClientState, MAX_CLIENTS};
+use super::{NodeConfig, NodeObs, SharedBackend};
 use crate::pipe::ReplPipe;
 use crate::wire::SeqTracker;
 use bytes::Bytes;
 use fc_simkit::SimDuration;
 use flashcoop::policy::Eviction;
 use flashcoop::{BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -34,13 +33,13 @@ pub(super) struct Resident {
 ///
 /// # Lock order
 ///
-/// `Inner` ≺ pipe state ≺ `stats`, and `Inner` ≺ `backend`: the backend
-/// and stats mutexes are *leaf* locks — they may be acquired while holding
-/// `Inner` (every destage does: eviction flushes, degraded writes, solo
-/// entry, takeover, migration), but nothing that holds a leaf lock may
-/// acquire `Inner` (or the other leaf). Hot paths additionally hoist backend
-/// *reads* out of the `Inner` critical section entirely (see
-/// `Node::enqueue_pages` / `Node::fill_miss`).
+/// `Inner` ≺ pipe state, and `Inner` ≺ `backend`: the backend mutex is a
+/// *leaf* lock — it may be acquired while holding `Inner` (every destage
+/// does: eviction flushes, degraded writes, solo entry, takeover,
+/// migration), but nothing that holds it may acquire `Inner`. Hot paths
+/// additionally hoist backend *reads* out of the `Inner` critical section
+/// entirely (see `Node::enqueue_pages` / `Node::fill_miss`). Counting is
+/// not in the order: `obs` is plain atomic cells.
 pub(super) struct Inner {
     pub(super) cfg: Arc<NodeConfig>,
     pub(super) buffer: BufferManager,
@@ -74,16 +73,15 @@ pub(super) struct Inner {
     /// This node's replication pipe, held here only so solo entry can
     /// [`ReplPipe::reset`] it (the one `Inner` → pipe nesting).
     pub(super) pipe: Arc<ReplPipe>,
-    /// Node counters — a leaf lock shared with `Node` and the pipe, so
-    /// `Node::stats` snapshots and pipeline accounting never contend with
-    /// writers holding `Inner`.
-    pub(super) stats: Arc<Mutex<NodeStats>>,
-    /// Per-origin counters, keyed by the client id the gateway passed to a
-    /// `*_from` entry point.
-    pub(super) clients: HashMap<u64, PerClientStats>,
-    /// Per-client exactly-once windows for tagged write runs.
-    pub(super) dedup: HashMap<u64, DedupWindow>,
-    obs: Arc<NodeObs>,
+    /// Per-origin counters and exactly-once window, keyed by the client id
+    /// the gateway passed to a `*_from` / `try_*` entry point; at most
+    /// [`MAX_CLIENTS`] rows ([`Inner::client`]).
+    pub(super) clients: HashMap<u64, ClientState>,
+    /// Requests counted by [`Inner::client`] so far — the clock a row's
+    /// `touched` stamp is read off.
+    client_clock: u64,
+    /// Every node counter and the event stream (lock-free).
+    pub(super) obs: Arc<NodeObs>,
 }
 
 impl Inner {
@@ -91,7 +89,6 @@ impl Inner {
         cfg: Arc<NodeConfig>,
         backend: SharedBackend,
         pipe: Arc<ReplPipe>,
-        stats: Arc<Mutex<NodeStats>>,
         obs: Arc<NodeObs>,
     ) -> Inner {
         Inner {
@@ -112,9 +109,8 @@ impl Inner {
             batch_rx: BatchRx::default(),
             inflight: HashMap::new(),
             pipe,
-            stats,
             clients: HashMap::new(),
-            dedup: HashMap::new(),
+            client_clock: 0,
             obs,
             cfg,
         }
@@ -145,8 +141,7 @@ impl Inner {
     /// One duplicate delivery from the peer (`msg` names the frame kind)
     /// dropped instead of applied twice.
     pub(super) fn note_duplicate(&self, seq: u64, msg: &'static str) {
-        self.stats.lock().repl.dups_dropped += 1;
-        self.obs.dedups.inc();
+        self.obs.dups_dropped.inc();
         self.note("repl_dedup", |e| {
             e.u64_field("seq", seq).str_field("msg", msg)
         });
@@ -192,13 +187,31 @@ impl Inner {
     pub(super) fn apply_eviction(&mut self, ev: &Eviction) -> Vec<(u64, u64)> {
         let flushed = self.flush_runs(ev);
         if !flushed.is_empty() {
-            self.stats.lock().flushed_pages += flushed.len() as u64;
+            self.obs.flushed_pages.add(flushed.len() as u64);
         }
         for lpn in &ev.removed {
             self.resident.remove(lpn);
         }
         debug_assert_eq!(self.resident.len(), self.buffer.resident());
         flushed
+    }
+
+    /// `client`'s row, created by its first request and stamped by every
+    /// one. The table is bounded: at [`MAX_CLIENTS`] rows a new client
+    /// displaces the one heard from longest ago — its counters and its
+    /// exactly-once window go, so a retry from a client that idle applies
+    /// again (as it would after its tags aged out of the window).
+    pub(super) fn client(&mut self, client: u64) -> &mut ClientState {
+        if self.clients.len() >= MAX_CLIENTS && !self.clients.contains_key(&client) {
+            let oldest = self.clients.iter().min_by_key(|(_, c)| c.touched);
+            if let Some(id) = oldest.map(|(&id, _)| id) {
+                self.clients.remove(&id);
+            }
+        }
+        self.client_clock += 1;
+        let row = self.clients.entry(client).or_default();
+        row.touched = self.client_clock;
+        row
     }
 
     /// Drop one pipeline reference for `lpn` (its write resolved).
@@ -234,16 +247,13 @@ impl Inner {
             .iter()
             .filter(|(lpn, _)| !self.inflight.contains_key(lpn))
             .count() as u64;
-        if destaged > 0 {
-            let mut s = self.stats.lock();
-            s.flushed_pages += destaged;
-            s.repl.partition_destages += destaged;
-        }
+        self.obs.flushed_pages.add(destaged);
+        self.obs.partition_destages.add(destaged);
         // The pages hosted for the (failed) peer stay reachable for its
         // recovery handshake, from our backend.
         let taken = self.hosted.takeover();
         if taken > 0 {
-            self.stats.lock().repl.takeover_destages += taken;
+            self.obs.takeover_destages.add(taken);
             self.note("takeover_destage", |e| e.u64_field("pages", taken));
         }
         self.credits = None;

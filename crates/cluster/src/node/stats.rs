@@ -1,8 +1,12 @@
-//! What a node reports: its error and outcome types and its counters.
+//! What a node reports: its error and outcome types, its counters, and
+//! [`NodeObs`] — the one handle every node thread counts and narrates
+//! through.
 
 #[cfg(doc)]
 use crate::Node;
+use fc_obs::{Counter, Histogram, Metric, Obs};
 use flashcoop::ReplicationStats;
+use std::sync::OnceLock;
 
 /// The node is halted ([`Node::fail`]) and cannot serve the request. The
 /// fallible gateway entry points (`try_*`) return this instead of touching
@@ -102,9 +106,119 @@ pub struct NodeStats {
 impl NodeStats {
     /// Durability invariant: every counted write finished either replicated
     /// or written through. Holds under any single [`Node::stats`] snapshot
-    /// (the counters are committed together, under one lock).
+    /// by definition: a snapshot computes `writes` as the sum of the two
+    /// outcome counters it just read.
     pub fn writes_balance(&self) -> bool {
         self.writes == self.replicated_pages + self.write_through
+    }
+}
+
+/// Declares [`NodeObs`] from the node's counter table. A row is the cell —
+/// named for the [`NodeStats`] (`node` rows) or [`ReplicationStats`] (`repl`
+/// rows) field its value fills in a snapshot — and the metric name
+/// [`Node::attach_obs`] publishes it under; adding a counter is its field
+/// plus one row.
+macro_rules! node_counters {
+    (node { $($n:ident: $n_name:literal,)* } repl { $($r:ident: $r_name:literal,)* }) => {
+        /// The node's one reporting handle, shared by `Inner`, the pipe and
+        /// the writers' commit path and used without a lock: every node
+        /// counter as a plain cell that counts from spawn, the always-on
+        /// pages-per-batch histogram, and the event stream once
+        /// [`Node::attach_obs`] sets it.
+        #[derive(Default)]
+        pub(crate) struct NodeObs {
+            $(pub(crate) $n: Counter,)*
+            $(pub(crate) $r: Counter,)*
+            /// Pages per first-send `WriteReplBatch`.
+            pub(crate) batch_hist: Histogram,
+            /// The attached stream and the node id its events carry.
+            stream: OnceLock<(Obs, u64)>,
+        }
+
+        impl NodeObs {
+            /// Publish every cell in `obs`'s registry and send this node's
+            /// events (tagged `id`) to it — to the first `Obs` attached,
+            /// that is.
+            pub(crate) fn attach(&self, obs: &Obs, id: u64) {
+                let reg = obs.registry();
+                $(reg.adopt($n_name, Metric::Counter(self.$n.clone()));)*
+                $(reg.adopt($r_name, Metric::Counter(self.$r.clone()));)*
+                let hist = Metric::Histogram(self.batch_hist.clone());
+                reg.adopt("cluster.replication.pages_per_batch", hist);
+                let _ = self.stream.set((obs.clone(), id));
+            }
+
+            /// The counters as of now, around the three values the caller
+            /// derived under `Inner`. `writes` is the sum of the two
+            /// outcome counters read here, so
+            /// [`NodeStats::writes_balance`] holds on every snapshot.
+            pub(crate) fn snapshot(
+                &self,
+                remote_pages: u64,
+                journal_pages: u64,
+                lifecycle_transitions: u64,
+            ) -> NodeStats {
+                let mut s = NodeStats {
+                    $($n: self.$n.get(),)*
+                    writes: 0,
+                    remote_pages,
+                    journal_pages,
+                    repl: ReplicationStats {
+                        $($r: self.$r.get(),)*
+                        lifecycle_transitions,
+                    },
+                };
+                s.writes = s.replicated_pages + s.write_through;
+                s
+            }
+
+            /// What the published cells must read once the node is idle:
+            /// each metric name with the snapshot field it fills.
+            #[cfg(test)]
+            pub(crate) fn fields(s: &NodeStats) -> Vec<(&'static str, u64)> {
+                vec![$(($n_name, s.$n),)* $(($r_name, s.repl.$r),)*]
+            }
+        }
+    };
+}
+
+node_counters! {
+    node {
+        reads: "cluster.node.reads",
+        read_hits: "cluster.node.read_hits",
+        replicated_pages: "cluster.node.replicated_pages",
+        write_through: "cluster.node.write_through",
+        flushed_pages: "cluster.node.flushed_pages",
+        deletes: "cluster.node.deletes",
+        dedup_hits: "cluster.node.dedup_hits",
+        migrated_in_pages: "cluster.node.migrated_in_pages",
+        migrated_out_pages: "cluster.node.migrated_out_pages",
+    }
+    repl {
+        retries: "cluster.replication.retries",
+        batches_sent: "cluster.replication.batches_sent",
+        batch_pages: "cluster.replication.batch_pages",
+        dups_dropped: "cluster.replication.dups_dropped",
+        reorders_healed: "cluster.replication.reorders_healed",
+        partition_destages: "cluster.replication.partition_destages",
+        takeover_destages: "cluster.replication.takeover_destages",
+        resync_batches: "cluster.replication.resync_batches",
+        resync_pages: "cluster.replication.resync_pages",
+        full_resyncs: "cluster.replication.full_resyncs",
+        corruptions_detected: "cluster.replication.corruptions_detected",
+        corruptions_repaired: "cluster.replication.corruptions_repaired",
+        scrub_repairs: "cluster.replication.scrub_repairs",
+        credit_stalls: "cluster.replication.credit_stalls",
+        credit_rejections: "cluster.replication.credit_rejections",
+    }
+}
+
+impl NodeObs {
+    /// Emit a wall-stamped `cluster.node` event if obs is attached.
+    pub(crate) fn note(&self, kind: &'static str, f: impl FnOnce(fc_obs::Event) -> fc_obs::Event) {
+        if let Some((obs, id)) = self.stream.get() {
+            obs.emit(f(obs.wall_event("cluster.node", kind).u64_field("id", *id)));
+        }
     }
 }
 
@@ -113,7 +227,8 @@ impl NodeStats {
 /// client id; snapshot with [`Node::client_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerClientStats {
-    /// Write requests handled for this client.
+    /// Write runs handled for this client (one per run handed to
+    /// [`Node::try_write_runs`], whatever its length).
     pub writes: u64,
     /// Pages written for this client.
     pub pages_written: u64,

@@ -5,7 +5,7 @@
 //! ticket wait.
 
 use super::state::Resident;
-use super::{Node, NodeDown, RunOutcome, WriteOutcome};
+use super::{Node, NodeDown, PerClientStats, RunOutcome, WriteOutcome};
 #[cfg(doc)]
 use super::{NodeConfig, NodeStats};
 use crate::pipe::{PageOutcome, PipePage, RunTicket};
@@ -67,15 +67,32 @@ impl DedupWindow {
     }
 }
 
+/// Most clients a node keeps a row for ([`Inner::client`] reaps beyond
+/// it): ids are minted per gateway session and chosen freely by TCP
+/// clients, so without a bound a long-lived node would keep a stats row
+/// and up to `dedup_window` outcomes for every connection it ever served.
+pub(crate) const MAX_CLIENTS: usize = 4096;
+
+/// What the node keeps per client id.
+#[derive(Default)]
+pub(super) struct ClientState {
+    pub(super) stats: PerClientStats,
+    /// Volatile: a crash fault ([`Node::fail`]) empties it; the counters
+    /// stay.
+    pub(super) window: DedupWindow,
+    /// `Inner`'s client clock at this client's latest request.
+    pub(super) touched: u64,
+}
+
 impl Node {
     /// Write one page. Blocks until the page is durable (replicated or
     /// written through).
     ///
-    /// Stats contract: `writes` is committed together with its outcome
-    /// counter (`replicated_pages` or `write_through`), under the same lock
-    /// acquisition — a concurrent [`Node::stats`] snapshot always satisfies
-    /// [`NodeStats::writes_balance`], never observing a write that is
-    /// counted but not yet resolved.
+    /// Stats contract: a page is counted — `replicated_pages` or
+    /// `write_through` — only once it is resolved, and a [`Node::stats`]
+    /// snapshot derives `writes` from those two, so it always satisfies
+    /// [`NodeStats::writes_balance`] and never shows a write that is
+    /// counted but not yet durable.
     pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
         let out = self.write_group(None, vec![(lpn, vec![Bytes::copy_from_slice(data)])])[0];
         if out.all_replicated() {
@@ -148,14 +165,14 @@ impl Node {
         let mut fresh = Vec::with_capacity(runs.len());
         {
             let inner = self.core.inner.lock();
-            let seen = inner.dedup.get(&client).map(|w| &w.seen);
+            let seen = inner.clients.get(&client).map(|c| &c.window.seen);
             for (i, &(tag, lpn, _)) in runs.iter().enumerate() {
                 let Some(prev) = seen.and_then(|s| s.get(&tag)) else {
                     fresh.push(i);
                     continue;
                 };
                 out[i] = *prev;
-                inner.stats.lock().dedup_hits += 1;
+                inner.obs.dedup_hits.inc();
                 inner.note("run_dedup", |e| {
                     e.u64_field("client", client)
                         .u64_field("tag", tag)
@@ -174,7 +191,7 @@ impl Node {
         self.live()?;
         let mut inner = self.core.inner.lock();
         let cap = inner.cfg.dedup_window;
-        let window = inner.dedup.entry(client).or_default();
+        let window = &mut inner.client(client).window;
         for (&i, outcome) in fresh.iter().zip(applied) {
             window.record(runs[i].0, outcome, cap);
             out[i] = outcome;
@@ -321,10 +338,8 @@ impl Node {
     /// Commit one run of a resolved group: `through` of its pages were
     /// written through at enqueue, and `pipelined[i]`'s outcome is
     /// `ticket`'s slot `base + i`. The acknowledged pages commit together —
-    /// one `Inner`, one `stats` and one `obs` acquisition for the usual
-    /// all-acknowledged run — and `writes` lands with `replicated_pages`
-    /// under one `stats` guard, preserving [`NodeStats::writes_balance`] at
-    /// every snapshot; each refused or failed page then goes through
+    /// one `Inner` acquisition and one counter add for the usual
+    /// all-acknowledged run; each refused or failed page then goes through
     /// [`Node::write_through_refused`].
     fn commit_run(
         &self,
@@ -349,20 +364,15 @@ impl Node {
                 write_through: through + refused.len() as u64,
             };
             if let Some(c) = client {
-                let row = inner.clients.entry(c).or_default();
-                row.writes += out.pages();
+                let row = &mut inner.client(c).stats;
+                row.writes += 1;
                 row.pages_written += out.pages();
                 row.write_through += out.write_through;
             }
             out
         };
         if out.replicated > 0 {
-            {
-                let mut s = self.core.stats.lock();
-                s.writes += out.replicated;
-                s.replicated_pages += out.replicated;
-            }
-            self.core.obs.replicated.add(out.replicated);
+            self.core.obs.replicated_pages.add(out.replicated);
         }
         for (page, outcome) in refused {
             self.write_through_refused(page, outcome == PageOutcome::NoCredit);
@@ -404,22 +414,14 @@ impl Node {
         self.count_write_through(lpn, reason);
     }
 
-    /// Count one page that was made durable by write-through: `writes` and
-    /// `write_through` land under one `stats` guard (so every snapshot
-    /// satisfies [`NodeStats::writes_balance`]), plus the stall counter and
-    /// event when the cause is backpressure. Takes only leaf locks, so it
-    /// is callable with or without `Inner` held.
+    /// Count one page that was made durable by write-through, plus the
+    /// stall counter and event when the cause is backpressure. Takes no
+    /// lock, so it is callable with or without `Inner` held.
     fn count_write_through(&self, lpn: u64, reason: &'static str) {
-        let stalled = reason == NO_CREDITS;
-        {
-            let mut s = self.core.stats.lock();
-            s.writes += 1;
-            s.write_through += 1;
-            s.repl.credit_stalls += u64::from(stalled);
-        }
         let obs = &self.core.obs;
         obs.write_through.inc();
-        if stalled {
+        if reason == NO_CREDITS {
+            obs.credit_stalls.inc();
             obs.note("credit_stall", |e| e.u64_field("lpn", lpn));
         }
         obs.note("write_through", |e| {
@@ -432,6 +434,7 @@ impl Node {
 mod tests {
     use super::*;
     use crate::node::testkit::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn write_run_is_durable_and_counted() {
@@ -541,14 +544,17 @@ mod tests {
 
     #[test]
     fn stats_snapshot_is_consistent_while_writes_run() {
-        // Regression: `writes` used to be bumped at the top of Node::write,
-        // with the outcome counter (`replicated_pages`/`write_through`)
-        // only landing after the unlocked retry loop — so a concurrent
-        // stats() call could observe writes > replicated + write_through.
+        // The balance is definitional (a snapshot sums the two outcome
+        // cells); what the cells must guarantee is the other half of the
+        // contract — a page is counted only once it is durable, so a
+        // snapshot taken from this third thread (neither the writer nor a
+        // pump) never runs ahead of the writes the writer has finished plus
+        // the one it may be in.
         let (a, b, _ba, _bb) = pair();
         let stop = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicU64::new(0));
         let writer = {
-            let stop = stop.clone();
+            let (stop, done) = (stop.clone(), done.clone());
             let a = Arc::new(a);
             let a2 = a.clone();
             let h = std::thread::spawn(move || {
@@ -556,6 +562,7 @@ mod tests {
                 while !stop.load(Ordering::SeqCst) {
                     a2.write(i % 256, b"payload");
                     i += 1;
+                    done.store(i, Ordering::SeqCst);
                 }
             });
             (a, h)
@@ -565,9 +572,10 @@ mod tests {
         let mut snapshots = 0u32;
         while Instant::now() < deadline {
             let s = a.stats();
+            let finished = done.load(Ordering::SeqCst);
             assert!(
-                s.writes_balance(),
-                "inconsistent snapshot: writes={} replicated={} write_through={}",
+                s.writes_balance() && s.writes <= finished + 1,
+                "inconsistent snapshot: writes={} replicated={} write_through={} finished={finished}",
                 s.writes,
                 s.replicated_pages,
                 s.write_through
@@ -583,6 +591,33 @@ mod tests {
             .ok()
             .expect("writer released node")
             .shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn client_table_is_bounded_and_keeps_the_most_recent_clients() {
+        let (a, b, _ba, _bb) = pair();
+        let page = [Bytes::from_static(b"p")];
+        let clients = MAX_CLIENTS as u64 + 904;
+        let first = a.try_write_run(1, 9, 0, &page).unwrap();
+        for client in 2..=clients {
+            a.try_write_run(client, 9, client % 64, &page).unwrap();
+        }
+        // One row (counters + exactly-once window) per client, capped; the
+        // clients heard from longest ago went first.
+        let rows = a.client_stats();
+        assert_eq!(rows.len(), MAX_CLIENTS);
+        assert_eq!(rows[0].0, clients - MAX_CLIENTS as u64 + 1);
+        assert_eq!(rows.last().unwrap().0, clients);
+        // The most recent client's retry still answers from its window...
+        let hits = a.stats().dedup_hits;
+        a.try_write_run(clients, 9, clients % 64, &page).unwrap();
+        assert_eq!(a.stats().dedup_hits, hits + 1);
+        // ...while the reaped first client's applies again, as a new client.
+        assert_eq!(a.try_write_run(1, 9, 0, &page).unwrap(), first);
+        assert_eq!(a.stats().dedup_hits, hits + 1);
+        assert_eq!(a.client_stats().len(), MAX_CLIENTS);
+        a.shutdown();
         b.shutdown();
     }
 
@@ -709,7 +744,7 @@ mod tests {
             vec![(
                 7,
                 PerClientStats {
-                    writes: 32,
+                    writes: 2,
                     pages_written: 32,
                     ..Default::default()
                 }

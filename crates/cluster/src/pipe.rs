@@ -1,9 +1,9 @@
 //! The replication pipe: the one sender of page-carrying frames on the pair
 //! link. Nothing here names the node's `Inner` or its backend — the pipe
-//! touches only its own state mutex, the `stats` leaf lock and the lock-free
-//! obs handle.
+//! touches only its own state mutex and the lock-free obs handle it counts
+//! and narrates through.
 
-use crate::node::{NodeConfig, NodeObs, NodeStats};
+use crate::node::{NodeConfig, NodeObs};
 use crate::transport::{Transport, TransportError};
 use crate::wire::{Message, NackReason};
 use bytes::Bytes;
@@ -173,25 +173,22 @@ impl PipeState {
 /// mutex and is stepped by whoever holds the event — a writer submitting
 /// its run, the pump on an ack, a NACK or its timer tick.
 ///
-/// Lock order: `Inner` → `state` → the `stats` leaf. Nothing here
-/// takes `Inner` or the backend, and `state` is never held across a
-/// transport send.
+/// Lock order: `Inner` → `state`, and `state` is a leaf. Nothing here takes
+/// `Inner` or the backend, and `state` is never held across a transport
+/// send.
 pub(crate) struct ReplPipe {
     cfg: Arc<NodeConfig>,
     transport: Arc<dyn Transport + Sync>,
     state: Mutex<PipeState>,
-    stats: Arc<Mutex<NodeStats>>,
+    /// The node's counters (the always-on pages-per-batch histogram among
+    /// them) and its event stream.
     obs: Arc<NodeObs>,
-    /// Pages per first-send batch (always on; feeds the loadgen report and
-    /// [`Node::repl_batch_histogram`]).
-    pub(crate) batch_hist: fc_obs::Histogram,
 }
 
 impl ReplPipe {
     pub(crate) fn new(
         cfg: Arc<NodeConfig>,
         transport: Arc<dyn Transport + Sync>,
-        stats: Arc<Mutex<NodeStats>>,
         obs: Arc<NodeObs>,
     ) -> ReplPipe {
         ReplPipe {
@@ -206,9 +203,7 @@ impl ReplPipe {
                 sending: false,
                 closed: false,
             }),
-            stats,
             obs,
-            batch_hist: fc_obs::Histogram::new(),
         }
     }
 
@@ -233,7 +228,6 @@ impl ReplPipe {
         let b = &mut st.window[pos];
         b.attempts += 1;
         b.sent_at = Instant::now();
-        self.stats.lock().repl.retries += 1;
         self.obs.retries.inc();
         self.obs.note("repl_retry", |e| {
             e.u64_field("seq", b.seq)
@@ -262,12 +256,9 @@ impl ReplPipe {
                 attempts: 1,
                 corrupt_resends: 0,
             };
-            {
-                let mut s = self.stats.lock();
-                s.repl.batches_sent += 1;
-                s.repl.batch_pages += n as u64;
-            }
-            self.batch_hist.record(n as u64);
+            self.obs.batches_sent.inc();
+            self.obs.batch_pages.add(n as u64);
+            self.obs.batch_hist.record(n as u64);
             let epoch = st.epoch;
             self.obs.note("repl_batch_send", |e| {
                 e.u64_field("seq", seq)
@@ -316,7 +307,7 @@ impl ReplPipe {
         while st.window.front().is_some_and(|b| b.seq <= up_to) {
             let b = st.window.pop_front().expect("front checked");
             if b.corrupt_resends > 0 {
-                self.stats.lock().repl.corruptions_repaired += b.corrupt_resends;
+                self.obs.corruptions_repaired.add(b.corrupt_resends);
                 self.obs.note("corrupt_repaired", |e| {
                     e.u64_field("seq", b.seq)
                         .u64_field("resends", b.corrupt_resends)

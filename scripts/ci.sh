@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt (check only)"
 cargo fmt --all -- --check
 
-echo "==> node layout guard: the lock order stays a module-visibility fact"
+echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter"
 # DESIGN §16: code that runs under the node's `Inner` lock never sends, the
 # pipe never takes `Inner`, and only hosted.rs knows where pages hosted for
 # the peer live. Checked on code only — comment lines and each file's test
@@ -29,6 +29,24 @@ fi
 if grep -rnw 'PEER_NS' crates/cluster/src --include='*.rs' \
   | grep -vE '/hosted\.rs:|/src/lib\.rs:|:[0-9]+:[[:space:]]*(//|pub use )'; then
   echo "PEER_NS is spelled in node/hosted.rs only (and re-exported)" >&2
+  exit 1
+fi
+# One cell per node counter: the node counts through `NodeObs` (node/stats.rs)
+# and nothing else — no stats mutex to order, no second place to increment —
+# and the public `NodeStats` is built in one place, the snapshot.
+for f in $(find crates/cluster/src -name '*.rs'); do
+  if code "$f" | grep -nE 'Mutex<NodeStats>|stats\.lock\(\)'; then
+    echo "$f: node counters are NodeObs cells, not a locked NodeStats" >&2
+    exit 1
+  fi
+done
+if code crates/cluster/src/pipe.rs | grep -nw 'NodeStats'; then
+  echo "pipe.rs counts through NodeObs: it must not name NodeStats" >&2
+  exit 1
+fi
+if [ "$(for f in $(find crates/cluster/src -name '*.rs'); do code "$f"; done \
+  | grep -E 'NodeStats \{' | grep -cvE '(struct|impl|->) NodeStats \{')" -ne 1 ]; then
+  echo "a NodeStats literal is built in one place: NodeObs::snapshot (node/stats.rs)" >&2
   exit 1
 fi
 
@@ -73,7 +91,7 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
-echo "==> release-mode race check + eviction scaling guard: replication pipe stress + chaos + lifecycle e2e + crc32 / group-write unit tests"
+echo "==> release-mode race check + eviction scaling guard: replication pipe stress + chaos + lifecycle e2e + crc32 / group-write / registry-equals-stats unit tests"
 # The pipe is shared state stepped by writers, the pump (which also feeds it
 # the resync stream) and whoever resets it; debug-build timing hides
 # interleavings the optimized build hits. pipeline_stress also carries the
@@ -82,8 +100,10 @@ echo "==> release-mode race check + eviction scaling guard: replication pipe str
 cargo test --release -q --offline --test pipeline_stress --test chaos_replication --test recovery_e2e
 # Same reason, plus the one `unsafe` block: the carry-less-multiply crc32
 # against its bit-wise definition, and the node's group write / run read
-# (several runs, one pipe submission, one ticket) as the optimizer builds them.
-cargo test --release -q --offline -p fc-cluster --lib -- crc32 group_write read_run
+# (several runs, one pipe submission, one ticket) as the optimizer builds them;
+# and the node's counter cells, bumped by writers and the pump with no lock
+# between them, against `Node::stats` after a mixed run.
+cargo test --release -q --offline -p fc-cluster --lib -- crc32 group_write read_run registry_equals_stats
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
