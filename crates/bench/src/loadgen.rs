@@ -24,11 +24,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use fc_cluster::{NodeConfig, ReplicationStats};
 use fc_gateway::{
-    AdmissionConfig, ClientError, Gateway, GatewayClient, GatewayConfig, GatewayStats, Reply,
-    ShardStats, ShardStatsSum, ShardedGateway,
+    spawn_mem_pair, AdmissionConfig, ClientError, Gateway, GatewayClient, GatewayConfig,
+    GatewayStats, Reply, ShardStats, ShardStatsSum, ShardedGateway,
 };
 use fc_obs::{Counter, Histogram};
-use fc_rebalance::RebalanceConfig;
 use fc_ring::{Ring, RingConfig};
 use fc_trace::{Op, SyntheticSpec, Trace};
 
@@ -702,7 +701,7 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
     }
     let pages_per_block = gw_cfg.pages_per_block;
 
-    let tune = |cfg: &mut NodeConfig| {
+    let tune = move |cfg: &mut NodeConfig| {
         if let Some(sizing) = sizing {
             cfg.repl_batch_pages = sizing.repl_batch_pages;
             cfg.remote_capacity = sizing.remote_capacity;
@@ -715,14 +714,7 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
         block_pages: pages_per_block,
         ..RingConfig::default()
     };
-    // Arc so the scale controller can drive rebalances while the clients
-    // run.
-    let sg = Arc::new(ShardedGateway::spawn_mem_with(
-        gw_cfg,
-        ring_cfg,
-        spec.shards,
-        tune,
-    ));
+    let sg = ShardedGateway::spawn_mem_with(gw_cfg, ring_cfg, spec.shards, tune);
     let gateway = Arc::clone(sg.gateway());
 
     // Client-side shard attribution, shared across client threads.
@@ -796,10 +788,10 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
     };
 
     // Scale controller: live-attach a fresh pair and/or live-remove the
-    // newest pair on the spec's schedule, using the fc-rebalance
-    // epoch-fenced migration protocol while the clients keep driving.
+    // newest pair on the spec's schedule, through the gateway's
+    // epoch-fenced rebalance while the clients keep driving.
     let scale = if spec.add_pair_at.is_some() || spec.remove_pair_at.is_some() {
-        let sg = Arc::clone(&sg);
+        let gateway = Arc::clone(&gateway);
         let add_at = spec.add_pair_at;
         let remove_at = spec.remove_pair_at;
         let base_shards = spec.shards;
@@ -807,18 +799,19 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
             std::thread::Builder::new()
                 .name("fc-loadgen-scale".into())
                 .spawn(move || -> Result<(), String> {
-                    let cfg = RebalanceConfig::default();
                     let mut newest = base_shards - 1;
                     if let Some(at) = add_at {
                         sleep_until(started + at);
-                        let (p, s) = fc_rebalance::spawn_mem_pair(base_shards, pages_per_block);
+                        let (p, s) = spawn_mem_pair(base_shards, pages_per_block, tune);
                         newest = base_shards;
-                        fc_rebalance::add_pair(&sg, p, s, &cfg)
+                        gateway
+                            .add_pair(p, s)
                             .map_err(|e| format!("add-pair: {e}"))?;
                     }
                     if let Some(at) = remove_at {
                         sleep_until(started + at);
-                        fc_rebalance::remove_pair(&sg, newest, &cfg)
+                        gateway
+                            .remove_pair(newest)
                             .map_err(|e| format!("remove-pair {newest}: {e}"))?;
                     }
                     Ok(())

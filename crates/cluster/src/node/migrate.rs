@@ -1,4 +1,4 @@
-//! Elastic-membership hooks: what a rebalance coordinator calls to list,
+//! Elastic-membership hooks: what the gateway's rebalance calls to list,
 //! export, import and fence out a pair's blocks.
 
 use super::state::Resident;
@@ -10,9 +10,9 @@ impl Node {
     /// Every lpn this node holds as the pair's *own* data — buffer-resident
     /// pages plus durable backend pages, excluding the peer namespace
     /// (pages hosted for the peer move with the peer, not with this pair's
-    /// blocks). Sorted ascending. This is the occupancy set a
-    /// rebalance coordinator intersects with the ring diff to plan the
-    /// minimal moved-block set.
+    /// blocks). Sorted ascending. This is the occupancy set the gateway's
+    /// rebalance intersects with the ring diff to fence the minimal
+    /// moved-block set.
     pub fn try_migration_lpns(&self) -> Result<Vec<u64>, NodeDown> {
         self.live()?;
         let inner = self.core.inner.lock();
@@ -45,7 +45,7 @@ impl Node {
 
     /// Import migrated pages from another pair. Every frame CRC is
     /// verified *before* anything is applied — a torn batch changes
-    /// nothing and the coordinator resends. Accepted pages land durable on
+    /// nothing and the rebalance can resend it. Accepted pages land durable on
     /// the backend (version-guarded, so a newer local copy is never rolled
     /// back) and clean in the buffer; they are not replicated to the peer
     /// (the next client write replicates normally). Returns the pages

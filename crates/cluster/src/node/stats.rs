@@ -27,12 +27,12 @@ impl std::error::Error for NodeDown {}
 /// ([`Node::try_import_pages`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrateError {
-    /// The destination node is halted; the coordinator should abort the
-    /// batch (the fence keeps the blocks routed to their old owner).
+    /// The destination node is halted; the rebalance stops the batch (the
+    /// fence keeps the blocks routed to their old owner).
     Down,
     /// A CRC-framed entry failed verification; nothing from the batch was
-    /// applied. The coordinator re-exports and resends, same discipline as
-    /// a Corrupt NACK on the pair link.
+    /// applied. A resumed rebalance re-exports and resends, same
+    /// discipline as a Corrupt NACK on the pair link.
     Corrupt {
         /// The first lpn whose payload did not match its frame CRC.
         lpn: u64,

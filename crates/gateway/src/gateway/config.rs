@@ -14,13 +14,6 @@ pub struct GatewayConfig {
     pub pages_per_block: u32,
     /// Largest page count accepted in one request; larger ⇒ `BadRequest`.
     pub max_req_pages: u32,
-    /// Max additional pipelined writes drained into one batch window.
-    pub batch_window: usize,
-    /// Session-loop poll interval (also the shutdown latency bound).
-    pub session_poll: Duration,
-    /// Consecutive `NodeDown` errors on a shard's primary before its
-    /// circuit breaker opens and the route fails over to the secondary.
-    pub breaker_threshold: u32,
     /// Open-breaker cooldown; doubles as the failback probe cadence and
     /// the `retry_after_ms` hint in `Unavailable` replies.
     pub breaker_cooldown: Duration,
@@ -30,9 +23,6 @@ pub struct GatewayConfig {
     pub retry_deadline: Duration,
     /// Base retry backoff (exponential with jitter, capped at 100 ms).
     pub retry_backoff: Duration,
-    /// How long a failback probe waits for the primary's recovery
-    /// snapshot from its peer before re-opening the breaker.
-    pub failback_timeout: Duration,
 }
 
 impl Default for GatewayConfig {
@@ -41,13 +31,9 @@ impl Default for GatewayConfig {
             admission: AdmissionConfig::default(),
             pages_per_block: 4,
             max_req_pages: 1024,
-            batch_window: 32,
-            session_poll: Duration::from_millis(25),
-            breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(200),
             retry_deadline: Duration::from_secs(2),
             retry_backoff: Duration::from_millis(5),
-            failback_timeout: Duration::from_secs(1),
         }
     }
 }

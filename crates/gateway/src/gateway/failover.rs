@@ -16,6 +16,14 @@ use crate::health::{BreakerState, Replica, ShardHealth};
 use crate::proto::Reply;
 use crate::shard::ShardInstruments;
 
+/// Consecutive `NodeDown` errors on a shard's primary before its circuit
+/// breaker opens and the route fails over to the secondary.
+const BREAKER_THRESHOLD: u32 = 3;
+
+/// How long a failback probe waits for the primary's recovery snapshot
+/// from its peer before re-opening the breaker.
+const FAILBACK_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// One shard's pair as the gateway routes to it: the designated primary,
 /// optionally the pair's secondary (failover target), and the health /
 /// route state.
@@ -49,10 +57,7 @@ impl ShardBackend {
         ShardBackend {
             primary,
             secondary,
-            health: RwLock::new(ShardHealth::new(
-                cfg.breaker_threshold,
-                cfg.breaker_cooldown,
-            )),
+            health: RwLock::new(ShardHealth::new(BREAKER_THRESHOLD, cfg.breaker_cooldown)),
             ins: ShardInstruments::new(),
         }
     }
@@ -260,7 +265,7 @@ impl Gateway {
         let deadline = started + self.cfg.retry_deadline;
         let mut attempt: u32 = 0;
         loop {
-            self.note_route(shard, sb.try_failback(self.cfg.failback_timeout));
+            self.note_route(shard, sb.try_failback(FAILBACK_TIMEOUT));
             let route = match sb.attempt(&op) {
                 Ok(v) => {
                     sb.ins.ops.inc();
@@ -306,8 +311,7 @@ mod tests {
 
     /// Report `threshold` consecutive primary downs; returns the last answer.
     fn trip(sb: &ShardBackend, now: Instant) -> (bool, Option<RouteEvent>) {
-        let threshold = GatewayConfig::test_profile().breaker_threshold;
-        for _ in 1..threshold {
+        for _ in 1..BREAKER_THRESHOLD {
             assert_eq!(sb.on_down(Replica::Primary, now), (false, None));
         }
         sb.on_down(Replica::Primary, now)

@@ -14,8 +14,8 @@
 //!
 //! | module | owns | may lock | emits? |
 //! |---|---|---|---|
-//! | `mod` | [`Gateway`]: construction, the attach / rebalance entry points, obs, stats, session threads | route table (the only `routes.write()` sites) | `shard_attach`, `rebalance_*` — what `route` returned |
-//! | `route` | `RouteTable` (fields private): dual-ring rule, `flush_members`, `segments`, `begin` / `migrate` / `commit` | none of its own; runs under the route guard, reaches health via `ShardBackend::with_active` | never — returns what to count and narrate |
+//! | `mod` | [`Gateway`]: construction, `attach_shard` and the one membership entry `rebalance` (`add_pair` / `remove_pair` wrap it), obs, stats, session threads | route table (the only `routes.write()` sites) | `shard_attach`, `rebalance_*` — what `route` returned |
+//! | `route` | `RouteTable` (fields private): dual-ring rule, `flush_members`, `segments`, `begin` (occupancy scan) / `migrate` (export → import → release on the slots' primaries) / `commit` | none of its own; runs under the route guard, reaches health via `ShardBackend::routed_to_primary` | never — returns what to count and narrate |
 //! | `failover` | `ShardBackend` (`health` private): one attempt, `on_down`, `try_failback`, `flip`, `provably_dead`; the retry / backoff / deadline loop | shard health (the only `.health.read()` / `.write()` sites) | `ShardBackend` never — returns its `RouteEvent`; the loop narrates it, and `unavailable` |
 //! | `ops` | read / trim / flush / batch-window write submission | route table read half, then health through `with_shard` | `unavailable` for a skipped dead shard |
 //! | `session` | handshake, the validate + admit gate, batch window, in-order replies; names neither the route table nor shard health | none | `session_*`, `bad_request`, `shed`, `flush` |
@@ -29,7 +29,7 @@ mod session;
 mod stats;
 
 pub use config::GatewayConfig;
-pub use route::{MigrateBatchError, RebalanceError};
+pub use route::{RebalanceError, RebalanceReport};
 pub use stats::GatewayStats;
 
 pub(crate) use failover::ShardBackend;
@@ -39,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fc_cluster::{MigrateError, Node};
+use fc_cluster::Node;
 use fc_obs::Obs;
 use fc_ring::{Ring, RingConfig};
 use parking_lot::{Mutex, RwLock};
@@ -51,6 +51,14 @@ use crate::shard::{ShardStats, ShardStatsSum};
 use route::RouteTable;
 use session::session_loop;
 use stats::Instruments;
+
+/// Fenced blocks migrated per batch: the bound on how long one batch
+/// holds the route table's write half (client ops wait it out).
+const MIGRATE_BATCH_BLOCKS: usize = 8;
+
+/// Pause between migration batches, letting held client ops drain so
+/// migration cannot starve admitted traffic.
+const MIGRATE_BATCH_PAUSE: Duration = Duration::from_micros(200);
 
 /// A running gateway. Create with [`Gateway::new`] (one node, no failover
 /// target) or [`Gateway::new_sharded_with_secondaries`] (N pairs behind a
@@ -188,16 +196,6 @@ impl Gateway {
         self.routes.read().fenced().map(|f| f.len() as u64)
     }
 
-    /// The fenced blocks still awaiting migration, ascending — what a
-    /// coordinator resuming an interrupted window must still move. Empty
-    /// with no window open.
-    pub fn rebalance_pending_blocks(&self) -> Vec<u64> {
-        let rt = self.routes.read();
-        let mut blocks: Vec<u64> = rt.fenced().into_iter().flatten().copied().collect();
-        blocks.sort_unstable();
-        blocks
-    }
-
     /// Read one logical page through the router, without client
     /// attribution — the primitive behind state digests and scrub-style
     /// full-space sweeps.
@@ -209,14 +207,13 @@ impl Gateway {
 
     // -- elastic membership ------------------------------------------------
     //
-    // The control surface a rebalance coordinator drives (see the
-    // `fc-rebalance` crate), and the only takers of the route table's
-    // write half: each is lock → `RouteTable` call → count → note.
+    // The only takers of the route table's write half: `attach_shard`, and
+    // `rebalance`'s begin, per-batch migrate and commit — each is lock →
+    // `RouteTable` call → count → note.
 
     /// Attach a new pair as the next shard slot and return its id. The
-    /// slot is routable only once a later [`Gateway::begin_rebalance`]
-    /// installs a ring that includes it, so attaching is invisible to
-    /// clients.
+    /// slot is routable only once a later [`Gateway::rebalance`] installs a
+    /// ring that includes it, so attaching is invisible to clients.
     pub fn attach_shard(&self, primary: Arc<Node>, secondary: Option<Arc<Node>>) -> u16 {
         let mut rt = self.routes.write();
         let shard = rt.attach(ShardBackend::new(&self.cfg, primary, secondary));
@@ -231,76 +228,85 @@ impl Gateway {
         shard
     }
 
-    /// Open an elastic-membership window: install `new_ring` (epoch E+1)
-    /// as the routing target and fence the moved-block set to its old
-    /// owners until migrated. The fence is `pending` (the coordinator's
-    /// plan) **unioned with a live occupancy scan of the retiring ring's
-    /// members**, then restricted to blocks whose owner actually differs
-    /// between the rings.
+    /// Take the cluster from the current ring (epoch E) to `new_ring`
+    /// (E+1) live: open a dual-ring window fencing every occupied block
+    /// whose owner changes to its old owner, migrate the fenced blocks
+    /// pair-to-pair in batches of eight, then cut over. If a window toward
+    /// `new_ring` is already open — an earlier call stopped partway — this
+    /// resumes it, skipping what already moved; one toward any other ring
+    /// is refused with `WindowOpen`.
     ///
-    /// The scan runs under the same route-table write guard that installs
-    /// the new ring — no client op can be in flight while it runs — so a
-    /// block first written *after* the coordinator planned (and therefore
-    /// missing from `pending`) is still fenced here rather than silently
-    /// flipping to a new owner that does not hold its pages. Returns the
-    /// fenced set, ascending: exactly the blocks the caller must migrate
-    /// before [`Gateway::commit_rebalance`] will succeed.
-    pub fn begin_rebalance(
-        &self,
-        new_ring: Ring,
-        pending: impl IntoIterator<Item = u64>,
-    ) -> Result<Vec<u64>, RebalanceError> {
-        let begun = self.routes.write().begin(new_ring, pending)?;
-        self.ins.rebalances_started.inc();
-        self.note("rebalance_begin", |e| {
-            e.u64_field("from_epoch", begun.from_epoch)
-                .u64_field("to_epoch", begun.to_epoch)
-                .u64_field("fenced_blocks", begun.fenced.len() as u64)
-        });
-        Ok(begun.fenced)
-    }
-
-    /// Migrate one bounded batch of fenced blocks. For each block still
-    /// pending, `copy(block, from, to)` must move its pages from the old
-    /// owner to the new one (export → import → release) and return the
-    /// page count; on success the block leaves the fence set, so the next
-    /// op routes it to its new owner.
-    ///
-    /// The whole batch runs under the route-table write guard — client
-    /// ops are briefly held, which is exactly the fence that makes the
-    /// copy atomic against concurrent writes. Keep batches small; the
-    /// guard hold is the rebalance/client latency trade-off. On a copy
-    /// error the batch stops: already-moved blocks stay moved, the failed
-    /// block (and the rest) stay fenced to their old owner, and the
-    /// window remains open for a retry.
-    pub fn migrate_batch(
-        &self,
-        blocks: &[u64],
-        copy: impl FnMut(u64, u16, u16) -> Result<u64, MigrateError>,
-    ) -> Result<u64, MigrateBatchError> {
-        let (moved, stopped) = self.routes.write().migrate(blocks, copy);
-        self.ins.rebalance_batches.add(moved.batches);
-        self.ins.rebalance_moved_blocks.add(moved.blocks);
-        self.ins.rebalance_moved_pages.add(moved.pages);
-        stopped.map(|()| moved.pages)
-    }
-
-    /// Cut over: retire the old ring and route purely by the new epoch.
-    /// Refused while fenced blocks remain — committing early would flip
-    /// unmigrated blocks to an owner that does not hold them. Returns the
-    /// new epoch.
-    pub fn commit_rebalance(&self) -> Result<u64, RebalanceError> {
-        let done = self.routes.write().commit()?;
+    /// Each batch runs under the route-table write guard: client ops are
+    /// held for its duration, which is exactly the fence that makes a
+    /// block's copy atomic against concurrent writes, and the pause
+    /// between batches lets them drain. A stop partway (`SourceDegraded`,
+    /// `Copy`) leaves the window open and fully serviceable — the unmoved
+    /// blocks stay fenced to, and served by, their old owners.
+    pub fn rebalance(&self, new_ring: Ring) -> Result<RebalanceReport, RebalanceError> {
+        let begun = self.routes.write().begin(&new_ring)?;
+        if !begun.resumed {
+            self.ins.rebalances_started.inc();
+            self.note("rebalance_begin", |e| {
+                e.u64_field("from_epoch", begun.from_epoch)
+                    .u64_field("to_epoch", begun.to_epoch)
+                    .u64_field("fenced_blocks", begun.fenced.len() as u64)
+            });
+        }
+        for chunk in begun.fenced.chunks(MIGRATE_BATCH_BLOCKS) {
+            let (moved, stopped) = self.routes.write().migrate(chunk);
+            self.ins.rebalance_batches.add(moved.batches);
+            self.ins.rebalance_moved_blocks.add(moved.blocks);
+            self.ins.rebalance_moved_pages.add(moved.pages);
+            stopped?;
+            std::thread::sleep(MIGRATE_BATCH_PAUSE);
+        }
+        let done = self.routes.write().commit(&new_ring)?;
         self.ins.rebalances_completed.inc();
-        self.ins.rebalance_hist.record(done.moved.blocks);
+        self.ins.rebalance_hist.record(done.moved_blocks);
         self.note("rebalance_commit", |e| {
             e.u64_field("from_epoch", done.from_epoch)
                 .u64_field("to_epoch", done.to_epoch)
-                .u64_field("moved_blocks", done.moved.blocks)
-                .u64_field("moved_pages", done.moved.pages)
-                .u64_field("batches", done.moved.batches)
+                .u64_field("moved_blocks", done.moved_blocks)
+                .u64_field("moved_pages", done.moved_pages)
+                .u64_field("batches", done.batches)
         });
-        Ok(done.to_epoch)
+        Ok(done)
+    }
+
+    /// Live scale-up: attach `primary` / `secondary` as the next shard
+    /// slot, grow the ring by it, and [`Gateway::rebalance`] onto it.
+    pub fn add_pair(
+        &self,
+        primary: Arc<Node>,
+        secondary: Arc<Node>,
+    ) -> Result<RebalanceReport, RebalanceError> {
+        let shard = self.attach_shard(primary, Some(secondary));
+        let mut ring = self.ring();
+        ring.add_pair(shard);
+        self.rebalance(ring)
+    }
+
+    /// Live scale-down: [`Gateway::rebalance`] every block `victim` holds
+    /// onto the surviving pairs, then drain (flush) and quiesce both of its
+    /// nodes. The victim's slot stays attached so its per-shard stats keep
+    /// their history; it simply takes no more traffic.
+    pub fn remove_pair(&self, victim: u16) -> Result<RebalanceReport, RebalanceError> {
+        let mut ring = self.ring();
+        if !ring.contains(victim) {
+            return Err(RebalanceError::NotAMember(victim));
+        }
+        if ring.len() == 1 {
+            return Err(RebalanceError::LastPair);
+        }
+        ring.remove_pair(victim);
+        let report = self.rebalance(ring)?;
+        let sb = self.shard_backend(victim);
+        let _ = sb.primary.try_flush_dirty();
+        sb.primary.quiesce();
+        if let Some(secondary) = &sb.secondary {
+            secondary.quiesce();
+        }
+        Ok(report)
     }
 
     /// Per-shard traffic snapshots, index = shard id.

@@ -1,13 +1,14 @@
 //! The route table: which shard slot owns a block, and the
 //! elastic-membership window (dual ring + fence set) while one is open.
-//! Fields are private; the rebalance steps mutate the table and *return*
-//! what happened, for [`Gateway`](super::Gateway)'s entry points to count
-//! and narrate.
+//! Fields are private; the rebalance steps mutate the table — moving the
+//! pages themselves, on the slots' primaries — and *return* what happened,
+//! for [`Gateway::rebalance`](super::Gateway::rebalance) to count and
+//! narrate.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use fc_cluster::{MigrateError, NodeDown};
+use fc_cluster::{MigrateError, Node, NodeDown};
 use fc_ring::Ring;
 
 use super::failover::ShardBackend;
@@ -30,7 +31,7 @@ pub(crate) struct RouteTable {
 struct Window {
     /// The retiring ring (epoch E).
     old: Ring,
-    /// Planned-but-not-yet-migrated blocks. These still route to their
+    /// Fenced, not-yet-migrated blocks. These still route to their
     /// old-ring owner; everything else routes by the new ring, so a block
     /// first written *during* the window lands directly on its
     /// post-cut-over owner and no acked write is stranded at commit.
@@ -47,21 +48,28 @@ pub(super) struct Moved {
     pub(super) pages: u64,
 }
 
-/// A window [`RouteTable::begin`] opened.
+/// The window [`RouteTable::begin`] opened or found open.
 #[derive(Debug)]
 pub(super) struct Begun {
     pub(super) from_epoch: u64,
     pub(super) to_epoch: u64,
-    /// The fenced blocks, ascending.
+    /// The blocks still fenced, ascending.
     pub(super) fenced: Vec<u64>,
+    /// True when the window was already open toward the same ring.
+    pub(super) resumed: bool,
 }
 
-/// A window [`RouteTable::commit`] closed.
-#[derive(Debug)]
-pub(super) struct Committed {
-    pub(super) from_epoch: u64,
-    pub(super) to_epoch: u64,
-    pub(super) moved: Moved,
+/// What one committed rebalance did: its window's totals.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RebalanceReport {
+    pub from_epoch: u64,
+    pub to_epoch: u64,
+    /// Blocks handed over: the occupied, owner-changed blocks begin fenced.
+    pub moved_blocks: u64,
+    /// Pages those blocks carried.
+    pub moved_pages: u64,
+    /// Migration batches run, an interrupted attempt's included.
+    pub batches: u64,
 }
 
 impl RouteTable {
@@ -137,18 +145,32 @@ impl RouteTable {
         segs
     }
 
-    /// Open a window: install `new_ring` and fence `pending` **unioned
-    /// with a live occupancy scan of the retiring ring's members**,
-    /// restricted to blocks whose owner differs between the rings. Any
-    /// refusal leaves the table untouched.
-    pub(super) fn begin(
-        &mut self,
-        new_ring: Ring,
-        pending: impl IntoIterator<Item = u64>,
-    ) -> Result<Begun, RebalanceError> {
-        if self.window.is_some() {
+    /// Open a window toward `new_ring` — or, if one toward that very ring
+    /// is already open, hand back what it still fences. Any refusal leaves
+    /// the table untouched.
+    pub(super) fn begin(&mut self, new_ring: &Ring) -> Result<Begun, RebalanceError> {
+        let resumed = self.window.is_some();
+        if !resumed {
+            self.open(new_ring)?;
+        } else if self.ring != *new_ring {
             return Err(RebalanceError::WindowOpen);
         }
+        let w = self.window.as_ref().expect("opened or found open above");
+        let mut fenced: Vec<u64> = w.pending.iter().copied().collect();
+        fenced.sort_unstable();
+        Ok(Begun {
+            from_epoch: w.old.epoch(),
+            to_epoch: self.ring.epoch(),
+            fenced,
+            resumed,
+        })
+    }
+
+    /// Check `new_ring`, install it and fence every block a retiring
+    /// member holds whose owner changes. The occupancy scan runs here,
+    /// under the same write guard as the routing switch, so no block
+    /// written before the switch can flip to an owner that lacks its pages.
+    fn open(&mut self, new_ring: &Ring) -> Result<(), RebalanceError> {
         if new_ring.config() != self.ring.config() {
             return Err(RebalanceError::ConfigMismatch);
         }
@@ -165,56 +187,39 @@ impl RouteTable {
         {
             return Err(RebalanceError::UnknownMember(m));
         }
-        // Live occupancy scan, atomic with the routing switch below. A
-        // member that cannot answer aborts the begin — fencing blindly
-        // would strand whatever it holds.
         let bp = u64::from(self.ring.block_pages());
-        let mut fence: HashSet<u64> = pending.into_iter().collect();
+        let mut pending: HashSet<u64> = HashSet::new();
         for &m in self.ring.members() {
-            let lpns = self
-                .shard(m)
-                .with_active(|node| node.try_migration_lpns())
-                .map_err(|NodeDown| RebalanceError::SourceDown(m))?;
-            fence.extend(lpns.iter().map(|l| l / bp).filter(|&b| {
-                // Only blocks this member owns per the retiring ring; a
-                // stray page parked off-owner is not this window's problem.
-                self.ring.shard_of_block(b) == m
+            let lpns = source(&self.shards, m)?
+                .try_migration_lpns()
+                .map_err(|NodeDown| RebalanceError::SourceDegraded(m))?;
+            pending.extend(lpns.iter().map(|l| l / bp).filter(|&b| {
+                // Only blocks this member owns per the retiring ring and
+                // that change owner; a stray page parked off-owner is not
+                // this window's problem.
+                self.ring.shard_of_block(b) == m && new_ring.shard_of_block(b) != m
             }));
         }
-        let old = std::mem::replace(&mut self.ring, new_ring);
-        let pending: HashSet<u64> = fence
-            .into_iter()
-            .filter(|&b| old.shard_of_block(b) != self.ring.shard_of_block(b))
-            .collect();
-        let mut fenced: Vec<u64> = pending.iter().copied().collect();
-        fenced.sort_unstable();
-        let begun = Begun {
-            from_epoch: old.epoch(),
-            to_epoch: self.ring.epoch(),
-            fenced,
-        };
+        let old = std::mem::replace(&mut self.ring, new_ring.clone());
         self.window = Some(Window {
             old,
             pending,
             moved: Moved::default(),
         });
-        Ok(begun)
+        Ok(())
     }
 
-    /// Migrate one batch: for each of `blocks` still fenced,
-    /// `copy(block, from, to)` and on success unfence it. A copy error
-    /// stops the batch — already-moved blocks stay moved, the failed block
-    /// and the rest stay fenced. Returns what the batch moved (all zero
-    /// when no window is open) beside why it stopped, if it did.
-    pub(super) fn migrate(
-        &mut self,
-        blocks: &[u64],
-        mut copy: impl FnMut(u64, u16, u16) -> Result<u64, MigrateError>,
-    ) -> (Moved, Result<(), MigrateBatchError>) {
+    /// Migrate one batch: move each of `blocks` still fenced from its old
+    /// owner's primary to its new owner's — export → import → release on
+    /// the CRC-framed resync entry format — and unfence it. An error stops
+    /// the batch: already-moved blocks stay moved, the failed block and
+    /// the rest stay fenced. Returns what the batch moved (all zero when
+    /// no window is open) beside why it stopped, if it did.
+    pub(super) fn migrate(&mut self, blocks: &[u64]) -> (Moved, Result<(), RebalanceError>) {
         let Some(w) = &mut self.window else {
-            let refused = MigrateBatchError::State(RebalanceError::NoWindow);
-            return (Moved::default(), Err(refused));
+            return (Moved::default(), Ok(()));
         };
+        let bp = u64::from(self.ring.block_pages());
         let mut batch = Moved {
             batches: 1,
             ..Moved::default()
@@ -222,23 +227,29 @@ impl RouteTable {
         let mut stopped = Ok(());
         for &block in blocks {
             if !w.pending.contains(&block) {
-                continue; // already moved, or never part of the plan
+                continue; // already moved by an earlier attempt
             }
             let from = w.old.shard_of_block(block);
             let to = self.ring.shard_of_block(block);
-            match copy(block, from, to) {
+            let lpns: Vec<u64> = (block * bp..(block + 1) * bp).collect();
+            let copied = source(&self.shards, from).and_then(|src| {
+                copy(src, &self.shards[usize::from(to)].primary, &lpns).map_err(|error| {
+                    RebalanceError::Copy {
+                        block,
+                        from,
+                        to,
+                        error,
+                    }
+                })
+            });
+            match copied {
                 Ok(n) => {
                     w.pending.remove(&block);
                     batch.blocks += 1;
                     batch.pages += n;
                 }
-                Err(error) => {
-                    stopped = Err(MigrateBatchError::Copy {
-                        block,
-                        from,
-                        to,
-                        error,
-                    });
+                Err(e) => {
+                    stopped = Err(e);
                     break;
                 }
             }
@@ -249,31 +260,60 @@ impl RouteTable {
         (batch, stopped)
     }
 
-    /// Cut over: retire the old ring. Refused while fenced blocks remain —
-    /// committing early would flip unmigrated blocks to an owner that
-    /// does not hold them.
-    pub(super) fn commit(&mut self) -> Result<Committed, RebalanceError> {
-        let fenced = self.fenced().ok_or(RebalanceError::NoWindow)?;
-        if !fenced.is_empty() {
-            return Err(RebalanceError::PendingBlocks(fenced.len() as u64));
+    /// Cut over to `target`: retire the old ring. Only the window toward
+    /// `target`, with nothing left fenced, commits — another open window is
+    /// `WindowOpen`, and with none open `target` is already history.
+    pub(super) fn commit(&mut self, target: &Ring) -> Result<RebalanceReport, RebalanceError> {
+        let ours = self.ring == *target;
+        match self.window.take_if(|w| ours && w.pending.is_empty()) {
+            Some(w) => Ok(RebalanceReport {
+                from_epoch: w.old.epoch(),
+                to_epoch: self.ring.epoch(),
+                moved_blocks: w.moved.blocks,
+                moved_pages: w.moved.pages,
+                batches: w.moved.batches,
+            }),
+            None if self.window.is_some() => Err(RebalanceError::WindowOpen),
+            None => Err(RebalanceError::StaleEpoch {
+                current: self.ring.epoch(),
+                offered: target.epoch(),
+            }),
         }
-        let w = self.window.take().expect("window checked open above");
-        Ok(Committed {
-            from_epoch: w.old.epoch(),
-            to_epoch: self.ring.epoch(),
-            moved: w.moved,
-        })
     }
 }
 
-/// Why an elastic-membership control call was refused. These are all
-/// caller-state errors — the route table is left exactly as it was.
+/// `shard`'s primary, which a migration scans, exports from and releases
+/// — refused while the shard is failed over or that primary is halted: a
+/// degraded pair's newest state belongs to the failover machinery.
+fn source(shards: &[Arc<ShardBackend>], shard: u16) -> Result<&Node, RebalanceError> {
+    let sb = &shards[usize::from(shard)];
+    if sb.routed_to_primary() && !sb.primary.is_halted() {
+        Ok(&sb.primary)
+    } else {
+        Err(RebalanceError::SourceDegraded(shard))
+    }
+}
+
+/// Move `lpns` from `from` to `to`: export, import (CRC-verified before
+/// anything applies), then release the source copy. Returns the pages
+/// `to` applied.
+fn copy(from: &Node, to: &Node, lpns: &[u64]) -> Result<u64, MigrateError> {
+    let entries = from.try_export_pages(lpns)?;
+    let applied = to.try_import_pages(&entries)?;
+    from.try_release_pages(lpns)?;
+    Ok(applied)
+}
+
+/// Why a membership change was refused or stopped. A refusal leaves the
+/// route table exactly as it was; a stop partway (`SourceDegraded` or
+/// `Copy` from a migration batch) leaves the window open with the unmoved
+/// blocks still fenced to — and served by — their old owners, for
+/// [`Gateway::rebalance`](super::Gateway::rebalance) toward the same ring
+/// to resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebalanceError {
-    /// `begin_rebalance` while a window is already open.
+    /// A window toward a different ring is open; finish it first.
     WindowOpen,
-    /// `migrate_batch`/`commit_rebalance` with no window open.
-    NoWindow,
     /// The offered ring disagrees on seed/vnodes/block geometry with the
     /// current one — its placements would be incomparable.
     ConfigMismatch,
@@ -282,19 +322,28 @@ pub enum RebalanceError {
     StaleEpoch { current: u64, offered: u64 },
     /// The offered ring names a member with no attached shard slot.
     UnknownMember(u16),
-    /// `commit_rebalance` refused: this many blocks are still fenced.
-    PendingBlocks(u64),
-    /// `begin_rebalance` could not scan this retiring member's occupancy
-    /// (its active replica is down); fencing blindly would strand
-    /// whatever it holds, so the window never opened.
-    SourceDown(u16),
+    /// This source shard is failed over or its primary is halted; heal it
+    /// before rebalancing.
+    SourceDegraded(u16),
+    /// Moving `block` from `from` to `to` failed.
+    Copy {
+        block: u64,
+        from: u16,
+        to: u16,
+        error: MigrateError,
+    },
+    /// `remove_pair` of a pair the ring does not contain.
+    NotAMember(u16),
+    /// `remove_pair` of the only remaining pair.
+    LastPair,
 }
 
 impl std::fmt::Display for RebalanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RebalanceError::WindowOpen => write!(f, "a rebalance window is already open"),
-            RebalanceError::NoWindow => write!(f, "no rebalance window is open"),
+            RebalanceError::WindowOpen => {
+                write!(f, "a rebalance window toward another ring is open")
+            }
             RebalanceError::ConfigMismatch => write!(f, "ring config mismatch"),
             RebalanceError::StaleEpoch { current, offered } => {
                 write!(f, "stale ring epoch {offered} (current {current})")
@@ -302,48 +351,22 @@ impl std::fmt::Display for RebalanceError {
             RebalanceError::UnknownMember(m) => {
                 write!(f, "ring member {m} has no attached shard")
             }
-            RebalanceError::PendingBlocks(n) => {
-                write!(f, "{n} blocks still awaiting migration")
+            RebalanceError::SourceDegraded(s) => {
+                write!(f, "shard {s} is degraded; heal it before rebalancing")
             }
-            RebalanceError::SourceDown(m) => {
-                write!(f, "shard {m} is down; cannot scan its occupancy")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RebalanceError {}
-
-/// Why [`Gateway::migrate_batch`](super::Gateway::migrate_batch) stopped.
-#[derive(Debug)]
-pub enum MigrateBatchError {
-    /// Refused before any copy ran.
-    State(RebalanceError),
-    /// `copy` failed on `block`; it and the rest of the batch stay fenced
-    /// to their old owner, and the window stays open for a retry.
-    Copy {
-        block: u64,
-        from: u16,
-        to: u16,
-        error: MigrateError,
-    },
-}
-
-impl std::fmt::Display for MigrateBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MigrateBatchError::State(e) => write!(f, "{e}"),
-            MigrateBatchError::Copy {
+            RebalanceError::Copy {
                 block,
                 from,
                 to,
                 error,
             } => write!(f, "migrating block {block} ({from} -> {to}): {error}"),
+            RebalanceError::NotAMember(s) => write!(f, "pair {s} is not a ring member"),
+            RebalanceError::LastPair => write!(f, "refusing to remove the last pair"),
         }
     }
 }
 
-impl std::error::Error for MigrateBatchError {}
+impl std::error::Error for RebalanceError {}
 
 #[cfg(test)]
 mod tests {
@@ -375,6 +398,15 @@ mod tests {
         ring
     }
 
+    /// Write one page of each of `blocks` straight onto its owner's
+    /// primary — occupancy the begin-time scan must find.
+    fn occupy(sg: &ShardedGateway, ring: &Ring, blocks: impl IntoIterator<Item = u64>) {
+        let bp = u64::from(ring.block_pages());
+        for b in blocks {
+            sg.primary(ring.shard_of_block(b)).write(b * bp, b"x");
+        }
+    }
+
     #[test]
     fn fenced_blocks_route_to_their_old_owner_and_the_rest_by_the_new_ring() {
         let (sg, mut rt) = table(3, 2);
@@ -382,13 +414,13 @@ mod tests {
         let new = with_pair(&old, 2);
         let bp = u64::from(old.block_pages());
         let moves = |b: u64| old.shard_of_block(b) != new.shard_of_block(b);
-        // The coordinator planned the even blocks only. One odd mover is
-        // written behind its back: the occupancy scan must fence it too.
+        // The even blocks and one odd mover are occupied: the scan fences
+        // exactly the occupied movers.
         let late = (0..BLOCKS).find(|&b| b % 2 == 1 && moves(b)).unwrap();
-        sg.primary(old.shard_of_block(late)).write(late * bp, b"x");
-        let plan = (0..BLOCKS).filter(|b| b % 2 == 0);
-        let begun = rt.begin(new.clone(), plan).unwrap();
+        occupy(&sg, &old, (0..BLOCKS).step_by(2).chain([late]));
+        let begun = rt.begin(&new).unwrap();
         assert_eq!((begun.from_epoch, begun.to_epoch), (2, 3));
+        assert!(!begun.resumed);
         assert!(begun.fenced.contains(&late));
         assert!(begun.fenced.windows(2).all(|w| w[0] < w[1]), "ascending");
         for b in 0..BLOCKS {
@@ -401,11 +433,9 @@ mod tests {
                 assert_eq!(rt.owner_of_lpn(lpn), ring.shard_of_block(b), "lpn {lpn}");
             }
         }
-        // A migrated block leaves the fence and routes by the new ring.
-        let (moved, stopped) = rt.migrate(&[late], |b, from, to| {
-            assert_eq!((b, from, to), (late, old.shard_of_block(b), 2));
-            Ok(1)
-        });
+        // A migrated block leaves the fence, routes by the new ring, and
+        // its page moved with it.
+        let (moved, stopped) = rt.migrate(&[late]);
         assert!(stopped.is_ok());
         let one = Moved {
             batches: 1,
@@ -414,6 +444,8 @@ mod tests {
         };
         assert_eq!(moved, one);
         assert_eq!(rt.owner_of_lpn(late * bp), 2);
+        assert_eq!(sg.primary(2).read(late * bp), Some(b"x".to_vec()));
+        assert_eq!(sg.primary(old.shard_of_block(late)).read(late * bp), None);
         sg.shutdown();
     }
 
@@ -423,11 +455,11 @@ mod tests {
         assert_eq!(rt.flush_members(), [0, 1, 2]);
         let mut shrunk = rt.ring().clone();
         shrunk.remove_pair(2);
-        let begun = rt.begin(shrunk, 0..BLOCKS).unwrap();
+        let begun = rt.begin(&shrunk).unwrap();
         assert_eq!(rt.ring().members(), [0, 1]);
         assert_eq!(rt.flush_members(), [0, 1, 2], "the retiring pair too");
-        assert!(rt.migrate(&begun.fenced, |_, _, _| Ok(0)).1.is_ok());
-        rt.commit().unwrap();
+        assert!(rt.migrate(&begun.fenced).1.is_ok());
+        rt.commit(&shrunk).unwrap();
         assert_eq!(rt.flush_members(), [0, 1]);
         sg.shutdown();
     }
@@ -436,9 +468,10 @@ mod tests {
     fn segments_break_exactly_at_owner_changes() {
         let (sg, mut rt) = table(3, 2);
         let new = with_pair(rt.ring(), 2);
-        // Fence every second mover so both halves of the dual-ring rule
+        // Fence every second block so both halves of the dual-ring rule
         // shape the walk.
-        rt.begin(new, (0..BLOCKS).filter(|b| b % 2 == 0)).unwrap();
+        occupy(&sg, rt.ring(), (0..BLOCKS).step_by(2));
+        rt.begin(&new).unwrap();
         let bp = rt.ring().block_pages();
         let (lpn, pages) = (1, BLOCKS as u32 * bp - 2);
         let segs = rt.segments(lpn, pages);
@@ -468,6 +501,8 @@ mod tests {
             seed: 1,
             ..RingConfig::default()
         };
+        let mut shrunk = before.clone();
+        shrunk.remove_pair(1);
         let refusals = [
             (
                 Ring::with_pairs(reseeded, 3),
@@ -481,24 +516,27 @@ mod tests {
                 },
             ),
             (with_pair(&before, 5), RebalanceError::UnknownMember(5)),
+            (shrunk.clone(), RebalanceError::SourceDegraded(0)),
         ];
+        sg.primary(0).fail();
         for (offered, why) in refusals {
-            assert_eq!(rt.begin(offered, 0..BLOCKS).unwrap_err(), why);
+            assert_eq!(rt.begin(&offered).unwrap_err(), why);
             assert_eq!(rt.ring(), &before);
             assert!(rt.fenced().is_none());
         }
-        // A pair leaves: the window opens; a second begin bounces off it.
-        let mut shrunk = before.clone();
-        shrunk.remove_pair(1);
-        let fenced = rt.begin(shrunk.clone(), 0..BLOCKS).unwrap().fenced;
+        sg.primary(0).restart();
+        // A pair leaves: the window opens; a begin toward another ring
+        // bounces off it, one toward the same ring resumes it.
+        occupy(&sg, &before, 0..BLOCKS);
+        let fenced = rt.begin(&shrunk).unwrap().fenced;
         assert!(!fenced.is_empty());
         let mut again = shrunk.clone();
         again.add_pair(1);
-        assert_eq!(
-            rt.begin(again, 0..BLOCKS).unwrap_err(),
-            RebalanceError::WindowOpen
-        );
+        assert_eq!(rt.begin(&again).unwrap_err(), RebalanceError::WindowOpen);
         assert_eq!(rt.ring(), &shrunk);
+        let resumed = rt.begin(&shrunk).unwrap();
+        assert!(resumed.resumed);
+        assert_eq!(resumed.fenced, fenced);
         assert_eq!(rt.fenced().unwrap().len(), fenced.len());
         sg.shutdown();
     }
@@ -506,52 +544,55 @@ mod tests {
     #[test]
     fn commit_refuses_while_blocks_are_pending_and_reports_the_window_total() {
         let (sg, mut rt) = table(3, 2);
-        assert_eq!(rt.commit().unwrap_err(), RebalanceError::NoWindow);
-        let (moved, stopped) = rt.migrate(&[0], |_, _, _| panic!("no window, no copy"));
-        assert_eq!(moved, Moved::default());
-        let no_window = MigrateBatchError::State(RebalanceError::NoWindow);
-        assert_eq!(stopped.unwrap_err().to_string(), no_window.to_string());
+        let target = with_pair(rt.ring(), 2);
+        let stale = RebalanceError::StaleEpoch {
+            current: 2,
+            offered: 3,
+        };
+        assert_eq!(rt.commit(&target).unwrap_err(), stale);
+        assert_eq!(rt.migrate(&[0]), (Moved::default(), Ok(())));
 
-        let fenced = rt.begin(with_pair(rt.ring(), 2), 0..BLOCKS).unwrap().fenced;
+        occupy(&sg, rt.ring(), 0..BLOCKS);
+        let fenced = rt.begin(&target).unwrap().fenced;
         let n = fenced.len() as u64;
         assert!(n >= 3);
-        assert_eq!(rt.commit().unwrap_err(), RebalanceError::PendingBlocks(n));
-        // The copy fails on the third block: two moved, the rest stay
-        // fenced, the batch still counts.
-        let (moved, stopped) = rt.migrate(&fenced, |b, _, _| {
-            if b == fenced[2] {
-                Err(MigrateError::Down)
-            } else {
-                Ok(4)
-            }
-        });
-        let two = Moved {
+        assert_eq!(rt.commit(&target).unwrap_err(), RebalanceError::WindowOpen);
+        // Two blocks move; then the destination dies and the next batch
+        // stops on its first block — which stays fenced, and the batch
+        // still counts.
+        let (moved, stopped) = rt.migrate(&fenced[..2]);
+        assert!(stopped.is_ok());
+        assert_eq!(moved.blocks, 2);
+        sg.primary(2).fail();
+        let (moved, stopped) = rt.migrate(&fenced);
+        let none = Moved {
             batches: 1,
-            blocks: 2,
-            pages: 8,
+            ..Moved::default()
         };
-        assert_eq!(moved, two);
+        assert_eq!(moved, none);
         assert!(matches!(
             stopped,
-            Err(MigrateBatchError::Copy { block, to: 2, error: MigrateError::Down, .. })
+            Err(RebalanceError::Copy { block, to: 2, error: MigrateError::Down, .. })
                 if block == fenced[2]
         ));
-        assert_eq!(
-            rt.commit().unwrap_err(),
-            RebalanceError::PendingBlocks(n - 2)
-        );
+        assert_eq!(rt.fenced().unwrap().len() as u64, n - 2);
         // The retry skips what already moved; then the cut-over goes through.
-        let (moved, stopped) = rt.migrate(&fenced, |_, _, _| Ok(4));
+        sg.primary(2).restart();
+        let (moved, stopped) = rt.migrate(&fenced);
         assert!(stopped.is_ok());
         assert_eq!(moved.blocks, n - 2);
-        let done = rt.commit().unwrap();
-        assert_eq!((done.from_epoch, done.to_epoch), (2, 3));
-        let total = Moved {
-            batches: 2,
-            blocks: n,
-            pages: 4 * n,
+        let mut other = target.clone();
+        other.remove_pair(0);
+        assert_eq!(rt.commit(&other).unwrap_err(), RebalanceError::WindowOpen);
+        let done = rt.commit(&target).unwrap();
+        let total = RebalanceReport {
+            from_epoch: 2,
+            to_epoch: 3,
+            moved_blocks: n,
+            moved_pages: n,
+            batches: 3,
         };
-        assert_eq!(done.moved, total);
+        assert_eq!(done, total);
         assert!(rt.fenced().is_none());
         sg.shutdown();
     }

@@ -16,6 +16,12 @@ use crate::admission::{Permit, ShedReason};
 use crate::conn::{LinkClosed, SessionLink};
 use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
 
+/// Session-loop poll interval (also the shutdown latency bound).
+const SESSION_POLL: Duration = Duration::from_millis(25);
+
+/// Max additional pipelined writes drained into one batch window.
+const BATCH_WINDOW: usize = 32;
+
 pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
     gw.ins.sessions_started.inc();
     gw.note("session_start", |e| e);
@@ -36,7 +42,7 @@ pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
     while !gw.shutdown.load(Ordering::SeqCst) {
         let req = match carried.take() {
             Some(r) => r,
-            None => match link.recv_timeout(gw.cfg.session_poll) {
+            None => match link.recv_timeout(SESSION_POLL) {
                 Ok(Some(r)) => r,
                 Ok(None) => continue,
                 Err(_) => break,
@@ -59,7 +65,7 @@ pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
 fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<(u64, u16)> {
     let ins = &gw.ins;
     while !gw.shutdown.load(Ordering::SeqCst) {
-        match link.recv_timeout(gw.cfg.session_poll) {
+        match link.recv_timeout(SESSION_POLL) {
             Ok(Some(Request::Hello { version, client })) => {
                 if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
                     ins.bad_requests.inc();
@@ -242,7 +248,7 @@ impl Session<'_> {
         })
     }
 
-    /// Validate + admit the head write, drain up to `batch_window`
+    /// Validate + admit the head write, drain up to `BATCH_WINDOW`
     /// pipelined writes behind it (each individually validated and
     /// admitted), coalesce the admitted ones into runs, submit, then reply
     /// to every batched write in receive order. If submission aborts on an
@@ -267,7 +273,7 @@ impl Session<'_> {
         // Batch window: drain writes the client already pipelined. A
         // non-write is carried out to the caller so replies stay in receive
         // order.
-        while window.admitted <= gw.cfg.batch_window {
+        while window.admitted <= BATCH_WINDOW {
             match self.link.recv_timeout(Duration::ZERO) {
                 Ok(Some(Request::Write { id, lpn, pages })) => {
                     window.consider(gw, self.client, id, lpn, pages);

@@ -43,7 +43,7 @@ pub struct GatewayStats {
     /// Shard ops abandoned at the retry deadline with both replicas down
     /// (one `Unavailable` reply may cover several batched writes).
     pub unavailable: u64,
-    /// Elastic-membership windows opened (`begin_rebalance`).
+    /// Elastic-membership windows opened (`rebalance`; a resume opens none).
     pub rebalances_started: u64,
     /// Windows committed (ring cut over to the new epoch).
     pub rebalances_completed: u64,

@@ -27,14 +27,13 @@
 //!   `Unavailable { retry_after_ms }` reply (protocol v2) when no replica
 //!   is live. Write runs carry client-stamped dedup tags, so retries are
 //!   exactly-once end to end.
-//! * elastic membership — the control surface an `fc-rebalance`
-//!   coordinator drives to add or remove pairs *live*: attach a shard
-//!   slot, open an epoch-fenced dual-ring window
-//!   ([`Gateway::begin_rebalance`] — fenced blocks keep routing to their
-//!   old owner until migrated), stream blocks over in bounded barrier
-//!   batches ([`Gateway::migrate_batch`]), and cut over atomically
-//!   ([`Gateway::commit_rebalance`]), with `gateway.rebalance.*`
-//!   counters and a per-run moved-blocks histogram.
+//! * elastic membership — [`Gateway::rebalance`] takes the cluster to a
+//!   new ring *live*: an epoch-fenced dual-ring window (occupied blocks
+//!   whose owner changes keep routing to their old owner until migrated),
+//!   pair-to-pair migration in bounded barrier batches, an atomic
+//!   cut-over; [`Gateway::add_pair`] / [`Gateway::remove_pair`] wrap it,
+//!   with `gateway.rebalance.*` counters and a per-run moved-blocks
+//!   histogram.
 //!
 //! ```
 //! use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
@@ -72,8 +71,8 @@ pub use client::{ClientError, GatewayClient, WriteAck};
 pub use conn::{
     mem_session, LinkClosed, MemClientConn, MemSessionLink, SessionLink, TcpSessionLink,
 };
-pub use gateway::{Gateway, GatewayConfig, GatewayStats, MigrateBatchError, RebalanceError};
+pub use gateway::{Gateway, GatewayConfig, GatewayStats, RebalanceError, RebalanceReport};
 pub use proto::{
     ErrorCode, ProtoError, Reply, Request, MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION,
 };
-pub use shard::{ShardStats, ShardStatsSum, ShardedGateway};
+pub use shard::{spawn_mem_pair, ShardStats, ShardStatsSum, ShardedGateway};

@@ -211,6 +211,26 @@ impl ShardStatsSum {
     }
 }
 
+/// Spawn one in-memory cooperative pair for ring shard `shard`: A/B over a
+/// crossbeam link sharing one mem backend, node ids `2*shard` /
+/// `2*shard+1`, block geometry `pages_per_block`, and `tune` applied to
+/// each node's [`NodeConfig`] before spawn.
+pub fn spawn_mem_pair(
+    shard: u16,
+    pages_per_block: u32,
+    tune: impl Fn(&mut NodeConfig),
+) -> (Arc<Node>, Arc<Node>) {
+    let (ta, tb) = mem_pair();
+    let backend = shared_backend(MemBackend::default());
+    let node = |id: u16, link| {
+        let mut cfg = NodeConfig::test_profile(id as u8);
+        cfg.pages_per_block = pages_per_block;
+        tune(&mut cfg);
+        Arc::new(Node::spawn(cfg, link, backend.clone()))
+    };
+    (node(2 * shard, ta), node(2 * shard + 1, tb))
+}
+
 /// A gateway fronting N cooperative pairs, with both nodes of every pair
 /// wired in: the primaries carry traffic, and each secondary doubles as
 /// its shard's failover target (the gateway's circuit breaker flips the
@@ -252,20 +272,9 @@ impl ShardedGateway {
         tune: impl Fn(&mut NodeConfig),
     ) -> ShardedGateway {
         assert!(pairs >= 1, "a cluster needs at least one pair");
-        let mut primaries = Vec::with_capacity(pairs as usize);
-        let mut secondaries = Vec::with_capacity(pairs as usize);
-        for i in 0..pairs {
-            let (ta, tb) = mem_pair();
-            let backend = shared_backend(MemBackend::default());
-            let mut cfg_a = NodeConfig::test_profile((2 * i) as u8);
-            cfg_a.pages_per_block = cfg.pages_per_block;
-            tune(&mut cfg_a);
-            let mut cfg_b = NodeConfig::test_profile((2 * i + 1) as u8);
-            cfg_b.pages_per_block = cfg.pages_per_block;
-            tune(&mut cfg_b);
-            primaries.push(Arc::new(Node::spawn(cfg_a, ta, backend.clone())));
-            secondaries.push(Arc::new(Node::spawn(cfg_b, tb, backend)));
-        }
+        let (primaries, secondaries) = (0..pairs)
+            .map(|i| spawn_mem_pair(i, cfg.pages_per_block, &tune))
+            .unzip();
         let ring = Ring::with_pairs(ring_cfg, pairs);
         ShardedGateway::from_pairs(cfg, ring, primaries, secondaries)
     }
@@ -294,13 +303,6 @@ impl ShardedGateway {
     /// any pair already rebalanced out of the ring).
     pub fn shards(&self) -> u16 {
         self.gateway.shard_nodes().len() as u16
-    }
-
-    /// Attach a new pair as the next shard slot and return its id — the
-    /// first step of a live scale-up. The slot takes no traffic until a
-    /// rebalance installs a ring that includes it (see `fc-rebalance`).
-    pub fn attach_pair(&self, primary: Arc<Node>, secondary: Arc<Node>) -> u16 {
-        self.gateway.attach_shard(primary, Some(secondary))
     }
 
     /// Connect an in-memory client (see [`Gateway::connect_mem`]).

@@ -1,17 +1,21 @@
-//! Gateway-level elastic-membership tests: the dual-ring window mechanics
-//! (attach → begin → migrate → commit) against real mem pairs, the
-//! control-surface error paths, and the flush fast-fail regression (a
-//! dead shard answers `Unavailable` immediately instead of burning the
-//! whole retry deadline).
+//! Gateway-level elastic-membership tests: `add_pair` / `remove_pair` /
+//! `rebalance` against real mem pairs — exact minimal migration at idle,
+//! zero loss under live writes, the refusals that can still happen, a
+//! failed copy resumed by the next call toward the same ring (and refused
+//! by a call toward another) — plus the flush fast-fail regression (a dead
+//! shard answers `Unavailable` immediately instead of burning the whole
+//! retry deadline).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
-use fc_gateway::{ClientError, GatewayConfig, RebalanceError, ShardStatsSum, ShardedGateway};
-use fc_ring::RingConfig;
+use fc_cluster::{MigrateError, PairState};
+use fc_gateway::{
+    spawn_mem_pair, ClientError, GatewayClient, GatewayConfig, RebalanceError, ShardStatsSum,
+    ShardedGateway,
+};
+use fc_ring::{Ring, RingConfig};
 
 const BLOCKS: u64 = 64;
 
@@ -19,240 +23,304 @@ fn page(lpn: u64, tag: u8) -> Bytes {
     Bytes::from(vec![tag, lpn as u8, (lpn >> 8) as u8, 0xFC])
 }
 
-/// Spawn one extra mem pair with node ids `2*shard`/`2*shard+1`, block
-/// geometry matching the gateway config.
-fn spawn_extra_pair(cfg: &GatewayConfig, shard: u16) -> (Arc<Node>, Arc<Node>) {
-    let (ta, tb) = mem_pair();
-    let backend = shared_backend(MemBackend::default());
-    let mut cfg_a = NodeConfig::test_profile((2 * shard) as u8);
-    cfg_a.pages_per_block = cfg.pages_per_block;
-    let mut cfg_b = NodeConfig::test_profile((2 * shard + 1) as u8);
-    cfg_b.pages_per_block = cfg.pages_per_block;
-    (
-        Arc::new(Node::spawn(cfg_a, ta, backend.clone())),
-        Arc::new(Node::spawn(cfg_b, tb, backend)),
-    )
-}
-
-/// The full scale-up path: write across two pairs, attach a third, fence
-/// exactly the occupied moved blocks, migrate in bounded batches under the
-/// dual-ring window, cut over — every acked write stays readable through
-/// the router, moved blocks live on the new pair, and writes issued
-/// *during* the window route per the fence rule.
-#[test]
-fn live_add_pair_migrates_only_moved_blocks_and_loses_nothing() {
-    let cfg = GatewayConfig::test_profile();
-    let sg = ShardedGateway::spawn_mem(cfg.clone(), RingConfig::default(), 2);
-    let old_ring = sg.gateway().ring();
-    let bp = u64::from(old_ring.block_pages());
-
+/// A connected client over a fresh `pairs`-pair mem cluster.
+fn cluster(pairs: u16) -> (ShardedGateway, GatewayClient) {
+    let sg = ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), pairs);
     let mut client = sg.connect_mem_as(7);
     client.hello().expect("hello");
+    (sg, client)
+}
+
+fn write(client: &mut GatewayClient, oracle: &mut HashMap<u64, Bytes>, lpn: u64, tag: u8) {
+    let data = page(lpn, tag);
+    client.write(lpn, vec![data.clone()]).expect("write");
+    oracle.insert(lpn, data);
+}
+
+fn assert_reads(client: &mut GatewayClient, oracle: &HashMap<u64, Bytes>, label: &str) {
+    for (lpn, data) in oracle {
+        assert_eq!(
+            client.read(*lpn, 1).expect("read")[0].as_deref(),
+            Some(&data[..]),
+            "{label}: lpn {lpn} lost"
+        );
+    }
+}
+
+fn assert_sums_match(sg: &ShardedGateway) {
+    if let Err((name, sum, total)) = ShardStatsSum::of(&sg.shard_stats()).matches(&sg.stats()) {
+        panic!("Σ shard.{name} = {sum} != gateway.{name} = {total}");
+    }
+}
+
+/// Occupy every block of a two-pair cluster through `client`, then
+/// `add_pair` a pair whose primary is halted: the first import fails,
+/// leaving the window toward the grown ring open with every mover fenced.
+/// Returns that ring.
+fn failed_add(
+    sg: &ShardedGateway,
+    client: &mut GatewayClient,
+    oracle: &mut HashMap<u64, Bytes>,
+) -> Ring {
+    let bp = sg.gateway().ring().block_pages();
+    for b in 0..BLOCKS {
+        write(client, oracle, b * u64::from(bp), 1);
+    }
+    let (primary, secondary) = spawn_mem_pair(2, bp, |_| {});
+    primary.fail();
+    let err = sg.gateway().add_pair(primary, secondary).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RebalanceError::Copy {
+                to: 2,
+                error: MigrateError::Down,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert!(sg.gateway().rebalance_active());
+    sg.gateway().ring()
+}
+
+/// At idle, `add_pair` moves exactly the occupied blocks whose owner
+/// changes, and each ends up on its new owner only.
+#[test]
+fn add_pair_at_idle_moves_exactly_the_occupied_ring_diff() {
+    let (sg, mut client) = cluster(2);
+    let old = sg.gateway().ring();
+    let bp = u64::from(old.block_pages());
+    let mut oracle = HashMap::new();
+    let occupied: Vec<u64> = (0..BLOCKS).step_by(3).collect();
+    for &b in &occupied {
+        write(&mut client, &mut oracle, b * bp, 1);
+    }
+    let (p, s) = spawn_mem_pair(2, old.block_pages(), |_| {});
+    let report = sg.gateway().add_pair(p, s).expect("add");
+    let new = sg.gateway().ring();
+    let moved: Vec<u64> = old
+        .moved_blocks(&new, BLOCKS)
+        .into_iter()
+        .map(|(b, _, _)| b)
+        .filter(|b| occupied.contains(b))
+        .collect();
+    assert!(!moved.is_empty());
+    assert_eq!(report.moved_blocks, moved.len() as u64);
+    assert_eq!(report.moved_pages, moved.len() as u64);
+    assert_eq!(
+        (report.from_epoch, report.to_epoch),
+        (old.epoch(), new.epoch())
+    );
+    for &b in &moved {
+        assert!(
+            sg.primary(2).read(b * bp).is_some(),
+            "block {b} not on pair 2"
+        );
+        assert!(
+            sg.primary(old.shard_of_block(b)).read(b * bp).is_none(),
+            "block {b} still on its old owner"
+        );
+    }
+    assert_reads(&mut client, &oracle, "post-add");
+    sg.shutdown();
+}
+
+/// The scale-up path under load: `add_pair` runs on another thread while
+/// the client keeps writing; every acked write stays readable through the
+/// router and hosted by its new-ring owner, and the counters agree with
+/// the report.
+#[test]
+fn live_add_pair_migrates_only_moved_blocks_and_loses_nothing() {
+    let (sg, mut client) = cluster(2);
+    let bp = u64::from(sg.gateway().ring().block_pages());
 
     // Occupy the even blocks (two pages each); flush half the space so
     // migration sees both buffer-resident and durable-only pages.
-    let mut oracle: HashMap<u64, Bytes> = HashMap::new();
+    let mut oracle = HashMap::new();
     for block in (0..BLOCKS).step_by(2) {
         for off in 0..2 {
-            let lpn = block * bp + off;
-            let data = page(lpn, 1);
-            client.write(lpn, vec![data.clone()]).expect("write");
-            oracle.insert(lpn, data);
+            write(&mut client, &mut oracle, block * bp + off, 1);
         }
         if block == BLOCKS / 2 {
             client.flush().expect("flush");
         }
     }
 
-    // Attach pair 2 and open the window for the grown ring.
-    let (primary, secondary) = spawn_extra_pair(&cfg, 2);
-    assert_eq!(sg.attach_pair(primary, secondary), 2);
-    assert_eq!(sg.shards(), 3);
-    let mut new_ring = old_ring.clone();
-    new_ring.add_pair(2);
-    let moved = old_ring.moved_blocks(&new_ring, BLOCKS);
-    assert!(!moved.is_empty(), "adding a pair must move some blocks");
-    assert!(moved.iter().all(|&(_, _, to)| to == 2));
-    let occupied: Vec<u64> = moved
-        .iter()
-        .map(|&(b, _, _)| b)
-        .filter(|b| oracle.keys().any(|lpn| lpn / bp == *b))
-        .collect();
-    let plan: Vec<u64> = occupied.clone();
-    assert!(!plan.is_empty());
-    let fenced_set = sg
-        .gateway()
-        .begin_rebalance(new_ring.clone(), plan.clone())
-        .expect("begin");
-    let mut plan_sorted = plan.clone();
-    plan_sorted.sort_unstable();
-    assert_eq!(
-        fenced_set, plan_sorted,
-        "begin's live occupancy scan agrees with the plan when nothing wrote in between"
-    );
-    assert!(sg.gateway().rebalance_active());
-    assert_eq!(sg.gateway().rebalance_pending(), Some(plan.len() as u64));
-    assert_eq!(sg.gateway().ring_epoch(), new_ring.epoch());
-
-    // In-window routing: a write to an *unfenced* owner-changed block
-    // (odd ⇒ unoccupied ⇒ not in the plan) lands directly on the new
-    // pair; a write to a *fenced* block still lands on its old owner.
-    let unfenced = moved
-        .iter()
-        .map(|&(b, _, _)| b)
-        .find(|b| !plan.contains(b))
-        .expect("some moved block is unoccupied");
-    let lpn_new = unfenced * bp;
-    let data_new = page(lpn_new, 2);
-    client
-        .write(lpn_new, vec![data_new.clone()])
-        .expect("write");
-    oracle.insert(lpn_new, data_new);
-    assert!(
-        sg.primary(2).read(lpn_new).is_some(),
-        "unfenced moved block must route to the new owner during the window"
-    );
-    let fenced = plan[0];
-    let from_shard = old_ring.shard_of_block(fenced);
-    let lpn_old = fenced * bp + 3;
-    let data_old = page(lpn_old, 3);
-    client
-        .write(lpn_old, vec![data_old.clone()])
-        .expect("write");
-    oracle.insert(lpn_old, data_old);
-    assert!(
-        sg.primary(from_shard).read(lpn_old).is_some(),
-        "fenced block must keep routing to its old owner until migrated"
-    );
-    assert!(sg.primary(2).read(lpn_old).is_none());
-
-    // Migrate in bounded batches. Node handles are captured up front:
-    // the copy callback runs under the route-table write guard, where
-    // calling back into the router would self-deadlock.
-    let primaries: Vec<Arc<Node>> = (0..3).map(|s| sg.primary(s)).collect();
-    let mut copy = |block: u64, from: u16, to: u16| {
-        let lpns: Vec<u64> = (block * bp..(block + 1) * bp).collect();
-        let entries = primaries[usize::from(from)].try_export_pages(&lpns)?;
-        let n = primaries[usize::from(to)].try_import_pages(&entries)?;
-        primaries[usize::from(from)].try_release_pages(&lpns)?;
-        Ok(n)
-    };
-    let mut moved_pages = 0u64;
-    for chunk in plan.chunks(4) {
-        moved_pages += sg.gateway().migrate_batch(chunk, &mut copy).expect("batch");
-    }
-    assert!(moved_pages > 0);
-    assert_eq!(sg.gateway().rebalance_pending(), Some(0));
-
-    // Cut over and verify: epoch advanced, every acked write readable
-    // through the router, moved blocks hosted by pair 2, counters exact.
-    assert_eq!(
-        sg.gateway().commit_rebalance().expect("commit"),
-        new_ring.epoch()
-    );
+    let (p, s) = spawn_mem_pair(2, bp as u32, |_| {});
+    let report = std::thread::scope(|scope| {
+        let add = scope.spawn(|| sg.gateway().add_pair(p, s));
+        for block in 0..BLOCKS {
+            write(&mut client, &mut oracle, block * bp + 3, 2);
+        }
+        add.join().expect("no panic").expect("add")
+    });
+    assert_eq!(report.from_epoch + 1, report.to_epoch);
+    assert!(report.moved_blocks > 0);
     assert!(!sg.gateway().rebalance_active());
-    for (lpn, data) in &oracle {
-        assert_eq!(
-            client.read(*lpn, 1).expect("read")[0].as_deref(),
-            Some(&data[..]),
-            "lpn {lpn} lost across the rebalance"
-        );
-        let owner = new_ring.shard_of_lpn(*lpn);
+
+    let ring = sg.gateway().ring();
+    assert_reads(&mut client, &oracle, "post-add");
+    for lpn in oracle.keys() {
+        let owner = ring.shard_of_lpn(*lpn);
         assert!(
             sg.primary(owner).read(*lpn).is_some(),
             "lpn {lpn} not hosted by its new-ring owner {owner}"
         );
     }
-    for &block in &plan {
-        let lpn = block * bp;
-        assert!(
-            sg.primary(old_ring.shard_of_block(block))
-                .read(lpn)
-                .is_none(),
-            "block {block} still hosted by its old owner after migration"
-        );
-    }
     let stats = sg.stats();
     assert_eq!(stats.rebalances_started, 1);
     assert_eq!(stats.rebalances_completed, 1);
-    assert_eq!(stats.rebalance_moved_blocks, plan.len() as u64);
-    assert_eq!(stats.rebalance_moved_pages, moved_pages);
-    assert_eq!(stats.rebalance_batches, plan.chunks(4).count() as u64);
-    if let Err((name, sum, total)) = ShardStatsSum::of(&sg.shard_stats()).matches(&stats) {
-        panic!("Σ shard.{name} = {sum} != gateway.{name} = {total}");
-    }
+    assert_eq!(stats.rebalance_moved_blocks, report.moved_blocks);
+    assert_eq!(stats.rebalance_moved_pages, report.moved_pages);
+    assert_eq!(stats.rebalance_batches, report.batches);
+    assert_sums_match(&sg);
     sg.shutdown();
 }
 
-/// Control-surface error paths: stale epochs, double-begin, early commit,
-/// migrating with no window, unknown members.
+/// The refusals that can still happen: a stale epoch and an unattached
+/// member leave the table alone; a failed copy leaves the window open with
+/// its blocks still fenced to, and served by, their old owners.
 #[test]
 fn rebalance_control_surface_rejects_invalid_transitions() {
-    let cfg = GatewayConfig::test_profile();
-    let sg = ShardedGateway::spawn_mem(cfg, RingConfig::default(), 2);
-    let ring = sg.gateway().ring();
-
-    // Same (or older) epoch: refused.
+    let (sg, mut client) = cluster(2);
+    let gw = sg.gateway();
+    let ring = gw.ring();
     assert_eq!(
-        sg.gateway().begin_rebalance(ring.clone(), []),
+        gw.rebalance(ring.clone()),
         Err(RebalanceError::StaleEpoch {
             current: ring.epoch(),
             offered: ring.epoch()
         })
     );
-    // Member without an attached slot: refused.
     let mut unknown = ring.clone();
     unknown.add_pair(9);
-    assert_eq!(
-        sg.gateway().begin_rebalance(unknown, []),
-        Err(RebalanceError::UnknownMember(9))
-    );
-    // No window: migrate and commit are refused.
-    assert!(matches!(
-        sg.gateway().migrate_batch(&[0], |_, _, _| Ok(0)),
-        Err(fc_gateway::MigrateBatchError::State(
-            RebalanceError::NoWindow
-        ))
-    ));
-    assert_eq!(
-        sg.gateway().commit_rebalance(),
-        Err(RebalanceError::NoWindow)
-    );
+    assert_eq!(gw.rebalance(unknown), Err(RebalanceError::UnknownMember(9)));
+    assert!(!gw.rebalance_active());
+    assert_eq!(gw.stats().rebalances_started, 0);
 
-    // Open a remove-pair window fencing one (synthetic) block set.
-    let mut shrunk = ring.clone();
-    shrunk.remove_pair(1);
-    let moved: Vec<u64> = ring
-        .moved_blocks(&shrunk, BLOCKS)
-        .iter()
-        .map(|&(b, _, _)| b)
-        .collect();
-    assert!(!moved.is_empty());
-    sg.gateway()
-        .begin_rebalance(shrunk.clone(), moved.clone())
-        .expect("begin");
-    // Double begin: refused.
-    let mut again = shrunk.clone();
-    again.add_pair(1);
+    let mut oracle = HashMap::new();
+    let target = failed_add(&sg, &mut client, &mut oracle);
+    assert_eq!(gw.ring_epoch(), target.epoch());
+    let moving = ring.moved_blocks(&target, BLOCKS).len() as u64;
+    assert_eq!(gw.rebalance_pending(), Some(moving));
+    assert_reads(&mut client, &oracle, "open window");
+    assert_eq!(gw.stats().rebalances_completed, 0);
+    sg.shutdown();
+}
+
+/// A failed copy, then the next `rebalance` toward the same ring resumes
+/// the window and commits it — with writes acked in between kept.
+#[test]
+fn a_failed_copy_resumes_and_commits_with_zero_acked_write_loss() {
+    let (sg, mut client) = cluster(2);
+    let gw = sg.gateway();
+    let from = gw.ring_epoch();
+    let bp = u64::from(gw.ring().block_pages());
+    let mut oracle = HashMap::new();
+    let target = failed_add(&sg, &mut client, &mut oracle);
+    let fenced = gw.rebalance_pending().expect("window open");
+    sg.primary(2).restart();
+    for b in 0..BLOCKS {
+        write(&mut client, &mut oracle, b * bp + 1, 2);
+    }
+    let report = gw.rebalance(target.clone()).expect("resume");
+    assert_eq!((report.from_epoch, report.to_epoch), (from, target.epoch()));
+    assert_eq!(report.moved_blocks, fenced);
+    assert!(!gw.rebalance_active());
+    assert_reads(&mut client, &oracle, "resumed");
+    let stats = gw.stats();
+    assert_eq!(stats.rebalances_started, 1, "a resume opens no new window");
+    assert_eq!(stats.rebalances_completed, 1);
+    assert_sums_match(&sg);
+    sg.shutdown();
+}
+
+/// Regression: a membership call toward another ring no longer finishes
+/// the open window and reports success. `remove_pair(0)` over an
+/// interrupted add is refused with the table and pair 0 untouched; the
+/// add then resumes and commits.
+#[test]
+fn a_membership_call_never_finishes_another_window() {
+    let (sg, mut client) = cluster(2);
+    let gw = sg.gateway();
+    let mut oracle = HashMap::new();
+    let target = failed_add(&sg, &mut client, &mut oracle);
+    sg.primary(2).restart();
+    let pending = gw.rebalance_pending();
+
+    assert_eq!(gw.remove_pair(0), Err(RebalanceError::WindowOpen));
+    assert_eq!(gw.ring(), target);
+    assert_eq!(gw.rebalance_pending(), pending);
+    for node in [sg.primary(0), sg.secondary(0)] {
+        assert_eq!(node.lifecycle_state(), PairState::Paired, "pair 0 drained");
+    }
+
+    let report = gw.rebalance(gw.ring()).expect("resume the add");
+    assert_eq!(report.from_epoch + 1, report.to_epoch);
+    assert_eq!(report.to_epoch, target.epoch());
+    assert_eq!(gw.ring().members(), [0, 1, 2]);
+    assert_reads(&mut client, &oracle, "after the add");
+    sg.shutdown();
+}
+
+#[test]
+fn add_then_remove_round_trip_keeps_every_acked_write() {
+    let (sg, mut client) = cluster(2);
+    let ring0 = sg.gateway().ring();
+    let bp = u64::from(ring0.block_pages());
+    let mut oracle = HashMap::new();
+    for b in 0..BLOCKS {
+        write(&mut client, &mut oracle, b * bp + (b % bp), 1);
+    }
+    client.flush().unwrap();
+
+    let (p2, s2) = spawn_mem_pair(2, ring0.block_pages(), |_| {});
+    let up = sg.gateway().add_pair(p2, s2).expect("scale up");
+    assert_eq!(up.from_epoch + 1, up.to_epoch);
+    assert!(up.moved_blocks > 0);
+    assert_eq!(sg.gateway().ring().pairs(), &[0, 1, 2]);
+
+    let down = sg.gateway().remove_pair(2).expect("scale down");
+    assert_eq!(down.to_epoch, up.to_epoch + 1);
     assert_eq!(
-        sg.gateway().begin_rebalance(again, []),
-        Err(RebalanceError::WindowOpen)
+        down.moved_blocks, up.moved_blocks,
+        "removing the pair must move back exactly what moved in"
     );
-    // Early commit: refused while blocks are fenced.
+    assert_eq!(sg.gateway().ring().pairs(), &[0, 1]);
+    assert_reads(&mut client, &oracle, "round trip");
+    // The round trip restored the original assignment: nothing is left
+    // hosted on the retired pair.
+    assert!(
+        oracle.keys().all(|&lpn| sg.primary(2).read(lpn).is_none()),
+        "retired pair still hosts data"
+    );
+    sg.shutdown();
+}
+
+#[test]
+fn refuses_degraded_sources_and_bad_victims() {
+    let (sg, _client) = cluster(2);
+    let gw = sg.gateway();
+    let ring = gw.ring();
+    assert_eq!(gw.remove_pair(7), Err(RebalanceError::NotAMember(7)));
+    sg.primary(1).fail();
+    let (p2, s2) = spawn_mem_pair(2, ring.block_pages(), |_| {});
+    assert_eq!(gw.add_pair(p2, s2), Err(RebalanceError::SourceDegraded(1)));
     assert_eq!(
-        sg.gateway().commit_rebalance(),
-        Err(RebalanceError::PendingBlocks(moved.len() as u64))
+        gw.ring(),
+        ring,
+        "refused under the guard: nothing installed"
     );
-    // A failing copy leaves the rest fenced and the window open.
-    let boom = sg
-        .gateway()
-        .migrate_batch(&moved, |_, _, _| Err(fc_cluster::MigrateError::Down));
-    assert!(matches!(
-        boom,
-        Err(fc_gateway::MigrateBatchError::Copy { .. })
-    ));
-    assert_eq!(sg.gateway().rebalance_pending(), Some(moved.len() as u64));
-    assert!(sg.gateway().rebalance_active());
+    assert!(!gw.rebalance_active());
+    sg.primary(1).restart();
+    sg.shutdown();
+}
+
+#[test]
+fn refuses_to_remove_the_last_pair() {
+    let (sg, _client) = cluster(1);
+    assert_eq!(sg.gateway().remove_pair(0), Err(RebalanceError::LastPair));
     sg.shutdown();
 }
 
@@ -344,8 +412,8 @@ fn attach_pair_keeps_existing_shard_latency_samples() {
     let before = sg.shard_stats();
     assert!(before.iter().all(|s| s.latency_samples > 0 && s.ops > 0));
 
-    let (primary, secondary) = spawn_extra_pair(&cfg, 2);
-    assert_eq!(sg.attach_pair(primary, secondary), 2);
+    let (primary, secondary) = spawn_mem_pair(2, cfg.pages_per_block, |_| {});
+    assert_eq!(sg.gateway().attach_shard(primary, Some(secondary)), 2);
 
     let after = sg.shard_stats();
     assert_eq!(after.len(), 3);

@@ -4,12 +4,12 @@
 //! state digest is bit-identical to a static 4-pair run of the same
 //! workload.
 //!
-//! Under the hood each membership change is an epoch-fenced rebalance
-//! (`fc-rebalance`): the coordinator plans the minimal moved-block set,
-//! the gateway opens a dual-ring window (fenced blocks keep routing to
-//! their old owner until migrated; fresh blocks go straight to the new
-//! one), pages stream pair-to-pair in bounded batches, and the cut-over
-//! retires the old epoch. See DESIGN.md §15.
+//! Under the hood each membership change is one gateway call
+//! (`Gateway::add_pair` / `remove_pair`, both `Gateway::rebalance`): it
+//! opens a dual-ring window fencing the occupied blocks whose owner changes
+//! (they keep routing to their old owner until migrated; fresh blocks go
+//! straight to the new one), streams their pages pair-to-pair in bounded
+//! batches, and the cut-over retires the old epoch. See DESIGN.md §15.
 //!
 //! ```text
 //! cargo run --release --example elastic_scale

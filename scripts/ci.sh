@@ -50,12 +50,14 @@ if [ "$(for f in $(find crates/cluster/src -name '*.rs'); do code "$f"; done \
   exit 1
 fi
 
-echo "==> gateway layout guard: two locks, each behind one module"
+echo "==> gateway layout guard: two locks, each behind one module; one membership entry"
 # DESIGN §12: route table -> shard health is the gateway's whole lock order.
 # Only failover.rs touches a shard's health lock or names the replica /
-# breaker states (health.rs defines them); only mod.rs's four attach /
-# rebalance entry points take the route table's write half; RouteTable's
-# fields are private; sessions know neither the table nor shard health.
+# breaker states (health.rs defines them); only mod.rs's attach_shard and
+# rebalance take the route table's write half; RouteTable's fields are
+# private; sessions know neither the table nor shard health. DESIGN §15:
+# membership change is Gateway::rebalance alone — only route.rs moves pages
+# between pairs, and there is no second coordinator crate.
 gw=crates/gateway/src/gateway
 for f in $(find crates/gateway/src -name '*.rs'); do
   case "$f" in */failover.rs | */health.rs) continue ;; esac
@@ -70,7 +72,18 @@ for f in $(find crates/gateway/src -name '*.rs'); do
   fi
 done
 if [ "$(code "$gw/mod.rs" | grep -c 'routes\.write()')" -ne 4 ]; then
-  echo "gateway/mod.rs: routes.write() belongs to attach_shard, begin_rebalance, migrate_batch and commit_rebalance, once each" >&2
+  echo "gateway/mod.rs: routes.write() belongs to attach_shard, then rebalance's begin, per-batch migrate and commit, once each" >&2
+  exit 1
+fi
+for f in $(find crates src examples -name '*.rs' -not -path 'crates/cluster/*' -not -path '*/tests/*'); do
+  case "$f" in */gateway/route.rs) continue ;; esac
+  if code "$f" | grep -nE 'try_(export|import|release)_pages'; then
+    echo "$f: pages move between pairs in gateway/route.rs only (RouteTable::migrate)" >&2
+    exit 1
+  fi
+done
+if grep -n 'fc-rebalance' Cargo.toml; then
+  echo "Cargo.toml: membership change is Gateway::rebalance; there is no fc-rebalance crate" >&2
   exit 1
 fi
 if code "$gw/route.rs" | sed -n '/^pub(crate) struct RouteTable {/,/^}/p' | grep -nE '^[[:space:]]+pub'; then

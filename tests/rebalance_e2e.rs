@@ -10,22 +10,18 @@
 //!    changes.
 //! 2. **Zero acked-write loss** — after the add and after the remove, a
 //!    full routed sweep of the lpn space equals the oracle exactly.
-//! 3. **Minimal migration** — the coordinator's plan, computed at a
-//!    client-idle instant, is exactly the ring diff restricted to
-//!    occupied blocks; what actually migrates is that plan plus whatever
-//!    the workload wrote onto owner-changed blocks before the window
-//!    opened (never less).
-//! 4. **Counter-sum identity** — Σ `gateway.shard.*` equals the
+//! 3. **Counter-sum identity** — Σ `gateway.shard.*` equals the
 //!    aggregate `gateway.*` counters at every phase boundary, across
 //!    attach and retire.
+//!
+//! (Exact minimality — the moved set is the occupied ring diff — is
+//! checked at idle by `crates/gateway/tests/rebalance.rs`.)
 
-use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use fc_bench::loadgen::payload;
-use fc_gateway::{GatewayClient, GatewayConfig, ShardStatsSum, ShardedGateway};
-use fc_rebalance::RebalanceConfig;
+use fc_gateway::{spawn_mem_pair, GatewayClient, GatewayConfig, ShardStatsSum, ShardedGateway};
 use fc_ring::RingConfig;
 use fc_simkit::DetRng;
 
@@ -109,59 +105,36 @@ fn run_one(seed: u64) {
     let sg =
         ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), SHARDS);
     let ring0 = sg.gateway().ring();
-    let bp = u64::from(ring0.block_pages());
     let mut client = sg.connect_mem_as(1);
     client.hello().expect("hello");
     let mut oracle: HashMap<u64, Bytes> = HashMap::new();
     let mut rng = DetRng::new(seed);
-    let cfg = RebalanceConfig {
-        batch_blocks: 4,
-        inter_batch_pause: Duration::from_micros(50),
-    };
 
     // Phase 1 — steady state on three pairs.
     drive(&mut client, &mut oracle, &mut rng, 1, "pre-scale");
     assert_sums_match(&sg, "pre-scale");
 
-    // Phase 2 — live add. The plan is computed at a client-idle instant so
-    // its minimality is exact: the ring diff restricted to occupied blocks.
-    let (p3, s3) = fc_rebalance::spawn_mem_pair(SHARDS, ring0.block_pages());
-    let new_shard = sg.attach_pair(p3, s3);
-    assert_eq!(new_shard, SHARDS);
-    let mut grown = ring0.clone();
-    grown.add_pair(new_shard);
-    let plan = fc_rebalance::plan(&sg, &grown).expect("plan");
-    let occupied: HashSet<u64> = oracle.keys().map(|l| l / bp).collect();
-    let expect: Vec<(u64, u16, u16)> = ring0
-        .moved_blocks(&grown, SPACE / bp)
-        .into_iter()
-        .filter(|&(b, _, _)| occupied.contains(&b))
-        .collect();
-    assert_eq!(
-        plan.moves, expect,
-        "seed {seed}: plan must be exactly the occupied ring diff"
-    );
-    // Execute on a background thread while the workload keeps running.
+    // Phase 2 — live add on a background thread while the workload keeps
+    // running.
+    let (p3, s3) = spawn_mem_pair(SHARDS, ring0.block_pages(), |_| {});
     let report = std::thread::scope(|scope| {
-        let migration = scope.spawn(|| fc_rebalance::execute(&sg, &plan, &cfg));
+        let migration = scope.spawn(|| sg.gateway().add_pair(p3, s3));
         drive(&mut client, &mut oracle, &mut rng, 2, "during-add");
         migration.join().expect("no panic").expect("scale up")
     });
+    let new_shard = SHARDS;
+    let mut grown = ring0.clone();
+    grown.add_pair(new_shard);
+    assert_eq!(sg.gateway().ring(), grown, "seed {seed}");
     assert_eq!(report.from_epoch, ring0.epoch());
     assert_eq!(report.to_epoch, grown.epoch());
-    assert_eq!(report.planned_blocks, plan.moves.len() as u64);
-    assert!(
-        report.moved_blocks >= report.planned_blocks,
-        "seed {seed}: the begin-time fence can only grow the plan"
-    );
-    assert_eq!(sg.gateway().ring_epoch(), grown.epoch());
     assert!(!sg.gateway().rebalance_active());
     assert_state_matches(&sg, &oracle, "post-add");
     assert_sums_match(&sg, "post-add");
 
     // Phase 3 — live remove of the pair just added, same shape.
     let report = std::thread::scope(|scope| {
-        let migration = scope.spawn(|| fc_rebalance::remove_pair(&sg, new_shard, &cfg));
+        let migration = scope.spawn(|| sg.gateway().remove_pair(new_shard));
         drive(&mut client, &mut oracle, &mut rng, 3, "during-remove");
         migration.join().expect("no panic").expect("scale down")
     });
