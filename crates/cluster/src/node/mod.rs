@@ -44,7 +44,8 @@
 //!
 //! # Modules, locks and who may send
 //!
-//! The lock order is `Inner` → pipe state, and `Inner` → backend; the leaves
+//! The lock order is link slot → `Inner` → pipe state, and `Inner` →
+//! backend; the slot is taken only with no node lock held, the leaves
 //! (backend, the parked-calls list) never nest, counting takes no lock at
 //! all (`NodeObs` is plain cells), and no code holding `Inner` sends. The
 //! file layout is that rule (`scripts/ci.sh` greps that it stays so):
@@ -52,10 +53,10 @@
 //! | module | owns | may lock | sends? |
 //! |---|---|---|---|
 //! | `mod` | [`Node`]: spawn, reads, trim/flush, fail/restart/shutdown | `Inner`, then leaves | Discards, after the guard drops (`under_inner`) |
-//! | `write` | the group write path, the exactly-once window | `Inner`, then leaves | Discards; frames via `ReplPipe::submit` |
+//! | `write` | the group write path, the exactly-once window, the ticket wait that reads the link | the link slot; `Inner`, then leaves | Discards; frames via `ReplPipe::submit`; replies via `pump::read_one` |
 //! | `recover` | recovery handshake, scrub | `Inner`, then leaves; parked calls | its own requests |
 //! | `migrate` | export / import / fence-out hooks | `Inner`, then leaves | Discards |
-//! | `pump` | the background thread, frame dispatch | `Inner`, parked calls, the pipe's | heartbeats and every reply |
+//! | `pump` | the link slot and `read_one` (the only receive), frame dispatch, the background thread | the link slot, then `Inner`, parked calls, the pipe's | heartbeats and every reply |
 //! | `state` | `Inner`: version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never |
 //! | `recv` | `Inner`'s receive handlers and timer tick | (holds `Inner`) leaves | never — returns the reply |
 //! | `resync` | journal + resync run | (holds `Inner`) — | never — returns the pages |
@@ -87,12 +88,14 @@ use crate::wire::{crc32, Message};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use fc_obs::Obs;
+use fc_simkit::SimTime;
 use flashcoop::PairState;
 use parking_lot::Mutex;
 use state::{Inner, Resident};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// A backend shared between node incarnations (it is the durable medium, so
 /// it must survive a node crash/restart in tests and demos).
@@ -119,6 +122,10 @@ struct Core {
     /// Recovery and scrub calls parked on a reply from the peer (leaf
     /// lock).
     parked: Mutex<Vec<Sender<Message>>>,
+    /// The link's receive side: whoever holds it reads and dispatches.
+    link: pump::LinkSlot,
+    /// Spawn time, the zero of [`Core::now`].
+    started: Instant,
     shutdown: AtomicBool,
     /// Crash-fault injection ([`Node::fail`] / [`Node::restart`]): while
     /// set, the pump neither heartbeats nor processes messages, and the
@@ -126,9 +133,17 @@ struct Core {
     halted: AtomicBool,
 }
 
+impl Core {
+    /// The node's one clock, so heartbeats and the failure detector read
+    /// the same time whichever thread reads the link.
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
+    }
+}
+
 /// A live FlashCoop node: one background pump thread and a synchronous
-/// API. Replication frames are sent by the writers themselves and resolved
-/// by the pump (DESIGN §16).
+/// API. Replication frames are sent by the writers themselves, and a writer
+/// waiting for its ack reads it off the link itself (DESIGN §16).
 pub struct Node {
     core: Arc<Core>,
     pump: Option<JoinHandle<()>>,
@@ -153,6 +168,8 @@ impl Node {
             pipe,
             obs,
             parked: Mutex::default(),
+            link: pump::LinkSlot::default(),
+            started: Instant::now(),
             shutdown: AtomicBool::new(false),
             halted: AtomicBool::new(false),
             cfg,
@@ -549,8 +566,9 @@ mod testkit {
     pub(crate) use bytes::Bytes;
     pub(crate) use fc_obs::Obs;
     pub(crate) use flashcoop::{PairState, RetryPolicy};
+    pub(crate) use parking_lot::Mutex;
     pub(crate) use std::collections::HashMap;
-    pub(crate) use std::sync::atomic::AtomicBool;
+    pub(crate) use std::sync::atomic::{AtomicBool, Ordering};
     pub(crate) use std::sync::Arc;
     pub(crate) use std::time::{Duration, Instant};
 
@@ -596,6 +614,100 @@ mod testkit {
             Duration::from_secs(2)
         ));
         (a, b)
+    }
+
+    /// One frame event on a [`Tap`]ped link.
+    #[derive(Clone, Debug)]
+    pub(crate) struct Tapped {
+        /// When the send or the receive call began.
+        pub(crate) at: Instant,
+        /// The name of the thread that made the call.
+        pub(crate) thread: String,
+        pub(crate) sent: bool,
+        /// `None`: a receive that timed out.
+        pub(crate) msg: Option<Message>,
+        /// The tap's flag was up when the call returned.
+        pub(crate) flagged: bool,
+    }
+
+    /// A mem link that logs every send and every receive call with the
+    /// thread that made it.
+    pub(crate) struct Tap {
+        link: MemTransport,
+        log: Mutex<Vec<Tapped>>,
+        pub(crate) flag: AtomicBool,
+    }
+
+    impl Tap {
+        pub(crate) fn new(link: MemTransport) -> Arc<Tap> {
+            Arc::new(Tap {
+                link,
+                log: Mutex::default(),
+                flag: AtomicBool::new(false),
+            })
+        }
+
+        pub(crate) fn log(&self) -> Vec<Tapped> {
+            self.log.lock().clone()
+        }
+
+        fn record(&self, at: Instant, sent: bool, msg: Option<Message>) {
+            let thread = std::thread::current().name().unwrap_or("?").to_string();
+            let flagged = self.flag.load(Ordering::SeqCst);
+            self.log.lock().push(Tapped {
+                at,
+                thread,
+                sent,
+                msg,
+                flagged,
+            });
+        }
+    }
+
+    impl Transport for Tap {
+        fn send(&self, msg: Message) -> Result<(), TransportError> {
+            self.record(Instant::now(), true, Some(msg.clone()));
+            self.link.send(msg)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
+            let at = Instant::now();
+            let got = self.link.recv_timeout(timeout);
+            self.record(at, false, got.clone().ok().flatten());
+            got
+        }
+        fn is_connected(&self) -> bool {
+            self.link.is_connected()
+        }
+    }
+
+    /// A pair over tapped links, each built from `cfg` with its own id.
+    pub(crate) fn tapped_pair(cfg: NodeConfig) -> (Node, Node, Arc<Tap>, Arc<Tap>) {
+        let (ta, tb) = mem_pair();
+        let (tap_a, tap_b) = (Tap::new(ta), Tap::new(tb));
+        let a = Node::spawn(
+            cfg.clone(),
+            tap_a.clone(),
+            shared_backend(MemBackend::new()),
+        );
+        let b = Node::spawn(
+            NodeConfig { id: 1, ..cfg },
+            tap_b.clone(),
+            shared_backend(MemBackend::new()),
+        );
+        (a, b, tap_a, tap_b)
+    }
+
+    /// A node thread named `name`, running `f` on `node`.
+    pub(crate) fn named<T: Send + 'static>(
+        name: &str,
+        node: &Arc<Node>,
+        f: impl FnOnce(&Node) -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        let node = node.clone();
+        std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || f(&node))
+            .expect("spawn test thread")
     }
 
     pub(crate) fn both_paired(a: &Node, b: &Node) -> bool {
@@ -799,35 +911,12 @@ mod tests {
         b.shutdown();
     }
 
-    /// Records the page lists of the Discard frames a node sends.
-    struct DiscardTap(MemTransport, DiscardLog);
-    type DiscardLog = Arc<Mutex<Vec<Vec<(u64, u64)>>>>;
-
-    impl Transport for DiscardTap {
-        fn send(&self, msg: Message) -> Result<(), TransportError> {
-            if let Message::Discard { pages, .. } = &msg {
-                self.1.lock().push(pages.clone());
-            }
-            self.0.send(msg)
-        }
-        fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-            self.0.recv_timeout(timeout)
-        }
-        fn is_connected(&self) -> bool {
-            self.0.is_connected()
-        }
-    }
-
     #[test]
     fn delete_removes_page_everywhere() {
         let (ta, tb) = mem_pair();
         let ba = shared_backend(MemBackend::new());
-        let discards = Arc::new(Mutex::new(Vec::new()));
-        let a = Node::spawn(
-            NodeConfig::test_profile(0),
-            DiscardTap(ta, discards.clone()),
-            ba.clone(),
-        );
+        let tap = Tap::new(ta);
+        let a = Node::spawn(NodeConfig::test_profile(0), tap.clone(), ba.clone());
         let b = Node::spawn(
             NodeConfig::test_profile(1),
             tb,
@@ -842,7 +931,7 @@ mod tests {
             || b.hosted_remote_pages() == vec![5],
             Duration::from_millis(500)
         ));
-        discards.lock().clear();
+        let mark = tap.log().len();
         a.try_delete_run(7, 3, 4).unwrap();
         for lpn in 3..7u64 {
             assert_eq!(a.read(lpn), None);
@@ -856,7 +945,13 @@ mod tests {
             .collect();
         assert_eq!(trims, vec![(0, 0), (7, 4)], "trims count pages");
         // The whole run went to the peer as one version-bounded Discard.
-        let sent = discards.lock().clone();
+        let sent: Vec<Vec<(u64, u64)>> = tap.log()[mark..]
+            .iter()
+            .filter_map(|e| match &e.msg {
+                Some(Message::Discard { pages, .. }) if e.sent => Some(pages.clone()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(sent.len(), 1, "{sent:?}");
         assert_eq!(
             sent[0].iter().map(|(lpn, _)| *lpn).collect::<Vec<_>>(),

@@ -23,8 +23,7 @@ impl Node {
         self.core.transport.send(request)?;
         let deadline = Instant::now() + timeout;
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let reply = rx.recv_timeout(left).map_err(|e| match e {
+            let reply = rx.recv_deadline(deadline).map_err(|e| match e {
                 RecvTimeoutError::Timeout => TransportError::Timeout,
                 RecvTimeoutError::Disconnected => TransportError::Disconnected,
             })?;

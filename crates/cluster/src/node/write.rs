@@ -1,11 +1,11 @@
 //! The write path: a group of runs is enqueued run by run under `Inner`,
 //! submitted to the replication pipe in one call, waited for once and
 //! committed run by run (DESIGN §16), with the per-client exactly-once
-//! window in front. No lock is held across the pipe submission or the
-//! ticket wait.
+//! window in front. No node lock is held across the pipe submission or the
+//! ticket wait, in which the writer reads its own ack off the link.
 
 use super::state::Resident;
-use super::{Node, NodeDown, PerClientStats, RunOutcome, WriteOutcome};
+use super::{pump, Node, NodeDown, PerClientStats, RunOutcome, WriteOutcome};
 #[cfg(doc)]
 use super::{NodeConfig, NodeStats};
 use crate::pipe::{PageOutcome, PipePage, RunTicket};
@@ -308,7 +308,7 @@ impl Node {
     /// of it. Each run is enqueued under its own `Inner` acquisition; then
     /// every run's pages enter the pipe in **one** submission, so the pipe
     /// cuts frames across run boundaries (a 20-page and a 12-page run leave
-    /// as one 32-page frame and come back as one ack), the writer parks on
+    /// as one 32-page frame and come back as one ack), the writer waits on
     /// one ticket, and each run commits by itself. One outcome per run, in
     /// order.
     fn write_group(&self, client: Option<u64>, runs: Vec<(u64, Vec<Bytes>)>) -> Vec<RunOutcome> {
@@ -326,13 +326,33 @@ impl Node {
         if !pipe_pages.is_empty() {
             self.core.pipe.submit(pipe_pages);
         }
-        ticket.wait();
+        self.await_ticket(&ticket);
         enqueued
             .into_iter()
             .map(|(through, base, pipelined)| {
                 self.commit_run(client, through, pipelined, &ticket, base)
             })
             .collect()
+    }
+
+    /// Wait for `ticket` to resolve, reading the pair link meanwhile: the
+    /// ack that resolves it is dispatched on this thread, not by a pump that
+    /// then has to wake it. A writer that finds the link taken parks until
+    /// its ticket resolves or the link is handed to it; a halted node's
+    /// writers read nothing and wait for `fail`'s pipe reset. A ticket
+    /// resolved by another thread (`fail`, solo entry, the pump abandoning
+    /// the window) while this one is inside a receive is noticed when that
+    /// receive times out.
+    fn await_ticket(&self, ticket: &Arc<RunTicket>) {
+        let core = &*self.core;
+        while !ticket.is_done() {
+            if !self.is_halted() && core.link.take(ticket) {
+                let _ = pump::read_one(core, pump::wait(core));
+            } else {
+                std::thread::park();
+            }
+        }
+        core.link.release();
     }
 
     /// Commit one run of a resolved group: `through` of its pages were
@@ -821,6 +841,49 @@ mod tests {
             assert_eq!(a.try_write_run(1, 11, 4, &pages[4..]).unwrap(), out[1]);
             a.shutdown();
             b.shutdown();
+        }
+    }
+
+    #[test]
+    fn link_slot_peer_batches_acked_by_writers_both_ways() {
+        let (a, b, tap_a, tap_b) = tapped_pair(NodeConfig::test_profile(0));
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        let write = |base: u64| {
+            move |n: &Node| {
+                for i in 0..200u64 {
+                    assert_eq!(n.write(base + i % 32, b"page"), WriteOutcome::Replicated);
+                }
+            }
+        };
+        let wa = named("a-writer", &a, write(0));
+        let wb = named("b-writer", &b, write(100));
+        wa.join().unwrap();
+        wb.join().unwrap();
+        for n in [&a, &b] {
+            let s = n.stats();
+            assert_eq!((s.replicated_pages, s.repl.retries), (200, 0), "{s:?}");
+        }
+        // Each node hosts the other's pages, and acked some of them while
+        // one of its own writers held the link.
+        assert_eq!(a.hosted_remote_pages(), (100..132).collect::<Vec<u64>>());
+        assert_eq!(b.hosted_remote_pages(), (0..32).collect::<Vec<u64>>());
+        for (tap, writer) in [(tap_a, "a-writer"), (tap_b, "b-writer")] {
+            let answered = tap
+                .log()
+                .iter()
+                .filter(|e| {
+                    e.thread == writer
+                        && !e.sent
+                        && matches!(e.msg, Some(Message::WriteReplBatch { .. }))
+                })
+                .count();
+            assert!(answered > 0, "{writer} read no peer batch");
+        }
+        for n in [a, b] {
+            Arc::try_unwrap(n)
+                .ok()
+                .expect("writers released node")
+                .shutdown();
         }
     }
 

@@ -30,8 +30,7 @@ pub(crate) enum PageOutcome {
 }
 
 /// One submission's completion — a writer's group of runs, or the pump's
-/// resync batch: the submitter parks on it once, whoever resolves its last
-/// page unparks it.
+/// resync batch: whoever resolves its last page unparks the submitter.
 pub(crate) struct RunTicket {
     /// One outcome per pipelined page, [`PageOutcome::Failed`] until
     /// resolved — so a page dropped unresolved (closed or abandoned pipe)
@@ -62,11 +61,9 @@ impl RunTicket {
         self.remaining.load(Ordering::Acquire) == 0
     }
 
-    /// Park until every page is resolved or dropped.
-    pub(crate) fn wait(&self) {
-        while !self.is_done() {
-            std::thread::park();
-        }
+    /// The submitting thread, unparked when the last page resolves.
+    pub(crate) fn writer(&self) -> &Thread {
+        &self.writer
     }
 
     pub(crate) fn outcome(&self, slot: usize) -> PageOutcome {
@@ -171,7 +168,8 @@ impl PipeState {
 /// so the receiver dedups late deliveries), and writers resolve on
 /// cumulative acks. It has no thread of its own: the state sits behind one
 /// mutex and is stepped by whoever holds the event — a writer submitting
-/// its run, the pump on an ack, a NACK or its timer tick.
+/// its run, the link's reader (a waiting writer or the pump) on an ack or a
+/// NACK, the pump on its timer tick.
 ///
 /// Lock order: `Inner` → `state`, and `state` is a leaf. Nothing here takes
 /// `Inner` or the backend, and `state` is never held across a transport
@@ -317,7 +315,7 @@ impl ReplPipe {
         }
         if !acked.is_empty() {
             // Emit the span *before* resolving the waiters: a writer
-            // unparked by its ticket may immediately snapshot the event
+            // released by its ticket may immediately snapshot the event
             // ring and must see this ack.
             self.obs.note("repl_batch_ack", |e| {
                 e.u64_field("up_to", up_to)
@@ -372,8 +370,8 @@ impl ReplPipe {
     /// The pump's timer tick: retransmit the oldest unacked batch if its
     /// deadline passed (selective repeat: later batches stay put, the
     /// receiver stashes them), or abandon the window once its retries are
-    /// spent. Returns the next deadline, if a batch is in flight.
-    pub(crate) fn tick(&self) -> Option<Instant> {
+    /// spent.
+    pub(crate) fn tick(&self) {
         let mut st = self.state.lock();
         if let Some(b) = st.window.front() {
             if Instant::now() >= self.due_at(b) {
@@ -382,9 +380,15 @@ impl ReplPipe {
                 } else {
                     self.resend(&mut st, 0, "ack_timeout");
                 }
-                st = self.step(st);
+                drop(self.step(st));
             }
         }
+    }
+
+    /// The oldest in-flight batch's retransmit deadline, if a batch is in
+    /// flight.
+    pub(crate) fn due(&self) -> Option<Instant> {
+        let st = self.state.lock();
         st.window.front().map(|b| self.due_at(b))
     }
 

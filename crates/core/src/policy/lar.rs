@@ -40,6 +40,9 @@ fn key(lbn: u64, b: &LarBlock) -> Key {
 pub struct LarDirectory {
     blocks: HashMap<u64, LarBlock>,
     index: BTreeSet<Key>,
+    /// The `index` keys of the blocks holding dirty pages, so the
+    /// clustering pass's victim is a lookup, not a walk past clean blocks.
+    dirty: BTreeSet<Key>,
     /// Ablation switch: ignore the dirty-count tie-break (pure popularity).
     popularity_only: bool,
 }
@@ -113,10 +116,7 @@ impl LarDirectory {
     /// Like [`LarDirectory::victim`] but only blocks holding dirty pages
     /// (used by the clustering pass, which gathers dirty tails).
     pub fn dirty_victim(&self) -> Option<u64> {
-        self.index
-            .iter()
-            .map(|&(_, _, lbn)| lbn)
-            .find(|lbn| self.blocks.get(lbn).map(|b| b.dirty > 0).unwrap_or(false))
+        self.dirty.first().map(|&(_, _, lbn)| lbn)
     }
 
     /// Remove a block entirely (after eviction).
@@ -124,6 +124,7 @@ impl LarDirectory {
         let b = self.blocks.remove(&lbn)?;
         let k = self.key_of(lbn, &b);
         self.index.remove(&k);
+        self.dirty.remove(&k);
         Some(b)
     }
 
@@ -142,8 +143,14 @@ impl LarDirectory {
         let new = key_fn(lbn, entry);
         if old != new {
             self.index.remove(&old);
+            self.dirty.remove(&old);
         }
         self.index.insert(new);
+        if entry.dirty > 0 {
+            self.dirty.insert(new);
+        } else {
+            self.dirty.remove(&new);
+        }
     }
 }
 
@@ -221,6 +228,48 @@ mod tests {
         d.on_block_access(2);
         assert_eq!(d.victim(), Some(1));
         assert_eq!(d.dirty_victim(), Some(2));
+    }
+
+    mod dirty_index_prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The walk `dirty_victim` used to make: the first block in
+        /// eviction order that holds a dirty page.
+        fn scan(d: &LarDirectory) -> Option<u64> {
+            d.index
+                .iter()
+                .map(|&(_, _, lbn)| lbn)
+                .find(|lbn| d.blocks[lbn].dirty > 0)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            /// Over any access / adjust / remove sequence, with and without
+            /// the dirty-count tie-break, the dirty index answers what the
+            /// walk does.
+            #[test]
+            fn dirty_victim_equals_the_scan(
+                popularity_only in prop::bool::ANY,
+                ops in prop::collection::vec((0u8..3, 0u64..12, -3i64..4, -3i64..4), 1..200),
+            ) {
+                let mut d = if popularity_only {
+                    LarDirectory::popularity_only()
+                } else {
+                    LarDirectory::new()
+                };
+                for (op, lbn, d_resident, d_dirty) in ops {
+                    match op {
+                        0 => d.on_block_access(lbn),
+                        1 => d.adjust(lbn, d_resident, d_dirty),
+                        _ => {
+                            d.remove(lbn);
+                        }
+                    }
+                    prop_assert_eq!(d.dirty_victim(), scan(&d));
+                }
+            }
+        }
     }
 
     #[test]

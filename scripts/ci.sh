@@ -22,6 +22,15 @@ for f in state hosted resync recv; do
     exit 1
   fi
 done
+# DESIGN §16: the pair link is read by whoever holds its slot, and only
+# through pump.rs's read_one — a second receive would race the holder.
+for f in crates/cluster/src/node/*.rs; do
+  case "$f" in */pump.rs) continue ;; esac
+  if code "$f" | grep -n 'recv_timeout('; then
+    echo "$f: only node/pump.rs receives from the link (read_one, under the link slot)" >&2
+    exit 1
+  fi
+done
 if code crates/cluster/src/pipe.rs | grep -nw 'Inner'; then
   echo "pipe.rs must not name the node's Inner" >&2
   exit 1
@@ -114,9 +123,10 @@ cargo test --release -q --offline --test pipeline_stress --test chaos_replicatio
 # Same reason, plus the one `unsafe` block: the carry-less-multiply crc32
 # against its bit-wise definition, and the node's group write / run read
 # (several runs, one pipe submission, one ticket) as the optimizer builds them;
-# and the node's counter cells, bumped by writers and the pump with no lock
-# between them, against `Node::stats` after a mixed run.
-cargo test --release -q --offline -p fc-cluster --lib -- crc32 group_write read_run registry_equals_stats
+# the node's counter cells, bumped by writers and the pump with no lock
+# between them, against `Node::stats` after a mixed run; and the link slot's
+# hand-offs between writers and the pump.
+cargo test --release -q --offline -p fc-cluster --lib -- crc32 group_write read_run registry_equals_stats link_slot
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings

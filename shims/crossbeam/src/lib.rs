@@ -75,7 +75,11 @@ pub mod channel {
     impl<T> Receiver<T> {
         /// Wait up to `timeout` for a message.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            self.recv_deadline(Instant::now() + timeout)
+        }
+
+        /// Wait until `deadline` for a message.
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
             let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(v) = q.pop_front() {
