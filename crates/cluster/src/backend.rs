@@ -44,7 +44,6 @@ pub trait StorageBackend: Send {
 #[derive(Debug, Default)]
 pub struct MemBackend {
     pages: HashMap<u64, (u64, Vec<u8>)>,
-    writes: u64,
 }
 
 impl MemBackend {
@@ -52,16 +51,10 @@ impl MemBackend {
     pub fn new() -> Self {
         MemBackend::default()
     }
-
-    /// Total page writes accepted.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
 }
 
 impl StorageBackend for MemBackend {
     fn write_page(&mut self, lpn: u64, version: u64, data: &[u8]) {
-        self.writes += 1;
         let e = self.pages.entry(lpn).or_insert((0, Vec::new()));
         // Never roll a page back to an older version (recovery may replay).
         if version >= e.0 {
@@ -157,7 +150,6 @@ mod tests {
         assert_eq!(b.version_of(5), Some(1));
         assert_eq!(b.version_of(6), None);
         assert_eq!(b.pages(), 1);
-        assert_eq!(b.writes(), 1);
         assert_eq!(b.lpns(), vec![5]);
     }
 

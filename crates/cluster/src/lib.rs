@@ -4,8 +4,10 @@
 //! trace-replay simulation in the `flashcoop` crate:
 //!
 //! * [`wire`] — hand-rolled, length-prefixed binary protocol (replication,
-//!   acks, discards, heartbeats, the recovery handshake).
-//! * [`transport`] — in-memory (crossbeam) and TCP (`std::net`) links.
+//!   acks, discards, heartbeats, the recovery handshake), and the frame
+//!   code the client protocol in `fc-gateway` shares.
+//! * [`transport`] — the one link type, [`Link`]: an in-memory (crossbeam)
+//!   arm and a TCP (`std::net`) arm, for peer and client traffic alike.
 //! * [`fault`] — deterministic fault injection: [`FaultTransport`] wraps any
 //!   transport and drops/delays/duplicates/reorders/partitions traffic per a
 //!   seeded [`FaultPlan`], recording a reproducible decision trace.
@@ -47,9 +49,9 @@ pub use node::{
     PerClientStats, RunOutcome, SharedBackend, WriteOutcome, PEER_NS,
 };
 pub use transport::{
-    mem_pair, FramedLink, LinkDead, MemTransport, TcpTransport, Transport, TransportError,
+    mem_link, mem_pair, Link, LinkClosed, TcpTransport, Transport, TransportError,
 };
 pub use wire::{
-    crc32, decode, encode, resync_entry, Message, NackReason, ResyncEntry, SeqStatus, SeqTracker,
-    WireError,
+    crc32, decode, encode, resync_entry, Frame, FrameError, Message, NackReason, ResyncEntry,
+    SeqStatus, SeqTracker,
 };

@@ -561,7 +561,7 @@ mod testkit {
     };
     pub(crate) use crate::backend::MemBackend;
     pub(crate) use crate::fault::{FaultPlan, FaultTransport};
-    pub(crate) use crate::transport::{mem_pair, MemTransport, Transport, TransportError};
+    pub(crate) use crate::transport::{mem_pair, Link, Transport, TransportError};
     pub(crate) use crate::wire::{resync_entry, Message};
     pub(crate) use bytes::Bytes;
     pub(crate) use fc_obs::Obs;
@@ -633,13 +633,13 @@ mod testkit {
     /// A mem link that logs every send and every receive call with the
     /// thread that made it.
     pub(crate) struct Tap {
-        link: MemTransport,
+        link: Link<Message>,
         log: Mutex<Vec<Tapped>>,
         pub(crate) flag: AtomicBool,
     }
 
     impl Tap {
-        pub(crate) fn new(link: MemTransport) -> Arc<Tap> {
+        pub(crate) fn new(link: Link<Message>) -> Arc<Tap> {
             Arc::new(Tap {
                 link,
                 log: Mutex::default(),
@@ -667,11 +667,11 @@ mod testkit {
     impl Transport for Tap {
         fn send(&self, msg: Message) -> Result<(), TransportError> {
             self.record(Instant::now(), true, Some(msg.clone()));
-            self.link.send(msg)
+            Transport::send(&self.link, msg)
         }
         fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
             let at = Instant::now();
-            let got = self.link.recv_timeout(timeout);
+            let got = Transport::recv_timeout(&self.link, timeout);
             self.record(at, false, got.clone().ok().flatten());
             got
         }
@@ -881,10 +881,10 @@ mod tests {
         let a = Node::spawn(NodeConfig::test_profile(0), ta, ba.clone());
         let b = Node::spawn(NodeConfig::test_profile(1), tb, bb);
         a.write(1, b"before");
-        // Cut the network; node A can't reach its peer any more. We sever
-        // via a fresh handle is not possible — MemTransport::sever is on the
-        // endpoint we moved into the node. Crash B instead (drops its
-        // endpoint, disconnecting the channel).
+        // Cut the network; node A can't reach its peer any more. Severing
+        // is not possible — `Link::sever` is on the endpoint moved into the
+        // node. Crash B instead (drops its endpoint, disconnecting the
+        // channel).
         b.crash();
         let outcome = a.write(2, b"after");
         assert_eq!(outcome, WriteOutcome::WriteThrough);

@@ -55,6 +55,10 @@ pub(super) struct Inner {
     /// detection for retransmitted or duplicated Discards).
     pub(super) peer_seqs: SeqTracker,
     pub(super) lifecycle: PairLifecycle,
+    /// The peer's beats leave one heartbeat apart (`pump_loop`) and arrive
+    /// that far apart give or take scheduling jitter, so the peer is
+    /// suspected after a heartbeat and a half of silence, not one: its
+    /// beat is then half a period overdue, not a wake-up late.
     pub(super) monitor: HeartbeatMonitor,
     /// Catch-up journal and resync progress.
     pub(super) resync: Resync,
@@ -100,7 +104,9 @@ impl Inner {
             peer_seqs: SeqTracker::new(),
             lifecycle: PairLifecycle::new(),
             monitor: HeartbeatMonitor::new(
-                SimDuration::from_nanos(cfg.heartbeat.as_nanos() as u64),
+                SimDuration::from_nanos(
+                    (cfg.heartbeat * 3 / 2).min(cfg.failure_timeout).as_nanos() as u64,
+                ),
                 SimDuration::from_nanos(cfg.failure_timeout.as_nanos() as u64),
             ),
             resync: Resync::default(),

@@ -514,14 +514,14 @@ mod tests {
 
     /// Hides the peer's heartbeats, so the node never learns the peer's
     /// credit pool and keeps replicating optimistically.
-    struct NoBeats(crate::transport::MemTransport);
+    struct NoBeats(Link<Message>);
 
     impl Transport for NoBeats {
         fn send(&self, msg: Message) -> Result<(), TransportError> {
-            self.0.send(msg)
+            Transport::send(&self.0, msg)
         }
         fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-            match self.0.recv_timeout(timeout)? {
+            match Transport::recv_timeout(&self.0, timeout)? {
                 Some(Message::Heartbeat { .. }) => Ok(None),
                 other => Ok(other),
             }

@@ -1,21 +1,27 @@
-//! Peer transports.
+//! The one link: how a node reaches its peer and a client its gateway.
+//!
+//! A [`Link<S, R>`](Link) sends `S` and receives `R` (`R = S` for the peer
+//! protocol). It has two arms:
+//!
+//! * in memory ([`mem_link`], [`mem_pair`]) — typed values moved through a
+//!   crossbeam pair, never re-framed, for tests and single-process demos;
+//!   severable ([`Link::sever`]: network-partition injection);
+//! * TCP ([`Link::connect`], [`Link::accept`], [`Link::new`]) — each value
+//!   framed by its [`Frame`] codec over one socket; this is the "high speed
+//!   data center network" path. It has no thread: senders write the socket
+//!   themselves, and whoever wants the next value reads it.
 //!
 //! The node talks to its cooperative partner through the [`Transport`]
-//! trait. Two implementations:
-//!
-//! * [`mem_pair`] — crossbeam channels, for tests and single-process demos;
-//!   supports deliberate severing (network-partition injection).
-//! * [`TcpTransport`] — real sockets via `std::net`; this is the "high speed
-//!   data center network" path. It has no thread: whoever wants the next
-//!   message reads the socket ([`FramedLink`], shared with the gateway's
-//!   TCP links).
+//! trait, implemented once, for `Link<Message>` ([`TcpTransport`] names it).
+//! The gateway's sessions use `Link<Reply, Request>` and its clients
+//! `Link<Request, Reply>`.
 
-use crate::wire::{decode, encode, Message};
+use crate::wire::{Frame, Message};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -72,135 +78,195 @@ impl<T: Transport + Send + Sync + ?Sized> Transport for Arc<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// In-memory transport
-// ---------------------------------------------------------------------------
+/// The link went down: the far end hung up or was dropped, the socket
+/// failed, a frame did not decode, or the link was severed. Sticky — every
+/// later call reports it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkClosed;
 
-/// One endpoint of an in-memory duplex link.
-pub struct MemTransport {
-    tx: Sender<Message>,
-    rx: Receiver<Message>,
-    severed: Arc<AtomicBool>,
-}
-
-impl MemTransport {
-    /// Cut the link (both directions); used to inject network partitions.
-    pub fn sever(&self) {
-        self.severed.store(true, Ordering::SeqCst);
+impl std::fmt::Display for LinkClosed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("link closed")
     }
 }
 
-/// Create a connected pair of in-memory endpoints. Severing either endpoint
-/// kills the link for both.
-pub fn mem_pair() -> (MemTransport, MemTransport) {
-    let (a_tx, b_rx) = unbounded();
-    let (b_tx, a_rx) = unbounded();
+impl std::error::Error for LinkClosed {}
+
+/// One end of a duplex link that sends `S` and receives `R`.
+pub struct Link<S, R = S>(Arm<S, R>);
+
+enum Arm<S, R> {
+    /// Values moved through a channel pair; `severed` is shared by both
+    /// ends.
+    Mem {
+        tx: Sender<S>,
+        rx: Receiver<R>,
+        severed: Arc<AtomicBool>,
+    },
+    /// Values framed by their codec over one socket.
+    Tcp(FramedLink),
+}
+
+/// A connected in-memory pair. Severing either end kills the link for
+/// both; dropping one closes it for the other.
+pub fn mem_link<S, R>() -> (Link<S, R>, Link<R, S>) {
+    let (s_tx, s_rx) = unbounded();
+    let (r_tx, r_rx) = unbounded();
     let severed = Arc::new(AtomicBool::new(false));
     (
-        MemTransport {
-            tx: a_tx,
-            rx: a_rx,
+        Link(Arm::Mem {
+            tx: s_tx,
+            rx: r_rx,
             severed: severed.clone(),
-        },
-        MemTransport {
-            tx: b_tx,
-            rx: b_rx,
+        }),
+        Link(Arm::Mem {
+            tx: r_tx,
+            rx: s_rx,
             severed,
-        },
+        }),
     )
 }
 
-impl Transport for MemTransport {
-    fn send(&self, msg: Message) -> Result<(), TransportError> {
-        if self.severed.load(Ordering::SeqCst) {
-            return Err(TransportError::Disconnected);
+/// A connected in-memory pair of peer links.
+pub fn mem_pair() -> (Link<Message>, Link<Message>) {
+    mem_link()
+}
+
+/// A TCP link to the peer: senders write the socket themselves and the
+/// link's slot holder reads it (DESIGN §16).
+pub type TcpTransport = Link<Message>;
+
+impl<S: Frame, R: Frame> Link<S, R> {
+    /// Wrap an established stream.
+    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
+        Ok(Link(Arm::Tcp(FramedLink::new(stream)?)))
+    }
+
+    /// Connect to a listening far end.
+    pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
+        Link::new(TcpStream::connect(addr)?)
+    }
+
+    /// Accept one connection on `listener`.
+    pub fn accept(listener: &TcpListener) -> std::io::Result<Self> {
+        let (stream, _) = listener.accept()?;
+        Link::new(stream)
+    }
+
+    /// Send one value: the in-memory arm moves it into the channel, the TCP
+    /// arm encodes it and writes the frame on the calling thread.
+    pub fn send(&self, msg: S) -> Result<(), LinkClosed> {
+        match &self.0 {
+            Arm::Mem { tx, severed, .. } => {
+                if severed.load(Ordering::SeqCst) {
+                    return Err(LinkClosed);
+                }
+                tx.send(msg).map_err(|_| LinkClosed)
+            }
+            Arm::Tcp(link) => {
+                let mut buf = BytesMut::new();
+                msg.encode(&mut buf);
+                link.send(&buf)
+            }
         }
-        self.tx.send(msg).map_err(|_| TransportError::Disconnected)
+    }
+
+    /// The next value, waiting up to `timeout`; `Ok(None)` on timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<R>, LinkClosed> {
+        match &self.0 {
+            Arm::Mem { rx, severed, .. } => {
+                if severed.load(Ordering::SeqCst) {
+                    return Err(LinkClosed);
+                }
+                match rx.recv_timeout(timeout) {
+                    // A message already in flight when the link was severed
+                    // is dropped, like packets in a real partition.
+                    Ok(_) if severed.load(Ordering::SeqCst) => Err(LinkClosed),
+                    Ok(msg) => Ok(Some(msg)),
+                    Err(RecvTimeoutError::Timeout) => Ok(None),
+                    Err(RecvTimeoutError::Disconnected) => Err(LinkClosed),
+                }
+            }
+            Arm::Tcp(link) => link.recv(timeout),
+        }
+    }
+
+    /// False once the link is known dead.
+    pub fn is_connected(&self) -> bool {
+        match &self.0 {
+            Arm::Mem { severed, .. } => !severed.load(Ordering::SeqCst),
+            Arm::Tcp(link) => !link.dead.load(Ordering::SeqCst),
+        }
+    }
+
+    /// Cut the link, both directions: a network partition. A TCP end also
+    /// shuts its socket down, so the far end reads EOF.
+    pub fn sever(&self) {
+        match &self.0 {
+            Arm::Mem { severed, .. } => severed.store(true, Ordering::SeqCst),
+            Arm::Tcp(link) => {
+                link.kill();
+                let _ = link.stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+}
+
+impl Transport for Link<Message> {
+    fn send(&self, msg: Message) -> Result<(), TransportError> {
+        Link::send(self, msg).map_err(|LinkClosed| TransportError::Disconnected)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        if self.severed.load(Ordering::SeqCst) {
-            return Err(TransportError::Disconnected);
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => {
-                // A message already in flight when the link was severed is
-                // dropped, like packets in a real partition.
-                if self.severed.load(Ordering::SeqCst) {
-                    Err(TransportError::Disconnected)
-                } else {
-                    Ok(Some(m))
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(TransportError::Disconnected),
-        }
+        Link::recv_timeout(self, timeout).map_err(|LinkClosed| TransportError::Disconnected)
     }
 
     fn is_connected(&self) -> bool {
-        !self.severed.load(Ordering::SeqCst)
+        Link::is_connected(self)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Framed TCP link
+// The TCP arm
 // ---------------------------------------------------------------------------
-
-/// A framed TCP link went down: peer hung up, socket error, or a frame that
-/// does not decode. Sticky — every later call reports it again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkDead;
 
 /// One end of a framed TCP connection with no thread of its own: frames are
 /// written inline, and [`FramedLink::recv`] decodes from a per-link buffer
-/// and reads the socket on the calling thread. [`TcpTransport`] and the
-/// gateway's TCP session and client links are thin codecs over it.
-pub struct FramedLink {
+/// and reads the socket on the calling thread.
+struct FramedLink {
     stream: TcpStream,
     /// Held while a frame is written, so concurrent senders never
     /// interleave bytes.
     write: Mutex<()>,
-    read: Mutex<ReadHalf>,
-    dead: AtomicBool,
-}
-
-struct ReadHalf {
     /// Received bytes not yet decoded; a partial frame waits here across
     /// calls. The socket is read straight into its spare room.
-    buf: BytesMut,
+    read: Mutex<BytesMut>,
+    dead: AtomicBool,
 }
 
 /// Room offered to each socket read.
 const READ_CHUNK: usize = 64 * 1024;
 
 impl FramedLink {
-    /// Wrap an established stream.
-    pub fn new(stream: TcpStream) -> std::io::Result<FramedLink> {
+    fn new(stream: TcpStream) -> std::io::Result<FramedLink> {
         stream.set_nodelay(true)?;
         Ok(FramedLink {
             stream,
             write: Mutex::new(()),
-            read: Mutex::new(ReadHalf {
-                buf: BytesMut::with_capacity(READ_CHUNK),
-            }),
+            read: Mutex::new(BytesMut::with_capacity(READ_CHUNK)),
             dead: AtomicBool::new(false),
         })
     }
 
-    /// True once the link is known dead.
-    pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::SeqCst)
-    }
-
-    fn kill(&self) -> LinkDead {
+    fn kill(&self) -> LinkClosed {
         self.dead.store(true, Ordering::SeqCst);
-        LinkDead
+        LinkClosed
     }
 
     /// Write one encoded frame.
-    pub fn send(&self, frame: &[u8]) -> Result<(), LinkDead> {
-        if self.is_dead() {
-            return Err(LinkDead);
+    fn send(&self, frame: &[u8]) -> Result<(), LinkClosed> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(LinkClosed);
         }
         let _writing = self.write.lock();
         (&self.stream).write_all(frame).map_err(|_| self.kill())
@@ -211,33 +277,28 @@ impl FramedLink {
     /// Frames already buffered are decoded without touching the socket.
     /// `Ok(None)` on timeout; a frame cut short by it stays buffered and
     /// the next call finishes it. A zero timeout takes what the socket
-    /// already holds and returns at once. EOF, a socket error or a `decode`
-    /// error kills the link.
-    pub fn recv<T, E>(
-        &self,
-        timeout: Duration,
-        decode: impl Fn(&mut BytesMut) -> Result<Option<T>, E>,
-    ) -> Result<Option<T>, LinkDead> {
-        let mut guard = self.read.lock();
-        let rd = &mut *guard;
+    /// already holds and returns at once. EOF, a socket error or a frame
+    /// that does not decode kills the link.
+    fn recv<T: Frame>(&self, timeout: Duration) -> Result<Option<T>, LinkClosed> {
+        let mut buf = self.read.lock();
         let deadline = Instant::now().checked_add(timeout);
         let mut wait = timeout;
         loop {
-            match decode(&mut rd.buf) {
+            match T::decode(&mut buf) {
                 Ok(Some(frame)) => return Ok(Some(frame)),
                 Ok(None) => {}
                 Err(_) => {
                     // Framing is lost: nothing behind the damage is served.
-                    rd.buf = BytesMut::new();
+                    *buf = BytesMut::new();
                     return Err(self.kill());
                 }
             }
-            if self.is_dead() {
-                return Err(LinkDead);
+            if self.dead.load(Ordering::SeqCst) {
+                return Err(LinkClosed);
             }
             match self.wait_readable(wait) {
                 // Readable (or at EOF, or in error): the read cannot block.
-                Ok(true) => match rd.buf.read_from(&mut &self.stream, READ_CHUNK) {
+                Ok(true) => match buf.read_from(&mut &self.stream, READ_CHUNK) {
                     Ok(0) => return Err(self.kill()),
                     Ok(_) => {}
                     Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -333,58 +394,7 @@ impl FramedLink {
 impl Drop for FramedLink {
     fn drop(&mut self) {
         // The peer observes EOF.
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP transport
-// ---------------------------------------------------------------------------
-
-/// A TCP link to the peer: the wire codec over a [`FramedLink`]. Senders
-/// write to the socket themselves and the node's pump reads it; there is no
-/// reader thread.
-pub struct TcpTransport {
-    link: FramedLink,
-}
-
-impl TcpTransport {
-    /// Wrap an established stream.
-    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
-        Ok(TcpTransport {
-            link: FramedLink::new(stream)?,
-        })
-    }
-
-    /// Connect to a listening peer.
-    pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        TcpTransport::new(TcpStream::connect(addr)?)
-    }
-
-    /// Accept one peer connection on `listener`.
-    pub fn accept(listener: &TcpListener) -> std::io::Result<Self> {
-        let (stream, _) = listener.accept()?;
-        TcpTransport::new(stream)
-    }
-}
-
-impl Transport for TcpTransport {
-    fn send(&self, msg: Message) -> Result<(), TransportError> {
-        let mut buf = BytesMut::new();
-        encode(&msg, &mut buf);
-        self.link
-            .send(&buf)
-            .map_err(|LinkDead| TransportError::Disconnected)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        self.link
-            .recv(timeout, decode)
-            .map_err(|LinkDead| TransportError::Disconnected)
-    }
-
-    fn is_connected(&self) -> bool {
-        !self.link.is_dead()
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -415,28 +425,38 @@ mod tests {
     fn severed_mem_link_errors_for_both_ends() {
         let (a, b) = mem_pair();
         a.sever();
-        assert_eq!(a.send(Message::Purge), Err(TransportError::Disconnected));
-        assert_eq!(b.send(Message::Purge), Err(TransportError::Disconnected));
+        assert_eq!(a.send(Message::Purge), Err(LinkClosed));
+        assert_eq!(b.send(Message::Purge), Err(LinkClosed));
         assert!(!a.is_connected());
         assert!(!b.is_connected());
-        assert_eq!(b.recv_timeout(SHORT), Err(TransportError::Disconnected));
+        assert_eq!(b.recv_timeout(SHORT), Err(LinkClosed));
+        // Through the peer trait, the same verdict.
+        assert_eq!(
+            Transport::recv_timeout(&b, SHORT),
+            Err(TransportError::Disconnected)
+        );
     }
 
     #[test]
     fn dropped_endpoint_disconnects_peer() {
         let (a, b) = mem_pair();
         drop(a);
-        assert_eq!(b.send(Message::Purge), Err(TransportError::Disconnected));
+        assert_eq!(b.send(Message::Purge), Err(LinkClosed));
+        assert_eq!(b.recv_timeout(SHORT), Err(LinkClosed));
     }
 
-    #[test]
-    fn tcp_round_trip_on_loopback() {
+    /// Two connected TCP peer links on loopback.
+    fn tcp_pair() -> (TcpTransport, TcpTransport) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = std::thread::spawn(move || TcpTransport::connect(addr).unwrap());
         let server = TcpTransport::accept(&listener).unwrap();
-        let client = client.join().unwrap();
+        (client.join().unwrap(), server)
+    }
 
+    #[test]
+    fn tcp_round_trip_on_loopback() {
+        let (client, server) = tcp_pair();
         let msg = Message::WriteReplBatch {
             epoch: 1,
             seq: 1,
@@ -458,123 +478,17 @@ mod tests {
     }
 
     #[test]
-    fn tcp_peer_close_is_detected() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || TcpTransport::connect(addr).unwrap());
-        let server = TcpTransport::accept(&listener).unwrap();
-        let client = client.join().unwrap();
-        drop(server);
-        // Eventually a read hits EOF and recv errors out.
-        let mut disconnected = false;
-        for _ in 0..50 {
-            match client.recv_timeout(Duration::from_millis(50)) {
-                Err(TransportError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-                Err(TransportError::Timeout) | Ok(None) => continue,
-                Ok(Some(m)) => panic!("unexpected message {m:?}"),
-            }
-        }
-        assert!(disconnected, "EOF not detected");
-    }
-
-    /// A `TcpTransport` and the raw socket at its far end, so a test can
-    /// decide exactly which bytes arrive when.
-    fn tcp_with_raw_peer() -> (TcpTransport, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        raw.set_nodelay(true).unwrap();
-        (TcpTransport::accept(&listener).unwrap(), raw)
-    }
-
-    fn frame(msg: &Message) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        encode(msg, &mut buf);
-        buf.to_vec()
-    }
-
-    fn batch(seq: u64) -> Message {
-        Message::WriteReplBatch {
-            epoch: 1,
-            seq,
-            entries: vec![resync_entry(seq, 1, Bytes::from(vec![seq as u8; 600]))],
-        }
-    }
-
-    #[test]
-    fn tcp_frame_split_across_writes_survives_a_timeout_in_between() {
-        let (link, mut raw) = tcp_with_raw_peer();
-        let bytes = frame(&batch(7));
-        let (head, tail) = bytes.split_at(bytes.len() / 2);
-        raw.write_all(head).unwrap();
-        // The timeout lands mid-frame: nothing to hand out yet, and the
-        // half already read must not be lost.
-        assert_eq!(link.recv_timeout(Duration::from_millis(30)), Ok(None));
-        raw.write_all(tail).unwrap();
-        assert_eq!(link.recv_timeout(SHORT), Ok(Some(batch(7))));
-        // Exactly once.
-        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
-    }
-
-    #[test]
-    fn tcp_frames_sharing_a_segment_come_out_one_per_call_from_the_buffer() {
-        let (link, mut raw) = tcp_with_raw_peer();
-        let mut bytes = frame(&batch(1));
-        bytes.extend(frame(&batch(2)));
-        raw.write_all(&bytes).unwrap();
-        assert_eq!(link.recv_timeout(SHORT), Ok(Some(batch(1))));
-        // The peer hangs up. The second frame was buffered by the first
-        // call's read, so it comes out without the socket — which would
-        // now report EOF — being touched.
-        drop(raw);
-        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(batch(2))));
-        assert_eq!(
-            link.recv_timeout(Duration::ZERO),
-            Err(TransportError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn tcp_zero_timeout_on_an_idle_link_returns_at_once() {
-        let (link, _raw) = tcp_with_raw_peer();
-        let started = Instant::now();
-        for _ in 0..100 {
-            assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
-        }
-        assert!(started.elapsed() < SHORT, "{:?}", started.elapsed());
-        assert!(link.is_connected());
-    }
-
-    #[test]
-    fn tcp_peer_close_and_corrupt_frames_disconnect_for_good() {
-        let (link, raw) = tcp_with_raw_peer();
-        drop(raw);
-        assert_eq!(link.recv_timeout(SHORT), Err(TransportError::Disconnected));
-        assert_eq!(link.recv_timeout(SHORT), Err(TransportError::Disconnected));
-        assert_eq!(link.send(Message::Purge), Err(TransportError::Disconnected));
-        assert!(!link.is_connected());
-
-        let (link, mut raw) = tcp_with_raw_peer();
-        let mut bytes = frame(&batch(3));
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF; // body no longer matches the frame CRC
-        bytes.extend(frame(&batch(4)));
-        raw.write_all(&bytes).unwrap();
-        assert_eq!(link.recv_timeout(SHORT), Err(TransportError::Disconnected));
-        // Sticky: the intact frame behind the damaged one is not served.
-        assert_eq!(link.recv_timeout(SHORT), Err(TransportError::Disconnected));
+    fn severed_tcp_link_closes_both_ends() {
+        let (client, server) = tcp_pair();
+        client.sever();
+        assert!(!client.is_connected());
+        assert_eq!(client.send(Message::Purge), Err(LinkClosed));
+        assert_eq!(server.recv_timeout(SHORT), Err(LinkClosed));
     }
 
     #[test]
     fn tcp_handles_large_batched_frames() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = std::thread::spawn(move || TcpTransport::connect(addr).unwrap());
-        let server = TcpTransport::accept(&listener).unwrap();
-        let client = client.join().unwrap();
-
+        let (client, server) = tcp_pair();
         let page = Bytes::from(vec![0xAB; 4096]);
         for seq in 0..64u64 {
             client

@@ -1,7 +1,10 @@
-//! Wire protocol between cooperative peers.
+//! Wire protocol between cooperative peers, and the framing both of the
+//! system's protocols share.
 //!
 //! A hand-rolled, length-prefixed binary framing over [`bytes`] — no external
-//! serialisation dependency. Every frame is
+//! serialisation dependency. Every frame, peer or client (`fc_gateway::proto`
+//! encodes its requests and replies with [`write_frame`] / [`split_frame`]
+//! too), is
 //!
 //! ```text
 //! [u32 LE: payload length][u32 LE: CRC-32 of payload][u8: message tag][payload…]
@@ -13,8 +16,9 @@
 //! valid message. Data-carrying messages additionally embed a payload CRC
 //! computed at construction ([`resync_entry`], [`Message::page_data`]) and
 //! checked end-to-end with [`Message::payload_ok`]; that second layer
-//! survives transports that pass `Message` values without re-framing (the
-//! in-memory channel pair and the fault injector's corruption hook).
+//! survives links that pass `Message` values without re-framing (the
+//! in-memory arm of [`Link`](crate::Link) and the fault injector's
+//! corruption hook).
 //!
 //! Every replicated page is checksummed at least three times (write stamp,
 //! frame encode, receive verify — six over a TCP link with a TCP client), so
@@ -34,8 +38,8 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Maximum frame payload accepted by the decoder (16 MiB): protects against
-/// corrupted length prefixes.
+/// Maximum frame payload accepted by either protocol's decoder (16 MiB):
+/// protects against corrupted length prefixes.
 pub const MAX_FRAME: usize = 16 << 20;
 
 // ---------------------------------------------------------------------------
@@ -213,6 +217,111 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc32_table(c, rest)
 }
 
+// ---------------------------------------------------------------------------
+// Framing, shared with the client protocol
+// ---------------------------------------------------------------------------
+
+/// Decoder errors, for either protocol.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// Frame advertised more than [`MAX_FRAME`] bytes.
+    FrameTooLarge(usize),
+    /// Unknown message tag or enum discriminant.
+    BadTag(u8),
+    /// Payload ended before the message was complete.
+    Truncated,
+    /// Frame checksum mismatch: the bytes were damaged in flight.
+    Checksum {
+        /// CRC the frame header claimed.
+        expected: u32,
+        /// CRC of the bytes actually received.
+        found: u32,
+    },
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
+            FrameError::BadTag(t) => write!(f, "unknown message tag {t}"),
+            FrameError::Truncated => write!(f, "truncated frame"),
+            FrameError::Checksum { expected, found } => {
+                write!(
+                    f,
+                    "frame checksum mismatch: header {expected:#10x}, body {found:#10x}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// A message type with a wire codec: what a TCP [`Link`](crate::Link)
+/// encodes on send and decodes on receive. [`Message`] implements it with
+/// [`encode`] / [`decode`], the client protocol's `Request` and `Reply`
+/// with theirs.
+pub trait Frame: Sized {
+    /// Append `self`, framed, to `out`.
+    fn encode(&self, out: &mut BytesMut);
+
+    /// Take one frame off the front of `buf`; `Ok(None)` until a whole
+    /// frame is there.
+    fn decode(buf: &mut BytesMut) -> Result<Option<Self>, FrameError>;
+}
+
+/// Append one frame to `out`: `body` writes the tag and payload, then the
+/// length and CRC slots in front of it are filled in. `payload` is the
+/// body's variable part, so the buffer is sized once (40 bytes cover the
+/// header, the tag and the widest fixed part): a 32-page frame is one
+/// allocation, not a dozen doublings with a copy each.
+pub fn write_frame(out: &mut BytesMut, payload: usize, body: impl FnOnce(&mut BytesMut)) {
+    out.reserve(40 + payload);
+    let len_pos = out.len();
+    out.put_u32_le(0); // length
+    out.put_u32_le(0); // CRC-32 of the body
+    body(out);
+    let body_start = len_pos + 8;
+    let body_len = (out.len() - body_start) as u32;
+    let body_crc = crc32(&out[body_start..]);
+    out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_le_bytes());
+    out[len_pos + 4..body_start].copy_from_slice(&body_crc.to_le_bytes());
+}
+
+/// Split one frame off the front of `buf` and return its body (tag and
+/// payload) once the CRC checks. `Ok(None)` while more bytes are needed;
+/// consumed bytes are removed.
+pub fn split_frame(buf: &mut BytesMut) -> Result<Option<Bytes>, FrameError> {
+    if buf.len() < 8 {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    if len > MAX_FRAME {
+        return Err(FrameError::FrameTooLarge(len));
+    }
+    if buf.len() < 8 + len {
+        return Ok(None);
+    }
+    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
+    buf.advance(8);
+    let body = buf.split_to(len).freeze();
+    let found = crc32(&body);
+    if found != expected {
+        return Err(FrameError::Checksum { expected, found });
+    }
+    Ok(Some(body))
+}
+
+/// A body parser's bounds check: [`FrameError::Truncated`] unless `n` more
+/// bytes remain.
+pub fn need(body: &Bytes, n: usize) -> Result<(), FrameError> {
+    if body.remaining() < n {
+        Err(FrameError::Truncated)
+    } else {
+        Ok(())
+    }
+}
+
 /// Why a replication message was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NackReason {
@@ -232,11 +341,11 @@ impl NackReason {
         }
     }
 
-    fn from_u8(b: u8) -> Result<Self, WireError> {
+    fn from_u8(b: u8) -> Result<Self, FrameError> {
         match b {
             0 => Ok(NackReason::Corrupt),
             1 => Ok(NackReason::NoCredit),
-            other => Err(WireError::BadTag(other)),
+            other => Err(FrameError::BadTag(other)),
         }
     }
 
@@ -352,42 +461,6 @@ pub enum Message {
     },
 }
 
-/// Decoder errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Frame advertised more than [`MAX_FRAME`] bytes.
-    FrameTooLarge(usize),
-    /// Unknown message tag.
-    BadTag(u8),
-    /// Payload ended before the message was complete.
-    Truncated,
-    /// Frame checksum mismatch: the bytes were damaged in flight.
-    Checksum {
-        /// CRC the frame header claimed.
-        expected: u32,
-        /// CRC of the bytes actually received.
-        found: u32,
-    },
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
-            WireError::BadTag(t) => write!(f, "unknown message tag {t}"),
-            WireError::Truncated => write!(f, "truncated frame"),
-            WireError::Checksum { expected, found } => {
-                write!(
-                    f,
-                    "frame checksum mismatch: header {expected:#10x}, body {found:#10x}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
 // Tags 1 and 2 belonged to the retired per-page WriteRepl / ReplAck frames,
 // 9–11 to the retired ReplNack / ResyncBatch / ResyncAck resync stream; they
 // stay unassigned so an old sender is refused, not misparsed.
@@ -405,24 +478,14 @@ const TAG_REPL_NACK_BATCH: u8 = 16;
 
 /// Append one framed message to `out`.
 pub fn encode(msg: &Message, out: &mut BytesMut) {
-    // Size the buffer once, from the message's page count: a 32-page frame
-    // is one allocation, not a dozen doublings with a copy each. 40 covers
-    // the frame header, the tag and the widest fixed part.
-    out.reserve(
-        40 + match msg {
-            Message::Discard { pages, .. } => 16 * pages.len(),
-            Message::RctSnapshot { entries } => entries.iter().map(|e| 20 + e.2.len()).sum(),
-            Message::WriteReplBatch { entries, .. } => entries.iter().map(|e| 24 + e.3.len()).sum(),
-            Message::PageData { data, .. } => data.len(),
-            _ => 0,
-        },
-    );
-    // Reserve the length and checksum slots, fill after writing the body.
-    let len_pos = out.len();
-    out.put_u32_le(0); // length
-    out.put_u32_le(0); // CRC-32 of the body
-    let body_start = out.len();
-    match msg {
+    let payload = match msg {
+        Message::Discard { pages, .. } => 16 * pages.len(),
+        Message::RctSnapshot { entries } => entries.iter().map(|e| 20 + e.2.len()).sum(),
+        Message::WriteReplBatch { entries, .. } => entries.iter().map(|e| 24 + e.3.len()).sum(),
+        Message::PageData { data, .. } => data.len(),
+        _ => 0,
+    };
+    write_frame(out, payload, |out| match msg {
         Message::Discard { seq, pages } => {
             out.put_u8(TAG_DISCARD);
             out.put_u64_le(*seq);
@@ -507,45 +570,29 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
             out.put_u32_le(data.len() as u32);
             out.put_slice(data);
         }
-    }
-    let body_len = (out.len() - body_start) as u32;
-    let body_crc = crc32(&out[body_start..]);
-    out[len_pos..len_pos + 4].copy_from_slice(&body_len.to_le_bytes());
-    out[len_pos + 4..len_pos + 8].copy_from_slice(&body_crc.to_le_bytes());
+    });
 }
 
 /// Try to decode one framed message from the front of `buf`. Returns
 /// `Ok(None)` when more bytes are needed; consumed bytes are removed.
-pub fn decode(buf: &mut BytesMut) -> Result<Option<Message>, WireError> {
-    if buf.len() < 8 {
+pub fn decode(buf: &mut BytesMut) -> Result<Option<Message>, FrameError> {
+    let Some(mut body) = split_frame(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(WireError::FrameTooLarge(len));
-    }
-    if buf.len() < 8 + len {
-        return Ok(None);
-    }
-    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    buf.advance(8);
-    let mut body = buf.split_to(len).freeze();
-    let found = crc32(&body);
-    if found != expected {
-        return Err(WireError::Checksum { expected, found });
-    }
-    let msg = parse_body(&mut body)?;
-    Ok(Some(msg))
+    };
+    parse_body(&mut body).map(Some)
 }
 
-fn parse_body(body: &mut Bytes) -> Result<Message, WireError> {
-    fn need(body: &Bytes, n: usize) -> Result<(), WireError> {
-        if body.remaining() < n {
-            Err(WireError::Truncated)
-        } else {
-            Ok(())
-        }
+impl Frame for Message {
+    fn encode(&self, out: &mut BytesMut) {
+        encode(self, out);
     }
+
+    fn decode(buf: &mut BytesMut) -> Result<Option<Message>, FrameError> {
+        decode(buf)
+    }
+}
+
+fn parse_body(body: &mut Bytes) -> Result<Message, FrameError> {
     need(body, 1)?;
     let tag = body.get_u8();
     let msg = match tag {
@@ -643,7 +690,7 @@ fn parse_body(body: &mut Bytes) -> Result<Message, WireError> {
                 data: body.split_to(dl),
             }
         }
-        other => return Err(WireError::BadTag(other)),
+        other => return Err(FrameError::BadTag(other)),
     };
     Ok(msg)
 }
@@ -902,25 +949,46 @@ mod tests {
         }
     }
 
+    /// One frame around a 37-byte body, and the body.
+    fn framed_body() -> (BytesMut, Bytes) {
+        let body = Bytes::from((0..37u8).collect::<Vec<u8>>());
+        let mut frame = BytesMut::new();
+        write_frame(&mut frame, body.len(), |out| out.put_slice(&body));
+        (frame, body)
+    }
+
     #[test]
     fn partial_frames_wait_for_more_bytes() {
-        let mut full = BytesMut::new();
-        let ack = Message::ReplAckBatch {
-            epoch: 1,
-            up_to: 9,
-            credits: 3,
-        };
-        encode(&ack, &mut full);
-        // Feed one byte at a time; decode must return None until complete.
-        let mut acc = BytesMut::new();
-        let total = full.len();
-        for (i, b) in full.iter().enumerate() {
-            acc.put_u8(*b);
-            let r = decode(&mut acc).unwrap();
-            if i + 1 < total {
-                assert!(r.is_none(), "premature decode at byte {i}");
+        let (full, body) = framed_body();
+        assert_eq!(full.len(), 8 + body.len());
+        // Every strict prefix is incomplete, not an error, and consumes
+        // nothing.
+        for cut in 0..full.len() {
+            let mut partial = BytesMut::from(&full[..cut]);
+            assert_eq!(split_frame(&mut partial), Ok(None), "cut at {cut}");
+            assert_eq!(partial.len(), cut);
+        }
+        let mut whole = full.clone();
+        assert_eq!(split_frame(&mut whole), Ok(Some(body)));
+        assert!(whole.is_empty());
+    }
+
+    #[test]
+    fn any_single_flipped_byte_is_rejected_or_incomplete() {
+        // A flip in the CRC or the body is a checksum error; one in the
+        // length an oversize or an incomplete frame. Never a body handed out.
+        let (full, _) = framed_body();
+        for i in 0..full.len() {
+            let mut tampered = full.clone();
+            tampered[i] ^= 0x40;
+            let got = split_frame(&mut tampered);
+            if i >= 4 {
+                assert!(
+                    matches!(got, Err(FrameError::Checksum { .. })),
+                    "flip at byte {i}: {got:?}"
+                );
             } else {
-                assert_eq!(r, Some(ack.clone()));
+                assert!(!matches!(got, Ok(Some(_))), "flip at byte {i}: {got:?}");
             }
         }
     }
@@ -939,13 +1007,13 @@ mod tests {
 
     #[test]
     fn oversized_frame_is_rejected() {
+        // Refused on the header alone, before the body could arrive.
         let mut buf = BytesMut::new();
         buf.put_u32_le((MAX_FRAME + 1) as u32);
         buf.put_u32_le(0); // checksum slot
-        buf.put_u8(TAG_PURGE);
         assert_eq!(
-            decode(&mut buf),
-            Err(WireError::FrameTooLarge(MAX_FRAME + 1))
+            split_frame(&mut buf),
+            Err(FrameError::FrameTooLarge(MAX_FRAME + 1))
         );
     }
 
@@ -956,7 +1024,7 @@ mod tests {
         buf.put_u32_le(1);
         buf.put_u32_le(crc32(&body));
         buf.put_slice(&body);
-        assert_eq!(decode(&mut buf), Err(WireError::BadTag(99)));
+        assert_eq!(decode(&mut buf), Err(FrameError::BadTag(99)));
     }
 
     #[test]
@@ -973,7 +1041,7 @@ mod tests {
             buf.put_u32_le(body.len() as u32);
             buf.put_u32_le(crc32(&body));
             buf.put_slice(&body);
-            assert_eq!(decode(&mut buf), Err(WireError::BadTag(tag)), "tag {tag}");
+            assert_eq!(decode(&mut buf), Err(FrameError::BadTag(tag)), "tag {tag}");
         }
     }
 
@@ -988,24 +1056,7 @@ mod tests {
         buf.put_u32_le(body.len() as u32);
         buf.put_u32_le(crc32(&body));
         buf.put_slice(&body);
-        assert_eq!(decode(&mut buf), Err(WireError::Truncated));
-    }
-
-    #[test]
-    fn frame_checksum_mismatch_is_rejected() {
-        let mut buf = BytesMut::new();
-        encode(
-            &Message::WriteReplBatch {
-                epoch: 1,
-                seq: 1,
-                entries: vec![resync_entry(2, 3, Bytes::from_static(b"abcd"))],
-            },
-            &mut buf,
-        );
-        // Flip one payload byte; the frame checksum no longer matches.
-        let last = buf.len() - 1;
-        buf[last] ^= 0xFF;
-        assert!(matches!(decode(&mut buf), Err(WireError::Checksum { .. })));
+        assert_eq!(decode(&mut buf), Err(FrameError::Truncated));
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //! in flight — the gateway replies in receive order per session, so ids
 //! come back in issue order.
 
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
-use fc_cluster::FramedLink;
+use bytes::Bytes;
+use fc_cluster::{Link, LinkClosed};
 
-use crate::conn::MemClientConn;
-use crate::proto::{decode_reply, encode_request, ErrorCode, Reply, Request, PROTO_VERSION};
+use crate::proto::{ErrorCode, Reply, Request, PROTO_VERSION};
 
 /// Client-side failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,15 +60,15 @@ pub struct WriteAck {
     pub replicated: bool,
 }
 
-enum Conn {
-    Mem(MemClientConn),
-    /// Replies are read off the socket by the thread that waits for them.
-    Tcp(FramedLink),
+/// A reply of the wrong kind for its request.
+fn unexpected(want: &str, got: &Reply) -> ClientError {
+    ClientError::Protocol(format!("expected {want}, got id {}", got.id()))
 }
 
-/// One client session against a gateway.
+/// One client session against a gateway. Over TCP, replies are read off
+/// the socket by the thread that waits for them.
 pub struct GatewayClient {
-    conn: Conn,
+    link: Link<Request, Reply>,
     client_id: u64,
     next_id: u64,
     timeout: Duration,
@@ -79,13 +77,8 @@ pub struct GatewayClient {
 impl GatewayClient {
     /// Wrap the client half of an in-memory session (see
     /// [`Gateway::connect_mem`](crate::Gateway::connect_mem)).
-    pub fn from_mem(conn: MemClientConn, client_id: u64) -> GatewayClient {
-        GatewayClient {
-            conn: Conn::Mem(conn),
-            client_id,
-            next_id: 1,
-            timeout: Duration::from_secs(10),
-        }
+    pub fn from_mem(link: Link<Request, Reply>, client_id: u64) -> GatewayClient {
+        GatewayClient::over(link, client_id)
     }
 
     /// Connect over TCP to a gateway started with
@@ -94,12 +87,16 @@ impl GatewayClient {
         addr: std::net::SocketAddr,
         client_id: u64,
     ) -> std::io::Result<GatewayClient> {
-        Ok(GatewayClient {
-            conn: Conn::Tcp(FramedLink::new(TcpStream::connect(addr)?)?),
+        Ok(GatewayClient::over(Link::connect(addr)?, client_id))
+    }
+
+    fn over(link: Link<Request, Reply>, client_id: u64) -> GatewayClient {
+        GatewayClient {
+            link,
             client_id,
             next_id: 1,
             timeout: Duration::from_secs(10),
-        })
+        }
     }
 
     /// Reply-wait budget for the blocking helpers (default 10 s).
@@ -118,30 +115,18 @@ impl GatewayClient {
         id
     }
 
-    fn send(&self, req: &Request) -> Result<(), ClientError> {
-        match &self.conn {
-            Conn::Mem(m) => {
-                m.tx.send(req.clone())
-                    .map_err(|_| ClientError::Disconnected)
-            }
-            Conn::Tcp(link) => {
-                let mut buf = BytesMut::new();
-                encode_request(req, &mut buf);
-                link.send(&buf).map_err(|_| ClientError::Disconnected)
-            }
-        }
+    fn send(&self, req: Request) -> Result<(), ClientError> {
+        self.link
+            .send(req)
+            .map_err(|LinkClosed| ClientError::Disconnected)
     }
 
     /// Receive the next reply, waiting up to `timeout`.
     pub fn recv_reply(&self, timeout: Duration) -> Result<Reply, ClientError> {
-        let reply = match &self.conn {
-            Conn::Mem(m) => m.recv_timeout(timeout).map_err(drop),
-            Conn::Tcp(link) => link.recv(timeout, decode_reply).map_err(drop),
-        };
-        match reply {
+        match self.link.recv_timeout(timeout) {
             Ok(Some(reply)) => Ok(reply),
             Ok(None) => Err(ClientError::TimedOut),
-            Err(()) => Err(ClientError::Disconnected),
+            Err(LinkClosed) => Err(ClientError::Disconnected),
         }
     }
 
@@ -177,23 +162,20 @@ impl GatewayClient {
 
     fn call(&mut self, req: Request) -> Result<Reply, ClientError> {
         let id = req.id();
-        self.send(&req)?;
+        self.send(req)?;
         self.recv_matching(id, Instant::now() + self.timeout)
     }
 
     /// Open the session: version handshake. Must be the first call.
     pub fn hello(&mut self) -> Result<u32, ClientError> {
-        self.send(&Request::Hello {
+        self.send(Request::Hello {
             version: PROTO_VERSION,
             client: self.client_id,
         })?;
         match self.recv_reply(self.timeout)? {
             Reply::HelloOk { max_inflight, .. } => Ok(max_inflight),
             Reply::Error { code, .. } => Err(ClientError::Rejected(code)),
-            other => Err(ClientError::Protocol(format!(
-                "expected HelloOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("HelloOk", &other)),
         }
     }
 
@@ -204,10 +186,7 @@ impl GatewayClient {
             Reply::WriteOk {
                 pages, replicated, ..
             } => Ok(WriteAck { pages, replicated }),
-            other => Err(ClientError::Protocol(format!(
-                "expected WriteOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("WriteOk", &other)),
         }
     }
 
@@ -216,10 +195,7 @@ impl GatewayClient {
         let id = self.fresh_id();
         match self.call(Request::Read { id, lpn, pages })? {
             Reply::ReadOk { pages, .. } => Ok(pages),
-            other => Err(ClientError::Protocol(format!(
-                "expected ReadOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("ReadOk", &other)),
         }
     }
 
@@ -228,10 +204,7 @@ impl GatewayClient {
         let id = self.fresh_id();
         match self.call(Request::Trim { id, lpn, pages })? {
             Reply::TrimOk { pages, .. } => Ok(pages),
-            other => Err(ClientError::Protocol(format!(
-                "expected TrimOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("TrimOk", &other)),
         }
     }
 
@@ -240,10 +213,7 @@ impl GatewayClient {
         let id = self.fresh_id();
         match self.call(Request::Flush { id })? {
             Reply::FlushOk { flushed, .. } => Ok(flushed),
-            other => Err(ClientError::Protocol(format!(
-                "expected FlushOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("FlushOk", &other)),
         }
     }
 
@@ -267,7 +237,8 @@ impl GatewayClient {
             if now >= deadline {
                 return Err(ClientError::TimedOut);
             }
-            self.send(&req)?;
+            // The one copy a request costs: it may be sent again.
+            self.send(req.clone())?;
             let wait = now + self.timeout.min(deadline - now);
             let pause = match self.recv_matching(id, wait) {
                 Ok(reply) => return Ok(reply),
@@ -302,10 +273,7 @@ impl GatewayClient {
             Reply::WriteOk {
                 pages, replicated, ..
             } => Ok(WriteAck { pages, replicated }),
-            other => Err(ClientError::Protocol(format!(
-                "expected WriteOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("WriteOk", &other)),
         }
     }
 
@@ -320,10 +288,7 @@ impl GatewayClient {
         let id = self.fresh_id();
         match self.send_with_retry(Request::Read { id, lpn, pages }, deadline)? {
             Reply::ReadOk { pages, .. } => Ok(pages),
-            other => Err(ClientError::Protocol(format!(
-                "expected ReadOk, got id {}",
-                other.id()
-            ))),
+            other => Err(unexpected("ReadOk", &other)),
         }
     }
 
@@ -333,103 +298,21 @@ impl GatewayClient {
     /// collect the reply later with [`GatewayClient::recv_reply`].
     pub fn send_write(&mut self, lpn: u64, pages: Vec<Bytes>) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        self.send(&Request::Write { id, lpn, pages })?;
+        self.send(Request::Write { id, lpn, pages })?;
         Ok(id)
     }
 
     /// Fire-and-forget read.
     pub fn send_read(&mut self, lpn: u64, pages: u32) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        self.send(&Request::Read { id, lpn, pages })?;
+        self.send(Request::Read { id, lpn, pages })?;
         Ok(id)
     }
 
     /// Fire-and-forget trim.
     pub fn send_trim(&mut self, lpn: u64, pages: u32) -> Result<u64, ClientError> {
         let id = self.fresh_id();
-        self.send(&Request::Trim { id, lpn, pages })?;
+        self.send(Request::Trim { id, lpn, pages })?;
         Ok(id)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::proto::encode_reply;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-
-    /// A TCP `GatewayClient` and the raw socket playing its gateway.
-    fn client_with_raw_gateway() -> (GatewayClient, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = GatewayClient::connect_tcp(listener.local_addr().unwrap(), 1).unwrap();
-        let (raw, _) = listener.accept().unwrap();
-        raw.set_nodelay(true).unwrap();
-        (client, raw)
-    }
-
-    fn ack(id: u64) -> Reply {
-        Reply::WriteOk {
-            id,
-            pages: 4,
-            replicated: true,
-        }
-    }
-
-    fn frame(reply: &Reply) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        encode_reply(reply, &mut buf);
-        buf.to_vec()
-    }
-
-    #[test]
-    fn tcp_reply_split_across_writes_times_out_then_completes() {
-        let (client, mut raw) = client_with_raw_gateway();
-        let mut bytes = frame(&ack(1));
-        bytes.extend(frame(&ack(2)));
-        let (head, tail) = bytes.split_at(5);
-        raw.write_all(head).unwrap();
-        assert_eq!(
-            client.recv_reply(Duration::from_millis(30)),
-            Err(ClientError::TimedOut)
-        );
-        raw.write_all(tail).unwrap();
-        assert_eq!(client.recv_reply(Duration::from_secs(1)), Ok(ack(1)));
-        // The second reply rode in with the first one's tail.
-        assert_eq!(client.recv_reply(Duration::ZERO), Ok(ack(2)));
-        assert_eq!(
-            client.recv_reply(Duration::ZERO),
-            Err(ClientError::TimedOut)
-        );
-    }
-
-    #[test]
-    fn tcp_gateway_hangup_and_corrupt_replies_disconnect_for_good() {
-        let (mut client, raw) = client_with_raw_gateway();
-        drop(raw);
-        assert_eq!(
-            client.recv_reply(Duration::from_secs(1)),
-            Err(ClientError::Disconnected)
-        );
-        assert_eq!(
-            client.recv_reply(Duration::ZERO),
-            Err(ClientError::Disconnected)
-        );
-        assert_eq!(client.send_read(0, 1), Err(ClientError::Disconnected));
-
-        let (client, mut raw) = client_with_raw_gateway();
-        let mut bytes = frame(&ack(3));
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        bytes.extend(frame(&ack(4)));
-        raw.write_all(&bytes).unwrap();
-        assert_eq!(
-            client.recv_reply(Duration::from_secs(1)),
-            Err(ClientError::Disconnected)
-        );
-        assert_eq!(
-            client.recv_reply(Duration::from_secs(1)),
-            Err(ClientError::Disconnected)
-        );
     }
 }

@@ -1,36 +1,21 @@
-//! Session transports: how one client's requests reach the gateway.
+//! Session links: how one client's requests reach the gateway.
 //!
-//! Mirrors `fc_cluster::transport`: a [`SessionLink`] is the gateway-side
-//! view of one client connection, with an in-memory typed-channel
-//! implementation for deterministic tests and a TCP implementation that
-//! runs the real framed protocol from [`crate::proto`] on the session's own
-//! thread (no reader thread; see [`fc_cluster::FramedLink`]).
-//!
-//! The in-memory pair passes typed [`Request`]/[`Reply`] values without
-//! re-framing (the encode/decode path is exercised by the TCP link and the
-//! proto unit tests); that keeps the deterministic e2e variant free of
-//! socket-scheduling noise.
+//! A session runs over the cluster's one link type, [`Link`]: the gateway
+//! holds a `Link<Reply, Request>`, the client ([`crate::GatewayClient`]) a
+//! `Link<Request, Reply>`. In memory ([`mem_session`]) they pass typed
+//! values without re-framing, which keeps the deterministic e2e variant
+//! free of socket-scheduling noise; over TCP ([`TcpSessionLink`]) each
+//! value is framed by [`crate::proto`], and the session thread reads its
+//! own socket — a zero-timeout receive (the batch-window drain) returns
+//! requests already buffered, then polls the socket once — and writes
+//! replies inline.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use fc_cluster::FramedLink;
+pub use fc_cluster::LinkClosed;
+use fc_cluster::{mem_link, Link};
 
-use crate::proto::{decode_request, encode_reply, Reply, Request};
-
-/// The link died: peer hung up, socket error, or protocol corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkClosed;
-
-impl std::fmt::Display for LinkClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "session link closed")
-    }
-}
-
-impl std::error::Error for LinkClosed {}
+use crate::proto::{Reply, Request};
 
 /// Gateway-side handle for one client session.
 pub trait SessionLink: Send {
@@ -41,217 +26,160 @@ pub trait SessionLink: Send {
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed>;
 }
 
-// ---------------------------------------------------------------------------
-// In-memory link
-// ---------------------------------------------------------------------------
-
-/// Client half of an in-memory session: send requests, receive replies.
-pub struct MemClientConn {
-    pub(crate) tx: Sender<Request>,
-    pub(crate) rx: Receiver<Reply>,
-}
-
-impl MemClientConn {
-    /// Send one raw request (tests and custom clients; [`crate::GatewayClient`]
-    /// wraps this with the blocking API).
-    pub fn send(&self, req: Request) -> Result<(), LinkClosed> {
-        self.tx.send(req).map_err(|_| LinkClosed)
+impl SessionLink for Link<Reply, Request> {
+    fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
+        Link::send(self, reply)
     }
 
-    /// Receive the next raw reply. `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Reply>, LinkClosed> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(reply) => Ok(Some(reply)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(LinkClosed),
-        }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed> {
+        Link::recv_timeout(self, timeout)
     }
 }
 
-/// Gateway half of an in-memory session.
-pub struct MemSessionLink {
-    tx: Sender<Reply>,
-    rx: Receiver<Request>,
-}
+/// The gateway's half of a TCP client session ([`Link::new`] wraps an
+/// accepted socket).
+pub type TcpSessionLink = Link<Reply, Request>;
 
 /// Build a connected in-memory session: `(client half, gateway half)`.
-pub fn mem_session() -> (MemClientConn, MemSessionLink) {
-    let (req_tx, req_rx) = unbounded();
-    let (reply_tx, reply_rx) = unbounded();
-    (
-        MemClientConn {
-            tx: req_tx,
-            rx: reply_rx,
-        },
-        MemSessionLink {
-            tx: reply_tx,
-            rx: req_rx,
-        },
-    )
-}
-
-impl SessionLink for MemSessionLink {
-    fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
-        self.tx.send(reply).map_err(|_| LinkClosed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(req) => Ok(Some(req)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(LinkClosed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP link
-// ---------------------------------------------------------------------------
-
-/// Gateway-side TCP session: the request/reply codec over a
-/// [`FramedLink`]. The session thread reads its own socket — a zero-timeout
-/// receive (the batch-window drain) returns requests already buffered, then
-/// polls the socket once — and writes replies inline.
-pub struct TcpSessionLink {
-    link: FramedLink,
-}
-
-impl TcpSessionLink {
-    /// Wrap an accepted client socket.
-    pub fn new(stream: TcpStream) -> std::io::Result<TcpSessionLink> {
-        Ok(TcpSessionLink {
-            link: FramedLink::new(stream)?,
-        })
-    }
-}
-
-impl SessionLink for TcpSessionLink {
-    fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
-        let mut buf = BytesMut::new();
-        encode_reply(&reply, &mut buf);
-        self.link.send(&buf).map_err(|_| LinkClosed)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed> {
-        self.link
-            .recv(timeout, decode_request)
-            .map_err(|_| LinkClosed)
-    }
+pub fn mem_session() -> (Link<Request, Reply>, Link<Reply, Request>) {
+    mem_link()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{encode_request, ErrorCode};
-    use bytes::Bytes;
+    use bytes::{Bytes, BytesMut};
+    use fc_cluster::{resync_entry, Frame, Message};
+    use std::fmt::Debug;
     use std::io::Write;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
 
-    /// A `TcpSessionLink` and the raw client socket at its far end.
-    fn session_with_raw_client() -> (TcpSessionLink, TcpStream) {
+    use crate::proto::ErrorCode;
+
+    const SHORT: Duration = Duration::from_millis(200);
+
+    /// A TCP link and the raw socket at its far end, so a case decides
+    /// exactly which bytes arrive when.
+    fn with_raw_far_end<S: Frame, R: Frame>() -> (Link<S, R>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         raw.set_nodelay(true).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        (TcpSessionLink::new(stream).unwrap(), raw)
+        (Link::accept(&listener).unwrap(), raw)
     }
 
-    fn write_req(id: u64) -> Request {
-        Request::Write {
-            id,
-            lpn: 8 * id,
-            pages: vec![Bytes::from(vec![id as u8; 64])],
-        }
-    }
-
-    fn frame(req: &Request) -> Vec<u8> {
+    fn frame(msg: &impl Frame) -> Vec<u8> {
         let mut buf = BytesMut::new();
-        encode_request(req, &mut buf);
+        msg.encode(&mut buf);
         buf.to_vec()
     }
 
-    #[test]
-    fn tcp_batch_window_drain_takes_pipelined_writes_from_the_buffer() {
-        let (link, mut raw) = session_with_raw_client();
-        let bytes: Vec<u8> = (1..=3).flat_map(|id| frame(&write_req(id))).collect();
-        raw.write_all(&bytes).unwrap();
-        // What `write_batch` does: one blocking receive for the head, then
-        // zero-timeout receives until the window is dry.
-        assert_eq!(
-            link.recv_timeout(Duration::from_secs(1)),
-            Ok(Some(write_req(1)))
-        );
-        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(write_req(2))));
-        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(write_req(3))));
-        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
-    }
-
-    #[test]
-    fn tcp_request_split_across_writes_survives_a_timeout_in_between() {
-        let (link, mut raw) = session_with_raw_client();
-        let bytes = frame(&write_req(5));
+    /// The framed-TCP cases, for a link that receives `sample(1)`,
+    /// `sample(2)`, … and can send `out()`.
+    fn framed_tcp_cases<S: Frame, R: Frame + PartialEq + Debug>(
+        sample: impl Fn(u64) -> R,
+        out: impl Fn() -> S,
+    ) {
+        // A frame split across two writes survives a timeout in between:
+        // the half already read is kept, and the frame comes out once.
+        let (link, mut raw) = with_raw_far_end::<S, R>();
+        let bytes = frame(&sample(1));
         let (head, tail) = bytes.split_at(bytes.len() / 2);
         raw.write_all(head).unwrap();
         assert_eq!(link.recv_timeout(Duration::from_millis(30)), Ok(None));
         raw.write_all(tail).unwrap();
-        assert_eq!(
-            link.recv_timeout(Duration::from_secs(1)),
-            Ok(Some(write_req(5)))
-        );
+        assert_eq!(link.recv_timeout(SHORT), Ok(Some(sample(1))));
         assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
-    }
 
-    #[test]
-    fn tcp_client_hangup_and_corrupt_requests_close_the_link_for_good() {
-        let (link, raw) = session_with_raw_client();
-        drop(raw);
-        assert_eq!(link.recv_timeout(Duration::from_secs(1)), Err(LinkClosed));
-        assert_eq!(link.recv_timeout(Duration::ZERO), Err(LinkClosed));
-        assert_eq!(
-            link.send(Reply::FlushOk { id: 1, flushed: 0 }),
-            Err(LinkClosed)
-        );
-
-        let (link, mut raw) = session_with_raw_client();
-        let mut bytes = frame(&write_req(6));
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        bytes.extend(frame(&write_req(7)));
+        // Frames sharing a segment come out one per call, the later ones
+        // at zero timeout (a session's batch-window drain) — even after
+        // the far end hung up behind them; then the hang-up shows.
+        let (link, mut raw) = with_raw_far_end::<S, R>();
+        let bytes: Vec<u8> = (1..=3).flat_map(|i| frame(&sample(i))).collect();
         raw.write_all(&bytes).unwrap();
-        assert_eq!(link.recv_timeout(Duration::from_secs(1)), Err(LinkClosed));
-        assert_eq!(link.recv_timeout(Duration::from_secs(1)), Err(LinkClosed));
+        assert_eq!(link.recv_timeout(SHORT), Ok(Some(sample(1))));
+        drop(raw);
+        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(sample(2))));
+        assert_eq!(link.recv_timeout(Duration::ZERO), Ok(Some(sample(3))));
+        assert_eq!(link.recv_timeout(Duration::ZERO), Err(LinkClosed));
+
+        // A zero-timeout receive on an idle link returns at once.
+        let (link, _raw) = with_raw_far_end::<S, R>();
+        let started = Instant::now();
+        for _ in 0..100 {
+            assert_eq!(link.recv_timeout(Duration::ZERO), Ok(None));
+        }
+        assert!(started.elapsed() < SHORT, "{:?}", started.elapsed());
+        assert!(link.is_connected());
+
+        // Hang-up is sticky, for sends too.
+        let (link, raw) = with_raw_far_end::<S, R>();
+        drop(raw);
+        assert_eq!(link.recv_timeout(SHORT), Err(LinkClosed));
+        assert_eq!(link.recv_timeout(Duration::ZERO), Err(LinkClosed));
+        assert_eq!(link.send(out()), Err(LinkClosed));
+        assert!(!link.is_connected());
+
+        // So is a corrupt frame: the intact one behind it is not served.
+        let (link, mut raw) = with_raw_far_end::<S, R>();
+        let mut bytes = frame(&sample(1));
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF; // body no longer matches the frame CRC
+        bytes.extend(frame(&sample(2)));
+        raw.write_all(&bytes).unwrap();
+        assert_eq!(link.recv_timeout(SHORT), Err(LinkClosed));
+        assert_eq!(link.recv_timeout(SHORT), Err(LinkClosed));
     }
 
     #[test]
-    fn mem_session_passes_typed_values() {
-        let (client, server) = mem_session();
-        client
-            .tx
-            .send(Request::Flush { id: 1 })
-            .expect("send request");
-        let got = server
-            .recv_timeout(Duration::from_millis(100))
-            .unwrap()
-            .unwrap();
-        assert_eq!(got, Request::Flush { id: 1 });
-        server
-            .send(Reply::Error {
-                id: 1,
-                code: ErrorCode::Busy,
-            })
-            .unwrap();
-        let reply = client.rx.recv_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(reply.id(), 1);
-    }
-
-    #[test]
-    fn mem_session_timeout_is_not_closure() {
-        let (client, server) = mem_session();
-        assert_eq!(server.recv_timeout(Duration::from_millis(5)).unwrap(), None);
-        drop(client);
-        assert_eq!(
-            server.recv_timeout(Duration::from_millis(5)),
-            Err(LinkClosed)
+    fn framed_tcp_peer_link() {
+        framed_tcp_cases::<Message, Message>(
+            |seq| Message::WriteReplBatch {
+                epoch: 1,
+                seq,
+                entries: vec![resync_entry(seq, 1, Bytes::from(vec![seq as u8; 600]))],
+            },
+            || Message::Purge,
         );
+    }
+
+    #[test]
+    fn framed_tcp_session_link() {
+        framed_tcp_cases::<Reply, Request>(
+            |id| Request::Write {
+                id,
+                lpn: 8 * id,
+                pages: vec![Bytes::from(vec![id as u8; 64])],
+            },
+            || Reply::FlushOk { id: 1, flushed: 0 },
+        );
+    }
+
+    #[test]
+    fn framed_tcp_client_link() {
+        framed_tcp_cases::<Request, Reply>(
+            |id| Reply::WriteOk {
+                id,
+                pages: 4,
+                replicated: true,
+            },
+            || Request::Flush { id: 1 },
+        );
+    }
+
+    #[test]
+    fn mem_session_passes_typed_values_both_ways() {
+        let (client, server) = mem_session();
+        client.send(Request::Flush { id: 1 }).unwrap();
+        assert_eq!(
+            SessionLink::recv_timeout(&server, SHORT),
+            Ok(Some(Request::Flush { id: 1 }))
+        );
+        let busy = Reply::Error {
+            id: 1,
+            code: ErrorCode::Busy,
+        };
+        SessionLink::send(&server, busy.clone()).unwrap();
+        assert_eq!(client.recv_timeout(SHORT), Ok(Some(busy)));
     }
 }

@@ -6,10 +6,11 @@
 //! all, storage servers with users.
 //!
 //! * [`proto`] — versioned request/reply wire protocol (Read / Write /
-//!   Trim / Flush plus typed errors), CRC-framed exactly like the peer
-//!   protocol.
-//! * [`conn`] — session transports: in-memory channel pairs for
-//!   deterministic tests, TCP for real deployments.
+//!   Trim / Flush plus typed errors), framed by the peer protocol's own
+//!   frame code (`fc_cluster::wire`).
+//! * [`conn`] — sessions over the cluster's one link type,
+//!   `fc_cluster::Link`: its in-memory arm for deterministic tests, its
+//!   TCP arm for real deployments.
 //! * [`admission`] — per-client token buckets and a global in-flight cap;
 //!   overload is shed with explicit `Busy` replies, never unbounded queues.
 //! * [`batch`] — per-session write coalescing into block-aligned runs, so
@@ -68,11 +69,7 @@ pub mod shard;
 pub use admission::{Admission, AdmissionConfig, Permit, ShedReason, TokenBucket};
 pub use batch::{coalesce, coalesce_sharded, WriteRun};
 pub use client::{ClientError, GatewayClient, WriteAck};
-pub use conn::{
-    mem_session, LinkClosed, MemClientConn, MemSessionLink, SessionLink, TcpSessionLink,
-};
+pub use conn::{mem_session, LinkClosed, SessionLink, TcpSessionLink};
 pub use gateway::{Gateway, GatewayConfig, GatewayStats, RebalanceError, RebalanceReport};
-pub use proto::{
-    ErrorCode, ProtoError, Reply, Request, MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+pub use proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
 pub use shard::{spawn_mem_pair, ShardStats, ShardStatsSum, ShardedGateway};

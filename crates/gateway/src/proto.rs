@@ -1,7 +1,8 @@
 //! Client-facing wire protocol.
 //!
-//! Same framing discipline as the peer protocol in `fc_cluster::wire` — a
-//! hand-rolled, length-prefixed binary format over [`bytes`]:
+//! Framed by the peer protocol's own code (`fc_cluster::wire`'s
+//! [`write_frame`] / [`split_frame`], so the same `MAX_FRAME` cap and the
+//! same [`FrameError`]s):
 //!
 //! ```text
 //! [u32 LE: payload length][u32 LE: CRC-32 of payload][u8: message tag][payload…]
@@ -18,7 +19,7 @@
 //! the gateway always replies in receive order per session.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fc_cluster::wire::crc32;
+use fc_cluster::wire::{need, split_frame, write_frame, Frame, FrameError};
 
 /// Current protocol version, sent in [`Request::Hello`] and checked by the
 /// gateway before any I/O is served.
@@ -33,41 +34,6 @@ pub const PROTO_VERSION: u16 = 2;
 
 /// Oldest client protocol version the gateway still accepts.
 pub const MIN_PROTO_VERSION: u16 = 1;
-
-/// Maximum frame payload accepted by either side (16 MiB) — same bound as
-/// the peer protocol, protects against corrupted length prefixes.
-pub const MAX_FRAME: usize = 16 << 20;
-
-/// Errors from [`decode_request`] / [`decode_reply`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoError {
-    /// Length prefix exceeds [`MAX_FRAME`].
-    FrameTooLarge(usize),
-    /// Unknown message tag or enum discriminant.
-    BadTag(u8),
-    /// Frame body ended before the message was complete.
-    Truncated,
-    /// Frame checksum mismatch.
-    Checksum { expected: u32, found: u32 },
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProtoError::FrameTooLarge(n) => write!(f, "frame too large: {n} bytes"),
-            ProtoError::BadTag(t) => write!(f, "bad message tag {t}"),
-            ProtoError::Truncated => write!(f, "truncated frame"),
-            ProtoError::Checksum { expected, found } => {
-                write!(
-                    f,
-                    "frame checksum mismatch: expected {expected:#x}, found {found:#x}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProtoError {}
 
 /// Why the gateway refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,12 +56,12 @@ impl ErrorCode {
         }
     }
 
-    fn from_u8(b: u8) -> Result<Self, ProtoError> {
+    fn from_u8(b: u8) -> Result<Self, FrameError> {
         match b {
             0 => Ok(ErrorCode::Busy),
             1 => Ok(ErrorCode::BadVersion),
             2 => Ok(ErrorCode::BadRequest),
-            other => Err(ProtoError::BadTag(other)),
+            other => Err(FrameError::BadTag(other)),
         }
     }
 
@@ -201,33 +167,13 @@ const TAG_FLUSH_OK: u8 = 133;
 const TAG_ERROR: u8 = 134;
 const TAG_UNAVAILABLE: u8 = 135;
 
-/// Open a frame whose pages will take `payload` bytes, sizing the buffer
-/// once (40 covers the frame header, the tag and the widest fixed part) so
-/// a page-carrying frame is not grown by doubling.
-fn begin_frame(out: &mut BytesMut, payload: usize) -> usize {
-    out.reserve(40 + payload);
-    let len_pos = out.len();
-    out.put_u32_le(0); // length, backfilled
-    out.put_u32_le(0); // CRC-32 of the body, backfilled
-    len_pos
-}
-
-fn end_frame(out: &mut BytesMut, len_pos: usize) {
-    let body_start = len_pos + 8;
-    let body_len = out.len() - body_start;
-    let crc = crc32(&out[body_start..]);
-    out[len_pos..len_pos + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    out[len_pos + 4..len_pos + 8].copy_from_slice(&crc.to_le_bytes());
-}
-
 /// Append one framed request to `out`.
 pub fn encode_request(req: &Request, out: &mut BytesMut) {
     let payload = match req {
         Request::Write { pages, .. } => pages.iter().map(|p| 4 + p.len()).sum(),
         _ => 0,
     };
-    let len_pos = begin_frame(out, payload);
-    match req {
+    write_frame(out, payload, |out| match req {
         Request::Hello { version, client } => {
             out.put_u8(TAG_HELLO);
             out.put_u16_le(*version);
@@ -259,8 +205,7 @@ pub fn encode_request(req: &Request, out: &mut BytesMut) {
             out.put_u8(TAG_FLUSH);
             out.put_u64_le(*id);
         }
-    }
-    end_frame(out, len_pos);
+    });
 }
 
 /// Append one framed reply to `out`.
@@ -272,8 +217,7 @@ pub fn encode_reply(reply: &Reply, out: &mut BytesMut) {
             .sum(),
         _ => 0,
     };
-    let len_pos = begin_frame(out, payload);
-    match reply {
+    write_frame(out, payload, |out| match reply {
         Reply::HelloOk {
             version,
             max_inflight,
@@ -327,42 +271,12 @@ pub fn encode_reply(reply: &Reply, out: &mut BytesMut) {
             out.put_u64_le(*id);
             out.put_u32_le(*retry_after_ms);
         }
-    }
-    end_frame(out, len_pos);
-}
-
-fn split_frame(buf: &mut BytesMut) -> Result<Option<Bytes>, ProtoError> {
-    if buf.len() < 8 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(ProtoError::FrameTooLarge(len));
-    }
-    if buf.len() < 8 + len {
-        return Ok(None);
-    }
-    let expected = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    buf.advance(8);
-    let body = buf.split_to(len).freeze();
-    let found = crc32(&body);
-    if found != expected {
-        return Err(ProtoError::Checksum { expected, found });
-    }
-    Ok(Some(body))
-}
-
-fn need(body: &Bytes, n: usize) -> Result<(), ProtoError> {
-    if body.remaining() < n {
-        Err(ProtoError::Truncated)
-    } else {
-        Ok(())
-    }
+    });
 }
 
 /// Decode one request from `buf`, if a complete frame is present.
 /// Consumed bytes are removed from `buf`; `Ok(None)` means "wait for more".
-pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, ProtoError> {
+pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, FrameError> {
     let Some(mut body) = split_frame(buf)? else {
         return Ok(None);
     };
@@ -412,13 +326,13 @@ pub fn decode_request(buf: &mut BytesMut) -> Result<Option<Request>, ProtoError>
                 id: body.get_u64_le(),
             }
         }
-        other => return Err(ProtoError::BadTag(other)),
+        other => return Err(FrameError::BadTag(other)),
     };
     Ok(Some(req))
 }
 
 /// Decode one reply from `buf`, if a complete frame is present.
-pub fn decode_reply(buf: &mut BytesMut) -> Result<Option<Reply>, ProtoError> {
+pub fn decode_reply(buf: &mut BytesMut) -> Result<Option<Reply>, FrameError> {
     let Some(mut body) = split_frame(buf)? else {
         return Ok(None);
     };
@@ -447,7 +361,7 @@ pub fn decode_reply(buf: &mut BytesMut) -> Result<Option<Reply>, ProtoError> {
                         need(&body, dl)?;
                         pages.push(Some(body.split_to(dl)));
                     }
-                    other => return Err(ProtoError::BadTag(other)),
+                    other => return Err(FrameError::BadTag(other)),
                 }
             }
             Reply::ReadOk { id, pages }
@@ -488,14 +402,35 @@ pub fn decode_reply(buf: &mut BytesMut) -> Result<Option<Reply>, ProtoError> {
                 retry_after_ms: body.get_u32_le(),
             }
         }
-        other => return Err(ProtoError::BadTag(other)),
+        other => return Err(FrameError::BadTag(other)),
     };
     Ok(Some(reply))
+}
+
+impl Frame for Request {
+    fn encode(&self, out: &mut BytesMut) {
+        encode_request(self, out);
+    }
+
+    fn decode(buf: &mut BytesMut) -> Result<Option<Request>, FrameError> {
+        decode_request(buf)
+    }
+}
+
+impl Frame for Reply {
+    fn encode(&self, out: &mut BytesMut) {
+        encode_reply(self, out);
+    }
+
+    fn decode(buf: &mut BytesMut) -> Result<Option<Reply>, FrameError> {
+        decode_reply(buf)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fc_cluster::{resync_entry, Message};
 
     fn all_requests() -> Vec<Request> {
         vec![
@@ -577,64 +512,52 @@ mod tests {
         assert!(decode_reply(&mut buf).unwrap().is_none());
     }
 
-    #[test]
-    fn partial_frames_wait_for_more_bytes() {
-        let mut full = BytesMut::new();
-        encode_request(
-            &Request::Write {
-                id: 9,
-                lpn: 0,
-                pages: vec![Bytes::from_static(b"abcdef")],
-            },
-            &mut full,
-        );
-        for cut in 0..full.len() {
-            let mut partial = BytesMut::from(&full[..cut]);
-            assert!(
-                decode_request(&mut partial).unwrap().is_none(),
-                "cut at {cut} must be incomplete, not an error"
-            );
-        }
+    fn hex(frame: &[u8]) -> String {
+        frame.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The bytes on both wires, pinned: one replication batch, one write
+    /// request and one read reply, each encoded through its [`Frame`] impl
+    /// — the codec a TCP link runs.
     #[test]
-    fn any_single_flipped_byte_is_rejected_or_incomplete() {
-        let mut full = BytesMut::new();
-        encode_request(
-            &Request::Write {
-                id: 1,
-                lpn: 3,
-                pages: vec![Bytes::from_static(b"payload-bytes")],
-            },
-            &mut full,
-        );
-        let original = full.clone();
-        for i in 0..full.len() {
-            let mut tampered = BytesMut::from(&original[..]);
-            tampered[i] ^= 0x40;
-            match decode_request(&mut tampered) {
-                Err(_) => {}   // corruption detected
-                Ok(None) => {} // frame no longer complete (length prefix hit)
-                Ok(Some(got)) => {
-                    // A decoded frame must never silently differ from the
-                    // original message.
-                    let mut pristine = BytesMut::from(&original[..]);
-                    let want = decode_request(&mut pristine).unwrap().unwrap();
-                    assert_eq!(got, want, "flip at byte {i} decoded to a different message");
-                }
-            }
+    fn frames_match_their_pinned_bytes() {
+        fn framed(msg: &impl Frame) -> String {
+            let mut buf = BytesMut::new();
+            msg.encode(&mut buf);
+            hex(&buf)
         }
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_an_error() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le((MAX_FRAME + 1) as u32);
-        buf.put_u32_le(0);
-        assert!(matches!(
-            decode_reply(&mut buf),
-            Err(ProtoError::FrameTooLarge(_))
-        ));
+        let batch = Message::WriteReplBatch {
+            epoch: 3,
+            seq: 7,
+            entries: vec![
+                resync_entry(42, 9, Bytes::from_static(b"flash")),
+                resync_entry(43, 10, Bytes::from_static(b"coop")),
+            ],
+        };
+        assert_eq!(
+            framed(&batch),
+            "4a00000051b5ef620e030000000700000000000000020000002a00000000000000\
+             0900000000000000035fceaf05000000666c6173682b000000000000000a000000\
+             00000000b80d3cf904000000636f6f70"
+        );
+        let write = Request::Write {
+            id: 5,
+            lpn: 128,
+            pages: vec![Bytes::from_static(b"page-a"), Bytes::from_static(b"pg-b")],
+        };
+        assert_eq!(
+            framed(&write),
+            "27000000594a7d0003050000000000000080000000000000000200000006000000\
+             706167652d610400000070672d62"
+        );
+        let read_ok = Reply::ReadOk {
+            id: 6,
+            pages: vec![Some(Bytes::from_static(b"hit")), None],
+        };
+        assert_eq!(
+            framed(&read_ok),
+            "160000003309c63482060000000000000002000000010300000068697400"
+        );
     }
 
     #[test]

@@ -211,8 +211,8 @@ impl ShardStatsSum {
     }
 }
 
-/// Spawn one in-memory cooperative pair for ring shard `shard`: A/B over a
-/// crossbeam link sharing one mem backend, node ids `2*shard` /
+/// Spawn one in-memory cooperative pair for ring shard `shard`: A/B over an
+/// in-memory link sharing one mem backend, node ids `2*shard` /
 /// `2*shard+1`, block geometry `pages_per_block`, and `tune` applied to
 /// each node's [`NodeConfig`] before spawn.
 pub fn spawn_mem_pair(
@@ -254,8 +254,8 @@ impl ShardedGateway {
         }
     }
 
-    /// Spawn `pairs` in-memory cooperative pairs (each A/B over a
-    /// crossbeam link, sharing one backend per pair, node ids `2i`/`2i+1`)
+    /// Spawn `pairs` in-memory cooperative pairs (each A/B over an
+    /// in-memory link, sharing one backend per pair, node ids `2i`/`2i+1`)
     /// and front them with a sharded gateway. The node block geometry is
     /// aligned with `cfg.pages_per_block`.
     pub fn spawn_mem(cfg: GatewayConfig, ring_cfg: RingConfig, pairs: u16) -> ShardedGateway {

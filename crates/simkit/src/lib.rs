@@ -9,9 +9,9 @@
 //!   [`SimDuration`]) with saturating arithmetic and human-readable display.
 //! * [`event`] — a stable, FIFO-tie-breaking event queue ([`event::EventQueue`])
 //!   for fully event-driven simulations.
-//! * [`resource`] — lightweight FIFO resource timelines ([`resource::Timeline`],
-//!   [`resource::MultiTimeline`]) for virtual-clock trace replay, which is how
-//!   most FlashCoop experiments are driven.
+//! * [`resource`] — lightweight FIFO resource timelines ([`resource::Timeline`])
+//!   for virtual-clock trace replay, which is how most FlashCoop experiments
+//!   are driven.
 //! * [`rng`] — seeded deterministic randomness ([`rng::DetRng`]) including the
 //!   Zipf sampler used for temporal-locality synthesis.
 //! * [`net`] — a latency/bandwidth link model ([`net::LinkModel`]) standing in

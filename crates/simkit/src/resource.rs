@@ -9,9 +9,6 @@
 //! `start - t`. This is exactly an M/G/1-style FIFO queue replay and is the
 //! standard technique in storage-trace simulators (DiskSim uses the same idea
 //! per component).
-//!
-//! [`MultiTimeline`] generalises this to `k` identical servers (e.g. the
-//! planes of a flash die, which can program pages concurrently).
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -95,94 +92,6 @@ impl Timeline {
     }
 }
 
-/// `k` identical FIFO servers; each acquisition takes the earliest-free server.
-///
-/// Used to model plane-level parallelism: a k-page sequential write striped
-/// over `k` planes programs concurrently, while k random single-page writes to
-/// the same plane serialise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MultiTimeline {
-    servers: Vec<Timeline>,
-}
-
-impl MultiTimeline {
-    /// Create `k` idle servers. `k` is clamped to at least 1.
-    pub fn new(k: usize) -> Self {
-        MultiTimeline {
-            servers: vec![Timeline::default(); k.max(1)],
-        }
-    }
-
-    /// Number of servers.
-    pub fn servers(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Acquire the earliest-free server.
-    pub fn acquire(&mut self, arrival: SimTime, service: SimDuration) -> Grant {
-        let idx = self.earliest_free();
-        self.servers[idx].acquire(arrival, service)
-    }
-
-    /// Acquire a *specific* server (e.g. the plane that owns a physical page).
-    pub fn acquire_server(
-        &mut self,
-        server: usize,
-        arrival: SimTime,
-        service: SimDuration,
-    ) -> Grant {
-        let idx = server % self.servers.len();
-        self.servers[idx].acquire(arrival, service)
-    }
-
-    /// Instant at which all servers are free.
-    pub fn all_free_at(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|s| s.free_at())
-            .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Instant at which the least-loaded server is free.
-    pub fn earliest_free_at(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|s| s.free_at())
-            .fold(SimTime::MAX, SimTime::min)
-    }
-
-    /// Mean utilisation across servers over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if self.servers.is_empty() {
-            return 0.0;
-        }
-        self.servers
-            .iter()
-            .map(|s| s.utilization(horizon))
-            .sum::<f64>()
-            / self.servers.len() as f64
-    }
-
-    /// Reset every server to idle-at-zero.
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            s.reset();
-        }
-    }
-
-    fn earliest_free(&self) -> usize {
-        let mut best = 0;
-        let mut best_t = self.servers[0].free_at();
-        for (i, s) in self.servers.iter().enumerate().skip(1) {
-            if s.free_at() < best_t {
-                best = i;
-                best_t = s.free_at();
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,54 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn multi_timeline_parallelises_independent_work() {
-        let mut m = MultiTimeline::new(4);
-        // Four units of work arriving together run fully in parallel.
-        let ends: Vec<SimTime> = (0..4).map(|_| m.acquire(AT(0), US(10)).end).collect();
-        assert!(ends.iter().all(|&e| e == AT(10)));
-        // A fifth queues behind the earliest-free server.
-        let g = m.acquire(AT(0), US(10));
-        assert_eq!(g.start, AT(10));
-        assert_eq!(g.end, AT(20));
-    }
-
-    #[test]
-    fn multi_timeline_specific_server_serialises() {
-        let mut m = MultiTimeline::new(4);
-        let g1 = m.acquire_server(2, AT(0), US(10));
-        let g2 = m.acquire_server(2, AT(0), US(10));
-        assert_eq!(g1.end, AT(10));
-        assert_eq!(g2.start, AT(10));
-        // Server index wraps modulo the server count.
-        let g3 = m.acquire_server(6, AT(0), US(10));
-        assert_eq!(g3.start, AT(20));
-    }
-
-    #[test]
-    fn multi_timeline_free_at_bounds() {
-        let mut m = MultiTimeline::new(2);
-        m.acquire_server(0, AT(0), US(30));
-        assert_eq!(m.earliest_free_at(), SimTime::ZERO);
-        assert_eq!(m.all_free_at(), AT(30));
-    }
-
-    #[test]
-    fn zero_servers_clamps_to_one() {
-        let m = MultiTimeline::new(0);
-        assert_eq!(m.servers(), 1);
-    }
-
-    #[test]
     fn reset_restores_idle_state() {
         let mut t = Timeline::new();
         t.acquire(AT(0), US(10));
         t.reset();
         assert!(t.is_idle_at(SimTime::ZERO));
         assert_eq!(t.busy_time(), SimDuration::ZERO);
-
-        let mut m = MultiTimeline::new(2);
-        m.acquire(AT(0), US(10));
-        m.reset();
-        assert_eq!(m.all_free_at(), SimTime::ZERO);
     }
 }

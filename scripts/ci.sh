@@ -104,6 +104,30 @@ if code "$gw/session.rs" | grep -nE 'RouteTable|ShardHealth'; then
   exit 1
 fi
 
+echo "==> link + frame guard: one frame codec, one link type"
+# DESIGN §2.5 / §12: both protocols frame through fc_cluster::wire
+# (write_frame / split_frame under one MAX_FRAME), and every link — peer,
+# session, client — is an fc_cluster::Link.
+src_code() { for f in $(find crates/*/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done; }
+if [ "$(src_code | grep -c 'const MAX_FRAME\b')" -ne 1 ]; then
+  echo "MAX_FRAME is defined once, in crates/cluster/src/wire.rs" >&2
+  exit 1
+fi
+if src_code | grep -v '^crates/cluster/src/wire\.rs:' \
+  | grep -E 'fn (write|split|begin|end)_frame\(|copy_from_slice\(&[a-z_]+\.to_le_bytes\(\)\)|from_le_bytes\(\[buf\['; then
+  echo "the frame header's backfill and split live in crates/cluster/src/wire.rs only (write_frame / split_frame)" >&2
+  exit 1
+fi
+gw_code() { for f in $(find crates/gateway/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done; }
+if gw_code | grep -E 'FramedLink|crossbeam|Sender<|Receiver<|unbounded\('; then
+  echo "crates/gateway/src: sessions and clients ride fc_cluster::Link — no framed socket or channel of their own" >&2
+  exit 1
+fi
+if [ "$(gw_code | grep -c 'impl SessionLink for')" -ne 1 ]; then
+  echo "crates/gateway/src: SessionLink is implemented once, for Link<Reply, Request> (conn.rs)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
