@@ -34,7 +34,7 @@ impl Node {
         let inner = self.core.inner.lock();
         let mut out = Vec::with_capacity(lpns.len());
         for &lpn in lpns {
-            if let Some(page) = inner.resident.get(&lpn) {
+            if let Some(page) = inner.buffer.get(lpn) {
                 out.push(resync_entry(lpn, page.version, page.bytes.clone()));
             } else if let Some((ver, data)) = inner.backend.lock().read_page(lpn) {
                 out.push(resync_entry(lpn, ver, Bytes::from(data)));
@@ -69,7 +69,7 @@ impl Node {
                     // with an older buffered one.
                     backend.version_of(*lpn).is_some_and(|bv| bv > *ver)
                 };
-                if stale || inner.resident.get(lpn).is_some_and(|p| p.version > *ver) {
+                if stale || inner.buffer.get(*lpn).is_some_and(|p| p.version > *ver) {
                     continue;
                 }
                 let page = Resident {
@@ -77,8 +77,7 @@ impl Node {
                     crc: *crc,
                     version: *ver,
                 };
-                inner.resident.insert(*lpn, page);
-                let ev = inner.buffer.insert_clean(*lpn, 1);
+                let ev = inner.buffer.fill_pages(*lpn, [page]);
                 flushed.extend(inner.apply_eviction(&ev));
                 imported += 1;
             }

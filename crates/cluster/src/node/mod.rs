@@ -57,7 +57,7 @@
 //! | `recover` | recovery handshake, scrub | `Inner`, then leaves; parked calls | its own requests |
 //! | `migrate` | export / import / fence-out hooks | `Inner`, then leaves | Discards |
 //! | `pump` | the link slot and `read_one` (the only receive), frame dispatch, the background thread | the link slot, then `Inner`, parked calls, the pipe's | heartbeats and every reply |
-//! | `state` | `Inner`: version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never |
+//! | `state` | `Inner`: the buffer — the one page table, `BufferManager<Resident>` — version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never |
 //! | `recv` | `Inner`'s receive handlers and timer tick | (holds `Inner`) leaves | never — returns the reply |
 //! | `resync` | journal + resync run | (holds `Inner`) — | never — returns the pages |
 //! | `hosted` | pages hosted for the peer, the [`PEER_NS`] namespace | backend | never |
@@ -247,7 +247,7 @@ impl Node {
         let mut inner = self.core.inner.lock();
         for lpn in lpn..lpn + u64::from(n) {
             inner.buffer.read(lpn, 1);
-            if let Some(page) = inner.resident.get(&lpn) {
+            if let Some(page) = inner.buffer.get(lpn) {
                 hits += 1;
                 out.push(Some(page.bytes.clone()));
             } else {
@@ -275,18 +275,25 @@ impl Node {
         let crc = crc32(&bytes);
         Some(self.under_inner(|inner| {
             inner.observe_version(version);
-            if let Some(newer) = inner.resident.get(&lpn) {
+            if let Some(newer) = inner.buffer.get(lpn) {
                 // A concurrent write landed while we were off the lock;
                 // its buffered copy supersedes the backend's.
                 return (newer.bytes.clone(), Vec::new());
+            }
+            if inner.backend.lock().version_of(lpn) != Some(version) {
+                // A concurrent write was buffered, evicted and flushed, or
+                // a delete trimmed the page, while we were off the lock:
+                // the copy we read is no longer the page, so it stays
+                // uncached (this read overlapped that change and may still
+                // return it).
+                return (bytes, Vec::new());
             }
             let fill = Resident {
                 bytes: bytes.clone(),
                 crc,
                 version,
             };
-            inner.resident.insert(lpn, fill);
-            let ev = inner.buffer.insert_clean(lpn, 1);
+            let ev = inner.buffer.fill_pages(lpn, [fill]);
             (bytes, inner.apply_eviction(&ev))
         }))
     }
@@ -306,7 +313,6 @@ impl Node {
         self.core.parked.lock().clear();
         let mut inner = self.core.inner.lock();
         inner.buffer.clear();
-        inner.resident.clear();
         inner.hosted.clear();
         inner.resync.clear();
         for c in inner.clients.values_mut() {
@@ -397,9 +403,8 @@ impl Node {
                     if only_held && durable.is_none() && inner.buffer.lookup(lpn).is_none() {
                         continue;
                     }
-                    inner.buffer.discard(lpn, 1);
+                    let resident = inner.buffer.remove(lpn).map(|p| p.version);
                     inner.resync.forget(lpn);
-                    let resident = inner.resident.remove(&lpn).map(|p| p.version);
                     backend.trim_page(lpn);
                     bounds.push((lpn, resident.or(durable).unwrap_or(u64::MAX)));
                 }
@@ -721,15 +726,6 @@ mod testkit {
     /// after going solo).
     pub(crate) fn peer_credits(n: &Node) -> Option<u32> {
         n.core.inner.lock().credits
-    }
-
-    /// The resident table's key set and the buffer's, both sorted — equal
-    /// whenever `Inner` is unlocked.
-    pub(crate) fn table_and_buffer(n: &Node) -> (Vec<u64>, Vec<u64>) {
-        let g = n.core.inner.lock();
-        let mut table: Vec<u64> = g.resident.keys().copied().collect();
-        table.sort_unstable();
-        (table, g.buffer.resident_pages())
     }
 }
 
@@ -1088,6 +1084,68 @@ mod tests {
         b.shutdown();
     }
 
+    /// What a reader's backend fetch returns when, between the fetch and
+    /// the fill, a concurrent write of the page is buffered, evicted and
+    /// flushed (or a delete trims it): the first `read_page` of an lpn in
+    /// `stale` returns the copy from before, while `version_of` already
+    /// reports the backend as it is after.
+    struct FlushInTheGap {
+        mem: MemBackend,
+        stale: Mutex<HashMap<u64, (u64, Vec<u8>)>>,
+    }
+
+    impl StorageBackend for FlushInTheGap {
+        fn write_page(&mut self, lpn: u64, version: u64, data: &[u8]) {
+            self.mem.write_page(lpn, version, data);
+        }
+        fn read_page(&self, lpn: u64) -> Option<(u64, Vec<u8>)> {
+            let stale = self.stale.lock().remove(&lpn);
+            stale.or_else(|| self.mem.read_page(lpn))
+        }
+        fn trim_page(&mut self, lpn: u64) {
+            self.mem.trim_page(lpn);
+        }
+        fn pages(&self) -> usize {
+            self.mem.pages()
+        }
+        fn version_of(&self, lpn: u64) -> Option<u64> {
+            self.mem.version_of(lpn)
+        }
+        fn lpns(&self) -> Vec<u64> {
+            self.mem.lpns()
+        }
+    }
+
+    #[test]
+    fn read_miss_never_caches_a_copy_the_backend_has_moved_past() {
+        // lpn 7 was rewritten (v2 flushed over v1) and lpn 9 deleted while
+        // the first read of each was off the lock.
+        let mut mem = MemBackend::new();
+        mem.write_page(7, 2, b"new");
+        let stale = HashMap::from([(7, (1, b"old".to_vec())), (9, (1, b"gone".to_vec()))]);
+        let backend = FlushInTheGap {
+            mem,
+            stale: Mutex::new(stale),
+        };
+        let (ta, tb) = mem_pair();
+        let a = Node::spawn(NodeConfig::test_profile(0), ta, shared_backend(backend));
+        let b = Node::spawn(
+            NodeConfig::test_profile(1),
+            tb,
+            shared_backend(MemBackend::new()),
+        );
+        // The racing reads overlapped the write and the delete, so they may
+        // return what they fetched — but must not cache it.
+        assert_eq!(a.read(7), Some(b"old".to_vec()));
+        assert_eq!(a.read(9), Some(b"gone".to_vec()));
+        assert_eq!(a.read(7), Some(b"new".to_vec()), "stale fill was cached");
+        assert_eq!(a.read(9), None, "deleted page was cached");
+        assert_eq!(a.try_migration_lpns(), Ok(vec![7]));
+        assert_eq!(a.stats().read_hits, 0);
+        a.shutdown();
+        b.shutdown();
+    }
+
     #[test]
     fn failed_node_refuses_and_restart_rejoins() {
         let (a, b, _ba, _bb) = pair();
@@ -1121,7 +1179,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_table_tracks_the_buffer_through_eviction_and_delete() {
+    fn reads_follow_writes_through_eviction_and_delete() {
         const BUFFER: usize = 256;
         const WINDOW: u64 = 64 * BUFFER as u64;
         const OPS: u64 = 20_000;
@@ -1157,11 +1215,6 @@ mod tests {
                 let lpn = touched[next() as usize % touched.len()];
                 assert_eq!(a.read(lpn).as_ref(), last.get(&lpn), "op {op} lpn {lpn}");
             }
-            if op % 512 == 0 {
-                let (table, buffer) = table_and_buffer(&a);
-                assert!(table.len() <= BUFFER, "op {op}: {} records", table.len());
-                assert_eq!(table, buffer, "op {op}");
-            }
         }
         let s = a.stats();
         assert!(s.flushed_pages > 0 && s.reads > s.read_hits, "{s:?}");
@@ -1172,8 +1225,6 @@ mod tests {
             a.try_delete_run(0, lpn, 1).unwrap();
             last.remove(&lpn);
         }
-        let (table, buffer) = table_and_buffer(&a);
-        assert_eq!(table, buffer);
         assert!(a.stats().writes_balance());
         for &lpn in &deleted {
             assert_eq!(a.read(lpn), None, "deleted page {lpn} came back");
@@ -1181,9 +1232,6 @@ mod tests {
         for (lpn, want) in &last {
             assert_eq!(a.read(*lpn).as_ref(), Some(want), "lpn {lpn}");
         }
-        let (table, buffer) = table_and_buffer(&a);
-        assert!(table.len() <= BUFFER);
-        assert_eq!(table, buffer);
         assert!(
             wait_until(
                 || {
@@ -1194,6 +1242,141 @@ mod tests {
             ),
             "peer still hosts a deleted page"
         );
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn read_miss_racing_writes_and_deletes_settles_on_the_last_ack() {
+        // A 2-page buffer over 8 lpns: most writes evict and flush, most
+        // reads miss, so the readers' fetch-to-fill gaps keep overlapping
+        // a rewrite or delete of the page they fetched.
+        const WINDOW: u64 = 8;
+        const OPS: u64 = 4_000;
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.buffer_pages = 2;
+        let (ta, tb) = mem_pair();
+        let a = Node::spawn(cfg, ta, shared_backend(MemBackend::new()));
+        let b = Node::spawn(
+            NodeConfig::test_profile(1),
+            tb,
+            shared_backend(MemBackend::new()),
+        );
+        let done = AtomicBool::new(false);
+        let mut last: HashMap<u64, Vec<u8>> = HashMap::new();
+        std::thread::scope(|s| {
+            for seed in 1..=2u64 {
+                let (a, done) = (&a, &done);
+                s.spawn(move || {
+                    let mut lpn = seed;
+                    while !done.load(Ordering::Relaxed) {
+                        lpn = (lpn * 5 + 3) % WINDOW;
+                        a.read(lpn);
+                    }
+                });
+            }
+            let mut rng = 0x2545_F491_4F6C_DD1Du64;
+            let mut stale = None;
+            for op in 0..OPS {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let lpn = rng % WINDOW;
+                if rng >> 60 < 3 {
+                    a.try_delete_run(0, lpn, 1).unwrap();
+                    last.remove(&lpn);
+                } else {
+                    let payload = format!("p{lpn}-{op}").into_bytes();
+                    a.write(lpn, &payload);
+                    last.insert(lpn, payload);
+                }
+                // This thread is the only writer: a read must return the
+                // last acked copy, whatever the readers filled meanwhile.
+                let probe = (rng >> 32) % WINDOW;
+                if a.read(probe).as_ref() != last.get(&probe) {
+                    stale = Some((op, probe));
+                    break;
+                }
+            }
+            done.store(true, Ordering::Relaxed);
+            assert_eq!(stale, None, "(op, lpn) read an older copy than acked");
+        });
+        for lpn in 0..WINDOW {
+            assert_eq!(a.read(lpn).as_ref(), last.get(&lpn), "lpn {lpn}");
+        }
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A backend whose read of an lpn in `pause` reports the fetch on
+    /// `fetched`, then keeps the backend lock long enough for a delete to
+    /// take `Inner` and block behind it to trim the same page — the widest
+    /// the reader's fetch-to-fill gap can be.
+    struct PauseInTheGap {
+        mem: MemBackend,
+        pause: Arc<Mutex<Vec<u64>>>,
+        fetched: crossbeam::channel::Sender<u64>,
+    }
+
+    impl StorageBackend for PauseInTheGap {
+        fn write_page(&mut self, lpn: u64, version: u64, data: &[u8]) {
+            self.mem.write_page(lpn, version, data);
+        }
+        fn read_page(&self, lpn: u64) -> Option<(u64, Vec<u8>)> {
+            let page = self.mem.read_page(lpn);
+            if self.pause.lock().contains(&lpn) {
+                self.fetched.send(lpn).unwrap();
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            page
+        }
+        fn trim_page(&mut self, lpn: u64) {
+            self.mem.trim_page(lpn);
+        }
+        fn pages(&self) -> usize {
+            self.mem.pages()
+        }
+        fn version_of(&self, lpn: u64) -> Option<u64> {
+            self.mem.version_of(lpn)
+        }
+        fn lpns(&self) -> Vec<u64> {
+            self.mem.lpns()
+        }
+    }
+
+    #[test]
+    fn read_miss_racing_a_delete_caches_nothing() {
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.buffer_pages = 1;
+        let pause = Arc::new(Mutex::new(Vec::new()));
+        let (fetched, on_fetch) = crossbeam::channel::unbounded();
+        let backend = PauseInTheGap {
+            mem: MemBackend::new(),
+            pause: pause.clone(),
+            fetched,
+        };
+        let (ta, tb) = mem_pair();
+        let a = Node::spawn(cfg, ta, shared_backend(backend));
+        let b = Node::spawn(
+            NodeConfig::test_profile(1),
+            tb,
+            shared_backend(MemBackend::new()),
+        );
+        a.write(9, b"gone");
+        a.write(100, b"filler"); // evicts and flushes 9
+        *pause.lock() = vec![9];
+        std::thread::scope(|s| {
+            // The delete takes `Inner` while the reader's fetch of 9 is off
+            // it, and trims the page before the reader gets `Inner` back.
+            let reader = s.spawn(|| a.read(9));
+            assert_eq!(on_fetch.recv().unwrap(), 9);
+            a.try_delete_run(0, 9, 1).unwrap();
+            // The read overlapped the delete, so it may return the page.
+            assert_eq!(reader.join().unwrap(), Some(b"gone".to_vec()));
+        });
+        pause.lock().clear();
+        assert_eq!(a.read(9), None, "deleted page was cached");
+        assert_eq!(a.try_migration_lpns(), Ok(vec![100]));
         a.shutdown();
         b.shutdown();
     }

@@ -90,9 +90,9 @@ impl Inner {
             // The journal lost track of what the peer missed; fall back to
             // re-sending every resident page.
             self.resync.journal = self
-                .resident
+                .buffer
                 .iter()
-                .map(|(&lpn, page)| (lpn, (page.version, page.bytes.clone())))
+                .map(|(lpn, page)| (lpn, (page.version, page.bytes.clone())))
                 .collect();
             self.resync.overflowed = false;
             self.obs.full_resyncs.inc();

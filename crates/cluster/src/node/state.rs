@@ -13,12 +13,16 @@ use crate::wire::SeqTracker;
 use bytes::Bytes;
 use fc_simkit::SimDuration;
 use flashcoop::policy::Eviction;
-use flashcoop::{BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState};
+use flashcoop::{
+    BufferConfig, BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// What the node keeps for one buffer-resident page (the buffer itself
-/// tracks only residency and dirtiness).
+/// What the node keeps for one buffer-resident page: the buffer's record
+/// type, so the buffer (which tracks residency and dirtiness) is the one
+/// page table.
+#[derive(Clone)]
 pub(super) struct Resident {
     pub(super) bytes: Bytes,
     /// CRC-32 of `bytes` at write/fill time — the reference a scrub
@@ -42,11 +46,8 @@ pub(super) struct Resident {
 /// not in the order: `obs` is plain atomic cells.
 pub(super) struct Inner {
     pub(super) cfg: Arc<NodeConfig>,
-    pub(super) buffer: BufferManager,
-    /// One record per buffer-resident page. Its key set equals `buffer`'s
-    /// whenever `Inner` is unlocked: a page that leaves the buffer
-    /// (eviction, delete, fence-out, crash) leaves no node-side record.
-    pub(super) resident: HashMap<u64, Resident>,
+    /// The local buffer, holding each resident page's bytes and version.
+    pub(super) buffer: BufferManager<Resident>,
     pub(super) next_version: u64,
     pub(super) backend: SharedBackend,
     /// Pages hosted for the peer.
@@ -96,8 +97,12 @@ impl Inner {
         obs: Arc<NodeObs>,
     ) -> Inner {
         Inner {
-            buffer: BufferManager::new(cfg.policy, cfg.buffer_pages, cfg.pages_per_block, true),
-            resident: HashMap::new(),
+            buffer: BufferManager::from_config(BufferConfig {
+                policy: cfg.policy,
+                capacity: cfg.buffer_pages,
+                pages_per_block: cfg.pages_per_block,
+                ..BufferConfig::default()
+            }),
             next_version: 1,
             hosted: Hosted::new(cfg.remote_capacity, backend.clone()),
             backend,
@@ -167,38 +172,30 @@ impl Inner {
         }
     }
 
-    /// Write an eviction's runs to the backend under one backend guard;
-    /// returns the written `(lpn, version)` pairs.
-    fn flush_runs(&self, ev: &Eviction) -> Vec<(u64, u64)> {
+    /// Write an eviction's pages, which carry their records, to the
+    /// backend under one backend guard; returns the written
+    /// `(lpn, version)` pairs.
+    fn flush_runs(&self, ev: &Eviction<Resident>) -> Vec<(u64, u64)> {
         if ev.runs.is_empty() {
             return Vec::new();
         }
-        let mut flushed = Vec::with_capacity(ev.flushed_pages() as usize);
         let mut backend = self.backend.lock();
-        for run in &ev.runs {
-            for lpn in run.lpn..run.end_lpn() {
-                if let Some(page) = self.resident.get(&lpn) {
-                    backend.write_page(lpn, page.version, &page.bytes);
-                    flushed.push((lpn, page.version));
-                }
-            }
-        }
-        flushed
+        ev.pages()
+            .map(|(lpn, page)| {
+                backend.write_page(lpn, page.version, &page.bytes);
+                (lpn, page.version)
+            })
+            .collect()
     }
 
-    /// Flush an eviction's runs to the backend and forget the pages that
-    /// left the buffer; returns the flushed `(lpn, version)` pairs so the
-    /// caller can send a version-bounded Discard. Costs what the eviction
-    /// evicted, whatever the buffer holds.
-    pub(super) fn apply_eviction(&mut self, ev: &Eviction) -> Vec<(u64, u64)> {
+    /// Flush an eviction's runs to the backend; returns the flushed
+    /// `(lpn, version)` pairs so the caller can send a version-bounded
+    /// Discard. Costs what the eviction evicted, whatever the buffer holds.
+    pub(super) fn apply_eviction(&mut self, ev: &Eviction<Resident>) -> Vec<(u64, u64)> {
         let flushed = self.flush_runs(ev);
         if !flushed.is_empty() {
             self.obs.flushed_pages.add(flushed.len() as u64);
         }
-        for lpn in &ev.removed {
-            self.resident.remove(lpn);
-        }
-        debug_assert_eq!(self.resident.len(), self.buffer.resident());
         flushed
     }
 

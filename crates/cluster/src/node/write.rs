@@ -246,17 +246,11 @@ impl Node {
                 }
                 let version = inner.next_version;
                 inner.next_version += 1;
-                // The record must be in place *before* the buffer insert:
-                // the insert can evict the very block being written, and
-                // the flush needs the data.
-                inner.resident.insert(
-                    lpn,
-                    Resident {
-                        bytes: bytes.clone(),
-                        crc: crcs[i],
-                        version,
-                    },
-                );
+                let record = Resident {
+                    bytes: bytes.clone(),
+                    crc: crcs[i],
+                    version,
+                };
 
                 let degraded = inner.lifecycle.is_degraded();
                 if degraded || inner.credits == Some(0) {
@@ -264,7 +258,7 @@ impl Node {
                     // Or the peer's remote buffer is full: keep durability
                     // local instead of stalling on a NACK round trip.
                     inner.backend.lock().write_page(lpn, version, &bytes);
-                    let ev = inner.buffer.insert_clean(lpn, 1);
+                    let ev = inner.buffer.fill_pages(lpn, [record]);
                     all_flushed.extend(inner.apply_eviction(&ev));
                     if degraded {
                         inner.journal_record(lpn, version, bytes);
@@ -272,7 +266,7 @@ impl Node {
                     self.count_write_through(lpn, if degraded { "degraded" } else { NO_CREDITS });
                     through += 1;
                 } else {
-                    let ev = inner.buffer.write(lpn, 1);
+                    let ev = inner.buffer.write_pages(lpn, [record]);
                     let flushed = inner.apply_eviction(&ev);
                     let self_evicted = flushed.iter().any(|&(l, _)| l == lpn);
                     all_flushed.extend(flushed);
@@ -412,11 +406,7 @@ impl Node {
         self.core.backend.lock().write_page(lpn, version, &bytes);
         let mut inner = self.core.inner.lock();
         inner.inflight_done(lpn);
-        if inner
-            .resident
-            .get(&lpn)
-            .is_some_and(|p| p.version == version)
-        {
+        if inner.buffer.get(lpn).is_some_and(|p| p.version == version) {
             inner.buffer.mark_clean(lpn);
         }
         let reason = if no_credit {

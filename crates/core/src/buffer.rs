@@ -5,6 +5,11 @@
 //! and write operations", Section III.B.1), tracks dirtiness, and produces
 //! flush plans when capacity is exceeded.
 //!
+//! The buffer is the page table: each resident page carries a record `P`
+//! of the caller's choosing (the simulation keeps `()`, a node keeps the
+//! page's bytes and version), and an eviction hands back the records of
+//! the pages it flushed, so a caller never keeps a second table in step.
+//!
 //! Eviction behaviour per policy:
 //!
 //! * **LAR** — the victim is a whole logical block (least popular, most
@@ -26,23 +31,23 @@ use fc_obs::{Counter, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Buffer construction parameters — the named-field form of what used to be
-/// [`BufferManager::with_options`]'s five positional arguments.
-///
-/// Build one with [`BufferConfig::builder`]:
+/// Buffer construction parameters.
 ///
 /// ```
 /// use flashcoop::buffer::{BufferConfig, BufferManager};
-/// use flashcoop::PolicyKind;
 ///
-/// let buf = BufferManager::from_config(
-///     BufferConfig::builder()
-///         .policy(PolicyKind::Lar)
-///         .capacity(64)
-///         .pages_per_block(4)
-///         .build(),
-/// );
-/// assert_eq!(buf.capacity(), 64);
+/// // Each page carries a record; here, the text it holds.
+/// let mut buf: BufferManager<&str> = BufferManager::from_config(BufferConfig {
+///     capacity: 8,
+///     pages_per_block: 4,
+///     ..BufferConfig::default()
+/// });
+/// buf.write_pages(0, ["a", "b"]);
+/// buf.write_pages(1, ["b2"]);
+/// assert_eq!(buf.get(1), Some(&"b2"));
+/// // Write-back hands the flushed pages' records over, in run order.
+/// let ev = buf.drain_dirty();
+/// assert_eq!(ev.pages().collect::<Vec<_>>(), [(0, &"a"), (1, &"b2")]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BufferConfig {
@@ -74,68 +79,11 @@ impl Default for BufferConfig {
     }
 }
 
-impl BufferConfig {
-    /// Start a builder from the defaults.
-    pub fn builder() -> BufferConfigBuilder {
-        BufferConfigBuilder {
-            cfg: BufferConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`BufferConfig`].
+/// One buffered page: its dirtiness and the caller's record.
 #[derive(Debug, Clone)]
-pub struct BufferConfigBuilder {
-    cfg: BufferConfig,
-}
-
-impl BufferConfigBuilder {
-    /// Replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Capacity in pages.
-    pub fn capacity(mut self, pages: usize) -> Self {
-        self.cfg.capacity = pages;
-        self
-    }
-
-    /// Pages per logical block.
-    pub fn pages_per_block(mut self, ppb: u32) -> Self {
-        self.cfg.pages_per_block = ppb;
-        self
-    }
-
-    /// Enable/disable tail clustering.
-    pub fn clustering(mut self, on: bool) -> Self {
-        self.cfg.clustering = on;
-        self
-    }
-
-    /// Enable/disable the LAR dirty-count tie-break.
-    pub fn lar_dirty_tiebreak(mut self, on: bool) -> Self {
-        self.cfg.lar_dirty_tiebreak = on;
-        self
-    }
-
-    /// Background-cleaning high watermark.
-    pub fn dirty_watermark(mut self, high: Option<f64>) -> Self {
-        self.cfg.dirty_watermark = high;
-        self
-    }
-
-    /// Finish the configuration.
-    pub fn build(self) -> BufferConfig {
-        self.cfg
-    }
-}
-
-/// Residency metadata for one buffered page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PageMeta {
+struct Page<P> {
     dirty: bool,
+    record: P,
 }
 
 /// Counters maintained by the buffer.
@@ -189,14 +137,15 @@ struct BufObs {
     misses: Counter,
 }
 
-/// The local buffer of one cooperative server.
+/// The local buffer of one cooperative server, keeping a record `P` per
+/// resident page.
 #[derive(Debug, Clone)]
-pub struct BufferManager {
+pub struct BufferManager<P = ()> {
     policy: PolicyKind,
     capacity: usize,
     ppb: u32,
     clustering: bool,
-    pages: HashMap<u64, PageMeta>,
+    pages: HashMap<u64, Page<P>>,
     dirty_count: usize,
     lar: LarDirectory,
     ranked: RankedDirectory,
@@ -207,6 +156,14 @@ pub struct BufferManager {
     obs: Option<BufObs>,
 }
 
+fn rank_mode(policy: PolicyKind) -> RankMode {
+    match policy {
+        PolicyKind::Lfu => RankMode::Lfu,
+        _ => RankMode::Lru,
+    }
+}
+
+/// The record-free buffer the simulation replays traces through.
 impl BufferManager {
     /// Create a buffer of `capacity` pages managing `pages_per_block`-page
     /// logical blocks under the given policy.
@@ -216,53 +173,49 @@ impl BufferManager {
         pages_per_block: u32,
         clustering: bool,
     ) -> Self {
-        Self::with_options(policy, capacity, pages_per_block, clustering, true)
-    }
-
-    /// Like [`BufferManager::new`] with the LAR dirty-count tie-break made
-    /// optional (the Section III.B.2 second-level-sort ablation).
-    pub fn with_options(
-        policy: PolicyKind,
-        capacity: usize,
-        pages_per_block: u32,
-        clustering: bool,
-        lar_dirty_tiebreak: bool,
-    ) -> Self {
-        assert!(capacity > 0, "buffer needs at least one page");
-        assert!(pages_per_block > 0);
-        let mode = match policy {
-            PolicyKind::Lfu => RankMode::Lfu,
-            _ => RankMode::Lru,
-        };
-        BufferManager {
+        Self::from_config(BufferConfig {
             policy,
             capacity,
-            ppb: pages_per_block,
+            pages_per_block,
             clustering,
+            ..BufferConfig::default()
+        })
+    }
+
+    /// Buffer a write of `pages` pages at `lpn`; returns the flush work the
+    /// insertion forced (empty while the buffer has room).
+    pub fn write(&mut self, lpn: u64, pages: u32) -> Eviction {
+        self.write_pages(lpn, std::iter::repeat_n((), pages as usize))
+    }
+
+    /// Cache pages fetched from the SSD after a read miss; may evict.
+    pub fn insert_clean(&mut self, lpn: u64, pages: u32) -> Eviction {
+        self.fill_pages(lpn, std::iter::repeat_n((), pages as usize))
+    }
+}
+
+impl<P: Clone> BufferManager<P> {
+    /// Build a buffer from a [`BufferConfig`].
+    pub fn from_config(cfg: BufferConfig) -> Self {
+        assert!(cfg.capacity > 0, "buffer needs at least one page");
+        assert!(cfg.pages_per_block > 0);
+        let mut b = BufferManager {
+            policy: cfg.policy,
+            capacity: cfg.capacity,
+            ppb: cfg.pages_per_block,
+            clustering: cfg.clustering,
             pages: HashMap::new(),
             dirty_count: 0,
-            lar: if lar_dirty_tiebreak {
+            lar: if cfg.lar_dirty_tiebreak {
                 LarDirectory::new()
             } else {
                 LarDirectory::popularity_only()
             },
-            ranked: RankedDirectory::new(mode),
+            ranked: RankedDirectory::new(rank_mode(cfg.policy)),
             stats: BufferStats::default(),
             dirty_watermark: None,
             obs: None,
-        }
-    }
-
-    /// Build a buffer from a [`BufferConfig`] (the builder-based entry
-    /// point; `new`/`with_options` remain as positional shorthands).
-    pub fn from_config(cfg: BufferConfig) -> Self {
-        let mut b = Self::with_options(
-            cfg.policy,
-            cfg.capacity,
-            cfg.pages_per_block,
-            cfg.clustering,
-            cfg.lar_dirty_tiebreak,
-        );
+        };
         b.set_dirty_watermark(cfg.dirty_watermark);
         b
     }
@@ -340,27 +293,57 @@ impl BufferManager {
     /// Residency and dirtiness of a page: `None` = absent,
     /// `Some(true)` = dirty, `Some(false)` = clean.
     pub fn lookup(&self, lpn: u64) -> Option<bool> {
-        self.pages.get(&lpn).map(|m| m.dirty)
+        self.pages.get(&lpn).map(|p| p.dirty)
+    }
+
+    /// The record of a resident page.
+    pub fn get(&self, lpn: u64) -> Option<&P> {
+        self.pages.get(&lpn).map(|p| &p.record)
+    }
+
+    /// The record of a resident page, to update in place (residency and
+    /// dirtiness are unchanged).
+    pub fn get_mut(&mut self, lpn: u64) -> Option<&mut P> {
+        self.pages.get_mut(&lpn).map(|p| &mut p.record)
+    }
+
+    /// Every resident page and its record, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &P)> {
+        self.pages.iter().map(|(&lpn, p)| (lpn, &p.record))
     }
 
     /// Resize the buffer (dynamic memory allocation moves the local/remote
     /// split at runtime, Section III.C). Shrinking evicts immediately;
     /// returns the flush work that forced.
-    pub fn set_capacity(&mut self, capacity: usize) -> Eviction {
+    pub fn set_capacity(&mut self, capacity: usize) -> Eviction<P> {
         self.capacity = capacity.max(1);
         self.make_room()
     }
 
-    /// Buffer a write of `pages` pages at `lpn`; returns the flush work the
-    /// insertion forced (empty while the buffer has room).
-    pub fn write(&mut self, lpn: u64, pages: u32) -> Eviction {
-        self.access(lpn, pages, true);
+    /// Buffer a write of one page per record, from `lpn` up; returns the
+    /// flush work the insertion forced (empty while the buffer has room).
+    /// A resident page takes the new record and becomes dirty.
+    pub fn write_pages(&mut self, lpn: u64, records: impl IntoIterator<Item = P>) -> Eviction<P> {
+        let mut pages = 0u32;
+        for record in records {
+            let p = lpn + pages as u64;
+            if self.pages.contains_key(&p) {
+                self.stats.page_hits += 1;
+                self.obs_hit();
+            } else {
+                self.stats.page_misses += 1;
+                self.obs_miss();
+            }
+            self.insert_page(p, true, record);
+            pages += 1;
+        }
+        self.count_block_accesses(lpn, pages);
         self.make_room()
     }
 
     /// Classify a read into hit/miss segments and record the accesses.
     /// The caller fetches miss segments from the SSD and then calls
-    /// [`BufferManager::insert_clean`] for each.
+    /// [`BufferManager::fill_pages`] for each.
     pub fn read(&mut self, lpn: u64, pages: u32) -> Vec<ReadSegment> {
         // Record block accesses / touches first.
         let mut segments: Vec<ReadSegment> = Vec::new();
@@ -391,7 +374,7 @@ impl BufferManager {
         if self.policy == PolicyKind::Lar {
             // One popularity increment per block per request. Blocks that are
             // not resident at all get their increment when the post-fetch
-            // `insert_clean` creates them (popularity 0 → 1), so each request
+            // `fill_pages` creates them (popularity 0 → 1), so each request
             // bumps each block exactly once.
             let first_block = lpn / self.ppb as u64;
             let last_block = (lpn + pages as u64 - 1) / self.ppb as u64;
@@ -404,9 +387,18 @@ impl BufferManager {
         segments
     }
 
-    /// Cache pages fetched from the SSD after a read miss; may evict.
-    pub fn insert_clean(&mut self, lpn: u64, pages: u32) -> Eviction {
-        self.access_without_hit_accounting(lpn, pages, false);
+    /// Cache one page per record, from `lpn` up, fetched from the SSD after
+    /// a read miss; may evict. A resident page takes the new record and
+    /// keeps its dirtiness.
+    pub fn fill_pages(&mut self, lpn: u64, records: impl IntoIterator<Item = P>) -> Eviction<P> {
+        // Popularity for the enclosing read was already counted (or the
+        // block is new — residency adjustments bring it into the directory
+        // with popularity 0, bumped below).
+        let mut pages = 0u32;
+        for record in records {
+            self.insert_page(lpn + pages as u64, false, record);
+            pages += 1;
+        }
         if self.policy == PolicyKind::Lar {
             // Newly-created blocks receive the access increment the enclosing
             // read could not give them (they were absent at classify time).
@@ -430,19 +422,30 @@ impl BufferManager {
     /// file, Section III.A): resident copies vanish without a flush, dirty
     /// or not. Returns how many resident pages were dropped.
     pub fn discard(&mut self, lpn: u64, pages: u32) -> u32 {
-        let mut dropped = 0;
-        for i in 0..pages as u64 {
-            if self.pages.contains_key(&(lpn + i)) {
-                self.remove_page(lpn + i);
-                dropped += 1;
-            }
+        (0..pages as u64)
+            .filter(|i| self.remove(lpn + i).is_some())
+            .count() as u32
+    }
+
+    /// Drop one resident page without a flush, dirty or not; returns its
+    /// record.
+    pub fn remove(&mut self, lpn: u64) -> Option<P> {
+        let page = self.pages.remove(&lpn)?;
+        if page.dirty {
+            self.dirty_count -= 1;
         }
-        dropped
+        if self.policy == PolicyKind::Lar {
+            self.lar
+                .adjust(lpn / self.ppb as u64, -1, -i64::from(page.dirty));
+        } else {
+            self.ranked.remove(lpn);
+        }
+        Some(page.record)
     }
 
     /// Run the background cleaner if the dirty watermark is exceeded.
     /// Returns write-back work (cleaned pages remain resident).
-    pub fn background_clean(&mut self) -> Eviction {
+    pub fn background_clean(&mut self) -> Eviction<P> {
         let Some(high) = self.dirty_watermark else {
             return Eviction::default();
         };
@@ -464,15 +467,15 @@ impl BufferManager {
     }
 
     /// Write back the least-popular dirty block's dirty span; pages stay.
-    fn clean_lar_block(&mut self, ev: &mut Eviction) -> bool {
+    fn clean_lar_block(&mut self, ev: &mut Eviction<P>) -> bool {
         let Some(lbn) = self.lar.dirty_victim() else {
             return false;
         };
         let base = lbn * self.ppb as u64;
         let mut span: Vec<(u64, bool)> = Vec::new();
         for off in 0..self.ppb as u64 {
-            if let Some(meta) = self.pages.get(&(base + off)) {
-                span.push((base + off, meta.dirty));
+            if let Some(page) = self.pages.get(&(base + off)) {
+                span.push((base + off, page.dirty));
             }
         }
         let first = span.iter().position(|&(_, d)| d);
@@ -485,7 +488,7 @@ impl BufferManager {
             self.stats.flushed_pages += r.pages as u64;
             self.stats.flushed_dirty += r.dirty as u64;
             for i in 0..r.pages as u64 {
-                self.mark_clean(r.lpn + i);
+                self.write_back(r.lpn + i, ev);
             }
         }
         ev.runs.extend(runs);
@@ -493,11 +496,11 @@ impl BufferManager {
     }
 
     /// Write back one contiguous dirty run (lowest LPN first); pages stay.
-    fn clean_any_dirty_run(&mut self, ev: &mut Eviction) -> bool {
+    fn clean_any_dirty_run(&mut self, ev: &mut Eviction<P>) -> bool {
         let Some(&start) = self
             .pages
             .iter()
-            .filter(|(_, m)| m.dirty)
+            .filter(|(_, p)| p.dirty)
             .map(|(l, _)| l)
             .min()
         else {
@@ -505,7 +508,7 @@ impl BufferManager {
         };
         let block_end = (start / self.ppb as u64 + 1) * self.ppb as u64;
         let mut end = start + 1;
-        while end < block_end && self.pages.get(&end).map(|m| m.dirty).unwrap_or(false) {
+        while end < block_end && self.lookup(end) == Some(true) {
             end += 1;
         }
         let pages = (end - start) as u32;
@@ -517,7 +520,7 @@ impl BufferManager {
         self.stats.flushed_pages += pages as u64;
         self.stats.flushed_dirty += pages as u64;
         for p in start..end {
-            self.mark_clean(p);
+            self.write_back(p, ev);
         }
         true
     }
@@ -525,14 +528,8 @@ impl BufferManager {
     /// Flush every dirty page (remote-failure handling and shutdown:
     /// "dirty data in its local buffer will be immediately flushed into
     /// SSD"). Pages stay resident but become clean.
-    pub fn drain_dirty(&mut self) -> Eviction {
-        let mut dirty: Vec<u64> = self
-            .pages
-            .iter()
-            .filter(|(_, m)| m.dirty)
-            .map(|(&l, _)| l)
-            .collect();
-        dirty.sort_unstable();
+    pub fn drain_dirty(&mut self) -> Eviction<P> {
+        let dirty = self.dirty_pages();
         // Like eviction flushes, drain runs are per logical block: split the
         // sorted dirty list at block boundaries before building runs.
         let mut runs = Vec::new();
@@ -549,10 +546,10 @@ impl BufferManager {
         if !chunk.is_empty() {
             runs.extend(runs_from_sorted(&chunk));
         }
-        for &l in &dirty {
-            self.mark_clean(l);
-        }
         let mut ev = Eviction::default();
+        for &l in &dirty {
+            self.write_back(l, &mut ev);
+        }
         for r in &runs {
             self.stats.flushed_pages += r.pages as u64;
             self.stats.flushed_dirty += r.dirty as u64;
@@ -566,11 +563,7 @@ impl BufferManager {
         self.pages.clear();
         self.dirty_count = 0;
         self.lar = LarDirectory::new();
-        let mode = match self.policy {
-            PolicyKind::Lfu => RankMode::Lfu,
-            _ => RankMode::Lru,
-        };
-        self.ranked = RankedDirectory::new(mode);
+        self.ranked = RankedDirectory::new(rank_mode(self.policy));
     }
 
     /// All resident pages in ascending LPN order. The resync path streams
@@ -588,39 +581,29 @@ impl BufferManager {
         let mut v: Vec<u64> = self
             .pages
             .iter()
-            .filter(|(_, m)| m.dirty)
+            .filter(|(_, p)| p.dirty)
             .map(|(&l, _)| l)
             .collect();
         v.sort_unstable();
         v
     }
 
-    // ---- internals ------------------------------------------------------
-
-    fn access(&mut self, lpn: u64, pages: u32, dirty: bool) {
-        for i in 0..pages as u64 {
-            let p = lpn + i;
-            let hit = self.pages.contains_key(&p);
-            if hit {
-                self.stats.page_hits += 1;
-                self.obs_hit();
-            } else {
-                self.stats.page_misses += 1;
-                self.obs_miss();
+    /// Mark one resident page clean (after the owning server or node has
+    /// synchronously written it through to stable storage); returns its
+    /// record.
+    pub fn mark_clean(&mut self, lpn: u64) -> Option<&P> {
+        let page = self.pages.get_mut(&lpn)?;
+        if page.dirty {
+            page.dirty = false;
+            self.dirty_count -= 1;
+            if self.policy == PolicyKind::Lar {
+                self.lar.adjust(lpn / self.ppb as u64, 0, -1);
             }
-            self.insert_page(p, dirty);
         }
-        self.count_block_accesses(lpn, pages);
+        Some(&page.record)
     }
 
-    fn access_without_hit_accounting(&mut self, lpn: u64, pages: u32, dirty: bool) {
-        for i in 0..pages as u64 {
-            self.insert_page(lpn + i, dirty);
-        }
-        // Popularity for the enclosing read was already counted (or the
-        // block is new — residency adjustments brought it into the
-        // directory with popularity 0; the *next* access bumps it).
-    }
+    // ---- internals ------------------------------------------------------
 
     fn count_block_accesses(&mut self, lpn: u64, pages: u32) {
         if self.policy != PolicyKind::Lar {
@@ -633,12 +616,13 @@ impl BufferManager {
         }
     }
 
-    fn insert_page(&mut self, lpn: u64, dirty: bool) {
+    fn insert_page(&mut self, lpn: u64, dirty: bool, record: P) {
         let lbn = lpn / self.ppb as u64;
         match self.pages.get_mut(&lpn) {
-            Some(meta) => {
-                if dirty && !meta.dirty {
-                    meta.dirty = true;
+            Some(page) => {
+                page.record = record;
+                if dirty && !page.dirty {
+                    page.dirty = true;
                     self.dirty_count += 1;
                     if self.policy == PolicyKind::Lar {
                         self.lar.adjust(lbn, 0, 1);
@@ -646,7 +630,7 @@ impl BufferManager {
                 }
             }
             None => {
-                self.pages.insert(lpn, PageMeta { dirty });
+                self.pages.insert(lpn, Page { dirty, record });
                 if dirty {
                     self.dirty_count += 1;
                 }
@@ -660,35 +644,13 @@ impl BufferManager {
         }
     }
 
-    /// Mark one resident page clean (after the owning server or node has
-    /// synchronously written it through to stable storage).
-    pub fn mark_clean(&mut self, lpn: u64) {
-        if let Some(meta) = self.pages.get_mut(&lpn) {
-            if meta.dirty {
-                meta.dirty = false;
-                self.dirty_count -= 1;
-                if self.policy == PolicyKind::Lar {
-                    self.lar.adjust(lpn / self.ppb as u64, 0, -1);
-                }
-            }
-        }
+    /// Write one page back: it stays resident, now clean, and a copy of its
+    /// record goes out with `ev`.
+    fn write_back(&mut self, lpn: u64, ev: &mut Eviction<P>) {
+        ev.records.extend(self.mark_clean(lpn).cloned());
     }
 
-    fn remove_page(&mut self, lpn: u64) {
-        if let Some(meta) = self.pages.remove(&lpn) {
-            if meta.dirty {
-                self.dirty_count -= 1;
-            }
-            if self.policy == PolicyKind::Lar {
-                self.lar
-                    .adjust(lpn / self.ppb as u64, -1, -i64::from(meta.dirty));
-            } else {
-                self.ranked.remove(lpn);
-            }
-        }
-    }
-
-    fn make_room(&mut self) -> Eviction {
+    fn make_room(&mut self) -> Eviction<P> {
         let mut ev = Eviction::default();
         let mut evicted_blocks = 0u32;
         while self.pages.len() > self.capacity {
@@ -738,11 +700,9 @@ impl BufferManager {
                     if ev.flushed_pages() + meta.resident as u64 > self.ppb as u64 {
                         break;
                     }
-                    let mut extra = Eviction::default();
-                    if !self.flush_block(lbn, &mut extra) {
+                    if !self.flush_block(lbn, &mut ev) {
                         break;
                     }
-                    ev.absorb(extra);
                     evicted_blocks += 1;
                 }
             }
@@ -757,7 +717,7 @@ impl BufferManager {
     }
 
     /// Flush (or drop, when clean) every resident page of `lbn`.
-    fn flush_block(&mut self, lbn: u64, ev: &mut Eviction) -> bool {
+    fn flush_block(&mut self, lbn: u64, ev: &mut Eviction<P>) -> bool {
         // LAR's decision scores, captured before directory mutation so the
         // eviction trace event reflects what the policy actually compared.
         let decision = self.lar.get(lbn).copied();
@@ -771,8 +731,8 @@ impl BufferManager {
             if resident.len() == want {
                 break;
             }
-            if let Some(meta) = self.pages.get(&(base + off)) {
-                resident.push((base + off, meta.dirty));
+            if let Some(page) = self.pages.get(&(base + off)) {
+                resident.push((base + off, page.dirty));
             }
         }
         if resident.is_empty() {
@@ -783,33 +743,28 @@ impl BufferManager {
         // clean pages are written alongside so "logically continuous pages
         // can be physically placed onto continuous pages" (Section III.B.2),
         // while clean pages outside the dirty span are dropped for free.
-        let first_dirty = resident.iter().position(|&(_, d)| d);
-        let last_dirty = resident.iter().rposition(|&(_, d)| d);
-        let mut flushed_now = 0u64;
-        let dropped_now: u64 = match (first_dirty, last_dirty) {
-            (Some(lo), Some(hi)) => {
-                let span = &resident[lo..=hi];
-                let runs = runs_from_sorted(span);
-                for r in &runs {
-                    self.stats.flushed_pages += r.pages as u64;
-                    self.stats.flushed_dirty += r.dirty as u64;
-                    flushed_now += r.pages as u64;
-                }
-                ev.runs.extend(runs);
-                let dropped = resident.len() - span.len();
-                ev.clean_dropped += dropped as u32;
-                self.stats.clean_drops += dropped as u64;
-                dropped as u64
-            }
-            _ => {
-                ev.clean_dropped += resident.len() as u32;
-                self.stats.clean_drops += resident.len() as u64;
-                resident.len() as u64
-            }
+        let span = match (
+            resident.iter().position(|&(_, d)| d),
+            resident.iter().rposition(|&(_, d)| d),
+        ) {
+            (Some(lo), Some(hi)) => lo..hi + 1,
+            _ => 0..0,
         };
-        for (lpn, _) in resident {
-            self.remove_page(lpn);
-            ev.removed.push(lpn);
+        let runs = runs_from_sorted(&resident[span.clone()]);
+        for r in &runs {
+            self.stats.flushed_pages += r.pages as u64;
+            self.stats.flushed_dirty += r.dirty as u64;
+        }
+        ev.runs.extend(runs);
+        let flushed_now = span.len() as u64;
+        let dropped_now = (resident.len() - span.len()) as u64;
+        ev.clean_dropped += dropped_now as u32;
+        self.stats.clean_drops += dropped_now;
+        for (i, &(lpn, _)) in resident.iter().enumerate() {
+            let record = self.remove(lpn);
+            if span.contains(&i) {
+                ev.records.extend(record);
+            }
         }
         self.lar.remove(lbn);
         if let Some(o) = &self.obs {
@@ -830,14 +785,12 @@ impl BufferManager {
 
     /// Evict one LRU/LFU victim page (with flush-time combining for dirty
     /// victims). Returns false if the directory is empty.
-    fn evict_ranked_page(&mut self, ev: &mut Eviction) -> bool {
+    fn evict_ranked_page(&mut self, ev: &mut Eviction<P>) -> bool {
         let Some(victim) = self.ranked.victim() else {
             return false;
         };
-        let dirty = self.pages.get(&victim).map(|m| m.dirty).unwrap_or(false);
-        ev.removed.push(victim);
-        if !dirty {
-            self.remove_page(victim);
+        if self.lookup(victim) != Some(true) {
+            self.remove(victim);
             ev.clean_dropped += 1;
             self.stats.clean_drops += 1;
             if let Some(o) = &self.obs {
@@ -856,11 +809,11 @@ impl BufferManager {
         let block_start = (victim / self.ppb as u64) * self.ppb as u64;
         let block_end = block_start + self.ppb as u64;
         let mut lo = victim;
-        while lo > block_start && self.pages.get(&(lo - 1)).map(|m| m.dirty).unwrap_or(false) {
+        while lo > block_start && self.lookup(lo - 1) == Some(true) {
             lo -= 1;
         }
         let mut hi = victim + 1;
-        while hi < block_end && self.pages.get(&hi).map(|m| m.dirty).unwrap_or(false) {
+        while hi < block_end && self.lookup(hi) == Some(true) {
             hi += 1;
         }
         let pages = (hi - lo) as u32;
@@ -873,9 +826,9 @@ impl BufferManager {
         self.stats.flushed_dirty += pages as u64;
         for p in lo..hi {
             if p == victim {
-                self.remove_page(p);
+                ev.records.extend(self.remove(p));
             } else {
-                self.mark_clean(p);
+                self.write_back(p, ev);
             }
         }
         if let Some(o) = &self.obs {
@@ -1190,31 +1143,6 @@ mod tests {
         b.write(0, 1);
         assert_eq!(b.lookup(0), Some(true));
         assert_eq!(b.dirty(), 1);
-    }
-
-    #[test]
-    fn config_builder_round_trips_every_knob() {
-        let cfg = BufferConfig::builder()
-            .policy(PolicyKind::Lfu)
-            .capacity(32)
-            .pages_per_block(8)
-            .clustering(false)
-            .lar_dirty_tiebreak(false)
-            .dirty_watermark(Some(0.4))
-            .build();
-        assert_eq!(cfg.policy, PolicyKind::Lfu);
-        assert_eq!(cfg.capacity, 32);
-        assert_eq!(cfg.pages_per_block, 8);
-        assert!(!cfg.clustering && !cfg.lar_dirty_tiebreak);
-        assert_eq!(cfg.dirty_watermark, Some(0.4));
-        let b = BufferManager::from_config(cfg);
-        assert_eq!(b.policy(), PolicyKind::Lfu);
-        assert_eq!(b.capacity(), 32);
-        // Defaults match the positional constructor's conventions.
-        let d = BufferConfig::default();
-        assert_eq!(d.policy, PolicyKind::Lar);
-        assert!(d.clustering && d.lar_dirty_tiebreak);
-        assert_eq!(d.dirty_watermark, None);
     }
 
     #[test]

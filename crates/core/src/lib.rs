@@ -50,7 +50,7 @@ pub mod server;
 pub mod sim;
 pub mod tables;
 
-pub use buffer::{BufferConfig, BufferConfigBuilder, BufferManager, BufferStats, ReadSegment};
+pub use buffer::{BufferConfig, BufferManager, BufferStats, ReadSegment};
 pub use cluster::{Cluster, ClusterReport};
 pub use config::{AllocParams, FlashCoopConfig, PolicyKind, RetryPolicy, Scheme};
 pub use metrics::{ReplicationStats, RunReport};

@@ -40,20 +40,34 @@ impl FlushRun {
 /// The flush work produced by one eviction cycle. When clustering is on,
 /// several small dirty tails are grouped into one batch and issued to the
 /// device as a single write (Section III.B.3).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Eviction {
+///
+/// `P` is the per-page record the buffer keeps
+/// ([`crate::buffer::BufferManager`]'s type parameter): an eviction hands
+/// back the record of every page it flushed, so the caller writes the runs
+/// without a table of its own.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Eviction<P = ()> {
     /// Runs to write, in LPN order per victim.
     pub runs: Vec<FlushRun>,
     /// Pages dropped without a flush (clean victims).
     pub clean_dropped: u32,
-    /// Every lpn that left the buffer in this cycle, flushed or dropped —
-    /// what a caller keeping per-page state alongside the buffer must
-    /// forget. Empty for write-back work whose pages stay resident
-    /// ([`crate::buffer::BufferManager::drain_dirty`], `background_clean`).
-    pub removed: Vec<u64>,
+    /// The flushed pages' records, one per page of `runs`, in run order.
+    /// A page that left the buffer gives up its record; a page that stays
+    /// (write-back) lends a clone.
+    pub records: Vec<P>,
 }
 
-impl Eviction {
+impl<P> Default for Eviction<P> {
+    fn default() -> Self {
+        Eviction {
+            runs: Vec::new(),
+            clean_dropped: 0,
+            records: Vec::new(),
+        }
+    }
+}
+
+impl<P> Eviction<P> {
     /// Total pages across all runs.
     pub fn flushed_pages(&self) -> u64 {
         self.runs.iter().map(|r| r.pages as u64).sum()
@@ -69,11 +83,12 @@ impl Eviction {
         self.runs.is_empty()
     }
 
-    /// Append another eviction's work.
-    pub fn absorb(&mut self, other: Eviction) {
-        self.runs.extend(other.runs);
-        self.clean_dropped += other.clean_dropped;
-        self.removed.extend(other.removed);
+    /// Every flushed page with its record, in run order.
+    pub fn pages(&self) -> impl Iterator<Item = (u64, &P)> {
+        self.runs
+            .iter()
+            .flat_map(|r| r.lpn..r.end_lpn())
+            .zip(&self.records)
     }
 }
 
@@ -155,25 +170,25 @@ mod tests {
     fn eviction_totals() {
         let mut e = Eviction::default();
         assert!(e.is_empty());
-        e.runs.push(FlushRun {
-            lpn: 0,
-            pages: 4,
-            dirty: 3,
-        });
+        e.runs = vec![
+            FlushRun {
+                lpn: 0,
+                pages: 2,
+                dirty: 1,
+            },
+            FlushRun {
+                lpn: 10,
+                pages: 1,
+                dirty: 1,
+            },
+        ];
+        e.records = vec!['a', 'b', 'c'];
         e.clean_dropped = 2;
-        e.removed = vec![0, 1, 2, 3, 7, 8];
-        let mut other = Eviction::default();
-        other.runs.push(FlushRun {
-            lpn: 10,
-            pages: 1,
-            dirty: 1,
-        });
-        other.clean_dropped = 1;
-        other.removed = vec![10, 20];
-        e.absorb(other);
-        assert_eq!(e.flushed_pages(), 5);
-        assert_eq!(e.dirty_pages(), 4);
-        assert_eq!(e.clean_dropped, 3);
-        assert_eq!(e.removed, vec![0, 1, 2, 3, 7, 8, 10, 20]);
+        assert_eq!(e.flushed_pages(), 3);
+        assert_eq!(e.dirty_pages(), 2);
+        assert_eq!(
+            e.pages().collect::<Vec<_>>(),
+            [(0, &'a'), (1, &'b'), (10, &'c')]
+        );
     }
 }

@@ -101,16 +101,14 @@ impl CoopServer {
     /// Build a server. `scheme` selects Baseline or FlashCoop behaviour; for
     /// Baseline the buffer exists but is bypassed.
     pub fn new(cfg: FlashCoopConfig, scheme: Scheme) -> Self {
-        let buffer = BufferManager::from_config(
-            BufferConfig::builder()
-                .policy(cfg.policy)
-                .capacity(cfg.buffer_pages)
-                .pages_per_block(cfg.pages_per_block())
-                .clustering(cfg.clustering)
-                .lar_dirty_tiebreak(cfg.lar_dirty_tiebreak)
-                .dirty_watermark(cfg.dirty_watermark)
-                .build(),
-        );
+        let buffer = BufferManager::from_config(BufferConfig {
+            policy: cfg.policy,
+            capacity: cfg.buffer_pages,
+            pages_per_block: cfg.pages_per_block(),
+            clustering: cfg.clustering,
+            lar_dirty_tiebreak: cfg.lar_dirty_tiebreak,
+            dirty_watermark: cfg.dirty_watermark,
+        });
         let ssd = Ssd::new(cfg.ssd);
         CoopServer {
             buffer,

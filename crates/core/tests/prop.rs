@@ -4,14 +4,15 @@
 //! sequences while a shadow model tracks which pages *must* be dirty; after
 //! every step the buffer and model agree, capacity holds, and flush runs are
 //! well-formed (contiguous, within one logical block, dirty counts sane).
-//! A second shadow set tracks residency, to check that every eviction
-//! lists exactly the pages that left (`Eviction::removed`).
+//! The buffer keeps each write's (or fill's) sequence number as the page's
+//! record, and a second model tracks the latest one per page, to check that
+//! the buffer serves and every eviction hands back only latest records.
 
 use flashcoop::buffer::BufferConfig;
 use flashcoop::policy::Eviction;
 use flashcoop::{BufferManager, PolicyKind};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 const PPB: u32 = 8;
 const SPACE: u64 = 512;
@@ -39,7 +40,7 @@ fn op_strategy() -> impl Strategy<Value = BufOp> {
 
 /// Apply an eviction to the shadow dirty-set: flushed pages are no longer
 /// required to be dirty in the buffer.
-fn absorb_flush(model_dirty: &mut HashSet<u64>, ev: &Eviction) {
+fn absorb_flush(model_dirty: &mut HashSet<u64>, ev: &Eviction<u64>) {
     for run in &ev.runs {
         for i in 0..run.pages as u64 {
             model_dirty.remove(&(run.lpn + i));
@@ -47,7 +48,7 @@ fn absorb_flush(model_dirty: &mut HashSet<u64>, ev: &Eviction) {
     }
 }
 
-fn check_eviction_well_formed(ev: &Eviction) -> Result<(), TestCaseError> {
+fn check_eviction_well_formed(ev: &Eviction<u64>) -> Result<(), TestCaseError> {
     for run in &ev.runs {
         prop_assert!(run.pages >= 1);
         prop_assert!(run.dirty <= run.pages);
@@ -65,33 +66,48 @@ fn check_eviction_well_formed(ev: &Eviction) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// `ev.removed` is duplicate-free and is exactly the pages that were
-/// resident before the call (or inserted by it) and are not any more; the
-/// shadow set then follows the buffer.
-fn check_removed(
-    buf: &BufferManager,
+/// Records: every resident page holds the latest record written or filled
+/// for it, and every record `ev` hands back is the latest for its lpn. The
+/// resident set grew by at most `inserted`, and a page that left without a
+/// flush is one of `ev.clean_dropped`. `evicting` marks an eviction made to
+/// free room (not write-back work): under LAR it flushes whole victim
+/// blocks, so no page it flushed stays resident.
+fn check_records(
+    buf: &BufferManager<u64>,
+    latest: &HashMap<u64, u64>,
     model_resident: &mut HashSet<u64>,
     inserted: std::ops::Range<u64>,
-    ev: &Eviction,
+    ev: &Eviction<u64>,
+    evicting: bool,
 ) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ev.records.len() as u64, ev.flushed_pages());
+    let mut flushed = HashSet::new();
+    for (lpn, rec) in ev.pages() {
+        prop_assert_eq!(Some(rec), latest.get(&lpn), "flushed a stale record");
+        flushed.insert(lpn);
+    }
     model_resident.extend(inserted);
-    let after: HashSet<u64> = buf.resident_pages().into_iter().collect();
-    let removed: HashSet<u64> = ev.removed.iter().copied().collect();
-    prop_assert_eq!(removed.len(), ev.removed.len(), "duplicate in removed");
-    let expected: HashSet<u64> = model_resident.difference(&after).copied().collect();
-    prop_assert_eq!(&removed, &expected, "removed != before + inserted - after");
+    let after: HashSet<u64> = buf.iter().map(|(lpn, _)| lpn).collect();
+    prop_assert_eq!(after.len(), buf.resident());
     prop_assert!(
         after.is_subset(model_resident),
         "page appeared from nowhere"
     );
-    if buf.policy() == PolicyKind::Lar && !ev.removed.is_empty() {
-        // A LAR eviction flushes whole victim blocks: a flushed page never
-        // stays (write-back work, which removes nothing, is the exception).
-        for run in &ev.runs {
-            for i in 0..run.pages as u64 {
-                prop_assert!(removed.contains(&(run.lpn + i)), "flushed page stayed");
-            }
-        }
+    // A page written back clean may leave later in the same cycle as a
+    // clean drop, so the flushed and the dropped pages can overlap.
+    let unflushed = model_resident
+        .difference(&after)
+        .filter(|lpn| !flushed.contains(lpn))
+        .count();
+    prop_assert!(
+        unflushed <= ev.clean_dropped as usize,
+        "unflushed page left"
+    );
+    if evicting && buf.policy() == PolicyKind::Lar {
+        prop_assert!(flushed.is_disjoint(&after), "flushed page stayed");
+    }
+    for &lpn in &after {
+        prop_assert_eq!(buf.get(lpn), latest.get(&lpn), "stale record at {}", lpn);
     }
     *model_resident = after;
     Ok(())
@@ -103,27 +119,30 @@ fn run_model(
     capacity: usize,
     ops: &[BufOp],
 ) -> Result<(), TestCaseError> {
-    let mut buf = BufferManager::from_config(
-        BufferConfig::builder()
-            .policy(policy)
-            .capacity(capacity)
-            .pages_per_block(PPB)
-            .clustering(clustering)
-            .dirty_watermark(Some(0.5))
-            .build(),
-    );
+    let mut buf: BufferManager<u64> = BufferManager::from_config(BufferConfig {
+        policy,
+        capacity,
+        pages_per_block: PPB,
+        clustering,
+        lar_dirty_tiebreak: true,
+        dirty_watermark: Some(0.5),
+    });
     let mut model_dirty: HashSet<u64> = HashSet::new();
     let mut model_resident: HashSet<u64> = HashSet::new();
+    let mut latest: HashMap<u64, u64> = HashMap::new();
 
-    for op in ops {
+    for (seq, op) in ops.iter().enumerate() {
+        let seq = seq as u64;
         match *op {
             BufOp::Write { lpn, pages } => {
                 for i in 0..pages as u64 {
                     model_dirty.insert(lpn + i);
+                    latest.insert(lpn + i, seq);
                 }
-                let ev = buf.write(lpn, pages);
+                let ev = buf.write_pages(lpn, std::iter::repeat_n(seq, pages as usize));
                 check_eviction_well_formed(&ev)?;
-                check_removed(&buf, &mut model_resident, lpn..lpn + pages as u64, &ev)?;
+                let written = lpn..lpn + pages as u64;
+                check_records(&buf, &latest, &mut model_resident, written, &ev, true)?;
                 absorb_flush(&mut model_dirty, &ev);
             }
             BufOp::ReadAndFill { lpn, pages } => {
@@ -137,10 +156,14 @@ fn run_model(
                 prop_assert_eq!(cursor, lpn + pages as u64);
                 for seg in segments {
                     if !seg.hit {
-                        let ev = buf.insert_clean(seg.lpn, seg.pages);
-                        check_eviction_well_formed(&ev)?;
                         let filled = seg.lpn..seg.lpn + seg.pages as u64;
-                        check_removed(&buf, &mut model_resident, filled, &ev)?;
+                        for l in filled.clone() {
+                            latest.insert(l, seq);
+                        }
+                        let records = std::iter::repeat_n(seq, seg.pages as usize);
+                        let ev = buf.fill_pages(seg.lpn, records);
+                        check_eviction_well_formed(&ev)?;
+                        check_records(&buf, &latest, &mut model_resident, filled, &ev, true)?;
                         absorb_flush(&mut model_dirty, &ev);
                     }
                 }
@@ -154,8 +177,8 @@ fn run_model(
                 };
                 check_eviction_well_formed(&ev)?;
                 // Write-back only: the pages stay resident, now clean.
-                prop_assert!(ev.removed.is_empty());
-                check_removed(&buf, &mut model_resident, 0..0, &ev)?;
+                prop_assert_eq!(buf.resident(), model_resident.len());
+                check_records(&buf, &latest, &mut model_resident, 0..0, &ev, false)?;
                 absorb_flush(&mut model_dirty, &ev);
                 if drain {
                     prop_assert_eq!(buf.dirty(), 0);
@@ -164,7 +187,7 @@ fn run_model(
             BufOp::Resize { capacity } => {
                 let ev = buf.set_capacity(capacity);
                 check_eviction_well_formed(&ev)?;
-                check_removed(&buf, &mut model_resident, 0..0, &ev)?;
+                check_records(&buf, &latest, &mut model_resident, 0..0, &ev, true)?;
                 absorb_flush(&mut model_dirty, &ev);
             }
             BufOp::Discard { lpn, pages } => {

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt (check only)"
 cargo fmt --all -- --check
 
-echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter"
+echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table"
 # DESIGN §16: code that runs under the node's `Inner` lock never sends, the
 # pipe never takes `Inner`, and only hosted.rs knows where pages hosted for
 # the peer live. Checked on code only — comment lines and each file's test
@@ -56,6 +56,20 @@ fi
 if [ "$(for f in $(find crates/cluster/src -name '*.rs'); do code "$f"; done \
   | grep -E 'NodeStats \{' | grep -cvE '(struct|impl|->) NodeStats \{')" -ne 1 ]; then
   echo "a NodeStats literal is built in one place: NodeObs::snapshot (node/stats.rs)" >&2
+  exit 1
+fi
+# One page table: the buffer carries each page's record
+# (`BufferManager<Resident>`), so nothing keeps a second lpn-keyed table of
+# buffered pages in step with it, and an eviction lists no removed pages to
+# follow it by. `.resident` as a field, that is: `buffer.resident()` is the
+# buffer's page count.
+if for f in $(find crates/cluster/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done \
+  | grep -E 'HashMap<u64, *Resident>|\.resident([^_[:alnum:](]|$)'; then
+  echo "crates/cluster/src: a buffered page's record lives in the buffer (BufferManager<Resident>), not in a second table" >&2
+  exit 1
+fi
+if code crates/core/src/policy/mod.rs | grep -nE '\bremoved[[:space:]]*:'; then
+  echo "policy/mod.rs: Eviction hands back the flushed pages' records; it has no removed list" >&2
   exit 1
 fi
 
