@@ -1,7 +1,8 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [all|fig1|table1|table3|fig6|fig7|fig8|fig9|headline]
+//! repro [--quick] [all|fig1|table1|table3|fig6|fig7|fig8|fig9|headline|
+//!                  shortlived|recovery|lifetime|dftl|ablations]
 //! ```
 //!
 //! `--quick` runs a reduced-scale configuration (fewer requests, smaller

@@ -49,13 +49,13 @@ pub fn short_lived(params: &ExperimentParams) -> String {
         for req in &trace.requests {
             match req.op {
                 fc_trace::Op::Write => {
-                    server.handle_write(req.at, req.lpn, req.pages, Some(&mut remote));
+                    server.handle_write(req.at, req.lpn, req.pages, &mut remote);
                 }
                 fc_trace::Op::Read => {
-                    server.handle_read(req.at, req.lpn, req.pages, Some(&mut remote));
+                    server.handle_read(req.at, req.lpn, req.pages, &mut remote);
                 }
                 fc_trace::Op::Trim => {
-                    server.handle_trim(req.at, req.lpn, req.pages, Some(&mut remote));
+                    server.handle_trim(req.at, req.lpn, req.pages, &mut remote);
                 }
             }
         }
@@ -117,7 +117,7 @@ pub fn recovery_time(params: &ExperimentParams, buffer_sizes: &[usize]) -> Vec<R
         let mut now = SimTime::ZERO;
         let span = params.address_pages;
         for _ in 0..pages {
-            server.handle_write(now, rng.below(span), 1, Some(&mut remote));
+            server.handle_write(now, rng.below(span), 1, &mut remote);
             now += SimDuration::from_millis(1);
         }
         let dirty = remote.len();

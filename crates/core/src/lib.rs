@@ -17,13 +17,16 @@
 //! * [`config`] — every tunable; [`config::Scheme`] enumerates the four
 //!   evaluated systems (Baseline + FlashCoop×{LAR, LRU, LFU}).
 //! * [`buffer`] + [`policy`] — local buffer and the replacement policies.
-//! * [`tables`] — the RCT and the donated remote store (LCT lives inside
-//!   the buffer).
+//! * [`tables`] — the donated remote store, which is also the RCT a
+//!   rebooted server reads back (LCT lives inside the buffer).
 //! * [`server`] — the access portal wired to a virtual-clock replay over an
-//!   [`fc_ssd::Ssd`].
-//! * [`pair`] — two servers, heartbeats, failure injection, recovery.
+//!   [`fc_ssd::Ssd`], with local crash and snapshot recovery.
+//! * [`pair`] — two servers replicating into each other's remote store,
+//!   with the allocation loop between them (Figure 9).
 //! * [`alloc`] — dynamic memory allocation (Equation 1).
-//! * [`recovery`] — heartbeat failure detection (Section III.D).
+//! * [`recovery`] — the heartbeat monitor and pair-lifecycle state machine
+//!   of Section III.D. Only the threaded node (`fc-cluster`) drives them;
+//!   the replay above never fails.
 //! * [`sim`] / [`metrics`] — the experiment driver and its reports.
 //!
 //! ```
@@ -40,7 +43,6 @@
 
 pub mod alloc;
 pub mod buffer;
-pub mod cluster;
 pub mod config;
 pub mod metrics;
 pub mod pair;
@@ -51,14 +53,13 @@ pub mod sim;
 pub mod tables;
 
 pub use buffer::{BufferConfig, BufferManager, BufferStats, ReadSegment};
-pub use cluster::{Cluster, ClusterReport};
 pub use config::{AllocParams, FlashCoopConfig, PolicyKind, RetryPolicy, Scheme};
 pub use metrics::{ReplicationStats, RunReport};
-pub use pair::{CoopPair, Injection, PairEvent};
+pub use pair::CoopPair;
 pub use policy::{Eviction, FlushRun};
 pub use recovery::{
     HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState, PeerEvent, PeerState,
 };
 pub use server::{CoopServer, ServerMetrics, UtilSample};
 pub use sim::{replay, replay_with_obs, Preconditioning};
-pub use tables::{Rct, RemoteStore};
+pub use tables::RemoteStore;

@@ -3,66 +3,38 @@
 //! "Storage cluster is configured into cooperative pairs, in which each
 //! server of the pair serves its own read/write requests, as well as remote
 //! write requests from neighboring peer" (Section III.A). [`CoopPair`]
-//! replays two traces merged by timestamp, runs the heartbeat monitors and
-//! the dynamic memory allocation loop, and supports failure injection:
-//!
-//! * **Crash(i)** — server *i* loses its volatile state and the remote store
-//!   it hosted for the peer; the peer detects the silence via heartbeat
-//!   timeout and enters degraded mode (flush dirty, write-through).
-//! * **Recover(i)** — server *i* reboots, fetches the peer-held snapshot of
-//!   its replicated pages, replays them into its SSD, and purges the peer's
-//!   store; the peer sees beats again and resumes replication.
+//! replays two traces merged by timestamp, each server replicating into the
+//! remote store its peer donates, and runs the dynamic memory allocation
+//! loop of Equation 1 between them (Figure 9). The pair never fails:
+//! crashes, heartbeats and recovery are the threaded node's
+//! (`fc_cluster::Node`).
 
 use crate::alloc::{resource_usage, theta, ThetaSample, WorkloadWindow};
 use crate::config::{FlashCoopConfig, Scheme};
-use crate::recovery::{HeartbeatMonitor, PeerEvent};
 use crate::server::CoopServer;
 use crate::tables::RemoteStore;
 use fc_simkit::SimTime;
 use fc_trace::{Op, Trace};
 
-/// A scheduled failure-injection event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Injection {
-    /// When the event fires.
-    pub at: SimTime,
-    /// What happens.
-    pub event: PairEvent,
-}
-
-/// Pair-level events for failure injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PairEvent {
-    /// Server `i` crashes (volatile state lost).
-    Crash(usize),
-    /// Server `i` reboots and runs local-failure recovery.
-    Recover(usize),
-}
-
-/// Two cooperative servers and the shared machinery between them.
+/// Two cooperative servers and the allocation loop between them.
 pub struct CoopPair {
     servers: [CoopServer; 2],
-    /// `stores[i]` holds server *i*'s replicated pages; it physically lives
-    /// on server `1-i` and is lost when that host crashes.
+    /// `stores[i]` holds server *i*'s replicated pages; it is memory
+    /// donated by server `1-i`.
     stores: [RemoteStore; 2],
-    alive: [bool; 2],
-    /// `hb[i]` watches server *i*'s beats (maintained by its peer).
-    hb: [HeartbeatMonitor; 2],
     windows: [WorkloadWindow; 2],
     total_mem: [usize; 2],
     theta_now: [f64; 2],
     theta_log: [Vec<ThetaSample>; 2],
     last_alloc: SimTime,
-    next_beat: SimTime,
-    dynamic_alloc: bool,
 }
 
 impl CoopPair {
     /// Build a pair. `cfg.buffer_pages` is interpreted as each server's
     /// *total* donatable memory M; the dynamic allocator splits it into
-    /// local buffer (M·(1−θ)) and hosted remote buffer (M·θ). With
-    /// `dynamic_alloc` off, the split is fixed at 50/50.
-    pub fn new(cfg0: FlashCoopConfig, cfg1: FlashCoopConfig, dynamic_alloc: bool) -> Self {
+    /// local buffer (M·(1−θ)) and hosted remote buffer (M·θ), starting at
+    /// 50/50.
+    pub fn new(cfg0: FlashCoopConfig, cfg1: FlashCoopConfig) -> Self {
         let m0 = cfg0.buffer_pages;
         let m1 = cfg1.buffer_pages;
         let s0 = Scheme::FlashCoop(cfg0.policy);
@@ -70,39 +42,16 @@ impl CoopPair {
         let mut pair = CoopPair {
             servers: [CoopServer::new(cfg0, s0), CoopServer::new(cfg1, s1)],
             stores: [RemoteStore::new(m1 / 2), RemoteStore::new(m0 / 2)],
-            alive: [true, true],
-            hb: [
-                HeartbeatMonitor::default_profile(),
-                HeartbeatMonitor::default_profile(),
-            ],
             windows: [WorkloadWindow::new(), WorkloadWindow::new()],
             total_mem: [m0, m1],
             theta_now: [0.5, 0.5],
             theta_log: [Vec::new(), Vec::new()],
             last_alloc: SimTime::ZERO,
-            next_beat: SimTime::ZERO,
-            dynamic_alloc,
         };
-        // Initial 50/50 split of each server's memory.
         for i in 0..2 {
             pair.apply_theta(SimTime::ZERO, i, 0.5);
         }
         pair
-    }
-
-    /// Server `i`.
-    pub fn server(&self, i: usize) -> &CoopServer {
-        &self.servers[i]
-    }
-
-    /// Mutable server access (report assembly).
-    pub fn server_mut(&mut self, i: usize) -> &mut CoopServer {
-        &mut self.servers[i]
-    }
-
-    /// The remote store holding server `i`'s replicated pages.
-    pub fn store_for(&self, i: usize) -> &RemoteStore {
-        &self.stores[i]
     }
 
     /// θ history of server `i` (Figure 9's series).
@@ -115,17 +64,10 @@ impl CoopPair {
         self.theta_now[i]
     }
 
-    /// Is server `i` up?
-    pub fn is_alive(&self, i: usize) -> bool {
-        self.alive[i]
-    }
-
-    /// Replay two traces (one per server) merged by timestamp, applying the
-    /// failure injections at their scheduled times. Injections must be
-    /// sorted by time.
-    pub fn replay(&mut self, traces: [&Trace; 2], injections: &[Injection]) {
+    /// Replay two traces (one per server) merged by timestamp, re-evaluating
+    /// the allocation every `alloc.period` of trace time.
+    pub fn replay(&mut self, traces: [&Trace; 2]) {
         let mut idx = [0usize, 0usize];
-        let mut inj = injections.iter().peekable();
         loop {
             // Next request across both traces.
             let t0 = traces[0].requests.get(idx[0]).map(|r| r.at);
@@ -142,154 +84,46 @@ impl CoopPair {
                     }
                 }
             };
-            // Fire injections and housekeeping due before this request.
-            while let Some(&&Injection { at: iat, event }) = inj.peek() {
-                if iat > at {
-                    break;
-                }
-                self.advance_time(iat);
-                self.apply_event(iat, event);
-                inj.next();
+            if at.saturating_since(self.last_alloc) >= self.servers[0].util_period() {
+                self.evaluate_allocation(at);
+                self.last_alloc = at;
             }
-            self.advance_time(at);
 
             let req = traces[who].requests[idx[who]];
             idx[who] += 1;
-            if !self.alive[who] {
-                continue; // a crashed server serves nothing
-            }
-            let peer = 1 - who;
-            // Server `who` replicates into stores[who], hosted at `peer`.
-            let (servers, stores) = (&mut self.servers, &mut self.stores);
-            let remote = if self.alive[peer] {
-                Some(&mut stores[who])
-            } else {
-                None
-            };
+            // Server `who` replicates into stores[who], hosted at its peer.
+            let (server, remote) = (&mut self.servers[who], &mut self.stores[who]);
             match req.op {
                 Op::Write => {
-                    servers[who].handle_write(req.at, req.lpn, req.pages, remote);
+                    server.handle_write(req.at, req.lpn, req.pages, remote);
                 }
                 Op::Read => {
-                    servers[who].handle_read(req.at, req.lpn, req.pages, remote);
+                    server.handle_read(req.at, req.lpn, req.pages, remote);
                 }
                 Op::Trim => {
-                    servers[who].handle_trim(req.at, req.lpn, req.pages, remote);
+                    server.handle_trim(req.at, req.lpn, req.pages, remote);
                 }
             }
-        }
-        // Drain remaining injections (e.g. a recovery after the last I/O).
-        let pending: Vec<Injection> = inj.copied().collect();
-        for i in pending {
-            self.advance_time(i.at);
-            self.apply_event(i.at, i.event);
         }
     }
 
     /// Every acknowledged-but-unrecoverable page across the pair, as
     /// `(server, lpn)`. Empty = the pair lost nothing.
     pub fn unrecoverable(&self) -> Vec<(usize, u64)> {
-        let mut bad = Vec::new();
-        for i in 0..2 {
-            let peer = 1 - i;
-            let store = if self.alive[peer] {
-                Some(&self.stores[i])
-            } else {
-                None
-            };
-            for lpn in self.servers[i].unrecoverable_pages(store) {
-                bad.push((i, lpn));
-            }
-        }
-        bad
+        (0..2)
+            .flat_map(|i| {
+                self.servers[i]
+                    .unrecoverable_pages(&self.stores[i])
+                    .into_iter()
+                    .map(move |lpn| (i, lpn))
+            })
+            .collect()
     }
 
     // ---- internals --------------------------------------------------------
 
-    /// Run heartbeats and the allocation loop up to `now`.
-    fn advance_time(&mut self, now: SimTime) {
-        // Periodic beats from every live server.
-        while self.next_beat <= now {
-            let at = self.next_beat;
-            for i in 0..2 {
-                if self.alive[i] {
-                    match self.hb[i].on_beat(at) {
-                        Some(PeerEvent::Recovered) => {
-                            // Peer of `i` reconciles (its replicas at `i` are
-                            // gone) and resumes replication.
-                            self.servers[1 - i].reconcile_after_peer_recovery(at);
-                        }
-                        // An on-time beat clears any suspicion the watcher
-                        // held about `i`.
-                        _ => {
-                            if self.alive[1 - i] {
-                                self.servers[1 - i].on_peer_healthy();
-                            }
-                        }
-                    }
-                }
-            }
-            self.next_beat = at + self.hb[0].interval();
-        }
-        // Poll monitors: a Failed event puts the *watcher* into solo
-        // (degraded) mode; a Suspected event only marks its lifecycle.
-        for i in 0..2 {
-            let watcher = 1 - i;
-            match self.hb[i].poll(now) {
-                Some(PeerEvent::Failed) if self.alive[watcher] => {
-                    self.servers[watcher].enter_degraded(now);
-                }
-                Some(PeerEvent::Suspected) if self.alive[watcher] => {
-                    self.servers[watcher].on_peer_suspected();
-                }
-                _ => {}
-            }
-        }
-        // Dynamic allocation period.
-        let period = self.servers[0].util_period();
-        if self.dynamic_alloc && now.saturating_since(self.last_alloc) >= period {
-            self.evaluate_allocation(now);
-            self.last_alloc = now;
-        }
-    }
-
-    fn apply_event(&mut self, now: SimTime, event: PairEvent) {
-        match event {
-            PairEvent::Crash(i) => {
-                assert!(i < 2);
-                self.alive[i] = false;
-                self.servers[i].crash();
-                // The remote store hosted at `i` (holding the peer's pages)
-                // dies with it.
-                self.stores[1 - i].purge();
-            }
-            PairEvent::Recover(i) => {
-                assert!(i < 2);
-                self.alive[i] = true;
-                // Local-failure recovery: fetch the snapshot the peer held
-                // for us, replay into the SSD, purge the peer's store.
-                if self.alive[1 - i] {
-                    let snapshot = self.stores[i].snapshot();
-                    self.servers[i].recover_from_snapshot(now, &snapshot);
-                    self.stores[i].purge();
-                }
-                self.servers[i].exit_degraded();
-                // The recovery protocol contacts the peer directly (it must,
-                // to fetch the RCT snapshot), so the peer resumes replication
-                // without waiting for the next heartbeat round.
-                self.hb[i].on_beat(now);
-                if self.alive[1 - i] {
-                    self.servers[1 - i].reconcile_after_peer_recovery(now);
-                }
-            }
-        }
-    }
-
     fn evaluate_allocation(&mut self, now: SimTime) {
         for i in 0..2 {
-            if !self.alive[i] || !self.alive[1 - i] {
-                continue;
-            }
             let peer = 1 - i;
             let pm = self.servers[peer].metrics();
             let a_peer = self.windows[peer].write_fraction(pm.writes, pm.reads);
@@ -314,8 +148,7 @@ impl CoopPair {
         let local_cap = m.saturating_sub(remote_cap).max(1);
         // The store hosted at `i` holds the *peer's* pages.
         self.stores[1 - i].set_capacity(remote_cap.max(1));
-        let (servers, stores) = (&mut self.servers, &mut self.stores);
-        servers[i].resize_buffer(now, local_cap, Some(&mut stores[i]));
+        self.servers[i].resize_buffer(now, local_cap, &mut self.stores[i]);
     }
 }
 
@@ -361,122 +194,39 @@ mod tests {
             .logical_pages()
     }
 
+    /// Equation 1 resizes both buffers throughout the run; every shrink
+    /// destages what it evicts, so no acknowledged write is lost.
     #[test]
     fn healthy_pair_loses_nothing() {
         let pages = device_pages();
-        let mut pair = CoopPair::new(cfg(), cfg(), true);
+        let mut pair = CoopPair::new(cfg(), cfg());
         let t0 = trace(pages, 400, 0.9, 1, "a");
         let t1 = trace(pages, 400, 0.2, 2, "b");
-        pair.replay([&t0, &t1], &[]);
-        assert!(pair.unrecoverable().is_empty());
-        assert!(pair.server(0).metrics().writes > 0);
-        assert!(pair.server(1).metrics().reads > 0);
-    }
-
-    #[test]
-    fn crash_and_recovery_preserve_acknowledged_writes() {
-        let pages = device_pages();
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        let t0 = trace(pages, 600, 0.9, 3, "a");
-        let t1 = trace(pages, 600, 0.9, 4, "b");
-        let mid = t0.requests[300].at;
-        let later = mid + SimDuration::from_secs(30);
-        let inj = [
-            Injection {
-                at: mid,
-                event: PairEvent::Crash(0),
-            },
-            Injection {
-                at: later,
-                event: PairEvent::Recover(0),
-            },
-        ];
-        pair.replay([&t0, &t1], &inj);
+        pair.replay([&t0, &t1]);
+        for i in 0..2 {
+            let log = pair.theta_log(i);
+            assert!(
+                log.iter().any(|s| s.theta != 0.5),
+                "server {i}: the allocation loop never moved θ off 50/50"
+            );
+        }
         assert!(
             pair.unrecoverable().is_empty(),
             "acknowledged writes lost: {:?}",
             pair.unrecoverable()
         );
-        assert!(pair.is_alive(0));
-    }
-
-    #[test]
-    fn peer_enters_degraded_mode_after_crash_and_resumes_after_recovery() {
-        let pages = device_pages();
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        let t0 = trace(pages, 400, 0.9, 5, "a");
-        let t1 = trace(pages, 400, 0.9, 6, "b");
-        let quarter = t1.requests[100].at;
-        let inj = [Injection {
-            at: quarter,
-            event: PairEvent::Crash(0),
-        }];
-        pair.replay([&t0, &t1], &inj);
-        // Server 1 detected the silence and went degraded.
-        assert!(pair.server(1).is_degraded());
-        assert!(pair.unrecoverable().is_empty());
-
-        // Now with recovery: degraded mode ends.
-        let mut pair2 = CoopPair::new(cfg(), cfg(), false);
-        let recover_at = quarter + SimDuration::from_secs(20);
-        let inj2 = [
-            Injection {
-                at: quarter,
-                event: PairEvent::Crash(0),
-            },
-            Injection {
-                at: recover_at,
-                event: PairEvent::Recover(0),
-            },
-        ];
-        pair2.replay([&t0, &t1], &inj2);
-        assert!(
-            !pair2.server(1).is_degraded(),
-            "peer must resume replication"
-        );
-        assert!(pair2.unrecoverable().is_empty());
-    }
-
-    #[test]
-    fn survivor_lifecycle_loops_back_to_paired() {
-        use crate::recovery::PairState;
-        let pages = device_pages();
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        let t0 = trace(pages, 400, 0.9, 5, "a");
-        let t1 = trace(pages, 400, 0.9, 6, "b");
-        let quarter = t1.requests[100].at;
-        let recover_at = quarter + SimDuration::from_secs(20);
-        let inj = [
-            Injection {
-                at: quarter,
-                event: PairEvent::Crash(0),
-            },
-            Injection {
-                at: recover_at,
-                event: PairEvent::Recover(0),
-            },
-        ];
-        pair.replay([&t0, &t1], &inj);
-        // The survivor walked Solo and back: final state is Paired and the
-        // loop took at least Paired→Solo→Resyncing→Paired (3 edges; the
-        // monitor usually adds a Suspect edge before failure is declared).
-        assert_eq!(pair.server(1).lifecycle_state(), PairState::Paired);
-        assert!(
-            pair.server(1).lifecycle_transitions() >= 3,
-            "expected a full solo loop, saw {} transitions",
-            pair.server(1).lifecycle_transitions()
-        );
-        assert!(pair.unrecoverable().is_empty());
+        assert!(pair.servers[0].metrics().writes > 0);
+        assert!(pair.servers[1].metrics().reads > 0);
     }
 
     #[test]
     fn dynamic_allocation_tracks_peer_write_intensity() {
         let pages = device_pages();
         // Server 1's peer (server 0) is write-heavy; server 1 is idle-ish.
-        let mut pair = CoopPair::new(cfg(), cfg(), true);
+        let mut pair = CoopPair::new(cfg(), cfg());
         let t0 = trace(pages, 2_000, 0.95, 7, "writer");
         let t1 = trace(pages, 200, 0.05, 8, "reader");
-        pair.replay([&t0, &t1], &[]);
+        pair.replay([&t0, &t1]);
         let log1 = pair.theta_log(1); // server 1 donates to write-heavy peer
         let log0 = pair.theta_log(0); // server 0 donates to read-heavy peer
         assert!(!log1.is_empty() && !log0.is_empty());
@@ -487,33 +237,5 @@ mod tests {
             avg(log1),
             avg(log0)
         );
-    }
-
-    #[test]
-    fn crashed_server_serves_no_requests() {
-        let pages = device_pages();
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        let t0 = trace(pages, 300, 0.9, 9, "a");
-        let t1 = trace(pages, 10, 0.9, 10, "b");
-        let start = t0.requests[0].at;
-        let inj = [Injection {
-            at: start,
-            event: PairEvent::Crash(0),
-        }];
-        pair.replay([&t0, &t1], &inj);
-        assert_eq!(pair.server(0).metrics().writes, 0);
-        assert!(pair.server(1).metrics().writes > 0);
-    }
-
-    #[test]
-    fn static_split_keeps_theta_constant() {
-        let pages = device_pages();
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        let t0 = trace(pages, 300, 0.9, 11, "a");
-        let t1 = trace(pages, 300, 0.1, 12, "b");
-        pair.replay([&t0, &t1], &[]);
-        assert_eq!(pair.theta_now(0), 0.5);
-        assert_eq!(pair.theta_now(1), 0.5);
-        assert!(pair.theta_log(0).is_empty());
     }
 }

@@ -1,11 +1,5 @@
 //! Heartbeat-based failure detection — the "Monitor & Recovery" module of
 //! Figure 3 and Section III.D.
-//!
-//! "Availability of peer server is monitored by sending Heartbeat message
-//! periodically." The monitor is a small deterministic state machine shared
-//! by the simulation pair and the real cluster implementation
-//! (`fc-cluster`): beats arrive, the poller watches the gap since the last
-//! beat, and transitions surface as [`PeerEvent`]s.
 
 use fc_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -57,19 +51,9 @@ impl HeartbeatMonitor {
         }
     }
 
-    /// The paper's setting scaled for simulation: 1 s beats, 5 s timeout.
-    pub fn default_profile() -> Self {
-        HeartbeatMonitor::new(SimDuration::from_secs(1), SimDuration::from_secs(5))
-    }
-
     /// Current state.
     pub fn state(&self) -> PeerState {
         self.state
-    }
-
-    /// Heartbeat interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
     }
 
     /// A beat arrived at `now`.
@@ -163,9 +147,6 @@ pub struct LifecycleTransition {
     pub cause: &'static str,
 }
 
-/// The pair-lifecycle state machine, shared by the simulated pair
-/// ([`crate::CoopServer`]) and the threaded cluster node (`fc-cluster`).
-///
 /// Transitions are total functions: an event that is illegal in the current
 /// state returns `None` and changes nothing, which makes the machine robust
 /// against racing signal sources (monitor poll vs. data-plane timeouts).
@@ -281,25 +262,6 @@ impl PairLifecycle {
         } else {
             None
         }
-    }
-
-    /// Walk back to `Paired` through whatever states remain, returning every
-    /// edge taken. The simulated pair uses this where resync is modelled as
-    /// instantaneous (the flush already happened synchronously); the
-    /// threaded node instead drives `begin_resync`/`resync_complete`
-    /// batch-by-batch.
-    pub fn rejoin(&mut self, cause: &'static str) -> Vec<LifecycleTransition> {
-        let mut edges = Vec::new();
-        if let Some(tr) = self.on_peer_healthy() {
-            edges.push(tr);
-        }
-        if let Some(tr) = self.begin_resync(cause) {
-            edges.push(tr);
-        }
-        if let Some(tr) = self.resync_complete() {
-            edges.push(tr);
-        }
-        edges
     }
 }
 
@@ -538,24 +500,5 @@ mod tests {
         assert!(l.force_solo("a").is_some());
         assert!(l.force_solo("b").is_none());
         assert_eq!(l.transitions(), 1);
-    }
-
-    #[test]
-    fn lifecycle_rejoin_returns_every_edge() {
-        let mut l = PairLifecycle::new();
-        assert!(l.rejoin("noop").is_empty());
-
-        l.force_solo("peer_failed");
-        let edges = l.rejoin("reconcile");
-        assert_eq!(edges.len(), 2);
-        assert_eq!(edges[0].to, PairState::Resyncing);
-        assert_eq!(edges[1].to, PairState::Paired);
-        assert_eq!(l.state(), PairState::Paired);
-
-        // From Suspect, rejoin is the single healthy edge.
-        l.on_peer_event(PeerEvent::Suspected);
-        let edges = l.rejoin("beat");
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].to, PairState::Paired);
     }
 }

@@ -14,15 +14,17 @@
 //!   the fetched pages are cached.
 //! * **Baseline** — every request goes synchronously to the SSD.
 //!
-//! The server also keeps the durability bookkeeping used by the recovery
-//! tests: `committed` models what is on the SSD (the flash simulator stores
-//! no user data), and `versions` is the oracle of acknowledged writes.
+//! The server also keeps the durability bookkeeping behind
+//! [`CoopServer::unrecoverable_pages`]: `committed` models what is on the
+//! SSD (the flash simulator stores no user data), and `versions` is the
+//! oracle of acknowledged writes. Its peer's remote store is always
+//! reachable; a peer that fails is the threaded node's concern
+//! (`fc_cluster::Node`).
 
 use crate::buffer::{BufferConfig, BufferManager};
 use crate::config::{FlashCoopConfig, Scheme};
 use crate::policy::Eviction;
-use crate::recovery::{LifecycleTransition, PairLifecycle, PairState, PeerEvent};
-use crate::tables::{Rct, RemoteStore};
+use crate::tables::RemoteStore;
 use fc_obs::{Histogram, Obs};
 use fc_simkit::resource::Timeline;
 use fc_simkit::stats::LatencyStats;
@@ -82,7 +84,6 @@ pub struct CoopServer {
     /// page-level operation before serving the read).
     ssd_bg: Timeline,
     nic_q: Timeline,
-    rct: Rct,
     /// Latest acknowledged version per page (test oracle; would be the
     /// client's knowledge in a real deployment).
     versions: HashMap<u64, u64>,
@@ -90,9 +91,6 @@ pub struct CoopServer {
     committed: HashMap<u64, u64>,
     next_version: u64,
     metrics: ServerMetrics,
-    /// Where this server stands relative to its peer (replaces the old
-    /// one-way `degraded` latch; see [`PairLifecycle`]).
-    lifecycle: PairLifecycle,
     cpu_busy: SimDuration,
     obs: Option<Obs>,
 }
@@ -116,12 +114,10 @@ impl CoopServer {
             ssd_q: Timeline::new(),
             ssd_bg: Timeline::new(),
             nic_q: Timeline::new(),
-            rct: Rct::new(),
             versions: HashMap::new(),
             committed: HashMap::new(),
             next_version: 1,
             metrics: ServerMetrics::default(),
-            lifecycle: PairLifecycle::new(),
             cpu_busy: SimDuration::ZERO,
             cfg,
             scheme,
@@ -144,11 +140,6 @@ impl CoopServer {
         // a fresh server has none, so this is a plain handle swap).
         self.metrics.destage_run_pages = obs.registry().histogram("core.destage.run_pages");
         self.obs = Some(obs.clone());
-    }
-
-    /// The scheme this server runs.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
     }
 
     /// The underlying SSD (stats inspection).
@@ -174,51 +165,6 @@ impl CoopServer {
     /// Mutable metrics (percentile queries sort internally).
     pub fn metrics_mut(&mut self) -> &mut ServerMetrics {
         &mut self.metrics
-    }
-
-    /// This server's RCT (its view of what the peer holds for it).
-    pub fn rct(&self) -> &Rct {
-        &self.rct
-    }
-
-    /// True while writes bypass replication (`Solo` or `Resyncing`).
-    pub fn is_degraded(&self) -> bool {
-        self.lifecycle.is_degraded()
-    }
-
-    /// Current pair-lifecycle state.
-    pub fn lifecycle_state(&self) -> PairState {
-        self.lifecycle.state()
-    }
-
-    /// Lifecycle transitions taken since boot (or the last crash).
-    pub fn lifecycle_transitions(&self) -> u64 {
-        self.lifecycle.transitions()
-    }
-
-    /// The monitor raised suspicion about the peer (beat overdue).
-    pub fn on_peer_suspected(&mut self) {
-        if let Some(tr) = self.lifecycle.on_peer_event(PeerEvent::Suspected) {
-            self.emit_transition(&tr);
-        }
-    }
-
-    /// A beat arrived while the peer was merely suspect: clear suspicion.
-    pub fn on_peer_healthy(&mut self) {
-        if let Some(tr) = self.lifecycle.on_peer_healthy() {
-            self.emit_transition(&tr);
-        }
-    }
-
-    fn emit_transition(&self, tr: &LifecycleTransition) {
-        if let Some(o) = &self.obs {
-            o.emit(
-                o.event("core", "lifecycle")
-                    .str_field("from", tr.from.name())
-                    .str_field("to", tr.to.name())
-                    .str_field("cause", tr.cause),
-            );
-        }
     }
 
     /// Dynamic-allocation parameters (Equation 1 weights and period).
@@ -257,14 +203,14 @@ impl CoopServer {
         }
     }
 
-    /// Handle a write request arriving at `now`. `remote` is the peer's
-    /// remote store, when the peer is reachable.
+    /// Handle a write request arriving at `now`. `remote` is the store the
+    /// peer donates for this server's replicas.
     pub fn handle_write(
         &mut self,
         now: SimTime,
         lpn: u64,
         pages: u32,
-        mut remote: Option<&mut RemoteStore>,
+        remote: &mut RemoteStore,
     ) -> SimDuration {
         if let Some(o) = &self.obs {
             o.set_sim_now(now.as_nanos());
@@ -284,16 +230,6 @@ impl CoopServer {
                 self.commit_range(lpn, pages, version);
                 grant.latency_since(now)
             }
-            Scheme::FlashCoop(_) if self.lifecycle.is_degraded() => {
-                // Remote failure: no forwarding; write-through so no new
-                // unreplicated dirty data accumulates (Section III.D).
-                let ev = self.buffer.insert_clean(lpn, pages);
-                self.issue_flushes(now, &ev, remote.take());
-                let service = self.ssd.write(Lpn(lpn), pages) + self.bg_interference(now);
-                let grant = self.ssd_q.acquire(now, service);
-                self.commit_range(lpn, pages, version);
-                grant.latency_since(now)
-            }
             Scheme::FlashCoop(_) => {
                 let dram = self.cfg.dram_page_access.saturating_mul(pages as u64);
                 self.cpu_busy += dram;
@@ -303,27 +239,20 @@ impl CoopServer {
                 let mut rejected: Vec<u64> = Vec::new();
                 let mut ack_at = now + dram;
                 if self.cfg.replication {
-                    if let Some(store) = remote.as_deref_mut() {
-                        for i in 0..pages as u64 {
-                            let p = lpn + i;
-                            if store.write(p, version) {
-                                self.rct.insert(p, version);
-                                self.metrics.replicated_pages += 1;
-                            } else {
-                                rejected.push(p);
-                                self.metrics.remote_rejections += 1;
-                            }
+                    for i in 0..pages as u64 {
+                        let p = lpn + i;
+                        if remote.write(p, version) {
+                            self.metrics.replicated_pages += 1;
+                        } else {
+                            rejected.push(p);
+                            self.metrics.remote_rejections += 1;
                         }
-                        let bytes = pages as u64 * self.cfg.ssd.geometry.page_bytes as u64;
-                        let grant = self
-                            .nic_q
-                            .acquire(now, self.cfg.link.serialization_time(bytes));
-                        ack_at = ack_at.max(grant.end + self.cfg.link.latency * 2);
-                    } else {
-                        // Peer unreachable and not yet marked degraded: every
-                        // page must be made durable synchronously.
-                        rejected.extend((0..pages as u64).map(|i| lpn + i));
                     }
+                    let bytes = pages as u64 * self.cfg.ssd.geometry.page_bytes as u64;
+                    let grant = self
+                        .nic_q
+                        .acquire(now, self.cfg.link.serialization_time(bytes));
+                    ack_at = ack_at.max(grant.end + self.cfg.link.latency * 2);
                 }
 
                 // Pages that could not be replicated are flushed
@@ -339,11 +268,11 @@ impl CoopServer {
                     }
                 }
 
-                self.issue_flushes(now, &ev, remote.as_deref_mut());
+                self.issue_flushes(now, &ev, remote);
                 // Proactive cleaning, when configured: write back dirty data
                 // in the background before replacement pressure forces it.
                 let bg = self.buffer.background_clean();
-                self.issue_flushes(now, &bg, remote.take());
+                self.issue_flushes(now, &bg, remote);
                 ack_at.saturating_since(now)
             }
         };
@@ -366,7 +295,7 @@ impl CoopServer {
         now: SimTime,
         lpn: u64,
         pages: u32,
-        mut remote: Option<&mut RemoteStore>,
+        remote: &mut RemoteStore,
     ) -> SimDuration {
         if let Some(o) = &self.obs {
             o.set_sim_now(now.as_nanos());
@@ -392,7 +321,7 @@ impl CoopServer {
                         let grant = self.ssd_q.acquire(now, service);
                         done = done.max(grant.end);
                         let ev = self.buffer.insert_clean(seg.lpn, seg.pages);
-                        self.issue_flushes(now, &ev, remote.as_deref_mut());
+                        self.issue_flushes(now, &ev, remote);
                     }
                 }
                 self.cpu_busy += dram_total;
@@ -423,7 +352,7 @@ impl CoopServer {
 
     /// Issue the flush work of an eviction as one batched device write, off
     /// the request's critical path; commit versions and release remote copies.
-    fn issue_flushes(&mut self, now: SimTime, ev: &Eviction, mut remote: Option<&mut RemoteStore>) {
+    fn issue_flushes(&mut self, now: SimTime, ev: &Eviction, remote: &mut RemoteStore) {
         if ev.is_empty() {
             return;
         }
@@ -450,10 +379,7 @@ impl CoopServer {
                     let e = self.committed.entry(p).or_insert(v);
                     *e = (*e).max(v);
                 }
-                self.rct.discard(p);
-                if let Some(store) = remote.as_deref_mut() {
-                    store.discard(p);
-                }
+                remote.discard(p);
             }
         }
     }
@@ -467,7 +393,7 @@ impl CoopServer {
         now: SimTime,
         lpn: u64,
         pages: u32,
-        mut remote: Option<&mut RemoteStore>,
+        remote: &mut RemoteStore,
     ) -> SimDuration {
         if let Some(o) = &self.obs {
             o.set_sim_now(now.as_nanos());
@@ -484,10 +410,7 @@ impl CoopServer {
             let p = lpn + i;
             self.versions.remove(&p);
             self.committed.remove(&p);
-            self.rct.discard(p);
-            if let Some(store) = remote.as_deref_mut() {
-                store.discard(p);
-            }
+            remote.discard(p);
         }
         let service = self.ssd.trim(Lpn(lpn), pages);
         // TRIM is a metadata command; it still serialises on the device.
@@ -507,20 +430,17 @@ impl CoopServer {
 
     /// Apply a new local-buffer capacity (dynamic memory allocation);
     /// evictions forced by a shrink are flushed in the background.
-    pub fn resize_buffer(&mut self, now: SimTime, pages: usize, remote: Option<&mut RemoteStore>) {
+    pub fn resize_buffer(&mut self, now: SimTime, pages: usize, remote: &mut RemoteStore) {
         let ev = self.buffer.set_capacity(pages);
         self.issue_flushes(now, &ev, remote);
     }
 
-    // ---- failure handling (Section III.D) --------------------------------
+    // ---- local failure (Section III.D) ------------------------------------
 
-    /// Local failure: the server crashes, losing all volatile state (buffer,
-    /// RCT mirror). SSD contents (`committed`) survive.
+    /// Local failure: the server crashes, losing its volatile buffer. SSD
+    /// contents (`committed`) survive.
     pub fn crash(&mut self) {
         self.buffer.clear();
-        self.rct.clear();
-        // A rebooted node starts a fresh lifecycle at Paired.
-        self.lifecycle = PairLifecycle::new();
     }
 
     /// Local-failure recovery, step 2-3: replay the peer's remote-buffer
@@ -542,84 +462,23 @@ impl CoopServer {
         grant.latency_since(now)
     }
 
-    /// Remote failure: stop forwarding and immediately flush all local dirty
-    /// data. Returns the flush duration.
-    pub fn enter_degraded(&mut self, now: SimTime) -> SimDuration {
-        if let Some(tr) = self.lifecycle.force_solo("remote_failure") {
-            self.emit_transition(&tr);
-        }
-        let ev = self.buffer.drain_dirty();
-        if ev.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let runs: Vec<(Lpn, u32)> = ev.runs.iter().map(|r| (Lpn(r.lpn), r.pages)).collect();
-        let service = self.ssd.write_batch(&runs);
-        let grant = self.ssd_q.acquire(now, service);
-        for r in &ev.runs {
-            for i in 0..r.pages as u64 {
-                let p = r.lpn + i;
-                if let Some(&v) = self.versions.get(&p) {
-                    let e = self.committed.entry(p).or_insert(v);
-                    *e = (*e).max(v);
-                }
-                self.rct.discard(p);
-            }
-        }
-        grant.latency_since(now)
-    }
-
-    /// Peer is back: resume replication. In the simulated pair the resync is
-    /// instantaneous (the dirty flush already happened synchronously inside
-    /// [`CoopServer::enter_degraded`]), so this walks `Solo → Resyncing →
-    /// Paired` in one call, emitting both edges.
-    pub fn exit_degraded(&mut self) {
-        for tr in self.lifecycle.rejoin("peer_recovered") {
-            self.emit_transition(&tr);
-        }
-    }
-
-    /// The peer returned from a failure (possibly one shorter than the
-    /// heartbeat timeout, so we may never have entered degraded mode). Its
-    /// remote buffer — and every replica it held for us — restarted empty,
-    /// so all local dirty pages must be made durable locally and the RCT
-    /// cleared before buffered operation resumes. Without this, a dirty
-    /// page whose replica died with the peer would be one local crash away
-    /// from loss.
-    pub fn reconcile_after_peer_recovery(&mut self, now: SimTime) -> SimDuration {
-        let d = self.enter_degraded(now);
-        self.rct.clear();
-        self.exit_degraded();
-        d
-    }
-
     /// Durability check: every acknowledged write's latest version must be
     /// recoverable — on the SSD, dirty in the local buffer, or replicated in
     /// the peer's store. Returns the LPNs that violate this (empty = safe).
-    pub fn unrecoverable_pages(&self, peer_store: Option<&RemoteStore>) -> Vec<u64> {
-        let mut bad = Vec::new();
-        for (&lpn, &ver) in &self.versions {
-            let committed_ok = self.committed.get(&lpn).map(|&c| c >= ver).unwrap_or(false);
-            let buffered_ok = self.buffer.lookup(lpn) == Some(true);
-            let replicated_ok = peer_store
-                .and_then(|s| {
-                    s.snapshot()
-                        .iter()
-                        .find(|&&(l, _)| l == lpn)
-                        .map(|&(_, v)| v)
-                })
-                .map(|v| v >= ver)
-                .unwrap_or(false);
-            if !committed_ok && !buffered_ok && !replicated_ok {
-                bad.push(lpn);
-            }
-        }
+    pub fn unrecoverable_pages(&self, peer_store: &RemoteStore) -> Vec<u64> {
+        let mut bad: Vec<u64> = self
+            .versions
+            .iter()
+            .filter(|&(&lpn, &ver)| {
+                let committed_ok = self.committed.get(&lpn).is_some_and(|&c| c >= ver);
+                let buffered_ok = self.buffer.lookup(lpn) == Some(true);
+                let replicated_ok = peer_store.get(lpn).is_some_and(|v| v >= ver);
+                !committed_ok && !buffered_ok && !replicated_ok
+            })
+            .map(|(&lpn, _)| lpn)
+            .collect();
         bad.sort_unstable();
         bad
-    }
-
-    /// Pages whose latest version is durable on the SSD.
-    pub fn committed_len(&self) -> usize {
-        self.committed.len()
     }
 }
 
@@ -646,22 +505,21 @@ mod tests {
         let mut fc = server(lar());
         let mut base = server(Scheme::Baseline);
         let mut remote = RemoteStore::new(1024);
-        let t_fc = fc.handle_write(SimTime::ZERO, 0, 1, Some(&mut remote));
-        let t_base = base.handle_write(SimTime::ZERO, 0, 1, None);
+        let t_fc = fc.handle_write(SimTime::ZERO, 0, 1, &mut remote);
+        let t_base = base.handle_write(SimTime::ZERO, 0, 1, &mut remote);
         assert!(
             t_fc.as_nanos() * 3 < t_base.as_nanos(),
             "buffered {t_fc} vs sync {t_base}"
         );
-        assert_eq!(remote.len(), 1);
-        assert_eq!(fc.rct().len(), 1);
+        assert_eq!(remote.len(), 1, "only the buffered write replicates");
     }
 
     #[test]
     fn read_hit_is_served_from_dram() {
         let mut s = server(lar());
         let mut remote = RemoteStore::new(1024);
-        s.handle_write(SimTime::ZERO, 5, 1, Some(&mut remote));
-        let t = s.handle_read(SimTime::from_millis(1), 5, 1, Some(&mut remote));
+        s.handle_write(SimTime::ZERO, 5, 1, &mut remote);
+        let t = s.handle_read(SimTime::from_millis(1), 5, 1, &mut remote);
         assert_eq!(t, s.cfg.dram_page_access);
     }
 
@@ -669,10 +527,10 @@ mod tests {
     fn read_miss_queues_on_ssd_and_caches() {
         let mut s = server(lar());
         let mut remote = RemoteStore::new(1024);
-        let t1 = s.handle_read(SimTime::ZERO, 9, 1, Some(&mut remote));
+        let t1 = s.handle_read(SimTime::ZERO, 9, 1, &mut remote);
         assert!(t1 >= SimDuration::from_micros(100)); // at least the bus transfer
                                                       // Second read of the same page hits DRAM.
-        let t2 = s.handle_read(SimTime::from_millis(1), 9, 1, Some(&mut remote));
+        let t2 = s.handle_read(SimTime::from_millis(1), 9, 1, &mut remote);
         assert!(t2 < t1);
     }
 
@@ -684,12 +542,12 @@ mod tests {
         // single accesses → overflow evicts least-popular whole blocks.
         let mut now = SimTime::ZERO;
         for blk in 0..5u64 {
-            s.handle_write(now, blk * 4, 4, Some(&mut remote));
+            s.handle_write(now, blk * 4, 4, &mut remote);
             now += SimDuration::from_millis(1);
         }
-        assert!(s.committed_len() > 0, "flushes must commit pages");
+        assert!(!s.committed.is_empty(), "flushes must commit pages");
         // Every acknowledged page is recoverable somewhere.
-        assert!(s.unrecoverable_pages(Some(&remote)).is_empty());
+        assert!(s.unrecoverable_pages(&remote).is_empty());
         // Remote copies of committed pages were discarded.
         assert!(remote.len() < 20);
     }
@@ -697,102 +555,41 @@ mod tests {
     #[test]
     fn baseline_commits_synchronously() {
         let mut s = server(Scheme::Baseline);
-        s.handle_write(SimTime::ZERO, 3, 2, None);
-        assert_eq!(s.committed_len(), 2);
-        assert!(s.unrecoverable_pages(None).is_empty());
+        let mut remote = RemoteStore::new(1024);
+        s.handle_write(SimTime::ZERO, 3, 2, &mut remote);
+        assert_eq!(s.committed.len(), 2);
+        assert!(remote.is_empty());
+        assert!(s.unrecoverable_pages(&remote).is_empty());
     }
 
     #[test]
     fn crash_loses_buffer_but_replicas_cover_it() {
         let mut s = server(lar());
         let mut remote = RemoteStore::new(1024);
-        s.handle_write(SimTime::ZERO, 0, 4, Some(&mut remote));
+        s.handle_write(SimTime::ZERO, 0, 4, &mut remote);
         s.crash();
         // Buffer gone: the only copies are remote.
         assert_eq!(s.buffer().resident(), 0);
-        assert!(s.unrecoverable_pages(Some(&remote)).is_empty());
-        assert_eq!(s.unrecoverable_pages(None), vec![0, 1, 2, 3]);
+        assert!(s.unrecoverable_pages(&remote).is_empty());
+        let lost = RemoteStore::new(0);
+        assert_eq!(s.unrecoverable_pages(&lost), vec![0, 1, 2, 3]);
         // Recovery replays the snapshot into the SSD.
         let snap = remote.snapshot();
         let d = s.recover_from_snapshot(SimTime::from_millis(5), &snap);
         assert!(d > SimDuration::ZERO);
-        remote.purge();
-        assert!(s.unrecoverable_pages(None).is_empty());
-    }
-
-    #[test]
-    fn degraded_mode_flushes_dirty_and_writes_through() {
-        let mut s = server(lar());
-        let mut remote = RemoteStore::new(1024);
-        s.handle_write(SimTime::ZERO, 0, 3, Some(&mut remote));
-        assert!(s.buffer().dirty() > 0);
-        let d = s.enter_degraded(SimTime::from_millis(1));
-        assert!(d > SimDuration::ZERO);
-        assert_eq!(s.buffer().dirty(), 0);
-        assert!(s.is_degraded());
-        assert!(s.unrecoverable_pages(None).is_empty(), "flush covered all");
-        // Writes in degraded mode are synchronous and durable immediately.
-        let t = s.handle_write(SimTime::from_millis(2), 8, 1, None);
-        assert!(t >= SimDuration::from_micros(300));
-        assert!(s.unrecoverable_pages(None).is_empty());
-        s.exit_degraded();
-        assert!(!s.is_degraded());
-    }
-
-    #[test]
-    fn lifecycle_walks_suspect_solo_resync_paired() {
-        use crate::recovery::PairState;
-        let (obs, ring) = fc_obs::Obs::ring(256);
-        let mut s = server(lar());
-        s.attach_obs(&obs);
-        assert_eq!(s.lifecycle_state(), PairState::Paired);
-
-        s.on_peer_suspected();
-        assert_eq!(s.lifecycle_state(), PairState::Suspect);
-        assert!(!s.is_degraded(), "suspicion alone keeps replication on");
-        s.on_peer_healthy();
-        assert_eq!(s.lifecycle_state(), PairState::Paired);
-
-        s.enter_degraded(SimTime::ZERO);
-        assert_eq!(s.lifecycle_state(), PairState::Solo);
-        s.exit_degraded();
-        assert_eq!(s.lifecycle_state(), PairState::Paired);
-        // Suspect out-and-back (2) plus the solo loop (3).
-        assert_eq!(s.lifecycle_transitions(), 5);
-
-        // Every edge surfaced as a core/lifecycle event.
-        let edges: Vec<_> = ring
-            .drain()
-            .into_iter()
-            .filter(|e| e.kind == "lifecycle")
-            .collect();
-        assert_eq!(edges.len(), 5);
-
-        // A crash reboots the lifecycle to Paired.
-        s.enter_degraded(SimTime::ZERO);
-        s.crash();
-        assert_eq!(s.lifecycle_state(), PairState::Paired);
-        assert_eq!(s.lifecycle_transitions(), 0);
+        assert!(s.unrecoverable_pages(&lost).is_empty());
     }
 
     #[test]
     fn full_remote_store_forces_synchronous_flush() {
         let mut s = server(lar());
         let mut remote = RemoteStore::new(2);
-        let t = s.handle_write(SimTime::ZERO, 0, 4, Some(&mut remote));
+        let t = s.handle_write(SimTime::ZERO, 0, 4, &mut remote);
         // 2 pages replicated, 2 rejected → sync flush dominates latency.
         assert_eq!(s.metrics().replicated_pages, 2);
         assert_eq!(s.metrics().remote_rejections, 2);
         assert!(t >= SimDuration::from_micros(300));
-        assert!(s.unrecoverable_pages(Some(&remote)).is_empty());
-    }
-
-    #[test]
-    fn missing_peer_without_degraded_mode_is_still_durable() {
-        let mut s = server(lar());
-        let t = s.handle_write(SimTime::ZERO, 0, 1, None);
-        assert!(t >= SimDuration::from_micros(300), "sync fallback");
-        assert!(s.unrecoverable_pages(None).is_empty());
+        assert!(s.unrecoverable_pages(&remote).is_empty());
     }
 
     #[test]
@@ -801,7 +598,7 @@ mod tests {
         let mut remote = RemoteStore::new(1024);
         let u0 = s.util_sample(SimTime::ZERO);
         assert_eq!(u0.m, 0.0);
-        s.handle_write(SimTime::ZERO, 0, 8, Some(&mut remote));
+        s.handle_write(SimTime::ZERO, 0, 8, &mut remote);
         let u = s.util_sample(SimTime::from_millis(1));
         assert!(u.m > 0.0);
         assert!(u.n > 0.0);
@@ -817,7 +614,7 @@ mod tests {
         let mut remote = RemoteStore::new(1024);
         let mut now = SimTime::ZERO;
         for i in 0..64u64 {
-            s.handle_write(now, i % 14, 1, Some(&mut remote));
+            s.handle_write(now, i % 14, 1, &mut remote);
             now += SimDuration::from_millis(1);
         }
         // 16-page buffer, 0.5 watermark: dirty stays near/below 8 + one block.
@@ -827,24 +624,23 @@ mod tests {
             s.buffer().dirty()
         );
         // Cleaned pages were committed (durable) and remain readable fast.
-        assert!(s.committed_len() > 0);
-        assert!(s.unrecoverable_pages(Some(&remote)).is_empty());
+        assert!(!s.committed.is_empty());
+        assert!(s.unrecoverable_pages(&remote).is_empty());
     }
 
     #[test]
     fn trim_erases_all_traces_of_the_data() {
         let mut s = server(lar());
         let mut remote = RemoteStore::new(1024);
-        s.handle_write(SimTime::ZERO, 0, 4, Some(&mut remote));
+        s.handle_write(SimTime::ZERO, 0, 4, &mut remote);
         assert_eq!(s.buffer().dirty(), 4);
         assert_eq!(remote.len(), 4);
-        s.handle_trim(SimTime::from_millis(1), 0, 4, Some(&mut remote));
+        s.handle_trim(SimTime::from_millis(1), 0, 4, &mut remote);
         assert_eq!(s.buffer().dirty(), 0);
         assert_eq!(s.buffer().resident(), 0);
         assert_eq!(remote.len(), 0);
-        assert_eq!(s.rct().len(), 0);
         // Deleted data needs no recovery: nothing is unrecoverable.
-        assert!(s.unrecoverable_pages(None).is_empty());
+        assert!(s.unrecoverable_pages(&remote).is_empty());
         assert_eq!(s.metrics().trims, 1);
         // The short-lived data never reached the SSD.
         assert_eq!(s.ssd().stats().host_pages_written, 0);
@@ -853,10 +649,11 @@ mod tests {
     #[test]
     fn baseline_trim_reaches_the_device() {
         let mut s = server(Scheme::Baseline);
-        s.handle_write(SimTime::ZERO, 0, 2, None);
-        s.handle_trim(SimTime::from_millis(1), 0, 2, None);
+        let mut remote = RemoteStore::new(1024);
+        s.handle_write(SimTime::ZERO, 0, 2, &mut remote);
+        s.handle_trim(SimTime::from_millis(1), 0, 2, &mut remote);
         assert_eq!(s.ssd().stats().trims, 1);
-        assert!(s.unrecoverable_pages(None).is_empty());
+        assert!(s.unrecoverable_pages(&remote).is_empty());
     }
 
     #[test]
@@ -867,11 +664,11 @@ mod tests {
         let mut remote = RemoteStore::new(1024);
         let mut now = SimTime::ZERO;
         for blk in 0..6u64 {
-            s.handle_write(now, blk * 4, 4, Some(&mut remote));
+            s.handle_write(now, blk * 4, 4, &mut remote);
             now += SimDuration::from_millis(1);
         }
-        s.handle_read(now, 0, 2, Some(&mut remote));
-        s.handle_trim(now, 20, 1, Some(&mut remote));
+        s.handle_read(now, 0, 2, &mut remote);
+        s.handle_trim(now, 20, 1, &mut remote);
         let events = ring.events();
         let resp: Vec<u64> = events
             .iter()
@@ -899,9 +696,9 @@ mod tests {
     fn metrics_partition_reads_and_writes() {
         let mut s = server(lar());
         let mut remote = RemoteStore::new(1024);
-        s.handle_write(SimTime::ZERO, 0, 1, Some(&mut remote));
-        s.handle_read(SimTime::from_millis(1), 0, 1, Some(&mut remote));
-        s.handle_read(SimTime::from_millis(2), 50, 1, Some(&mut remote));
+        s.handle_write(SimTime::ZERO, 0, 1, &mut remote);
+        s.handle_read(SimTime::from_millis(1), 0, 1, &mut remote);
+        s.handle_read(SimTime::from_millis(2), 50, 1, &mut remote);
         let m = s.metrics();
         assert_eq!(m.writes, 1);
         assert_eq!(m.reads, 2);

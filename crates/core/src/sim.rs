@@ -111,13 +111,13 @@ pub fn replay_with_obs(
         }
         match req.op {
             Op::Write => {
-                server.handle_write(req.at, req.lpn, req.pages, Some(&mut remote));
+                server.handle_write(req.at, req.lpn, req.pages, &mut remote);
             }
             Op::Read => {
-                server.handle_read(req.at, req.lpn, req.pages, Some(&mut remote));
+                server.handle_read(req.at, req.lpn, req.pages, &mut remote);
             }
             Op::Trim => {
-                server.handle_trim(req.at, req.lpn, req.pages, Some(&mut remote));
+                server.handle_trim(req.at, req.lpn, req.pages, &mut remote);
             }
         }
     }

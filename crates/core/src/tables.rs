@@ -2,15 +2,13 @@
 //!
 //! * The **Local Caching Table (LCT)** indexes the pages in the local buffer;
 //!   in this implementation it is the page map inside
-//!   [`crate::buffer::BufferManager`], so this module only re-exports the
-//!   remote-side structures.
-//! * The **Remote Caching Table ([`Rct`])** is a server's index of *its own*
-//!   dirty pages currently replicated in the peer's remote buffer. After a
-//!   local failure, the server "reads RCT from neighbouring server" — i.e.
-//!   fetches [`RemoteStore::snapshot`] — and replays those pages into its
-//!   SSD (Section III.D).
+//!   [`crate::buffer::BufferManager`].
 //! * The **[`RemoteStore`]** is the memory a server donates to hold its
-//!   *peer's* replicated pages (the "remote buffer" half of Figure 3).
+//!   *peer's* replicated pages (the "remote buffer" half of Figure 3). It is
+//!   also the **Remote Caching Table (RCT)**: after a local failure the
+//!   server "reads RCT from neighbouring server" — i.e. fetches
+//!   [`RemoteStore::snapshot`] — and replays those pages into its SSD
+//!   (Section III.D).
 //!
 //! Pages carry a monotonically increasing version so recovery and the
 //! consistency checker can prove no acknowledged write is lost or rolled
@@ -18,58 +16,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Index of this server's pages replicated at the peer.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Rct {
-    entries: HashMap<u64, u64>,
-}
-
-impl Rct {
-    /// Empty table.
-    pub fn new() -> Self {
-        Rct::default()
-    }
-
-    /// Record that `lpn` at `version` is replicated.
-    pub fn insert(&mut self, lpn: u64, version: u64) {
-        let e = self.entries.entry(lpn).or_insert(version);
-        *e = (*e).max(version);
-    }
-
-    /// Drop the entry after the page was flushed to the SSD (its remote copy
-    /// is discarded).
-    pub fn discard(&mut self, lpn: u64) {
-        self.entries.remove(&lpn);
-    }
-
-    /// Replicated version of `lpn`, if any.
-    pub fn get(&self, lpn: u64) -> Option<u64> {
-        self.entries.get(&lpn).copied()
-    }
-
-    /// Number of replicated pages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is replicated.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop everything (peer purged its remote buffer).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// All entries, sorted by LPN.
-    pub fn entries(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.entries.iter().map(|(&l, &ver)| (l, ver)).collect();
-        v.sort_unstable();
-        v
-    }
-}
 
 /// Memory donated to the peer: holds the peer's replicated dirty pages.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -85,11 +31,6 @@ impl RemoteStore {
             entries: HashMap::new(),
             capacity,
         }
-    }
-
-    /// Capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Resize the store (dynamic memory allocation adjusts θ at runtime).
@@ -125,6 +66,11 @@ impl RemoteStore {
         self.entries.remove(&lpn);
     }
 
+    /// Replicated version of `lpn`, if the store holds it.
+    pub(crate) fn get(&self, lpn: u64) -> Option<u64> {
+        self.entries.get(&lpn).copied()
+    }
+
     /// Full contents, sorted by LPN — what a rebooted owner fetches during
     /// local-failure recovery ("reads RCT from neighboring server").
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
@@ -132,40 +78,11 @@ impl RemoteStore {
         v.sort_unstable();
         v
     }
-
-    /// Drop everything ("notifies neighboring server to clean out remote
-    /// buffer").
-    pub fn purge(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rct_tracks_latest_version() {
-        let mut r = Rct::new();
-        r.insert(5, 1);
-        r.insert(5, 3);
-        r.insert(5, 2); // stale insert cannot roll back
-        assert_eq!(r.get(5), Some(3));
-        assert_eq!(r.len(), 1);
-        r.discard(5);
-        assert!(r.is_empty());
-        assert_eq!(r.get(5), None);
-    }
-
-    #[test]
-    fn rct_entries_sorted() {
-        let mut r = Rct::new();
-        r.insert(9, 1);
-        r.insert(2, 2);
-        assert_eq!(r.entries(), vec![(2, 2), (9, 1)]);
-        r.clear();
-        assert!(r.is_empty());
-    }
 
     #[test]
     fn remote_store_respects_capacity() {
@@ -179,14 +96,16 @@ mod tests {
     }
 
     #[test]
-    fn remote_store_snapshot_and_purge() {
+    fn remote_store_snapshot_get_and_discard() {
         let mut s = RemoteStore::new(8);
         s.write(7, 1);
         s.write(3, 4);
         assert_eq!(s.snapshot(), vec![(3, 4), (7, 1)]);
+        assert_eq!(s.get(3), Some(4));
         s.discard(3);
+        assert_eq!(s.get(3), None);
         assert_eq!(s.snapshot(), vec![(7, 1)]);
-        s.purge();
+        s.discard(7);
         assert!(s.is_empty());
     }
 
@@ -200,7 +119,6 @@ mod tests {
         s.set_capacity(1); // shrink below occupancy: existing entries stay
         assert_eq!(s.len(), 2);
         assert!(!s.write(3, 1));
-        assert_eq!(s.capacity(), 1);
     }
 
     #[test]
@@ -208,6 +126,6 @@ mod tests {
         let mut s = RemoteStore::new(4);
         s.write(1, 5);
         s.write(1, 2);
-        assert_eq!(s.snapshot(), vec![(1, 5)]);
+        assert_eq!(s.get(1), Some(5));
     }
 }

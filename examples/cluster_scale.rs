@@ -1,12 +1,9 @@
-//! Cluster scale: four cooperative pairs (eight servers), mixed workloads,
-//! one pair taking a failure — the paper's deployment model in one run.
-//! Then the same scale-out story through the *threaded* stack: a workload
-//! that saturates one gateway-fronted pair is absorbed by a 4-pair cluster
-//! routed by the `fc-ring` consistent-hash ring.
+//! Cluster scale through the threaded stack: a workload that saturates one
+//! gateway-fronted pair is absorbed by a 4-pair cluster routed by the
+//! `fc-ring` consistent-hash ring.
 //!
 //! Pairs are mutually independent ("storage cluster is configured into
-//! cooperative pairs"), so the cluster scales by adding pairs and a failure
-//! never spills past its own pair.
+//! cooperative pairs"), so the cluster scales by adding pairs.
 //!
 //! ```text
 //! cargo run --release --example cluster_scale
@@ -14,102 +11,11 @@
 
 use fc_bench::loadgen::{self, LoadgenSpec, Mode, TransportKind, Workload};
 use fc_gateway::AdmissionConfig;
-use fc_ssd::FtlKind;
-use fc_trace::{SyntheticSpec, Trace};
-use flashcoop::{Cluster, CoopServer, FlashCoopConfig, Injection, PairEvent, PolicyKind, Scheme};
 
 fn main() {
-    let mut cfg = FlashCoopConfig::evaluation(FtlKind::Bast, PolicyKind::Lar);
-    cfg.buffer_pages = 2048;
-    let pages = CoopServer::new(cfg.clone(), Scheme::Baseline)
-        .ssd()
-        .logical_pages()
-        .min(48 * 1024);
-
-    // Eight servers with alternating workload personalities.
-    let specs = [
-        SyntheticSpec::fin1(pages),
-        SyntheticSpec::fin2(pages),
-        SyntheticSpec::mix(pages),
-        SyntheticSpec::fin1(pages),
-        SyntheticSpec::fin2(pages),
-        SyntheticSpec::mix(pages),
-        SyntheticSpec::fin1(pages),
-        SyntheticSpec::fin2(pages),
-    ];
-    let traces: Vec<Trace> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.clone()
-                .with_requests(6_000)
-                .with_rate_factor(20.0) // compress the replay window
-                .generate(100 + i as u64)
-        })
-        .collect();
-    let refs: Vec<&Trace> = traces.iter().collect();
-
-    let mut cluster = Cluster::homogeneous(cfg, 4, true);
-    println!(
-        "cluster: {} pairs / {} servers, dynamic allocation on",
-        cluster.pairs(),
-        cluster.servers()
-    );
-
-    // Pair 2 loses a server a third of the way in and recovers later.
-    let crash_at = traces[4].requests[2_000].at;
-    let recover_at = traces[4].requests[4_000].at;
-    let mut injections = vec![Vec::new(); 4];
-    injections[2] = vec![
-        Injection {
-            at: crash_at,
-            event: PairEvent::Crash(0),
-        },
-        Injection {
-            at: recover_at,
-            event: PairEvent::Recover(0),
-        },
-    ];
-    println!("injecting: pair 2 / server 0 crashes at {crash_at}, recovers at {recover_at}\n");
-
-    cluster.replay(&refs, &injections);
-
-    println!(
-        "{:<8} {:<6} {:>12} {:>14} {:>10} {:>10}",
-        "server", "trace", "requests", "avg resp", "erases", "theta%"
-    );
-    for (s, trace) in traces.iter().enumerate().take(cluster.servers()) {
-        let pair = cluster.pair(s / 2);
-        let server = cluster.server(s);
-        println!(
-            "{:<8} {:<6} {:>12} {:>14} {:>10} {:>9.1}",
-            format!("{}/{}", s / 2, s % 2),
-            trace.name,
-            server.metrics().response.count(),
-            format!("{}", server.metrics().response.mean()),
-            server.ssd().erases_since_reset(),
-            pair.theta_now(s % 2) * 100.0,
-        );
-    }
-
-    let report = cluster.report();
-    println!(
-        "\nfleet: {} requests, mean response {}, {} erases, {} pages replicated",
-        report.requests, report.avg_response, report.total_erases, report.replicated_pages
-    );
-    println!(
-        "acknowledged writes lost anywhere (including the crashed pair): {} {}",
-        report.unrecoverable,
-        if report.unrecoverable == 0 {
-            "✓"
-        } else {
-            "✗"
-        }
-    );
-
-    // Part 2 — the threaded stack: eight closed-loop clients keep a single
-    // gateway-fronted pair busy end to end; four pairs behind the
-    // consistent-hash ring split the same offered load four ways.
+    // Eight closed-loop clients keep a single gateway-fronted pair busy end
+    // to end; four pairs behind the consistent-hash ring split the same
+    // offered load four ways.
     let base = LoadgenSpec {
         clients: 8,
         workload: Workload::Mix,
@@ -121,7 +27,7 @@ fn main() {
         admission: AdmissionConfig::unlimited(),
         ..LoadgenSpec::default()
     };
-    println!("\nthreaded gateway: the same offered load against 1 pair, then 4:");
+    println!("threaded gateway: the same offered load against 1 pair, then 4:");
     let single = loadgen::run(&base).expect("single-pair run");
     let sharded = loadgen::run(&LoadgenSpec {
         shards: 4,

@@ -48,8 +48,8 @@ fn main() {
     let t0 = two_phase_trace(pages, 4_000, 0.5, 0.5, 1, "steady");
     let t1 = two_phase_trace(pages, 4_000, 0.1, 0.9, 2, "shifting");
 
-    let mut pair = CoopPair::new(cfg.clone(), cfg, true);
-    pair.replay([&t0, &t1], &[]);
+    let mut pair = CoopPair::new(cfg.clone(), cfg);
+    pair.replay([&t0, &t1]);
 
     println!("Server 0's remote-buffer ratio over time (peer turns write-heavy):");
     println!(

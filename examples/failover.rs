@@ -1,16 +1,10 @@
-//! Failure recovery, twice over.
+//! Failure recovery (Section III.D) on the threaded `fc-cluster` node.
 //!
-//! Part 1 — simulation: a cooperative pair replays write-heavy traffic; one
-//! server crashes mid-run, the peer detects it by heartbeat timeout and
-//! degrades (flush dirty, write-through); later the crashed server reboots,
-//! pulls its replicated pages back from the peer, and the pair proves no
-//! acknowledged write was lost (Section III.D).
+//! Part 1 — real threads over TCP on localhost: a node crashes and
+//! recovers through the paper's protocol (RCT fetch → replay → purge),
+//! with actual page data moving between the nodes.
 //!
-//! Part 2 — real threads over TCP on localhost: the same recovery protocol
-//! (RCT fetch → replay → purge) with actual page data moving through the
-//! `fc-cluster` node.
-//!
-//! Part 3 — the full pair lifecycle over a partitioned link: Paired →
+//! Part 2 — the full pair lifecycle over a partitioned link: Paired →
 //! Solo (takeover destage + journaled writes) → Resyncing (the journal
 //! streams back) → Paired, ending with byte-exact data on both ends.
 //!
@@ -22,74 +16,8 @@ use fc_cluster::{
     mem_pair, shared_backend, FaultPlan, FaultTransport, MemBackend, Node, NodeConfig, PairState,
     TcpTransport, WriteOutcome,
 };
-use fc_simkit::{DetRng, SimDuration, SimTime};
-use fc_ssd::FtlKind;
-use fc_trace::{IoRequest, Op, Trace};
-use flashcoop::{CoopPair, FlashCoopConfig, Injection, PairEvent, PolicyKind};
 use std::net::TcpListener;
 use std::time::Duration;
-
-fn write_trace(pages: u64, n: usize, seed: u64, name: &str) -> Trace {
-    let mut rng = DetRng::new(seed);
-    let mut t = Trace::new(name);
-    let mut now = SimTime::ZERO;
-    for _ in 0..n {
-        now += SimDuration::from_millis(10 + rng.below(10));
-        t.push(IoRequest {
-            at: now,
-            lpn: rng.below(pages - 2),
-            pages: 1,
-            op: Op::Write,
-        });
-    }
-    t
-}
-
-fn simulated_failover() {
-    println!("— simulated pair —");
-    let mut cfg = FlashCoopConfig::tiny(FtlKind::PageLevel, PolicyKind::Lar);
-    cfg.buffer_pages = 64;
-    let pages = {
-        use flashcoop::{CoopServer, Scheme};
-        CoopServer::new(cfg.clone(), Scheme::Baseline)
-            .ssd()
-            .logical_pages()
-    };
-    let t0 = write_trace(pages, 800, 1, "victim");
-    let t1 = write_trace(pages, 800, 2, "survivor");
-
-    let crash_at = t0.requests[400].at;
-    let recover_at = crash_at + SimDuration::from_secs(30);
-    println!(
-        "  crash of server 0 at {crash_at}, recovery at {recover_at} \
-         (heartbeat timeout 5s)"
-    );
-
-    let mut pair = CoopPair::new(cfg.clone(), cfg, false);
-    pair.replay(
-        [&t0, &t1],
-        &[
-            Injection {
-                at: crash_at,
-                event: PairEvent::Crash(0),
-            },
-            Injection {
-                at: recover_at,
-                event: PairEvent::Recover(0),
-            },
-        ],
-    );
-    println!(
-        "  server 1 degraded during the outage; degraded now: {}",
-        pair.server(1).is_degraded()
-    );
-    let lost = pair.unrecoverable();
-    println!(
-        "  acknowledged writes lost across crash + recovery: {} {}",
-        lost.len(),
-        if lost.is_empty() { "✓" } else { "✗" }
-    );
-}
 
 fn real_failover() {
     println!("— real nodes over TCP (localhost) —");
@@ -271,8 +199,6 @@ fn lifecycle_loop() {
 }
 
 fn main() {
-    simulated_failover();
-    println!();
     real_failover();
     println!();
     lifecycle_loop();

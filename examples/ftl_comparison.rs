@@ -63,7 +63,7 @@ fn main() {
             } else {
                 rng.below(logical)
             };
-            server.handle_write(now, lpn, 1, Some(&mut remote));
+            server.handle_write(now, lpn, 1, &mut remote);
             now += SimDuration::from_millis(2);
         }
         let s = server.ssd().stats();

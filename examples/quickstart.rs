@@ -53,7 +53,7 @@ fn main() {
     let mut total_write = SimDuration::ZERO;
     for i in 0..ppb {
         for blk in [0u64, 1, 2] {
-            total_write += server.handle_write(now, blk * ppb + i, 1, Some(&mut remote));
+            total_write += server.handle_write(now, blk * ppb + i, 1, &mut remote);
             now += step;
         }
     }
@@ -70,15 +70,15 @@ fn main() {
     );
 
     // Read the first block back — straight from DRAM.
-    let t_hit = server.handle_read(now, 0, ppb as u32, Some(&mut remote));
+    let t_hit = server.handle_read(now, 0, ppb as u32, &mut remote);
     now += step;
     // And something cold — that one goes to the SSD.
     let far = server.ssd().logical_pages() - ppb;
-    let t_miss = server.handle_read(now, far, 1, Some(&mut remote));
+    let t_miss = server.handle_read(now, far, 1, &mut remote);
     println!("  read hit of a whole block: {t_hit}; cold read miss: {t_miss}");
 
     // Force the buffer down so LAR flushes blocks sequentially.
-    server.resize_buffer(now, 8, Some(&mut remote));
+    server.resize_buffer(now, 8, &mut remote);
     let s = server.ssd().stats();
     println!(
         "  after shrinking the buffer: {} writes reached the SSD, mean length {:.1} pages",
@@ -87,7 +87,7 @@ fn main() {
     );
     println!(
         "  every acknowledged page recoverable: {}",
-        server.unrecoverable_pages(Some(&remote)).is_empty()
+        server.unrecoverable_pages(&remote).is_empty()
     );
 
     if let (Some(o), Some(path)) = (&obs, &obs_path) {

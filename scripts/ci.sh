@@ -142,6 +142,21 @@ if [ "$(gw_code | grep -c 'impl SessionLink for')" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> failure-model guard: crashes, heartbeats and recovery live in the threaded node"
+# DESIGN §2.4 / §11: trace replay never fails. The heartbeat monitor and the
+# pair lifecycle are defined in flashcoop's recovery.rs and driven by
+# fc_cluster::Node only; the sim has no injections, degraded mode, RCT
+# mirror or cluster of its own.
+core_code() { for f in $(find crates/core/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done; }
+if core_code | grep -wE 'Injection|PairEvent|enter_degraded|struct Rct|mod cluster'; then
+  echo "crates/core/src: the sim has no failure model (injections, degraded mode, RCT, cluster)" >&2
+  exit 1
+fi
+if core_code | grep -vE '^crates/core/src/(recovery|lib)\.rs:' | grep -wE 'PairLifecycle|HeartbeatMonitor'; then
+  echo "crates/core/src: PairLifecycle and HeartbeatMonitor are named in recovery.rs and lib.rs only" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
@@ -197,7 +212,7 @@ cargo run --release --offline -p fc-bench --bin loadgen -- \
   --clients 8 --trace mix --seed 42 --requests 400 --transport mem --shards 4 \
   | grep -q "shard 3"
 
-echo "==> cluster-scale smoke: sim cluster + 1-pair vs 4-pair gateway"
+echo "==> cluster-scale smoke: 1-pair vs 4-pair gateway"
 cargo run --release --offline --example cluster_scale \
   | grep -q "cluster scale complete"
 

@@ -7,12 +7,13 @@
 //!
 //! 1. **Chaos sweep** — 20 seeds, each against a two-pair and a one-pair
 //!    cluster; each seed picks a victim shard and a closed- or open-loop
-//!    client, kills the victim's primary mid-workload,
-//!    restarts it, and waits for traffic-driven failback. Every
-//!    acknowledged write must be readable after failback, no client call
-//!    may outlive its deadline, and the per-shard counter-sum identity
-//!    (`ShardStatsSum::matches`) must hold exactly at every phase
-//!    boundary.
+//!    client, kills the victim's primary mid-workload, restarts it, and
+//!    waits for traffic-driven failback; then kills the victim's
+//!    secondary, which must leave the route on the primary, and restarts
+//!    it until the pair re-forms. Every acknowledged write must be
+//!    readable at the end, no client call may outlive its deadline, and
+//!    the per-shard counter-sum identity (`ShardStatsSum::matches`) must
+//!    hold exactly at every phase boundary.
 //! 2. **Graceful degradation** — with *both* replicas of a shard down, the
 //!    gateway answers `Unavailable { retry_after_ms }` within its retry
 //!    deadline instead of hanging, the surviving shard keeps serving, and
@@ -29,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fc_bench::loadgen::payload;
+use fc_cluster::PairState;
 use fc_gateway::{ClientError, GatewayClient, GatewayConfig, Reply, ShardStatsSum, ShardedGateway};
 use fc_ring::RingConfig;
 use fc_simkit::DetRng;
@@ -111,7 +113,7 @@ impl Driver {
     /// One workload phase. Closed-loop issues write/read/trim/flush and
     /// waits for each reply; open-loop pipelines waves of 8 writes before
     /// draining. `verify` checks read payloads against the oracle (only
-    /// meaningful while no replica is down and no failback replay is
+    /// meaningful while the primary serves and no failback replay is
     /// pending).
     fn drive_phase(&mut self, client: &mut GatewayClient, ops: u64, verify: bool, label: &str) {
         if self.open_loop {
@@ -283,8 +285,44 @@ fn chaos_run(seed: u64, shards: u16) {
     assert!(failed_back, "{tag}: no failback within 10s");
     assert!(sg.stats().failbacks >= 1, "{tag}: no failback counted");
 
-    // Phase 3: back on the primary; every acked write must be readable.
+    // Phase 3: back on the primary.
     driver.drive_phase(&mut client, 50, true, &format!("{tag} post-failback"));
+
+    // Phase 4: the replica side dies. The primary serves on alone (solo,
+    // write-through), so the route stays put and no failover is counted;
+    // the restarted secondary resyncs and the pair re-forms.
+    let failovers = sg.stats().failovers;
+    let (primary, secondary) = (sg.primary(victim), sg.secondary(victim));
+    let edges = primary.lifecycle_transitions();
+    secondary.fail();
+    driver.drive_phase(&mut client, 50, true, &format!("{tag} secondary down"));
+    assert!(
+        primary.lifecycle_transitions() > edges,
+        "{tag}: the primary never noticed its secondary was down"
+    );
+    assert!(
+        sg.gateway().shard_routed_to_primary(victim),
+        "{tag}: a dead secondary moved the route"
+    );
+    assert_eq!(
+        sg.stats().failovers,
+        failovers,
+        "{tag}: a dead secondary counted as a failover"
+    );
+    assert_sums_match(&sg, &format!("{tag} secondary down"));
+    secondary.restart();
+    let paired = || {
+        primary.lifecycle_state() == PairState::Paired
+            && secondary.lifecycle_state() == PairState::Paired
+    };
+    assert!(
+        wait_until(paired, Duration::from_secs(10)),
+        "{tag}: pair never re-formed after the secondary restarted ({:?}, {:?})",
+        primary.lifecycle_state(),
+        secondary.lifecycle_state()
+    );
+
+    // Every acked write must be readable.
     for (&lpn, want) in &driver.oracle.acked {
         let got = client
             .read_with_retry(lpn, 1, Instant::now() + OP_DEADLINE)

@@ -1,224 +1,11 @@
-//! Failure-recovery soak tests for the simulated cooperative pair, and
-//! full-lifecycle end-to-end tests for the threaded pair.
+//! Full-lifecycle end-to-end tests for the threaded pair.
 //!
 //! The invariant under test is the paper's consistency claim (Section III.D):
 //! "With this failure recovery mechanism, FlashCoop can successfully
 //! maintain data consistency" — concretely, **no acknowledged write is ever
-//! unrecoverable**, across crashes, recoveries, and double-length outages,
-//! for any injection schedule. The threaded tests at the bottom walk the
-//! real pair through the whole lifecycle — fail → takeover → solo →
-//! resync → Paired — over faulted links, including payload corruption.
-
-use fc_simkit::{DetRng, SimDuration, SimTime};
-use fc_ssd::FtlKind;
-use fc_trace::{IoRequest, Op, Trace};
-use flashcoop::{CoopPair, CoopServer, FlashCoopConfig, Injection, PairEvent, PolicyKind, Scheme};
-
-fn cfg() -> FlashCoopConfig {
-    let mut c = FlashCoopConfig::tiny(FtlKind::PageLevel, PolicyKind::Lar);
-    c.buffer_pages = 48;
-    c
-}
-
-fn device_pages() -> u64 {
-    CoopServer::new(cfg(), Scheme::Baseline)
-        .ssd()
-        .logical_pages()
-}
-
-fn trace(pages: u64, n: usize, write_frac: f64, seed: u64) -> Trace {
-    let mut rng = DetRng::new(seed);
-    let mut t = Trace::new(format!("t{seed}"));
-    let mut now = SimTime::ZERO;
-    for _ in 0..n {
-        now += SimDuration::from_millis(10 + rng.below(20));
-        let op = if rng.chance(write_frac) {
-            Op::Write
-        } else {
-            Op::Read
-        };
-        t.push(IoRequest {
-            at: now,
-            lpn: rng.below(pages - 2),
-            pages: 1,
-            op,
-        });
-    }
-    t
-}
-
-fn assert_nothing_lost(pair: &CoopPair, label: &str) {
-    let lost = pair.unrecoverable();
-    assert!(
-        lost.is_empty(),
-        "{label}: lost acknowledged writes {lost:?}"
-    );
-}
-
-#[test]
-fn crash_of_either_server_loses_nothing() {
-    let pages = device_pages();
-    for victim in 0..2usize {
-        let t0 = trace(pages, 500, 0.9, 10);
-        let t1 = trace(pages, 500, 0.9, 11);
-        let crash_at = t0.requests[250].at;
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        pair.replay(
-            [&t0, &t1],
-            &[Injection {
-                at: crash_at,
-                event: PairEvent::Crash(victim),
-            }],
-        );
-        assert!(!pair.is_alive(victim));
-        assert_nothing_lost(&pair, &format!("crash({victim})"));
-    }
-}
-
-#[test]
-fn crash_then_recovery_restores_service_and_data() {
-    let pages = device_pages();
-    let t0 = trace(pages, 700, 0.9, 20);
-    let t1 = trace(pages, 700, 0.5, 21);
-    let crash_at = t0.requests[200].at;
-    let recover_at = crash_at + SimDuration::from_secs(25);
-    let mut pair = CoopPair::new(cfg(), cfg(), false);
-    pair.replay(
-        [&t0, &t1],
-        &[
-            Injection {
-                at: crash_at,
-                event: PairEvent::Crash(0),
-            },
-            Injection {
-                at: recover_at,
-                event: PairEvent::Recover(0),
-            },
-        ],
-    );
-    assert!(pair.is_alive(0));
-    assert!(
-        !pair.server(1).is_degraded(),
-        "peer must resume replication"
-    );
-    // The recovered server served requests after its reboot.
-    assert!(pair.server(0).metrics().writes > 0);
-    assert_nothing_lost(&pair, "crash+recover");
-}
-
-#[test]
-fn repeated_crash_recover_cycles_stay_consistent() {
-    let pages = device_pages();
-    let t0 = trace(pages, 1_200, 0.9, 30);
-    let t1 = trace(pages, 1_200, 0.9, 31);
-    let start = t0.requests[0].at;
-    let mut injections = Vec::new();
-    // Strictly sequential outages (the paper's fault model is single-failure,
-    // "same as RAID 1"): each victim recovers before the next crash.
-    for (i, victim) in [0usize, 1, 0].iter().enumerate() {
-        let at = start + SimDuration::from_secs(5 + 8 * i as u64);
-        injections.push(Injection {
-            at,
-            event: PairEvent::Crash(*victim),
-        });
-        injections.push(Injection {
-            at: at + SimDuration::from_secs(4),
-            event: PairEvent::Recover(*victim),
-        });
-    }
-    let mut pair = CoopPair::new(cfg(), cfg(), false);
-    pair.replay([&t0, &t1], &injections);
-    assert!(pair.is_alive(0) && pair.is_alive(1));
-    assert_nothing_lost(&pair, "3 crash/recover cycles");
-}
-
-#[test]
-fn randomised_injection_schedules_never_lose_data() {
-    let pages = device_pages();
-    for seed in 0..8u64 {
-        let mut rng = DetRng::new(1_000 + seed);
-        let t0 = trace(pages, 400, 0.9, 40 + seed);
-        let t1 = trace(pages, 400, 0.9, 60 + seed);
-        let dur = t0.duration().as_nanos();
-        let mut injections = Vec::new();
-        let mut alive = [true, true];
-        let mut at = SimTime::ZERO + SimDuration::from_nanos(rng.below(dur / 2));
-        // Random alternating schedule; never crash both at once (the paper's
-        // fault model, "same as RAID 1").
-        for _ in 0..4 {
-            let victim = rng.below(2) as usize;
-            if alive[victim] && alive[1 - victim] {
-                injections.push(Injection {
-                    at,
-                    event: PairEvent::Crash(victim),
-                });
-                alive[victim] = false;
-            } else if !alive[victim] {
-                injections.push(Injection {
-                    at,
-                    event: PairEvent::Recover(victim),
-                });
-                alive[victim] = true;
-            }
-            at += SimDuration::from_secs(10 + rng.below(30));
-        }
-        let mut pair = CoopPair::new(cfg(), cfg(), false);
-        pair.replay([&t0, &t1], &injections);
-        assert_nothing_lost(&pair, &format!("random schedule seed {seed}"));
-    }
-}
-
-#[test]
-fn degraded_mode_writes_are_immediately_durable() {
-    let pages = device_pages();
-    let t0 = trace(pages, 400, 1.0, 70);
-    let t1 = trace(pages, 400, 1.0, 71);
-    let crash_at = t1.requests[50].at;
-    let mut pair = CoopPair::new(cfg(), cfg(), false);
-    pair.replay(
-        [&t0, &t1],
-        &[Injection {
-            at: crash_at,
-            event: PairEvent::Crash(1),
-        }],
-    );
-    // Server 0 finished the run degraded; every write it acknowledged after
-    // the crash is already on its own SSD (write-through), so even the loss
-    // of its buffer right now would be safe.
-    assert!(pair.server(0).is_degraded());
-    assert!(pair.server(0).unrecoverable_pages(None).is_empty());
-}
-
-#[test]
-fn dynamic_allocation_keeps_consistency_under_failures() {
-    let pages = device_pages();
-    let mut c = cfg();
-    c.alloc.period = SimDuration::from_millis(500);
-    let t0 = trace(pages, 800, 0.9, 80);
-    let t1 = trace(pages, 800, 0.3, 81);
-    let crash_at = t0.requests[400].at;
-    let recover_at = crash_at + SimDuration::from_secs(25);
-    let mut pair = CoopPair::new(c.clone(), c, true);
-    pair.replay(
-        [&t0, &t1],
-        &[
-            Injection {
-                at: crash_at,
-                event: PairEvent::Crash(1),
-            },
-            Injection {
-                at: recover_at,
-                event: PairEvent::Recover(1),
-            },
-        ],
-    );
-    assert!(!pair.theta_log(0).is_empty(), "allocation loop ran");
-    assert_nothing_lost(&pair, "dynamic alloc + failures");
-}
-
-// ---------------------------------------------------------------------------
-// Threaded pair: full lifecycle over faulted links
-// ---------------------------------------------------------------------------
+//! unrecoverable**. The tests walk the real pair through the whole
+//! lifecycle — fail → takeover → solo → resync → Paired — over faulted
+//! links, including payload corruption.
 
 mod threaded {
     use fc_cluster::{
