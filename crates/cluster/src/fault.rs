@@ -128,7 +128,7 @@ impl FaultPlan {
 
     /// Add a one-way partition lasting `len`, starting `start` after the
     /// transport is created. Timed partitions swallow *all* traffic (control
-    /// included), so the peer's heartbeat monitor sees real silence.
+    /// included), so the peer's failure detector sees real silence.
     pub fn with_partition_for(mut self, start: Duration, len: Duration) -> Self {
         self.timed_partitions.push((start, start + len));
         self

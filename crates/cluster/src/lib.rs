@@ -43,10 +43,10 @@ pub mod wire;
 
 pub use backend::{MemBackend, SimSsdBackend, StorageBackend};
 pub use fault::{FaultAction, FaultPlan, FaultRecord, FaultStats, FaultTransport};
-pub use flashcoop::{LifecycleTransition, PairLifecycle, PairState, ReplicationStats, RetryPolicy};
 pub use node::{
     shared_backend, MigrateError, Node, NodeConfig, NodeConfigBuilder, NodeDown, NodeStats,
-    PerClientStats, RunOutcome, SharedBackend, WriteOutcome, PEER_NS,
+    PairState, PerClientStats, ReplicationStats, RetryPolicy, RunOutcome, SharedBackend,
+    WriteOutcome, PEER_NS,
 };
 pub use transport::{
     mem_link, mem_pair, Link, LinkClosed, TcpTransport, Transport, TransportError,

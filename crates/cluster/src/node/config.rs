@@ -1,9 +1,57 @@
-//! Node tunables: [`NodeConfig`] and its builder.
+//! Node tunables: [`NodeConfig`], its builder, and the replication
+//! [`RetryPolicy`].
 
 #[cfg(doc)]
 use crate::{Message, Node};
-use flashcoop::{PolicyKind, RetryPolicy};
+use flashcoop::PolicyKind;
 use std::time::Duration;
+
+/// Bounded retry-with-backoff for the replication path (Section III.D's
+/// "high speed data center network" is fast but not lossless; a dropped
+/// batch or ack should be retried before the writer gives up and degrades
+/// to write-through).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryPolicy {
+    /// Total send attempts, including the first (must be >= 1).
+    pub attempts: u32,
+    /// Delay before the first retry.
+    pub base_backoff: Duration,
+    /// Backoff growth factor per further retry (>= 1.0).
+    pub multiplier: f64,
+    /// Ceiling on any single backoff.
+    pub max_backoff: Duration,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            attempts: 4,
+            base_backoff: Duration::from_millis(2),
+            multiplier: 2.0,
+            max_backoff: Duration::from_millis(100),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// A policy that never retries: one attempt, then give up.
+    pub fn no_retries() -> Self {
+        RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        }
+    }
+
+    /// Backoff before retry number `retry` (0-based: the delay between the
+    /// first attempt's timeout and the second attempt). Exponential in
+    /// `multiplier`, capped at `max_backoff`.
+    pub fn backoff_for(&self, retry: u32) -> Duration {
+        let base = self.base_backoff.as_nanos() as f64;
+        let factor = self.multiplier.max(1.0).powi(retry.min(63) as i32);
+        let ns = (base * factor).min(self.max_backoff.as_nanos() as f64);
+        Duration::from_nanos(ns as u64)
+    }
+}
 
 /// Node tunables.
 #[derive(Debug, Clone)]
@@ -33,7 +81,8 @@ pub struct NodeConfig {
     /// the first loss.
     pub retry: RetryPolicy,
     /// Catch-up journal capacity (distinct pages). Overflow falls back to a
-    /// full-buffer resync on rejoin.
+    /// full-buffer resync on rejoin; while a resync runs, the cap is at
+    /// least `buffer_pages`.
     pub journal_entries: usize,
     /// Pages this node will host for its peer (the credit pool it
     /// advertises in acks and heartbeats).
@@ -96,8 +145,7 @@ impl NodeConfig {
     /// Start a builder from the defaults:
     ///
     /// ```
-    /// use fc_cluster::NodeConfig;
-    /// use flashcoop::RetryPolicy;
+    /// use fc_cluster::{NodeConfig, RetryPolicy};
     ///
     /// let cfg = NodeConfig::builder()
     ///     .id(1)
@@ -204,5 +252,42 @@ impl NodeConfigBuilder {
     /// Finish the configuration.
     pub fn build(self) -> NodeConfig {
         self.cfg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_backoff_grows_and_caps() {
+        let p = RetryPolicy {
+            attempts: 5,
+            base_backoff: Duration::from_millis(2),
+            multiplier: 2.0,
+            max_backoff: Duration::from_millis(10),
+        };
+        assert_eq!(p.backoff_for(0), Duration::from_millis(2));
+        assert_eq!(p.backoff_for(1), Duration::from_millis(4));
+        assert_eq!(p.backoff_for(2), Duration::from_millis(8));
+        // Capped from 16 ms down to the ceiling.
+        assert_eq!(p.backoff_for(3), Duration::from_millis(10));
+        assert_eq!(p.backoff_for(60), Duration::from_millis(10));
+    }
+
+    #[test]
+    fn no_retries_policy_is_single_attempt() {
+        let p = RetryPolicy::no_retries();
+        assert_eq!(p.attempts, 1);
+        assert_eq!(p.backoff_for(0), RetryPolicy::default().base_backoff);
+    }
+
+    #[test]
+    fn sub_unit_multiplier_never_shrinks_backoff() {
+        let p = RetryPolicy {
+            multiplier: 0.5,
+            ..RetryPolicy::default()
+        };
+        assert_eq!(p.backoff_for(3), p.base_backoff);
     }
 }

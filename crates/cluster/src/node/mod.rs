@@ -14,13 +14,18 @@
 //!
 //! # Pair lifecycle
 //!
-//! The node shares the [`PairLifecycle`](flashcoop::PairLifecycle) state
-//! machine with the simulation:
+//! One state machine (`lifecycle.rs`) watches the peer's heartbeats and
+//! walks the pair through [`PairState`]:
 //!
 //! ```text
 //! Paired → Suspect → Solo → Resyncing → Paired
 //! ```
 //!
+//! * **Failure detection**: past a heartbeat and a half of silence a
+//!   `Paired` node turns `Suspect`; at `failure_timeout` it goes Solo. The
+//!   first beat after that begins a resync; a node that went Solo for a
+//!   data-plane cause (ack timeout, dead link) while the peer kept beating
+//!   retries one on a timer instead.
 //! * **Solo entry** (`peer_failed` / `ack_timeout` / `disconnected`): every
 //!   dirty local page is flushed, and the pages hosted for the peer are
 //!   *taken over* — destaged sequentially to this node's backend under the
@@ -60,13 +65,15 @@
 //! | `state` | `Inner`: the buffer — the one page table, `BufferManager<Resident>` — version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never |
 //! | `recv` | `Inner`'s receive handlers and timer tick | (holds `Inner`) leaves | never — returns the reply |
 //! | `resync` | journal + resync run | (holds `Inner`) — | never — returns the pages |
+//! | `lifecycle` | [`PairState`] and the heartbeat watch that drives it | (held under `Inner`) — | never — asks `Inner` to go solo or resync |
 //! | `hosted` | pages hosted for the peer, the [`PEER_NS`] namespace | backend | never |
 //! | `crate::pipe` | the replication pipe (names no `Inner`) | its state | the page-carrying frames |
 //! | `stats` | [`NodeStats`] and friends; `NodeObs`, every counter's one cell and the event stream | — | — |
-//! | `config` | plain types | — | — |
+//! | `config` | plain types, [`RetryPolicy`] | — | — |
 
 mod config;
 mod hosted;
+mod lifecycle;
 mod migrate;
 mod pump;
 mod recover;
@@ -76,10 +83,13 @@ mod state;
 mod stats;
 mod write;
 
-pub use config::{NodeConfig, NodeConfigBuilder};
+pub use config::{NodeConfig, NodeConfigBuilder, RetryPolicy};
 pub use hosted::PEER_NS;
+pub use lifecycle::PairState;
 pub(crate) use stats::NodeObs;
-pub use stats::{MigrateError, NodeDown, NodeStats, PerClientStats, RunOutcome, WriteOutcome};
+pub use stats::{
+    MigrateError, NodeDown, NodeStats, PerClientStats, ReplicationStats, RunOutcome, WriteOutcome,
+};
 
 use crate::backend::StorageBackend;
 use crate::pipe::ReplPipe;
@@ -88,8 +98,6 @@ use crate::wire::{crc32, Message};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use fc_obs::Obs;
-use fc_simkit::SimTime;
-use flashcoop::PairState;
 use parking_lot::Mutex;
 use state::{Inner, Resident};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,21 +132,13 @@ struct Core {
     parked: Mutex<Vec<Sender<Message>>>,
     /// The link's receive side: whoever holds it reads and dispatches.
     link: pump::LinkSlot,
-    /// Spawn time, the zero of [`Core::now`].
+    /// Spawn time, the zero of the heartbeats' `at_millis` stamp.
     started: Instant,
     shutdown: AtomicBool,
     /// Crash-fault injection ([`Node::fail`] / [`Node::restart`]): while
     /// set, the pump neither heartbeats nor processes messages, and the
     /// `try_*` entry points refuse with [`NodeDown`].
     halted: AtomicBool,
-}
-
-impl Core {
-    /// The node's one clock, so heartbeats and the failure detector read
-    /// the same time whichever thread reads the link.
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.started.elapsed().as_nanos() as u64)
-    }
 }
 
 /// A live FlashCoop node: one background pump thread and a synchronous
@@ -188,9 +188,10 @@ impl Node {
     }
 
     /// Attach observability: publishes every node counter — one
-    /// `cluster.node.*` cell per [`NodeStats`] counter, one
-    /// `cluster.replication.*` cell per [`flashcoop::ReplicationStats`]
-    /// counter, and the `cluster.replication.pages_per_batch` histogram;
+    /// `cluster.node.*` cell per counted [`NodeStats`] field (all but the
+    /// derived `writes` and the `remote_pages` / `journal_pages` gauges),
+    /// one `cluster.replication.*` cell per [`ReplicationStats`] field, and
+    /// the `cluster.replication.pages_per_batch` histogram;
     /// the cells the node has counted into since spawn, so attaching
     /// mid-run loses nothing — and starts emitting wall-stamped `cluster.node`
     /// events (`repl_batch_send` / `repl_batch_ack` / `repl_retry` /
@@ -325,8 +326,8 @@ impl Node {
         inner.note("fail", |e| e);
     }
 
-    /// Undo [`Node::fail`]: the pump resumes. The node's own heartbeat
-    /// monitor then observes the outage gap and walks it Solo; the peer's
+    /// Undo [`Node::fail`]: the pump resumes. The node's own lifecycle
+    /// then observes the outage gap and walks it Solo; the peer's
     /// returning heartbeats drive the normal resync/rejoin machinery until
     /// the pair re-forms.
     pub fn restart(&self) {
@@ -455,18 +456,14 @@ impl Node {
         v
     }
 
-    /// Current counters: the cells, read without a lock, around the three
+    /// Current counters: the cells, read without a lock, around the two
     /// values only `Inner` knows.
     pub fn stats(&self) -> NodeStats {
-        let (remote, journal, transitions) = {
+        let (remote, journal) = {
             let inner = self.core.inner.lock();
-            (
-                inner.hosted.pages(),
-                inner.resync.journal_len() as u64,
-                inner.lifecycle.transitions(),
-            )
+            (inner.hosted.pages(), inner.resync.journal_len() as u64)
         };
-        self.core.obs.snapshot(remote, journal, transitions)
+        self.core.obs.snapshot(remote, journal)
     }
 
     /// Summary of the replication batch-size histogram (pages per
@@ -482,7 +479,7 @@ impl Node {
 
     /// True while the pair is not fully joined (Solo or Resyncing).
     pub fn is_degraded(&self) -> bool {
-        self.core.inner.lock().lifecycle.is_degraded()
+        self.core.inner.lock().lifecycle.state().is_degraded()
     }
 
     /// Current pair-lifecycle state.
@@ -492,7 +489,7 @@ impl Node {
 
     /// Lifecycle edges taken since spawn.
     pub fn lifecycle_transitions(&self) -> u64 {
-        self.core.inner.lock().lifecycle.transitions()
+        self.core.obs.lifecycle_transitions.get()
     }
 
     /// Pages currently waiting in the catch-up journal.
@@ -564,13 +561,13 @@ mod testkit {
         shared_backend, Node, NodeConfig, NodeDown, PerClientStats, RunOutcome, SharedBackend,
         WriteOutcome,
     };
+    pub(crate) use super::{PairState, RetryPolicy};
     pub(crate) use crate::backend::MemBackend;
     pub(crate) use crate::fault::{FaultPlan, FaultTransport};
     pub(crate) use crate::transport::{mem_pair, Link, Transport, TransportError};
     pub(crate) use crate::wire::{resync_entry, Message};
     pub(crate) use bytes::Bytes;
     pub(crate) use fc_obs::Obs;
-    pub(crate) use flashcoop::{PairState, RetryPolicy};
     pub(crate) use parking_lot::Mutex;
     pub(crate) use std::collections::HashMap;
     pub(crate) use std::sync::atomic::{AtomicBool, Ordering};
@@ -584,6 +581,17 @@ mod testkit {
         let a = Node::spawn(NodeConfig::test_profile(0), ta, ba.clone());
         let b = Node::spawn(NodeConfig::test_profile(1), tb, bb.clone());
         (a, b, ba, bb)
+    }
+
+    /// An `Inner` with no node around it — no pump, no thread — whose pipe
+    /// sends on a mem link; the link's far end comes back with it.
+    pub(super) fn bare_inner(cfg: NodeConfig) -> (super::Inner, Link<Message>) {
+        let cfg = Arc::new(cfg);
+        let obs = Arc::new(super::NodeObs::default());
+        let (near, far) = mem_pair();
+        let pipe = super::ReplPipe::new(cfg.clone(), Arc::new(near), obs.clone());
+        let backend = shared_backend(MemBackend::new());
+        (super::Inner::new(cfg, backend, Arc::new(pipe), obs), far)
     }
 
     pub(crate) fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration) -> bool {
@@ -1040,8 +1048,8 @@ mod tests {
         // One page per block, so every block is as popular as the next and
         // LAR evicts dirty ones first: replicated writes with Corrupt-NACK
         // resends, credit stalls whenever B is full, flushing evictions
-        // past the 32-page buffer; then a retried tagged run, reads and a
-        // trim.
+        // past the 32-page buffer; then a retried tagged run, reads, a
+        // trim, and a quiesce, whose solo entry is a lifecycle edge.
         for i in 0..80u64 {
             a.write(16 * i, format!("p{i}").as_bytes());
         }
@@ -1050,6 +1058,7 @@ mod tests {
         a.try_write_run(7, 1, 5, &run).unwrap();
         a.try_read_run(7, 16 * 79, 2).unwrap();
         a.try_delete_run(7, 16 * 79, 1).unwrap();
+        a.quiesce();
         let s = a.stats();
         let moved = [
             s.replicated_pages,
@@ -1061,6 +1070,7 @@ mod tests {
             s.flushed_pages,
             s.deletes,
             s.reads,
+            s.repl.lifecycle_transitions,
         ];
         assert!(moved.iter().all(|&n| n > 0), "{s:?}");
         assert!(s.writes_balance());
@@ -1070,7 +1080,11 @@ mod tests {
         for obs in [&early, &late] {
             let snap = obs.registry().snapshot();
             let rows = NodeObs::fields(&s);
-            assert_eq!(rows.len(), 24);
+            assert_eq!(rows.len(), 25);
+            assert!(rows.contains(&(
+                "cluster.replication.lifecycle_transitions",
+                s.repl.lifecycle_transitions
+            )));
             for (name, want) in rows {
                 assert_eq!(snap.counter(name), Some(want), "{name}");
             }

@@ -14,7 +14,6 @@ use super::{recv, Core};
 use crate::pipe::RunTicket;
 use crate::transport::TransportError;
 use crate::wire::{Message, NackReason};
-use fc_simkit::SimTime;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -127,7 +126,7 @@ pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportEr
     }
     match msg {
         Ok(Some(m)) => {
-            if let Some(reply) = dispatch(core, m, core.now()) {
+            if let Some(reply) = dispatch(core, m) {
                 let _ = core.transport.send(reply);
             }
             Ok(())
@@ -136,8 +135,8 @@ pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportEr
             core.inner.lock().enter_solo("disconnected");
             Err(TransportError::Disconnected)
         }
-        // A timed-out receive is not a verdict on the link; the heartbeat
-        // monitor decides.
+        // A timed-out receive is not a verdict on the link; the
+        // lifecycle's failure detector decides.
         Ok(None) | Err(TransportError::Timeout) => Ok(()),
     }
 }
@@ -145,7 +144,7 @@ pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportEr
 /// Background loop, one pass per [`wait`] or up to the next heartbeat,
 /// whichever is sooner: tick the replication pipe's retransmit timer, send
 /// the heartbeat when it is due, read the link if no writer asked for it
-/// last pass (else sleep the pass out), watch the monitor and drive the
+/// last pass (else sleep the pass out), tick the lifecycle and drive the
 /// resync state machine.
 pub(super) fn pump_loop(core: &Core) {
     let cfg = &core.cfg;
@@ -188,7 +187,7 @@ pub(super) fn pump_loop(core: &Core) {
             std::thread::sleep(wait);
         }
         if !halted {
-            let resync_pages = core.inner.lock().on_tick(core.now());
+            let resync_pages = core.inner.lock().on_tick(Instant::now());
             if !resync_pages.is_empty() {
                 core.pipe.submit(resync_pages);
             }
@@ -199,7 +198,7 @@ pub(super) fn pump_loop(core: &Core) {
 /// Route one frame from the peer to whoever owns its state — `Inner`'s
 /// receive handlers, the pipe, or a parked recovery call — and return the
 /// reply to send, if any (every guard taken here is gone by then).
-fn dispatch(core: &Core, msg: Message, now: SimTime) -> Option<Message> {
+fn dispatch(core: &Core, msg: Message) -> Option<Message> {
     match msg {
         Message::WriteReplBatch {
             epoch,
@@ -230,7 +229,7 @@ fn dispatch(core: &Core, msg: Message, now: SimTime) -> Option<Message> {
             None
         }
         Message::Heartbeat { credits, .. } => {
-            core.inner.lock().on_heartbeat(credits, now);
+            core.inner.lock().on_heartbeat(credits, Instant::now());
             None
         }
         Message::RctFetch => {

@@ -7,9 +7,8 @@
 use super::state::Inner;
 use crate::pipe::PipePage;
 use crate::wire::{crc32, Message, NackReason, ResyncEntry, SeqStatus};
-use fc_simkit::SimTime;
-use flashcoop::{PairState, PeerEvent};
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 /// Receiver-side state for the pipelined replication stream: one
 /// contiguous per-epoch sequence space, acknowledged cumulatively. Reset
@@ -136,25 +135,17 @@ impl Inner {
     }
 
     /// A heartbeat from the peer, advertising its hosting credits.
-    pub(super) fn on_heartbeat(&mut self, credits: u32, now: SimTime) {
+    pub(super) fn on_heartbeat(&mut self, credits: u32, now: Instant) {
         self.credits = Some(credits);
-        if self.monitor.on_beat(now) == Some(PeerEvent::Recovered) {
-            self.begin_resync("peer_recovered");
-        } else if self.lifecycle.state() == PairState::Suspect {
-            self.lifecycle_edge(|l| l.on_peer_healthy());
-        }
+        let ask = self.lifecycle.beat(now);
+        self.answer(ask);
     }
 
     /// The pump's per-iteration tick: failure detection, rejoin, and resync
     /// progress. Returns the resync pages to submit to the pipe.
-    pub(super) fn on_tick(&mut self, now: SimTime) -> Vec<PipePage> {
-        match self.monitor.poll(now) {
-            Some(PeerEvent::Failed) => self.enter_solo("peer_failed"),
-            Some(PeerEvent::Suspected) => {
-                self.lifecycle_edge(|l| l.on_peer_event(PeerEvent::Suspected));
-            }
-            _ => {}
-        }
+    pub(super) fn on_tick(&mut self, now: Instant) -> Vec<PipePage> {
+        let ask = self.lifecycle.tick(now);
+        self.answer(ask);
         self.drive_resync()
     }
 }
@@ -163,18 +154,14 @@ impl Inner {
 mod tests {
     use super::*;
     use crate::node::testkit::*;
-    use crate::node::NodeObs;
-    use crate::pipe::ReplPipe;
 
-    /// An `Inner` with no node around it: no pump, no peer, nothing sent.
-    fn bare_inner(remote_capacity: usize) -> Inner {
-        let mut cfg = NodeConfig::test_profile(1);
-        cfg.remote_capacity = remote_capacity;
-        let cfg = Arc::new(cfg);
-        let obs = Arc::new(NodeObs::default());
-        let pipe = ReplPipe::new(cfg.clone(), Arc::new(mem_pair().0), obs.clone());
-        let backend = shared_backend(MemBackend::new());
-        Inner::new(cfg, backend, Arc::new(pipe), obs)
+    /// A bare `Inner` hosting up to `remote_capacity` pages for its peer.
+    fn hosting(remote_capacity: usize) -> Inner {
+        let cfg = NodeConfig {
+            remote_capacity,
+            ..NodeConfig::test_profile(1)
+        };
+        bare_inner(cfg).0
     }
 
     /// One page per lpn, at version `10 * lpn`.
@@ -283,7 +270,7 @@ mod tests {
             ),
         ];
         for (case, capacity, frames, hosted) in cases {
-            let mut inner = bare_inner(capacity);
+            let mut inner = hosting(capacity);
             for ((epoch, seq, entries), want) in frames {
                 assert_eq!(deliver(&mut inner, epoch, seq, entries), want, "{case}");
             }
@@ -293,7 +280,7 @@ mod tests {
 
     #[test]
     fn batch_handler_counts_what_it_dropped_healed_and_refused() {
-        let mut inner = bare_inner(2);
+        let mut inner = hosting(2);
         let mut torn = batch(&[1]);
         torn[0].3 = Bytes::from_static(b"bit rot");
         deliver(&mut inner, 1, 1, torn);
@@ -301,7 +288,7 @@ mod tests {
         deliver(&mut inner, 1, 1, batch(&[1]));
         deliver(&mut inner, 1, 2, batch(&[2])); // duplicate
         deliver(&mut inner, 1, 3, batch(&[3])); // no room
-        let repl = inner.obs.snapshot(0, 0, 0).repl;
+        let repl = inner.obs.snapshot(0, 0).repl;
         assert_eq!(repl.corruptions_detected, 1);
         assert_eq!(repl.reorders_healed, 1);
         assert_eq!(repl.dups_dropped, 1);
@@ -312,7 +299,7 @@ mod tests {
 
     #[test]
     fn reordered_discard_never_removes_a_newer_version() {
-        let mut inner = bare_inner(8);
+        let mut inner = hosting(8);
         // Hosted at versions 40 and 50.
         deliver(&mut inner, 1, 1, batch(&[4, 5]));
         // Discard 2 overtakes discard 1 and refers to an older flush of 5.
@@ -325,7 +312,7 @@ mod tests {
         assert_eq!(inner.hosted.lpns(), vec![5]);
         inner.on_discard(3, vec![(5, u64::MAX)]);
         assert!(inner.hosted.lpns().is_empty());
-        let repl = inner.obs.snapshot(0, 0, 0).repl;
+        let repl = inner.obs.snapshot(0, 0).repl;
         assert_eq!((repl.reorders_healed, repl.dups_dropped), (1, 1));
         // Bounds advance the version clock; the unbounded marker does not.
         assert_eq!(inner.next_version, 51);

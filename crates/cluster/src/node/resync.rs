@@ -9,10 +9,9 @@ use super::write::Pipelined;
 use crate::pipe::{PageOutcome, PipePage, RunTicket};
 use crate::wire::crc32;
 use bytes::Bytes;
-use flashcoop::{PairState, PeerState};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Progress of one incremental resync towards the cut-over barrier.
 struct ResyncRun {
@@ -33,9 +32,6 @@ pub(super) struct Resync {
     journal: HashMap<u64, (u64, Bytes)>,
     overflowed: bool,
     run: Option<ResyncRun>,
-    /// Earliest instant a Solo node may (re)attempt a resync when the
-    /// monitor still considers the peer healthy (data-plane-only failures).
-    retry_at: Option<Instant>,
 }
 
 impl Resync {
@@ -55,21 +51,21 @@ impl Resync {
         self.overflowed = false;
         self.run = None;
     }
-
-    /// Allow the next timer-driven attempt `wait` from now.
-    pub(super) fn retry_after(&mut self, wait: Duration) {
-        self.retry_at = Some(Instant::now() + wait);
-    }
 }
 
 impl Inner {
     /// Record a solo-mode write for the next resync. Latest version per
     /// page (a page coming back from a failed resync batch never displaces
     /// a newer solo write); an overflow clears the journal and flags a full
-    /// resync.
+    /// resync. During a run the journal may grow to the buffer's size
+    /// first: a full resync loads every resident page, so a smaller cap
+    /// would overflow it again on the next write and restart the run.
     pub(super) fn journal_record(&mut self, lpn: u64, version: u64, data: Bytes) {
-        let cap = self.cfg.journal_entries;
         let r = &mut self.resync;
+        let cap = match r.run {
+            Some(_) => self.cfg.journal_entries.max(self.cfg.buffer_pages),
+            None => self.cfg.journal_entries,
+        };
         if r.overflowed || r.journal.get(&lpn).is_some_and(|(v, _)| *v >= version) {
             return;
         }
@@ -81,29 +77,32 @@ impl Inner {
         }
     }
 
-    /// Start (or restart) an incremental resync. No-op unless Solo.
-    pub(super) fn begin_resync(&mut self, cause: &'static str) {
-        if self.lifecycle.state() != PairState::Solo {
+    /// After an overflow the journal no longer knows what the peer missed:
+    /// fall back to a full resync, re-sending every resident page.
+    fn refill_overflowed_journal(&mut self) {
+        if !self.resync.overflowed {
             return;
         }
-        if self.resync.overflowed {
-            // The journal lost track of what the peer missed; fall back to
-            // re-sending every resident page.
-            self.resync.journal = self
-                .buffer
-                .iter()
-                .map(|(lpn, page)| (lpn, (page.version, page.bytes.clone())))
-                .collect();
-            self.resync.overflowed = false;
-            self.obs.full_resyncs.inc();
+        self.resync.journal = self
+            .buffer
+            .iter()
+            .map(|(lpn, page)| (lpn, (page.version, page.bytes.clone())))
+            .collect();
+        self.resync.overflowed = false;
+        self.obs.full_resyncs.inc();
+    }
+
+    /// Start (or restart) an incremental resync. No-op unless Solo.
+    pub(super) fn begin_resync(&mut self, cause: &'static str) {
+        if !self.lifecycle.begin_resync(cause) {
+            return;
         }
-        self.lifecycle_edge(|l| l.begin_resync(cause));
+        self.refill_overflowed_journal();
         self.resync.run = Some(ResyncRun {
             outstanding: None,
             batches: 0,
             pages: 0,
         });
-        self.resync.retry_at = None;
         self.note("resync_start", |e| {
             e.u64_field("journal", self.resync.journal.len() as u64)
                 .str_field("cause", cause)
@@ -142,39 +141,31 @@ impl Inner {
             self.journal_record(p.lpn, p.version, p.bytes);
         }
         // Already Solo when aborting: solo entry does its own bookkeeping.
-        if self.lifecycle_edge(|l| l.resync_failed("resync_timeout")) {
-            self.resync.retry_after(self.cfg.failure_timeout);
+        if self.lifecycle.resync_failed(Instant::now()) {
             self.note("resync_failed", |e| {
                 e.u64_field("journal", self.resync.journal.len() as u64)
             });
         }
     }
 
-    /// Advance the resync: begin one if a retry is due, settle the batch
-    /// the pipe holds, cut over to Paired once the journal has drained with
-    /// nothing outstanding, or cut the next batch. One batch rides the pipe
-    /// at a time, so the pump never puts more than one page-carrying frame
-    /// on the wire between two receives (a blocking socket write cannot
-    /// wedge two pumps that resync toward each other). Returns the pages
-    /// to submit to the pipe (*after* dropping the lock).
+    /// Advance the resync: settle the batch the pipe holds, cut over to
+    /// Paired once the journal has drained with nothing outstanding, or cut
+    /// the next batch. A journal that overflowed during the run is refilled
+    /// first, as at its start. One batch rides the pipe at a time, so the
+    /// pump never puts more than one page-carrying frame on the wire
+    /// between two receives (a blocking socket write cannot wedge two
+    /// pumps that resync toward each other). Returns the pages to submit to
+    /// the pipe (*after* dropping the lock).
     pub(super) fn drive_resync(&mut self) -> Vec<PipePage> {
-        // A data-plane-only failure (ack timeouts with heartbeats still
-        // flowing) leaves the monitor Healthy and thus never fires
-        // Recovered; retry the resync on a timer instead.
-        if self.lifecycle.state() == PairState::Solo
-            && self.monitor.state() == PeerState::Healthy
-            && self.resync.retry_at.is_some_and(|t| Instant::now() >= t)
-        {
-            self.begin_resync("peer_alive");
-        }
         self.settle_resync(false);
         let Some(run) = self.resync.run.take_if(|r| r.outstanding.is_none()) else {
             return Vec::new();
         };
+        self.refill_overflowed_journal();
         if self.resync.journal.is_empty() {
             // Cut-over barrier: the journal drained and nothing is in
             // flight — the peer holds every page we wrote solo.
-            self.lifecycle_edge(|l| l.resync_complete());
+            self.lifecycle.resync_complete();
             self.note("resync_complete", |e| {
                 e.u64_field("batches", run.batches)
                     .u64_field("pages", run.pages)
@@ -212,7 +203,121 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::state::Resident;
     use crate::node::testkit::*;
+
+    /// A solo write as the write path does it under `Inner`, minus the
+    /// backend: buffered clean, journaled for the peer.
+    fn solo_write(inner: &mut Inner, lpn: u64) {
+        let version = inner.next_version;
+        inner.next_version += 1;
+        let bytes = Bytes::from(format!("v{version}").into_bytes());
+        let page = Resident {
+            crc: crc32(&bytes),
+            bytes: bytes.clone(),
+            version,
+        };
+        let ev = inner.buffer.fill_pages(lpn, [page]);
+        inner.apply_eviction(&ev);
+        inner.journal_record(lpn, version, bytes);
+    }
+
+    /// Drive `a`'s resync to the cut-over barrier, acking every batch the
+    /// peer end of its link receives; `during(a, step)` runs while batch
+    /// `step` is in flight. Returns what reached the peer: lpn → payload.
+    fn resync_to_paired(
+        a: &mut Inner,
+        peer: &Link<Message>,
+        mut during: impl FnMut(&mut Inner, usize),
+    ) -> HashMap<u64, Bytes> {
+        let mut hosted = HashMap::new();
+        for step in 0.. {
+            let pages = a.drive_resync();
+            if a.lifecycle.state() == PairState::Paired {
+                break;
+            }
+            assert!(step < 50, "the resync never cut over");
+            a.pipe.submit(pages);
+            during(a, step);
+            let Ok(Some(Message::WriteReplBatch {
+                epoch,
+                seq,
+                entries,
+            })) = Transport::recv_timeout(peer, Duration::from_secs(1))
+            else {
+                panic!("no resync batch on the link");
+            };
+            for (lpn, _, _, data) in entries {
+                hosted.insert(lpn, data);
+            }
+            a.pipe.on_ack(epoch, seq);
+        }
+        hosted
+    }
+
+    #[test]
+    fn journal_overflow_mid_resync_sends_the_overflowed_writes_before_cut_over() {
+        let cfg = NodeConfig {
+            buffer_pages: 8,
+            journal_entries: 4,
+            repl_batch_pages: 2,
+            ..NodeConfig::test_profile(0)
+        };
+        let (mut a, peer) = bare_inner(cfg);
+        a.enter_solo("ack_timeout");
+        for lpn in 0..3 {
+            solo_write(&mut a, lpn);
+        }
+        a.begin_resync("peer_alive");
+        // Writes land while the first batch is in flight, overflowing the
+        // journal past the eight-page buffer.
+        let during_run: Vec<u64> = (10..20).collect();
+        let hosted = resync_to_paired(&mut a, &peer, |a, step| {
+            if step == 0 {
+                for &lpn in &during_run {
+                    solo_write(a, lpn);
+                }
+            }
+        });
+        for lpn in during_run {
+            let resident = a.buffer.get(lpn).map(|p| p.bytes.clone());
+            assert_eq!(hosted.get(&lpn), resident.as_ref(), "lpn {lpn}");
+        }
+        assert_eq!(a.obs.full_resyncs.get(), 1);
+        assert_eq!(a.resync.journal_len(), 0);
+    }
+
+    #[test]
+    fn writes_during_a_full_resync_do_not_restart_it() {
+        let cfg = NodeConfig {
+            journal_entries: 4,
+            repl_batch_pages: 2,
+            ..NodeConfig::test_profile(0)
+        };
+        assert!(cfg.buffer_pages > 10);
+        let (mut a, peer) = bare_inner(cfg);
+        a.enter_solo("ack_timeout");
+        // Ten solo writes overflow the four-entry journal: the run is a
+        // full resync that loads all ten resident pages.
+        for lpn in 0..10 {
+            solo_write(&mut a, lpn);
+        }
+        a.begin_resync("peer_recovered");
+        assert_eq!(a.obs.full_resyncs.get(), 1);
+        // Each of the first five batches in flight sees a rewrite of a
+        // page the run already sent.
+        let hosted = resync_to_paired(&mut a, &peer, |a, step| {
+            if step < 5 {
+                solo_write(a, step as u64);
+            }
+        });
+        assert_eq!(a.obs.full_resyncs.get(), 1, "the run restarted");
+        assert_eq!(a.obs.resync_batches.get(), 8);
+        for lpn in 0..10 {
+            let resident = a.buffer.get(lpn).map(|p| p.bytes.clone());
+            assert_eq!(hosted.get(&lpn), resident.as_ref(), "lpn {lpn}");
+        }
+    }
 
     #[test]
     fn solo_writes_resync_and_rejoin_to_paired() {

@@ -4,6 +4,7 @@
 //! the caller sends after the guard drops.
 
 use super::hosted::Hosted;
+use super::lifecycle::{Ask, Lifecycle};
 use super::recv::BatchRx;
 use super::resync::Resync;
 use super::write::{ClientState, MAX_CLIENTS};
@@ -11,13 +12,11 @@ use super::{NodeConfig, NodeObs, SharedBackend};
 use crate::pipe::ReplPipe;
 use crate::wire::SeqTracker;
 use bytes::Bytes;
-use fc_simkit::SimDuration;
 use flashcoop::policy::Eviction;
-use flashcoop::{
-    BufferConfig, BufferManager, HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState,
-};
+use flashcoop::{BufferConfig, BufferManager};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What the node keeps for one buffer-resident page: the buffer's record
 /// type, so the buffer (which tracks residency and dirtiness) is the one
@@ -55,12 +54,8 @@ pub(super) struct Inner {
     /// Data-plane sequence numbers seen from the peer (dedup/reorder
     /// detection for retransmitted or duplicated Discards).
     pub(super) peer_seqs: SeqTracker,
-    pub(super) lifecycle: PairLifecycle,
-    /// The peer's beats leave one heartbeat apart (`pump_loop`) and arrive
-    /// that far apart give or take scheduling jitter, so the peer is
-    /// suspected after a heartbeat and a half of silence, not one: its
-    /// beat is then half a period overdue, not a wake-up late.
-    pub(super) monitor: HeartbeatMonitor,
+    /// Where the pair stands, and the heartbeat watch that moves it.
+    pub(super) lifecycle: Lifecycle,
     /// Catch-up journal and resync progress.
     pub(super) resync: Resync,
     /// Last peer-advertised hosting credits; `None` until the peer has
@@ -107,13 +102,7 @@ impl Inner {
             hosted: Hosted::new(cfg.remote_capacity, backend.clone()),
             backend,
             peer_seqs: SeqTracker::new(),
-            lifecycle: PairLifecycle::new(),
-            monitor: HeartbeatMonitor::new(
-                SimDuration::from_nanos(
-                    (cfg.heartbeat * 3 / 2).min(cfg.failure_timeout).as_nanos() as u64,
-                ),
-                SimDuration::from_nanos(cfg.failure_timeout.as_nanos() as u64),
-            ),
+            lifecycle: Lifecycle::new(&cfg, obs.clone(), Instant::now()),
             resync: Resync::default(),
             credits: None,
             next_seq: 1,
@@ -132,21 +121,13 @@ impl Inner {
         self.obs.note(kind, f);
     }
 
-    /// Take the lifecycle edge `step` asks for, if it is a legal one, and
-    /// record it in the obs stream. True when the state changed.
-    pub(super) fn lifecycle_edge(
-        &mut self,
-        step: impl FnOnce(&mut PairLifecycle) -> Option<LifecycleTransition>,
-    ) -> bool {
-        let Some(tr) = step(&mut self.lifecycle) else {
-            return false;
-        };
-        self.note("lifecycle", |e| {
-            e.str_field("from", tr.from.name())
-                .str_field("to", tr.to.name())
-                .str_field("cause", tr.cause)
-        });
-        true
+    /// Take the edge the lifecycle asks for, with its work.
+    pub(super) fn answer(&mut self, ask: Option<Ask>) {
+        match ask {
+            Some(Ask::Solo(cause)) => self.enter_solo(cause),
+            Some(Ask::Resync(cause)) => self.begin_resync(cause),
+            None => {}
+        }
     }
 
     /// One duplicate delivery from the peer (`msg` names the frame kind)
@@ -230,14 +211,13 @@ impl Inner {
     /// Remote failure handling: flush every dirty page, take over the
     /// peer's replicated pages, and stop forwarding until a resync.
     pub(super) fn enter_solo(&mut self, cause: &'static str) {
-        if self.lifecycle.state() == PairState::Solo {
+        if !self.lifecycle.force_solo(cause, Instant::now()) {
             return;
         }
         // Abandon the replication pipeline: blocked writers resolve as
         // failed and write through themselves, a resync batch goes back to
         // the journal; the next epoch starts clean.
         self.pipe.reset();
-        self.lifecycle_edge(|l| l.force_solo(cause));
         self.settle_resync(true);
         // Flush every dirty local page: the peer replica is no longer a
         // second memory.
@@ -260,7 +240,6 @@ impl Inner {
             self.note("takeover_destage", |e| e.u64_field("pages", taken));
         }
         self.credits = None;
-        self.resync.retry_after(self.cfg.failure_timeout);
         // Writers waiting on acks will time out and take the write-through
         // path themselves.
     }

@@ -5,7 +5,6 @@
 #[cfg(doc)]
 use crate::Node;
 use fc_obs::{Counter, Histogram, Metric, Obs};
-use flashcoop::ReplicationStats;
 use std::sync::OnceLock;
 
 /// The node is halted ([`Node::fail`]) and cannot serve the request. The
@@ -113,13 +112,33 @@ impl NodeStats {
     }
 }
 
-/// Declares [`NodeObs`] from the node's counter table. A row is the cell —
-/// named for the [`NodeStats`] (`node` rows) or [`ReplicationStats`] (`repl`
-/// rows) field its value fills in a snapshot — and the metric name
-/// [`Node::attach_obs`] publishes it under; adding a counter is its field
-/// plus one row.
+/// Declares [`NodeObs`] and [`ReplicationStats`] from the node's counter
+/// table. A row is the cell — named for the [`NodeStats`] (`node` rows) or
+/// [`ReplicationStats`] (`repl` rows, each carrying its field's doc) field
+/// its value fills in a snapshot — and the metric name [`Node::attach_obs`]
+/// publishes it under; adding a counter is one row (and, for a `node` row,
+/// its [`NodeStats`] field).
 macro_rules! node_counters {
-    (node { $($n:ident: $n_name:literal,)* } repl { $($r:ident: $r_name:literal,)* }) => {
+    (
+        node { $($n:ident: $n_name:literal,)* }
+        repl { $($(#[doc = $doc:literal])* $r:ident: $r_name:literal,)* }
+    ) => {
+        /// Fault-tolerance counters for the replication path: every counter
+        /// is a symptom of the network or the peer misbehaving and the
+        /// protocol absorbing it, plus the batch throughput counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ReplicationStats {
+            $($(#[doc = $doc])* pub $r: u64,)*
+        }
+
+        impl ReplicationStats {
+            /// Sum the counters of `other` into `self` (merging per-node
+            /// reports).
+            pub fn absorb(&mut self, other: &ReplicationStats) {
+                $(self.$r += other.$r;)*
+            }
+        }
+
         /// The node's one reporting handle, shared by `Inner`, the pipe and
         /// the writers' commit path and used without a lock: every node
         /// counter as a plain cell that counts from spawn, the always-on
@@ -148,16 +167,11 @@ macro_rules! node_counters {
                 let _ = self.stream.set((obs.clone(), id));
             }
 
-            /// The counters as of now, around the three values the caller
+            /// The counters as of now, around the two values the caller
             /// derived under `Inner`. `writes` is the sum of the two
             /// outcome counters read here, so
             /// [`NodeStats::writes_balance`] holds on every snapshot.
-            pub(crate) fn snapshot(
-                &self,
-                remote_pages: u64,
-                journal_pages: u64,
-                lifecycle_transitions: u64,
-            ) -> NodeStats {
+            pub(crate) fn snapshot(&self, remote_pages: u64, journal_pages: u64) -> NodeStats {
                 let mut s = NodeStats {
                     $($n: self.$n.get(),)*
                     writes: 0,
@@ -165,7 +179,6 @@ macro_rules! node_counters {
                     journal_pages,
                     repl: ReplicationStats {
                         $($r: self.$r.get(),)*
-                        lifecycle_transitions,
                     },
                 };
                 s.writes = s.replicated_pages + s.write_through;
@@ -195,21 +208,51 @@ node_counters! {
         migrated_out_pages: "cluster.node.migrated_out_pages",
     }
     repl {
+        /// Replication sends re-attempted after an ack timeout.
         retries: "cluster.replication.retries",
+        /// Pipelined `WriteReplBatch` frames handed to the transport for
+        /// the first time (retransmissions count under `retries`).
         batches_sent: "cluster.replication.batches_sent",
+        /// Pages carried by those first-send batches; `batch_pages /
+        /// batches_sent` is the mean replication batch size.
         batch_pages: "cluster.replication.batch_pages",
+        /// Received data-plane messages discarded as duplicates (same
+        /// sequence number seen before — retransmissions or network
+        /// duplication).
         dups_dropped: "cluster.replication.dups_dropped",
+        /// Received data-plane messages that arrived behind a higher
+        /// sequence number and were applied anyway (reordering absorbed).
         reorders_healed: "cluster.replication.reorders_healed",
+        /// Dirty pages destaged to the backend because the peer was
+        /// declared failed or unreachable (solo entries).
         partition_destages: "cluster.replication.partition_destages",
+        /// Peer-owned replica pages sequentially destaged to the local
+        /// backend when taking over for a failed peer (the paper's
+        /// takeover path).
         takeover_destages: "cluster.replication.takeover_destages",
+        /// Catch-up batches streamed to a returning peer.
         resync_batches: "cluster.replication.resync_batches",
+        /// Pages of those batches the peer acknowledged.
         resync_pages: "cluster.replication.resync_pages",
+        /// Resyncs that had to fall back to streaming the full resident
+        /// buffer because the catch-up journal overflowed.
         full_resyncs: "cluster.replication.full_resyncs",
+        /// Payload-checksum failures detected on receive (wire corruption)
+        /// or by a local scrub.
         corruptions_detected: "cluster.replication.corruptions_detected",
+        /// Corruptions healed — a NACKed send that was resent and acked, or
+        /// a local page repaired from the peer replica.
         corruptions_repaired: "cluster.replication.corruptions_repaired",
+        /// Local pages repaired from the peer replica by scrub runs.
         scrub_repairs: "cluster.replication.scrub_repairs",
+        /// Writes that went through locally because the peer advertised no
+        /// remote-buffer credits (sender-side backpressure).
         credit_stalls: "cluster.replication.credit_stalls",
+        /// Replication messages refused because the remote buffer was full
+        /// (receiver-side backpressure).
         credit_rejections: "cluster.replication.credit_rejections",
+        /// Pair-lifecycle edges taken.
+        lifecycle_transitions: "cluster.replication.lifecycle_transitions",
     }
 }
 
@@ -260,5 +303,49 @@ impl RunOutcome {
     /// Pages in the run.
     pub fn pages(&self) -> u64 {
         self.replicated + self.write_through
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replication_stats_absorb_sums_every_counter() {
+        let b = ReplicationStats {
+            retries: 2,
+            batches_sent: 15,
+            batch_pages: 16,
+            dups_dropped: 1,
+            reorders_healed: 3,
+            partition_destages: 4,
+            takeover_destages: 5,
+            resync_batches: 6,
+            resync_pages: 7,
+            full_resyncs: 8,
+            corruptions_detected: 9,
+            corruptions_repaired: 10,
+            scrub_repairs: 11,
+            credit_stalls: 12,
+            credit_rejections: 13,
+            lifecycle_transitions: 14,
+        };
+        let mut a = ReplicationStats::default();
+        a.absorb(&b);
+        a.absorb(&b);
+        let repl = |repl| {
+            let rows = NodeObs::fields(&NodeStats {
+                repl,
+                ..NodeStats::default()
+            });
+            rows.into_iter()
+                .filter(|(name, _)| name.starts_with("cluster.replication."))
+                .collect::<Vec<_>>()
+        };
+        let (sums, once) = (repl(a), repl(b));
+        assert_eq!(sums.len(), 16);
+        for ((name, sum), (_, one)) in sums.into_iter().zip(once) {
+            assert_eq!(sum, 2 * one, "{name}");
+        }
     }
 }

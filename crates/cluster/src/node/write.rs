@@ -252,7 +252,7 @@ impl Node {
                     version,
                 };
 
-                let degraded = inner.lifecycle.is_degraded();
+                let degraded = inner.lifecycle.state().is_degraded();
                 if degraded || inner.credits == Some(0) {
                     // Solo or resyncing: write through, journal for catch-up.
                     // Or the peer's remote buffer is full: keep durability

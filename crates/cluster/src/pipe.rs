@@ -211,12 +211,7 @@ impl ReplPipe {
         let wait = if b.attempts >= self.cfg.retry.attempts {
             Duration::ZERO
         } else {
-            Duration::from_nanos(
-                self.cfg
-                    .retry
-                    .backoff_for(b.attempts.saturating_sub(1))
-                    .as_nanos(),
-            )
+            self.cfg.retry.backoff_for(b.attempts.saturating_sub(1))
         };
         b.sent_at + self.cfg.ack_timeout + wait
     }

@@ -97,58 +97,6 @@ impl Default for AllocParams {
     }
 }
 
-/// Bounded retry-with-backoff for the replication path (Section III.D's
-/// "high speed data center network" is fast but not lossless; a dropped
-/// Replicate or ack should be retried before the writer gives up and
-/// degrades to write-through).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total send attempts, including the first (must be >= 1).
-    pub attempts: u32,
-    /// Delay before the first retry.
-    pub base_backoff: SimDuration,
-    /// Backoff growth factor per further retry (>= 1.0).
-    pub multiplier: f64,
-    /// Ceiling on any single backoff.
-    pub max_backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_backoff: SimDuration::from_millis(2),
-            multiplier: 2.0,
-            max_backoff: SimDuration::from_millis(100),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries: one attempt, then give up.
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Backoff before retry number `retry` (0-based: the delay between the
-    /// first attempt's timeout and the second attempt). Exponential in
-    /// `multiplier`, capped at `max_backoff`.
-    pub fn backoff_for(&self, retry: u32) -> SimDuration {
-        let base = self.base_backoff.as_nanos() as f64;
-        let factor = self.multiplier.max(1.0).powi(retry.min(63) as i32);
-        let ns = (base * factor).min(self.max_backoff.as_nanos() as f64);
-        SimDuration::from_nanos(ns as u64)
-    }
-
-    /// Retries this policy allows after the initial attempt.
-    pub fn max_retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
-    }
-}
-
 /// Full system configuration for one cooperative server.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FlashCoopConfig {
@@ -244,39 +192,6 @@ mod tests {
         assert_eq!(a.beta, 0.2);
         assert_eq!(a.gamma, 0.4);
         assert!((a.alpha + a.beta + a.gamma - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retry_backoff_grows_and_caps() {
-        let p = RetryPolicy {
-            attempts: 5,
-            base_backoff: SimDuration::from_millis(2),
-            multiplier: 2.0,
-            max_backoff: SimDuration::from_millis(10),
-        };
-        assert_eq!(p.backoff_for(0), SimDuration::from_millis(2));
-        assert_eq!(p.backoff_for(1), SimDuration::from_millis(4));
-        assert_eq!(p.backoff_for(2), SimDuration::from_millis(8));
-        // Capped from 16 ms down to the ceiling.
-        assert_eq!(p.backoff_for(3), SimDuration::from_millis(10));
-        assert_eq!(p.backoff_for(60), SimDuration::from_millis(10));
-        assert_eq!(p.max_retries(), 4);
-    }
-
-    #[test]
-    fn no_retries_policy_is_single_attempt() {
-        let p = RetryPolicy::no_retries();
-        assert_eq!(p.attempts, 1);
-        assert_eq!(p.max_retries(), 0);
-    }
-
-    #[test]
-    fn sub_unit_multiplier_never_shrinks_backoff() {
-        let p = RetryPolicy {
-            multiplier: 0.5,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.backoff_for(3), p.base_backoff);
     }
 
     #[test]

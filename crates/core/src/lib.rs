@@ -24,10 +24,11 @@
 //! * [`pair`] — two servers replicating into each other's remote store,
 //!   with the allocation loop between them (Figure 9).
 //! * [`alloc`] — dynamic memory allocation (Equation 1).
-//! * [`recovery`] — the heartbeat monitor and pair-lifecycle state machine
-//!   of Section III.D. Only the threaded node (`fc-cluster`) drives them;
-//!   the replay above never fails.
 //! * [`sim`] / [`metrics`] — the experiment driver and its reports.
+//!
+//! Figure 3's Monitor & Recovery module — heartbeats, the pair lifecycle,
+//! replication retries — is the threaded node's (`fc-cluster`) alone: the
+//! replay here never fails a peer.
 //!
 //! ```
 //! use flashcoop::{FlashCoopConfig, PolicyKind, Scheme, replay, Preconditioning};
@@ -47,19 +48,15 @@ pub mod config;
 pub mod metrics;
 pub mod pair;
 pub mod policy;
-pub mod recovery;
 pub mod server;
 pub mod sim;
 pub mod tables;
 
 pub use buffer::{BufferConfig, BufferManager, BufferStats, ReadSegment};
-pub use config::{AllocParams, FlashCoopConfig, PolicyKind, RetryPolicy, Scheme};
-pub use metrics::{ReplicationStats, RunReport};
+pub use config::{AllocParams, FlashCoopConfig, PolicyKind, Scheme};
+pub use metrics::RunReport;
 pub use pair::CoopPair;
 pub use policy::{Eviction, FlushRun};
-pub use recovery::{
-    HeartbeatMonitor, LifecycleTransition, PairLifecycle, PairState, PeerEvent, PeerState,
-};
 pub use server::{CoopServer, ServerMetrics, UtilSample};
 pub use sim::{replay, replay_with_obs, Preconditioning};
 pub use tables::RemoteStore;

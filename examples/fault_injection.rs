@@ -14,7 +14,6 @@ use fc_cluster::{
     mem_pair, shared_backend, FaultPlan, FaultStats, FaultTransport, MemBackend, Node, NodeConfig,
     RetryPolicy, WriteOutcome,
 };
-use fc_simkit::SimDuration;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,9 +30,9 @@ fn run(seed: u64, quiet: bool) -> (Vec<String>, FaultStats) {
         ack_timeout: Duration::from_millis(40),
         retry: RetryPolicy {
             attempts: 5,
-            base_backoff: SimDuration::from_millis(2),
+            base_backoff: Duration::from_millis(2),
             multiplier: 2.0,
-            max_backoff: SimDuration::from_millis(20),
+            max_backoff: Duration::from_millis(20),
         },
         ..NodeConfig::test_profile(0)
     };

@@ -16,7 +16,7 @@ echo "==> node layout guard: the lock order stays a module-visibility fact, one 
 # the peer live. Checked on code only — comment lines and each file's test
 # module are skipped.
 code() { sed -e '/^#\[cfg(test)\]/,$d' -e '/^[[:space:]]*\/\//d' "$1"; }
-for f in state hosted resync recv; do
+for f in state hosted resync recv lifecycle; do
   if code "crates/cluster/src/node/$f.rs" | grep -nE 'Transport|\.send\('; then
     echo "node/$f.rs runs under Inner: return the frame and let pump.rs send it" >&2
     exit 1
@@ -142,18 +142,31 @@ if [ "$(gw_code | grep -c 'impl SessionLink for')" -ne 1 ]; then
   exit 1
 fi
 
-echo "==> failure-model guard: crashes, heartbeats and recovery live in the threaded node"
-# DESIGN §2.4 / §11: trace replay never fails. The heartbeat monitor and the
-# pair lifecycle are defined in flashcoop's recovery.rs and driven by
-# fc_cluster::Node only; the sim has no injections, degraded mode, RCT
-# mirror or cluster of its own.
+echo "==> pair-protocol guard: one owner, fc-cluster's node, on one clock"
+# DESIGN §2.4 / §2.5 / §11: trace replay never fails a peer, so flashcoop
+# has no failure model (injections, degraded mode, RCT, cluster) and no
+# pair-protocol vocabulary. The node's lifecycle (node/lifecycle.rs) is the
+# one state machine for the peer, on std::time's Instant / Duration;
+# RetryPolicy and ReplicationStats are node types, and ReplicationStats is
+# generated from node/stats.rs's counter table.
 core_code() { for f in $(find crates/core/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done; }
 if core_code | grep -wE 'Injection|PairEvent|enter_degraded|struct Rct|mod cluster'; then
   echo "crates/core/src: the sim has no failure model (injections, degraded mode, RCT, cluster)" >&2
   exit 1
 fi
-if core_code | grep -vE '^crates/core/src/(recovery|lib)\.rs:' | grep -wE 'PairLifecycle|HeartbeatMonitor'; then
-  echo "crates/core/src: PairLifecycle and HeartbeatMonitor are named in recovery.rs and lib.rs only" >&2
+if core_code | grep -wE 'PairState|PairLifecycle|HeartbeatMonitor|PeerEvent|PeerState|RetryPolicy|ReplicationStats|mod recovery'; then
+  echo "crates/core/src: the pair protocol lives in fc-cluster's node module (lifecycle.rs, config.rs, stats.rs)" >&2
+  exit 1
+fi
+if for f in $(find crates/cluster/src/node -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done \
+  | grep -wE 'SimTime|SimDuration'; then
+  echo "crates/cluster/src/node: the node has one time type, Instant / Duration" >&2
+  exit 1
+fi
+if [ "$(src_code | grep -c 'struct ReplicationStats\b')" -ne 1 ] \
+  || [ "$(code crates/cluster/src/node/stats.rs | sed -n '/^macro_rules! node_counters/,/^}/p' \
+    | grep -c 'struct ReplicationStats\b')" -ne 1 ]; then
+  echo "ReplicationStats is declared once, by node_counters! in crates/cluster/src/node/stats.rs" >&2
   exit 1
 fi
 

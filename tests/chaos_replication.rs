@@ -11,7 +11,7 @@ use fc_cluster::{
     mem_pair, resync_entry, shared_backend, FaultAction, FaultPlan, FaultTransport, MemBackend,
     Message, Node, NodeConfig, PairState, RetryPolicy, Transport, WriteOutcome,
 };
-use fc_simkit::{DetRng, SimDuration};
+use fc_simkit::DetRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,9 +23,9 @@ fn chaos_config(id: u8) -> NodeConfig {
         ack_timeout: Duration::from_millis(40),
         retry: RetryPolicy {
             attempts: 4,
-            base_backoff: SimDuration::from_millis(5),
+            base_backoff: Duration::from_millis(5),
             multiplier: 2.0,
-            max_backoff: SimDuration::from_millis(20),
+            max_backoff: Duration::from_millis(20),
         },
         ..NodeConfig::test_profile(id)
     }
