@@ -1,9 +1,9 @@
 //! Presentation adapters for [`RunReport`].
 //!
 //! The report itself is plain serialisable data; how it is rendered — the
-//! classic aligned table, CSV for spreadsheets — is a bench-harness concern
-//! and lives here. Scripts scrape the table out of `fctrace replay`, so its
-//! column layout is fixed.
+//! classic aligned table — is a bench-harness concern and lives here.
+//! Scripts scrape the table out of `fctrace replay`, so its column layout
+//! is fixed.
 
 use flashcoop::RunReport;
 
@@ -38,43 +38,6 @@ pub fn report_row(r: &RunReport) -> String {
         r.write_amplification,
         r.frac_single_page * 100.0,
         r.frac_gt8_pages * 100.0,
-    )
-}
-
-/// CSV column header matching [`csv_row`].
-pub fn csv_header() -> String {
-    "scheme,ftl,trace,requests,avg_response_ms,p99_response_ms,\
-     avg_write_response_ms,avg_read_response_ms,hit_ratio,erases,\
-     write_amplification,mean_write_pages,frac_single_page,frac_gt8_pages"
-        .to_string()
-}
-
-/// One report as a CSV row. Names containing commas are quoted; numeric
-/// fields are plain decimals so the file loads anywhere.
-pub fn csv_row(r: &RunReport) -> String {
-    fn cell(s: &str) -> String {
-        if s.contains(',') || s.contains('"') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
-        }
-    }
-    format!(
-        "{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{:.6},{:.6},{:.6},{:.6}",
-        cell(&r.scheme.name()),
-        cell(r.ftl.name()),
-        cell(&r.trace),
-        r.requests,
-        r.avg_response.as_millis_f64(),
-        r.p99_response.as_millis_f64(),
-        r.avg_write_response.as_millis_f64(),
-        r.avg_read_response.as_millis_f64(),
-        r.hit_ratio,
-        r.erases,
-        r.write_amplification,
-        r.mean_write_pages,
-        r.frac_single_page,
-        r.frac_gt8_pages,
     )
 }
 
@@ -116,28 +79,5 @@ mod tests {
         // Millisecond conversion shows 0.630.
         assert!(row.contains("0.630"));
         assert!(!report_header().is_empty());
-    }
-
-    #[test]
-    fn csv_row_matches_header_arity_and_values() {
-        let r = report();
-        let header_cols = csv_header().split(',').count();
-        let row = csv_row(&r);
-        let cols: Vec<&str> = row.split(',').collect();
-        assert_eq!(cols.len(), header_cols);
-        assert_eq!(cols[0], "FlashCoop w. LAR");
-        assert_eq!(cols[1], "BAST");
-        assert_eq!(cols[2], "Fin1");
-        assert_eq!(cols[3], "1000");
-        let avg_ms: f64 = cols[4].parse().unwrap();
-        assert!((avg_ms - 0.630).abs() < 1e-9);
-        assert_eq!(cols[9], "8700");
-    }
-
-    #[test]
-    fn csv_quotes_awkward_names() {
-        let mut r = report();
-        r.trace = "a,b".into();
-        assert!(csv_row(&r).contains("\"a,b\""));
     }
 }

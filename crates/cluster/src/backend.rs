@@ -108,6 +108,14 @@ impl SimSsdBackend {
 
 impl StorageBackend for SimSsdBackend {
     fn write_page(&mut self, lpn: u64, version: u64, data: &[u8]) {
+        // A write the version guard refuses never reaches the device.
+        if self
+            .mem
+            .version_of(lpn)
+            .is_some_and(|stored| stored > version)
+        {
+            return;
+        }
         let logical = self.ssd.logical_pages();
         self.ssd.write(Lpn(lpn % logical), 1);
         self.mem.write_page(lpn, version, data);
@@ -173,5 +181,13 @@ mod tests {
         assert_eq!(b.pages(), 10);
         assert_eq!(b.ssd().stats().host_pages_written, 10);
         assert_eq!(b.read_page(3).unwrap().1, b"x".to_vec());
+
+        // A stale write (a replay, or a write-through that lost to a newer
+        // copy) is refused before it programs flash.
+        let mut b = SimSsdBackend::new(SsdConfig::tiny(FtlKind::PageLevel));
+        b.write_page(7, 5, b"new");
+        b.write_page(7, 3, b"old");
+        assert_eq!(b.ssd().stats().host_pages_written, 1);
+        assert_eq!(b.read_page(7), Some((5, b"new".to_vec())));
     }
 }

@@ -14,9 +14,9 @@ pub struct GatewayConfig {
     pub pages_per_block: u32,
     /// Largest page count accepted in one request; larger ⇒ `BadRequest`.
     pub max_req_pages: u32,
-    /// Open-breaker cooldown; doubles as the failback probe cadence and
-    /// the `retry_after_ms` hint in `Unavailable` replies.
-    pub breaker_cooldown: Duration,
+    /// How long a shard stays failed over before each failback attempt;
+    /// doubles as the `retry_after_ms` hint in `Unavailable` replies.
+    pub failback_period: Duration,
     /// Total in-gateway retry budget for one shard op before giving up
     /// with `Unavailable` — the bound on how long a request can stall on
     /// a dead shard.
@@ -31,7 +31,7 @@ impl Default for GatewayConfig {
             admission: AdmissionConfig::default(),
             pages_per_block: 4,
             max_req_pages: 1024,
-            breaker_cooldown: Duration::from_millis(200),
+            failback_period: Duration::from_millis(200),
             retry_deadline: Duration::from_secs(2),
             retry_backoff: Duration::from_millis(5),
         }
@@ -40,12 +40,12 @@ impl Default for GatewayConfig {
 
 impl GatewayConfig {
     /// Deterministic test profile: unlimited admission (no shedding), tiny
-    /// blocks to exercise run splitting, and a fast breaker so chaos tests
-    /// observe failover/failback within a node test-profile outage.
+    /// blocks to exercise run splitting, and a short failback period so
+    /// chaos tests observe failback within a node test-profile outage.
     pub fn test_profile() -> Self {
         GatewayConfig {
             admission: AdmissionConfig::unlimited(),
-            breaker_cooldown: Duration::from_millis(50),
+            failback_period: Duration::from_millis(50),
             retry_deadline: Duration::from_secs(1),
             retry_backoff: Duration::from_millis(2),
             ..GatewayConfig::default()

@@ -1,8 +1,10 @@
 //! The replica choice: which node of a shard's pair serves it now, whether
-//! it may, and the retry loop that moves the route. `health` is private
-//! here: an op holds its read half across the node call, a flip (and the
-//! failback barrier) its write half. [`ShardBackend`] never emits — a flip
-//! returns its [`RouteEvent`] and the loop beside it narrates.
+//! it may, and the retry loop that moves the route. The route follows the
+//! two nodes' own state — a `NodeDown` comes only from a halted node — so
+//! nothing here counts errors or guesses. `health` is private: an op holds
+//! its read half across the node call, a flip (and the failback barrier)
+//! its write half. [`ShardBackend`] never emits — a flip returns its
+//! [`RouteEvent`] and the loop beside it narrates.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -12,27 +14,37 @@ use fc_cluster::{Node, NodeDown, PairState};
 use parking_lot::RwLock;
 
 use super::{Gateway, GatewayConfig};
-use crate::health::{BreakerState, Replica, ShardHealth};
 use crate::proto::Reply;
 use crate::shard::ShardInstruments;
 
-/// Consecutive `NodeDown` errors on a shard's primary before its circuit
-/// breaker opens and the route fails over to the secondary.
-const BREAKER_THRESHOLD: u32 = 3;
-
-/// How long a failback probe waits for the primary's recovery snapshot
-/// from its peer before re-opening the breaker.
+/// How long a failback cutover waits for the primary's recovery snapshot
+/// from its peer before it is refused.
 const FAILBACK_TIMEOUT: Duration = Duration::from_secs(1);
 
+/// Which node of the pair serves a shard's client traffic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Replica {
+    Primary,
+    Secondary,
+}
+
+/// One shard's route, behind [`ShardBackend`]'s `health` lock.
+#[derive(Debug)]
+struct ShardHealth {
+    active: Replica,
+    /// Set exactly while routed to the secondary: the earliest instant
+    /// the failback cutover may run.
+    failback_at: Option<Instant>,
+}
+
 /// One shard's pair as the gateway routes to it: the designated primary,
-/// optionally the pair's secondary (failover target), and the health /
-/// route state.
+/// the pair's secondary (the failover target), and the route.
 pub(crate) struct ShardBackend {
     pub(crate) primary: Arc<Node>,
-    /// The pair's B-side, when the gateway is allowed to fail over to it.
-    /// `None` — the peer lives behind another gateway — pins the route to
-    /// the primary; a dead primary means the shard is just down.
-    pub(crate) secondary: Option<Arc<Node>>,
+    pub(crate) secondary: Arc<Node>,
+    /// How long a failed-over route waits before each failback attempt;
+    /// also the `retry_after_ms` hint in `Unavailable`.
+    failback_period: Duration,
     health: RwLock<ShardHealth>,
     /// This shard's counters, created with the slot and never rebuilt.
     pub(super) ins: ShardInstruments,
@@ -49,30 +61,29 @@ pub(super) enum RouteEvent {
 }
 
 impl ShardBackend {
-    pub(super) fn new(
-        cfg: &GatewayConfig,
-        primary: Arc<Node>,
-        secondary: Option<Arc<Node>>,
-    ) -> Self {
+    pub(super) fn new(cfg: &GatewayConfig, primary: Arc<Node>, secondary: Arc<Node>) -> Self {
         ShardBackend {
             primary,
             secondary,
-            health: RwLock::new(ShardHealth::new(BREAKER_THRESHOLD, cfg.breaker_cooldown)),
+            failback_period: cfg.failback_period,
+            health: RwLock::new(ShardHealth {
+                active: Replica::Primary,
+                failback_at: None,
+            }),
             ins: ShardInstruments::new(),
         }
     }
 
-    /// The node the current route points at. With no secondary the route
-    /// can only be the primary.
+    /// The node the current route points at.
     fn active<'a>(&'a self, health: &ShardHealth) -> &'a Arc<Node> {
         match health.active {
             Replica::Primary => &self.primary,
-            Replica::Secondary => self.secondary.as_ref().unwrap_or(&self.primary),
+            Replica::Secondary => &self.secondary,
         }
     }
 
-    /// Run `f` against the active replica under the read half — no
-    /// breaker accounting, no retry: the read-only callers' entry.
+    /// Run `f` against the active replica under the read half — no retry:
+    /// the read-only callers' entry.
     pub(super) fn with_active<T>(&self, f: impl FnOnce(&Node) -> T) -> T {
         let health = self.health.read();
         f(self.active(&health))
@@ -84,42 +95,30 @@ impl ShardBackend {
         self.health.read().active == Replica::Primary
     }
 
-    /// The `retry_after_ms` hint for an `Unavailable` on this shard.
+    /// The `retry_after_ms` hint for an `Unavailable` on this shard: the
+    /// failback period.
     fn retry_after_ms(&self) -> u32 {
-        self.health.read().breaker.retry_after_ms()
+        (self.failback_period.as_millis() as u32).max(1)
     }
 
-    /// `Some(retry_after_ms)` when this shard provably cannot serve —
-    /// breaker Open and every replica it has halted — so a fan-out can
-    /// skip it instead of burning the retry deadline on it.
+    /// `Some(retry_after_ms)` when this shard provably cannot serve — both
+    /// nodes halted — so a fan-out can skip it instead of burning the
+    /// retry deadline on it.
     pub(super) fn provably_dead(&self) -> Option<u32> {
-        let h = self.health.read();
-        let dead = h.breaker.state() == BreakerState::Open
-            && self.primary.is_halted()
-            && self.secondary.as_ref().is_none_or(|s| s.is_halted());
-        dead.then(|| h.breaker.retry_after_ms())
+        (self.primary.is_halted() && self.secondary.is_halted()).then(|| self.retry_after_ms())
     }
 
     /// One attempt: `op` against the active replica under the read half.
-    /// A served op on the primary closes a breaker that needs it; a
-    /// `NodeDown` comes back as the route it was seen on.
+    /// A `NodeDown` comes back as the route it was seen on.
     fn attempt<T>(&self, op: impl FnOnce(&Node) -> Result<T, NodeDown>) -> Result<T, Replica> {
         let health = self.health.read();
-        let route = health.active;
-        let v = op(self.active(&health)).map_err(|NodeDown| route)?;
-        let close = route == Replica::Primary && health.breaker.needs_success();
-        drop(health);
-        if close {
-            self.health.write().breaker.on_success();
-            self.ins.health.set(1.0);
-        }
-        Ok(v)
+        op(self.active(&health)).map_err(|NodeDown| health.active)
     }
 
     /// The route flip, written once: move `event`'s counter, point the
-    /// route where it says, close the breaker when that is the primary,
-    /// set the health gauge.
-    fn flip(&self, h: &mut ShardHealth, event: RouteEvent) -> RouteEvent {
+    /// route where it says, arm the failback timer from `now` when that is
+    /// the secondary (clear it otherwise), set the health gauge.
+    fn flip(&self, h: &mut ShardHealth, event: RouteEvent, now: Instant) -> RouteEvent {
         let (to, counter) = match event {
             RouteEvent::Failover(to) => (to, &self.ins.failovers),
             RouteEvent::Failback => (Replica::Primary, &self.ins.failbacks),
@@ -127,24 +126,20 @@ impl ShardBackend {
         counter.inc();
         h.active = to;
         let primary = to == Replica::Primary;
-        if primary {
-            h.breaker.on_success();
-        }
+        h.failback_at = (!primary).then(|| now + self.failback_period);
         self.ins.health.set(if primary { 1.0 } else { 0.0 });
         event
     }
 
     /// Record a `NodeDown` seen on `route` at `now` and flip the route if
-    /// health now dictates it. The flag is true when the route no longer
-    /// points where the failed op went: retry immediately, no backoff.
+    /// the pair's state dictates it. The flag is true when the route no
+    /// longer points where the failed op went: retry immediately, no
+    /// backoff.
     fn on_down(&self, route: Replica, now: Instant) -> (bool, Option<RouteEvent>) {
         let mut h = self.health.write();
         let to = match route {
-            Replica::Primary => {
-                h.breaker.on_error(now);
-                (h.breaker.state() == BreakerState::Open && self.secondary.is_some())
-                    .then_some(Replica::Secondary)
-            }
+            // The primary is halted: the secondary takes the shard.
+            Replica::Primary => Some(Replica::Secondary),
             // The secondary died under us. If the primary is back, reroute
             // immediately — this emergency path skips the recover/flush
             // cutover barrier (the double fault already cost the
@@ -152,54 +147,47 @@ impl ShardBackend {
             Replica::Secondary => (!self.primary.is_halted()).then_some(Replica::Primary),
         };
         let event = match to {
-            Some(to) if h.active == route => Some(self.flip(&mut h, RouteEvent::Failover(to))),
+            Some(to) if h.active == route => Some(self.flip(&mut h, RouteEvent::Failover(to), now)),
             _ => None,
         };
         (h.active != route, event)
     }
 
-    /// If the shard is failed over, its failback probe is due, and the
-    /// pair has re-formed, cut the route back to the primary: replay the
-    /// secondary's replicated snapshot into the primary
-    /// (`recover_from_peer`, waiting up to `timeout`), flush the
+    /// If the shard is failed over, `now` has reached its failback timer,
+    /// the primary is up and both nodes are `Paired`, cut the route back
+    /// to the primary: replay the secondary's replicated snapshot into the
+    /// primary (`recover_from_peer`, waiting up to `timeout`), flush the
     /// secondary's dirty pages (so every write acked through it during and
     /// after the outage is readable via the shared durable backend), then
     /// flip. The whole cutover runs under the write half, barring shard
-    /// ops until it completes.
-    fn try_failback(&self, timeout: Duration) -> Option<RouteEvent> {
-        let secondary = self.secondary.as_ref()?;
-        {
-            let h = self.health.read();
-            if h.active != Replica::Secondary || !h.breaker.probe_due(Instant::now()) {
-                return None;
-            }
-        }
-        if self.primary.is_halted() {
-            return None; // probe stays armed; re-checked on the next op
+    /// ops until it completes; a refused one re-arms the timer.
+    fn try_failback(&self, now: Instant, timeout: Duration) -> Option<RouteEvent> {
+        let due = |h: &ShardHealth| h.failback_at.is_some_and(|at| now >= at);
+        if self.primary.is_halted() || !due(&self.health.read()) {
+            return None; // a halted primary leaves the timer armed
         }
         let mut h = self.health.write();
-        if h.active != Replica::Secondary || !h.breaker.try_probe(Instant::now()) {
-            return None; // lost the race; another session owns the probe
+        if !due(&h) {
+            return None; // lost the race: another session cut over or re-armed
         }
         let ready = !self.primary.is_halted()
             && self.primary.lifecycle_state() == PairState::Paired
-            && secondary.lifecycle_state() == PairState::Paired;
+            && self.secondary.lifecycle_state() == PairState::Paired;
         if !ready
             || self.primary.recover_from_peer(timeout).is_err()
-            || secondary.try_flush_dirty().is_err()
+            || self.secondary.try_flush_dirty().is_err()
         {
-            // Re-open and re-arm the probe timer.
-            h.breaker.on_error(Instant::now());
+            h.failback_at = Some(now + self.failback_period);
             return None;
         }
-        Some(self.flip(&mut h, RouteEvent::Failback))
+        Some(self.flip(&mut h, RouteEvent::Failback, now))
     }
 }
 
 /// A shard op gave up at the retry deadline with no replica answering.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Unavail {
-    /// Backoff hint for the client (the breaker cooldown).
+    /// Backoff hint for the client (the failback period).
     pub(super) retry_after_ms: u32,
 }
 
@@ -252,9 +240,9 @@ impl Gateway {
     }
 
     /// Run `op` against `shard`'s active replica, retrying with backoff
-    /// and failing the route over/back as health dictates, until the
-    /// retry deadline. A served op counts one `ops` and one latency sample
-    /// (retries included) against the shard.
+    /// and failing the route over/back as the pair's state dictates, until
+    /// the retry deadline. A served op counts one `ops` and one latency
+    /// sample (retries included) against the shard.
     pub(super) fn with_shard<T>(
         &self,
         shard: u16,
@@ -265,7 +253,7 @@ impl Gateway {
         let deadline = started + self.cfg.retry_deadline;
         let mut attempt: u32 = 0;
         loop {
-            self.note_route(shard, sb.try_failback(FAILBACK_TIMEOUT));
+            self.note_route(shard, sb.try_failback(Instant::now(), FAILBACK_TIMEOUT));
             let route = match sb.attempt(&op) {
                 Ok(v) => {
                     sb.ins.ops.inc();
@@ -298,40 +286,58 @@ mod tests {
     use crate::ShardedGateway;
     use fc_ring::RingConfig;
 
+    /// The test profile's failback period.
+    const PERIOD: Duration = Duration::from_millis(50);
+
     /// A bare slot over a one-pair mem cluster, driven with
     /// `Node::fail()` / `restart()`. The `ShardedGateway` only owns the
     /// nodes: no session is ever opened on it.
-    fn slot(with_secondary: bool) -> (ShardedGateway, ShardBackend) {
+    fn slot() -> (ShardedGateway, ShardBackend) {
         let cfg = GatewayConfig::test_profile();
+        assert_eq!(cfg.failback_period, PERIOD);
         let sg = ShardedGateway::spawn_mem(cfg.clone(), RingConfig::default(), 1);
-        let secondary = with_secondary.then(|| sg.secondary(0));
-        let sb = ShardBackend::new(&cfg, sg.primary(0), secondary);
+        let sb = ShardBackend::new(&cfg, sg.primary(0), sg.secondary(0));
         (sg, sb)
-    }
-
-    /// Report `threshold` consecutive primary downs; returns the last answer.
-    fn trip(sb: &ShardBackend, now: Instant) -> (bool, Option<RouteEvent>) {
-        for _ in 1..BREAKER_THRESHOLD {
-            assert_eq!(sb.on_down(Replica::Primary, now), (false, None));
-        }
-        sb.on_down(Replica::Primary, now)
     }
 
     fn probe(sb: &ShardBackend) -> Result<u64, Replica> {
         sb.attempt(|node| node.try_flush_dirty())
     }
 
+    fn failback_at(sb: &ShardBackend) -> Option<Instant> {
+        sb.health.read().failback_at
+    }
+
+    /// Poll until `node` reaches `state` (the pair's heartbeats move it).
+    fn await_state(node: &Node, state: PairState) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node.lifecycle_state() != state {
+            assert!(Instant::now() < deadline, "never reached {state:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     #[test]
-    fn threshold_downs_flip_to_the_secondary_exactly_once_and_ask_for_an_immediate_retry() {
-        let (sg, sb) = slot(true);
+    fn one_primary_down_flips_to_the_secondary_exactly_once_and_asks_for_an_immediate_retry() {
+        let (sg, sb) = slot();
         let now = Instant::now();
         sb.primary.fail();
         assert_eq!(probe(&sb), Err(Replica::Primary));
         let to_secondary = RouteEvent::Failover(Replica::Secondary);
-        assert_eq!(trip(&sb, now), (true, Some(to_secondary)));
+        assert_eq!(
+            sb.on_down(Replica::Primary, now),
+            (true, Some(to_secondary))
+        );
+        assert_eq!(
+            failback_at(&sb),
+            Some(now + PERIOD),
+            "the failback timer is armed"
+        );
         // A racing session that saw the same dead primary is rerouted too,
-        // but the flip is not repeated.
-        assert_eq!(sb.on_down(Replica::Primary, now), (true, None));
+        // but the flip is not repeated and the timer is not pushed out.
+        let later = now + PERIOD / 2;
+        assert_eq!(sb.on_down(Replica::Primary, later), (true, None));
+        assert_eq!(failback_at(&sb), Some(now + PERIOD));
         assert!(!sb.routed_to_primary());
         assert_eq!(sb.ins.failovers.get(), 1);
         assert_eq!(sb.ins.health.get(), 0.0);
@@ -342,11 +348,11 @@ mod tests {
 
     #[test]
     fn a_down_on_the_secondary_with_the_primary_back_reroutes_without_the_failback_barrier() {
-        let (sg, sb) = slot(true);
+        let (sg, sb) = slot();
         let now = Instant::now();
         sb.primary.fail();
-        trip(&sb, now);
-        sg.secondary(0).fail();
+        sb.on_down(Replica::Primary, now);
+        sb.secondary.fail();
         assert_eq!(probe(&sb), Err(Replica::Secondary));
         assert_eq!(
             sb.on_down(Replica::Secondary, now),
@@ -362,48 +368,117 @@ mod tests {
         assert!(sb.routed_to_primary());
         assert_eq!(probe(&sb), Ok(0));
         // An emergency reroute, not a failback: no recover/flush cutover
-        // ran, and the breaker is closed again without a probe.
+        // ran, and no failback timer is left behind.
         assert_eq!(sb.ins.failovers.get(), 2);
         assert_eq!(sb.ins.failbacks.get(), 0);
         assert_eq!(sb.ins.health.get(), 1.0);
-        assert_eq!(sb.on_down(Replica::Primary, now), (false, None));
+        assert_eq!(failback_at(&sb), None);
+        sb.secondary.restart();
         sg.shutdown();
     }
 
     #[test]
-    fn provably_dead_needs_an_open_breaker_and_every_replica_halted() {
-        let (sg, sb) = slot(true);
-        let now = Instant::now();
+    fn provably_dead_exactly_while_both_nodes_are_halted() {
+        let (sg, sb) = slot();
         let hint = Some(sb.retry_after_ms());
-        assert_eq!(hint, Some(50), "the test profile's breaker cooldown");
+        assert_eq!(hint, Some(50), "the test profile's failback period");
         assert_eq!(sb.provably_dead(), None);
         sb.primary.fail();
-        sg.secondary(0).fail();
-        assert_eq!(sb.provably_dead(), None, "breaker still closed");
-        trip(&sb, now);
-        assert_eq!(sb.provably_dead(), hint);
-        sg.secondary(0).restart();
-        assert_eq!(sb.provably_dead(), None, "the active replica is back");
-        sg.secondary(0).fail();
+        assert_eq!(sb.provably_dead(), None, "the secondary can take the shard");
+        sb.secondary.fail();
+        assert_eq!(
+            sb.provably_dead(),
+            hint,
+            "no failure need be observed first"
+        );
+        sb.secondary.restart();
+        assert_eq!(sb.provably_dead(), None, "the secondary is back");
+        sb.secondary.fail();
         sb.primary.restart();
-        assert_eq!(sb.provably_dead(), None, "one down reroutes to the primary");
+        assert_eq!(sb.provably_dead(), None, "the primary is back");
+        sb.secondary.restart();
         sg.shutdown();
     }
 
     #[test]
-    fn with_no_secondary_a_dead_node_never_flips() {
-        let (sg, sb) = slot(false);
+    fn with_both_nodes_dead_the_route_parks_until_one_restarts() {
+        let (sg, sb) = slot();
         let now = Instant::now();
         sb.primary.fail();
-        assert_eq!(trip(&sb, now), (false, None));
-        assert_eq!(sb.on_down(Replica::Primary, now), (false, None));
-        assert!(sb.routed_to_primary());
-        assert_eq!(sb.ins.failovers.get(), 0);
+        sb.secondary.fail();
+        let to_secondary = RouteEvent::Failover(Replica::Secondary);
+        assert_eq!(
+            sb.on_down(Replica::Primary, now),
+            (true, Some(to_secondary))
+        );
+        assert_eq!(probe(&sb), Err(Replica::Secondary));
+        assert_eq!(sb.on_down(Replica::Secondary, now), (false, None));
+        assert_eq!(sb.ins.failovers.get(), 1);
         assert_eq!(sb.provably_dead(), Some(50));
-        assert_eq!(sb.try_failback(Duration::ZERO), None);
-        sb.primary.restart();
-        assert_eq!(probe(&sb), Ok(0), "and it serves again once restarted");
+        let due = now + PERIOD;
+        assert_eq!(sb.try_failback(due, Duration::ZERO), None);
+        assert_eq!(
+            failback_at(&sb),
+            Some(due),
+            "a halted primary leaves the timer armed"
+        );
+        sb.secondary.restart();
+        assert_eq!(probe(&sb), Ok(0), "the restarted secondary serves");
         assert_eq!(sb.provably_dead(), None);
+        sb.primary.restart();
+        sg.shutdown();
+    }
+
+    #[test]
+    fn failback_waits_for_its_timer_and_a_paired_pair_and_a_refusal_rearms() {
+        let (sg, sb) = slot();
+        let t0 = Instant::now();
+        sb.primary.fail();
+        sb.on_down(Replica::Primary, t0);
+        // The secondary sees the silence and walks Solo; halting it there
+        // keeps the pair apart once the primary is back.
+        await_state(&sb.secondary, PairState::Solo);
+        sb.secondary.fail();
+        sb.primary.restart();
+        let due = t0 + PERIOD;
+        assert_eq!(
+            sb.try_failback(due - Duration::from_millis(1), FAILBACK_TIMEOUT),
+            None,
+            "the timer has not run out"
+        );
+        assert_eq!(
+            failback_at(&sb),
+            Some(due),
+            "an early call leaves the timer alone"
+        );
+        assert_eq!(
+            sb.try_failback(due, FAILBACK_TIMEOUT),
+            None,
+            "the pair is apart"
+        );
+        assert!(
+            !sb.routed_to_primary(),
+            "a refused cutover leaves the route"
+        );
+        assert_eq!(
+            failback_at(&sb),
+            Some(due + PERIOD),
+            "and re-arms the timer"
+        );
+
+        sb.secondary.restart();
+        await_state(&sb.primary, PairState::Paired);
+        await_state(&sb.secondary, PairState::Paired);
+        assert_eq!(sb.try_failback(due, FAILBACK_TIMEOUT), None, "re-armed");
+        assert_eq!(
+            sb.try_failback(due + PERIOD, FAILBACK_TIMEOUT),
+            Some(RouteEvent::Failback)
+        );
+        assert!(sb.routed_to_primary());
+        assert_eq!(failback_at(&sb), None);
+        assert_eq!((sb.ins.failovers.get(), sb.ins.failbacks.get()), (1, 1));
+        assert_eq!(sb.ins.health.get(), 1.0);
+        assert_eq!(probe(&sb), Ok(0), "the primary serves again");
         sg.shutdown();
     }
 }

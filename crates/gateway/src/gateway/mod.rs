@@ -60,9 +60,9 @@ const MIGRATE_BATCH_BLOCKS: usize = 8;
 /// migration cannot starve admitted traffic.
 const MIGRATE_BATCH_PAUSE: Duration = Duration::from_micros(200);
 
-/// A running gateway. Create with [`Gateway::new`] (one node, no failover
-/// target) or [`Gateway::new_sharded_with_secondaries`] (N pairs behind a
-/// ring; usually via [`crate::ShardedGateway`]), connect clients with
+/// A running gateway. Create with [`Gateway::new`] (one pair) or
+/// [`Gateway::new_sharded_with_secondaries`] (N pairs behind a ring;
+/// usually via [`crate::ShardedGateway`]), connect clients with
 /// [`Gateway::connect_mem`] or [`Gateway::listen_tcp`] +
 /// [`GatewayClient::connect_tcp`](crate::GatewayClient::connect_tcp).
 pub struct Gateway {
@@ -84,23 +84,24 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Wrap a node as a one-pair ring with no failover target: a dead node
-    /// leaves the gateway answering `Unavailable`. The node keeps its own
-    /// lifecycle (pump thread, replication); the gateway only adds the
-    /// client-facing front end.
-    pub fn new(cfg: GatewayConfig, node: Arc<Node>) -> Arc<Gateway> {
+    /// Front one pair as a one-shard ring: `primary` serves clients and
+    /// `secondary` takes the shard while the primary is down. The nodes
+    /// keep their own lifecycle (pump thread, replication); the gateway
+    /// only adds the client-facing front end.
+    pub fn new(cfg: GatewayConfig, primary: Arc<Node>, secondary: Arc<Node>) -> Arc<Gateway> {
         let ring_cfg = RingConfig {
             block_pages: cfg.pages_per_block,
             ..RingConfig::default()
         };
-        Gateway::with_shards(cfg, Ring::with_pairs(ring_cfg, 1), vec![node], vec![None])
+        let ring = Ring::with_pairs(ring_cfg, 1);
+        Gateway::new_sharded_with_secondaries(cfg, ring, vec![primary], vec![secondary])
     }
 
     /// Front `primaries[i]` (pair i's client-facing node) for ring shard
     /// `i`, holding each pair's secondary too: the gateway fails a
-    /// shard's route over to it when the primary's circuit breaker opens
-    /// (then back once the pair re-forms) — the front-door half of the
-    /// FlashCoop failure story. The ring must contain exactly the pairs
+    /// shard's route over to it when the primary is halted (then back
+    /// once the pair re-forms) — the front-door half of the FlashCoop
+    /// failure story. The ring must contain exactly the pairs
     /// `0..primaries.len()` so every lookup resolves to a node.
     pub fn new_sharded_with_secondaries(
         cfg: GatewayConfig,
@@ -108,24 +109,14 @@ impl Gateway {
         primaries: Vec<Arc<Node>>,
         secondaries: Vec<Arc<Node>>,
     ) -> Arc<Gateway> {
+        assert!(
+            !primaries.is_empty(),
+            "sharded gateway needs at least one pair"
+        );
         assert_eq!(
             primaries.len(),
             secondaries.len(),
             "every pair needs both nodes"
-        );
-        let secondaries = secondaries.into_iter().map(Some).collect();
-        Gateway::with_shards(cfg, ring, primaries, secondaries)
-    }
-
-    fn with_shards(
-        cfg: GatewayConfig,
-        ring: Ring,
-        primaries: Vec<Arc<Node>>,
-        secondaries: Vec<Option<Arc<Node>>>,
-    ) -> Arc<Gateway> {
-        assert!(
-            !primaries.is_empty(),
-            "sharded gateway needs at least one pair"
         );
         let expected: Vec<u16> = (0..primaries.len() as u16).collect();
         assert_eq!(
@@ -214,7 +205,7 @@ impl Gateway {
     /// Attach a new pair as the next shard slot and return its id. The
     /// slot is routable only once a later [`Gateway::rebalance`] installs a
     /// ring that includes it, so attaching is invisible to clients.
-    pub fn attach_shard(&self, primary: Arc<Node>, secondary: Option<Arc<Node>>) -> u16 {
+    pub fn attach_shard(&self, primary: Arc<Node>, secondary: Arc<Node>) -> u16 {
         let mut rt = self.routes.write();
         let shard = rt.attach(ShardBackend::new(&self.cfg, primary, secondary));
         // Checked under the route write guard, which `attach_obs` excludes
@@ -280,7 +271,7 @@ impl Gateway {
         primary: Arc<Node>,
         secondary: Arc<Node>,
     ) -> Result<RebalanceReport, RebalanceError> {
-        let shard = self.attach_shard(primary, Some(secondary));
+        let shard = self.attach_shard(primary, secondary);
         let mut ring = self.ring();
         ring.add_pair(shard);
         self.rebalance(ring)
@@ -303,9 +294,7 @@ impl Gateway {
         let sb = self.shard_backend(victim);
         let _ = sb.primary.try_flush_dirty();
         sb.primary.quiesce();
-        if let Some(secondary) = &sb.secondary {
-            secondary.quiesce();
-        }
+        sb.secondary.quiesce();
         Ok(report)
     }
 

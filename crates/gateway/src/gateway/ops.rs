@@ -56,31 +56,19 @@ impl Gateway {
     ///
     /// Shards that are `provably_dead` are skipped up front instead of each
     /// burning the full retry deadline; the flush still walks every
-    /// serviceable shard, then answers `Unavailable` with the shortest
-    /// `retry_after_ms` among the dead ones.
+    /// serviceable shard, then answers `Unavailable` for the first dead one
+    /// (every shard's hint is the same failback period).
     pub(super) fn do_flush(&self) -> Result<u64, Unavail> {
         let rt = self.routes.read();
         let mut total = 0u64;
-        // (shard, hint) of the fastest-retry dead shard, if any.
         let mut dead: Option<(u16, u32)> = None;
         for shard in rt.flush_members() {
             let sb = rt.shard(shard);
             if let Some(hint) = sb.provably_dead() {
-                if dead.is_none_or(|(_, best)| hint < best) {
-                    dead = Some((shard, hint));
-                }
+                dead = dead.or(Some((shard, hint)));
                 continue;
             }
-            let flushed = match self.with_shard(shard, sb, |node| node.try_flush_dirty()) {
-                Ok(f) => f,
-                Err(u) => {
-                    // Deadline burned here anyway; fold in any
-                    // faster hint from an already-skipped shard.
-                    let retry_after_ms =
-                        dead.map_or(u.retry_after_ms, |(_, h)| h.min(u.retry_after_ms));
-                    return Err(Unavail { retry_after_ms });
-                }
-            };
+            let flushed = self.with_shard(shard, sb, |node| node.try_flush_dirty())?;
             sb.ins.flushed_pages.add(flushed);
             total += flushed;
         }

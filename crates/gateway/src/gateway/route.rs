@@ -385,7 +385,7 @@ mod tests {
         let shards = (0..slots)
             .map(|i| {
                 let (p, s) = (sg.primary(i), sg.secondary(i));
-                Arc::new(ShardBackend::new(&cfg, p, Some(s)))
+                Arc::new(ShardBackend::new(&cfg, p, s))
             })
             .collect();
         let ring = Ring::with_pairs(RingConfig::default(), members);

@@ -21,13 +21,14 @@
 //!   pairs behind one endpoint, routing by an `fc-ring` consistent-hash
 //!   ring with per-shard `gateway.shard.*` counters whose sums *are* the
 //!   aggregate page-granular gateway counters.
-//! * front-door failover — each shard tracks its primary's health with a
-//!   consecutive-error circuit breaker, fails the route over to the
-//!   surviving secondary, retries with deadline-bounded jittered backoff,
-//!   fails back once the pair re-forms, and degrades to a typed
-//!   `Unavailable { retry_after_ms }` reply (protocol v2) when no replica
-//!   is live. Write runs carry client-stamped dedup tags, so retries are
-//!   exactly-once end to end.
+//! * front-door failover — a shard is a pair, routed by its two nodes'
+//!   own state: the first `NodeDown` from a halted primary fails the
+//!   route over to the secondary, ops retry with deadline-bounded
+//!   jittered backoff, the route fails back once the pair re-forms, and a
+//!   shard with both nodes halted answers a typed
+//!   `Unavailable { retry_after_ms }` reply (protocol v2). Write runs
+//!   carry client-stamped dedup tags, so retries are exactly-once end to
+//!   end.
 //! * elastic membership — [`Gateway::rebalance`] takes the cluster to a
 //!   new ring *live*: an epoch-fenced dual-ring window (occupied blocks
 //!   whose owner changes keep routing to their old owner until migrated),
@@ -44,11 +45,11 @@
 //! let (ta, tb) = mem_pair();
 //! let backend = shared_backend(MemBackend::default());
 //! let a = Arc::new(Node::spawn(NodeConfig::test_profile(0), ta, backend.clone()));
-//! let _b = Node::spawn(NodeConfig::test_profile(1), tb, backend);
+//! let b = Arc::new(Node::spawn(NodeConfig::test_profile(1), tb, backend));
 //!
-//! // A one-pair ring with no failover target; `ShardedGateway` wires in
-//! // both nodes of N pairs.
-//! let gw = Gateway::new(GatewayConfig::test_profile(), a);
+//! // A one-pair ring: `a` serves, `b` takes over while `a` is down.
+//! // `ShardedGateway` wires in both nodes of N pairs.
+//! let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
 //! let mut client = gw.connect_mem();
 //! client.hello().unwrap();
 //! let ack = client.write(0, vec![bytes::Bytes::from_static(b"hello")]).unwrap();
@@ -62,7 +63,6 @@ pub mod batch;
 pub mod client;
 pub mod conn;
 pub mod gateway;
-mod health;
 pub mod proto;
 pub mod shard;
 

@@ -233,8 +233,8 @@ pub fn spawn_mem_pair(
 
 /// A gateway fronting N cooperative pairs, with both nodes of every pair
 /// wired in: the primaries carry traffic, and each secondary doubles as
-/// its shard's failover target (the gateway's circuit breaker flips the
-/// route to it when the primary dies, and back after the pair re-forms).
+/// its shard's failover target (the gateway flips the route to it when
+/// the primary is halted, and back after the pair re-forms).
 pub struct ShardedGateway {
     gateway: Arc<Gateway>,
 }
@@ -292,11 +292,7 @@ impl ShardedGateway {
 
     /// Pair `shard`'s secondary node.
     pub fn secondary(&self, shard: u16) -> Arc<Node> {
-        self.gateway
-            .shard_backend(shard)
-            .secondary
-            .clone()
-            .expect("every ShardedGateway pair has a secondary")
+        self.gateway.shard_backend(shard).secondary.clone()
     }
 
     /// Number of pair slots behind the gateway (attached slots, including

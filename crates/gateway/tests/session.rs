@@ -10,7 +10,7 @@ use bytes::Bytes;
 use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig, PEER_NS};
 use fc_gateway::{AdmissionConfig, ClientError, ErrorCode, Gateway, GatewayConfig, Reply, Request};
 
-fn pair() -> (Arc<Node>, Node) {
+fn pair() -> (Arc<Node>, Arc<Node>) {
     let (ta, tb) = mem_pair();
     let backend = shared_backend(MemBackend::default());
     let a = Arc::new(Node::spawn(
@@ -18,7 +18,7 @@ fn pair() -> (Arc<Node>, Node) {
         ta,
         backend.clone(),
     ));
-    let b = Node::spawn(NodeConfig::test_profile(1), tb, backend);
+    let b = Arc::new(Node::spawn(NodeConfig::test_profile(1), tb, backend));
     (a, b)
 }
 
@@ -28,8 +28,8 @@ fn page(tag: u8) -> Bytes {
 
 #[test]
 fn hello_rejects_wrong_version() {
-    let (a, _b) = pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), a);
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
     let (client_half, server_half) = fc_gateway::mem_session();
     gw.serve(server_half);
 
@@ -55,8 +55,8 @@ fn hello_rejects_wrong_version() {
 
 #[test]
 fn io_before_hello_is_bad_request() {
-    let (a, _b) = pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), a);
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
     let (client_half, server_half) = fc_gateway::mem_session();
     gw.serve(server_half);
 
@@ -89,10 +89,10 @@ fn io_before_hello_is_bad_request() {
 
 #[test]
 fn zero_page_and_oversized_requests_are_refused() {
-    let (a, _b) = pair();
+    let (a, b) = pair();
     let mut cfg = GatewayConfig::test_profile();
     cfg.max_req_pages = 4;
-    let gw = Gateway::new(cfg, a);
+    let gw = Gateway::new(cfg, a, b);
     let mut c = gw.connect_mem();
     c.hello().unwrap();
 
@@ -142,8 +142,8 @@ fn zero_page_and_oversized_requests_are_refused() {
 
 #[test]
 fn pipelined_writes_are_batched_and_coalesced() {
-    let (a, _b) = pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), a);
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
 
     // Queue the handshake and four pipelined writes *before* serving the
     // session, so the batch window deterministically finds them all: two
@@ -200,14 +200,14 @@ fn pipelined_writes_are_batched_and_coalesced() {
 
 #[test]
 fn rate_limited_client_gets_busy_and_recovers_nothing_else_lost() {
-    let (a, _b) = pair();
+    let (a, b) = pair();
     let mut cfg = GatewayConfig::test_profile();
     cfg.admission = AdmissionConfig {
         per_client_rate: 0.0, // no refill: exactly `burst` requests succeed
         per_client_burst: 3.0,
         max_inflight: u32::MAX,
     };
-    let gw = Gateway::new(cfg, a);
+    let gw = Gateway::new(cfg, a, b);
     let mut c = gw.connect_mem();
     c.hello().unwrap();
 
@@ -244,8 +244,8 @@ fn rate_limited_client_gets_busy_and_recovers_nothing_else_lost() {
 
 #[test]
 fn trim_and_flush_round_trip() {
-    let (a, _b) = pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), a);
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
     let mut c = gw.connect_mem();
     c.hello().unwrap();
 
@@ -265,8 +265,8 @@ fn trim_and_flush_round_trip() {
 
 #[test]
 fn per_client_node_stats_attribute_gateway_traffic() {
-    let (a, _b) = pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), a);
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
     let mut c1 = gw.connect_mem_as(101);
     let mut c2 = gw.connect_mem_as(202);
     c1.hello().unwrap();
@@ -289,18 +289,19 @@ fn per_client_node_stats_attribute_gateway_traffic() {
 }
 
 #[test]
-fn dead_only_node_answers_unavailable_within_the_retry_deadline() {
-    let (a, _b) = pair();
+fn dead_pair_answers_unavailable_within_the_retry_deadline() {
+    let (a, b) = pair();
     let cfg = GatewayConfig::test_profile();
     let deadline = cfg.retry_deadline;
-    let gw = Gateway::new(cfg, a.clone());
+    let gw = Gateway::new(cfg, a.clone(), b.clone());
     let mut c = gw.connect_mem();
     c.hello().unwrap();
     c.write(0, vec![page(1)]).unwrap();
 
-    // No secondary to fail over to: the write must come back as a typed
-    // refusal, not land in the dead node.
+    // Both nodes of the pair halted: the write must come back as a typed
+    // refusal, not land in a dead node.
     a.fail();
+    b.fail();
     let started = std::time::Instant::now();
     let err = c.write(1, vec![page(2)]).unwrap_err();
     let elapsed = started.elapsed();
@@ -312,7 +313,12 @@ fn dead_only_node_answers_unavailable_within_the_retry_deadline() {
         elapsed < deadline + Duration::from_millis(500),
         "refusal took {elapsed:?}, retry deadline is {deadline:?}"
     );
-    assert!(gw.stats().unavailable >= 1);
+    let stats = gw.stats();
+    assert!(stats.unavailable >= 1);
+    assert_eq!(
+        stats.failovers, 1,
+        "the primary's first NodeDown flips once"
+    );
     assert_eq!(gw.shard_stats().len(), 1, "one pair is one shard row");
     gw.shutdown();
 }

@@ -28,11 +28,6 @@ impl SnapshotScheduler {
         }
     }
 
-    /// Sim time of the next snapshot.
-    pub fn next_at(&self) -> u64 {
-        self.next_ns
-    }
-
     /// Advance to `now_ns`, emitting one snapshot event per period boundary
     /// crossed. Returns how many snapshots were emitted.
     pub fn poll(&mut self, now_ns: u64, obs: &Obs) -> usize {
@@ -75,7 +70,7 @@ mod tests {
             stamps,
             vec![Stamp::Sim(100), Stamp::Sim(200), Stamp::Sim(300)]
         );
-        assert_eq!(sched.next_at(), 400);
+        assert_eq!(sched.poll(399, &obs), 0, "the next boundary is 400");
     }
 
     #[test]

@@ -131,12 +131,6 @@ impl SharedBuf {
     pub fn contents(&self) -> Vec<u8> {
         self.bytes.lock().unwrap().clone()
     }
-
-    /// Contents as UTF-8 (panics on invalid UTF-8; JSONL output is always
-    /// valid UTF-8).
-    pub fn contents_string(&self) -> String {
-        String::from_utf8(self.contents()).expect("JSONL output is UTF-8")
-    }
 }
 
 impl Write for SharedBuf {
@@ -176,7 +170,7 @@ mod tests {
         sink.accept(&Event::sim(1, "a", "x"));
         sink.accept(&Event::wall(2, "b", "y").u64_field("n", 9));
         sink.flush();
-        let text = buf.contents_string();
+        let text = String::from_utf8(buf.contents()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {

@@ -40,15 +40,6 @@ impl LinkModel {
         }
     }
 
-    /// An effectively-free link (e.g. colocated processes); useful to isolate
-    /// buffer-management effects from network effects in ablations.
-    pub fn ideal() -> Self {
-        LinkModel {
-            latency: SimDuration::ZERO,
-            bandwidth_bytes_per_sec: u64::MAX,
-        }
-    }
-
     /// Serialisation (bandwidth) component of a transfer.
     pub fn serialization_time(&self, bytes: u64) -> SimDuration {
         if self.bandwidth_bytes_per_sec == 0 {
@@ -66,14 +57,6 @@ impl LinkModel {
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         self.latency + self.serialization_time(bytes)
     }
-
-    /// Round trip for a request of `bytes` answered by a small ack: the
-    /// latency of a replicated write as seen by the writer.
-    pub fn replicated_write_time(&self, bytes: u64) -> SimDuration {
-        // Data out (latency + serialisation) + ack back (latency only; acks
-        // are tiny).
-        self.transfer_time(bytes) + self.latency
-    }
 }
 
 impl Default for LinkModel {
@@ -89,7 +72,8 @@ mod tests {
     #[test]
     fn ten_gbe_page_transfer_is_cheap_relative_to_flash_program() {
         let link = LinkModel::ten_gbe();
-        let page = link.replicated_write_time(4096);
+        // Data out, then a tiny ack back: one round trip per replicated page.
+        let page = link.transfer_time(4096) + link.latency;
         let program = SimDuration::from_micros(200);
         assert!(
             page < program / 4,
@@ -114,12 +98,6 @@ mod tests {
     fn zero_bytes_costs_only_latency() {
         let link = LinkModel::ten_gbe();
         assert_eq!(link.transfer_time(0), link.latency);
-    }
-
-    #[test]
-    fn ideal_link_is_free() {
-        let link = LinkModel::ideal();
-        assert_eq!(link.replicated_write_time(1 << 30), SimDuration::ZERO);
     }
 
     #[test]

@@ -23,11 +23,6 @@ pub struct Grant {
 }
 
 impl Grant {
-    /// Queueing delay experienced before service, given the arrival instant.
-    pub fn wait_since(&self, arrival: SimTime) -> SimDuration {
-        self.start.saturating_since(arrival)
-    }
-
     /// Total latency (queueing + service) since the arrival instant.
     pub fn latency_since(&self, arrival: SimTime) -> SimDuration {
         self.end.saturating_since(arrival)
@@ -105,7 +100,6 @@ mod tests {
         let g = t.acquire(AT(10), US(5));
         assert_eq!(g.start, AT(10));
         assert_eq!(g.end, AT(15));
-        assert_eq!(g.wait_since(AT(10)), SimDuration::ZERO);
         assert_eq!(g.latency_since(AT(10)), US(5));
     }
 
@@ -116,7 +110,6 @@ mod tests {
         let g = t.acquire(AT(10), US(5));
         assert_eq!(g.start, AT(100));
         assert_eq!(g.end, AT(105));
-        assert_eq!(g.wait_since(AT(10)), US(90));
     }
 
     #[test]

@@ -27,14 +27,6 @@ impl DetRng {
         }
     }
 
-    /// Derive an independent child stream; deterministic in (seed, label).
-    pub fn fork(&mut self, label: u64) -> DetRng {
-        // Mix the label into fresh state drawn from this stream so children
-        // with different labels are decorrelated even if forked back-to-back.
-        let base: u64 = self.inner.gen();
-        DetRng::new(base ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -179,24 +171,6 @@ mod tests {
         let va: Vec<u64> = (0..16).map(|_| a.below(u64::MAX)).collect();
         let vb: Vec<u64> = (0..16).map(|_| b.below(u64::MAX)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_decorrelated() {
-        let mut parent1 = DetRng::new(7);
-        let mut parent2 = DetRng::new(7);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
-        for _ in 0..32 {
-            assert_eq!(c1.below(1 << 40), c2.below(1 << 40));
-        }
-        let mut parent3 = DetRng::new(7);
-        let mut other = parent3.fork(4);
-        let a: Vec<u64> = (0..16)
-            .map(|_| DetRng::new(7).fork(3).below(1 << 40))
-            .collect();
-        let b: Vec<u64> = (0..16).map(|_| other.below(1 << 40)).collect();
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -136,25 +136,6 @@ impl Trace {
         }
     }
 
-    /// Multiply the arrival rate by `factor` (2.0 = twice as fast), keeping
-    /// the first request's arrival time as the origin.
-    pub fn scale_rate(&mut self, factor: f64) {
-        let f = factor.max(1e-9);
-        let origin = self.requests.first().map(|r| r.at).unwrap_or(SimTime::ZERO);
-        for r in &mut self.requests {
-            let offset = r.at.saturating_since(origin);
-            r.at = origin + SimDuration::from_secs_f64(offset.as_secs_f64() / f);
-        }
-    }
-
-    /// Shift every arrival forward by `delta` (scheduling a trace to start
-    /// after another's warm-up, for instance).
-    pub fn shift(&mut self, delta: SimDuration) {
-        for r in &mut self.requests {
-            r.at += delta;
-        }
-    }
-
     /// Restrict every request to the given address space by wrapping page
     /// addresses modulo `pages` (used to replay a large-footprint trace on a
     /// scaled-down simulated device; preserves locality structure).
@@ -252,28 +233,6 @@ mod tests {
         assert_eq!(s.requests[0].lpn, 3);
         assert_eq!(t.slice(8..100).len(), 2);
         assert_eq!(t.slice(20..30).len(), 0);
-    }
-
-    #[test]
-    fn scale_rate_compresses_spans() {
-        let mut t = Trace::new("t");
-        t.push(req(100, 0, 1, Op::Write));
-        t.push(req(300, 1, 1, Op::Write));
-        t.scale_rate(2.0);
-        assert_eq!(t.requests[0].at, SimTime::from_micros(100)); // origin fixed
-        assert_eq!(t.requests[1].at, SimTime::from_micros(200));
-        t.scale_rate(0.5); // slow back down
-        assert_eq!(t.requests[1].at, SimTime::from_micros(300));
-    }
-
-    #[test]
-    fn shift_moves_all_arrivals() {
-        let mut t = Trace::new("t");
-        t.push(req(1, 0, 1, Op::Write));
-        t.push(req(2, 1, 1, Op::Write));
-        t.shift(SimDuration::from_micros(10));
-        assert_eq!(t.requests[0].at, SimTime::from_micros(11));
-        assert_eq!(t.requests[1].at, SimTime::from_micros(12));
     }
 
     #[test]

@@ -76,16 +76,6 @@ impl ArrivalSchedule {
                 .collect(),
         }
     }
-
-    /// Mean interarrival gap, `None` for schedules with fewer than two
-    /// arrivals (a single request has no gap — not a zero gap, and not NaN).
-    pub fn mean_gap(&self) -> Option<SimDuration> {
-        if self.offsets.len() < 2 {
-            return None;
-        }
-        let gaps = (self.offsets.len() - 1) as f64;
-        Some(SimDuration::from_secs_f64(self.span().as_secs_f64() / gaps))
-    }
 }
 
 impl Trace {
@@ -123,7 +113,6 @@ mod tests {
         assert_eq!(s.offset(1), Some(SimDuration::from_millis(30)));
         assert_eq!(s.offset(2), Some(SimDuration::from_millis(90)));
         assert_eq!(s.span(), SimDuration::from_millis(90));
-        assert_eq!(s.mean_gap(), Some(SimDuration::from_millis(45)));
     }
 
     #[test]
@@ -131,7 +120,6 @@ mod tests {
         let empty = Trace::new("e").arrival_schedule();
         assert!(empty.is_empty());
         assert_eq!(empty.span(), SimDuration::ZERO);
-        assert_eq!(empty.mean_gap(), None);
         assert_eq!(empty.offset(0), None);
 
         let mut one = Trace::new("one");
@@ -140,7 +128,6 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.offset(0), Some(SimDuration::ZERO));
         assert_eq!(s.span(), SimDuration::ZERO);
-        assert_eq!(s.mean_gap(), None, "one arrival has no gap");
     }
 
     #[test]

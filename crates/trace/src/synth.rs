@@ -135,14 +135,6 @@ impl SyntheticSpec {
         self
     }
 
-    /// Builder: scale arrival intensity (2.0 = twice the arrival rate).
-    pub fn with_rate_factor(mut self, factor: f64) -> Self {
-        let f = factor.max(1e-6);
-        self.mean_interarrival =
-            SimDuration::from_secs_f64(self.mean_interarrival.as_secs_f64() / f);
-        self
-    }
-
     /// Generate the trace, deterministically in (spec, seed).
     pub fn generate(&self, seed: u64) -> Trace {
         assert!(self.address_pages >= self.pages_per_block as u64 * 2);
@@ -481,16 +473,6 @@ mod tests {
             s4.seq_pct,
             s1.seq_pct
         );
-    }
-
-    #[test]
-    fn rate_factor_compresses_time() {
-        let slow = SyntheticSpec::fin1(SPACE).with_requests(2_000).generate(9);
-        let fast = SyntheticSpec::fin1(SPACE)
-            .with_rate_factor(10.0)
-            .with_requests(2_000)
-            .generate(9);
-        assert!(fast.duration().as_nanos() < slow.duration().as_nanos() / 5);
     }
 
     #[test]

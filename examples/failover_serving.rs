@@ -1,10 +1,10 @@
 //! Surviving a primary crash at the front door.
 //!
 //! Two cooperative pairs behind a sharded gateway; a client streams writes
-//! while shard 0's primary is killed mid-load. The gateway's circuit
-//! breaker fails the shard over to the surviving secondary, service
-//! continues uninterrupted, and once the primary restarts, traffic drives
-//! failback. Ends by re-reading every acknowledged write — zero loss — and
+//! while shard 0's primary is killed mid-load. The first op that finds
+//! the primary halted fails the shard over to the surviving secondary,
+//! service continues uninterrupted, and once the primary restarts and the
+//! pair re-forms, traffic drives failback. Ends by re-reading every acknowledged write — zero loss — and
 //! printing the health counters.
 //!
 //! ```text

@@ -24,7 +24,8 @@ fn main() {
     println!("— FlashCoop pair behind an fc-gateway —");
 
     // The pair: node 0 serves clients, node 1 is its cooperative peer
-    // (remote buffer + replication target).
+    // (remote buffer + replication target, and the gateway's failover
+    // target).
     let (ta, tb) = mem_pair();
     let backend = shared_backend(MemBackend::default());
     let node_a = Arc::new(Node::spawn(
@@ -32,7 +33,7 @@ fn main() {
         ta,
         backend.clone(),
     ));
-    let _node_b = Node::spawn(NodeConfig::test_profile(1), tb, backend);
+    let node_b = Arc::new(Node::spawn(NodeConfig::test_profile(1), tb, backend));
 
     // Admission: generous rate per client, but client 4 will exceed it.
     let gw = Gateway::new(
@@ -45,6 +46,7 @@ fn main() {
             ..GatewayConfig::default()
         },
         node_a,
+        node_b,
     );
     let addr = gw.listen_tcp("127.0.0.1:0").expect("listen");
     println!("  gateway listening on {addr} (4 TCP clients incoming)");

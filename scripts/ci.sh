@@ -75,16 +75,26 @@ fi
 
 echo "==> gateway layout guard: two locks, each behind one module; one membership entry"
 # DESIGN §12: route table -> shard health is the gateway's whole lock order.
-# Only failover.rs touches a shard's health lock or names the replica /
-# breaker states (health.rs defines them); only mod.rs's attach_shard and
-# rebalance take the route table's write half; RouteTable's fields are
-# private; sessions know neither the table nor shard health. DESIGN §15:
-# membership change is Gateway::rebalance alone — only route.rs moves pages
-# between pairs, and there is no second coordinator crate.
+# Only failover.rs touches a shard's health lock or names the replica;
+# only mod.rs's attach_shard and rebalance take the route table's write
+# half; RouteTable's fields are private; sessions know neither the table
+# nor shard health. DESIGN §14: a shard is a pair, routed by its two
+# nodes' own state — no second failure detector (no circuit breaker, no
+# error streak) and no one-node shard. DESIGN §15: membership change is
+# Gateway::rebalance alone — only route.rs moves pages between pairs, and
+# there is no second coordinator crate.
 gw=crates/gateway/src/gateway
+if [ -e crates/gateway/src/health.rs ]; then
+  echo "crates/gateway/src/health.rs: a shard's route lives in gateway/failover.rs; there is no breaker module" >&2
+  exit 1
+fi
 for f in $(find crates/gateway/src -name '*.rs'); do
-  case "$f" in */failover.rs | */health.rs) continue ;; esac
-  if code "$f" | grep -nE '\.health\.(read|write)\(\)|Replica::|BreakerState::'; then
+  if code "$f" | grep -nE 'CircuitBreaker|BreakerState|HalfOpen|BREAKER_THRESHOLD|breaker_cooldown|secondary: *Option<'; then
+    echo "$f: a shard is a pair routed by its nodes' own state — no breaker, no optional secondary" >&2
+    exit 1
+  fi
+  case "$f" in */failover.rs) continue ;; esac
+  if code "$f" | grep -nE '\.health\.(read|write)\(\)|Replica::'; then
     echo "$f: the replica choice lives in gateway/failover.rs (ShardBackend's methods)" >&2
     exit 1
   fi

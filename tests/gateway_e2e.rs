@@ -24,7 +24,7 @@ use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig};
 use fc_gateway::{AdmissionConfig, Gateway, GatewayClient, GatewayConfig};
 use fc_obs::Obs;
 
-fn spawn_pair() -> (Arc<Node>, Node) {
+fn spawn_pair() -> (Arc<Node>, Arc<Node>) {
     let (ta, tb) = mem_pair();
     let backend = shared_backend(MemBackend::default());
     let a = Arc::new(Node::spawn(
@@ -32,7 +32,7 @@ fn spawn_pair() -> (Arc<Node>, Node) {
         ta,
         backend.clone(),
     ));
-    let b = Node::spawn(NodeConfig::test_profile(1), tb, backend);
+    let b = Arc::new(Node::spawn(NodeConfig::test_profile(1), tb, backend));
     (a, b)
 }
 
@@ -45,8 +45,8 @@ fn eight_tcp_clients_every_acked_write_is_readable() {
     const WINDOW: u64 = 1 << 12;
     const PAGE_BYTES: usize = 256;
 
-    let (node_a, _node_b) = spawn_pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), node_a);
+    let (node_a, node_b) = spawn_pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), node_a, node_b);
     let addr = gw.listen_tcp("127.0.0.1:0").expect("listen");
 
     let mut handles = Vec::new();
@@ -144,7 +144,7 @@ fn saturation_sheds_busy_and_bounds_inflight() {
     const CLIENTS: u64 = 8;
     const WRITES_PER_CLIENT: u64 = 60;
 
-    let (node_a, _node_b) = spawn_pair();
+    let (node_a, node_b) = spawn_pair();
     let cfg = GatewayConfig {
         admission: AdmissionConfig {
             per_client_rate: f64::INFINITY,
@@ -153,7 +153,7 @@ fn saturation_sheds_busy_and_bounds_inflight() {
         },
         ..GatewayConfig::default()
     };
-    let gw = Gateway::new(cfg, node_a);
+    let gw = Gateway::new(cfg, node_a, node_b);
     let obs = Obs::null();
     gw.attach_obs(&obs);
 
@@ -289,8 +289,8 @@ fn loadgen_shed_rate_matches_gateway_counter_under_saturation() {
 /// requests served after it land in the same cells.
 #[test]
 fn attach_obs_after_traffic_keeps_earlier_samples() {
-    let (node_a, _node_b) = spawn_pair();
-    let gw = Gateway::new(GatewayConfig::test_profile(), node_a);
+    let (node_a, node_b) = spawn_pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), node_a, node_b);
     let mut client = gw.connect_mem();
     client.hello().expect("hello");
     for lpn in 0..10u64 {
@@ -336,12 +336,12 @@ fn write_straddling_a_block_boundary_is_two_runs_and_one_replication_frame() {
     let (ta, tb) = mem_pair();
     let backend = shared_backend(MemBackend::default());
     let node_a = Arc::new(Node::spawn(node_cfg(0), ta, backend.clone()));
-    let _node_b = Node::spawn(node_cfg(1), tb, backend);
+    let node_b = Arc::new(Node::spawn(node_cfg(1), tb, backend));
     let cfg = GatewayConfig {
         pages_per_block: 32,
         ..GatewayConfig::test_profile()
     };
-    let gw = Gateway::new(cfg, node_a.clone());
+    let gw = Gateway::new(cfg, node_a.clone(), node_b);
     let mut client = gw.connect_mem();
     client.hello().expect("hello");
 
