@@ -6,6 +6,7 @@
 use super::SharedBackend;
 use crate::wire::ResyncEntry;
 use bytes::Bytes;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 
 /// Backend namespace for pages destaged on behalf of a failed peer. Bit 63
@@ -60,14 +61,25 @@ impl Hosted {
     /// partially applied frame. `Err` carries the new pages it had no room
     /// for.
     pub(super) fn admit(&mut self, entries: Vec<ResyncEntry>) -> Result<(), usize> {
-        let new_pages = entries
-            .iter()
-            .map(|(lpn, ..)| *lpn)
-            .filter(|lpn| !self.remote.contains_key(lpn))
-            .collect::<BTreeSet<u64>>()
-            .len();
+        // Counting every entry the map lacks bounds the new pages from
+        // above (an lpn repeated inside the frame counts once per copy), so
+        // a frame that fits under the bound fits; only one that does not
+        // is counted exactly.
+        let absent = |lpn: &&u64| !self.remote.contains_key(*lpn);
+        let mut new_pages = entries.iter().map(|(lpn, ..)| lpn).filter(absent).count();
         if self.remote.len() + new_pages > self.capacity {
-            return Err(new_pages);
+            let mut lpns: Vec<u64> = entries
+                .iter()
+                .map(|(lpn, ..)| lpn)
+                .filter(absent)
+                .copied()
+                .collect();
+            lpns.sort_unstable();
+            lpns.dedup();
+            new_pages = lpns.len();
+            if self.remote.len() + new_pages > self.capacity {
+                return Err(new_pages);
+            }
         }
         for (lpn, version, _crc, data) in entries {
             self.insert(lpn, version, data);
@@ -76,10 +88,16 @@ impl Hosted {
     }
 
     /// Version-guarded insert: a stale or reordered copy never replaces a
-    /// newer one.
+    /// newer one. One map probe.
     pub(super) fn insert(&mut self, lpn: u64, version: u64, data: Bytes) {
-        if self.remote.get(&lpn).is_none_or(|(v, _)| *v <= version) {
-            self.remote.insert(lpn, (version, data));
+        match self.remote.entry(lpn) {
+            Entry::Occupied(mut held) if held.get().0 <= version => {
+                held.insert((version, data));
+            }
+            Entry::Occupied(_) => {}
+            Entry::Vacant(slot) => {
+                slot.insert((version, data));
+            }
         }
     }
 
@@ -222,6 +240,15 @@ mod tests {
         assert_eq!(hosted.lpns(), vec![1, 2]);
         hosted.discard(1, 6);
         assert_eq!((hosted.lpns(), hosted.credits()), (vec![2], 1));
+        // A frame that carries one new lpn twice needs one credit, not two:
+        // it fits the last one, and the newer copy wins whatever the order.
+        hosted.admit(vec![entry(7, 9), entry(7, 8)]).unwrap();
+        assert_eq!((hosted.lookup(7).unwrap().0, hosted.credits()), (9, 0));
+        assert_eq!(
+            hosted.admit(vec![entry(8, 1), entry(8, 2), entry(9, 1)]),
+            Err(2)
+        );
+        assert_eq!(hosted.lpns(), vec![2, 7]);
     }
 
     #[test]

@@ -58,17 +58,16 @@ impl Node {
             }
         }
         Ok(self.under_inner(|inner| {
-            let mut imported = 0u64;
-            let mut flushed = Vec::new();
-            for (lpn, ver, crc, data) in entries {
+            for (_, ver, ..) in entries {
                 inner.observe_version(*ver);
-                let stale = {
-                    let mut backend = inner.backend.lock();
-                    backend.write_page(*lpn, *ver, data);
-                    // The guard kept a newer durable copy; don't shadow it
-                    // with an older buffered one.
-                    backend.version_of(*lpn).is_some_and(|bv| bv > *ver)
-                };
+            }
+            let mut fill = Vec::with_capacity(entries.len());
+            let mut backend = inner.backend.lock();
+            for (lpn, ver, crc, data) in entries {
+                backend.write_page(*lpn, *ver, data);
+                // The guard kept a newer durable copy; don't shadow it
+                // with an older buffered one.
+                let stale = backend.version_of(*lpn).is_some_and(|bv| bv > *ver);
                 if stale || inner.buffer.get(*lpn).is_some_and(|p| p.version > *ver) {
                     continue;
                 }
@@ -77,10 +76,11 @@ impl Node {
                     crc: *crc,
                     version: *ver,
                 };
-                let ev = inner.buffer.fill_pages(*lpn, [page]);
-                flushed.extend(inner.apply_eviction(&ev));
-                imported += 1;
+                fill.push((*lpn, page));
             }
+            drop(backend);
+            let imported = fill.len() as u64;
+            let flushed = inner.fill_runs(fill);
             inner.obs.migrated_in_pages.add(imported);
             inner.note("migrate_in", |e| e.u64_field("pages", imported));
             (imported, flushed)

@@ -237,66 +237,97 @@ impl Node {
         page.map(|bytes| bytes.to_vec())
     }
 
-    /// [`Node::try_read_run`]'s walk: a run of hits costs one `Inner` and
-    /// one client-row visit, not one per page. A miss drops
-    /// `Inner` for the backend fetch and the walk resumes behind it, so the
-    /// buffer sees the same accesses in the same order as page-at-a-time
-    /// reads.
+    /// [`Node::try_read_run`]'s walk: the run is **one** buffer access —
+    /// one popularity increment per block it touches (§III.B.2) — and one
+    /// `Inner` pass that takes every hit and counts the run. Each miss
+    /// segment is then fetched with `Inner` dropped ([`Node::fill_miss`]).
     fn read_run(&self, client: Option<u64>, lpn: u64, n: u32) -> Vec<Option<Bytes>> {
         let mut out = Vec::with_capacity(n as usize);
-        let mut hits = 0u64;
-        let mut inner = self.core.inner.lock();
-        for lpn in lpn..lpn + u64::from(n) {
-            inner.buffer.read(lpn, 1);
-            if let Some(page) = inner.buffer.get(lpn) {
-                hits += 1;
-                out.push(Some(page.bytes.clone()));
-            } else {
-                drop(inner);
-                out.push(self.fill_miss(lpn));
-                inner = self.core.inner.lock();
+        if n == 0 {
+            return out;
+        }
+        let mut misses = Vec::new();
+        {
+            let mut inner = self.core.inner.lock();
+            let mut hits = 0u64;
+            for seg in inner.buffer.read(lpn, n) {
+                let pages = seg.lpn..seg.lpn + u64::from(seg.pages);
+                if seg.hit {
+                    hits += u64::from(seg.pages);
+                    out.extend(pages.map(|l| inner.buffer.get(l).map(|p| p.bytes.clone())));
+                } else {
+                    misses.push((out.len(), pages.start, seg.pages));
+                    out.resize(out.len() + seg.pages as usize, None);
+                }
+            }
+            inner.obs.reads.add(u64::from(n));
+            inner.obs.read_hits.add(hits);
+            if let Some(c) = client {
+                let row = &mut inner.client(c).stats;
+                row.reads += u64::from(n);
+                row.read_hits += hits;
             }
         }
-        inner.obs.reads.add(u64::from(n));
-        inner.obs.read_hits.add(hits);
-        if let Some(c) = client {
-            let row = &mut inner.client(c).stats;
-            row.reads += u64::from(n);
-            row.read_hits += hits;
+        for (at, lpn, n) in misses {
+            for (slot, page) in out[at..].iter_mut().zip(self.fill_miss(lpn, n)) {
+                *slot = page;
+            }
         }
         out
     }
 
-    /// Fetch a page the buffer does not hold from the backend and cache it
-    /// clean. The fetch (the slow leaf) and the checksum run without
-    /// `Inner` held, so concurrent writers are not serialized behind them.
-    fn fill_miss(&self, lpn: u64) -> Option<Bytes> {
-        let (version, data) = self.core.backend.lock().read_page(lpn)?;
-        let bytes = Bytes::from(data);
-        let crc = crc32(&bytes);
-        Some(self.under_inner(|inner| {
-            inner.observe_version(version);
-            if let Some(newer) = inner.buffer.get(lpn) {
-                // A concurrent write landed while we were off the lock;
-                // its buffered copy supersedes the backend's.
-                return (newer.bytes.clone(), Vec::new());
+    /// Fetch a miss segment `lpn..lpn+n` from the backend under one guard
+    /// and cache what it found clean, one fill per stretch of consecutive
+    /// pages that pass both staleness checks below ([`Inner::fill_runs`]).
+    /// The fetch (the slow leaf) and the checksums run without `Inner`
+    /// held, so concurrent writers are not serialized behind them.
+    fn fill_miss(&self, lpn: u64, n: u32) -> Vec<Option<Bytes>> {
+        let fetched: Vec<Option<Resident>> = {
+            let be = self.core.backend.lock();
+            (lpn..lpn + u64::from(n))
+                .map(|l| {
+                    let (version, data) = be.read_page(l)?;
+                    let bytes = Bytes::from(data);
+                    let crc = crc32(&bytes);
+                    Some(Resident {
+                        bytes,
+                        crc,
+                        version,
+                    })
+                })
+                .collect()
+        };
+        self.under_inner(|inner| {
+            for page in fetched.iter().flatten() {
+                inner.observe_version(page.version);
             }
-            if inner.backend.lock().version_of(lpn) != Some(version) {
+            let mut out = Vec::with_capacity(fetched.len());
+            let mut fill = Vec::with_capacity(fetched.len());
+            let backend = inner.backend.lock();
+            for (lpn, page) in (lpn..).zip(fetched) {
+                let Some(page) = page else {
+                    out.push(None);
+                    continue;
+                };
+                if let Some(newer) = inner.buffer.get(lpn) {
+                    // A concurrent write landed while we were off the lock;
+                    // its buffered copy supersedes the backend's.
+                    out.push(Some(newer.bytes.clone()));
+                    continue;
+                }
+                out.push(Some(page.bytes.clone()));
                 // A concurrent write was buffered, evicted and flushed, or
                 // a delete trimmed the page, while we were off the lock:
                 // the copy we read is no longer the page, so it stays
                 // uncached (this read overlapped that change and may still
                 // return it).
-                return (bytes, Vec::new());
+                if backend.version_of(lpn) == Some(page.version) {
+                    fill.push((lpn, page));
+                }
             }
-            let fill = Resident {
-                bytes: bytes.clone(),
-                crc,
-                version,
-            };
-            let ev = inner.buffer.fill_pages(lpn, [fill]);
-            (bytes, inner.apply_eviction(&ev))
-        }))
+            drop(backend);
+            (out, inner.fill_runs(fill))
+        })
     }
 
     // -- crash-fault injection and the fallible front-end API ---------------

@@ -180,6 +180,23 @@ impl Inner {
         flushed
     }
 
+    /// Cache `pages` clean — `(lpn, record)` in the caller's order — with
+    /// one buffer fill per stretch of consecutive lpns, flushing what each
+    /// fill evicts; returns the flushed `(lpn, version)` pairs.
+    pub(super) fn fill_runs(&mut self, mut pages: Vec<(u64, Resident)>) -> Vec<(u64, u64)> {
+        let mut flushed = Vec::new();
+        while let Some(&(start, _)) = pages.first() {
+            let len = (1..pages.len())
+                .find(|&i| pages[i].0 != start + i as u64)
+                .unwrap_or(pages.len());
+            let ev = self
+                .buffer
+                .fill_pages(start, pages.drain(..len).map(|(_, page)| page));
+            flushed.extend(self.apply_eviction(&ev));
+        }
+        flushed
+    }
+
     /// `client`'s row, created by its first request and stamped by every
     /// one. The table is bounded: at [`MAX_CLIENTS`] rows a new client
     /// displaces the one heard from longest ago — its counters and its

@@ -94,7 +94,7 @@ impl Node {
     /// [`NodeStats::writes_balance`] and never shows a write that is
     /// counted but not yet durable.
     pub fn write(&self, lpn: u64, data: &[u8]) -> WriteOutcome {
-        let out = self.write_group(None, vec![(lpn, vec![Bytes::copy_from_slice(data)])])[0];
+        let out = self.write_group(None, &[(lpn, &[Bytes::copy_from_slice(data)])])[0];
         if out.all_replicated() {
             WriteOutcome::Replicated
         } else {
@@ -117,7 +117,7 @@ impl Node {
             .iter()
             .map(|p| Bytes::copy_from_slice(p.as_ref()))
             .collect();
-        self.write_group(Some(client), vec![(lpn, bytes)])[0]
+        self.write_group(Some(client), &[(lpn, &bytes)])[0]
     }
 
     /// Exactly-once batched write: like [`Node::write_run`], but stamped
@@ -183,11 +183,8 @@ impl Node {
         if fresh.is_empty() {
             return Ok(out);
         }
-        let group = fresh
-            .iter()
-            .map(|&i| (runs[i].1, runs[i].2.to_vec()))
-            .collect();
-        let applied = self.write_group(Some(client), group);
+        let group: Vec<(u64, &[Bytes])> = fresh.iter().map(|&i| (runs[i].1, runs[i].2)).collect();
+        let applied = self.write_group(Some(client), &group);
         self.live()?;
         let mut inner = self.core.inner.lock();
         let cap = inner.cfg.dedup_window;
@@ -200,18 +197,23 @@ impl Node {
     }
 
     /// Pipeline front half for a run of consecutive pages (`lpn..lpn+n`):
-    /// stamp versions and land the pages in the local buffer, appending the
-    /// ones bound for the peer to `pipe_pages` (the caller submits a whole
-    /// group's at once, with no lock held) — or resolve individual pages on
-    /// the spot for the degraded / no-credit / self-evicted paths. Pays one
-    /// backend lock and one `Inner` lock per run rather than per page.
-    /// Returns the pages written through on the spot (already counted) and
-    /// the pipelined pages; page `i` of those resolves on `ticket`'s slot
+    /// stamp versions and land the run in the local buffer with **one**
+    /// buffer call, so its block earns one access however many pages it
+    /// carries (§III.B.2: "sequentially accessing multiple pages of the
+    /// block is treated as one block access"). Under the same guard the
+    /// run's pages are then sorted: a prefix bound for the peer is appended
+    /// to `pipe_pages` (the caller submits a whole group's at once, with no
+    /// lock held), and the rest are written through on the spot — the
+    /// whole run while degraded or when its own insertion evicted any of
+    /// it, else the pages past the peer's hosting credits. Pays one backend
+    /// lock, one `Inner` lock and one buffer access per run, not per page.
+    /// Returns the pages written through (already counted) and the
+    /// pipelined pages; page `i` of those resolves on `ticket`'s slot
     /// `base + i`, `base` being `pipe_pages.len()` on entry.
     fn enqueue_pages(
         &self,
         lpn: u64,
-        pages: Vec<Bytes>,
+        pages: &[Bytes],
         ticket: &Arc<RunTicket>,
         pipe_pages: &mut Vec<PipePage>,
     ) -> (u64, Vec<Pipelined>) {
@@ -232,69 +234,84 @@ impl Node {
                 .map(|i| be.version_of(lpn + i))
                 .collect()
         };
-        // One `Inner` acquisition for the whole run: stamping, buffer
-        // inserts, and credit debits are memory-only work, so a 32-page run
-        // costs one lock round trip instead of 32.
         self.under_inner(|inner| {
-            let mut through = 0u64;
-            let mut pipelined: Vec<Pipelined> = Vec::with_capacity(pages.len());
-            let mut all_flushed = Vec::new();
-            for (i, bytes) in pages.into_iter().enumerate() {
-                let lpn = lpn + i as u64;
-                if let Some(bv) = backend_vers[i] {
-                    inner.observe_version(bv);
-                }
-                let version = inner.next_version;
-                inner.next_version += 1;
-                let record = Resident {
+            let n = pages.len();
+            let versions: Vec<u64> = backend_vers
+                .iter()
+                .map(|bv| {
+                    if let Some(bv) = *bv {
+                        inner.observe_version(bv);
+                    }
+                    let version = inner.next_version;
+                    inner.next_version += 1;
+                    version
+                })
+                .collect();
+            let records =
+                pages
+                    .iter()
+                    .zip(&crcs)
+                    .zip(&versions)
+                    .map(|((bytes, &crc), &version)| Resident {
+                        bytes: bytes.clone(),
+                        crc,
+                        version,
+                    });
+            let ev = inner.buffer.write_pages(lpn, records);
+            let flushed = inner.apply_eviction(&ev);
+            let end = lpn + n as u64;
+            let degraded = inner.lifecycle.state().is_degraded();
+            // The run's pages that go to the peer are a prefix, `..k`.
+            let (k, reason) = if degraded {
+                // Solo or resyncing: write through, journal for catch-up.
+                (0, "degraded")
+            } else if flushed.iter().any(|&(l, _)| (lpn..end).contains(&l)) {
+                // Part of the run was evicted (and flushed) synchronously
+                // by its own insertion: replicating the run would only
+                // leave stale orphans at the peer.
+                (0, "self_evicted")
+            } else if let Some(c) = &mut inner.credits {
+                // Debited at enqueue; every ack re-advertises the peer's
+                // true remaining pool. Past it, the peer's remote buffer is
+                // full: keep durability local instead of stalling on a NACK
+                // round trip.
+                let k = n.min(*c as usize);
+                *c -= k as u32;
+                (k, NO_CREDITS)
+            } else {
+                (n, NO_CREDITS)
+            };
+            let mut pipelined: Vec<Pipelined> = Vec::with_capacity(k);
+            for (i, bytes) in pages[..k].iter().enumerate() {
+                let page = Pipelined {
+                    lpn: lpn + i as u64,
+                    version: versions[i],
                     bytes: bytes.clone(),
-                    crc: crcs[i],
-                    version,
                 };
-
-                let degraded = inner.lifecycle.state().is_degraded();
-                if degraded || inner.credits == Some(0) {
-                    // Solo or resyncing: write through, journal for catch-up.
-                    // Or the peer's remote buffer is full: keep durability
-                    // local instead of stalling on a NACK round trip.
-                    inner.backend.lock().write_page(lpn, version, &bytes);
-                    let ev = inner.buffer.fill_pages(lpn, [record]);
-                    all_flushed.extend(inner.apply_eviction(&ev));
+                *inner.inflight.entry(page.lpn).or_insert(0) += 1;
+                pipe_pages.push(page.pipe_page(crcs[i], ticket, pipe_pages.len()));
+                pipelined.push(page);
+            }
+            if k < n {
+                let mut backend = inner.backend.lock();
+                for i in k..n {
+                    let l = lpn + i as u64;
+                    // A page the eviction took or wrote back is durable
+                    // already; the rest become durable here, and clean.
+                    if inner.buffer.lookup(l) == Some(true) {
+                        backend.write_page(l, versions[i], &pages[i]);
+                        inner.buffer.mark_clean(l);
+                    }
+                }
+                drop(backend);
+                for i in k..n {
                     if degraded {
-                        inner.journal_record(lpn, version, bytes);
+                        inner.journal_record(lpn + i as u64, versions[i], pages[i].clone());
                     }
-                    self.count_write_through(lpn, if degraded { "degraded" } else { NO_CREDITS });
-                    through += 1;
-                } else {
-                    let ev = inner.buffer.write_pages(lpn, [record]);
-                    let flushed = inner.apply_eviction(&ev);
-                    let self_evicted = flushed.iter().any(|&(l, _)| l == lpn);
-                    all_flushed.extend(flushed);
-                    if self_evicted {
-                        // The new page was evicted (and flushed) synchronously
-                        // by its own insertion — it is already durable on the
-                        // backend, so replicating it would only leave a stale
-                        // orphan at the peer.
-                        self.count_write_through(lpn, "self_evicted");
-                        through += 1;
-                    } else {
-                        if let Some(c) = &mut inner.credits {
-                            // Debited at enqueue; every ack re-advertises the
-                            // peer's true remaining pool.
-                            *c = c.saturating_sub(1);
-                        }
-                        *inner.inflight.entry(lpn).or_insert(0) += 1;
-                        let page = Pipelined {
-                            lpn,
-                            version,
-                            bytes,
-                        };
-                        pipe_pages.push(page.pipe_page(crcs[i], ticket, pipe_pages.len()));
-                        pipelined.push(page);
-                    }
+                    self.count_write_through(lpn + i as u64, reason);
                 }
             }
-            ((through, pipelined), all_flushed)
+            (((n - k) as u64, pipelined), flushed)
         })
     }
 
@@ -305,13 +322,13 @@ impl Node {
     /// as one 32-page frame and come back as one ack), the writer waits on
     /// one ticket, and each run commits by itself. One outcome per run, in
     /// order.
-    fn write_group(&self, client: Option<u64>, runs: Vec<(u64, Vec<Bytes>)>) -> Vec<RunOutcome> {
+    fn write_group(&self, client: Option<u64>, runs: &[(u64, &[Bytes])]) -> Vec<RunOutcome> {
         let total = runs.iter().map(|(_, pages)| pages.len()).sum();
         let ticket = RunTicket::new(total);
         let mut pipe_pages: Vec<PipePage> = Vec::with_capacity(total);
         let enqueued: Vec<_> = runs
-            .into_iter()
-            .map(|(lpn, pages)| {
+            .iter()
+            .map(|&(lpn, pages)| {
                 let base = pipe_pages.len();
                 let (through, pipelined) = self.enqueue_pages(lpn, pages, &ticket, &mut pipe_pages);
                 (through, base, pipelined)
@@ -548,6 +565,101 @@ mod tests {
         assert_eq!(peer_credits(&a), Some(0));
         // Backpressure is not a failure: the pair stays joined.
         assert_eq!(a.lifecycle_state(), PairState::Paired);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    /// A pair of `cfg`s, with `cfg_b` for node B; A's backend comes back.
+    fn pair_of(cfg_a: NodeConfig, cfg_b: NodeConfig) -> (Node, Node, SharedBackend) {
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let a = Node::spawn(cfg_a, ta, ba.clone());
+        let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+        (a, b, ba)
+    }
+
+    fn pages(n: u8) -> Vec<Bytes> {
+        (0..n).map(|i| Bytes::from(vec![i; 8])).collect()
+    }
+
+    #[test]
+    fn a_run_is_one_block_access_so_lar_evicts_it_before_a_twice_written_block() {
+        // 32-page blocks and a 34-page buffer: block A (0..32) gets one
+        // 32-page run, popularity 1; block B (32..64) two 1-page writes,
+        // popularity 2. That fills the buffer exactly.
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.pages_per_block = 32;
+        cfg.buffer_pages = 34;
+        let (a, b, ba) = pair_of(cfg.clone(), NodeConfig { id: 1, ..cfg });
+        assert!(a
+            .try_write_run(1, 1, 0, &pages(32))
+            .unwrap()
+            .all_replicated());
+        assert_eq!(a.write(32, b"b0"), WriteOutcome::Replicated);
+        assert_eq!(a.write(33, b"b1"), WriteOutcome::Replicated);
+        assert_eq!(ba.lock().pages(), 0);
+        // A third page of B evicts: LAR's victim is A, the least popular
+        // block, whole; B stays buffered, and the new page replicates.
+        assert_eq!(a.write(34, b"b2"), WriteOutcome::Replicated);
+        let durable: Vec<u64> = (0..64)
+            .filter(|&l| ba.lock().read_page(l).is_some())
+            .collect();
+        assert_eq!(durable, (0..32).collect::<Vec<u64>>());
+        let s = a.stats();
+        assert_eq!((s.flushed_pages, s.write_through), (32, 0));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_run_its_own_insertion_evicts_is_written_through_whole() {
+        // 4-page blocks and a 4-page buffer. Block 0 holds pages 0 and 1,
+        // each written twice: popularity 4.
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.buffer_pages = 4;
+        let (a, b, ba) = pair_of(cfg, NodeConfig::test_profile(1));
+        for _ in 0..2 {
+            a.write(0, b"p0");
+            a.write(1, b"p1");
+        }
+        // A 4-page run over blocks 1 (6, 7) and 2 (8, 9), popularity 1
+        // each: its insertion evicts block 1, half the run.
+        let run = pages(4);
+        let out = a.write_run(1, 6, &run);
+        assert_eq!((out.replicated, out.write_through), (0, 4));
+        // None of the run went to the peer; all of it is durable here, and
+        // what stayed buffered is clean.
+        assert_eq!(b.hosted_remote_pages(), vec![0, 1]);
+        for (lpn, page) in (6..10u64).zip(&run) {
+            assert_eq!(ba.lock().read_page(lpn).unwrap().1, page.to_vec());
+        }
+        assert_eq!(a.try_flush_dirty(), Ok(2), "only pages 0 and 1 are dirty");
+        let s = a.stats();
+        assert!(s.writes_balance());
+        assert_eq!((s.replicated_pages, s.write_through), (4, 4));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn a_run_out_of_credits_part_way_replicates_its_head_and_writes_the_rest_through() {
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.remote_capacity = 3;
+        let (a, b, ba) = pair_of(NodeConfig::test_profile(0), cfg_b);
+        assert!(wait_until(
+            || peer_credits(&a) == Some(3),
+            Duration::from_secs(2)
+        ));
+        let out = a.write_run(1, 0, &pages(8));
+        assert_eq!((out.replicated, out.write_through), (3, 5));
+        assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2]);
+        assert_eq!(b.stats().repl.credit_rejections, 0, "no frame was refused");
+        for lpn in 0..8u64 {
+            assert_eq!(ba.lock().read_page(lpn).is_some(), lpn >= 3, "lpn {lpn}");
+        }
+        let s = a.stats();
+        assert!(s.writes_balance());
+        assert_eq!(s.repl.credit_stalls, 5);
         a.shutdown();
         b.shutdown();
     }

@@ -16,10 +16,9 @@
 //! run that crossed one would tie two blocks' fates together.
 
 use bytes::Bytes;
-use std::collections::BTreeMap;
 
 /// One contiguous, block-confined run of pages ready for
-/// [`fc_cluster::Node::write_run`].
+/// [`fc_cluster::Node::try_write_runs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteRun {
     /// First logical page of the run.
@@ -62,30 +61,31 @@ pub fn coalesce(writes: Vec<(u64, Bytes)>, pages_per_block: u32) -> Vec<WriteRun
 /// together pages owned by different pairs, and submitting such a run to
 /// one node would write another shard's pages to the wrong pair.
 pub fn coalesce_sharded(
-    writes: Vec<(u64, Bytes)>,
+    mut writes: Vec<(u64, Bytes)>,
     pages_per_block: u32,
     shard_of: impl Fn(u64) -> u16,
 ) -> Vec<(u16, WriteRun)> {
     let ppb = u64::from(pages_per_block.max(1));
-    // BTreeMap gives both last-writer-wins (insert replaces) and sorted
-    // iteration for run detection.
-    let mut newest: BTreeMap<u64, Bytes> = BTreeMap::new();
-    for (lpn, data) in writes {
-        newest.insert(lpn, data);
-    }
+    // A stable sort keeps one lpn's writes in arrival order, so the last of
+    // them is the newest (last-writer-wins); an already sorted window — one
+    // request, or several in address order — costs one pass.
+    writes.sort_by_key(|&(lpn, _)| lpn);
     let mut runs: Vec<(u16, WriteRun)> = Vec::new();
-    for (lpn, data) in newest {
-        let shard = shard_of(lpn);
+    for (lpn, data) in writes {
         match runs.last_mut() {
+            // A rewrite of the page just placed: the newer payload wins.
+            Some((_, run)) if lpn + 1 == run.lpn + run.len() as u64 => {
+                *run.pages.last_mut().expect("a run is never empty") = data;
+            }
             Some((s, run))
-                if *s == shard
-                    && lpn == run.lpn + run.pages.len() as u64
-                    && lpn / ppb == run.lpn / ppb =>
+                if lpn == run.lpn + run.len() as u64
+                    && lpn / ppb == run.lpn / ppb
+                    && *s == shard_of(lpn) =>
             {
                 run.pages.push(data);
             }
             _ => runs.push((
-                shard,
+                shard_of(lpn),
                 WriteRun {
                     lpn,
                     pages: vec![data],
@@ -94,6 +94,37 @@ pub fn coalesce_sharded(
         }
     }
     runs
+}
+
+/// One admitted write of a batch window: its request id and the span
+/// `lpn..lpn + pages` it wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WriteSpan {
+    pub(crate) id: u64,
+    pub(crate) lpn: u64,
+    pub(crate) pages: u64,
+}
+
+/// Where a coalesced run came from, given its window's spans in receive
+/// order: the id of the last span covering the run's first page — the
+/// write whose payload that page carries, as coalescing keeps the last
+/// writer — and how many of the spans' pages fell inside the run before
+/// coalescing. One pass over the spans; no per-page state.
+pub(crate) fn run_origin(spans: &[WriteSpan], run: &WriteRun) -> (u64, u64) {
+    let (start, end) = (run.lpn, run.lpn + run.len() as u64);
+    let mut id = None;
+    let mut pages = 0;
+    for s in spans {
+        let s_end = s.lpn + s.pages;
+        pages += s_end.min(end).saturating_sub(s.lpn.max(start));
+        if (s.lpn..s_end).contains(&start) {
+            id = Some(s.id);
+        }
+    }
+    (
+        id.expect("a run's pages come from its window's spans"),
+        pages,
+    )
 }
 
 #[cfg(test)]
@@ -239,5 +270,80 @@ mod tests {
         assert_eq!(in_pages - out_pages, 1, "one overwrite merged away");
         // The surviving page 0 carries the newest payload.
         assert_eq!(runs[0].pages[0], b("z"));
+    }
+
+    /// The last-writer-wins reference the sort-based coalescer replaced:
+    /// a `BTreeMap` insert per page, runs cut from its sorted iteration.
+    fn reference(
+        writes: &[(u64, Bytes)],
+        ppb: u64,
+        shard_of: impl Fn(u64) -> u16,
+    ) -> Vec<(u16, WriteRun)> {
+        let newest: std::collections::BTreeMap<u64, Bytes> = writes.iter().cloned().collect();
+        let mut runs: Vec<(u16, WriteRun)> = Vec::new();
+        for (lpn, data) in newest {
+            let shard = shard_of(lpn);
+            match runs.last_mut() {
+                Some((s, run))
+                    if *s == shard
+                        && lpn == run.lpn + run.len() as u64
+                        && lpn / ppb == run.lpn / ppb =>
+                {
+                    run.pages.push(data)
+                }
+                _ => runs.push((
+                    shard,
+                    WriteRun {
+                        lpn,
+                        pages: vec![data],
+                    },
+                )),
+            }
+        }
+        runs
+    }
+
+    mod window_prop {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// A random batch window — requests of 1..6 pages over a small
+            /// lpn range, so spans repeat and overlap — under a router that
+            /// alternates shards every 2 pages inside 8-page blocks: the
+            /// sort-based coalescer equals the `BTreeMap` reference, and each
+            /// run's tag and pre-coalesce page count, derived from the spans,
+            /// equal the per-page-map derivation they replaced.
+            #[test]
+            fn coalesce_and_span_origins_match_the_per_page_maps(
+                reqs in proptest::collection::vec((0u64..40, 1u64..6), 1..34),
+            ) {
+                let shard_of = |lpn: u64| ((lpn / 2) % 2) as u16;
+                let mut flat = Vec::new();
+                let mut spans = Vec::new();
+                let mut ids: HashMap<u64, u64> = HashMap::new();
+                for (i, &(lpn, pages)) in reqs.iter().enumerate() {
+                    let id = 100 + i as u64;
+                    spans.push(WriteSpan { id, lpn, pages });
+                    for page in lpn..lpn + pages {
+                        flat.push((page, Bytes::from(format!("{id}:{page}").into_bytes())));
+                        ids.insert(page, id);
+                    }
+                }
+                let in_lpns: Vec<u64> = flat.iter().map(|(lpn, _)| *lpn).collect();
+                let want = reference(&flat, 8, shard_of);
+                let runs = coalesce_sharded(flat, 8, shard_of);
+                prop_assert_eq!(&runs, &want);
+                let mut in_count = vec![0u64; runs.len()];
+                for lpn in &in_lpns {
+                    in_count[runs.partition_point(|(_, r)| r.lpn <= *lpn) - 1] += 1;
+                }
+                for (i, (_, run)) in runs.iter().enumerate() {
+                    prop_assert_eq!(run_origin(&spans, run), (ids[&run.lpn], in_count[i]));
+                }
+            }
+        }
     }
 }

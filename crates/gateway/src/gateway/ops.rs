@@ -2,13 +2,11 @@
 //! submission — each under the route-table read guard for its whole
 //! fan-out, every shard call through [`Gateway::with_shard`].
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use super::failover::Unavail;
 use super::Gateway;
-use crate::batch::coalesce_sharded;
+use crate::batch::{coalesce_sharded, run_origin, WriteSpan};
 
 impl Gateway {
     /// Read `[lpn, lpn+pages)` through the router. Returns the page
@@ -86,8 +84,9 @@ impl Gateway {
     /// per shard touched, lpn order kept inside the group, so a request
     /// straddling a block boundary pays one replication round trip.
     ///
-    /// `ids` maps each page's lpn to the request id that (last) wrote it;
-    /// runs are stamped with a tag derived from it, so a client resending
+    /// `spans` are the window's admitted writes, one `(id, lpn, pages)`
+    /// each in receive order; each run is stamped with a tag derived from
+    /// the id of the last one covering it, so a client resending
     /// the same write request after an ambiguous failure — or `with_shard`
     /// retrying a group on the surviving replica — hits the node's dedup
     /// window run by run instead of double-applying. `Ok` says whether
@@ -101,25 +100,11 @@ impl Gateway {
         &self,
         client: u64,
         flat: Vec<(u64, Bytes)>,
-        ids: &HashMap<u64, u64>,
+        spans: &[WriteSpan],
     ) -> Result<bool, Unavail> {
         let mut all_replicated = true;
         let rt = self.routes.read();
-        // Remember each incoming page's lpn so its pre-coalesce
-        // count can be attributed to the run (and shard) that
-        // absorbed it — page counters only move for runs that
-        // actually submit, keeping the counter-sum identity exact
-        // even when a batch aborts midway.
-        let in_lpns: Vec<u64> = flat.iter().map(|(lpn, _)| *lpn).collect();
         let tagged = coalesce_sharded(flat, self.cfg.pages_per_block, |lpn| rt.owner_of_lpn(lpn));
-        // Runs come out in ascending lpn order; bucket each input
-        // page into the run covering its lpn.
-        let mut in_count = vec![0u64; tagged.len()];
-        for lpn in &in_lpns {
-            let idx = tagged.partition_point(|(_, r)| r.lpn <= *lpn) - 1;
-            debug_assert!(*lpn < tagged[idx].1.lpn + tagged[idx].1.len() as u64);
-            in_count[idx] += 1;
-        }
         // One group of run indices per shard touched, shards in order of
         // first appearance.
         let mut groups: Vec<(u16, Vec<usize>)> = Vec::new();
@@ -131,21 +116,25 @@ impl Gateway {
         }
         for (shard, group) in groups {
             let sb = rt.shard(shard);
-            let runs: Vec<(u64, u64, &[Bytes])> = group
+            // Each run's tag, and the pages the window's writes put inside
+            // it before coalescing — counted only once the run submits,
+            // keeping the counter-sum identity exact even when a batch
+            // aborts midway.
+            let (runs, in_pages): (Vec<_>, Vec<u64>) = group
                 .iter()
                 .map(|&i| {
                     let run = &tagged[i].1;
+                    let (id, in_n) = run_origin(spans, run);
                     // Stable across resends of the same request; mixed so
                     // ids from different clients' id spaces don't collide
                     // within one window.
-                    let tag = ids[&run.lpn].wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
-                    (tag, run.lpn, run.pages.as_slice())
+                    let tag = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ run.lpn;
+                    ((tag, run.lpn, run.pages.as_slice()), in_n)
                 })
-                .collect();
+                .unzip();
             let outcomes = self.with_shard(shard, sb, |node| node.try_write_runs(client, &runs))?;
-            for (&i, outcome) in group.iter().zip(outcomes) {
+            for ((&i, outcome), in_n) in group.iter().zip(outcomes).zip(in_pages) {
                 let out_n = tagged[i].1.len() as u64;
-                let in_n = in_count[i];
                 sb.ins.runs.inc();
                 sb.ins.write_pages.add(in_n);
                 sb.ins.coalesced_pages.add(in_n - out_n);

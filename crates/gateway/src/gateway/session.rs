@@ -1,7 +1,6 @@
 //! One client session: handshake, the gate every request passes
 //! (validation + admission), the batch window, in-order replies.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,6 +12,7 @@ use fc_obs::Counter;
 use super::failover::Unavail;
 use super::Gateway;
 use crate::admission::{Permit, ShedReason};
+use crate::batch::WriteSpan;
 use crate::conn::{LinkClosed, SessionLink};
 use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
 
@@ -287,7 +287,7 @@ impl Session<'_> {
             }
         }
 
-        let submitted = gw.submit_writes(self.client, window.flat, &window.ids);
+        let submitted = gw.submit_writes(self.client, window.flat, &window.spans);
 
         if window.admitted > 0 {
             ins.writes.add(window.admitted as u64);
@@ -322,9 +322,10 @@ struct WriteWindow {
     /// one's `(id, pages, permit)`, or the refusal the [`gate`] gave it.
     batch: Vec<Result<(u64, u32, Permit), Reply>>,
     flat: Vec<(u64, Bytes)>,
-    /// lpn → id of the (last) request that wrote it, mirroring coalesce's
-    /// last-writer-wins — the source of the per-run dedup tags.
-    ids: HashMap<u64, u64>,
+    /// One span per admitted write, in receive order — the source of each
+    /// run's dedup tag and pre-coalesce page count
+    /// ([`crate::batch::run_origin`]).
+    spans: Vec<WriteSpan>,
     admitted: usize,
 }
 
@@ -334,10 +335,12 @@ impl WriteWindow {
         let verdict = gate(gw, client, id, valid_span(gw, lpn, pages.len() as u64));
         let n = pages.len() as u32; // <= max_req_pages once the gate passed it
         if verdict.is_ok() {
-            for (page, data) in (lpn..).zip(pages) {
-                self.flat.push((page, data));
-                self.ids.insert(page, id);
-            }
+            self.spans.push(WriteSpan {
+                id,
+                lpn,
+                pages: u64::from(n),
+            });
+            self.flat.extend((lpn..).zip(pages));
             self.admitted += 1;
         }
         self.batch.push(verdict.map(|permit| (id, n, permit)));

@@ -8,7 +8,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use fc_cluster::{mem_pair, shared_backend, MemBackend, Node, NodeConfig, PEER_NS};
-use fc_gateway::{AdmissionConfig, ClientError, ErrorCode, Gateway, GatewayConfig, Reply, Request};
+use fc_gateway::{
+    AdmissionConfig, ClientError, ErrorCode, Gateway, GatewayConfig, Reply, Request, ShardStatsSum,
+};
 
 fn pair() -> (Arc<Node>, Arc<Node>) {
     let (ta, tb) = mem_pair();
@@ -24,6 +26,15 @@ fn pair() -> (Arc<Node>, Arc<Node>) {
 
 fn page(tag: u8) -> Bytes {
     Bytes::from(vec![tag; 64])
+}
+
+/// Shut `gw` down once the counter-sum identity holds on its final stats.
+fn shutdown(gw: Arc<Gateway>) {
+    let (stats, shards) = gw.stats_with_shards();
+    if let Err((name, sum, total)) = ShardStatsSum::of(&shards).matches(&stats) {
+        panic!("{name}: shards sum to {sum}, gateway counts {total}");
+    }
+    gw.shutdown();
 }
 
 #[test]
@@ -50,7 +61,7 @@ fn hello_rejects_wrong_version() {
             code: ErrorCode::BadVersion
         }
     );
-    gw.shutdown();
+    shutdown(gw);
 }
 
 #[test]
@@ -84,7 +95,7 @@ fn io_before_hello_is_bad_request() {
         .unwrap()
         .unwrap();
     assert!(matches!(reply, Reply::HelloOk { .. }));
-    gw.shutdown();
+    shutdown(gw);
 }
 
 #[test]
@@ -137,7 +148,7 @@ fn zero_page_and_oversized_requests_are_refused() {
     assert_eq!(gw.stats().bad_requests, 4 + 9);
     // Valid traffic still flows on the same session.
     assert_eq!(c.write(0, vec![page(1)]).unwrap().pages, 1);
-    gw.shutdown();
+    shutdown(gw);
 }
 
 #[test]
@@ -195,7 +206,53 @@ fn pipelined_writes_are_batched_and_coalesced() {
         stats.runs, 2,
         "pages 0-1 form one run, page 100 another (block-aligned)"
     );
-    gw.shutdown();
+    shutdown(gw);
+}
+
+#[test]
+fn overlapping_pipelined_writes_count_every_page_in_the_run_that_absorbed_it() {
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
+    let (client_half, server_half) = fc_gateway::mem_session();
+    client_half
+        .send(Request::Hello {
+            version: fc_gateway::PROTO_VERSION,
+            client: 1,
+        })
+        .unwrap();
+    // Three pipelined writes over 4-page blocks: 0..3, then 2..6 over it,
+    // then page 1 again — 8 pages in, pages 0..6 out, as the runs 0..4
+    // (6 pages in) and 4..6 (2 pages in).
+    let writes: [(u64, u64, &[u8]); 3] = [
+        (1, 0, &[0xA0, 0xA1, 0xA2]),
+        (2, 2, &[0xB2, 0xB3, 0xB4, 0xB5]),
+        (3, 1, &[0xC1]),
+    ];
+    for (id, lpn, tags) in writes {
+        let pages = tags.iter().map(|&t| page(t)).collect();
+        client_half.send(Request::Write { id, lpn, pages }).unwrap();
+    }
+    gw.serve(server_half);
+    for id in 0..=3 {
+        let reply = client_half
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        assert_eq!(reply.id(), id, "replies arrive in issue order");
+    }
+    let node = &gw.shard_nodes()[0];
+    for (lpn, tag) in (0..6u64).zip([0xA0, 0xC1, 0xB2, 0xB3, 0xB4, 0xB5]) {
+        assert_eq!(node.read(lpn).unwrap()[0], tag, "lpn {lpn}");
+    }
+    let stats = gw.stats();
+    assert_eq!((stats.writes, stats.batches), (3, 1));
+    assert_eq!(
+        (stats.write_pages, stats.coalesced_pages, stats.runs),
+        (8, 2, 2)
+    );
+    let row = node.client_stats()[0].1;
+    assert_eq!((row.writes, row.pages_written), (2, 6));
+    shutdown(gw);
 }
 
 #[test]
@@ -239,7 +296,7 @@ fn rate_limited_client_gets_busy_and_recovers_nothing_else_lost() {
         }
     }
     assert_eq!(present, acked);
-    gw.shutdown();
+    shutdown(gw);
 }
 
 #[test]
@@ -260,7 +317,7 @@ fn trim_and_flush_round_trip() {
     let stats = gw.stats();
     assert_eq!(stats.trims, 1);
     assert_eq!(stats.flushes, 1);
-    gw.shutdown();
+    shutdown(gw);
 }
 
 #[test]
@@ -285,7 +342,7 @@ fn per_client_node_stats_attribute_gateway_traffic() {
     let r2 = row(202);
     assert_eq!(r2.pages_written, 1);
     assert_eq!(r2.reads, 0);
-    gw.shutdown();
+    shutdown(gw);
 }
 
 #[test]
@@ -320,5 +377,5 @@ fn dead_pair_answers_unavailable_within_the_retry_deadline() {
         "the primary's first NodeDown flips once"
     );
     assert_eq!(gw.shard_stats().len(), 1, "one pair is one shard row");
-    gw.shutdown();
+    shutdown(gw);
 }

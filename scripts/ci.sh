@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt (check only)"
 cargo fmt --all -- --check
 
-echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table"
+echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table, one buffer call per run"
 # DESIGN §16: code that runs under the node's `Inner` lock never sends, the
 # pipe never takes `Inner`, and only hosted.rs knows where pages hosted for
 # the peer live. Checked on code only — comment lines and each file's test
@@ -68,12 +68,22 @@ if for f in $(find crates/cluster/src -name '*.rs'); do code "$f" | sed "s|^|$f:
   echo "crates/cluster/src: a buffered page's record lives in the buffer (BufferManager<Resident>), not in a second table" >&2
   exit 1
 fi
+# §III.B.2: one request is one block access. The node hands the buffer a
+# whole run per call — a write's records, a read's span, a miss segment's
+# or an import's fills — never one single-record call per page.
+for f in write mod migrate; do
+  if code "crates/cluster/src/node/$f.rs" \
+    | grep -nE '(write|fill)_pages\([^)]*, *\[|buffer\.read\([^)]*, *1\)'; then
+    echo "node/$f.rs: call the buffer once per run (write_pages / fill_pages / read over the run), not once per page" >&2
+    exit 1
+  fi
+done
 if code crates/core/src/policy/mod.rs | grep -nE '\bremoved[[:space:]]*:'; then
   echo "policy/mod.rs: Eviction hands back the flushed pages' records; it has no removed list" >&2
   exit 1
 fi
 
-echo "==> gateway layout guard: two locks, each behind one module; one membership entry"
+echo "==> gateway layout guard: two locks, each behind one module; one membership entry; no per-page maps in the batch window"
 # DESIGN §12: route table -> shard health is the gateway's whole lock order.
 # Only failover.rs touches a shard's health lock or names the replica;
 # only mod.rs's attach_shard and rebalance take the route table's write
@@ -121,6 +131,17 @@ if grep -n 'fc-rebalance' Cargo.toml; then
 fi
 if code "$gw/route.rs" | sed -n '/^pub(crate) struct RouteTable {/,/^}/p' | grep -nE '^[[:space:]]+pub'; then
   echo "gateway/route.rs: RouteTable's fields stay private" >&2
+  exit 1
+fi
+# A batch window costs O(runs) in map operations: the coalescer sorts
+# (no BTreeMap), and a session keeps one span per write, not an lpn-keyed
+# id map.
+if code crates/gateway/src/batch.rs | grep -n 'BTreeMap'; then
+  echo "gateway/batch.rs: coalesce with a stable sort by lpn, not a BTreeMap" >&2
+  exit 1
+fi
+if code "$gw/session.rs" | grep -nE 'HashMap|BTreeMap'; then
+  echo "gateway/session.rs: a batch window keeps one (id, lpn, pages) span per write, not an lpn-keyed map" >&2
   exit 1
 fi
 if code "$gw/session.rs" | grep -nE 'RouteTable|ShardHealth'; then
