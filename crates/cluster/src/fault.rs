@@ -11,9 +11,8 @@
 //! from its printed seed.
 //!
 //! Faults apply to outbound traffic of the wrapped endpoint. Only
-//! the data plane ([`Message::WriteReplBatch`] — paired replication and the
-//! rejoin catch-up stream alike — with its cumulative acks and per-batch
-//! nacks, and [`Message::Discard`]) is disturbed; control
+//! the data plane ([`Message::WriteReplBatch`] with its cumulative acks and
+//! per-batch nacks, and [`Message::Discard`]) is disturbed; control
 //! traffic (heartbeats, the recovery handshake) passes through untouched so
 //! a lossy-but-alive link does not masquerade as a dead peer; only timed
 //! partitions swallow everything.

@@ -15,7 +15,7 @@
 //!   simulator (for device statistics).
 //! * [`node`] — a runnable node: same buffer manager and policies as the
 //!   simulation, plus real threads, heartbeats, the pair-lifecycle state
-//!   machine (takeover destage, incremental resync/rejoin), end-to-end
+//!   machine (takeover destage, a rejoin that copies nothing), end-to-end
 //!   CRC-32 integrity with NACK/resend and scrub repair, credit-based
 //!   backpressure, and the Section III.D recovery protocol. One module per
 //!   lock-order boundary; its module doc has the table.

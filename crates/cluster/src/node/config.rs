@@ -71,19 +71,14 @@ pub struct NodeConfig {
     /// How long the oldest unacknowledged replication batch waits for its
     /// cumulative ack before the pump retransmits it (and, with retries
     /// exhausted, abandons the window: its writers write through and the
-    /// node goes solo, a resync falls back to solo).
+    /// node goes solo).
     pub ack_timeout: Duration,
-    /// Bounded retry-with-backoff for replication batches — paired writes
-    /// and the resync stream share the one budget. A lossy network drops
-    /// the occasional batch or ack; retransmitting under the same seq (the
-    /// receiver dedups and re-acks its frontier) keeps the batch's pages
-    /// on the replicated path instead of falling back to write-through on
-    /// the first loss.
+    /// Bounded retry-with-backoff for replication batches. A lossy network
+    /// drops the occasional batch or ack; retransmitting under the same seq
+    /// (the receiver dedups and re-acks its frontier) keeps the batch's
+    /// pages on the replicated path instead of falling back to
+    /// write-through on the first loss.
     pub retry: RetryPolicy,
-    /// Catch-up journal capacity (distinct pages). Overflow falls back to a
-    /// full-buffer resync on rejoin; while a resync runs, the cap is at
-    /// least `buffer_pages`.
-    pub journal_entries: usize,
     /// Pages this node will host for its peer (the credit pool it
     /// advertises in acks and heartbeats).
     pub remote_capacity: usize,
@@ -92,11 +87,10 @@ pub struct NodeConfig {
     /// retry of an already-applied run returns the cached outcome instead
     /// of applying twice.
     pub dedup_window: usize,
-    /// Maximum pages carried by one [`Message::WriteReplBatch`] frame —
-    /// also the resync batch size. The sender cuts whatever is queued (up
-    /// to this many pages) into each batch, so lightly loaded nodes still
-    /// see one-page batches while a gateway write run amortises the wire
-    /// to O(runs) frames.
+    /// Maximum pages carried by one [`Message::WriteReplBatch`] frame. The
+    /// sender cuts whatever is queued (up to this many pages) into each
+    /// batch, so lightly loaded nodes still see one-page batches while a
+    /// gateway write run amortises the wire to O(runs) frames.
     pub repl_batch_pages: usize,
     /// Maximum unacknowledged batches in flight before the replication
     /// sender stops cutting new ones (the pipeline window).
@@ -116,7 +110,6 @@ impl Default for NodeConfig {
             failure_timeout: Duration::from_millis(500),
             ack_timeout: Duration::from_millis(500),
             retry: RetryPolicy::default(),
-            journal_entries: 4096,
             remote_capacity: 8192,
             dedup_window: 1024,
             repl_batch_pages: 32,
@@ -134,7 +127,6 @@ impl NodeConfig {
             pages_per_block: 4,
             heartbeat: Duration::from_millis(25),
             failure_timeout: Duration::from_millis(200),
-            journal_entries: 256,
             remote_capacity: 512,
             dedup_window: 64,
             repl_batch_pages: 16,
@@ -216,12 +208,6 @@ impl NodeConfigBuilder {
     /// Bounded retry-with-backoff policy for the replication path.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.cfg.retry = retry;
-        self
-    }
-
-    /// Catch-up journal capacity (distinct pages).
-    pub fn journal_entries(mut self, entries: usize) -> Self {
-        self.cfg.journal_entries = entries;
         self
     }
 

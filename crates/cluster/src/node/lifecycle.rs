@@ -4,7 +4,7 @@
 //! verdicts, on the node's `Instant` clock.
 //!
 //! ```text
-//! Paired → Suspect → Solo → Resyncing → Paired
+//! Paired → Suspect → Solo → Paired
 //! ```
 //!
 //! Every input is a total function: one that is illegal in the current
@@ -27,11 +27,11 @@ pub enum PairState {
     /// the node is one timeout away from going solo.
     Suspect,
     /// The peer is gone (declared failed, link severed, or acks exhausted).
-    /// Writes go through to the local backend and into the catch-up
-    /// journal.
+    /// Writes go through to the local backend, so every page the node
+    /// holds is clean and rejoining moves no data.
     Solo,
-    /// The peer is back and the journal is streaming over; writes still go
-    /// through locally until the cut-over barrier drains the journal.
+    /// Never entered: rejoin goes from `Solo` straight to `Paired`.
+    /// Declared for code that matches on it.
     Resyncing,
 }
 
@@ -65,15 +65,15 @@ enum Silence {
     Failed,
 }
 
-/// An edge the node must take itself, because entering its state has work
-/// to do under `Inner`: `Inner::enter_solo` flushes and takes over,
-/// `Inner::begin_resync` starts a run.
+/// An edge the node takes through `Inner::answer`: going solo has work to
+/// do under `Inner` (`Inner::enter_solo` flushes and takes over), rejoining
+/// has none.
 #[derive(Debug, Clone, Copy)]
 pub(super) enum Ask {
     /// Go solo, for this cause.
     Solo(&'static str),
-    /// Begin a resync, for this cause.
-    Resync(&'static str),
+    /// Rejoin the pair, for this cause.
+    Rejoin(&'static str),
 }
 
 /// The node's pair lifecycle and the heartbeat watch that drives it.
@@ -87,10 +87,11 @@ pub(super) struct Lifecycle {
     /// overdue, not a wake-up late.
     suspect_after: Duration,
     fail_after: Duration,
-    /// When a Solo node whose peer is still beating retries a resync
-    /// (`peer_alive`): a data-plane failure — ack timeouts, a dead link —
-    /// ends no silence, so no beat announces the peer's return. Armed on
-    /// every entry to Solo.
+    /// When a Solo node whose peer is still beating rejoins (`peer_alive`):
+    /// a data-plane failure — ack timeouts, a dead link — ends no silence,
+    /// so no beat announces the peer's return. Armed on every entry to
+    /// Solo: it throttles rejoin, so a data plane that is still dead sends
+    /// the node back Solo at most once per period.
     retry_at: Instant,
     obs: Arc<NodeObs>,
 }
@@ -133,15 +134,15 @@ impl Lifecycle {
         true
     }
 
-    /// A beat arrived at `now`. The first after a declared failure asks for
-    /// a resync (`peer_recovered`); one that finds the node `Suspect`
+    /// A beat arrived at `now`. The first after a declared failure asks to
+    /// rejoin (`peer_recovered`); one that finds the node `Suspect`
     /// clears the suspicion (`peer_healthy`). A beat alone never leaves
     /// Solo otherwise — the cause may have been a data-plane failure the
     /// heartbeat cannot see.
     pub(super) fn beat(&mut self, now: Instant) -> Option<Ask> {
         self.last_beat = self.last_beat.max(now);
         if std::mem::replace(&mut self.silence, Silence::Beating) == Silence::Failed {
-            return Some(Ask::Resync("peer_recovered"));
+            return Some(Ask::Rejoin("peer_recovered"));
         }
         if self.state == PairState::Suspect {
             self.go(PairState::Paired, "peer_healthy");
@@ -152,8 +153,8 @@ impl Lifecycle {
     /// Judge the peer's silence at `now`: past `suspect_after` a `Paired`
     /// node turns `Suspect` (`peer_suspected`); at `fail_after` the peer is
     /// declared failed and the node asked to go solo (`peer_failed`). Else
-    /// a Solo node whose peer beats asks for a resync once the retry timer
-    /// is due (`peer_alive`).
+    /// a Solo node whose peer beats asks to rejoin once the retry timer is
+    /// due (`peer_alive`).
     pub(super) fn tick(&mut self, now: Instant) -> Option<Ask> {
         let silence = now.saturating_duration_since(self.last_beat);
         if silence >= self.fail_after {
@@ -172,7 +173,7 @@ impl Lifecycle {
             }
             return None;
         }
-        (self.state == PairState::Solo && now >= self.retry_at).then_some(Ask::Resync("peer_alive"))
+        (self.state == PairState::Solo && now >= self.retry_at).then_some(Ask::Rejoin("peer_alive"))
     }
 
     /// Drop to `Solo` from any state, for `cause`, and arm the
@@ -185,23 +186,11 @@ impl Lifecycle {
         true
     }
 
-    /// Start streaming the catch-up journal (`Solo → Resyncing`). False
-    /// unless Solo.
-    pub(super) fn begin_resync(&mut self, cause: &'static str) -> bool {
-        self.state == PairState::Solo && self.go(PairState::Resyncing, cause)
-    }
-
-    /// The cut-over barrier passed: the journal drained and was
-    /// acknowledged (`Resyncing → Paired`).
-    pub(super) fn resync_complete(&mut self) {
-        if self.state == PairState::Resyncing {
-            self.go(PairState::Paired, "resync_complete");
-        }
-    }
-
-    /// The resync stream died (`Resyncing → Solo`).
-    pub(super) fn resync_failed(&mut self, now: Instant) -> bool {
-        self.state == PairState::Resyncing && self.force_solo("resync_timeout", now)
+    /// The peer is back (`Solo → Paired`): a cut-over, not a copy — solo
+    /// entry flushed every dirty page and solo writes write through, so
+    /// the peer has nothing to catch up on. False unless Solo.
+    pub(super) fn rejoin(&mut self, cause: &'static str) -> bool {
+        self.state == PairState::Solo && self.go(PairState::Paired, cause)
     }
 }
 
@@ -217,10 +206,8 @@ mod tests {
         Tick(u64),
         /// A data-plane cause of going solo (ack timeout, disconnect).
         Cause(u64, &'static str),
-        /// A resync begun directly, as `Inner::begin_resync` does.
-        Resync(&'static str),
-        ResyncFailed(u64),
-        Complete,
+        /// A rejoin asked for directly.
+        Rejoin(&'static str),
     }
     use Step::*;
 
@@ -253,19 +240,11 @@ mod tests {
                 Beat(t) => (l.beat(at(t)), at(t)),
                 Tick(t) => (l.tick(at(t)), at(t)),
                 Cause(t, cause) => (Some(Ask::Solo(cause)), at(t)),
-                Resync(cause) => (Some(Ask::Resync(cause)), t0),
-                ResyncFailed(t) => {
-                    l.resync_failed(at(t));
-                    continue;
-                }
-                Complete => {
-                    l.resync_complete();
-                    continue;
-                }
+                Rejoin(cause) => (Some(Ask::Rejoin(cause)), t0),
             };
             match ask {
                 Some(Ask::Solo(cause)) => l.force_solo(cause, now),
-                Some(Ask::Resync(cause)) => l.begin_resync(cause),
+                Some(Ask::Rejoin(cause)) => l.rejoin(cause),
                 None => false,
             };
         }
@@ -337,10 +316,10 @@ mod tests {
                 Solo,
             ),
             (
-                "the first beat after a failure begins a resync",
+                "the first beat after a failure rejoins",
                 vec![Beat(0), Tick(600), Beat(650), Tick(700)],
-                &["paired>solo peer_failed", "solo>resyncing peer_recovered"],
-                Resyncing,
+                &["paired>solo peer_failed", "solo>paired peer_recovered"],
+                Paired,
             ),
             (
                 "a stale beat does not rewind the clock",
@@ -358,8 +337,8 @@ mod tests {
                     Beat(900),
                     Beat(900),
                 ],
-                &["paired>solo peer_failed", "solo>resyncing peer_recovered"],
-                Resyncing,
+                &["paired>solo peer_failed", "solo>paired peer_recovered"],
+                Paired,
             ),
             (
                 "a beat at time zero counts",
@@ -367,30 +346,22 @@ mod tests {
                 &[
                     "paired>suspect peer_suspected",
                     "suspect>solo peer_failed",
-                    "solo>resyncing peer_recovered",
-                ],
-                Resyncing,
-            ),
-            (
-                "the full loop",
-                vec![
-                    Tick(200),
-                    Tick(500),
-                    Beat(510),
-                    Resync("x"),
-                    Complete,
-                    Resync("x"),
-                ],
-                &[
-                    "paired>suspect peer_suspected",
-                    "suspect>solo peer_failed",
-                    "solo>resyncing peer_recovered",
-                    "resyncing>paired resync_complete",
+                    "solo>paired peer_recovered",
                 ],
                 Paired,
             ),
             (
-                "fail, recover, fail again mid-resync, recover again",
+                "the full loop",
+                vec![Tick(200), Tick(500), Beat(510), Rejoin("x")],
+                &[
+                    "paired>suspect peer_suspected",
+                    "suspect>solo peer_failed",
+                    "solo>paired peer_recovered",
+                ],
+                Paired,
+            ),
+            (
+                "fail, recover, fail again, recover again",
                 vec![
                     Beat(0),
                     Tick(600),
@@ -402,11 +373,12 @@ mod tests {
                 ],
                 &[
                     "paired>solo peer_failed",
-                    "solo>resyncing peer_recovered",
-                    "resyncing>solo peer_failed",
-                    "solo>resyncing peer_recovered",
+                    "solo>paired peer_recovered",
+                    "paired>suspect peer_suspected",
+                    "suspect>solo peer_failed",
+                    "solo>paired peer_recovered",
                 ],
-                Resyncing,
+                Paired,
             ),
             (
                 "a beat alone does not rescue a data-plane solo",
@@ -428,11 +400,9 @@ mod tests {
                 "illegal inputs are inert",
                 vec![
                     Beat(0),
-                    Complete,
-                    ResyncFailed(0),
-                    Resync("x"),
+                    Rejoin("x"),
                     Tick(200),
-                    Resync("x"),
+                    Rejoin("x"),
                     Cause(210, "disconnected"),
                     Tick(220),
                 ],
@@ -446,20 +416,10 @@ mod tests {
                 Solo,
             ),
             (
-                "a dead resync stream goes back to solo",
-                vec![Tick(600), Beat(650), ResyncFailed(660)],
-                &[
-                    "paired>solo peer_failed",
-                    "solo>resyncing peer_recovered",
-                    "resyncing>solo resync_timeout",
-                ],
-                Solo,
-            ),
-            (
                 "the peer_alive timer rejoins a data-plane solo while beats flow",
                 [vec![Cause(0, "ack_timeout")], beating(0, 600, 100)].concat(),
-                &["paired>solo ack_timeout", "solo>resyncing peer_alive"],
-                Resyncing,
+                &["paired>solo ack_timeout", "solo>paired peer_alive"],
+                Paired,
             ),
             (
                 "the peer_alive timer waits while the peer is overdue",
@@ -471,8 +431,8 @@ mod tests {
                     Beat(550),
                     Tick(560),
                 ],
-                &["paired>solo ack_timeout", "solo>resyncing peer_alive"],
-                Resyncing,
+                &["paired>solo ack_timeout", "solo>paired peer_alive"],
+                Paired,
             ),
             (
                 "the peer_alive timer never fires for a failed peer",
@@ -481,38 +441,57 @@ mod tests {
                 Solo,
             ),
             (
-                "a beat during a resync ends its silence, so suspicion can return",
-                vec![
-                    Tick(600),
-                    Beat(650),
-                    Tick(900),
-                    Beat(910),
-                    Complete,
-                    Tick(1100),
+                "a data plane still dead after a rejoin waits out the timer again",
+                [
+                    vec![Cause(0, "ack_timeout")],
+                    beating(0, 600, 100),
+                    vec![Cause(610, "ack_timeout")],
+                    beating(610, 1100, 100),
+                ]
+                .concat(),
+                &[
+                    "paired>solo ack_timeout",
+                    "solo>paired peer_alive",
+                    "paired>solo ack_timeout",
                 ],
+                Solo,
+            ),
+            (
+                "both ways back from solo land in paired, never resyncing",
+                [
+                    vec![Cause(0, "ack_timeout")],
+                    beating(0, 600, 100),
+                    vec![Tick(1200), Beat(1250), Tick(1250)],
+                ]
+                .concat(),
+                &[
+                    "paired>solo ack_timeout",
+                    "solo>paired peer_alive",
+                    "paired>solo peer_failed",
+                    "solo>paired peer_recovered",
+                ],
+                Paired,
+            ),
+            (
+                "after a rejoin a late beat clears suspicion as in any paired spell",
+                vec![Tick(600), Beat(650), Tick(900), Beat(910), Tick(1100)],
                 &[
                     "paired>solo peer_failed",
-                    "solo>resyncing peer_recovered",
-                    "resyncing>paired resync_complete",
+                    "solo>paired peer_recovered",
+                    "paired>suspect peer_suspected",
+                    "suspect>paired peer_healthy",
                     "paired>suspect peer_suspected",
                 ],
                 Suspect,
             ),
             (
-                "suspicion raised during a resync is not raised again after cut-over",
-                vec![
-                    Tick(600),
-                    Beat(650),
-                    Tick(900),
-                    Complete,
-                    Tick(1000),
-                    Tick(1150),
-                ],
+                "after a rejoin a new silence suspects, then fails, the peer once each",
+                vec![Tick(600), Beat(650), Tick(900), Tick(1000), Tick(1150)],
                 &[
                     "paired>solo peer_failed",
-                    "solo>resyncing peer_recovered",
-                    "resyncing>paired resync_complete",
-                    "paired>solo peer_failed",
+                    "solo>paired peer_recovered",
+                    "paired>suspect peer_suspected",
+                    "suspect>solo peer_failed",
                 ],
                 Solo,
             ),
@@ -521,10 +500,10 @@ mod tests {
             let (got, state) = run(&script);
             assert_eq!(got, edges, "{name}");
             assert_eq!(state, end, "{name}");
-            assert_eq!(
-                state.is_degraded(),
-                matches!(end, Solo | Resyncing),
-                "{name}"
+            assert_eq!(state.is_degraded(), end == Solo, "{name}");
+            assert!(
+                got.iter().all(|e| !e.contains(Resyncing.name())),
+                "{name}: entered resyncing"
             );
         }
     }

@@ -25,9 +25,9 @@ impl Node {
 
     /// Export the newest acked copy of each requested page as CRC-framed
     /// [`ResyncEntry`]s — the same `(lpn, version, crc, data)` framing the
-    /// pair resync wire uses, so the importer verifies integrity before
-    /// applying. Absent pages are skipped (a trim may race the plan); the
-    /// node's own state is untouched. Call under the gateway's migration
+    /// pair's replication batches use, so the importer verifies integrity
+    /// before applying. Absent pages are skipped (a trim may race the
+    /// plan); the node's own state is untouched. Call under the gateway's migration
     /// fence so no client write to these pages is in flight.
     pub fn try_export_pages(&self, lpns: &[u64]) -> Result<Vec<ResyncEntry>, NodeDown> {
         self.live()?;
@@ -87,11 +87,11 @@ impl Node {
         }))
     }
 
-    /// Fence migrated pages out of this pair: drop the buffered copy, the
-    /// journal entry, and the backend copy, and send the peer a version-
-    /// bounded discard for its replicas — after this returns, nothing on
-    /// either node of the pair can resurrect the page (the node-side half
-    /// of migration fencing; the gateway's routing fence is the other).
+    /// Fence migrated pages out of this pair: drop the buffered copy and
+    /// the backend copy, and send the peer a version-bounded discard for
+    /// its replicas — after this returns, nothing on either node of the
+    /// pair can resurrect the page (the node-side half of migration
+    /// fencing; the gateway's routing fence is the other).
     /// Returns the pages that existed here. Call only after the
     /// destination acked the import.
     pub fn try_release_pages(&self, lpns: &[u64]) -> Result<u64, NodeDown> {

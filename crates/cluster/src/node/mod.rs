@@ -18,27 +18,25 @@
 //! walks the pair through [`PairState`]:
 //!
 //! ```text
-//! Paired → Suspect → Solo → Resyncing → Paired
+//! Paired → Suspect → Solo → Paired
 //! ```
 //!
 //! * **Failure detection**: past a heartbeat and a half of silence a
-//!   `Paired` node turns `Suspect`; at `failure_timeout` it goes Solo. The
-//!   first beat after that begins a resync; a node that went Solo for a
-//!   data-plane cause (ack timeout, dead link) while the peer kept beating
-//!   retries one on a timer instead.
+//!   `Paired` node turns `Suspect`; at `failure_timeout` it goes Solo.
 //! * **Solo entry** (`peer_failed` / `ack_timeout` / `disconnected`): every
-//!   dirty local page is flushed, and the pages hosted for the peer are
-//!   *taken over* — destaged sequentially to this node's backend under the
-//!   [`PEER_NS`] namespace so the peer's replicated data survives until its
-//!   recovery handshake collects it.
-//! * **Solo writes** go write-through and are recorded in a bounded
-//!   catch-up journal (latest version per page).
-//! * **Rejoin**: when the peer's heartbeats return, the pump hands the
-//!   journal to the replication pipe one batch at a time (ordinary
-//!   [`Message::WriteReplBatch`] frames) while new writes keep landing in
-//!   the journal; once it drains with no batch in flight the node cuts
-//!   over to `Paired`. A journal overflow downgrades to a full-buffer
-//!   resync.
+//!   dirty local page is flushed and the peer is sent one version-bounded
+//!   Discard for them; the pages hosted for the peer are *taken over* —
+//!   destaged sequentially to this node's backend under the [`PEER_NS`]
+//!   namespace so the peer's replicated data survives until its recovery
+//!   handshake collects it.
+//! * **Solo writes** go write-through: every page a Solo node holds is
+//!   clean.
+//! * **Rejoin** is a cut-over that moves no data: the first beat after a
+//!   declared failure (`peer_recovered`), or the retry timer of a node that
+//!   went Solo for a data-plane cause while the peer kept beating
+//!   (`peer_alive`), takes the node straight back to `Paired`. The peer's
+//!   remote buffer holds only pages not yet flushed, as in §III.C, so
+//!   there is nothing to catch up on.
 //! * **Integrity**: every data payload carries a CRC-32; a receiver that
 //!   sees a damaged batch NACKs it (`NackReason::Corrupt`) and the sender
 //!   retransmits the clean copy. [`Node::scrub`] repairs silently-corrupted
@@ -61,11 +59,10 @@
 //! | `write` | the group write path, the exactly-once window, the ticket wait that reads the link | the link slot; `Inner`, then leaves | Discards; frames via `ReplPipe::submit`; replies via `pump::read_one` |
 //! | `recover` | recovery handshake, scrub | `Inner`, then leaves; parked calls | its own requests |
 //! | `migrate` | export / import / fence-out hooks | `Inner`, then leaves | Discards |
-//! | `pump` | the link slot and `read_one` (the only receive), frame dispatch, the background thread | the link slot, then `Inner`, parked calls, the pipe's | heartbeats and every reply |
-//! | `state` | `Inner`: the buffer — the one page table, `BufferManager<Resident>` — version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never |
+//! | `pump` | the link slot and `read_one` (the only receive), frame dispatch, the background thread | the link slot, then `Inner`, parked calls, the pipe's | heartbeats, every reply and a solo entry's Discard |
+//! | `state` | `Inner`: the buffer — the one page table, `BufferManager<Resident>` — version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never — returns the Discard |
 //! | `recv` | `Inner`'s receive handlers and timer tick | (holds `Inner`) leaves | never — returns the reply |
-//! | `resync` | journal + resync run | (holds `Inner`) — | never — returns the pages |
-//! | `lifecycle` | [`PairState`] and the heartbeat watch that drives it | (held under `Inner`) — | never — asks `Inner` to go solo or resync |
+//! | `lifecycle` | [`PairState`] and the heartbeat watch that drives it | (held under `Inner`) — | never — asks `Inner` to go solo or rejoin |
 //! | `hosted` | pages hosted for the peer, the [`PEER_NS`] namespace | backend | never |
 //! | `crate::pipe` | the replication pipe (names no `Inner`) | its state | the page-carrying frames |
 //! | `stats` | [`NodeStats`] and friends; `NodeObs`, every counter's one cell and the event stream | — | — |
@@ -78,7 +75,6 @@ mod migrate;
 mod pump;
 mod recover;
 mod recv;
-mod resync;
 mod state;
 mod stats;
 mod write;
@@ -189,17 +185,16 @@ impl Node {
 
     /// Attach observability: publishes every node counter — one
     /// `cluster.node.*` cell per counted [`NodeStats`] field (all but the
-    /// derived `writes` and the `remote_pages` / `journal_pages` gauges),
+    /// derived `writes` and the `remote_pages` gauge),
     /// one `cluster.replication.*` cell per [`ReplicationStats`] field, and
     /// the `cluster.replication.pages_per_batch` histogram;
     /// the cells the node has counted into since spawn, so attaching
     /// mid-run loses nothing — and starts emitting wall-stamped `cluster.node`
     /// events (`repl_batch_send` / `repl_batch_ack` / `repl_retry` /
     /// `repl_dedup` / `write_through` / `lifecycle` / `takeover_destage` /
-    /// `resync_start` / `resync_complete` / `resync_failed` /
     /// `corrupt_detected` / `corrupt_repaired` / `scrub_corrupt` /
-    /// `scrub_repair` / `credit_stall` / `credit_reject` /
-    /// `journal_overflow`). Events go to the first `Obs` attached.
+    /// `scrub_repair` / `credit_stall` / `credit_reject`). Events go to the
+    /// first `Obs` attached.
     pub fn attach_obs(&self, obs: &Obs) {
         self.core.obs.attach(obs, u64::from(self.core.cfg.id));
     }
@@ -209,15 +204,13 @@ impl Node {
     /// version-bounded Discard *after* the guard drops (fire-and-forget: a
     /// lost Discard only leaves stale — version-guarded — copies there).
     fn under_inner<T>(&self, f: impl FnOnce(&mut Inner) -> (T, Vec<(u64, u64)>)) -> T {
-        let (out, seq, pages) = {
+        let (out, discard) = {
             let mut inner = self.core.inner.lock();
             let (out, pages) = f(&mut inner);
-            let seq = inner.next_seq;
-            inner.next_seq += u64::from(!pages.is_empty());
-            (out, seq, pages)
+            (out, inner.discard(pages))
         };
-        if !pages.is_empty() {
-            let _ = self.core.transport.send(Message::Discard { seq, pages });
+        if let Some(discard) = discard {
+            let _ = self.core.transport.send(discard);
         }
         out
     }
@@ -335,7 +328,7 @@ impl Node {
     /// Inject a crash fault *in place*: the pump stops heartbeating and
     /// processing messages (so the peer's failure detector walks the pair
     /// to Solo/takeover), volatile state (buffer, hosted remote pages,
-    /// journal, resync progress) is dropped — only the backend survives —
+    /// exactly-once windows) is dropped — only the backend survives —
     /// and every `try_*` entry point refuses with [`NodeDown`] until
     /// [`Node::restart`]. The node object survives — a gateway holding an
     /// `Arc<Node>` can route around it and later route back.
@@ -346,7 +339,6 @@ impl Node {
         let mut inner = self.core.inner.lock();
         inner.buffer.clear();
         inner.hosted.clear();
-        inner.resync.clear();
         for c in inner.clients.values_mut() {
             c.window = Default::default();
         }
@@ -359,8 +351,7 @@ impl Node {
 
     /// Undo [`Node::fail`]: the pump resumes. The node's own lifecycle
     /// then observes the outage gap and walks it Solo; the peer's
-    /// returning heartbeats drive the normal resync/rejoin machinery until
-    /// the pair re-forms.
+    /// returning heartbeats rejoin the pair.
     pub fn restart(&self) {
         {
             let mut inner = self.core.inner.lock();
@@ -384,12 +375,12 @@ impl Node {
     }
 
     /// In-place clean stop for nodes held behind an `Arc`: flush dirty
-    /// pages and destage hosted peer pages (same data guarantees as
-    /// [`Node::shutdown`]), and tell the pump to exit. The pump thread is
-    /// joined later by `Drop`.
+    /// pages (discarding their replicas at the peer) and destage hosted
+    /// peer pages (same data guarantees as [`Node::shutdown`]), and tell
+    /// the pump to exit. The pump thread is joined later by `Drop`.
     pub fn quiesce(&self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        self.core.inner.lock().enter_solo("shutdown");
+        self.under_inner(|inner| ((), inner.enter_solo("shutdown")));
     }
 
     /// Read `lpn..lpn+n` on behalf of `client`, one entry per page, `None`
@@ -407,7 +398,7 @@ impl Node {
         Ok(self.read_run(Some(client), lpn, n))
     }
 
-    /// Drop every local copy — buffered, journaled, durable — of each of
+    /// Drop every local copy — buffered and durable — of each of
     /// `lpns` (with `only_held`, skipping pages this node holds nowhere) in
     /// one pass: one `Inner` acquisition, one backend guard and one Discard
     /// to the peer for the lot ([`Node::under_inner`]). Each dropped page's
@@ -436,7 +427,6 @@ impl Node {
                         continue;
                     }
                     let resident = inner.buffer.remove(lpn).map(|p| p.version);
-                    inner.resync.forget(lpn);
                     backend.trim_page(lpn);
                     bounds.push((lpn, resident.or(durable).unwrap_or(u64::MAX)));
                 }
@@ -448,9 +438,9 @@ impl Node {
     }
 
     /// Delete the run `lpn..lpn+n` on behalf of `client` (a short-lived
-    /// file dies): the buffered copies, the peer's replicas, the backend
-    /// copies, and any journaled catch-up entries all go away without a
-    /// flush, in one pass and one Discard frame. Refuses with [`NodeDown`]
+    /// file dies): the buffered copies, the peer's replicas and the backend
+    /// copies all go away without a flush, in one pass and one Discard
+    /// frame. Refuses with [`NodeDown`]
     /// while halted.
     pub fn try_delete_run(&self, client: u64, lpn: u64, n: u32) -> Result<(), NodeDown> {
         self.forget_pages(lpn..lpn + u64::from(n), false, |inner, pages| {
@@ -465,8 +455,9 @@ impl Node {
     /// acknowledged writes are on this node's durable medium, independent of
     /// the peer. Returns the number of pages flushed. The peer's
     /// now-redundant replicas are discarded (version-bounded, so an
-    /// in-flight newer write is never lost). Refuses with [`NodeDown`]
-    /// while halted.
+    /// in-flight newer write is never lost); only a dirty page ever has a
+    /// replica there, so once that Discard lands the peer hosts none of
+    /// this node's pages. Refuses with [`NodeDown`] while halted.
     pub fn try_flush_dirty(&self) -> Result<u64, NodeDown> {
         self.live()?;
         Ok(self.under_inner(|inner| {
@@ -487,14 +478,11 @@ impl Node {
         v
     }
 
-    /// Current counters: the cells, read without a lock, around the two
-    /// values only `Inner` knows.
+    /// Current counters: the cells, read without a lock, around the one
+    /// value only `Inner` knows.
     pub fn stats(&self) -> NodeStats {
-        let (remote, journal) = {
-            let inner = self.core.inner.lock();
-            (inner.hosted.pages(), inner.resync.journal_len() as u64)
-        };
-        self.core.obs.snapshot(remote, journal)
+        let remote = self.core.inner.lock().hosted.pages();
+        self.core.obs.snapshot(remote)
     }
 
     /// Summary of the replication batch-size histogram (pages per
@@ -508,7 +496,7 @@ impl Node {
         self.core.inner.lock().buffer.dirty()
     }
 
-    /// True while the pair is not fully joined (Solo or Resyncing).
+    /// True while the node serves without its peer (Solo).
     pub fn is_degraded(&self) -> bool {
         self.core.inner.lock().lifecycle.state().is_degraded()
     }
@@ -521,11 +509,6 @@ impl Node {
     /// Lifecycle edges taken since spawn.
     pub fn lifecycle_transitions(&self) -> u64 {
         self.core.obs.lifecycle_transitions.get()
-    }
-
-    /// Pages currently waiting in the catch-up journal.
-    pub fn journal_len(&self) -> usize {
-        self.core.inner.lock().resync.journal_len()
     }
 
     /// Snapshot of the pages this node holds for its peer — hosted in
@@ -634,30 +617,6 @@ mod testkit {
             std::thread::sleep(Duration::from_millis(5));
         }
         cond()
-    }
-
-    /// A pair whose link is dark both ways for its first 400 ms, so both
-    /// nodes start out Solo; `plan_a` carries any further faults of A's
-    /// outbound traffic.
-    pub(crate) fn partitioned_pair(
-        cfg_a: NodeConfig,
-        cfg_b: NodeConfig,
-        plan_a: FaultPlan,
-    ) -> (Node, Node) {
-        let (ta, tb) = mem_pair();
-        let window = Duration::from_millis(400);
-        let fa = FaultTransport::new(ta, plan_a.with_partition_for(Duration::ZERO, window));
-        let fb = FaultTransport::new(
-            tb,
-            FaultPlan::new(99).with_partition_for(Duration::ZERO, window),
-        );
-        let a = Node::spawn(cfg_a, fa, shared_backend(MemBackend::new()));
-        let b = Node::spawn(cfg_b, fb, shared_backend(MemBackend::new()));
-        assert!(wait_until(
-            || a.lifecycle_state() == PairState::Solo && b.lifecycle_state() == PairState::Solo,
-            Duration::from_secs(2)
-        ));
-        (a, b)
     }
 
     /// One frame event on a [`Tap`]ped link.
@@ -935,6 +894,45 @@ mod tests {
     }
 
     #[test]
+    fn solo_entry_discards_what_it_flushed_at_a_peer_that_stayed_up() {
+        const DIRTY: u64 = 6;
+        let mut cfg_a = NodeConfig::test_profile(0);
+        cfg_a.ack_timeout = Duration::from_millis(30);
+        // A one-sided data-plane outage: A's outbound batch for the write
+        // after the dirty ones is lost with every retransmission, while
+        // heartbeats flow both ways.
+        let attempts = u64::from(cfg_a.retry.attempts);
+        let plan = FaultPlan::new(5).with_partition(DIRTY, DIRTY + attempts);
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let a = Node::spawn(cfg_a, FaultTransport::new(ta, plan), ba.clone());
+        let b = Node::spawn(
+            NodeConfig::test_profile(1),
+            tb,
+            shared_backend(MemBackend::new()),
+        );
+        for lpn in 0..DIRTY {
+            assert_eq!(a.write(lpn, b"dirty"), WriteOutcome::Replicated);
+        }
+        assert_eq!(b.hosted_remote_pages(), (0..DIRTY).collect::<Vec<_>>());
+        assert_eq!(a.write(DIRTY, b"lost"), WriteOutcome::WriteThrough);
+        assert_eq!(a.lifecycle_state(), PairState::Solo);
+        assert_eq!(a.dirty_pages(), 0);
+        for lpn in 0..=DIRTY {
+            assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not durable");
+        }
+        // The peer_alive timer rejoins; the flushed pages' replicas are gone.
+        assert!(both_paired(&a, &b));
+        assert!(wait_until(
+            || b.hosted_remote_pages().is_empty(),
+            Duration::from_secs(1)
+        ));
+        assert_eq!(b.stats().repl.takeover_destages, 0);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
     fn clean_shutdown_flushes_everything() {
         let (a, b, ba, _bb) = pair();
         for i in 0..5u64 {
@@ -1111,7 +1109,7 @@ mod tests {
         for obs in [&early, &late] {
             let snap = obs.registry().snapshot();
             let rows = NodeObs::fields(&s);
-            assert_eq!(rows.len(), 25);
+            assert_eq!(rows.len(), 22);
             assert!(rows.contains(&(
                 "cluster.replication.lifecycle_transitions",
                 s.repl.lifecycle_transitions

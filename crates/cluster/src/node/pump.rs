@@ -4,8 +4,8 @@
 //! waiting for its acks, or the pump once no writer has asked for it for a
 //! whole pass. The holder receives, dispatches and replies ([`read_one`]),
 //! in arrival order. The pump also heartbeats, ticks the pipe's retransmit
-//! timer, polls the failure detector and submits the resync stream. This
-//! file is the only node code that receives from the link, and besides
+//! timer and polls the failure detector; it sends no page-carrying frame.
+//! This file is the only node code that receives from the link, and besides
 //! [`super::Node`]'s own methods the only code that sends on it — every
 //! handler it calls returns its reply instead of sending it, and no `Inner`
 //! guard is held across a send.
@@ -117,8 +117,8 @@ pub(super) fn wait(core: &Core) -> Duration {
 /// Receive one frame, waiting up to `timeout`, and act on it: dispatch it
 /// and send its reply — or, while the node is halted, drop it (a dead node
 /// processes no messages, and a restart must not replay a backlog from its
-/// outage). A dead link sends the node solo. Only the slot's holder calls
-/// this.
+/// outage). A dead link sends the node solo (its Discard is sent anyway,
+/// and lost unless the link recovers). Only the slot's holder calls this.
 pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportError> {
     let msg = core.transport.recv_timeout(timeout);
     if core.halted.load(Ordering::SeqCst) {
@@ -132,7 +132,14 @@ pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportEr
             Ok(())
         }
         Err(TransportError::Disconnected) => {
-            core.inner.lock().enter_solo("disconnected");
+            let discard = {
+                let mut inner = core.inner.lock();
+                let flushed = inner.enter_solo("disconnected");
+                inner.discard(flushed)
+            };
+            if let Some(discard) = discard {
+                let _ = core.transport.send(discard);
+            }
             Err(TransportError::Disconnected)
         }
         // A timed-out receive is not a verdict on the link; the
@@ -144,8 +151,7 @@ pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportEr
 /// Background loop, one pass per [`wait`] or up to the next heartbeat,
 /// whichever is sooner: tick the replication pipe's retransmit timer, send
 /// the heartbeat when it is due, read the link if no writer asked for it
-/// last pass (else sleep the pass out), tick the lifecycle and drive the
-/// resync state machine.
+/// last pass (else sleep the pass out), and tick the lifecycle.
 pub(super) fn pump_loop(core: &Core) {
     let cfg = &core.cfg;
     // Beats leave on a fixed schedule, one heartbeat apart. Sent whenever a
@@ -187,9 +193,9 @@ pub(super) fn pump_loop(core: &Core) {
             std::thread::sleep(wait);
         }
         if !halted {
-            let resync_pages = core.inner.lock().on_tick(Instant::now());
-            if !resync_pages.is_empty() {
-                core.pipe.submit(resync_pages);
+            let discard = core.inner.lock().on_tick(Instant::now());
+            if let Some(discard) = discard {
+                let _ = core.transport.send(discard);
             }
         }
     }
@@ -229,8 +235,7 @@ fn dispatch(core: &Core, msg: Message) -> Option<Message> {
             None
         }
         Message::Heartbeat { credits, .. } => {
-            core.inner.lock().on_heartbeat(credits, Instant::now());
-            None
+            core.inner.lock().on_heartbeat(credits, Instant::now())
         }
         Message::RctFetch => {
             let entries = core.inner.lock().hosted.snapshot();

@@ -5,7 +5,6 @@
 //! transport or a sleep (see the tests).
 
 use super::state::Inner;
-use crate::pipe::PipePage;
 use crate::wire::{crc32, Message, NackReason, ResyncEntry, SeqStatus};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -134,19 +133,20 @@ impl Inner {
         }
     }
 
-    /// A heartbeat from the peer, advertising its hosting credits.
-    pub(super) fn on_heartbeat(&mut self, credits: u32, now: Instant) {
+    /// A heartbeat from the peer, advertising its hosting credits. Returns
+    /// the frame answering the lifecycle's ask sends, if any (a beat asks
+    /// at most to rejoin, which sends nothing).
+    pub(super) fn on_heartbeat(&mut self, credits: u32, now: Instant) -> Option<Message> {
         self.credits = Some(credits);
         let ask = self.lifecycle.beat(now);
-        self.answer(ask);
+        self.answer(ask)
     }
 
-    /// The pump's per-iteration tick: failure detection, rejoin, and resync
-    /// progress. Returns the resync pages to submit to the pipe.
-    pub(super) fn on_tick(&mut self, now: Instant) -> Vec<PipePage> {
+    /// The pump's per-iteration tick: failure detection and rejoin. Returns
+    /// the Discard of a solo entry it caused, if any.
+    pub(super) fn on_tick(&mut self, now: Instant) -> Option<Message> {
         let ask = self.lifecycle.tick(now);
-        self.answer(ask);
-        self.drive_resync()
+        self.answer(ask)
     }
 }
 
@@ -288,7 +288,7 @@ mod tests {
         deliver(&mut inner, 1, 1, batch(&[1]));
         deliver(&mut inner, 1, 2, batch(&[2])); // duplicate
         deliver(&mut inner, 1, 3, batch(&[3])); // no room
-        let repl = inner.obs.snapshot(0, 0).repl;
+        let repl = inner.obs.snapshot(0).repl;
         assert_eq!(repl.corruptions_detected, 1);
         assert_eq!(repl.reorders_healed, 1);
         assert_eq!(repl.dups_dropped, 1);
@@ -312,7 +312,7 @@ mod tests {
         assert_eq!(inner.hosted.lpns(), vec![5]);
         inner.on_discard(3, vec![(5, u64::MAX)]);
         assert!(inner.hosted.lpns().is_empty());
-        let repl = inner.obs.snapshot(0, 0).repl;
+        let repl = inner.obs.snapshot(0).repl;
         assert_eq!((repl.reorders_healed, repl.dups_dropped), (1, 1));
         // Bounds advance the version clock; the unbounded marker does not.
         assert_eq!(inner.next_version, 51);

@@ -6,11 +6,10 @@
 use super::hosted::Hosted;
 use super::lifecycle::{Ask, Lifecycle};
 use super::recv::BatchRx;
-use super::resync::Resync;
 use super::write::{ClientState, MAX_CLIENTS};
 use super::{NodeConfig, NodeObs, SharedBackend};
 use crate::pipe::ReplPipe;
-use crate::wire::SeqTracker;
+use crate::wire::{Message, SeqTracker};
 use bytes::Bytes;
 use flashcoop::policy::Eviction;
 use flashcoop::{BufferConfig, BufferManager};
@@ -56,8 +55,6 @@ pub(super) struct Inner {
     pub(super) peer_seqs: SeqTracker,
     /// Where the pair stands, and the heartbeat watch that moves it.
     pub(super) lifecycle: Lifecycle,
-    /// Catch-up journal and resync progress.
-    pub(super) resync: Resync,
     /// Last peer-advertised hosting credits; `None` until the peer has
     /// spoken (optimistic) or after going solo.
     pub(super) credits: Option<u32>,
@@ -103,7 +100,6 @@ impl Inner {
             backend,
             peer_seqs: SeqTracker::new(),
             lifecycle: Lifecycle::new(&cfg, obs.clone(), Instant::now()),
-            resync: Resync::default(),
             credits: None,
             next_seq: 1,
             batch_rx: BatchRx::default(),
@@ -121,13 +117,31 @@ impl Inner {
         self.obs.note(kind, f);
     }
 
-    /// Take the edge the lifecycle asks for, with its work.
-    pub(super) fn answer(&mut self, ask: Option<Ask>) {
+    /// Take the edge the lifecycle asks for, with its work; returns the
+    /// Discard for the pages solo entry flushed, if any.
+    pub(super) fn answer(&mut self, ask: Option<Ask>) -> Option<Message> {
         match ask {
-            Some(Ask::Solo(cause)) => self.enter_solo(cause),
-            Some(Ask::Resync(cause)) => self.begin_resync(cause),
-            None => {}
+            Some(Ask::Solo(cause)) => {
+                let flushed = self.enter_solo(cause);
+                self.discard(flushed)
+            }
+            Some(Ask::Rejoin(cause)) => {
+                self.lifecycle.rejoin(cause);
+                None
+            }
+            None => None,
         }
+    }
+
+    /// The seq-stamped, version-bounded Discard telling the peer these
+    /// `(lpn, version)` pages are durable or gone here; `None` for none.
+    pub(super) fn discard(&mut self, pages: Vec<(u64, u64)>) -> Option<Message> {
+        if pages.is_empty() {
+            return None;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Some(Message::Discard { seq, pages })
     }
 
     /// One duplicate delivery from the peer (`msg` names the frame kind)
@@ -140,7 +154,7 @@ impl Inner {
     }
 
     /// Advance the version clock past a version observed from the peer (a
-    /// hosted replica, a resync entry, a discard bound, a recovered
+    /// hosted replica, a replicated entry, a discard bound, a recovered
     /// snapshot) or from the shared backend. Both halves of a pair stamp
     /// writes from their own counter; with every observation folded in,
     /// any *new* write gets a version above every version of that page the
@@ -226,24 +240,26 @@ impl Inner {
     }
 
     /// Remote failure handling: flush every dirty page, take over the
-    /// peer's replicated pages, and stop forwarding until a resync.
-    pub(super) fn enter_solo(&mut self, cause: &'static str) {
+    /// peer's replicated pages, and stop forwarding until the peer is back.
+    /// Returns the flushed `(lpn, version)` pairs — the caller sends them
+    /// to the peer as one Discard once `Inner` drops, so a peer that stayed
+    /// up stops hosting them (on a dead link the frame is lost, harmlessly:
+    /// the pages are durable here). Empty if already Solo.
+    pub(super) fn enter_solo(&mut self, cause: &'static str) -> Vec<(u64, u64)> {
         if !self.lifecycle.force_solo(cause, Instant::now()) {
-            return;
+            return Vec::new();
         }
         // Abandon the replication pipeline: blocked writers resolve as
-        // failed and write through themselves, a resync batch goes back to
-        // the journal; the next epoch starts clean.
+        // failed and write through themselves; the next epoch starts clean.
         self.pipe.reset();
-        self.settle_resync(true);
         // Flush every dirty local page: the peer replica is no longer a
         // second memory.
         let ev = self.buffer.drain_dirty();
+        let flushed = self.flush_runs(&ev);
         // A page still in the pipeline is flushed here for safety (the ack
         // may already be in flight) but its writer does the accounting when
         // it resolves.
-        let destaged = self
-            .flush_runs(&ev)
+        let destaged = flushed
             .iter()
             .filter(|(lpn, _)| !self.inflight.contains_key(lpn))
             .count() as u64;
@@ -259,5 +275,6 @@ impl Inner {
         self.credits = None;
         // Writers waiting on acks will time out and take the write-through
         // path themselves.
+        flushed
     }
 }

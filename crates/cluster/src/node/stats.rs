@@ -86,8 +86,6 @@ pub struct NodeStats {
     pub deletes: u64,
     /// Remote (peer) pages currently hosted (including taken-over pages).
     pub remote_pages: u64,
-    /// Pages currently waiting in the catch-up journal.
-    pub journal_pages: u64,
     /// Tagged write runs answered from the exactly-once window instead of
     /// re-applying (gateway retries of already-applied runs).
     pub dedup_hits: u64,
@@ -98,7 +96,7 @@ pub struct NodeStats {
     /// ([`Node::try_release_pages`]).
     pub migrated_out_pages: u64,
     /// Fault-tolerance counters (retries, dedup, reorders, destages,
-    /// takeover, resync, integrity, backpressure).
+    /// takeover, integrity, backpressure).
     pub repl: ReplicationStats,
 }
 
@@ -167,16 +165,15 @@ macro_rules! node_counters {
                 let _ = self.stream.set((obs.clone(), id));
             }
 
-            /// The counters as of now, around the two values the caller
-            /// derived under `Inner`. `writes` is the sum of the two
+            /// The counters as of now, around the hosted-page count the
+            /// caller read under `Inner`. `writes` is the sum of the two
             /// outcome counters read here, so
             /// [`NodeStats::writes_balance`] holds on every snapshot.
-            pub(crate) fn snapshot(&self, remote_pages: u64, journal_pages: u64) -> NodeStats {
+            pub(crate) fn snapshot(&self, remote_pages: u64) -> NodeStats {
                 let mut s = NodeStats {
                     $($n: self.$n.get(),)*
                     writes: 0,
                     remote_pages,
-                    journal_pages,
                     repl: ReplicationStats {
                         $($r: self.$r.get(),)*
                     },
@@ -230,13 +227,6 @@ node_counters! {
         /// backend when taking over for a failed peer (the paper's
         /// takeover path).
         takeover_destages: "cluster.replication.takeover_destages",
-        /// Catch-up batches streamed to a returning peer.
-        resync_batches: "cluster.replication.resync_batches",
-        /// Pages of those batches the peer acknowledged.
-        resync_pages: "cluster.replication.resync_pages",
-        /// Resyncs that had to fall back to streaming the full resident
-        /// buffer because the catch-up journal overflowed.
-        full_resyncs: "cluster.replication.full_resyncs",
         /// Payload-checksum failures detected on receive (wire corruption)
         /// or by a local scrub.
         corruptions_detected: "cluster.replication.corruptions_detected",
@@ -320,15 +310,12 @@ mod tests {
             reorders_healed: 3,
             partition_destages: 4,
             takeover_destages: 5,
-            resync_batches: 6,
-            resync_pages: 7,
-            full_resyncs: 8,
-            corruptions_detected: 9,
-            corruptions_repaired: 10,
-            scrub_repairs: 11,
-            credit_stalls: 12,
-            credit_rejections: 13,
-            lifecycle_transitions: 14,
+            corruptions_detected: 6,
+            corruptions_repaired: 7,
+            scrub_repairs: 8,
+            credit_stalls: 9,
+            credit_rejections: 10,
+            lifecycle_transitions: 11,
         };
         let mut a = ReplicationStats::default();
         a.absorb(&b);
@@ -343,7 +330,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let (sums, once) = (repl(a), repl(b));
-        assert_eq!(sums.len(), 16);
+        assert_eq!(sums.len(), 13);
         for ((name, sum), (_, one)) in sums.into_iter().zip(once) {
             assert_eq!(sum, 2 * one, "{name}");
         }

@@ -21,15 +21,15 @@ const NO_CREDITS: &str = "no_credits";
 
 /// A page the writer handed to the pipe, kept on the writer's side for the
 /// write-through fallback; its outcome is the ticket slot of the same index.
-pub(super) struct Pipelined {
-    pub(super) lpn: u64,
-    pub(super) version: u64,
-    pub(super) bytes: Bytes,
+struct Pipelined {
+    lpn: u64,
+    version: u64,
+    bytes: Bytes,
 }
 
 impl Pipelined {
     /// The pipe's half of this page, resolving on `ticket`'s slot `slot`.
-    pub(super) fn pipe_page(&self, crc: u32, ticket: &Arc<RunTicket>, slot: usize) -> PipePage {
+    fn pipe_page(&self, crc: u32, ticket: &Arc<RunTicket>, slot: usize) -> PipePage {
         // Counted before the run is submitted, so the ticket cannot hit
         // zero while it is being filled.
         ticket.remaining.fetch_add(1, Ordering::Relaxed);
@@ -263,7 +263,7 @@ impl Node {
             let degraded = inner.lifecycle.state().is_degraded();
             // The run's pages that go to the peer are a prefix, `..k`.
             let (k, reason) = if degraded {
-                // Solo or resyncing: write through, journal for catch-up.
+                // Solo: write through.
                 (0, "degraded")
             } else if flushed.iter().any(|&(l, _)| (lpn..end).contains(&l)) {
                 // Part of the run was evicted (and flushed) synchronously
@@ -305,9 +305,6 @@ impl Node {
                 }
                 drop(backend);
                 for i in k..n {
-                    if degraded {
-                        inner.journal_record(lpn + i as u64, versions[i], pages[i].clone());
-                    }
                     self.count_write_through(lpn + i as u64, reason);
                 }
             }
@@ -421,23 +418,20 @@ impl Node {
         } = page;
         // The backend's version guard keeps a newer concurrent copy.
         self.core.backend.lock().write_page(lpn, version, &bytes);
-        let mut inner = self.core.inner.lock();
-        inner.inflight_done(lpn);
-        if inner.buffer.get(lpn).is_some_and(|p| p.version == version) {
-            inner.buffer.mark_clean(lpn);
-        }
-        let reason = if no_credit {
-            // Our credit view was stale.
-            inner.credits = Some(0);
-            NO_CREDITS
-        } else {
-            // Peer unreachable: go solo; a future resync must carry the
-            // page.
-            inner.enter_solo("ack_timeout");
-            inner.journal_record(lpn, version, bytes);
-            "ack_timeout"
-        };
-        drop(inner);
+        let reason = self.under_inner(|inner| {
+            inner.inflight_done(lpn);
+            if inner.buffer.get(lpn).is_some_and(|p| p.version == version) {
+                inner.buffer.mark_clean(lpn);
+            }
+            if no_credit {
+                // Our credit view was stale.
+                inner.credits = Some(0);
+                (NO_CREDITS, Vec::new())
+            } else {
+                // Peer unreachable: go solo.
+                ("ack_timeout", inner.enter_solo("ack_timeout"))
+            }
+        });
         self.count_write_through(lpn, reason);
     }
 
@@ -923,7 +917,6 @@ mod tests {
                 vec![(4, 0), (0, 4)],
                 "lose_second {lose_second}"
             );
-            assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3]);
             for lpn in 4..8u64 {
                 assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not durable");
             }
@@ -931,10 +924,18 @@ mod tests {
             assert!(s.writes_balance());
             assert_eq!((s.replicated_pages, s.write_through), (4, 4));
             if lose_second {
-                // A lost frame is a link failure: solo, journaled for resync.
+                // A lost frame is a link failure: solo entry flushes the
+                // first run and discards its replicas at the peer.
                 assert_eq!(a.lifecycle_state(), PairState::Solo);
-                assert_eq!(a.journal_len(), 4);
+                for lpn in 0..4u64 {
+                    assert!(ba.lock().read_page(lpn).is_some(), "page {lpn} not flushed");
+                }
+                assert!(wait_until(
+                    || b.hosted_remote_pages().is_empty(),
+                    Duration::from_secs(1)
+                ));
             } else {
+                assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3]);
                 assert_eq!(a.lifecycle_state(), PairState::Paired);
                 assert_eq!(peer_credits(&a), Some(0));
             }

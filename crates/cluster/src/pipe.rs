@@ -25,12 +25,12 @@ pub(crate) enum PageOutcome {
     /// falls back to local write-through.
     NoCredit,
     /// Retries exhausted or the transport died; the writer makes the page
-    /// durable itself and journals it for the next resync.
+    /// durable itself and takes the node solo.
     Failed,
 }
 
-/// One submission's completion — a writer's group of runs, or the pump's
-/// resync batch: whoever resolves its last page unparks the submitter.
+/// One submission's completion — a writer's group of runs: whoever
+/// resolves its last page unparks the submitter.
 pub(crate) struct RunTicket {
     /// One outcome per pipelined page, [`PageOutcome::Failed`] until
     /// resolved — so a page dropped unresolved (closed or abandoned pipe)
@@ -271,7 +271,7 @@ impl ReplPipe {
             st = self.state.lock();
             if sent == Err(TransportError::Disconnected) {
                 // Writers make their pages durable themselves
-                // (write-through + journal).
+                // (write-through).
                 st.abandon();
             }
         }

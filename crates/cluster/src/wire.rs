@@ -33,8 +33,8 @@
 //! The message set implements Figure 3's arrows: write replication with
 //! acks, NACKs and credit grants, discards after local flushes, heartbeats
 //! (Section III.D), the recovery handshake (RCT fetch → snapshot → purge),
-//! and single-page fetches for scrub repair. The rejoin catch-up stream has
-//! no frames of its own: it rides [`Message::WriteReplBatch`].
+//! and single-page fetches for scrub repair. Rejoining after a failure
+//! sends no frames: a solo node holds only pages that are already durable.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -405,9 +405,8 @@ pub enum Message {
     Purge,
     /// Acknowledge a [`Message::Purge`].
     PurgeAck,
-    /// Replicate a batch of pages — dirty pages while paired, catch-up
-    /// journal pages while resyncing — into the peer's remote buffer in one
-    /// frame. Batches live in their own contiguous sequence space
+    /// Replicate a batch of dirty pages into the peer's remote buffer in
+    /// one frame. Batches live in their own contiguous sequence space
     /// (`1, 2, 3, …` per epoch) so the receiver can acknowledge
     /// cumulatively with [`Message::ReplAckBatch`].
     WriteReplBatch {

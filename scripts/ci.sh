@@ -16,7 +16,7 @@ echo "==> node layout guard: the lock order stays a module-visibility fact, one 
 # the peer live. Checked on code only — comment lines and each file's test
 # module are skipped.
 code() { sed -e '/^#\[cfg(test)\]/,$d' -e '/^[[:space:]]*\/\//d' "$1"; }
-for f in state hosted resync recv lifecycle; do
+for f in state hosted recv lifecycle; do
   if code "crates/cluster/src/node/$f.rs" | grep -nE 'Transport|\.send\('; then
     echo "node/$f.rs runs under Inner: return the frame and let pump.rs send it" >&2
     exit 1
@@ -200,6 +200,24 @@ if [ "$(src_code | grep -c 'struct ReplicationStats\b')" -ne 1 ] \
   echo "ReplicationStats is declared once, by node_counters! in crates/cluster/src/node/stats.rs" >&2
   exit 1
 fi
+# DESIGN §11: rejoin is a cut-over, not a copy. A Solo node holds only
+# clean pages, so nothing keeps a catch-up journal or streams one to the
+# peer, and no node enters PairState::Resyncing (still declared, in
+# node/lifecycle.rs, for code that matches on it).
+if [ -e crates/cluster/src/node/resync.rs ]; then
+  echo "crates/cluster/src/node/resync.rs: rejoin moves no data — there is no resync module" >&2
+  exit 1
+fi
+if for f in $(find crates/cluster/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done \
+  | grep -wE 'journal_record|drive_resync|journal_entries|full_resyncs'; then
+  echo "crates/cluster/src: no catch-up journal or resync stream (DESIGN §11)" >&2
+  exit 1
+fi
+if for f in $(find crates/*/src src tests examples -name '*.rs' ! -path '*/node/lifecycle.rs'); do
+  code "$f" | sed "s|^|$f:|"; done | grep -w 'Resyncing'; then
+  echo "only node/lifecycle.rs names PairState::Resyncing: no node enters it" >&2
+  exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release --offline
@@ -211,8 +229,8 @@ echo "==> workspace tests"
 cargo test --workspace -q --offline
 
 echo "==> release-mode race check + eviction scaling guard: replication pipe stress + chaos + lifecycle e2e + crc32 / group-write / registry-equals-stats unit tests"
-# The pipe is shared state stepped by writers, the pump (which also feeds it
-# the resync stream) and whoever resets it; debug-build timing hides
+# The pipe is shared state stepped by writers, the pump's timer tick and
+# whoever resets it; debug-build timing hides
 # interleavings the optimized build hits. pipeline_stress also carries the
 # release-only guard that an evicting read miss costs the same behind a
 # 16x larger buffer (ignored under debug_assertions, so it runs only here).
@@ -231,7 +249,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> rustdoc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> failover smoke: full fail → takeover → resync → rejoin loop"
+echo "==> failover smoke: full fail → takeover → rejoin loop"
 cargo run --release --offline --example failover \
   | grep -q "lifecycle loop complete"
 

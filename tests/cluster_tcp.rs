@@ -4,6 +4,7 @@
 //! buffer manager → backend, including the Section III.D recovery handshake
 //! with actual page data.
 
+use bytes::Bytes;
 use fc_cluster::{
     shared_backend, FaultPlan, FaultTransport, MemBackend, Node, NodeConfig, PairState,
     TcpTransport, WriteOutcome,
@@ -208,14 +209,15 @@ fn overwrites_keep_latest_version_after_recovery() {
     assert_eq!(entry.2, b"new".to_vec(), "remote copy must be the latest");
 }
 
-/// Both nodes write solo through a partition, then resync toward each other
-/// over real sockets: each pump is at once a sender of 64 KiB page frames
-/// (blocking socket writes) and the only reader of its link. If a pump
-/// queued its whole journal before reading again, the two could fill both
-/// socket buffers and block in `write_all` forever.
+/// Both nodes write solo through a partition, then rejoin over real
+/// sockets: the rejoin copies nothing, so each ends Paired hosting none of
+/// the other's solo writes. Then both write 64 KiB runs toward each other
+/// at once — each writer is a sender of page frames (blocking socket
+/// writes) and a reader of its own acks — and every run replicates.
 #[test]
-fn both_nodes_resync_toward_each_other_over_tcp() {
+fn both_nodes_rejoin_after_solo_writes_over_tcp() {
     const PAGES: u64 = 220;
+    const RUN: u64 = 16;
     let page = |node: u8, lpn: u64| {
         let mut p = vec![node; 4096];
         p[..8].copy_from_slice(&lpn.to_le_bytes());
@@ -231,13 +233,18 @@ fn both_nodes_resync_toward_each_other_over_tcp() {
     let (ta, tb) = tcp_pair();
     let window = Duration::from_millis(400);
     let dark = |seed| FaultPlan::new(seed).with_partition_for(Duration::ZERO, window);
+    // Room for every page written, so no run is evicted by its own insert.
+    let cfg = |id| NodeConfig {
+        buffer_pages: 512,
+        ..NodeConfig::test_profile(id)
+    };
     let a = Node::spawn(
-        NodeConfig::test_profile(0),
+        cfg(0),
         FaultTransport::new(ta, dark(1)),
         shared_backend(MemBackend::new()),
     );
     let b = Node::spawn(
-        NodeConfig::test_profile(1),
+        cfg(1),
         FaultTransport::new(tb, dark(2)),
         shared_backend(MemBackend::new()),
     );
@@ -256,17 +263,32 @@ fn both_nodes_resync_toward_each_other_over_tcp() {
         a.lifecycle_state(),
         b.lifecycle_state()
     );
+    for node in [&a, &b] {
+        assert_eq!(node.hosted_remote_pages(), Vec::<u64>::new());
+    }
+    std::thread::scope(|scope| {
+        for (node, id) in [(&a, 0u8), (&b, 1u8)] {
+            scope.spawn(move || {
+                for (tag, lpn) in (PAGES..PAGES + 4 * RUN).step_by(RUN as usize).enumerate() {
+                    let run: Vec<Bytes> =
+                        (lpn..lpn + RUN).map(|l| Bytes::from(page(id, l))).collect();
+                    let out = node.try_write_run(9, tag as u64, lpn, &run).unwrap();
+                    assert!(out.all_replicated(), "node {id} run at {lpn}: {out:?}");
+                }
+            });
+        }
+    });
     for (node, id) in [(&a, 0u8), (&b, 1u8)] {
         let s = node.stats();
-        assert_eq!(s.repl.resync_pages, PAGES, "node {id}");
-        assert_eq!(node.journal_len(), 0, "node {id}");
         assert!(s.writes_balance(), "node {id}");
-        for lpn in 0..PAGES {
+        assert_eq!(s.replicated_pages, 4 * RUN, "node {id}");
+        for lpn in 0..PAGES + 4 * RUN {
             assert_eq!(node.read(lpn), Some(page(id, lpn)), "node {id} page {lpn}");
         }
     }
-    assert_eq!(a.hosted_remote_pages().len() as u64, PAGES);
-    assert_eq!(b.hosted_remote_pages().len() as u64, PAGES);
+    let written: Vec<u64> = (PAGES..PAGES + 4 * RUN).collect();
+    assert_eq!(a.hosted_remote_pages(), written);
+    assert_eq!(b.hosted_remote_pages(), written);
     a.shutdown();
     b.shutdown();
 }

@@ -290,7 +290,7 @@ fn chaos_run(seed: u64, shards: u16) {
 
     // Phase 4: the replica side dies. The primary serves on alone (solo,
     // write-through), so the route stays put and no failover is counted;
-    // the restarted secondary resyncs and the pair re-forms.
+    // the restarted secondary rejoins and the pair re-forms.
     let failovers = sg.stats().failovers;
     let (primary, secondary) = (sg.primary(victim), sg.secondary(victim));
     let edges = primary.lifecycle_transitions();
