@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fc_cluster::{NodeConfig, ReplicationStats};
+use fc_cluster::ReplicationStats;
 use fc_gateway::{
     spawn_mem_pair, AdmissionConfig, ClientError, Gateway, GatewayClient, GatewayConfig,
     GatewayStats, Reply, ShardStats, ShardStatsSum, ShardedGateway,
@@ -199,25 +199,6 @@ impl Default for LoadgenSpec {
     }
 }
 
-/// Cluster and request sizing that departs from the node, gateway and trace
-/// profiles. Crate-private: [`run`] and the CLI always use the profiles;
-/// the one instance is the shape `BENCH_10.json`'s pipelined runs were
-/// recorded with, kept so `bench_10_state_digests_reproduce` still reaches
-/// the digests checked in there.
-#[derive(Debug, Clone, Copy)]
-struct Sizing {
-    /// Mean request size in pages.
-    req_pages: f64,
-    /// Every node's remote-buffer credit pool (distinct peer pages hosted).
-    remote_capacity: usize,
-    /// Every node's local buffer capacity in pages.
-    buffer_pages: usize,
-    /// The gateway's destage-block size: caps the run a write coalesces to.
-    pages_per_block: u32,
-    /// Every node's max pages per replication batch.
-    repl_batch_pages: usize,
-}
-
 /// Aggregated outcome of a run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
@@ -351,18 +332,10 @@ pub fn payload(client: u64, lpn: u64, seq: u64, page_bytes: usize) -> Bytes {
 /// The per-client request stream: the trace, remapped into the client's
 /// private lpn window.
 pub fn client_trace(spec: &LoadgenSpec, client_idx: usize) -> Trace {
-    sized_trace(spec, client_idx, None)
-}
-
-fn sized_trace(spec: &LoadgenSpec, client_idx: usize, sizing: Option<Sizing>) -> Trace {
-    let mut synth = spec
-        .workload
+    spec.workload
         .spec(spec.pages_per_client)
-        .with_requests(spec.requests);
-    if let Some(sizing) = sizing {
-        synth.mean_req_pages = sizing.req_pages;
-    }
-    synth.generate(spec.seed + client_idx as u64)
+        .with_requests(spec.requests)
+        .generate(spec.seed + client_idx as u64)
 }
 
 fn lpn_window(spec: &LoadgenSpec, client_idx: usize) -> u64 {
@@ -658,10 +631,6 @@ fn client_recv(client: &GatewayClient, timeout: Duration) -> RecvOutcome {
 /// Build a gateway-fronted cluster — `spec.shards` pairs behind a
 /// consistent-hash ring — run the spec, and report.
 pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
-    run_sized(spec, None)
-}
-
-fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, String> {
     if spec.shards == 0 {
         return Err("shards must be >= 1".into());
     }
@@ -692,29 +661,18 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
             }
         }
     }
-    let mut gw_cfg = GatewayConfig {
+    let gw_cfg = GatewayConfig {
         admission: spec.admission,
         ..GatewayConfig::default()
     };
-    if let Some(sizing) = sizing {
-        gw_cfg.pages_per_block = sizing.pages_per_block;
-    }
     let pages_per_block = gw_cfg.pages_per_block;
-
-    let tune = move |cfg: &mut NodeConfig| {
-        if let Some(sizing) = sizing {
-            cfg.repl_batch_pages = sizing.repl_batch_pages;
-            cfg.remote_capacity = sizing.remote_capacity;
-            cfg.buffer_pages = sizing.buffer_pages;
-        }
-    };
 
     let ring_cfg = RingConfig {
         seed: RING_SEED,
         block_pages: pages_per_block,
         ..RingConfig::default()
     };
-    let sg = ShardedGateway::spawn_mem_with(gw_cfg, ring_cfg, spec.shards, tune);
+    let sg = ShardedGateway::spawn_mem(gw_cfg, ring_cfg, spec.shards);
     let gateway = Arc::clone(sg.gateway());
 
     // Client-side shard attribution, shared across client threads.
@@ -802,7 +760,7 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
                     let mut newest = base_shards - 1;
                     if let Some(at) = add_at {
                         sleep_until(started + at);
-                        let (p, s) = spawn_mem_pair(base_shards, pages_per_block, tune);
+                        let (p, s) = spawn_mem_pair(base_shards, pages_per_block, |_| {});
                         newest = base_shards;
                         gateway
                             .add_pair(p, s)
@@ -824,7 +782,7 @@ fn run_sized(spec: &LoadgenSpec, sizing: Option<Sizing>) -> Result<LoadReport, S
 
     let mut handles = Vec::new();
     for idx in 0..spec.clients {
-        let trace = sized_trace(spec, idx, sizing);
+        let trace = client_trace(spec, idx);
         let base = lpn_window(spec, idx);
         let mut client = match spec.transport {
             TransportKind::Tcp => {
@@ -1385,43 +1343,25 @@ mod tests {
         assert!(run(&backwards).is_err(), "remove must follow add");
     }
 
-    /// The two pipelined configurations recorded in `BENCH_10.json` must
-    /// reach the digests checked in there.
+    /// A closed-loop mem run at loadgen's own profiles ends in a pinned
+    /// final state, the same behind one pair as behind four: a change that
+    /// moves where any acked page lands, or what it holds, moves the digest.
     #[test]
-    fn bench_10_state_digests_reproduce() {
-        let common = LoadgenSpec {
-            workload: Workload::Fin1,
-            seed: 42,
-            transport: TransportKind::Mem,
-            pages_per_client: 256,
-            admission: AdmissionConfig {
-                per_client_rate: 1_000_000.0,
-                ..AdmissionConfig::default()
-            },
-            ..LoadgenSpec::default()
-        };
-        let sizing = Sizing {
-            req_pages: 32.0,
-            remote_capacity: 16384,
-            buffer_pages: 8192,
-            pages_per_block: 64,
-            repl_batch_pages: 32,
-        };
-        for (clients, requests, shards, digest) in [
-            (4, 1500, 1, 0xa3cf_14f4_80d8_06ca_u64),
-            (8, 800, 4, 0x4055_dbb0_1a2a_8c8b),
-        ] {
+    fn mem_closed_loop_state_digest_is_pinned() {
+        for shards in [1, 4] {
             let spec = LoadgenSpec {
-                clients,
-                requests,
+                clients: 4,
+                requests: 300,
+                transport: TransportKind::Mem,
+                admission: AdmissionConfig::unlimited(),
+                pages_per_client: 1 << 10,
                 shards,
-                ..common.clone()
+                ..LoadgenSpec::default()
             };
-            let report = run_sized(&spec, Some(sizing)).expect("run");
-            assert_eq!(report.shed, 0, "shards={shards}");
-            assert_eq!(report.errors, 0, "shards={shards}");
+            let report = run(&spec).expect("run");
+            assert_eq!((report.shed, report.errors), (0, 0), "shards={shards}");
             assert_eq!(
-                report.state_digest, digest,
+                report.state_digest, 0x3403_2e11_ad11_e2f8,
                 "shards={shards}: got {:#018x}",
                 report.state_digest
             );

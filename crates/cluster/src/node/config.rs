@@ -137,17 +137,17 @@ impl NodeConfig {
     /// Start a builder from the defaults:
     ///
     /// ```
-    /// use fc_cluster::{NodeConfig, RetryPolicy};
+    /// use fc_cluster::NodeConfig;
     ///
     /// let cfg = NodeConfig::builder()
     ///     .id(1)
     ///     .buffer_pages(128)
     ///     .remote_capacity(32)
-    ///     .retry(RetryPolicy::no_retries())
+    ///     .repl_batch_pages(8)
     ///     .build();
     /// assert_eq!(cfg.id, 1);
     /// assert_eq!(cfg.remote_capacity, 32);
-    /// assert_eq!(cfg.retry.attempts, 1);
+    /// assert_eq!(cfg.repl_batch_pages, 8);
     /// ```
     pub fn builder() -> NodeConfigBuilder {
         NodeConfigBuilder {
@@ -169,12 +169,6 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Buffer replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
     /// Local buffer capacity in pages.
     pub fn buffer_pages(mut self, pages: usize) -> Self {
         self.cfg.buffer_pages = pages;
@@ -187,51 +181,15 @@ impl NodeConfigBuilder {
         self
     }
 
-    /// Heartbeat period.
-    pub fn heartbeat(mut self, period: Duration) -> Self {
-        self.cfg.heartbeat = period;
-        self
-    }
-
-    /// Silence after which the peer is declared failed.
-    pub fn failure_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.failure_timeout = timeout;
-        self
-    }
-
-    /// Batch-ack wait per attempt.
-    pub fn ack_timeout(mut self, timeout: Duration) -> Self {
-        self.cfg.ack_timeout = timeout;
-        self
-    }
-
-    /// Bounded retry-with-backoff policy for the replication path.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
     /// Pages this node will host for its peer.
     pub fn remote_capacity(mut self, pages: usize) -> Self {
         self.cfg.remote_capacity = pages;
         self
     }
 
-    /// Per-client exactly-once window (tagged write runs remembered).
-    pub fn dedup_window(mut self, runs: usize) -> Self {
-        self.cfg.dedup_window = runs.max(1);
-        self
-    }
-
     /// Maximum pages per pipelined replication batch frame.
     pub fn repl_batch_pages(mut self, pages: usize) -> Self {
         self.cfg.repl_batch_pages = pages.max(1);
-        self
-    }
-
-    /// Maximum unacknowledged replication batches in flight.
-    pub fn repl_window(mut self, batches: usize) -> Self {
-        self.cfg.repl_window = batches.max(1);
         self
     }
 

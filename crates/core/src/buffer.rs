@@ -566,10 +566,9 @@ impl<P: Clone> BufferManager<P> {
         self.ranked = RankedDirectory::new(rank_mode(self.policy));
     }
 
-    /// All resident pages in ascending LPN order. The resync path streams
-    /// this when the catch-up journal overflowed: a full-buffer resync walks
-    /// the working set sequentially, the same access shape the takeover
-    /// destage uses.
+    /// All resident pages in ascending LPN order: the buffered half of the
+    /// occupancy set an elastic-membership rebalance fences moved blocks
+    /// from.
     pub fn resident_pages(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self.pages.keys().copied().collect();
         v.sort_unstable();

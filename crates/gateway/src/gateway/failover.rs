@@ -13,9 +13,9 @@ use std::time::{Duration, Instant};
 use fc_cluster::{Node, NodeDown, PairState};
 use parking_lot::RwLock;
 
+use super::stats::ShardInstruments;
 use super::{Gateway, GatewayConfig};
 use crate::proto::Reply;
-use crate::shard::ShardInstruments;
 
 /// How long a failback cutover waits for the primary's recovery snapshot
 /// from its peer before it is refused.

@@ -19,7 +19,7 @@
 //! | `failover` | `ShardBackend` (`health` private): one attempt, `on_down`, `try_failback`, `flip`, `provably_dead`; the retry / backoff / deadline loop | shard health (the only `.health.read()` / `.write()` sites) | `ShardBackend` never — returns its `RouteEvent`; the loop narrates it, and `unavailable` |
 //! | `ops` | read / trim / flush / batch-window write submission | route table read half, then health through `with_shard` | `unavailable` for a skipped dead shard |
 //! | `session` | handshake, the validate + admit gate, batch window, in-order replies; names neither the route table nor shard health | none | `session_*`, `bad_request`, `shed`, `flush` |
-//! | `config`, `stats` | plain types; the request-granular cells | — | — |
+//! | `config`, `stats` | plain types; the counter table (every cell, its registry name, the snapshots and the counter-sum identity) | — | — |
 
 mod config;
 mod failover;
@@ -30,7 +30,7 @@ mod stats;
 
 pub use config::GatewayConfig;
 pub use route::{RebalanceError, RebalanceReport};
-pub use stats::GatewayStats;
+pub use stats::{GatewayStats, ShardStats, ShardStatsSum};
 
 pub(crate) use failover::ShardBackend;
 
@@ -47,7 +47,6 @@ use parking_lot::{Mutex, RwLock};
 use crate::admission::Admission;
 use crate::client::GatewayClient;
 use crate::conn::{mem_session, SessionLink, TcpSessionLink};
-use crate::shard::{ShardStats, ShardStatsSum};
 use route::RouteTable;
 use session::session_loop;
 use stats::Instruments;
@@ -350,41 +349,10 @@ impl Gateway {
     /// every returned pair, mid-flight or not.
     pub fn stats_with_shards(&self) -> (GatewayStats, Vec<ShardStats>) {
         let shards = self.shard_stats();
-        let sum = ShardStatsSum::of(&shards);
-        let ins = &self.ins;
-        let stats = GatewayStats {
-            sessions_started: ins.sessions_started.get(),
-            sessions_ended: ins.sessions_ended.get(),
-            requests: ins.requests.get(),
-            admitted: ins.admitted.get(),
-            shed_total: ins.shed_total.get(),
-            shed_rate_limited: ins.shed_rate_limited.get(),
-            shed_queue_full: ins.shed_queue_full.get(),
-            bad_requests: ins.bad_requests.get(),
-            writes: ins.writes.get(),
-            write_pages: sum.write_pages,
-            reads: ins.reads.get(),
-            read_pages: sum.read_pages,
-            read_hits: sum.read_hits,
-            trims: ins.trims.get(),
-            trim_pages: sum.trim_pages,
-            flushes: ins.flushes.get(),
-            flushed_pages: sum.flushed_pages,
-            batches: ins.batches.get(),
-            runs: sum.runs,
-            coalesced_pages: sum.coalesced_pages,
-            failovers: sum.failovers,
-            failbacks: sum.failbacks,
-            retries: sum.retries,
-            unavailable: sum.unavailable,
-            rebalances_started: ins.rebalances_started.get(),
-            rebalances_completed: ins.rebalances_completed.get(),
-            rebalance_moved_blocks: ins.rebalance_moved_blocks.get(),
-            rebalance_moved_pages: ins.rebalance_moved_pages.get(),
-            rebalance_batches: ins.rebalance_batches.get(),
-            inflight: self.admission.inflight(),
-            max_inflight_seen: self.admission.max_inflight_seen(),
-        };
+        let adm = &self.admission;
+        let stats = self
+            .ins
+            .snapshot(&shards, adm.inflight(), adm.max_inflight_seen());
         (stats, shards)
     }
 

@@ -14,7 +14,7 @@ use super::Gateway;
 use crate::admission::{Permit, ShedReason};
 use crate::batch::WriteSpan;
 use crate::conn::{LinkClosed, SessionLink};
-use crate::proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
+use crate::proto::{ErrorCode, Reply, Request, PROTO_VERSION};
 
 /// Session-loop poll interval (also the shutdown latency bound).
 const SESSION_POLL: Duration = Duration::from_millis(25);
@@ -26,7 +26,7 @@ pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
     gw.ins.sessions_started.inc();
     gw.note("session_start", |e| e);
 
-    let Some((client, version)) = handshake(&gw, link.as_ref()) else {
+    let Some(client) = handshake(&gw, link.as_ref()) else {
         gw.ins.sessions_ended.inc();
         gw.note("session_end", |e| e);
         return;
@@ -35,7 +35,6 @@ pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
         gw: &gw,
         link: link.as_ref(),
         client,
-        version,
     };
 
     let mut carried: Option<Request> = None;
@@ -58,16 +57,14 @@ pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
     gw.note("session_end", |e| e.u64_field("client", client));
 }
 
-/// First message must be a supported-version Hello. Returns the client id
-/// and the negotiated session version (the client's own, echoed back — a
-/// v1 client never sees a v2-only reply tag), or `None` if the session
-/// should be dropped.
-fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<(u64, u16)> {
+/// First message must be a Hello at [`PROTO_VERSION`]. Returns the client
+/// id, or `None` if the session should be dropped.
+fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<u64> {
     let ins = &gw.ins;
     while !gw.shutdown.load(Ordering::SeqCst) {
         match link.recv_timeout(SESSION_POLL) {
             Ok(Some(Request::Hello { version, client })) => {
-                if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+                if version != PROTO_VERSION {
                     ins.bad_requests.inc();
                     gw.note("bad_request", |e| e.str_field("why", "version"));
                     let _ = link.send(Reply::Error {
@@ -82,7 +79,7 @@ fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<(u64, u16)> {
                     max_inflight,
                 })
                 .ok()?;
-                return Some((client, version));
+                return Some(client);
             }
             Ok(Some(other)) => {
                 // I/O before Hello: refuse, keep waiting for the handshake.
@@ -148,30 +145,14 @@ fn gate(gw: &Gateway, client: u64, id: u64, valid: bool) -> Result<Permit, Reply
     }
 }
 
-/// One established session: who is asking, over what, at which protocol
-/// version.
+/// One established session: who is asking, over what.
 struct Session<'a> {
     gw: &'a Gateway,
     link: &'a dyn SessionLink,
     client: u64,
-    version: u16,
 }
 
 impl Session<'_> {
-    /// Send `reply`, downgrading v2-only tags for older sessions: a v1
-    /// client sees `Unavailable` as `Error { Busy }` — same retry semantics,
-    /// no unknown tag on its wire.
-    fn send(&self, reply: Reply) -> Result<(), LinkClosed> {
-        let reply = match reply {
-            Reply::Unavailable { id, .. } if self.version < 2 => Reply::Error {
-                id,
-                code: ErrorCode::Busy,
-            },
-            other => other,
-        };
-        self.link.send(reply)
-    }
-
     /// Process one request (and, for writes, a drained batch of pipelined
     /// writes behind it). Returns a non-write request drained out of the
     /// batch window, which the caller must process next — preserving reply
@@ -183,7 +164,7 @@ impl Session<'_> {
             Request::Hello { .. } => {
                 // Duplicate handshake: harmless, re-ack.
                 self.link.send(Reply::HelloOk {
-                    version: self.version,
+                    version: PROTO_VERSION,
                     max_inflight: gw.admission.config().max_inflight,
                 })?;
             }
@@ -232,7 +213,7 @@ impl Session<'_> {
         let gw = self.gw;
         let permit = match gate(gw, self.client, id, valid) {
             Ok(permit) => permit,
-            Err(refusal) => return self.send(refusal),
+            Err(refusal) => return self.link.send(refusal),
         };
         let started = Instant::now();
         let result = op();
@@ -242,7 +223,7 @@ impl Session<'_> {
             .record(started.elapsed().as_nanos() as u64);
         drop(permit);
         gauge_inflight(gw);
-        self.send(match result {
+        self.link.send(match result {
             Ok(v) => ok(v),
             Err(u) => u.reply(id),
         })
@@ -296,7 +277,7 @@ impl Session<'_> {
         }
 
         for w in &window.batch {
-            self.send(match w {
+            self.link.send(match w {
                 Err(refusal) => refusal.clone(),
                 Ok((id, pages, _permit)) => match submitted {
                     Err(u) => u.reply(*id),

@@ -1,7 +1,7 @@
 //! # fc-gateway
 //!
 //! The client-facing front door of a FlashCoop pair. `fc-cluster` gives a
-//! node its *peer*-facing protocol (replication, heartbeats, resync); this
+//! node its *peer*-facing protocol (replication, heartbeats, recovery); this
 //! crate gives it a *client*-facing one — the paper's servers are, after
 //! all, storage servers with users.
 //!
@@ -70,6 +70,7 @@ pub use admission::{Admission, AdmissionConfig, Permit, ShedReason, TokenBucket}
 pub use batch::{coalesce, coalesce_sharded, WriteRun};
 pub use client::{ClientError, GatewayClient, WriteAck};
 pub use conn::{mem_session, LinkClosed, SessionLink, TcpSessionLink};
-pub use gateway::{Gateway, GatewayConfig, GatewayStats, RebalanceError, RebalanceReport};
-pub use proto::{ErrorCode, Reply, Request, MIN_PROTO_VERSION, PROTO_VERSION};
-pub use shard::{spawn_mem_pair, ShardStats, ShardStatsSum, ShardedGateway};
+pub use gateway::{Gateway, GatewayConfig, RebalanceError, RebalanceReport};
+pub use gateway::{GatewayStats, ShardStats, ShardStatsSum};
+pub use proto::{ErrorCode, Reply, Request, PROTO_VERSION};
+pub use shard::{spawn_mem_pair, ShardedGateway};

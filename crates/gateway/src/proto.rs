@@ -9,9 +9,10 @@
 //! ```
 //!
 //! The protocol is *versioned*: every session opens with
-//! [`Request::Hello`] carrying [`PROTO_VERSION`]; the gateway refuses
-//! mismatched clients with [`ErrorCode::BadVersion`] before serving any
-//! I/O, so the format can evolve without silently misreading old clients.
+//! [`Request::Hello`] carrying [`PROTO_VERSION`]; the gateway serves that
+//! one version and refuses any other with [`ErrorCode::BadVersion`] before
+//! serving any I/O, so the format can evolve without silently misreading
+//! old clients.
 //!
 //! Requests carry a client-chosen `id` that the gateway echoes in the
 //! matching reply, which is what makes pipelining possible: a client may
@@ -21,19 +22,12 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fc_cluster::wire::{need, split_frame, write_frame, Frame, FrameError};
 
-/// Current protocol version, sent in [`Request::Hello`] and checked by the
-/// gateway before any I/O is served.
-///
-/// * **v1** — initial protocol.
-/// * **v2** — adds [`Reply::Unavailable`] (typed back-pressure when every
-///   replica of a shard is down). The gateway still serves v1 clients
-///   ([`MIN_PROTO_VERSION`]), downgrading `Unavailable` to
-///   `Error { code: Busy }` on their sessions, so old clients keep their
-///   retry semantics without learning the new tag.
+/// The protocol version, sent in [`Request::Hello`] and checked by the
+/// gateway before any I/O is served: a session at any other version is
+/// refused with [`ErrorCode::BadVersion`]. Version 2 added
+/// [`Reply::Unavailable`] (typed back-pressure when every replica of a
+/// shard is down); version 1 clients, which lack that tag, are refused.
 pub const PROTO_VERSION: u16 = 2;
-
-/// Oldest client protocol version the gateway still accepts.
-pub const MIN_PROTO_VERSION: u16 = 1;
 
 /// Why the gateway refused a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -41,26 +41,27 @@ fn shutdown(gw: Arc<Gateway>) {
 fn hello_rejects_wrong_version() {
     let (a, b) = pair();
     let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
-    let (client_half, server_half) = fc_gateway::mem_session();
-    gw.serve(server_half);
-
-    client_half
-        .send(Request::Hello {
-            version: fc_gateway::PROTO_VERSION + 1,
-            client: 1,
-        })
-        .unwrap();
-    let reply = client_half
-        .recv_timeout(Duration::from_secs(2))
-        .unwrap()
-        .unwrap();
-    assert_eq!(
-        reply,
-        Reply::Error {
-            id: 0,
-            code: ErrorCode::BadVersion
-        }
-    );
+    // The gateway serves exactly `PROTO_VERSION`: older and newer clients
+    // alike are refused before any I/O.
+    for version in [1, fc_gateway::PROTO_VERSION + 1] {
+        let (client_half, server_half) = fc_gateway::mem_session();
+        gw.serve(server_half);
+        client_half
+            .send(Request::Hello { version, client: 1 })
+            .unwrap();
+        let reply = client_half
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            reply,
+            Reply::Error {
+                id: 0,
+                code: ErrorCode::BadVersion
+            },
+            "version {version}"
+        );
+    }
     shutdown(gw);
 }
 

@@ -83,7 +83,7 @@ if code crates/core/src/policy/mod.rs | grep -nE '\bremoved[[:space:]]*:'; then
   exit 1
 fi
 
-echo "==> gateway layout guard: two locks, each behind one module; one membership entry; no per-page maps in the batch window"
+echo "==> gateway layout guard: two locks, each behind one module; one membership entry; no per-page maps in the batch window; one counter table; one protocol version"
 # DESIGN §12: route table -> shard health is the gateway's whole lock order.
 # Only failover.rs touches a shard's health lock or names the replica;
 # only mod.rs's attach_shard and rebalance take the route table's write
@@ -146,6 +146,27 @@ if code "$gw/session.rs" | grep -nE 'HashMap|BTreeMap'; then
 fi
 if code "$gw/session.rs" | grep -nE 'RouteTable|ShardHealth'; then
   echo "gateway/session.rs serves through ops: it names neither RouteTable nor ShardHealth" >&2
+  exit 1
+fi
+# DESIGN §10 / §13: the gateway's counters are one table — every cell,
+# its registry name, its snapshot fields and the counter-sum identity
+# come from gateway/stats.rs, so adding a counter is one row there. And the
+# client protocol has one version (DESIGN §12).
+for f in $(find crates -name '*.rs'); do
+  case "$f" in crates/gateway/src/gateway/stats.rs) continue ;; esac
+  if code "$f" | grep -nE '\bstruct (Instruments|ShardInstruments|GatewayStats|ShardStats|ShardStatsSum)\b'; then
+    echo "$f: the gateway's counter structs are declared by gateway_counters! in gateway/stats.rs" >&2
+    exit 1
+  fi
+  case "$f" in crates/gateway/src/*)
+    if code "$f" | grep -n 'reg\.adopt('; then
+      echo "$f: gateway metrics are published from the counter table in gateway/stats.rs" >&2
+      exit 1
+    fi
+  esac
+done
+if grep -rn 'MIN_PROTO_VERSION' crates; then
+  echo "crates/: the gateway serves exactly PROTO_VERSION; there is no older version to accept" >&2
   exit 1
 fi
 
