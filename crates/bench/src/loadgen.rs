@@ -28,28 +28,14 @@ use fc_gateway::{
     GatewayStats, Reply, ShardStats, ShardStatsSum, ShardedGateway,
 };
 use fc_obs::{Counter, Histogram};
-use fc_ring::{Ring, RingConfig};
+use fc_ring::RingConfig;
 use fc_trace::{Op, SyntheticSpec, Trace};
 
 /// Ring placement seed for loadgen-built clusters. Fixed (not derived from
 /// the workload seed) so the shard layout is part of the tool's identity:
-/// two runs of any spec agree on placement, and per-shard lines are
+/// two runs of any spec agree on placement, and per-shard rows are
 /// comparable across seeds.
 pub const RING_SEED: u64 = 0x10AD_4E4E_F1A5_C009;
-
-/// The ring a loadgen-built cluster of `shards` pairs routes by — exposed
-/// so tests and reports can attribute lpns to shards exactly like the
-/// gateway does.
-pub fn cluster_ring(shards: u16, pages_per_block: u32) -> Ring {
-    Ring::with_pairs(
-        RingConfig {
-            seed: RING_SEED,
-            block_pages: pages_per_block,
-            ..RingConfig::default()
-        },
-        shards,
-    )
-}
 
 /// Which workload personality each client replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +139,8 @@ pub struct LoadgenSpec {
     pub admission: AdmissionConfig,
     /// Payload bytes per page.
     pub page_bytes: usize,
-    /// Cooperative pairs behind the gateway: a [`ShardedGateway`] routing
-    /// by [`cluster_ring`], with one report row per shard.
+    /// Cooperative pairs behind the gateway: a [`ShardedGateway`] whose ring
+    /// is seeded with [`RING_SEED`]; the report has one row per shard slot.
     pub shards: u16,
     /// Fault schedule: crash the victim shard's primary this long after
     /// the clients start (the gateway fails the shard over to its
@@ -224,11 +210,9 @@ pub struct LoadReport {
     /// spec must produce the same digest (the determinism contract of the
     /// in-memory variant).
     pub state_digest: u64,
-    /// Client-side per-shard breakdown: acked requests and latency
-    /// attributed to the shard owning each request's head lpn, via the
-    /// same ring the gateway routes by.
-    pub shard_lines: Vec<ShardLine>,
-    /// Gateway-side per-shard counters.
+    /// The gateway's per-shard counters, one entry per attached slot —
+    /// a pair added mid-run has one, a retired one keeps its frozen
+    /// counters. The report's shard rows come from here.
     pub shard_stats: Vec<ShardStats>,
     /// Per-phase breakdown of a fault- or elastic-schedule run (empty
     /// without one): acked requests bucketed by the phase their reply
@@ -258,16 +242,6 @@ pub struct PhaseLine {
     /// Offset from client start at which the phase begins.
     pub start: Duration,
     /// Acked requests whose reply arrived during this phase.
-    pub acked: u64,
-    /// Latency of those requests (issue → reply), nanoseconds.
-    pub latency: Histogram,
-}
-
-/// One shard's client-observed share of a sharded run.
-#[derive(Debug, Clone)]
-pub struct ShardLine {
-    pub shard: u16,
-    /// Acked requests whose head lpn this shard owns.
     pub acked: u64,
     /// Latency of those requests (issue → reply), nanoseconds.
     pub latency: Histogram,
@@ -352,48 +326,6 @@ struct ClientTally {
     errors: u64,
 }
 
-/// Shared per-shard attribution for client threads: each acked request is
-/// credited to the shard owning its head lpn, resolved through the same
-/// ring the gateway routes by (placement is deterministic, so client-side
-/// and gateway-side attribution agree).
-struct ShardAttr {
-    ring: Ring,
-    acked: Vec<Counter>,
-    latency: Vec<Histogram>,
-}
-
-impl ShardAttr {
-    fn new(shards: u16, pages_per_block: u32) -> ShardAttr {
-        ShardAttr {
-            ring: cluster_ring(shards, pages_per_block),
-            acked: (0..shards).map(|_| Counter::new()).collect(),
-            latency: (0..shards).map(|_| Histogram::new()).collect(),
-        }
-    }
-
-    fn shard_of(&self, lpn: u64) -> usize {
-        usize::from(self.ring.shard_of_lpn(lpn))
-    }
-
-    fn record(&self, shard: usize, ns: u64) {
-        self.acked[shard].inc();
-        self.latency[shard].record(ns);
-    }
-
-    fn lines(&self) -> Vec<ShardLine> {
-        self.acked
-            .iter()
-            .zip(&self.latency)
-            .enumerate()
-            .map(|(i, (acked, latency))| ShardLine {
-                shard: i as u16,
-                acked: acked.get(),
-                latency: latency.clone(),
-            })
-            .collect()
-    }
-}
-
 /// Phase bucketing for fault- and elastic-schedule runs, shared across
 /// client threads: each acked request is credited to the phase its reply
 /// arrived in, measured against the same origin instant the controller's
@@ -446,18 +378,12 @@ impl PhaseAttr {
 #[derive(Clone, Copy)]
 struct Sinks<'a> {
     latency: &'a Histogram,
-    attr: &'a ShardAttr,
     phases: Option<&'a PhaseAttr>,
 }
 
 impl Sinks<'_> {
-    fn record(&self, lpn: u64, ns: u64) {
-        self.record_at_shard(self.attr.shard_of(lpn), ns);
-    }
-
-    fn record_at_shard(&self, shard: usize, ns: u64) {
+    fn record(&self, ns: u64) {
         self.latency.record(ns);
-        self.attr.record(shard, ns);
         if let Some(phases) = self.phases {
             phases.record(ns);
         }
@@ -490,7 +416,7 @@ fn drive_closed(
         match outcome {
             Ok(()) => {
                 t.acked += 1;
-                sinks.record(base + req.lpn, started.elapsed().as_nanos() as u64);
+                sinks.record(started.elapsed().as_nanos() as u64);
             }
             Err(ClientError::Busy) => t.shed += 1,
             // A shard with no live replica degrades to a typed reply, not
@@ -517,9 +443,8 @@ fn drive_open(
     let cid = client.client_id();
     let schedule = trace.arrival_schedule().scaled(rate_factor);
     let origin = Instant::now();
-    // id → (send instant, owning shard), for latency + shard attribution
-    // once the (in-order) reply arrives.
-    let mut inflight: std::collections::VecDeque<(u64, Instant, usize)> =
+    // id → send instant, for latency once the (in-order) reply arrives.
+    let mut inflight: std::collections::VecDeque<(u64, Instant)> =
         std::collections::VecDeque::new();
 
     for (seq, req) in trace.requests.iter().enumerate() {
@@ -543,7 +468,6 @@ fn drive_open(
         }
         let pages = req.pages.max(1);
         t.issued += 1;
-        let shard = sinks.attr.shard_of(base + req.lpn);
         let sent = Instant::now();
         let result = match req.op {
             Op::Write => {
@@ -556,7 +480,7 @@ fn drive_open(
             Op::Trim => client.send_trim(base + req.lpn, pages),
         };
         match result {
-            Ok(id) => inflight.push_back((id, sent, shard)),
+            Ok(id) => inflight.push_back((id, sent)),
             Err(_) => {
                 t.errors += 1;
                 return t;
@@ -576,7 +500,7 @@ fn drive_open(
 /// without waiting. Returns false on a protocol/transport failure.
 fn drain_replies(
     client: &GatewayClient,
-    inflight: &mut std::collections::VecDeque<(u64, Instant, usize)>,
+    inflight: &mut std::collections::VecDeque<(u64, Instant)>,
     t: &mut ClientTally,
     sinks: Sinks<'_>,
     budget: Duration,
@@ -584,7 +508,7 @@ fn drain_replies(
     loop {
         match client_recv(client, budget) {
             RecvOutcome::Reply(reply) => {
-                let Some((id, sent, shard)) = inflight.pop_front() else {
+                let Some((id, sent)) = inflight.pop_front() else {
                     t.errors += 1;
                     return false;
                 };
@@ -598,7 +522,7 @@ fn drain_replies(
                     t.unavailable += 1;
                 } else {
                     t.acked += 1;
-                    sinks.record_at_shard(shard, sent.elapsed().as_nanos() as u64);
+                    sinks.record(sent.elapsed().as_nanos() as u64);
                 }
                 if budget == Duration::ZERO {
                     continue;
@@ -674,9 +598,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     };
     let sg = ShardedGateway::spawn_mem(gw_cfg, ring_cfg, spec.shards);
     let gateway = Arc::clone(sg.gateway());
-
-    // Client-side shard attribution, shared across client threads.
-    let attr = Arc::new(ShardAttr::new(spec.shards, pages_per_block));
 
     let tcp_addr = match spec.transport {
         TransportKind::Tcp => Some(
@@ -793,7 +714,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
             TransportKind::Mem => gateway.connect_mem_as(idx as u64 + 1),
         };
         let latency = latency.clone();
-        let attr = attr.clone();
         let phases = phases.clone();
         let mode = spec.mode;
         let page_bytes = spec.page_bytes;
@@ -805,7 +725,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
                     client.hello().map_err(|e| format!("hello: {e}"))?;
                     let sinks = Sinks {
                         latency: &latency,
-                        attr: &attr,
                         phases: phases.as_deref(),
                     };
                     Ok::<ClientTally, String>(match mode {
@@ -848,7 +767,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     }
     let gateway_stats = gateway.stats();
     let shard_stats = gateway.shard_stats();
-    let shard_lines = attr.lines();
     let digest = state_digest(&gateway, spec.clients as u64 * spec.pages_per_client);
 
     // Cluster-wide replication summary, snapshotted while the nodes are
@@ -901,7 +819,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         latency,
         gateway: gateway_stats,
         state_digest: digest,
-        shard_lines,
         shard_stats,
         phase_lines: phases.as_deref().map(PhaseAttr::lines).unwrap_or_default(),
         repl,
@@ -1053,28 +970,17 @@ pub fn report_text(r: &LoadReport) -> String {
             us(line.latency.p99()),
         ));
     }
-    for line in &r.shard_lines {
-        let share = if r.acked == 0 {
-            0.0
-        } else {
-            100.0 * line.acked as f64 / r.acked as f64
-        };
-        let mut row = format!(
-            "  shard {:<6} acked {:>8} ({:>5.1}%)   p50 {:>9.1} µs   p99 {:>9.1} µs",
-            line.shard,
-            line.acked,
-            share,
-            us(line.latency.p50()),
-            us(line.latency.p99()),
-        );
-        if let Some(s) = r.shard_stats.iter().find(|s| s.shard == line.shard) {
-            row.push_str(&format!(
-                "   node ops {}  runs {}  rd {}  wr {}",
-                s.ops, s.runs, s.read_pages, s.write_pages
-            ));
-        }
-        row.push('\n');
-        out.push_str(&row);
+    for s in &r.shard_stats {
+        let mean_ns = s.latency_sum_ns.checked_div(s.latency_samples).unwrap_or(0);
+        out.push_str(&format!(
+            "  shard {:<6} ops {:>8}   mean {:>9.1} µs   runs {:>8}   rd {:>8}   wr {:>8}\n",
+            s.shard,
+            s.ops,
+            us(mean_ns),
+            s.runs,
+            s.read_pages,
+            s.write_pages,
+        ));
     }
     out.push_str(&format!(
         "  {:<12} {:#018x}\n",
@@ -1206,16 +1112,14 @@ mod tests {
         a.verify_shard_sums().expect("counter-sum identity");
         b.verify_shard_sums().expect("counter-sum identity");
 
-        // Client-side attribution covers every acked request.
-        assert_eq!(a.shard_lines.len(), 4);
-        let acked_sum: u64 = a.shard_lines.iter().map(|l| l.acked).sum();
-        assert_eq!(acked_sum, a.acked);
-        let samples: u64 = a.shard_lines.iter().map(|l| l.latency.count()).sum();
-        assert_eq!(samples, a.latency.count());
-        // With the default vnode count the 4 shards all see traffic.
-        assert!(a.shard_lines.iter().all(|l| l.acked > 0));
+        // One gateway row per shard, each submission timed once; with the
+        // default vnode count the 4 shards all see traffic.
+        assert_eq!(a.shard_stats.len(), 4);
+        assert!(a.shard_stats.iter().all(|s| s.ops > 0));
+        assert!(a.shard_stats.iter().all(|s| s.latency_samples == s.ops));
 
         let text = report_text(&a);
+        assert_eq!(shard_rows(&text), 4);
         assert!(text.contains("shard 0"));
         assert!(text.contains("shard 3"));
         assert!(text.contains("shards=4"));
@@ -1379,14 +1283,40 @@ mod tests {
             ..LoadgenSpec::default()
         };
         let report = run(&spec).expect("run");
-        assert_eq!(report.shard_lines.len(), 1);
-        assert_eq!(report.shard_lines[0].acked, report.acked);
         let g = &report.gateway;
         assert!(g.write_pages > 0 && g.read_pages > 0, "workload is mixed");
         // With one row, the eleven-counter sum identity says the row
         // equals the aggregate.
         assert_eq!(report.shard_stats.len(), 1);
         report.verify_shard_sums().expect("counter-sum identity");
-        assert!(report_text(&report).contains("shard 0"));
+        let text = report_text(&report);
+        assert_eq!(shard_rows(&text), 1);
+        assert!(text.contains("shard 0"));
+    }
+
+    /// A pair added mid-run is a shard slot of its own, so it gets a row.
+    #[test]
+    fn a_pair_added_mid_run_gets_its_own_shard_row() {
+        let spec = LoadgenSpec {
+            clients: 2,
+            requests: 300,
+            transport: TransportKind::Mem,
+            admission: AdmissionConfig::unlimited(),
+            pages_per_client: 1 << 10,
+            shards: 2,
+            add_pair_at: Some(Duration::from_millis(5)),
+            ..LoadgenSpec::default()
+        };
+        let report = run(&spec).expect("run");
+        assert_eq!(report.gateway.rebalances_completed, 1);
+        assert_eq!(report.shard_stats.len(), 3);
+        report.verify_shard_sums().expect("counter-sum identity");
+        let text = report_text(&report);
+        assert_eq!(shard_rows(&text), 3, "{text}");
+        assert!(text.contains("shard 2"));
+    }
+
+    fn shard_rows(text: &str) -> usize {
+        text.lines().filter(|l| l.starts_with("  shard ")).count()
     }
 }

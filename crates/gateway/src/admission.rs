@@ -7,7 +7,9 @@
 //! * **Per-client rate** — a token bucket per client id smooths each
 //!   client's offered rate to `per_client_rate` with bursts up to
 //!   `per_client_burst`. One client hammering the gateway cannot starve
-//!   the others.
+//!   the others. With an infinite rate every request passes this gate, so
+//!   no bucket is kept or locked; otherwise at most 4,096 are,
+//!   and a new client displaces the one whose last take is oldest.
 //! * **Global queue depth** — at most `max_inflight` admitted requests may
 //!   be in service at once, across all sessions. This bounds the work
 //!   queued on the node (and therefore tail latency) no matter how many
@@ -140,6 +142,12 @@ impl Drop for Permit {
     }
 }
 
+/// Token buckets an [`Admission`] keeps at most: at the cap, a new client
+/// displaces the bucket whose last take is oldest (that client starts
+/// over with a full bucket), so a long-lived gateway does not keep one
+/// for every client id it was ever sent.
+const MAX_BUCKETS: usize = 4096;
+
 /// Shared admission state for one gateway.
 pub struct Admission {
     cfg: AdmissionConfig,
@@ -162,21 +170,17 @@ impl Admission {
     /// success the returned [`Permit`] must be held for the duration of
     /// service; on failure the caller replies `Busy`.
     pub fn try_admit(&self, client: u64, now_nanos: u64) -> Result<Permit, ShedReason> {
-        {
-            let mut buckets = self.buckets.lock();
-            let bucket = buckets.entry(client).or_insert_with(|| {
-                TokenBucket::new(self.cfg.per_client_burst, self.cfg.per_client_rate)
-            });
-            if !bucket.try_take(now_nanos) {
-                return Err(ShedReason::RateLimited);
-            }
+        // An infinite rate admits every request at this gate: no bucket.
+        let limited = !self.cfg.per_client_rate.is_infinite();
+        if limited && !self.take_token(client, now_nanos) {
+            return Err(ShedReason::RateLimited);
         }
         loop {
             let cur = self.inflight.load(Ordering::Acquire);
             if cur >= self.cfg.max_inflight {
                 // Refund the rate token: this request was within its
                 // client's budget — the *global* gate refused it.
-                if !self.cfg.per_client_rate.is_infinite() {
+                if limited {
                     if let Some(b) = self.buckets.lock().get_mut(&client) {
                         b.refund();
                     }
@@ -194,6 +198,25 @@ impl Admission {
                 });
             }
         }
+    }
+
+    /// Take one of `client`'s tokens, creating its bucket on first use —
+    /// displacing the stalest one at `MAX_BUCKETS`.
+    fn take_token(&self, client: u64, now_nanos: u64) -> bool {
+        let mut buckets = self.buckets.lock();
+        if buckets.len() >= MAX_BUCKETS && !buckets.contains_key(&client) {
+            // Ties (same last take) go to the lowest id, so the pick repeats.
+            let stalest = buckets.iter().min_by_key(|&(&id, b)| (b.last_nanos, id));
+            if let Some(id) = stalest.map(|(&id, _)| id) {
+                buckets.remove(&id);
+            }
+        }
+        buckets
+            .entry(client)
+            .or_insert_with(|| {
+                TokenBucket::new(self.cfg.per_client_burst, self.cfg.per_client_rate)
+            })
+            .try_take(now_nanos)
     }
 
     /// Requests currently admitted and in service.
@@ -292,6 +315,32 @@ mod tests {
         drop(c);
         assert_eq!(adm.inflight(), 0);
         assert_eq!(adm.max_inflight_seen(), 2, "cap was never exceeded");
+    }
+
+    #[test]
+    fn unlimited_admission_keeps_no_bucket() {
+        let adm = Admission::new(AdmissionConfig::unlimited());
+        for client in 0..10_000 {
+            assert!(adm.try_admit(client, 0).is_ok());
+        }
+        assert_eq!(adm.buckets.lock().len(), 0);
+    }
+
+    #[test]
+    fn limited_admission_caps_its_buckets_and_displaces_the_stalest() {
+        let adm = Admission::new(AdmissionConfig {
+            per_client_rate: 1.0,
+            per_client_burst: 1.0,
+            max_inflight: u32::MAX,
+        });
+        for client in 0..5_000u64 {
+            assert!(adm.try_admit(client, client * SEC).is_ok());
+        }
+        let buckets = adm.buckets.lock();
+        assert_eq!(buckets.len(), MAX_BUCKETS);
+        // The clients heard from longest ago were the ones displaced.
+        assert!((0..5_000 - MAX_BUCKETS as u64).all(|c| !buckets.contains_key(&c)));
+        assert!((5_000 - MAX_BUCKETS as u64..5_000).all(|c| buckets.contains_key(&c)));
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl Gateway {
             let sb = rt.shard(shard);
             let seg = self.with_shard(shard, sb, |node| node.try_read_run(client, start, count))?;
             sb.ins.read_pages.add(u64::from(count));
-            sb.ins.read_hits.add(seg.iter().flatten().count() as u64);
+            sb.ins.read_found.add(seg.iter().flatten().count() as u64);
             out.extend(seg);
         }
         Ok(out)

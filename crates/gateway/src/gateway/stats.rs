@@ -232,8 +232,9 @@ gateway_counters! {
     summed {
         /// Pages read.
         read_pages: "read_pages",
-        /// Read pages that returned data.
-        read_hits: "read_hits",
+        /// Read pages that came back with data, from a node's buffer or its
+        /// backend alike (a node's buffer hits are `cluster.node.read_hits`).
+        read_found: "read_found",
         /// Pre-coalesce write pages.
         write_pages: "write_pages",
         /// Pages merged away by last-writer-wins coalescing.
@@ -305,7 +306,7 @@ mod tests {
         "gateway.shard.0.health",
         "gateway.shard.0.latency_ns",
         "gateway.shard.0.ops",
-        "gateway.shard.0.read_hits",
+        "gateway.shard.0.read_found",
         "gateway.shard.0.read_pages",
         "gateway.shard.0.retries",
         "gateway.shard.0.runs",
@@ -319,7 +320,7 @@ mod tests {
         "gateway.shard.1.health",
         "gateway.shard.1.latency_ns",
         "gateway.shard.1.ops",
-        "gateway.shard.1.read_hits",
+        "gateway.shard.1.read_found",
         "gateway.shard.1.read_pages",
         "gateway.shard.1.retries",
         "gateway.shard.1.runs",
@@ -388,7 +389,7 @@ mod tests {
             g.flushes,
             g.batches,
             g.read_pages,
-            g.read_hits,
+            g.read_found,
             g.write_pages,
             g.runs,
             g.trim_pages,

@@ -4,22 +4,17 @@
 //! each exclusively associated with one logical block (Section II.B,
 //! "hybrid-level FTL"; Section V.B). Writes always append to the owning log
 //! block; when a log block fills, the pool overflows, or its data must be
-//! reconciled, a **merge** folds log + data into a single block:
-//!
-//! * **switch merge** — the log block was written fully sequentially; it
-//!   simply *becomes* the data block (no copies, one erase of the old data
-//!   block).
-//! * **partial merge** — the log block holds a sequential prefix; the tail is
-//!   copied in from the old data block, then switch.
-//! * **full merge** — the log block is scrambled; the newest version of every
-//!   page is copied into a fresh block, and both old blocks are erased.
+//! reconciled, a merge of the `hybrid` core folds log + data into a single
+//! block: a switch merge when the log holds the whole block in order, a
+//! partial merge when it holds an in-order prefix, a full merge otherwise.
 //!
 //! In the presence of small random writes each log block is evicted holding
 //! only a few pages and almost every merge is a full merge — the behaviour
 //! that makes BAST the FTL that benefits most from FlashCoop's
 //! sequentialisation (Section IV.B.4).
 
-use super::{FreePool, Ftl, FtlConfig, FtlKind, FtlStats};
+use super::hybrid::Hybrid;
+use super::{Ftl, FtlConfig, FtlKind, FtlStats};
 use crate::cost::CostBreakdown;
 use crate::geometry::{BlockId, Geometry, Lpn};
 use crate::nand::{NandArray, PageState};
@@ -50,36 +45,22 @@ impl LogBlock {
 
 /// Block-Associative Sector Translation FTL.
 pub struct BastFtl {
-    geo: Geometry,
-    nand: NandArray,
-    /// Logical block → data block.
-    data_map: Vec<Option<BlockId>>,
+    core: Hybrid,
     /// Logical block → its dedicated log block.
     logs: HashMap<u64, LogBlock>,
     /// FIFO of log-block owners for eviction.
     log_fifo: VecDeque<u64>,
-    pool: FreePool,
     max_logs: usize,
-    logical_pages: u64,
-    stats: FtlStats,
 }
 
 impl BastFtl {
     /// Build over a fresh array.
     pub fn new(geo: Geometry, cfg: FtlConfig) -> Self {
-        let nand = NandArray::new(geo);
-        let logical_pages = cfg.logical_pages(&geo);
-        let logical_blocks = (logical_pages / geo.pages_per_block as u64) as usize;
         BastFtl {
-            geo,
-            nand,
-            data_map: vec![None; logical_blocks],
+            core: Hybrid::new(geo, cfg),
             logs: HashMap::new(),
             log_fifo: VecDeque::new(),
-            pool: FreePool::new((0..geo.blocks_total()).map(BlockId), cfg.wear_aware_alloc),
             max_logs: cfg.log_blocks.max(2),
-            logical_pages,
-            stats: FtlStats::default(),
         }
     }
 
@@ -88,39 +69,15 @@ impl BastFtl {
         self.logs.len()
     }
 
-    fn alloc(&mut self) -> BlockId {
-        self.pool
-            .alloc(&self.nand)
-            .expect("BAST: free pool exhausted (over-provisioning too small)")
-    }
-
-    fn erase_release(&mut self, b: BlockId, cost: &mut CostBreakdown) {
-        match self.nand.erase(b, false) {
-            Ok(()) => {
-                cost.erase_on(self.geo.plane_of_block(b));
-                self.pool.release(b);
-            }
-            Err(crate::nand::NandError::WornOut { .. }) => {
-                // Spent block: retire instead of returning it to the pool.
-                self.stats.retired_blocks += 1;
-            }
-            Err(e) => panic!("block fully dead at merge: {e}"),
-        }
-    }
-
     /// Invalidate the currently-valid copy of `(lbn, off)`, wherever it lives.
     fn invalidate_current(&mut self, lbn: u64, off: u32) {
-        if let Some(lb) = self.logs.get(&lbn) {
-            if let Some(p) = lb.slots[off as usize] {
-                self.nand.invalidate(self.geo.ppn(lb.phys, p));
-                return;
-            }
-        }
-        if let Some(db) = self.data_map[lbn as usize] {
-            let ppn = self.geo.ppn(db, off);
-            if self.nand.page_state(ppn) == PageState::Valid {
-                self.nand.invalidate(ppn);
-            }
+        let core = &mut self.core;
+        let in_log = self.logs.get(&lbn).and_then(|lb| {
+            let p = lb.slots[off as usize]?;
+            Some(core.geo.ppn(lb.phys, p))
+        });
+        if let Some(ppn) = in_log.or_else(|| core.data_copy(lbn, off)) {
+            core.nand.invalidate(ppn);
         }
     }
 
@@ -130,76 +87,22 @@ impl BastFtl {
             return;
         };
         self.log_fifo.retain(|&l| l != lbn);
-        let n = self.geo.pages_per_block;
-        let old_data = self.data_map[lbn as usize];
-        let log_plane = self.geo.plane_of_block(lb.phys);
-
-        if lb.sequential && lb.appended == n {
-            // Switch merge: the log block already is a perfect data block.
-            if let Some(db) = old_data {
-                // Every offset was superseded during appends, so it is dead.
-                self.erase_release(db, cost);
-            }
-            self.data_map[lbn as usize] = Some(lb.phys);
-            self.stats.switch_merges += 1;
-            return;
+        if lb.sequential && lb.appended == self.core.geo.pages_per_block {
+            self.core.switch_merge(lbn, lb.phys, cost);
+        } else if lb.sequential {
+            self.core.partial_merge(lbn, lb.phys, lb.appended, cost);
+        } else {
+            // The newest copy is in the log if it holds the offset, else in
+            // the data block.
+            let newest = |core: &Hybrid, lpn: Lpn| {
+                let off = lpn.block_offset(&core.geo);
+                lb.slots[off as usize]
+                    .map(|p| core.geo.ppn(lb.phys, p))
+                    .filter(|&ppn| core.nand.page_state(ppn) == PageState::Valid)
+                    .or_else(|| core.data_copy(lbn, off))
+            };
+            self.core.full_merge(lbn, Some(lb.phys), newest, cost);
         }
-
-        if lb.sequential {
-            // Partial merge: copy the missing tail from the data block, then
-            // switch. Identity placement is preserved by `program_at`.
-            for off in lb.appended..n {
-                if let Some(db) = old_data {
-                    let src = self.geo.ppn(db, off);
-                    if self.nand.page_state(src) == PageState::Valid {
-                        let lpn = Lpn(lbn * n as u64 + off as u64);
-                        cost.read_on(self.geo.plane_of_block(db));
-                        self.nand
-                            .program_at(lb.phys, off, lpn)
-                            .expect("tail pages of sequential log are free");
-                        cost.program_on(log_plane);
-                        self.nand.invalidate(src);
-                        self.stats.page_copies += 1;
-                    }
-                }
-            }
-            if let Some(db) = old_data {
-                self.erase_release(db, cost);
-            }
-            self.data_map[lbn as usize] = Some(lb.phys);
-            self.stats.partial_merges += 1;
-            return;
-        }
-
-        // Full merge: newest version of every page into a fresh block.
-        let new = self.alloc();
-        let new_plane = self.geo.plane_of_block(new);
-        for off in 0..n {
-            let src = lb.slots[off as usize]
-                .map(|p| self.geo.ppn(lb.phys, p))
-                .filter(|&ppn| self.nand.page_state(ppn) == PageState::Valid)
-                .or_else(|| {
-                    old_data
-                        .map(|db| self.geo.ppn(db, off))
-                        .filter(|&ppn| self.nand.page_state(ppn) == PageState::Valid)
-                });
-            if let Some(src) = src {
-                let lpn = Lpn(lbn * n as u64 + off as u64);
-                cost.read_on(self.geo.plane_of_ppn(src));
-                self.nand
-                    .program_at(new, off, lpn)
-                    .expect("fresh merge destination");
-                cost.program_on(new_plane);
-                self.nand.invalidate(src);
-                self.stats.page_copies += 1;
-            }
-        }
-        self.erase_release(lb.phys, cost);
-        if let Some(db) = old_data {
-            self.erase_release(db, cost);
-        }
-        self.data_map[lbn as usize] = Some(new);
-        self.stats.full_merges += 1;
     }
 
     /// Get (or create, evicting if necessary) the log block for `lbn`, with
@@ -209,7 +112,7 @@ impl BastFtl {
         if self
             .logs
             .get(&lbn)
-            .map(|lb| self.nand.free_pages(lb.phys) == 0)
+            .map(|lb| self.core.nand.free_pages(lb.phys) == 0)
             .unwrap_or(false)
         {
             self.merge(lbn, cost);
@@ -223,17 +126,17 @@ impl BastFtl {
                     .expect("log fifo tracks every log block");
                 self.merge(victim, cost);
             }
-            let phys = self.alloc();
+            let phys = self.core.alloc();
             self.logs
-                .insert(lbn, LogBlock::new(phys, self.geo.pages_per_block));
+                .insert(lbn, LogBlock::new(phys, self.core.geo.pages_per_block));
             self.log_fifo.push_back(lbn);
         }
         self.logs.get_mut(&lbn).expect("just ensured")
     }
 
     fn write_page(&mut self, lpn: Lpn, cost: &mut CostBreakdown) {
-        let lbn = lpn.lbn(&self.geo);
-        let off = lpn.block_offset(&self.geo);
+        let lbn = lpn.lbn(&self.core.geo);
+        let off = lpn.block_offset(&self.core.geo);
         // Ensure the log block *before* invalidating the old copy: creating
         // it may merge (this block's full log, or an evicted one), and a
         // merge must still see the old copy as the valid version.
@@ -241,27 +144,24 @@ impl BastFtl {
         let (phys, expected_page) = (lb.phys, lb.appended);
         self.invalidate_current(lbn, off);
         let ppn = self
+            .core
             .nand
             .program_append(phys, lpn)
             .expect("log block has a free page");
-        let page = self.geo.page_of(ppn);
+        let page = self.core.geo.page_of(ppn);
         debug_assert_eq!(page, expected_page);
         let lb = self.logs.get_mut(&lbn).expect("still present");
         lb.slots[off as usize] = Some(page);
         lb.appended += 1;
         lb.sequential = lb.sequential && page == off;
         cost.bus(1);
-        cost.program_on(self.geo.plane_of_block(phys));
+        cost.program_on(self.core.geo.plane_of_block(phys));
     }
 }
 
 impl Ftl for BastFtl {
     fn write(&mut self, start: Lpn, pages: u32) -> CostBreakdown {
-        assert!(
-            start.0 + pages as u64 <= self.logical_pages,
-            "write beyond logical capacity"
-        );
-        let mut cost = CostBreakdown::new(self.geo.planes_total());
+        let mut cost = self.core.request("write", start, pages);
         for i in 0..pages {
             self.write_page(Lpn(start.0 + i as u64), &mut cost);
         }
@@ -269,42 +169,32 @@ impl Ftl for BastFtl {
     }
 
     fn read(&mut self, start: Lpn, pages: u32) -> CostBreakdown {
-        assert!(
-            start.0 + pages as u64 <= self.logical_pages,
-            "read beyond logical capacity"
-        );
-        let mut cost = CostBreakdown::new(self.geo.planes_total());
+        let mut cost = self.core.request("read", start, pages);
+        let geo = self.core.geo;
         for i in 0..pages {
             let lpn = Lpn(start.0 + i as u64);
-            let lbn = lpn.lbn(&self.geo);
-            let off = lpn.block_offset(&self.geo);
+            let lbn = lpn.lbn(&geo);
+            let off = lpn.block_offset(&geo);
             cost.bus(1);
             if let Some(lb) = self.logs.get(&lbn) {
                 if lb.slots[off as usize].is_some() {
-                    cost.read_on(self.geo.plane_of_block(lb.phys));
+                    cost.read_on(geo.plane_of_block(lb.phys));
                     continue;
                 }
             }
-            if let Some(db) = self.data_map[lbn as usize] {
-                let ppn = self.geo.ppn(db, off);
-                if self.nand.page_state(ppn) == PageState::Valid {
-                    cost.read_on(self.geo.plane_of_block(db));
-                }
+            if let Some(ppn) = self.core.data_copy(lbn, off) {
+                cost.read_on(geo.plane_of_ppn(ppn));
             }
         }
         cost
     }
 
     fn trim(&mut self, start: Lpn, pages: u32) -> CostBreakdown {
-        assert!(
-            start.0 + pages as u64 <= self.logical_pages,
-            "trim beyond logical capacity"
-        );
-        let cost = CostBreakdown::new(self.geo.planes_total());
+        let cost = self.core.request("trim", start, pages);
         for i in 0..pages {
             let lpn = Lpn(start.0 + i as u64);
-            let lbn = lpn.lbn(&self.geo);
-            let off = lpn.block_offset(&self.geo);
+            let lbn = lpn.lbn(&self.core.geo);
+            let off = lpn.block_offset(&self.core.geo);
             self.invalidate_current(lbn, off);
             // The log-block slot (if any) no longer names live data.
             if let Some(lb) = self.logs.get_mut(&lbn) {
@@ -315,7 +205,7 @@ impl Ftl for BastFtl {
     }
 
     fn logical_pages(&self) -> u64 {
-        self.logical_pages
+        self.core.logical_pages
     }
 
     fn kind(&self) -> FtlKind {
@@ -323,15 +213,15 @@ impl Ftl for BastFtl {
     }
 
     fn ftl_stats(&self) -> FtlStats {
-        self.stats
+        self.core.stats
     }
 
     fn nand(&self) -> &NandArray {
-        &self.nand
+        &self.core.nand
     }
 
     fn nand_mut(&mut self) -> &mut NandArray {
-        &mut self.nand
+        &mut self.core.nand
     }
 }
 
@@ -346,22 +236,22 @@ mod tests {
 
     /// Read back the valid copy of a page for verification.
     fn valid_copy(f: &BastFtl, lpn: Lpn) -> Option<Lpn> {
-        let lbn = lpn.lbn(&f.geo);
-        let off = lpn.block_offset(&f.geo);
+        let lbn = lpn.lbn(&f.core.geo);
+        let off = lpn.block_offset(&f.core.geo);
         if let Some(lb) = f.logs.get(&lbn) {
             if let Some(p) = lb.slots[off as usize] {
-                return f.nand.read(f.geo.ppn(lb.phys, p)).ok();
+                return f.core.nand.read(f.core.geo.ppn(lb.phys, p)).ok();
             }
         }
-        f.data_map[lbn as usize].and_then(|db| f.nand.read(f.geo.ppn(db, off)).ok())
+        f.core.data_map[lbn as usize].and_then(|db| f.core.nand.read(f.core.geo.ppn(db, off)).ok())
     }
 
     #[test]
     fn sequential_full_block_write_causes_switch_merge() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block; // 4
-                                       // Two full sequential passes over block 0: first fills the log
-                                       // (switch-merged when it must accept the next round), second ditto.
+        let n = f.core.geo.pages_per_block; // 4
+                                            // Two full sequential passes over block 0: first fills the log
+                                            // (switch-merged when it must accept the next round), second ditto.
         f.write(Lpn(0), n);
         f.write(Lpn(0), n);
         // The second pass forced a merge of the first full sequential log.
@@ -394,7 +284,7 @@ mod tests {
     #[test]
     fn partial_sequential_log_gets_partial_merge() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         // Create a data block for lbn 0 via a full sequential pass + merge.
         f.write(Lpn(0), n as u32);
         f.write(Lpn(0), 1); // switch-merges the full log, starts a new one
@@ -421,7 +311,7 @@ mod tests {
         f.write(Lpn(1), 1);
         // The log block holds three versions; only one is valid.
         let lb = f.logs.get(&0).unwrap();
-        assert_eq!(f.nand.valid_pages(lb.phys), 1);
+        assert_eq!(f.core.nand.valid_pages(lb.phys), 1);
         assert_eq!(valid_copy(&f, Lpn(1)), Some(Lpn(1)));
     }
 
@@ -444,7 +334,7 @@ mod tests {
     #[test]
     fn reads_hit_log_then_data_then_nothing() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block;
+        let n = f.core.geo.pages_per_block;
         f.write(Lpn(0), n); // full sequential log
         f.write(Lpn(0), 1); // merge, then page 0 in fresh log
                             // Page 0 served from log, pages 1..n from data block.
@@ -460,7 +350,7 @@ mod tests {
     #[test]
     fn log_pool_never_exceeds_cap() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         for b in 0..(f.max_logs as u64 * 3) {
             f.write(Lpn(b * n + 1), 1);
             assert!(f.live_log_blocks() <= f.max_logs);
@@ -470,7 +360,7 @@ mod tests {
     #[test]
     fn merge_costs_are_charged_to_triggering_write() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         // Fill the log pool with scrambled logs.
         for b in 0..f.max_logs as u64 {
             f.write(Lpn(b * n + 1), 1);

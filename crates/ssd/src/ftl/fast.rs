@@ -1,17 +1,19 @@
 //! FAST — Fully-Associative Sector Translation (Lee et al., 2007).
 //!
-//! Like BAST, FAST keeps a block-level data map plus log blocks, but the log
-//! pool is **fully associative**: one log block is dedicated to sequential
-//! streams (the *SW log*), and the remaining *RW log* blocks accept random
-//! writes from *any* logical block (Section V.B). This postpones merges far
-//! longer than BAST — an RW log block fills with pages from many logical
-//! blocks — but when the RW pool finally overflows, the evicted block forces
-//! a *cascade* of full merges, one per logical block with a page inside it
-//! ("At the worst case, each individual page in a log block would belong to a
-//! different mapping unit and needs expensive full merge operation
-//! correspondingly", Section II.C.2).
+//! Like BAST, FAST keeps a block-level data map plus log blocks (the
+//! `hybrid` core), but the log pool is **fully associative**: one log block
+//! is dedicated to sequential streams (the *SW log*), and the remaining
+//! *RW log* blocks accept random writes from *any* logical block (Section
+//! V.B). This postpones merges far longer than BAST — an RW log
+//! block fills with pages from many logical blocks — but when the RW pool
+//! finally overflows, the evicted block forces a *cascade* of full merges,
+//! one per logical block with a page inside it ("At the worst case, each
+//! individual page in a log block would belong to a different mapping unit
+//! and needs expensive full merge operation correspondingly", Section
+//! II.C.2).
 
-use super::{FreePool, Ftl, FtlConfig, FtlKind, FtlStats};
+use super::hybrid::Hybrid;
+use super::{Ftl, FtlConfig, FtlKind, FtlStats};
 use crate::cost::CostBreakdown;
 use crate::geometry::{BlockId, Geometry, Lpn, Ppn};
 use crate::nand::{NandArray, PageState};
@@ -29,9 +31,7 @@ struct SwLog {
 
 /// Fully-Associative Sector Translation FTL.
 pub struct FastFtl {
-    geo: Geometry,
-    nand: NandArray,
-    data_map: Vec<Option<BlockId>>,
+    core: Hybrid,
     sw: Option<SwLog>,
     /// Currently-filling random log block.
     rw_active: Option<BlockId>,
@@ -39,31 +39,31 @@ pub struct FastFtl {
     rw_full: VecDeque<BlockId>,
     /// LPN → physical page, for pages living in RW log blocks.
     page_map: HashMap<u64, Ppn>,
-    pool: FreePool,
     max_rw: usize,
-    logical_pages: u64,
-    stats: FtlStats,
+}
+
+/// The valid copy of `lpn` outside the RW logs: in the SW log, else in its
+/// data block.
+fn sw_or_data(core: &Hybrid, sw: Option<SwLog>, lpn: Lpn) -> Option<Ppn> {
+    let lbn = lpn.lbn(&core.geo);
+    let off = lpn.block_offset(&core.geo);
+    sw.filter(|sw| sw.lbn == lbn && off < sw.next_off)
+        .map(|sw| core.geo.ppn(sw.phys, off))
+        .filter(|&ppn| core.nand.page_state(ppn) == PageState::Valid)
+        .or_else(|| core.data_copy(lbn, off))
 }
 
 impl FastFtl {
     /// Build over a fresh array. The log pool splits into 1 SW log and
     /// `log_blocks - 1` RW logs.
     pub fn new(geo: Geometry, cfg: FtlConfig) -> Self {
-        let nand = NandArray::new(geo);
-        let logical_pages = cfg.logical_pages(&geo);
-        let logical_blocks = (logical_pages / geo.pages_per_block as u64) as usize;
         FastFtl {
-            geo,
-            nand,
-            data_map: vec![None; logical_blocks],
+            core: Hybrid::new(geo, cfg),
             sw: None,
             rw_active: None,
             rw_full: VecDeque::new(),
             page_map: HashMap::new(),
-            pool: FreePool::new((0..geo.blocks_total()).map(BlockId), cfg.wear_aware_alloc),
             max_rw: cfg.log_blocks.saturating_sub(1).max(1),
-            logical_pages,
-            stats: FtlStats::default(),
         }
     }
 
@@ -72,146 +72,59 @@ impl FastFtl {
         self.rw_full.len() + usize::from(self.rw_active.is_some())
     }
 
-    fn alloc(&mut self) -> BlockId {
-        self.pool
-            .alloc(&self.nand)
-            .expect("FAST: free pool exhausted (over-provisioning too small)")
-    }
-
-    fn erase_release(&mut self, b: BlockId, cost: &mut CostBreakdown) {
-        match self.nand.erase(b, false) {
-            Ok(()) => {
-                cost.erase_on(self.geo.plane_of_block(b));
-                self.pool.release(b);
-            }
-            Err(crate::nand::NandError::WornOut { .. }) => {
-                // Spent block: retire instead of returning it to the pool.
-                self.stats.retired_blocks += 1;
-            }
-            Err(e) => panic!("block fully dead at merge: {e}"),
-        }
-    }
-
     /// The single valid physical copy of `lpn`, if any.
     fn valid_copy(&self, lpn: Lpn) -> Option<Ppn> {
         if let Some(&ppn) = self.page_map.get(&lpn.0) {
-            debug_assert_eq!(self.nand.page_state(ppn), PageState::Valid);
+            debug_assert_eq!(self.core.nand.page_state(ppn), PageState::Valid);
             return Some(ppn);
         }
-        let lbn = lpn.lbn(&self.geo);
-        let off = lpn.block_offset(&self.geo);
-        if let Some(sw) = &self.sw {
-            if sw.lbn == lbn && off < sw.next_off {
-                let ppn = self.geo.ppn(sw.phys, off);
-                if self.nand.page_state(ppn) == PageState::Valid {
-                    return Some(ppn);
-                }
-            }
-        }
-        if let Some(db) = self.data_map[lbn as usize] {
-            let ppn = self.geo.ppn(db, off);
-            if self.nand.page_state(ppn) == PageState::Valid {
-                return Some(ppn);
-            }
-        }
-        None
+        sw_or_data(&self.core, self.sw, lpn)
     }
 
     /// Invalidate the current copy of `lpn` before writing a new version.
     fn invalidate_current(&mut self, lpn: Lpn) {
-        if let Some(ppn) = self.page_map.remove(&lpn.0) {
-            self.nand.invalidate(ppn);
-            return;
-        }
-        if let Some(ppn) = self.valid_copy(lpn) {
-            self.nand.invalidate(ppn);
+        let current = self.page_map.remove(&lpn.0);
+        if let Some(ppn) = current.or_else(|| sw_or_data(&self.core, self.sw, lpn)) {
+            self.core.nand.invalidate(ppn);
         }
     }
 
-    /// Full merge of one logical block: copy the newest version of every page
-    /// into a fresh block; retire the old data block (and the SW log if it
-    /// belonged to this block and is now empty).
+    /// Full merge of one logical block: gather the newest version of every
+    /// page (RW logs, SW log, data block) into a fresh block, then erase the
+    /// SW log if it belonged to this block (it is empty now).
     fn merge_full(&mut self, lbn: u64, cost: &mut CostBreakdown) {
-        let n = self.geo.pages_per_block;
-        let new = self.alloc();
-        let new_plane = self.geo.plane_of_block(new);
-        for off in 0..n {
-            let lpn = Lpn(lbn * n as u64 + off as u64);
-            if let Some(src) = self.valid_copy(lpn) {
-                cost.read_on(self.geo.plane_of_ppn(src));
-                self.nand
-                    .program_at(new, off, lpn)
-                    .expect("fresh merge destination");
-                cost.program_on(new_plane);
-                self.nand.invalidate(src);
-                self.page_map.remove(&lpn.0);
-                self.stats.page_copies += 1;
-            }
+        let (page_map, sw) = (&mut self.page_map, self.sw);
+        let newest = |core: &Hybrid, lpn: Lpn| {
+            page_map
+                .remove(&lpn.0)
+                .or_else(|| sw_or_data(core, sw, lpn))
+        };
+        self.core.full_merge(lbn, None, newest, cost);
+        if let Some(sw) = self.sw.filter(|sw| sw.lbn == lbn) {
+            debug_assert_eq!(self.core.nand.valid_pages(sw.phys), 0);
+            self.core.erase_release(sw.phys, cost);
+            self.sw = None;
         }
-        if let Some(db) = self.data_map[lbn as usize] {
-            self.erase_release(db, cost);
-        }
-        if let Some(sw) = self.sw {
-            if sw.lbn == lbn {
-                debug_assert_eq!(self.nand.valid_pages(sw.phys), 0);
-                self.erase_release(sw.phys, cost);
-                self.sw = None;
-            }
-        }
-        self.data_map[lbn as usize] = Some(new);
-        self.stats.full_merges += 1;
     }
 
     /// Reconcile the SW log with its data block and retire it.
     fn merge_sw(&mut self, cost: &mut CostBreakdown) {
         let Some(sw) = self.sw else { return };
-        let n = self.geo.pages_per_block;
-        let valid = self.nand.valid_pages(sw.phys);
-        let full = sw.next_off == n;
-
-        if full && valid == n {
-            // Switch merge: every offset's newest version is in the SW log.
-            if let Some(db) = self.data_map[sw.lbn as usize] {
-                self.erase_release(db, cost);
-            }
-            self.data_map[sw.lbn as usize] = Some(sw.phys);
-            self.sw = None;
-            self.stats.switch_merges += 1;
-            return;
-        }
-
-        if valid == sw.next_off {
+        let valid = self.core.nand.valid_pages(sw.phys);
+        if valid == self.core.geo.pages_per_block {
+            // Full, and every offset's newest version is in the SW log.
+            self.core.switch_merge(sw.lbn, sw.phys, cost);
+        } else if valid == sw.next_off {
             // Clean sequential prefix: copy the tail from the data block.
-            let old_data = self.data_map[sw.lbn as usize];
-            for off in sw.next_off..n {
-                if let Some(db) = old_data {
-                    let src = self.geo.ppn(db, off);
-                    if self.nand.page_state(src) == PageState::Valid {
-                        let lpn = Lpn(sw.lbn * n as u64 + off as u64);
-                        cost.read_on(self.geo.plane_of_block(db));
-                        self.nand
-                            .program_at(sw.phys, off, lpn)
-                            .expect("tail pages of SW log are free");
-                        cost.program_on(self.geo.plane_of_block(sw.phys));
-                        self.nand.invalidate(src);
-                        self.stats.page_copies += 1;
-                    }
-                }
-            }
-            if let Some(db) = old_data {
-                self.erase_release(db, cost);
-            }
-            self.data_map[sw.lbn as usize] = Some(sw.phys);
-            self.sw = None;
-            self.stats.partial_merges += 1;
-            return;
+            self.core.partial_merge(sw.lbn, sw.phys, sw.next_off, cost);
+        } else {
+            // Holes in the SW log (later random writes superseded pages):
+            // fall back to a full merge, which gathers from all locations
+            // and erases the SW log.
+            self.merge_full(sw.lbn, cost);
+            debug_assert!(self.sw.is_none());
         }
-
-        // Holes in the SW log (later random writes superseded pages): fall
-        // back to a full merge, which gathers from all locations and clears
-        // the SW state.
-        self.merge_full(sw.lbn, cost);
-        debug_assert!(self.sw.is_none());
+        self.sw = None;
     }
 
     fn append_sw(&mut self, lpn: Lpn, cost: &mut CostBreakdown) {
@@ -219,13 +132,14 @@ impl FastFtl {
         let sw = self.sw.as_mut().expect("SW log active");
         let phys = sw.phys;
         sw.next_off += 1;
-        let n = self.geo.pages_per_block;
+        let n = self.core.geo.pages_per_block;
         let full = sw.next_off == n;
-        self.nand
+        self.core
+            .nand
             .program_append(phys, lpn)
             .expect("SW log has room");
         cost.bus(1);
-        cost.program_on(self.geo.plane_of_block(phys));
+        cost.program_on(self.core.geo.plane_of_block(phys));
         if full {
             self.merge_sw(cost);
         }
@@ -236,18 +150,19 @@ impl FastFtl {
     fn evict_rw(&mut self, cost: &mut CostBreakdown) {
         let victim = self.rw_full.pop_front().expect("evict called when full");
         let mut lbns: Vec<u64> = self
+            .core
             .nand
             .valid_entries(victim)
             .into_iter()
-            .map(|(_, lpn)| lpn.lbn(&self.geo))
+            .map(|(_, lpn)| lpn.lbn(&self.core.geo))
             .collect();
         lbns.sort_unstable();
         lbns.dedup();
         for lbn in lbns {
             self.merge_full(lbn, cost);
         }
-        debug_assert_eq!(self.nand.valid_pages(victim), 0);
-        self.erase_release(victim, cost);
+        debug_assert_eq!(self.core.nand.valid_pages(victim), 0);
+        self.core.erase_release(victim, cost);
     }
 
     fn append_rw(&mut self, lpn: Lpn, cost: &mut CostBreakdown) {
@@ -255,7 +170,7 @@ impl FastFtl {
         let need_new = match self.rw_active {
             None => true,
             Some(b) => {
-                if self.nand.free_pages(b) == 0 {
+                if self.core.nand.free_pages(b) == 0 {
                     self.rw_full.push_back(b);
                     self.rw_active = None;
                     true
@@ -268,24 +183,28 @@ impl FastFtl {
             if self.rw_full.len() >= self.max_rw {
                 self.evict_rw(cost);
             }
-            self.rw_active = Some(self.alloc());
+            self.rw_active = Some(self.core.alloc());
         }
         let blk = self.rw_active.expect("just ensured");
         self.invalidate_current(lpn);
-        let ppn = self.nand.program_append(blk, lpn).expect("RW log has room");
+        let ppn = self
+            .core
+            .nand
+            .program_append(blk, lpn)
+            .expect("RW log has room");
         self.page_map.insert(lpn.0, ppn);
         cost.bus(1);
-        cost.program_on(self.geo.plane_of_block(blk));
+        cost.program_on(self.core.geo.plane_of_block(blk));
     }
 
     fn write_page(&mut self, lpn: Lpn, cost: &mut CostBreakdown) {
-        let lbn = lpn.lbn(&self.geo);
-        let off = lpn.block_offset(&self.geo);
+        let lbn = lpn.lbn(&self.core.geo);
+        let off = lpn.block_offset(&self.core.geo);
         if off == 0 {
             // A new sequential stream starts: retire any active SW log and
             // dedicate a fresh one to this block.
             self.merge_sw(cost);
-            let phys = self.alloc();
+            let phys = self.core.alloc();
             self.sw = Some(SwLog {
                 phys,
                 lbn,
@@ -306,11 +225,7 @@ impl FastFtl {
 
 impl Ftl for FastFtl {
     fn write(&mut self, start: Lpn, pages: u32) -> CostBreakdown {
-        assert!(
-            start.0 + pages as u64 <= self.logical_pages,
-            "write beyond logical capacity"
-        );
-        let mut cost = CostBreakdown::new(self.geo.planes_total());
+        let mut cost = self.core.request("write", start, pages);
         for i in 0..pages {
             self.write_page(Lpn(start.0 + i as u64), &mut cost);
         }
@@ -318,27 +233,19 @@ impl Ftl for FastFtl {
     }
 
     fn read(&mut self, start: Lpn, pages: u32) -> CostBreakdown {
-        assert!(
-            start.0 + pages as u64 <= self.logical_pages,
-            "read beyond logical capacity"
-        );
-        let mut cost = CostBreakdown::new(self.geo.planes_total());
+        let mut cost = self.core.request("read", start, pages);
         for i in 0..pages {
             let lpn = Lpn(start.0 + i as u64);
             cost.bus(1);
             if let Some(ppn) = self.valid_copy(lpn) {
-                cost.read_on(self.geo.plane_of_ppn(ppn));
+                cost.read_on(self.core.geo.plane_of_ppn(ppn));
             }
         }
         cost
     }
 
     fn trim(&mut self, start: Lpn, pages: u32) -> CostBreakdown {
-        assert!(
-            start.0 + pages as u64 <= self.logical_pages,
-            "trim beyond logical capacity"
-        );
-        let cost = CostBreakdown::new(self.geo.planes_total());
+        let cost = self.core.request("trim", start, pages);
         for i in 0..pages {
             self.invalidate_current(Lpn(start.0 + i as u64));
         }
@@ -346,7 +253,7 @@ impl Ftl for FastFtl {
     }
 
     fn logical_pages(&self) -> u64 {
-        self.logical_pages
+        self.core.logical_pages
     }
 
     fn kind(&self) -> FtlKind {
@@ -354,15 +261,15 @@ impl Ftl for FastFtl {
     }
 
     fn ftl_stats(&self) -> FtlStats {
-        self.stats
+        self.core.stats
     }
 
     fn nand(&self) -> &NandArray {
-        &self.nand
+        &self.core.nand
     }
 
     fn nand_mut(&mut self) -> &mut NandArray {
-        &mut self.nand
+        &mut self.core.nand
     }
 }
 
@@ -377,13 +284,13 @@ mod tests {
 
     fn check(f: &FastFtl, lpn: u64) {
         let copy = f.valid_copy(Lpn(lpn)).expect("page exists");
-        assert_eq!(f.nand.read(copy).unwrap(), Lpn(lpn));
+        assert_eq!(f.core.nand.read(copy).unwrap(), Lpn(lpn));
     }
 
     #[test]
     fn full_sequential_block_switch_merges() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block;
+        let n = f.core.geo.pages_per_block;
         let cost = f.write(Lpn(0), n);
         // Filling the SW log exactly triggers an immediate switch merge.
         assert_eq!(f.ftl_stats().switch_merges, 1);
@@ -398,7 +305,7 @@ mod tests {
     #[test]
     fn new_stream_retires_previous_sw_with_partial_merge() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         f.write(Lpn(0), 2); // sequential prefix of block 0 in SW
         f.write(Lpn(n), 1); // offset 0 of block 1 → merges block 0's SW first
         let s = f.ftl_stats();
@@ -425,8 +332,8 @@ mod tests {
     #[test]
     fn rw_overflow_triggers_merge_cascade() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
-        let logical_blocks = f.data_map.len() as u64;
+        let n = f.core.geo.pages_per_block as u64;
+        let logical_blocks = f.core.data_map.len() as u64;
         // Scatter single-page writes (offset 1 of distinct blocks) until the
         // RW pool overflows. Each eviction full-merges several blocks.
         let writes = (f.max_rw as u64 + 2) * n + 4;
@@ -437,15 +344,15 @@ mod tests {
         let s = f.ftl_stats();
         assert!(s.full_merges > 0, "expected cascade, stats {s:?}");
         assert!(s.page_copies > 0);
-        assert!(f.nand.total_erases() > 0);
+        assert!(f.core.nand.total_erases() > 0);
     }
 
     #[test]
     fn rw_pool_respects_cap() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         for i in 0..200u64 {
-            let lbn = i % (f.data_map.len() as u64);
+            let lbn = i % (f.core.data_map.len() as u64);
             f.write(Lpn(lbn * n + 1), 1);
             assert!(f.live_rw_blocks() <= f.max_rw + 1);
         }
@@ -454,7 +361,7 @@ mod tests {
     #[test]
     fn sw_with_holes_falls_back_to_full_merge() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         f.write(Lpn(0), 2); // SW holds offsets 0,1 of block 0
         f.write(Lpn(1), 1); // random rewrite of offset 1 → RW, hole in SW
         f.write(Lpn(n), 1); // new stream → SW merge must not resurrect stale page 1
@@ -468,14 +375,14 @@ mod tests {
     #[test]
     fn overwrite_via_mixed_paths_keeps_single_valid_copy() {
         let mut f = ftl();
-        let n = f.geo.pages_per_block;
+        let n = f.core.geo.pages_per_block;
         f.write(Lpn(0), n); // switch-merged data block
         f.write(Lpn(2), 1); // RW overwrite of offset 2
                             // Exactly one valid copy of page 2.
         check(&f, 2);
-        let db = f.data_map[0].unwrap();
-        let data_page = f.geo.ppn(db, 2);
-        assert_eq!(f.nand.page_state(data_page), PageState::Invalid);
+        let db = f.core.data_map[0].unwrap();
+        let data_page = f.core.geo.ppn(db, 2);
+        assert_eq!(f.core.nand.page_state(data_page), PageState::Invalid);
     }
 
     #[test]
@@ -498,7 +405,7 @@ mod tests {
     fn data_survives_mixed_sequential_and_random_churn() {
         let mut f = ftl();
         let logical = f.logical_pages();
-        let n = f.geo.pages_per_block as u64;
+        let n = f.core.geo.pages_per_block as u64;
         let mut rng = DetRng::new(22);
         let mut written = std::collections::HashSet::new();
         for _ in 0..800 {

@@ -10,19 +10,27 @@
 //!   one sequential log block plus a shared, fully-associative random log
 //!   block pool.
 //!
-//! All three share the [`FreePool`] block allocator (optionally wear-aware,
+//! BAST and FAST are one hybrid log-block scheme and differ only in how a
+//! log block is associated with logical blocks, so they share one core (the
+//! private `hybrid` module): the block-level data map, block allocation and
+//! the switch / partial / full merges, each counted in one place.
+//!
+//! All of them share the [`FreePool`] block allocator (optionally wear-aware,
 //! which is this simulator's wear-leveling mechanism: free-block allocation
-//! always picks the least-worn candidate, cf. Chang's dual-pool schemes) and
-//! report costs through [`CostBreakdown`].
+//! always picks the least-worn candidate, cf. Chang's dual-pool schemes),
+//! which also owns the one erase step — a dead block is erased back into the
+//! pool, or retired once worn out — and report costs through
+//! [`CostBreakdown`].
 
 pub mod bast;
 pub mod dftl;
 pub mod fast;
+mod hybrid;
 pub mod page_level;
 
 use crate::cost::CostBreakdown;
 use crate::geometry::{BlockId, Geometry, Lpn};
-use crate::nand::NandArray;
+use crate::nand::{NandArray, NandError};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -261,6 +269,31 @@ impl FreePool {
             "double release of block {block:?}"
         );
         self.free.push_back(block);
+    }
+
+    /// Erase a dead `block` and return it to the pool, charging the erase
+    /// to `cost`. A block past its rated erase cycles is retired instead —
+    /// counted in `stats` and never reused. Returns whether the block came
+    /// back to the pool.
+    pub(crate) fn erase_release(
+        &mut self,
+        nand: &mut NandArray,
+        block: BlockId,
+        cost: &mut CostBreakdown,
+        stats: &mut FtlStats,
+    ) -> bool {
+        match nand.erase(block, false) {
+            Ok(()) => {
+                cost.erase_on(nand.geometry().plane_of_block(block));
+                self.release(block);
+                true
+            }
+            Err(NandError::WornOut { .. }) => {
+                stats.retired_blocks += 1;
+                false
+            }
+            Err(e) => panic!("erasing a block that still holds data: {e}"),
+        }
     }
 }
 

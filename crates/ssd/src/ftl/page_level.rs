@@ -218,20 +218,12 @@ impl PageFtl {
                 cost.program_on(self.geo.plane_of_block(dst_block));
                 self.stats.page_copies += 1;
             }
-            match self.nand.erase(victim, false) {
-                Ok(()) => {
-                    cost.erase_on(plane);
-                    self.roles[victim.0 as usize] = Role::Free;
-                    self.pool.release(victim);
-                }
-                Err(crate::nand::NandError::WornOut { .. }) => {
-                    // The block's cells are spent: retire it. Capacity
-                    // shrinks by one spare block.
-                    self.roles[victim.0 as usize] = Role::Retired;
-                    self.stats.retired_blocks += 1;
-                }
-                Err(e) => panic!("victim fully dead: {e}"),
-            }
+            // A worn-out victim is retired: capacity shrinks by one spare
+            // block.
+            let released = self
+                .pool
+                .erase_release(&mut self.nand, victim, cost, &mut self.stats);
+            self.roles[victim.0 as usize] = if released { Role::Free } else { Role::Retired };
             self.stats.gc_victims += 1;
         }
     }

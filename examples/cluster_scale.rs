@@ -50,12 +50,14 @@ fn main() {
             r.acked,
         );
     }
-    for line in &sharded.shard_lines {
+    let ops: u64 = sharded.shard_stats.iter().map(|s| s.ops).sum();
+    for s in &sharded.shard_stats {
+        let mean_ns = s.latency_sum_ns.checked_div(s.latency_samples).unwrap_or(0);
         println!(
-            "    shard {}  {:>6.1}% of acked traffic   p99 {:>8.1} µs",
-            line.shard,
-            100.0 * line.acked as f64 / sharded.acked.max(1) as f64,
-            us(line.latency.p99()),
+            "    shard {}  {:>6.1}% of node submissions   mean service {:>8.1} µs",
+            s.shard,
+            100.0 * s.ops as f64 / ops.max(1) as f64,
+            us(mean_ns),
         );
     }
     assert_eq!(

@@ -110,10 +110,10 @@ fn main() {
         stats.writes, stats.batches, stats.runs, stats.coalesced_pages
     );
     println!(
-        "    max in-flight {} (cap 64), read hit ratio {:.1}%",
+        "    max in-flight {} (cap 64), read pages found {:.1}%",
         stats.max_inflight_seen,
         if stats.read_pages > 0 {
-            100.0 * stats.read_hits as f64 / stats.read_pages as f64
+            100.0 * stats.read_found as f64 / stats.read_pages as f64
         } else {
             0.0
         }

@@ -240,6 +240,38 @@ if for f in $(find crates/*/src src tests examples -name '*.rs' ! -path '*/node/
   exit 1
 fi
 
+echo "==> fc-ssd layout guard: one hybrid core, one erase step; loadgen rows from the gateway"
+# DESIGN §2.2: BAST and FAST are one hybrid log-block scheme. The data map
+# and the switch / partial / full merges live in ftl/hybrid.rs, each merge
+# counted once; every FTL erases through FreePool's erase-or-retire step.
+ftl=crates/ssd/src/ftl
+ftl_code() { for f in "$ftl"/*.rs; do code "$f" | sed "s|^|$f:|"; done; }
+if ftl_code | grep -v "^$ftl/mod\.rs:" | grep -F '.erase('; then
+  echo "$ftl: blocks are erased by FreePool::erase_release (ftl/mod.rs) only" >&2
+  exit 1
+fi
+if [ "$(code "$ftl/mod.rs" | grep -cF '.erase(')" -ne 1 ] \
+  || [ "$(code "$ftl/mod.rs" | sed -n '/fn erase_release(/,/^    }/p' | grep -cF '.erase(')" -ne 1 ]; then
+  echo "$ftl/mod.rs: the one erase call is FreePool::erase_release's" >&2
+  exit 1
+fi
+for merge in switch_merges partial_merges full_merges; do
+  if [ "$(ftl_code | grep -c "$merge += 1")" -ne 1 ]; then
+    echo "$ftl: $merge is counted once, by its merge in hybrid.rs" >&2
+    exit 1
+  fi
+done
+if ftl_code | grep -v "^$ftl/hybrid\.rs:" | grep -E '\bdata_map *:'; then
+  echo "$ftl: the block-level data map is the hybrid core's (hybrid.rs)" >&2
+  exit 1
+fi
+# DESIGN §13: loadgen's per-shard rows are the gateway's counters; there
+# is no client-side ring to attribute requests with.
+if code crates/bench/src/loadgen.rs | grep -nE 'ShardAttr|cluster_ring|Ring::with_pairs'; then
+  echo "crates/bench/src/loadgen.rs: shard rows come from LoadReport::shard_stats, not a second ring" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 

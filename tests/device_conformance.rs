@@ -9,7 +9,7 @@
 
 use fc_simkit::DetRng;
 use fc_ssd::ftl::{build_ftl, Ftl};
-use fc_ssd::{BlockId, FtlConfig, FtlKind, Geometry, Lpn};
+use fc_ssd::{BlockId, CostBreakdown, FtlConfig, FtlKind, FtlStats, Geometry, Lpn};
 use std::collections::{BTreeSet, HashSet};
 
 #[derive(Debug, Clone, Copy)]
@@ -203,5 +203,113 @@ fn accounting_is_internally_consistent_for_every_ftl() {
         // Erase counters agree between per-block and global views.
         let per_block: u64 = nand.erase_counts().iter().map(|&c| c as u64).sum();
         assert_eq!(per_block, nand.total_erases(), "{kind}");
+    }
+}
+
+/// What one run leaves behind: the FTL's counters, the array's program and
+/// erase totals, and the element-wise sum of every op's cost.
+#[derive(Debug, PartialEq)]
+struct Totals {
+    stats: FtlStats,
+    programs: u64,
+    erases: u64,
+    cost: CostBreakdown,
+}
+
+/// Rated erase cycles for the pinned runs: low enough that every FTL
+/// retires blocks within its run, high enough that none runs out of spares.
+const ENDURANCE: u32 = 12;
+
+fn totals(kind: FtlKind, ops: usize) -> Totals {
+    let mut ftl = build_ftl(kind, Geometry::tiny(), FtlConfig::tiny_test());
+    ftl.nand_mut().set_endurance_limit(ENDURANCE);
+    let mut cost = CostBreakdown::new(ftl.nand().geometry().planes_total());
+    for op in op_sequence(ftl.logical_pages(), ops, 4242) {
+        cost.absorb(&match op {
+            DevOp::Write { lpn, pages } => ftl.write(Lpn(lpn), pages),
+            DevOp::Trim { lpn, pages } => ftl.trim(Lpn(lpn), pages),
+            DevOp::Read { lpn, pages } => ftl.read(Lpn(lpn), pages),
+        });
+    }
+    let nand = ftl.nand();
+    Totals {
+        stats: ftl.ftl_stats(),
+        programs: nand.total_programs(),
+        erases: nand.total_erases(),
+        cost,
+    }
+}
+
+/// Every FTL's totals over one seeded run are pinned: merges, GC victims,
+/// page copies, retired blocks, NAND programs and erases, and the summed
+/// per-op cost. The runs are prefixes of one op sequence, each long enough
+/// to wear blocks out (the hybrids erase far more per host page, so their
+/// runs are shorter). The conformance tests above check what an FTL
+/// stores; this one checks what storing it cost.
+#[test]
+fn every_ftl_totals_are_pinned() {
+    let stats = |s: [u64; 8]| FtlStats {
+        switch_merges: s[0],
+        partial_merges: s[1],
+        full_merges: s[2],
+        gc_victims: s[3],
+        page_copies: s[4],
+        retired_blocks: s[5],
+        translation_reads: s[6],
+        translation_writes: s[7],
+    };
+    let cost = |bus: u64, reads: [u64; 2], programs: [u64; 2], erases: [u64; 2]| CostBreakdown {
+        bus_transfers: bus,
+        plane_reads: reads.to_vec(),
+        plane_programs: programs.to_vec(),
+        plane_erases: erases.to_vec(),
+    };
+    let pinned = [
+        (
+            FtlKind::Bast,
+            600,
+            stats([17, 169, 281, 0, 1203, 9, 0, 0]),
+            2094,
+            695,
+            cost(1335, [766, 738], [1088, 1006], [356, 339]),
+        ),
+        (
+            FtlKind::Fast,
+            810,
+            stats([26, 255, 324, 0, 1506, 8, 0, 0]),
+            2700,
+            714,
+            cost(1799, [978, 967], [1332, 1368], [352, 362]),
+        ),
+        (
+            FtlKind::PageLevel,
+            1560,
+            stats([0, 0, 0, 638, 471, 4, 0, 0]),
+            2776,
+            634,
+            cost(3431, [671, 669], [1388, 1388], [314, 320]),
+        ),
+        (
+            FtlKind::Dftl,
+            1560,
+            stats([0, 0, 0, 638, 471, 4, 1, 0]),
+            2776,
+            634,
+            cost(3431, [672, 669], [1388, 1388], [314, 320]),
+        ),
+    ];
+    for (kind, ops, stats, programs, erases, cost) in pinned {
+        let got = totals(kind, ops);
+        assert!(
+            got.stats.retired_blocks > 0,
+            "{kind}: the run never retired a block"
+        );
+        let want = Totals {
+            stats,
+            programs,
+            erases,
+            cost,
+        };
+        assert_eq!(got, want, "{kind}");
     }
 }

@@ -183,7 +183,7 @@ fn sharded_gateway_counter_sums_match_at_every_snapshot() {
                         }
                         6..=7 => {
                             // Concurrent writers race on content, so reads
-                            // only feed the read_pages/read_hits columns.
+                            // only feed the read_pages/read_found columns.
                             let pages = 1 + rng.below(8);
                             let lpn = rng.below(SPACE - pages);
                             let got = client.read(lpn, pages as u32).expect("read");
