@@ -776,7 +776,7 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
     for shard in 0..sg.shards() {
         for node in [sg.primary(shard), sg.secondary(shard)] {
             repl.stats.absorb(&node.stats().repl);
-            merge_hist_summary(&mut repl.batch_hist, &node.repl_batch_histogram());
+            repl.batch_hist.merge(&node.repl_batch_histogram());
         }
     }
 
@@ -823,40 +823,6 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         phase_lines: phases.as_deref().map(PhaseAttr::lines).unwrap_or_default(),
         repl,
     })
-}
-
-/// Merge histogram summary `other` into `into`: counts, sums, and buckets
-/// add; max takes the larger; the percentiles are recomputed from the
-/// merged buckets with the same nearest-rank rule
-/// [`fc_obs::Histogram::percentile`] uses (every summary comes from the
-/// same bucket layout, so upper bounds merge exactly).
-fn merge_hist_summary(into: &mut fc_obs::HistogramSummary, other: &fc_obs::HistogramSummary) {
-    into.count += other.count;
-    into.sum = into.sum.wrapping_add(other.sum);
-    into.max = into.max.max(other.max);
-    for &(upper, n) in &other.buckets {
-        match into.buckets.binary_search_by_key(&upper, |&(u, _)| u) {
-            Ok(i) => into.buckets[i].1 += n,
-            Err(i) => into.buckets.insert(i, (upper, n)),
-        }
-    }
-    let pct = |p: f64| -> u64 {
-        if into.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * into.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for &(upper, n) in &into.buckets {
-            cum += n;
-            if cum >= rank {
-                return upper;
-            }
-        }
-        into.buckets.last().map_or(0, |&(u, _)| u)
-    };
-    into.p50 = pct(50.0);
-    into.p99 = pct(99.0);
-    into.p999 = pct(99.9);
 }
 
 /// FNV-1a fold of every present page in `[0, total_pages)` — the

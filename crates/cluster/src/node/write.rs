@@ -476,6 +476,16 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_run_writes_nothing() {
+        let (a, b, _ba, _bb) = pair();
+        assert_eq!(a.write_run(7, 0, &[] as &[Vec<u8>]), RunOutcome::default());
+        assert!(a.write_run(7, 0, &[b"page"]).all_replicated());
+        assert_eq!(a.stats().replicated_pages, 1);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
     fn credit_backpressure_writes_through_when_peer_is_full() {
         let (ta, tb) = mem_pair();
         let ba = shared_backend(MemBackend::new());

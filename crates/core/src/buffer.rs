@@ -10,6 +10,11 @@
 //! page's bytes and version), and an eviction hands back the records of
 //! the pages it flushed, so a caller never keeps a second table in step.
 //!
+//! The policy is read once, to build the private replacement order
+//! (`crate::policy`), which makes every replacement decision; every span
+//! the buffer writes back goes through one helper, `write_back`, which
+//! builds its runs, counts the flushed pages and hands the records out.
+//!
 //! Eviction behaviour per policy:
 //!
 //! * **LAR** — the victim is a whole logical block (least popular, most
@@ -24,12 +29,11 @@
 //!   resident, marked clean.
 
 use crate::config::PolicyKind;
-use crate::policy::lar::LarDirectory;
-use crate::policy::ranked::{RankMode, RankedDirectory};
-use crate::policy::{runs_from_sorted, Eviction, FlushRun};
+use crate::policy::{push_runs, Eviction, LarBlock, Order, Victim};
 use fc_obs::{Counter, Obs};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Buffer construction parameters.
 ///
@@ -141,26 +145,18 @@ struct BufObs {
 /// resident page.
 #[derive(Debug, Clone)]
 pub struct BufferManager<P = ()> {
-    policy: PolicyKind,
     capacity: usize,
     ppb: u32,
     clustering: bool,
     pages: HashMap<u64, Page<P>>,
     dirty_count: usize,
-    lar: LarDirectory,
-    ranked: RankedDirectory,
+    /// The replacement order: every decision the policy makes.
+    order: Order,
     stats: BufferStats,
     /// Background-cleaning high watermark as a dirty fraction of capacity
     /// (None = clean only on eviction, the paper's measured configuration).
     dirty_watermark: Option<f64>,
     obs: Option<BufObs>,
-}
-
-fn rank_mode(policy: PolicyKind) -> RankMode {
-    match policy {
-        PolicyKind::Lfu => RankMode::Lfu,
-        _ => RankMode::Lru,
-    }
 }
 
 /// The record-free buffer the simulation replays traces through.
@@ -200,18 +196,12 @@ impl<P: Clone> BufferManager<P> {
         assert!(cfg.capacity > 0, "buffer needs at least one page");
         assert!(cfg.pages_per_block > 0);
         let mut b = BufferManager {
-            policy: cfg.policy,
             capacity: cfg.capacity,
             ppb: cfg.pages_per_block,
             clustering: cfg.clustering,
             pages: HashMap::new(),
             dirty_count: 0,
-            lar: if cfg.lar_dirty_tiebreak {
-                LarDirectory::new()
-            } else {
-                LarDirectory::popularity_only()
-            },
-            ranked: RankedDirectory::new(rank_mode(cfg.policy)),
+            order: Order::new(cfg.policy, cfg.lar_dirty_tiebreak),
             stats: BufferStats::default(),
             dirty_watermark: None,
             obs: None,
@@ -236,17 +226,23 @@ impl<P: Clone> BufferManager<P> {
         });
     }
 
+    /// Count one page access, hit or miss.
     #[inline]
-    fn obs_hit(&self) {
-        if let Some(o) = &self.obs {
-            o.hits.inc();
-        }
-    }
-
-    #[inline]
-    fn obs_miss(&self) {
-        if let Some(o) = &self.obs {
-            o.misses.inc();
+    fn count_access(&mut self, hit: bool) {
+        let (stat, cell) = if hit {
+            (
+                &mut self.stats.page_hits,
+                self.obs.as_ref().map(|o| &o.hits),
+            )
+        } else {
+            (
+                &mut self.stats.page_misses,
+                self.obs.as_ref().map(|o| &o.misses),
+            )
+        };
+        *stat += 1;
+        if let Some(c) = cell {
+            c.inc();
         }
     }
 
@@ -262,7 +258,7 @@ impl<P: Clone> BufferManager<P> {
 
     /// Policy in use.
     pub fn policy(&self) -> PolicyKind {
-        self.policy
+        self.order.policy()
     }
 
     /// Capacity in pages.
@@ -322,22 +318,17 @@ impl<P: Clone> BufferManager<P> {
 
     /// Buffer a write of one page per record, from `lpn` up; returns the
     /// flush work the insertion forced (empty while the buffer has room).
-    /// A resident page takes the new record and becomes dirty.
+    /// A resident page takes the new record and becomes dirty. No records,
+    /// no access.
     pub fn write_pages(&mut self, lpn: u64, records: impl IntoIterator<Item = P>) -> Eviction<P> {
         let mut pages = 0u32;
         for record in records {
             let p = lpn + pages as u64;
-            if self.pages.contains_key(&p) {
-                self.stats.page_hits += 1;
-                self.obs_hit();
-            } else {
-                self.stats.page_misses += 1;
-                self.obs_miss();
-            }
+            self.count_access(self.pages.contains_key(&p));
             self.insert_page(p, true, record);
             pages += 1;
         }
-        self.count_block_accesses(lpn, pages);
+        self.order.access(self.blocks(lpn, pages), false);
         self.make_room()
     }
 
@@ -345,20 +336,12 @@ impl<P: Clone> BufferManager<P> {
     /// The caller fetches miss segments from the SSD and then calls
     /// [`BufferManager::fill_pages`] for each.
     pub fn read(&mut self, lpn: u64, pages: u32) -> Vec<ReadSegment> {
-        // Record block accesses / touches first.
         let mut segments: Vec<ReadSegment> = Vec::new();
-        for i in 0..pages as u64 {
-            let p = lpn + i;
+        for p in lpn..lpn + pages as u64 {
             let hit = self.pages.contains_key(&p);
+            self.count_access(hit);
             if hit {
-                self.stats.page_hits += 1;
-                self.obs_hit();
-                if matches!(self.policy, PolicyKind::Lru | PolicyKind::Lfu) {
-                    self.ranked.touch(p);
-                }
-            } else {
-                self.stats.page_misses += 1;
-                self.obs_miss();
+                self.order.touch(p);
             }
             match segments.last_mut() {
                 Some(seg) if seg.hit == hit && seg.lpn + seg.pages as u64 == p => {
@@ -371,19 +354,10 @@ impl<P: Clone> BufferManager<P> {
                 }),
             }
         }
-        if self.policy == PolicyKind::Lar {
-            // One popularity increment per block per request. Blocks that are
-            // not resident at all get their increment when the post-fetch
-            // `fill_pages` creates them (popularity 0 → 1), so each request
-            // bumps each block exactly once.
-            let first_block = lpn / self.ppb as u64;
-            let last_block = (lpn + pages as u64 - 1) / self.ppb as u64;
-            for lbn in first_block..=last_block {
-                if self.lar.get(lbn).is_some() {
-                    self.lar.on_block_access(lbn);
-                }
-            }
-        }
+        // One block access per block per request. Blocks that are not
+        // resident at all get theirs when the post-fetch `fill_pages`
+        // brings them in.
+        self.order.access(self.blocks(lpn, pages), false);
         segments
     }
 
@@ -391,30 +365,14 @@ impl<P: Clone> BufferManager<P> {
     /// a read miss; may evict. A resident page takes the new record and
     /// keeps its dirtiness.
     pub fn fill_pages(&mut self, lpn: u64, records: impl IntoIterator<Item = P>) -> Eviction<P> {
-        // Popularity for the enclosing read was already counted (or the
-        // block is new — residency adjustments bring it into the directory
-        // with popularity 0, bumped below).
         let mut pages = 0u32;
         for record in records {
             self.insert_page(lpn + pages as u64, false, record);
             pages += 1;
         }
-        if self.policy == PolicyKind::Lar {
-            // Newly-created blocks receive the access increment the enclosing
-            // read could not give them (they were absent at classify time).
-            let first_block = lpn / self.ppb as u64;
-            let last_block = (lpn + pages as u64 - 1) / self.ppb as u64;
-            for lbn in first_block..=last_block {
-                if self
-                    .lar
-                    .get(lbn)
-                    .map(|b| b.popularity == 0)
-                    .unwrap_or(false)
-                {
-                    self.lar.on_block_access(lbn);
-                }
-            }
-        }
+        // The access the enclosing read could not give the blocks it
+        // found absent.
+        self.order.access(self.blocks(lpn, pages), true);
         self.make_room()
     }
 
@@ -431,15 +389,9 @@ impl<P: Clone> BufferManager<P> {
     /// record.
     pub fn remove(&mut self, lpn: u64) -> Option<P> {
         let page = self.pages.remove(&lpn)?;
-        if page.dirty {
-            self.dirty_count -= 1;
-        }
-        if self.policy == PolicyKind::Lar {
-            self.lar
-                .adjust(lpn / self.ppb as u64, -1, -i64::from(page.dirty));
-        } else {
-            self.ranked.remove(lpn);
-        }
+        self.dirty_count -= usize::from(page.dirty);
+        self.order
+            .adjust(lpn, self.lbn(lpn), -1, -i64::from(page.dirty));
         Some(page.record)
     }
 
@@ -455,74 +407,29 @@ impl<P: Clone> BufferManager<P> {
             return ev;
         }
         while self.dirty_count > target {
-            let cleaned = match self.policy {
-                PolicyKind::Lar => self.clean_lar_block(&mut ev),
-                PolicyKind::Lru | PolicyKind::Lfu => self.clean_any_dirty_run(&mut ev),
+            let lowest_dirty = || {
+                let dirty = self.pages.iter().filter(|(_, p)| p.dirty);
+                dirty.map(|(&lpn, _)| lpn).min()
             };
-            if !cleaned {
+            let Some(victim) = self.order.clean_victim(lowest_dirty) else {
                 break;
+            };
+            // Every page stays resident, now clean.
+            match victim {
+                Victim::Block(lbn, meta) => {
+                    let (pages, span) = self.block_pages(lbn, meta.resident);
+                    if span.is_empty() {
+                        break;
+                    }
+                    self.write_back(pages[span].iter().copied(), |_| false, &mut ev);
+                }
+                Victim::Page(lpn) => {
+                    let run = self.dirty_run(lpn);
+                    self.write_back(run.map(|l| (l, true)), |_| false, &mut ev);
+                }
             }
         }
         ev
-    }
-
-    /// Write back the least-popular dirty block's dirty span; pages stay.
-    fn clean_lar_block(&mut self, ev: &mut Eviction<P>) -> bool {
-        let Some(lbn) = self.lar.dirty_victim() else {
-            return false;
-        };
-        let base = lbn * self.ppb as u64;
-        let mut span: Vec<(u64, bool)> = Vec::new();
-        for off in 0..self.ppb as u64 {
-            if let Some(page) = self.pages.get(&(base + off)) {
-                span.push((base + off, page.dirty));
-            }
-        }
-        let first = span.iter().position(|&(_, d)| d);
-        let last = span.iter().rposition(|&(_, d)| d);
-        let (Some(lo), Some(hi)) = (first, last) else {
-            return false;
-        };
-        let runs = runs_from_sorted(&span[lo..=hi]);
-        for r in &runs {
-            self.stats.flushed_pages += r.pages as u64;
-            self.stats.flushed_dirty += r.dirty as u64;
-            for i in 0..r.pages as u64 {
-                self.write_back(r.lpn + i, ev);
-            }
-        }
-        ev.runs.extend(runs);
-        true
-    }
-
-    /// Write back one contiguous dirty run (lowest LPN first); pages stay.
-    fn clean_any_dirty_run(&mut self, ev: &mut Eviction<P>) -> bool {
-        let Some(&start) = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(l, _)| l)
-            .min()
-        else {
-            return false;
-        };
-        let block_end = (start / self.ppb as u64 + 1) * self.ppb as u64;
-        let mut end = start + 1;
-        while end < block_end && self.lookup(end) == Some(true) {
-            end += 1;
-        }
-        let pages = (end - start) as u32;
-        ev.runs.push(FlushRun {
-            lpn: start,
-            pages,
-            dirty: pages,
-        });
-        self.stats.flushed_pages += pages as u64;
-        self.stats.flushed_dirty += pages as u64;
-        for p in start..end {
-            self.write_back(p, ev);
-        }
-        true
     }
 
     /// Flush every dirty page (remote-failure handling and shutdown:
@@ -530,40 +437,21 @@ impl<P: Clone> BufferManager<P> {
     /// SSD"). Pages stay resident but become clean.
     pub fn drain_dirty(&mut self) -> Eviction<P> {
         let dirty = self.dirty_pages();
-        // Like eviction flushes, drain runs are per logical block: split the
-        // sorted dirty list at block boundaries before building runs.
-        let mut runs = Vec::new();
-        let mut chunk: Vec<(u64, bool)> = Vec::new();
-        for &l in &dirty {
-            if let Some(&(prev, _)) = chunk.last() {
-                if l / self.ppb as u64 != prev / self.ppb as u64 {
-                    runs.extend(runs_from_sorted(&chunk));
-                    chunk.clear();
-                }
-            }
-            chunk.push((l, true));
-        }
-        if !chunk.is_empty() {
-            runs.extend(runs_from_sorted(&chunk));
-        }
+        let ppb = u64::from(self.ppb);
         let mut ev = Eviction::default();
-        for &l in &dirty {
-            self.write_back(l, &mut ev);
+        // Like eviction flushes, drain runs are per logical block.
+        for block in dirty.chunk_by(|a, b| a / ppb == b / ppb) {
+            self.write_back(block.iter().map(|&lpn| (lpn, true)), |_| false, &mut ev);
         }
-        for r in &runs {
-            self.stats.flushed_pages += r.pages as u64;
-            self.stats.flushed_dirty += r.dirty as u64;
-        }
-        ev.runs = runs;
         ev
     }
 
-    /// Drop every resident page (a crash losing buffer contents).
+    /// Drop every resident page (a crash losing buffer contents). The
+    /// policy keeps its configuration.
     pub fn clear(&mut self) {
         self.pages.clear();
         self.dirty_count = 0;
-        self.lar = LarDirectory::new();
-        self.ranked = RankedDirectory::new(rank_mode(self.policy));
+        self.order.clear();
     }
 
     /// All resident pages in ascending LPN order: the buffered half of the
@@ -591,115 +479,151 @@ impl<P: Clone> BufferManager<P> {
     /// synchronously written it through to stable storage); returns its
     /// record.
     pub fn mark_clean(&mut self, lpn: u64) -> Option<&P> {
+        let lbn = self.lbn(lpn);
         let page = self.pages.get_mut(&lpn)?;
         if page.dirty {
             page.dirty = false;
             self.dirty_count -= 1;
-            if self.policy == PolicyKind::Lar {
-                self.lar.adjust(lpn / self.ppb as u64, 0, -1);
-            }
+            self.order.adjust(lpn, lbn, 0, -1);
         }
         Some(&page.record)
     }
 
     // ---- internals ------------------------------------------------------
 
-    fn count_block_accesses(&mut self, lpn: u64, pages: u32) {
-        if self.policy != PolicyKind::Lar {
-            return;
-        }
-        let first_block = lpn / self.ppb as u64;
-        let last_block = (lpn + pages as u64 - 1) / self.ppb as u64;
-        for lbn in first_block..=last_block {
-            self.lar.on_block_access(lbn);
+    fn lbn(&self, lpn: u64) -> u64 {
+        lpn / u64::from(self.ppb)
+    }
+
+    /// The logical blocks a request of `pages` pages at `lpn` spans: none
+    /// when it has no pages.
+    fn blocks(&self, lpn: u64, pages: u32) -> Range<u64> {
+        let first = self.lbn(lpn);
+        match pages {
+            0 => first..first,
+            n => first..self.lbn(lpn + u64::from(n) - 1) + 1,
         }
     }
 
     fn insert_page(&mut self, lpn: u64, dirty: bool, record: P) {
-        let lbn = lpn / self.ppb as u64;
+        let lbn = self.lbn(lpn);
         match self.pages.get_mut(&lpn) {
             Some(page) => {
                 page.record = record;
                 if dirty && !page.dirty {
                     page.dirty = true;
                     self.dirty_count += 1;
-                    if self.policy == PolicyKind::Lar {
-                        self.lar.adjust(lbn, 0, 1);
-                    }
+                    self.order.adjust(lpn, lbn, 0, 1);
                 }
+                self.order.touch(lpn);
             }
             None => {
                 self.pages.insert(lpn, Page { dirty, record });
-                if dirty {
-                    self.dirty_count += 1;
-                }
-                if self.policy == PolicyKind::Lar {
-                    self.lar.adjust(lbn, 1, i64::from(dirty));
-                }
+                self.dirty_count += usize::from(dirty);
+                self.order.adjust(lpn, lbn, 1, i64::from(dirty));
             }
-        }
-        if matches!(self.policy, PolicyKind::Lru | PolicyKind::Lfu) {
-            self.ranked.touch(lpn);
         }
     }
 
-    /// Write one page back: it stays resident, now clean, and a copy of its
-    /// record goes out with `ev`.
-    fn write_back(&mut self, lpn: u64, ev: &mut Eviction<P>) {
-        ev.records.extend(self.mark_clean(lpn).cloned());
+    /// The one write-back path. Writes a sorted in-block `(lpn, dirty)`
+    /// span back: its runs go out with `ev`, counted in the stats, and so
+    /// does each page's record — given up by a page that `leaves` the
+    /// buffer, cloned from one that stays, now clean.
+    fn write_back(
+        &mut self,
+        span: impl Iterator<Item = (u64, bool)> + Clone,
+        leaves: impl Fn(u64) -> bool,
+        ev: &mut Eviction<P>,
+    ) {
+        let first = ev.runs.len();
+        push_runs(&mut ev.runs, span.clone());
+        for r in &ev.runs[first..] {
+            self.stats.flushed_pages += u64::from(r.pages);
+            self.stats.flushed_dirty += u64::from(r.dirty);
+        }
+        for (lpn, _) in span {
+            let record = if leaves(lpn) {
+                self.remove(lpn)
+            } else {
+                self.mark_clean(lpn).cloned()
+            };
+            ev.records.extend(record);
+        }
+    }
+
+    /// Block `lbn`'s `resident` pages in LPN order (the directory counts
+    /// them, so the probe stops at the last one instead of walking all
+    /// `ppb` offsets of a block that usually holds a page or two), and the
+    /// index range of its dirty span: first to last dirty page, interior
+    /// clean pages included so "logically continuous pages can be
+    /// physically placed onto continuous pages" (Section III.B.2).
+    fn block_pages(&self, lbn: u64, resident: u32) -> (Vec<(u64, bool)>, Range<usize>) {
+        let ppb = u64::from(self.ppb);
+        let mut pages = Vec::with_capacity(resident as usize);
+        for lpn in lbn * ppb..(lbn + 1) * ppb {
+            if pages.len() == resident as usize {
+                break;
+            }
+            if let Some(page) = self.pages.get(&lpn) {
+                pages.push((lpn, page.dirty));
+            }
+        }
+        let first = pages.iter().position(|&(_, d)| d);
+        let last = pages.iter().rposition(|&(_, d)| d);
+        let span = match (first, last) {
+            (Some(lo), Some(hi)) => lo..hi + 1,
+            _ => 0..0,
+        };
+        (pages, span)
+    }
+
+    /// The run of dirty pages around dirty page `lpn`, within its block
+    /// (flush-time combining).
+    fn dirty_run(&self, lpn: u64) -> Range<u64> {
+        let ppb = u64::from(self.ppb);
+        let block = self.lbn(lpn) * ppb..(self.lbn(lpn) + 1) * ppb;
+        let mut lo = lpn;
+        while lo > block.start && self.lookup(lo - 1) == Some(true) {
+            lo -= 1;
+        }
+        let mut hi = lpn + 1;
+        while hi < block.end && self.lookup(hi) == Some(true) {
+            hi += 1;
+        }
+        lo..hi
     }
 
     fn make_room(&mut self) -> Eviction<P> {
         let mut ev = Eviction::default();
         let mut evicted_blocks = 0u32;
         while self.pages.len() > self.capacity {
-            match self.policy {
-                PolicyKind::Lar => {
-                    let Some(lbn) = self.lar.victim() else { break };
-                    // flush_block always removes the directory entry, so the
-                    // loop makes progress even on an empty (phantom) entry.
-                    if self.flush_block(lbn, &mut ev) {
-                        evicted_blocks += 1;
-                    }
-                }
-                PolicyKind::Lru | PolicyKind::Lfu => {
-                    if !self.evict_ranked_page(&mut ev) {
+            match self.order.victim() {
+                Some(Victim::Block(lbn, meta)) => {
+                    if !self.evict_block(lbn, meta, &mut ev) {
                         break;
                     }
+                    evicted_blocks += 1;
                 }
+                Some(Victim::Page(lpn)) => self.evict_page(lpn, &mut ev),
+                None => break,
             }
         }
         // Clustering pass: if the cycle produced a small dirty flush, gather
         // more least-popular dirty blocks until the batch reaches one
-        // physical block of pages (Section III.B.3).
-        if self.policy == PolicyKind::Lar
-            && self.clustering
-            && !ev.is_empty()
-            && ev.flushed_pages() < self.ppb as u64
-        {
-            // Only blocks from the same (least-popular) class — "the tails"
-            // of Section III.B.3 — are grouped, and only up to one physical
-            // block of pages.
-            let anchor_pop = self
-                .lar
-                .dirty_victim()
-                .and_then(|l| self.lar.get(l))
-                .map(|b| b.popularity);
-            if let Some(anchor) = anchor_pop {
-                while ev.flushed_pages() < self.ppb as u64 {
-                    let Some(lbn) = self.lar.dirty_victim() else {
+        // physical block of pages (Section III.B.3). Only blocks from the
+        // same (least-popular) class — "the tails" — are grouped, and only
+        // up to one physical block of pages.
+        let ppb = u64::from(self.ppb);
+        if self.clustering && !ev.is_empty() && ev.flushed_pages() < ppb {
+            if let Some((_, anchor)) = self.order.dirty_block() {
+                while ev.flushed_pages() < ppb {
+                    let Some((lbn, meta)) = self.order.dirty_block() else {
                         break;
                     };
-                    let Some(meta) = self.lar.get(lbn).copied() else {
-                        break;
-                    };
-                    if meta.popularity != anchor {
-                        break;
-                    }
-                    if ev.flushed_pages() + meta.resident as u64 > self.ppb as u64 {
-                        break;
-                    }
-                    if !self.flush_block(lbn, &mut ev) {
+                    if meta.popularity != anchor.popularity
+                        || ev.flushed_pages() + u64::from(meta.resident) > ppb
+                        || !self.evict_block(lbn, meta, &mut ev)
+                    {
                         break;
                     }
                     evicted_blocks += 1;
@@ -715,137 +639,70 @@ impl<P: Clone> BufferManager<P> {
         ev
     }
 
-    /// Flush (or drop, when clean) every resident page of `lbn`.
-    fn flush_block(&mut self, lbn: u64, ev: &mut Eviction<P>) -> bool {
-        // LAR's decision scores, captured before directory mutation so the
-        // eviction trace event reflects what the policy actually compared.
-        let decision = self.lar.get(lbn).copied();
-        let base = lbn * self.ppb as u64;
-        // The directory counts the block's resident pages exactly, so the
-        // probe stops at the last one instead of walking all `ppb` offsets
-        // of a block that usually holds a page or two.
-        let want = decision.map_or(0, |d| d.resident as usize);
-        let mut resident: Vec<(u64, bool)> = Vec::with_capacity(want);
-        for off in 0..self.ppb as u64 {
-            if resident.len() == want {
-                break;
-            }
-            if let Some(page) = self.pages.get(&(base + off)) {
-                resident.push((base + off, page.dirty));
-            }
-        }
-        if resident.is_empty() {
-            self.lar.remove(lbn);
+    /// Evict block `lbn`, which LAR ranked by `meta`: its dirty span is
+    /// written back, and every resident page leaves — the clean ones
+    /// outside the span for free. False when no page of it is resident.
+    fn evict_block(&mut self, lbn: u64, meta: LarBlock, ev: &mut Eviction<P>) -> bool {
+        let (pages, span) = self.block_pages(lbn, meta.resident);
+        if pages.is_empty() {
             return false;
         }
-        // Flush the span from the first to the last dirty page: interior
-        // clean pages are written alongside so "logically continuous pages
-        // can be physically placed onto continuous pages" (Section III.B.2),
-        // while clean pages outside the dirty span are dropped for free.
-        let span = match (
-            resident.iter().position(|&(_, d)| d),
-            resident.iter().rposition(|&(_, d)| d),
-        ) {
-            (Some(lo), Some(hi)) => lo..hi + 1,
-            _ => 0..0,
-        };
-        let runs = runs_from_sorted(&resident[span.clone()]);
-        for r in &runs {
-            self.stats.flushed_pages += r.pages as u64;
-            self.stats.flushed_dirty += r.dirty as u64;
+        self.write_back(pages[span.clone()].iter().copied(), |_| true, ev);
+        let outside = pages[..span.start].iter().chain(&pages[span.end..]);
+        for &(lpn, _) in outside {
+            self.remove(lpn);
         }
-        ev.runs.extend(runs);
-        let flushed_now = span.len() as u64;
-        let dropped_now = (resident.len() - span.len()) as u64;
-        ev.clean_dropped += dropped_now as u32;
-        self.stats.clean_drops += dropped_now;
-        for (i, &(lpn, _)) in resident.iter().enumerate() {
-            let record = self.remove(lpn);
-            if span.contains(&i) {
-                ev.records.extend(record);
-            }
-        }
-        self.lar.remove(lbn);
+        let dropped = (pages.len() - span.len()) as u32;
+        ev.clean_dropped += dropped;
+        self.stats.clean_drops += u64::from(dropped);
         if let Some(o) = &self.obs {
-            let d = decision.unwrap_or_default();
+            // LAR's scores from before the eviction: what the policy
+            // actually compared.
             o.obs.emit(
                 o.obs
                     .event("core.buffer", "evict_block")
                     .u64_field("lbn", lbn)
-                    .u64_field("popularity", d.popularity)
-                    .u64_field("dirty", d.dirty as u64)
-                    .u64_field("resident", d.resident as u64)
-                    .u64_field("flushed_pages", flushed_now)
-                    .u64_field("clean_dropped", dropped_now),
+                    .u64_field("popularity", meta.popularity)
+                    .u64_field("dirty", u64::from(meta.dirty))
+                    .u64_field("resident", u64::from(meta.resident))
+                    .u64_field("flushed_pages", span.len() as u64)
+                    .u64_field("clean_dropped", u64::from(dropped)),
             );
         }
         true
     }
 
-    /// Evict one LRU/LFU victim page (with flush-time combining for dirty
-    /// victims). Returns false if the directory is empty.
-    fn evict_ranked_page(&mut self, ev: &mut Eviction<P>) -> bool {
-        let Some(victim) = self.ranked.victim() else {
-            return false;
-        };
-        if self.lookup(victim) != Some(true) {
-            self.remove(victim);
+    /// Evict page `lpn`: dropped when clean; when dirty, written back with
+    /// its run of dirty neighbours, which stay resident, clean.
+    fn evict_page(&mut self, lpn: u64, ev: &mut Eviction<P>) {
+        let dirty = self.lookup(lpn) == Some(true);
+        let flushed = if dirty {
+            let run = self.dirty_run(lpn);
+            let pages = run.end - run.start;
+            self.write_back(run.map(|l| (l, true)), |l| l == lpn, ev);
+            pages
+        } else {
+            self.remove(lpn);
             ev.clean_dropped += 1;
             self.stats.clean_drops += 1;
-            if let Some(o) = &self.obs {
-                o.obs.emit(
-                    o.obs
-                        .event("core.buffer", "evict_page")
-                        .u64_field("lpn", victim)
-                        .bool_field("dirty", false)
-                        .u64_field("flushed_pages", 0),
-                );
-            }
-            return true;
-        }
-        // Combine with contiguous dirty neighbours inside the same logical
-        // block; they are written out together and stay resident, clean.
-        let block_start = (victim / self.ppb as u64) * self.ppb as u64;
-        let block_end = block_start + self.ppb as u64;
-        let mut lo = victim;
-        while lo > block_start && self.lookup(lo - 1) == Some(true) {
-            lo -= 1;
-        }
-        let mut hi = victim + 1;
-        while hi < block_end && self.lookup(hi) == Some(true) {
-            hi += 1;
-        }
-        let pages = (hi - lo) as u32;
-        ev.runs.push(FlushRun {
-            lpn: lo,
-            pages,
-            dirty: pages,
-        });
-        self.stats.flushed_pages += pages as u64;
-        self.stats.flushed_dirty += pages as u64;
-        for p in lo..hi {
-            if p == victim {
-                ev.records.extend(self.remove(p));
-            } else {
-                self.write_back(p, ev);
-            }
-        }
+            0
+        };
         if let Some(o) = &self.obs {
             o.obs.emit(
                 o.obs
                     .event("core.buffer", "evict_page")
-                    .u64_field("lpn", victim)
-                    .bool_field("dirty", true)
-                    .u64_field("flushed_pages", pages as u64),
+                    .u64_field("lpn", lpn)
+                    .bool_field("dirty", dirty)
+                    .u64_field("flushed_pages", flushed),
             );
         }
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::FlushRun;
 
     const PPB: u32 = 4;
 
@@ -1063,6 +920,54 @@ mod tests {
         assert_eq!(b.resident(), 0);
         assert_eq!(b.dirty(), 0);
         assert!(b.dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn clear_keeps_the_popularity_only_ablation() {
+        let mut b = BufferManager::from_config(BufferConfig {
+            capacity: 8,
+            pages_per_block: PPB,
+            lar_dirty_tiebreak: false,
+            ..BufferConfig::default()
+        });
+        for _ in 0..2 {
+            b.write(0, 1);
+            b.write(4, 4);
+            // Blocks 0, 1 and 2 tie at popularity 1: without the dirty-count
+            // tie-break the lowest block number goes, however few dirty
+            // pages it holds.
+            let ev = b.write(8, 4);
+            let block0 = FlushRun {
+                lpn: 0,
+                pages: 1,
+                dirty: 1,
+            };
+            assert_eq!(ev.runs, [block0], "{ev:?}");
+            b.clear();
+        }
+    }
+
+    #[test]
+    fn a_call_with_no_pages_touches_no_block() {
+        fn run(policy: PolicyKind, empty_calls_at: Option<u64>) -> (BufferStats, Eviction) {
+            let mut b = buf(policy, 8);
+            b.write(4, 4);
+            b.write(8, 4);
+            if let Some(lpn) = empty_calls_at {
+                assert!(b.write(lpn, 0).is_empty());
+                assert!(b.read(lpn, 0).is_empty());
+                assert!(b.insert_clean(lpn, 0).is_empty());
+            }
+            let ev = b.write(12, 1);
+            (*b.stats(), ev)
+        }
+        for policy in PolicyKind::ALL {
+            let untouched = run(policy, None);
+            assert!(!untouched.1.is_empty());
+            for lpn in [0, 5] {
+                assert_eq!(run(policy, Some(lpn)), untouched, "{policy} at lpn {lpn}");
+            }
+        }
     }
 
     #[test]

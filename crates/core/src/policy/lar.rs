@@ -17,7 +17,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Per-block metadata.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LarBlock {
+pub(crate) struct LarBlock {
     /// Block accesses (reads and writes; one per request per block).
     pub popularity: u64,
     /// Dirty resident pages.
@@ -31,126 +31,116 @@ pub struct LarBlock {
 /// popularity class; the lbn disambiguates.
 type Key = (u64, u32, u64);
 
-fn key(lbn: u64, b: &LarBlock) -> Key {
-    (b.popularity, u32::MAX - b.dirty, lbn)
-}
-
 /// Directory of buffered logical blocks in LAR eviction order.
 #[derive(Debug, Clone, Default)]
-pub struct LarDirectory {
+pub(crate) struct LarDirectory {
     blocks: HashMap<u64, LarBlock>,
     index: BTreeSet<Key>,
     /// The `index` keys of the blocks holding dirty pages, so the
     /// clustering pass's victim is a lookup, not a walk past clean blocks.
     dirty: BTreeSet<Key>,
-    /// Ablation switch: ignore the dirty-count tie-break (pure popularity).
+    /// Ablation switch: ignore the dirty-count tie-break (pure popularity,
+    /// ties broken by block number) — used to measure what Section
+    /// III.B.2's second level buys.
     popularity_only: bool,
 }
 
 impl LarDirectory {
-    /// Empty directory with the paper's full two-level sort.
-    pub fn new() -> Self {
-        LarDirectory::default()
-    }
-
-    /// Ablation variant: first-level sort only (ties break by block number,
-    /// not dirty count) — used to measure what Section III.B.2's second
-    /// level buys.
-    pub fn popularity_only() -> Self {
+    /// Empty directory: the paper's two-level sort with `dirty_tiebreak`,
+    /// the first level alone without it.
+    pub fn new(dirty_tiebreak: bool) -> Self {
         LarDirectory {
-            popularity_only: true,
+            popularity_only: !dirty_tiebreak,
             ..LarDirectory::default()
         }
     }
 
-    fn key_of(&self, lbn: u64, b: &LarBlock) -> Key {
-        if self.popularity_only {
-            (b.popularity, 0, lbn)
+    /// The one key rule.
+    fn key(&self, lbn: u64, b: &LarBlock) -> Key {
+        let tiebreak = if self.popularity_only {
+            0
         } else {
-            key(lbn, b)
-        }
-    }
-
-    /// Number of blocks with at least one resident page.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True when no blocks are resident.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+            u32::MAX - b.dirty
+        };
+        (b.popularity, tiebreak, lbn)
     }
 
     /// Metadata for a block, if resident.
+    #[cfg(test)]
     pub fn get(&self, lbn: u64) -> Option<&LarBlock> {
         self.blocks.get(&lbn)
     }
 
-    /// Record one block access (one request touching this block).
-    pub fn on_block_access(&mut self, lbn: u64) {
-        self.update(lbn, |b| b.popularity += 1);
+    /// Record one block access (one request touching this block) if the
+    /// block is resident — and, with `only_new`, only if it has no access
+    /// yet.
+    pub fn access(&mut self, lbn: u64, only_new: bool) {
+        if let Some(b) = self.blocks.get(&lbn) {
+            if !only_new || b.popularity == 0 {
+                self.update(lbn, |b| b.popularity += 1);
+            }
+        }
     }
 
     /// Adjust residency counters when pages enter/leave or change dirtiness.
     pub fn adjust(&mut self, lbn: u64, d_resident: i64, d_dirty: i64) {
-        self.update(lbn, |b| {
+        let b = self.update(lbn, |b| {
             b.resident = (b.resident as i64 + d_resident).max(0) as u32;
             b.dirty = (b.dirty as i64 + d_dirty).max(0) as u32;
         });
         // Blocks with no resident pages leave the directory.
-        if self
-            .blocks
-            .get(&lbn)
-            .map(|b| b.resident == 0)
-            .unwrap_or(false)
-        {
+        if b.resident == 0 {
             self.remove(lbn);
         }
     }
 
     /// The current victim: least popular, most dirty.
-    pub fn victim(&self) -> Option<u64> {
-        self.index.first().map(|&(_, _, lbn)| lbn)
+    pub fn victim(&self) -> Option<(u64, LarBlock)> {
+        self.index
+            .first()
+            .map(|&(_, _, lbn)| (lbn, self.blocks[&lbn]))
     }
 
     /// Like [`LarDirectory::victim`] but only blocks holding dirty pages
     /// (used by the clustering pass, which gathers dirty tails).
-    pub fn dirty_victim(&self) -> Option<u64> {
-        self.dirty.first().map(|&(_, _, lbn)| lbn)
+    pub fn dirty_victim(&self) -> Option<(u64, LarBlock)> {
+        self.dirty
+            .first()
+            .map(|&(_, _, lbn)| (lbn, self.blocks[&lbn]))
     }
 
-    /// Remove a block entirely (after eviction).
-    pub fn remove(&mut self, lbn: u64) -> Option<LarBlock> {
-        let b = self.blocks.remove(&lbn)?;
-        let k = self.key_of(lbn, &b);
-        self.index.remove(&k);
-        self.dirty.remove(&k);
-        Some(b)
+    /// Forget every block; the sort keeps its mode.
+    pub fn clear(&mut self) {
+        self.blocks.clear();
+        self.index.clear();
+        self.dirty.clear();
     }
 
-    fn update(&mut self, lbn: u64, f: impl FnOnce(&mut LarBlock)) {
-        let popularity_only = self.popularity_only;
-        let key_fn = |lbn: u64, b: &LarBlock| {
-            if popularity_only {
-                (b.popularity, 0, lbn)
-            } else {
-                key(lbn, b)
-            }
-        };
+    fn remove(&mut self, lbn: u64) {
+        if let Some(b) = self.blocks.remove(&lbn) {
+            let k = self.key(lbn, &b);
+            self.index.remove(&k);
+            self.dirty.remove(&k);
+        }
+    }
+
+    fn update(&mut self, lbn: u64, f: impl FnOnce(&mut LarBlock)) -> LarBlock {
         let entry = self.blocks.entry(lbn).or_default();
-        let old = key_fn(lbn, entry);
+        let before = *entry;
         f(entry);
-        let new = key_fn(lbn, entry);
+        let after = *entry;
+        let (old, new) = (self.key(lbn, &before), self.key(lbn, &after));
         if old != new {
             self.index.remove(&old);
             self.dirty.remove(&old);
         }
         self.index.insert(new);
-        if entry.dirty > 0 {
+        if after.dirty > 0 {
             self.dirty.insert(new);
         } else {
             self.dirty.remove(&new);
         }
+        after
     }
 }
 
@@ -158,76 +148,105 @@ impl LarDirectory {
 mod tests {
     use super::*;
 
+    fn victim(d: &LarDirectory) -> Option<u64> {
+        d.victim().map(|(lbn, _)| lbn)
+    }
+
     #[test]
     fn least_popular_is_victim() {
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         d.adjust(1, 1, 1);
-        d.on_block_access(1);
-        d.on_block_access(1);
+        d.access(1, false);
+        d.access(1, false);
         d.adjust(2, 1, 1);
-        d.on_block_access(2);
-        assert_eq!(d.victim(), Some(2));
-        d.on_block_access(2);
-        d.on_block_access(2);
-        assert_eq!(d.victim(), Some(1));
+        d.access(2, false);
+        assert_eq!(victim(&d), Some(2));
+        d.access(2, false);
+        d.access(2, false);
+        assert_eq!(victim(&d), Some(1));
     }
 
     #[test]
     fn dirty_count_breaks_popularity_ties() {
         // Figure 4: blocks 2 and 4 both have popularity 2; block 4 has three
         // dirty pages against two, so block 4 is the victim.
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         d.adjust(2, 4, 2);
-        d.on_block_access(2);
-        d.on_block_access(2);
+        d.access(2, false);
+        d.access(2, false);
         d.adjust(4, 4, 3);
-        d.on_block_access(4);
-        d.on_block_access(4);
-        assert_eq!(d.victim(), Some(4));
+        d.access(4, false);
+        d.access(4, false);
+        assert_eq!(victim(&d), Some(4));
     }
 
     #[test]
     fn sequential_multi_page_access_counts_once() {
-        // The caller is responsible for calling on_block_access once per
+        // The caller is responsible for calling access once per
         // request; verify popularity reflects that contract.
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         d.adjust(7, 6, 6); // six pages inserted by one request…
-        d.on_block_access(7); // …but one popularity increment
+        d.access(7, false); // …but one popularity increment
         assert_eq!(d.get(7).unwrap().popularity, 1);
         assert_eq!(d.get(7).unwrap().resident, 6);
     }
 
     #[test]
     fn empty_blocks_leave_directory() {
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         d.adjust(3, 2, 1);
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.blocks.len(), 1);
         d.adjust(3, -2, -1);
-        assert!(d.is_empty());
-        assert_eq!(d.victim(), None);
+        assert!(d.blocks.is_empty());
+        assert_eq!(victim(&d), None);
     }
 
     #[test]
-    fn remove_returns_metadata() {
-        let mut d = LarDirectory::new();
+    fn remove_forgets_the_block() {
+        let mut d = LarDirectory::new(true);
         d.adjust(5, 3, 2);
-        d.on_block_access(5);
-        let b = d.remove(5).unwrap();
-        assert_eq!(b.resident, 3);
-        assert_eq!(b.dirty, 2);
-        assert_eq!(b.popularity, 1);
-        assert!(d.remove(5).is_none());
-        assert!(d.is_empty());
+        d.access(5, false);
+        let meta = LarBlock {
+            popularity: 1,
+            dirty: 2,
+            resident: 3,
+        };
+        assert_eq!(d.get(5), Some(&meta));
+        d.remove(5);
+        assert!(d.get(5).is_none());
+        assert!(d.blocks.is_empty() && d.index.is_empty() && d.dirty.is_empty());
+    }
+
+    #[test]
+    fn access_counts_resident_blocks_only() {
+        let mut d = LarDirectory::new(true);
+        d.access(3, false);
+        assert!(d.blocks.is_empty(), "no entry without a resident page");
+        d.adjust(3, 1, 0);
+        d.access(3, true);
+        d.access(3, true); // only the first access of a new block counts
+        assert_eq!(d.get(3).unwrap().popularity, 1);
+        d.access(3, false);
+        assert_eq!(d.get(3).unwrap().popularity, 2);
+    }
+
+    #[test]
+    fn clear_keeps_the_mode() {
+        let mut d = LarDirectory::new(false);
+        d.adjust(1, 1, 1);
+        d.clear();
+        assert!(d.blocks.is_empty() && d.index.is_empty() && d.dirty.is_empty());
+        assert!(d.popularity_only);
     }
 
     #[test]
     fn dirty_victim_skips_clean_blocks() {
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         d.adjust(1, 2, 0); // clean block, least popular
         d.adjust(2, 2, 1); // dirty block
-        d.on_block_access(2);
-        assert_eq!(d.victim(), Some(1));
-        assert_eq!(d.dirty_victim(), Some(2));
+        d.access(2, false);
+        assert_eq!(victim(&d), Some(1));
+        assert_eq!(d.dirty_victim().map(|(lbn, _)| lbn), Some(2));
     }
 
     mod dirty_index_prop {
@@ -254,19 +273,19 @@ mod tests {
                 ops in prop::collection::vec((0u8..3, 0u64..12, -3i64..4, -3i64..4), 1..200),
             ) {
                 let mut d = if popularity_only {
-                    LarDirectory::popularity_only()
+                    LarDirectory::new(false)
                 } else {
-                    LarDirectory::new()
+                    LarDirectory::new(true)
                 };
                 for (op, lbn, d_resident, d_dirty) in ops {
                     match op {
-                        0 => d.on_block_access(lbn),
+                        0 => d.access(lbn, false),
                         1 => d.adjust(lbn, d_resident, d_dirty),
                         _ => {
                             d.remove(lbn);
                         }
                     }
-                    prop_assert_eq!(d.dirty_victim(), scan(&d));
+                    prop_assert_eq!(d.dirty_victim().map(|(lbn, _)| lbn), scan(&d));
                 }
             }
         }
@@ -274,7 +293,7 @@ mod tests {
 
     #[test]
     fn counters_never_go_negative() {
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         d.adjust(9, 1, 0);
         d.adjust(9, 0, -5); // dirty underflow clamps
         assert_eq!(d.get(9).unwrap().dirty, 0);
@@ -283,37 +302,37 @@ mod tests {
 
     #[test]
     fn popularity_only_ignores_dirty_tiebreak() {
-        let mut d = LarDirectory::popularity_only();
+        let mut d = LarDirectory::new(false);
         d.adjust(2, 4, 2);
-        d.on_block_access(2);
+        d.access(2, false);
         d.adjust(4, 4, 3);
-        d.on_block_access(4);
+        d.access(4, false);
         // Same popularity; without the second level, the lower lbn wins
         // regardless of dirty counts (Figure 4 would pick block 4).
-        assert_eq!(d.victim(), Some(2));
+        assert_eq!(victim(&d), Some(2));
         d.remove(2);
-        assert_eq!(d.victim(), Some(4));
+        assert_eq!(victim(&d), Some(4));
         d.remove(4);
-        assert!(d.is_empty());
+        assert!(d.blocks.is_empty());
     }
 
     #[test]
     fn index_and_map_stay_consistent_under_churn() {
-        let mut d = LarDirectory::new();
+        let mut d = LarDirectory::new(true);
         for i in 0..50u64 {
             d.adjust(i % 7, 1, i64::from(i % 2 == 0));
             if i % 3 == 0 {
-                d.on_block_access(i % 7);
+                d.access(i % 7, false);
             }
         }
         // Every victim pop must correspond to a real block until empty.
         let mut seen = 0;
-        while let Some(v) = d.victim() {
+        while let Some(v) = victim(&d) {
             assert!(d.get(v).is_some());
             d.remove(v);
             seen += 1;
             assert!(seen <= 7);
         }
-        assert!(d.is_empty());
+        assert!(d.blocks.is_empty());
     }
 }

@@ -8,52 +8,35 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-/// Which order the directory maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankMode {
-    /// Least-recently-used page first.
-    Lru,
-    /// Least-frequently-used page first (FIFO within a frequency class).
-    Lfu,
-}
-
 /// Ordering key: (rank, insertion stamp, lpn). For LRU the rank is the last
 /// access stamp; for LFU it is the access count.
 type Key = (u64, u64, u64);
 
 /// Page directory in LRU or LFU eviction order.
 #[derive(Debug, Clone)]
-pub struct RankedDirectory {
-    mode: RankMode,
+pub(crate) struct RankedDirectory {
+    /// Least-frequently-used first (FIFO within a frequency class) when
+    /// set, least-recently-used first when not.
+    lfu: bool,
     stamp: u64,
     entries: HashMap<u64, Key>,
     index: BTreeSet<Key>,
 }
 
 impl RankedDirectory {
-    /// Empty directory in the given mode.
-    pub fn new(mode: RankMode) -> Self {
+    /// Empty directory, LFU order if `lfu`, else LRU.
+    pub fn new(lfu: bool) -> Self {
         RankedDirectory {
-            mode,
+            lfu,
             stamp: 0,
             entries: HashMap::new(),
             index: BTreeSet::new(),
         }
     }
 
-    /// Number of tracked pages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no pages are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True if the page is tracked.
-    pub fn contains(&self, lpn: u64) -> bool {
-        self.entries.contains_key(&lpn)
+    /// True in LFU order.
+    pub fn lfu(&self) -> bool {
+        self.lfu
     }
 
     /// Record an access to `lpn`, inserting it if new.
@@ -61,10 +44,10 @@ impl RankedDirectory {
         self.stamp += 1;
         let stamp = self.stamp;
         let old = self.entries.get(&lpn).copied();
-        let new = match (self.mode, old) {
-            (RankMode::Lru, _) => (stamp, stamp, lpn),
-            (RankMode::Lfu, Some((freq, first, _))) => (freq + 1, first, lpn),
-            (RankMode::Lfu, None) => (1, stamp, lpn),
+        let new = match (self.lfu, old) {
+            (false, _) => (stamp, stamp, lpn),
+            (true, Some((freq, first, _))) => (freq + 1, first, lpn),
+            (true, None) => (1, stamp, lpn),
         };
         if let Some(o) = old {
             self.index.remove(&o);
@@ -81,12 +64,14 @@ impl RankedDirectory {
     /// Remove a page (evicted or invalidated).
     pub fn remove(&mut self, lpn: u64) -> bool {
         match self.entries.remove(&lpn) {
-            Some(k) => {
-                self.index.remove(&k);
-                true
-            }
+            Some(k) => self.index.remove(&k),
             None => false,
         }
+    }
+
+    /// Forget every page; the order keeps its mode.
+    pub fn clear(&mut self) {
+        *self = RankedDirectory::new(self.lfu);
     }
 }
 
@@ -94,21 +79,24 @@ impl RankedDirectory {
 mod tests {
     use super::*;
 
+    const LRU: bool = false;
+    const LFU: bool = true;
+
     #[test]
     fn lru_evicts_least_recent() {
-        let mut d = RankedDirectory::new(RankMode::Lru);
+        let mut d = RankedDirectory::new(LRU);
         d.touch(1);
         d.touch(2);
         d.touch(3);
         assert_eq!(d.victim(), Some(1));
         d.touch(1); // 2 becomes the oldest
         assert_eq!(d.victim(), Some(2));
-        assert_eq!(d.len(), 3);
+        assert_eq!(d.entries.len(), 3);
     }
 
     #[test]
     fn lfu_evicts_least_frequent() {
-        let mut d = RankedDirectory::new(RankMode::Lfu);
+        let mut d = RankedDirectory::new(LFU);
         d.touch(1);
         d.touch(1);
         d.touch(2);
@@ -123,7 +111,7 @@ mod tests {
 
     #[test]
     fn lfu_breaks_frequency_ties_fifo() {
-        let mut d = RankedDirectory::new(RankMode::Lfu);
+        let mut d = RankedDirectory::new(LFU);
         d.touch(10);
         d.touch(20);
         d.touch(30);
@@ -135,27 +123,36 @@ mod tests {
 
     #[test]
     fn remove_is_idempotent() {
-        let mut d = RankedDirectory::new(RankMode::Lru);
+        let mut d = RankedDirectory::new(LRU);
         d.touch(5);
         assert!(d.remove(5));
         assert!(!d.remove(5));
-        assert!(d.is_empty());
+        assert!(d.entries.is_empty());
         assert_eq!(d.victim(), None);
     }
 
     #[test]
     fn contains_tracks_membership() {
-        let mut d = RankedDirectory::new(RankMode::Lfu);
-        assert!(!d.contains(1));
+        let mut d = RankedDirectory::new(LFU);
+        assert!(!d.entries.contains_key(&1));
         d.touch(1);
-        assert!(d.contains(1));
+        assert!(d.entries.contains_key(&1));
         d.remove(1);
-        assert!(!d.contains(1));
+        assert!(!d.entries.contains_key(&1));
+    }
+
+    #[test]
+    fn clear_keeps_the_mode() {
+        let mut d = RankedDirectory::new(LFU);
+        d.touch(1);
+        d.clear();
+        assert!(d.entries.is_empty() && d.index.is_empty());
+        assert!(d.lfu());
     }
 
     #[test]
     fn index_consistent_under_churn() {
-        let mut d = RankedDirectory::new(RankMode::Lfu);
+        let mut d = RankedDirectory::new(LFU);
         for i in 0..200u64 {
             d.touch(i % 13);
             if i % 5 == 0 {
@@ -168,6 +165,6 @@ mod tests {
             popped += 1;
             assert!(popped <= 13);
         }
-        assert!(d.is_empty());
+        assert!(d.entries.is_empty());
     }
 }

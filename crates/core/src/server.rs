@@ -450,8 +450,8 @@ impl CoopServer {
         if snapshot.is_empty() {
             return SimDuration::ZERO;
         }
-        let pairs: Vec<(u64, bool)> = snapshot.iter().map(|&(l, _)| (l, true)).collect();
-        let runs = crate::policy::runs_from_sorted(&pairs);
+        let mut runs = Vec::new();
+        crate::policy::push_runs(&mut runs, snapshot.iter().map(|&(l, _)| (l, true)));
         let batch: Vec<(Lpn, u32)> = runs.iter().map(|r| (Lpn(r.lpn), r.pages)).collect();
         let service = self.ssd.write_batch(&batch);
         let grant = self.ssd_q.acquire(now, service);

@@ -206,19 +206,11 @@ impl Histogram {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, n) in counts.iter().enumerate() {
-            cum += n;
-            if cum >= rank {
-                return bucket_upper(i);
-            }
-        }
-        bucket_upper(HISTOGRAM_BUCKETS - 1)
+        let buckets = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (bucket_upper(i), n));
+        nearest_rank(buckets, p)
     }
 
     /// Median (bucket upper bound).
@@ -263,6 +255,27 @@ impl Histogram {
     }
 }
 
+/// The nearest-rank rule over `(inclusive upper bound, count)` buckets in
+/// ascending order: the upper bound of the bucket holding rank
+/// `ceil(p% of the total)`, 0 when every bucket is empty.
+fn nearest_rank(buckets: impl Iterator<Item = (u64, u64)> + Clone, p: f64) -> u64 {
+    let total: u64 = buckets.clone().map(|(_, n)| n).sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((p / 100.0) * total as f64).ceil().max(1.0) as u64;
+    let mut cum = 0u64;
+    let mut upper = 0;
+    for (u, n) in buckets {
+        cum += n;
+        upper = u;
+        if cum >= rank {
+            break;
+        }
+    }
+    upper
+}
+
 /// Point-in-time view of a [`Histogram`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSummary {
@@ -274,6 +287,26 @@ pub struct HistogramSummary {
     pub p999: u64,
     /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
     pub buckets: Vec<(u64, u64)>,
+}
+
+impl HistogramSummary {
+    /// Fold `other` in, as if one histogram had recorded both: counts,
+    /// sums and buckets add, max takes the larger, and the percentiles
+    /// come from the merged buckets by [`Histogram::percentile`]'s rule
+    /// (every summary has the same bucket layout, so bounds merge exactly).
+    pub fn merge(&mut self, other: &HistogramSummary) {
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+        for &(upper, n) in &other.buckets {
+            match self.buckets.binary_search_by_key(&upper, |&(u, _)| u) {
+                Ok(i) => self.buckets[i].1 += n,
+                Err(i) => self.buckets.insert(i, (upper, n)),
+            }
+        }
+        let pct = |p| nearest_rank(self.buckets.iter().copied(), p);
+        (self.p50, self.p99, self.p999) = (pct(50.0), pct(99.0), pct(99.9));
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +350,43 @@ mod tests {
         assert_eq!(bucket_index(u64::MAX), 64);
         assert_eq!(bucket_upper(64), u64::MAX);
         assert_eq!(bucket_lower(64), 1u64 << 63);
+    }
+
+    #[test]
+    fn merged_summaries_equal_one_histogram_of_both_streams() {
+        // Seeded streams of skewed values (an xorshift, shifted so every
+        // magnitude shows up), merged in both orders and into nothing.
+        let stream = |mut x: u64, n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x >> (x % 64)
+                })
+                .collect()
+        };
+        for (seed_a, seed_b, n_a, n_b) in [(1, 2, 500, 300), (3, 4, 1, 2000), (5, 6, 0, 7)] {
+            let (a, b) = (stream(seed_a, n_a), stream(seed_b, n_b));
+            let (ha, hb, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+            for &v in &a {
+                ha.record(v);
+                both.record(v);
+            }
+            for &v in &b {
+                hb.record(v);
+                both.record(v);
+            }
+            let mut ab = ha.summary();
+            ab.merge(&hb.summary());
+            assert_eq!(ab, both.summary(), "A then B, seeds {seed_a}/{seed_b}");
+            let mut ba = hb.summary();
+            ba.merge(&ha.summary());
+            assert_eq!(ba, both.summary(), "B then A, seeds {seed_a}/{seed_b}");
+            let mut empty = HistogramSummary::default();
+            empty.merge(&ha.summary());
+            assert_eq!(empty, ha.summary());
+        }
     }
 
     #[test]

@@ -240,6 +240,25 @@ if for f in $(find crates/*/src src tests examples -name '*.rs' ! -path '*/node/
   exit 1
 fi
 
+echo "==> fc-core buffer guard: one replacement order, one write-back path"
+# DESIGN §2.4: the buffer reads its policy once, when it builds the one
+# private replacement order (policy/mod.rs's Order), which owns every
+# replacement decision; and every span the buffer writes back goes through
+# one helper, which alone builds runs and counts flushed pages.
+buf=crates/core/src/buffer.rs
+if code "$buf" | grep -nE '(\bif\b|\bmatch\b|matches!).*self\.policy'; then
+  echo "$buf: the policy is decided once, by policy::Order's arms — no branch on it in the buffer" >&2
+  exit 1
+fi
+if code "$buf" | grep -nwE 'LarDirectory|RankedDirectory|RankMode'; then
+  echo "$buf: the buffer holds one policy::Order, not its directories" >&2
+  exit 1
+fi
+if [ "$(core_code | grep -c 'flushed_dirty +=')" -ne 1 ]; then
+  echo "crates/core/src: flushed pages are counted once, by BufferManager::write_back" >&2
+  exit 1
+fi
+
 echo "==> fc-ssd layout guard: one hybrid core, one erase step; loadgen rows from the gateway"
 # DESIGN §2.2: BAST and FAST are one hybrid log-block scheme. The data map
 # and the switch / partial / full merges live in ftl/hybrid.rs, each merge
