@@ -47,17 +47,7 @@ pub fn short_lived(params: &ExperimentParams) -> String {
         );
         let mut remote = RemoteStore::new(cfg.buffer_pages);
         for req in &trace.requests {
-            match req.op {
-                fc_trace::Op::Write => {
-                    server.handle_write(req.at, req.lpn, req.pages, &mut remote);
-                }
-                fc_trace::Op::Read => {
-                    server.handle_read(req.at, req.lpn, req.pages, &mut remote);
-                }
-                fc_trace::Op::Trim => {
-                    server.handle_trim(req.at, req.lpn, req.pages, &mut remote);
-                }
-            }
+            server.handle(req, &mut remote);
         }
         let pages = server.ssd().stats().host_pages_written;
         if scheme == Scheme::Baseline {

@@ -644,6 +644,14 @@ mod tests {
         }
     }
 
+    /// Whether every page of a delivered batch still matches its CRC.
+    fn intact_batch(m: &Message) -> bool {
+        let Message::WriteReplBatch { entries, .. } = m else {
+            panic!("not a batch: {m:?}");
+        };
+        crate::wire::damaged(entries) == 0
+    }
+
     fn drain(t: &impl Transport, window: Duration) -> Vec<Message> {
         let deadline = Instant::now() + window;
         let mut got = Vec::new();
@@ -903,7 +911,7 @@ mod tests {
         // Every delivered message either verifies or is one of the damaged ones.
         let got = drain(&b, Duration::from_millis(200));
         assert_eq!(got.len() as u64, n);
-        let bad = got.iter().filter(|m| !m.payload_ok()).count() as u64;
+        let bad = got.iter().filter(|m| !intact_batch(m)).count() as u64;
         assert_eq!(bad, corrupted, "stale payload CRC must expose each flip");
     }
 
@@ -928,7 +936,7 @@ mod tests {
         f.send(write_repl(7)).unwrap();
         let got = drain(&b, Duration::from_millis(200));
         assert_eq!(got.len(), 2, "primary + duplicate");
-        let clean = got.iter().filter(|m| m.payload_ok()).count();
+        let clean = got.iter().filter(|m| intact_batch(m)).count();
         let bad = got.len() - clean;
         assert_eq!((clean, bad), (1, 1), "exactly one copy is damaged");
     }

@@ -4,7 +4,7 @@
 //! takeover. Takes the backend leaf lock; sends nothing.
 
 use super::SharedBackend;
-use crate::wire::ResyncEntry;
+use crate::wire::{resync_entry, ResyncEntry};
 use bytes::Bytes;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -19,8 +19,9 @@ pub(super) struct Hosted {
     /// Pages this node will hold in memory (the credit pool it advertises).
     capacity: usize,
     backend: SharedBackend,
-    /// Hosted in memory: lpn → (version, data). Bounded by `capacity`.
-    remote: HashMap<u64, (u64, Bytes)>,
+    /// Hosted in memory: lpn → (version, the writer's CRC, data). Bounded
+    /// by `capacity`.
+    remote: HashMap<u64, (u64, u32, Bytes)>,
     /// Destaged under [`PEER_NS`] by a takeover: lpn → version. Still
     /// served to the peer's recovery handshake, trimmed by its Purge.
     taken_over: HashMap<u64, u64>,
@@ -81,22 +82,22 @@ impl Hosted {
                 return Err(new_pages);
             }
         }
-        for (lpn, version, _crc, data) in entries {
-            self.insert(lpn, version, data);
+        for entry in entries {
+            self.insert(entry);
         }
         Ok(())
     }
 
     /// Version-guarded insert: a stale or reordered copy never replaces a
-    /// newer one. One map probe.
-    pub(super) fn insert(&mut self, lpn: u64, version: u64, data: Bytes) {
+    /// newer one. One map probe. The page keeps the CRC it came with.
+    pub(super) fn insert(&mut self, (lpn, version, crc, data): ResyncEntry) {
         match self.remote.entry(lpn) {
             Entry::Occupied(mut held) if held.get().0 <= version => {
-                held.insert((version, data));
+                held.insert((version, crc, data));
             }
             Entry::Occupied(_) => {}
             Entry::Vacant(slot) => {
-                slot.insert((version, data));
+                slot.insert((version, crc, data));
             }
         }
     }
@@ -104,36 +105,44 @@ impl Hosted {
     /// Version-bounded discard: a reordered Discard must not delete a copy
     /// newer than the flush it refers to.
     pub(super) fn discard(&mut self, lpn: u64, bound: u64) {
-        if self.remote.get(&lpn).is_some_and(|(v, _)| *v <= bound) {
+        if self.remote.get(&lpn).is_some_and(|(v, ..)| *v <= bound) {
             self.remote.remove(&lpn);
         }
     }
 
-    /// The hosted copy of one page, wherever it lives.
-    pub(super) fn lookup(&self, lpn: u64) -> Option<(u64, Bytes)> {
-        if let Some((version, data)) = self.remote.get(&lpn) {
-            return Some((*version, data.clone()));
+    /// The hosted copy of one page, wherever it lives. One held in memory
+    /// carries the CRC it arrived with; the backend keeps none, so a
+    /// taken-over page's is computed from the bytes read back.
+    fn lookup(&self, lpn: u64) -> Option<ResyncEntry> {
+        if let Some((version, crc, data)) = self.remote.get(&lpn) {
+            return Some((lpn, *version, *crc, data.clone()));
         }
         let version = *self.taken_over.get(&lpn)?;
         let (stored, data) = self.backend.lock().read_page(PEER_NS | lpn)?;
-        Some((stored.max(version), Bytes::from(data)))
+        Some(resync_entry(lpn, stored.max(version), Bytes::from(data)))
     }
 
-    /// Everything held on behalf of the peer, sorted by lpn.
-    pub(super) fn snapshot(&self) -> Vec<(u64, u64, Bytes)> {
-        let page = |lpn| self.lookup(lpn).map(|(version, data)| (lpn, version, data));
-        self.lpns().into_iter().filter_map(page).collect()
+    /// The hosted copies of `lpns` that this node holds, in the order
+    /// asked — or, for an empty `lpns`, everything held on behalf of the
+    /// peer, sorted by lpn.
+    pub(super) fn entries(&self, lpns: &[u64]) -> Vec<ResyncEntry> {
+        let page = |&lpn: &u64| self.lookup(lpn);
+        if lpns.is_empty() {
+            self.lpns().iter().filter_map(page).collect()
+        } else {
+            lpns.iter().filter_map(page).collect()
+        }
     }
 
     /// The peer failed: destage its pages to our own backend, sequentially
     /// by lpn, and reclaim the memory. They stay reachable through
-    /// [`Hosted::lookup`] / [`Hosted::snapshot`]. Returns the pages moved.
+    /// [`Hosted::entries`]. Returns the pages moved.
     pub(super) fn takeover(&mut self) -> u64 {
-        let mut pages: Vec<(u64, (u64, Bytes))> = self.remote.drain().collect();
+        let mut pages: Vec<(u64, (u64, u32, Bytes))> = self.remote.drain().collect();
         pages.sort_unstable_by_key(|(lpn, _)| *lpn);
         if !pages.is_empty() {
             let mut backend = self.backend.lock();
-            for (lpn, (version, data)) in &pages {
+            for (lpn, (version, _, data)) in &pages {
                 backend.write_page(PEER_NS | lpn, *version, data);
                 self.taken_over.insert(*lpn, *version);
             }
@@ -192,16 +201,16 @@ mod tests {
         hosted
             .admit(vec![entry(2, 5), entry(3, 5), entry(4, 5)])
             .unwrap();
-        let before = hosted.snapshot();
+        let before = hosted.entries(&[]);
         assert_eq!(hosted.credits(), 5);
 
         assert_eq!(hosted.takeover(), 3);
         // Memory is reclaimed, yet nothing the peer may ask for is lost.
         assert_eq!(hosted.credits(), 8);
         assert_eq!((hosted.pages(), hosted.lpns()), (3, vec![2, 3, 4]));
-        assert_eq!(hosted.snapshot(), before);
-        for (lpn, version, data) in &before {
-            assert_eq!(hosted.lookup(*lpn), Some((*version, data.clone())));
+        assert_eq!(hosted.entries(&[]), before);
+        for e in &before {
+            assert_eq!(hosted.lookup(e.0).as_ref(), Some(e));
         }
         assert_eq!(hosted.lookup(1), None, "own data is not hosted data");
         // The destaged copies sit beside the node's own pages, not on them.
@@ -211,12 +220,14 @@ mod tests {
         own.sort_unstable();
         assert_eq!(own, vec![1, 2]);
         // A page re-hosted after the takeover shadows its destaged copy.
-        hosted.insert(3, 6, Bytes::from_static(b"newer"));
-        assert_eq!(hosted.lookup(3), Some((6, Bytes::from_static(b"newer"))));
-        assert_eq!(hosted.snapshot().len(), 3);
+        let newer = resync_entry(3, 6, Bytes::from_static(b"newer"));
+        hosted.insert(newer.clone());
+        assert_eq!(hosted.lookup(3), Some(newer.clone()));
+        assert_eq!(hosted.entries(&[3, 9, 2]), [newer, before[0].clone()]);
+        assert_eq!(hosted.entries(&[]).len(), 3);
 
         hosted.purge();
-        assert_eq!((hosted.pages(), hosted.snapshot().len()), (0, 0));
+        assert_eq!((hosted.pages(), hosted.entries(&[]).len()), (0, 0));
         let mut left = backend.lock().lpns();
         left.sort_unstable();
         assert_eq!(left, vec![1, 2], "purge trims exactly the peer namespace");
@@ -230,11 +241,11 @@ mod tests {
         // One overwrite and one new page: no room for the new one, so the
         // overwrite is not applied either.
         assert_eq!(hosted.admit(vec![entry(1, 6), entry(3, 6)]), Err(1));
-        assert_eq!(hosted.lookup(1).unwrap().0, 5);
+        assert_eq!(hosted.lookup(1).unwrap().1, 5);
         // Overwrites alone need no credit; an older copy never wins.
         hosted.admit(vec![entry(1, 6), entry(2, 4)]).unwrap();
-        assert_eq!(hosted.lookup(1).unwrap().0, 6);
-        assert_eq!(hosted.lookup(2).unwrap().0, 5);
+        assert_eq!(hosted.lookup(1).unwrap().1, 6);
+        assert_eq!(hosted.lookup(2).unwrap().1, 5);
         // A discard bounded below the hosted version leaves it alone.
         hosted.discard(1, 5);
         assert_eq!(hosted.lpns(), vec![1, 2]);
@@ -243,7 +254,7 @@ mod tests {
         // A frame that carries one new lpn twice needs one credit, not two:
         // it fits the last one, and the newer copy wins whatever the order.
         hosted.admit(vec![entry(7, 9), entry(7, 8)]).unwrap();
-        assert_eq!((hosted.lookup(7).unwrap().0, hosted.credits()), (9, 0));
+        assert_eq!((hosted.lookup(7).unwrap().1, hosted.credits()), (9, 0));
         assert_eq!(
             hosted.admit(vec![entry(8, 1), entry(8, 2), entry(9, 1)]),
             Err(2)
@@ -319,6 +330,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         let g = b.hosted_remote_pages();
         assert_eq!(g, vec![1]);
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn recovery_replays_only_pages_that_pass_the_writers_crc() {
+        let (ta, tb) = mem_pair();
+        let ba = shared_backend(MemBackend::new());
+        let a = Node::spawn(NodeConfig::test_profile(0), ta, ba.clone());
+        // B keeps hosting in memory through A's short outage: no takeover.
+        let mut cfg_b = NodeConfig::test_profile(1);
+        cfg_b.failure_timeout = Duration::from_secs(30);
+        let b = Node::spawn(cfg_b, tb, shared_backend(MemBackend::new()));
+        let pages: Vec<Vec<u8>> = (0..5u8).map(|i| vec![b'a' + i; 16]).collect();
+        assert!(a.write_run(0, 0, &pages).all_replicated());
+        assert_eq!(b.hosted_remote_pages(), vec![0, 1, 2, 3, 4]);
+        // Page 2 rots in B's memory after its CRC arrived.
+        {
+            let mut g = b.core.inner.lock();
+            let held = g.hosted.remote.get_mut(&2).expect("hosted");
+            held.2 = Bytes::from_static(b"rotten");
+        }
+        a.fail();
+        a.restart();
+        let before = a.stats().repl.corruptions_detected;
+        assert_eq!(a.recover_from_peer(Duration::from_secs(2)), Ok(4));
+        assert_eq!(a.stats().repl.corruptions_detected, before + 1);
+        let backend = ba.lock();
+        assert_eq!(backend.read_page(2), None, "rotten bytes were replayed");
+        for lpn in [0, 1, 3, 4] {
+            let (_, data) = backend.read_page(lpn).expect("replayed");
+            assert_eq!(data, pages[lpn as usize]);
+        }
+        drop(backend);
         a.shutdown();
         b.shutdown();
     }

@@ -3,7 +3,7 @@
 
 use super::state::Resident;
 use super::{MigrateError, Node, NodeDown};
-use crate::wire::{crc32, resync_entry, ResyncEntry};
+use crate::wire::{intact, resync_entry, ResyncEntry};
 use bytes::Bytes;
 
 impl Node {
@@ -23,11 +23,13 @@ impl Node {
         Ok(lpns)
     }
 
-    /// Export the newest acked copy of each requested page as CRC-framed
-    /// [`ResyncEntry`]s — the same `(lpn, version, crc, data)` framing the
-    /// pair's replication batches use, so the importer verifies integrity
-    /// before applying. Absent pages are skipped (a trim may race the
-    /// plan); the node's own state is untouched. Call under the gateway's migration
+    /// Export the newest acked copy of each requested page as a
+    /// [`ResyncEntry`] — the same `(lpn, version, crc, data)` shape the
+    /// pair's replication batches use. A buffered page ships the CRC its
+    /// writer computed, so the importer's check catches rot in this
+    /// node's memory too; a durable page's is computed from the bytes read
+    /// back. Absent pages are skipped (a trim may race the plan); the
+    /// node's own state is untouched. Call under the gateway's migration
     /// fence so no client write to these pages is in flight.
     pub fn try_export_pages(&self, lpns: &[u64]) -> Result<Vec<ResyncEntry>, NodeDown> {
         self.live()?;
@@ -35,7 +37,7 @@ impl Node {
         let mut out = Vec::with_capacity(lpns.len());
         for &lpn in lpns {
             if let Some(page) = inner.buffer.get(lpn) {
-                out.push(resync_entry(lpn, page.version, page.bytes.clone()));
+                out.push((lpn, page.version, page.crc, page.bytes.clone()));
             } else if let Some((ver, data)) = inner.backend.lock().read_page(lpn) {
                 out.push(resync_entry(lpn, ver, Bytes::from(data)));
             }
@@ -43,8 +45,8 @@ impl Node {
         Ok(out)
     }
 
-    /// Import migrated pages from another pair. Every frame CRC is
-    /// verified *before* anything is applied — a torn batch changes
+    /// Import migrated pages from another pair. Every page's CRC is
+    /// verified ([`intact`]) *before* anything is applied — a torn batch changes
     /// nothing and the rebalance can resend it. Accepted pages land durable on
     /// the backend (version-guarded, so a newer local copy is never rolled
     /// back) and clean in the buffer; they are not replicated to the peer
@@ -52,10 +54,8 @@ impl Node {
     /// applied.
     pub fn try_import_pages(&self, entries: &[ResyncEntry]) -> Result<u64, MigrateError> {
         self.live()?;
-        for (lpn, _ver, crc, data) in entries {
-            if crc32(data) != *crc {
-                return Err(MigrateError::Corrupt { lpn: *lpn });
-            }
+        if let Some((lpn, ..)) = entries.iter().find(|e| !intact(e.2, &e.3)) {
+            return Err(MigrateError::Corrupt { lpn: *lpn });
         }
         Ok(self.under_inner(|inner| {
             for (_, ver, ..) in entries {
@@ -134,7 +134,7 @@ mod tests {
         let entries = a1.try_export_pages(&lpns).unwrap();
         assert_eq!(entries.len(), 4);
         for (_, _, crc, data) in &entries {
-            assert_eq!(*crc, crc32(data));
+            assert!(intact(*crc, data));
         }
         assert_eq!(b1.try_import_pages(&entries), Ok(4));
         assert_eq!(b1.read(0), Some(b"m0v2".to_vec()), "newest copy must move");
@@ -181,6 +181,23 @@ mod tests {
         let stale = resync_entry(7, 0, Bytes::from_static(b"stale"));
         assert_eq!(a.try_import_pages(&[stale]), Ok(0));
         assert_eq!(a.read(7), Some(b"newer".to_vec()));
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn export_ships_the_writers_crc_so_import_refuses_rot() {
+        let (a, b, _ba, _bb) = pair();
+        a.write_run(0, 1, &[b"one", b"two", b"tri"]);
+        // Bit rot in A's memory after the write was stamped.
+        assert!(corrupt_local_page(&a, 2));
+        let entries = a.try_export_pages(&[1, 2, 3]).unwrap();
+        assert_eq!(entries.len(), 3);
+        assert_eq!(
+            b.try_import_pages(&entries),
+            Err(MigrateError::Corrupt { lpn: 2 })
+        );
+        assert_eq!(b.read(1), None, "a torn import applies nothing");
         a.shutdown();
         b.shutdown();
     }

@@ -37,10 +37,13 @@
 //!   (`peer_alive`), takes the node straight back to `Paired`. The peer's
 //!   remote buffer holds only pages not yet flushed, as in §III.C, so
 //!   there is nothing to catch up on.
-//! * **Integrity**: every data payload carries a CRC-32; a receiver that
-//!   sees a damaged batch NACKs it (`NackReason::Corrupt`) and the sender
-//!   retransmits the clean copy. [`Node::scrub`] repairs silently-corrupted
-//!   *local* pages from the peer's replica.
+//! * **Integrity**: every page carries the CRC-32 its writer computed,
+//!   wherever it goes (`ResyncEntry`), and whoever applies a page from
+//!   elsewhere checks it first (`wire::intact`): a receiver that sees a
+//!   damaged batch NACKs it (`NackReason::Corrupt`) and the sender
+//!   retransmits the clean copy; recovery skips a damaged entry.
+//!   [`Node::scrub`] repairs silently-corrupted *local* pages from the
+//!   peer's replicas.
 //! * **Backpressure**: the remote buffer is bounded; acks and heartbeats
 //!   advertise the remaining credits and a sender that runs out writes
 //!   through locally instead of replicating.
@@ -90,13 +93,13 @@ pub use stats::{
 use crate::backend::StorageBackend;
 use crate::pipe::ReplPipe;
 use crate::transport::Transport;
-use crate::wire::{crc32, Message};
+use crate::wire::{crc32, Message, ResyncEntry};
 use bytes::Bytes;
 use crossbeam::channel::Sender;
 use fc_obs::Obs;
 use parking_lot::Mutex;
 use state::{Inner, Resident};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -126,6 +129,8 @@ struct Core {
     /// Recovery and scrub calls parked on a reply from the peer (leaf
     /// lock).
     parked: Mutex<Vec<Sender<Message>>>,
+    /// Id of the next `RctFetch`, so each parked call knows its reply.
+    next_fetch: AtomicU64,
     /// The link's receive side: whoever holds it reads and dispatches.
     link: pump::LinkSlot,
     /// Spawn time, the zero of the heartbeats' `at_millis` stamp.
@@ -164,6 +169,7 @@ impl Node {
             pipe,
             obs,
             parked: Mutex::default(),
+            next_fetch: AtomicU64::new(1),
             link: pump::LinkSlot::default(),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -517,26 +523,26 @@ impl Node {
         self.core.inner.lock().hosted.lpns()
     }
 
-    /// Export the pages held for the peer, e.g. to re-home them onto a
-    /// replacement node after this node's network link died (the peer's
-    /// data must survive *our* reconnects). Includes taken-over pages.
-    pub fn export_remote(&self) -> Vec<(u64, u64, Vec<u8>)> {
-        let snapshot = self.core.inner.lock().hosted.snapshot();
-        snapshot
-            .into_iter()
-            .map(|(l, v, d)| (l, v, d.to_vec()))
-            .collect()
+    /// Export the pages held for the peer, sorted by lpn, each with its
+    /// writer's CRC — e.g. to re-home them onto a replacement node after
+    /// this node's network link died (the peer's data must survive *our*
+    /// reconnects). Includes taken-over pages.
+    pub fn export_remote(&self) -> Vec<ResyncEntry> {
+        self.core.inner.lock().hosted.entries(&[])
     }
 
-    /// Import hosted pages exported from a previous incarnation.
-    pub fn import_remote(&self, entries: &[(u64, u64, Vec<u8>)]) {
+    /// Import hosted pages exported from a previous incarnation. A page
+    /// that fails its CRC is not hosted, and counts in
+    /// `corruptions_detected`. Returns the pages hosted.
+    pub fn import_remote(&self, entries: Vec<ResyncEntry>) -> usize {
+        let entries = self.checked(entries, "import_remote");
+        let n = entries.len();
         let mut inner = self.core.inner.lock();
-        for (lpn, ver, data) in entries {
-            inner.observe_version(*ver);
-            inner
-                .hosted
-                .insert(*lpn, *ver, Bytes::copy_from_slice(data));
+        for entry in entries {
+            inner.observe_version(entry.1);
+            inner.hosted.insert(entry);
         }
+        n
     }
 
     /// Tell the pump to exit, join it and close the pipe.
@@ -579,7 +585,7 @@ mod testkit {
     pub(crate) use crate::backend::MemBackend;
     pub(crate) use crate::fault::{FaultPlan, FaultTransport};
     pub(crate) use crate::transport::{mem_pair, Link, Transport, TransportError};
-    pub(crate) use crate::wire::{resync_entry, Message};
+    pub(crate) use crate::wire::{damaged, resync_entry, Message};
     pub(crate) use bytes::Bytes;
     pub(crate) use fc_obs::Obs;
     pub(crate) use parking_lot::Mutex;
@@ -718,6 +724,22 @@ mod testkit {
             || a.lifecycle_state() == PairState::Paired && b.lifecycle_state() == PairState::Paired,
             Duration::from_secs(5),
         )
+    }
+
+    /// Silently flip one byte of a resident page *without* updating its
+    /// recorded CRC, simulating local media corruption. Returns false if
+    /// the page is not resident.
+    pub(crate) fn corrupt_local_page(node: &Node, lpn: u64) -> bool {
+        let mut g = node.core.inner.lock();
+        match g.buffer.get_mut(lpn) {
+            Some(page) if !page.bytes.is_empty() => {
+                let mut v = page.bytes.to_vec();
+                v[0] ^= 0xFF;
+                page.bytes = Bytes::from(v);
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Last peer-advertised hosting credits (None until the peer spoke, or

@@ -10,10 +10,10 @@
 //! handler it calls returns its reply instead of sending it, and no `Inner`
 //! guard is held across a send.
 
-use super::{recv, Core};
+use super::Core;
 use crate::pipe::RunTicket;
 use crate::transport::TransportError;
-use crate::wire::{Message, NackReason};
+use crate::wire::{damaged, Message, NackReason};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -211,7 +211,7 @@ fn dispatch(core: &Core, msg: Message) -> Option<Message> {
             seq,
             entries,
         } => {
-            let damaged = recv::damaged(&entries);
+            let damaged = damaged(&entries);
             core.inner.lock().on_batch(epoch, seq, entries, damaged)
         }
         Message::ReplAckBatch {
@@ -237,19 +237,15 @@ fn dispatch(core: &Core, msg: Message) -> Option<Message> {
         Message::Heartbeat { credits, .. } => {
             core.inner.lock().on_heartbeat(credits, Instant::now())
         }
-        Message::RctFetch => {
-            let entries = core.inner.lock().hosted.snapshot();
-            Some(Message::RctSnapshot { entries })
+        Message::RctFetch { id, lpns } => {
+            let entries = core.inner.lock().hosted.entries(&lpns);
+            Some(Message::RctEntries { id, entries })
         }
         Message::Purge => {
             core.inner.lock().hosted.purge();
             Some(Message::PurgeAck)
         }
-        Message::PageFetch { lpn } => {
-            let hit = core.inner.lock().hosted.lookup(lpn);
-            Some(Message::page_data(lpn, hit))
-        }
-        reply @ (Message::RctSnapshot { .. } | Message::PurgeAck | Message::PageData { .. }) => {
+        reply @ (Message::RctEntries { .. } | Message::PurgeAck) => {
             // Every parked call gets it and picks out its own; one that
             // gave up dropped its receiver and is forgotten here.
             let mut parked = core.parked.lock();

@@ -5,7 +5,7 @@
 //! transport or a sleep (see the tests).
 
 use super::state::Inner;
-use crate::wire::{crc32, Message, NackReason, ResyncEntry, SeqStatus};
+use crate::wire::{Message, NackReason, ResyncEntry, SeqStatus};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -42,15 +42,6 @@ impl BatchRx {
         }
         true
     }
-}
-
-/// Entries of a batch whose payload fails its CRC. Pure CPU: the pump
-/// counts before it takes `Inner`, as the send side checksums before it.
-pub(super) fn damaged(entries: &[ResyncEntry]) -> u64 {
-    entries
-        .iter()
-        .filter(|(_, _, crc, data)| crc32(data) != *crc)
-        .count() as u64
 }
 
 impl Inner {
@@ -381,7 +372,7 @@ mod tests {
         assert_eq!(a.stats().repl.corruptions_repaired, injected);
         // No corrupted payload was ever applied.
         assert_eq!(b.hosted_remote_pages().len(), 20);
-        for (lpn, _ver, data) in b.export_remote() {
+        for (lpn, _ver, _crc, data) in b.export_remote() {
             assert_eq!(data, format!("payload-{lpn}").into_bytes());
         }
         assert_eq!(a.lifecycle_state(), PairState::Paired);

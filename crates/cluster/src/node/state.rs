@@ -62,11 +62,6 @@ pub(super) struct Inner {
     pub(super) next_seq: u64,
     /// Receiver-side cumulative-ack state for the peer's pipelined batches.
     pub(super) batch_rx: BatchRx,
-    /// Refcount of pages currently in the replication pipeline (enqueued,
-    /// unresolved). [`Inner::enter_solo`] still flushes these for safety
-    /// but leaves their durability accounting to the writer that owns
-    /// them.
-    pub(super) inflight: HashMap<u64, u32>,
     /// This node's replication pipe, held here only so solo entry can
     /// [`ReplPipe::reset`] it (the one `Inner` → pipe nesting).
     pub(super) pipe: Arc<ReplPipe>,
@@ -103,7 +98,6 @@ impl Inner {
             credits: None,
             next_seq: 1,
             batch_rx: BatchRx::default(),
-            inflight: HashMap::new(),
             pipe,
             clients: HashMap::new(),
             client_clock: 0,
@@ -229,16 +223,6 @@ impl Inner {
         row
     }
 
-    /// Drop one pipeline reference for `lpn` (its write resolved).
-    pub(super) fn inflight_done(&mut self, lpn: u64) {
-        if let Some(n) = self.inflight.get_mut(&lpn) {
-            *n -= 1;
-            if *n == 0 {
-                self.inflight.remove(&lpn);
-            }
-        }
-    }
-
     /// Remote failure handling: flush every dirty page, take over the
     /// peer's replicated pages, and stop forwarding until the peer is back.
     /// Returns the flushed `(lpn, version)` pairs — the caller sends them
@@ -253,18 +237,12 @@ impl Inner {
         // failed and write through themselves; the next epoch starts clean.
         self.pipe.reset();
         // Flush every dirty local page: the peer replica is no longer a
-        // second memory.
+        // second memory. Every page written counts, one still in the
+        // pipeline too: if its writer then writes it through, it was
+        // written twice and counts in `write_through` as well.
         let ev = self.buffer.drain_dirty();
-        let flushed = self.flush_runs(&ev);
-        // A page still in the pipeline is flushed here for safety (the ack
-        // may already be in flight) but its writer does the accounting when
-        // it resolves.
-        let destaged = flushed
-            .iter()
-            .filter(|(lpn, _)| !self.inflight.contains_key(lpn))
-            .count() as u64;
-        self.obs.flushed_pages.add(destaged);
-        self.obs.partition_destages.add(destaged);
+        let flushed = self.apply_eviction(&ev);
+        self.obs.partition_destages.add(flushed.len() as u64);
         // The pages hosted for the (failed) peer stay reachable for its
         // recovery handshake, from our backend.
         let taken = self.hosted.takeover();

@@ -288,7 +288,6 @@ impl Node {
                     version: versions[i],
                     bytes: bytes.clone(),
                 };
-                *inner.inflight.entry(page.lpn).or_insert(0) += 1;
                 pipe_pages.push(page.pipe_page(crcs[i], ticket, pipe_pages.len()));
                 pipelined.push(page);
             }
@@ -366,8 +365,8 @@ impl Node {
     /// Commit one run of a resolved group: `through` of its pages were
     /// written through at enqueue, and `pipelined[i]`'s outcome is
     /// `ticket`'s slot `base + i`. The acknowledged pages commit together —
-    /// one `Inner` acquisition and one counter add for the usual
-    /// all-acknowledged run; each refused or failed page then goes through
+    /// one counter add, and one `Inner` acquisition for the client's row;
+    /// each refused or failed page then goes through
     /// [`Node::write_through_refused`].
     fn commit_run(
         &self,
@@ -378,27 +377,24 @@ impl Node {
         base: usize,
     ) -> RunOutcome {
         let pages = pipelined.len() as u64;
-        let mut refused = Vec::new();
-        let out = {
-            let mut inner = self.core.inner.lock();
-            for (slot, page) in (base..).zip(pipelined) {
-                match ticket.outcome(slot) {
-                    PageOutcome::Replicated => inner.inflight_done(page.lpn),
-                    outcome => refused.push((page, outcome)),
-                }
-            }
-            let out = RunOutcome {
-                replicated: pages - refused.len() as u64,
-                write_through: through + refused.len() as u64,
-            };
-            if let Some(c) = client {
-                let row = &mut inner.client(c).stats;
-                row.writes += 1;
-                row.pages_written += out.pages();
-                row.write_through += out.write_through;
-            }
-            out
+        let refused: Vec<_> = (base..)
+            .zip(pipelined)
+            .filter_map(|(slot, page)| match ticket.outcome(slot) {
+                PageOutcome::Replicated => None,
+                outcome => Some((page, outcome)),
+            })
+            .collect();
+        let out = RunOutcome {
+            replicated: pages - refused.len() as u64,
+            write_through: through + refused.len() as u64,
         };
+        if let Some(c) = client {
+            let mut inner = self.core.inner.lock();
+            let row = &mut inner.client(c).stats;
+            row.writes += 1;
+            row.pages_written += out.pages();
+            row.write_through += out.write_through;
+        }
         if out.replicated > 0 {
             self.core.obs.replicated_pages.add(out.replicated);
         }
@@ -419,7 +415,6 @@ impl Node {
         // The backend's version guard keeps a newer concurrent copy.
         self.core.backend.lock().write_page(lpn, version, &bytes);
         let reason = self.under_inner(|inner| {
-            inner.inflight_done(lpn);
             if inner.buffer.get(lpn).is_some_and(|p| p.version == version) {
                 inner.buffer.mark_clean(lpn);
             }
@@ -483,6 +478,26 @@ mod tests {
         assert_eq!(a.stats().replicated_pages, 1);
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn solo_entry_counts_a_run_still_in_the_pipe_and_its_write_through() {
+        // A silent peer: A's batch leaves and is never acked, and A goes
+        // Solo on heartbeat silence while the run waits in the pipe.
+        let (ta, _silent) = mem_pair();
+        let mut cfg = NodeConfig::test_profile(0);
+        cfg.ack_timeout = Duration::from_secs(10);
+        let a = Node::spawn(cfg, ta, shared_backend(MemBackend::new()));
+        let out = a.write_run(0, 40, &[b"p40", b"p41", b"p42", b"p43"]);
+        assert_eq!(out.write_through, 4, "{out:?}");
+        assert_eq!(a.lifecycle_state(), PairState::Solo);
+        // Solo entry flushed the four dirty pages, and their writer wrote
+        // each through again when the abandoned pipe failed it.
+        let s = a.stats();
+        assert_eq!((s.flushed_pages, s.repl.partition_destages), (4, 4));
+        assert_eq!((s.replicated_pages, s.write_through), (0, 4));
+        assert!(s.writes_balance());
+        a.shutdown();
     }
 
     #[test]

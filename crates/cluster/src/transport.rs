@@ -409,8 +409,8 @@ mod tests {
     #[test]
     fn mem_pair_delivers_both_directions() {
         let (a, b) = mem_pair();
-        a.send(Message::RctFetch).unwrap();
-        assert_eq!(b.recv_timeout(SHORT).unwrap(), Some(Message::RctFetch));
+        a.send(Message::Purge).unwrap();
+        assert_eq!(b.recv_timeout(SHORT).unwrap(), Some(Message::Purge));
         b.send(Message::PurgeAck).unwrap();
         assert_eq!(a.recv_timeout(SHORT).unwrap(), Some(Message::PurgeAck));
     }

@@ -13,12 +13,14 @@
 //! The frame checksum rejects link-level corruption: any single flipped byte
 //! lands in the length, the CRC, or the CRC-covered body, so a tampered
 //! frame decodes to an error (or stays incomplete) — never to a *different*
-//! valid message. Data-carrying messages additionally embed a payload CRC
-//! computed at construction ([`resync_entry`], [`Message::page_data`]) and
-//! checked end-to-end with [`Message::payload_ok`]; that second layer
-//! survives links that pass `Message` values without re-framing (the
-//! in-memory arm of [`Link`](crate::Link) and the fault injector's
-//! corruption hook).
+//! valid message. A page leaves a node in one shape, the [`ResyncEntry`]
+//! `(lpn, version, crc, data)`, whose CRC its writer computed once
+//! ([`resync_entry`]) and which travels with the page — through the peer's
+//! memory, a migration, a recovery replay — to whoever applies it, who
+//! checks it with [`intact`] first. That second layer survives what the
+//! frame checksum cannot see: links that pass `Message` values without
+//! re-framing (the in-memory arm of [`Link`](crate::Link) and the fault
+//! injector's corruption hook) and bytes that rot at rest.
 //!
 //! Every replicated page is checksummed at least three times (write stamp,
 //! frame encode, receive verify — six over a TCP link with a TCP client), so
@@ -32,9 +34,10 @@
 //!
 //! The message set implements Figure 3's arrows: write replication with
 //! acks, NACKs and credit grants, discards after local flushes, heartbeats
-//! (Section III.D), the recovery handshake (RCT fetch → snapshot → purge),
-//! and single-page fetches for scrub repair. Rejoining after a failure
-//! sends no frames: a solo node holds only pages that are already durable.
+//! (Section III.D), and the recovery handshake (RCT fetch → entries →
+//! purge), whose fetch also serves scrub repair when it names the pages it
+//! wants. Rejoining after a failure sends no frames: a solo node holds only
+//! pages that are already durable.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -358,15 +361,32 @@ impl NackReason {
     }
 }
 
-/// One page of a [`Message::WriteReplBatch`] (or of a migration export):
-/// `(lpn, version, payload crc, data)`. Build with [`resync_entry`] so the
-/// CRC is always consistent.
+/// A page as it leaves a node — in a [`Message::WriteReplBatch`], a
+/// [`Message::RctEntries`] reply, a migration export or
+/// `Node::export_remote`: `(lpn, version, payload crc, data)`. The CRC is
+/// the writer's, computed once by [`resync_entry`] and carried, never
+/// recomputed from bytes that may have rotted on the way.
 pub type ResyncEntry = (u64, u64, u32, Bytes);
 
 /// Build a [`ResyncEntry`] with its payload CRC computed.
 pub fn resync_entry(lpn: u64, version: u64, data: Bytes) -> ResyncEntry {
     let crc = crc32(&data);
     (lpn, version, crc, data)
+}
+
+/// Whether `data` still matches `crc`, the CRC its writer computed: the one
+/// check a page from elsewhere passes before it is applied (a replication
+/// batch, a migration import, a recovery replay, a scrub repair, an
+/// imported remote buffer), and the one scrub runs over its own buffer.
+pub fn intact(crc: u32, data: &[u8]) -> bool {
+    crc32(data) == crc
+}
+
+/// How many of `entries` fail [`intact`]: a replication batch's damage,
+/// counted before the receiver takes its lock (CRCs are pure CPU, as on
+/// the send side).
+pub fn damaged(entries: &[ResyncEntry]) -> u64 {
+    entries.iter().filter(|e| !intact(e.2, &e.3)).count() as u64
 }
 
 /// Protocol messages.
@@ -394,12 +414,23 @@ pub enum Message {
         /// replication traffic flowing.
         credits: u32,
     },
-    /// Rebooted owner asks for everything the peer holds for it.
-    RctFetch,
-    /// Reply to [`Message::RctFetch`]: the remote-buffer contents.
-    RctSnapshot {
-        /// (lpn, version, data) triples.
-        entries: Vec<(u64, u64, Bytes)>,
+    /// Ask the peer for pages it holds for this node: the whole RCT — a
+    /// rebooted owner's recovery (§III.D) — or, for a scrub repair, the
+    /// pages named.
+    RctFetch {
+        /// Request id, echoed by the reply.
+        id: u64,
+        /// The lpns wanted; empty asks for every page held.
+        lpns: Vec<u64>,
+    },
+    /// Reply to [`Message::RctFetch`]: the pages asked for that the peer
+    /// holds, in the order asked — or, for an empty `lpns`, every page
+    /// held, sorted by lpn — each with its writer's CRC.
+    RctEntries {
+        /// The request's id.
+        id: u64,
+        /// The pages.
+        entries: Vec<ResyncEntry>,
     },
     /// Owner finished recovery; peer clears its remote buffer.
     Purge,
@@ -440,48 +471,61 @@ pub enum Message {
         /// Why it was refused.
         reason: NackReason,
     },
-    /// Ask the peer for its replica of one page (scrub repair).
-    PageFetch {
-        /// Logical page wanted.
-        lpn: u64,
-    },
-    /// Reply to [`Message::PageFetch`].
-    PageData {
-        /// Logical page.
-        lpn: u64,
-        /// Replica version held (0 when `found` is false).
-        version: u64,
-        /// CRC-32 of `data`.
-        crc: u32,
-        /// Whether the peer held a replica at all.
-        found: bool,
-        /// Replica contents (empty when `found` is false).
-        data: Bytes,
-    },
 }
 
 // Tags 1 and 2 belonged to the retired per-page WriteRepl / ReplAck frames,
-// 9–11 to the retired ReplNack / ResyncBatch / ResyncAck resync stream; they
-// stay unassigned so an old sender is refused, not misparsed.
+// 9–11 to the retired ReplNack / ResyncBatch / ResyncAck resync stream, 5
+// and 6 to the first recovery fetch and snapshot (no request id, no page
+// CRC), 12 and 13 to the single-page scrub fetch and its reply; they stay
+// unassigned so an old sender is refused, not misparsed.
 const TAG_DISCARD: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
-const TAG_RCT_FETCH: u8 = 5;
-const TAG_RCT_SNAPSHOT: u8 = 6;
 const TAG_PURGE: u8 = 7;
 const TAG_PURGE_ACK: u8 = 8;
-const TAG_PAGE_FETCH: u8 = 12;
-const TAG_PAGE_DATA: u8 = 13;
 const TAG_WRITE_REPL_BATCH: u8 = 14;
 const TAG_REPL_ACK_BATCH: u8 = 15;
 const TAG_REPL_NACK_BATCH: u8 = 16;
+const TAG_RCT_FETCH: u8 = 17;
+const TAG_RCT_ENTRIES: u8 = 18;
+
+/// Append `entries` as `[u32 count]` then `(lpn, version, crc, len, data)`
+/// each — the one page layout on the wire.
+fn put_entries(out: &mut BytesMut, entries: &[ResyncEntry]) {
+    out.put_u32_le(entries.len() as u32);
+    for (lpn, ver, crc, data) in entries {
+        out.put_u64_le(*lpn);
+        out.put_u64_le(*ver);
+        out.put_u32_le(*crc);
+        out.put_u32_le(data.len() as u32);
+        out.put_slice(data);
+    }
+}
+
+/// Parse what [`put_entries`] wrote.
+fn get_entries(body: &mut Bytes) -> Result<Vec<ResyncEntry>, FrameError> {
+    need(body, 4)?;
+    let n = body.get_u32_le() as usize;
+    let mut entries = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        need(body, 8 + 8 + 4 + 4)?;
+        let lpn = body.get_u64_le();
+        let ver = body.get_u64_le();
+        let crc = body.get_u32_le();
+        let dl = body.get_u32_le() as usize;
+        need(body, dl)?;
+        entries.push((lpn, ver, crc, body.split_to(dl)));
+    }
+    Ok(entries)
+}
 
 /// Append one framed message to `out`.
 pub fn encode(msg: &Message, out: &mut BytesMut) {
     let payload = match msg {
         Message::Discard { pages, .. } => 16 * pages.len(),
-        Message::RctSnapshot { entries } => entries.iter().map(|e| 20 + e.2.len()).sum(),
-        Message::WriteReplBatch { entries, .. } => entries.iter().map(|e| 24 + e.3.len()).sum(),
-        Message::PageData { data, .. } => data.len(),
+        Message::RctFetch { lpns, .. } => 8 * lpns.len(),
+        Message::WriteReplBatch { entries, .. } | Message::RctEntries { entries, .. } => {
+            entries.iter().map(|e| 24 + e.3.len()).sum()
+        }
         _ => 0,
     };
     write_frame(out, payload, |out| match msg {
@@ -504,16 +548,18 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
             out.put_u64_le(*at_millis);
             out.put_u32_le(*credits);
         }
-        Message::RctFetch => out.put_u8(TAG_RCT_FETCH),
-        Message::RctSnapshot { entries } => {
-            out.put_u8(TAG_RCT_SNAPSHOT);
-            out.put_u32_le(entries.len() as u32);
-            for (lpn, ver, data) in entries {
+        Message::RctFetch { id, lpns } => {
+            out.put_u8(TAG_RCT_FETCH);
+            out.put_u64_le(*id);
+            out.put_u32_le(lpns.len() as u32);
+            for lpn in lpns {
                 out.put_u64_le(*lpn);
-                out.put_u64_le(*ver);
-                out.put_u32_le(data.len() as u32);
-                out.put_slice(data);
             }
+        }
+        Message::RctEntries { id, entries } => {
+            out.put_u8(TAG_RCT_ENTRIES);
+            out.put_u64_le(*id);
+            put_entries(out, entries);
         }
         Message::Purge => out.put_u8(TAG_PURGE),
         Message::PurgeAck => out.put_u8(TAG_PURGE_ACK),
@@ -525,14 +571,7 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
             out.put_u8(TAG_WRITE_REPL_BATCH);
             out.put_u32_le(*epoch);
             out.put_u64_le(*seq);
-            out.put_u32_le(entries.len() as u32);
-            for (lpn, ver, crc, data) in entries {
-                out.put_u64_le(*lpn);
-                out.put_u64_le(*ver);
-                out.put_u32_le(*crc);
-                out.put_u32_le(data.len() as u32);
-                out.put_slice(data);
-            }
+            put_entries(out, entries);
         }
         Message::ReplAckBatch {
             epoch,
@@ -549,25 +588,6 @@ pub fn encode(msg: &Message, out: &mut BytesMut) {
             out.put_u32_le(*epoch);
             out.put_u64_le(*seq);
             out.put_u8(reason.to_u8());
-        }
-        Message::PageFetch { lpn } => {
-            out.put_u8(TAG_PAGE_FETCH);
-            out.put_u64_le(*lpn);
-        }
-        Message::PageData {
-            lpn,
-            version,
-            crc,
-            found,
-            data,
-        } => {
-            out.put_u8(TAG_PAGE_DATA);
-            out.put_u64_le(*lpn);
-            out.put_u64_le(*version);
-            out.put_u32_le(*crc);
-            out.put_u8(u8::from(*found));
-            out.put_u32_le(data.len() as u32);
-            out.put_slice(data);
         }
     });
 }
@@ -613,42 +633,28 @@ fn parse_body(body: &mut Bytes) -> Result<Message, FrameError> {
                 credits: body.get_u32_le(),
             }
         }
-        TAG_RCT_FETCH => Message::RctFetch,
-        TAG_RCT_SNAPSHOT => {
-            need(body, 4)?;
+        TAG_RCT_FETCH => {
+            need(body, 8 + 4)?;
+            let id = body.get_u64_le();
             let n = body.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                need(body, 8 + 8 + 4)?;
-                let lpn = body.get_u64_le();
-                let ver = body.get_u64_le();
-                let dl = body.get_u32_le() as usize;
-                need(body, dl)?;
-                entries.push((lpn, ver, body.split_to(dl)));
-            }
-            Message::RctSnapshot { entries }
+            need(body, n * 8)?;
+            let lpns = (0..n).map(|_| body.get_u64_le()).collect();
+            Message::RctFetch { id, lpns }
+        }
+        TAG_RCT_ENTRIES => {
+            need(body, 8)?;
+            let id = body.get_u64_le();
+            let entries = get_entries(body)?;
+            Message::RctEntries { id, entries }
         }
         TAG_PURGE => Message::Purge,
         TAG_PURGE_ACK => Message::PurgeAck,
         TAG_WRITE_REPL_BATCH => {
-            need(body, 4 + 8 + 4)?;
-            let epoch = body.get_u32_le();
-            let seq = body.get_u64_le();
-            let n = body.get_u32_le() as usize;
-            let mut entries = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                need(body, 8 + 8 + 4 + 4)?;
-                let lpn = body.get_u64_le();
-                let ver = body.get_u64_le();
-                let crc = body.get_u32_le();
-                let dl = body.get_u32_le() as usize;
-                need(body, dl)?;
-                entries.push((lpn, ver, crc, body.split_to(dl)));
-            }
+            need(body, 4 + 8)?;
             Message::WriteReplBatch {
-                epoch,
-                seq,
-                entries,
+                epoch: body.get_u32_le(),
+                seq: body.get_u64_le(),
+                entries: get_entries(body)?,
             }
         }
         TAG_REPL_ACK_BATCH => {
@@ -667,74 +673,12 @@ fn parse_body(body: &mut Bytes) -> Result<Message, FrameError> {
                 reason: NackReason::from_u8(body.get_u8())?,
             }
         }
-        TAG_PAGE_FETCH => {
-            need(body, 8)?;
-            Message::PageFetch {
-                lpn: body.get_u64_le(),
-            }
-        }
-        TAG_PAGE_DATA => {
-            need(body, 8 + 8 + 4 + 1 + 4)?;
-            let lpn = body.get_u64_le();
-            let version = body.get_u64_le();
-            let crc = body.get_u32_le();
-            let found = body.get_u8() != 0;
-            let dl = body.get_u32_le() as usize;
-            need(body, dl)?;
-            Message::PageData {
-                lpn,
-                version,
-                crc,
-                found,
-                data: body.split_to(dl),
-            }
-        }
         other => return Err(FrameError::BadTag(other)),
     };
     Ok(msg)
 }
 
 impl Message {
-    /// Build a [`Message::PageData`] reply, computing the payload CRC. Pass
-    /// `None` for a miss.
-    pub fn page_data(lpn: u64, hit: Option<(u64, Bytes)>) -> Message {
-        match hit {
-            Some((version, data)) => {
-                let crc = crc32(&data);
-                Message::PageData {
-                    lpn,
-                    version,
-                    crc,
-                    found: true,
-                    data,
-                }
-            }
-            None => Message::PageData {
-                lpn,
-                version: 0,
-                crc: crc32(&[]),
-                found: false,
-                data: Bytes::new(),
-            },
-        }
-    }
-
-    /// Verify the embedded payload CRC of a data-carrying message. Control
-    /// messages trivially pass. The receive path calls this *before*
-    /// recording the sequence number, so a damaged message can be NACKed
-    /// and its retransmission still applied.
-    pub fn payload_ok(&self) -> bool {
-        match self {
-            Message::WriteReplBatch { entries, .. } => {
-                entries.iter().all(|(_, _, crc, data)| crc32(data) == *crc)
-            }
-            Message::PageData {
-                crc, data, found, ..
-            } => !found || crc32(data) == *crc,
-            _ => true,
-        }
-    }
-
     /// Data-plane sequence number of this message, if it carries one.
     /// `Discard` and `WriteReplBatch` are the data plane (they mutate the
     /// peer's remote buffer); everything else is control traffic. Note that
@@ -842,11 +786,19 @@ mod tests {
             at_millis: 123_456,
             credits: 64,
         });
-        round_trip(Message::RctFetch);
-        round_trip(Message::RctSnapshot {
+        round_trip(Message::RctFetch {
+            id: 7,
+            lpns: vec![],
+        });
+        round_trip(Message::RctFetch {
+            id: 8,
+            lpns: vec![12, 1 << 40],
+        });
+        round_trip(Message::RctEntries {
+            id: 7,
             entries: vec![
-                (1, 1, Bytes::from_static(b"a")),
-                (9, 4, Bytes::from_static(b"")),
+                resync_entry(1, 1, Bytes::from_static(b"a")),
+                resync_entry(9, 4, Bytes::from_static(b"")),
             ],
         });
         round_trip(Message::Purge);
@@ -879,12 +831,6 @@ mod tests {
             seq: 90,
             reason: NackReason::Corrupt,
         });
-        round_trip(Message::PageFetch { lpn: 12 });
-        round_trip(Message::page_data(
-            12,
-            Some((5, Bytes::from_static(b"replica"))),
-        ));
-        round_trip(Message::page_data(13, None));
     }
 
     #[test]
@@ -997,10 +943,14 @@ mod tests {
         let mut buf = BytesMut::new();
         encode(&Message::Purge, &mut buf);
         encode(&Message::PurgeAck, &mut buf);
-        encode(&Message::RctFetch, &mut buf);
+        let fetch = Message::RctFetch {
+            id: 1,
+            lpns: vec![3],
+        };
+        encode(&fetch, &mut buf);
         assert_eq!(decode(&mut buf).unwrap(), Some(Message::Purge));
         assert_eq!(decode(&mut buf).unwrap(), Some(Message::PurgeAck));
-        assert_eq!(decode(&mut buf).unwrap(), Some(Message::RctFetch));
+        assert_eq!(decode(&mut buf).unwrap(), Some(fetch));
         assert_eq!(decode(&mut buf).unwrap(), None);
     }
 
@@ -1029,9 +979,11 @@ mod tests {
     #[test]
     fn retired_tags_are_refused_not_misparsed() {
         // 1–2 were WriteRepl / ReplAck, 9–11 ReplNack / ResyncBatch /
-        // ResyncAck. A well-framed body from an old sender — here shaped
-        // like the old ResyncAck / ReplNack payloads — must not decode.
-        for tag in [1u8, 2, 9, 10, 11] {
+        // ResyncAck, 5–6 the id-less recovery fetch and CRC-less snapshot,
+        // 12–13 the single-page scrub fetch and reply. A well-framed body
+        // from an old sender — here shaped like the old ResyncAck / ReplNack
+        // / single-page fetch payloads — must not decode.
+        for tag in [1u8, 2, 5, 6, 9, 10, 11, 12, 13] {
             let mut body = BytesMut::new();
             body.put_u8(tag);
             body.put_u64_le(77);
@@ -1059,33 +1011,25 @@ mod tests {
     }
 
     #[test]
-    fn payload_crc_travels_with_the_message() {
-        // A stored CRC that does not match the data: payload_ok must
-        // notice (this models a transport that hands over Message values
-        // without re-framing). Batches verify every entry.
-        let good_batch = Message::WriteReplBatch {
-            epoch: 1,
-            seq: 5,
-            entries: vec![resync_entry(1, 1, Bytes::from_static(b"x"))],
+    fn payload_crc_travels_with_the_page() {
+        // The writer's CRC survives the codec unchanged, so a page whose
+        // bytes changed after it was stamped fails `intact` wherever it
+        // lands (this models a transport that hands over Message values
+        // without re-framing, and rot at rest).
+        let good = resync_entry(1, 1, Bytes::from_static(b"x"));
+        let mut bad = resync_entry(2, 2, Bytes::from_static(b"y"));
+        bad.3 = Bytes::from_static(b"z");
+        let sent = Message::RctEntries {
+            id: 3,
+            entries: vec![good, bad],
         };
-        assert!(good_batch.payload_ok());
-        let bad_batch = Message::WriteReplBatch {
-            epoch: 1,
-            seq: 5,
-            entries: vec![
-                resync_entry(1, 1, Bytes::from_static(b"x")),
-                (2, 2, 0xDEAD_BEEF, Bytes::from_static(b"y")),
-            ],
+        let mut buf = BytesMut::new();
+        encode(&sent, &mut buf);
+        let Some(Message::RctEntries { entries, .. }) = decode(&mut buf).unwrap() else {
+            panic!("not an RctEntries");
         };
-        assert!(!bad_batch.payload_ok());
-        // Control traffic trivially passes.
-        assert!(Message::Purge.payload_ok());
-        assert!(Message::ReplAckBatch {
-            epoch: 1,
-            up_to: 1,
-            credits: 0
-        }
-        .payload_ok());
+        let ok: Vec<bool> = entries.iter().map(|e| intact(e.2, &e.3)).collect();
+        assert_eq!(ok, [true, false]);
     }
 
     #[test]
@@ -1170,12 +1114,18 @@ mod tests {
             .data_seq(),
             None
         );
-        assert_eq!(Message::RctFetch.data_seq(), None);
-        assert_eq!(Message::PageFetch { lpn: 0 }.data_seq(), None);
+        assert_eq!(
+            Message::RctFetch {
+                id: 1,
+                lpns: vec![]
+            }
+            .data_seq(),
+            None
+        );
     }
 
     #[test]
-    fn empty_page_data_is_fine() {
+    fn empty_payloads_are_fine() {
         round_trip(Message::WriteReplBatch {
             epoch: 0,
             seq: 0,
@@ -1185,6 +1135,9 @@ mod tests {
             seq: 0,
             pages: vec![],
         });
-        round_trip(Message::RctSnapshot { entries: vec![] });
+        round_trip(Message::RctEntries {
+            id: 0,
+            entries: vec![],
+        });
     }
 }

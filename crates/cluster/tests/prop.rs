@@ -50,15 +50,21 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                 credits,
             }
         }),
-        Just(Message::RctFetch),
-        prop::collection::vec((any::<u64>(), any::<u64>(), data.clone()), 0..16)
-            .prop_map(|entries| Message::RctSnapshot { entries }),
+        (any::<u64>(), prop::collection::vec(any::<u64>(), 0..16))
+            .prop_map(|(id, lpns)| Message::RctFetch { id, lpns }),
+        (
+            any::<u64>(),
+            prop::collection::vec((any::<u64>(), any::<u64>(), data), 0..16)
+        )
+            .prop_map(|(id, pages)| Message::RctEntries {
+                id,
+                entries: pages
+                    .into_iter()
+                    .map(|(lpn, version, data)| resync_entry(lpn, version, data))
+                    .collect(),
+            }),
         Just(Message::Purge),
         Just(Message::PurgeAck),
-        any::<u64>().prop_map(|lpn| Message::PageFetch { lpn }),
-        (any::<u64>(), any::<u64>(), data)
-            .prop_map(|(lpn, version, data)| { Message::page_data(lpn, Some((version, data))) }),
-        any::<u64>().prop_map(|lpn| Message::page_data(lpn, None)),
     ]
 }
 

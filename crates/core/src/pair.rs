@@ -14,7 +14,7 @@ use crate::config::{FlashCoopConfig, Scheme};
 use crate::server::CoopServer;
 use crate::tables::RemoteStore;
 use fc_simkit::SimTime;
-use fc_trace::{Op, Trace};
+use fc_trace::Trace;
 
 /// Two cooperative servers and the allocation loop between them.
 pub struct CoopPair {
@@ -92,18 +92,7 @@ impl CoopPair {
             let req = traces[who].requests[idx[who]];
             idx[who] += 1;
             // Server `who` replicates into stores[who], hosted at its peer.
-            let (server, remote) = (&mut self.servers[who], &mut self.stores[who]);
-            match req.op {
-                Op::Write => {
-                    server.handle_write(req.at, req.lpn, req.pages, remote);
-                }
-                Op::Read => {
-                    server.handle_read(req.at, req.lpn, req.pages, remote);
-                }
-                Op::Trim => {
-                    server.handle_trim(req.at, req.lpn, req.pages, remote);
-                }
-            }
+            self.servers[who].handle(&req, &mut self.stores[who]);
         }
     }
 
@@ -158,7 +147,7 @@ mod tests {
     use crate::config::PolicyKind;
     use fc_simkit::{DetRng, SimDuration};
     use fc_ssd::FtlKind;
-    use fc_trace::IoRequest;
+    use fc_trace::{IoRequest, Op};
 
     fn cfg() -> FlashCoopConfig {
         let mut c = FlashCoopConfig::tiny(FtlKind::PageLevel, PolicyKind::Lar);

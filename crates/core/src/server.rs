@@ -30,6 +30,7 @@ use fc_simkit::resource::Timeline;
 use fc_simkit::stats::LatencyStats;
 use fc_simkit::{SimDuration, SimTime};
 use fc_ssd::{Lpn, Ssd};
+use fc_trace::{IoRequest, Op};
 use std::collections::HashMap;
 
 /// Per-server response-time and replication counters.
@@ -200,6 +201,17 @@ impl CoopServer {
             SimDuration::ZERO
         } else {
             self.cfg.ssd.timing.host_page_program()
+        }
+    }
+
+    /// Replay one trace request — the one dispatch every replay loop uses.
+    /// Returns its response time.
+    pub fn handle(&mut self, req: &IoRequest, remote: &mut RemoteStore) -> SimDuration {
+        let (at, lpn, pages) = (req.at, req.lpn, req.pages);
+        match req.op {
+            Op::Write => self.handle_write(at, lpn, pages, remote),
+            Op::Read => self.handle_read(at, lpn, pages, remote),
+            Op::Trim => self.handle_trim(at, lpn, pages, remote),
         }
     }
 

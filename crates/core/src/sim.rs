@@ -19,7 +19,7 @@ use crate::server::CoopServer;
 use crate::tables::RemoteStore;
 use fc_obs::{Obs, SnapshotScheduler};
 use fc_simkit::DetRng;
-use fc_trace::{Op, Trace};
+use fc_trace::Trace;
 use serde::{Deserialize, Serialize};
 
 /// Device aging applied before measurement.
@@ -109,17 +109,7 @@ pub fn replay_with_obs(
         if let (Some(s), Some(o)) = (scheduler.as_mut(), obs) {
             s.poll(req.at.as_nanos(), o);
         }
-        match req.op {
-            Op::Write => {
-                server.handle_write(req.at, req.lpn, req.pages, &mut remote);
-            }
-            Op::Read => {
-                server.handle_read(req.at, req.lpn, req.pages, &mut remote);
-            }
-            Op::Trim => {
-                server.handle_trim(req.at, req.lpn, req.pages, &mut remote);
-            }
-        }
+        server.handle(req, &mut remote);
     }
     let report = report_for(&mut server, trace, scheme);
     if let (Some(mut s), Some(o)) = (scheduler, obs) {
@@ -182,7 +172,7 @@ mod tests {
     use crate::config::PolicyKind;
     use fc_simkit::{SimDuration, SimTime};
     use fc_ssd::FtlKind;
-    use fc_trace::IoRequest;
+    use fc_trace::{IoRequest, Op};
 
     /// A small mixed trace confined to the tiny device.
     fn small_trace(pages: u64, n: usize, seed: u64) -> Trace {

@@ -21,7 +21,7 @@
 //! them. Each keeps its log bookkeeping, decides when to merge, and tells
 //! the full merge where a page's newest copy lives.
 
-use super::{FreePool, FtlConfig, FtlStats};
+use super::{worn_out, FreePool, FtlConfig, FtlStats};
 use crate::cost::CostBreakdown;
 use crate::geometry::{BlockId, Geometry, Lpn, Ppn};
 use crate::nand::{NandArray, PageState};
@@ -64,9 +64,8 @@ impl Hybrid {
 
     /// Take a free block for a log or a merge destination.
     pub(super) fn alloc(&mut self) -> BlockId {
-        self.pool
-            .alloc(&self.nand)
-            .expect("hybrid FTL: free pool exhausted (over-provisioning too small)")
+        let free = self.pool.alloc(&self.nand);
+        free.unwrap_or_else(|| worn_out(&self.stats))
     }
 
     /// Erase a dead block back into the pool, or retire it if worn out.

@@ -297,6 +297,15 @@ impl FreePool {
     }
 }
 
+/// The end of a device's life, and the one report of it: an FTL needed a
+/// free block and wear had retired the spares.
+pub(crate) fn worn_out(stats: &FtlStats) -> ! {
+    panic!(
+        "device worn out: free pool exhausted, {} blocks retired",
+        stats.retired_blocks
+    )
+}
+
 /// Construct a boxed FTL of the given kind over a fresh NAND array.
 pub fn build_ftl(kind: FtlKind, geo: Geometry, cfg: FtlConfig) -> Box<dyn Ftl + Send> {
     match kind {

@@ -7,7 +7,7 @@
 //! the low watermark, greedy GC reclaims the sealed block with the most
 //! invalid pages, migrating survivors by plane-internal copy-back.
 
-use super::{FreePool, Ftl, FtlConfig, FtlKind, FtlStats};
+use super::{worn_out, FreePool, Ftl, FtlConfig, FtlKind, FtlStats};
 use crate::cost::CostBreakdown;
 use crate::geometry::{BlockId, Geometry, Lpn, Ppn};
 use crate::nand::NandArray;
@@ -114,7 +114,7 @@ impl PageFtl {
         }
         let b = self
             .alloc_on_plane(plane)
-            .expect("page FTL: free pool exhausted allocating active block");
+            .unwrap_or_else(|| worn_out(&self.stats));
         self.roles[b.0 as usize] = Role::Active;
         self.active[plane as usize] = Some(b);
         b
@@ -130,7 +130,7 @@ impl PageFtl {
         }
         let b = self
             .alloc_on_plane(plane)
-            .expect("page FTL: free pool exhausted during GC");
+            .unwrap_or_else(|| worn_out(&self.stats));
         self.roles[b.0 as usize] = Role::GcActive;
         self.gc_active[plane as usize] = Some(b);
         b

@@ -70,7 +70,7 @@ fn real_failover() {
         b2_t,
         shared_backend(MemBackend::new()),
     );
-    b2.import_remote(&hosted);
+    b2.import_remote(hosted);
 
     let a2 = Node::spawn(NodeConfig::test_profile(0), a2_t, backend_a.clone());
     let recovered = a2

@@ -194,7 +194,7 @@ if [ "$(gw_code | grep -c 'impl SessionLink for')" -ne 1 ]; then
   exit 1
 fi
 
-echo "==> pair-protocol guard: one owner, fc-cluster's node, on one clock"
+echo "==> pair-protocol guard: one owner, fc-cluster's node, on one clock; one page record, one CRC check"
 # DESIGN §2.4 / §2.5 / §11: trace replay never fails a peer, so flashcoop
 # has no failure model (injections, degraded mode, RCT, cluster) and no
 # pair-protocol vocabulary. The node's lifecycle (node/lifecycle.rs) is the
@@ -237,6 +237,33 @@ fi
 if for f in $(find crates/*/src src tests examples -name '*.rs' ! -path '*/node/lifecycle.rs'); do
   code "$f" | sed "s|^|$f:|"; done | grep -w 'Resyncing'; then
   echo "only node/lifecycle.rs names PairState::Resyncing: no node enters it" >&2
+  exit 1
+fi
+# DESIGN §11: one page record across the pair. A page leaves a node as a
+# ResyncEntry carrying the CRC its writer computed — the peer hosts it with
+# that CRC — and one helper, wire.rs's `intact`, checks it wherever it is
+# applied; peer fetches are one id-tagged RctFetch / RctEntries exchange.
+# The first check reads test code too (comment lines aside).
+if for f in $(find crates tests examples -name '*.rs'); do
+  sed -e '/^[[:space:]]*\/\//d' "$f" | sed "s|^|$f:|"; done \
+  | grep -E 'PageFetch|PageData|page_data\(|payload_ok'; then
+  echo "the pair fetches pages with RctFetch / RctEntries and checks them with wire::intact" >&2
+  exit 1
+fi
+crc_checks="$(for f in $(find crates/cluster/src -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done \
+  | grep -E 'crc32\([^)]*\) *[!=]=|[!=]= *crc32\(' || true)"
+if [ "$(printf '%s\n' "$crc_checks" | grep -c .)" -ne 1 ] \
+  || ! printf '%s\n' "$crc_checks" | grep -q '^crates/cluster/src/wire\.rs:'; then
+  printf '%s\n' "$crc_checks"
+  echo "crates/cluster/src: a page is checked against its carried CRC in one place, wire.rs's intact" >&2
+  exit 1
+fi
+if code crates/cluster/src/node/hosted.rs | grep -nw '_crc'; then
+  echo "node/hosted.rs keeps the CRC each hosted page arrived with" >&2
+  exit 1
+fi
+if code crates/cluster/src/node/state.rs | grep -nw 'inflight'; then
+  echo "node/state.rs: solo entry counts every page it flushes; there is no in-flight page map" >&2
   exit 1
 fi
 

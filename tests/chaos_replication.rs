@@ -77,7 +77,7 @@ fn chaos_run(seed: u64, plan_a: FaultPlan, plan_b: FaultPlan) -> fc_cluster::Nod
     let remote: HashMap<u64, (u64, Vec<u8>)> = b
         .export_remote()
         .into_iter()
-        .map(|(l, v, d)| (l, (v, d)))
+        .map(|(l, v, _, d)| (l, (v, d.to_vec())))
         .collect();
     b.shutdown();
 
@@ -195,7 +195,7 @@ fn chaos_batched_runs_sweep_loses_no_acked_writes() {
         let remote: HashMap<u64, (u64, Vec<u8>)> = b
             .export_remote()
             .into_iter()
-            .map(|(l, v, d)| (l, (v, d)))
+            .map(|(l, v, _, d)| (l, (v, d.to_vec())))
             .collect();
         b.shutdown();
         let backend = ba.lock();
@@ -550,9 +550,9 @@ fn corrupt_during_resync_repairs_and_rejoins() {
                 "seed {seed}: lpn {lpn} unreadable at A after rejoin"
             );
         }
-        for (lpn, _ver, data) in b.export_remote() {
+        for (lpn, _ver, _crc, data) in b.export_remote() {
             assert_eq!(
-                Some(data.as_slice()),
+                Some(&data[..]),
                 expected.get(&lpn).map(|c| c.as_slice()),
                 "seed {seed}: B hosts corrupted or unknown bytes for lpn {lpn}"
             );

@@ -85,7 +85,7 @@ fn full_crash_recovery_cycle_over_tcp() {
         tb2,
         shared_backend(MemBackend::new()),
     );
-    b2.import_remote(&hosted);
+    assert_eq!(b2.import_remote(hosted), 16);
     let a2 = Node::spawn(NodeConfig::test_profile(0), ta2, backend_a.clone());
 
     let n = a2
@@ -205,8 +205,8 @@ fn overwrites_keep_latest_version_after_recovery() {
 
     let snapshot = b.export_remote();
     b.shutdown();
-    let entry = snapshot.iter().find(|(l, _, _)| *l == 5).expect("page 5");
-    assert_eq!(entry.2, b"new".to_vec(), "remote copy must be the latest");
+    let entry = snapshot.iter().find(|e| e.0 == 5).expect("page 5");
+    assert_eq!(entry.3, b"new".to_vec(), "remote copy must be the latest");
 }
 
 /// Both nodes write solo through a partition, then rejoin over real

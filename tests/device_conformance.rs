@@ -313,3 +313,12 @@ fn every_ftl_totals_are_pinned() {
         assert_eq!(got, want, "{kind}");
     }
 }
+
+/// Past the pinned prefix the same BAST run wears out its spares (at op
+/// 629): the device ends with the one end-of-life report, which says it is
+/// worn out, not that a pool was sized wrong.
+#[test]
+#[should_panic(expected = "worn out")]
+fn a_worn_out_device_says_so() {
+    totals(FtlKind::Bast, 2_000);
+}

@@ -111,9 +111,9 @@ mod threaded {
         // for A's recovery handshake, and no copy of a solo write: those
         // were durable at A before they were acknowledged.
         assert_eq!(b.hosted_remote_pages(), (0..8u64).collect::<Vec<_>>());
-        for (lpn, _ver, data) in b.export_remote() {
+        for (lpn, _ver, _crc, data) in b.export_remote() {
             assert_eq!(
-                Some(data.as_slice()),
+                Some(&data[..]),
                 expected.get(&lpn).map(|c| c.as_slice()),
                 "B hosts wrong bytes for lpn {lpn}"
             );
@@ -325,9 +325,9 @@ mod threaded {
             }
             // …and nothing corrupted was ever acked or destaged at the
             // peer: every byte B holds for A matches what A wrote.
-            for (lpn, _ver, data) in b.export_remote() {
+            for (lpn, _ver, _crc, data) in b.export_remote() {
                 assert_eq!(
-                    Some(data.as_slice()),
+                    Some(&data[..]),
                     expected.get(&lpn).map(|c| c.as_slice()),
                     "seed {seed}: B hosts corrupted bytes for lpn {lpn}"
                 );
