@@ -758,9 +758,10 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
             .map_err(|_| "scale controller thread panicked")??;
     }
     let wall = started.elapsed();
-    // The final permit is released just *after* the last reply is sent;
-    // wait for the session threads to drain so the snapshot sees a quiesced
-    // gateway (residual in-flight 0).
+    // A TCP session releases its final permit just *after* the last reply
+    // is sent; wait for the session threads to drain so the snapshot sees
+    // a quiesced gateway (residual in-flight 0). An in-memory session has
+    // released it before its client returned.
     let drain_deadline = Instant::now() + Duration::from_secs(2);
     while gateway.stats().inflight != 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(1));

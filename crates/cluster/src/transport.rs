@@ -5,7 +5,10 @@
 //!
 //! * in memory ([`mem_link`], [`mem_pair`]) — typed values moved through a
 //!   crossbeam pair, never re-framed, for tests and single-process demos;
-//!   severable ([`Link::sever`]: network-partition injection);
+//!   severable ([`Link::sever`]: network-partition injection). An end may
+//!   hand its own serving to the far end ([`Link::offer_step`]): the far
+//!   end's receive runs it before it waits, so an in-process server needs
+//!   no thread and a request costs no wake-up to reach it;
 //! * TCP ([`Link::connect`], [`Link::accept`], [`Link::new`]) — each value
 //!   framed by its [`Frame`] codec over one socket; this is the "high speed
 //!   data center network" path. It has no thread: senders write the socket
@@ -14,7 +17,8 @@
 //! The node talks to its cooperative partner through the [`Transport`]
 //! trait, implemented once, for `Link<Message>` ([`TcpTransport`] names it).
 //! The gateway's sessions use `Link<Reply, Request>` and its clients
-//! `Link<Request, Reply>`.
+//! `Link<Request, Reply>`; an in-memory session offers its step to its
+//! client, a TCP one is refused and keeps a thread.
 
 use crate::wire::{Frame, Message};
 use bytes::BytesMut;
@@ -96,15 +100,41 @@ impl std::error::Error for LinkClosed {}
 pub struct Link<S, R = S>(Arm<S, R>);
 
 enum Arm<S, R> {
-    /// Values moved through a channel pair; `severed` is shared by both
-    /// ends.
+    /// Values moved through a channel pair; `shared` is shared by both
+    /// ends, and `end` (0 or 1) names this one.
     Mem {
         tx: Sender<S>,
         rx: Receiver<R>,
-        severed: Arc<AtomicBool>,
+        shared: Arc<MemShared>,
+        end: usize,
     },
     /// Values framed by their codec over one socket.
     Tcp(FramedLink),
+}
+
+/// An offered end's serving, bound to that end: false once it is over.
+type Step = Box<dyn FnMut() -> bool + Send>;
+
+/// What both ends of an in-memory link share.
+struct MemShared {
+    severed: AtomicBool,
+    /// `steps[e]` is the step end `e` offered ([`Link::offer_step`]); the
+    /// other end runs it.
+    steps: [Mutex<Option<Step>>; 2],
+}
+
+impl MemShared {
+    /// Run the step the far end of `end` offered, if any; drop it (and
+    /// with it the far end, which closes the link) once it says it is
+    /// over, or when `last`.
+    fn run_far_step(&self, end: usize, last: bool) {
+        let mut slot = self.steps[1 - end].lock();
+        if let Some(step) = slot.as_mut() {
+            if !step() || last {
+                *slot = None;
+            }
+        }
+    }
 }
 
 /// A connected in-memory pair. Severing either end kills the link for
@@ -112,17 +142,22 @@ enum Arm<S, R> {
 pub fn mem_link<S, R>() -> (Link<S, R>, Link<R, S>) {
     let (s_tx, s_rx) = unbounded();
     let (r_tx, r_rx) = unbounded();
-    let severed = Arc::new(AtomicBool::new(false));
+    let shared = Arc::new(MemShared {
+        severed: AtomicBool::new(false),
+        steps: [Mutex::new(None), Mutex::new(None)],
+    });
     (
         Link(Arm::Mem {
             tx: s_tx,
             rx: r_rx,
-            severed: severed.clone(),
+            shared: shared.clone(),
+            end: 0,
         }),
         Link(Arm::Mem {
             tx: r_tx,
             rx: s_rx,
-            severed,
+            shared,
+            end: 1,
         }),
     )
 }
@@ -157,8 +192,8 @@ impl<S: Frame, R: Frame> Link<S, R> {
     /// arm encodes it and writes the frame on the calling thread.
     pub fn send(&self, msg: S) -> Result<(), LinkClosed> {
         match &self.0 {
-            Arm::Mem { tx, severed, .. } => {
-                if severed.load(Ordering::SeqCst) {
+            Arm::Mem { tx, shared, .. } => {
+                if shared.severed.load(Ordering::SeqCst) {
                     return Err(LinkClosed);
                 }
                 tx.send(msg).map_err(|_| LinkClosed)
@@ -172,13 +207,22 @@ impl<S: Frame, R: Frame> Link<S, R> {
     }
 
     /// The next value, waiting up to `timeout`; `Ok(None)` on timeout.
+    ///
+    /// In memory, a step the far end offered runs first, on this thread:
+    /// what it sends back is then already here. The wait is `timeout`
+    /// from the call, or none once the step has run past it.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<R>, LinkClosed> {
         match &self.0 {
-            Arm::Mem { rx, severed, .. } => {
+            Arm::Mem {
+                rx, shared, end, ..
+            } => {
+                let severed = &shared.severed;
                 if severed.load(Ordering::SeqCst) {
                     return Err(LinkClosed);
                 }
-                match rx.recv_timeout(timeout) {
+                let started = Instant::now();
+                shared.run_far_step(*end, false);
+                match rx.recv_timeout(timeout.saturating_sub(started.elapsed())) {
                     // A message already in flight when the link was severed
                     // is dropped, like packets in a real partition.
                     Ok(_) if severed.load(Ordering::SeqCst) => Err(LinkClosed),
@@ -194,7 +238,7 @@ impl<S: Frame, R: Frame> Link<S, R> {
     /// False once the link is known dead.
     pub fn is_connected(&self) -> bool {
         match &self.0 {
-            Arm::Mem { severed, .. } => !severed.load(Ordering::SeqCst),
+            Arm::Mem { shared, .. } => !shared.severed.load(Ordering::SeqCst),
             Arm::Tcp(link) => !link.dead.load(Ordering::SeqCst),
         }
     }
@@ -203,11 +247,43 @@ impl<S: Frame, R: Frame> Link<S, R> {
     /// shuts its socket down, so the far end reads EOF.
     pub fn sever(&self) {
         match &self.0 {
-            Arm::Mem { severed, .. } => severed.store(true, Ordering::SeqCst),
+            Arm::Mem { shared, .. } => shared.severed.store(true, Ordering::SeqCst),
             Arm::Tcp(link) => {
                 link.kill();
                 let _ = link.stream.shutdown(Shutdown::Both);
             }
+        }
+    }
+}
+
+impl<S: Send + 'static, R: Send + 'static> Link<S, R> {
+    /// Hand this end's serving to the far end. `step(&end, wait)` serves
+    /// what reaches this end within `wait` and returns false once it is
+    /// over. In memory the offer is taken: the far end's
+    /// [`Link::recv_timeout`] runs the step with a zero wait before it
+    /// waits, and dropping the far end runs it a last time; the step, and
+    /// this end with it, is dropped when it returns false or after that
+    /// last run, which closes the link. Over TCP the far end is another
+    /// process: the offer is refused, and the end and its step come back
+    /// for the caller to drive.
+    pub fn offer_step<F>(self, mut step: F) -> Result<(), (Self, F)>
+    where
+        F: FnMut(&Self, Duration) -> bool + Send + 'static,
+    {
+        let (shared, end) = match &self.0 {
+            Arm::Mem { shared, end, .. } => (shared.clone(), *end),
+            Arm::Tcp(_) => return Err((self, step)),
+        };
+        *shared.steps[end].lock() = Some(Box::new(move || step(&self, Duration::ZERO)));
+        Ok(())
+    }
+}
+
+impl<S, R> Drop for Link<S, R> {
+    fn drop(&mut self) {
+        if let Arm::Mem { shared, end, .. } = &self.0 {
+            // Serve what this end sent last, then release the far end.
+            shared.run_far_step(*end, true);
         }
     }
 }
@@ -403,6 +479,7 @@ mod tests {
     use super::*;
     use crate::wire::resync_entry;
     use bytes::Bytes;
+    use std::sync::atomic::AtomicUsize;
 
     const SHORT: Duration = Duration::from_millis(200);
 
@@ -443,6 +520,51 @@ mod tests {
         drop(a);
         assert_eq!(b.send(Message::Purge), Err(LinkClosed));
         assert_eq!(b.recv_timeout(SHORT), Err(LinkClosed));
+    }
+
+    #[test]
+    fn an_offered_step_runs_in_the_far_ends_wait_and_drop() {
+        let (server, client) = mem_pair();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = runs.clone();
+        let offered = server.offer_step(move |end, wait| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            while let Ok(Some(Message::Purge)) = end.recv_timeout(wait) {
+                end.send(Message::PurgeAck).unwrap();
+            }
+            true
+        });
+        assert!(offered.is_ok(), "an in-memory end takes the step");
+        client.send(Message::Purge).unwrap();
+        client.send(Message::Purge).unwrap();
+        // No thread serves the server end: the client's wait does, once.
+        assert_eq!(client.recv_timeout(SHORT), Ok(Some(Message::PurgeAck)));
+        assert_eq!(client.recv_timeout(SHORT), Ok(Some(Message::PurgeAck)));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        client.send(Message::Purge).unwrap();
+        drop(client); // a last run, then the step is dropped
+        assert_eq!(runs.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn a_step_that_is_over_closes_the_link() {
+        let (server, client) = mem_pair();
+        assert!(server.offer_step(|_, _| false).is_ok());
+        let started = Instant::now();
+        assert_eq!(client.recv_timeout(SHORT), Err(LinkClosed));
+        assert!(started.elapsed() < SHORT, "the close is seen at once");
+        assert_eq!(client.send(Message::Purge), Err(LinkClosed));
+    }
+
+    #[test]
+    fn tcp_refuses_an_offered_step() {
+        let (client, server) = tcp_pair();
+        let Err((server, _step)) = server.offer_step(|_, _| true) else {
+            panic!("the far end of a TCP link is another process");
+        };
+        // The end comes back working.
+        client.send(Message::Purge).unwrap();
+        assert_eq!(server.recv_timeout(SHORT), Ok(Some(Message::Purge)));
     }
 
     /// Two connected TCP peer links on loopback.

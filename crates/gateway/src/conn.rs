@@ -4,11 +4,16 @@
 //! holds a `Link<Reply, Request>`, the client ([`crate::GatewayClient`]) a
 //! `Link<Request, Reply>`. In memory ([`mem_session`]) they pass typed
 //! values without re-framing, which keeps the deterministic e2e variant
-//! free of socket-scheduling noise; over TCP ([`TcpSessionLink`]) each
-//! value is framed by [`crate::proto`], and the session thread reads its
-//! own socket — a zero-timeout receive (the batch-window drain) returns
-//! requests already buffered, then polls the socket once — and writes
-//! replies inline.
+//! free of socket-scheduling noise, and the session has no thread: the
+//! gateway offers its step ([`SessionLink::offer_step`]), and the client's
+//! wait for a reply runs it first — every request already queued is
+//! served, batch-window drain included, on the client's thread — so a
+//! reply wait lasts as long as the request's service, like a function
+//! call. Over TCP ([`TcpSessionLink`]) each value is framed by
+//! [`crate::proto`], the offer is refused, and a session thread loops the
+//! step, reading its own socket — a zero-timeout receive (the
+//! batch-window drain) returns requests already buffered, then polls the
+//! socket once — and writing replies inline.
 
 use std::time::Duration;
 
@@ -24,6 +29,18 @@ pub trait SessionLink: Send {
     /// Receive the next request. `Ok(None)` on timeout with the link still
     /// up; `Err` once the client is gone.
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed>;
+    /// Hand the session's serving to the client's end: `step(&self, wait)`
+    /// serves the requests that arrive within `wait` and returns false
+    /// once the session is over. Refused by default — the link and step
+    /// come back, and the gateway loops the step on a session thread. An
+    /// in-memory link takes it ([`Link::offer_step`]).
+    fn offer_step<F>(self, step: F) -> Result<(), (Self, F)>
+    where
+        Self: Sized,
+        F: FnMut(&Self, Duration) -> bool + Send + 'static,
+    {
+        Err((self, step))
+    }
 }
 
 impl SessionLink for Link<Reply, Request> {
@@ -33,6 +50,13 @@ impl SessionLink for Link<Reply, Request> {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Request>, LinkClosed> {
         Link::recv_timeout(self, timeout)
+    }
+
+    fn offer_step<F>(self, step: F) -> Result<(), (Self, F)>
+    where
+        F: FnMut(&Self, Duration) -> bool + Send + 'static,
+    {
+        Link::offer_step(self, step)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The gateway service: a [`Gateway`] fronts one or more FlashCoop pairs
 //! (`fc_cluster::Node`s behind a consistent-hash ring) for many concurrent
-//! clients, one session thread per accepted connection.
+//! clients: one session thread per accepted TCP connection, none for an
+//! in-memory session, whose client runs it.
 //!
 //! # Modules, locks and who may emit
 //!
@@ -14,11 +15,11 @@
 //!
 //! | module | owns | may lock | emits? |
 //! |---|---|---|---|
-//! | `mod` | [`Gateway`]: construction, `attach_shard` and the one membership entry `rebalance` (`add_pair` / `remove_pair` wrap it), obs, stats, session threads | route table (the only `routes.write()` sites) | `shard_attach`, `rebalance_*` — what `route` returned |
+//! | `mod` | [`Gateway`]: construction, `attach_shard` and the one membership entry `rebalance` (`add_pair` / `remove_pair` wrap it), obs, stats, `serve` (offer the step, else a session thread) | route table (the only `routes.write()` sites) | `shard_attach`, `rebalance_*` — what `route` returned |
 //! | `route` | `RouteTable` (fields private): dual-ring rule, `flush_members`, `segments`, `begin` (occupancy scan) / `migrate` (export → import → release on the slots' primaries) / `commit` | none of its own; runs under the route guard, reaches health via `ShardBackend::routed_to_primary` | never — returns what to count and narrate |
 //! | `failover` | `ShardBackend` (`health` private): one attempt, `on_down`, `try_failback`, `flip`, `provably_dead`; the retry / backoff / deadline loop | shard health (the only `.health.read()` / `.write()` sites) | `ShardBackend` never — returns its `RouteEvent`; the loop narrates it, and `unavailable` |
 //! | `ops` | read / trim / flush / batch-window write submission | route table read half, then health through `with_shard` | `unavailable` for a skipped dead shard |
-//! | `session` | handshake, the validate + admit gate, batch window, in-order replies; names neither the route table nor shard health | none | `session_*`, `bad_request`, `shed`, `flush` |
+//! | `session` | the one session step: Hello state, the validate + admit gate, batch window, in-order replies; names neither the route table nor shard health | none | `session_*`, `bad_request`, `shed`, `flush` |
 //! | `config`, `stats` | plain types; the counter table (every cell, its registry name, the snapshots and the counter-sum identity) | — | — |
 
 mod config;
@@ -48,7 +49,7 @@ use crate::admission::Admission;
 use crate::client::GatewayClient;
 use crate::conn::{mem_session, SessionLink, TcpSessionLink};
 use route::RouteTable;
-use session::session_loop;
+use session::{SessionStep, SESSION_POLL};
 use stats::Instruments;
 
 /// Fenced blocks migrated per batch: the bound on how long one batch
@@ -356,14 +357,22 @@ impl Gateway {
         (stats, shards)
     }
 
-    /// Serve one session on its own thread. Sessions that have ended are
-    /// joined here, so the list holds the live ones (plus any that ended
-    /// since the last connect), not one handle per connection ever served.
+    /// Serve one session. Its step is offered to the link first
+    /// ([`SessionLink::offer_step`]): an in-memory link takes it, and its
+    /// client runs the step whenever it waits for a reply — no thread.
+    /// A link that refuses (TCP) gets a session thread that loops the
+    /// step. Session threads that have ended are joined here, so the list
+    /// holds the live ones (plus any that ended since the last connect),
+    /// not one handle per connection ever served.
     pub fn serve(self: &Arc<Self>, link: impl SessionLink + 'static) {
-        let gw = self.clone();
+        let mut session = SessionStep::start(self.clone());
+        let offered = link.offer_step(move |link, wait| session.run(link, wait));
+        let Err((link, mut step)) = offered else {
+            return;
+        };
         let handle = std::thread::Builder::new()
             .name("fc-gw-session".into())
-            .spawn(move || session_loop(gw, Box::new(link)))
+            .spawn(move || while step(&link, SESSION_POLL) {})
             .expect("spawn gateway session");
         let mut sessions = self.sessions.lock();
         for h in std::mem::take(&mut *sessions) {
@@ -422,7 +431,8 @@ impl Gateway {
     }
 
     /// Stop accepting, wind down session threads, and join them. Clients
-    /// observe `Disconnected` afterwards.
+    /// observe `Disconnected` afterwards: an in-memory session ends at its
+    /// client's next call, which runs the step that sees the shutdown.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for h in self.acceptors.lock().drain(..) {

@@ -1,5 +1,8 @@
-//! One client session: handshake, the gate every request passes
-//! (validation + admission), the batch window, in-order replies.
+//! One client session: the Hello exchange, the gate every request passes
+//! (validation + admission), the batch window, in-order replies — all
+//! reached from one step ([`SessionStep::run`]), which whoever drives the
+//! session calls: the client of an in-memory link as it waits for a reply,
+//! or a TCP session's own thread in a loop.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -16,85 +19,112 @@ use crate::batch::WriteSpan;
 use crate::conn::{LinkClosed, SessionLink};
 use crate::proto::{ErrorCode, Reply, Request, PROTO_VERSION};
 
-/// Session-loop poll interval (also the shutdown latency bound).
-const SESSION_POLL: Duration = Duration::from_millis(25);
+/// How long a session thread's step waits for a request (also the
+/// shutdown latency bound of a threaded session).
+pub(super) const SESSION_POLL: Duration = Duration::from_millis(25);
 
 /// Max additional pipelined writes drained into one batch window.
 const BATCH_WINDOW: usize = 32;
 
-pub(super) fn session_loop(gw: Arc<Gateway>, link: Box<dyn SessionLink>) {
-    gw.ins.sessions_started.inc();
-    gw.note("session_start", |e| e);
-
-    let Some(client) = handshake(&gw, link.as_ref()) else {
-        gw.ins.sessions_ended.inc();
-        gw.note("session_end", |e| e);
-        return;
-    };
-    let session = Session {
-        gw: &gw,
-        link: link.as_ref(),
-        client,
-    };
-
-    let mut carried: Option<Request> = None;
-    while !gw.shutdown.load(Ordering::SeqCst) {
-        let req = match carried.take() {
-            Some(r) => r,
-            None => match link.recv_timeout(SESSION_POLL) {
-                Ok(Some(r)) => r,
-                Ok(None) => continue,
-                Err(_) => break,
-            },
-        };
-        match session.handle(req) {
-            Ok(next) => carried = next,
-            Err(_) => break,
-        }
-    }
-
-    gw.ins.sessions_ended.inc();
-    gw.note("session_end", |e| e.u64_field("client", client));
+/// One session from its start to its end. Built when the session is
+/// served, it counts the end when dropped.
+pub(super) struct SessionStep {
+    gw: Arc<Gateway>,
+    /// The client's id, once its Hello was accepted.
+    client: Option<u64>,
+    /// A non-write the batch window drained out, served next so replies
+    /// keep receive order.
+    carried: Option<Request>,
 }
 
-/// First message must be a Hello at [`PROTO_VERSION`]. Returns the client
-/// id, or `None` if the session should be dropped.
-fn handshake(gw: &Arc<Gateway>, link: &dyn SessionLink) -> Option<u64> {
-    let ins = &gw.ins;
-    while !gw.shutdown.load(Ordering::SeqCst) {
-        match link.recv_timeout(SESSION_POLL) {
-            Ok(Some(Request::Hello { version, client })) => {
-                if version != PROTO_VERSION {
-                    ins.bad_requests.inc();
-                    gw.note("bad_request", |e| e.str_field("why", "version"));
-                    let _ = link.send(Reply::Error {
-                        id: 0,
-                        code: ErrorCode::BadVersion,
-                    });
-                    return None;
-                }
-                let max_inflight = gw.admission.config().max_inflight;
-                link.send(Reply::HelloOk {
-                    version,
-                    max_inflight,
-                })
-                .ok()?;
-                return Some(client);
-            }
-            Ok(Some(other)) => {
-                // I/O before Hello: refuse, keep waiting for the handshake.
-                ins.bad_requests.inc();
-                link.send(Reply::Error {
-                    id: other.id(),
-                    code: ErrorCode::BadRequest,
-                })
-                .ok()?;
-            }
-            Ok(None) => continue,
-            Err(_) => return None,
+impl SessionStep {
+    pub(super) fn start(gw: Arc<Gateway>) -> SessionStep {
+        gw.ins.sessions_started.inc();
+        gw.note("session_start", |e| e);
+        SessionStep {
+            gw,
+            client: None,
+            carried: None,
         }
     }
-    None
+
+    /// Serve every request that reaches `link` within `wait` of the one
+    /// before: the Hello exchange until it succeeds, then
+    /// [`Session::handle`]. False once the session is over — the gateway
+    /// shut down, the client hung up, or its version was refused.
+    pub(super) fn run(&mut self, link: &dyn SessionLink, wait: Duration) -> bool {
+        while !self.gw.shutdown.load(Ordering::SeqCst) {
+            let req = match self.carried.take() {
+                Some(r) => r,
+                None => match link.recv_timeout(wait) {
+                    Ok(Some(r)) => r,
+                    Ok(None) => return true,
+                    Err(_) => return false,
+                },
+            };
+            let served = match self.client {
+                None => self.greet(link, req),
+                Some(client) => {
+                    let session = Session {
+                        gw: &self.gw,
+                        link,
+                        client,
+                    };
+                    session.handle(req).map(|next| self.carried = next).is_ok()
+                }
+            };
+            if !served {
+                return false;
+            }
+        }
+        false
+    }
+
+    /// The handshake state: the first request must be a Hello at
+    /// [`PROTO_VERSION`]; I/O before it is refused and the session keeps
+    /// waiting for it. False when the session is over.
+    fn greet(&mut self, link: &dyn SessionLink, req: Request) -> bool {
+        let gw = &self.gw;
+        let reply = match req {
+            Request::Hello { version, client } if version == PROTO_VERSION => {
+                self.client = Some(client);
+                let max_inflight = gw.admission.config().max_inflight;
+                Reply::HelloOk {
+                    version,
+                    max_inflight,
+                }
+            }
+            Request::Hello { .. } => {
+                gw.ins.bad_requests.inc();
+                gw.note("bad_request", |e| e.str_field("why", "version"));
+                let _ = link.send(Reply::Error {
+                    id: 0,
+                    code: ErrorCode::BadVersion,
+                });
+                return false;
+            }
+            other => {
+                gw.ins.bad_requests.inc();
+                Reply::Error {
+                    id: other.id(),
+                    code: ErrorCode::BadRequest,
+                }
+            }
+        };
+        link.send(reply).is_ok()
+    }
+}
+
+impl Drop for SessionStep {
+    fn drop(&mut self) {
+        self.gw.ins.sessions_ended.inc();
+        match self.client {
+            Some(client) => self
+                .gw
+                .note("session_end", |e| e.u64_field("client", client)),
+            None => self.gw.note("session_end", |e| e),
+        }
+    }
 }
 
 /// `[lpn, lpn + pages)` is a span a client may name: 1 to `max_req_pages`
@@ -330,17 +360,23 @@ impl WriteWindow {
 
 #[cfg(test)]
 mod tests {
-    use crate::{GatewayConfig, ShardedGateway};
+    use crate::{GatewayClient, GatewayConfig, ShardedGateway};
     use fc_ring::RingConfig;
     use std::time::{Duration, Instant};
 
+    fn gateway() -> ShardedGateway {
+        ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), 1)
+    }
+
     #[test]
     fn ended_sessions_are_reaped_when_the_next_one_is_served() {
-        let sg = ShardedGateway::spawn_mem(GatewayConfig::test_profile(), RingConfig::default(), 1);
+        // Only a TCP session has a thread to reap.
+        let sg = gateway();
         let gw = sg.gateway();
+        let addr = gw.listen_tcp("127.0.0.1:0").unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        for _ in 0..50 {
-            let mut client = gw.connect_mem();
+        for id in 0..50 {
+            let mut client = GatewayClient::connect_tcp(addr, id).unwrap();
             client.hello().unwrap();
             drop(client); // hang up
         }
@@ -353,7 +389,8 @@ mod tests {
         // returned when `serve` looked (retried, so one slow thread is not
         // a failure).
         let held = loop {
-            let _live = gw.connect_mem();
+            let mut live = GatewayClient::connect_tcp(addr, 99).unwrap();
+            live.hello().unwrap(); // served, so `serve` has looked
             let held = gw.sessions.lock().len();
             if held <= 2 || Instant::now() >= deadline {
                 break held;
@@ -361,6 +398,21 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         };
         assert!(held <= 2, "{held} session handles held for 1 live session");
+        sg.shutdown();
+    }
+
+    #[test]
+    fn in_memory_sessions_end_with_their_client_and_leave_no_handle() {
+        let sg = gateway();
+        let gw = sg.gateway();
+        for _ in 0..50 {
+            let mut client = gw.connect_mem();
+            client.hello().unwrap();
+            drop(client); // runs the step a last time and ends the session
+        }
+        let stats = gw.stats();
+        assert_eq!((stats.sessions_started, stats.sessions_ended), (50, 50));
+        assert_eq!(gw.sessions.lock().len(), 0, "no thread, no handle");
         sg.shutdown();
     }
 }

@@ -9,8 +9,9 @@
 //!   Trim / Flush plus typed errors), framed by the peer protocol's own
 //!   frame code (`fc_cluster::wire`).
 //! * [`conn`] — sessions over the cluster's one link type,
-//!   `fc_cluster::Link`: its in-memory arm for deterministic tests, its
-//!   TCP arm for real deployments.
+//!   `fc_cluster::Link`: its in-memory arm for deterministic tests (no
+//!   session thread: the client's wait for a reply serves the session),
+//!   its TCP arm for real deployments (one session thread each).
 //! * [`admission`] — per-client token buckets and a global in-flight cap;
 //!   overload is shed with explicit `Busy` replies, never unbounded queues.
 //! * [`batch`] — per-session write coalescing into block-aligned runs, so

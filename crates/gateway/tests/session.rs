@@ -380,3 +380,73 @@ fn dead_pair_answers_unavailable_within_the_retry_deadline() {
     assert_eq!(gw.shard_stats().len(), 1, "one pair is one shard row");
     shutdown(gw);
 }
+
+// An in-memory session has no thread: the client's wait for a reply runs
+// the session's step, which serves every request already queued.
+
+#[test]
+fn pipelined_writes_share_one_batch_window_when_the_client_waits() {
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
+    let mut c = gw.connect_mem();
+    c.hello().unwrap();
+    let before = gw.stats().batches;
+
+    // Spaced out: nothing serves a write until the client waits, however
+    // long it has been queued.
+    let ids: Vec<u64> = (0..8u64)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(2));
+            c.send_write(10 * i, vec![page(i as u8)]).unwrap()
+        })
+        .collect();
+    for id in ids {
+        let reply = c.recv_reply(Duration::from_secs(5)).unwrap();
+        assert_eq!(reply.id(), id, "replies arrive in send order");
+        assert!(
+            matches!(reply, Reply::WriteOk { pages: 1, .. }),
+            "{reply:?}"
+        );
+    }
+    assert_eq!(
+        gw.stats().batches,
+        before + 1,
+        "the first wait served all eight writes as one batch"
+    );
+    shutdown(gw);
+}
+
+#[test]
+fn a_write_never_awaited_is_applied_when_its_client_drops() {
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
+    let mut c1 = gw.connect_mem();
+    c1.hello().unwrap();
+    c1.send_write(5, vec![page(0x5A)]).unwrap();
+    drop(c1); // runs the step one last time
+
+    let mut c2 = gw.connect_mem();
+    c2.hello().unwrap();
+    assert_eq!(c2.read(5, 1).unwrap(), vec![Some(page(0x5A))]);
+    shutdown(gw);
+}
+
+#[test]
+fn a_client_calling_after_shutdown_is_disconnected_at_once() {
+    let (a, b) = pair();
+    let gw = Gateway::new(GatewayConfig::test_profile(), a, b);
+    let mut c = gw.connect_mem();
+    c.set_timeout(Duration::from_secs(10));
+    c.hello().unwrap();
+    c.write(0, vec![page(1)]).unwrap();
+    shutdown(gw);
+
+    let started = std::time::Instant::now();
+    assert_eq!(
+        c.write(1, vec![page(2)]).unwrap_err(),
+        ClientError::Disconnected
+    );
+    assert_eq!(c.read(0, 1).unwrap_err(), ClientError::Disconnected);
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "waited {waited:?}");
+}

@@ -148,6 +148,25 @@ if code "$gw/session.rs" | grep -nE 'RouteTable|ShardHealth'; then
   echo "gateway/session.rs serves through ops: it names neither RouteTable nor ShardHealth" >&2
   exit 1
 fi
+# DESIGN §12: a session is one step. The Hello state and Session::handle
+# are reached from SessionStep::run alone — the client of an in-memory
+# link runs it, a TCP session's thread loops it — and that thread is
+# started in one place, Gateway::serve, for a link that refused the step.
+run_body="$(code "$gw/session.rs" | sed -n '/fn run(/,/^    }/p')"
+for call in 'self\.greet\(' '\.handle\(req\)'; do
+  if [ "$(code "$gw/session.rs" | grep -oE "$call" | wc -l)" -ne 1 ] || ! grep -qE "$call" <<<"$run_body"; then
+    echo "gateway/session.rs: the Hello state and Session::handle are reached once each, from SessionStep::run" >&2
+    exit 1
+  fi
+done
+if code "$gw/session.rs" | grep -nE 'fn (session_loop|handshake)\b'; then
+  echo "gateway/session.rs: the handshake is a state of the one session step, not a loop of its own" >&2
+  exit 1
+fi
+if [ "$(for f in $(find crates/gateway/src -name '*.rs'); do code "$f"; done | grep -o '"fc-gw-session"' | wc -l)" -ne 1 ]; then
+  echo "crates/gateway/src: the fc-gw-session thread is spawned in one place, Gateway::serve" >&2
+  exit 1
+fi
 # DESIGN §10 / §13: the gateway's counters are one table — every cell,
 # its registry name, its snapshot fields and the counter-sum identity
 # come from gateway/stats.rs, so adding a counter is one row there. And the

@@ -375,8 +375,19 @@ fn evicting_read_miss_cost_does_not_scale_with_buffer_size() {
     assert!(large < 3.0 * small && small < 3.0 * large, "{report}");
 }
 
+/// Every thread of this process, by its `comm` name.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
 /// The relay threads are gone: a one-pair TCP cluster with one TCP client
-/// session runs one thread per node and one per session, nothing else.
+/// session runs one thread per node and one per TCP session, nothing
+/// else; an in-memory session adds none (its client runs it).
 #[cfg(target_os = "linux")]
 #[test]
 fn tcp_cluster_runs_one_thread_per_node_and_none_per_link() {
@@ -408,11 +419,20 @@ fn tcp_cluster_runs_one_thread_per_node_and_none_per_link() {
     assert!(ack.replicated);
     assert_eq!(client.read(0, 1).unwrap(), vec![Some(page(1, 0))]);
 
-    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim_end().to_string())
+    // A thread names itself when it first runs, so a pump the scheduler
+    // has not reached yet still carries its creator's name: wait for both.
+    let pumps: Vec<String> = [IDS.0, IDS.1]
+        .iter()
+        .map(|id| format!("fc-node-{id}"))
         .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let names = loop {
+        let names = thread_names();
+        if pumps.iter().all(|p| names.contains(p)) || Instant::now() >= deadline {
+            break names;
+        }
+        thread::sleep(Duration::from_millis(5));
+    };
     // `comm` keeps 15 bytes: "fc-gw-session-rx" would read "fc-gw-session-r".
     for gone in [
         "fc-pipe-",
@@ -425,15 +445,29 @@ fn tcp_cluster_runs_one_thread_per_node_and_none_per_link() {
             "a {gone}* thread is running: {names:?}"
         );
     }
-    for id in [IDS.0, IDS.1] {
-        let pump = format!("fc-node-{id}");
+    for pump in &pumps {
         assert_eq!(
-            names.iter().filter(|n| **n == pump).count(),
+            names.iter().filter(|n| *n == pump).count(),
             1,
             "{pump}: {names:?}"
         );
     }
     assert!(names.iter().any(|n| n == "fc-gw-session"), "{names:?}");
+
+    // An in-memory session, served and used, adds no thread; the TCP
+    // session still runs exactly one. (This binary's other gateway test
+    // serves in-memory sessions only.)
+    let mut mem = sg.connect_mem();
+    mem.hello().unwrap();
+    mem.write(8, vec![page(2, 8)]).unwrap();
+    assert_eq!(mem.read(8, 1).unwrap(), vec![Some(page(2, 8))]);
+    let names = thread_names();
+    assert_eq!(
+        names.iter().filter(|n| *n == "fc-gw-session").count(),
+        1,
+        "{names:?}"
+    );
+    drop(mem);
     drop(client);
     sg.shutdown();
 }
