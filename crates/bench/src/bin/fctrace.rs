@@ -9,21 +9,8 @@
 //! All heavy lifting lives in `fc_bench::cli` (unit-tested); this binary
 //! only parses arguments and touches the filesystem.
 
-use fc_bench::cli::{self, USAGE};
+use fc_bench::cli::{self, flag_value, parse_or, USAGE};
 use std::process::ExitCode;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, String> {
-    match v {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad number {s:?}")),
-    }
-}
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();

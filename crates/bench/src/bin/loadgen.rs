@@ -11,8 +11,10 @@
 //! All driving logic lives in `fc_bench::loadgen` (unit-tested); this
 //! binary only parses flags.
 
-use fc_bench::loadgen::{self, LoadgenSpec, Mode, TransportKind, Workload};
+use fc_bench::cli::{flag_millis, flag_value, parse_or};
+use fc_bench::loadgen::{self, Action, LoadgenSpec, Mode, Step, TransportKind, Workload};
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "\
 fc-loadgen: drive a gateway-fronted FlashCoop pair
@@ -54,77 +56,59 @@ FLAGS:
                      pair)                             (default off)
 ";
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, String> {
-    match v {
-        None => Ok(default),
-        Some(s) => s.parse().map_err(|_| format!("bad number {s:?}")),
-    }
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return Ok(());
     }
+    let flag = |name: &str| flag_value(&args, name);
     let defaults = LoadgenSpec::default();
     let mut spec = LoadgenSpec {
-        clients: parse_or(flag_value(&args, "--clients"), defaults.clients)?,
-        workload: match flag_value(&args, "--trace") {
+        clients: parse_or(flag("--clients"), defaults.clients)?,
+        workload: match flag("--trace") {
             Some(s) => Workload::parse(&s)?,
             None => defaults.workload,
         },
-        seed: parse_or(flag_value(&args, "--seed"), defaults.seed)?,
-        requests: parse_or(flag_value(&args, "--requests"), defaults.requests)?,
-        mode: match flag_value(&args, "--mode") {
+        seed: parse_or(flag("--seed"), defaults.seed)?,
+        requests: parse_or(flag("--requests"), defaults.requests)?,
+        mode: match flag("--mode") {
             Some(s) => Mode::parse(&s)?,
             None => defaults.mode,
         },
-        transport: match flag_value(&args, "--transport") {
+        transport: match flag("--transport") {
             Some(s) => TransportKind::parse(&s)?,
             None => defaults.transport,
         },
-        rate_factor: parse_or(flag_value(&args, "--rate"), defaults.rate_factor)?,
-        pages_per_client: parse_or(flag_value(&args, "--pages"), defaults.pages_per_client)?,
-        page_bytes: parse_or(flag_value(&args, "--page-bytes"), defaults.page_bytes)?,
-        shards: parse_or(flag_value(&args, "--shards"), defaults.shards)?,
-        kill_primary_at: flag_value(&args, "--kill-primary-at")
-            .map(|s| s.parse::<u64>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?
-            .map(std::time::Duration::from_millis),
-        restart_after: flag_value(&args, "--restart-after")
-            .map(|s| s.parse::<u64>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?
-            .map(std::time::Duration::from_millis),
-        victim_shard: parse_or(flag_value(&args, "--victim-shard"), defaults.victim_shard)?,
-        add_pair_at: flag_value(&args, "--add-pair-at")
-            .map(|s| s.parse::<u64>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?
-            .map(std::time::Duration::from_millis),
-        remove_pair_at: flag_value(&args, "--remove-pair-at")
-            .map(|s| s.parse::<u64>().map_err(|_| format!("bad number {s:?}")))
-            .transpose()?
-            .map(std::time::Duration::from_millis),
+        rate_factor: parse_or(flag("--rate"), defaults.rate_factor)?,
+        pages_per_client: parse_or(flag("--pages"), defaults.pages_per_client)?,
+        page_bytes: parse_or(flag("--page-bytes"), defaults.page_bytes)?,
+        shards: parse_or(flag("--shards"), defaults.shards)?,
         ..defaults
     };
-    spec.admission.per_client_rate = parse_or(
-        flag_value(&args, "--client-rate"),
-        spec.admission.per_client_rate,
-    )?;
-    spec.admission.per_client_burst = parse_or(
-        flag_value(&args, "--client-burst"),
-        spec.admission.per_client_burst,
-    )?;
-    spec.admission.max_inflight = parse_or(
-        flag_value(&args, "--max-inflight"),
-        spec.admission.max_inflight,
-    )?;
+    let admission = &mut spec.admission;
+    admission.per_client_rate = parse_or(flag("--client-rate"), admission.per_client_rate)?;
+    admission.per_client_burst = parse_or(flag("--client-burst"), admission.per_client_burst)?;
+    admission.max_inflight = parse_or(flag("--max-inflight"), admission.max_inflight)?;
+
+    // The schedule flags, as steps in this order; `LoadgenSpec::plan`
+    // refuses the combinations that make no sense.
+    let kill_at = flag_millis(&args, "--kill-primary-at")?;
+    let restart_after = flag_millis(&args, "--restart-after")?;
+    let shard = parse_or(flag("--victim-shard"), 0)?;
+    let step = |at: Option<Duration>, action| at.map(|at| Step { at, action });
+    spec.steps = [
+        step(kill_at, Action::KillPrimary { shard }),
+        step(
+            restart_after.map(|after| kill_at.unwrap_or_default() + after),
+            Action::Restart,
+        ),
+        step(flag_millis(&args, "--add-pair-at")?, Action::AddPair),
+        step(flag_millis(&args, "--remove-pair-at")?, Action::RemovePair),
+    ]
+    .into_iter()
+    .flatten()
+    .collect();
 
     let report = loadgen::run(&spec)?;
     print!("{}", loadgen::report_text(&report));

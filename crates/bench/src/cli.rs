@@ -5,9 +5,12 @@
 use fc_obs::Obs;
 use fc_ssd::FtlKind;
 use fc_trace::synth::ShortLivedSpec;
-use fc_trace::{parse_spc, write_spc, SpcConfig, SyntheticSpec, Trace, TraceStats};
+use fc_trace::{parse_spc, write_spc, SpcConfig, Trace, TraceStats};
 use flashcoop::{replay_with_obs, FlashCoopConfig, PolicyKind, Preconditioning, Scheme};
 use std::path::Path;
+use std::time::Duration;
+
+use crate::params::table1_preset;
 
 /// Errors surfaced to the CLI user.
 #[derive(Debug)]
@@ -35,27 +38,24 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Resolve a workload name to a generated trace.
+/// Resolve a workload name — a Table I preset or `shortlived` — to a
+/// generated trace.
 pub fn make_trace(
     name: &str,
     address_pages: u64,
     requests: usize,
     seed: u64,
 ) -> Result<Trace, CliError> {
-    let spec = match name.to_ascii_lowercase().as_str() {
-        "fin1" => SyntheticSpec::fin1(address_pages),
-        "fin2" => SyntheticSpec::fin2(address_pages),
-        "mix" => SyntheticSpec::mix(address_pages),
-        "shortlived" => {
-            let spec = ShortLivedSpec {
-                files: requests,
-                address_pages,
-                ..ShortLivedSpec::default()
-            };
-            return Ok(spec.generate(seed));
-        }
-        other => return Err(CliError::BadName(other.to_string())),
-    };
+    if name.eq_ignore_ascii_case("shortlived") {
+        let spec = ShortLivedSpec {
+            files: requests,
+            address_pages,
+            ..ShortLivedSpec::default()
+        };
+        return Ok(spec.generate(seed));
+    }
+    let spec = table1_preset(name, address_pages)
+        .ok_or_else(|| CliError::BadName(name.to_ascii_lowercase()))?;
     Ok(spec.with_requests(requests).generate(seed))
 }
 
@@ -177,6 +177,28 @@ pub fn replay_text_obs(
     out.push_str(&crate::format::report_row(&report));
     out.push('\n');
     Ok(out)
+}
+
+/// The value following `flag` in `args`, if the flag is present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Parse a flag's value, or take `default` when the flag is absent.
+pub fn parse_or<T: std::str::FromStr>(v: Option<String>, default: T) -> Result<T, String> {
+    match v {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| format!("bad number {s:?}")),
+    }
+}
+
+/// A flag whose value is a whole number of milliseconds.
+pub fn flag_millis(args: &[String], flag: &str) -> Result<Option<Duration>, String> {
+    flag_value(args, flag)
+        .map(|s| parse_or(Some(s), 0).map(Duration::from_millis))
+        .transpose()
 }
 
 /// Usage text for the binary.

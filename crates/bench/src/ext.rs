@@ -193,7 +193,8 @@ pub fn lifetime(params: &ExperimentParams) -> String {
         ));
     }
     out.push_str(
-        "(erase budget is fixed, so lifetime scales inversely with erases per          host byte; Section II.C.1)
+        "(erase budget is fixed, so lifetime scales inversely with erases per \
+         host byte; Section II.C.1)
 ",
     );
     out
@@ -382,6 +383,10 @@ mod tests {
             ext > 1.0,
             "FlashCoop must extend lifetime, got {ext}x
 {t}"
+        );
+        assert!(
+            t.contains("inversely with erases per host byte; Section II.C.1"),
+            "{t}"
         );
     }
 

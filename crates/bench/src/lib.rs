@@ -16,8 +16,9 @@
 //! | Recovery-time trade-off (§III.D, extension) | [`ext::recovery_time`] |
 //! | Design ablations (DESIGN.md §5) | [`ext::ablations`] |
 //!
-//! The `repro` binary drives everything: `cargo run --release -p fc-bench
-//! --bin repro -- all` (add `--quick` for a smoke-scale run).
+//! The `repro` binary drives everything through one target table,
+//! [`repro::TARGETS`]: `cargo run --release -p fc-bench --bin repro -- all`
+//! (add `--quick` for a smoke-scale run).
 
 pub mod cli;
 pub mod ext;
@@ -27,6 +28,7 @@ pub mod format;
 pub mod loadgen;
 pub mod matrix;
 pub mod params;
+pub mod repro;
 
 pub use params::ExperimentParams;
 

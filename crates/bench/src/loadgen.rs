@@ -18,18 +18,21 @@
 //! the gateway's `gateway.shed_total` counter — the two are required to
 //! agree exactly (asserted in `tests/gateway_e2e.rs`).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fc_cluster::ReplicationStats;
 use fc_gateway::{
-    spawn_mem_pair, AdmissionConfig, ClientError, Gateway, GatewayClient, GatewayConfig,
+    spawn_mem_pair, AdmissionConfig, ClientError, ErrorCode, Gateway, GatewayClient, GatewayConfig,
     GatewayStats, Reply, ShardStats, ShardStatsSum, ShardedGateway,
 };
 use fc_obs::{Counter, Histogram};
 use fc_ring::RingConfig;
 use fc_trace::{Op, SyntheticSpec, Trace};
+
+use crate::params::table1_preset;
 
 /// Ring placement seed for loadgen-built clusters. Fixed (not derived from
 /// the workload seed) so the shard layout is part of the tool's identity:
@@ -37,7 +40,7 @@ use fc_trace::{Op, SyntheticSpec, Trace};
 /// comparable across seeds.
 pub const RING_SEED: u64 = 0x10AD_4E4E_F1A5_C009;
 
-/// Which workload personality each client replays.
+/// Which Table I workload each client replays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     Fin1,
@@ -47,12 +50,10 @@ pub enum Workload {
 
 impl Workload {
     pub fn parse(s: &str) -> Result<Workload, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "fin1" => Ok(Workload::Fin1),
-            "fin2" => Ok(Workload::Fin2),
-            "mix" => Ok(Workload::Mix),
-            other => Err(format!("unknown trace {other:?} (fin1|fin2|mix)")),
-        }
+        [Workload::Fin1, Workload::Fin2, Workload::Mix]
+            .into_iter()
+            .find(|w| w.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown trace {:?} (fin1|fin2|mix)", s.to_ascii_lowercase()))
     }
 
     pub fn name(self) -> &'static str {
@@ -64,11 +65,7 @@ impl Workload {
     }
 
     fn spec(self, pages: u64) -> SyntheticSpec {
-        match self {
-            Workload::Fin1 => SyntheticSpec::fin1(pages),
-            Workload::Fin2 => SyntheticSpec::fin2(pages),
-            Workload::Mix => SyntheticSpec::mix(pages),
-        }
+        table1_preset(self.name(), pages).expect("every Workload is a Table I preset")
     }
 }
 
@@ -142,24 +139,134 @@ pub struct LoadgenSpec {
     /// Cooperative pairs behind the gateway: a [`ShardedGateway`] whose ring
     /// is seeded with [`RING_SEED`]; the report has one row per shard slot.
     pub shards: u16,
-    /// Fault schedule: crash the victim shard's primary this long after
-    /// the clients start (the gateway fails the shard over to its
-    /// secondary and the report grows per-phase lines).
-    pub kill_primary_at: Option<Duration>,
-    /// Restart the crashed primary this long after the kill; traffic then
-    /// drives failback. Requires `kill_primary_at`.
-    pub restart_after: Option<Duration>,
-    /// Which shard's primary the fault schedule targets.
-    pub victim_shard: u16,
-    /// Elastic schedule: attach a fresh pair this long after the clients
-    /// start and live-migrate its share of occupied blocks onto it
-    /// (cannot combine with the fault schedule).
-    pub add_pair_at: Option<Duration>,
-    /// Elastic schedule: live-remove the newest pair this long after the
-    /// clients start — the pair added by `add_pair_at` when both are set,
-    /// otherwise the highest original shard. Must be later than
-    /// `add_pair_at` when both are given; never the last pair.
-    pub remove_pair_at: Option<Duration>,
+    /// The run's scenario: timed steps, walked in order by one controller
+    /// thread while the clients drive (empty: a plain run). [`Self::plan`]
+    /// says which step lists are valid and what each does to the report.
+    pub steps: Vec<Step>,
+}
+
+/// One timed step of a loadgen scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Step {
+    /// Offset from the clients' start. A step fires no earlier than the
+    /// step before it.
+    pub at: Duration,
+    pub action: Action,
+}
+
+impl Step {
+    /// `action`, `ms` milliseconds after the clients start.
+    pub fn at_ms(ms: u64, action: Action) -> Step {
+        Step {
+            at: Duration::from_millis(ms),
+            action,
+        }
+    }
+}
+
+/// What a [`Step`] does to the cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Crash this shard's primary: the gateway fails the shard over to
+    /// its secondary (DESIGN §14).
+    KillPrimary { shard: u16 },
+    /// Restart the primary the last kill crashed; traffic then drives
+    /// failback.
+    Restart,
+    /// Attach a fresh pair and live-migrate its share of occupied blocks
+    /// onto it (DESIGN §15).
+    AddPair,
+    /// Live-remove the newest pair: the last one added, else the highest
+    /// original shard.
+    RemovePair,
+}
+
+/// What a valid spec's steps make of a run: the phases its acked requests
+/// are bucketed into and the line that names it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    /// `(name, start offset)` per phase, ascending, the first at zero;
+    /// empty without steps.
+    pub phases: Vec<(&'static str, Duration)>,
+    pub spec_line: String,
+}
+
+impl LoadgenSpec {
+    /// Validate the spec and plan its run. A step list is refused when a
+    /// kill names a shard out of range, a restart follows no kill, a
+    /// removal would retire the only pair or is not later than the add
+    /// before it, or pair membership changes in a run that also kills a
+    /// primary (a rebalance refuses degraded sources).
+    pub fn plan(&self) -> Result<Plan, String> {
+        if self.shards == 0 {
+            return Err("shards must be >= 1".into());
+        }
+        let mut spec_line = format!(
+            "trace={} clients={} seed={} requests={} mode={} transport={} shards={}",
+            self.workload.name(),
+            self.clients,
+            self.seed,
+            self.requests,
+            self.mode.name(),
+            self.transport.name(),
+            self.shards,
+        );
+        let mut phases = Vec::new();
+        let (mut faulted, mut scaled) = (false, false);
+        let mut killed_at = None;
+        let mut added_at = None;
+        let mut pairs = self.shards;
+        for step in &self.steps {
+            let ms = step.at.as_millis();
+            let (phase, text) = match step.action {
+                Action::KillPrimary { shard } => {
+                    if shard >= self.shards {
+                        return Err(format!(
+                            "victim shard {shard} out of range (shards = {})",
+                            self.shards
+                        ));
+                    }
+                    (faulted, killed_at) = (true, Some(step.at));
+                    ("outage", format!(" kill-primary(shard {shard})@{ms}ms"))
+                }
+                Action::Restart => {
+                    let Some(kill) = killed_at.take() else {
+                        return Err("--restart-after requires --kill-primary-at".into());
+                    };
+                    let after = step.at.saturating_sub(kill).as_millis();
+                    ("post-restart", format!(" restart+{after}ms"))
+                }
+                Action::AddPair => {
+                    (scaled, added_at, pairs) = (true, Some(step.at), pairs + 1);
+                    ("post-add", format!(" add-pair@{ms}ms"))
+                }
+                Action::RemovePair => {
+                    if pairs < 2 {
+                        return Err("--remove-pair-at would retire the only pair".into());
+                    }
+                    (scaled, pairs) = (true, pairs - 1);
+                    ("post-remove", format!(" remove-pair@{ms}ms"))
+                }
+            };
+            if faulted && scaled {
+                return Err(
+                    "--add-pair-at/--remove-pair-at cannot combine with --kill-primary-at \
+                     (a rebalance refuses degraded sources)"
+                        .into(),
+                );
+            }
+            if step.action == Action::RemovePair && added_at.is_some_and(|add| step.at <= add) {
+                return Err("--remove-pair-at must be later than --add-pair-at".into());
+            }
+            let last = phases.last().map_or(Duration::ZERO, |&(_, start)| start);
+            if phases.is_empty() {
+                phases.push((if faulted { "pre-kill" } else { "pre-scale" }, last));
+            }
+            phases.push((phase, step.at.max(last)));
+            spec_line.push_str(&text);
+        }
+        Ok(Plan { phases, spec_line })
+    }
 }
 
 impl Default for LoadgenSpec {
@@ -176,11 +283,7 @@ impl Default for LoadgenSpec {
             admission: AdmissionConfig::default(),
             page_bytes: 512,
             shards: 1,
-            kill_primary_at: None,
-            restart_after: None,
-            victim_shard: 0,
-            add_pair_at: None,
-            remove_pair_at: None,
+            steps: Vec::new(),
         }
     }
 }
@@ -214,10 +317,10 @@ pub struct LoadReport {
     /// a pair added mid-run has one, a retired one keeps its frozen
     /// counters. The report's shard rows come from here.
     pub shard_stats: Vec<ShardStats>,
-    /// Per-phase breakdown of a fault- or elastic-schedule run (empty
-    /// without one): acked requests bucketed by the phase their reply
-    /// arrived in — pre-kill/outage/post-restart for a fault schedule,
-    /// pre-scale/post-add/post-remove for an elastic one.
+    /// Per-phase breakdown of a run with steps (empty without): acked
+    /// requests bucketed by the phase their reply arrived in —
+    /// pre-kill/outage/post-restart around a kill and restart,
+    /// pre-scale/post-add/post-remove around membership changes.
     pub phase_lines: Vec<PhaseLine>,
     /// Replication-pipeline view of the run, summed over every node in
     /// the cluster (primaries and secondaries alike).
@@ -235,7 +338,7 @@ pub struct ReplLine {
     pub batch_hist: fc_obs::HistogramSummary,
 }
 
-/// One schedule phase's client-observed share of a run.
+/// One phase's client-observed share of a run.
 #[derive(Debug, Clone)]
 pub struct PhaseLine {
     pub name: &'static str,
@@ -303,6 +406,13 @@ pub fn payload(client: u64, lpn: u64, seq: u64, page_bytes: usize) -> Bytes {
     Bytes::from(v)
 }
 
+/// The payloads of request `seq`'s write of `pages` pages at `lpn`.
+fn payloads(client: u64, lpn: u64, pages: u32, seq: usize, page_bytes: usize) -> Vec<Bytes> {
+    (0..u64::from(pages))
+        .map(|i| payload(client, lpn + i, seq as u64, page_bytes))
+        .collect()
+}
+
 /// The per-client request stream: the trace, remapped into the client's
 /// private lpn window.
 pub fn client_trace(spec: &LoadgenSpec, client_idx: usize) -> Trace {
@@ -326,44 +436,42 @@ struct ClientTally {
     errors: u64,
 }
 
-/// Phase bucketing for fault- and elastic-schedule runs, shared across
-/// client threads: each acked request is credited to the phase its reply
-/// arrived in, measured against the same origin instant the controller's
-/// schedule counts from.
-struct PhaseAttr {
+/// Client-observed recording shared across driver threads: every acked
+/// request's latency, also credited to the plan phase its reply arrived
+/// in, measured from the origin the step controller counts from.
+struct Sinks {
+    latency: Histogram,
     origin: Instant,
-    /// `(name, start offset)`, ascending by offset, first at zero.
-    bounds: Vec<(&'static str, Duration)>,
+    /// The plan's `(name, start offset)` phases (none without steps).
+    phases: Vec<(&'static str, Duration)>,
     acked: Vec<Counter>,
-    latency: Vec<Histogram>,
+    phase_latency: Vec<Histogram>,
 }
 
-impl PhaseAttr {
-    fn new(origin: Instant, bounds: Vec<(&'static str, Duration)>) -> PhaseAttr {
-        let n = bounds.len();
-        PhaseAttr {
+impl Sinks {
+    fn new(origin: Instant, phases: Vec<(&'static str, Duration)>) -> Sinks {
+        Sinks {
+            latency: Histogram::new(),
             origin,
-            bounds,
-            acked: (0..n).map(|_| Counter::new()).collect(),
-            latency: (0..n).map(|_| Histogram::new()).collect(),
+            acked: phases.iter().map(|_| Counter::new()).collect(),
+            phase_latency: phases.iter().map(|_| Histogram::new()).collect(),
+            phases,
         }
     }
 
     fn record(&self, ns: u64) {
+        self.latency.record(ns);
         let elapsed = self.origin.elapsed();
-        let idx = self
-            .bounds
-            .iter()
-            .rposition(|(_, start)| elapsed >= *start)
-            .unwrap_or(0);
-        self.acked[idx].inc();
-        self.latency[idx].record(ns);
+        if let Some(i) = self.phases.iter().rposition(|&(_, s)| elapsed >= s) {
+            self.acked[i].inc();
+            self.phase_latency[i].record(ns);
+        }
     }
 
     fn lines(&self) -> Vec<PhaseLine> {
-        self.bounds
+        self.phases
             .iter()
-            .zip(self.acked.iter().zip(&self.latency))
+            .zip(self.acked.iter().zip(&self.phase_latency))
             .map(|(&(name, start), (acked, latency))| PhaseLine {
                 name,
                 start,
@@ -374,44 +482,25 @@ impl PhaseAttr {
     }
 }
 
-/// Client-observed recording sinks shared across driver threads.
-#[derive(Clone, Copy)]
-struct Sinks<'a> {
-    latency: &'a Histogram,
-    phases: Option<&'a PhaseAttr>,
-}
-
-impl Sinks<'_> {
-    fn record(&self, ns: u64) {
-        self.latency.record(ns);
-        if let Some(phases) = self.phases {
-            phases.record(ns);
-        }
-    }
-}
-
 fn drive_closed(
     client: &mut GatewayClient,
     trace: &Trace,
     base: u64,
     page_bytes: usize,
-    sinks: Sinks<'_>,
+    sinks: &Sinks,
 ) -> ClientTally {
     let mut t = ClientTally::default();
     let cid = client.client_id();
     for (seq, req) in trace.requests.iter().enumerate() {
         let started = Instant::now();
-        let pages = req.pages.max(1);
+        let (lpn, pages) = (base + req.lpn, req.pages.max(1));
         t.issued += 1;
         let outcome = match req.op {
-            Op::Write => {
-                let payloads: Vec<Bytes> = (0..u64::from(pages))
-                    .map(|i| payload(cid, base + req.lpn + i, seq as u64, page_bytes))
-                    .collect();
-                client.write(base + req.lpn, payloads).map(|_| ())
-            }
-            Op::Read => client.read(base + req.lpn, pages).map(|_| ()),
-            Op::Trim => client.trim(base + req.lpn, pages).map(|_| ()),
+            Op::Write => client
+                .write(lpn, payloads(cid, lpn, pages, seq, page_bytes))
+                .map(|_| ()),
+            Op::Read => client.read(lpn, pages).map(|_| ()),
+            Op::Trim => client.trim(lpn, pages).map(|_| ()),
         };
         match outcome {
             Ok(()) => {
@@ -437,15 +526,14 @@ fn drive_open(
     base: u64,
     page_bytes: usize,
     rate_factor: f64,
-    sinks: Sinks<'_>,
+    sinks: &Sinks,
 ) -> ClientTally {
     let mut t = ClientTally::default();
     let cid = client.client_id();
     let schedule = trace.arrival_schedule().scaled(rate_factor);
     let origin = Instant::now();
     // id → send instant, for latency once the (in-order) reply arrives.
-    let mut inflight: std::collections::VecDeque<(u64, Instant)> =
-        std::collections::VecDeque::new();
+    let mut inflight = VecDeque::new();
 
     for (seq, req) in trace.requests.iter().enumerate() {
         // Wait for this request's arrival instant, draining replies while
@@ -466,18 +554,13 @@ fn drive_open(
         if !drain_replies(client, &mut inflight, &mut t, sinks, Duration::ZERO) {
             return t;
         }
-        let pages = req.pages.max(1);
+        let (lpn, pages) = (base + req.lpn, req.pages.max(1));
         t.issued += 1;
         let sent = Instant::now();
         let result = match req.op {
-            Op::Write => {
-                let payloads: Vec<Bytes> = (0..u64::from(pages))
-                    .map(|i| payload(cid, base + req.lpn + i, seq as u64, page_bytes))
-                    .collect();
-                client.send_write(base + req.lpn, payloads)
-            }
-            Op::Read => client.send_read(base + req.lpn, pages),
-            Op::Trim => client.send_trim(base + req.lpn, pages),
+            Op::Write => client.send_write(lpn, payloads(cid, lpn, pages, seq, page_bytes)),
+            Op::Read => client.send_read(lpn, pages),
+            Op::Trim => client.send_trim(lpn, pages),
         };
         match result {
             Ok(id) => inflight.push_back((id, sent)),
@@ -500,91 +583,48 @@ fn drive_open(
 /// without waiting. Returns false on a protocol/transport failure.
 fn drain_replies(
     client: &GatewayClient,
-    inflight: &mut std::collections::VecDeque<(u64, Instant)>,
+    inflight: &mut VecDeque<(u64, Instant)>,
     t: &mut ClientTally,
-    sinks: Sinks<'_>,
+    sinks: &Sinks,
     budget: Duration,
 ) -> bool {
     loop {
-        match client_recv(client, budget) {
-            RecvOutcome::Reply(reply) => {
-                let Some((id, sent)) = inflight.pop_front() else {
-                    t.errors += 1;
-                    return false;
-                };
-                if reply.id() != id {
-                    t.errors += 1;
-                    return false;
-                }
-                if matches!(reply, Reply::Error { .. }) {
-                    t.shed += 1;
-                } else if matches!(reply, Reply::Unavailable { .. }) {
-                    t.unavailable += 1;
-                } else {
-                    t.acked += 1;
-                    sinks.record(sent.elapsed().as_nanos() as u64);
-                }
-                if budget == Duration::ZERO {
-                    continue;
-                }
-                return true;
-            }
-            RecvOutcome::Empty => return true,
-            RecvOutcome::Dead => {
+        let reply = match client.recv_reply(budget) {
+            Ok(reply) => reply,
+            Err(ClientError::TimedOut) => return true,
+            Err(_) => {
                 t.errors += 1;
                 return false;
             }
+        };
+        let Some((_, sent)) = inflight.pop_front().filter(|&(id, _)| id == reply.id()) else {
+            t.errors += 1;
+            return false;
+        };
+        // Tallied as the closed loop tallies `ClientError`s: only `Busy`
+        // is shed.
+        match reply {
+            Reply::Error {
+                code: ErrorCode::Busy,
+                ..
+            } => t.shed += 1,
+            Reply::Error { .. } => t.errors += 1,
+            Reply::Unavailable { .. } => t.unavailable += 1,
+            _ => {
+                t.acked += 1;
+                sinks.record(sent.elapsed().as_nanos() as u64);
+            }
         }
-    }
-}
-
-enum RecvOutcome {
-    Reply(Reply),
-    Empty,
-    Dead,
-}
-
-fn client_recv(client: &GatewayClient, timeout: Duration) -> RecvOutcome {
-    match client.recv_reply(timeout) {
-        Ok(reply) => RecvOutcome::Reply(reply),
-        Err(ClientError::TimedOut) => RecvOutcome::Empty,
-        Err(_) => RecvOutcome::Dead,
+        if budget != Duration::ZERO {
+            return true;
+        }
     }
 }
 
 /// Build a gateway-fronted cluster — `spec.shards` pairs behind a
 /// consistent-hash ring — run the spec, and report.
 pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
-    if spec.shards == 0 {
-        return Err("shards must be >= 1".into());
-    }
-    if spec.kill_primary_at.is_some() {
-        if spec.victim_shard >= spec.shards {
-            return Err(format!(
-                "victim shard {} out of range (shards = {})",
-                spec.victim_shard, spec.shards
-            ));
-        }
-    } else if spec.restart_after.is_some() {
-        return Err("--restart-after requires --kill-primary-at".into());
-    }
-    if spec.add_pair_at.is_some() || spec.remove_pair_at.is_some() {
-        if spec.shards < 2 && spec.add_pair_at.is_none() {
-            return Err("--remove-pair-at would retire the only pair".into());
-        }
-        if spec.kill_primary_at.is_some() {
-            return Err(
-                "--add-pair-at/--remove-pair-at cannot combine with --kill-primary-at \
-                 (a rebalance refuses degraded sources)"
-                    .into(),
-            );
-        }
-        if let (Some(add), Some(remove)) = (spec.add_pair_at, spec.remove_pair_at) {
-            if remove <= add {
-                return Err("--remove-pair-at must be later than --add-pair-at".into());
-            }
-        }
-    }
+    let plan = spec.plan()?;
     let gw_cfg = GatewayConfig {
         admission: spec.admission,
         ..GatewayConfig::default()
@@ -608,98 +648,20 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         TransportKind::Mem => None,
     };
 
-    let latency = Histogram::new();
     let started = Instant::now();
+    let sinks = Arc::new(Sinks::new(started, plan.phases));
 
-    // Phase buckets for schedule runs, counted from the same origin the
-    // controller threads' schedules use.
-    let phase_bounds: Option<Vec<(&'static str, Duration)>> =
-        if let Some(kill_at) = spec.kill_primary_at {
-            let mut bounds = vec![("pre-kill", Duration::ZERO), ("outage", kill_at)];
-            if let Some(r) = spec.restart_after {
-                bounds.push(("post-restart", kill_at + r));
-            }
-            Some(bounds)
-        } else if spec.add_pair_at.is_some() || spec.remove_pair_at.is_some() {
-            let mut bounds = vec![("pre-scale", Duration::ZERO)];
-            if let Some(add_at) = spec.add_pair_at {
-                bounds.push(("post-add", add_at));
-            }
-            if let Some(remove_at) = spec.remove_pair_at {
-                bounds.push(("post-remove", remove_at));
-            }
-            Some(bounds)
-        } else {
-            None
-        };
-    let phases: Option<Arc<PhaseAttr>> =
-        phase_bounds.map(|bounds| Arc::new(PhaseAttr::new(started, bounds)));
-
-    fn sleep_until(t: Instant) {
-        let now = Instant::now();
-        if t > now {
-            std::thread::sleep(t - now);
-        }
-    }
-
-    // Fault controller: crash (and optionally restart) the victim shard's
-    // primary on the spec's schedule.
-    let fault = match spec.kill_primary_at {
-        Some(kill_at) => {
-            let victim = sg.primary(spec.victim_shard);
-            let restart_after = spec.restart_after;
-            Some(
-                std::thread::Builder::new()
-                    .name("fc-loadgen-fault".into())
-                    .spawn(move || {
-                        let kill_time = started + kill_at;
-                        sleep_until(kill_time);
-                        victim.fail();
-                        if let Some(after) = restart_after {
-                            sleep_until(kill_time + after);
-                            victim.restart();
-                        }
-                    })
-                    .map_err(|e| format!("spawn fault controller: {e}"))?,
-            )
-        }
-        _ => None,
-    };
-
-    // Scale controller: live-attach a fresh pair and/or live-remove the
-    // newest pair on the spec's schedule, through the gateway's
-    // epoch-fenced rebalance while the clients keep driving.
-    let scale = if spec.add_pair_at.is_some() || spec.remove_pair_at.is_some() {
-        let gateway = Arc::clone(&gateway);
-        let add_at = spec.add_pair_at;
-        let remove_at = spec.remove_pair_at;
-        let base_shards = spec.shards;
-        Some(
+    // Step controller: walk the spec's steps on the clients' clock.
+    let controller = (!spec.steps.is_empty())
+        .then(|| {
+            let gateway = Arc::clone(&gateway);
+            let (steps, shards) = (spec.steps.clone(), spec.shards);
             std::thread::Builder::new()
-                .name("fc-loadgen-scale".into())
-                .spawn(move || -> Result<(), String> {
-                    let mut newest = base_shards - 1;
-                    if let Some(at) = add_at {
-                        sleep_until(started + at);
-                        let (p, s) = spawn_mem_pair(base_shards, pages_per_block, |_| {});
-                        newest = base_shards;
-                        gateway
-                            .add_pair(p, s)
-                            .map_err(|e| format!("add-pair: {e}"))?;
-                    }
-                    if let Some(at) = remove_at {
-                        sleep_until(started + at);
-                        gateway
-                            .remove_pair(newest)
-                            .map_err(|e| format!("remove-pair {newest}: {e}"))?;
-                    }
-                    Ok(())
-                })
-                .map_err(|e| format!("spawn scale controller: {e}"))?,
-        )
-    } else {
-        None
-    };
+                .name("fc-loadgen-steps".into())
+                .spawn(move || run_steps(&gateway, &steps, started, shards, pages_per_block))
+        })
+        .transpose()
+        .map_err(|e| format!("spawn step controller: {e}"))?;
 
     let mut handles = Vec::new();
     for idx in 0..spec.clients {
@@ -713,8 +675,7 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
             }
             TransportKind::Mem => gateway.connect_mem_as(idx as u64 + 1),
         };
-        let latency = latency.clone();
-        let phases = phases.clone();
+        let sinks = Arc::clone(&sinks);
         let mode = spec.mode;
         let page_bytes = spec.page_bytes;
         let rate_factor = spec.rate_factor;
@@ -723,14 +684,10 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
                 .name(format!("fc-loadgen-{idx}"))
                 .spawn(move || {
                     client.hello().map_err(|e| format!("hello: {e}"))?;
-                    let sinks = Sinks {
-                        latency: &latency,
-                        phases: phases.as_deref(),
-                    };
                     Ok::<ClientTally, String>(match mode {
-                        Mode::Closed => drive_closed(&mut client, &trace, base, page_bytes, sinks),
+                        Mode::Closed => drive_closed(&mut client, &trace, base, page_bytes, &sinks),
                         Mode::Open => {
-                            drive_open(&mut client, &trace, base, page_bytes, rate_factor, sinks)
+                            drive_open(&mut client, &trace, base, page_bytes, rate_factor, &sinks)
                         }
                     })
                 })
@@ -747,15 +704,10 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         total.unavailable += tally.unavailable;
         total.errors += tally.errors;
     }
-    if let Some(fault) = fault {
-        fault
+    if let Some(controller) = controller {
+        controller
             .join()
-            .map_err(|_| "fault controller thread panicked")?;
-    }
-    if let Some(scale) = scale {
-        scale
-            .join()
-            .map_err(|_| "scale controller thread panicked")??;
+            .map_err(|_| "step controller thread panicked")??;
     }
     let wall = started.elapsed();
     // A TCP session releases its final permit just *after* the last reply
@@ -783,47 +735,67 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
 
     sg.shutdown();
 
-    let mut spec_line = format!(
-        "trace={} clients={} seed={} requests={} mode={} transport={} shards={}",
-        spec.workload.name(),
-        spec.clients,
-        spec.seed,
-        spec.requests,
-        spec.mode.name(),
-        spec.transport.name(),
-        spec.shards,
-    );
-    if let Some(kill_at) = spec.kill_primary_at {
-        spec_line.push_str(&format!(
-            " kill-primary(shard {})@{}ms",
-            spec.victim_shard,
-            kill_at.as_millis()
-        ));
-        if let Some(after) = spec.restart_after {
-            spec_line.push_str(&format!(" restart+{}ms", after.as_millis()));
-        }
-    }
-    if let Some(add_at) = spec.add_pair_at {
-        spec_line.push_str(&format!(" add-pair@{}ms", add_at.as_millis()));
-    }
-    if let Some(remove_at) = spec.remove_pair_at {
-        spec_line.push_str(&format!(" remove-pair@{}ms", remove_at.as_millis()));
-    }
     Ok(LoadReport {
-        spec_line,
+        spec_line: plan.spec_line,
         issued: total.issued,
         acked: total.acked,
         shed: total.shed,
         unavailable: total.unavailable,
         errors: total.errors,
         wall,
-        latency,
+        latency: sinks.latency.clone(),
         gateway: gateway_stats,
         state_digest: digest,
         shard_stats,
-        phase_lines: phases.as_deref().map(PhaseAttr::lines).unwrap_or_default(),
+        phase_lines: sinks.lines(),
         repl,
     })
+}
+
+/// The step controller: sleep until each step's offset from `started`, in
+/// order, and act on the cluster — crash or restart a primary, or change
+/// pair membership through the gateway's epoch-fenced rebalance while the
+/// clients keep driving. The spec's plan has validated `steps`.
+fn run_steps(
+    gateway: &Gateway,
+    steps: &[Step],
+    started: Instant,
+    shards: u16,
+    pages_per_block: u32,
+) -> Result<(), String> {
+    // Live pair slots, oldest first: an add pushes, a removal pops.
+    let mut live: Vec<u16> = (0..shards).collect();
+    let mut next_slot = shards;
+    let mut killed = None;
+    for step in steps {
+        let due = started + step.at;
+        if let Some(wait) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(wait);
+        }
+        match step.action {
+            Action::KillPrimary { shard } => {
+                let victim = Arc::clone(&gateway.shard_nodes()[usize::from(shard)]);
+                victim.fail();
+                killed = Some(victim);
+            }
+            Action::Restart => killed.take().expect("a restart follows a kill").restart(),
+            Action::AddPair => {
+                let (p, s) = spawn_mem_pair(next_slot, pages_per_block, |_| {});
+                gateway
+                    .add_pair(p, s)
+                    .map_err(|e| format!("add-pair: {e}"))?;
+                live.push(next_slot);
+                next_slot += 1;
+            }
+            Action::RemovePair => {
+                let newest = live.pop().expect("a removal leaves a pair");
+                gateway
+                    .remove_pair(newest)
+                    .map_err(|e| format!("remove-pair {newest}: {e}"))?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// FNV-1a fold of every present page in `[0, total_pages)` — the
@@ -1101,8 +1073,10 @@ mod tests {
             admission: AdmissionConfig::unlimited(),
             pages_per_client: 1 << 10,
             shards: 2,
-            kill_primary_at: Some(Duration::from_millis(5)),
-            restart_after: Some(Duration::from_millis(40)),
+            steps: vec![
+                Step::at_ms(5, Action::KillPrimary { shard: 0 }),
+                Step::at_ms(45, Action::Restart),
+            ],
             ..LoadgenSpec::default()
         };
         let report = run(&spec).expect("run");
@@ -1134,14 +1108,13 @@ mod tests {
     fn fault_schedule_validation() {
         let bad_victim = LoadgenSpec {
             shards: 2,
-            victim_shard: 5,
-            kill_primary_at: Some(Duration::from_millis(1)),
+            steps: vec![Step::at_ms(1, Action::KillPrimary { shard: 5 })],
             ..LoadgenSpec::default()
         };
         assert!(run(&bad_victim).is_err());
         let orphan_restart = LoadgenSpec {
             shards: 2,
-            restart_after: Some(Duration::from_millis(1)),
+            steps: vec![Step::at_ms(1, Action::Restart)],
             ..LoadgenSpec::default()
         };
         assert!(run(&orphan_restart).is_err());
@@ -1156,8 +1129,10 @@ mod tests {
             admission: AdmissionConfig::unlimited(),
             pages_per_client: 1 << 10,
             shards: 2,
-            add_pair_at: Some(Duration::from_millis(5)),
-            remove_pair_at: Some(Duration::from_millis(30)),
+            steps: vec![
+                Step::at_ms(5, Action::AddPair),
+                Step::at_ms(30, Action::RemovePair),
+            ],
             ..LoadgenSpec::default()
         };
         let a = run(&spec).expect("run a");
@@ -1194,24 +1169,149 @@ mod tests {
     #[test]
     fn elastic_schedule_validation() {
         let last_pair = LoadgenSpec {
-            remove_pair_at: Some(Duration::from_millis(1)),
+            steps: vec![Step::at_ms(1, Action::RemovePair)],
             ..LoadgenSpec::default()
         };
         assert!(run(&last_pair).is_err(), "a removal never empties the ring");
         let with_fault = LoadgenSpec {
             shards: 2,
-            add_pair_at: Some(Duration::from_millis(1)),
-            kill_primary_at: Some(Duration::from_millis(1)),
+            steps: vec![
+                Step::at_ms(1, Action::KillPrimary { shard: 0 }),
+                Step::at_ms(1, Action::AddPair),
+            ],
             ..LoadgenSpec::default()
         };
         assert!(run(&with_fault).is_err(), "schedules cannot combine");
         let backwards = LoadgenSpec {
             shards: 2,
-            add_pair_at: Some(Duration::from_millis(10)),
-            remove_pair_at: Some(Duration::from_millis(5)),
+            steps: vec![
+                Step::at_ms(10, Action::AddPair),
+                Step::at_ms(5, Action::RemovePair),
+            ],
             ..LoadgenSpec::default()
         };
         assert!(run(&backwards).is_err(), "remove must follow add");
+    }
+
+    /// Every step list `fc-loadgen`'s flags produce: the phases (name,
+    /// start in ms) and spec line it plans, and every list it refuses.
+    #[test]
+    fn plan_covers_every_flag_shape() {
+        use Action::{AddPair as Add, RemovePair as Remove, Restart};
+        let kill = |shard| Action::KillPrimary { shard };
+        let spec = |shards, steps: &[(u64, Action)]| LoadgenSpec {
+            shards,
+            steps: steps.iter().map(|&(ms, a)| Step::at_ms(ms, a)).collect(),
+            ..LoadgenSpec::default()
+        };
+        let accepted = [
+            (spec(1, &[]), "", ""),
+            (
+                spec(1, &[(5, kill(0))]),
+                "pre-kill@0 outage@5",
+                " kill-primary(shard 0)@5ms",
+            ),
+            (
+                spec(2, &[(5, kill(1)), (45, Restart)]),
+                "pre-kill@0 outage@5 post-restart@45",
+                " kill-primary(shard 1)@5ms restart+40ms",
+            ),
+            (
+                spec(2, &[(5, kill(0)), (5, Restart)]),
+                "pre-kill@0 outage@5 post-restart@5",
+                " kill-primary(shard 0)@5ms restart+0ms",
+            ),
+            (
+                spec(1, &[(5, Add)]),
+                "pre-scale@0 post-add@5",
+                " add-pair@5ms",
+            ),
+            (
+                spec(2, &[(30, Remove)]),
+                "pre-scale@0 post-remove@30",
+                " remove-pair@30ms",
+            ),
+            (
+                spec(1, &[(5, Add), (30, Remove)]),
+                "pre-scale@0 post-add@5 post-remove@30",
+                " add-pair@5ms remove-pair@30ms",
+            ),
+            (
+                spec(4, &[(10, Add), (60, Remove)]),
+                "pre-scale@0 post-add@10 post-remove@60",
+                " add-pair@10ms remove-pair@60ms",
+            ),
+        ];
+        for (s, phases, tail) in accepted {
+            let plan = s.plan().expect(tail);
+            let got: Vec<String> = plan
+                .phases
+                .iter()
+                .map(|(name, start)| format!("{name}@{}", start.as_millis()))
+                .collect();
+            assert_eq!(got.join(" "), phases, "{tail}");
+            assert_eq!(
+                plan.spec_line,
+                format!(
+                    "trace=mix clients=8 seed=42 requests=2000 mode=closed transport=tcp shards={}{tail}",
+                    s.shards
+                )
+            );
+        }
+        let rejected = [
+            (spec(0, &[]), "shards must be >= 1"),
+            (spec(2, &[(1, kill(2))]), "victim shard 2 out of range"),
+            (spec(2, &[(1, Restart)]), "requires --kill-primary-at"),
+            (
+                spec(2, &[(1, kill(0)), (2, Restart), (3, Restart)]),
+                "requires",
+            ),
+            (spec(1, &[(1, Remove)]), "would retire the only pair"),
+            (spec(1, &[(1, Add), (2, Remove), (3, Remove)]), "only pair"),
+            (spec(2, &[(1, kill(0)), (1, Add)]), "cannot combine"),
+            (spec(2, &[(1, kill(0)), (2, Remove)]), "cannot combine"),
+            (
+                spec(2, &[(1, kill(0)), (2, Restart), (3, Add)]),
+                "cannot combine",
+            ),
+            (spec(2, &[(10, Add), (10, Remove)]), "must be later"),
+            (spec(2, &[(10, Add), (5, Remove)]), "must be later"),
+        ];
+        for (s, why) in rejected {
+            let err = s.plan().expect_err(why);
+            assert!(err.contains(why), "{why}: {err}");
+            assert!(run(&s).is_err(), "{why}");
+        }
+    }
+
+    /// The open loop tallies a reply as the closed loop tallies its
+    /// `ClientError`: only `Busy` is shed, any other error code is an error.
+    #[test]
+    fn open_loop_counts_only_busy_as_shed() {
+        let (client_half, gateway_half) = fc_gateway::mem_session();
+        let mut client = GatewayClient::from_mem(client_half, 1);
+        let sinks = Sinks::new(Instant::now(), Vec::new());
+        let mut inflight = VecDeque::new();
+        let mut t = ClientTally::default();
+        for (code, want) in [(ErrorCode::BadRequest, (1, 0)), (ErrorCode::Busy, (1, 1))] {
+            inflight.push_back((client.send_read(0, 1).unwrap(), Instant::now()));
+            let req = gateway_half
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap()
+                .expect("the client's read");
+            gateway_half
+                .send(Reply::Error { id: req.id(), code })
+                .unwrap();
+            assert!(drain_replies(
+                &client,
+                &mut inflight,
+                &mut t,
+                &sinks,
+                Duration::ZERO
+            ));
+            assert_eq!((t.errors, t.shed), want, "after {code:?}");
+        }
+        assert_eq!((t.acked, sinks.latency.count()), (0, 0));
     }
 
     /// A closed-loop mem run at loadgen's own profiles ends in a pinned
@@ -1271,7 +1371,7 @@ mod tests {
             admission: AdmissionConfig::unlimited(),
             pages_per_client: 1 << 10,
             shards: 2,
-            add_pair_at: Some(Duration::from_millis(5)),
+            steps: vec![Step::at_ms(5, Action::AddPair)],
             ..LoadgenSpec::default()
         };
         let report = run(&spec).expect("run");

@@ -71,6 +71,15 @@ impl ExperimentParams {
     }
 }
 
+/// A Table I workload by name (`fin1`, `fin2` or `mix`, in any case),
+/// sized for `address_pages`: the one place a preset name meets
+/// [`SyntheticSpec::table1`].
+pub fn table1_preset(name: &str, address_pages: u64) -> Option<SyntheticSpec> {
+    SyntheticSpec::table1(address_pages)
+        .into_iter()
+        .find(|spec| spec.name.eq_ignore_ascii_case(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +99,15 @@ mod tests {
         let f = ExperimentParams::full();
         assert!(q.requests < f.requests);
         assert!(q.buffer_pages <= f.buffer_pages);
+    }
+
+    #[test]
+    fn presets_resolve_in_any_case_through_table1() {
+        for (name, want) in [("fin1", "Fin1"), ("FIN2", "Fin2"), ("Mix", "Mix")] {
+            let spec = table1_preset(name, 4096).expect(name);
+            assert_eq!((spec.name.as_str(), spec.address_pages), (want, 4096));
+        }
+        assert!(table1_preset("shortlived", 4096).is_none());
     }
 
     #[test]

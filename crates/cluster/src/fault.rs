@@ -44,9 +44,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Probability an eligible message is silently dropped.
     pub drop_prob: f64,
-    /// Deterministically drop the first `drop_first` eligible messages
-    /// (before any probabilistic decision). Drives exact retry tests.
-    pub drop_first: u64,
     /// Probability a delivered message is sent twice.
     pub dup_prob: f64,
     /// Fixed latency added to every delivered message.
@@ -88,12 +85,6 @@ impl FaultPlan {
     /// Drop each eligible message with probability `p`.
     pub fn with_drop(mut self, p: f64) -> Self {
         self.drop_prob = p;
-        self
-    }
-
-    /// Deterministically drop the first `n` eligible messages.
-    pub fn with_drop_first(mut self, n: u64) -> Self {
-        self.drop_first = n;
         self
     }
 
@@ -223,7 +214,8 @@ pub struct FaultStats {
     pub eligible: u64,
     /// Eligible messages forwarded (excluding duplicates).
     pub delivered: u64,
-    /// Eligible messages dropped (probabilistic + `drop_first`).
+    /// Eligible messages dropped by the `drop_prob` draw (exact loss of
+    /// chosen messages is a partition span, counted in `partitioned`).
     pub dropped: u64,
     /// Extra copies sent by duplication.
     pub duplicated: u64,
@@ -508,9 +500,7 @@ impl<T: Transport + Sync + 'static> Transport for FaultTransport<T> {
             state.stats.partitioned += 1;
             record(&mut state, FaultAction::Partitioned);
             Ok(())
-        } else if index < self.plan.drop_first
-            || (self.plan.drop_prob > 0.0 && state.rng.chance(self.plan.drop_prob))
-        {
+        } else if self.plan.drop_prob > 0.0 && state.rng.chance(self.plan.drop_prob) {
             state.stats.dropped += 1;
             record(&mut state, FaultAction::Drop);
             Ok(())
@@ -682,23 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_first_drops_exactly_n() {
-        let (a, b) = mem_pair();
-        let f = FaultTransport::new(a, FaultPlan::new(1).with_drop_first(3));
-        for s in 1..=5 {
-            f.send(write_repl(s)).unwrap();
-        }
-        let got = drain(&b, Duration::from_millis(100));
-        assert_eq!(
-            got.iter()
-                .map(|m| m.data_seq().unwrap())
-                .collect::<Vec<_>>(),
-            vec![4, 5]
-        );
-        assert_eq!(f.fault_stats().dropped, 3);
-    }
-
-    #[test]
     fn control_traffic_bypasses_faults() {
         let (a, b) = mem_pair();
         // Drop *everything* eligible; heartbeats must still flow.
@@ -759,21 +732,26 @@ mod tests {
         assert_ne!(seqs, sorted, "seed 5 should reorder at least one pair");
     }
 
+    /// A span swallows exactly its sends; one starting at 0 is exact loss
+    /// of the first messages.
     #[test]
     fn partition_swallows_span_then_heals() {
-        let (a, b) = mem_pair();
-        let f = FaultTransport::new(a, FaultPlan::new(2).with_partition(1, 3));
-        for s in 1..=5 {
-            f.send(write_repl(s)).unwrap();
+        for ((start, end), delivered) in [((1, 3), vec![1, 4, 5]), ((0, 3), vec![4, 5])] {
+            let (a, b) = mem_pair();
+            let f = FaultTransport::new(a, FaultPlan::new(2).with_partition(start, end));
+            for s in 1..=5 {
+                f.send(write_repl(s)).unwrap();
+            }
+            let got = drain(&b, Duration::from_millis(100));
+            assert_eq!(
+                got.iter()
+                    .map(|m| m.data_seq().unwrap())
+                    .collect::<Vec<_>>(),
+                delivered
+            );
+            let st = f.fault_stats();
+            assert_eq!((st.partitioned, st.dropped), (end - start, 0));
         }
-        let got = drain(&b, Duration::from_millis(100));
-        assert_eq!(
-            got.iter()
-                .map(|m| m.data_seq().unwrap())
-                .collect::<Vec<_>>(),
-            vec![1, 4, 5]
-        );
-        assert_eq!(f.fault_stats().partitioned, 2);
     }
 
     #[test]

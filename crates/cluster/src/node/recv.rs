@@ -312,10 +312,11 @@ mod tests {
     #[test]
     fn idle_node_retransmits_a_batch_whose_ack_was_lost() {
         let (ta, tb) = mem_pair();
-        // B's first data-plane send — the only ack — is dropped.
+        // B's first data-plane send — the only ack — is lost in a
+        // one-send partition.
         let fb = Arc::new(FaultTransport::new(
             tb,
-            FaultPlan::new(5).with_drop_first(1),
+            FaultPlan::new(5).with_partition(0, 1),
         ));
         let mut cfg_a = NodeConfig::test_profile(0);
         cfg_a.ack_timeout = Duration::from_millis(60);
@@ -328,7 +329,7 @@ mod tests {
         // One write and nothing after it: only the pump's timer tick can
         // notice the missing ack and resend.
         assert_eq!(a.write(9, b"once"), WriteOutcome::Replicated);
-        assert_eq!(fb.fault_stats().dropped, 1);
+        assert_eq!(fb.fault_stats().partitioned, 1);
         let s = a.stats();
         assert_eq!(s.repl.retries, 1);
         assert_eq!(s.repl.batches_sent, 1, "a resend is not a new batch");

@@ -15,9 +15,7 @@
 //! cargo run --release --example elastic_scale
 //! ```
 
-use std::time::Duration;
-
-use fc_bench::loadgen::{self, LoadgenSpec, Mode, TransportKind, Workload};
+use fc_bench::loadgen::{self, Action, LoadgenSpec, Mode, Step, TransportKind, Workload};
 use fc_gateway::AdmissionConfig;
 
 fn main() {
@@ -40,8 +38,10 @@ fn main() {
 
     println!("\nelastic run: add a 5th pair at 10 ms, retire it at 60 ms, same workload:");
     let elastic = loadgen::run(&LoadgenSpec {
-        add_pair_at: Some(Duration::from_millis(10)),
-        remove_pair_at: Some(Duration::from_millis(60)),
+        steps: vec![
+            Step::at_ms(10, Action::AddPair),
+            Step::at_ms(60, Action::RemovePair),
+        ],
         ..base.clone()
     })
     .expect("elastic run");

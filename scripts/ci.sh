@@ -337,6 +337,37 @@ if code crates/bench/src/loadgen.rs | grep -nE 'ShardAttr|cluster_ring|Ring::wit
   exit 1
 fi
 
+echo "==> fc-bench layout guard: each run description written once"
+# DESIGN §12: a loadgen scenario is one ordered step list, planned by one
+# function (LoadgenSpec::plan) and walked by one controller thread; repro's
+# targets are one table (fc_bench::repro::TARGETS) that `all` runs in
+# order; the Table I presets resolve through params::table1_preset; and
+# the binaries share one flag parser (cli.rs).
+bench=crates/bench/src
+if code "$bench/loadgen.rs" | grep -nE 'kill_primary_at|restart_after|victim_shard|add_pair_at|remove_pair_at'; then
+  echo "$bench/loadgen.rs: a scenario is LoadgenSpec::steps, not one field per schedule" >&2
+  exit 1
+fi
+if for f in $(find "$bench" -name '*.rs'); do code "$f" | sed "s|^|$f:|"; done \
+  | grep -E 'fc-loadgen-(fault|scale)'; then
+  echo "$bench: one controller thread walks the steps (fc-loadgen-steps)" >&2
+  exit 1
+fi
+if [ "$(grep -rE 'fn flag_value\b' "$bench" | wc -l)" -gt 1 ]; then
+  echo "$bench: flag_value is defined once, in cli.rs" >&2
+  exit 1
+fi
+for f in cli loadgen; do
+  if code "$bench/$f.rs" | grep -nE 'SyntheticSpec::(fin1|fin2|mix)\('; then
+    echo "$bench/$f.rs: name a Table I workload through params::table1_preset" >&2
+    exit 1
+  fi
+done
+if [ "$(code "$bench/bin/repro.rs" | grep -c '== Figure 6')" -gt 1 ]; then
+  echo "$bench/bin/repro.rs: each target is written once, in fc_bench::repro::TARGETS" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 

@@ -268,7 +268,7 @@ fn fault_schedule_is_deterministic_for_a_fixed_seed() {
 #[test]
 fn three_drops_cost_three_retries_then_replicate() {
     let (ta, tb) = mem_pair();
-    let fa = FaultTransport::new(ta, FaultPlan::new(9).with_drop_first(3));
+    let fa = FaultTransport::new(ta, FaultPlan::new(9).with_partition(0, 3));
     let ba = shared_backend(MemBackend::new());
     let bb = shared_backend(MemBackend::new());
     let mut cfg = chaos_config(0);
