@@ -188,6 +188,8 @@ pub struct Plan {
     /// `(name, start offset)` per phase, ascending, the first at zero;
     /// empty without steps.
     pub phases: Vec<(&'static str, Duration)>,
+    /// Each step's name in the spec line, in step order.
+    pub steps: Vec<String>,
     pub spec_line: String,
 }
 
@@ -212,6 +214,7 @@ impl LoadgenSpec {
             self.shards,
         );
         let mut phases = Vec::new();
+        let mut steps = Vec::new();
         let (mut faulted, mut scaled) = (false, false);
         let mut killed_at = None;
         let mut added_at = None;
@@ -227,25 +230,25 @@ impl LoadgenSpec {
                         ));
                     }
                     (faulted, killed_at) = (true, Some(step.at));
-                    ("outage", format!(" kill-primary(shard {shard})@{ms}ms"))
+                    ("outage", format!("kill-primary(shard {shard})@{ms}ms"))
                 }
                 Action::Restart => {
                     let Some(kill) = killed_at.take() else {
                         return Err("--restart-after requires --kill-primary-at".into());
                     };
                     let after = step.at.saturating_sub(kill).as_millis();
-                    ("post-restart", format!(" restart+{after}ms"))
+                    ("post-restart", format!("restart+{after}ms"))
                 }
                 Action::AddPair => {
                     (scaled, added_at, pairs) = (true, Some(step.at), pairs + 1);
-                    ("post-add", format!(" add-pair@{ms}ms"))
+                    ("post-add", format!("add-pair@{ms}ms"))
                 }
                 Action::RemovePair => {
                     if pairs < 2 {
                         return Err("--remove-pair-at would retire the only pair".into());
                     }
                     (scaled, pairs) = (true, pairs - 1);
-                    ("post-remove", format!(" remove-pair@{ms}ms"))
+                    ("post-remove", format!("remove-pair@{ms}ms"))
                 }
             };
             if faulted && scaled {
@@ -263,9 +266,15 @@ impl LoadgenSpec {
                 phases.push((if faulted { "pre-kill" } else { "pre-scale" }, last));
             }
             phases.push((phase, step.at.max(last)));
+            spec_line.push(' ');
             spec_line.push_str(&text);
+            steps.push(text);
         }
-        Ok(Plan { phases, spec_line })
+        Ok(Plan {
+            phases,
+            steps,
+            spec_line,
+        })
     }
 }
 
@@ -303,7 +312,12 @@ pub struct LoadReport {
     pub unavailable: u64,
     /// Requests lost to disconnect/timeout (should be 0).
     pub errors: u64,
+    /// From the clients' start until the last client finished: the
+    /// traffic's span, not counting steps still due after it.
     pub wall: Duration,
+    /// The steps that fired after the last client finished, by their
+    /// spec-line names: they shaped no traffic.
+    pub late_steps: Vec<String>,
     /// Client-observed request latency (issue → reply), nanoseconds.
     pub latency: Histogram,
     /// Gateway-side view at the end of the run.
@@ -704,12 +718,20 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         total.unavailable += tally.unavailable;
         total.errors += tally.errors;
     }
-    if let Some(controller) = controller {
-        controller
-            .join()
-            .map_err(|_| "step controller thread panicked")??;
-    }
     let wall = started.elapsed();
+    // The state below is snapshotted after every step has run.
+    let fired = match controller {
+        Some(controller) => controller
+            .join()
+            .map_err(|_| "step controller thread panicked")??,
+        None => Vec::new(),
+    };
+    let late_steps = plan
+        .steps
+        .into_iter()
+        .zip(fired)
+        .filter_map(|(name, at)| (at >= wall).then_some(name))
+        .collect();
     // A TCP session releases its final permit just *after* the last reply
     // is sent; wait for the session threads to drain so the snapshot sees
     // a quiesced gateway (residual in-flight 0). An in-memory session has
@@ -743,6 +765,7 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
         unavailable: total.unavailable,
         errors: total.errors,
         wall,
+        late_steps,
         latency: sinks.latency.clone(),
         gateway: gateway_stats,
         state_digest: digest,
@@ -755,23 +778,26 @@ pub fn run(spec: &LoadgenSpec) -> Result<LoadReport, String> {
 /// The step controller: sleep until each step's offset from `started`, in
 /// order, and act on the cluster — crash or restart a primary, or change
 /// pair membership through the gateway's epoch-fenced rebalance while the
-/// clients keep driving. The spec's plan has validated `steps`.
+/// clients keep driving. The spec's plan has validated `steps`. Returns
+/// each step's offset from `started` when it fired.
 fn run_steps(
     gateway: &Gateway,
     steps: &[Step],
     started: Instant,
     shards: u16,
     pages_per_block: u32,
-) -> Result<(), String> {
+) -> Result<Vec<Duration>, String> {
     // Live pair slots, oldest first: an add pushes, a removal pops.
     let mut live: Vec<u16> = (0..shards).collect();
     let mut next_slot = shards;
     let mut killed = None;
+    let mut fired = Vec::with_capacity(steps.len());
     for step in steps {
         let due = started + step.at;
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
+        fired.push(started.elapsed());
         match step.action {
             Action::KillPrimary { shard } => {
                 let victim = Arc::clone(&gateway.shard_nodes()[usize::from(shard)]);
@@ -795,7 +821,7 @@ fn run_steps(
             }
         }
     }
-    Ok(())
+    Ok(fired)
 }
 
 /// FNV-1a fold of every present page in `[0, total_pages)` — the
@@ -844,6 +870,13 @@ pub fn report_text(r: &LoadReport) -> String {
         r.throughput(),
         r.wall.as_secs_f64()
     ));
+    if !r.late_steps.is_empty() {
+        out.push_str(&format!(
+            "  steps after traffic: {} ({})\n",
+            r.late_steps.len(),
+            r.late_steps.join(", ")
+        ));
+    }
     out.push_str(&format!(
         "  {:<12} p50 {:>9.1} µs   p99 {:>9.1} µs   p999 {:>9.1} µs   max {:>9.1} µs\n",
         "latency",
@@ -1102,6 +1135,32 @@ mod tests {
         assert!(text.contains("kill-primary(shard 0)@5ms"));
         assert!(text.contains("restart+40ms"));
         assert!(text.contains("failovers"));
+    }
+
+    /// A step due after the clients finished neither stretches `wall` nor
+    /// passes unnoticed: the report names it.
+    #[test]
+    fn a_step_after_the_traffic_is_named_not_timed() {
+        let spec = LoadgenSpec {
+            clients: 2,
+            requests: 20,
+            transport: TransportKind::Mem,
+            admission: AdmissionConfig::unlimited(),
+            pages_per_client: 1 << 10,
+            steps: vec![Step::at_ms(300, Action::KillPrimary { shard: 0 })],
+            ..LoadgenSpec::default()
+        };
+        let report = run(&spec).expect("run");
+        assert_eq!(report.acked, 40);
+        assert!(
+            report.wall < Duration::from_millis(300),
+            "wall {:?} counts the controller's wait",
+            report.wall
+        );
+        assert_eq!(report.late_steps, ["kill-primary(shard 0)@300ms"]);
+        assert!(
+            report_text(&report).contains("steps after traffic: 1 (kill-primary(shard 0)@300ms)")
+        );
     }
 
     #[test]

@@ -20,16 +20,15 @@
 //! Time-based effects (added latency) necessarily depend
 //! on wall-clock scheduling; the *decisions* — what is dropped, how long
 //! each delay is, what is duplicated — stay deterministic regardless.
+//! The layer has no thread: held and delayed frames wait in one pending
+//! queue that the link's own users step (see [`FaultTransport`]), and the
+//! decision trace is its one record ([`FaultTransport::fault_stats`] is a
+//! fold of it).
 
 use crate::transport::{Transport, TransportError};
 use crate::wire::Message;
-use fc_obs::Obs;
 use fc_simkit::DetRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A seeded schedule of network misbehaviour.
@@ -155,8 +154,8 @@ impl FaultPlan {
         )
     }
 
-    /// True when every delivery can bypass the delivery worker (no latency
-    /// configured), which preserves synchronous FIFO order.
+    /// True when no latency is configured: every delivery is forwarded
+    /// inline, in send order, and nothing pending waits on the clock.
     fn synchronous(&self) -> bool {
         self.base_delay.is_zero() && self.jitter.is_zero()
     }
@@ -229,58 +228,44 @@ pub struct FaultStats {
     pub passthrough: u64,
 }
 
+/// When a pending frame is due: after a later send's eligible index, or at
+/// an instant.
+enum Due {
+    /// A held frame, re-injected once the eligible-send index reaches it.
+    Index(u64),
+    /// A delayed frame, forwarded at this instant.
+    At(Instant),
+}
+
 struct FaultState {
     rng: DetRng,
     /// Count of eligible sends so far (the decision index).
     index: u64,
-    /// Held-back messages: (release-at index, message).
-    held: Vec<(u64, Message)>,
+    /// Frames not yet forwarded — held and delayed alike — in send order.
+    pending: Vec<(Due, Message)>,
+    /// One record per eligible send: the source of [`FaultStats`].
     trace: Vec<FaultRecord>,
-    stats: FaultStats,
-    /// Tiebreak counter so equal-due deliveries stay FIFO.
-    next_order: u64,
-}
-
-struct Delivery {
-    due: Instant,
-    order: u64,
-    msg: Message,
-}
-
-impl PartialEq for Delivery {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.order == other.order
-    }
-}
-impl Eq for Delivery {}
-impl PartialOrd for Delivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.order).cmp(&(other.due, other.order))
-    }
-}
-
-struct DeliveryQueue {
-    heap: Mutex<BinaryHeap<Reverse<Delivery>>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
+    /// Control frames passed through untouched.
+    passthrough: u64,
+    /// Control frames swallowed by a timed partition.
+    control_partitioned: u64,
 }
 
 /// A [`Transport`] decorator that injects the faults described by a
 /// [`FaultPlan`] into outbound traffic. Receiving and connectivity are
-/// delegated to the wrapped transport untouched (wrap both endpoints to
-/// disturb both directions).
+/// delegated to the wrapped transport (wrap both endpoints to disturb both
+/// directions).
+///
+/// It has no thread. Held and delayed frames wait in one pending queue,
+/// and whoever next calls [`Transport::send`] or
+/// [`Transport::recv_timeout`] on this end forwards the ones that are due;
+/// a receive caps each wait on the wrapped link at the next due time. A
+/// frame still pending when this end's users stop calling — its node
+/// crashed for good or shut down — is lost, like one in flight.
 pub struct FaultTransport<T: Transport + Sync + 'static> {
-    inner: Arc<T>,
+    inner: T,
     plan: FaultPlan,
     state: Mutex<FaultState>,
-    queue: Arc<DeliveryQueue>,
-    worker: Option<JoinHandle<()>>,
-    obs: Option<Obs>,
     /// Reference point for [`FaultPlan::timed_partitions`].
     epoch: Instant,
 }
@@ -288,20 +273,6 @@ pub struct FaultTransport<T: Transport + Sync + 'static> {
 impl<T: Transport + Sync + 'static> FaultTransport<T> {
     /// Wrap `inner`, disturbing its outbound messages per `plan`.
     pub fn new(inner: T, plan: FaultPlan) -> Self {
-        let inner = Arc::new(inner);
-        let queue = Arc::new(DeliveryQueue {
-            heap: Mutex::new(BinaryHeap::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let worker = {
-            let inner = inner.clone();
-            let queue = queue.clone();
-            std::thread::Builder::new()
-                .name("fc-fault-delivery".into())
-                .spawn(move || delivery_loop(inner, queue))
-                .expect("spawn fault delivery thread")
-        };
         let rng = DetRng::new(plan.seed);
         FaultTransport {
             inner,
@@ -309,93 +280,76 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
             state: Mutex::new(FaultState {
                 rng,
                 index: 0,
-                held: Vec::new(),
+                pending: Vec::new(),
                 trace: Vec::new(),
-                stats: FaultStats::default(),
-                next_order: 0,
+                passthrough: 0,
+                control_partitioned: 0,
             }),
-            queue,
-            worker: Some(worker),
-            obs: None,
             epoch: Instant::now(),
         }
     }
 
-    /// Attach observability before handing the transport to a node: every
-    /// fault decision is mirrored as a wall-stamped `cluster.fault`/
-    /// `decision` event tagged with the plan's seed and the eligible-send
-    /// index — exactly one event per [`FaultRecord`], in trace order.
-    /// To keep a queryable handle while a [`crate::Node`] owns the
-    /// transport, wrap it in an [`Arc`] and spawn the node over a clone.
-    pub fn attach_obs(&mut self, obs: &Obs) {
-        self.obs = Some(obs.clone());
-    }
-
-    /// Mirror one decision into the obs stream.
-    fn emit_decision(&self, index: u64, seq: Option<u64>, action: FaultAction) {
-        let Some(o) = &self.obs else { return };
-        let mut ev = o
-            .wall_event("cluster.fault", "decision")
-            .u64_field("seed", self.plan.seed)
-            .u64_field("index", index);
-        if let Some(s) = seq {
-            ev = ev.u64_field("seq", s);
-        }
-        ev = match action {
-            FaultAction::Deliver {
-                delay_nanos,
-                dup,
-                corrupt,
-            } => ev
-                .str_field("action", "deliver")
-                .u64_field("delay_ns", delay_nanos)
-                .bool_field("dup", dup)
-                .bool_field("corrupt", corrupt),
-            FaultAction::Drop => ev.str_field("action", "drop"),
-            FaultAction::Partitioned => ev.str_field("action", "partitioned"),
-            FaultAction::Held { release_at } => ev
-                .str_field("action", "held")
-                .u64_field("release_at", release_at),
-        };
-        o.emit(ev);
+    fn lock(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The decision trace so far (one record per eligible send).
     pub fn fault_trace(&self) -> Vec<FaultRecord> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .trace
-            .clone()
+        self.lock().trace.clone()
     }
 
-    /// Aggregate fault counters so far.
+    /// Aggregate fault counters so far: a fold of the decision trace, plus
+    /// the control frames it does not record.
     pub fn fault_stats(&self) -> FaultStats {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).stats
+        let state = self.lock();
+        let count = |hit: fn(FaultAction) -> bool| {
+            state.trace.iter().filter(|r| hit(r.action)).count() as u64
+        };
+        FaultStats {
+            eligible: state.trace.len() as u64,
+            delivered: count(|a| matches!(a, FaultAction::Deliver { .. })),
+            dropped: count(|a| a == FaultAction::Drop),
+            duplicated: count(|a| matches!(a, FaultAction::Deliver { dup: true, .. })),
+            held: count(|a| matches!(a, FaultAction::Held { .. })),
+            partitioned: state.control_partitioned + count(|a| a == FaultAction::Partitioned),
+            corrupted: count(|a| matches!(a, FaultAction::Deliver { corrupt: true, .. })),
+            passthrough: state.passthrough,
+        }
     }
 
-    /// Forward now (synchronously when the plan allows it) or enqueue for
-    /// the delivery worker.
+    /// Forward now when the plan has no delay, else queue until due.
     fn forward(
         &self,
         state: &mut FaultState,
         msg: Message,
         delay: Duration,
     ) -> Result<(), TransportError> {
-        if delay.is_zero() && self.plan.synchronous() {
+        if self.plan.synchronous() {
             return self.inner.send(msg);
         }
-        let order = state.next_order;
-        state.next_order += 1;
-        let mut heap = self.queue.heap.lock().unwrap_or_else(|e| e.into_inner());
-        heap.push(Reverse(Delivery {
-            due: Instant::now() + delay,
-            order,
-            msg,
-        }));
-        drop(heap);
-        self.queue.ready.notify_one();
+        state.pending.push((Due::At(Instant::now() + delay), msg));
         Ok(())
+    }
+
+    /// Forward every pending frame that is due — delayed ones in due order,
+    /// then held ones in send order — stopping at the first send error (a
+    /// closed link takes the rest with it).
+    fn release_due(&self, state: &mut FaultState) -> Result<(), TransportError> {
+        let (now, index) = (Instant::now(), state.index);
+        let mut due: Vec<(Instant, Message)> = state
+            .pending
+            .extract_if(.., |(due, _)| match *due {
+                Due::Index(at) => at <= index,
+                Due::At(at) => at <= now,
+            })
+            .map(|(due, msg)| match due {
+                Due::Index(_) => (now, msg),
+                Due::At(at) => (at, msg),
+            })
+            .collect();
+        due.sort_by_key(|&(at, _)| at);
+        due.into_iter()
+            .try_for_each(|(_, msg)| self.inner.send(msg))
     }
 
     /// Draw the added latency for one delivery.
@@ -412,7 +366,7 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
     /// payload CRC is left stale on purpose — that is the corruption the
     /// receiver detects). Returns `None` when the message carries no
     /// corruptible payload.
-    fn corrupt_copy(msg: &Message, rng: &mut fc_simkit::DetRng) -> Option<Message> {
+    fn corrupt_copy(msg: &Message, rng: &mut DetRng) -> Option<Message> {
         let Message::WriteReplBatch {
             epoch,
             seq,
@@ -440,176 +394,118 @@ impl<T: Transport + Sync + 'static> FaultTransport<T> {
         })
     }
 
-    /// Release every held-back message whose window has expired.
-    fn release_due(&self, state: &mut FaultState) -> Result<(), TransportError> {
+    /// Decide the fate of one eligible message — `dark` when a timed
+    /// partition swallows it — record the decision, and forward, queue or
+    /// discard the message. A partitioned message still takes an index and
+    /// a record, so the trace stays aligned with the eligible sends.
+    fn disturb(
+        &self,
+        state: &mut FaultState,
+        msg: Message,
+        dark: bool,
+    ) -> Result<(), TransportError> {
         let index = state.index;
-        let mut i = 0;
-        while i < state.held.len() {
-            if state.held[i].0 <= index {
-                let (_, msg) = state.held.remove(i);
-                self.forward(state, msg, Duration::ZERO)?;
+        state.index += 1;
+        let seq = fault_seq(&msg);
+        let plan = &self.plan;
+        let (action, sent) = if dark || plan.partitioned(index) {
+            (FaultAction::Partitioned, Ok(()))
+        } else if plan.drop_prob > 0.0 && state.rng.chance(plan.drop_prob) {
+            (FaultAction::Drop, Ok(()))
+        } else if plan.reorder_window > 0
+            && plan.reorder_prob > 0.0
+            && state.rng.chance(plan.reorder_prob)
+        {
+            let release_at = index + plan.reorder_window;
+            state.pending.push((Due::Index(release_at), msg));
+            (FaultAction::Held { release_at }, Ok(()))
+        } else {
+            let dup = plan.dup_prob > 0.0 && state.rng.chance(plan.dup_prob);
+            let delay = self.draw_delay(&mut state.rng);
+            let copy = dup.then(|| (self.draw_delay(&mut state.rng), msg.clone()));
+            // Corruption damages the primary copy only; a duplicate (like a
+            // retransmission) is an independent transmission and goes clean.
+            let damaged = if plan.corrupt_prob > 0.0 && state.rng.chance(plan.corrupt_prob) {
+                Self::corrupt_copy(&msg, &mut state.rng)
             } else {
-                i += 1;
+                None
+            };
+            let action = FaultAction::Deliver {
+                delay_nanos: delay.as_nanos() as u64,
+                dup,
+                corrupt: damaged.is_some(),
+            };
+            let sent = self.forward(state, damaged.unwrap_or(msg), delay);
+            if let Some((delay, msg)) = copy {
+                let _ = self.forward(state, msg, delay);
             }
-        }
-        Ok(())
+            (action, sent)
+        };
+        state.trace.push(FaultRecord { index, seq, action });
+        sent
     }
 }
 
 impl<T: Transport + Sync + 'static> Transport for FaultTransport<T> {
     fn send(&self, msg: Message) -> Result<(), TransportError> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-
+        let mut state = self.lock();
         // Timed partitions model a real outage: they swallow everything,
-        // control traffic included. Eligible
-        // messages still consume an index and a trace entry so the decision
-        // trace stays aligned with the eligible-send sequence.
-        if self.plan.timed_partitioned(self.epoch.elapsed()) {
-            state.stats.partitioned += 1;
-            if self.plan.eligible(&msg) {
-                let index = state.index;
-                state.index += 1;
-                state.stats.eligible += 1;
-                let seq = fault_seq(&msg);
-                state.trace.push(FaultRecord {
-                    index,
-                    seq,
-                    action: FaultAction::Partitioned,
-                });
-                self.emit_decision(index, seq, FaultAction::Partitioned);
-            }
-            return Ok(());
-        }
-
+        // control traffic included, and release nothing.
+        let dark = self.plan.timed_partitioned(self.epoch.elapsed());
         if !self.plan.eligible(&msg) {
-            state.stats.passthrough += 1;
+            if dark {
+                state.control_partitioned += 1;
+                return Ok(());
+            }
+            state.passthrough += 1;
+            let released = self.release_due(&mut state);
             drop(state);
-            return self.inner.send(msg);
+            return self.inner.send(msg).and(released);
         }
-
-        let index = state.index;
-        state.index += 1;
-        state.stats.eligible += 1;
-        let seq = fault_seq(&msg);
-        let record = |state: &mut FaultState, action: FaultAction| {
-            state.trace.push(FaultRecord { index, seq, action });
-            self.emit_decision(index, seq, action);
-        };
-
-        let result = if self.plan.partitioned(index) {
-            state.stats.partitioned += 1;
-            record(&mut state, FaultAction::Partitioned);
-            Ok(())
-        } else if self.plan.drop_prob > 0.0 && state.rng.chance(self.plan.drop_prob) {
-            state.stats.dropped += 1;
-            record(&mut state, FaultAction::Drop);
-            Ok(())
-        } else if self.plan.reorder_window > 0
-            && self.plan.reorder_prob > 0.0
-            && state.rng.chance(self.plan.reorder_prob)
-        {
-            let release_at = index + self.plan.reorder_window;
-            state.stats.held += 1;
-            record(&mut state, FaultAction::Held { release_at });
-            state.held.push((release_at, msg));
-            Ok(())
-        } else {
-            let dup = self.plan.dup_prob > 0.0 && state.rng.chance(self.plan.dup_prob);
-            let delay = self.draw_delay(&mut state.rng);
-            let dup_delay = if dup {
-                self.draw_delay(&mut state.rng)
-            } else {
-                Duration::ZERO
-            };
-            // Corruption damages the primary copy only; a duplicate (like a
-            // retransmission) is an independent transmission and goes clean.
-            let damaged =
-                if self.plan.corrupt_prob > 0.0 && state.rng.chance(self.plan.corrupt_prob) {
-                    Self::corrupt_copy(&msg, &mut state.rng)
-                } else {
-                    None
-                };
-            let corrupt = damaged.is_some();
-            state.stats.delivered += 1;
-            if dup {
-                state.stats.duplicated += 1;
-            }
-            if corrupt {
-                state.stats.corrupted += 1;
-            }
-            record(
-                &mut state,
-                FaultAction::Deliver {
-                    delay_nanos: delay.as_nanos() as u64,
-                    dup,
-                    corrupt,
-                },
-            );
-            let primary = damaged.unwrap_or_else(|| msg.clone());
-            let first = self.forward(&mut state, primary, delay);
-            if dup {
-                let _ = self.forward(&mut state, msg, dup_delay);
-            }
-            first
-        };
-
-        // Held-back messages whose window expired re-enter the stream.
-        let released = self.release_due(&mut state);
-        result.and(released)
+        let sent = self.disturb(&mut state, msg, dark);
+        if dark {
+            return sent;
+        }
+        // Pending frames now due — held ones whose window this send closed,
+        // delayed ones whose time came — re-enter the stream.
+        sent.and(self.release_due(&mut state))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Option<Message>, TransportError> {
-        self.inner.recv_timeout(timeout)
+        // Without a delay nothing waits on the clock: only a send releases
+        // a held frame.
+        if self.plan.synchronous() {
+            return self.inner.recv_timeout(timeout);
+        }
+        let started = Instant::now();
+        loop {
+            let next_due = {
+                let mut state = self.lock();
+                let _ = self.release_due(&mut state);
+                state
+                    .pending
+                    .iter()
+                    .filter_map(|(due, _)| match *due {
+                        Due::At(at) => Some(at),
+                        Due::Index(_) => None,
+                    })
+                    .min()
+            };
+            let left = timeout.saturating_sub(started.elapsed());
+            let wait = next_due.map_or(left, |at| {
+                at.saturating_duration_since(Instant::now()).min(left)
+            });
+            if let Some(msg) = self.inner.recv_timeout(wait)? {
+                return Ok(Some(msg));
+            }
+            if started.elapsed() >= timeout {
+                return Ok(None);
+            }
+        }
     }
 
     fn is_connected(&self) -> bool {
         self.inner.is_connected()
-    }
-}
-
-impl<T: Transport + Sync + 'static> Drop for FaultTransport<T> {
-    fn drop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::SeqCst);
-        self.queue.ready.notify_all();
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Delivery worker: forwards queued messages when they fall due (messages
-/// still in the queue at shutdown were "in flight" and are lost, like a real
-/// crash).
-fn delivery_loop<T: Transport + Sync>(inner: Arc<T>, queue: Arc<DeliveryQueue>) {
-    let mut heap = queue.heap.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        if queue.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let now = Instant::now();
-        let next_due = heap.peek().map(|Reverse(d)| d.due);
-        match next_due {
-            Some(due) if due <= now => {
-                let Reverse(d) = heap.pop().expect("peeked entry");
-                drop(heap);
-                let _ = inner.send(d.msg);
-                heap = queue.heap.lock().unwrap_or_else(|e| e.into_inner());
-            }
-            Some(due) => {
-                let (g, _) = queue
-                    .ready
-                    .wait_timeout(heap, due - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                heap = g;
-            }
-            None => {
-                let (g, _) = queue
-                    .ready
-                    .wait_timeout(heap, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                heap = g;
-            }
-        }
     }
 }
 
@@ -764,6 +660,8 @@ mod tests {
         let t0 = Instant::now();
         f.send(write_repl(1)).unwrap();
         assert_eq!(b.recv_timeout(Duration::from_millis(5)).unwrap(), None);
+        // The sending end's own receive delivers the frame when it is due.
+        let _ = f.recv_timeout(Duration::from_millis(100));
         let got = b.recv_timeout(SHORT).unwrap();
         assert_eq!(got, Some(write_repl(1)));
         assert!(t0.elapsed() >= Duration::from_millis(45));
@@ -790,71 +688,6 @@ mod tests {
         assert_eq!(t1, t2, "decision trace must be reproducible");
         assert_eq!(s1, s2);
         assert!(!t1.is_empty());
-    }
-
-    #[test]
-    fn obs_decision_events_match_byte_identical_trace() {
-        // The chaos suite's reproducibility contract extended to the obs
-        // stream: the `cluster.fault` decision events must reconstruct the
-        // FaultRecord trace exactly — same order, same indices, same seqs,
-        // same actions — for a seeded plan exercising every action kind.
-        use fc_obs::Value;
-        let plan = FaultPlan::new(0xFEED)
-            .with_drop(0.2)
-            .with_dup(0.2)
-            .with_reorder(0.2, 3)
-            .with_partition(10, 14);
-        let (a, _b) = mem_pair();
-        let (obs, ring) = Obs::ring(256);
-        let mut f = FaultTransport::new(a, plan.clone());
-        f.attach_obs(&obs);
-        for s in 1..=64 {
-            f.send(write_repl(s)).unwrap();
-        }
-        let trace = f.fault_trace();
-        assert!(!trace.is_empty());
-        let events = ring.events();
-        let decisions: Vec<_> = events
-            .iter()
-            .filter(|e| e.component == "cluster.fault" && e.kind == "decision")
-            .collect();
-        assert_eq!(decisions.len(), trace.len());
-
-        let rebuilt: Vec<FaultRecord> = decisions
-            .iter()
-            .map(|e| {
-                let g = |n: &str| e.get(n).and_then(Value::as_u64);
-                assert_eq!(g("seed"), Some(plan.seed));
-                let action = match e.get("action").and_then(Value::as_str).unwrap() {
-                    "deliver" => FaultAction::Deliver {
-                        delay_nanos: g("delay_ns").unwrap(),
-                        dup: e.get("dup").and_then(Value::as_bool).unwrap(),
-                        corrupt: e.get("corrupt").and_then(Value::as_bool).unwrap(),
-                    },
-                    "drop" => FaultAction::Drop,
-                    "partitioned" => FaultAction::Partitioned,
-                    "held" => FaultAction::Held {
-                        release_at: g("release_at").unwrap(),
-                    },
-                    other => panic!("unknown action {other}"),
-                };
-                FaultRecord {
-                    index: g("index").unwrap(),
-                    seq: g("seq"),
-                    action,
-                }
-            })
-            .collect();
-        assert_eq!(rebuilt, trace, "obs stream must mirror the decision trace");
-        // Every action kind actually occurred, so the mapping is exercised.
-        assert!(trace
-            .iter()
-            .any(|r| matches!(r.action, FaultAction::Deliver { .. })));
-        assert!(trace.iter().any(|r| r.action == FaultAction::Drop));
-        assert!(trace.iter().any(|r| r.action == FaultAction::Partitioned));
-        assert!(trace
-            .iter()
-            .any(|r| matches!(r.action, FaultAction::Held { .. })));
     }
 
     #[test]
@@ -959,5 +792,184 @@ mod tests {
             .with_dup(0.2)
             .with_corrupt(0.0));
         assert_eq!(legacy, gated, "p=0 must not consume RNG draws");
+    }
+
+    /// One seeded plan that takes every action kind: delivery (delayed,
+    /// duplicated, corrupted), drop, hold, an index partition and a timed
+    /// one, which also swallows a control frame. Its trace and counters
+    /// are pinned record by record.
+    #[test]
+    fn every_action_kind_is_pinned() {
+        let plan = FaultPlan::new(0x5EED)
+            .with_drop(0.15)
+            .with_dup(0.2)
+            .with_delay(Duration::from_micros(100), Duration::from_micros(400))
+            .with_reorder(0.15, 2)
+            .with_corrupt(0.25)
+            .with_partition(6, 8)
+            .with_partition_for(Duration::from_millis(150), Duration::from_secs(3600));
+        let (a, _b) = mem_pair();
+        let f = FaultTransport::new(a, plan);
+        let beat = Message::Heartbeat {
+            from: 0,
+            at_millis: 1,
+            credits: 0,
+        };
+        for s in 1..=20 {
+            f.send(write_repl(s)).unwrap();
+        }
+        f.send(beat.clone()).unwrap();
+        // Past the timed partition's start: data and control both vanish.
+        std::thread::sleep(Duration::from_millis(200));
+        for s in 21..=23 {
+            f.send(write_repl(s)).unwrap();
+        }
+        f.send(beat).unwrap();
+        let render = |r: &FaultRecord| {
+            let seq = r.seq.map_or("-".to_string(), |s| s.to_string());
+            let action = match r.action {
+                FaultAction::Deliver {
+                    delay_nanos,
+                    dup,
+                    corrupt,
+                } => format!(
+                    "deliver {delay_nanos}ns{}{}",
+                    if dup { " dup" } else { "" },
+                    if corrupt { " corrupt" } else { "" }
+                ),
+                FaultAction::Drop => "drop".to_string(),
+                FaultAction::Partitioned => "partitioned".to_string(),
+                FaultAction::Held { release_at } => format!("held until {release_at}"),
+            };
+            format!("{} s{seq} {action}", r.index)
+        };
+        let trace: Vec<String> = f.fault_trace().iter().map(render).collect();
+        assert_eq!(
+            trace,
+            [
+                "0 s1 deliver 274950ns dup",
+                "1 s2 deliver 424749ns dup",
+                "2 s3 deliver 112657ns dup",
+                "3 s4 drop",
+                "4 s5 deliver 318030ns",
+                "5 s6 deliver 475521ns dup",
+                "6 s7 partitioned",
+                "7 s8 partitioned",
+                "8 s9 deliver 122013ns",
+                "9 s10 deliver 139297ns",
+                "10 s11 deliver 215713ns corrupt",
+                "11 s12 deliver 427633ns",
+                "12 s13 deliver 185326ns",
+                "13 s14 held until 15",
+                "14 s15 deliver 203417ns corrupt",
+                "15 s16 deliver 217126ns",
+                "16 s17 deliver 470365ns",
+                "17 s18 deliver 350921ns corrupt",
+                "18 s19 deliver 235660ns corrupt",
+                "19 s20 held until 21",
+                "20 s21 partitioned",
+                "21 s22 partitioned",
+                "22 s23 partitioned",
+            ]
+        );
+        assert_eq!(
+            f.fault_stats(),
+            FaultStats {
+                eligible: 23,
+                delivered: 15,
+                dropped: 1,
+                duplicated: 4,
+                held: 2,
+                partitioned: 6,
+                corrupted: 4,
+                passthrough: 1,
+            }
+        );
+    }
+
+    /// The counters are the trace, folded, plus the two control counts the
+    /// trace does not hold.
+    #[test]
+    fn stats_are_a_fold_of_the_trace() {
+        let (a, _b) = mem_pair();
+        let f = FaultTransport::new(
+            a,
+            FaultPlan::new(0xFEED)
+                .with_drop(0.2)
+                .with_dup(0.2)
+                .with_reorder(0.2, 3)
+                .with_corrupt(0.2)
+                .with_partition(10, 14)
+                .with_partition_for(Duration::from_millis(150), Duration::from_secs(3600)),
+        );
+        let beat = Message::Heartbeat {
+            from: 0,
+            at_millis: 1,
+            credits: 0,
+        };
+        for s in 1..=64 {
+            f.send(write_repl(s)).unwrap();
+            if s % 8 == 0 {
+                f.send(beat.clone()).unwrap();
+            }
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        for s in 65..=70 {
+            f.send(write_repl(s)).unwrap();
+            f.send(beat.clone()).unwrap();
+        }
+        let (passthrough, control_partitioned) = {
+            let state = f.lock();
+            (state.passthrough, state.control_partitioned)
+        };
+        assert_eq!((passthrough, control_partitioned), (8, 6));
+        let mut folded = FaultStats {
+            passthrough,
+            partitioned: control_partitioned,
+            ..FaultStats::default()
+        };
+        for r in f.fault_trace() {
+            folded.eligible += 1;
+            match r.action {
+                FaultAction::Deliver { dup, corrupt, .. } => {
+                    folded.delivered += 1;
+                    folded.duplicated += u64::from(dup);
+                    folded.corrupted += u64::from(corrupt);
+                }
+                FaultAction::Drop => folded.dropped += 1,
+                FaultAction::Partitioned => folded.partitioned += 1,
+                FaultAction::Held { .. } => folded.held += 1,
+            }
+        }
+        assert_eq!(f.fault_stats(), folded);
+        assert_eq!(folded.eligible, 70);
+    }
+
+    /// A delayed frame waits for this end's users: nobody calling, nothing
+    /// arrives, however late; a receive on the sending end that spans the
+    /// due time forwards it then, not before.
+    #[test]
+    fn a_delayed_frame_moves_only_when_its_end_is_used() {
+        let delay = Duration::from_millis(40);
+        let (a, b) = mem_pair();
+        let f = FaultTransport::new(a, FaultPlan::new(4).with_delay(delay, Duration::ZERO));
+        f.send(write_repl(1)).unwrap();
+        std::thread::sleep(2 * delay);
+        assert_eq!(b.recv_timeout(Duration::from_millis(20)).unwrap(), None);
+        assert_eq!(f.recv_timeout(Duration::ZERO).unwrap(), None);
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), Some(write_repl(1)));
+
+        let sent = Instant::now();
+        f.send(write_repl(2)).unwrap();
+        let arrived = std::thread::scope(|s| {
+            s.spawn(|| f.recv_timeout(3 * delay));
+            let got = b.recv_timeout(SHORT).unwrap();
+            assert_eq!(got, Some(write_repl(2)));
+            sent.elapsed()
+        });
+        assert!(
+            arrived >= delay,
+            "arrived after {arrived:?}, due after {delay:?}"
+        );
     }
 }

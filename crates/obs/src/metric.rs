@@ -198,7 +198,10 @@ impl Histogram {
     }
 
     /// Nearest-rank percentile (`p` in `[0, 100]`), reported as the upper
-    /// bound of the bucket containing that rank. Returns 0 when empty.
+    /// bound of the bucket containing that rank, or the exact [`max`] when
+    /// that is lower. Returns 0 when empty.
+    ///
+    /// [`max`]: Histogram::max
     pub fn percentile(&self, p: f64) -> u64 {
         let counts: Vec<u64> = self
             .cells
@@ -210,20 +213,20 @@ impl Histogram {
             .iter()
             .enumerate()
             .map(|(i, &n)| (bucket_upper(i), n));
-        nearest_rank(buckets, p)
+        nearest_rank(buckets, p, self.max())
     }
 
-    /// Median (bucket upper bound).
+    /// Median (bucket upper bound, at most the max).
     pub fn p50(&self) -> u64 {
         self.percentile(50.0)
     }
 
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile (bucket upper bound, at most the max).
     pub fn p99(&self) -> u64 {
         self.percentile(99.0)
     }
 
-    /// 99.9th percentile (bucket upper bound).
+    /// 99.9th percentile (bucket upper bound, at most the max).
     pub fn p999(&self) -> u64 {
         self.percentile(99.9)
     }
@@ -257,8 +260,9 @@ impl Histogram {
 
 /// The nearest-rank rule over `(inclusive upper bound, count)` buckets in
 /// ascending order: the upper bound of the bucket holding rank
-/// `ceil(p% of the total)`, 0 when every bucket is empty.
-fn nearest_rank(buckets: impl Iterator<Item = (u64, u64)> + Clone, p: f64) -> u64 {
+/// `ceil(p% of the total)`, clamped to the exact `max` (no sample lies
+/// above it), 0 when every bucket is empty.
+fn nearest_rank(buckets: impl Iterator<Item = (u64, u64)> + Clone, p: f64, max: u64) -> u64 {
     let total: u64 = buckets.clone().map(|(_, n)| n).sum();
     if total == 0 {
         return 0;
@@ -273,7 +277,7 @@ fn nearest_rank(buckets: impl Iterator<Item = (u64, u64)> + Clone, p: f64) -> u6
             break;
         }
     }
-    upper
+    upper.min(max)
 }
 
 /// Point-in-time view of a [`Histogram`].
@@ -304,7 +308,7 @@ impl HistogramSummary {
                 Err(i) => self.buckets.insert(i, (upper, n)),
             }
         }
-        let pct = |p| nearest_rank(self.buckets.iter().copied(), p);
+        let pct = |p| nearest_rank(self.buckets.iter().copied(), p, self.max);
         (self.p50, self.p99, self.p999) = (pct(50.0), pct(99.0), pct(99.9));
     }
 }
@@ -417,10 +421,26 @@ mod tests {
         assert_eq!(h.p50(), 3);
         // rank ceil(0.99*100)=99 → still the low bucket.
         assert_eq!(h.p99(), 3);
-        // rank ceil(0.999*100)=100 → the outlier's bucket upper bound.
-        assert_eq!(h.p999(), 2047);
+        // rank ceil(0.999*100)=100 → the outlier's bucket [1024, 2047],
+        // clamped to the exact max: no percentile exceeds it.
+        assert_eq!(h.p999(), 1500);
         assert_eq!(h.max(), 1500);
         assert_eq!(h.sum(), 99 * 3 + 1500);
+    }
+
+    /// One 14.6 ms sample sits in the bucket [2^23, 2^24): its upper bound
+    /// (16.8 ms) is no sample's value, so every percentile, single or
+    /// merged, reports the exact max.
+    #[test]
+    fn a_percentile_never_exceeds_the_max() {
+        let h = Histogram::new();
+        h.record(14_611_300);
+        assert_eq!(h.max(), 14_611_300);
+        assert_eq!(h.p50(), h.max());
+        assert_eq!(h.p999(), h.max());
+        let mut merged = HistogramSummary::default();
+        merged.merge(&h.summary());
+        assert_eq!((merged.p50, merged.p999), (h.max(), h.max()));
     }
 
     #[test]

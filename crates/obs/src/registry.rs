@@ -240,7 +240,9 @@ mod tests {
         assert_eq!(ev.kind, "snapshot");
         assert_eq!(ev.get("n").and_then(Value::as_u64), Some(1));
         assert_eq!(ev.get("lat.count").and_then(Value::as_u64), Some(1));
-        assert_eq!(ev.get("lat.p50").and_then(Value::as_u64), Some(7));
+        // The one sample's bucket is [4, 7]; the percentile is clamped to
+        // the exact max.
+        assert_eq!(ev.get("lat.p50").and_then(Value::as_u64), Some(5));
         // And it round-trips through JSON like any other event.
         let back = Event::from_json(&ev.to_json()).unwrap();
         assert_eq!(back, ev);

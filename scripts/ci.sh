@@ -368,6 +368,31 @@ if [ "$(code "$bench/bin/repro.rs" | grep -c '== Figure 6')" -gt 1 ]; then
   exit 1
 fi
 
+echo "==> fault layer guard: no thread, one pending queue, one record"
+# DESIGN §9: FaultTransport's held and delayed frames wait in one queue that
+# the link's own send / recv_timeout callers step — no delivery thread, heap,
+# condvar or Drop join — and the decision trace is its one record: no obs
+# event mirrors it, and fault_stats() folds it, so the only counters kept
+# beside it are the two control counts it cannot hold.
+fault=crates/cluster/src/fault.rs
+if code "$fault" | grep -nE 'thread::|Condvar|JoinHandle|BinaryHeap'; then
+  echo "$fault: the fault layer has no thread; its users step the pending queue" >&2
+  exit 1
+fi
+if code "$fault" | grep -nE 'impl\b.*\bDrop for FaultTransport'; then
+  echo "$fault: nothing to stop or join, so no Drop for FaultTransport" >&2
+  exit 1
+fi
+if code "$fault" | grep -nE '"cluster\.fault"|fn attach_obs\b'; then
+  echo "$fault: the decision trace is the one record; no obs event mirrors it" >&2
+  exit 1
+fi
+if code "$fault" | grep -nE '\.[a-z_]+ *\+= *1\b' \
+  | grep -vE '\.(index|passthrough|control_partitioned) *\+='; then
+  echo "$fault: fault_stats() folds the trace; count only the control frames it cannot hold" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --offline
 
