@@ -51,7 +51,9 @@
 //! # Modules, locks and who may send
 //!
 //! The lock order is link slot → `Inner` → pipe state, and `Inner` →
-//! backend; the slot is taken only with no node lock held, the leaves
+//! backend; the slot is taken only with no node lock held — a delivery
+//! (a node's send running its peer's receive, `pump::drain`) takes the
+//! far node's slot, try-only, holding none of its own — the leaves
 //! (backend, the parked-calls list) never nest, counting takes no lock at
 //! all (`NodeObs` is plain cells), and no code holding `Inner` sends. The
 //! file layout is that rule (`scripts/ci.sh` greps that it stays so):
@@ -62,7 +64,7 @@
 //! | `write` | the group write path, the exactly-once window, the ticket wait that reads the link | the link slot; `Inner`, then leaves | Discards; frames via `ReplPipe::submit`; replies via `pump::read_one` |
 //! | `recover` | recovery handshake, scrub | `Inner`, then leaves; parked calls | its own requests |
 //! | `migrate` | export / import / fence-out hooks | `Inner`, then leaves | Discards |
-//! | `pump` | the link slot and `read_one` (the only receive), frame dispatch, the background thread | the link slot, then `Inner`, parked calls, the pipe's | heartbeats, every reply and a solo entry's Discard |
+//! | `pump` | the link slot and `read_one` (the only receive), `drain` (the delivery step the peer's send runs), frame dispatch, the background thread | the link slot (a delivery: try-only), then `Inner`, parked calls, the pipe's | heartbeats, every reply and a solo entry's Discard |
 //! | `state` | `Inner`: the buffer — the one page table, `BufferManager<Resident>` — version clock, eviction flush, solo entry | (holds `Inner`) pipe reset, leaves | never — returns the Discard |
 //! | `recv` | `Inner`'s receive handlers and timer tick | (holds `Inner`) leaves | never — returns the reply |
 //! | `lifecycle` | [`PairState`] and the heartbeat watch that drives it | (held under `Inner`) — | never — asks `Inner` to go solo or rejoin |
@@ -143,8 +145,10 @@ struct Core {
 }
 
 /// A live FlashCoop node: one background pump thread and a synchronous
-/// API. Replication frames are sent by the writers themselves, and a writer
-/// waiting for its ack reads it off the link itself (DESIGN §16).
+/// API. Replication frames are sent by the writers themselves; on an
+/// in-memory link the send runs the peer's receive, and the peer's ack
+/// send runs this node's, and otherwise a writer waiting for its ack reads
+/// it off the link itself (DESIGN §16).
 pub struct Node {
     core: Arc<Core>,
     pump: Option<JoinHandle<()>>,
@@ -176,6 +180,19 @@ impl Node {
             halted: AtomicBool::new(false),
             cfg,
         });
+        // On an in-memory link the peer's sends run this node's receive;
+        // the step lets go of a node that is gone or stopped.
+        let weak = Arc::downgrade(&core);
+        core.transport.deliver_on_send(Box::new(move || {
+            let Some(core) = weak.upgrade() else {
+                return false;
+            };
+            if core.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            pump::drain(&core);
+            true
+        }));
         let pump = {
             let core = core.clone();
             std::thread::Builder::new()

@@ -1,14 +1,17 @@
 //! The pair link's receive side and the node's one background thread.
 //!
-//! The link is read by whoever holds its slot ([`LinkSlot`]): a writer
-//! waiting for its acks, or the pump once no writer has asked for it for a
-//! whole pass. The holder receives, dispatches and replies ([`read_one`]),
-//! in arrival order. The pump also heartbeats, ticks the pipe's retransmit
-//! timer and polls the failure detector; it sends no page-carrying frame.
-//! This file is the only node code that receives from the link, and besides
+//! The link is read by whoever holds its slot ([`LinkSlot`]): on an
+//! in-memory link, the thread that sent the frame ([`drain`], the node's
+//! delivery step, run by the peer's send); a writer waiting for its acks;
+//! or the pump once nobody has asked for the slot for a whole pass. The
+//! holder receives, dispatches and replies ([`read_one`]), in arrival
+//! order. The pump also heartbeats, ticks the pipe's retransmit timer and
+//! polls the failure detector; it sends no page-carrying frame. This file
+//! is the only node code that receives from the link, and besides
 //! [`super::Node`]'s own methods the only code that sends on it — every
 //! handler it calls returns its reply instead of sending it, and no `Inner`
-//! guard is held across a send.
+//! guard is held across a send. Lock order: a delivery takes the far
+//! node's slot, try-only, holding none of its own.
 
 use super::Core;
 use crate::pipe::RunTicket;
@@ -21,13 +24,15 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-/// The pair link's receive side, held by one thread at a time. A writer
-/// waiting on its ticket takes it when it is free and hands it to the next
-/// waiting writer when the ticket resolves; the pump takes it only when it
-/// is free and no writer bid for it for a whole pass, so it stands between
-/// a writer and its ack at most once after the link was idle. The slot is
-/// taken with no node lock held (lock order: slot → `Inner` → pipe state /
-/// backend); the mutex inside is a leaf.
+/// The pair link's receive side, held by one thread at a time. A delivery
+/// takes it only if it is free and otherwise leaves a mark, so whoever
+/// holds it reads what the delivery brought before letting go ([`release`]).
+/// A writer waiting on its ticket takes it when it is free and hands it to
+/// the next waiting writer when the ticket resolves; the pump takes it only
+/// when it is free and nobody bid for it for a whole pass, so it stands
+/// between a writer and its ack at most once after the link was idle. The
+/// slot is taken with no node lock held (lock order: slot → `Inner` → pipe
+/// state / backend); the mutex inside is a leaf.
 #[derive(Default)]
 pub(super) struct LinkSlot(Mutex<SlotState>);
 
@@ -36,9 +41,12 @@ struct SlotState {
     holder: Option<ThreadId>,
     /// Writers parked for the slot, by ticket, first come first served.
     waiting: VecDeque<Arc<RunTicket>>,
-    /// Bids writers have made — took the slot free, or queued for it: the
-    /// pump reads only after a pass in which this did not move.
+    /// Bids writers and deliveries have made — took the slot free, queued
+    /// for it, or found it held: the pump reads only after a pass in which
+    /// this did not move.
     writer_bids: u64,
+    /// A delivery found the slot held: its frame waits for the holder.
+    marked: bool,
 }
 
 impl LinkSlot {
@@ -65,6 +73,20 @@ impl LinkSlot {
         }
     }
 
+    /// A delivery's bid: the slot if nobody holds it, the calling thread
+    /// included; else a mark, which makes the holder read what is waiting
+    /// before it lets go.
+    fn try_take(&self) -> bool {
+        let mut st = self.0.lock();
+        st.writer_bids += 1;
+        if st.holder.is_some() {
+            st.marked = true;
+            return false;
+        }
+        st.holder = Some(std::thread::current().id());
+        true
+    }
+
     /// The pump's bid: the slot if it is free and no writer bid for it
     /// since the pump's previous bid (`bids` carries the count between
     /// them).
@@ -80,13 +102,17 @@ impl LinkSlot {
 
     /// The calling thread is done with the slot: if it holds it, hand it to
     /// the first waiting writer whose ticket is still open (unparking it),
-    /// else free it; if it was waiting, stop.
-    pub(super) fn release(&self) {
+    /// else free it; if it was waiting, stop. False, with the slot kept
+    /// and the mark cleared, if a delivery left a mark: read first.
+    fn release(&self) -> bool {
         let me = std::thread::current().id();
         let mut st = self.0.lock();
         if st.holder != Some(me) {
             st.waiting.retain(|t| t.writer().id() != me);
-            return;
+            return true;
+        }
+        if std::mem::take(&mut st.marked) {
+            return false;
         }
         // A writer whose ticket resolved while it queued needs no turn; it
         // finds itself dequeued when it wakes.
@@ -101,6 +127,26 @@ impl LinkSlot {
         if let Some(t) = next {
             t.writer().unpark();
         }
+        true
+    }
+}
+
+/// Let go of the link slot (or of a place in its queue), first reading
+/// whatever deliveries left while it was held.
+pub(super) fn release(core: &Core) {
+    while !core.link.release() {
+        while let Ok(true) = read_one(core, Duration::ZERO) {}
+    }
+}
+
+/// The node's delivery step, run by the thread that sent the peer's frame
+/// (`Node::spawn` registers it on an in-memory link): if the slot is free,
+/// read until nothing is left and let go; else the mark it leaves hands
+/// the frame to the holder.
+pub(super) fn drain(core: &Core) {
+    if core.link.try_take() {
+        while let Ok(true) = read_one(core, Duration::ZERO) {}
+        release(core);
     }
 }
 
@@ -118,18 +164,19 @@ pub(super) fn wait(core: &Core) -> Duration {
 /// and send its reply — or, while the node is halted, drop it (a dead node
 /// processes no messages, and a restart must not replay a backlog from its
 /// outage). A dead link sends the node solo (its Discard is sent anyway,
-/// and lost unless the link recovers). Only the slot's holder calls this.
-pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportError> {
+/// and lost unless the link recovers). True if a frame came. Only the
+/// slot's holder calls this.
+pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<bool, TransportError> {
     let msg = core.transport.recv_timeout(timeout);
     if core.halted.load(Ordering::SeqCst) {
-        return msg.map(drop);
+        return msg.map(|m| m.is_some());
     }
     match msg {
         Ok(Some(m)) => {
             if let Some(reply) = dispatch(core, m) {
                 let _ = core.transport.send(reply);
             }
-            Ok(())
+            Ok(true)
         }
         Err(TransportError::Disconnected) => {
             let discard = {
@@ -144,14 +191,15 @@ pub(super) fn read_one(core: &Core, timeout: Duration) -> Result<(), TransportEr
         }
         // A timed-out receive is not a verdict on the link; the
         // lifecycle's failure detector decides.
-        Ok(None) | Err(TransportError::Timeout) => Ok(()),
+        Ok(None) | Err(TransportError::Timeout) => Ok(false),
     }
 }
 
 /// Background loop, one pass per [`wait`] or up to the next heartbeat,
 /// whichever is sooner: tick the replication pipe's retransmit timer, send
-/// the heartbeat when it is due, read the link if no writer asked for it
-/// last pass (else sleep the pass out), and tick the lifecycle.
+/// the heartbeat when it is due, read the link if no writer or delivery
+/// asked for it last pass (else sleep the pass out), and tick the
+/// lifecycle.
 pub(super) fn pump_loop(core: &Core) {
     let cfg = &core.cfg;
     // Beats leave on a fixed schedule, one heartbeat apart. Sent whenever a
@@ -184,7 +232,7 @@ pub(super) fn pump_loop(core: &Core) {
         let wait = wait(core).min(next_beat.saturating_duration_since(Instant::now()));
         if core.link.take_idle(&mut bids) {
             let read = read_one(core, wait);
-            core.link.release();
+            release(core);
             if read == Err(TransportError::Disconnected) {
                 // Back off a little; shutdown still needs to be honoured.
                 std::thread::sleep(cfg.heartbeat);
@@ -427,6 +475,102 @@ mod tests {
         }
     }
 
+    /// A test profile with a heartbeat of `heartbeat`: pump passes last
+    /// half of it, and the failure detector never fires in a test.
+    fn slow_pump(id: u8, heartbeat: Duration) -> NodeConfig {
+        NodeConfig {
+            heartbeat,
+            failure_timeout: Duration::from_secs(60),
+            ..NodeConfig::test_profile(id)
+        }
+    }
+
+    fn spawn_on(cfg: NodeConfig, link: Link<Message>) -> Node {
+        Node::spawn(cfg, link, shared_backend(MemBackend::new()))
+    }
+
+    #[test]
+    fn link_slot_delivery_to_a_held_slot_is_read_when_it_is_released() {
+        let heartbeat = Duration::from_secs(10);
+        let (ta, tb) = mem_pair();
+        let a = Arc::new(spawn_on(slow_pump(0, heartbeat), ta));
+        let b = spawn_on(slow_pump(1, heartbeat), tb);
+        // After a delivered write both pumps sleep out their five-second
+        // passes: nothing but a release reads B's link for that long.
+        assert_eq!(a.write(0, b"warm"), WriteOutcome::Replicated);
+        let ticket = RunTicket::new(0);
+        while !b.core.link.take(&ticket) {
+            std::thread::park_timeout(Duration::from_millis(5));
+        }
+        // A's batch reaches B's step on the writer's thread and finds the
+        // slot held: it leaves its mark, and the batch to the holder.
+        let writer = named("writer", &a, |a| (a.write(1, b"late"), Instant::now()));
+        assert!(wait_until(
+            || b.core.link.0.lock().marked,
+            Duration::from_secs(5)
+        ));
+        assert!(!writer.is_finished(), "the batch is the holder's to read");
+        let released = Instant::now();
+        release(&b.core);
+        let (outcome, done) = writer.join().unwrap();
+        assert_eq!(outcome, WriteOutcome::Replicated);
+        assert!(
+            done - released < Duration::from_millis(100),
+            "the write returned {:?} after the release",
+            done - released
+        );
+        // Each shutdown waits for its pump's pass to end.
+        let a = Arc::try_unwrap(a).ok().expect("writer released node");
+        std::thread::scope(|s| {
+            s.spawn(|| a.shutdown());
+            b.shutdown();
+        });
+    }
+
+    #[test]
+    fn link_slot_deliveries_both_ways_lose_no_frame() {
+        let heartbeat = Duration::from_secs(2);
+        let (ta, tb) = mem_pair();
+        let a = Arc::new(spawn_on(slow_pump(0, heartbeat), ta));
+        let b = Arc::new(spawn_on(slow_pump(1, heartbeat), tb));
+        // 4 writers per node, 2,500 writes each: 20,000 writes.
+        let writers: Vec<_> = [&a, &b]
+            .into_iter()
+            .enumerate()
+            .flat_map(|(n, node)| {
+                (0..4u64).map(move |w| {
+                    named(&format!("writer-{n}-{w}"), node, move |node| {
+                        let base = 8 * w;
+                        let mut slowest = Duration::ZERO;
+                        for i in 0..2_500u64 {
+                            let started = Instant::now();
+                            let outcome = node.write(base + i % 8, b"both-ways");
+                            assert_eq!(outcome, WriteOutcome::Replicated, "write {i}");
+                            slowest = slowest.max(started.elapsed());
+                        }
+                        slowest
+                    })
+                })
+            })
+            .collect();
+        for w in writers {
+            let slowest = w.join().unwrap();
+            // A stranded frame waits out a pump pass: a second.
+            assert!(
+                slowest < Duration::from_millis(500),
+                "a write took {slowest:?}"
+            );
+        }
+        for n in [a, b] {
+            let s = n.stats();
+            assert_eq!(s.replicated_pages, 10_000, "{s:?}");
+            Arc::try_unwrap(n)
+                .ok()
+                .expect("writers released node")
+                .shutdown();
+        }
+    }
+
     #[test]
     fn link_slot_halted_reader_drops_what_it_reads() {
         let (ta, peer) = mem_pair();
@@ -449,8 +593,8 @@ mod tests {
             entries: batch,
         })
         .unwrap();
-        assert_eq!(read_one(&a.core, Duration::from_secs(1)), Ok(()));
-        a.core.link.release();
+        assert_eq!(read_one(&a.core, Duration::from_secs(1)), Ok(true));
+        release(&a.core);
         assert!(a.hosted_remote_pages().is_empty());
         assert_eq!(peer.recv_timeout(Duration::from_millis(50)), Ok(None));
         a.shutdown();

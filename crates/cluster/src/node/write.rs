@@ -344,7 +344,10 @@ impl Node {
 
     /// Wait for `ticket` to resolve, reading the pair link meanwhile: the
     /// ack that resolves it is dispatched on this thread, not by a pump that
-    /// then has to wake it. A writer that finds the link taken parks until
+    /// then has to wake it. On an in-memory pair the ticket has usually
+    /// resolved before the wait starts: the writer's send ran the peer's
+    /// receive, and the peer's ack send ran this node's (`pump::drain`).
+    /// A writer that finds the link taken parks until
     /// its ticket resolves or the link is handed to it; a halted node's
     /// writers read nothing and wait for `fail`'s pipe reset. A ticket
     /// resolved by another thread (`fail`, solo entry, the pump abandoning
@@ -359,7 +362,7 @@ impl Node {
                 std::thread::park();
             }
         }
-        core.link.release();
+        pump::release(core);
     }
 
     /// Commit one run of a resolved group: `through` of its pages were

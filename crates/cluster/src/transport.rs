@@ -8,7 +8,15 @@
 //!   severable ([`Link::sever`]: network-partition injection). An end may
 //!   hand its own serving to the far end ([`Link::offer_step`]): the far
 //!   end's receive runs it before it waits, so an in-process server needs
-//!   no thread and a request costs no wake-up to reach it;
+//!   no thread and a request costs no wake-up to reach it. Or it may have
+//!   the far end deliver to it ([`Transport::deliver_on_send`]): the far end's
+//!   send runs its receive on the sending thread right after queuing the
+//!   value, so a frame and its reply cost no wake-up either. Each end has
+//!   one step cell, which records which far-end call runs it. Lock order:
+//!   a delivery takes the far node's slot, try-only, holding none of its
+//!   own; a send that finds the delivery running leaves its value to that
+//!   runner, so A's send → B's step → B's reply → A's step is as deep as
+//!   it nests;
 //! * TCP ([`Link::connect`], [`Link::accept`], [`Link::new`]) — each value
 //!   framed by its [`Frame`] codec over one socket; this is the "high speed
 //!   data center network" path. It has no thread: senders write the socket
@@ -26,7 +34,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,7 +71,24 @@ pub trait Transport: Send {
 
     /// True if the link is known dead.
     fn is_connected(&self) -> bool;
+
+    /// Have the far end's sends deliver to this end: `step` — this end's
+    /// receive — runs on the sending thread right after each frame is
+    /// queued, and returns false once it is over (it is then dropped).
+    /// False, with the step dropped, if the link cannot: the caller keeps
+    /// reading the link itself. Only an in-memory [`Link`] can; the
+    /// default refuses.
+    fn deliver_on_send(&self, step: DeliveryStep) -> bool {
+        drop(step);
+        false
+    }
 }
+
+/// An end's step, bound to that end and run by the far end: its receive,
+/// run by the far end's send ([`Transport::deliver_on_send`]), or its
+/// serving, run by the far end's receive ([`Link::offer_step`]). False
+/// once it is over.
+pub type DeliveryStep = Box<dyn FnMut() -> bool + Send>;
 
 /// Sharing a transport: a node can own one handle while the caller keeps
 /// another for inspection (e.g. reading a `FaultTransport`'s decision trace
@@ -79,6 +104,10 @@ impl<T: Transport + Send + Sync + ?Sized> Transport for Arc<T> {
 
     fn is_connected(&self) -> bool {
         (**self).is_connected()
+    }
+
+    fn deliver_on_send(&self, step: DeliveryStep) -> bool {
+        (**self).deliver_on_send(step)
     }
 }
 
@@ -112,28 +141,94 @@ enum Arm<S, R> {
     Tcp(FramedLink),
 }
 
-/// An offered end's serving, bound to that end: false once it is over.
-type Step = Box<dyn FnMut() -> bool + Send>;
+/// A step the far end's receive runs before it waits ([`Link::offer_step`]).
+const ON_RECV: u8 = 1;
+/// A step the far end's send runs after it queues ([`Transport::deliver_on_send`]).
+const ON_SEND: u8 = 2;
+
+/// One end's step and the far-end call that runs it.
+#[derive(Default)]
+struct StepCell {
+    /// `ON_RECV` or `ON_SEND`, set when the step is registered (0 before);
+    /// read without a lock.
+    on: AtomicU8,
+    step: Mutex<Option<DeliveryStep>>,
+    /// An `ON_SEND` step's turns.
+    turn: Mutex<Turn>,
+}
+
+/// Who runs an `ON_SEND` step: one thread at a time, and one that finds it
+/// running leaves its value to that thread, which runs it once more if
+/// the value is still waiting.
+#[derive(Default)]
+struct Turn {
+    running: bool,
+    again: bool,
+}
 
 /// What both ends of an in-memory link share.
+#[derive(Default)]
 struct MemShared {
     severed: AtomicBool,
-    /// `steps[e]` is the step end `e` offered ([`Link::offer_step`]); the
-    /// other end runs it.
-    steps: [Mutex<Option<Step>>; 2],
+    /// `steps[e]` is the step end `e` registered; the other end runs it.
+    steps: [StepCell; 2],
 }
 
 impl MemShared {
-    /// Run the step the far end of `end` offered, if any; drop it (and
-    /// with it the far end, which closes the link) once it says it is
-    /// over, or when `last`.
-    fn run_far_step(&self, end: usize, last: bool) {
-        let mut slot = self.steps[1 - end].lock();
+    /// Run the step the far end of `end` offered to this end's receive,
+    /// if any; drop it (and with it the far end, which closes the link)
+    /// once it says it is over, or when `last`.
+    fn serve_far(&self, end: usize, last: bool) {
+        let cell = &self.steps[1 - end];
+        if cell.on.load(Ordering::Acquire) != ON_RECV {
+            return;
+        }
+        let mut slot = cell.step.lock();
         if let Some(step) = slot.as_mut() {
             if !step() || last {
                 *slot = None;
             }
         }
+    }
+
+    /// This end just queued a value on `tx`: run the far end's delivery
+    /// step, if it registered one, on this thread. If another thread is
+    /// running it, this one returns at once — a delivery never waits on a
+    /// lock the step holds — and that thread, once done, runs it again if
+    /// the value is still in the channel.
+    fn deliver<S>(&self, end: usize, tx: &Sender<S>) {
+        let cell = &self.steps[1 - end];
+        if cell.on.load(Ordering::Acquire) != ON_SEND {
+            return;
+        }
+        {
+            let mut turn = cell.turn.lock();
+            if turn.running {
+                turn.again = true;
+                return;
+            }
+            turn.running = true;
+        }
+        loop {
+            {
+                let mut slot = cell.step.lock();
+                if !slot.as_mut().is_some_and(|step| step()) {
+                    *slot = None;
+                }
+            }
+            let mut turn = cell.turn.lock();
+            if !std::mem::take(&mut turn.again) || tx.is_empty() {
+                turn.running = false;
+                return;
+            }
+        }
+    }
+
+    /// Register end `end`'s step, run `on` the far end's call.
+    fn register(&self, end: usize, on: u8, step: DeliveryStep) {
+        let cell = &self.steps[end];
+        *cell.step.lock() = Some(step);
+        cell.on.store(on, Ordering::Release);
     }
 }
 
@@ -142,10 +237,7 @@ impl MemShared {
 pub fn mem_link<S, R>() -> (Link<S, R>, Link<R, S>) {
     let (s_tx, s_rx) = unbounded();
     let (r_tx, r_rx) = unbounded();
-    let shared = Arc::new(MemShared {
-        severed: AtomicBool::new(false),
-        steps: [Mutex::new(None), Mutex::new(None)],
-    });
+    let shared = Arc::new(MemShared::default());
     (
         Link(Arm::Mem {
             tx: s_tx,
@@ -188,15 +280,21 @@ impl<S: Frame, R: Frame> Link<S, R> {
         Link::new(stream)
     }
 
-    /// Send one value: the in-memory arm moves it into the channel, the TCP
-    /// arm encodes it and writes the frame on the calling thread.
+    /// Send one value: the in-memory arm moves it into the channel and
+    /// runs the far end's delivery step, if it registered one
+    /// ([`Transport::deliver_on_send`]); the TCP arm encodes it and writes the
+    /// frame on the calling thread.
     pub fn send(&self, msg: S) -> Result<(), LinkClosed> {
         match &self.0 {
-            Arm::Mem { tx, shared, .. } => {
+            Arm::Mem {
+                tx, shared, end, ..
+            } => {
                 if shared.severed.load(Ordering::SeqCst) {
                     return Err(LinkClosed);
                 }
-                tx.send(msg).map_err(|_| LinkClosed)
+                tx.send(msg).map_err(|_| LinkClosed)?;
+                shared.deliver(*end, tx);
+                Ok(())
             }
             Arm::Tcp(link) => {
                 let mut buf = BytesMut::new();
@@ -221,7 +319,7 @@ impl<S: Frame, R: Frame> Link<S, R> {
                     return Err(LinkClosed);
                 }
                 let started = Instant::now();
-                shared.run_far_step(*end, false);
+                shared.serve_far(*end, false);
                 match rx.recv_timeout(timeout.saturating_sub(started.elapsed())) {
                     // A message already in flight when the link was severed
                     // is dropped, like packets in a real partition.
@@ -274,7 +372,7 @@ impl<S: Send + 'static, R: Send + 'static> Link<S, R> {
             Arm::Mem { shared, end, .. } => (shared.clone(), *end),
             Arm::Tcp(_) => return Err((self, step)),
         };
-        *shared.steps[end].lock() = Some(Box::new(move || step(&self, Duration::ZERO)));
+        shared.register(end, ON_RECV, Box::new(move || step(&self, Duration::ZERO)));
         Ok(())
     }
 }
@@ -283,7 +381,7 @@ impl<S, R> Drop for Link<S, R> {
     fn drop(&mut self) {
         if let Arm::Mem { shared, end, .. } = &self.0 {
             // Serve what this end sent last, then release the far end.
-            shared.run_far_step(*end, true);
+            shared.serve_far(*end, true);
         }
     }
 }
@@ -299,6 +397,21 @@ impl Transport for Link<Message> {
 
     fn is_connected(&self) -> bool {
         Link::is_connected(self)
+    }
+
+    /// In memory the step is taken: every far-end [`Link::send`] runs it
+    /// on the sending thread right after queuing its value — one thread at
+    /// a time, and a send that finds it running leaves its value to that
+    /// thread, which runs it once more before it lets go. Over TCP the far
+    /// end is another process: the step is refused.
+    fn deliver_on_send(&self, step: DeliveryStep) -> bool {
+        match &self.0 {
+            Arm::Mem { shared, end, .. } => {
+                shared.register(*end, ON_SEND, step);
+                true
+            }
+            Arm::Tcp(_) => false,
+        }
     }
 }
 
@@ -565,6 +678,127 @@ mod tests {
         // The end comes back working.
         client.send(Message::Purge).unwrap();
         assert_eq!(server.recv_timeout(SHORT), Ok(Some(Message::Purge)));
+    }
+
+    /// The name of the calling thread.
+    fn thread() -> String {
+        std::thread::current().name().unwrap_or("?").to_string()
+    }
+
+    /// A delivery step on `end` that logs each value it receives with the
+    /// thread it ran on; it holds `end` weakly, so it is over once `end`
+    /// is gone.
+    fn logging_step(
+        end: &Arc<Link<Message>>,
+        log: &Arc<Mutex<Vec<(Message, String)>>>,
+    ) -> DeliveryStep {
+        let (end, log) = (Arc::downgrade(end), log.clone());
+        Box::new(move || {
+            let Some(end) = end.upgrade() else {
+                return false;
+            };
+            while let Ok(Some(m)) = end.recv_timeout(Duration::ZERO) {
+                log.lock().push((m, thread()));
+            }
+            true
+        })
+    }
+
+    #[test]
+    fn a_delivery_step_runs_on_the_senders_thread() {
+        let (a, b) = mem_pair();
+        let b = Arc::new(b);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        assert!(Transport::deliver_on_send(&*b, logging_step(&b, &log)));
+        std::thread::Builder::new()
+            .name("sender".into())
+            .spawn(move || a.send(Message::Purge).unwrap())
+            .unwrap()
+            .join()
+            .unwrap();
+        // The frame was received before the send returned, by the sender.
+        assert_eq!(*log.lock(), vec![(Message::Purge, "sender".to_string())]);
+    }
+
+    #[test]
+    fn a_busy_delivery_step_is_left_to_its_runner_which_delivers_the_frame() {
+        let (a, b) = mem_pair();
+        let (a, b) = (Arc::new(a), Arc::new(b));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (go, go_rx) = std::sync::mpsc::channel::<()>();
+        let mut step = logging_step(&b, &log);
+        let mut first = Some((started_tx, go_rx));
+        let busy: DeliveryStep = Box::new(move || {
+            let alive = step();
+            // The first run stays busy until the test lets it go.
+            if let Some((started, go)) = first.take() {
+                started.send(()).unwrap();
+                go.recv().unwrap();
+            }
+            alive
+        });
+        assert!(Transport::deliver_on_send(&*b, busy));
+        let runner = {
+            let a = a.clone();
+            std::thread::Builder::new()
+                .name("runner".into())
+                .spawn(move || a.send(Message::Purge).unwrap())
+                .unwrap()
+        };
+        started.recv().unwrap();
+        // The step is busy: this send queues its frame and returns.
+        a.send(Message::PurgeAck).unwrap();
+        assert_eq!(log.lock().len(), 1);
+        go.send(()).unwrap();
+        runner.join().unwrap();
+        // The runner ran the step once more before it let go.
+        assert_eq!(
+            *log.lock(),
+            vec![
+                (Message::Purge, "runner".to_string()),
+                (Message::PurgeAck, "runner".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_delivery_step_that_is_gone_is_dropped() {
+        let (a, b) = mem_pair();
+        let token = Arc::new(());
+        let held = token.clone();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = runs.clone();
+        let step: DeliveryStep = Box::new(move || {
+            let _ = &held;
+            counted.fetch_add(1, Ordering::SeqCst);
+            false // its receiver is gone
+        });
+        assert!(Transport::deliver_on_send(&b, step));
+        a.send(Message::Purge).unwrap();
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(Arc::strong_count(&token), 1, "the step was dropped");
+        a.send(Message::PurgeAck).unwrap();
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        // What it did not take waits for the end's own reads.
+        assert_eq!(b.recv_timeout(SHORT), Ok(Some(Message::Purge)));
+        assert_eq!(b.recv_timeout(SHORT), Ok(Some(Message::PurgeAck)));
+    }
+
+    #[test]
+    fn tcp_refuses_a_delivery_step() {
+        let (client, server) = tcp_pair();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = runs.clone();
+        let step: DeliveryStep = Box::new(move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            true
+        });
+        assert!(!Transport::deliver_on_send(&server, step));
+        // The end keeps working, read by its own receive.
+        client.send(Message::Purge).unwrap();
+        assert_eq!(server.recv_timeout(SHORT), Ok(Some(Message::Purge)));
+        assert_eq!(runs.load(Ordering::SeqCst), 0);
     }
 
     /// Two connected TCP peer links on loopback.

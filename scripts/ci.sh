@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt (check only)"
 cargo fmt --all -- --check
 
-echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table, one buffer call per run"
+echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table, one buffer call per run, one delivery step"
 # DESIGN §16: code that runs under the node's `Inner` lock never sends, the
 # pipe never takes `Inner`, and only hosted.rs knows where pages hosted for
 # the peer live. Checked on code only — comment lines and each file's test
@@ -31,6 +31,30 @@ for f in crates/cluster/src/node/*.rs; do
     exit 1
   fi
 done
+# DESIGN §16: on an in-memory pair the peer's send runs this node's receive
+# (pump::drain). Only pump.rs bids for the slot that way (try-only, so a
+# delivery never waits on the far node), the node registers that step
+# once, in Node::spawn, and the link runs a delivery step from one place:
+# the mem arm of Link::send.
+for f in $(find crates/cluster/src -name '*.rs'); do
+  case "$f" in crates/cluster/src/node/pump.rs) continue ;; esac
+  if code "$f" | grep -nw 'try_take'; then
+    echo "$f: only node/pump.rs takes the link slot for a delivery (drain)" >&2
+    exit 1
+  fi
+done
+spawn_body="$(code crates/cluster/src/node/mod.rs | sed -n '/pub fn spawn(/,/^    }/p')"
+if [ "$(for f in crates/cluster/src/node/*.rs; do code "$f"; done | grep -c 'deliver_on_send(')" -ne 1 ] \
+  || ! grep -q 'deliver_on_send(' <<<"$spawn_body"; then
+  echo "crates/cluster/src/node: the delivery step is registered once, in Node::spawn" >&2
+  exit 1
+fi
+send_arm="$(code crates/cluster/src/transport.rs | sed -n '/pub fn send(&self, msg: S)/,/Arm::Tcp/p')"
+if [ "$(code crates/cluster/src/transport.rs | grep -c '\.deliver(')" -ne 1 ] \
+  || ! grep -q '\.deliver(' <<<"$send_arm"; then
+  echo "crates/cluster/src/transport.rs: a delivery step runs from the mem arm of Link::send only" >&2
+  exit 1
+fi
 if code crates/cluster/src/pipe.rs | grep -nw 'Inner'; then
   echo "pipe.rs must not name the node's Inner" >&2
   exit 1
@@ -413,9 +437,11 @@ cargo test --release -q --offline --test pipeline_stress --test chaos_replicatio
 # against its bit-wise definition, and the node's group write / run read
 # (several runs, one pipe submission, one ticket) as the optimizer builds them;
 # the node's counter cells, bumped by writers and the pump with no lock
-# between them, against `Node::stats` after a mixed run; and the link slot's
-# hand-offs between writers and the pump.
+# between them, against `Node::stats` after a mixed run; the link slot's
+# hand-offs between writers, deliveries and the pump; and (Linux) that a
+# replicated write on an in-memory pair wakes no other thread.
 cargo test --release -q --offline -p fc-cluster --lib -- crc32 group_write read_run registry_equals_stats link_slot
+cargo test --release -q --offline -p fc-cluster --test handoffs
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings

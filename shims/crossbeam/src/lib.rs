@@ -2,19 +2,28 @@
 //! cluster transports rely on — cloneable `Sender`/`Receiver` that are both
 //! `Sync`, `recv_timeout`, and disconnect detection when either side is
 //! fully dropped. Backed by `Mutex<VecDeque>` + `Condvar`; throughput is
-//! plenty for the message rates involved.
+//! plenty for the message rates involved. A send signals the condvar only
+//! when a receiver is blocked on it: a wake with nobody waiting is still a
+//! `futex_wake` system call on Linux.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Chan<T> {
-        queue: Mutex<VecDeque<T>>,
+        queue: Mutex<Queue<T>>,
         ready: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+    }
+
+    /// The values in flight, and how many receivers are blocked waiting
+    /// for one.
+    struct Queue<T> {
+        items: VecDeque<T>,
+        blocked: usize,
     }
 
     /// Sending half; cloneable, shared across threads.
@@ -43,7 +52,10 @@ pub mod channel {
     /// Create an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                blocked: 0,
+            }),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
@@ -58,17 +70,38 @@ pub mod channel {
         unbounded()
     }
 
+    impl<T> Chan<T> {
+        fn lock(&self) -> MutexGuard<'_, Queue<T>> {
+            self.queue.lock().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+
     impl<T> Sender<T> {
-        /// Enqueue a message; fails if every receiver is gone.
+        /// Enqueue a message; fails if every receiver is gone. Wakes one
+        /// blocked receiver, if any is.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             if self.0.receivers.load(Ordering::SeqCst) == 0 {
                 return Err(SendError(value));
             }
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.push_back(value);
+            let mut q = self.0.lock();
+            q.items.push_back(value);
+            let wake = q.blocked > 0;
             drop(q);
-            self.0.ready.notify_one();
+            if wake {
+                self.0.ready.notify_one();
+            }
             Ok(())
+        }
+
+        /// True if no message is waiting in the channel.
+        pub fn is_empty(&self) -> bool {
+            self.0.lock().items.is_empty()
+        }
+
+        /// Receivers blocked on the channel right now.
+        #[cfg(test)]
+        pub(crate) fn blocked(&self) -> usize {
+            self.0.lock().blocked
         }
     }
 
@@ -80,9 +113,9 @@ pub mod channel {
 
         /// Wait until `deadline` for a message.
         pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = self.0.lock();
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = q.items.pop_front() {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
@@ -92,33 +125,36 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                q.blocked += 1;
                 let (guard, _res) = self
                     .0
                     .ready
                     .wait_timeout(q, deadline - now)
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
+                q.blocked -= 1;
             }
         }
 
         /// Block until a message arrives or every sender is gone.
         pub fn recv(&self) -> Result<T, RecvError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = self.0.lock();
             loop {
-                if let Some(v) = q.pop_front() {
+                if let Some(v) = q.items.pop_front() {
                     return Ok(v);
                 }
                 if self.0.senders.load(Ordering::SeqCst) == 0 {
                     return Err(RecvError);
                 }
+                q.blocked += 1;
                 q = self.0.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+                q.blocked -= 1;
             }
         }
 
         /// Non-blocking poll.
         pub fn try_recv(&self) -> Result<T, RecvTimeoutError> {
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = q.pop_front() {
+            if let Some(v) = self.0.lock().items.pop_front() {
                 return Ok(v);
             }
             if self.0.senders.load(Ordering::SeqCst) == 0 {
@@ -202,6 +238,36 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         tx.send(42u8).unwrap();
         assert_eq!(h.join().unwrap(), Ok(42));
+    }
+
+    #[test]
+    fn every_blocked_receiver_is_woken_and_an_unawaited_send_waits() {
+        let (tx, rx) = unbounded();
+        let blocked: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(5)))
+            })
+            .collect();
+        // Both receivers are parked on the condvar before either send.
+        while tx.blocked() < 2 {
+            std::thread::yield_now();
+        }
+        tx.send(1u8).unwrap();
+        tx.send(2u8).unwrap();
+        let mut got: Vec<u8> = blocked
+            .into_iter()
+            .map(|h| h.join().unwrap().expect("woken with a value"))
+            .collect();
+        got.sort();
+        assert_eq!(got, vec![1, 2]);
+        // Nobody waits now: the send signals nothing, and the value stays
+        // queued for a later receive.
+        assert!(tx.is_empty());
+        tx.send(3u8).unwrap();
+        assert!(!tx.is_empty());
+        assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Ok(3));
+        assert!(tx.is_empty());
     }
 
     #[test]
