@@ -52,11 +52,13 @@
 //!
 //! The lock order is link slot → `Inner` → pipe state, and `Inner` →
 //! backend; the slot is taken only with no node lock held — a delivery
-//! (a node's send running its peer's receive, `pump::drain`) takes the
-//! far node's slot, try-only, holding none of its own — the leaves
-//! (backend, the parked-calls list) never nest, counting takes no lock at
-//! all (`NodeObs` is plain cells), and no code holding `Inner` sends. The
-//! file layout is that rule (`scripts/ci.sh` greps that it stays so):
+//! (a node's send running its peer's receive, `pump::drain`, a plain call
+//! the link does not serialise) takes the far node's slot, try-only,
+//! holding none of its own, and the slot alone decides who reads — the
+//! leaves (backend, the parked-calls list) never nest, counting takes no
+//! lock at all (`NodeObs` is plain cells), and no code holding `Inner`
+//! sends. The file layout is that rule (`scripts/ci.sh` greps that it
+//! stays so):
 //!
 //! | module | owns | may lock | sends? |
 //! |---|---|---|---|
@@ -183,7 +185,7 @@ impl Node {
         // On an in-memory link the peer's sends run this node's receive;
         // the step lets go of a node that is gone or stopped.
         let weak = Arc::downgrade(&core);
-        core.transport.deliver_on_send(Box::new(move || {
+        core.transport.deliver_on_send(Arc::new(move || {
             let Some(core) = weak.upgrade() else {
                 return false;
             };

@@ -11,7 +11,9 @@
 //! [`super::Node`]'s own methods the only code that sends on it — every
 //! handler it calls returns its reply instead of sending it, and no `Inner`
 //! guard is held across a send. Lock order: a delivery takes the far
-//! node's slot, try-only, holding none of its own.
+//! node's slot, try-only, holding none of its own. The link runs a
+//! delivery as a plain call, so several may arrive at once; the slot is
+//! the only thing that decides which of them reads.
 
 use super::Core;
 use crate::pipe::RunTicket;
@@ -140,9 +142,10 @@ pub(super) fn release(core: &Core) {
 }
 
 /// The node's delivery step, run by the thread that sent the peer's frame
-/// (`Node::spawn` registers it on an in-memory link): if the slot is free,
-/// read until nothing is left and let go; else the mark it leaves hands
-/// the frame to the holder.
+/// (`Node::spawn` registers it on an in-memory link), by several senders
+/// at once if they send at once: if the slot is free, read until nothing
+/// is left and let go; else the mark it leaves hands the frame to the
+/// holder.
 pub(super) fn drain(core: &Core) {
     if core.link.try_take() {
         while let Ok(true) = read_one(core, Duration::ZERO) {}

@@ -12,11 +12,12 @@
 //!   the far end deliver to it ([`Transport::deliver_on_send`]): the far end's
 //!   send runs its receive on the sending thread right after queuing the
 //!   value, so a frame and its reply cost no wake-up either. Each end has
-//!   one step cell, which records which far-end call runs it. Lock order:
-//!   a delivery takes the far node's slot, try-only, holding none of its
-//!   own; a send that finds the delivery running leaves its value to that
-//!   runner, so A's send → B's step → B's reply → A's step is as deep as
-//!   it nests;
+//!   one step cell, which records which far-end call runs it. The link
+//!   runs a step as a plain call, with no lock held and no turn of its
+//!   own, so two senders may run it at once: who reads is the step's to
+//!   decide. A node's step takes the node's link slot, try-only, holding
+//!   none of its own, and leaves its frame to whoever holds it; that slot
+//!   also stops the nesting at A's send → B's step → B's reply → A's step;
 //! * TCP ([`Link::connect`], [`Link::accept`], [`Link::new`]) — each value
 //!   framed by its [`Frame`] codec over one socket; this is the "high speed
 //!   data center network" path. It has no thread: senders write the socket
@@ -86,9 +87,9 @@ pub trait Transport: Send {
 
 /// An end's step, bound to that end and run by the far end: its receive,
 /// run by the far end's send ([`Transport::deliver_on_send`]), or its
-/// serving, run by the far end's receive ([`Link::offer_step`]). False
-/// once it is over.
-pub type DeliveryStep = Box<dyn FnMut() -> bool + Send>;
+/// serving, run by the far end's receive ([`Link::offer_step`]). A plain
+/// call, which two threads may make at once. False once it is over.
+pub type DeliveryStep = Arc<dyn Fn() -> bool + Send + Sync>;
 
 /// Sharing a transport: a node can own one handle while the caller keeps
 /// another for inspection (e.g. reading a `FaultTransport`'s decision trace
@@ -153,17 +154,6 @@ struct StepCell {
     /// read without a lock.
     on: AtomicU8,
     step: Mutex<Option<DeliveryStep>>,
-    /// An `ON_SEND` step's turns.
-    turn: Mutex<Turn>,
-}
-
-/// Who runs an `ON_SEND` step: one thread at a time, and one that finds it
-/// running leaves its value to that thread, which runs it once more if
-/// the value is still waiting.
-#[derive(Default)]
-struct Turn {
-    running: bool,
-    again: bool,
 }
 
 /// What both ends of an in-memory link share.
@@ -175,52 +165,22 @@ struct MemShared {
 }
 
 impl MemShared {
-    /// Run the step the far end of `end` offered to this end's receive,
-    /// if any; drop it (and with it the far end, which closes the link)
-    /// once it says it is over, or when `last`.
-    fn serve_far(&self, end: usize, last: bool) {
+    /// Run the step the far end of `end` registered to run `on` this
+    /// end's call, if it did, on this thread and with no lock held: two
+    /// threads may run it at once. Drop it once it says it is over, or
+    /// when `last` (dropping an offered step drops the far end, which
+    /// closes the link).
+    fn run_far(&self, end: usize, on: u8, last: bool) {
         let cell = &self.steps[1 - end];
-        if cell.on.load(Ordering::Acquire) != ON_RECV {
+        if cell.on.load(Ordering::Acquire) != on {
             return;
         }
-        let mut slot = cell.step.lock();
-        if let Some(step) = slot.as_mut() {
-            if !step() || last {
-                *slot = None;
-            }
-        }
-    }
-
-    /// This end just queued a value on `tx`: run the far end's delivery
-    /// step, if it registered one, on this thread. If another thread is
-    /// running it, this one returns at once — a delivery never waits on a
-    /// lock the step holds — and that thread, once done, runs it again if
-    /// the value is still in the channel.
-    fn deliver<S>(&self, end: usize, tx: &Sender<S>) {
-        let cell = &self.steps[1 - end];
-        if cell.on.load(Ordering::Acquire) != ON_SEND {
+        let Some(step) = cell.step.lock().clone() else {
             return;
-        }
-        {
-            let mut turn = cell.turn.lock();
-            if turn.running {
-                turn.again = true;
-                return;
-            }
-            turn.running = true;
-        }
-        loop {
-            {
-                let mut slot = cell.step.lock();
-                if !slot.as_mut().is_some_and(|step| step()) {
-                    *slot = None;
-                }
-            }
-            let mut turn = cell.turn.lock();
-            if !std::mem::take(&mut turn.again) || tx.is_empty() {
-                turn.running = false;
-                return;
-            }
+        };
+        if !step() || last {
+            // `step` still holds it: it is dropped with no lock held.
+            *cell.step.lock() = None;
         }
     }
 
@@ -293,7 +253,7 @@ impl<S: Frame, R: Frame> Link<S, R> {
                     return Err(LinkClosed);
                 }
                 tx.send(msg).map_err(|_| LinkClosed)?;
-                shared.deliver(*end, tx);
+                shared.run_far(*end, ON_SEND, false);
                 Ok(())
             }
             Arm::Tcp(link) => {
@@ -319,7 +279,7 @@ impl<S: Frame, R: Frame> Link<S, R> {
                     return Err(LinkClosed);
                 }
                 let started = Instant::now();
-                shared.serve_far(*end, false);
+                shared.run_far(*end, ON_RECV, false);
                 match rx.recv_timeout(timeout.saturating_sub(started.elapsed())) {
                     // A message already in flight when the link was severed
                     // is dropped, like packets in a real partition.
@@ -364,7 +324,7 @@ impl<S: Send + 'static, R: Send + 'static> Link<S, R> {
     /// last run, which closes the link. Over TCP the far end is another
     /// process: the offer is refused, and the end and its step come back
     /// for the caller to drive.
-    pub fn offer_step<F>(self, mut step: F) -> Result<(), (Self, F)>
+    pub fn offer_step<F>(self, step: F) -> Result<(), (Self, F)>
     where
         F: FnMut(&Self, Duration) -> bool + Send + 'static,
     {
@@ -372,7 +332,17 @@ impl<S: Send + 'static, R: Send + 'static> Link<S, R> {
             Arm::Mem { shared, end, .. } => (shared.clone(), *end),
             Arm::Tcp(_) => return Err((self, step)),
         };
-        shared.register(end, ON_RECV, Box::new(move || step(&self, Duration::ZERO)));
+        // One client thread runs it; the lock keeps a session's serving
+        // one run at a time all the same.
+        let served = Mutex::new((self, step));
+        shared.register(
+            end,
+            ON_RECV,
+            Arc::new(move || {
+                let (end, step) = &mut *served.lock();
+                step(end, Duration::ZERO)
+            }),
+        );
         Ok(())
     }
 }
@@ -381,7 +351,7 @@ impl<S, R> Drop for Link<S, R> {
     fn drop(&mut self) {
         if let Arm::Mem { shared, end, .. } = &self.0 {
             // Serve what this end sent last, then release the far end.
-            shared.serve_far(*end, true);
+            shared.run_far(*end, ON_RECV, true);
         }
     }
 }
@@ -400,10 +370,10 @@ impl Transport for Link<Message> {
     }
 
     /// In memory the step is taken: every far-end [`Link::send`] runs it
-    /// on the sending thread right after queuing its value — one thread at
-    /// a time, and a send that finds it running leaves its value to that
-    /// thread, which runs it once more before it lets go. Over TCP the far
-    /// end is another process: the step is refused.
+    /// on the sending thread right after queuing its value, as a plain
+    /// call — two sends may run it at once, and the step decides who
+    /// reads. Over TCP the far end is another process: the step is
+    /// refused.
     fn deliver_on_send(&self, step: DeliveryStep) -> bool {
         match &self.0 {
             Arm::Mem { shared, end, .. } => {
@@ -693,7 +663,7 @@ mod tests {
         log: &Arc<Mutex<Vec<(Message, String)>>>,
     ) -> DeliveryStep {
         let (end, log) = (Arc::downgrade(end), log.clone());
-        Box::new(move || {
+        Arc::new(move || {
             let Some(end) = end.upgrade() else {
                 return false;
             };
@@ -721,45 +691,35 @@ mod tests {
     }
 
     #[test]
-    fn a_busy_delivery_step_is_left_to_its_runner_which_delivers_the_frame() {
+    fn a_delivery_step_runs_on_every_sender_at_once() {
         let (a, b) = mem_pair();
-        let (a, b) = (Arc::new(a), Arc::new(b));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let (started_tx, started) = std::sync::mpsc::channel();
-        let (go, go_rx) = std::sync::mpsc::channel::<()>();
-        let mut step = logging_step(&b, &log);
-        let mut first = Some((started_tx, go_rx));
-        let busy: DeliveryStep = Box::new(move || {
-            let alive = step();
-            // The first run stays busy until the test lets it go.
-            if let Some((started, go)) = first.take() {
-                started.send(()).unwrap();
-                go.recv().unwrap();
-            }
-            alive
-        });
-        assert!(Transport::deliver_on_send(&*b, busy));
-        let runner = {
-            let a = a.clone();
-            std::thread::Builder::new()
-                .name("runner".into())
-                .spawn(move || a.send(Message::Purge).unwrap())
-                .unwrap()
+        let met = Arc::new(Mutex::new(Vec::new()));
+        let step: DeliveryStep = {
+            let (arrived, met) = (AtomicUsize::new(0), met.clone());
+            // Each run waits, a while at most, for the other to come in.
+            Arc::new(move || {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                met.lock().push(arrived.load(Ordering::SeqCst) >= 2);
+                true
+            })
         };
-        started.recv().unwrap();
-        // The step is busy: this send queues its frame and returns.
-        a.send(Message::PurgeAck).unwrap();
-        assert_eq!(log.lock().len(), 1);
-        go.send(()).unwrap();
-        runner.join().unwrap();
-        // The runner ran the step once more before it let go.
-        assert_eq!(
-            *log.lock(),
-            vec![
-                (Message::Purge, "runner".to_string()),
-                (Message::PurgeAck, "runner".to_string()),
-            ]
-        );
+        assert!(Transport::deliver_on_send(&b, step));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    a.send(Message::Purge).unwrap();
+                });
+            }
+        });
+        // Neither send left its frame to the other: both ran the step, and
+        // each run saw the other inside it.
+        assert_eq!(*met.lock(), vec![true, true]);
     }
 
     #[test]
@@ -769,7 +729,7 @@ mod tests {
         let held = token.clone();
         let runs = Arc::new(AtomicUsize::new(0));
         let counted = runs.clone();
-        let step: DeliveryStep = Box::new(move || {
+        let step: DeliveryStep = Arc::new(move || {
             let _ = &held;
             counted.fetch_add(1, Ordering::SeqCst);
             false // its receiver is gone
@@ -790,7 +750,7 @@ mod tests {
         let (client, server) = tcp_pair();
         let runs = Arc::new(AtomicUsize::new(0));
         let counted = runs.clone();
-        let step: DeliveryStep = Box::new(move || {
+        let step: DeliveryStep = Arc::new(move || {
             counted.fetch_add(1, Ordering::SeqCst);
             true
         });

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt (check only)"
 cargo fmt --all -- --check
 
-echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table, one buffer call per run, one delivery step"
+echo "==> node layout guard: the lock order stays a module-visibility fact, one cell per counter, one page table, one buffer call per run, one delivery step, no link turn"
 # DESIGN §16: code that runs under the node's `Inner` lock never sends, the
 # pipe never takes `Inner`, and only hosted.rs knows where pages hosted for
 # the peer live. Checked on code only — comment lines and each file's test
@@ -35,7 +35,8 @@ done
 # (pump::drain). Only pump.rs bids for the slot that way (try-only, so a
 # delivery never waits on the far node), the node registers that step
 # once, in Node::spawn, and the link runs a delivery step from one place:
-# the mem arm of Link::send.
+# the mem arm of Link::send. The link runs it as a plain call and keeps no
+# turn of its own, so the slot is the only busy rule a delivery meets.
 for f in $(find crates/cluster/src -name '*.rs'); do
   case "$f" in crates/cluster/src/node/pump.rs) continue ;; esac
   if code "$f" | grep -nw 'try_take'; then
@@ -50,9 +51,18 @@ if [ "$(for f in crates/cluster/src/node/*.rs; do code "$f"; done | grep -c 'del
   exit 1
 fi
 send_arm="$(code crates/cluster/src/transport.rs | sed -n '/pub fn send(&self, msg: S)/,/Arm::Tcp/p')"
-if [ "$(code crates/cluster/src/transport.rs | grep -c '\.deliver(')" -ne 1 ] \
-  || ! grep -q '\.deliver(' <<<"$send_arm"; then
+if [ "$(code crates/cluster/src/transport.rs | grep -c 'run_far(.*ON_SEND')" -ne 1 ] \
+  || ! grep -q 'run_far(.*ON_SEND' <<<"$send_arm"; then
   echo "crates/cluster/src/transport.rs: a delivery step runs from the mem arm of Link::send only" >&2
+  exit 1
+fi
+if code crates/cluster/src/transport.rs | grep -nwE 'Turn|again'; then
+  echo "crates/cluster/src/transport.rs: the link keeps no turn; the node's link slot decides who reads" >&2
+  exit 1
+fi
+if grep -n 'fn is_empty' shims/crossbeam/src/lib.rs \
+  || for f in $(find crates/cluster/src -name '*.rs'); do code "$f"; done | grep -nE '\b[a-z_]*(tx|rx)\.is_empty\('; then
+  echo "crates/cluster/src: no code asks a channel whether it is empty" >&2
   exit 1
 fi
 if code crates/cluster/src/pipe.rs | grep -nw 'Inner'; then

@@ -63,13 +63,6 @@ pub mod channel {
         (Sender(chan.clone()), Receiver(chan))
     }
 
-    /// Create a "bounded" channel. The shim does not enforce the capacity
-    /// (the workspace only uses `bounded(1)` as a one-shot mailbox, where
-    /// overflow cannot occur), so sends never block.
-    pub fn bounded<T>(_cap: usize) -> (Sender<T>, Receiver<T>) {
-        unbounded()
-    }
-
     impl<T> Chan<T> {
         fn lock(&self) -> MutexGuard<'_, Queue<T>> {
             self.queue.lock().unwrap_or_else(|e| e.into_inner())
@@ -93,9 +86,10 @@ pub mod channel {
             Ok(())
         }
 
-        /// True if no message is waiting in the channel.
-        pub fn is_empty(&self) -> bool {
-            self.0.lock().items.is_empty()
+        /// Values waiting in the channel right now.
+        #[cfg(test)]
+        pub(crate) fn queued(&self) -> usize {
+            self.0.lock().items.len()
         }
 
         /// Receivers blocked on the channel right now.
@@ -151,18 +145,6 @@ pub mod channel {
                 q.blocked -= 1;
             }
         }
-
-        /// Non-blocking poll.
-        pub fn try_recv(&self) -> Result<T, RecvTimeoutError> {
-            if let Some(v) = self.0.lock().items.pop_front() {
-                return Ok(v);
-            }
-            if self.0.senders.load(Ordering::SeqCst) == 0 {
-                Err(RecvTimeoutError::Disconnected)
-            } else {
-                Err(RecvTimeoutError::Timeout)
-            }
-        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -198,7 +180,7 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvTimeoutError};
+    use super::channel::{unbounded, RecvTimeoutError};
     use std::time::Duration;
 
     #[test]
@@ -233,7 +215,7 @@ mod tests {
 
     #[test]
     fn wakes_a_blocked_receiver() {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = unbounded();
         let h = std::thread::spawn(move || rx.recv_timeout(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(30));
         tx.send(42u8).unwrap();
@@ -263,11 +245,11 @@ mod tests {
         assert_eq!(got, vec![1, 2]);
         // Nobody waits now: the send signals nothing, and the value stays
         // queued for a later receive.
-        assert!(tx.is_empty());
+        assert_eq!(tx.queued(), 0);
         tx.send(3u8).unwrap();
-        assert!(!tx.is_empty());
+        assert_eq!(tx.queued(), 1);
         assert_eq!(rx.recv_timeout(Duration::from_millis(50)), Ok(3));
-        assert!(tx.is_empty());
+        assert_eq!(tx.queued(), 0);
     }
 
     #[test]
